@@ -9,6 +9,7 @@ FUZZ_TARGETS = \
 	./internal/types:FuzzDecodeCompactQC \
 	./internal/types:FuzzDecodeBlock \
 	./internal/types:FuzzDecodeTC \
+	./internal/types:FuzzDecodeMessage \
 	./internal/tcpnet:FuzzServeFrames$$ \
 	./internal/tcpnet:FuzzServeFramesMultiPeer \
 	./internal/app:FuzzBankApply \
@@ -65,7 +66,7 @@ bench-micro:
 # micro-benchmarks for the numbers. CI runs this; record results in
 # BENCH_PR<n>.json when they move.
 bench-guard:
-	$(GO) test -run 'Alloc' -count=1 ./internal/types/ ./internal/simnet/ ./internal/core/ ./internal/wal/ ./internal/crypto/ ./internal/obs/ ./internal/app/
+	$(GO) test -run 'Alloc' -count=1 ./internal/types/ ./internal/simnet/ ./internal/core/ ./internal/wal/ ./internal/crypto/ ./internal/obs/ ./internal/app/ ./internal/tcpnet/
 	$(GO) test -run 'TestCompactQCSizeFlat' -count=1 ./internal/types/
 	$(MAKE) bench-micro
 

@@ -178,6 +178,54 @@
 // reject. BENCH_PR10.json records the numbers; make gateway-smoke runs the
 // live-binary smoke (sftnode cluster + sftgateway + sftclient -subscribe).
 //
+// # TCP wire format
+//
+// One frame format carries everything between replicas and between replicas
+// and observers (internal/tcpnet frames, internal/types/msgcodec.go encodes
+// the message). All integers are big-endian.
+//
+//	frame     uint32 length | uint32 sender | message
+//	          length counts everything after itself; at most 64 MiB
+//	          (tcpnet.MaxFrame), checked before anything is allocated
+//	message   uint8 tag | body
+//	opt(x)    uint8 0, or uint8 1 followed by x
+//	sig       uint32 length | bytes
+//
+//	tag  message            body
+//	0    hello              uint8 flags (bit 0: the dialer is an observer)
+//	1    Proposal           opt(Block) | uint64 round | uint32 sender | sig
+//	2    VoteMsg            Vote
+//	3    Timeout            uint64 round | opt(QC) | uint64 highRound | uint32 sender | sig
+//	4    Echo               uint32 relayer | opt(message), at most 8 deep
+//	5    ExtraVote          Vote | uint32 leader
+//	6    SyncRequest        [32]byte block | uint64 have | uint32 sender
+//	7    SyncResponse       uint32 sender | uint32 count | Block...
+//	8    StateSyncRequest   uint64 have | uint32 sender
+//	9    StateSyncResponse  uint32 sender | opt(QC) | uint32 count | Block...
+//	10   RoundEntry         uint64 round | opt(QC) | opt(TC) | uint32 sender | sig
+//
+// Block, QC, TC and Vote are the pinned encodings replicas hash, sign and
+// journal (Block.AppendEncoding, QC.Encode, TC.Encode, Vote.Encode), so a
+// compact certificate travels as its compact bytes. The decoders accept
+// non-canonical input and re-encode to a fixpoint; a received block's ID is
+// the hash of its re-encoding, never of the bytes that arrived.
+//
+// The hello is the first frame on every connection and names the dialer; a
+// later frame claiming any other sender is dropped and counted as spoofed,
+// one that does not decode as malformed. A replica dials each peer for its
+// outbound frames and accepts the peer's dial for inbound ones. An observer
+// dials with the observer flag under an ID outside the committee; the
+// replica then writes on that same connection every Proposal, Echo and
+// RoundEntry it broadcasts or accepts from a peer (peer frames relayed as
+// the bytes that arrived), plus replies addressed to the observer. An
+// observer may send only SyncRequest and StateSyncRequest; anything else is
+// dropped and counted as restricted.
+//
+// The client transaction stream (sft.DialTransactions to a node's
+// ListenTransactions) is not framed: transactions follow one another in
+// their pinned encoding, uint32 sender | uint64 seq | uint32 length | data,
+// with data capped at 1 MiB.
+//
 // # Performance
 //
 // The simulation hot path is engineered so that fixed-seed experiment
@@ -247,8 +295,8 @@
 // votes into one 32-byte aggregate, and types.QC gained a compact wire
 // form — signer bitmap + sparse marker-override table + aggregate
 // signature — versioned into the existing encoding by a sentinel vote
-// count, so vector certificates decode unchanged and gob/TCP transports
-// ship whichever form the QC carries. A steady-state compact QC is 100
+// count, so vector certificates decode unchanged and the TCP transport
+// ships whichever form the QC carries. A steady-state compact QC is 100
 // bytes at n=31 and 108 bytes at n=103 (one extra bitmap word), against
 // 2.9 KB and 9.6 KB for the vector form, and verifies in near-constant
 // time because votes sharing a marker state share one aggregation payload.

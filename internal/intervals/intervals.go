@@ -231,8 +231,9 @@ func (s Set) Encode(b []byte) []byte {
 	return b
 }
 
-// GobEncode implements gob.GobEncoder so sets survive the TCP transport's
-// gob envelope despite having unexported fields.
+// GobEncode implements gob.GobEncoder so sets survive encoding/gob despite
+// having unexported fields. Nothing puts gob on the wire any more; this stays
+// only for the benchmark's gob probe (see types.QC.GobEncode).
 func (s Set) GobEncode() ([]byte, error) {
 	return s.Encode(nil), nil
 }

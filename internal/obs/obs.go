@@ -53,6 +53,7 @@ type Obs struct {
 
 	framesIn, framesOut []*Counter // indexed by peer ReplicaID
 	bytesIn, bytesOut   []*Counter
+	sendDropped         []*Counter
 
 	prevalChecked *Counter
 	prevalDropped *Counter
@@ -184,6 +185,7 @@ func New(o Options) *Obs {
 	s.framesOut = make([]*Counter, o.N)
 	s.bytesIn = make([]*Counter, o.N)
 	s.bytesOut = make([]*Counter, o.N)
+	s.sendDropped = make([]*Counter, o.N)
 	for p := 0; p < o.N; p++ {
 		peer := Label{Key: "peer", Value: strconv.Itoa(p)}
 		in := Label{Key: "dir", Value: "in"}
@@ -192,6 +194,7 @@ func New(o Options) *Obs {
 		s.framesOut[p] = r.Counter("sft_net_frames_total", "Transport frames exchanged, by peer and direction.", peer, out)
 		s.bytesIn[p] = r.Counter("sft_net_bytes_total", "Transport bytes exchanged, by peer and direction.", peer, in)
 		s.bytesOut[p] = r.Counter("sft_net_bytes_total", "Transport bytes exchanged, by peer and direction.", peer, out)
+		s.sendDropped[p] = r.Counter("sft_net_send_dropped_total", "Outbound frames dropped because the peer's bounded send queue overflowed.", peer)
 	}
 	return s
 }
@@ -375,6 +378,14 @@ func (o *Obs) OnFrameOut(peer types.ReplicaID, bytes int64) {
 	}
 	o.framesOut[peer].Inc()
 	o.bytesOut[peer].Add(bytes)
+}
+
+// OnSendDropped records frames dropped from peer's outbound queue.
+func (o *Obs) OnSendDropped(peer types.ReplicaID, frames int) {
+	if o == nil || int(peer) >= len(o.sendDropped) {
+		return
+	}
+	o.sendDropped[peer].Add(int64(frames))
 }
 
 // OnPrevalidate records one message run through signature prevalidation.

@@ -71,6 +71,20 @@ func (t *localTransport) Send(to types.ReplicaID, msg types.Message) error {
 	return t.net.send(t.id, to, msg)
 }
 
+// Broadcast sends to every other endpoint, reporting the first failure.
+func (t *localTransport) Broadcast(msg types.Message) error {
+	var first error
+	for to := range t.net.inboxes {
+		if types.ReplicaID(to) == t.id {
+			continue
+		}
+		if err := t.net.send(t.id, types.ReplicaID(to), msg); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 func (t *localTransport) Recv() <-chan Inbound { return t.net.inboxes[t.id] }
 
 func (t *localTransport) Close() error { return nil }

@@ -48,8 +48,7 @@ func TestPipelinedClusterCommits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)
 		}
-		node, err := runtime.NewNode(rep, net.Endpoint(id), runtime.Options{
-			N:                  n,
+		node := runtime.NewNode(rep, net.Endpoint(id), runtime.Options{
 			PrevalidateWorkers: 2,
 			OnCommit: func(b *types.Block) {
 				mu.Lock()
@@ -57,9 +56,6 @@ func TestPipelinedClusterCommits(t *testing.T) {
 				mu.Unlock()
 			},
 		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
 		nodes[i] = node
 		wg.Add(1)
 		go func() {
@@ -167,13 +163,9 @@ func TestPipelinePerSenderFIFOAndDrops(t *testing.T) {
 		want: senders * perSender / 2,
 	}
 	net := runtime.NewLocalNetwork(senders + 1)
-	node, err := runtime.NewNode(probe, net.Endpoint(0), runtime.Options{
-		N:                  senders + 1,
+	node := runtime.NewNode(probe, net.Endpoint(0), runtime.Options{
 		PrevalidateWorkers: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan struct{})
 	go func() {

@@ -7,7 +7,7 @@ package runtime
 
 import (
 	"context"
-	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -25,24 +25,20 @@ type Inbound struct {
 	Verified bool
 }
 
-// Transport moves messages between replicas.
+// Transport moves messages between replicas. The node calls Send and
+// Broadcast from its event loop, so neither may block on the network: the
+// engine emits, the transport owns delivery. An error means the message was
+// not accepted for delivery at all; the node counts it (Node.SendFailures).
 type Transport interface {
-	// Send transmits msg to one replica. Implementations must be safe for
-	// use from the node's event loop goroutine.
+	// Send hands msg to the transport for delivery to one replica.
 	Send(to types.ReplicaID, msg types.Message) error
+	// Broadcast hands msg to the transport for delivery to every other
+	// replica (and whatever read-only followers the transport serves).
+	Broadcast(msg types.Message) error
 	// Recv returns the channel of inbound messages.
 	Recv() <-chan Inbound
 	// Close releases resources; Recv's channel may close afterwards.
 	Close() error
-}
-
-// Feeder is optionally implemented by transports that relay a replica's own
-// broadcast traffic to attached read-only observers (tcpnet mirrors inbound
-// peer frames itself, but the node's own proposals never cross its inbound
-// path). The node calls FeedLocal once per Broadcast output, from the event
-// loop goroutine; implementations must not block.
-type Feeder interface {
-	FeedLocal(msg types.Message)
 }
 
 // Durable is the durability resource a node owns while running —
@@ -54,8 +50,6 @@ type Durable interface {
 
 // Options configures a Node.
 type Options struct {
-	// N is the number of replicas (for broadcast fan-out).
-	N int
 	// OnCommit, if non-nil, observes regular commits.
 	OnCommit func(b *types.Block)
 	// OnStrength, if non-nil, observes strong-commit level updates.
@@ -100,6 +94,8 @@ type Node struct {
 	timerCh  chan int
 	loopback chan Inbound
 	stopping chan struct{}
+
+	sendFailures atomic.Int64
 }
 
 // NewNode wires an engine to a transport. When Options.PrevalidateWorkers is
@@ -107,10 +103,7 @@ type Node struct {
 // pool is constructed here (so the wiring is immutable and stats accessors
 // are race-free) but its goroutines only start — and the transport is only
 // drained — once Run is called.
-func NewNode(eng engine.Engine, tr Transport, opts Options) (*Node, error) {
-	if opts.N <= 0 {
-		return nil, fmt.Errorf("runtime: N must be positive")
-	}
+func NewNode(eng engine.Engine, tr Transport, opts Options) *Node {
 	n := &Node{
 		eng:      eng,
 		tr:       tr,
@@ -128,7 +121,7 @@ func NewNode(eng engine.Engine, tr Transport, opts Options) (*Node, error) {
 			n.recv = n.pipe.out
 		}
 	}
-	return n, nil
+	return n
 }
 
 // PrevalidateDrops returns how many inbound messages the node's worker pool
@@ -139,6 +132,11 @@ func (n *Node) PrevalidateDrops() int64 {
 	}
 	return n.pipe.Drops()
 }
+
+// SendFailures returns how many Send/Broadcast outputs the transport refused
+// outright (closed, unknown recipient, full in-process inbox). The protocol
+// tolerates the loss through timeouts; the count keeps it visible.
+func (n *Node) SendFailures() int64 { return n.sendFailures.Load() }
 
 // Run executes the node's event loop until ctx is cancelled. It owns the
 // engine: no other goroutine may touch it while Run is active. If a journal
@@ -200,19 +198,12 @@ func (n *Node) apply(outs []engine.Output) {
 				n.enqueueLoopback(Inbound{From: self, Msg: o.Msg, Verified: true})
 				continue
 			}
-			// Best-effort: the consensus protocol tolerates message loss
-			// via timeouts, so transport errors are not fatal.
-			_ = n.tr.Send(o.To, o.Msg)
-		case engine.Broadcast:
-			for i := 0; i < n.opts.N; i++ {
-				to := types.ReplicaID(i)
-				if to == self {
-					continue
-				}
-				_ = n.tr.Send(to, o.Msg)
+			if err := n.tr.Send(o.To, o.Msg); err != nil {
+				n.sendFailures.Add(1)
 			}
-			if f, ok := n.tr.(Feeder); ok {
-				f.FeedLocal(o.Msg)
+		case engine.Broadcast:
+			if err := n.tr.Broadcast(o.Msg); err != nil {
+				n.sendFailures.Add(1)
 			}
 			if o.SelfDeliver {
 				n.enqueueLoopback(Inbound{From: self, Msg: o.Msg, Verified: true})

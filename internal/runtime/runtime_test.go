@@ -43,8 +43,7 @@ func startLocalCluster(t *testing.T, n, f int) (commits func() map[types.Replica
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)
 		}
-		node, err := runtime.NewNode(rep, net.Endpoint(id), runtime.Options{
-			N: n,
+		node := runtime.NewNode(rep, net.Endpoint(id), runtime.Options{
 			OnCommit: func(b *types.Block) {
 				mu.Lock()
 				got[id] = append(got[id], b.ID())
@@ -56,9 +55,6 @@ func startLocalCluster(t *testing.T, n, f int) (commits func() map[types.Replica
 				mu.Unlock()
 			},
 		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

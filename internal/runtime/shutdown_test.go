@@ -43,7 +43,7 @@ func TestRunClosesJournalOnCancel(t *testing.T) {
 			Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
 			SFT: true, RoundTimeout: 300 * time.Millisecond,
 		}
-		opts := runtime.Options{N: n}
+		opts := runtime.Options{}
 		if id == 0 {
 			cfg.Journal = journal
 			opts.Journal = journal
@@ -58,10 +58,7 @@ func TestRunClosesJournalOnCancel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node, err := runtime.NewNode(rep, net.Endpoint(id), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		node := runtime.NewNode(rep, net.Endpoint(id), opts)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

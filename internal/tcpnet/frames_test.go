@@ -1,8 +1,6 @@
 package tcpnet_test
 
 import (
-	"encoding/gob"
-	"net"
 	"testing"
 	"time"
 
@@ -22,7 +20,6 @@ func TestUnknownPeerRejected(t *testing.T) {
 }
 
 func TestSpoofedSenderDropped(t *testing.T) {
-	tcpnet.RegisterMessages()
 	nt, err := tcpnet.Listen(tcpnet.Config{ID: 0, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -30,28 +27,12 @@ func TestSpoofedSenderDropped(t *testing.T) {
 	defer nt.Close()
 
 	// Handshake as replica 2, then claim frames are from replica 3.
-	conn, err := net.Dial("tcp", nt.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	type hello struct{ From types.ReplicaID }
-	type envelope struct {
-		From types.ReplicaID
-		Msg  types.Message
-	}
-	if err := enc.Encode(hello{From: 2}); err != nil {
-		t.Fatal(err)
-	}
+	p := dialRaw(t, nt.Addr().String(), 2)
+	defer p.conn.Close()
 	// Spoofed frame: must be dropped.
-	if err := enc.Encode(envelope{From: 3, Msg: &types.VoteMsg{Vote: types.Vote{Round: 1}}}); err != nil {
-		t.Fatal(err)
-	}
+	p.send(t, 3, &types.VoteMsg{Vote: types.Vote{Round: 1}})
 	// Genuine frame: must arrive.
-	if err := enc.Encode(envelope{From: 2, Msg: &types.VoteMsg{Vote: types.Vote{Round: 2}}}); err != nil {
-		t.Fatal(err)
-	}
+	p.send(t, 2, &types.VoteMsg{Vote: types.Vote{Round: 2}})
 
 	select {
 	case in := <-nt.Recv():
@@ -72,7 +53,6 @@ func TestSpoofedSenderDropped(t *testing.T) {
 }
 
 func TestMessageRoundTripAllTypes(t *testing.T) {
-	tcpnet.RegisterMessages()
 	a, err := tcpnet.Listen(tcpnet.Config{ID: 0, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +79,7 @@ func TestMessageRoundTripAllTypes(t *testing.T) {
 		&types.SyncResponse{Blocks: []*types.Block{blk}, Sender: 0},
 		&types.StateSyncRequest{Have: 3, Sender: 0},
 		&types.StateSyncResponse{Blocks: []*types.Block{blk}, HighQC: types.NewGenesisQC(g.ID()), Sender: 0},
+		&types.RoundEntry{Round: 2, Justify: types.NewGenesisQC(g.ID()), Sender: 0, Signature: []byte("s")},
 	}
 	for _, m := range msgs {
 		if err := a.Send(1, m); err != nil {

@@ -1,10 +1,12 @@
 package tcpnet
 
 import (
-	"encoding/gob"
+	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -33,40 +35,46 @@ type ObserverConfig struct {
 }
 
 // ObserverNet is the observer-side runtime.Transport: it dials the
-// configured upstream replicas with an Observer handshake, receives mirrored
+// configured upstream replicas with an observer handshake, receives mirrored
 // consensus traffic from each, and can send catch-up requests back. Unlike
 // Net it never listens — observers are pure clients of the consensus tier.
 type ObserverNet struct {
-	cfg  ObserverConfig
-	recv chan runtime.Inbound
-
-	mu      sync.Mutex
-	conns   map[types.ReplicaID]*peerConn
-	closed  bool
-	closing chan struct{}
-	wg      sync.WaitGroup
+	inbox
+	cfg       ObserverConfig
+	cancel    context.CancelFunc
+	upstreams map[types.ReplicaID]*outQueue // immutable after DialObservers
+	connected atomic.Int32
+	closed    atomic.Bool
+	wg        sync.WaitGroup
 }
 
 // DialObservers connects an observer to its upstreams. Connections are
 // established (and re-established) in the background; the transport is
 // usable immediately.
 func DialObservers(cfg ObserverConfig) (*ObserverNet, error) {
-	RegisterMessages()
 	if len(cfg.Upstreams) == 0 {
 		return nil, fmt.Errorf("tcpnet: observer needs at least one upstream")
 	}
 	if cfg.DialRetry == 0 {
 		cfg.DialRetry = 250 * time.Millisecond
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	o := &ObserverNet{
-		cfg:     cfg,
-		recv:    make(chan runtime.Inbound, 4096),
-		conns:   make(map[types.ReplicaID]*peerConn),
-		closing: make(chan struct{}),
+		inbox: inbox{
+			recv:        make(chan runtime.Inbound, 4096), // as Net's
+			ctx:         ctx,
+			prevalidate: cfg.Prevalidate,
+			obs:         cfg.Obs,
+		},
+		cfg:       cfg,
+		cancel:    cancel,
+		upstreams: make(map[types.ReplicaID]*outQueue, len(cfg.Upstreams)),
 	}
 	for id, addr := range cfg.Upstreams {
+		q := newOutQueue(id, cfg.Obs)
+		o.upstreams[id] = q
 		o.wg.Add(1)
-		go o.upstreamLoop(id, addr)
+		go o.upstreamLoop(q, addr)
 	}
 	return o, nil
 }
@@ -74,149 +82,109 @@ func DialObservers(cfg ObserverConfig) (*ObserverNet, error) {
 // Recv implements runtime.Transport.
 func (o *ObserverNet) Recv() <-chan runtime.Inbound { return o.recv }
 
-// Send implements runtime.Transport: catch-up requests go to whichever
-// upstream the engine addressed, provided its connection is currently up.
+// Send implements runtime.Transport: a catch-up request is queued for the
+// upstream the engine addressed and goes out on its current or next
+// connection.
 func (o *ObserverNet) Send(to types.ReplicaID, msg types.Message) error {
-	o.mu.Lock()
-	pc := o.conns[to]
-	o.mu.Unlock()
-	if pc == nil {
-		return fmt.Errorf("tcpnet: upstream %v not connected", to)
+	q := o.upstreams[to]
+	if o.closed.Load() {
+		return errClosed
 	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if err := pc.enc.Encode(envelope{From: o.cfg.ID, Msg: msg}); err != nil {
-		return fmt.Errorf("tcpnet: observer send to %v: %w", to, err)
+	if q == nil {
+		return fmt.Errorf("tcpnet: %v is not an upstream", to)
 	}
-	o.cfg.Obs.OnFrameOut(to, pc.cw.take())
+	frame, err := encodeFrame(o.cfg.ID, msg)
+	if err != nil {
+		return err
+	}
+	q.push(frame)
+	return nil
+}
+
+// Broadcast implements runtime.Transport. An observer's engine only ever
+// addresses one upstream, so this is just Send to each.
+func (o *ObserverNet) Broadcast(msg types.Message) error {
+	for id := range o.upstreams {
+		if err := o.Send(id, msg); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
 // Connected reports how many upstream connections are currently live.
-func (o *ObserverNet) Connected() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.conns)
-}
+func (o *ObserverNet) Connected() int { return int(o.connected.Load()) }
 
 // Close implements runtime.Transport.
 func (o *ObserverNet) Close() error {
-	o.mu.Lock()
-	if o.closed {
-		o.mu.Unlock()
+	if o.closed.Swap(true) {
 		return nil
 	}
-	o.closed = true
-	close(o.closing)
-	conns := o.conns
-	o.conns = map[types.ReplicaID]*peerConn{}
-	o.mu.Unlock()
-	for _, pc := range conns {
-		pc.mu.Lock()
-		_ = pc.conn.Close()
-		pc.mu.Unlock()
-	}
+	o.cancel()
 	o.wg.Wait()
 	close(o.recv)
 	return nil
 }
 
 // upstreamLoop maintains one upstream connection for the observer's
-// lifetime: dial, Observer handshake, drain mirrored frames, and on any
-// failure tear down and retry after DialRetry. This is what makes observer
-// restarts and upstream restarts self-healing.
-func (o *ObserverNet) upstreamLoop(id types.ReplicaID, addr string) {
+// lifetime: dial, observer handshake, then drain mirrored frames here while a
+// writer drains q; on any failure tear both down and retry after DialRetry.
+// This is what makes observer restarts and upstream restarts self-healing.
+func (o *ObserverNet) upstreamLoop(q *outQueue, addr string) {
 	defer o.wg.Done()
-	for {
-		select {
-		case <-o.closing:
-			return
-		default:
-		}
-		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-		if err != nil {
-			if !o.pause() {
-				return
-			}
-			continue
-		}
-		cw := &countWriter{w: conn}
-		enc := gob.NewEncoder(cw)
-		if err := enc.Encode(hello{From: o.cfg.ID, Observer: true}); err != nil {
-			_ = conn.Close()
-			if !o.pause() {
-				return
-			}
-			continue
-		}
-		cw.take()
-		pc := &peerConn{conn: conn, enc: enc, cw: cw}
-		o.mu.Lock()
-		if o.closed {
-			o.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		o.conns[id] = pc
-		o.mu.Unlock()
-
-		o.drain(id, conn)
-
-		o.mu.Lock()
-		if o.conns[id] == pc {
-			delete(o.conns, id)
-		}
-		o.mu.Unlock()
-		_ = conn.Close()
-		if !o.pause() {
-			return
-		}
-	}
-}
-
-// drain reads mirrored envelopes from one upstream until the connection
-// fails. Frames keep their original From (an upstream relays other
-// replicas' traffic), so there is no spoof check here — the observer's
-// engine verifies every signature and certificate itself and trusts no
-// sender identity.
-func (o *ObserverNet) drain(upstream types.ReplicaID, conn net.Conn) {
-	cr := &countReader{r: conn}
-	dec := gob.NewDecoder(cr)
-	for {
-		var env envelope
-		err := dec.Decode(&env)
+	dialer := net.Dialer{Timeout: dialTimeout}
+	for o.ctx.Err() == nil {
+		conn, err := dialer.DialContext(o.ctx, "tcp", addr)
 		if err == nil {
-			o.cfg.Obs.OnFrameIn(upstream, cr.take())
-		}
-		if err != nil {
-			return
-		}
-		if env.Msg == nil {
-			continue
-		}
-		verified := false
-		if o.cfg.Prevalidate != nil {
-			if err := o.cfg.Prevalidate(env.From, env.Msg); err != nil {
-				o.cfg.Obs.OnPrevalidate(true)
-				continue
-			}
-			o.cfg.Obs.OnPrevalidate(false)
-			verified = true
+			o.serve(q, conn)
 		}
 		select {
-		case o.recv <- runtime.Inbound{From: env.From, Msg: env.Msg, Verified: verified}:
-		case <-o.closing:
-			return
+		case <-time.After(o.cfg.DialRetry):
+		case <-o.ctx.Done():
 		}
 	}
 }
 
-// pause sleeps one retry interval; false means the transport is closing.
-func (o *ObserverNet) pause() bool {
-	select {
-	case <-o.closing:
-		return false
-	case <-time.After(o.cfg.DialRetry):
-		return true
+// serve runs one established upstream connection to its end.
+func (o *ObserverNet) serve(q *outQueue, conn net.Conn) {
+	closeConn := closeOnShutdown(o.ctx, conn)
+	done := make(chan struct{})
+	var writer sync.WaitGroup
+	defer func() {
+		close(done)
+		closeConn()
+		writer.Wait()
+	}()
+	if _, err := conn.Write(helloFrame(o.cfg.ID, true)); err != nil {
+		return
+	}
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		writeLoop(q, conn, done)
+		_ = conn.Close()
+	}()
+	o.connected.Add(1)
+	defer o.connected.Add(-1)
+
+	// Mirrored frames keep their original sender (an upstream relays other
+	// replicas' traffic), so there is no spoof check here — the observer's
+	// engine verifies every signature and certificate itself and trusts no
+	// sender identity.
+	br := bufio.NewReaderSize(conn, readBuffer)
+	for {
+		frame, err := readFrame(br)
+		if err != nil {
+			return
+		}
+		o.cfg.Obs.OnFrameIn(q.peer, int64(len(frame)))
+		msg, err := frameMessage(frame)
+		if err != nil {
+			continue
+		}
+		from := frameSender(frame)
+		if verified, ok := o.verify(from, msg); ok && !o.deliver(from, msg, verified) {
+			return
+		}
 	}
 }

@@ -87,12 +87,17 @@ func TestObserverMirrorAndRestrictions(t *testing.T) {
 		t.Fatalf("observer mirror: from=%d round=%d, want peer frame from 1", from, got.Round)
 	}
 
-	// The replica's own broadcast output reaches the observer via FeedLocal
-	// (it never crosses the replica's inbound path).
+	// The replica's own broadcast reaches the observer too (it never crosses
+	// the replica's inbound path), and its voting peer as before.
 	own := &types.Proposal{Block: testBlock(2), Round: 2, Sender: 0}
-	nt0.FeedLocal(own)
+	if err := nt0.Broadcast(own); err != nil {
+		t.Fatal(err)
+	}
 	if from, got := recvMsg[*types.Proposal](t, obs.Recv()); from != 0 || got.Round != 2 {
 		t.Fatalf("observer mirror: from=%d round=%d, want local frame from 0", from, got.Round)
+	}
+	if from, got := recvMsg[*types.Proposal](t, nt1.Recv()); from != 0 || got.Round != 2 {
+		t.Fatalf("peer got broadcast from=%d round=%d, want 0 and 2", from, got.Round)
 	}
 
 	// An observer-sent vote must be dropped and counted, never delivered.
@@ -167,7 +172,9 @@ func TestObserverReconnectResumes(t *testing.T) {
 	}
 	waitCond(t, "first observer attach", func() bool { return nt0.Observers() == 1 })
 
-	nt0.FeedLocal(&types.Proposal{Block: testBlock(1), Round: 1, Sender: 0})
+	if err := nt0.Broadcast(&types.Proposal{Block: testBlock(1), Round: 1, Sender: 0}); err != nil {
+		t.Fatal(err)
+	}
 	if _, got := recvMsg[*types.Proposal](t, obs1.Recv()); got.Round != 1 {
 		t.Fatal("first observer missed the mirror frame")
 	}
@@ -189,7 +196,9 @@ func TestObserverReconnectResumes(t *testing.T) {
 	defer obs2.Close()
 	waitCond(t, "observer re-attach", func() bool { return nt0.Observers() == 1 })
 
-	nt0.FeedLocal(&types.Proposal{Block: testBlock(2), Round: 2, Sender: 0})
+	if err := nt0.Broadcast(&types.Proposal{Block: testBlock(2), Round: 2, Sender: 0}); err != nil {
+		t.Fatal(err)
+	}
 	if _, got := recvMsg[*types.Proposal](t, obs2.Recv()); got.Round != 2 {
 		t.Fatal("restarted observer missed the mirror frame")
 	}

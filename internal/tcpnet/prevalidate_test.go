@@ -1,7 +1,7 @@
 package tcpnet_test
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"testing"
@@ -11,17 +11,37 @@ import (
 	"repro/internal/types"
 )
 
-// rawPeer dials the transport and speaks the wire protocol directly, so the
-// tests can inject spoofed and malformed frames.
+// rawPeer dials the transport and speaks the wire protocol directly — raw
+// bytes laid out by hand, so the tests pin the frame format as well as the
+// filtering — and can inject spoofed and malformed frames.
 type rawPeer struct {
 	conn net.Conn
-	enc  *gob.Encoder
 }
 
-type rawHello struct{ From types.ReplicaID }
-type rawEnvelope struct {
-	From types.ReplicaID
-	Msg  types.Message
+// rawFrame lays out one frame: uint32-BE length | uint32-BE sender | rest,
+// where rest is the type tag and body.
+func rawFrame(sender types.ReplicaID, rest []byte) []byte {
+	b := binary.BigEndian.AppendUint32(nil, uint32(4+len(rest)))
+	b = binary.BigEndian.AppendUint32(b, uint32(sender))
+	return append(b, rest...)
+}
+
+// rawHello is the handshake: tag 0, then a flags byte whose bit 0 marks an
+// observer.
+func rawHello(sender types.ReplicaID, observer bool) []byte {
+	if observer {
+		return rawFrame(sender, []byte{0, 1})
+	}
+	return rawFrame(sender, []byte{0, 0})
+}
+
+func rawMessage(t testing.TB, sender types.ReplicaID, msg types.Message) []byte {
+	t.Helper()
+	body, err := types.AppendMessage(nil, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rawFrame(sender, body)
 }
 
 func dialRaw(t *testing.T, addr string, from types.ReplicaID) *rawPeer {
@@ -30,18 +50,22 @@ func dialRaw(t *testing.T, addr string, from types.ReplicaID) *rawPeer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(rawHello{From: from}); err != nil {
-		t.Fatal(err)
-	}
-	return &rawPeer{conn: conn, enc: enc}
+	p := &rawPeer{conn: conn}
+	p.write(t, rawHello(from, false))
+	return p
 }
 
-func (p *rawPeer) send(t *testing.T, env rawEnvelope) {
+func (p *rawPeer) write(t *testing.T, frame []byte) {
 	t.Helper()
-	if err := p.enc.Encode(env); err != nil {
+	if _, err := p.conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// send writes msg in a frame claiming sender.
+func (p *rawPeer) send(t *testing.T, sender types.ReplicaID, msg types.Message) {
+	t.Helper()
+	p.write(t, rawMessage(t, sender, msg))
 }
 
 // waitStats polls until the predicate holds or the deadline passes —
@@ -62,11 +86,10 @@ func waitStats(t *testing.T, n *tcpnet.Net, ok func(tcpnet.FrameStats) bool) tcp
 }
 
 // TestFrameStatsCounters pins the dropped-frame accounting: spoofed frames
-// (sender differs from the handshake identity) and malformed frames (nil
-// message) are counted instead of vanishing silently, and genuine frames
-// still flow.
+// (sender differs from the handshake identity) and malformed frames (a body
+// that is no message) are counted instead of vanishing silently, and genuine
+// frames still flow.
 func TestFrameStatsCounters(t *testing.T) {
-	tcpnet.RegisterMessages()
 	nt, err := tcpnet.Listen(tcpnet.Config{ID: 0, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -75,10 +98,10 @@ func TestFrameStatsCounters(t *testing.T) {
 
 	p := dialRaw(t, nt.Addr().String(), 2)
 	defer p.conn.Close()
-	p.send(t, rawEnvelope{From: 3, Msg: &types.VoteMsg{Vote: types.Vote{Round: 1}}}) // spoofed
-	p.send(t, rawEnvelope{From: 2, Msg: nil})                                        // malformed
-	p.send(t, rawEnvelope{From: 3, Msg: &types.VoteMsg{Vote: types.Vote{Round: 2}}}) // spoofed again
-	p.send(t, rawEnvelope{From: 2, Msg: &types.VoteMsg{Vote: types.Vote{Round: 3}}}) // genuine
+	p.send(t, 3, &types.VoteMsg{Vote: types.Vote{Round: 1}}) // spoofed
+	p.write(t, rawFrame(2, []byte{0xEE, 1, 2}))              // malformed: no such tag
+	p.send(t, 3, &types.VoteMsg{Vote: types.Vote{Round: 2}}) // spoofed again
+	p.send(t, 2, &types.VoteMsg{Vote: types.Vote{Round: 3}}) // genuine
 
 	select {
 	case in := <-nt.Recv():
@@ -100,7 +123,6 @@ func TestFrameStatsCounters(t *testing.T) {
 // handshaking as the node's own ID is spoofing by definition (engines treat
 // from == self as trusted loopback) and must produce no inbound messages.
 func TestSelfHandshakeRejected(t *testing.T) {
-	tcpnet.RegisterMessages()
 	nt, err := tcpnet.Listen(tcpnet.Config{ID: 0, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +131,7 @@ func TestSelfHandshakeRejected(t *testing.T) {
 
 	p := dialRaw(t, nt.Addr().String(), 0) // claims to be the node itself
 	defer p.conn.Close()
-	p.send(t, rawEnvelope{From: 0, Msg: &types.VoteMsg{Vote: types.Vote{Round: 1}}})
+	p.send(t, 0, &types.VoteMsg{Vote: types.Vote{Round: 1}})
 
 	waitStats(t, nt, func(st tcpnet.FrameStats) bool { return st.Spoofed == 1 })
 	select {
@@ -123,7 +145,6 @@ func TestSelfHandshakeRejected(t *testing.T) {
 // frames failing the hook are dropped and counted, frames passing it surface
 // with Verified set.
 func TestPrevalidateHookOnReadLoop(t *testing.T) {
-	tcpnet.RegisterMessages()
 	nt, err := tcpnet.Listen(tcpnet.Config{
 		ID:     0,
 		Listen: "127.0.0.1:0",
@@ -142,7 +163,7 @@ func TestPrevalidateHookOnReadLoop(t *testing.T) {
 	p := dialRaw(t, nt.Addr().String(), 1)
 	defer p.conn.Close()
 	for round := types.Round(1); round <= 6; round++ {
-		p.send(t, rawEnvelope{From: 1, Msg: &types.VoteMsg{Vote: types.Vote{Round: round}}})
+		p.send(t, 1, &types.VoteMsg{Vote: types.Vote{Round: round}})
 	}
 
 	var got []types.Round

@@ -1,69 +1,54 @@
-// Package tcpnet is the TCP transport for real (non-simulated) clusters:
-// length-delimited gob frames over persistent connections, lazy dialing
-// with retry, and a handshake identifying the sending replica. It
+// Package tcpnet is the TCP transport for real (non-simulated) clusters.
+// Messages travel as length-delimited frames of the pinned encodings in
+// internal/types (frame.go; the layout table is in the repository's doc.go)
+// over persistent connections opened by a handshake naming the sender.
+//
+// The engine emits, the network owns delivery: Send and Broadcast encode the
+// message once and enqueue the immutable frame on each recipient's bounded
+// queue (queue.go). One writer goroutine per recipient dials lazily,
+// reconnects with backoff and coalesces queued frames into one write; one
+// reader goroutine per accepted connection decodes, filters and — with a
+// Prevalidate hook — verifies before the event loop sees the message. Net
 // implements runtime.Transport.
 package tcpnet
 
 import (
-	"encoding/gob"
+	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/types"
 )
 
-// registerOnce registers the concrete message types with gob exactly once.
-var registerOnce sync.Once
-
-// RegisterMessages registers all consensus message types for gob transport.
-// Safe to call multiple times.
-func RegisterMessages() {
-	registerOnce.Do(func() {
-		gob.Register(&types.Proposal{})
-		gob.Register(&types.VoteMsg{})
-		gob.Register(&types.Timeout{})
-		gob.Register(&types.Echo{})
-		gob.Register(&types.ExtraVote{})
-		gob.Register(&types.SyncRequest{})
-		gob.Register(&types.SyncResponse{})
-		gob.Register(&types.StateSyncRequest{})
-		gob.Register(&types.StateSyncResponse{})
-		gob.Register(&types.RoundEntry{})
-	})
-}
-
-// envelope is the gob frame exchanged on the wire.
-type envelope struct {
-	From types.ReplicaID
-	Msg  types.Message
-}
-
-// hello is the first frame on every outbound connection. Observer marks a
-// non-voting read-only follower (internal/observer): the replica mirrors
-// consensus traffic to it and restricts what it may send back. The field is
-// a gob-compatible extension — old peers decode it as absent/false.
-type hello struct {
-	From     types.ReplicaID
-	Observer bool
-}
+const (
+	dialTimeout  = 2 * time.Second
+	maxDialRetry = 2 * time.Second // cap on the doubling reconnect pause
+	readBuffer   = 32 << 10        // many small frames per read syscall
+)
 
 // Config describes one replica's view of the cluster.
 type Config struct {
 	// ID is this replica.
 	ID types.ReplicaID
+	// N, when set, is the committee size: replicas 0..N-1 are peers even
+	// before their address is known, so frames sent ahead of SetPeers wait
+	// in their queues. With N zero the peers are the address book's keys.
+	N int
 	// Listen is the local address to accept peers on, e.g. "127.0.0.1:7001".
 	Listen string
 	// Peers maps every replica ID (including self, which is ignored) to its
 	// dialable address.
 	Peers map[types.ReplicaID]string
-	// DialRetry is the pause between failed dials (default 250ms).
+	// DialRetry is the pause after a failed dial (default 250ms); it doubles
+	// per consecutive failure up to 2s.
 	DialRetry time.Duration
 	// Prevalidate, if non-nil, runs on every decoded frame while still on
 	// its connection's reader goroutine — one goroutine per peer, so
@@ -77,54 +62,15 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-// countWriter counts bytes written through it. Callers serialize access
-// (Send holds the per-peer lock across Encode and take).
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countWriter) take() int64 {
-	n := c.n
-	c.n = 0
-	return n
-}
-
-// countReader counts bytes read through it; only the connection's reader
-// goroutine touches it.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countReader) take() int64 {
-	n := c.n
-	c.n = 0
-	return n
-}
-
-// FrameStats counts frames the transport dropped before they reached the
-// engine, split by cause. Silent drops are invisible in production — a peer
-// spraying garbage looks identical to a quiet network — so the reader loops
-// count every discard.
+// FrameStats counts frames the transport dropped, split by cause. Silent
+// drops are invisible in production — a peer spraying garbage looks identical
+// to a quiet network — so every discard is counted.
 type FrameStats struct {
 	// Spoofed frames claimed a sender other than the connection's
 	// handshake identity.
 	Spoofed int64
-	// Malformed frames decoded to a nil message, or broke the gob stream
-	// mid-connection (which terminates that connection).
+	// Malformed frames did not decode to a message, or broke the framing
+	// itself (which terminates that connection).
 	Malformed int64
 	// Prevalidated frames failed the Prevalidate hook (bad signature or
 	// certificate).
@@ -133,26 +79,74 @@ type FrameStats struct {
 	// type observers may not send (anything beyond sync requests). Observers
 	// are read-only peers; their frames must never reach the engine loop.
 	Restricted int64
+	// SendDropped frames overflowed out of a recipient's bounded outbound
+	// queue (oldest first) before they could be written — the recipient was
+	// unreachable or slower than the traffic addressed to it.
+	SendDropped int64
+}
+
+// inbox is the receive half shared by Net and ObserverNet: the prevalidation
+// hook and the channel the event loop drains.
+type inbox struct {
+	recv         chan runtime.Inbound
+	ctx          context.Context // cancelled by Close
+	prevalidate  func(from types.ReplicaID, msg types.Message) error
+	obs          *obs.Obs
+	prevalidated atomic.Int64
+}
+
+// verify runs the Prevalidate hook on the calling reader goroutine, so the
+// engine loop receives the message pre-verified: one reader per peer keeps
+// per-sender FIFO order while spreading crypto across cores. ok is false for
+// a message that failed and was counted.
+func (in *inbox) verify(from types.ReplicaID, msg types.Message) (verified, ok bool) {
+	if in.prevalidate == nil {
+		return false, true
+	}
+	err := in.prevalidate(from, msg)
+	in.obs.OnPrevalidate(err != nil)
+	if err != nil {
+		in.prevalidated.Add(1)
+	}
+	return err == nil, err == nil
+}
+
+// deliver hands msg to the event loop; false means the transport is closing.
+func (in *inbox) deliver(from types.ReplicaID, msg types.Message, verified bool) bool {
+	select {
+	case in.recv <- runtime.Inbound{From: from, Msg: msg, Verified: verified}:
+		return true
+	case <-in.ctx.Done():
+		return false
+	}
 }
 
 // Net is a TCP-backed runtime.Transport.
 type Net struct {
-	cfg  Config
-	ln   net.Listener
-	recv chan runtime.Inbound
+	inbox
+	cfg    Config
+	ln     net.Listener
+	cancel context.CancelFunc
 
-	spoofed      metrics.Counter
-	malformed    metrics.Counter
-	prevalidated metrics.Counter
-	restricted   metrics.Counter
+	spoofed     atomic.Int64
+	malformed   atomic.Int64
+	restricted  atomic.Int64
+	sendDropped atomic.Int64
 
 	mu        sync.Mutex
-	conns     map[types.ReplicaID]*peerConn
-	accepted  map[net.Conn]bool
-	observers map[types.ReplicaID]*obsSink
+	peers     map[types.ReplicaID]*outQueue // voting peers, each with a writer goroutine
+	observers map[types.ReplicaID]*observerSink
+	book      chan struct{} // closed and replaced whenever the address book changes
 	closed    bool
 	wg        sync.WaitGroup
-	closing   chan struct{}
+}
+
+// observerSink is the replica-side write end of one attached observer: its
+// mirror queue, drained onto the socket the observer dialed in on.
+type observerSink struct {
+	q    *outQueue
+	conn net.Conn
+	done chan struct{} // closed when the connection's reader exits
 }
 
 // FrameStats returns a snapshot of the dropped-frame counters.
@@ -162,19 +156,12 @@ func (n *Net) FrameStats() FrameStats {
 		Malformed:    n.malformed.Load(),
 		Prevalidated: n.prevalidated.Load(),
 		Restricted:   n.restricted.Load(),
+		SendDropped:  n.sendDropped.Load(),
 	}
-}
-
-type peerConn struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	cw   *countWriter
 }
 
 // Listen starts accepting peer connections and returns the transport.
 func Listen(cfg Config) (*Net, error) {
-	RegisterMessages()
 	if cfg.DialRetry == 0 {
 		cfg.DialRetry = 250 * time.Millisecond
 	}
@@ -182,15 +169,24 @@ func Listen(cfg Config) (*Net, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: %w", err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	n := &Net{
+		inbox: inbox{
+			// Sized so a burst from every peer fits while the event loop is
+			// busy applying one large block.
+			recv:        make(chan runtime.Inbound, 4096),
+			ctx:         ctx,
+			prevalidate: cfg.Prevalidate,
+			obs:         cfg.Obs,
+		},
 		cfg:       cfg,
 		ln:        ln,
-		recv:      make(chan runtime.Inbound, 4096),
-		conns:     make(map[types.ReplicaID]*peerConn),
-		accepted:  make(map[net.Conn]bool),
-		observers: make(map[types.ReplicaID]*obsSink),
-		closing:   make(chan struct{}),
+		cancel:    cancel,
+		peers:     make(map[types.ReplicaID]*outQueue),
+		observers: make(map[types.ReplicaID]*observerSink),
+		book:      make(chan struct{}),
 	}
+	n.SetPeers(cfg.Peers)
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -200,48 +196,102 @@ func Listen(cfg Config) (*Net, error) {
 func (n *Net) Addr() net.Addr { return n.ln.Addr() }
 
 // SetPeers installs or replaces the peer address book. Useful when ports
-// are OS-assigned and only known after all listeners are up.
+// are OS-assigned and only known after all listeners are up. Frames already
+// queued for a peer whose address arrives here are dialed out at once.
 func (n *Net) SetPeers(peers map[types.ReplicaID]string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.closed {
+		return
+	}
 	cp := make(map[types.ReplicaID]string, len(peers))
-	for k, v := range peers {
-		cp[k] = v
+	for id, addr := range peers {
+		cp[id] = addr
+		n.addPeerLocked(id)
+	}
+	for id := 0; id < n.cfg.N; id++ {
+		n.addPeerLocked(types.ReplicaID(id))
 	}
 	n.cfg.Peers = cp
+	close(n.book)
+	n.book = make(chan struct{})
+}
+
+func (n *Net) addPeerLocked(id types.ReplicaID) {
+	if id == n.cfg.ID || n.peers[id] != nil {
+		return
+	}
+	q := newOutQueue(id, n.cfg.Obs)
+	n.peers[id] = q
+	n.wg.Add(1)
+	go n.peerWriter(q)
 }
 
 // Recv implements runtime.Transport.
 func (n *Net) Recv() <-chan runtime.Inbound { return n.recv }
 
-// Send implements runtime.Transport, dialing the peer on first use.
-// Sends addressed to an attached observer (a non-peer ID that completed an
-// observer handshake) are routed to its mirror queue instead — that is how
-// state-sync responses reach observers without them being dialable peers.
+// Send implements runtime.Transport: it encodes msg and queues the frame for
+// a voting peer or an attached observer (that is how state-sync responses
+// reach observers, which are not dialable). It never touches the network.
+// The only errors are a closed transport, a recipient that is neither, and a
+// message that cannot be framed; a full queue drops its oldest frame and
+// counts it in FrameStats.SendDropped instead.
 func (n *Net) Send(to types.ReplicaID, msg types.Message) error {
 	n.mu.Lock()
-	sink, isObserver := n.observers[to]
-	n.mu.Unlock()
-	if isObserver {
-		n.sinkDeliver(sink, envelope{From: n.cfg.ID, Msg: msg})
-		return nil
+	q, closed := n.peers[to], n.closed
+	if sink := n.observers[to]; sink != nil {
+		q = sink.q
 	}
-	pc, err := n.peer(to)
+	n.mu.Unlock()
+	if closed {
+		return errClosed
+	}
+	if q == nil {
+		return fmt.Errorf("tcpnet: unknown peer %v", to)
+	}
+	frame, err := encodeFrame(n.cfg.ID, msg)
 	if err != nil {
 		return err
 	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if err := pc.enc.Encode(envelope{From: n.cfg.ID, Msg: msg}); err != nil {
-		// Connection broke: forget it so the next Send redials.
-		n.dropPeer(to, pc)
-		return fmt.Errorf("tcpnet: send to %v: %w", to, err)
-	}
-	n.cfg.Obs.OnFrameOut(to, pc.cw.take())
+	n.enqueue(q, frame)
 	return nil
 }
 
-// Close shuts the transport down.
+// Broadcast implements runtime.Transport: msg is encoded once and the same
+// frame is queued for every voting peer and — for the certified-chain traffic
+// observers follow — every attached observer.
+func (n *Net) Broadcast(msg types.Message) error {
+	frame, err := encodeFrame(n.cfg.ID, msg)
+	if err != nil {
+		return err
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return errClosed
+	}
+	for _, q := range n.peers {
+		n.enqueue(q, frame)
+	}
+	if mirrorable(msg) {
+		for _, sink := range n.observers {
+			n.enqueue(sink.q, frame)
+		}
+	}
+	return nil
+}
+
+var errClosed = errors.New("tcpnet: closed")
+
+// enqueue pushes frame and adds what overflowed to FrameStats.
+func (n *Net) enqueue(q *outQueue, frame []byte) {
+	if dropped := q.push(frame); dropped > 0 {
+		n.sendDropped.Add(int64(dropped))
+	}
+}
+
+// Close shuts the transport down: it returns once every goroutine has
+// exited, whatever is still queued.
 func (n *Net) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -249,79 +299,59 @@ func (n *Net) Close() error {
 		return nil
 	}
 	n.closed = true
-	close(n.closing)
-	conns := n.conns
-	n.conns = map[types.ReplicaID]*peerConn{}
-	inbound := make([]net.Conn, 0, len(n.accepted))
-	for c := range n.accepted {
-		inbound = append(inbound, c)
-	}
-	n.accepted = map[net.Conn]bool{}
-	n.observers = map[types.ReplicaID]*obsSink{}
 	n.mu.Unlock()
+	n.cancel()
 
 	err := n.ln.Close()
-	for _, pc := range conns {
-		pc.mu.Lock()
-		_ = pc.conn.Close()
-		pc.mu.Unlock()
-	}
-	// Close accepted connections too, or idle readLoops would block
-	// wg.Wait forever.
-	for _, c := range inbound {
-		_ = c.Close()
-	}
 	n.wg.Wait()
 	close(n.recv)
 	return err
 }
 
-func (n *Net) peer(to types.ReplicaID) (*peerConn, error) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("tcpnet: closed")
-	}
-	if pc, ok := n.conns[to]; ok {
-		n.mu.Unlock()
-		return pc, nil
-	}
-	addr, ok := n.cfg.Peers[to]
-	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("tcpnet: unknown peer %v", to)
-	}
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("tcpnet: dial %v: %w", to, err)
-	}
-	cw := &countWriter{w: conn}
-	enc := gob.NewEncoder(cw)
-	if err := enc.Encode(hello{From: n.cfg.ID}); err != nil {
+// closeOnShutdown arranges for conn to be closed when the transport closes
+// or the returned function is called, whichever is first. Closing the socket
+// is what unblocks a reader in Read and a writer in Write.
+func closeOnShutdown(ctx context.Context, conn net.Conn) (closeNow func()) {
+	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
+	return func() {
+		stop()
 		_ = conn.Close()
-		return nil, fmt.Errorf("tcpnet: handshake with %v: %w", to, err)
 	}
-	cw.take() // the handshake is not a consensus frame
-	pc := &peerConn{conn: conn, enc: enc, cw: cw}
-	n.mu.Lock()
-	if existing, ok := n.conns[to]; ok {
-		// Raced with another Send; keep the established one.
-		n.mu.Unlock()
-		_ = conn.Close()
-		return existing, nil
-	}
-	n.conns[to] = pc
-	n.mu.Unlock()
-	return pc, nil
 }
 
-func (n *Net) dropPeer(id types.ReplicaID, pc *peerConn) {
-	_ = pc.conn.Close()
-	n.mu.Lock()
-	if n.conns[id] == pc {
-		delete(n.conns, id)
+// peerWriter owns the connection to one voting peer for the transport's
+// lifetime. It dials only once something is queued, waits for SetPeers when
+// the peer has no address yet, pauses with doubling backoff after a failed
+// dial, and after a broken connection resumes from the first frame the
+// kernel had not accepted.
+func (n *Net) peerWriter(q *outQueue) {
+	defer n.wg.Done()
+	dialer := net.Dialer{Timeout: dialTimeout}
+	retry := n.cfg.DialRetry
+	for q.wait(n.ctx.Done()) {
+		n.mu.Lock()
+		addr, book := n.cfg.Peers[q.peer], n.book
+		n.mu.Unlock()
+		if addr != "" {
+			if conn, err := dialer.DialContext(n.ctx, "tcp", addr); err == nil {
+				retry = n.cfg.DialRetry
+				closeConn := closeOnShutdown(n.ctx, conn)
+				if _, err := conn.Write(helloFrame(n.cfg.ID, false)); err == nil {
+					writeLoop(q, conn, n.ctx.Done())
+				}
+				closeConn()
+			} else {
+				retry = min(2*retry, maxDialRetry)
+			}
+		}
+		// No address yet, a failed dial, or a connection that broke: pause
+		// before trying again, unless a new address book arrives first.
+		select {
+		case <-time.After(retry):
+		case <-book:
+		case <-n.ctx.Done():
+		}
 	}
-	n.mu.Unlock()
 }
 
 func (n *Net) acceptLoop() {
@@ -331,158 +361,90 @@ func (n *Net) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		n.accepted[conn] = true
-		n.mu.Unlock()
 		n.wg.Add(1)
-		go n.readLoop(conn)
+		go func() {
+			defer n.wg.Done()
+			defer closeOnShutdown(n.ctx, conn)()
+			n.serveFrames(conn, conn)
+		}()
 	}
 }
 
-func (n *Net) readLoop(conn net.Conn) {
-	defer n.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		n.mu.Lock()
-		delete(n.accepted, conn)
-		n.mu.Unlock()
-	}()
-	cr := &countReader{r: conn}
-	n.serveFramesCounted(gob.NewDecoder(cr), cr, conn)
-}
-
-// serveFrames drains one peer connection's frame stream: the identifying
-// handshake first, then envelopes, with spoofed/malformed/prevalidation
-// filtering. Factored off readLoop so the frame parser can be fuzzed
-// against raw attacker-controlled bytes without a socket.
-func (n *Net) serveFrames(dec *gob.Decoder) {
-	n.serveFramesCounted(dec, nil, nil)
-}
-
-// serveFramesCounted is serveFrames with an optional byte counter wrapped
-// around the decoder's source; every decoded envelope (accepted or dropped —
-// both are real traffic from the peer) is charged to the connection's
-// handshake identity. conn, when non-nil, is the underlying socket — needed
-// to attach a mirror sink when the handshake declares an observer.
-func (n *Net) serveFramesCounted(dec *gob.Decoder, cr *countReader, conn net.Conn) {
-	var h hello
-	if err := dec.Decode(&h); err != nil {
+// serveFrames drains one accepted connection's frame stream: the identifying
+// handshake first, then messages, with spoofed/malformed/restricted/
+// prevalidation filtering. It takes the byte stream apart from the socket so
+// the parser can be fuzzed against raw attacker-controlled bytes; conn, when
+// non-nil, is where an observer handshake attaches its mirror writer.
+func (n *Net) serveFrames(r io.Reader, conn net.Conn) {
+	br := bufio.NewReaderSize(r, readBuffer)
+	from, observer, err := readHello(br)
+	if err != nil {
+		n.countBadFrame(err)
 		return
 	}
-	if cr != nil {
-		cr.take() // the handshake is not a consensus frame
-	}
-	if h.From == n.cfg.ID {
+	n.mu.Lock()
+	_, isPeer := n.peers[from]
+	n.mu.Unlock()
+	if from == n.cfg.ID || (observer && isPeer) {
 		// A peer claiming to be this node is spoofing by definition —
-		// engines treat from == self as trusted local loopback, so such a
-		// connection must never produce inbound messages.
-		n.spoofed.Inc()
+		// engines treat from == self as trusted local loopback. A voting
+		// peer masquerading as an observer would get consensus traffic
+		// mirrored back at it while dodging the peer path. Neither
+		// connection may produce inbound messages.
+		n.spoofed.Add(1)
 		return
 	}
-	if h.Observer {
-		if _, isPeer := n.cfg.Peers[h.From]; isPeer {
-			// A voting peer masquerading as an observer would get consensus
-			// traffic mirrored back at it while dodging the peer path.
-			n.spoofed.Inc()
+	if observer && conn != nil {
+		sink := n.attachObserver(from, conn)
+		if sink == nil {
 			return
 		}
-		if conn != nil {
-			sink := n.registerObserver(h.From, conn)
-			if sink != nil {
-				defer n.dropObserver(h.From, sink)
-			}
-		}
+		defer n.detachObserver(sink)
 	}
 	for {
-		var env envelope
-		err := dec.Decode(&env)
-		if cr != nil && err == nil {
-			n.cfg.Obs.OnFrameIn(h.From, cr.take())
-		}
+		frame, err := readFrame(br)
 		if err != nil {
-			// A garbage frame mid-stream is malformed (it also
-			// desynchronizes the gob stream, so the connection ends here).
-			// Transport failures — peer crash, reset, truncation — are
-			// ordinary disconnects, not garbage: counting them would make a
-			// healthy cluster under routine restarts indistinguishable from
-			// one being sprayed with junk.
-			if isDecodeGarbage(err) && !n.isClosing() {
-				n.malformed.Inc()
-			}
+			n.countBadFrame(err)
 			return
 		}
-		if env.From != h.From {
-			n.spoofed.Inc()
+		// Accepted or dropped, the frame is real traffic from the peer.
+		n.cfg.Obs.OnFrameIn(from, int64(len(frame)))
+		if frameSender(frame) != from {
+			n.spoofed.Add(1)
 			continue
 		}
-		if env.Msg == nil {
-			n.malformed.Inc()
+		msg, err := frameMessage(frame)
+		if err != nil {
+			n.malformed.Add(1)
 			continue
 		}
-		if h.Observer && !observerMay(env.Msg) {
+		if observer && !observerMay(msg) {
 			// Observers are read-only: only catch-up requests may reach the
 			// engine loop; a vote or proposal from one is an attack, not load.
-			n.restricted.Inc()
+			n.restricted.Add(1)
 			continue
 		}
-		verified := false
-		if n.cfg.Prevalidate != nil {
-			// Stateless signature/certificate checks run here, on the
-			// per-connection reader goroutine, so the engine loop receives
-			// the frame pre-verified. One reader per peer keeps per-sender
-			// FIFO order while spreading crypto across cores.
-			if err := n.cfg.Prevalidate(env.From, env.Msg); err != nil {
-				n.prevalidated.Inc()
-				n.cfg.Obs.OnPrevalidate(true)
-				continue
-			}
-			n.cfg.Obs.OnPrevalidate(false)
-			verified = true
+		verified, ok := n.verify(from, msg)
+		if !ok {
+			continue
 		}
-		if !h.Observer {
-			// Mirror accepted consensus frames from voting peers to attached
-			// observers (the replica's own broadcasts arrive via FeedLocal).
-			n.mirror(env)
+		if !observer && mirrorable(msg) {
+			n.mirror(frame)
 		}
-		select {
-		case n.recv <- runtime.Inbound{From: env.From, Msg: env.Msg, Verified: verified}:
-		case <-n.closing:
+		if !n.deliver(from, msg, verified) {
 			return
 		}
 	}
 }
 
-func (n *Net) isClosing() bool {
-	select {
-	case <-n.closing:
-		return true
-	default:
-		return false
+// countBadFrame counts a read failure as malformed only when the bytes broke
+// the framing. Transport failures — peer crash, reset, truncation — are
+// ordinary disconnects: counting them would make a healthy cluster under
+// routine restarts indistinguishable from one being sprayed with junk.
+func (n *Net) countBadFrame(err error) {
+	if errors.Is(err, errBadFrame) {
+		n.malformed.Add(1)
 	}
-}
-
-// obsSinkDepth bounds each observer's mirror queue. A stalled observer is
-// disconnected when its queue fills — replica reader goroutines never block
-// on observer back-pressure, and the observer heals the gap via state sync
-// when it reconnects.
-const obsSinkDepth = 1024
-
-// obsSink is the replica-side write end of one attached observer: a bounded
-// queue drained by a dedicated writer goroutine.
-type obsSink struct {
-	conn net.Conn
-	ch   chan envelope
-	stop chan struct{} // closed once to disconnect the sink
-	once sync.Once
-}
-
-func (s *obsSink) close() {
-	s.once.Do(func() { close(s.stop) })
 }
 
 // Observers reports how many observer connections are currently attached.
@@ -492,10 +454,11 @@ func (n *Net) Observers() int {
 	return len(n.observers)
 }
 
-// registerObserver attaches a mirror sink for an observer handshake; a
-// reconnect under the same ID replaces (and disconnects) the previous sink.
-func (n *Net) registerObserver(id types.ReplicaID, conn net.Conn) *obsSink {
-	sink := &obsSink{conn: conn, ch: make(chan envelope, obsSinkDepth), stop: make(chan struct{})}
+// attachObserver registers an observer handshake's mirror queue and starts
+// its writer. A reconnect under the same ID replaces the previous sink and
+// disconnects it; the observer heals whatever it missed via state sync.
+func (n *Net) attachObserver(id types.ReplicaID, conn net.Conn) *observerSink {
+	sink := &observerSink{q: newOutQueue(id, n.cfg.Obs), conn: conn, done: make(chan struct{})}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -506,81 +469,35 @@ func (n *Net) registerObserver(id types.ReplicaID, conn net.Conn) *obsSink {
 	n.wg.Add(1)
 	n.mu.Unlock()
 	if old != nil {
-		old.close()
+		_ = old.conn.Close()
 	}
-	go n.sinkWriter(id, sink)
+	go func() {
+		defer n.wg.Done()
+		writeLoop(sink.q, conn, sink.done)
+		_ = conn.Close() // after a failed write, end the reader too
+	}()
 	return sink
 }
 
-func (n *Net) dropObserver(id types.ReplicaID, sink *obsSink) {
-	sink.close()
+// detachObserver runs when the observer connection's reader exits: it stops
+// the writer and forgets the sink unless a reconnect already replaced it.
+func (n *Net) detachObserver(sink *observerSink) {
+	close(sink.done)
 	n.mu.Lock()
-	if n.observers[id] == sink {
-		delete(n.observers, id)
+	if n.observers[sink.q.peer] == sink {
+		delete(n.observers, sink.q.peer)
 	}
 	n.mu.Unlock()
 }
 
-// sinkWriter drains one observer's mirror queue onto its socket. It shares
-// the socket with the observer's reader goroutine only for Close, which is
-// safe on net.Conn.
-func (n *Net) sinkWriter(id types.ReplicaID, sink *obsSink) {
-	defer n.wg.Done()
-	defer sink.conn.Close()
-	cw := &countWriter{w: sink.conn}
-	enc := gob.NewEncoder(cw)
-	for {
-		select {
-		case env := <-sink.ch:
-			if err := enc.Encode(env); err != nil {
-				n.dropObserver(id, sink)
-				return
-			}
-			n.cfg.Obs.OnFrameOut(id, cw.take())
-		case <-sink.stop:
-			return
-		case <-n.closing:
-			return
-		}
-	}
-}
-
-// sinkDeliver enqueues one envelope for an observer without ever blocking;
-// a full queue means the observer is too slow to follow and is disconnected.
-func (n *Net) sinkDeliver(sink *obsSink, env envelope) {
-	select {
-	case sink.ch <- env:
-	default:
-		sink.close()
-	}
-}
-
-// mirror relays one accepted consensus frame to every attached observer.
-func (n *Net) mirror(env envelope) {
-	if !mirrorable(env.Msg) {
-		return
-	}
+// mirror relays one accepted peer frame, as the bytes that arrived, to every
+// attached observer.
+func (n *Net) mirror(frame []byte) {
 	n.mu.Lock()
-	if len(n.observers) == 0 {
-		n.mu.Unlock()
-		return
+	defer n.mu.Unlock()
+	for _, sink := range n.observers {
+		n.enqueue(sink.q, frame)
 	}
-	sinks := make([]*obsSink, 0, len(n.observers))
-	for _, s := range n.observers {
-		sinks = append(sinks, s)
-	}
-	n.mu.Unlock()
-	for _, s := range sinks {
-		n.sinkDeliver(s, env)
-	}
-}
-
-// FeedLocal mirrors one of this replica's own broadcast messages to attached
-// observers; runtime.Node calls it once per Broadcast output (see
-// runtime.Feeder). Without it a leader's own proposals would never reach
-// observers attached only to that leader.
-func (n *Net) FeedLocal(msg types.Message) {
-	n.mirror(envelope{From: n.cfg.ID, Msg: msg})
 }
 
 // mirrorable limits mirroring to the certified-chain traffic an observer
@@ -603,15 +520,4 @@ func observerMay(msg types.Message) bool {
 		return true
 	}
 	return false
-}
-
-// isDecodeGarbage distinguishes a corrupt frame from an ordinary transport
-// failure: EOF variants, closed sockets, and network-level errors all mean
-// the peer went away, not that it sent garbage.
-func isDecodeGarbage(err error) bool {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-		return false
-	}
-	var ne net.Error
-	return !errors.As(err, &ne)
 }

@@ -63,17 +63,13 @@ func TestTCPClusterCommits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)
 		}
-		node, err := runtime.NewNode(rep, nets[i], runtime.Options{
-			N: n,
+		node := runtime.NewNode(rep, nets[i], runtime.Options{
 			OnCommit: func(b *types.Block) {
 				mu.Lock()
 				commits[id]++
 				mu.Unlock()
 			},
 		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

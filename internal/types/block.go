@@ -3,6 +3,7 @@ package types
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync"
 )
 
 // StrengthRecord is one entry of the strong-commit Log a proposal carries
@@ -80,8 +81,17 @@ func (b *Block) ID() BlockID {
 func (b *Block) computeID() BlockID {
 	// The ID preimage IS the block's wire encoding (see wire.go), so a block
 	// decoded from the WAL or a state-sync frame recomputes the same ID.
-	return BlockID(sha256.Sum256(b.AppendEncoding(make([]byte, 0, 256))))
+	// Every replica hashes every proposal it receives, so the preimage is
+	// built in a pooled buffer: a ~100 KB block would otherwise grow a fresh
+	// one through a dozen reallocations each time.
+	bp := idScratch.Get().(*[]byte)
+	*bp = b.AppendEncoding((*bp)[:0])
+	id := BlockID(sha256.Sum256(*bp))
+	idScratch.Put(bp)
+	return id
 }
+
+var idScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // IsGenesis reports whether the block is the genesis block.
 func (b *Block) IsGenesis() bool { return b.Height == 0 && b.Parent.IsZero() }

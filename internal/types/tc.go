@@ -162,8 +162,8 @@ func DecodeTC(b []byte) (*TC, []byte, error) {
 	return tc, b, nil
 }
 
-// GobEncode routes the gob codec (the TCP transport's envelope encoding)
-// through the pinned deterministic TC encoding, mirroring QC.GobEncode.
+// GobEncode mirrors QC.GobEncode and, like it, is dead on the wire: kept
+// only for the benchmark's gob probe.
 func (tc *TC) GobEncode() ([]byte, error) { return tc.Encode(nil), nil }
 
 // GobDecode reverses GobEncode.

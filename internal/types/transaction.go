@@ -74,7 +74,14 @@ func (p Payload) Encode(b []byte) []byte {
 	return b
 }
 
-// DecodePayload parses a payload from the front of b.
+// minTxnEncoding is a transaction with empty data: sender, sequence number
+// and the data length prefix.
+const minTxnEncoding = 4 + 8 + 4
+
+// DecodePayload parses a payload from the front of b. The transactions' data
+// is copied off b into one shared backing array — a block of a thousand
+// transactions costs two allocations, not a thousand — and the count is
+// bounded by the input length before anything is allocated.
 func DecodePayload(b []byte) (Payload, []byte, error) {
 	padding, b, err := ConsumeUint32(b)
 	if err != nil {
@@ -84,14 +91,38 @@ func DecodePayload(b []byte) (Payload, []byte, error) {
 	if err != nil {
 		return Payload{}, nil, err
 	}
-	p := Payload{Padding: padding, Txns: make([]Transaction, 0, n)}
-	for i := uint32(0); i < n; i++ {
-		var t Transaction
-		t, b, err = DecodeTransaction(b)
+	p := Payload{Padding: padding}
+	if n == 0 {
+		return p, b, nil
+	}
+	if uint64(n)*minTxnEncoding > uint64(len(b)) {
+		return Payload{}, nil, ErrShortBuffer
+	}
+	dataLen := 0
+	for scan, i := b, uint32(0); i < n; i++ {
+		if len(scan) < minTxnEncoding {
+			return Payload{}, nil, ErrShortBuffer
+		}
+		data, rest, err := ConsumeBytes(scan[minTxnEncoding-4:])
 		if err != nil {
 			return Payload{}, nil, err
 		}
-		p.Txns = append(p.Txns, t)
+		dataLen += len(data)
+		scan = rest
+	}
+	p.Txns = make([]Transaction, n)
+	backing := make([]byte, 0, dataLen)
+	for i := range p.Txns {
+		t := &p.Txns[i]
+		t.Sender, b, _ = ConsumeUint32(b)
+		t.Seq, b, _ = ConsumeUint64(b)
+		var data []byte
+		data, b, _ = ConsumeBytes(b) // lengths were checked by the scan above
+		if len(data) > 0 {
+			off := len(backing)
+			backing = append(backing, data...)
+			t.Data = backing[off:len(backing):len(backing)]
+		}
 	}
 	return p, b, nil
 }

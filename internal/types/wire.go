@@ -298,10 +298,11 @@ func decodeCompactQC(q *QC, b []byte, appHash [32]byte) ([]byte, error) {
 	return b[len(a.Sig):], nil
 }
 
-// GobEncode routes the gob codec (the TCP transport's envelope encoding)
-// through the pinned deterministic QC encoding, so compact certificates ship
-// their compact bytes over real sockets instead of gob's structural encoding
-// of the materialized vote vector.
+// GobEncode routes encoding/gob through the pinned QC encoding. Dead on the
+// wire: the TCP transport frames the pinned encodings directly
+// (msgcodec.go). It stays, with TC's and intervals.Set's, only because the
+// benchmark's types.proposal_gob_encode_us probe still gob-encodes a
+// proposal; it goes when a benchmark issue retires that probe.
 func (q *QC) GobEncode() ([]byte, error) { return q.Encode(nil), nil }
 
 // GobDecode reverses GobEncode.

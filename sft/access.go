@@ -107,16 +107,10 @@ func (t *observerTCPTransport) attachObserver(o *ObserverNode) error {
 		return err
 	}
 	o.net = onet
-	node, err := runtime.NewNode(o.eng, onet, runtime.Options{
-		N:          o.n,
+	o.rt = runtime.NewNode(o.eng, onet, runtime.Options{
 		OnCommit:   func(b *types.Block) { o.onCommit(o.now(), b) },
 		OnStrength: func(b *types.Block, x int) { o.onStrength(o.now(), b, x) },
 	})
-	if err != nil {
-		onet.Close()
-		return err
-	}
-	o.rt = node
 	return nil
 }
 

@@ -1,7 +1,10 @@
 package sft
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -10,13 +13,21 @@ import (
 )
 
 // The transaction streaming protocol between sftclient and sftnode: a plain
-// TCP connection carrying gob-encoded Transactions. Both ends live here so
-// the wire format has exactly one definition.
+// TCP connection carrying transactions back to back in their pinned encoding
+// (Transaction.Encode: sender, sequence number, length-prefixed data), which
+// delimits itself. Both ends live here so the wire format has exactly one
+// definition.
 
-// TxnStream is the client side of a transaction stream (cmd/sftclient).
+// maxTxnData bounds one streamed transaction's data; a client announcing
+// more is disconnected before anything is allocated.
+const maxTxnData = 1 << 20
+
+// TxnStream is the client side of a transaction stream (cmd/sftclient). It
+// is safe for concurrent use.
 type TxnStream struct {
 	conn net.Conn
-	enc  *gob.Encoder
+	mu   sync.Mutex
+	buf  []byte
 }
 
 // DialTransactions connects to a node's transaction listener (the address
@@ -26,11 +37,17 @@ func DialTransactions(addr string, timeout time.Duration) (*TxnStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TxnStream{conn: conn, enc: gob.NewEncoder(conn)}, nil
+	return &TxnStream{conn: conn}, nil
 }
 
 // Submit sends one transaction to the node's pool.
-func (s *TxnStream) Submit(txn Transaction) error { return s.enc.Encode(txn) }
+func (s *TxnStream) Submit(txn Transaction) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.buf = txn.Encode(s.buf[:0])
+	_, err := s.conn.Write(s.buf)
+	return err
+}
 
 // Close closes the stream.
 func (s *TxnStream) Close() error { return s.conn.Close() }
@@ -152,10 +169,10 @@ func (s *TxnServer) acceptLoop() {
 		go func() {
 			defer s.untrack(conn)
 			defer conn.Close()
-			dec := gob.NewDecoder(conn)
+			br := bufio.NewReaderSize(conn, 64<<10) // many transactions per read
 			for {
-				var txn Transaction
-				if err := dec.Decode(&txn); err != nil {
+				txn, err := readTransaction(br)
+				if err != nil {
 					return
 				}
 				s.mu.Lock()
@@ -170,4 +187,25 @@ func (s *TxnServer) acceptLoop() {
 			}
 		}()
 	}
+}
+
+// readTransaction reads one Transaction.Encode off the stream.
+func readTransaction(r io.Reader) (Transaction, error) {
+	var hdr [4 + 8 + 4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Transaction{}, err
+	}
+	txn := Transaction{
+		Sender: binary.BigEndian.Uint32(hdr[0:]),
+		Seq:    binary.BigEndian.Uint64(hdr[4:]),
+	}
+	if n := binary.BigEndian.Uint32(hdr[12:]); n > maxTxnData {
+		return Transaction{}, fmt.Errorf("sft: transaction data of %d bytes exceeds %d", n, maxTxnData)
+	} else if n > 0 {
+		txn.Data = make([]byte, n)
+		if _, err := io.ReadFull(r, txn.Data); err != nil {
+			return Transaction{}, err
+		}
+	}
+	return txn, nil
 }

@@ -32,7 +32,7 @@ func TestTxnServerCloseSeversStreams(t *testing.T) {
 	}
 	waitFor(t, func() bool { return srv.Conns() == 0 })
 
-	// The severed stream must surface a write error; a live gob stream over
+	// The severed stream must surface a write error; a live stream over
 	// a closed TCP conn errors within a few writes once RSTs propagate.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -29,6 +29,10 @@ type MetricsSnapshot struct {
 	// spoofed their sender, broke the wire format, or failed signature /
 	// certificate verification before reaching the engine.
 	SpoofedFrames, MalformedFrames, VerifyDroppedFrames int64
+	// SendDropped counts outbound messages that never left the node: frames
+	// that overflowed a peer's bounded send queue (TCP: the peer was
+	// unreachable or too slow) plus sends the transport refused outright.
+	SendDropped int64
 	// The fields below are populated only when the node was built with
 	// WithObservability; without it they stay zero.
 
@@ -53,9 +57,9 @@ type MetricsSnapshot struct {
 
 // String renders a snapshot compactly for periodic status logs.
 func (m MetricsSnapshot) String() string {
-	s := fmt.Sprintf("%d commits, %d strength updates, height %d, max strength %d, dropped %d spoofed / %d malformed / %d failed-verify",
+	s := fmt.Sprintf("%d commits, %d strength updates, height %d, max strength %d, dropped %d spoofed / %d malformed / %d failed-verify / %d unsent",
 		m.Commits, m.StrengthUpdates, m.CommittedHeight, m.MaxStrength,
-		m.SpoofedFrames, m.MalformedFrames, m.VerifyDroppedFrames)
+		m.SpoofedFrames, m.MalformedFrames, m.VerifyDroppedFrames, m.SendDropped)
 	if m.HealthLive {
 		s += fmt.Sprintf(", diversity %d, stragglers %v", m.HealthDiversity, m.HealthStragglers)
 	}

@@ -348,9 +348,11 @@ func (n *Node) Metrics() MetricsSnapshot {
 		snap.SpoofedFrames = fs.Spoofed
 		snap.MalformedFrames = fs.Malformed
 		snap.VerifyDroppedFrames = fs.Prevalidated
+		snap.SendDropped = fs.SendDropped
 	}
 	if n.rt != nil {
 		snap.VerifyDroppedFrames += n.rt.PrevalidateDrops()
+		snap.SendDropped += n.rt.SendFailures()
 	}
 	if n.obs != nil {
 		snap.Round = Round(n.obs.CurrentRound())

@@ -32,13 +32,17 @@ type TCPConfig struct {
 	// address. May be nil at construction and installed later with
 	// Node.SetPeers.
 	Peers map[ReplicaID]string
-	// DialRetry is the pause between failed dials (default 250ms).
+	// DialRetry is the pause after a failed dial (default 250ms); it doubles
+	// per consecutive failure up to 2s.
 	DialRetry time.Duration
 }
 
-// TCP returns the real-socket transport: length-delimited gob frames over
-// persistent connections with lazy dialing and a sender handshake. With
-// WithVerifyPipeline, frames are verified on their per-peer reader
+// TCP returns the real-socket transport: length-delimited frames of the
+// pinned message encodings over persistent connections opened by a sender
+// handshake. Sends only enqueue; a writer goroutine per peer dials lazily,
+// reconnects with backoff, and holds frames for a peer that is not reachable
+// yet in a bounded queue (overflow is counted in Metrics().SendDropped).
+// With WithVerifyPipeline, frames are verified on their per-peer reader
 // goroutines before they reach the event loop.
 func TCP(cfg TCPConfig) Transport { return &tcpTransport{cfg: cfg} }
 
@@ -49,6 +53,7 @@ func (t *tcpTransport) simulated() bool { return false }
 func (t *tcpTransport) attach(n *Node) error {
 	netCfg := tcpnet.Config{
 		ID:        n.cfg.ID,
+		N:         n.cfg.N,
 		Listen:    t.cfg.Listen,
 		Peers:     t.cfg.Peers,
 		DialRetry: t.cfg.DialRetry,
@@ -112,7 +117,6 @@ func (t *localTransport) attach(n *Node) error {
 // prevalidation hook; TCP verifies on its per-peer readers instead.
 func attachRuntime(n *Node, tr runtime.Transport, workerPool bool) error {
 	opts := runtime.Options{
-		N:   n.cfg.N,
 		Obs: n.obs,
 		OnCommit: func(b *types.Block) {
 			n.onCommit(n.now(), b)
@@ -133,10 +137,6 @@ func attachRuntime(n *Node, tr runtime.Transport, workerPool bool) error {
 		}
 		opts.PrevalidateWorkers = workers
 	}
-	node, err := runtime.NewNode(n.eng, tr, opts)
-	if err != nil {
-		return err
-	}
-	n.rt = node
+	n.rt = runtime.NewNode(n.eng, tr, opts)
 	return nil
 }
