@@ -18,7 +18,7 @@ FUZZ_TARGETS = \
 FUZZTIME_SMOKE ?= 20s
 FUZZTIME_LONG ?= 10m
 
-.PHONY: all build build-examples vet test test-race bench bench-smoke bench-micro bench-guard fuzz-smoke fuzz-long adversary-fuzz adversary-fuzz-agg compactcert liveness-attack bank-workload obs-smoke gateway-smoke gateway-scale
+.PHONY: all build build-examples vet test test-race bench bench-smoke bench-micro bench-guard fuzz-smoke fuzz-long adversary-fuzz adversary-fuzz-agg compactcert liveness-attack bank-workload obs-smoke gateway-smoke gateway-scale loc
 
 all: test
 
@@ -66,7 +66,7 @@ bench-micro:
 # micro-benchmarks for the numbers. CI runs this; record results in
 # BENCH_PR<n>.json when they move.
 bench-guard:
-	$(GO) test -run 'Alloc' -count=1 ./internal/types/ ./internal/simnet/ ./internal/core/ ./internal/wal/ ./internal/crypto/ ./internal/obs/ ./internal/app/ ./internal/tcpnet/
+	$(GO) test -run 'Alloc' -count=1 ./internal/types/ ./internal/simnet/ ./internal/core/ ./internal/wal/ ./internal/crypto/ ./internal/obs/ ./internal/app/ ./internal/tcpnet/ ./internal/replica/
 	$(GO) test -run 'TestCompactQCSizeFlat' -count=1 ./internal/types/
 	$(MAKE) bench-micro
 
@@ -134,3 +134,15 @@ gateway-smoke:
 # gateway every subscriber must reject. Results go to BENCH_PR10.json.
 gateway-scale:
 	$(GO) run ./cmd/sftbench -experiment gateway -n 7 -duration 15s -seed 1 -json BENCH_PR10.json
+
+# Non-test and test Go line counts per package plus a total, bench/ (its own
+# module, not editable by most PRs) excluded. "Net-negative LOC" is read from
+# this command, not from a reviewer's shell history.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' | sort | awk -F/ ' \
+		{ pkg = $$0; sub(/\/[^\/]*$$/, "", pkg); test = ($$NF ~ /_test\.go$$/); \
+		  n = 0; while ((getline line < $$0) > 0) n++; close($$0); \
+		  if (!(pkg in seen)) { seen[pkg] = 1; order[++pkgs] = pkg } \
+		  if (test) t[pkg] += n; else c[pkg] += n } \
+		END { for (i = 1; i <= pkgs; i++) { p = order[i]; printf "%-28s %7d %7d\n", p, c[p], t[p]; C += c[p]; T += t[p] } \
+		      printf "%-28s %7d %7d\n", "total (non-test, test)", C, T }'

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/metrics"
 )
 
 // benchJSON is the machine-readable result sink behind -json: every
@@ -86,7 +85,7 @@ type benchLevel struct {
 	CommitToStrong benchSummary `json:"commit_to_strong_s"`
 }
 
-// benchSummary mirrors metrics.Summary in seconds.
+// benchSummary mirrors harness.Summary in seconds.
 type benchSummary struct {
 	Count int     `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -97,7 +96,7 @@ type benchSummary struct {
 	Max   float64 `json:"max"`
 }
 
-func toBenchSummary(s metrics.Summary) benchSummary {
+func toBenchSummary(s harness.Summary) benchSummary {
 	return benchSummary{Count: s.Count, Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99, Min: s.Min, Max: s.Max}
 }
 

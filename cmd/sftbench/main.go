@@ -54,7 +54,6 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/harness"
-	"repro/internal/metrics"
 	"repro/internal/pacemaker"
 )
 
@@ -416,7 +415,7 @@ func bankWorkload(sc harness.Scale, accounts uint32, txnsPerBlock int, sign bool
 	if !res.Signed {
 		sigs = "disabled"
 	}
-	row := func(name string, s metrics.Summary) []string {
+	row := func(name string, s harness.Summary) []string {
 		return []string{name, fmt.Sprintf("%d", s.Count),
 			fmt.Sprintf("%.3f", s.P50), fmt.Sprintf("%.3f", s.P99), fmt.Sprintf("%.3f", s.Mean)}
 	}

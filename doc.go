@@ -178,6 +178,60 @@
 // reject. BENCH_PR10.json records the numbers; make gateway-smoke runs the
 // live-binary smoke (sftnode cluster + sftgateway + sftclient -subscribe).
 //
+// # Replica chassis
+//
+// The paper bolts SFT onto any chained BFT protocol at "marginal bookkeeping
+// overhead"; the code has the same shape. internal/replica is the chassis
+// both voting engines embed: everything about a certified chain that is the
+// same under DiemBFT and Streamlet. The engines keep the rules the paper
+// gives per protocol and call into the chassis; the chassis never decides
+// when to vote, certify or commit.
+//
+//	concern            chassis (internal/replica)       DiemBFT (Fig. 2/4)             Streamlet (Fig. 10/11)
+//	configuration      replica.Config: identity, PKI,   vote mode, timeouts,            ∆, echo, proposal window
+//	                   SFT, payload, app, journal, obs  extra-wait, prune, pacemaker
+//	event bracket      Begin / Take: flush, then send   dispatch by message and timer   dispatch; unwrap echoes
+//	proposing          Propose: payload, sign, journal  leader + TC bound, commit log    slot leader, longest-chain tip
+//	accepting a block  AcceptBlock, Orphans (bounded)   validity, stale rounds, sync    validity, first-seen echo
+//	voting             CastVote: execute, sign,         rvote / rlock / TC rule,        first proposal of the round on
+//	                   journal, record in history       marker or interval set          a longest chain; height marker
+//	vote → certificate AddVote, Certify: dedup, verify, collector only, extra-wait,     everyone, relay by echo,
+//	                   root check, sort, aggregate      FBFT late votes, qcFormed       register + journal
+//	after a QC         tracker (round or height keyed)  2-chain lock, 3-chain commit,   longest-chain height, consecutive-
+//	                                                    round sync, orphan QCs          round 3-chain commit
+//	committing         CommitTo: app, outputs, record   —                               —
+//	pruning            PruneBelow: store, tracker,      when (PruneKeep) and its own    none (dropping first-seen marks
+//	                   history, vote sets               per-block / per-round maps      would re-admit late echoes)
+//	recovery           Restore: replay skeleton         proposed rounds, rvote, rlock   first-seen marks, voted rounds
+//	catch-up           serve + ApplySegment; Certs      per-block SyncRequest healing   which certificate is standalone
+//	                   (cache, batch workers, timing)
+//	rounds             EnterRound (snapshot for         pacemaker, TCs, round entry,    2∆ lock-step slots
+//	                   Prevalidate)                     leader reputation
+//	observer borrows   Certs, Certs.Apply, Orphans,     —                               —
+//	                   UnwrapEcho
+//
+// The non-voting observer (internal/observer) derives commits differently
+// (first tracker rise to level f) and has no signer, journal or vote
+// history, so it embeds no chassis and borrows only the four pieces that
+// need none.
+//
+// Two contracts live in the chassis and nowhere else. Durability
+// (Chassis.Take): every record an event stages — accepted blocks, own votes,
+// standalone certificates, lock advances, the commit tip — is flushed under
+// one fsync before any of the event's outputs, votes above all, reaches the
+// network; an append or flush error crash-stops the replica before the
+// outputs are released, because a replica that cannot persist its voted
+// history can no longer guarantee its own markers. Execute-before-vote
+// (Chassis.CastVote, with an app configured): a replica executes a proposal
+// before voting on it, the state root rides inside the vote's signed payload
+// so certificates certify state, a collector credits only votes whose root
+// matches its own execution, and a proposal whose justify certificate
+// disagrees with local execution of the parent gets no vote. Failures the
+// chassis tolerates instead of stopping on are counted, never dropped:
+// sft_app_execute_failed_total, sft_sync_segments_rejected_total and
+// sft_qc_aggregate_failed_total read 0 on a healthy cluster (make obs-smoke
+// asserts it).
+//
 // # TCP wire format
 //
 // One frame format carries everything between replicas and between replicas
@@ -279,9 +333,8 @@
 // in the pinned types encodings), engine Restore hooks that rebuild a
 // crashed replica so its next vote cannot contradict its pre-crash markers,
 // and internal/statesync, the catch-up protocol a recovered or lagging
-// replica uses to re-join. The contract: every record an event stages is
-// flushed under one fsync before the event's outputs — votes above all —
-// reach the network. internal/simnet can kill and restart replicas
+// replica uses to re-join. The flush-before-send contract is the chassis's
+// (see "Replica chassis"). internal/simnet can kill and restart replicas
 // (Sim.RestartAt), harness scenarios schedule it (harness.CrashPlan), and
 // cmd/sftnode persists across process restarts via -data-dir. README.md
 // documents the full contract; BENCH_PR2.json records the costs (vote-path

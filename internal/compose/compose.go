@@ -18,6 +18,7 @@ import (
 	"repro/internal/diembft"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/replica"
 	"repro/internal/streamlet"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -73,7 +74,6 @@ type Spec struct {
 	MaxCommitLog   int
 	PruneKeep      types.Height
 	DisableQCCache bool
-	QCCacheSize    int
 	BatchWorkers   int
 
 	// Active pacemaker (DiemBFT-only; see diembft.Config). ActivePacemaker
@@ -140,9 +140,24 @@ type Spec struct {
 func Engine(s Spec) (engine.Engine, error) {
 	var eng engine.Engine
 	var err error
-	var executor *app.Executor
+	common := replica.Config{
+		ID:                s.ID,
+		N:                 s.N,
+		F:                 s.F,
+		Signer:            s.Signer,
+		Verifier:          s.Verifier,
+		VerifySignatures:  s.VerifySignatures,
+		BatchWorkers:      s.BatchWorkers,
+		SFT:               s.SFT,
+		Horizon:           s.Horizon,
+		NaiveEndorsements: s.NaiveEndorsements,
+		Payload:           s.Payload,
+		PayloadNow:        s.PayloadNow,
+		Journal:           s.Journal,
+		Obs:               s.Obs,
+	}
 	if s.App != nil {
-		executor = app.NewExecutor(s.App())
+		common.App = app.NewExecutor(s.App())
 	}
 	switch s.Protocol {
 	case Streamlet:
@@ -153,54 +168,26 @@ func Engine(s Spec) (engine.Engine, error) {
 			return nil, fmt.Errorf("compose: the active pacemaker is a DiemBFT-only subsystem (Streamlet has no timeouts; use ProposalWindow)")
 		}
 		eng, err = streamlet.New(streamlet.Config{
-			ID:                s.ID,
-			N:                 s.N,
-			F:                 s.F,
-			Signer:            s.Signer,
-			Verifier:          s.Verifier,
-			VerifySignatures:  s.VerifySignatures,
-			Delta:             s.Delta,
-			SFT:               s.SFT,
-			Horizon:           s.Horizon,
-			DisableEcho:       s.DisableEcho,
-			ProposalWindow:    s.ProposalWindow,
-			Payload:           s.Payload,
-			PayloadNow:        s.PayloadNow,
-			App:               executor,
-			NaiveEndorsements: s.NaiveEndorsements,
-			Journal:           s.Journal,
-			Obs:               s.Obs,
+			Config:         common,
+			Delta:          s.Delta,
+			DisableEcho:    s.DisableEcho,
+			ProposalWindow: s.ProposalWindow,
 		})
 	case DiemBFT, 0:
 		if s.ProposalWindow != 0 {
 			return nil, fmt.Errorf("compose: ProposalWindow is a Streamlet-only knob (DiemBFT bounds rounds via the active pacemaker)")
 		}
 		eng, err = diembft.New(diembft.Config{
-			ID:                s.ID,
-			N:                 s.N,
-			F:                 s.F,
-			Signer:            s.Signer,
-			Verifier:          s.Verifier,
-			VerifySignatures:  s.VerifySignatures,
-			QCCacheSize:       s.QCCacheSize,
-			DisableQCCache:    s.DisableQCCache,
-			BatchWorkers:      s.BatchWorkers,
-			SFT:               s.SFT,
-			FBFT:              s.FBFT,
-			VoteMode:          s.VoteMode,
-			IntervalWindow:    s.IntervalWindow,
-			Horizon:           s.Horizon,
-			RoundTimeout:      s.RoundTimeout,
-			ExtraWait:         s.ExtraWait,
-			ExtraWaitFor:      s.ExtraWaitFor,
-			Payload:           s.Payload,
-			PayloadNow:        s.PayloadNow,
-			App:               executor,
-			MaxCommitLog:      s.MaxCommitLog,
-			PruneKeep:         s.PruneKeep,
-			NaiveEndorsements: s.NaiveEndorsements,
-			Journal:           s.Journal,
-			Obs:               s.Obs,
+			Config:         common,
+			DisableQCCache: s.DisableQCCache,
+			FBFT:           s.FBFT,
+			VoteMode:       s.VoteMode,
+			IntervalWindow: s.IntervalWindow,
+			RoundTimeout:   s.RoundTimeout,
+			ExtraWait:      s.ExtraWait,
+			ExtraWaitFor:   s.ExtraWaitFor,
+			MaxCommitLog:   s.MaxCommitLog,
+			PruneKeep:      s.PruneKeep,
 
 			ActivePacemaker:        s.ActivePacemaker,
 			TimeoutWindow:          s.TimeoutWindow,

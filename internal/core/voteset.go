@@ -69,6 +69,16 @@ func (s *VoteSet) Len() int {
 	return len(s.votes)
 }
 
+// Height returns the height the retained votes claim for their block (0 for
+// a nil, empty or Mark-only set). Engines prune sets of long-committed blocks
+// by it, including sets whose block never arrived.
+func (s *VoteSet) Height() types.Height {
+	if s.Len() == 0 {
+		return 0
+	}
+	return s.votes[0].Height
+}
+
 // Count returns the number of distinct voters seen via Add or Mark.
 // Safe on a nil set.
 func (s *VoteSet) Count() int {

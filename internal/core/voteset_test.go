@@ -75,7 +75,16 @@ func TestVoteSetNilSafe(t *testing.T) {
 	if s.Has(0) {
 		t.Fatal("nil set Has = true")
 	}
-	if s.Len() != 0 || s.Count() != 0 {
-		t.Fatal("nil set reports non-zero size")
+	if s.Len() != 0 || s.Count() != 0 || s.Height() != 0 {
+		t.Fatal("nil set reports non-zero size or height")
+	}
+	marked := &core.VoteSet{}
+	marked.Mark(2)
+	if marked.Height() != 0 {
+		t.Fatal("Mark-only set claims a height")
+	}
+	marked.Add(types.Vote{Voter: 3, Height: 9})
+	if marked.Height() != 9 {
+		t.Fatalf("Height = %d, want the retained vote's 9", marked.Height())
 	}
 }

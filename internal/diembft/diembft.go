@@ -1,26 +1,19 @@
-// Package diembft implements the DiemBFT protocol of the paper's Figure 2
-// (a production HotStuff: propose / vote / lock on 2-chain / commit on
-// 3-chain, with a timeout-certificate pacemaker and round-robin leaders) and
-// its SFT extension of Figure 4 (strong-votes carrying markers or interval
-// sets, strong-QCs, and the strong 3-chain commit rule).
-//
-// The engine is a pure event-driven state machine (see internal/engine); it
-// runs unchanged under the discrete-event simulator and the TCP runtime.
+// Package diembft implements DiemBFT as the paper's Figure 2 gives it
+// (propose / vote / lock on 2-chain / commit on 3-chain, timeout-certificate
+// pacemaker, round-robin leaders) and its SFT extension of Figure 4
+// (strong-votes carrying markers or interval sets, strong-QCs, the strong
+// 3-chain commit rule). Only those protocol rules live here; the certified-
+// chain bookkeeping is the embedded internal/replica chassis.
 package diembft
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/app"
-	"repro/internal/blockstore"
 	"repro/internal/core"
-	"repro/internal/crypto"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/pacemaker"
-	"repro/internal/statesync"
+	"repro/internal/replica"
 	"repro/internal/types"
 )
 
@@ -44,45 +37,20 @@ const (
 
 func timerID(r types.Round, kind int) int { return int(r)<<1 | kind }
 
-// Config parameterizes a Replica.
+// Config parameterizes a Replica: the common replica configuration plus
+// DiemBFT's own knobs.
 type Config struct {
-	// ID is this replica; N = 3F+1 replicas total.
-	ID   types.ReplicaID
-	N, F int
+	replica.Config
 
-	// Signer/Verifier provide the PKI. VerifySignatures enables full
-	// signature checking (structure checks always run); large simulations
-	// may disable it since all traffic is generated by trusted engines.
-	Signer           crypto.Signer
-	Verifier         crypto.Verifier
-	VerifySignatures bool
-
-	// QCCacheSize bounds the replica's verified-QC memo (0 = default). Each
-	// distinct certificate is signature-checked once per replica instead of
-	// once per delivery; see crypto.QCCache.
-	QCCacheSize int
-	// DisableQCCache turns the memo off, re-verifying every delivery. Kept
-	// for A/B determinism tests and diagnostics.
+	// DisableQCCache turns the verified-QC memo off, re-verifying every
+	// delivery. Kept for A/B determinism tests and diagnostics.
 	DisableQCCache bool
-	// BatchWorkers bounds the intra-certificate signature-verification
-	// concurrency: a cold QC verify batches its 2f+1 vote signatures and
-	// checks them with up to this many goroutines (crypto.BatchVerifyQC).
-	// 0 or 1 keeps verification on the calling goroutine — the mode the
-	// deterministic simulator uses; real-crypto nodes on multi-core hosts
-	// set it to GOMAXPROCS.
-	BatchWorkers int
 
-	// SFT enables strengthened fault tolerance: strong-votes, endorsement
-	// tracking and Strength outputs. With SFT false the engine is the
-	// DiemBFT baseline (markers still ride along in votes but are ignored).
-	SFT bool
 	// VoteMode selects marker (default) or interval strong-votes.
 	VoteMode VoteMode
 	// IntervalWindow clips interval votes to the last window rounds
 	// (0 = unbounded), Section 3.4's size/liveness trade-off.
 	IntervalWindow types.Round
-	// Horizon bounds the endorsement walk depth (see core.Config).
-	Horizon int
 
 	// RoundTimeout is the pacemaker's base timeout.
 	RoundTimeout time.Duration
@@ -92,24 +60,6 @@ type Config struct {
 	// ExtraWaitFor, if non-nil, overrides ExtraWait per round (the dynamic
 	// strategy of Section 4.2).
 	ExtraWaitFor func(r types.Round) time.Duration
-
-	// Payload supplies the transactions for a proposal at the given round;
-	// nil means empty blocks.
-	Payload func(r types.Round) types.Payload
-
-	// PayloadNow, if non-nil, supersedes Payload with a variant that also
-	// receives the engine's current virtual time — workload generators use it
-	// to model transaction arrival times (submit→commit latency accounting).
-	PayloadNow func(r types.Round, now time.Duration) types.Payload
-
-	// App, if non-nil, enables the deterministic execution layer
-	// (execute-before-vote): every proposal is executed before the replica
-	// votes on it, the resulting state root travels as the vote's AppHash —
-	// inside the signed payload, so certificates certify state — and a
-	// proposal whose justify certificate disagrees with local execution of
-	// the parent is refused (fork detection). With App nil, votes carry no
-	// AppHash and the wire bytes are exactly the pre-execution-layer form.
-	App *app.Executor
 
 	// MaxCommitLog bounds the light-client Log entries attached per
 	// proposal (Section 5); 0 disables the log.
@@ -124,12 +74,6 @@ type Config struct {
 	// arriving after the QC formed (ExtraVote), costing O(n^2) messages per
 	// decision. Mutually exclusive with SFT.
 	FBFT bool
-
-	// NaiveEndorsements switches the SFT tracker to the UNSAFE marker-free
-	// counting of Appendix C. It exists only so the adversarial scenario
-	// fuzzer can demonstrate that its Definition 1 checker catches the
-	// resulting violations; the public facade never exposes it.
-	NaiveEndorsements bool
 
 	// ActivePacemaker hardens round synchronization the way Jolteon-derived
 	// production pacemakers do: every round advance broadcasts a RoundEntry
@@ -155,107 +99,42 @@ type Config struct {
 	// ancestry is journaled with the blocks. Off (0) by default so
 	// fixed-seed pins stay bit-identical.
 	LeaderReputationWindow types.Round
-
-	// Journal, if non-nil, write-ahead-logs the state the replica's safety
-	// depends on: accepted blocks, own votes, standalone certificates, lock
-	// advances, and commits. Records staged during one event are flushed
-	// (one fsync batch) before the event's outputs — votes in particular —
-	// are released; see internal/core's durability contract. Pair with
-	// Restore to rebuild the replica after a crash.
-	Journal *core.Journal
-
-	// Obs, if non-nil, receives lifecycle and latency observations (round
-	// entries, proposals, votes, QC formation, commits, strength rises,
-	// batch-verify timing). Hooks are pure observation — they never feed
-	// back into the state machine — so runs are bit-identical with Obs set
-	// or nil.
-	Obs *obs.Obs
 }
-
-func (c *Config) quorum() int { return 2*c.F + 1 }
 
 // Replica is one DiemBFT (optionally SFT) replica engine.
 type Replica struct {
-	cfg     Config
-	store   *blockstore.Store
-	history *core.VoteHistory
-	tracker *core.Tracker
-	pm      *pacemaker.Pacemaker
+	*replica.Chassis
+	cfg Config
+	pm  *pacemaker.Pacemaker
 
 	rvote  types.Round // highest voted round
 	rlock  types.Round // highest locked round (2-chain rule)
 	qchigh *types.QC   // highest QC seen (block may be momentarily absent)
 
-	// Leader-side vote collection: one bitmap-deduped vote set per candidate
-	// block (subquadratic in n; see core.VoteSet), QC-formed flags, and
+	// Leader-side collection state: which blocks already have their QC, and
 	// blocks waiting out the extra-wait window keyed by round.
-	votes         map[types.BlockID]*core.VoteSet
 	qcFormed      map[types.BlockID]bool
 	awaitingExtra map[types.Round]types.BlockID
 
-	// aggregate marks that the verifier's scheme compacts formed QCs into
-	// the aggregated-signature form (crypto.AggregateQC).
-	aggregate bool
-
-	// Out-of-order proposal buffering: proposals whose parent has not
-	// arrived yet, keyed by the missing parent.
-	orphans   map[types.BlockID][]*types.Proposal
+	// Out-of-order arrivals: proposals whose parent is missing, and the best
+	// certificate seen for a block that has not arrived yet.
+	orphans   replica.Orphans
 	orphanQCs map[types.BlockID]*types.QC
-	syncAsked map[types.BlockID]bool
 
-	proposed      map[types.Round]bool
-	lastCommitted types.BlockID
-	committedH    types.Height
-
+	proposed   map[types.Round]bool
 	pendingLog []types.StrengthRecord // light-client log accumulator
 
 	// direct is the Appendix B baseline tracker (FBFT mode only).
 	direct *core.DirectTracker
 
-	// qcCache memoizes verified certificates (nil when signature checking is
-	// off or the cache is disabled); sigScratch is the reused signing-payload
-	// buffer for the per-round vote.
-	qcCache    *crypto.QCCache
-	sigScratch []byte
-
-	// journal is the durability log (nil = in-memory replica). restoring
-	// mutes journaling and Strength re-emission while Restore replays the
-	// pre-crash state; recovered makes Init rejoin via state sync.
-	journal   *core.Journal
-	restoring bool
-	recovered bool
-
-	// preverified is set for the duration of an OnVerifiedMessage event: the
-	// message already passed Prevalidate (or came from a trusted local
-	// source), so the state stage skips its signature checks. Only the
-	// event-loop goroutine touches it.
-	preverified bool
-
-	// evNow is the current event's engine time, stashed at event entry for
-	// observation callbacks (the strength tracker's closure has no `now`
-	// parameter). Only the event-loop goroutine touches it.
-	evNow time.Duration
-
 	// recentTCs holds timeout certificates for recently exited rounds
 	// (active pacemaker only): they justify RoundEntry broadcasts and bound
 	// the next leader's proposal (justify round >= TC.MaxHighRound()).
 	recentTCs map[types.Round]*types.TC
-
-	// curRound mirrors pm.Round() for the Prevalidate goroutines'
-	// future-window checks; the event loop owns pm itself.
-	curRound atomic.Int64
-
-	outs []engine.Output // per-event output buffer
 }
 
 // New creates a replica engine from the configuration.
 func New(cfg Config) (*Replica, error) {
-	if cfg.N != 3*cfg.F+1 {
-		return nil, fmt.Errorf("diembft: n=%d must be 3f+1 (f=%d)", cfg.N, cfg.F)
-	}
-	if cfg.Signer == nil || cfg.Verifier == nil {
-		return nil, fmt.Errorf("diembft: signer and verifier are required")
-	}
 	if cfg.RoundTimeout <= 0 {
 		return nil, fmt.Errorf("diembft: round timeout must be positive")
 	}
@@ -267,17 +146,26 @@ func New(cfg Config) (*Replica, error) {
 	}
 	r := &Replica{
 		cfg:           cfg,
-		store:         blockstore.New(),
 		pm:            pacemaker.New(cfg.N, cfg.F, cfg.RoundTimeout),
-		votes:         make(map[types.BlockID]*core.VoteSet),
-		aggregate:     crypto.Aggregates(cfg.Verifier),
 		qcFormed:      make(map[types.BlockID]bool),
 		awaitingExtra: make(map[types.Round]types.BlockID),
-		orphans:       make(map[types.BlockID][]*types.Proposal),
 		orphanQCs:     make(map[types.BlockID]*types.QC),
-		syncAsked:     make(map[types.BlockID]bool),
 		proposed:      make(map[types.Round]bool),
 		recentTCs:     make(map[types.Round]*types.TC),
+	}
+	var err error
+	r.Chassis, err = replica.New(cfg.Config, core.ModeRound, func(b *types.Block, x int) {
+		if r.EmitStrength(b, x) && cfg.MaxCommitLog > 0 {
+			r.pendingLog = append(r.pendingLog, types.StrengthRecord{
+				Block: b.ID(), Height: b.Height, Round: b.Round, X: x,
+			})
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if cfg.DisableQCCache {
+		r.Certs.DisableCache()
 	}
 	if cfg.PerPeerTimeoutCap > 0 {
 		r.pm.SetPerPeerCap(cfg.PerPeerTimeoutCap)
@@ -285,57 +173,12 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.ActivePacemaker {
 		r.pm.SetActive(cfg.TimeoutWindow)
 	}
-	r.curRound.Store(1)
-	if cfg.VerifySignatures && !cfg.DisableQCCache {
-		r.qcCache = crypto.NewQCCache(cfg.QCCacheSize)
-	}
-	r.journal = cfg.Journal
-	r.history = core.NewVoteHistory(r.store)
-	r.qchigh = r.store.HighQC()
-	r.lastCommitted = r.store.Genesis().ID()
-	if cfg.SFT {
-		r.tracker = core.NewTracker(r.store, core.Config{
-			N:       cfg.N,
-			F:       cfg.F,
-			Mode:    core.ModeRound,
-			Naive:   cfg.NaiveEndorsements,
-			Horizon: cfg.Horizon,
-			OnStrength: func(b *types.Block, x int) {
-				if r.restoring {
-					// Recovery reinstates levels already reached pre-crash;
-					// they are not new observations to announce.
-					return
-				}
-				r.outs = append(r.outs, engine.Strength{Block: b, X: x})
-				cfg.Obs.OnStrength(b, x, r.evNow)
-				if cfg.MaxCommitLog > 0 {
-					r.pendingLog = append(r.pendingLog, types.StrengthRecord{
-						Block: b.ID(), Height: b.Height, Round: b.Round, X: x,
-					})
-				}
-			},
-		})
-	}
+	r.qchigh = r.Store().HighQC()
 	if cfg.FBFT {
-		r.direct = core.NewDirectTracker(r.store, cfg.F, func(b *types.Block, x int) {
-			if r.restoring {
-				return
-			}
-			r.outs = append(r.outs, engine.Strength{Block: b, X: x})
-			cfg.Obs.OnStrength(b, x, r.evNow)
-		})
+		r.direct = core.NewDirectTracker(r.Store(), cfg.F, func(b *types.Block, x int) { r.EmitStrength(b, x) })
 	}
 	return r, nil
 }
-
-// ID implements engine.Engine.
-func (r *Replica) ID() types.ReplicaID { return r.cfg.ID }
-
-// Store exposes the block tree for tests and the harness.
-func (r *Replica) Store() *blockstore.Store { return r.store }
-
-// Tracker exposes the SFT tracker (nil when SFT is disabled).
-func (r *Replica) Tracker() *core.Tracker { return r.tracker }
 
 // Round returns the current pacemaker round.
 func (r *Replica) Round() types.Round { return r.pm.Round() }
@@ -343,12 +186,6 @@ func (r *Replica) Round() types.Round { return r.pm.Round() }
 // PacemakerStats exposes the timeout-buffer accounting snapshot (the harness
 // uses it to prove bounded memory under timeout-spam).
 func (r *Replica) PacemakerStats() pacemaker.Stats { return r.pm.Stats() }
-
-// CommittedHeight returns the height of the last regular commit.
-func (r *Replica) CommittedHeight() types.Height { return r.committedH }
-
-// LastCommitted returns the ID of the last committed block.
-func (r *Replica) LastCommitted() types.BlockID { return r.lastCommitted }
 
 // HighQC returns the highest-ranked certificate the replica has seen.
 func (r *Replica) HighQC() *types.QC { return r.qchigh }
@@ -358,33 +195,6 @@ func (r *Replica) VotedRound() types.Round { return r.rvote }
 
 // LockedRound returns the current 2-chain lock round.
 func (r *Replica) LockedRound() types.Round { return r.rlock }
-
-// History exposes the vote history (tests and recovery diagnostics).
-func (r *Replica) History() *core.VoteHistory { return r.history }
-
-// AppExecutor exposes the execution layer (nil when no app is configured).
-func (r *Replica) AppExecutor() *app.Executor { return r.cfg.App }
-
-// executeBlock runs b through the execution layer, returning its state root.
-// Execution is memoized in the executor, so re-running an already-executed
-// block is free; only fresh executions tick the observation counter.
-func (r *Replica) executeBlock(b *types.Block) ([32]byte, error) {
-	before := r.cfg.App.Executed()
-	root, err := r.cfg.App.Execute(b)
-	if err == nil && r.cfg.App.Executed() > before {
-		r.cfg.Obs.OnAppExecuted()
-	}
-	return root, err
-}
-
-// tryExecute executes b if the execution layer is on, tolerating failure (an
-// unexecutable block can still be stored for ordering; the replica just will
-// not vote for it or its descendants).
-func (r *Replica) tryExecute(b *types.Block) {
-	if r.cfg.App != nil {
-		_, _ = r.executeBlock(b)
-	}
-}
 
 // Restore rebuilds the replica from a journal replay. Call it after New and
 // before Init; the restored replica's vote state (highest voted round, lock,
@@ -396,119 +206,57 @@ func (r *Replica) Restore(rec *core.Recovery) error {
 	if rec == nil || rec.Empty() {
 		return nil
 	}
-	r.restoring = true
-	defer func() { r.restoring = false }()
-
-	// Blocks first (parents precede children in the log; a block detached
-	// by a pre-crash prune is skipped, where walks stop anyway),
-	// certificates riding along; feed every certificate through the
-	// trackers in log order to rebuild endorsement state.
-	r.store.Restore(rec.Blocks, func(b *types.Block, qcImproved bool) {
+	err := r.Chassis.Restore(rec, func(b *types.Block) {
 		if b.Proposer == r.cfg.ID {
 			// Own proposal: never propose a different block for this round.
 			r.proposed[b.Round] = true
 		}
-		// Re-execute in log order (parents precede children): the execution
-		// layer starts from genesis state and must deterministically
-		// reconverge to the exact pre-crash roots — the crash/restart tests
-		// assert the recovered AppHash matches what the replica voted for.
-		r.tryExecute(b)
-		if qcImproved {
-			r.feedTrackers(b.Justify)
+	}, func(qc *types.QC) {
+		if r.direct != nil {
+			r.direct.OnQC(qc)
 		}
 	})
-	for _, qc := range rec.QCs {
-		if !r.store.Has(qc.Block) {
-			continue
-		}
-		if _, improved, err := r.store.RegisterQC(qc); err == nil && improved {
-			r.feedTrackers(qc)
-		}
+	if err != nil {
+		return err
 	}
-
-	// Vote state: the safety-critical part.
-	voted := make([]core.VotedBlock, 0, len(rec.Votes))
-	for i := range rec.Votes {
-		v := &rec.Votes[i]
-		voted = append(voted, core.VotedBlock{ID: v.Block, Round: v.Round, Height: v.Height})
-	}
-	r.history.Restore(voted)
 	r.rvote = rec.VotedRound()
 	r.rlock = rec.Locked
-
 	if rec.HighQC != nil && rec.HighQC.RanksHigher(r.qchigh) {
 		r.qchigh = rec.HighQC
 	}
-	if rec.CommittedHeight > 0 {
-		r.lastCommitted = rec.Committed
-		r.committedH = rec.CommittedHeight
-		if r.cfg.App != nil {
-			// Advance the state machine's committed base to the recovered
-			// commit point (the blocks were re-executed above).
-			if b := r.store.Block(rec.Committed); b != nil {
-				if err := r.cfg.App.OnCommit(b); err != nil {
-					return fmt.Errorf("diembft: restore app commit: %w", err)
-				}
-			}
-		}
-	}
-	r.recovered = true
 	return nil
-}
-
-// feedTrackers routes a certificate into whichever endorsement tracker the
-// configuration enabled.
-func (r *Replica) feedTrackers(qc *types.QC) {
-	if r.tracker != nil {
-		r.tracker.OnQC(qc)
-	}
-	if r.direct != nil {
-		r.direct.OnQC(qc)
-	}
 }
 
 // Init implements engine.Engine: enter round 1 — or, on a replica restored
 // from its journal, rejoin at the recovered high QC's round and broadcast a
 // state-sync request for everything certified while it was down.
 func (r *Replica) Init(now time.Duration) []engine.Output {
-	r.outs = nil
-	r.evNow = now
-	r.cfg.Obs.OnRoundEnter(r.pm.Round(), now, false)
-	r.outs = append(r.outs, engine.SetTimer{ID: timerID(1, kindRound), Delay: r.pm.Timeout()})
-	if r.recovered {
+	r.Begin(now, false)
+	r.EnterRound(r.pm.Round(), false)
+	r.Outs = append(r.Outs, engine.SetTimer{ID: timerID(1, kindRound), Delay: r.pm.Timeout()})
+	if r.Recovered() {
 		if r.qchigh.Round > 0 {
 			r.advanceRound(now, r.qchigh.Round+1, false)
 		}
-		r.outs = append(r.outs, engine.Broadcast{
-			Msg: statesync.NewRequest(r.committedH, r.cfg.ID),
-		})
+		r.RequestStateSync()
 	}
 	r.maybePropose(now)
-	return r.take()
+	return r.Take()
 }
 
 // OnMessage implements engine.Engine.
 func (r *Replica) OnMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	r.preverified = false
-	return r.onMessage(now, from, msg)
+	return r.onMessage(now, from, msg, false)
 }
 
 // OnVerifiedMessage implements engine.Pipelined: identical state transitions
 // to OnMessage, minus the signature checks Prevalidate already performed.
 func (r *Replica) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	r.preverified = true
-	outs := r.onMessage(now, from, msg)
-	r.preverified = false
-	return outs
+	return r.onMessage(now, from, msg, true)
 }
 
-// checkSigs reports whether the current event must verify signatures itself:
-// verification is configured on and the message did not arrive pre-verified.
-func (r *Replica) checkSigs() bool { return r.cfg.VerifySignatures && !r.preverified }
-
-func (r *Replica) onMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	r.outs = nil
-	r.evNow = now
+func (r *Replica) onMessage(now time.Duration, from types.ReplicaID, msg types.Message, preverified bool) []engine.Output {
+	r.Begin(now, preverified)
 	switch m := msg.(type) {
 	case *types.Proposal:
 		r.onProposal(now, m)
@@ -523,19 +271,18 @@ func (r *Replica) onMessage(now time.Duration, from types.ReplicaID, msg types.M
 	case *types.SyncRequest:
 		r.onSyncRequest(m)
 	case *types.SyncResponse:
-		r.onSyncResponse(now, m)
+		r.installSegment(now, &types.StateSyncResponse{Blocks: m.Blocks})
 	case *types.StateSyncRequest:
-		r.onStateSyncRequest(m)
+		r.OnStateSyncRequest(m)
 	case *types.StateSyncResponse:
-		r.onStateSyncResponse(now, m)
+		r.installSegment(now, m)
 	}
-	return r.take()
+	return r.Take()
 }
 
 // OnTimer implements engine.Engine.
 func (r *Replica) OnTimer(now time.Duration, id int) []engine.Output {
-	r.outs = nil
-	r.evNow = now
+	r.Begin(now, false)
 	round := types.Round(id >> 1)
 	switch id & 1 {
 	case kindRound:
@@ -543,909 +290,5 @@ func (r *Replica) OnTimer(now time.Duration, id int) []engine.Output {
 	case kindExtraWait:
 		r.onExtraWaitTimer(now, round)
 	}
-	return r.take()
-}
-
-// take drains the per-event output buffer. When a journal is attached, the
-// records staged during the event are flushed first — THE durability
-// ordering: nothing this event produced (votes above all) reaches the
-// network before the state it depends on is in the log. All records of one
-// event share a single fsync (group commit).
-func (r *Replica) take() []engine.Output {
-	if r.journal != nil {
-		if err := r.journal.Flush(); err != nil {
-			// A replica that cannot persist its voted history can no longer
-			// guarantee its own markers; crash-stop is the only safe move.
-			panic(fmt.Sprintf("diembft: wal flush: %v", err))
-		}
-	}
-	outs := r.outs
-	r.outs = nil
-	return outs
-}
-
-// journalBlock, journalVote, journalQC, journalLock and journalCommit stage
-// durability records, muted during Restore (the log already has them).
-func (r *Replica) journalBlock(b *types.Block) {
-	if r.journal != nil && !r.restoring {
-		_ = r.journal.AppendBlock(b) // errors surface at the take() flush
-	}
-}
-
-func (r *Replica) journalVote(v *types.Vote) {
-	if r.journal != nil && !r.restoring {
-		_ = r.journal.AppendVote(v)
-	}
-}
-
-func (r *Replica) journalQC(qc *types.QC) {
-	if r.journal != nil && !r.restoring {
-		_ = r.journal.AppendQC(qc)
-	}
-}
-
-func (r *Replica) journalLock(round types.Round) {
-	if r.journal != nil && !r.restoring {
-		_ = r.journal.AppendLock(round)
-	}
-}
-
-func (r *Replica) journalCommit(b *types.Block) {
-	if r.journal != nil && !r.restoring {
-		_ = r.journal.AppendCommit(b.ID(), b.Height, b.Round)
-	}
-}
-
-// verifyQC checks a certificate's signatures through the batch-verification
-// path (one pass over all vote signatures, bisection attribution on
-// failure), going through the per-replica verified-QC cache when enabled.
-// Certificates are immutable, so a cache hit is as strong as a fresh
-// verification. Safe for concurrent use from Prevalidate workers: the cache
-// is internally synchronized and BatchVerifyQC touches no replica state.
-func (r *Replica) verifyQC(qc *types.QC) error {
-	workers := r.cfg.BatchWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if r.cfg.Obs != nil {
-		// Wall clock by design: verification cost is an operational quantity
-		// that exists off the virtual timeline and never feeds back into it.
-		start := time.Now()
-		defer func() { r.cfg.Obs.ObserveVerifyBatch(time.Since(start)) }()
-	}
-	if r.qcCache != nil {
-		return r.qcCache.VerifyQCBatch(r.cfg.Verifier, qc, r.cfg.quorum(), workers)
-	}
-	return crypto.BatchVerifyQC(r.cfg.Verifier, qc, r.cfg.quorum(), workers)
-}
-
-// --- proposing ---
-
-func (r *Replica) maybePropose(now time.Duration) {
-	round := r.pm.Round()
-	if r.leaderFor(round, r.qchigh) != r.cfg.ID || r.proposed[round] {
-		return
-	}
-	parent := r.store.Block(r.qchigh.Block)
-	if parent == nil {
-		return // still syncing the highest certified block
-	}
-	if tc := r.recentTCs[round-1]; tc != nil && r.qchigh.Round < tc.MaxHighRound() {
-		// The previous round's TC carries 2f+1 signed attestations of a
-		// certified round higher than our own high QC: proposing now would
-		// justify below what the quorum already proved exists. Wait for the
-		// certified chain to catch up (timeout HighQCs or state sync fill it).
-		return
-	}
-	r.proposed[round] = true
-	var payload types.Payload
-	if r.cfg.PayloadNow != nil {
-		payload = r.cfg.PayloadNow(round, now)
-	} else if r.cfg.Payload != nil {
-		payload = r.cfg.Payload(round)
-	}
-	var log []types.StrengthRecord
-	if n := len(r.pendingLog); n > 0 {
-		if n > r.cfg.MaxCommitLog {
-			n = r.cfg.MaxCommitLog
-		}
-		log = append(log, r.pendingLog[len(r.pendingLog)-n:]...)
-		r.pendingLog = r.pendingLog[:0]
-	}
-	b := types.NewBlock(parent.ID(), r.qchigh, round, parent.Height+1, r.cfg.ID, int64(now), payload, log)
-	p := &types.Proposal{Block: b, Round: round, Sender: r.cfg.ID}
-	p.Signature = r.cfg.Signer.Sign(p.SigningPayload())
-	// Journal the proposal before it can leave: a leader that crashes after
-	// broadcasting must never propose a DIFFERENT block for the same round
-	// on restart (Restore marks own logged blocks' rounds as proposed).
-	r.journalBlock(b)
-	r.cfg.Obs.OnProposed(b, now)
-	// SelfDeliver routes the leader's own proposal through the common
-	// voting path.
-	r.outs = append(r.outs, engine.Broadcast{Msg: p, SelfDeliver: true})
-}
-
-// --- proposal handling ---
-
-func (r *Replica) onProposal(now time.Duration, p *types.Proposal) {
-	if !r.validProposal(p) {
-		return
-	}
-	if p.Round < r.pm.Round() {
-		// Stale proposal for a round we already left (e.g. a slow leader
-		// whose round was timed out): reject it outright, as DiemBFT does.
-		// Its block can never gather a quorum, and accepting it would leak
-		// its never-chained justify QC into the endorsement bookkeeping.
-		return
-	}
-	if !r.store.Has(p.Block.Parent) {
-		// Parent not yet arrived: buffer, let the embedded QC advance our
-		// round/high-QC so we keep pace, and ask the proposer for the
-		// missing ancestry (it certified the parent, so it has the chain).
-		r.orphans[p.Block.Parent] = append(r.orphans[p.Block.Parent], p)
-		r.noteQC(now, p.Block.Justify)
-		r.requestSync(p.Sender, p.Block.Parent)
-		return
-	}
-	r.acceptProposal(now, p)
-}
-
-// requestSync asks peer for the chain ending at the missing block, rate
-// limited to one outstanding request per missing block.
-func (r *Replica) requestSync(peer types.ReplicaID, missing types.BlockID) {
-	if peer == r.cfg.ID || r.syncAsked[missing] {
-		return
-	}
-	r.syncAsked[missing] = true
-	r.outs = append(r.outs, engine.Send{To: peer, Msg: &types.SyncRequest{
-		Block:  missing,
-		Have:   r.committedH,
-		Sender: r.cfg.ID,
-	}})
-}
-
-// onSyncRequest serves a chain segment toward the requested block, starting
-// just above the requester's committed height so the segment always
-// connects to something the requester has. Responses are capped; a
-// requester whose gap exceeds the cap heals in multiple rounds of
-// request/response as its committed height advances.
-func (r *Replica) onSyncRequest(m *types.SyncRequest) {
-	const maxBlocks = syncMaxBlocks
-	end := r.store.Block(m.Block)
-	if end == nil {
-		return
-	}
-	var chain []*types.Block
-	for b := end; b != nil && !b.IsGenesis() && b.Height > m.Have; b = r.store.Parent(b.ID()) {
-		chain = append(chain, b)
-	}
-	// Reverse into ascending order and keep the LOWEST maxBlocks so the
-	// first block's parent is already on the requester's chain.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	if len(chain) > maxBlocks {
-		chain = chain[:maxBlocks]
-	}
-	if len(chain) == 0 {
-		return
-	}
-	r.outs = append(r.outs, engine.Send{To: m.Sender, Msg: &types.SyncResponse{
-		Blocks: chain,
-		Sender: r.cfg.ID,
-	}})
-}
-
-// onSyncResponse installs a fetched chain segment: each block's justify QC
-// certifies its parent, so the segment is validated link by link, fed to
-// the SFT tracker, and any orphaned proposals waiting on it are flushed.
-func (r *Replica) onSyncResponse(now time.Duration, m *types.SyncResponse) {
-	for _, b := range m.Blocks {
-		if b == nil || b.Justify == nil || r.store.Has(b.ID()) {
-			continue
-		}
-		if b.Justify.Block != b.Parent {
-			return // malformed segment
-		}
-		if err := b.Justify.CheckStructure(r.cfg.quorum()); err != nil {
-			return
-		}
-		if r.cfg.VerifySignatures {
-			if err := r.verifyQC(b.Justify); err != nil {
-				return
-			}
-		}
-		if !r.store.Has(b.Parent) {
-			return // segment does not connect to anything we have
-		}
-		if err := r.store.Insert(b); err != nil {
-			return
-		}
-		r.journalBlock(b)
-		delete(r.syncAsked, b.ID())
-		r.tryExecute(b)
-		r.processQC(now, b.Justify, true)
-		// Flush any proposals orphaned on this block.
-		if kids := r.orphans[b.ID()]; len(kids) > 0 {
-			delete(r.orphans, b.ID())
-			for _, kid := range kids {
-				r.acceptProposal(now, kid)
-			}
-		}
-	}
-}
-
-// onStateSyncRequest serves the catch-up protocol: a certified chain
-// segment above the requester's committed height (see internal/statesync).
-func (r *Replica) onStateSyncRequest(m *types.StateSyncRequest) {
-	if m.Sender == r.cfg.ID {
-		return
-	}
-	if resp := statesync.Serve(r.store, m, r.cfg.ID, statesync.DefaultMaxBlocks); resp != nil {
-		r.outs = append(r.outs, engine.Send{To: m.Sender, Msg: resp})
-	}
-}
-
-// onStateSyncResponse installs a catch-up segment. Each installed block is
-// journaled and its certificate routed through the regular QC pipeline, so
-// locks, commits, endorsement tracking and round synchronization all catch
-// up exactly as if the blocks had arrived as proposals.
-func (r *Replica) onStateSyncResponse(now time.Duration, m *types.StateSyncResponse) {
-	ap := statesync.Applier{
-		Store:  r.store,
-		Quorum: r.cfg.quorum(),
-		OnInstall: func(b *types.Block) {
-			r.journalBlock(b)
-			delete(r.syncAsked, b.ID())
-			r.tryExecute(b)
-			if kids := r.orphans[b.ID()]; len(kids) > 0 {
-				delete(r.orphans, b.ID())
-				for _, kid := range kids {
-					r.acceptProposal(now, kid)
-				}
-			}
-		},
-		OnQC: func(qc *types.QC) { r.processQC(now, qc, true) },
-		// The responder's high QC is standalone (no block embeds it);
-		// fromChain=false routes it into the journal.
-		OnHighQC: func(qc *types.QC) { r.processQC(now, qc, false) },
-	}
-	if r.cfg.VerifySignatures {
-		ap.VerifyQC = r.verifyQC
-	}
-	_, _ = ap.Apply(m) // a bad link rejects the rest of the segment; peers re-serve
-}
-
-func (r *Replica) validProposal(p *types.Proposal) bool {
-	if p.Block == nil || p.Block.Justify == nil {
-		return false
-	}
-	if p.Block.Round != p.Round || p.Block.Proposer != p.Sender {
-		return false
-	}
-	if r.leaderFor(p.Round, p.Block.Justify) != p.Sender {
-		return false
-	}
-	if p.Block.Justify.Block != p.Block.Parent {
-		return false
-	}
-	if err := p.Block.Justify.CheckStructure(r.cfg.quorum()); err != nil {
-		return false
-	}
-	if r.checkSigs() {
-		if !r.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
-			return false
-		}
-		if err := r.verifyQC(p.Block.Justify); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *Replica) acceptProposal(now time.Duration, p *types.Proposal) {
-	b := p.Block
-	if err := r.store.Insert(b); err != nil {
-		return
-	}
-	if b.Proposer != r.cfg.ID {
-		// Own blocks were journaled at propose time, before broadcast.
-		r.journalBlock(b)
-	}
-	r.cfg.Obs.OnBlockSeen(b, now)
-	r.tryExecute(b)
-	r.processQC(now, b.Justify, true)
-	r.maybeVote(now, p)
-	// A QC may have been waiting for this block.
-	if qc := r.orphanQCs[b.ID()]; qc != nil {
-		delete(r.orphanQCs, b.ID())
-		r.processQC(now, qc, false)
-	}
-	// Votes may have arrived before the proposal (we are the next leader).
-	r.tryFormQC(now, b)
-	// Flush any children blocked on this parent.
-	if kids := r.orphans[b.ID()]; len(kids) > 0 {
-		delete(r.orphans, b.ID())
-		for _, kid := range kids {
-			r.acceptProposal(now, kid)
-		}
-	}
-}
-
-func (r *Replica) maybeVote(now time.Duration, p *types.Proposal) {
-	b := p.Block
-	round := b.Round
-	if round != r.pm.Round() || round <= r.rvote || r.pm.TimedOut(round) {
-		return
-	}
-	parent := r.store.Block(b.Parent)
-	if parent == nil || parent.Round < r.rlock {
-		return
-	}
-	if tc := r.recentTCs[round-1]; tc != nil && b.Justify.Round < tc.MaxHighRound() {
-		// Justified round entry, voter side: round-1 ended in a TC whose
-		// 2f+1 attestations prove a certified block at MaxHighRound; a
-		// proposal justifying anything lower forks below what the quorum
-		// already certified and is refused. (recentTCs is populated only in
-		// active mode, so the passive baseline is untouched.)
-		return
-	}
-	var appRoot [32]byte
-	if r.cfg.App != nil {
-		// Execute before voting: a block we cannot execute gets no vote, and
-		// a proposal whose justify certificate claims a parent state root
-		// different from our own execution is a state fork — refusing to vote
-		// starves it of a quorum (with at most f faults, certified blocks can
-		// only carry roots that f+1 honest replicas computed themselves).
-		root, err := r.executeBlock(b)
-		if err != nil {
-			return
-		}
-		if len(b.Justify.Votes) > 0 {
-			if parentRoot, known := r.cfg.App.Root(b.Parent); known && b.Justify.AppHash() != parentRoot {
-				r.cfg.Obs.OnAppHashMismatch()
-				return
-			}
-		}
-		appRoot = root
-	}
-	v := types.Vote{
-		Block:   b.ID(),
-		Round:   round,
-		Height:  b.Height,
-		Voter:   r.cfg.ID,
-		AppHash: appRoot,
-	}
-	if r.cfg.VoteMode == VoteIntervals {
-		v.HasIntervals = true
-		v.Intervals = r.history.Intervals(b, r.cfg.IntervalWindow)
-	} else {
-		v.Marker = r.history.Marker(b)
-	}
-	r.sigScratch = v.AppendSigningPayload(r.sigScratch[:0])
-	v.Signature = r.cfg.Signer.Sign(r.sigScratch)
-	// Durability contract: the vote record (and the block record staged when
-	// b was accepted) is flushed by take() before this Send leaves the
-	// replica, so the vote can be reconstructed after any crash.
-	r.journalVote(&v)
-	r.rvote = round
-	r.history.RecordVote(b)
-	r.cfg.Obs.OnVoted(b, now)
-	next := r.leaderForBlock(round+1, b)
-	r.outs = append(r.outs, engine.Send{To: next, Msg: &types.VoteMsg{Vote: v}})
-}
-
-// --- vote handling (as next-round leader) ---
-
-func (r *Replica) onVote(now time.Duration, v types.Vote) {
-	// Only the next round's leader collects these votes.
-	if r.cfg.LeaderReputationWindow > 0 {
-		// Reputation mode: the expected collector depends on the voted
-		// block's ancestry. When we do not hold the block yet, collect
-		// conservatively — an extra buffered vote set is harmless, while
-		// dropping real votes would cost the round.
-		if b := r.store.Block(v.Block); b != nil && r.leaderForBlock(v.Round+1, b) != r.cfg.ID {
-			return
-		}
-	} else if r.pm.Leader(v.Round+1) != r.cfg.ID {
-		return
-	}
-	if r.qcFormed[v.Block] {
-		// Appendix B baseline: relay late votes to everyone so replicas can
-		// keep growing the block's direct-vote quorum. Up to f such relays
-		// per round is what makes the baseline quadratic.
-		if r.cfg.FBFT {
-			r.onLateVote(v)
-		}
-		return
-	}
-	if r.checkSigs() && crypto.VerifyVote(r.cfg.Verifier, v) != nil {
-		return
-	}
-	if !r.voteRootOK(&v) {
-		return
-	}
-	set, ok := r.votes[v.Block]
-	if !ok {
-		set = &core.VoteSet{}
-		r.votes[v.Block] = set
-	}
-	if !set.Add(v) {
-		return
-	}
-	if b := r.store.Block(v.Block); b != nil {
-		r.tryFormQC(now, b)
-	}
-}
-
-// voteRootOK filters collected votes by execution root: with the app on, a
-// vote is credited only when its AppHash matches this replica's own execution
-// of the block, so a certificate can never mix state roots (types.QC's
-// structure check would reject it) and lying votes are neutralized at the
-// collector. Votes for blocks we do not hold yet pass provisionally — they
-// are re-judged in formQC once the block arrives. With the app off, an
-// AppHash-bearing vote is alien traffic and dropped.
-func (r *Replica) voteRootOK(v *types.Vote) bool {
-	if r.cfg.App == nil {
-		return !v.HasAppHash()
-	}
-	b := r.store.Block(v.Block)
-	if b == nil {
-		return true
-	}
-	root, err := r.executeBlock(b)
-	return err == nil && v.AppHash == root
-}
-
-func (r *Replica) tryFormQC(now time.Duration, b *types.Block) {
-	id := b.ID()
-	if r.qcFormed[id] || r.votes[id].Len() < r.cfg.quorum() {
-		return
-	}
-	wait := r.cfg.ExtraWait
-	if r.cfg.ExtraWaitFor != nil {
-		wait = r.cfg.ExtraWaitFor(b.Round)
-	}
-	if wait > 0 {
-		if _, pending := r.awaitingExtra[b.Round]; !pending {
-			// Figure 8 knob: sit on the quorum for `wait` to catch straggler
-			// votes and form a larger, more diverse strong-QC.
-			r.awaitingExtra[b.Round] = id
-			r.outs = append(r.outs, engine.SetTimer{ID: timerID(b.Round, kindExtraWait), Delay: wait})
-		}
-		return
-	}
-	r.formQC(now, b)
-}
-
-func (r *Replica) onExtraWaitTimer(now time.Duration, round types.Round) {
-	id, ok := r.awaitingExtra[round]
-	if !ok {
-		return
-	}
-	delete(r.awaitingExtra, round)
-	if b := r.store.Block(id); b != nil && !r.qcFormed[id] {
-		r.formQC(now, b)
-	}
-}
-
-func (r *Replica) formQC(now time.Duration, b *types.Block) {
-	id := b.ID()
-	// Sorted() returns ascending voter order — the same deterministic order
-	// the map-based collection sorted into, so QC hashes and runs are
-	// byte-identical to earlier revisions.
-	votes := r.votes[id].Sorted()
-	if r.cfg.App != nil {
-		// Votes credited before the block arrived were only provisionally
-		// accepted (voteRootOK); re-judge them against our own execution now
-		// and form only from root-agreeing votes. Falling below quorum keeps
-		// the round open for more honest votes rather than forming a
-		// certificate the structure check would reject.
-		root, err := r.executeBlock(b)
-		if err != nil {
-			return
-		}
-		kept := votes[:0]
-		for _, v := range votes {
-			if v.AppHash == root {
-				kept = append(kept, v)
-			}
-		}
-		if votes = kept; len(votes) < r.cfg.quorum() {
-			return
-		}
-	}
-	r.qcFormed[id] = true
-	qc := &types.QC{Block: id, Round: b.Round, Height: b.Height, Votes: votes}
-	if !r.cfg.FBFT {
-		delete(r.votes, id) // FBFT keeps the set to dedupe late votes
-	}
-	if r.aggregate {
-		// Compact the certificate before anything downstream sees it: the
-		// stored, journaled, and broadcast forms are all the aggregated one.
-		// On the (unreachable) aggregation error the vector form still holds
-		// its vote signatures, so falling back remains protocol-correct.
-		_ = crypto.AggregateQC(r.cfg.Verifier, qc)
-	}
-	r.cfg.Obs.OnQCFormed(b, now)
-	r.processQC(now, qc, false)
-	// Forming the QC for round r moves us into round r+1 where we are the
-	// leader; processQC already advanced the round and proposed.
-}
-
-// onLateVote handles a vote arriving after this leader already formed the
-// round's QC (FBFT mode): dedupe, verify, credit locally, and multicast.
-func (r *Replica) onLateVote(v types.Vote) {
-	set := r.votes[v.Block]
-	if set == nil {
-		set = &core.VoteSet{}
-		r.votes[v.Block] = set
-	}
-	if set.Has(v.Voter) {
-		return
-	}
-	if r.checkSigs() && crypto.VerifyVote(r.cfg.Verifier, v) != nil {
-		return
-	}
-	set.Add(v)
-	r.direct.AddVote(v.Block, v.Voter)
-	r.outs = append(r.outs, engine.Broadcast{Msg: &types.ExtraVote{Vote: v, Leader: r.cfg.ID}})
-}
-
-// onExtraVote handles a late vote relayed by a round leader (FBFT mode).
-func (r *Replica) onExtraVote(m *types.ExtraVote) {
-	if r.direct == nil {
-		return
-	}
-	if r.checkSigs() && crypto.VerifyVote(r.cfg.Verifier, m.Vote) != nil {
-		return
-	}
-	r.direct.AddVote(m.Vote.Block, m.Vote.Voter)
-}
-
-// --- QC processing: locking, committing, SFT tracking ---
-
-// noteQC ingests rank information from a QC whose block we may not have:
-// advance high-QC and the round, per the synchronization rule.
-func (r *Replica) noteQC(now time.Duration, qc *types.QC) {
-	if qc == nil {
-		return
-	}
-	if qc.RanksHigher(r.qchigh) {
-		r.qchigh = qc
-	}
-	r.advanceRound(now, qc.Round+1, false)
-}
-
-func (r *Replica) processQC(now time.Duration, qc *types.QC, fromChain bool) {
-	if qc == nil {
-		return
-	}
-	if !r.store.Has(qc.Block) {
-		// Keep the best orphan QC per block for when the block arrives.
-		if prev := r.orphanQCs[qc.Block]; prev == nil || len(qc.Votes) > len(prev.Votes) {
-			r.orphanQCs[qc.Block] = qc
-		}
-		r.noteQC(now, qc)
-		return
-	}
-	_, improved, err := r.store.RegisterQC(qc)
-	if err != nil {
-		return
-	}
-	if improved && !fromChain {
-		// Standalone certificates (formed locally, carried by timeouts or
-		// fetched segments) are journaled once; certificates embedded in an
-		// accepted block are already durable via that block's record.
-		r.journalQC(qc)
-	}
-	if improved {
-		r.cfg.Obs.OnQCObserved(r.store.Block(qc.Block), now)
-	}
-	// Locking rule: lock the round of the certified block's parent
-	// (2-chain).
-	if parent := r.store.Parent(qc.Block); parent != nil && parent.Round > r.rlock {
-		r.rlock = parent.Round
-		r.journalLock(r.rlock)
-	}
-	if r.tracker != nil {
-		r.tracker.OnQC(qc)
-	}
-	if r.direct != nil {
-		r.direct.OnQC(qc)
-	}
-	r.checkCommit(qc)
-	r.noteQC(now, qc)
-	r.maybePrune()
-}
-
-// checkCommit applies the 3-chain commit rule: a QC for b2 commits b0 when
-// b0, b1, b2 are chained with consecutive rounds.
-func (r *Replica) checkCommit(qc *types.QC) {
-	b2 := r.store.Block(qc.Block)
-	if b2 == nil {
-		return
-	}
-	b1 := r.store.Parent(b2.ID())
-	if b1 == nil || b1.Round+1 != b2.Round {
-		return
-	}
-	b0 := r.store.Parent(b1.ID())
-	if b0 == nil || b0.Round+1 != b1.Round {
-		return
-	}
-	r.commitTo(b0)
-}
-
-func (r *Replica) commitTo(b *types.Block) {
-	if b.Height <= r.committedH {
-		return
-	}
-	chain := r.store.ChainBetween(r.lastCommitted, b.ID())
-	if chain == nil {
-		// b does not extend the last committed block. With at most f
-		// faults this cannot happen; conservatively keep the old commit.
-		return
-	}
-	for _, blk := range chain {
-		if r.cfg.App != nil {
-			if err := r.cfg.App.OnCommit(blk); err != nil {
-				// A block certified by 2f+1 votes carries a root that f+1
-				// honest replicas computed; failing to reproduce it here means
-				// this replica's execution state is corrupt. Crash-stop, like
-				// a WAL failure: continuing would serve divergent state.
-				panic(fmt.Sprintf("diembft: app commit: %v", err))
-			}
-		}
-		r.outs = append(r.outs, engine.Commit{Block: blk})
-		r.cfg.Obs.OnCommit(blk, r.evNow)
-	}
-	r.lastCommitted = b.ID()
-	r.committedH = b.Height
-	// One commit record for the tip covers the whole chain (ancestor
-	// commits are implied, exactly as in the protocol).
-	r.journalCommit(b)
-}
-
-func (r *Replica) maybePrune() {
-	if r.cfg.PruneKeep == 0 || r.committedH <= r.cfg.PruneKeep {
-		return
-	}
-	cut := r.committedH - r.cfg.PruneKeep
-	if cut <= r.store.PrunedHeight() {
-		return
-	}
-	r.store.PruneBelow(cut, r.lastCommitted)
-	if r.tracker != nil {
-		r.tracker.Forget(cut)
-	}
-	if r.direct != nil {
-		r.direct.Forget(cut)
-	}
-	if anchor := r.store.AncestorAtHeight(r.lastCommitted, cut); anchor != nil {
-		r.history.PruneBelow(anchor.Round)
-	}
-}
-
-// --- pacemaker ---
-
-// leaderFor elects round's leader: plain round robin, or — with
-// LeaderReputationWindow > 0 — reputation rotation scored over the certified
-// ancestry ending at the given justify certificate. Proposals ship their own
-// justify, so proposer and every validator score identical chains; a replica
-// missing part of the ancestry scores a shorter chain and trends toward plain
-// rotation, which can only admit extra proposals, never reject honest ones.
-func (r *Replica) leaderFor(round types.Round, justify *types.QC) types.ReplicaID {
-	if r.cfg.LeaderReputationWindow <= 0 {
-		return pacemaker.Leader(round, r.cfg.N)
-	}
-	var b *types.Block
-	if justify != nil {
-		b = r.store.Block(justify.Block)
-	}
-	return r.leaderForBlock(round, b)
-}
-
-// leaderForBlock is leaderFor with the chain tip given as a block (inclusive):
-// the voter electing the NEXT round's leader scores the block it is voting
-// for, before any QC for it exists.
-func (r *Replica) leaderForBlock(round types.Round, b *types.Block) types.ReplicaID {
-	w := r.cfg.LeaderReputationWindow
-	if w <= 0 {
-		return pacemaker.Leader(round, r.cfg.N)
-	}
-	lo := types.Round(1)
-	if round > w {
-		lo = round - w
-	}
-	var chain []pacemaker.ChainInfo
-	for ; b != nil && !b.IsGenesis(); b = r.store.Parent(b.ID()) {
-		chain = append(chain, pacemaker.ChainInfo{Round: b.Round, Proposer: b.Proposer})
-		if b.Round < lo {
-			break
-		}
-	}
-	return pacemaker.ReputationLeader(round, r.cfg.N, w, chain)
-}
-
-func (r *Replica) advanceRound(now time.Duration, round types.Round, viaTimeout bool) {
-	if !r.pm.AdvanceTo(round, now, viaTimeout) {
-		return
-	}
-	r.curRound.Store(int64(round))
-	for rr := range r.recentTCs {
-		if rr+2 < round {
-			delete(r.recentTCs, rr)
-		}
-	}
-	r.cfg.Obs.OnRoundEnter(round, now, viaTimeout)
-	r.announceRoundEntry(round)
-	r.outs = append(r.outs, engine.SetTimer{ID: timerID(round, kindRound), Delay: r.pm.Timeout()})
-	r.maybePropose(now)
-}
-
-// announceRoundEntry broadcasts the active pacemaker's justified round entry:
-// the QC or TC proving this replica legally entered round. Peers validate the
-// justification before following (onRoundEntry), so a liar cannot drag the
-// cluster into arbitrary future rounds the way naked round numbers could.
-func (r *Replica) announceRoundEntry(round types.Round) {
-	if !r.pm.Active() {
-		return
-	}
-	e := &types.RoundEntry{Round: round, Sender: r.cfg.ID}
-	if r.qchigh != nil && r.qchigh.Round+1 == round {
-		e.Justify = r.qchigh
-	} else if tc := r.recentTCs[round-1]; tc != nil {
-		e.TC = tc
-	} else if tc := r.pm.TCFor(round - 1); tc != nil {
-		e.TC = tc
-	} else {
-		return // nothing provable to announce (e.g. recovery catch-up jumps)
-	}
-	e.Signature = r.cfg.Signer.Sign(e.SigningPayload())
-	r.outs = append(r.outs, engine.Broadcast{Msg: e})
-}
-
-func (r *Replica) onRoundTimer(now time.Duration, round types.Round) {
-	if round != r.pm.Round() {
-		return // stale timer from an already-advanced round
-	}
-	r.pm.MarkTimedOut(round)
-	r.cfg.Obs.OnLocalTimeout(round)
-	t := &types.Timeout{Round: round, HighQC: r.qchigh, HighRound: r.qchigh.Round, Sender: r.cfg.ID}
-	t.Signature = r.cfg.Signer.Sign(t.SigningPayload())
-	r.outs = append(r.outs, engine.Broadcast{Msg: t, SelfDeliver: true})
-	// Re-arm so we rebroadcast if the view change itself stalls.
-	r.outs = append(r.outs, engine.SetTimer{ID: timerID(round, kindRound), Delay: r.pm.Timeout()})
-}
-
-func (r *Replica) onTimeout(now time.Duration, from types.ReplicaID, t *types.Timeout) {
-	if t.Round < r.pm.Round() {
-		// Stale view-change traffic: a timeout for a round we already left
-		// cannot complete a useful TC and is dropped, as in DiemBFT. This
-		// also means a slow outcast leader's privately formed QC does not
-		// ride a late timeout into the rest of the cluster — the behavior
-		// behind the paper's 1.7f cap in the asymmetric δ=200ms setting.
-		r.cfg.Obs.OnTimeoutRejected(obs.ReasonStale)
-		return
-	}
-	if !r.pm.WithinWindow(t.Round) {
-		// Active mode: a timeout claiming a round far beyond ours cannot come
-		// from an honest connected peer — they are at most a window ahead,
-		// and a genuinely-ahead cluster reaches us through certified chain
-		// segments, never through naked future timeouts. Dropped here and at
-		// Prevalidate, denying timeout-spam both memory and verification CPU.
-		r.cfg.Obs.OnTimeoutRejected(obs.ReasonFutureWindow)
-		return
-	}
-	if t.HighQC != nil && t.HighRound != t.HighQC.Round {
-		// The signed high-round claim must match the certificate it rides
-		// with, or the TC attestation built from it would lie about what the
-		// sender saw certified.
-		r.cfg.Obs.OnTimeoutRejected(obs.ReasonMismatch)
-		return
-	}
-	if r.pm.Active() && t.HighQC == nil {
-		// Active mode requires the certified evidence: a timeout without its
-		// high QC cannot contribute a truthful TC attestation.
-		r.cfg.Obs.OnTimeoutRejected(obs.ReasonMismatch)
-		return
-	}
-	// Verification is skipped only for true local loopback (the replica's
-	// own SelfDeliver copy). Gating on the message-internal Sender field
-	// would let a network peer spoof Sender == receiver to sneak an
-	// unverified HighQC through — and would diverge from Prevalidate, which
-	// verifies every network timeout.
-	if r.checkSigs() && from != r.cfg.ID {
-		if !r.cfg.Verifier.Verify(t.Sender, t.SigningPayload(), t.Signature) {
-			r.cfg.Obs.OnTimeoutRejected(obs.ReasonBadSignature)
-			return
-		}
-		if t.HighQC != nil {
-			if err := t.HighQC.CheckStructure(r.cfg.quorum()); err != nil {
-				r.cfg.Obs.OnTimeoutRejected(obs.ReasonBadSignature)
-				return
-			}
-			if err := r.verifyQC(t.HighQC); err != nil {
-				r.cfg.Obs.OnTimeoutRejected(obs.ReasonBadSignature)
-				return
-			}
-		}
-	}
-	r.processQC(now, t.HighQC, false)
-	switch r.pm.OnTimeout(t) {
-	case pacemaker.TimeoutQuorum:
-		if r.pm.Active() {
-			if tc := r.pm.TCFor(t.Round); tc != nil {
-				r.recentTCs[t.Round] = tc
-			}
-		}
-		// Timeout certificate complete: enter the next round.
-		r.advanceRound(now, t.Round+1, true)
-	case pacemaker.TimeoutDroppedCap:
-		r.cfg.Obs.OnTimeoutRejected(obs.ReasonPeerCap)
-	}
-}
-
-// onRoundEntry validates a peer's justified round-entry announcement and
-// follows it only when the justification proves the advance: a QC for
-// round-1, or a TC of 2f+1 signed timeout attestations for round-1. Anything
-// else — naked claims, stale entries, rounds beyond the future window,
-// mix-and-match justifications — is rejected and surfaced as a counter.
-func (r *Replica) onRoundEntry(now time.Duration, from types.ReplicaID, e *types.RoundEntry) {
-	if !r.pm.Active() {
-		return // passive replicas ignore the active protocol's announcements
-	}
-	if e.Round <= r.pm.Round() {
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonStale)
-		return
-	}
-	if !r.pm.WithinWindow(e.Round) {
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonFutureWindow)
-		return
-	}
-	hasQC, hasTC := e.Justify != nil, e.TC != nil
-	if hasQC == hasTC {
-		// Exactly one justification: none proves nothing, and both would
-		// invite mix-and-match replay of unrelated certificates.
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonNoJustify)
-		return
-	}
-	if (hasQC && e.Justify.Round+1 != e.Round) || (hasTC && e.TC.Round+1 != e.Round) {
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-		return
-	}
-	if r.checkSigs() && from != r.cfg.ID {
-		if !r.cfg.Verifier.Verify(e.Sender, e.SigningPayload(), e.Signature) {
-			r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadSignature)
-			return
-		}
-	}
-	if hasQC {
-		if err := e.Justify.CheckStructure(r.cfg.quorum()); err != nil {
-			r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-			return
-		}
-		if r.checkSigs() && from != r.cfg.ID {
-			if err := r.verifyQC(e.Justify); err != nil {
-				r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-				return
-			}
-		}
-		// The QC both justifies the entry and advances our own state
-		// (high QC, lock, commit, round) through the regular pipeline.
-		r.processQC(now, e.Justify, false)
-		return
-	}
-	if r.checkSigs() && from != r.cfg.ID {
-		if err := crypto.VerifyTC(r.cfg.Verifier, e.TC, r.cfg.quorum()); err != nil {
-			r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-			return
-		}
-	} else if err := e.TC.CheckStructure(r.cfg.quorum()); err != nil {
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-		return
-	}
-	r.recentTCs[e.TC.Round] = e.TC
-	r.advanceRound(now, e.Round, true)
+	return r.Take()
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/diembft"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -26,14 +27,16 @@ func buildCluster(t testing.TB, n, f int, cfgMut func(id types.ReplicaID, c *die
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
 		cfg := diembft.Config{
-			ID:               id,
-			N:                n,
-			F:                f,
-			Signer:           ring.Signer(id),
-			Verifier:         ring,
-			VerifySignatures: true,
-			SFT:              true,
-			RoundTimeout:     500 * time.Millisecond,
+			Config: replica.Config{
+				ID:               id,
+				N:                n,
+				F:                f,
+				Signer:           ring.Signer(id),
+				Verifier:         ring,
+				VerifySignatures: true,
+				SFT:              true,
+			},
+			RoundTimeout: 500 * time.Millisecond,
 		}
 		if cfgMut != nil {
 			cfgMut(id, &cfg)

@@ -84,7 +84,7 @@ func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 	}
 	// verifyQC structure-checks the certificate itself; no separate
 	// CheckStructure pass is needed.
-	return r.verifyQC(p.Block.Justify)
+	return r.Certs.VerifyQC(p.Block.Justify)
 }
 
 // prevalidateTimeout mirrors onTimeout's verification: sender signature and
@@ -102,7 +102,7 @@ func (r *Replica) prevalidateTimeout(t *types.Timeout) error {
 	// lags (rounds never regress), so stale drops are sound and a borderline
 	// in-window message is simply re-judged by the state stage.
 	if r.pm.Active() {
-		if cur := types.Round(r.curRound.Load()); t.Round > cur+r.pm.Window() {
+		if cur := r.RoundSnapshot(); t.Round > cur+r.pm.Window() {
 			r.cfg.Obs.OnTimeoutRejected(obs.ReasonFutureWindow)
 			return fmt.Errorf("diembft: timeout for round %d beyond window (at %d)", t.Round, cur)
 		}
@@ -120,7 +120,7 @@ func (r *Replica) prevalidateTimeout(t *types.Timeout) error {
 	}
 	if t.HighQC != nil {
 		// verifyQC structure-checks the certificate itself.
-		return r.verifyQC(t.HighQC)
+		return r.Certs.VerifyQC(t.HighQC)
 	}
 	return nil
 }
@@ -133,7 +133,7 @@ func (r *Replica) prevalidateRoundEntry(e *types.RoundEntry) error {
 	if !r.pm.Active() {
 		return nil // the passive state stage ignores these entirely
 	}
-	cur := types.Round(r.curRound.Load())
+	cur := r.RoundSnapshot()
 	if e.Round <= cur {
 		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonStale)
 		return fmt.Errorf("diembft: stale round entry for %d (at %d)", e.Round, cur)
@@ -156,13 +156,13 @@ func (r *Replica) prevalidateRoundEntry(e *types.RoundEntry) error {
 		return fmt.Errorf("diembft: bad round entry signature from %v", e.Sender)
 	}
 	if hasQC {
-		if err := r.verifyQC(e.Justify); err != nil {
+		if err := r.Certs.VerifyQC(e.Justify); err != nil {
 			r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
 			return err
 		}
 		return nil
 	}
-	if err := crypto.VerifyTC(r.cfg.Verifier, e.TC, r.cfg.quorum()); err != nil {
+	if err := crypto.VerifyTC(r.cfg.Verifier, e.TC, r.cfg.Quorum()); err != nil {
 		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
 		return err
 	}
@@ -178,7 +178,7 @@ func (r *Replica) prevalidateRoundEntry(e *types.RoundEntry) error {
 // would only hand a Byzantine peer a CPU-amplification vector (thousands of
 // garbage QCs burned on a reader goroutine for one cheap frame).
 func (r *Replica) warmSegment(blocks []*types.Block, highQC *types.QC) {
-	if r.qcCache == nil {
+	if !r.Certs.Cached() {
 		return
 	}
 	if len(blocks) > syncMaxBlocks {
@@ -188,11 +188,15 @@ func (r *Replica) warmSegment(blocks []*types.Block, highQC *types.QC) {
 		if b == nil || b.Justify == nil {
 			continue
 		}
-		if err := r.verifyQC(b.Justify); err != nil {
+		if err := r.Certs.VerifyQC(b.Justify); err != nil {
 			return
 		}
 	}
 	if highQC != nil {
-		_ = r.verifyQC(highQC)
+		// A failed warm is not judged here either: the state stage re-verifies
+		// the tip and rejects it with its usual semantics.
+		if err := r.Certs.VerifyQC(highQC); err != nil {
+			return
+		}
 	}
 }

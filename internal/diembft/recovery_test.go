@@ -10,6 +10,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/diembft"
 	"repro/internal/engine"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -35,10 +36,12 @@ func recoverReplica(t *testing.T, dir string, id types.ReplicaID, n, f int, ring
 		t.Fatalf("recover: %v", err)
 	}
 	rep, err := diembft.New(diembft.Config{
-		ID: id, N: n, F: f,
-		Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-		SFT: true, RoundTimeout: 500 * time.Millisecond,
-		Journal: j,
+		Config: replica.Config{
+			ID: id, N: n, F: f,
+			Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
+			SFT:     true,
+			Journal: j,
+		}, RoundTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("new: %v", err)
@@ -152,10 +155,12 @@ func TestRecoveredReplicaRefusesContradictingVote(t *testing.T) {
 	// so it votes for block A, journaling vote + block.
 	journal := openJournal(t, dir, victim)
 	pre, err := diembft.New(diembft.Config{
-		ID: victim, N: n, F: f,
-		Signer: ring.Signer(victim), Verifier: ring, VerifySignatures: true,
-		SFT: true, RoundTimeout: 500 * time.Millisecond,
-		Journal: journal,
+		Config: replica.Config{
+			ID: victim, N: n, F: f,
+			Signer: ring.Signer(victim), Verifier: ring, VerifySignatures: true,
+			SFT:     true,
+			Journal: journal,
+		}, RoundTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/diembft"
 	"repro/internal/obs"
+	"repro/internal/replica"
 	"repro/internal/types"
 )
 
@@ -15,16 +16,18 @@ import (
 func activeReplica(t *testing.T, id types.ReplicaID, n, f int, ring *crypto.KeyRing, sink *obs.Obs) *diembft.Replica {
 	t.Helper()
 	rep, err := diembft.New(diembft.Config{
-		ID:               id,
-		N:                n,
-		F:                f,
-		Signer:           ring.Signer(id),
-		Verifier:         ring,
-		VerifySignatures: true,
-		SFT:              true,
-		RoundTimeout:     time.Second,
-		ActivePacemaker:  true,
-		Obs:              sink,
+		Config: replica.Config{
+			ID:               id,
+			N:                n,
+			F:                f,
+			Signer:           ring.Signer(id),
+			Verifier:         ring,
+			VerifySignatures: true,
+			SFT:              true,
+			Obs:              sink,
+		},
+		RoundTimeout:    time.Second,
+		ActivePacemaker: true,
 	})
 	if err != nil {
 		t.Fatal(err)

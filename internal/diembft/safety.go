@@ -1,0 +1,377 @@
+package diembft
+
+import (
+	"time"
+
+	"repro/internal/crypto"
+	"repro/internal/engine"
+	"repro/internal/types"
+)
+
+// --- proposing ---
+
+func (r *Replica) maybePropose(now time.Duration) {
+	round := r.pm.Round()
+	if r.leaderFor(round, r.qchigh) != r.cfg.ID || r.proposed[round] {
+		return
+	}
+	parent := r.Store().Block(r.qchigh.Block)
+	if parent == nil {
+		return // still syncing the highest certified block
+	}
+	if tc := r.recentTCs[round-1]; tc != nil && r.qchigh.Round < tc.MaxHighRound() {
+		// The previous round's TC carries 2f+1 signed attestations of a
+		// certified round higher than our own high QC: proposing now would
+		// justify below what the quorum already proved exists. Wait for the
+		// certified chain to catch up (timeout HighQCs or state sync fill it).
+		return
+	}
+	// Restore marks own journaled blocks' rounds as proposed, so a restarted
+	// leader cannot propose a different block for a round it already used.
+	r.proposed[round] = true
+	var log []types.StrengthRecord
+	if n := len(r.pendingLog); n > 0 {
+		if n > r.cfg.MaxCommitLog {
+			n = r.cfg.MaxCommitLog
+		}
+		log = append(log, r.pendingLog[len(r.pendingLog)-n:]...)
+		r.pendingLog = r.pendingLog[:0]
+	}
+	r.Propose(round, parent, r.qchigh, log)
+}
+
+// --- proposal handling ---
+
+func (r *Replica) onProposal(now time.Duration, p *types.Proposal) {
+	if !r.validProposal(p) {
+		return
+	}
+	if p.Round < r.pm.Round() {
+		// Stale proposal for a round we already left (e.g. a slow leader
+		// whose round was timed out): reject it outright, as DiemBFT does.
+		// Its block can never gather a quorum, and accepting it would leak
+		// its never-chained justify QC into the endorsement bookkeeping.
+		return
+	}
+	if !r.Store().Has(p.Block.Parent) {
+		// Parent not yet arrived: buffer, let the embedded QC advance our
+		// round/high-QC so we keep pace, and ask the proposer for the
+		// missing ancestry (it certified the parent, so it has the chain) —
+		// once per missing block, however many orphans wait on it.
+		first := r.orphans.Add(p)
+		r.noteQC(now, p.Block.Justify)
+		if first {
+			r.requestSync(p.Sender, p.Block.Parent)
+		}
+		return
+	}
+	r.acceptProposal(now, p)
+}
+
+func (r *Replica) validProposal(p *types.Proposal) bool {
+	if p.Block == nil || p.Block.Justify == nil {
+		return false
+	}
+	if p.Block.Round != p.Round || p.Block.Proposer != p.Sender {
+		return false
+	}
+	if r.leaderFor(p.Round, p.Block.Justify) != p.Sender {
+		return false
+	}
+	if p.Block.Justify.Block != p.Block.Parent {
+		return false
+	}
+	if err := p.Block.Justify.CheckStructure(r.cfg.Quorum()); err != nil {
+		return false
+	}
+	if r.CheckSigs() {
+		if !r.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
+			return false
+		}
+		if err := r.Certs.VerifyQC(p.Block.Justify); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *Replica) acceptProposal(now time.Duration, p *types.Proposal) {
+	b := p.Block
+	if !r.AcceptBlock(b) {
+		return
+	}
+	r.processQC(now, b.Justify, true)
+	r.maybeVote(now, p)
+	// A QC may have been waiting for this block.
+	if qc := r.orphanQCs[b.ID()]; qc != nil {
+		delete(r.orphanQCs, b.ID())
+		r.processQC(now, qc, false)
+	}
+	// Votes may have arrived before the proposal (we are the next leader).
+	r.tryFormQC(now, b)
+	r.adoptOrphans(now, b.ID())
+}
+
+// adoptOrphans accepts the buffered proposals that were waiting on parent.
+func (r *Replica) adoptOrphans(now time.Duration, parent types.BlockID) {
+	for _, kid := range r.orphans.Take(parent) {
+		r.acceptProposal(now, kid)
+	}
+}
+
+func (r *Replica) maybeVote(now time.Duration, p *types.Proposal) {
+	b := p.Block
+	round := b.Round
+	if round != r.pm.Round() || round <= r.rvote || r.pm.TimedOut(round) {
+		return
+	}
+	parent := r.Store().Block(b.Parent)
+	if parent == nil || parent.Round < r.rlock {
+		return
+	}
+	if tc := r.recentTCs[round-1]; tc != nil && b.Justify.Round < tc.MaxHighRound() {
+		// Justified round entry, voter side: round-1 ended in a TC whose
+		// 2f+1 attestations prove a certified block at MaxHighRound; a
+		// proposal justifying anything lower forks below what the quorum
+		// already certified and is refused. (recentTCs is populated only in
+		// active mode, so the passive baseline is untouched.)
+		return
+	}
+	var v types.Vote
+	if r.cfg.VoteMode == VoteIntervals {
+		v.HasIntervals = true
+		v.Intervals = r.History().Intervals(b, r.cfg.IntervalWindow)
+	} else {
+		v.Marker = r.History().Marker(b)
+	}
+	v, cast := r.CastVote(b, v)
+	if !cast {
+		return
+	}
+	r.rvote = round
+	next := r.leaderForBlock(round+1, b)
+	r.Outs = append(r.Outs, engine.Send{To: next, Msg: &types.VoteMsg{Vote: v}})
+}
+
+// --- vote handling (as next-round leader) ---
+
+func (r *Replica) onVote(now time.Duration, v types.Vote) {
+	// Only the next round's leader collects these votes.
+	if r.cfg.LeaderReputationWindow > 0 {
+		// Reputation mode: the expected collector depends on the voted
+		// block's ancestry. When we do not hold the block yet, collect
+		// conservatively — an extra buffered vote set is harmless, while
+		// dropping real votes would cost the round.
+		if b := r.Store().Block(v.Block); b != nil && r.leaderForBlock(v.Round+1, b) != r.cfg.ID {
+			return
+		}
+	} else if r.pm.Leader(v.Round+1) != r.cfg.ID {
+		return
+	}
+	if r.qcFormed[v.Block] {
+		// Appendix B baseline: relay late votes to everyone so replicas can
+		// keep growing the block's direct-vote quorum. Up to f such relays
+		// per round is what makes the baseline quadratic.
+		if r.cfg.FBFT {
+			r.onLateVote(v)
+		}
+		return
+	}
+	if !r.AddVote(v) {
+		return
+	}
+	if b := r.Store().Block(v.Block); b != nil {
+		r.tryFormQC(now, b)
+	}
+}
+
+func (r *Replica) tryFormQC(now time.Duration, b *types.Block) {
+	id := b.ID()
+	if r.qcFormed[id] || r.Votes[id].Len() < r.cfg.Quorum() {
+		return
+	}
+	wait := r.cfg.ExtraWait
+	if r.cfg.ExtraWaitFor != nil {
+		wait = r.cfg.ExtraWaitFor(b.Round)
+	}
+	if wait > 0 {
+		if _, pending := r.awaitingExtra[b.Round]; !pending {
+			// Figure 8 knob: sit on the quorum for `wait` to catch straggler
+			// votes and form a larger, more diverse strong-QC.
+			r.awaitingExtra[b.Round] = id
+			r.Outs = append(r.Outs, engine.SetTimer{ID: timerID(b.Round, kindExtraWait), Delay: wait})
+		}
+		return
+	}
+	r.formQC(now, b)
+}
+
+func (r *Replica) onExtraWaitTimer(now time.Duration, round types.Round) {
+	id, ok := r.awaitingExtra[round]
+	if !ok {
+		return
+	}
+	delete(r.awaitingExtra, round)
+	if b := r.Store().Block(id); b != nil && !r.qcFormed[id] {
+		r.formQC(now, b)
+	}
+}
+
+func (r *Replica) formQC(now time.Duration, b *types.Block) {
+	qc := r.Certify(b)
+	if qc == nil {
+		return // the root re-check fell below quorum; the round stays open
+	}
+	id := b.ID()
+	r.qcFormed[id] = true
+	if !r.cfg.FBFT {
+		delete(r.Votes, id) // FBFT keeps the set to dedupe late votes
+	}
+	r.cfg.Obs.OnQCFormed(b, now)
+	r.processQC(now, qc, false)
+	// Forming the QC for round r moves us into round r+1 where we are the
+	// leader; processQC already advanced the round and proposed.
+}
+
+// onLateVote handles a vote arriving after this leader already formed the
+// round's QC (FBFT mode): dedupe, verify, credit locally, and multicast.
+func (r *Replica) onLateVote(v types.Vote) {
+	if !r.AddVote(v) {
+		return
+	}
+	r.direct.AddVote(v.Block, v.Voter)
+	r.Outs = append(r.Outs, engine.Broadcast{Msg: &types.ExtraVote{Vote: v, Leader: r.cfg.ID}})
+}
+
+// onExtraVote handles a late vote relayed by a round leader (FBFT mode).
+func (r *Replica) onExtraVote(m *types.ExtraVote) {
+	if r.direct == nil {
+		return
+	}
+	if r.CheckSigs() && crypto.VerifyVote(r.cfg.Verifier, m.Vote) != nil {
+		return
+	}
+	r.direct.AddVote(m.Vote.Block, m.Vote.Voter)
+}
+
+// --- QC processing: locking, committing, SFT tracking ---
+
+// noteQC ingests rank information from a QC whose block we may not have:
+// advance high-QC and the round, per the synchronization rule.
+func (r *Replica) noteQC(now time.Duration, qc *types.QC) {
+	if qc == nil {
+		return
+	}
+	if qc.RanksHigher(r.qchigh) {
+		r.qchigh = qc
+	}
+	r.advanceRound(now, qc.Round+1, false)
+}
+
+func (r *Replica) processQC(now time.Duration, qc *types.QC, fromChain bool) {
+	if qc == nil {
+		return
+	}
+	if !r.Store().Has(qc.Block) {
+		// Keep the best orphan QC per block for when the block arrives.
+		if prev := r.orphanQCs[qc.Block]; prev == nil || len(qc.Votes) > len(prev.Votes) {
+			r.orphanQCs[qc.Block] = qc
+		}
+		r.noteQC(now, qc)
+		return
+	}
+	_, improved, err := r.Store().RegisterQC(qc)
+	if err != nil {
+		return
+	}
+	if improved && !fromChain {
+		// Standalone certificates (formed locally, carried by timeouts or
+		// fetched segments) are journaled once; certificates embedded in an
+		// accepted block are already durable via that block's record.
+		r.JournalQC(qc)
+	}
+	if improved {
+		r.cfg.Obs.OnQCObserved(r.Store().Block(qc.Block), now)
+	}
+	// Locking rule: lock the round of the certified block's parent
+	// (2-chain).
+	if parent := r.Store().Parent(qc.Block); parent != nil && parent.Round > r.rlock {
+		r.rlock = parent.Round
+		r.JournalLock(r.rlock)
+	}
+	if t := r.Tracker(); t != nil {
+		t.OnQC(qc)
+	}
+	if r.direct != nil {
+		r.direct.OnQC(qc)
+	}
+	r.checkCommit(qc)
+	r.noteQC(now, qc)
+	r.maybePrune()
+}
+
+// checkCommit applies the 3-chain commit rule: a QC for b2 commits b0 when
+// b0, b1, b2 are chained with consecutive rounds.
+func (r *Replica) checkCommit(qc *types.QC) {
+	b2 := r.Store().Block(qc.Block)
+	if b2 == nil {
+		return
+	}
+	b1 := r.Store().Parent(b2.ID())
+	if b1 == nil || b1.Round+1 != b2.Round {
+		return
+	}
+	b0 := r.Store().Parent(b1.ID())
+	if b0 == nil || b0.Round+1 != b1.Round {
+		return
+	}
+	r.CommitTo(b0)
+}
+
+// pruneSweep is how many cuts pass between sweeps of the engine's own maps.
+// The cut advances with every commit, and walking the maps each time cost 2 %
+// of bank_paced's CPU at PruneKeep 512; they hold one small entry per round
+// this replica led or collected, so letting them run pruneSweep heights past
+// the cut costs nothing that matters.
+const pruneSweep = 64
+
+// maybePrune drops everything more than PruneKeep heights below the
+// committed height: the chassis state at every cut, and this engine's own
+// per-block and per-round maps at every pruneSweep-th, so none of them grows
+// with the round count.
+func (r *Replica) maybePrune() {
+	if r.cfg.PruneKeep == 0 || r.CommittedHeight() <= r.cfg.PruneKeep {
+		return
+	}
+	cut := r.CommittedHeight() - r.cfg.PruneKeep
+	if cut <= r.Store().PrunedHeight() {
+		return
+	}
+	floor := r.PruneBelow(cut)
+	if r.direct != nil {
+		r.direct.Forget(cut)
+	}
+	if cut%pruneSweep != 0 {
+		return
+	}
+	for id := range r.qcFormed {
+		if !r.Store().Has(id) {
+			delete(r.qcFormed, id)
+		}
+	}
+	for id, qc := range r.orphanQCs {
+		if qc.Height < cut {
+			delete(r.orphanQCs, id)
+		}
+	}
+	for round := range r.proposed {
+		if round < floor {
+			delete(r.proposed, round)
+		}
+	}
+	for round := range r.awaitingExtra {
+		if round < floor {
+			delete(r.awaitingExtra, round)
+		}
+	}
+}

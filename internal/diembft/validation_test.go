@@ -7,6 +7,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/diembft"
 	"repro/internal/engine"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -15,14 +16,16 @@ import (
 func soloReplica(t *testing.T, id types.ReplicaID, n, f int, ring *crypto.KeyRing) *diembft.Replica {
 	t.Helper()
 	rep, err := diembft.New(diembft.Config{
-		ID:               id,
-		N:                n,
-		F:                f,
-		Signer:           ring.Signer(id),
-		Verifier:         ring,
-		VerifySignatures: true,
-		SFT:              true,
-		RoundTimeout:     time.Second,
+		Config: replica.Config{
+			ID:               id,
+			N:                n,
+			F:                f,
+			Signer:           ring.Signer(id),
+			Verifier:         ring,
+			VerifySignatures: true,
+			SFT:              true,
+		},
+		RoundTimeout: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,12 +152,14 @@ func TestOrphanProposalsFlushInOrder(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id := types.ReplicaID(i)
 		rep, err := diembft.New(diembft.Config{
-			ID: id, N: 4, F: 1,
-			Signer:           ring.Signer(id),
-			Verifier:         ring,
-			VerifySignatures: true,
-			SFT:              true,
-			RoundTimeout:     800 * time.Millisecond,
+			Config: replica.Config{
+				ID: id, N: 4, F: 1,
+				Signer:           ring.Signer(id),
+				Verifier:         ring,
+				VerifySignatures: true,
+				SFT:              true,
+			},
+			RoundTimeout: 800 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -197,8 +202,10 @@ func TestDeterministicRuns(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	ring, _ := crypto.NewKeyRing(4, 1, crypto.SchemeSim)
 	base := diembft.Config{
-		ID: 0, N: 4, F: 1,
-		Signer: ring.Signer(0), Verifier: ring,
+		Config: replica.Config{
+			ID: 0, N: 4, F: 1,
+			Signer: ring.Signer(0), Verifier: ring,
+		},
 		RoundTimeout: time.Second,
 	}
 	bad := base

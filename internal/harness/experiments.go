@@ -7,7 +7,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/app"
 	"repro/internal/diembft"
-	"repro/internal/metrics"
 	"repro/internal/pacemaker"
 	"repro/internal/simnet"
 	"repro/internal/types"
@@ -572,7 +571,7 @@ type BankWorkloadResult struct {
 	// (x = 2f). Submission time equals block creation time for this workload
 	// (the leader batches at proposal), so these are the collector's
 	// creation→x-strong series read at the two levels.
-	SubmitToF, SubmitTo2F metrics.Summary
+	SubmitToF, SubmitTo2F Summary
 	// AgreedHeights counts committed heights at which every replica recorded
 	// the identical state root (the run fails outright if any height
 	// diverges).

@@ -7,7 +7,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/diembft"
 	"repro/internal/health"
-	"repro/internal/ledger"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/types"
 	"repro/internal/workload"
@@ -32,11 +32,11 @@ func TestFullStackConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ledgers := make([]*ledger.Ledger, n)
-	stores := make([]*ledger.KVStore, n)
+	ledgers := make([]*Ledger, n)
+	stores := make([]*KVStore, n)
 	for i := range ledgers {
-		stores[i] = ledger.NewKVStore()
-		ledgers[i] = ledger.New(stores[i])
+		stores[i] = NewKVStore()
+		ledgers[i] = newLedger(stores[i])
 	}
 	monitor := health.NewMonitor(n, 2*n)
 
@@ -77,10 +77,12 @@ func TestFullStackConsistency(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
 		rep, err := diembft.New(diembft.Config{
-			ID: id, N: n, F: f,
-			Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-			SFT: true, RoundTimeout: 500 * time.Millisecond,
-			Payload: payload,
+			Config: replica.Config{
+				ID: id, N: n, F: f,
+				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
+				SFT:     true,
+				Payload: payload,
+			}, RoundTimeout: 500 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +92,7 @@ func TestFullStackConsistency(t *testing.T) {
 	sim.Run(20 * time.Second)
 
 	// 1. Logs are consistent prefixes of one another.
-	if err := ledger.CheckPrefixConsistency(ledgers); err != nil {
+	if err := CheckPrefixConsistency(ledgers); err != nil {
 		t.Fatalf("ledger divergence: %v", err)
 	}
 	if ledgers[0].Height() < 100 {
@@ -108,8 +110,8 @@ func TestFullStackConsistency(t *testing.T) {
 		t.Fatal("no common committed prefix")
 	}
 	// Replay prefix h on fresh stores for an exact comparison.
-	replay := func(l *ledger.Ledger) *ledger.KVStore {
-		kv := ledger.NewKVStore()
+	replay := func(l *Ledger) *KVStore {
+		kv := NewKVStore()
 		for hh := types.Height(1); hh <= h; hh++ {
 			for _, txn := range l.At(hh).Block.Payload.Txns {
 				kv.Apply(txn)

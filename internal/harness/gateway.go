@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/gateway"
-	"repro/internal/metrics"
 	"repro/internal/types"
 	"repro/sft"
 )
@@ -56,7 +55,7 @@ type GatewayArm struct {
 	Commits int
 	// Interval summarizes the inter-commit interval at replica 0, in
 	// seconds — the cadence the gateway arm must not disturb.
-	Interval metrics.Summary
+	Interval Summary
 }
 
 // GatewayScaleResult is the experiment outcome.
@@ -312,7 +311,7 @@ func runGatewayArm(cfg GatewayScale, withGateway bool) (GatewayArm, subscriberSt
 
 	close(commitTimes)
 	var last time.Time
-	intervals := &metrics.Series{}
+	intervals := &Series{}
 	for ts := range commitTimes {
 		arm.Commits++
 		if !last.IsZero() {

@@ -1,0 +1,280 @@
+package harness
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"os"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/app"
+	"repro/internal/compose"
+	"repro/internal/core"
+	"repro/internal/crypto"
+	"repro/internal/diembft"
+	"repro/internal/observer"
+	"repro/internal/simnet"
+	"repro/internal/types"
+	"repro/internal/workload"
+)
+
+// Golden trace pins: the cross-commit regression oracle. The determinism
+// tests next door compare two runs of the SAME build, so a refactor that
+// moves the trace passes them; these compare a run against fingerprints
+// recorded at an earlier commit. A fingerprint folds fp() (commits, events,
+// message accounting, latency summaries) together with every replica's
+// committed (height, block id) chain, every replica's maximum strength per
+// block, the committed state roots, the per-type message counts and the
+// highest round any observed block carries.
+//
+// The constants were generated at commit 0685529 (the parent of the replica
+// chassis extraction) with
+//
+//	SFT_GOLDEN_PRINT=1 go test ./internal/harness -run TestGoldenTraces -v
+//
+// which prints the table instead of comparing. Re-pin only for an intended
+// protocol change, and write the reason next to the constant.
+var goldenPins = map[string]string{
+	"diembft-marker-n7":       "80c42e3d3bbdf15fa89cc25eef690a27",
+	"diembft-intervals-n7":    "a8a02d7807912b372dd62498f375a1b2",
+	"diembft-fbft-n4":         "533e25a0792b9bb8518eecf1fccdeb0d",
+	"diembft-bank-crash-n7":   "baba01744ed717c1f0dd4f403552fceb",
+	"diembft-partition-n7":    "888e768a7e8a926de277b3f324a431c2",
+	"diembft-ed25519agg-n7":   "75a374a5e42046fddff3221fe9e5b320",
+	"streamlet-echo-crash-n7": "14fdc6fb88d33ed31946ab3a7a2ae9e5",
+	"streamlet-noecho-n7":     "f3fde5729ec0aaa277be9d925cd51c78",
+	"observer-diembft-n7":     "a6ecbd046934aba3b066b62598dc427f",
+}
+
+func goldenLatency() simnet.LatencyModel {
+	return &simnet.UniformModel{Base: 5 * time.Millisecond, Jitter: 2 * time.Millisecond}
+}
+
+// goldenScenarios are the harness-run scenarios; the observer scenario is
+// hand-wired below because the harness has no observer slot.
+func goldenScenarios() []*Scenario {
+	base := func(name string, seed int64) *Scenario {
+		return &Scenario{
+			Name: name, N: 7, F: 2, Seed: seed,
+			Latency:          goldenLatency(),
+			Duration:         12 * time.Second,
+			RoundTimeout:     300 * time.Millisecond,
+			SFT:              true,
+			VerifySignatures: true,
+			RecordChains:     true,
+			RecordStrengths:  true,
+		}
+	}
+
+	marker := base("diembft-marker-n7", 101)
+	marker.VoteMode = diembft.VoteMarker
+	marker.ExtraWait = 3 * time.Millisecond
+	marker.Crash = map[types.ReplicaID]time.Duration{5: 4 * time.Second}
+
+	// Pre-GST delays beyond the round timeout force timeouts, TCs, orphaned
+	// proposals and per-block sync before the run settles.
+	intervals := base("diembft-intervals-n7", 102)
+	intervals.VoteMode = diembft.VoteIntervals
+	intervals.IntervalWindow = 32
+	intervals.GST = 3 * time.Second
+	intervals.PreGSTExtra = 350 * time.Millisecond
+	intervals.VerifyPipeline = true
+
+	fbft := base("diembft-fbft-n4", 103)
+	fbft.N, fbft.F = 4, 1
+	fbft.SFT, fbft.FBFT = false, true
+	fbft.Latency = simnet.NewSymmetricModel(4, 2, intraDelay, 20*time.Millisecond, 8*time.Millisecond)
+
+	bankCfg := app.BankConfig{Seed: 104, Accounts: 1 << 10, InitialBalance: 1 << 20, DisableSigVerify: true}
+	gen := workload.NewBankWorkload(104, bankCfg, 32, false)
+	bank := base("diembft-bank-crash-n7", 104)
+	bank.App = func() app.StateMachine { return app.NewBank(bankCfg) }
+	bank.PayloadNow = gen.Payload
+	bank.Crashes = []CrashPlan{{Replica: 3, Crash: 4 * time.Second, Restart: 7 * time.Second}}
+
+	partition := base("diembft-partition-n7", 105)
+	partition.PruneKeep = 48
+	partition.Partitions = []PartitionPlan{{
+		At: 3 * time.Second, Heal: 7 * time.Second,
+		Groups: [][]types.ReplicaID{{5, 6}},
+	}}
+
+	agg := base("diembft-ed25519agg-n7", 106)
+	agg.Scheme = crypto.SchemeEd25519Agg
+	agg.VerifyPipeline = true
+	agg.Duration = 4 * time.Second
+
+	streamEcho := base("streamlet-echo-crash-n7", 107)
+	streamEcho.Protocol = ProtoStreamlet
+	streamEcho.Delta = 25 * time.Millisecond
+	streamEcho.VerifyPipeline = true
+	streamEcho.Crashes = []CrashPlan{{Replica: 2, Crash: 4 * time.Second, Restart: 7 * time.Second}}
+
+	streamBankCfg := app.BankConfig{Seed: 108, Accounts: 1 << 8, InitialBalance: 1 << 20, DisableSigVerify: true}
+	streamGen := workload.NewBankWorkload(108, streamBankCfg, 8, false)
+	streamNoEcho := base("streamlet-noecho-n7", 108)
+	streamNoEcho.Protocol = ProtoStreamlet
+	streamNoEcho.Delta = 25 * time.Millisecond
+	streamNoEcho.DisableEcho = true
+	streamNoEcho.App = func() app.StateMachine { return app.NewBank(streamBankCfg) }
+	streamNoEcho.PayloadNow = streamGen.Payload
+	streamNoEcho.Crashes = []CrashPlan{{Replica: 4, Crash: 3 * time.Second, Restart: 6 * time.Second}}
+
+	return []*Scenario{marker, intervals, fbft, bank, partition, agg, streamEcho, streamNoEcho}
+}
+
+func TestGoldenTraces(t *testing.T) {
+	printing := os.Getenv("SFT_GOLDEN_PRINT") != ""
+	check := func(name, got string) {
+		if printing {
+			fmt.Printf("\t%q: %q,\n", name, got)
+			return
+		}
+		if want := goldenPins[name]; got != want {
+			t.Errorf("%s: trace fingerprint %s, pinned %s — behaviour changed since the pin was recorded", name, got, want)
+		}
+	}
+	for _, sc := range goldenScenarios() {
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if res.CommittedBlocks == 0 {
+			t.Fatalf("%s: committed nothing; the pin would be vacuous", sc.Name)
+		}
+		check(sc.Name, goldenHash(res))
+	}
+	check("observer-diembft-n7", goldenObserverRun(t))
+}
+
+// goldenHash reduces a Result to one hex digest over everything a fixed-seed
+// run determines.
+func goldenHash(res *Result) string {
+	h := sha256.New()
+	f := fp(res)
+	fmt.Fprintf(h, "fp %d %d %d %v\n", f.Blocks, f.Txns, f.Events, f.Regular)
+	hashMsgStats(h, res.Msgs)
+	levels := make([]int, 0, len(f.Levels))
+	for lv := range f.Levels {
+		levels = append(levels, lv)
+	}
+	sort.Ints(levels)
+	for _, lv := range levels {
+		fmt.Fprintf(h, "level %d %v\n", lv, f.Levels[lv])
+	}
+	fmt.Fprintf(h, "drops %d executed %d\n", res.PartitionDrops, res.AppExecutedBlocks)
+
+	var maxRound types.Round
+	for _, b := range res.Blocks {
+		if b.Round > maxRound {
+			maxRound = b.Round
+		}
+	}
+	fmt.Fprintf(h, "final-round %d\n", maxRound)
+
+	for rep := types.ReplicaID(0); int(rep) < res.Scenario.N; rep++ {
+		chain := res.Chains[rep]
+		heights := make([]types.Height, 0, len(chain))
+		for ht := range chain {
+			heights = append(heights, ht)
+		}
+		sort.Slice(heights, func(i, j int) bool { return heights[i] < heights[j] })
+		for _, ht := range heights {
+			fmt.Fprintf(h, "chain %d %d %x %x\n", rep, ht, chain[ht], res.AppHashes[rep][ht])
+		}
+		strengths := res.Strengths[rep]
+		ids := make([]types.BlockID, 0, len(strengths))
+		for id := range strengths {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return string(ids[i][:]) < string(ids[j][:]) })
+		for _, id := range ids {
+			fmt.Fprintf(h, "strength %d %x %d\n", rep, id, strengths[id])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+func hashMsgStats(h hash.Hash, m simnet.MsgStats) {
+	fmt.Fprintf(h, "msgs %d %d\n", m.Count, m.Bytes)
+	kinds := make([]int, 0, len(m.ByType))
+	for k := range m.ByType {
+		kinds = append(kinds, int(k))
+	}
+	sort.Ints(kinds)
+	for _, k := range kinds {
+		fmt.Fprintf(h, "msgtype %d %d\n", k, m.ByType[types.MsgType(k)])
+	}
+}
+
+// goldenObserverRun feeds one observer engine the traffic of an n=7 DiemBFT
+// cluster (active pacemaker, so RoundEntry certificates flow too) on simnet,
+// cuts the observer off for a while so it has to buffer orphans and catch up
+// through state sync, and digests the observer's whole output stream next to
+// the voters' commit streams and final rounds.
+func goldenObserverRun(t *testing.T) string {
+	const n, f, seed = 7, 2, 109
+	ring, err := crypto.NewKeyRing(n, seed, crypto.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	sim := simnet.New(simnet.Config{
+		N: n, Observers: 1, Latency: goldenLatency(), Seed: seed, Prevalidate: true,
+		OnCommit: func(rep types.ReplicaID, now time.Duration, b *types.Block) {
+			fmt.Fprintf(h, "commit %d %d %d %x\n", rep, now, b.Height, b.ID())
+		},
+		OnStrength: func(rep types.ReplicaID, now time.Duration, b *types.Block, x int) {
+			fmt.Fprintf(h, "strength %d %d %x %d\n", rep, now, b.ID(), x)
+		},
+	})
+	payload := workload.PaperPayload(seed, 4, 256)
+	type rounder interface{ Round() types.Round }
+	var voters []rounder
+	for i := 0; i < n; i++ {
+		id := types.ReplicaID(i)
+		eng, err := compose.Engine(compose.Spec{
+			Protocol: compose.DiemBFT, ID: id, N: n, F: f,
+			Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
+			SFT: true, Horizon: 2*n + 16, RoundTimeout: 300 * time.Millisecond,
+			MaxCommitLog: 8, PruneKeep: 64, Payload: payload,
+			ActivePacemaker: true, LeaderReputationWindow: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		voters = append(voters, eng.(rounder))
+		sim.SetEngine(id, eng)
+	}
+	certified := 0
+	obsEng, err := observer.New(observer.Config{
+		ID: n, N: n, F: f, Mode: core.ModeRound, Verifier: ring, VerifySignatures: true,
+		Horizon: 2*n + 16,
+		OnCertified: func(b *types.Block, qc *types.QC) {
+			certified++
+			fmt.Fprintf(h, "certified %d %x %d\n", b.Height, b.ID(), len(b.CommitLog))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.SetEngine(n, obsEng)
+	sim.CrashAt(6, 5*time.Second)
+	sim.PartitionAt(2*time.Second, []types.ReplicaID{n})
+	sim.HealAt(4 * time.Second)
+	sim.Run(10 * time.Second)
+
+	if certified == 0 || obsEng.CommittedHeight() == 0 {
+		t.Fatalf("observer followed nothing (certified %d, height %d); the pin would be vacuous",
+			certified, obsEng.CommittedHeight())
+	}
+	for i, v := range voters {
+		fmt.Fprintf(h, "round %d %d\n", i, v.Round())
+	}
+	fmt.Fprintf(h, "observer height %d events %d\n", obsEng.CommittedHeight(), sim.Events())
+	hashMsgStats(h, sim.Stats())
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}

@@ -20,7 +20,6 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/diembft"
 	"repro/internal/engine"
-	"repro/internal/metrics"
 	"repro/internal/pacemaker"
 	"repro/internal/simnet"
 	"repro/internal/types"
@@ -201,16 +200,16 @@ type Result struct {
 
 	// RegularLatency is block-creation-to-commit over all blocks over all
 	// replicas (the paper's measurement), window-clipped.
-	RegularLatency metrics.Summary
+	RegularLatency Summary
 	// LevelLatency maps strength level x to creation-to-x-strong latency.
-	LevelLatency map[int]metrics.Summary
+	LevelLatency map[int]Summary
 	// LevelCommitDelay maps strength level x to the delay between a
 	// replica's regular (f-strong) commit of a block and the block reaching
 	// x-strong at that replica — the operator-facing "how much longer for
 	// more resilience" number. Rises observed in the same engine event as
 	// the commit (or, in DiemBFT, microseconds before it: strength outputs
 	// precede commit outputs within one event) count as zero.
-	LevelCommitDelay map[int]metrics.Summary
+	LevelCommitDelay map[int]Summary
 
 	Msgs          simnet.MsgStats
 	MsgsPerCommit float64
@@ -319,8 +318,8 @@ func (s *Scenario) withDefaults() *Scenario {
 type collector struct {
 	sc       *Scenario
 	levels   []int
-	regular  metrics.Series
-	byLevel  map[int]*metrics.Series
+	regular  Series
+	byLevel  map[int]*Series
 	reached  map[types.ReplicaID]map[types.BlockID]int
 	commits  map[types.ReplicaID]int
 	chains   map[types.ReplicaID]map[types.Height]types.BlockID
@@ -333,7 +332,7 @@ type collector struct {
 	// pre-commit rises buffer in pendingRises and flush at commit with the
 	// delay clamped at zero.
 	commitAt     map[types.ReplicaID]map[types.BlockID]time.Duration
-	delayLevel   map[int]*metrics.Series
+	delayLevel   map[int]*Series
 	pendingRises map[types.ReplicaID]map[types.BlockID][]pendingRise
 
 	// Invariant-checker inputs (Scenario.RecordStrengths). strengths holds
@@ -357,17 +356,17 @@ func newCollector(sc *Scenario, observer types.ReplicaID) *collector {
 	c := &collector{
 		sc:           sc,
 		levels:       sc.Levels,
-		byLevel:      make(map[int]*metrics.Series, len(sc.Levels)),
+		byLevel:      make(map[int]*Series, len(sc.Levels)),
 		reached:      make(map[types.ReplicaID]map[types.BlockID]int),
 		commits:      make(map[types.ReplicaID]int),
 		observer:     observer,
 		commitAt:     make(map[types.ReplicaID]map[types.BlockID]time.Duration),
-		delayLevel:   make(map[int]*metrics.Series, len(sc.Levels)),
+		delayLevel:   make(map[int]*Series, len(sc.Levels)),
 		pendingRises: make(map[types.ReplicaID]map[types.BlockID][]pendingRise),
 	}
 	for _, lv := range sc.Levels {
-		c.byLevel[lv] = &metrics.Series{}
-		c.delayLevel[lv] = &metrics.Series{}
+		c.byLevel[lv] = &Series{}
+		c.delayLevel[lv] = &Series{}
 	}
 	if sc.RecordChains {
 		c.chains = make(map[types.ReplicaID]map[types.Height]types.BlockID)
@@ -694,8 +693,8 @@ func Run(sc *Scenario) (*Result, error) {
 		Scenario:         s,
 		Observer:         observer,
 		CommittedBlocks:  col.commits[observer],
-		LevelLatency:     make(map[int]metrics.Summary, len(s.Levels)),
-		LevelCommitDelay: make(map[int]metrics.Summary, len(s.Levels)),
+		LevelLatency:     make(map[int]Summary, len(s.Levels)),
+		LevelCommitDelay: make(map[int]Summary, len(s.Levels)),
 		Msgs:             sim.Stats(),
 		Events:           sim.Events(),
 	}
@@ -753,62 +752,43 @@ func engineExecutor(e engine.Engine) *app.Executor {
 // (internal/compose) — the same path the public sft facade builds nodes
 // through, so facade runs and harness runs construct identical engines.
 func engineSpec(s *Scenario, id types.ReplicaID, ring *crypto.KeyRing, payload func(types.Round) types.Payload, journal *core.Journal) compose.Spec {
-	switch s.Protocol {
-	case ProtoStreamlet:
-		spec := compose.Spec{
-			Protocol:          compose.Streamlet,
-			ID:                id,
-			N:                 s.N,
-			F:                 s.F,
-			Signer:            ring.Signer(id),
-			Verifier:          ring,
-			VerifySignatures:  s.VerifySignatures,
-			Delta:             s.Delta,
-			SFT:               s.SFT,
-			Horizon:           s.Horizon,
-			DisableEcho:       s.DisableEcho,
-			ProposalWindow:    s.ProposalWindow,
-			Payload:           payload,
-			PayloadNow:        s.PayloadNow,
-			App:               s.App,
-			NaiveEndorsements: s.NaiveEndorsements,
-			Journal:           journal,
-		}
-		applyAdversary(&spec, s, id)
-		return spec
-	default:
-		spec := compose.Spec{
-			Protocol:          compose.DiemBFT,
-			ID:                id,
-			N:                 s.N,
-			F:                 s.F,
-			Signer:            ring.Signer(id),
-			Verifier:          ring,
-			VerifySignatures:  s.VerifySignatures,
-			DisableQCCache:    s.DisableQCCache,
-			SFT:               s.SFT,
-			FBFT:              s.FBFT,
-			VoteMode:          s.VoteMode,
-			IntervalWindow:    s.IntervalWindow,
-			Horizon:           s.Horizon,
-			RoundTimeout:      s.RoundTimeout,
-			ExtraWait:         s.ExtraWait,
-			ExtraWaitFor:      s.ExtraWaitFor,
-			Payload:           payload,
-			PayloadNow:        s.PayloadNow,
-			App:               s.App,
-			PruneKeep:         s.PruneKeep,
-			NaiveEndorsements: s.NaiveEndorsements,
-			Journal:           journal,
-
-			ActivePacemaker:        s.ActivePacemaker,
-			TimeoutWindow:          s.TimeoutWindow,
-			PerPeerTimeoutCap:      s.PerPeerTimeoutCap,
-			LeaderReputationWindow: s.LeaderReputationWindow,
-		}
-		applyAdversary(&spec, s, id)
-		return spec
+	spec := compose.Spec{
+		Protocol:          compose.DiemBFT,
+		ID:                id,
+		N:                 s.N,
+		F:                 s.F,
+		Signer:            ring.Signer(id),
+		Verifier:          ring,
+		VerifySignatures:  s.VerifySignatures,
+		SFT:               s.SFT,
+		Horizon:           s.Horizon,
+		Payload:           payload,
+		PayloadNow:        s.PayloadNow,
+		App:               s.App,
+		NaiveEndorsements: s.NaiveEndorsements,
+		Journal:           journal,
 	}
+	if s.Protocol == ProtoStreamlet {
+		spec.Protocol = compose.Streamlet
+		spec.Delta = s.Delta
+		spec.DisableEcho = s.DisableEcho
+		spec.ProposalWindow = s.ProposalWindow
+	} else {
+		spec.DisableQCCache = s.DisableQCCache
+		spec.FBFT = s.FBFT
+		spec.VoteMode = s.VoteMode
+		spec.IntervalWindow = s.IntervalWindow
+		spec.RoundTimeout = s.RoundTimeout
+		spec.ExtraWait = s.ExtraWait
+		spec.ExtraWaitFor = s.ExtraWaitFor
+		spec.PruneKeep = s.PruneKeep
+		spec.ActivePacemaker = s.ActivePacemaker
+		spec.TimeoutWindow = s.TimeoutWindow
+		spec.PerPeerTimeoutCap = s.PerPeerTimeoutCap
+		spec.LeaderReputationWindow = s.LeaderReputationWindow
+	}
+	applyAdversary(&spec, s, id)
+	return spec
 }
 
 // applyAdversary attaches the replica's Byzantine behavior chain, seeding

@@ -1,10 +1,9 @@
-package ledger_test
+package harness_test
 
 import (
 	"errors"
 	"testing"
 
-	"repro/internal/ledger"
 	"repro/internal/types"
 )
 
@@ -13,9 +12,9 @@ func mkBlock(parent types.BlockID, h types.Height, txns ...types.Transaction) *t
 		types.Payload{Txns: txns}, nil)
 }
 
-func TestCommitOrderAndApply(t *testing.T) {
-	kv := ledger.NewKVStore()
-	l := ledger.New(kv)
+func TestLedgerCommitOrderAndApply(t *testing.T) {
+	kv := NewKVStore()
+	l := newLedger(kv)
 	g := types.Genesis()
 
 	b1 := mkBlock(g.ID(), 1, types.Transaction{Sender: 1, Seq: 1, Data: []byte("a=1")})
@@ -42,18 +41,18 @@ func TestCommitOrderAndApply(t *testing.T) {
 	}
 }
 
-func TestCommitGapRejected(t *testing.T) {
-	l := ledger.New(nil)
+func TestLedgerCommitGapRejected(t *testing.T) {
+	l := newLedger(nil)
 	g := types.Genesis()
 	b1 := mkBlock(g.ID(), 1)
 	b3 := mkBlock(b1.ID(), 3)
-	if err := l.Commit(b3); !errors.Is(err, ledger.ErrGap) {
+	if err := l.Commit(b3); !errors.Is(err, ErrGap) {
 		t.Fatalf("want ErrGap, got %v", err)
 	}
 }
 
-func TestDuplicateCommit(t *testing.T) {
-	l := ledger.New(nil)
+func TestLedgerDuplicateCommit(t *testing.T) {
+	l := newLedger(nil)
 	g := types.Genesis()
 	b1 := mkBlock(g.ID(), 1)
 	if err := l.Commit(b1); err != nil {
@@ -65,13 +64,13 @@ func TestDuplicateCommit(t *testing.T) {
 	}
 	// A DIFFERENT block at the same height: safety violation surfaced.
 	other := mkBlock(g.ID(), 1, types.Transaction{Sender: 9})
-	if err := l.Commit(other); !errors.Is(err, ledger.ErrConflict) {
+	if err := l.Commit(other); !errors.Is(err, ErrConflict) {
 		t.Fatalf("want ErrConflict, got %v", err)
 	}
 }
 
-func TestStrengthTracking(t *testing.T) {
-	l := ledger.New(nil)
+func TestLedgerStrengthTracking(t *testing.T) {
+	l := newLedger(nil)
 	g := types.Genesis()
 	b1 := mkBlock(g.ID(), 1)
 	b2 := mkBlock(b1.ID(), 2)
@@ -94,14 +93,14 @@ func TestStrengthTracking(t *testing.T) {
 	l.Strengthen(types.BlockID{9}, 5)
 }
 
-func TestCheckPrefixConsistency(t *testing.T) {
+func TestLedgerCheckPrefixConsistency(t *testing.T) {
 	g := types.Genesis()
 	b1 := mkBlock(g.ID(), 1)
 	b2 := mkBlock(b1.ID(), 2)
 	forged := mkBlock(b1.ID(), 2, types.Transaction{Sender: 66})
 
-	mk := func(blocks ...*types.Block) *ledger.Ledger {
-		l := ledger.New(nil)
+	mk := func(blocks ...*types.Block) *Ledger {
+		l := newLedger(nil)
 		for _, b := range blocks {
 			if err := l.Commit(b); err != nil {
 				t.Fatal(err)
@@ -110,24 +109,24 @@ func TestCheckPrefixConsistency(t *testing.T) {
 		return l
 	}
 	// Agreeing prefixes of different lengths: fine.
-	if err := ledger.CheckPrefixConsistency([]*ledger.Ledger{mk(b1, b2), mk(b1)}); err != nil {
+	if err := CheckPrefixConsistency([]*Ledger{mk(b1, b2), mk(b1)}); err != nil {
 		t.Fatalf("consistent ledgers flagged: %v", err)
 	}
 	// Divergence at height 2: flagged.
-	if err := ledger.CheckPrefixConsistency([]*ledger.Ledger{mk(b1, b2), mk(b1, forged)}); err == nil {
+	if err := CheckPrefixConsistency([]*Ledger{mk(b1, b2), mk(b1, forged)}); err == nil {
 		t.Fatal("divergence not detected")
 	}
-	if err := ledger.CheckPrefixConsistency(nil); err != nil {
+	if err := CheckPrefixConsistency(nil); err != nil {
 		t.Fatal("empty set must pass")
 	}
 }
 
-func TestCheckPrefixConsistencyAppHash(t *testing.T) {
+func TestLedgerCheckPrefixConsistencyAppHash(t *testing.T) {
 	g := types.Genesis()
 	b1 := mkBlock(g.ID(), 1)
 
-	mk := func(root [32]byte) *ledger.Ledger {
-		l := ledger.New(nil)
+	mk := func(root [32]byte) *Ledger {
+		l := newLedger(nil)
 		if err := l.Commit(b1); err != nil {
 			t.Fatal(err)
 		}
@@ -138,16 +137,16 @@ func TestCheckPrefixConsistencyAppHash(t *testing.T) {
 	rootB := [32]byte{2}
 
 	// Same block, same executed root: fine.
-	if err := ledger.CheckPrefixConsistency([]*ledger.Ledger{mk(rootA), mk(rootA)}); err != nil {
+	if err := CheckPrefixConsistency([]*Ledger{mk(rootA), mk(rootA)}); err != nil {
 		t.Fatalf("agreeing roots flagged: %v", err)
 	}
 	// Same block, divergent roots: a state fork the block-ID check cannot see.
-	err := ledger.CheckPrefixConsistency([]*ledger.Ledger{mk(rootA), mk(rootB)})
-	if !errors.Is(err, ledger.ErrConflict) {
+	err := CheckPrefixConsistency([]*Ledger{mk(rootA), mk(rootB)})
+	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("want ErrConflict for divergent roots, got %v", err)
 	}
 	// One side without an execution layer (zero root): tolerated.
-	if err := ledger.CheckPrefixConsistency([]*ledger.Ledger{mk(rootA), mk([32]byte{})}); err != nil {
+	if err := CheckPrefixConsistency([]*Ledger{mk(rootA), mk([32]byte{})}); err != nil {
 		t.Fatalf("zero-root side flagged: %v", err)
 	}
 	// SetAppHash for an unknown block: ignored, no panic.

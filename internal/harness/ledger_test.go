@@ -1,9 +1,10 @@
-// Package ledger maintains one replica's committed transaction log — the
-// linearizable log that BFT SMR exposes to applications — together with
-// per-block strong-commit strength levels and a cross-replica consistency
-// checker used by tests and the harness to verify the paper's safety
-// properties end to end.
-package ledger
+package harness_test
+
+// The committed transaction log the full-stack test keeps per replica: the
+// linearizable log BFT SMR exposes to applications, per-block strong-commit
+// strength levels, and the cross-replica consistency checker. It is a test
+// helper (its only user is fullstack_test.go); the production execution layer
+// is internal/app.
 
 import (
 	"errors"
@@ -18,8 +19,8 @@ var (
 	ErrConflict = errors.New("ledger: conflicting commit at height")
 )
 
-// Entry is one committed block in the log.
-type Entry struct {
+// ledgerEntry is one committed block in the log.
+type ledgerEntry struct {
 	Block    *types.Block
 	Strength int // highest known x such that the block is x-strong committed
 	// AppHash is the execution-layer state root the replica computed for the
@@ -28,9 +29,9 @@ type Entry struct {
 	AppHash [32]byte
 }
 
-// Applier consumes committed transactions in order; the application's state
+// ledgerApplier consumes committed transactions in order; the application's state
 // machine. Implementations must be deterministic.
-type Applier interface {
+type ledgerApplier interface {
 	// Apply executes one transaction. It is called exactly once per
 	// committed transaction, in log order.
 	Apply(txn types.Transaction)
@@ -39,14 +40,14 @@ type Applier interface {
 // Ledger is one replica's committed chain prefix. Not safe for concurrent
 // use; the engine's event loop owns it.
 type Ledger struct {
-	entries []Entry
+	entries []ledgerEntry
 	index   map[types.BlockID]int
-	applier Applier
+	applier ledgerApplier
 	applied int64
 }
 
-// New creates an empty ledger; applier may be nil.
-func New(applier Applier) *Ledger {
+// newLedger creates an empty ledger; applier may be nil.
+func newLedger(applier ledgerApplier) *Ledger {
 	return &Ledger{index: make(map[types.BlockID]int), applier: applier}
 }
 
@@ -65,7 +66,7 @@ func (l *Ledger) Commit(b *types.Block) error {
 		}
 		return fmt.Errorf("%w: got h%d, want h%d", ErrGap, b.Height, want)
 	}
-	l.entries = append(l.entries, Entry{Block: b, Strength: -1})
+	l.entries = append(l.entries, ledgerEntry{Block: b, Strength: -1})
 	l.index[b.ID()] = len(l.entries) - 1
 	if l.applier != nil {
 		for _, txn := range b.Payload.Txns {
@@ -100,7 +101,7 @@ func (l *Ledger) Height() types.Height { return types.Height(len(l.entries)) }
 func (l *Ledger) Applied() int64 { return l.applied }
 
 // At returns the entry at height h (1-based), or nil.
-func (l *Ledger) At(h types.Height) *Entry {
+func (l *Ledger) At(h types.Height) *ledgerEntry {
 	if h < 1 || h > types.Height(len(l.entries)) {
 		return nil
 	}
@@ -140,7 +141,7 @@ func CheckPrefixConsistency(ledgers []*Ledger) error {
 		return nil
 	}
 	for h := types.Height(1); ; h++ {
-		var ref *Entry
+		var ref *ledgerEntry
 		var refIdx int
 		any := false
 		for i, l := range ledgers {
@@ -171,7 +172,7 @@ func CheckPrefixConsistency(ledgers []*Ledger) error {
 	}
 }
 
-// KVStore is a deterministic Applier for tests and examples: transactions
+// KVStore is a deterministic ledgerApplier for tests and examples: transactions
 // whose Data is "key=value" update a map; everything else is a no-op write
 // counted but not stored.
 type KVStore struct {
@@ -184,7 +185,7 @@ func NewKVStore() *KVStore {
 	return &KVStore{state: make(map[string]string)}
 }
 
-// Apply implements Applier.
+// Apply implements ledgerApplier.
 func (kv *KVStore) Apply(txn types.Transaction) {
 	kv.ops++
 	for i, c := range txn.Data {

@@ -1,29 +1,11 @@
-// Package metrics provides the small statistics toolkit the experiment
-// harness uses — streaming series with mean/percentile/min/max summaries —
-// plus the concurrency-safe counters the transports and the verification
-// pipeline export (dropped frames, prevalidation rejects).
-package metrics
+package harness
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 )
-
-// Counter is a concurrency-safe monotonic event counter. Transports
-// increment it from reader goroutines; operators read it from anywhere. The
-// zero value is ready to use.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Load returns the current count.
-func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Series accumulates float64 samples.
 type Series struct {
@@ -88,20 +70,6 @@ func (s *Series) Max() float64 {
 	}
 	s.sort()
 	return s.vals[len(s.vals)-1]
-}
-
-// StdDev returns the population standard deviation, or NaN when empty.
-func (s *Series) StdDev() float64 {
-	if len(s.vals) == 0 {
-		return math.NaN()
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, v := range s.vals {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.vals)))
 }
 
 func (s *Series) sort() {

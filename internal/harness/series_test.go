@@ -1,15 +1,13 @@
-package metrics_test
+package harness
 
 import (
 	"math"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 func TestSeriesStats(t *testing.T) {
-	var s metrics.Series
+	var s Series
 	for _, v := range []float64{5, 1, 3, 2, 4} {
 		s.Add(v)
 	}
@@ -34,14 +32,11 @@ func TestSeriesStats(t *testing.T) {
 	if got := s.Percentile(1); got != 1 {
 		t.Errorf("p1 = %v", got)
 	}
-	if got := s.StdDev(); math.Abs(got-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("stddev = %v", got)
-	}
 }
 
 func TestSeriesAddAfterSort(t *testing.T) {
 	// Percentile sorts internally; later Adds must still be seen.
-	var s metrics.Series
+	var s Series
 	s.Add(1)
 	_ = s.Percentile(50)
 	s.Add(10)
@@ -51,10 +46,10 @@ func TestSeriesAddAfterSort(t *testing.T) {
 }
 
 func TestEmptySeries(t *testing.T) {
-	var s metrics.Series
+	var s Series
 	for name, v := range map[string]float64{
 		"mean": s.Mean(), "p50": s.Percentile(50), "min": s.Min(),
-		"max": s.Max(), "stddev": s.StdDev(),
+		"max": s.Max(),
 	} {
 		if !math.IsNaN(v) {
 			t.Errorf("%s of empty series = %v, want NaN", name, v)
@@ -70,7 +65,7 @@ func TestEmptySeries(t *testing.T) {
 }
 
 func TestAddDuration(t *testing.T) {
-	var s metrics.Series
+	var s Series
 	s.AddDuration(1500 * time.Millisecond)
 	if got := s.Mean(); got != 1.5 {
 		t.Fatalf("duration sample = %v", got)
@@ -78,7 +73,7 @@ func TestAddDuration(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	var s metrics.Series
+	var s Series
 	for i := 1; i <= 100; i++ {
 		s.Add(float64(i))
 	}

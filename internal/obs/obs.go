@@ -67,6 +67,14 @@ type Obs struct {
 	appExecuted   *Counter
 	appMismatches *Counter
 
+	// Failures the engines tolerate and count instead of dropping silently:
+	// blocks the state machine refused, state-sync segments rejected at a bad
+	// link, and certificate aggregations that fell back to the vector form.
+	// All three read 0 on a healthy cluster.
+	appExecFailed  *Counter
+	syncRejected   *Counter
+	qcAggregateErr *Counter
+
 	// Pacemaker hardening: rejected timeouts and round entries, by reason.
 	// Children are pre-registered per reason so hot-path (and prevalidation
 	// reader-goroutine) increments never touch the registry lock.
@@ -147,6 +155,10 @@ func New(o Options) *Obs {
 
 		appExecuted:   r.Counter("sft_app_blocks_executed_total", "Blocks executed through the application state machine (execute-before-vote)."),
 		appMismatches: r.Counter("sft_app_apphash_mismatches_total", "AppHash disagreements detected (vote or certificate state root differs from local execution)."),
+
+		appExecFailed:  r.Counter("sft_app_execute_failed_total", "Blocks the application state machine failed to execute (stored for ordering, never voted for)."),
+		syncRejected:   r.Counter("sft_sync_segments_rejected_total", "Sync segments rejected at a malformed or uncertified link."),
+		qcAggregateErr: r.Counter("sft_qc_aggregate_failed_total", "Formed certificates that could not be aggregated and stayed in vector form."),
 
 		gwSubscribers: r.Gauge("sft_gateway_subscribers", "Strength-subscription connections currently attached to the gateway."),
 		gwEvents:      r.Counter("sft_gateway_events_total", "Proof-carrying strength-rise events fanned out (one per subscriber delivery)."),
@@ -336,6 +348,31 @@ func (o *Obs) OnAppHashMismatch() {
 		return
 	}
 	o.appMismatches.Inc()
+}
+
+// OnAppExecuteFailed records a block the state machine refused to execute.
+func (o *Obs) OnAppExecuteFailed() {
+	if o == nil {
+		return
+	}
+	o.appExecFailed.Inc()
+}
+
+// OnSyncSegmentRejected records a sync segment rejected at a bad link.
+func (o *Obs) OnSyncSegmentRejected() {
+	if o == nil {
+		return
+	}
+	o.syncRejected.Inc()
+}
+
+// OnQCAggregateFailed records a formed certificate that stayed in vector
+// form because aggregation failed.
+func (o *Obs) OnQCAggregateFailed() {
+	if o == nil {
+		return
+	}
+	o.qcAggregateErr.Inc()
 }
 
 // --- operational hooks (wall clock; may run off the event loop) -----------

@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/engine"
+	"repro/internal/replica"
 	"repro/internal/statesync"
 	"repro/internal/types"
 )
@@ -34,14 +35,6 @@ const syncTimerID = 9001
 
 // DefaultSyncInterval paces the catch-up probe when the feed stalls.
 const DefaultSyncInterval = 500 * time.Millisecond
-
-// maxOrphans bounds the buffer of blocks whose ancestry has not arrived
-// yet. An attacker spraying validly-signed blocks with unknown parents
-// cannot grow it without bound; evicted holes heal via state sync.
-const maxOrphans = 1024
-
-// maxEchoDepth bounds nested Echo unwrapping, mirroring the voting engines.
-const maxEchoDepth = 4
 
 // Config parameterizes an observer engine.
 type Config struct {
@@ -81,7 +74,10 @@ type Observer struct {
 	cfg     Config
 	store   *blockstore.Store
 	tracker *core.Tracker
-	qcCache *crypto.QCCache
+	// certs, orphans, echo unwrapping and segment application are the voting
+	// engines' own (internal/replica); nothing else of the chassis fits an
+	// engine with no signer, journal or vote history.
+	certs *replica.Certs
 
 	// committed marks blocks already reported via engine.Commit.
 	committed  map[types.BlockID]bool
@@ -91,11 +87,9 @@ type Observer struct {
 	// strength is the highest level already reported per block.
 	strength map[types.BlockID]int
 
-	// orphans buffers proposals whose parent has not arrived, keyed by the
-	// missing parent; orphanOrder implements FIFO eviction at maxOrphans.
-	orphans     map[types.BlockID][]*types.Proposal
-	orphanOrder []types.BlockID
-	syncAsked   map[types.BlockID]bool
+	// orphans buffers proposals whose parent has not arrived (bounded; an
+	// evicted hole heals via state sync).
+	orphans replica.Orphans
 
 	// rises accumulates tracker callbacks during one event, drained by emit.
 	rises []rise
@@ -133,9 +127,10 @@ func New(cfg Config) (*Observer, error) {
 		committed: make(map[types.BlockID]bool),
 		certified: make(map[types.BlockID]bool),
 		strength:  make(map[types.BlockID]int),
-		orphans:   make(map[types.BlockID][]*types.Proposal),
-		syncAsked: make(map[types.BlockID]bool),
-		qcCache:   crypto.NewQCCache(0),
+		certs: replica.NewCerts(&replica.Config{
+			N: cfg.N, F: cfg.F, Verifier: cfg.Verifier,
+			VerifySignatures: cfg.VerifySignatures, BatchWorkers: cfg.BatchWorkers,
+		}),
 	}
 	o.tracker = core.NewTracker(o.store, core.Config{
 		N:       cfg.N,
@@ -169,10 +164,10 @@ func (o *Observer) Strength(id types.BlockID) int {
 // Init implements engine.Engine: ask an upstream where the chain is and
 // start the stall-detection timer.
 func (o *Observer) Init(now time.Duration) []engine.Output {
-	o.outs = o.outs[:0]
+	o.outs = nil
 	o.requestCatchUp()
 	o.outs = append(o.outs, engine.SetTimer{ID: syncTimerID, Delay: o.cfg.SyncInterval})
-	return o.take()
+	return o.outs
 }
 
 // OnTimer implements engine.Engine: if the chain tip has not advanced since
@@ -181,14 +176,14 @@ func (o *Observer) OnTimer(now time.Duration, id int) []engine.Output {
 	if id != syncTimerID {
 		return nil
 	}
-	o.outs = o.outs[:0]
+	o.outs = nil
 	if tip := o.tipHeight(); tip == o.lastTip {
 		o.requestCatchUp()
 	} else {
 		o.lastTip = tip
 	}
 	o.outs = append(o.outs, engine.SetTimer{ID: syncTimerID, Delay: o.cfg.SyncInterval})
-	return o.take()
+	return o.outs
 }
 
 // OnMessage implements engine.Engine.
@@ -210,51 +205,27 @@ func (o *Observer) Prevalidate(from types.ReplicaID, msg types.Message) error {
 	if !o.cfg.VerifySignatures {
 		return nil
 	}
-	switch m := msg.(type) {
-	case *types.Proposal:
-		return o.checkProposal(m)
-	case *types.Echo:
-		inner := m
-		for depth := 0; depth < maxEchoDepth; depth++ {
-			p, ok := inner.Inner.(*types.Proposal)
-			if ok {
-				return o.checkProposal(p)
-			}
-			next, ok := inner.Inner.(*types.Echo)
-			if !ok {
-				return fmt.Errorf("observer: echo wraps no proposal")
-			}
-			inner = next
-		}
-		return fmt.Errorf("observer: echo nesting too deep")
-	case *types.RoundEntry:
-		if m.Justify != nil {
-			return o.verifyQC(m.Justify)
-		}
-		return nil
+	inner := replica.UnwrapEcho(msg)
+	if p, ok := inner.(*types.Proposal); ok {
+		return o.checkProposal(p)
+	}
+	if inner != msg {
+		return fmt.Errorf("observer: echo wraps no proposal")
+	}
+	if e, ok := msg.(*types.RoundEntry); ok && e.Justify != nil {
+		return o.certs.VerifyQC(e.Justify)
 	}
 	return nil
 }
 
 func (o *Observer) onMessage(from types.ReplicaID, msg types.Message, verified bool) []engine.Output {
-	o.outs = o.outs[:0]
+	o.outs = nil
 	switch m := msg.(type) {
 	case *types.Proposal:
 		o.onProposal(from, m, verified)
 	case *types.Echo:
-		inner := m.Inner
-		for depth := 0; depth < maxEchoDepth; depth++ {
-			switch im := inner.(type) {
-			case *types.Proposal:
-				o.onProposal(from, im, verified)
-				inner = nil
-			case *types.Echo:
-				inner = im.Inner
-				continue
-			default:
-				inner = nil
-			}
-			break
+		if p, ok := replica.UnwrapEcho(m).(*types.Proposal); ok {
+			o.onProposal(from, p, verified)
 		}
 	case *types.RoundEntry:
 		// A round entry's QC certifies the previous round's block — feed it
@@ -267,7 +238,7 @@ func (o *Observer) onMessage(from types.ReplicaID, msg types.Message, verified b
 		o.onStateSync(m)
 	}
 	o.emit()
-	return o.take()
+	return o.outs
 }
 
 // checkProposal is the stateless validity check: proposer signature and
@@ -285,29 +256,13 @@ func (o *Observer) checkProposal(p *types.Proposal) error {
 	if int(p.Sender) >= o.cfg.N || !o.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
 		return fmt.Errorf("observer: bad proposal signature")
 	}
-	return o.verifyQC(p.Block.Justify)
-}
-
-func (o *Observer) verifyQC(qc *types.QC) error {
-	if err := qc.CheckStructure(o.quorum()); err != nil {
-		return err
-	}
-	if !o.cfg.VerifySignatures {
-		return nil
-	}
-	workers := o.cfg.BatchWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	return o.qcCache.VerifyQCBatch(o.cfg.Verifier, qc, o.quorum(), workers)
+	return o.certs.VerifyQC(p.Block.Justify)
 }
 
 // isGenesisQC matches the round-0 no-votes convention (types.NewGenesisQC).
 func isGenesisQC(qc *types.QC) bool {
 	return qc.Round == 0 && len(qc.Votes) == 0 && qc.Agg == nil
 }
-
-func (o *Observer) quorum() int { return 2*o.cfg.F + 1 }
 
 func (o *Observer) onProposal(from types.ReplicaID, p *types.Proposal, verified bool) {
 	if p.Block == nil || p.Block.Justify == nil || o.store.Has(p.Block.ID()) {
@@ -319,7 +274,7 @@ func (o *Observer) onProposal(from types.ReplicaID, p *types.Proposal, verified 
 		}
 	}
 	if !o.store.Has(p.Block.Parent) {
-		o.bufferOrphan(p)
+		o.orphans.Add(p)
 		o.requestCatchUp()
 		return
 	}
@@ -334,7 +289,6 @@ func (o *Observer) ingest(b *types.Block) {
 	if err := o.store.Insert(b); err != nil {
 		return
 	}
-	delete(o.syncAsked, b.ID())
 	o.noteQC(b.Justify, true)
 }
 
@@ -346,7 +300,7 @@ func (o *Observer) noteQC(qc *types.QC, verified bool) {
 		return
 	}
 	if !verified {
-		if err := o.verifyQC(qc); err != nil {
+		if err := o.certs.VerifyQC(qc); err != nil {
 			return
 		}
 	}
@@ -361,19 +315,6 @@ func (o *Observer) noteQC(qc *types.QC, verified bool) {
 	}
 }
 
-func (o *Observer) bufferOrphan(p *types.Proposal) {
-	missing := p.Block.Parent
-	if len(o.orphanOrder) >= maxOrphans {
-		evict := o.orphanOrder[0]
-		o.orphanOrder = o.orphanOrder[1:]
-		delete(o.orphans, evict)
-	}
-	if _, ok := o.orphans[missing]; !ok {
-		o.orphanOrder = append(o.orphanOrder, missing)
-	}
-	o.orphans[missing] = append(o.orphans[missing], p)
-}
-
 // flushOrphans re-ingests buffered proposals whose parent just arrived,
 // cascading down the tree.
 func (o *Observer) flushOrphans(parent types.BlockID) {
@@ -381,18 +322,7 @@ func (o *Observer) flushOrphans(parent types.BlockID) {
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		buffered, ok := o.orphans[id]
-		if !ok {
-			continue
-		}
-		delete(o.orphans, id)
-		for i, oid := range o.orphanOrder {
-			if oid == id {
-				o.orphanOrder = append(o.orphanOrder[:i], o.orphanOrder[i+1:]...)
-				break
-			}
-		}
-		for _, p := range buffered {
+		for _, p := range o.orphans.Take(id) {
 			if o.store.Has(p.Block.ID()) {
 				continue
 			}
@@ -406,14 +336,12 @@ func (o *Observer) flushOrphans(parent types.BlockID) {
 // applier checks structure and, when enabled, signatures), so a lying
 // upstream cannot smuggle an uncertified block in.
 func (o *Observer) onStateSync(m *types.StateSyncResponse) {
-	applier := &statesync.Applier{
-		Store:  o.store,
-		Quorum: o.quorum(),
-		OnInstall: func(b *types.Block) {
-			delete(o.syncAsked, b.ID())
-			o.flushOrphans(b.ID())
-		},
-		OnQC: func(qc *types.QC) {
+	installed := o.certs.Apply(o.store, m,
+		func(b *types.Block) { o.flushOrphans(b.ID()) },
+		func(qc *types.QC, standalone bool) {
+			if standalone {
+				return // the tip's certificate arrives with the next block
+			}
 			o.tracker.OnQC(qc)
 			if o.cfg.OnCertified != nil && !o.certified[qc.Block] {
 				if cb := o.store.Block(qc.Block); cb != nil {
@@ -421,12 +349,7 @@ func (o *Observer) onStateSync(m *types.StateSyncResponse) {
 					o.cfg.OnCertified(cb, qc)
 				}
 			}
-		},
-	}
-	if o.cfg.VerifySignatures {
-		applier.VerifyQC = func(qc *types.QC) error { return o.verifyQC(qc) }
-	}
-	installed, _ := applier.Apply(m)
+		})
 	if installed > 0 && len(m.Blocks) >= statesync.DefaultMaxBlocks {
 		// Full segment: the upstream likely has more; ask again right away
 		// rather than waiting out the stall timer.
@@ -498,10 +421,4 @@ func (o *Observer) commitChain(b *types.Block) {
 		}
 		o.outs = append(o.outs, engine.Commit{Block: blk})
 	}
-}
-
-func (o *Observer) take() []engine.Output {
-	outs := o.outs
-	o.outs = nil
-	return outs
 }

@@ -1,0 +1,600 @@
+// Package replica is the chassis both voting engines embed: the certified-
+// chain bookkeeping that is the same under DiemBFT and Streamlet — block
+// store, vote history, strength tracker, vote sets, the event bracket with
+// its durability ordering, journal staging and replay, the execution-layer
+// hookup, vote-to-certificate assembly, commit emission and state sync. The
+// engines (internal/diembft, internal/streamlet) keep the protocol rules and
+// call in here; the chassis never decides when to vote, certify or commit.
+// The root doc.go's "Replica chassis" section tabulates which side owns what.
+package replica
+
+import (
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/app"
+	"repro/internal/blockstore"
+	"repro/internal/core"
+	"repro/internal/crypto"
+	"repro/internal/engine"
+	"repro/internal/obs"
+	"repro/internal/statesync"
+	"repro/internal/types"
+)
+
+// Config is the configuration every replica engine shares; diembft.Config
+// and streamlet.Config embed it and add their protocol knobs.
+type Config struct {
+	// ID is this replica; N = 3F+1 replicas total.
+	ID   types.ReplicaID
+	N, F int
+
+	// Signer/Verifier provide the PKI. VerifySignatures enables full
+	// signature checking (structure checks always run); large simulations
+	// may disable it since all traffic is generated by trusted engines.
+	Signer           crypto.Signer
+	Verifier         crypto.Verifier
+	VerifySignatures bool
+	// BatchWorkers bounds how many goroutines check one cold certificate's
+	// 2f+1 vote signatures (crypto.BatchVerifyQC). 0 or 1 keeps verification
+	// on the calling goroutine — the mode the deterministic simulator uses;
+	// real-crypto nodes on multi-core hosts set it to GOMAXPROCS.
+	BatchWorkers int
+
+	// SFT enables strengthened fault tolerance: strong-votes, endorsement
+	// tracking and Strength outputs. With SFT false the engine is the plain
+	// protocol (markers still ride along in votes but are ignored).
+	SFT bool
+	// Horizon bounds the endorsement walk depth (see core.Config).
+	Horizon int
+	// NaiveEndorsements switches the SFT tracker to the UNSAFE marker-free
+	// counting of Appendix C. It exists only so the adversarial scenario
+	// fuzzer can demonstrate that its Definition 1 checker catches the
+	// resulting violations; the public facade never exposes it.
+	NaiveEndorsements bool
+
+	// Payload supplies a proposal's transactions; nil means empty blocks.
+	// PayloadNow, if non-nil, supersedes it and also receives the engine's
+	// virtual time, which workload generators need to model arrival times
+	// (submit→commit latency accounting).
+	Payload    func(r types.Round) types.Payload
+	PayloadNow func(r types.Round, now time.Duration) types.Payload
+
+	// App, if non-nil, turns on the execution layer and with it the
+	// execute-before-vote contract (CastVote). With App nil, votes carry no
+	// AppHash and the wire bytes are exactly the pre-execution-layer form.
+	App *app.Executor
+
+	// Journal, if non-nil, write-ahead-logs the state the replica's safety
+	// depends on — accepted blocks, own votes, standalone certificates, lock
+	// advances, commits — under the durability contract (Take). Pair with
+	// Restore to rebuild the replica after a crash.
+	Journal *core.Journal
+
+	// Obs, if non-nil, receives lifecycle and latency observations. Hooks
+	// never feed back into the state machine, so runs are bit-identical with
+	// Obs set or nil.
+	Obs *obs.Obs
+}
+
+// Quorum is the 2f+1 certificate threshold.
+func (c *Config) Quorum() int { return 2*c.F + 1 }
+
+// Chassis is the shared replica state. Engines embed *Chassis; only the
+// engine's event-loop goroutine touches it, except Certs and the round
+// snapshot, which Prevalidate workers read concurrently.
+type Chassis struct {
+	cfg     Config
+	store   *blockstore.Store
+	history *core.VoteHistory
+	tracker *core.Tracker
+
+	// Certs verifies certificates (cache + batch workers + timing).
+	Certs *Certs
+	// Votes holds one bitmap-deduped vote set per candidate block
+	// (subquadratic in n; see core.VoteSet).
+	Votes map[types.BlockID]*core.VoteSet
+	// Outs is the current event's output buffer, released by Take.
+	Outs []engine.Output
+
+	lastCommitted types.BlockID
+	committedH    types.Height
+
+	// aggregate marks that the verifier's scheme compacts formed QCs into
+	// the aggregated-signature form; sigScratch is the reused signing-payload
+	// buffer for own votes.
+	aggregate  bool
+	sigScratch []byte
+
+	// restoring mutes journaling and Strength emission while Restore replays
+	// the pre-crash state; recovered makes Init rejoin via state sync;
+	// stageErr is the first journal append error of the event, which Take
+	// turns into the crash-stop.
+	restoring bool
+	recovered bool
+	stageErr  error
+
+	// now and preverified describe the current event (see Begin). round
+	// mirrors the engine's round for Prevalidate's future-window checks.
+	now         time.Duration
+	preverified bool
+	round       atomic.Int64
+}
+
+// New builds the chassis. mode keys the strength tracker by round (DiemBFT)
+// or height (Streamlet); onStrength is the tracker's callback, which the
+// engine builds around EmitStrength (it is only called with SFT on).
+func New(cfg Config, mode core.Mode, onStrength func(b *types.Block, x int)) (*Chassis, error) {
+	if cfg.N != 3*cfg.F+1 {
+		return nil, fmt.Errorf("replica: n=%d must be 3f+1 (f=%d)", cfg.N, cfg.F)
+	}
+	if cfg.Signer == nil || cfg.Verifier == nil {
+		return nil, fmt.Errorf("replica: signer and verifier are required")
+	}
+	c := &Chassis{
+		cfg:       cfg,
+		store:     blockstore.New(),
+		Certs:     NewCerts(&cfg),
+		Votes:     make(map[types.BlockID]*core.VoteSet),
+		aggregate: crypto.Aggregates(cfg.Verifier),
+	}
+	c.round.Store(1)
+	c.history = core.NewVoteHistory(c.store)
+	c.lastCommitted = c.store.Genesis().ID()
+	if cfg.SFT {
+		c.tracker = core.NewTracker(c.store, core.Config{
+			N: cfg.N, F: cfg.F, Mode: mode, Naive: cfg.NaiveEndorsements,
+			Horizon: cfg.Horizon, OnStrength: onStrength,
+		})
+	}
+	return c, nil
+}
+
+// ID implements engine.Engine.
+func (c *Chassis) ID() types.ReplicaID { return c.cfg.ID }
+
+// Store exposes the block tree.
+func (c *Chassis) Store() *blockstore.Store { return c.store }
+
+// Tracker exposes the SFT tracker (nil when SFT is disabled).
+func (c *Chassis) Tracker() *core.Tracker { return c.tracker }
+
+// History exposes the vote history.
+func (c *Chassis) History() *core.VoteHistory { return c.history }
+
+// CommittedHeight returns the height of the last regular commit.
+func (c *Chassis) CommittedHeight() types.Height { return c.committedH }
+
+// LastCommitted returns the ID of the last committed block.
+func (c *Chassis) LastCommitted() types.BlockID { return c.lastCommitted }
+
+// AppExecutor exposes the execution layer (nil when no app is configured).
+func (c *Chassis) AppExecutor() *app.Executor { return c.cfg.App }
+
+// Recovered reports whether Restore rebuilt this replica from a journal.
+func (c *Chassis) Recovered() bool { return c.recovered }
+
+// --- the event bracket ---
+
+// Begin opens one event at engine time now. preverified marks a message
+// that already passed Prevalidate (or came from a trusted local source), so
+// the state stage skips its signature checks.
+func (c *Chassis) Begin(now time.Duration, preverified bool) {
+	c.Outs = nil
+	c.now = now
+	c.preverified = preverified
+}
+
+// Now is the current event's engine time.
+func (c *Chassis) Now() time.Duration { return c.now }
+
+// CheckSigs reports whether the current event must verify signatures
+// itself: verification is configured on and the message did not arrive
+// pre-verified.
+func (c *Chassis) CheckSigs() bool { return c.cfg.VerifySignatures && !c.preverified }
+
+// Take closes the event and releases its outputs. When a journal is
+// attached, the records staged during the event are flushed first — THE
+// durability ordering: nothing this event produced (votes above all) reaches
+// the network before the state it depends on is in the log. All records of
+// one event share a single fsync (group commit).
+func (c *Chassis) Take() []engine.Output {
+	if c.cfg.Journal != nil {
+		err := c.stageErr
+		if err == nil {
+			err = c.cfg.Journal.Flush()
+		}
+		if err != nil {
+			// A replica that cannot persist its voted history can no longer
+			// guarantee its own markers; crash-stop is the only safe move.
+			panic(fmt.Sprintf("replica: wal: %v", err))
+		}
+	}
+	outs := c.Outs
+	c.Outs = nil
+	return outs
+}
+
+// EnterRound publishes the engine's round to Prevalidate workers and the
+// observability sink.
+func (c *Chassis) EnterRound(round types.Round, viaTimeout bool) {
+	c.round.Store(int64(round))
+	c.cfg.Obs.OnRoundEnter(round, c.now, viaTimeout)
+}
+
+// RoundSnapshot is the round last published by EnterRound. It may lag the
+// event loop by one event but never runs ahead (rounds never regress).
+func (c *Chassis) RoundSnapshot() types.Round { return types.Round(c.round.Load()) }
+
+// EmitStrength announces that b reached strength x, unless Restore is
+// replaying (recovery reinstates levels already reached pre-crash; they are
+// not new observations). It reports whether the rise was announced.
+func (c *Chassis) EmitStrength(b *types.Block, x int) bool {
+	if c.restoring {
+		return false
+	}
+	c.Outs = append(c.Outs, engine.Strength{Block: b, X: x})
+	c.cfg.Obs.OnStrength(b, x, c.now)
+	return true
+}
+
+// --- journal staging ---
+
+// staging reports whether records go to the journal: one is attached and
+// Restore is not replaying it (the log already has those records).
+func (c *Chassis) staging() bool { return c.cfg.Journal != nil && !c.restoring }
+
+// staged keeps an event's first append error for Take.
+func (c *Chassis) staged(err error) {
+	if err != nil && c.stageErr == nil {
+		c.stageErr = err
+	}
+}
+
+// journalBlock stages the record of a block accepted into the store.
+func (c *Chassis) journalBlock(b *types.Block) {
+	if c.staging() {
+		c.staged(c.cfg.Journal.AppendBlock(b))
+	}
+}
+
+// JournalQC stages a standalone certificate (formed locally, carried by a
+// timeout or a segment tip); certificates embedded in an accepted block are
+// already durable via that block's record.
+func (c *Chassis) JournalQC(qc *types.QC) {
+	if c.staging() {
+		c.staged(c.cfg.Journal.AppendQC(qc))
+	}
+}
+
+// JournalLock stages a lock advance.
+func (c *Chassis) JournalLock(round types.Round) {
+	if c.staging() {
+		c.staged(c.cfg.Journal.AppendLock(round))
+	}
+}
+
+// --- execution layer ---
+
+// executeBlock runs b through the execution layer, returning its state root.
+// Execution is memoized in the executor, so re-running an already-executed
+// block is free; only fresh executions tick the observation counter.
+func (c *Chassis) executeBlock(b *types.Block) ([32]byte, error) {
+	before := c.cfg.App.Executed()
+	root, err := c.cfg.App.Execute(b)
+	if err == nil && c.cfg.App.Executed() > before {
+		c.cfg.Obs.OnAppExecuted()
+	}
+	return root, err
+}
+
+// tryExecute executes b if the execution layer is on, tolerating failure (an
+// unexecutable block can still be stored for ordering; the replica just will
+// not vote for it or its descendants). Failures are counted.
+func (c *Chassis) tryExecute(b *types.Block) {
+	if c.cfg.App == nil {
+		return
+	}
+	if _, err := c.executeBlock(b); err != nil {
+		c.cfg.Obs.OnAppExecuteFailed()
+	}
+}
+
+// AcceptBlock installs a proposed block whose parent is present: store,
+// journal (own blocks were journaled at propose time, before broadcast),
+// observe, execute. It reports false for a block the store refuses.
+func (c *Chassis) AcceptBlock(b *types.Block) bool {
+	if err := c.store.Insert(b); err != nil {
+		return false
+	}
+	if b.Proposer != c.cfg.ID {
+		c.journalBlock(b)
+	}
+	c.cfg.Obs.OnBlockSeen(b, c.now)
+	c.tryExecute(b)
+	return true
+}
+
+// voteRootOK filters collected votes by execution root: with the app on, a
+// vote is credited only when its AppHash matches this replica's own execution
+// of the block, so a certificate can never mix state roots (types.QC's
+// structure check would reject it) and lying votes are neutralized at the
+// collector. Votes for blocks we do not hold yet pass provisionally — they
+// are re-judged in Certify once the block arrives. With the app off, an
+// AppHash-bearing vote is alien traffic and dropped.
+func (c *Chassis) voteRootOK(v *types.Vote) bool {
+	if c.cfg.App == nil {
+		return !v.HasAppHash()
+	}
+	b := c.store.Block(v.Block)
+	if b == nil {
+		return true
+	}
+	root, err := c.executeBlock(b)
+	return err == nil && v.AppHash == root
+}
+
+// --- votes and certificates ---
+
+// AddVote credits a collected vote: voter dedup, signature check, root
+// check. It reports whether the vote was new and accepted.
+func (c *Chassis) AddVote(v types.Vote) bool {
+	set := c.Votes[v.Block]
+	if set.Has(v.Voter) {
+		return false
+	}
+	if c.CheckSigs() && crypto.VerifyVote(c.cfg.Verifier, v) != nil {
+		return false
+	}
+	if !c.voteRootOK(&v) {
+		return false
+	}
+	if set == nil {
+		set = &core.VoteSet{}
+		c.Votes[v.Block] = set
+	}
+	return set.Add(v)
+}
+
+// Certify assembles b's certificate from its vote set, or returns nil while
+// the set holds no quorum. Votes go in ascending voter order, so QC hashes
+// are deterministic. The engine decides when to call it and what follows.
+func (c *Chassis) Certify(b *types.Block) *types.QC {
+	id := b.ID()
+	set := c.Votes[id]
+	if set.Len() < c.cfg.Quorum() {
+		return nil
+	}
+	votes := set.Sorted()
+	if c.cfg.App != nil {
+		// Votes credited before the block arrived were only provisionally
+		// accepted (voteRootOK); re-judge them against our own execution now
+		// and form only from root-agreeing votes. Falling below quorum keeps
+		// the set open for more honest votes rather than forming a
+		// certificate the structure check would reject.
+		root, err := c.executeBlock(b)
+		if err != nil {
+			return nil
+		}
+		kept := votes[:0]
+		for _, v := range votes {
+			if v.AppHash == root {
+				kept = append(kept, v)
+			}
+		}
+		if votes = kept; len(votes) < c.cfg.Quorum() {
+			return nil
+		}
+	}
+	qc := &types.QC{Block: id, Round: b.Round, Height: b.Height, Votes: votes}
+	if c.aggregate {
+		// Compact the certificate before anything downstream sees it: the
+		// stored, journaled, and broadcast forms are all the aggregated one.
+		// On an aggregation error the vector form still holds its vote
+		// signatures, so falling back remains protocol-correct.
+		if err := crypto.AggregateQC(c.cfg.Verifier, qc); err != nil {
+			c.cfg.Obs.OnQCAggregateFailed()
+		}
+	}
+	return qc
+}
+
+// CastVote completes, signs, journals and records this replica's vote for b.
+// The engine has decided its voting rule allows the vote and has filled v's
+// marker or interval set; CastVote applies execute-before-vote: a block we
+// cannot execute gets no vote, and a proposal whose justify certificate
+// claims a parent state root different from our own execution is a state
+// fork — refusing to vote starves it of a quorum (with at most f faults,
+// certified blocks can only carry roots that f+1 honest replicas computed
+// themselves). It reports whether the vote was cast.
+func (c *Chassis) CastVote(b *types.Block, v types.Vote) (types.Vote, bool) {
+	if c.cfg.App != nil {
+		root, err := c.executeBlock(b)
+		if err != nil {
+			return v, false
+		}
+		if b.Justify != nil && len(b.Justify.Votes) > 0 {
+			if parentRoot, known := c.cfg.App.Root(b.Parent); known && b.Justify.AppHash() != parentRoot {
+				c.cfg.Obs.OnAppHashMismatch()
+				return v, false
+			}
+		}
+		v.AppHash = root
+	}
+	v.Block, v.Round, v.Height, v.Voter = b.ID(), b.Round, b.Height, c.cfg.ID
+	c.sigScratch = v.AppendSigningPayload(c.sigScratch[:0])
+	v.Signature = c.cfg.Signer.Sign(c.sigScratch)
+	// Durability contract: the vote record (and the block record staged when
+	// b was accepted) is flushed by Take before the vote leaves the replica,
+	// so the vote can be reconstructed after any crash.
+	if c.staging() {
+		c.staged(c.cfg.Journal.AppendVote(&v))
+	}
+	c.history.RecordVote(b)
+	c.cfg.Obs.OnVoted(b, c.now)
+	return v, true
+}
+
+// Propose builds, signs and broadcasts this replica's block for round on top
+// of parent, justified by qc. The block is journaled before it can leave: a
+// leader that crashes after broadcasting must never propose a DIFFERENT
+// block for the same round on restart. SelfDeliver routes the leader's own
+// proposal through the common voting path.
+func (c *Chassis) Propose(round types.Round, parent *types.Block, qc *types.QC, log []types.StrengthRecord) {
+	var payload types.Payload
+	if c.cfg.PayloadNow != nil {
+		payload = c.cfg.PayloadNow(round, c.now)
+	} else if c.cfg.Payload != nil {
+		payload = c.cfg.Payload(round)
+	}
+	b := types.NewBlock(parent.ID(), qc, round, parent.Height+1, c.cfg.ID, int64(c.now), payload, log)
+	p := &types.Proposal{Block: b, Round: round, Sender: c.cfg.ID}
+	p.Signature = c.cfg.Signer.Sign(p.SigningPayload())
+	c.journalBlock(b)
+	c.cfg.Obs.OnProposed(b, c.now)
+	c.Outs = append(c.Outs, engine.Broadcast{Msg: p, SelfDeliver: true})
+}
+
+// CommitTo commits b and its uncommitted ancestors, oldest first.
+func (c *Chassis) CommitTo(b *types.Block) {
+	if b.Height <= c.committedH {
+		return
+	}
+	chain := c.store.ChainBetween(c.lastCommitted, b.ID())
+	if chain == nil {
+		// b does not extend the last committed block. With at most f
+		// faults this cannot happen; conservatively keep the old commit.
+		return
+	}
+	for _, blk := range chain {
+		if c.cfg.App != nil {
+			if err := c.cfg.App.OnCommit(blk); err != nil {
+				// A block certified by 2f+1 votes carries a root that f+1
+				// honest replicas computed; failing to reproduce it here means
+				// this replica's execution state is corrupt. Crash-stop, like
+				// a WAL failure: continuing would serve divergent state.
+				panic(fmt.Sprintf("replica: app commit: %v", err))
+			}
+		}
+		c.Outs = append(c.Outs, engine.Commit{Block: blk})
+		c.cfg.Obs.OnCommit(blk, c.now)
+	}
+	c.lastCommitted = b.ID()
+	c.committedH = b.Height
+	// One commit record for the tip covers the whole chain (ancestor
+	// commits are implied, exactly as in the protocol).
+	if c.staging() {
+		c.staged(c.cfg.Journal.AppendCommit(b.ID(), b.Height, b.Round))
+	}
+}
+
+// PruneBelow drops chassis state below height cut (the engine decides the
+// cut): block tree, tracker, vote sets, and the vote history below the round
+// of the committed chain's block at the cut — which it returns, so the
+// engine can prune its own per-round state at the same point.
+func (c *Chassis) PruneBelow(cut types.Height) types.Round {
+	c.store.PruneBelow(cut, c.lastCommitted)
+	if c.tracker != nil {
+		c.tracker.Forget(cut)
+	}
+	for id, set := range c.Votes {
+		if set.Height() < cut && !c.store.Has(id) {
+			delete(c.Votes, id)
+		}
+	}
+	anchor := c.store.AncestorAtHeight(c.lastCommitted, cut)
+	if anchor == nil {
+		return 0
+	}
+	c.history.PruneBelow(anchor.Round)
+	return anchor.Round
+}
+
+// --- recovery and state sync ---
+
+// Restore rebuilds the chassis from a non-empty journal replay: blocks are
+// reinstalled and re-executed in log order (parents precede children, so the
+// execution layer reconverges to the exact pre-crash roots), certificates
+// feed the tracker, own votes refill the history — so post-restart markers
+// cannot contradict pre-crash ones — and the committed prefix is reinstated
+// without re-emitting Commit outputs. onBlock sees every restored block,
+// onCert every certificate that improved the store's knowledge, in log order.
+func (c *Chassis) Restore(rec *core.Recovery, onBlock func(*types.Block), onCert func(*types.QC)) error {
+	c.restoring = true
+	defer func() { c.restoring = false }()
+	cert := func(qc *types.QC) {
+		if c.tracker != nil {
+			c.tracker.OnQC(qc)
+		}
+		onCert(qc)
+	}
+	// A block detached by a pre-crash prune is skipped by the store, where
+	// walks stop anyway.
+	c.store.Restore(rec.Blocks, func(b *types.Block, qcImproved bool) {
+		c.tryExecute(b)
+		onBlock(b)
+		if qcImproved {
+			cert(b.Justify)
+		}
+	})
+	for _, qc := range rec.QCs {
+		if !c.store.Has(qc.Block) {
+			continue
+		}
+		if _, improved, err := c.store.RegisterQC(qc); err == nil && improved {
+			cert(qc)
+		}
+	}
+	voted := make([]core.VotedBlock, 0, len(rec.Votes))
+	for i := range rec.Votes {
+		v := &rec.Votes[i]
+		voted = append(voted, core.VotedBlock{ID: v.Block, Round: v.Round, Height: v.Height})
+	}
+	c.history.Restore(voted)
+	if rec.CommittedHeight > 0 {
+		c.lastCommitted = rec.Committed
+		c.committedH = rec.CommittedHeight
+		if c.cfg.App != nil {
+			// Advance the state machine's committed base to the recovered
+			// commit point (the blocks were re-executed above).
+			if b := c.store.Block(rec.Committed); b != nil {
+				if err := c.cfg.App.OnCommit(b); err != nil {
+					return fmt.Errorf("replica: restore app commit: %w", err)
+				}
+			}
+		}
+	}
+	c.recovered = true
+	return nil
+}
+
+// RequestStateSync broadcasts the catch-up request a recovered replica
+// rejoins with: everything certified above its committed height.
+func (c *Chassis) RequestStateSync() {
+	c.Outs = append(c.Outs, engine.Broadcast{Msg: statesync.NewRequest(c.committedH, c.cfg.ID)})
+}
+
+// OnStateSyncRequest serves the catch-up protocol: a certified chain segment
+// above the requester's committed height (see internal/statesync).
+func (c *Chassis) OnStateSyncRequest(m *types.StateSyncRequest) {
+	if m.Sender == c.cfg.ID {
+		return
+	}
+	if resp := statesync.Serve(c.store, m, c.cfg.ID, statesync.DefaultMaxBlocks); resp != nil {
+		c.Outs = append(c.Outs, engine.Send{To: m.Sender, Msg: resp})
+	}
+}
+
+// ApplySegment installs a fetched chain segment link by link. Each installed
+// block is journaled and executed, then handed to onBlock; each certificate
+// goes to onCert — embedded justifies already registered in the store,
+// the responder's standalone high QC (standalone true) not, so the engine's
+// standalone path both registers and journals it.
+func (c *Chassis) ApplySegment(m *types.StateSyncResponse, onBlock func(*types.Block), onCert func(qc *types.QC, standalone bool)) {
+	c.Certs.Apply(c.store, m, func(b *types.Block) {
+		c.journalBlock(b)
+		c.tryExecute(b)
+		onBlock(b)
+	}, onCert)
+}

@@ -1,0 +1,197 @@
+package replica
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/blockstore"
+	"repro/internal/core"
+	"repro/internal/crypto"
+	"repro/internal/obs"
+	"repro/internal/types"
+)
+
+func testChassis(t testing.TB, n, f int) (*Chassis, *crypto.KeyRing) {
+	t.Helper()
+	ring, err := crypto.NewKeyRing(n, 3, crypto.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{ID: 0, N: n, F: f, Signer: ring.Signer(0), Verifier: ring, VerifySignatures: true, SFT: true}
+	c, err := New(cfg, core.ModeRound, func(*types.Block, int) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, ring
+}
+
+func signedVote(ring *crypto.KeyRing, b *types.Block, voter types.ReplicaID) types.Vote {
+	v := types.Vote{Block: b.ID(), Round: b.Round, Height: b.Height, Voter: voter}
+	v.Signature = ring.Signer(voter).Sign(v.SigningPayload())
+	return v
+}
+
+func childOf(parent *types.Block, qc *types.QC, round types.Round) *types.Block {
+	return types.NewBlock(parent.ID(), qc, round, parent.Height+1, 0, 0, types.Payload{}, nil)
+}
+
+// TestAllocsAddVote pins the vote path: crediting a vote to a block that
+// already has a vote set allocates nothing (amortized; the set's dense slice
+// and bitmap grow geometrically).
+func TestAllocsAddVote(t *testing.T) {
+	const n = 1021 // 3f+1
+	c, ring := testChassis(t, n, 340)
+	g := c.Store().Genesis()
+	b := childOf(g, types.NewGenesisQC(g.ID()), 1)
+	if !c.AcceptBlock(b) {
+		t.Fatal("block refused")
+	}
+	votes := make([]types.Vote, n)
+	for i := range votes {
+		votes[i] = signedVote(ring, b, types.ReplicaID(i))
+	}
+	// Preverified, as on every pipelined deployment: the signature check
+	// belongs to crypto's own allocation guards.
+	c.Begin(0, true)
+	if !c.AddVote(votes[0]) {
+		t.Fatal("first vote refused")
+	}
+	next := 1
+	if a := testing.AllocsPerRun(n-2, func() {
+		if !c.AddVote(votes[next]) {
+			t.Fatal("vote refused")
+		}
+		next++
+	}); a != 0 {
+		t.Fatalf("AddVote to an existing set: %v allocs/op, want 0", a)
+	}
+	if c.AddVote(votes[1]) {
+		t.Fatal("duplicate vote credited")
+	}
+}
+
+// TestAllocsEventBracket pins the per-event overhead of the chassis itself:
+// Begin and Take with no journal attached allocate nothing.
+func TestAllocsEventBracket(t *testing.T) {
+	c, _ := testChassis(t, 4, 1)
+	if a := testing.AllocsPerRun(1000, func() {
+		c.Begin(0, true)
+		if outs := c.Take(); outs != nil {
+			t.Fatal("outputs out of an empty event")
+		}
+	}); a != 0 {
+		t.Fatalf("Begin/Take: %v allocs/op, want 0", a)
+	}
+}
+
+// TestCertify: a quorum of votes becomes a certificate in ascending voter
+// order; no certificate forms below quorum or from a forged vote.
+func TestCertify(t *testing.T) {
+	c, ring := testChassis(t, 4, 1)
+	g := c.Store().Genesis()
+	b := childOf(g, types.NewGenesisQC(g.ID()), 1)
+	c.AcceptBlock(b)
+	c.Begin(0, false)
+	for _, voter := range []types.ReplicaID{3, 1} {
+		c.AddVote(signedVote(ring, b, voter))
+	}
+	if qc := c.Certify(b); qc != nil {
+		t.Fatalf("certificate from %d votes", len(qc.Votes))
+	}
+	bad := signedVote(ring, b, 2)
+	bad.Signature = ring.Signer(3).Sign(bad.SigningPayload())
+	if c.AddVote(bad) {
+		t.Fatal("credited a vote with a forged signature")
+	}
+	c.AddVote(signedVote(ring, b, 0))
+	qc := c.Certify(b)
+	if qc == nil {
+		t.Fatal("no certificate from a quorum")
+	}
+	if err := qc.CheckStructure(3); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []types.ReplicaID{0, 1, 3} {
+		if qc.Votes[i].Voter != want {
+			t.Fatalf("vote %d from %d, want ascending order", i, qc.Votes[i].Voter)
+		}
+	}
+}
+
+// TestOrphansBounded: the buffer never holds more than maxOrphans proposals,
+// evicts the longest-waiting parent first, and hands back what it kept.
+func TestOrphansBounded(t *testing.T) {
+	var o Orphans
+	mk := func(i int, parent types.BlockID) *types.Proposal {
+		b := types.NewBlock(parent, types.NewGenesisQC(parent), 1, 1, 0, int64(i), types.Payload{}, nil)
+		return &types.Proposal{Block: b, Round: 1}
+	}
+	parentOf := func(i int) types.BlockID { return types.BlockID{byte(i), byte(i >> 8), byte(i >> 16), 1} }
+	for i := 0; i < 10000; i++ {
+		if first := o.Add(mk(i, parentOf(i))); !first {
+			t.Fatalf("proposal %d: not reported as the first waiting on its parent", i)
+		}
+		if o.Len() > maxOrphans {
+			t.Fatalf("buffer holds %d proposals, bound is %d", o.Len(), maxOrphans)
+		}
+	}
+	if got := o.Take(parentOf(0)); got != nil {
+		t.Fatal("oldest parent survived 10,000 newer ones")
+	}
+	if got := o.Take(parentOf(9999)); len(got) != 1 {
+		t.Fatalf("newest parent: %d proposals, want 1", len(got))
+	}
+	// One parent, many children: the bound counts proposals, not parents.
+	var same Orphans
+	for i := 0; i < 3*maxOrphans; i++ {
+		same.Add(mk(i, parentOf(7)))
+		if same.Len() > maxOrphans {
+			t.Fatalf("single-parent spray holds %d proposals", same.Len())
+		}
+	}
+	if o.Add(mk(1, parentOf(9500))) || len(o.Take(parentOf(9500))) != 2 || o.Take(parentOf(9500)) != nil {
+		t.Fatal("second orphan on a waiting parent must not read as first, and Take must drain")
+	}
+}
+
+func TestUnwrapEchoDepth(t *testing.T) {
+	base := &types.VoteMsg{}
+	var msg types.Message = base
+	for depth := 0; depth <= maxEchoDepth+1; depth++ {
+		got := UnwrapEcho(msg)
+		if depth <= maxEchoDepth && got != types.Message(base) {
+			t.Fatalf("%d wrappers: got %T, want the base message", depth, got)
+		}
+		if depth > maxEchoDepth && got != nil {
+			t.Fatalf("%d wrappers unwrapped past the cap", depth)
+		}
+		msg = &types.Echo{Inner: msg}
+	}
+	if UnwrapEcho(&types.Echo{}) != nil {
+		t.Fatal("empty echo must unwrap to nil")
+	}
+}
+
+// TestCountedFailures: a rejected sync segment is counted, not dropped, and
+// the three tolerated-failure families are exported from the start.
+func TestCountedFailures(t *testing.T) {
+	sink := obs.New(obs.Options{N: 4, F: 1})
+	certs := NewCerts(&Config{N: 4, F: 1, Obs: sink})
+	store := blockstore.New()
+	if n := certs.Apply(store, &types.StateSyncResponse{Blocks: []*types.Block{nil}}, nil, nil); n != 0 {
+		t.Fatalf("installed %d blocks from a malformed segment", n)
+	}
+	var text strings.Builder
+	if err := sink.Registry().WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"sft_sync_segments_rejected_total 1",
+		"sft_app_execute_failed_total 0",
+		"sft_qc_aggregate_failed_total 0",
+	} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
+}

@@ -1,0 +1,173 @@
+package replica
+
+import (
+	"time"
+
+	"repro/internal/blockstore"
+	"repro/internal/crypto"
+	"repro/internal/obs"
+	"repro/internal/statesync"
+	"repro/internal/types"
+)
+
+// The pieces below need no Chassis: the non-voting observer
+// (internal/observer) has a different commit derivation and no signer,
+// journal or history, so it does not embed one, but it verifies
+// certificates, applies segments, buffers orphans and unwraps echoes with
+// the same code the voting engines use.
+
+// Certs verifies certificates for one replica: through the batch path (one
+// pass over all vote signatures, bisection attribution on failure) and a
+// verified-QC memo, so each distinct certificate is signature-checked once
+// per replica instead of once per delivery. Certificates are immutable, so a
+// cache hit is as strong as a fresh verification. Safe for concurrent use
+// from Prevalidate workers: the cache is internally synchronized and batch
+// verification touches no replica state.
+type Certs struct {
+	verifier crypto.Verifier
+	quorum   int
+	workers  int
+	check    bool
+	cache    *crypto.QCCache
+	obs      *obs.Obs
+}
+
+// NewCerts builds the verifier from the common configuration (N, F,
+// Verifier, VerifySignatures, BatchWorkers and Obs are read).
+func NewCerts(cfg *Config) *Certs {
+	c := &Certs{
+		verifier: cfg.Verifier,
+		quorum:   cfg.Quorum(),
+		workers:  max(cfg.BatchWorkers, 1),
+		check:    cfg.VerifySignatures,
+		obs:      cfg.Obs,
+	}
+	if c.check {
+		c.cache = crypto.NewQCCache(crypto.DefaultQCCacheSize)
+	}
+	return c
+}
+
+// DisableCache turns the memo off, re-verifying every delivery — the
+// reference arm of the cache-on/off determinism tests.
+func (c *Certs) DisableCache() { c.cache = nil }
+
+// Cached reports whether verified certificates are memoized.
+func (c *Certs) Cached() bool { return c.cache != nil }
+
+// VerifyQC checks a certificate: its structure always, its signatures when
+// signature checking is configured on.
+func (c *Certs) VerifyQC(qc *types.QC) error {
+	if !c.check {
+		return qc.CheckStructure(c.quorum)
+	}
+	if c.obs != nil {
+		// Wall clock by design: verification cost is an operational quantity
+		// that exists off the virtual timeline and never feeds back into it.
+		start := time.Now()
+		defer func() { c.obs.ObserveVerifyBatch(time.Since(start)) }()
+	}
+	if c.cache != nil {
+		return c.cache.VerifyQCBatch(c.verifier, qc, c.quorum, c.workers)
+	}
+	return crypto.BatchVerifyQC(c.verifier, qc, c.quorum, c.workers)
+}
+
+// Apply installs a fetched chain segment into store link by link (see
+// statesync.Applier), returning how many blocks were new. onBlock observes
+// each installed block; onCert each certificate — an embedded justify after
+// the applier registered it, or (standalone true) the responder's high QC,
+// which the applier validates but leaves to the caller to register. A bad
+// link rejects the rest of the segment and is counted; what was installed
+// before it stays (it was independently certified) and peers re-serve.
+func (c *Certs) Apply(store *blockstore.Store, m *types.StateSyncResponse, onBlock func(*types.Block), onCert func(qc *types.QC, standalone bool)) int {
+	ap := statesync.Applier{
+		Store:     store,
+		Quorum:    c.quorum,
+		OnInstall: onBlock,
+		OnCert:    onCert,
+	}
+	if c.check {
+		ap.VerifyQC = c.VerifyQC
+	}
+	installed, err := ap.Apply(m)
+	if err != nil {
+		c.obs.OnSyncSegmentRejected()
+	}
+	return installed
+}
+
+// maxOrphans bounds the proposals an Orphans buffer holds.
+const maxOrphans = 1024
+
+// Orphans buffers proposals whose parent has not arrived yet, keyed by the
+// missing parent. It holds at most maxOrphans proposals: beyond that the
+// longest-waiting parent's proposals are evicted first, so an attacker
+// spraying validly-signed blocks with unknown parents cannot grow it without
+// bound; evicted holes heal through sync. The zero value is ready to use.
+type Orphans struct {
+	byParent map[types.BlockID][]*types.Proposal
+	order    []types.BlockID // parents, longest-waiting first
+	n        int
+}
+
+// Add buffers p under its missing parent and reports whether it is the
+// first proposal waiting on that parent.
+func (o *Orphans) Add(p *types.Proposal) bool {
+	if o.byParent == nil {
+		o.byParent = make(map[types.BlockID][]*types.Proposal)
+	}
+	for o.n >= maxOrphans {
+		o.Take(o.order[0])
+	}
+	parent := p.Block.Parent
+	waiting := o.byParent[parent]
+	if waiting == nil {
+		o.order = append(o.order, parent)
+	}
+	o.byParent[parent] = append(waiting, p)
+	o.n++
+	return waiting == nil
+}
+
+// Take removes and returns the proposals waiting on parent.
+func (o *Orphans) Take(parent types.BlockID) []*types.Proposal {
+	waiting, ok := o.byParent[parent]
+	if !ok {
+		return nil
+	}
+	delete(o.byParent, parent)
+	o.n -= len(waiting)
+	for i, id := range o.order {
+		if id == parent {
+			o.order = append(o.order[:i], o.order[i+1:]...)
+			break
+		}
+	}
+	return waiting
+}
+
+// Len returns the number of buffered proposals.
+func (o *Orphans) Len() int { return o.n }
+
+// maxEchoDepth bounds echo unwrapping. Honest replicas wrap a base message
+// exactly once (Streamlet's echo never re-wraps an echo), so anything nested
+// deeper is adversarial; an explicit cap keeps a maliciously nested chain
+// from recursing a handler (or Prevalidate, on a transport reader goroutine)
+// into a stack overflow.
+const maxEchoDepth = 4
+
+// UnwrapEcho strips up to maxEchoDepth relay wrappers, returning nil for
+// chains that are empty or nested beyond the cap.
+func UnwrapEcho(msg types.Message) types.Message {
+	for depth := 0; ; depth++ {
+		e, ok := msg.(*types.Echo)
+		if !ok {
+			return msg
+		}
+		if e.Inner == nil || depth >= maxEchoDepth {
+			return nil
+		}
+		msg = e.Inner
+	}
+}

@@ -2,9 +2,9 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/engine"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -31,8 +31,8 @@ type prevalidatePipeline struct {
 
 	// checked counts messages that went through Prevalidate; drops counts
 	// the ones it rejected (bad signatures, malformed certificates).
-	checked metrics.Counter
-	drops   metrics.Counter
+	checked atomic.Int64
+	drops   atomic.Int64
 
 	// obs mirrors the counters (and the queue-depth gauge) into the
 	// observability registry; nil-safe.
@@ -81,9 +81,9 @@ func (p *prevalidatePipeline) start(src <-chan Inbound, stop <-chan struct{}) {
 				// routing them via the sender's worker keeps per-sender FIFO
 				// even when verified and unverified frames mix.
 				if !in.Verified {
-					p.checked.Inc()
+					p.checked.Add(1)
 					if err := eng.Prevalidate(in.From, in.Msg); err != nil {
-						p.drops.Inc()
+						p.drops.Add(1)
 						p.obs.OnPrevalidate(true)
 						p.obs.PrevalidateQueueAdd(-1)
 						continue

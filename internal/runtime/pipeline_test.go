@@ -10,6 +10,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/diembft"
 	"repro/internal/engine"
+	"repro/internal/replica"
 	"repro/internal/runtime"
 	"repro/internal/types"
 )
@@ -35,15 +36,17 @@ func TestPipelinedClusterCommits(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
 		rep, err := diembft.New(diembft.Config{
-			ID:               id,
-			N:                n,
-			F:                f,
-			Signer:           ring.Signer(id),
-			Verifier:         ring,
-			VerifySignatures: true,
-			BatchWorkers:     2,
-			SFT:              true,
-			RoundTimeout:     300 * time.Millisecond,
+			Config: replica.Config{
+				ID:               id,
+				N:                n,
+				F:                f,
+				Signer:           ring.Signer(id),
+				Verifier:         ring,
+				VerifySignatures: true,
+				BatchWorkers:     2,
+				SFT:              true,
+			},
+			RoundTimeout: 300 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)

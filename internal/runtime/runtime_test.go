@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/diembft"
+	"repro/internal/replica"
 	"repro/internal/runtime"
 	"repro/internal/types"
 )
@@ -31,14 +32,16 @@ func startLocalCluster(t *testing.T, n, f int) (commits func() map[types.Replica
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
 		rep, err := diembft.New(diembft.Config{
-			ID:               id,
-			N:                n,
-			F:                f,
-			Signer:           ring.Signer(id),
-			Verifier:         ring,
-			VerifySignatures: true,
-			SFT:              true,
-			RoundTimeout:     300 * time.Millisecond,
+			Config: replica.Config{
+				ID:               id,
+				N:                n,
+				F:                f,
+				Signer:           ring.Signer(id),
+				Verifier:         ring,
+				VerifySignatures: true,
+				SFT:              true,
+			},
+			RoundTimeout: 300 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)

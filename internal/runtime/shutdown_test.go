@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/diembft"
+	"repro/internal/replica"
 	"repro/internal/runtime"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -39,9 +40,11 @@ func TestRunClosesJournalOnCancel(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
 		cfg := diembft.Config{
-			ID: id, N: n, F: f,
-			Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-			SFT: true, RoundTimeout: 300 * time.Millisecond,
+			Config: replica.Config{
+				ID: id, N: n, F: f,
+				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
+				SFT: true,
+			}, RoundTimeout: 300 * time.Millisecond,
 		}
 		opts := runtime.Options{}
 		if id == 0 {

@@ -46,29 +46,10 @@ func Serve(store *blockstore.Store, req *types.StateSyncRequest, self types.Repl
 	}
 	high := store.HighQC()
 	tip := store.Block(high.Block)
-	if tip == nil || tip.Height <= req.Have {
+	if tip == nil {
 		return nil
 	}
-	// The segment is the LOWEST maxBlocks above req.Have, so find its top
-	// first: for a far-behind requester that is the ancestor at
-	// req.Have+maxBlocks, not the tip. Walking down from there keeps the
-	// collected slice O(maxBlocks) regardless of how large the gap is (a
-	// deep catch-up issues many requests; each must not pay for the whole
-	// gap in allocation).
-	end := tip
-	if cut := req.Have + types.Height(maxBlocks); cut < tip.Height {
-		if a := store.AncestorAtHeight(tip.ID(), cut); a != nil {
-			end = a
-		}
-	}
-	chain := make([]*types.Block, 0, min(maxBlocks, int(end.Height-req.Have)))
-	for b := end; b != nil && !b.IsGenesis() && b.Height > req.Have; b = store.Parent(b.ID()) {
-		chain = append(chain, b)
-	}
-	// Reverse into ascending order.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
+	chain := Segment(store, tip, req.Have, maxBlocks)
 	if len(chain) == 0 {
 		return nil
 	}
@@ -77,6 +58,33 @@ func Serve(store *blockstore.Store, req *types.StateSyncRequest, self types.Repl
 		resp.HighQC = high
 	}
 	return resp
+}
+
+// Segment returns the chain from just above height have up to tip,
+// ascending. It holds the LOWEST maxBlocks of that range, so its first block
+// connects to something a requester at height have holds: the walk starts at
+// tip's ancestor at have+maxBlocks, which keeps the collected slice
+// O(maxBlocks) however large the gap is (a deep catch-up issues many
+// requests; each must not pay for the whole gap in allocation). Only when a
+// pruned gap hides that ancestor does the walk start at tip itself.
+func Segment(store *blockstore.Store, tip *types.Block, have types.Height, maxBlocks int) []*types.Block {
+	if tip.Height <= have {
+		return nil
+	}
+	end := tip
+	if cut := have + types.Height(maxBlocks); cut < tip.Height {
+		if a := store.AncestorAtHeight(tip.ID(), cut); a != nil {
+			end = a
+		}
+	}
+	chain := make([]*types.Block, 0, min(maxBlocks, int(end.Height-have)))
+	for b := end; b != nil && !b.IsGenesis() && b.Height > have; b = store.Parent(b.ID()) {
+		chain = append(chain, b)
+	}
+	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
+		chain[i], chain[j] = chain[j], chain[i]
+	}
+	return chain
 }
 
 // Applier installs fetched chain segments into a replica's store. The
@@ -95,15 +103,14 @@ type Applier struct {
 	// use it to journal the block, feed trackers, and flush orphaned
 	// proposals that were waiting on it.
 	OnInstall func(b *types.Block)
-	// OnQC, if non-nil, observes each embedded justify certificate after it
-	// is registered — engines route these through their usual QC processing
-	// for locks/commits/round sync.
-	OnQC func(qc *types.QC)
-	// OnHighQC, if non-nil, receives the response's standalone high QC after
-	// validation. The applier does NOT register it: the engine routes it
-	// through its standalone-QC path, which is also what lands it in the
-	// durability journal (no block record carries it).
-	OnHighQC func(qc *types.QC)
+	// OnCert, if non-nil, receives the segment's certificates. An embedded
+	// justify arrives after the applier registered it (standalone false);
+	// engines route it through their usual QC processing for locks, commits
+	// and round sync. The response's high QC arrives after validation with
+	// standalone true and is NOT registered: the engine routes it through
+	// its standalone-QC path, which is also what lands it in the durability
+	// journal (no block record carries it).
+	OnCert func(qc *types.QC, standalone bool)
 }
 
 // Apply validates and installs one response segment, returning how many new
@@ -140,8 +147,8 @@ func (a *Applier) Apply(m *types.StateSyncResponse) (int, error) {
 			return installed, fmt.Errorf("statesync: %w", err)
 		}
 		installed++
-		if _, _, err := a.Store.RegisterQC(b.Justify); err == nil && a.OnQC != nil {
-			a.OnQC(b.Justify)
+		if _, _, err := a.Store.RegisterQC(b.Justify); err == nil && a.OnCert != nil {
+			a.OnCert(b.Justify, false)
 		}
 		if a.OnInstall != nil {
 			a.OnInstall(b)
@@ -156,8 +163,8 @@ func (a *Applier) Apply(m *types.StateSyncResponse) (int, error) {
 				return installed, fmt.Errorf("statesync: high qc: %w", err)
 			}
 		}
-		if a.OnHighQC != nil {
-			a.OnHighQC(qc)
+		if a.OnCert != nil {
+			a.OnCert(qc, true)
 		}
 	}
 	return installed, nil

@@ -93,8 +93,13 @@ func TestApplyInstallsSegment(t *testing.T) {
 		Store:     dst,
 		Quorum:    3,
 		OnInstall: func(*types.Block) { installed++ },
-		OnQC:      func(*types.QC) { qcs++ },
-		OnHighQC:  func(qc *types.QC) { high = qc },
+		OnCert: func(qc *types.QC, standalone bool) {
+			if standalone {
+				high = qc
+			} else {
+				qcs++
+			}
+		},
 	}
 	n, err := ap.Apply(resp)
 	if err != nil {

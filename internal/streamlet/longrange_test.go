@@ -7,6 +7,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/diembft"
 	"repro/internal/engine"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/streamlet"
 	"repro/internal/types"
@@ -71,9 +72,11 @@ func TestLongRangeAttackComparison(t *testing.T) {
 		for i := 0; i < n; i++ {
 			id := types.ReplicaID(i)
 			rep, err := diembft.New(diembft.Config{
-				ID: id, N: n, F: f,
-				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-				SFT: true, RoundTimeout: 500 * time.Millisecond,
+				Config: replica.Config{
+					ID: id, N: n, F: f,
+					Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
+					SFT: true,
+				}, RoundTimeout: 500 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -127,9 +130,11 @@ func TestLongRangeAttackComparison(t *testing.T) {
 		for i := 0; i < n; i++ {
 			id := types.ReplicaID(i)
 			rep, err := streamlet.New(streamlet.Config{
-				ID: id, N: n, F: f,
-				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-				SFT: true, Delta: 10 * time.Millisecond,
+				Config: replica.Config{
+					ID: id, N: n, F: f,
+					Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
+					SFT: true,
+				}, Delta: 10 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pacemaker"
+	"repro/internal/replica"
 	"repro/internal/types"
 )
 
@@ -25,7 +26,7 @@ func (r *Replica) Prevalidate(from types.ReplicaID, msg types.Message) error {
 		// mechanism trusts the inner message's original signature, so
 		// prevalidation unwraps exactly like the state stage's handler —
 		// with the same nesting cap, so the two stages agree on every input.
-		if msg = unwrapEcho(msg); msg == nil {
+		if msg = replica.UnwrapEcho(msg); msg == nil {
 			return fmt.Errorf("streamlet: empty or over-nested echo")
 		}
 	}
@@ -65,7 +66,7 @@ func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 		// regress), so a drop here is at worst over-cautious by one event and
 		// the state stage re-judges anything that passes. Checked before the
 		// signature so far-future spam costs a comparison, not verification.
-		if cur := types.Round(r.curRound.Load()); p.Round > cur+w {
+		if cur := r.RoundSnapshot(); p.Round > cur+w {
 			r.cfg.Obs.OnRoundEntryRejected(obs.ReasonFutureWindow)
 			return fmt.Errorf("streamlet: proposal for round %d beyond window (at %d)", p.Round, cur)
 		}

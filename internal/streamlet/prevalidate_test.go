@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/crypto"
+	"repro/internal/replica"
 	"repro/internal/streamlet"
 	"repro/internal/types"
 )
@@ -12,12 +13,14 @@ import (
 func prevalidateReplica(t *testing.T, ring *crypto.KeyRing) *streamlet.Replica {
 	t.Helper()
 	rep, err := streamlet.New(streamlet.Config{
-		ID: 1, N: 4, F: 1,
-		Signer:           ring.Signer(1),
-		Verifier:         ring,
-		VerifySignatures: true,
-		Delta:            50 * time.Millisecond,
-		SFT:              true,
+		Config: replica.Config{
+			ID: 1, N: 4, F: 1,
+			Signer:           ring.Signer(1),
+			Verifier:         ring,
+			VerifySignatures: true,
+			SFT:              true,
+		},
+		Delta: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/engine"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/streamlet"
 	"repro/internal/types"
@@ -60,10 +61,12 @@ func TestStreamletKillRestartRecovers(t *testing.T) {
 			t.Fatalf("recover: %v", err)
 		}
 		rep, err := streamlet.New(streamlet.Config{
-			ID: victim, N: n, F: f,
-			Signer: ring.Signer(victim), Verifier: ring, VerifySignatures: true,
-			Delta: 20 * time.Millisecond, SFT: true,
-			Journal: j,
+			Config: replica.Config{
+				ID: victim, N: n, F: f,
+				Signer: ring.Signer(victim), Verifier: ring, VerifySignatures: true, SFT: true,
+				Journal: j,
+			},
+			Delta: 20 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("rebuild: %v", err)

@@ -1,45 +1,31 @@
-// Package streamlet implements the Streamlet protocol (Figure 10) and its
-// SFT extension SFT-Streamlet (Figure 11, Appendix D): lock-step 2Δ rounds,
-// longest-certified-chain proposing/voting, all-to-all votes with the echo
-// mechanism, the consecutive-round 3-chain commit rule, and height-keyed
-// strong-votes/k-endorsements for strengthened fault tolerance.
+// Package streamlet implements Streamlet as the paper's Figure 10 gives it
+// and its SFT extension SFT-Streamlet (Figure 11, Appendix D): lock-step 2Δ
+// rounds, longest-certified-chain proposing/voting, all-to-all votes with the
+// echo mechanism, the consecutive-round 3-chain commit rule, and height-keyed
+// strong-votes. Only those protocol rules live here; the certified-chain
+// bookkeeping is the embedded internal/replica chassis.
 package streamlet
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/app"
-	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/pacemaker"
-	"repro/internal/statesync"
+	"repro/internal/replica"
 	"repro/internal/types"
 )
 
-// Config parameterizes a Streamlet replica.
+// Config parameterizes a Streamlet replica: the common replica configuration
+// plus Streamlet's own knobs.
 type Config struct {
-	// ID is this replica; N = 3F+1 replicas total.
-	ID   types.ReplicaID
-	N, F int
-
-	// Signer/Verifier provide the PKI.
-	Signer           crypto.Signer
-	Verifier         crypto.Verifier
-	VerifySignatures bool
+	replica.Config
 
 	// Delta is the assumed maximum network delay ∆; rounds last 2∆.
 	Delta time.Duration
-
-	// SFT enables strengthened fault tolerance (height markers,
-	// k-endorsements, Strength outputs).
-	SFT bool
-	// Horizon bounds the endorsement walk (see core.Config).
-	Horizon int
 
 	// DisableEcho turns off the O(n^3) echo relay; deliveries then rely on
 	// the sender's broadcast alone (fine on the simulator's reliable
@@ -53,66 +39,21 @@ type Config struct {
 	// so honest proposals only run ahead by clock skew; 0 keeps the
 	// permissive baseline (and existing fixed-seed runs bit-identical).
 	ProposalWindow types.Round
-
-	// Payload supplies block transactions; nil means empty blocks.
-	Payload func(r types.Round) types.Payload
-
-	// PayloadNow, if non-nil, supersedes Payload with a variant that also
-	// receives the engine's current virtual time (see the DiemBFT config).
-	PayloadNow func(r types.Round, now time.Duration) types.Payload
-
-	// App, if non-nil, enables the deterministic execution layer: proposals
-	// are executed before voting, votes carry the state root (AppHash) inside
-	// their signed payload, and state-divergent proposals are refused. See
-	// the DiemBFT config's App field for the full contract.
-	App *app.Executor
-
-	// NaiveEndorsements switches the SFT tracker to the UNSAFE marker-free
-	// counting of Appendix C — only for the scenario fuzzer's checker
-	// demonstrations, never exposed by the public facade.
-	NaiveEndorsements bool
-
-	// Journal, if non-nil, write-ahead-logs accepted blocks, own votes,
-	// formed certificates and commits, flushed before each event's outputs
-	// are released (the same durability contract as the DiemBFT engine).
-	Journal *core.Journal
-
-	// Obs, if non-nil, receives lifecycle observations (round entries,
-	// proposals, votes, certification, commits, strength rises). Hooks are
-	// pure observation, so runs are bit-identical with Obs set or nil.
-	Obs *obs.Obs
 }
 
-func (c *Config) quorum() int { return 2*c.F + 1 }
-
-// Replica is one Streamlet (optionally SFT-Streamlet) replica engine.
+// Replica is one Streamlet (optionally SFT-Streamlet) replica engine. The
+// chassis's vote sets double as the (block, voter) echo dedup: Mark records
+// a voter as seen without retaining a vote (journal replay), Add does both.
 type Replica struct {
-	cfg     Config
-	store   *blockstore.Store
-	history *core.VoteHistory
-	tracker *core.Tracker
+	*replica.Chassis
+	cfg Config
 
 	round      types.Round
 	votedRound map[types.Round]bool
+	maxCertH   types.Height // height of the longest certified chain
 
-	// votes is the per-block vote collection; its bitmap doubles as the
-	// (block, voter) dedup the engine previously kept in a separate
-	// map[voteKey]bool — Mark records a voter as seen without retaining a
-	// vote (journal replay), Add does both.
-	votes    map[types.BlockID]*core.VoteSet
-	orphans  map[types.BlockID][]*types.Proposal
-	maxCertH types.Height // height of the longest certified chain
-
+	orphans  replica.Orphans
 	seenProp map[types.BlockID]bool
-
-	// aggregate marks that the verifier's scheme compacts formed QCs into
-	// the aggregated-signature form (crypto.AggregateQC).
-	aggregate bool
-
-	lastCommitted types.BlockID
-	committedH    types.Height
-
-	sigScratch []byte // reused vote signing-payload buffer
 
 	// sigCache memoizes verified vote/proposal signatures for Prevalidate
 	// (nil when signature checking is off). The echo mechanism delivers each
@@ -120,119 +61,32 @@ type Replica struct {
 	// signature check, and this memo gives the stateless prevalidation stage
 	// the same economy. Internally synchronized.
 	sigCache *crypto.SigCache
-
-	// journal is the durability log (nil = in-memory replica); restoring
-	// mutes journaling and Strength re-emission during Restore; recovered
-	// makes Init rejoin via state sync.
-	journal   *core.Journal
-	restoring bool
-	recovered bool
-
-	// preverified is set while handling a message that already passed
-	// Prevalidate (see engine.Pipelined); the state stage then skips its
-	// signature checks. Only the event-loop goroutine touches it.
-	preverified bool
-
-	// evNow is the current event's engine time, stashed at event entry for
-	// observation callbacks without a `now` parameter in scope. Only the
-	// event-loop goroutine touches it.
-	evNow time.Duration
-
-	// curRound mirrors round for the Prevalidate goroutines' future-window
-	// checks; the event loop owns round itself.
-	curRound atomic.Int64
-
-	outs []engine.Output
 }
 
 // New creates a Streamlet replica engine.
 func New(cfg Config) (*Replica, error) {
-	if cfg.N != 3*cfg.F+1 {
-		return nil, fmt.Errorf("streamlet: n=%d must be 3f+1 (f=%d)", cfg.N, cfg.F)
-	}
 	if cfg.Delta <= 0 {
 		return nil, fmt.Errorf("streamlet: delta must be positive")
 	}
-	if cfg.Signer == nil || cfg.Verifier == nil {
-		return nil, fmt.Errorf("streamlet: signer and verifier are required")
-	}
 	r := &Replica{
 		cfg:        cfg,
-		store:      blockstore.New(),
 		round:      1,
 		votedRound: make(map[types.Round]bool),
-		votes:      make(map[types.BlockID]*core.VoteSet),
-		orphans:    make(map[types.BlockID][]*types.Proposal),
 		seenProp:   make(map[types.BlockID]bool),
-		aggregate:  crypto.Aggregates(cfg.Verifier),
 	}
-	r.journal = cfg.Journal
+	var err error
+	r.Chassis, err = replica.New(cfg.Config, core.ModeHeight, func(b *types.Block, x int) { r.EmitStrength(b, x) })
+	if err != nil {
+		return nil, err
+	}
 	if cfg.VerifySignatures {
 		r.sigCache = crypto.NewSigCache(0)
-	}
-	r.history = core.NewVoteHistory(r.store)
-	r.lastCommitted = r.store.Genesis().ID()
-	if cfg.SFT {
-		r.tracker = core.NewTracker(r.store, core.Config{
-			N:       cfg.N,
-			F:       cfg.F,
-			Mode:    core.ModeHeight,
-			Naive:   cfg.NaiveEndorsements,
-			Horizon: cfg.Horizon,
-			OnStrength: func(b *types.Block, x int) {
-				if r.restoring {
-					return
-				}
-				r.outs = append(r.outs, engine.Strength{Block: b, X: x})
-				cfg.Obs.OnStrength(b, x, r.evNow)
-			},
-		})
 	}
 	return r, nil
 }
 
-// ID implements engine.Engine.
-func (r *Replica) ID() types.ReplicaID { return r.cfg.ID }
-
-// Store exposes the block tree for tests and the harness.
-func (r *Replica) Store() *blockstore.Store { return r.store }
-
-// Tracker exposes the SFT tracker (nil when SFT is disabled).
-func (r *Replica) Tracker() *core.Tracker { return r.tracker }
-
 // Round returns the current lock-step round.
 func (r *Replica) Round() types.Round { return r.round }
-
-// CommittedHeight returns the height of the last commit.
-func (r *Replica) CommittedHeight() types.Height { return r.committedH }
-
-// LastCommitted returns the ID of the last committed block.
-func (r *Replica) LastCommitted() types.BlockID { return r.lastCommitted }
-
-// History exposes the vote history (tests and recovery diagnostics).
-func (r *Replica) History() *core.VoteHistory { return r.history }
-
-// AppExecutor exposes the execution layer (nil when no app is configured).
-func (r *Replica) AppExecutor() *app.Executor { return r.cfg.App }
-
-// executeBlock runs b through the execution layer (memoized; fresh
-// executions tick the observation counter).
-func (r *Replica) executeBlock(b *types.Block) ([32]byte, error) {
-	before := r.cfg.App.Executed()
-	root, err := r.cfg.App.Execute(b)
-	if err == nil && r.cfg.App.Executed() > before {
-		r.cfg.Obs.OnAppExecuted()
-	}
-	return root, err
-}
-
-// tryExecute executes b if the execution layer is on, tolerating failure
-// (the block is stored for ordering but gets no vote).
-func (r *Replica) tryExecute(b *types.Block) {
-	if r.cfg.App != nil {
-		_, _ = r.executeBlock(b)
-	}
-}
 
 // Restore rebuilds the replica from a journal replay; call after New,
 // before Init. Votes, certificates and the committed prefix are reinstated
@@ -241,79 +95,32 @@ func (r *Replica) Restore(rec *core.Recovery) error {
 	if rec == nil || rec.Empty() {
 		return nil
 	}
-	r.restoring = true
-	defer func() { r.restoring = false }()
-	r.store.Restore(rec.Blocks, func(b *types.Block, qcImproved bool) {
+	err := r.Chassis.Restore(rec, func(b *types.Block) {
 		r.seenProp[b.ID()] = true
-		// Re-execute in log order so the execution layer reconverges to the
-		// exact pre-crash roots (parents precede children in the journal).
-		r.tryExecute(b)
-		if qcImproved {
-			r.noteRestoredCert(b.Justify)
+	}, func(qc *types.QC) {
+		// Longest-certified-chain state only: no commit re-evaluation, the
+		// chassis reinstates the committed prefix from the commit records.
+		if b := r.Store().Block(qc.Block); b != nil && b.Height > r.maxCertH {
+			r.maxCertH = b.Height
 		}
 	})
-	for _, qc := range rec.QCs {
-		if r.store.Has(qc.Block) {
-			r.registerCert(qc)
-		}
+	if err != nil {
+		return err
 	}
-	voted := make([]core.VotedBlock, 0, len(rec.Votes))
 	for i := range rec.Votes {
 		v := &rec.Votes[i]
-		voted = append(voted, core.VotedBlock{ID: v.Block, Round: v.Round, Height: v.Height})
 		r.votedRound[v.Round] = true
 		// Mark, not Add: the replayed own vote is deduplicated when its echo
 		// arrives but never re-counted toward a fresh certificate, exactly the
 		// pre-crash semantics.
-		set := r.votes[v.Block]
+		set := r.Votes[v.Block]
 		if set == nil {
 			set = &core.VoteSet{}
-			r.votes[v.Block] = set
+			r.Votes[v.Block] = set
 		}
 		set.Mark(v.Voter)
 	}
-	r.history.Restore(voted)
-	if rec.CommittedHeight > 0 {
-		r.lastCommitted = rec.Committed
-		r.committedH = rec.CommittedHeight
-		if r.cfg.App != nil {
-			// Advance the state machine's committed base to the recovered
-			// commit point (the blocks were re-executed above).
-			if b := r.store.Block(rec.Committed); b != nil {
-				if err := r.cfg.App.OnCommit(b); err != nil {
-					return fmt.Errorf("streamlet: restore app commit: %w", err)
-				}
-			}
-		}
-	}
-	r.recovered = true
 	return nil
-}
-
-// registerCert installs a recovered standalone certificate: store, longest
-// certified chain, endorsement tracker.
-func (r *Replica) registerCert(qc *types.QC) {
-	if _, improved, err := r.store.RegisterQC(qc); err != nil || !improved {
-		return
-	}
-	r.noteRestoredCert(qc)
-}
-
-// noteRestoredCert absorbs a certificate the restore path already
-// registered: longest-certified-chain state plus the endorsement tracker.
-// No commit re-evaluation — Restore reinstates the committed prefix from
-// the journal's commit records instead of re-emitting Commit outputs.
-func (r *Replica) noteRestoredCert(qc *types.QC) {
-	b := r.store.Block(qc.Block)
-	if b == nil {
-		return
-	}
-	if b.Height > r.maxCertH {
-		r.maxCertH = b.Height
-	}
-	if r.tracker != nil {
-		r.tracker.OnQC(qc)
-	}
 }
 
 // Init implements engine.Engine. Streamlet rounds are lock-step wall-clock
@@ -321,192 +128,99 @@ func (r *Replica) noteRestoredCert(qc *types.QC) {
 // its round from the clock instead of starting over at 1; a recovered
 // replica also broadcasts a state-sync request to fetch what it missed.
 func (r *Replica) Init(now time.Duration) []engine.Output {
-	r.outs = nil
-	r.evNow = now
+	r.Begin(now, false)
 	if slot := types.Round(now / (2 * r.cfg.Delta)); slot+1 > r.round {
 		r.round = slot + 1
 	}
-	r.curRound.Store(int64(r.round))
-	r.cfg.Obs.OnRoundEnter(r.round, now, false)
+	r.EnterRound(r.round, false)
 	// Align the first timer to the next slot boundary so a mid-run restart
 	// keeps ticking in phase with the rest of the cluster.
 	delay := 2*r.cfg.Delta - now%(2*r.cfg.Delta)
-	r.outs = append(r.outs, engine.SetTimer{ID: int(r.round), Delay: delay})
-	if r.recovered {
-		r.outs = append(r.outs, engine.Broadcast{
-			Msg: statesync.NewRequest(r.committedH, r.cfg.ID),
-		})
+	r.Outs = append(r.Outs, engine.SetTimer{ID: int(r.round), Delay: delay})
+	if r.Recovered() {
+		r.RequestStateSync()
 	}
-	r.maybePropose(now)
-	return r.take()
+	r.maybePropose()
+	return r.Take()
 }
 
 // OnTimer advances the lock-step round (the synchronization rule: 2∆ per
 // round).
 func (r *Replica) OnTimer(now time.Duration, id int) []engine.Output {
-	r.outs = nil
-	r.evNow = now
+	r.Begin(now, false)
 	if types.Round(id) == r.round {
 		r.round++
-		r.curRound.Store(int64(r.round))
-		r.cfg.Obs.OnRoundEnter(r.round, now, false)
-		r.outs = append(r.outs, engine.SetTimer{ID: int(r.round), Delay: 2 * r.cfg.Delta})
-		r.maybePropose(now)
+		r.EnterRound(r.round, false)
+		r.Outs = append(r.Outs, engine.SetTimer{ID: int(r.round), Delay: 2 * r.cfg.Delta})
+		r.maybePropose()
 	}
-	return r.take()
+	return r.Take()
 }
 
 // OnMessage implements engine.Engine.
 func (r *Replica) OnMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	r.preverified = false
-	r.outs = nil
-	r.evNow = now
-	r.handle(now, msg)
-	return r.take()
+	r.Begin(now, false)
+	r.handle(msg)
+	return r.Take()
 }
 
 // OnVerifiedMessage implements engine.Pipelined: identical state transitions
 // to OnMessage, minus the signature checks Prevalidate already performed.
 func (r *Replica) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	r.preverified = true
-	r.outs = nil
-	r.evNow = now
-	r.handle(now, msg)
-	r.preverified = false
-	return r.take()
+	r.Begin(now, true)
+	r.handle(msg)
+	return r.Take()
 }
 
-// checkSigs reports whether the current event must verify signatures itself.
-func (r *Replica) checkSigs() bool { return r.cfg.VerifySignatures && !r.preverified }
-
-// maxEchoDepth bounds echo unwrapping. Honest replicas wrap a base message
-// exactly once (echo() never re-wraps an echo), so anything nested deeper is
-// adversarial; an explicit cap keeps a maliciously nested chain from
-// recursing the handler (or Prevalidate, on a transport reader goroutine)
-// into a stack overflow.
-const maxEchoDepth = 4
-
-// unwrapEcho strips up to maxEchoDepth relay wrappers, returning nil for
-// chains that are empty or nested beyond the cap.
-func unwrapEcho(msg types.Message) types.Message {
-	for depth := 0; ; depth++ {
-		e, ok := msg.(*types.Echo)
-		if !ok {
-			return msg
-		}
-		if e.Inner == nil || depth >= maxEchoDepth {
-			return nil
-		}
-		msg = e.Inner
-	}
-}
-
-func (r *Replica) handle(now time.Duration, msg types.Message) {
+func (r *Replica) handle(msg types.Message) {
 	// Relayed messages are processed through the same paths as direct ones;
 	// the dedup sets prevent loops and double-counting.
-	switch m := unwrapEcho(msg).(type) {
+	switch m := replica.UnwrapEcho(msg).(type) {
 	case *types.Proposal:
-		r.onProposal(now, m)
+		r.onProposal(m)
 	case *types.VoteMsg:
-		r.onVote(now, m.Vote)
+		r.onVote(m.Vote)
 	case *types.StateSyncRequest:
-		r.onStateSyncRequest(m)
+		r.OnStateSyncRequest(m)
 	case *types.StateSyncResponse:
-		r.onStateSyncResponse(m)
+		r.ApplySegment(m, func(b *types.Block) { r.seenProp[b.ID()] = true }, r.onSyncedCert)
 	}
 }
 
-// take drains the output buffer, flushing staged journal records first so
-// nothing the event produced leaves before its durable state (see the
-// DiemBFT engine's take for the contract).
-func (r *Replica) take() []engine.Output {
-	if r.journal != nil {
-		if err := r.journal.Flush(); err != nil {
-			panic(fmt.Sprintf("streamlet: wal flush: %v", err))
+// onSyncedCert absorbs a certificate from a catch-up segment. An embedded
+// justify is already registered by the applier and durable via the block
+// that carried it. The responder's standalone high QC is registered here,
+// and since no journaled block embeds it, its record goes to the journal
+// itself (once, on improvement).
+func (r *Replica) onSyncedCert(qc *types.QC, standalone bool) {
+	if standalone {
+		b, improved, err := r.Store().RegisterQC(qc)
+		if err != nil {
+			return
 		}
-	}
-	outs := r.outs
-	r.outs = nil
-	return outs
-}
-
-func (r *Replica) journalBlock(b *types.Block) {
-	if r.journal != nil && !r.restoring {
-		_ = r.journal.AppendBlock(b) // errors surface at the take() flush
-	}
-}
-
-// onStateSyncRequest serves the catch-up protocol (internal/statesync).
-func (r *Replica) onStateSyncRequest(m *types.StateSyncRequest) {
-	if m.Sender == r.cfg.ID {
-		return
-	}
-	if resp := statesync.Serve(r.store, m, r.cfg.ID, statesync.DefaultMaxBlocks); resp != nil {
-		r.outs = append(r.outs, engine.Send{To: m.Sender, Msg: resp})
-	}
-}
-
-// onStateSyncResponse installs a catch-up segment: blocks are journaled,
-// certificates feed the longest-certified-chain state and the tracker, and
-// the commit rule is re-run over every newly certified block.
-func (r *Replica) onStateSyncResponse(m *types.StateSyncResponse) {
-	ap := statesync.Applier{
-		Store:  r.store,
-		Quorum: r.cfg.quorum(),
-		OnInstall: func(b *types.Block) {
-			r.seenProp[b.ID()] = true
-			r.journalBlock(b)
-			r.tryExecute(b)
-		},
-		OnQC:     r.afterCert,
-		OnHighQC: r.onHighCert,
-	}
-	if r.cfg.VerifySignatures {
-		ap.VerifyQC = func(qc *types.QC) error {
-			if r.cfg.Obs != nil {
-				start := time.Now()
-				defer func() { r.cfg.Obs.ObserveVerifyBatch(time.Since(start)) }()
-			}
-			return crypto.VerifyQC(r.cfg.Verifier, qc, r.cfg.quorum())
+		if !improved {
+			r.checkCommit(b)
+			return
 		}
+		r.JournalQC(qc)
 	}
-	_, _ = ap.Apply(m)
+	if b := r.Store().Block(qc.Block); b != nil {
+		r.cfg.Obs.OnQCObserved(b, r.Now())
+		r.noteCertified(b, qc)
+	}
 }
 
-// afterCert absorbs an embedded justify certificate the applier already
-// registered: longest-certified-chain state, endorsement tracker, commit
-// rule. No journaling — the block that carried the QC was journaled.
-func (r *Replica) afterCert(qc *types.QC) {
-	b := r.store.Block(qc.Block)
-	if b == nil {
-		return
-	}
-	r.cfg.Obs.OnQCObserved(b, r.evNow)
+// noteCertified absorbs a newly certified block: the longest certified chain
+// may have grown (the locking rule), the endorsement tracker sees the
+// certificate, and the commit rule is re-run around the block.
+func (r *Replica) noteCertified(b *types.Block, qc *types.QC) {
 	if b.Height > r.maxCertH {
 		r.maxCertH = b.Height
 	}
-	if r.tracker != nil {
-		r.tracker.OnQC(qc)
+	if t := r.Tracker(); t != nil {
+		t.OnQC(qc)
 	}
 	r.checkCommit(b)
-}
-
-// onHighCert registers the responder's standalone high QC; since no
-// journaled block embeds it, the certificate record goes to the journal
-// itself (once, on improvement).
-func (r *Replica) onHighCert(qc *types.QC) {
-	b, improved, err := r.store.RegisterQC(qc)
-	if err != nil {
-		return
-	}
-	if !improved {
-		r.checkCommit(b)
-		return
-	}
-	if r.journal != nil && !r.restoring {
-		_ = r.journal.AppendQC(qc)
-	}
-	r.afterCert(qc)
 }
 
 // echo relays a first-seen message to everyone (Figure 10's message echo
@@ -515,7 +229,7 @@ func (r *Replica) echo(msg types.Message) {
 	if r.cfg.DisableEcho {
 		return
 	}
-	r.outs = append(r.outs, engine.Broadcast{Msg: &types.Echo{Inner: msg, Relayer: r.cfg.ID}})
+	r.Outs = append(r.Outs, engine.Broadcast{Msg: &types.Echo{Inner: msg, Relayer: r.cfg.ID}})
 }
 
 // --- proposing ---
@@ -548,49 +262,34 @@ func (r *Replica) certifiedAt(h types.Height) []*types.Block {
 	var walk func(b *types.Block)
 	walk = func(b *types.Block) {
 		if b.Height == h {
-			if r.store.IsCertified(b.ID()) {
+			if r.Store().IsCertified(b.ID()) {
 				out = append(out, b)
 			}
 			return
 		}
-		r.store.VisitChildren(b.ID(), func(c *types.Block) bool {
-			if r.store.IsCertified(c.ID()) {
+		r.Store().VisitChildren(b.ID(), func(c *types.Block) bool {
+			if r.Store().IsCertified(c.ID()) {
 				walk(c)
 			}
 			return true
 		})
 	}
-	walk(r.store.Genesis())
+	walk(r.Store().Genesis())
 	return out
 }
 
-func (r *Replica) maybePropose(now time.Duration) {
+func (r *Replica) maybePropose() {
 	if pacemaker.Leader(r.round, r.cfg.N) != r.cfg.ID {
 		return
 	}
-	parent := r.tip()
-	if parent == nil {
-		return
+	if parent := r.tip(); parent != nil {
+		r.Propose(r.round, parent, r.Store().QCFor(parent.ID()), nil)
 	}
-	var payload types.Payload
-	if r.cfg.PayloadNow != nil {
-		payload = r.cfg.PayloadNow(r.round, now)
-	} else if r.cfg.Payload != nil {
-		payload = r.cfg.Payload(r.round)
-	}
-	qc := r.store.QCFor(parent.ID())
-	b := types.NewBlock(parent.ID(), qc, r.round, parent.Height+1, r.cfg.ID, int64(now), payload, nil)
-	p := &types.Proposal{Block: b, Round: r.round, Sender: r.cfg.ID}
-	p.Signature = r.cfg.Signer.Sign(p.SigningPayload())
-	// Journal own proposals before they can leave (see the DiemBFT engine).
-	r.journalBlock(b)
-	r.cfg.Obs.OnProposed(b, now)
-	r.outs = append(r.outs, engine.Broadcast{Msg: p, SelfDeliver: true})
 }
 
 // --- proposal handling ---
 
-func (r *Replica) onProposal(now time.Duration, p *types.Proposal) {
+func (r *Replica) onProposal(p *types.Proposal) {
 	if p.Block == nil || r.seenProp[p.Block.ID()] {
 		return
 	}
@@ -599,11 +298,11 @@ func (r *Replica) onProposal(now time.Duration, p *types.Proposal) {
 	}
 	r.seenProp[p.Block.ID()] = true
 	r.echo(p)
-	if !r.store.Has(p.Block.Parent) {
-		r.orphans[p.Block.Parent] = append(r.orphans[p.Block.Parent], p)
+	if !r.Store().Has(p.Block.Parent) {
+		r.orphans.Add(p)
 		return
 	}
-	r.acceptProposal(now, p)
+	r.acceptProposal(p)
 }
 
 func (r *Replica) validProposal(p *types.Proposal) bool {
@@ -620,30 +319,21 @@ func (r *Replica) validProposal(p *types.Proposal) bool {
 	if pacemaker.Leader(p.Round, r.cfg.N) != p.Sender {
 		return false
 	}
-	if r.checkSigs() && !r.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
+	if r.CheckSigs() && !r.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
 		return false
 	}
 	return true
 }
 
-func (r *Replica) acceptProposal(now time.Duration, p *types.Proposal) {
+func (r *Replica) acceptProposal(p *types.Proposal) {
 	b := p.Block
-	if err := r.store.Insert(b); err != nil {
+	if !r.AcceptBlock(b) {
 		return
 	}
-	if b.Proposer != r.cfg.ID {
-		// Own blocks were journaled at propose time.
-		r.journalBlock(b)
-	}
-	r.cfg.Obs.OnBlockSeen(b, now)
-	r.tryExecute(b)
 	r.maybeVote(b)
 	r.tryCertify(b)
-	if kids := r.orphans[b.ID()]; len(kids) > 0 {
-		delete(r.orphans, b.ID())
-		for _, kid := range kids {
-			r.acceptProposal(now, kid)
-		}
+	for _, kid := range r.orphans.Take(b.ID()) {
+		r.acceptProposal(kid)
 	}
 }
 
@@ -653,143 +343,50 @@ func (r *Replica) maybeVote(b *types.Block) {
 	if b.Round != r.round || r.votedRound[r.round] {
 		return
 	}
-	parent := r.store.Block(b.Parent)
-	if parent == nil || !r.store.IsCertified(parent.ID()) || parent.Height != r.maxCertH {
+	parent := r.Store().Block(b.Parent)
+	if parent == nil || !r.Store().IsCertified(parent.ID()) || parent.Height != r.maxCertH {
 		return
 	}
-	var appRoot [32]byte
-	if r.cfg.App != nil {
-		// Execute before voting; refuse unexecutable blocks and proposals
-		// whose justify certificate disagrees with our own execution of the
-		// parent (state-fork detection, as in the DiemBFT engine).
-		root, err := r.executeBlock(b)
-		if err != nil {
-			return
-		}
-		if b.Justify != nil && len(b.Justify.Votes) > 0 {
-			if parentRoot, known := r.cfg.App.Root(b.Parent); known && b.Justify.AppHash() != parentRoot {
-				r.cfg.Obs.OnAppHashMismatch()
-				return
-			}
-		}
-		appRoot = root
-	}
-	v := types.Vote{
-		Block:   b.ID(),
-		Round:   b.Round,
-		Height:  b.Height,
-		Voter:   r.cfg.ID,
-		AppHash: appRoot,
-		// SFT-Streamlet: the marker field carries the height marker.
-		Marker: types.Round(r.history.HeightMarker(b)),
-	}
-	r.sigScratch = v.AppendSigningPayload(r.sigScratch[:0])
-	v.Signature = r.cfg.Signer.Sign(r.sigScratch)
-	// The vote record is flushed by take() before the broadcast leaves.
-	if r.journal != nil && !r.restoring {
-		_ = r.journal.AppendVote(&v)
+	// SFT-Streamlet: the marker field carries the height marker.
+	v, cast := r.CastVote(b, types.Vote{Marker: types.Round(r.History().HeightMarker(b))})
+	if !cast {
+		return
 	}
 	r.votedRound[r.round] = true
-	r.history.RecordVote(b)
-	r.cfg.Obs.OnVoted(b, r.evNow)
-	r.outs = append(r.outs, engine.Broadcast{Msg: &types.VoteMsg{Vote: v}, SelfDeliver: true})
+	r.Outs = append(r.Outs, engine.Broadcast{Msg: &types.VoteMsg{Vote: v}, SelfDeliver: true})
 }
 
 // --- votes and certification ---
 
-func (r *Replica) onVote(now time.Duration, v types.Vote) {
-	if r.votes[v.Block].Has(v.Voter) {
+func (r *Replica) onVote(v types.Vote) {
+	if !r.AddVote(v) {
 		return
 	}
-	if r.checkSigs() && crypto.VerifyVote(r.cfg.Verifier, v) != nil {
-		return
-	}
-	if !r.voteRootOK(&v) {
-		return
-	}
-	set, ok := r.votes[v.Block]
-	if !ok {
-		set = &core.VoteSet{}
-		r.votes[v.Block] = set
-	}
-	set.Add(v)
 	r.echo(&types.VoteMsg{Vote: v})
-	if b := r.store.Block(v.Block); b != nil {
+	if b := r.Store().Block(v.Block); b != nil {
 		r.tryCertify(b)
 	}
 }
 
-// voteRootOK filters collected votes by execution root (see the DiemBFT
-// engine's voteRootOK): with the app on, only votes matching this replica's
-// own execution of the block are credited; votes for still-unknown blocks
-// pass provisionally and are re-judged in tryCertify. With the app off,
-// AppHash-bearing votes are alien traffic and dropped.
-func (r *Replica) voteRootOK(v *types.Vote) bool {
-	if r.cfg.App == nil {
-		return !v.HasAppHash()
-	}
-	b := r.store.Block(v.Block)
-	if b == nil {
-		return true
-	}
-	root, err := r.executeBlock(b)
-	return err == nil && v.AppHash == root
-}
-
 func (r *Replica) tryCertify(b *types.Block) {
-	id := b.ID()
-	collected := r.votes[id]
-	if collected.Len() < r.cfg.quorum() || r.store.IsCertified(id) {
+	if r.Store().IsCertified(b.ID()) {
 		return
 	}
-	// Ascending voter order keeps QC hashes byte-identical to the map-based
-	// collection this replaced.
-	votes := collected.Sorted()
-	if r.cfg.App != nil {
-		// Re-judge provisionally accepted votes against our own execution
-		// and certify only from root-agreeing ones (see the DiemBFT engine's
-		// formQC).
-		root, err := r.executeBlock(b)
-		if err != nil {
-			return
-		}
-		kept := votes[:0]
-		for _, v := range votes {
-			if v.AppHash == root {
-				kept = append(kept, v)
-			}
-		}
-		if votes = kept; len(votes) < r.cfg.quorum() {
-			return
-		}
+	qc := r.Certify(b)
+	if qc == nil {
+		return
 	}
-	qc := &types.QC{Block: id, Round: b.Round, Height: b.Height, Votes: votes}
-	if r.aggregate {
-		// Compact before registering: stored, journaled and echoed forms are
-		// all the aggregated one. An aggregation error (unreachable with a
-		// well-formed ring) leaves the still-valid vector form in place.
-		_ = crypto.AggregateQC(r.cfg.Verifier, qc)
-	}
-	_, improved, err := r.store.RegisterQC(qc)
+	_, improved, err := r.Store().RegisterQC(qc)
 	if err != nil {
 		return
 	}
-	if improved && r.journal != nil && !r.restoring {
+	if improved {
 		// Streamlet certificates are formed from the local vote set and not
 		// embedded in any journaled block until a child extends them.
-		_ = r.journal.AppendQC(qc)
+		r.JournalQC(qc)
+		r.cfg.Obs.OnQCFormed(b, r.Now())
 	}
-	if improved {
-		r.cfg.Obs.OnQCFormed(b, r.evNow)
-	}
-	// Locking rule: the longest certified chain may have grown.
-	if b.Height > r.maxCertH {
-		r.maxCertH = b.Height
-	}
-	if r.tracker != nil {
-		r.tracker.OnQC(qc)
-	}
-	r.checkCommit(b)
+	r.noteCertified(b, qc)
 }
 
 // checkCommit looks for three adjacent certified blocks with consecutive
@@ -798,54 +395,27 @@ func (r *Replica) tryCertify(b *types.Block) {
 func (r *Replica) checkCommit(b *types.Block) {
 	// b can be the first, middle or last block of the 3-chain.
 	candidates := []*types.Block{b}
-	if p := r.store.Parent(b.ID()); p != nil {
+	if p := r.Store().Parent(b.ID()); p != nil {
 		candidates = append(candidates, p)
 	}
-	r.store.VisitChildren(b.ID(), func(c *types.Block) bool {
+	r.Store().VisitChildren(b.ID(), func(c *types.Block) bool {
 		candidates = append(candidates, c)
 		return true
 	})
 	for _, mid := range candidates {
-		p := r.store.Parent(mid.ID())
-		if p == nil || !r.store.IsCertified(p.ID()) || p.Round+1 != mid.Round {
+		p := r.Store().Parent(mid.ID())
+		if p == nil || !r.Store().IsCertified(p.ID()) || p.Round+1 != mid.Round {
 			continue
 		}
-		if !r.store.IsCertified(mid.ID()) {
+		if !r.Store().IsCertified(mid.ID()) {
 			continue
 		}
-		r.store.VisitChildren(mid.ID(), func(c *types.Block) bool {
-			if r.store.IsCertified(c.ID()) && c.Round == mid.Round+1 {
-				r.commitTo(mid)
+		r.Store().VisitChildren(mid.ID(), func(c *types.Block) bool {
+			if r.Store().IsCertified(c.ID()) && c.Round == mid.Round+1 {
+				r.CommitTo(mid)
 				return false
 			}
 			return true
 		})
-	}
-}
-
-func (r *Replica) commitTo(b *types.Block) {
-	if b.Height <= r.committedH {
-		return
-	}
-	chain := r.store.ChainBetween(r.lastCommitted, b.ID())
-	if chain == nil {
-		return
-	}
-	for _, blk := range chain {
-		if r.cfg.App != nil {
-			if err := r.cfg.App.OnCommit(blk); err != nil {
-				// Certified state this replica cannot reproduce: its execution
-				// state is corrupt, and crash-stop beats serving divergence
-				// (same contract as a WAL flush failure).
-				panic(fmt.Sprintf("streamlet: app commit: %v", err))
-			}
-		}
-		r.outs = append(r.outs, engine.Commit{Block: blk})
-		r.cfg.Obs.OnCommit(blk, r.evNow)
-	}
-	r.lastCommitted = b.ID()
-	r.committedH = b.Height
-	if r.journal != nil && !r.restoring {
-		_ = r.journal.AppendCommit(b.ID(), b.Height, b.Round)
 	}
 }

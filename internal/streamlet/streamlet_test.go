@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/crypto"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/streamlet"
 	"repro/internal/types"
@@ -25,14 +26,16 @@ func buildCluster(t testing.TB, n, f int, cfgMut func(id types.ReplicaID, c *str
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
 		cfg := streamlet.Config{
-			ID:               id,
-			N:                n,
-			F:                f,
-			Signer:           ring.Signer(id),
-			Verifier:         ring,
-			VerifySignatures: true,
-			Delta:            20 * time.Millisecond,
-			SFT:              true,
+			Config: replica.Config{
+				ID:               id,
+				N:                n,
+				F:                f,
+				Signer:           ring.Signer(id),
+				Verifier:         ring,
+				VerifySignatures: true,
+				SFT:              true,
+			},
+			Delta: 20 * time.Millisecond,
 		}
 		if cfgMut != nil {
 			cfgMut(id, &cfg)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/obs"
+	"repro/internal/replica"
 	"repro/internal/streamlet"
 	"repro/internal/types"
 )
@@ -19,14 +20,16 @@ func TestProposalWindowBoundsFutureRounds(t *testing.T) {
 	ring, _ := crypto.NewKeyRing(4, 1, crypto.SchemeSim)
 	sink := obs.New(obs.Options{N: 4, F: 1})
 	rep, err := streamlet.New(streamlet.Config{
-		ID: 1, N: 4, F: 1,
-		Signer:           ring.Signer(1),
-		Verifier:         ring,
-		VerifySignatures: true,
-		Delta:            50 * time.Millisecond,
-		SFT:              true,
-		ProposalWindow:   4,
-		Obs:              sink,
+		Config: replica.Config{
+			ID: 1, N: 4, F: 1,
+			Signer:           ring.Signer(1),
+			Verifier:         ring,
+			VerifySignatures: true,
+			SFT:              true,
+			Obs:              sink,
+		},
+		Delta:          50 * time.Millisecond,
+		ProposalWindow: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/diembft"
+	"repro/internal/replica"
 	rt "repro/internal/runtime"
 	"repro/internal/tcpnet"
 	"repro/internal/types"
@@ -226,9 +227,11 @@ func TestDeadPeersDoNotStallTheLoop(t *testing.T) {
 	for i := range nets {
 		id := types.ReplicaID(i)
 		rep, err := diembft.New(diembft.Config{
-			ID: id, N: n, F: f,
-			Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-			SFT: true, RoundTimeout: 150 * time.Millisecond,
+			Config: replica.Config{
+				ID: id, N: n, F: f,
+				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
+				SFT: true,
+			}, RoundTimeout: 150 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

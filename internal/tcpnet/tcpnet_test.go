@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/diembft"
+	"repro/internal/replica"
 	"repro/internal/runtime"
 	"repro/internal/tcpnet"
 	"repro/internal/types"
@@ -51,14 +52,16 @@ func TestTCPClusterCommits(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
 		rep, err := diembft.New(diembft.Config{
-			ID:               id,
-			N:                n,
-			F:                f,
-			Signer:           ring.Signer(id),
-			Verifier:         ring,
-			VerifySignatures: true,
-			SFT:              true,
-			RoundTimeout:     400 * time.Millisecond,
+			Config: replica.Config{
+				ID:               id,
+				N:                n,
+				F:                f,
+				Signer:           ring.Signer(id),
+				Verifier:         ring,
+				VerifySignatures: true,
+				SFT:              true,
+			},
+			RoundTimeout: 400 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)

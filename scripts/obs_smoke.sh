@@ -81,6 +81,15 @@ for fam in sft_commits_total sft_rounds_total sft_round sft_votes_sent_total \
         exit 1
     fi
 done
+# Failures the engines tolerate are counted instead of dropped; a healthy
+# cluster reads 0 on every one of them.
+for fam in sft_app_execute_failed_total sft_sync_segments_rejected_total sft_qc_aggregate_failed_total; do
+    val=$(awk -v f="$fam" '$1 == f {print $2}' <<<"$metrics")
+    if [ "$val" != "0" ]; then
+        echo "FAIL: $fam = '${val:-missing}', want 0"
+        exit 1
+    fi
+done
 echo "OK: /metrics well-formed ($(grep -cv '^#' <<<"$metrics") samples)"
 
 # /tracez carries block lifecycles; /debug/pprof/ serves the index.

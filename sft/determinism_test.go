@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/diembft"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/streamlet"
 	"repro/internal/types"
@@ -155,11 +156,13 @@ func runHandWired(t *testing.T, proto sft.Engine) *trace {
 		switch proto {
 		case sft.Streamlet:
 			rep, err := streamlet.New(streamlet.Config{
-				ID: id, N: detN, F: detF,
-				Signer: ring.Signer(id), Verifier: ring,
-				Delta:   25 * time.Millisecond,
-				SFT:     true,
-				Payload: payload,
+				Config: replica.Config{
+					ID: id, N: detN, F: detF,
+					Signer: ring.Signer(id), Verifier: ring,
+					SFT:     true,
+					Payload: payload,
+				},
+				Delta: 25 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -167,11 +170,13 @@ func runHandWired(t *testing.T, proto sft.Engine) *trace {
 			sim.SetEngine(id, rep)
 		default:
 			rep, err := diembft.New(diembft.Config{
-				ID: id, N: detN, F: detF,
-				Signer: ring.Signer(id), Verifier: ring,
-				SFT:          true,
+				Config: replica.Config{
+					ID: id, N: detN, F: detF,
+					Signer: ring.Signer(id), Verifier: ring,
+					SFT:     true,
+					Payload: payload,
+				},
 				RoundTimeout: 500 * time.Millisecond,
-				Payload:      payload,
 			})
 			if err != nil {
 				t.Fatal(err)
