@@ -1,8 +1,10 @@
 GO ?= go
 
-# Native fuzz targets: the pinned wire decoders and the TCP frame parser.
-# Each entry is <package>:<target>; fuzz-smoke runs every target briefly,
-# fuzz-long (the nightly job) runs them for FUZZTIME_LONG each.
+# Native fuzz targets: the pinned wire decoders, the TCP frame parser and the
+# three engines' message doors (FuzzOnMessage: OnMessage against Prevalidate +
+# OnVerifiedMessage on arbitrary decoded messages). Each entry is
+# <package>:<target>; fuzz-smoke runs every target briefly, fuzz-long (the
+# nightly job) runs them for FUZZTIME_LONG each.
 FUZZ_TARGETS = \
 	./internal/types:FuzzDecodeVote \
 	./internal/types:FuzzDecodeQC \
@@ -14,11 +16,14 @@ FUZZ_TARGETS = \
 	./internal/tcpnet:FuzzServeFramesMultiPeer \
 	./internal/app:FuzzBankApply \
 	./internal/gateway:FuzzDecodeEventFrame \
-	./internal/gateway:FuzzDecodeSubscribeFrame
+	./internal/gateway:FuzzDecodeSubscribeFrame \
+	./internal/diembft:FuzzOnMessage \
+	./internal/streamlet:FuzzOnMessage \
+	./internal/observer:FuzzOnMessage
 FUZZTIME_SMOKE ?= 20s
 FUZZTIME_LONG ?= 10m
 
-.PHONY: all build build-examples vet test test-race bench bench-smoke bench-micro bench-guard fuzz-smoke fuzz-long adversary-fuzz adversary-fuzz-agg compactcert liveness-attack bank-workload obs-smoke gateway-smoke gateway-scale loc
+.PHONY: all build build-examples vet test test-race bench bench-smoke bench-micro bench-guard fuzz-smoke fuzz-long adversary-fuzz adversary-fuzz-agg compactcert liveness-attack bank-workload obs-smoke gateway-smoke gateway-scale loc knobs
 
 all: test
 
@@ -66,12 +71,12 @@ bench-micro:
 # micro-benchmarks for the numbers. CI runs this; record results in
 # BENCH_PR<n>.json when they move.
 bench-guard:
-	$(GO) test -run 'Alloc' -count=1 ./internal/types/ ./internal/simnet/ ./internal/core/ ./internal/wal/ ./internal/crypto/ ./internal/obs/ ./internal/app/ ./internal/tcpnet/ ./internal/replica/
+	$(GO) test -run 'Alloc' -count=1 ./internal/types/ ./internal/simnet/ ./internal/core/ ./internal/wal/ ./internal/crypto/ ./internal/obs/ ./internal/app/ ./internal/tcpnet/ ./internal/replica/ ./internal/diembft/
 	$(GO) test -run 'TestCompactQCSizeFlat' -count=1 ./internal/types/
 	$(MAKE) bench-micro
 
-# Short native-fuzz pass over the wire decoders and the TCP frame parser;
-# CI runs this on every push. `go test -fuzz` takes one target per
+# Short native-fuzz pass over the wire decoders, the TCP frame parser and the
+# engines' message doors; CI runs this on every push. `go test -fuzz` takes one target per
 # invocation, so the loop fans the list out.
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -146,3 +151,39 @@ loc:
 		  if (test) t[pkg] += n; else c[pkg] += n } \
 		END { for (i = 1; i <= pkgs; i++) { p = order[i]; printf "%-28s %7d %7d\n", p, c[p], t[p]; C += c[p]; T += t[p] } \
 		      printf "%-28s %7d %7d\n", "total (non-test, test)", C, T }'
+
+# Settable values, counted the way loc counts lines: exported fields of every
+# configuration struct (a comma list counts once per name; an embedded struct
+# is counted under its own name), the With* options of the facade, and the
+# flags of each command. "Fewer options" is read from this command.
+KNOB_STRUCTS = \
+	sft/sft.go:Config:sft.Config \
+	sft/transport.go:TCPConfig:sft.TCPConfig \
+	sft/simnet.go:SimnetConfig:sft.SimnetConfig \
+	sft/options.go:PacemakerConfig:sft.PacemakerConfig \
+	sft/access.go:ObserverConfig:sft.ObserverConfig \
+	internal/compose/compose.go:Spec:compose.Spec \
+	internal/replica/replica.go:Config:replica.Config \
+	internal/diembft/diembft.go:Config:diembft.Config \
+	internal/streamlet/streamlet.go:Config:streamlet.Config \
+	internal/observer/observer.go:Config:observer.Config \
+	internal/runtime/runtime.go:Options:runtime.Options \
+	internal/simnet/simnet.go:Config:simnet.Config \
+	internal/tcpnet/tcpnet.go:Config:tcpnet.Config \
+	internal/harness/harness.go:Scenario:harness.Scenario \
+	internal/harness/experiments.go:Scale:harness.Scale
+
+knobs:
+	@{ for s in $(KNOB_STRUCTS); do \
+		file=$${s%%:*}; rest=$${s#*:}; \
+		awk -v name="$${rest%%:*}" -v label="$${rest#*:}" ' \
+			$$0 ~ "^type " name " struct" { on = 1; next } \
+			on && /^}/ { on = 0 } \
+			on && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)* /) { \
+				names = substr($$0, RSTART, RLENGTH); n += gsub(/,/, ",", names) + 1 } \
+			END { printf "%-28s %4d\n", label, n }' $$file; \
+	  done; \
+	  printf "%-28s %4d\n" "sft With* options" $$(cat $$(ls sft/*.go | grep -v _test.go) | grep -c '^func With'); \
+	  for d in cmd/*/; do \
+		printf "%-28s %4d\n" "$${d%/} flags" $$(cat $$d*.go | grep -c 'flag\.[A-Z][A-Za-z0-9]*(".*",'); \
+	  done; } | awk '{ print; total += $$NF } END { printf "%-28s %4d\n", "total", total }'

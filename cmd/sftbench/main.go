@@ -6,11 +6,10 @@
 //
 //	sftbench -experiment fig7a [-n 100] [-duration 5m] [-delta 100ms] [-seed 1]
 //	sftbench -experiment all -n 31 -duration 90s
-//	sftbench -experiment verifypipeline -scheme ed25519 -n 31 -duration 60s
 //
 // Experiments: fig7a, fig7b, fig8, throughput, msgcomplexity, theorem2,
-// theorem3, streamlet, crashrecovery, adversary, verifypipeline,
-// compactcert, bankworkload, all.
+// theorem3, streamlet, crashrecovery, adversary, compactcert,
+// livenessattack, bankworkload, gateway, all.
 // crashrecovery exercises the durability layer: a replica is killed
 // mid-run, restored from its write-ahead log, and re-joins via state sync;
 // the report compares its commits against the no-crash baseline. adversary
@@ -20,10 +19,6 @@
 // only, not under "all": at the default n=100 each scenario simulates a
 // full Byzantine cluster (hours), while the acceptance setting
 // `-experiment adversary -seed 1 -n 7` takes ~2s.
-// verifypipeline A/Bs the verification pipeline (prevalidate/apply split +
-// batched signature checking) under real crypto and prints the determinism
-// verdict; because it defaults to ed25519 (expensive at paper scale), it
-// runs only when named explicitly, not under "all".
 //
 // bankworkload drives the execute-before-vote bank (deterministic execution
 // with AppHash-certified state) over -accounts accounts with per-transaction
@@ -41,8 +36,7 @@
 // (fast, deterministic, the default), "ed25519" (real crypto; implies full
 // signature verification), or their aggregating variants "sim-agg" /
 // "ed25519-agg", which additionally compact every formed certificate into
-// the constant-size aggregated form. -pipeline additionally routes every
-// experiment through the verification pipeline.
+// the constant-size aggregated form.
 package main
 
 import (
@@ -58,12 +52,12 @@ import (
 )
 
 // experimentNames lists every -experiment value, in the order the "all"
-// sweep runs them (verifypipeline is explicit-only; "all" skips it).
+// sweep runs them (those from adversary on are explicit-only; "all" skips
+// them).
 var experimentNames = []string{
 	"fig7a", "fig7b", "fig8", "throughput", "msgcomplexity",
 	"theorem2", "theorem3", "streamlet", "crashrecovery", "adversary",
-	"verifypipeline", "compactcert", "livenessattack", "bankworkload",
-	"gateway", "all",
+	"compactcert", "livenessattack", "bankworkload", "gateway", "all",
 }
 
 var validExperiments = func() map[string]bool {
@@ -76,13 +70,12 @@ var validExperiments = func() map[string]bool {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run (fig7a|fig7b|fig8|throughput|msgcomplexity|theorem2|theorem3|streamlet|crashrecovery|adversary|verifypipeline|compactcert|livenessattack|bankworkload|gateway|all)")
+		experiment = flag.String("experiment", "all", "which experiment to run (fig7a|fig7b|fig8|throughput|msgcomplexity|theorem2|theorem3|streamlet|crashrecovery|adversary|compactcert|livenessattack|bankworkload|gateway|all)")
 		n          = flag.Int("n", 100, "number of replicas (3f+1)")
 		duration   = flag.Duration("duration", 5*time.Minute, "virtual run duration")
 		delta      = flag.Duration("delta", 0, "inter-region delay; 0 sweeps the paper's {100ms,200ms}")
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		scheme     = flag.String("scheme", crypto.SchemeSim, "signature scheme (sim|ed25519|sim-agg|ed25519-agg); the ed25519 schemes imply signature verification, the -agg schemes compact certificates")
-		pipeline   = flag.Bool("pipeline", false, "route experiments through the verification pipeline (prevalidate/apply split)")
 		scenarios  = flag.Int("scenarios", 60, "randomized scenarios for -experiment adversary")
 		accounts   = flag.Uint("accounts", 1<<17, "bank accounts for -experiment bankworkload")
 		txnsPer    = flag.Int("txns-per-block", 128, "transactions per proposal for -experiment bankworkload")
@@ -115,13 +108,7 @@ func main() {
 	}
 	sc := harness.Scale{
 		N: *n, F: (*n - 1) / 3, Duration: *duration, Seed: *seed,
-		Scheme: *scheme, Pipeline: *pipeline,
-	}
-	if *experiment == "verifypipeline" && !schemeSetExplicitly() {
-		// The ablation exists to measure real crypto: unless the user chose
-		// a scheme explicitly, override the -scheme flag's toy sim default —
-		// resolved here so the banner announces the scheme actually run.
-		sc.Scheme = crypto.SchemeEd25519
+		Scheme: *scheme,
 	}
 	deltas := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond}
 	if *delta != 0 {
@@ -135,8 +122,8 @@ func main() {
 		if *experiment != "all" && *experiment != name {
 			return
 		}
-		fmt.Printf("==> %s (n=%d f=%d duration=%v seed=%d scheme=%s pipeline=%v)\n",
-			name, sc.N, sc.F, sc.Duration, sc.Seed, sc.Scheme, sc.Pipeline)
+		fmt.Printf("==> %s (n=%d f=%d duration=%v seed=%d scheme=%s)\n",
+			name, sc.N, sc.F, sc.Duration, sc.Seed, sc.Scheme)
 		start := time.Now()
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "sftbench: %s: %v\n", name, err)
@@ -154,21 +141,15 @@ func main() {
 	run("theorem3", func() error { return theorem3(sc) })
 	run("streamlet", func() error { return streamletExp(sc) })
 	run("crashrecovery", func() error { return crashRecovery(sc, deltas[0]) })
-	// adversary is explicit-only (not part of "all"), like verifypipeline:
-	// at the default paper scale (n=100) each of its 60 scenarios simulates
+	// adversary is explicit-only (not part of "all"): at the default paper
+	// scale (n=100) each of its 60 scenarios simulates
 	// a full Byzantine cluster — hours of wall time — while its acceptance
 	// setting is -n 7 (~2s). Run it as `-experiment adversary -n 7`.
 	if *experiment == "adversary" {
 		run("adversary", func() error { return adversaryFuzz(sc, *scenarios, *workers) })
 	}
-	// verifypipeline is explicit-only (not part of "all"): it defaults to
-	// real ed25519 signatures, and two serially-verified macro runs at paper
-	// scale would dominate the whole sweep's wall time.
-	if *experiment == "verifypipeline" {
-		run("verifypipeline", func() error { return verifyPipeline(sc, deltas[0]) })
-	}
-	// compactcert is explicit-only for the same reason: it sweeps committee
-	// sizes {31, 103} under real ed25519 vote signatures regardless of -n.
+	// compactcert is explicit-only: it sweeps committee sizes {31, 103}
+	// under real ed25519 vote signatures regardless of -n.
 	if *experiment == "compactcert" {
 		run("compactcert", func() error { return compactCert(sc, deltas[0]) })
 	}
@@ -201,50 +182,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// schemeSetExplicitly reports whether -scheme appeared on the command line.
-func schemeSetExplicitly() bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "scheme" {
-			set = true
-		}
-	})
-	return set
-}
-
-func verifyPipeline(sc harness.Scale, delta time.Duration) error {
-	res, err := harness.VerifyPipeline(sc, delta)
-	if err != nil {
-		return err
-	}
-	verdict := res.Verdict()
-	printTable(fmt.Sprintf("Verification pipeline ablation (scheme=%s): prevalidate/apply split on vs off", res.Scheme),
-		[]string{"metric", "pipeline off", "pipeline on"},
-		[][]string{
-			{"events processed", fmt.Sprintf("%d", res.Off.Events), fmt.Sprintf("%d", res.On.Events)},
-			{"events/sec (host)", fmt.Sprintf("%.0f", res.OffEventsPerSec), fmt.Sprintf("%.0f", res.OnEventsPerSec)},
-			{"wall time", res.OffWall.Round(time.Millisecond).String(), res.OnWall.Round(time.Millisecond).String()},
-			{"blocks committed", fmt.Sprintf("%d", res.Off.CommittedBlocks), fmt.Sprintf("%d", res.On.CommittedBlocks)},
-			{"regular latency (s)", fmt.Sprintf("%.3f", res.Off.RegularLatency.Mean), fmt.Sprintf("%.3f", res.On.RegularLatency.Mean)},
-			{"messages", fmt.Sprintf("%d", res.Off.Msgs.Count), fmt.Sprintf("%d", res.On.Msgs.Count)},
-			{"determinism verdict", verdict, verdict},
-		})
-	rows := [][]string{{"serial (baseline)", fmt.Sprintf("%.0f", res.SerialNsPerQC/1e3), "1.00"}}
-	for _, p := range res.Sweep {
-		rows = append(rows, []string{
-			fmt.Sprintf("batch, %d worker(s)", p.Workers),
-			fmt.Sprintf("%.0f", p.NsPerQC/1e3),
-			fmt.Sprintf("%.2f", p.Speedup),
-		})
-	}
-	printTable(fmt.Sprintf("Cold QC verification (%d signatures per certificate): batch worker sweep", res.Quorum),
-		[]string{"path", "µs/QC", "speedup"}, rows)
-	if !res.Identical {
-		return fmt.Errorf("pipeline on/off runs diverged")
-	}
-	return nil
 }
 
 // adversaryFuzz runs the randomized adversarial scenario fuzzer: `count`

@@ -47,8 +47,6 @@ func main() {
 		quiet    = flag.Bool("quiet", false, "only print periodic summaries")
 		clients  = flag.String("client-listen", "", "optional address accepting client transaction streams (see cmd/sftclient)")
 		dataDir  = flag.String("data-dir", "", "directory for the write-ahead log; restarting with the same -data-dir recovers the pre-crash state and re-joins via state sync")
-		pipeline = flag.Bool("pipeline", true, "verify signatures off the event loop, on the per-peer transport reader goroutines, with batched QC verification")
-		workers  = flag.Int("pipeline-workers", 0, "batch-verification concurrency per cold QC (with -pipeline); 0 = GOMAXPROCS divided across the n-1 concurrent peer readers")
 		strength = flag.Int("min-strength", 0, "x-strong threshold for reported commits (the paper's client-side knob; 0 = report every level)")
 		obsAddr  = flag.String("obs-addr", "", "optional ops HTTP address serving /metrics (Prometheus), /healthz, /tracez and /debug/pprof")
 		version  = flag.Bool("version", false, "print version and exit")
@@ -115,9 +113,6 @@ func main() {
 		// the process) and recovers that state on restart.
 		opts = append(opts, sft.WithWAL(filepath.Join(*dataDir, fmt.Sprintf("replica-%d", *id))))
 	}
-	if *pipeline {
-		opts = append(opts, sft.WithVerifyPipeline(*workers))
-	}
 	if *obsAddr != "" {
 		opts = append(opts, sft.WithObservability(sft.ObsConfig{}))
 	}
@@ -130,7 +125,7 @@ func main() {
 		log.Printf("recovered from WAL: %d blocks, %d own votes, voted r%d, committed height %d, high QC r%d",
 			rec.Blocks, rec.Votes, rec.VotedRound, rec.CommittedHeight, rec.HighQCRound)
 	}
-	log.Printf("listening on %s, cluster n=%d f=%d (pipeline=%v)", node.Addr(), *n, f, *pipeline)
+	log.Printf("listening on %s, cluster n=%d f=%d", node.Addr(), *n, f)
 
 	// Ops surface: Prometheus metrics, health, block traces and pprof. The
 	// health gate flags this replica when its own votes stop appearing in

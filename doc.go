@@ -45,13 +45,14 @@
 //   - WithTransport(TCP(...)) / NewLocalNet(n).Transport(id) /
 //     NewSimnet(cfg).Transport(id) — real sockets, in-process channels, or
 //     the deterministic discrete-event fabric (which adds CrashAt/RestartAt
-//     kill-and-recover scheduling and simulation-wide VerifyPipeline).
+//     kill-and-recover scheduling). Every transport prevalidates each
+//     inbound message exactly once (see "Verification").
 //   - WithWAL(dir) — durability: the node write-ahead-logs everything its
 //     safety depends on, recovers it on restart (Node.Restored), and
 //     flushes/closes the log in Node.Close and on Run's way out.
-//   - WithVerifyPipeline(workers) — signature checking off the event loop
-//     (per-peer reader goroutines under TCP, a bounded worker pool under
-//     LocalNet), with batched cold-QC verification.
+//   - WithVerifyPipeline(workers) — overrides the derived number of
+//     goroutines that batch-check one cold certificate's signatures; it
+//     switches nothing on.
 //   - WithObservability(ObsConfig{...}) — the operator surface: a
 //     per-node obs sink (Prometheus-style registry, block-lifecycle
 //     tracer, health monitor) instrumenting every layer — rounds,
@@ -195,8 +196,8 @@
 //	accepting a block  AcceptBlock, Orphans (bounded)   validity, stale rounds, sync    validity, first-seen echo
 //	voting             CastVote: execute, sign,         rvote / rlock / TC rule,        first proposal of the round on
 //	                   journal, record in history       marker or interval set          a longest chain; height marker
-//	vote → certificate AddVote, Certify: dedup, verify, collector only, extra-wait,     everyone, relay by echo,
-//	                   root check, sort, aggregate      FBFT late votes, qcFormed       register + journal
+//	vote → certificate AddVote, Certify: dedup, root    collector only, extra-wait,     everyone, relay by echo,
+//	                   check, sort, aggregate           FBFT late votes, qcFormed       register + journal
 //	after a QC         tracker (round or height keyed)  2-chain lock, 3-chain commit,   longest-chain height, consecutive-
 //	                                                    round sync, orphan QCs          round 3-chain commit
 //	committing         CommitTo: app, outputs, record   —                               —
@@ -307,23 +308,50 @@
 // internal/types, internal/simnet, and internal/core. BENCH_PR1.json
 // records the before/after numbers.
 //
-// # Verification pipeline
+// # Verification
 //
-// PR 3 moved signature verification — the dominant cost under real ed25519
-// crypto — off the engines' single-threaded event loop. Both engines
-// implement engine.Pipelined: a stateless Prevalidate stage (structure,
-// signatures, certificates; safe to call concurrently with the event loop)
-// and an OnVerifiedMessage state stage that skips the checks Prevalidate
-// performed. crypto.BatchVerifier folds a certificate's 2f+1 signatures
-// (and cross-message batches) into one sharded, worker-parallel pass,
-// bisecting failed shards so a corrupted signature is attributed to the
-// exact signer. tcpnet prevalidates on its per-peer reader goroutines,
-// runtime.Node adds a bounded worker pool sharded by sender, and both
-// preserve per-sender FIFO order — the only delivery order the network
-// guarantees. simnet routes through the same split synchronously, keeping
-// fixed-seed runs bit-identical with the pipeline on or off (the PR-3
-// determinism oracle). README.md documents the ordering and determinism
-// constraints; BENCH_PR3.json records the measurements.
+// A message is checked in one stage and applied in another, and each check
+// exists once (internal/engine states the contract). Prevalidate is every
+// stateless check — structure always, signatures and certificates when
+// VerifySignatures is on — and runs where the transport puts it: on tcpnet's
+// per-peer reader goroutines (the loop then enters through
+// OnVerifiedMessage), or inline in OnMessage under LocalNetwork and simnet.
+// OnVerifiedMessage is the state stage and checks no signature; OnMessage is
+// the first then the second, skipping the first for loopback. Whoever runs
+// Prevalidate counts it once (obs.OnPrevalidate) and keeps per-sender FIFO.
+//
+//	message       stateless (Prevalidate)                          stateful (state stage)
+//	Proposal      block and justify present, round/proposer match, reputation leader (reads the store),
+//	 (DiemBFT)    round-robin leader, justify certifies parent,    stale round, parent presence /
+//	              proposer signature, justify QC                   orphaning
+//	Vote,         signature                                        collector, dedup, execution-root
+//	ExtraVote                                                      check
+//	Timeout       HighRound = HighQC.Round, high QC present        stale round, exact window,
+//	              (active pacemaker), window pre-filter, sender    per-peer cap
+//	              signature, high QC
+//	RoundEntry    exactly one justification, its round + 1 =       stale round, exact window
+//	              round, round pre-filter, sender signature,
+//	              QC or TC
+//	Streamlet     echo unwrap within the nesting cap, round/       first-seen (seenProp), exact
+//	              proposer match, round-robin leader, window       window, parent presence, vote
+//	              pre-filter, proposal and vote signatures         dedup, execution-root check
+//	              (memoized across echoed copies)
+//	Observer      block and justify present, justify certifies     already stored, parent presence
+//	              parent, sender inside the committee, proposer
+//	              signature, justify QC, round-entry QC
+//
+// Two things are deliberately not a clean split. The future-window tests run
+// twice: Prevalidate compares against the published round snapshot so
+// far-future spam is dropped before any signature math, the snapshot may lag
+// the loop, and the state stage repeats the exact test. And bulk sync
+// segments (SyncResponse, StateSyncResponse) are prefix-stateful — blocks
+// install link by link up to the first bad one — so Prevalidate never judges
+// them; it only warms their certificates into the verified-QC cache, and they
+// are verified as they install (Chassis.ApplySegment, Certs.Apply,
+// statesync.Applier). The rejection tables and FuzzOnMessage targets of the
+// three engine packages drive every malformed class and arbitrary decoded
+// messages through both doors; BENCH_PR3.json holds the original measurements
+// of taking verification off the loop.
 //
 // # Durability
 //

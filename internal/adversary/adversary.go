@@ -147,12 +147,10 @@ type Emitter interface {
 }
 
 // Replica wraps an honest engine and applies a behavior chain to its
-// outputs. It implements engine.Engine and — delegating to the inner engine
-// where possible — engine.Pipelined, so corrupted replicas run under every
-// substrate an honest one does.
+// outputs. It implements engine.Engine by delegation, so corrupted replicas
+// run under every substrate an honest one does.
 type Replica struct {
 	inner     engine.Engine
-	pipelined engine.Pipelined // nil when inner lacks the split
 	ctx       Context
 	behaviors []Behavior
 	observers []InboundObserver
@@ -192,9 +190,6 @@ func New(inner engine.Engine, cfg Config, behaviors ...Behavior) *Replica {
 		delayed:   make(map[int][]Outbound),
 		nextTimer: -1,
 	}
-	if p, ok := inner.(engine.Pipelined); ok {
-		r.pipelined = p
-	}
 	for _, b := range behaviors {
 		if o, ok := b.(InboundObserver); ok {
 			r.observers = append(r.observers, o)
@@ -231,7 +226,8 @@ func (r *Replica) Init(now time.Duration) []engine.Output {
 	return r.transform(now, r.inner.Init(now))
 }
 
-// OnMessage implements engine.Engine.
+// OnMessage implements engine.Engine. Behaviors observe the message before
+// the inner engine prevalidates it, so they see all inbound traffic.
 func (r *Replica) OnMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
 	r.observe(now, from, msg)
 	return r.transform(now, r.inner.OnMessage(now, from, msg))
@@ -254,22 +250,15 @@ func (r *Replica) OnTimer(now time.Duration, id int) []engine.Output {
 	return r.transform(now, r.inner.OnTimer(now, id))
 }
 
-// Prevalidate implements engine.Pipelined by delegation; an inner engine
-// without the split accepts everything here and checks in OnMessage instead.
+// Prevalidate implements engine.Engine.
 func (r *Replica) Prevalidate(from types.ReplicaID, msg types.Message) error {
-	if r.pipelined != nil {
-		return r.pipelined.Prevalidate(from, msg)
-	}
-	return nil
+	return r.inner.Prevalidate(from, msg)
 }
 
-// OnVerifiedMessage implements engine.Pipelined.
+// OnVerifiedMessage implements engine.Engine.
 func (r *Replica) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
 	r.observe(now, from, msg)
-	if r.pipelined != nil {
-		return r.transform(now, r.pipelined.OnVerifiedMessage(now, from, msg))
-	}
-	return r.transform(now, r.inner.OnMessage(now, from, msg))
+	return r.transform(now, r.inner.OnVerifiedMessage(now, from, msg))
 }
 
 func (r *Replica) observe(now time.Duration, from types.ReplicaID, msg types.Message) {

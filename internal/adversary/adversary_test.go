@@ -34,6 +34,10 @@ func (s *stubEngine) Init(now time.Duration) []engine.Output { return s.next() }
 func (s *stubEngine) OnMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
 	return s.next()
 }
+func (s *stubEngine) Prevalidate(types.ReplicaID, types.Message) error { return nil }
+func (s *stubEngine) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
+	return s.OnMessage(now, from, msg)
+}
 func (s *stubEngine) OnTimer(now time.Duration, id int) []engine.Output { return s.next() }
 
 func testRing(t *testing.T, n int) *crypto.KeyRing {

@@ -22,8 +22,8 @@ import (
 // or forged signatures — never alias. The quorum parameter is part of the
 // key as well, since structural validity depends on it.
 //
-// A QCCache belongs to one replica engine. Since the verification pipeline
-// consults it from prevalidation workers concurrently with the engine loop,
+// A QCCache belongs to one replica engine. Since Prevalidate consults it
+// from transport reader goroutines concurrently with the engine loop,
 // the key set is the shared internally-synchronized lruSet; the signature
 // verification itself (the expensive part) runs outside its lock, so two
 // workers may at worst verify the same novel certificate twice — a benign

@@ -231,7 +231,7 @@ func (r *Replica) Restore(rec *core.Recovery) error {
 // from its journal, rejoin at the recovered high QC's round and broadcast a
 // state-sync request for everything certified while it was down.
 func (r *Replica) Init(now time.Duration) []engine.Output {
-	r.Begin(now, false)
+	r.Begin(now)
 	r.EnterRound(r.pm.Round(), false)
 	r.Outs = append(r.Outs, engine.SetTimer{ID: timerID(1, kindRound), Delay: r.pm.Timeout()})
 	if r.Recovered() {
@@ -244,28 +244,32 @@ func (r *Replica) Init(now time.Duration) []engine.Output {
 	return r.Take()
 }
 
-// OnMessage implements engine.Engine.
+// OnMessage implements engine.Engine: Prevalidate, then the state stage.
+// Loopback (from is this replica) is the engine's own output and is trusted.
 func (r *Replica) OnMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	return r.onMessage(now, from, msg, false)
+	if from != r.cfg.ID {
+		err := r.Prevalidate(from, msg)
+		r.cfg.Obs.OnPrevalidate(err != nil)
+		if err != nil {
+			return nil
+		}
+	}
+	return r.OnVerifiedMessage(now, from, msg)
 }
 
-// OnVerifiedMessage implements engine.Pipelined: identical state transitions
-// to OnMessage, minus the signature checks Prevalidate already performed.
+// OnVerifiedMessage implements engine.Engine: the state stage, stateful rules
+// only. Only sync segments are verified here, link by link as they install.
 func (r *Replica) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	return r.onMessage(now, from, msg, true)
-}
-
-func (r *Replica) onMessage(now time.Duration, from types.ReplicaID, msg types.Message, preverified bool) []engine.Output {
-	r.Begin(now, preverified)
+	r.Begin(now)
 	switch m := msg.(type) {
 	case *types.Proposal:
 		r.onProposal(now, m)
 	case *types.VoteMsg:
 		r.onVote(now, m.Vote)
 	case *types.Timeout:
-		r.onTimeout(now, from, m)
+		r.onTimeout(now, m)
 	case *types.RoundEntry:
-		r.onRoundEntry(now, from, m)
+		r.onRoundEntry(now, m)
 	case *types.ExtraVote:
 		r.onExtraVote(m)
 	case *types.SyncRequest:
@@ -282,7 +286,7 @@ func (r *Replica) onMessage(now time.Duration, from types.ReplicaID, msg types.M
 
 // OnTimer implements engine.Engine.
 func (r *Replica) OnTimer(now time.Duration, id int) []engine.Output {
-	r.Begin(now, false)
+	r.Begin(now)
 	round := types.Round(id >> 1)
 	switch id & 1 {
 	case kindRound:

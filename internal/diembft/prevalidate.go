@@ -17,17 +17,13 @@ import (
 // verification). It matches the state-sync protocol's segment cap.
 const syncMaxBlocks = statesync.DefaultMaxBlocks
 
-// Prevalidate implements engine.Pipelined: every check on an inbound message
-// that reads no mutable replica state — structural sanity, sender
-// signatures, and certificate verification. Runtimes call it from transport
-// reader goroutines and worker pools concurrently with the event loop; the
-// only shared structure it touches is the verified-QC cache, which is
-// internally synchronized (and which OnVerifiedMessage's state stage then
-// hits instead of re-verifying).
-//
-// A nil return means the state stage will not need to verify any signature
-// on this message; an error means the state stage would have dropped the
-// message without producing outputs, so the runtime can discard it.
+// Prevalidate implements engine.Engine: every check on an inbound message
+// that reads no mutable replica state — well-formedness and certificate
+// structure always, sender signatures and certificate verification when
+// VerifySignatures is on. This is the only copy of each: the state stage
+// (OnVerifiedMessage) repeats none of them. Transports call it from reader
+// goroutines concurrently with the event loop; the only shared structure it
+// touches is the verified-QC cache, which is internally synchronized.
 //
 // Bulk sync segments (SyncResponse, StateSyncResponse) are the one
 // exception: their accept/reject semantics are prefix-stateful (the engine
@@ -36,34 +32,34 @@ const syncMaxBlocks = statesync.DefaultMaxBlocks
 // off-loop by verifying every segment certificate into the shared QC cache,
 // which turns the engine loop's own verification into cache hits.
 func (r *Replica) Prevalidate(from types.ReplicaID, msg types.Message) error {
-	if !r.cfg.VerifySignatures {
-		return nil
-	}
 	switch m := msg.(type) {
 	case *types.Proposal:
 		return r.prevalidateProposal(m)
 	case *types.VoteMsg:
-		return crypto.VerifyVote(r.cfg.Verifier, m.Vote)
+		return r.prevalidateVote(m.Vote)
 	case *types.Timeout:
 		return r.prevalidateTimeout(m)
 	case *types.RoundEntry:
 		return r.prevalidateRoundEntry(m)
 	case *types.ExtraVote:
-		return crypto.VerifyVote(r.cfg.Verifier, m.Vote)
+		return r.prevalidateVote(m.Vote)
 	case *types.SyncResponse:
 		r.warmSegment(m.Blocks, nil)
-		return nil
 	case *types.StateSyncResponse:
 		r.warmSegment(m.Blocks, m.HighQC)
-		return nil
 	}
 	// SyncRequest/StateSyncRequest carry no signatures; unknown message
 	// types are the state stage's business to ignore.
 	return nil
 }
 
-// prevalidateProposal mirrors validProposal's checks exactly — all of them
-// are stateless, so the whole validation moves off-loop.
+func (r *Replica) prevalidateVote(v types.Vote) error {
+	if !r.cfg.VerifySignatures {
+		return nil
+	}
+	return crypto.VerifyVote(r.cfg.Verifier, v)
+}
+
 func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 	if p.Block == nil || p.Block.Justify == nil {
 		return fmt.Errorf("diembft: proposal without block or justify")
@@ -73,27 +69,21 @@ func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 	}
 	if r.cfg.LeaderReputationWindow <= 0 && pacemaker.Leader(p.Round, r.cfg.N) != p.Sender {
 		// Reputation rotation reads the (mutable) block store, so its leader
-		// check stays on the event loop; validProposal always re-checks.
+		// check is the state stage's.
 		return fmt.Errorf("diembft: proposal from non-leader %v", p.Sender)
 	}
 	if p.Block.Justify.Block != p.Block.Parent {
 		return fmt.Errorf("diembft: justify does not certify parent")
 	}
-	if !r.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
+	if r.cfg.VerifySignatures && !r.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
 		return fmt.Errorf("diembft: bad proposal signature from %v", p.Sender)
 	}
-	// verifyQC structure-checks the certificate itself; no separate
-	// CheckStructure pass is needed.
 	return r.Certs.VerifyQC(p.Block.Justify)
 }
 
-// prevalidateTimeout mirrors onTimeout's verification: sender signature and
-// the attached high QC. Unlike the inline path, no Sender == self exception
-// is needed here: a replica's own timeout only reaches it through trusted
-// local self-delivery, which runtimes hand to OnVerifiedMessage without
-// calling Prevalidate at all — anything arriving here came off the network
-// and gets the full check. For honest traffic (network timeouts always name
-// a remote sender) the two paths behave identically.
+// prevalidateTimeout needs no Sender == self exception: a replica's own
+// timeout only reaches it through loopback, which skips Prevalidate; anything
+// arriving here came off the network and gets the full check.
 func (r *Replica) prevalidateTimeout(t *types.Timeout) error {
 	// Active-mode window and structural checks run BEFORE any signature math:
 	// dropping a spammed far-future timeout here costs a comparison, not a
@@ -107,28 +97,40 @@ func (r *Replica) prevalidateTimeout(t *types.Timeout) error {
 			return fmt.Errorf("diembft: timeout for round %d beyond window (at %d)", t.Round, cur)
 		}
 		if t.HighQC == nil {
+			// Active mode requires the certified evidence: a timeout without
+			// its high QC cannot contribute a truthful TC attestation.
 			r.cfg.Obs.OnTimeoutRejected(obs.ReasonMismatch)
 			return fmt.Errorf("diembft: timeout without high QC")
 		}
 	}
 	if t.HighQC != nil && t.HighRound != t.HighQC.Round {
+		// The signed high-round claim must match the certificate it rides
+		// with, or the TC attestation built from it would lie about what the
+		// sender saw certified.
 		r.cfg.Obs.OnTimeoutRejected(obs.ReasonMismatch)
 		return fmt.Errorf("diembft: timeout high-round claim %d does not match QC round %d", t.HighRound, t.HighQC.Round)
 	}
-	if !r.cfg.Verifier.Verify(t.Sender, t.SigningPayload(), t.Signature) {
+	if r.cfg.VerifySignatures && !r.cfg.Verifier.Verify(t.Sender, t.SigningPayload(), t.Signature) {
+		r.cfg.Obs.OnTimeoutRejected(obs.ReasonBadSignature)
 		return fmt.Errorf("diembft: bad timeout signature from %v", t.Sender)
 	}
 	if t.HighQC != nil {
-		// verifyQC structure-checks the certificate itself.
-		return r.Certs.VerifyQC(t.HighQC)
+		if err := r.Certs.VerifyQC(t.HighQC); err != nil {
+			r.cfg.Obs.OnTimeoutRejected(obs.ReasonBadSignature)
+			return err
+		}
 	}
 	return nil
 }
 
-// prevalidateRoundEntry mirrors onRoundEntry's verification off-loop. The
+// prevalidateRoundEntry validates a peer's justified round-entry
+// announcement: exactly one justification — a QC for round-1, or a TC of 2f+1
+// signed timeout attestations for round-1 — under a genuine sender signature.
+// Naked claims, stale entries, rounds beyond the future window and
+// mix-and-match justifications are rejected and surfaced as a counter. The
 // cheap structural and window checks run first so forged entries cost no
-// signature work; QC verification lands in the shared cache, so the state
-// stage's own processQC path turns into cache hits.
+// signature work; the round tests against the snapshot are a pre-filter the
+// state stage repeats exactly.
 func (r *Replica) prevalidateRoundEntry(e *types.RoundEntry) error {
 	if !r.pm.Active() {
 		return nil // the passive state stage ignores these entirely
@@ -144,6 +146,8 @@ func (r *Replica) prevalidateRoundEntry(e *types.RoundEntry) error {
 	}
 	hasQC, hasTC := e.Justify != nil, e.TC != nil
 	if hasQC == hasTC {
+		// Exactly one justification: none proves nothing, and both would
+		// invite mix-and-match replay of unrelated certificates.
 		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonNoJustify)
 		return fmt.Errorf("diembft: round entry needs exactly one justification")
 	}
@@ -151,22 +155,23 @@ func (r *Replica) prevalidateRoundEntry(e *types.RoundEntry) error {
 		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
 		return fmt.Errorf("diembft: round entry justification does not prove round %d", e.Round)
 	}
-	if !r.cfg.Verifier.Verify(e.Sender, e.SigningPayload(), e.Signature) {
+	if r.cfg.VerifySignatures && !r.cfg.Verifier.Verify(e.Sender, e.SigningPayload(), e.Signature) {
 		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadSignature)
 		return fmt.Errorf("diembft: bad round entry signature from %v", e.Sender)
 	}
-	if hasQC {
-		if err := r.Certs.VerifyQC(e.Justify); err != nil {
-			r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-			return err
-		}
-		return nil
+	var err error
+	switch {
+	case hasQC:
+		err = r.Certs.VerifyQC(e.Justify)
+	case r.cfg.VerifySignatures:
+		err = crypto.VerifyTC(r.cfg.Verifier, e.TC, r.cfg.Quorum())
+	default:
+		err = e.TC.CheckStructure(r.cfg.Quorum())
 	}
-	if err := crypto.VerifyTC(r.cfg.Verifier, e.TC, r.cfg.Quorum()); err != nil {
+	if err != nil {
 		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-		return err
 	}
-	return nil
+	return err
 }
 
 // warmSegment verifies a sync segment's certificates into the shared QC

@@ -65,55 +65,73 @@ func genuineTC(ring *crypto.KeyRing) *types.TC {
 	return types.NewTC(1, timeouts)
 }
 
-// TestRoundEntryRejectsUnjustified drives every rejection class through the
-// engine path: naked claims, double justifications, justifications for the
-// wrong round, rounds beyond the future window, forged sender signatures and
-// forged TC attestations all leave the round untouched and bump the counter.
-func TestRoundEntryRejectsUnjustified(t *testing.T) {
-	ring, _ := crypto.NewKeyRing(4, 1, crypto.SchemeSim)
-	sink := obs.New(obs.Options{N: 4, F: 1})
-	rep := activeReplica(t, 1, 4, 1, ring, sink)
-	rep.Init(0)
-
-	good := genuineProposal(ring, 1)
-	qc := round1QC(ring, good.Block)
-	tc := genuineTC(ring)
-
-	forgedTC := &types.TC{Round: 1, Attestations: []types.TCAttestation{
-		{Sender: 0, HighRound: 0, Signature: []byte("forged")},
-		{Sender: 2, HighRound: 0, Signature: []byte("forged")},
-		{Sender: 3, HighRound: 0, Signature: []byte("forged")},
-	}}
-
-	cases := []struct {
-		name  string
-		entry *types.RoundEntry
-	}{
-		{"naked claim", &types.RoundEntry{Round: 2, Sender: 2}},
-		{"both justifications", &types.RoundEntry{Round: 2, Justify: qc, TC: tc, Sender: 2}},
-		{"qc for the wrong round", &types.RoundEntry{Round: 3, Justify: qc, Sender: 2}},
-		{"tc for the wrong round", &types.RoundEntry{Round: 3, TC: tc, Sender: 2}},
-		{"beyond the future window", &types.RoundEntry{Round: 100, TC: &types.TC{Round: 99}, Sender: 2}},
-		{"forged tc attestations", &types.RoundEntry{Round: 2, TC: forgedTC, Sender: 2}},
-	}
-	for i, tcase := range cases {
-		rep.OnMessage(0, 2, signedEntry(ring, tcase.entry))
-		if got := rep.Round(); got != 1 {
-			t.Fatalf("%s: advanced to round %d", tcase.name, got)
-		}
-		if got := sink.RoundEntryRejections(); got != int64(i+1) {
-			t.Fatalf("%s: rejection counter %d, want %d", tcase.name, got, i+1)
-		}
-	}
-
-	// Forged outer signature on an otherwise-valid entry.
-	bad := &types.RoundEntry{Round: 2, TC: tc, Sender: 2}
-	bad.Signature = ring.Signer(3).Sign(bad.SigningPayload())
-	rep.OnMessage(0, 2, bad)
-	if got := rep.Round(); got != 1 {
-		t.Fatalf("forged sender signature: advanced to round %d", got)
-	}
+var pacemakerRejections = []rejection{
+	{name: "timeout/high-round mismatch", from: 0, reason: "timeout:" + obs.ReasonMismatch, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.qc1, HighRound: 5, Sender: 0})
+	}},
+	{name: "timeout/no high QC", active: true, from: 0, reason: "timeout:" + obs.ReasonMismatch, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: 2, Sender: 0})
+	}},
+	{name: "timeout/sub-quorum high QC", from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.cert(fx.b2, 0, 1), HighRound: 2, Sender: 0})
+	}},
+	{name: "timeout/duplicate-voter high QC", from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.cert(fx.b2, 0, 1, 1), HighRound: 2, Sender: 0})
+	}},
+	{name: "timeout/forged sender signature", sigOnly: true, from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		t := fx.timeout(&types.Timeout{Round: 2, HighQC: fx.qc2, HighRound: 2, Sender: 0})
+		t.Signature = fx.ring.Signer(1).Sign(t.SigningPayload())
+		return t
+	}},
+	{name: "timeout/forged high QC vote", sigOnly: true, from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.forgedCert(fx.b2), HighRound: 2, Sender: 0})
+	}},
+	{name: "timeout/beyond the future window", active: true, from: 0, reason: "timeout:" + obs.ReasonFutureWindow, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: 100, HighQC: fx.qc2, HighRound: 2, Sender: 0})
+	}},
+	{name: "round entry/no justification", active: true, from: 0, reason: "entry:" + obs.ReasonNoJustify, msg: func(fx *doorFixture) types.Message {
+		return fx.entry(&types.RoundEntry{Round: 3, Sender: 0})
+	}},
+	{name: "round entry/both justifications", active: true, from: 0, reason: "entry:" + obs.ReasonNoJustify, msg: func(fx *doorFixture) types.Message {
+		return fx.entry(&types.RoundEntry{Round: 3, Justify: fx.qc2, TC: fx.tc(2, 0, 1, 2), Sender: 0})
+	}},
+	{name: "round entry/QC for the wrong round", active: true, from: 0, reason: "entry:" + obs.ReasonBadJustify, msg: func(fx *doorFixture) types.Message {
+		return fx.entry(&types.RoundEntry{Round: 4, Justify: fx.qc2, Sender: 0})
+	}},
+	{name: "round entry/TC for the wrong round", active: true, from: 0, reason: "entry:" + obs.ReasonBadJustify, msg: func(fx *doorFixture) types.Message {
+		return fx.entry(&types.RoundEntry{Round: 4, TC: fx.tc(2, 0, 1, 2), Sender: 0})
+	}},
+	{name: "round entry/sub-quorum QC", active: true, from: 0, reason: "entry:" + obs.ReasonBadJustify, msg: func(fx *doorFixture) types.Message {
+		return fx.entry(&types.RoundEntry{Round: 3, Justify: fx.cert(fx.b2, 0, 1), Sender: 0})
+	}},
+	{name: "round entry/sub-quorum TC", active: true, from: 0, reason: "entry:" + obs.ReasonBadJustify, msg: func(fx *doorFixture) types.Message {
+		return fx.entry(&types.RoundEntry{Round: 3, TC: fx.tc(2, 0, 1), Sender: 0})
+	}},
+	{name: "round entry/forged sender signature", sigOnly: true, active: true, from: 0, reason: "entry:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		e := fx.entry(&types.RoundEntry{Round: 3, TC: fx.tc(2, 0, 1, 2), Sender: 0})
+		e.Signature = fx.ring.Signer(1).Sign(e.SigningPayload())
+		return e
+	}},
+	{name: "round entry/forged QC vote", sigOnly: true, active: true, from: 0, reason: "entry:" + obs.ReasonBadJustify, msg: func(fx *doorFixture) types.Message {
+		return fx.entry(&types.RoundEntry{Round: 3, Justify: fx.forgedCert(fx.b2), Sender: 0})
+	}},
+	{name: "round entry/forged TC attestation", sigOnly: true, active: true, from: 0, reason: "entry:" + obs.ReasonBadJustify, msg: func(fx *doorFixture) types.Message {
+		tc := fx.tc(2, 0, 1, 2)
+		tc.Attestations[1].Signature = []byte("forged")
+		return fx.entry(&types.RoundEntry{Round: 3, TC: tc, Sender: 0})
+	}},
+	{name: "round entry/beyond the future window", active: true, from: 0, reason: "entry:" + obs.ReasonFutureWindow, msg: func(fx *doorFixture) types.Message {
+		return fx.entry(&types.RoundEntry{Round: 100, TC: fx.tc(99, 0, 1, 2), Sender: 0})
+	}},
 }
+
+// TestRoundEntryRejectsUnjustified drives every timeout and round-entry
+// rejection class through the table runner: naked claims, double
+// justifications, justifications for the wrong round or below quorum, rounds
+// beyond the future window, forged sender signatures and forged attestations
+// all leave the replica untouched and land on their reason counter once,
+// through either door.
+func TestRoundEntryRejectsUnjustified(t *testing.T) { runRejections(t, pacemakerRejections) }
 
 // TestRoundEntryFollowsQCJustification: a peer's announcement carrying the
 // QC that certifies round 1 legally moves the replica into round 2.

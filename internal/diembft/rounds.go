@@ -3,7 +3,6 @@ package diembft
 import (
 	"time"
 
-	"repro/internal/crypto"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/pacemaker"
@@ -99,7 +98,9 @@ func (r *Replica) onRoundTimer(now time.Duration, round types.Round) {
 	r.Outs = append(r.Outs, engine.SetTimer{ID: timerID(round, kindRound), Delay: r.pm.Timeout()})
 }
 
-func (r *Replica) onTimeout(now time.Duration, from types.ReplicaID, t *types.Timeout) {
+// onTimeout is the state stage for a timeout Prevalidate accepted (or this
+// replica's own): the stale and exact-window tests, then the pacemaker.
+func (r *Replica) onTimeout(now time.Duration, t *types.Timeout) {
 	if t.Round < r.pm.Round() {
 		// Stale view-change traffic: a timeout for a round we already left
 		// cannot complete a useful TC and is dropped, as in DiemBFT. This
@@ -113,44 +114,11 @@ func (r *Replica) onTimeout(now time.Duration, from types.ReplicaID, t *types.Ti
 		// Active mode: a timeout claiming a round far beyond ours cannot come
 		// from an honest connected peer — they are at most a window ahead,
 		// and a genuinely-ahead cluster reaches us through certified chain
-		// segments, never through naked future timeouts. Dropped here and at
-		// Prevalidate, denying timeout-spam both memory and verification CPU.
+		// segments, never through naked future timeouts. Prevalidate drops
+		// these against the round snapshot, before any signature math; the
+		// snapshot may lag, so the exact test is repeated here.
 		r.cfg.Obs.OnTimeoutRejected(obs.ReasonFutureWindow)
 		return
-	}
-	if t.HighQC != nil && t.HighRound != t.HighQC.Round {
-		// The signed high-round claim must match the certificate it rides
-		// with, or the TC attestation built from it would lie about what the
-		// sender saw certified.
-		r.cfg.Obs.OnTimeoutRejected(obs.ReasonMismatch)
-		return
-	}
-	if r.pm.Active() && t.HighQC == nil {
-		// Active mode requires the certified evidence: a timeout without its
-		// high QC cannot contribute a truthful TC attestation.
-		r.cfg.Obs.OnTimeoutRejected(obs.ReasonMismatch)
-		return
-	}
-	// Verification is skipped only for true local loopback (the replica's
-	// own SelfDeliver copy). Gating on the message-internal Sender field
-	// would let a network peer spoof Sender == receiver to sneak an
-	// unverified HighQC through — and would diverge from Prevalidate, which
-	// verifies every network timeout.
-	if r.CheckSigs() && from != r.cfg.ID {
-		if !r.cfg.Verifier.Verify(t.Sender, t.SigningPayload(), t.Signature) {
-			r.cfg.Obs.OnTimeoutRejected(obs.ReasonBadSignature)
-			return
-		}
-		if t.HighQC != nil {
-			if err := t.HighQC.CheckStructure(r.cfg.Quorum()); err != nil {
-				r.cfg.Obs.OnTimeoutRejected(obs.ReasonBadSignature)
-				return
-			}
-			if err := r.Certs.VerifyQC(t.HighQC); err != nil {
-				r.cfg.Obs.OnTimeoutRejected(obs.ReasonBadSignature)
-				return
-			}
-		}
 	}
 	r.processQC(now, t.HighQC, false)
 	switch r.pm.OnTimeout(t) {
@@ -167,12 +135,11 @@ func (r *Replica) onTimeout(now time.Duration, from types.ReplicaID, t *types.Ti
 	}
 }
 
-// onRoundEntry validates a peer's justified round-entry announcement and
-// follows it only when the justification proves the advance: a QC for
-// round-1, or a TC of 2f+1 signed timeout attestations for round-1. Anything
-// else — naked claims, stale entries, rounds beyond the future window,
-// mix-and-match justifications — is rejected and surfaced as a counter.
-func (r *Replica) onRoundEntry(now time.Duration, from types.ReplicaID, e *types.RoundEntry) {
+// onRoundEntry is the state stage for a round entry Prevalidate accepted:
+// under the active pacemaker it carries exactly one verified justification
+// for e.Round, so what is left is whether the entry is still ahead of this
+// replica and inside its exact future window.
+func (r *Replica) onRoundEntry(now time.Duration, e *types.RoundEntry) {
 	if !r.pm.Active() {
 		return // passive replicas ignore the active protocol's announcements
 	}
@@ -184,46 +151,10 @@ func (r *Replica) onRoundEntry(now time.Duration, from types.ReplicaID, e *types
 		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonFutureWindow)
 		return
 	}
-	hasQC, hasTC := e.Justify != nil, e.TC != nil
-	if hasQC == hasTC {
-		// Exactly one justification: none proves nothing, and both would
-		// invite mix-and-match replay of unrelated certificates.
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonNoJustify)
-		return
-	}
-	if (hasQC && e.Justify.Round+1 != e.Round) || (hasTC && e.TC.Round+1 != e.Round) {
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-		return
-	}
-	if r.CheckSigs() && from != r.cfg.ID {
-		if !r.cfg.Verifier.Verify(e.Sender, e.SigningPayload(), e.Signature) {
-			r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadSignature)
-			return
-		}
-	}
-	if hasQC {
-		if err := e.Justify.CheckStructure(r.cfg.Quorum()); err != nil {
-			r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-			return
-		}
-		if r.CheckSigs() && from != r.cfg.ID {
-			if err := r.Certs.VerifyQC(e.Justify); err != nil {
-				r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-				return
-			}
-		}
+	if e.Justify != nil {
 		// The QC both justifies the entry and advances our own state
 		// (high QC, lock, commit, round) through the regular pipeline.
 		r.processQC(now, e.Justify, false)
-		return
-	}
-	if r.CheckSigs() && from != r.cfg.ID {
-		if err := crypto.VerifyTC(r.cfg.Verifier, e.TC, r.cfg.Quorum()); err != nil {
-			r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-			return
-		}
-	} else if err := e.TC.CheckStructure(r.cfg.Quorum()); err != nil {
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
 		return
 	}
 	r.recentTCs[e.TC.Round] = e.TC

@@ -3,7 +3,6 @@ package diembft
 import (
 	"time"
 
-	"repro/internal/crypto"
 	"repro/internal/engine"
 	"repro/internal/types"
 )
@@ -42,9 +41,12 @@ func (r *Replica) maybePropose(now time.Duration) {
 
 // --- proposal handling ---
 
+// onProposal is the state stage for a proposal Prevalidate accepted (or this
+// replica's own): well-formed, from the round-robin leader, its justify
+// verified and certifying its parent.
 func (r *Replica) onProposal(now time.Duration, p *types.Proposal) {
-	if !r.validProposal(p) {
-		return
+	if r.cfg.LeaderReputationWindow > 0 && r.leaderFor(p.Round, p.Block.Justify) != p.Sender {
+		return // reputation rotation scores the block store, so it is judged here
 	}
 	if p.Round < r.pm.Round() {
 		// Stale proposal for a round we already left (e.g. a slow leader
@@ -66,33 +68,6 @@ func (r *Replica) onProposal(now time.Duration, p *types.Proposal) {
 		return
 	}
 	r.acceptProposal(now, p)
-}
-
-func (r *Replica) validProposal(p *types.Proposal) bool {
-	if p.Block == nil || p.Block.Justify == nil {
-		return false
-	}
-	if p.Block.Round != p.Round || p.Block.Proposer != p.Sender {
-		return false
-	}
-	if r.leaderFor(p.Round, p.Block.Justify) != p.Sender {
-		return false
-	}
-	if p.Block.Justify.Block != p.Block.Parent {
-		return false
-	}
-	if err := p.Block.Justify.CheckStructure(r.cfg.Quorum()); err != nil {
-		return false
-	}
-	if r.CheckSigs() {
-		if !r.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
-			return false
-		}
-		if err := r.Certs.VerifyQC(p.Block.Justify); err != nil {
-			return false
-		}
-	}
-	return true
 }
 
 func (r *Replica) acceptProposal(now time.Duration, p *types.Proposal) {
@@ -234,7 +209,7 @@ func (r *Replica) formQC(now time.Duration, b *types.Block) {
 }
 
 // onLateVote handles a vote arriving after this leader already formed the
-// round's QC (FBFT mode): dedupe, verify, credit locally, and multicast.
+// round's QC (FBFT mode): dedupe, credit locally, and multicast.
 func (r *Replica) onLateVote(v types.Vote) {
 	if !r.AddVote(v) {
 		return
@@ -246,9 +221,6 @@ func (r *Replica) onLateVote(v types.Vote) {
 // onExtraVote handles a late vote relayed by a round leader (FBFT mode).
 func (r *Replica) onExtraVote(m *types.ExtraVote) {
 	if r.direct == nil {
-		return
-	}
-	if r.CheckSigs() && crypto.VerifyVote(r.cfg.Verifier, m.Vote) != nil {
 		return
 	}
 	r.direct.AddVote(m.Vote.Block, m.Vote.Voter)

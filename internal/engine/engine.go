@@ -13,7 +13,33 @@ import (
 	"repro/internal/types"
 )
 
-// Engine is an event-driven replica state machine.
+// Engine is an event-driven replica state machine. Every inbound message is
+// checked in one place and applied in another:
+//
+//   - Prevalidate is every stateless check on one message: well-formedness
+//     and certificate structure always, signature and certificate
+//     verification when the engine is configured to verify. It is pure with
+//     respect to replica state: it reads only immutable configuration (keys,
+//     quorum size, cluster shape), internally synchronized caches and the
+//     published round snapshot, never the protocol state machine, so
+//     transports call it from any number of goroutines concurrently with the
+//     event loop. An error means the message is discardable.
+//   - OnVerifiedMessage is the state stage: stateful rules only (stale
+//     rounds, parent presence, vote dedup, exact future windows). It checks
+//     no signature and no certificate. The one exception is a bulk sync
+//     segment (SyncResponse, StateSyncResponse): its accept/reject semantics
+//     are prefix-stateful, so Prevalidate never judges it and it is verified
+//     link by link as it installs.
+//   - OnMessage is Prevalidate then OnVerifiedMessage, the door for a caller
+//     that has not prevalidated. A message from the replica's own ID is
+//     loopback and skips Prevalidate: transports authenticate from (tcpnet
+//     refuses a peer that handshakes as the node's own ID), so only the
+//     engine's own SelfDeliver output arrives under it.
+//
+// Whoever calls Prevalidate must not deliver a message it rejected, counts
+// the outcome (obs.OnPrevalidate), and preserves per-sender FIFO between
+// Prevalidate and OnVerifiedMessage; cross-sender order is unconstrained,
+// exactly like the network.
 type Engine interface {
 	// ID returns the replica this engine instance embodies.
 	ID() types.ReplicaID
@@ -21,48 +47,18 @@ type Engine interface {
 	// (typically the round-1 proposal if the replica is the first leader,
 	// plus the first round timer).
 	Init(now time.Duration) []Output
-	// OnMessage delivers one consensus message from another replica.
+	// OnMessage delivers one message nobody has prevalidated yet.
 	OnMessage(now time.Duration, from types.ReplicaID, msg types.Message) []Output
+	// Prevalidate runs the stateless checks on msg; nil marks it deliverable
+	// through OnVerifiedMessage.
+	Prevalidate(from types.ReplicaID, msg types.Message) error
+	// OnVerifiedMessage applies a message that passed Prevalidate or was
+	// generated locally.
+	OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []Output
 	// OnTimer fires a timer previously requested via SetTimer. Engines must
 	// tolerate stale timers (e.g. a round timer firing after the round
 	// already advanced).
 	OnTimer(now time.Duration, id int) []Output
-}
-
-// Pipelined is implemented by engines whose message handling splits into a
-// stateless prevalidation stage and the serial state-machine stage. The
-// split is what lets runtimes take signature verification — the dominant
-// cost under real crypto — off the single-threaded event loop: transports
-// and worker pools call Prevalidate concurrently, drop messages that fail,
-// and deliver survivors through OnVerifiedMessage, which skips every
-// signature check Prevalidate already performed.
-//
-// Contract:
-//
-//   - Prevalidate must be pure with respect to replica state: it may read
-//     only immutable configuration (keys, quorum size, cluster shape) and
-//     internally synchronized caches, never the protocol state machine. It
-//     is safe to call from any number of goroutines concurrently with the
-//     event loop.
-//   - Prevalidate failing means the message is discardable: the state stage
-//     would have dropped it without producing outputs. Runtimes must not
-//     deliver a message whose Prevalidate returned an error.
-//   - OnVerifiedMessage must produce byte-identical outputs to OnMessage for
-//     any message that passes Prevalidate — the fixed-seed determinism
-//     oracle in internal/harness pins this equivalence.
-//   - Per-sender FIFO: runtimes must preserve the relative order of
-//     messages from one sender between Prevalidate and OnVerifiedMessage.
-//     Cross-sender order is unconstrained, exactly like the network.
-type Pipelined interface {
-	Engine
-	// Prevalidate runs every stateless check on msg: structural sanity,
-	// signatures, certificate verification. A nil error marks the message
-	// deliverable via OnVerifiedMessage.
-	Prevalidate(from types.ReplicaID, msg types.Message) error
-	// OnVerifiedMessage is OnMessage for a message that already passed
-	// Prevalidate (or was generated locally): signature and certificate
-	// checks are skipped, state transitions are identical.
-	OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []Output
 }
 
 // Output is one action requested by an engine. The concrete types below are

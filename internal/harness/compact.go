@@ -60,7 +60,7 @@ func CompactCertificates(sc Scale, ns []int, delta time.Duration) ([]CompactPoin
 
 		simScale := Scale{
 			N: n, F: f, Duration: sc.Duration, Seed: sc.Seed,
-			Scheme: crypto.SchemeEd25519Agg, Pipeline: sc.Pipeline,
+			Scheme: crypto.SchemeEd25519Agg,
 		}
 		s := symmetricScenario(simScale, delta)
 		s.Name = "compactcert"

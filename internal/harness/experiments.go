@@ -32,9 +32,6 @@ type Scale struct {
 	// scheme, crypto.SchemeEd25519 for real crypto (which implies signature
 	// verification; see Scenario.Scheme).
 	Scheme string
-	// Pipeline enables the verification pipeline (prevalidate/apply split)
-	// in every scenario the experiment builds.
-	Pipeline bool
 }
 
 func (s Scale) withDefaults() Scale {
@@ -85,10 +82,9 @@ func symmetricScenario(sc Scale, delta time.Duration) *Scenario {
 		Seed:     sc.Seed,
 		Duration: sc.Duration,
 		// Rounds take ~2*delta (+straggler-led slack); never time out.
-		RoundTimeout:   4*delta + 4*stragglerPenalty,
-		SFT:            true,
-		Scheme:         sc.Scheme,
-		VerifyPipeline: sc.Pipeline,
+		RoundTimeout: 4*delta + 4*stragglerPenalty,
+		SFT:          true,
+		Scheme:       sc.Scheme,
 	}
 }
 
@@ -130,10 +126,9 @@ func Figure7b(sc Scale, delta time.Duration) (*Result, error) {
 		// 150ms: far above A/B's ~40ms rounds, below region C's round trip
 		// at delta=200ms (~400ms), above it at delta=100ms (~200ms...240ms
 		// reach the voters before their round timer expires).
-		RoundTimeout:   150 * time.Millisecond,
-		SFT:            true,
-		Scheme:         sc.Scheme,
-		VerifyPipeline: sc.Pipeline,
+		RoundTimeout: 150 * time.Millisecond,
+		SFT:          true,
+		Scheme:       sc.Scheme,
 	})
 }
 
@@ -211,17 +206,16 @@ func MessageComplexity(sc Scale, fs []int) ([]ComplexityPoint, error) {
 			model := simnet.NewSymmetricModel(n, 3, intraDelay, 100*time.Millisecond, 10*time.Millisecond)
 			model.Penalty = stragglerSet(n, f) // f stragglers -> f late votes/round
 			return &Scenario{
-				Name:           "msgcomplexity",
-				N:              n,
-				F:              f,
-				Latency:        model,
-				Seed:           seed,
-				Duration:       duration,
-				RoundTimeout:   time.Second,
-				SFT:            !fbft,
-				FBFT:           fbft,
-				Scheme:         sc.Scheme,
-				VerifyPipeline: sc.Pipeline,
+				Name:         "msgcomplexity",
+				N:            n,
+				F:            f,
+				Latency:      model,
+				Seed:         seed,
+				Duration:     duration,
+				RoundTimeout: time.Second,
+				SFT:          !fbft,
+				FBFT:         fbft,
+				Scheme:       sc.Scheme,
 			}
 		}
 		sft, err := Run(mk(false))
@@ -267,7 +261,6 @@ func Theorem2(sc Scale, c int) (*Result, int, error) {
 		RoundTimeout:    250 * time.Millisecond,
 		SFT:             true,
 		Scheme:          sc.Scheme,
-		VerifyPipeline:  sc.Pipeline,
 		Levels:          []int{sc.F, target},
 		Crash:           crash,
 		RecordStrengths: true,
@@ -311,7 +304,6 @@ func Theorem3(sc Scale, t int) (marker, interval *Result, target int, err error)
 			VoteMode:        mode,
 			Adversaries:     byz,
 			Scheme:          sc.Scheme,
-			VerifyPipeline:  sc.Pipeline,
 			Levels:          []int{sc.F, target},
 			RecordStrengths: true,
 		}
@@ -407,7 +399,6 @@ func LivenessAttack(sc Scale) (*LivenessAttackResult, error) {
 			SFT:              true,
 			VerifySignatures: true,
 			Scheme:           sc.Scheme,
-			VerifyPipeline:   sc.Pipeline,
 			Adversaries:      byz,
 			RecordStrengths:  true,
 			RecordChains:     true,
@@ -625,7 +616,6 @@ func BankWorkload(sc Scale, accounts uint32, txnsPerBlock int, sign bool) (*Bank
 		RoundTimeout:    250 * time.Millisecond,
 		SFT:             true,
 		Scheme:          sc.Scheme,
-		VerifyPipeline:  sc.Pipeline,
 		Levels:          []int{sc.F, 2 * sc.F},
 		App:             func() app.StateMachine { return app.NewBank(cfg) },
 		PayloadNow:      gen.Payload,
@@ -683,10 +673,9 @@ func StreamletLatency(sc Scale, delta time.Duration) (*Result, error) {
 		Duration: sc.Duration,
 		// Streamlet's lock-step parameter must bound the actual network
 		// delay: delta/2 base + jitter + margin.
-		Delta:          delta,
-		SFT:            true,
-		Scheme:         sc.Scheme,
-		VerifyPipeline: sc.Pipeline,
-		DisableEcho:    sc.N > 31, // echo is O(n^3); keep it for small clusters only
+		Delta:       delta,
+		SFT:         true,
+		Scheme:      sc.Scheme,
+		DisableEcho: sc.N > 31, // echo is O(n^3); keep it for small clusters only
 	})
 }

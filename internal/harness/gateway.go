@@ -177,9 +177,6 @@ func runGatewayArm(cfg GatewayScale, withGateway bool) (GatewayArm, subscriberSt
 			sft.WithExtraWait(cfg.ExtraWait),
 			sft.WithCommitLog(16),
 		}
-		if cfg.Scheme == crypto.SchemeEd25519 || cfg.Scheme == crypto.SchemeEd25519Agg {
-			opts = append(opts, sft.WithVerifyPipeline(0))
-		}
 		nodes[i], err = sft.New(sft.Config{ID: id, N: cfg.N, Seed: cfg.Seed}, opts...)
 		if err != nil {
 			return arm, stats, err

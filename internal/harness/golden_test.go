@@ -81,7 +81,6 @@ func goldenScenarios() []*Scenario {
 	intervals.IntervalWindow = 32
 	intervals.GST = 3 * time.Second
 	intervals.PreGSTExtra = 350 * time.Millisecond
-	intervals.VerifyPipeline = true
 
 	fbft := base("diembft-fbft-n4", 103)
 	fbft.N, fbft.F = 4, 1
@@ -104,13 +103,11 @@ func goldenScenarios() []*Scenario {
 
 	agg := base("diembft-ed25519agg-n7", 106)
 	agg.Scheme = crypto.SchemeEd25519Agg
-	agg.VerifyPipeline = true
 	agg.Duration = 4 * time.Second
 
 	streamEcho := base("streamlet-echo-crash-n7", 107)
 	streamEcho.Protocol = ProtoStreamlet
 	streamEcho.Delta = 25 * time.Millisecond
-	streamEcho.VerifyPipeline = true
 	streamEcho.Crashes = []CrashPlan{{Replica: 2, Crash: 4 * time.Second, Restart: 7 * time.Second}}
 
 	streamBankCfg := app.BankConfig{Seed: 108, Accounts: 1 << 8, InitialBalance: 1 << 20, DisableSigVerify: true}
@@ -223,7 +220,7 @@ func goldenObserverRun(t *testing.T) string {
 	}
 	h := sha256.New()
 	sim := simnet.New(simnet.Config{
-		N: n, Observers: 1, Latency: goldenLatency(), Seed: seed, Prevalidate: true,
+		N: n, Observers: 1, Latency: goldenLatency(), Seed: seed,
 		OnCommit: func(rep types.ReplicaID, now time.Duration, b *types.Block) {
 			fmt.Fprintf(h, "commit %d %d %d %x\n", rep, now, b.Height, b.ID())
 		},

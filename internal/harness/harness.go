@@ -87,12 +87,6 @@ type Scenario struct {
 	// crypto. An ed25519 scenario implies VerifySignatures — running real
 	// signatures without checking them measures nothing.
 	Scheme string
-	// VerifyPipeline routes deliveries through the engines' prevalidate /
-	// apply split (stateless signature work separated from state
-	// transitions). The simulator runs the split synchronously, so results
-	// stay deterministic and — for honest traffic — bit-identical to the
-	// pipeline being off; see Config.Prevalidate in internal/simnet.
-	VerifyPipeline bool
 	// DisableQCCache turns off the per-replica verified-QC memo (DiemBFT
 	// engines), forcing every delivery to re-verify. The determinism tests
 	// use it to assert cache-on and cache-off runs are bit-identical.
@@ -585,12 +579,11 @@ func Run(sc *Scenario) (*Result, error) {
 	}
 
 	simCfg := simnet.Config{
-		N:           s.N,
-		Latency:     s.Latency,
-		Seed:        s.Seed,
-		OnCommit:    onCommit,
-		OnStrength:  col.onStrength,
-		Prevalidate: s.VerifyPipeline,
+		N:          s.N,
+		Latency:    s.Latency,
+		Seed:       s.Seed,
+		OnCommit:   onCommit,
+		OnStrength: col.onStrength,
 	}
 	if s.GST > 0 {
 		gst, extra := s.GST, s.PreGSTExtra

@@ -57,7 +57,6 @@ type Obs struct {
 
 	prevalChecked *Counter
 	prevalDropped *Counter
-	prevalQueue   *Gauge
 
 	// Execution layer (execute-before-vote): blocks run through the state
 	// machine, and AppHash disagreements — a vote or justify certificate
@@ -151,7 +150,6 @@ func New(o Options) *Obs {
 
 		prevalChecked: r.Counter("sft_prevalidate_checked_total", "Messages run through signature prevalidation."),
 		prevalDropped: r.Counter("sft_prevalidate_dropped_total", "Messages dropped by signature prevalidation."),
-		prevalQueue:   r.Gauge("sft_prevalidate_queue_depth", "Messages queued awaiting prevalidation workers."),
 
 		appExecuted:   r.Counter("sft_app_blocks_executed_total", "Blocks executed through the application state machine (execute-before-vote)."),
 		appMismatches: r.Counter("sft_app_apphash_mismatches_total", "AppHash disagreements detected (vote or certificate state root differs from local execution)."),
@@ -425,7 +423,9 @@ func (o *Obs) OnSendDropped(peer types.ReplicaID, frames int) {
 	o.sendDropped[peer].Add(int64(frames))
 }
 
-// OnPrevalidate records one message run through signature prevalidation.
+// OnPrevalidate records one message run through prevalidation. Whoever calls
+// an engine's Prevalidate reports it here, once: a transport reader
+// goroutine, or the engine's own OnMessage for the inline call.
 func (o *Obs) OnPrevalidate(dropped bool) {
 	if o == nil {
 		return
@@ -434,14 +434,6 @@ func (o *Obs) OnPrevalidate(dropped bool) {
 	if dropped {
 		o.prevalDropped.Inc()
 	}
-}
-
-// PrevalidateQueueAdd moves the prevalidation queue-depth gauge by delta.
-func (o *Obs) PrevalidateQueueAdd(delta int64) {
-	if o == nil {
-		return
-	}
-	o.prevalQueue.Add(delta)
 }
 
 // OnTimeoutRejected records a timeout message the pacemaker validation

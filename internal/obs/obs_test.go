@@ -217,7 +217,6 @@ func TestObsNilSafety(t *testing.T) {
 	o.OnFrameIn(0, 10)
 	o.OnFrameOut(0, 10)
 	o.OnPrevalidate(true)
-	o.PrevalidateQueueAdd(1)
 	if o.Registry() != nil || o.Tracer() != nil || o.Commits() != 0 {
 		t.Fatal("nil sink accessors must return zero values")
 	}

@@ -67,9 +67,9 @@ type Config struct {
 	OnCertified func(b *types.Block, qc *types.QC)
 }
 
-// Observer is the engine. It implements engine.Engine and engine.Pipelined,
-// so it runs unchanged under the discrete-event simulator and the TCP
-// runtime, with optional reader-side prevalidation.
+// Observer is the engine. It implements engine.Engine, so it runs unchanged
+// under the discrete-event simulator and the TCP runtime, prevalidated on the
+// transport's reader goroutines.
 type Observer struct {
 	cfg     Config
 	store   *blockstore.Store
@@ -186,25 +186,24 @@ func (o *Observer) OnTimer(now time.Duration, id int) []engine.Output {
 	return o.outs
 }
 
-// OnMessage implements engine.Engine.
+// OnMessage implements engine.Engine: Prevalidate, then the state stage. An
+// observer emits nothing it receives back, so there is no loopback to trust,
+// and its transport mirrors frames under their original, unauthenticated
+// sender: every message is checked whatever from says.
 func (o *Observer) OnMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	return o.onMessage(from, msg, false)
-}
-
-// OnVerifiedMessage implements engine.Pipelined.
-func (o *Observer) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	return o.onMessage(from, msg, true)
-}
-
-// Prevalidate implements engine.Pipelined: the stateless subset of the
-// observer's checks, safe to run concurrently on transport reader
-// goroutines. State-sync segments are never rejected here — their
-// signatures are re-checked link by link on application — so this only
-// front-loads proposal/echo/round-entry verification.
-func (o *Observer) Prevalidate(from types.ReplicaID, msg types.Message) error {
-	if !o.cfg.VerifySignatures {
+	if o.Prevalidate(from, msg) != nil {
 		return nil
 	}
+	return o.OnVerifiedMessage(now, from, msg)
+}
+
+// Prevalidate implements engine.Engine: every stateless check the observer
+// makes, safe to run concurrently on transport reader goroutines. Proposals
+// (bare or echoed) get the full proposal check and a round entry's QC is
+// verified; structure always, signatures when VerifySignatures is on.
+// State-sync segments are never judged here — they are verified link by link
+// on application.
+func (o *Observer) Prevalidate(from types.ReplicaID, msg types.Message) error {
 	inner := replica.UnwrapEcho(msg)
 	if p, ok := inner.(*types.Proposal); ok {
 		return o.checkProposal(p)
@@ -218,31 +217,8 @@ func (o *Observer) Prevalidate(from types.ReplicaID, msg types.Message) error {
 	return nil
 }
 
-func (o *Observer) onMessage(from types.ReplicaID, msg types.Message, verified bool) []engine.Output {
-	o.outs = nil
-	switch m := msg.(type) {
-	case *types.Proposal:
-		o.onProposal(from, m, verified)
-	case *types.Echo:
-		if p, ok := replica.UnwrapEcho(m).(*types.Proposal); ok {
-			o.onProposal(from, p, verified)
-		}
-	case *types.RoundEntry:
-		// A round entry's QC certifies the previous round's block — feed it
-		// so strength can rise even when the next proposal is still in
-		// flight.
-		if m.Justify != nil {
-			o.noteQC(m.Justify, verified)
-		}
-	case *types.StateSyncResponse:
-		o.onStateSync(m)
-	}
-	o.emit()
-	return o.outs
-}
-
-// checkProposal is the stateless validity check: proposer signature and
-// justify certificate.
+// checkProposal is the stateless validity check: well-formedness, a committee
+// sender, the proposer signature and the justify certificate.
 func (o *Observer) checkProposal(p *types.Proposal) error {
 	if p.Block == nil || p.Block.Justify == nil {
 		return fmt.Errorf("observer: proposal without block or justify")
@@ -250,13 +226,36 @@ func (o *Observer) checkProposal(p *types.Proposal) error {
 	if p.Block.Justify.Block != p.Block.Parent {
 		return fmt.Errorf("observer: justify does not certify parent")
 	}
-	if !o.cfg.VerifySignatures {
-		return nil
+	if int(p.Sender) >= o.cfg.N {
+		return fmt.Errorf("observer: proposal from outside the committee")
 	}
-	if int(p.Sender) >= o.cfg.N || !o.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
+	if o.cfg.VerifySignatures && !o.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
 		return fmt.Errorf("observer: bad proposal signature")
 	}
 	return o.certs.VerifyQC(p.Block.Justify)
+}
+
+// OnVerifiedMessage implements engine.Engine: the state stage. Only sync
+// segments are verified here, link by link as they install.
+func (o *Observer) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
+	o.outs = nil
+	switch m := msg.(type) {
+	case *types.Proposal:
+		o.onProposal(m)
+	case *types.Echo:
+		if p, ok := replica.UnwrapEcho(m).(*types.Proposal); ok {
+			o.onProposal(p)
+		}
+	case *types.RoundEntry:
+		// A round entry's QC certifies the previous round's block — feed it
+		// so strength can rise even when the next proposal is still in
+		// flight.
+		o.noteQC(m.Justify)
+	case *types.StateSyncResponse:
+		o.onStateSync(m)
+	}
+	o.emit()
+	return o.outs
 }
 
 // isGenesisQC matches the round-0 no-votes convention (types.NewGenesisQC).
@@ -264,14 +263,9 @@ func isGenesisQC(qc *types.QC) bool {
 	return qc.Round == 0 && len(qc.Votes) == 0 && qc.Agg == nil
 }
 
-func (o *Observer) onProposal(from types.ReplicaID, p *types.Proposal, verified bool) {
-	if p.Block == nil || p.Block.Justify == nil || o.store.Has(p.Block.ID()) {
+func (o *Observer) onProposal(p *types.Proposal) {
+	if o.store.Has(p.Block.ID()) {
 		return
-	}
-	if !verified {
-		if err := o.checkProposal(p); err != nil {
-			return
-		}
 	}
 	if !o.store.Has(p.Block.Parent) {
 		o.orphans.Add(p)
@@ -282,27 +276,22 @@ func (o *Observer) onProposal(from types.ReplicaID, p *types.Proposal, verified 
 	o.flushOrphans(p.Block.ID())
 }
 
-// ingest installs one block whose parent is present and whose signatures
-// are already verified, then routes its justify QC through the tracker and
-// the certified-pair feed.
+// ingest installs one block whose parent is present and whose proposal
+// passed Prevalidate, then routes its justify QC through the tracker and the
+// certified-pair feed.
 func (o *Observer) ingest(b *types.Block) {
 	if err := o.store.Insert(b); err != nil {
 		return
 	}
-	o.noteQC(b.Justify, true)
+	o.noteQC(b.Justify)
 }
 
-// noteQC registers one QC (already structurally bound to a stored parent or
-// about to be): it updates the store's high QC, feeds the strength tracker,
-// and fires the certified feed the first time the certified block is seen.
-func (o *Observer) noteQC(qc *types.QC, verified bool) {
+// noteQC registers one verified QC: it updates the store's high QC, feeds
+// the strength tracker, and fires the certified feed the first time the
+// certified block is seen.
+func (o *Observer) noteQC(qc *types.QC) {
 	if qc == nil || isGenesisQC(qc) {
 		return
-	}
-	if !verified {
-		if err := o.certs.VerifyQC(qc); err != nil {
-			return
-		}
 	}
 	certified, _, err := o.store.RegisterQC(qc)
 	if err != nil || certified == nil {

@@ -1,11 +1,13 @@
 package observer_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/blockstore"
 	"repro/internal/crypto"
 	"repro/internal/engine"
+	"repro/internal/engine/enginetest"
 	"repro/internal/observer"
 	"repro/internal/statesync"
 	"repro/internal/types"
@@ -14,14 +16,14 @@ import (
 // fixture builds a linear certified chain over a 4-replica committee and
 // drives an observer engine with it message by message.
 type fixture struct {
-	t    *testing.T
+	t    testing.TB
 	ring *crypto.KeyRing
 	obs  *observer.Observer
 
 	chain []*types.Block // chain[0] = genesis
 }
 
-func newFixture(t *testing.T, cfg observer.Config) *fixture {
+func newFixture(t testing.TB, cfg observer.Config) *fixture {
 	t.Helper()
 	ring, err := crypto.NewKeyRing(4, 7, crypto.SchemeSim)
 	if err != nil {
@@ -31,7 +33,9 @@ func newFixture(t *testing.T, cfg observer.Config) *fixture {
 		cfg.ID = 4
 	}
 	cfg.N, cfg.F = 4, 1
-	cfg.Verifier = ring
+	if cfg.Verifier == nil {
+		cfg.Verifier = ring
+	}
 	o, err := observer.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -156,33 +160,164 @@ func TestFollowsChainAndCommits(t *testing.T) {
 	}
 }
 
-// TestRejectsForgedTraffic: proposals with a bad signature, a sub-quorum
-// justify, or a justify that does not certify the parent never enter the
-// store.
-func TestRejectsForgedTraffic(t *testing.T) {
-	f := newFixture(t, observer.Config{VerifySignatures: true})
-	b1, _ := f.extend(3)
-	p := f.proposal(b1)
-	p.Signature = []byte("forged")
-	f.deliver(p)
-	if f.obs.Store().Has(b1.ID()) {
-		t.Fatal("forged proposal signature accepted")
+// doorFixture is the fixed starting point of the rejection table, the
+// never-verifies test and FuzzOnMessage: an observer that has followed the
+// certified chain b1..b3.
+func doorFixture(t testing.TB, cfg observer.Config) *fixture {
+	f := newFixture(t, cfg)
+	for i := 0; i < 3; i++ {
+		b, _ := f.extend(3)
+		f.deliver(f.proposal(b))
 	}
-
-	b2 := types.NewBlock(b1.ID(), f.qcFor(b1, 2), 2, 2, 0, 0, types.Payload{}, nil)
-	f.deliver(f.proposal(b1)) // legit b1 first
-	f.deliver(f.proposal(b2))
-	if f.obs.Store().Has(b2.ID()) {
-		t.Fatal("sub-quorum justify accepted")
+	if f.obs.Store().Len() != 4 {
+		f.t.Fatalf("fixture: store holds %d blocks, want genesis + 3", f.obs.Store().Len())
 	}
+	return f
+}
 
-	// Tampered vote signature inside an otherwise well-formed QC.
-	qc := f.qcFor(b1, 3)
+// child is a block on top of the fixture's tip, justified by justify.
+func (f *fixture) child(justify *types.QC) *types.Block {
+	tip := f.chain[len(f.chain)-1]
+	return types.NewBlock(tip.ID(), justify, tip.Round+1, tip.Height+1, 0, 0, types.Payload{}, nil)
+}
+
+// forgedQC is a quorum certificate for b with one vote signature replaced.
+func (f *fixture) forgedQC(b *types.Block) *types.QC {
+	qc := f.qcFor(b, 3)
 	qc.Votes[1].Signature = []byte("forged")
-	b3 := types.NewBlock(b1.ID(), qc, 2, 2, 0, 0, types.Payload{}, nil)
-	f.deliver(f.proposal(b3))
-	if f.obs.Store().Has(b3.ID()) {
-		t.Fatal("forged certificate accepted")
+	return qc
+}
+
+// duplicateQC is a three-vote certificate for b with a repeated voter.
+func (f *fixture) duplicateQC(b *types.Block) *types.QC {
+	qc := f.qcFor(b, 3)
+	qc.Votes[2] = qc.Votes[1]
+	return qc
+}
+
+// fingerprint is the observer state no rejected message may move.
+func fingerprint(e engine.Engine) string {
+	o := e.(*observer.Observer)
+	return fmt.Sprintf("high=%d committed=%d store=%d", o.Store().HighQC().Round, o.CommittedHeight(), o.Store().Len())
+}
+
+// rejections is the table; sigOnly classes are skipped with verification off.
+var rejections = []struct {
+	name    string
+	sigOnly bool
+	msg     func(f *fixture) types.Message
+}{
+	{name: "proposal/nil block", msg: func(f *fixture) types.Message {
+		return &types.Proposal{Round: 4, Sender: 0, Signature: []byte{1}}
+	}},
+	{name: "proposal/nil justify", msg: func(f *fixture) types.Message {
+		return f.proposal(f.child(nil))
+	}},
+	{name: "proposal/justify does not certify parent", msg: func(f *fixture) types.Message {
+		return f.proposal(f.child(f.qcFor(f.chain[2], 3)))
+	}},
+	{name: "proposal/sub-quorum justify", msg: func(f *fixture) types.Message {
+		return f.proposal(f.child(f.qcFor(f.chain[3], 2)))
+	}},
+	{name: "proposal/duplicate-voter justify", msg: func(f *fixture) types.Message {
+		return f.proposal(f.child(f.duplicateQC(f.chain[3])))
+	}},
+	{name: "proposal/sender outside the committee", msg: func(f *fixture) types.Message {
+		p := f.proposal(f.child(f.qcFor(f.chain[3], 3)))
+		p.Sender = 4
+		return p
+	}},
+	{name: "proposal/forged proposer signature", sigOnly: true, msg: func(f *fixture) types.Message {
+		p := f.proposal(f.child(f.qcFor(f.chain[3], 3)))
+		p.Signature = []byte("forged")
+		return p
+	}},
+	{name: "proposal/forged justify vote", sigOnly: true, msg: func(f *fixture) types.Message {
+		return f.proposal(f.child(f.forgedQC(f.chain[3])))
+	}},
+	{name: "echo/sub-quorum justify", msg: func(f *fixture) types.Message {
+		return &types.Echo{Inner: f.proposal(f.child(f.qcFor(f.chain[3], 2))), Relayer: 1}
+	}},
+	{name: "echo/empty", msg: func(f *fixture) types.Message {
+		return &types.Echo{Relayer: 1}
+	}},
+	{name: "echo/over-nested", msg: func(f *fixture) types.Message {
+		var msg types.Message = f.proposal(f.child(f.qcFor(f.chain[3], 3)))
+		for i := 0; i < 6; i++ {
+			msg = &types.Echo{Inner: msg, Relayer: 1}
+		}
+		return msg
+	}},
+	{name: "round entry/sub-quorum QC", msg: func(f *fixture) types.Message {
+		return &types.RoundEntry{Round: 4, Justify: f.qcFor(f.chain[3], 2), Sender: 0}
+	}},
+	{name: "round entry/duplicate-voter QC", msg: func(f *fixture) types.Message {
+		return &types.RoundEntry{Round: 4, Justify: f.duplicateQC(f.chain[3]), Sender: 0}
+	}},
+	{name: "round entry/forged QC vote", sigOnly: true, msg: func(f *fixture) types.Message {
+		return &types.RoundEntry{Round: 4, Justify: f.forgedQC(f.chain[3]), Sender: 0}
+	}},
+}
+
+// TestRejectsForgedTraffic drives every malformed class through both doors —
+// OnMessage; Prevalidate then OnVerifiedMessage only if it passed — with
+// verification on and off: no outputs, and nothing enters the store or moves
+// the high QC.
+func TestRejectsForgedTraffic(t *testing.T) {
+	for _, rj := range rejections {
+		for _, verify := range []bool{true, false} {
+			if rj.sigOnly && !verify {
+				continue
+			}
+			for _, split := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/verify=%v/split=%v", rj.name, verify, split), func(t *testing.T) {
+					f := doorFixture(t, observer.Config{VerifySignatures: verify})
+					enginetest.CheckRejected(t, f.obs, split, 0, rj.msg(f), fingerprint, nil, "")
+				})
+			}
+		}
+	}
+}
+
+// TestStateStageNeverVerifies pins the one-stage rule on honest traffic:
+// OnVerifiedMessage checks no signature for proposals, echoed proposals and
+// round entries, and OnMessage checks exactly what Prevalidate alone does.
+func TestStateStageNeverVerifies(t *testing.T) {
+	ring, _ := crypto.NewKeyRing(4, 7, crypto.SchemeSim) // newFixture's
+	build := func() (*fixture, *enginetest.CountingVerifier) {
+		cv := &enginetest.CountingVerifier{Verifier: ring}
+		return doorFixture(t, observer.Config{VerifySignatures: true, Verifier: cv}), cv
+	}
+	splitFx, splitCalls := build()
+	wholeFx, wholeCalls := build()
+	b4, _ := splitFx.extend(3)
+	b5, _ := splitFx.extend(3)
+	msgs := []types.Message{
+		splitFx.proposal(b4),
+		&types.Echo{Inner: splitFx.proposal(b5), Relayer: 1},
+		&types.RoundEntry{Round: 6, Justify: splitFx.qcFor(b5, 4), Sender: 0},
+	}
+	for _, msg := range msgs {
+		start := splitCalls.Calls
+		if err := splitFx.obs.Prevalidate(0, msg); err != nil {
+			t.Fatalf("%T rejected: %v", msg, err)
+		}
+		stateless := splitCalls.Calls - start
+		if stateless == 0 {
+			t.Errorf("%T: Prevalidate verified nothing", msg)
+		}
+		splitFx.obs.OnVerifiedMessage(0, 0, msg)
+		if got := splitCalls.Calls - start - stateless; got != 0 {
+			t.Errorf("%T: OnVerifiedMessage made %d signature checks", msg, got)
+		}
+		start = wholeCalls.Calls
+		wholeFx.obs.OnMessage(0, 0, msg)
+		if got := wholeCalls.Calls - start; got != stateless {
+			t.Errorf("%T: OnMessage made %d signature checks, Prevalidate alone %d", msg, got, stateless)
+		}
+	}
+	if a, b := fingerprint(splitFx.obs), fingerprint(wholeFx.obs); a != b || !splitFx.obs.Store().Has(b5.ID()) {
+		t.Fatalf("doors diverged or traffic not absorbed: split %s, OnMessage %s", a, b)
 	}
 }
 

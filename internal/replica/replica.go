@@ -115,11 +115,10 @@ type Chassis struct {
 	recovered bool
 	stageErr  error
 
-	// now and preverified describe the current event (see Begin). round
-	// mirrors the engine's round for Prevalidate's future-window checks.
-	now         time.Duration
-	preverified bool
-	round       atomic.Int64
+	// now is the current event's engine time (see Begin). round mirrors the
+	// engine's round for Prevalidate's future-window checks.
+	now   time.Duration
+	round atomic.Int64
 }
 
 // New builds the chassis. mode keys the strength tracker by round (DiemBFT)
@@ -177,22 +176,14 @@ func (c *Chassis) Recovered() bool { return c.recovered }
 
 // --- the event bracket ---
 
-// Begin opens one event at engine time now. preverified marks a message
-// that already passed Prevalidate (or came from a trusted local source), so
-// the state stage skips its signature checks.
-func (c *Chassis) Begin(now time.Duration, preverified bool) {
+// Begin opens one event at engine time now.
+func (c *Chassis) Begin(now time.Duration) {
 	c.Outs = nil
 	c.now = now
-	c.preverified = preverified
 }
 
 // Now is the current event's engine time.
 func (c *Chassis) Now() time.Duration { return c.now }
-
-// CheckSigs reports whether the current event must verify signatures
-// itself: verification is configured on and the message did not arrive
-// pre-verified.
-func (c *Chassis) CheckSigs() bool { return c.cfg.VerifySignatures && !c.preverified }
 
 // Take closes the event and releases its outputs. When a journal is
 // attached, the records staged during the event are flushed first — THE
@@ -337,14 +328,11 @@ func (c *Chassis) voteRootOK(v *types.Vote) bool {
 
 // --- votes and certificates ---
 
-// AddVote credits a collected vote: voter dedup, signature check, root
-// check. It reports whether the vote was new and accepted.
+// AddVote credits a collected vote (its signature is Prevalidate's): voter
+// dedup, root check. It reports whether the vote was new and accepted.
 func (c *Chassis) AddVote(v types.Vote) bool {
 	set := c.Votes[v.Block]
 	if set.Has(v.Voter) {
-		return false
-	}
-	if c.CheckSigs() && crypto.VerifyVote(c.cfg.Verifier, v) != nil {
 		return false
 	}
 	if !c.voteRootOK(&v) {

@@ -11,14 +11,14 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/types"
 )
 
-// Inbound is one received message. Verified marks a message that already
-// passed the engine's stateless Prevalidate stage (on a transport reader
-// goroutine or the node's worker pool) or was generated locally; the event
-// loop applies such messages without re-checking signatures.
+// Inbound is one received message. Verified is the transport telling the
+// loop what it already did: the message passed the engine's Prevalidate on a
+// reader goroutine, or is the node's own loopback. The loop applies such a
+// message through OnVerifiedMessage; anything else goes through OnMessage,
+// which prevalidates inline.
 type Inbound struct {
 	From     types.ReplicaID
 	Msg      types.Message
@@ -59,15 +59,6 @@ type Options struct {
 	// after the loop exits guarantees no buffered appends are dropped on a
 	// graceful shutdown (context cancellation included).
 	Journal Durable
-	// PrevalidateWorkers, when > 0 and the engine implements
-	// engine.Pipelined, inserts a bounded worker pool between the transport
-	// and the event loop: signature and certificate checks run concurrently
-	// there (per-sender FIFO preserved) and the loop applies pre-verified
-	// messages without any crypto. 0 keeps the classic single-threaded path.
-	PrevalidateWorkers int
-	// Obs, if non-nil, receives prevalidation queue-depth and outcome
-	// observations from the worker pool (see internal/obs).
-	Obs *obs.Obs
 }
 
 // Node runs one engine on a transport until its context is cancelled.
@@ -77,19 +68,9 @@ type Node struct {
 	opts  Options
 	start time.Time
 
-	// pipelined is non-nil when the engine supports the prevalidate/apply
-	// split; pipe is the worker-pool stage (nil when PrevalidateWorkers is
-	// 0). Both are set once in NewNode and immutable afterwards, so stats
-	// accessors may read them from any goroutine. recv is the channel the
-	// event loop consumes: the pipeline's output when the pool is on, the
-	// transport's otherwise.
-	pipelined engine.Pipelined
-	pipe      *prevalidatePipeline
-	recv      <-chan Inbound
-	// src is the transport's inbound channel, captured once in NewNode (the
-	// Transport contract doesn't promise Recv returns a stable channel); the
-	// pipeline drains it when enabled, otherwise recv aliases it.
-	src <-chan Inbound
+	// recv is the transport's inbound channel, captured once in NewNode (the
+	// Transport contract doesn't promise Recv returns a stable channel).
+	recv <-chan Inbound
 
 	timerCh  chan int
 	loopback chan Inbound
@@ -98,39 +79,18 @@ type Node struct {
 	sendFailures atomic.Int64
 }
 
-// NewNode wires an engine to a transport. When Options.PrevalidateWorkers is
-// set and the engine implements engine.Pipelined, the prevalidation worker
-// pool is constructed here (so the wiring is immutable and stats accessors
-// are race-free) but its goroutines only start — and the transport is only
-// drained — once Run is called.
+// NewNode wires an engine to a transport. The transport is only drained once
+// Run is called.
 func NewNode(eng engine.Engine, tr Transport, opts Options) *Node {
-	n := &Node{
+	return &Node{
 		eng:      eng,
 		tr:       tr,
 		opts:     opts,
+		recv:     tr.Recv(),
 		timerCh:  make(chan int, 64),
 		loopback: make(chan Inbound, 64),
 		stopping: make(chan struct{}),
 	}
-	n.src = tr.Recv()
-	n.recv = n.src
-	if pe, ok := eng.(engine.Pipelined); ok {
-		n.pipelined = pe
-		if opts.PrevalidateWorkers > 0 {
-			n.pipe = newPrevalidatePipeline(pe, opts.PrevalidateWorkers, opts.Obs)
-			n.recv = n.pipe.out
-		}
-	}
-	return n
-}
-
-// PrevalidateDrops returns how many inbound messages the node's worker pool
-// rejected during prevalidation (0 when the pipeline is off).
-func (n *Node) PrevalidateDrops() int64 {
-	if n.pipe == nil {
-		return 0
-	}
-	return n.pipe.Drops()
 }
 
 // SendFailures returns how many Send/Broadcast outputs the transport refused
@@ -155,9 +115,6 @@ func (n *Node) Run(ctx context.Context) (err error) {
 			}
 		}()
 	}
-	if n.pipe != nil {
-		n.pipe.start(n.src, n.stopping)
-	}
 	n.apply(n.eng.Init(n.now()))
 	for {
 		select {
@@ -176,12 +133,12 @@ func (n *Node) Run(ctx context.Context) (err error) {
 	}
 }
 
-// dispatch applies one inbound message: messages that already passed
-// prevalidation (worker pool, transport reader hook, or local loopback) skip
-// the engine's signature checks via OnVerifiedMessage.
+// dispatch applies one inbound message: one that already passed
+// prevalidation (transport reader hook, or local loopback) goes straight to
+// the state stage; any other through OnMessage.
 func (n *Node) dispatch(in Inbound) []engine.Output {
-	if in.Verified && n.pipelined != nil {
-		return n.pipelined.OnVerifiedMessage(n.now(), in.From, in.Msg)
+	if in.Verified {
+		return n.eng.OnVerifiedMessage(n.now(), in.From, in.Msg)
 	}
 	return n.eng.OnMessage(n.now(), in.From, in.Msg)
 }

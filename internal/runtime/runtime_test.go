@@ -1,21 +1,25 @@
 package runtime_test
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/crypto"
 	"repro/internal/diembft"
+	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/runtime"
 	"repro/internal/types"
 )
 
 // startLocalCluster runs n SFT-DiemBFT nodes over an in-process network and
-// returns a commit observer plus a cancel function.
-func startLocalCluster(t *testing.T, n, f int) (commits func() map[types.ReplicaID][]types.BlockID, strengths func() int, stop func()) {
+// returns a commit observer, the nodes' observability sinks and a cancel
+// function.
+func startLocalCluster(t *testing.T, n, f int) (commits func() map[types.ReplicaID][]types.BlockID, strengths func() int, sinks []*obs.Obs, stop func()) {
 	t.Helper()
 	ring, err := crypto.NewKeyRing(n, 99, crypto.SchemeEd25519)
 	if err != nil {
@@ -31,6 +35,7 @@ func startLocalCluster(t *testing.T, n, f int) (commits func() map[types.Replica
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
+		sinks = append(sinks, obs.New(obs.Options{N: n, F: f}))
 		rep, err := diembft.New(diembft.Config{
 			Config: replica.Config{
 				ID:               id,
@@ -40,6 +45,7 @@ func startLocalCluster(t *testing.T, n, f int) (commits func() map[types.Replica
 				Verifier:         ring,
 				VerifySignatures: true,
 				SFT:              true,
+				Obs:              sinks[i],
 			},
 			RoundTimeout: 300 * time.Millisecond,
 		})
@@ -83,11 +89,11 @@ func startLocalCluster(t *testing.T, n, f int) (commits func() map[types.Replica
 		wg.Wait()
 		net.Close()
 	}
-	return commits, strengths, stop
+	return commits, strengths, sinks, stop
 }
 
 func TestLocalClusterCommits(t *testing.T) {
-	commits, strengths, stop := startLocalCluster(t, 4, 1)
+	commits, strengths, sinks, stop := startLocalCluster(t, 4, 1)
 	defer stop()
 
 	deadline := time.After(10 * time.Second)
@@ -116,5 +122,20 @@ func TestLocalClusterCommits(t *testing.T) {
 	}
 	if strengths() == 0 {
 		t.Fatal("no strength updates observed")
+	}
+	// LocalNetwork delivers unverified, so each node's loop prevalidates
+	// inline through OnMessage — counted, and for honest real-crypto traffic
+	// never dropped.
+	for i, sink := range sinks {
+		var metrics bytes.Buffer
+		if err := sink.Registry().WritePrometheus(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(metrics.String(), "\nsft_prevalidate_checked_total 0\n") {
+			t.Fatalf("node %d prevalidated nothing", i)
+		}
+		if d := sink.PrevalidateDrops(); d != 0 {
+			t.Fatalf("node %d dropped %d honest messages in prevalidation", i, d)
+		}
 	}
 }

@@ -35,6 +35,10 @@ func (e *pingEngine) OnMessage(now time.Duration, from types.ReplicaID, msg type
 	return nil
 }
 
+func (e *pingEngine) Prevalidate(types.ReplicaID, types.Message) error { return nil }
+func (e *pingEngine) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
+	return e.OnMessage(now, from, msg)
+}
 func (e *pingEngine) OnTimer(now time.Duration, id int) []engine.Output { return e.onTimer }
 
 func newPingSim(n int, seed int64) *Sim {

@@ -32,6 +32,10 @@ func (e *chainEngine) OnMessage(now time.Duration, from types.ReplicaID, msg typ
 	next := types.ReplicaID((int(e.id) + 1) % e.n)
 	return []engine.Output{engine.Send{To: next, Msg: msg}}
 }
+func (e *chainEngine) Prevalidate(types.ReplicaID, types.Message) error { return nil }
+func (e *chainEngine) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
+	return e.OnMessage(now, from, msg)
+}
 func (e *chainEngine) OnTimer(time.Duration, int) []engine.Output { return nil }
 
 // TestEventTimeMonotonicity: virtual time observed by engines never goes

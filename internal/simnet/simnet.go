@@ -159,16 +159,6 @@ type Config struct {
 	// Latency models that index per-replica state see observer endpoints as
 	// replica 0.
 	Observers int
-	// Prevalidate routes message deliveries through the engines'
-	// prevalidate/apply split (engine.Pipelined): each delivery is
-	// prevalidated synchronously — the simulator stays single-threaded and
-	// deterministic — and applied via OnVerifiedMessage, exercising the
-	// exact code path the real runtime's worker pool uses. Deliveries that
-	// fail prevalidation are dropped (and counted), which for honest traffic
-	// never happens, keeping fixed-seed runs bit-identical to Prevalidate
-	// off. Engines that do not implement engine.Pipelined fall back to
-	// OnMessage.
-	Prevalidate bool
 }
 
 // Sim is one simulation instance. Create with New, attach engines with
@@ -176,18 +166,13 @@ type Config struct {
 type Sim struct {
 	cfg     Config
 	engines []engine.Engine
-	// pipelined caches the engine.Pipelined capability per slot (nil when
-	// Config.Prevalidate is off or the engine lacks the split), so the
-	// dispatch loop pays no type assertion per event.
-	pipelined  []engine.Pipelined
-	crashed    []bool
-	queue      eventQueue
-	seq        uint64
-	now        time.Duration
-	rng        *rand.Rand
-	stats      MsgStats
-	events     int64
-	prevalDrop int64
+	crashed []bool
+	queue   eventQueue
+	seq     uint64
+	now     time.Duration
+	rng     *rand.Rand
+	stats   MsgStats
+	events  int64
 
 	// partition, when non-nil, maps each replica to its group; deliveries
 	// crossing groups are discarded at send time (messages already in
@@ -203,11 +188,10 @@ type Sim struct {
 func New(cfg Config) *Sim {
 	slots := cfg.N + cfg.Observers
 	s := &Sim{
-		cfg:       cfg,
-		engines:   make([]engine.Engine, slots),
-		pipelined: make([]engine.Pipelined, slots),
-		crashed:   make([]bool, slots),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		cfg:     cfg,
+		engines: make([]engine.Engine, slots),
+		crashed: make([]bool, slots),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	s.stats.ByType = make(map[types.MsgType]int64)
 	return s
@@ -217,17 +201,7 @@ func New(cfg Config) *Sim {
 // replica that is down from the start.
 func (s *Sim) SetEngine(id types.ReplicaID, e engine.Engine) {
 	s.engines[id] = e
-	s.pipelined[id] = nil
-	if s.cfg.Prevalidate {
-		if p, ok := e.(engine.Pipelined); ok {
-			s.pipelined[id] = p
-		}
-	}
 }
-
-// PrevalidateDrops returns how many deliveries failed prevalidation (always
-// 0 for honest traffic; scripted adversaries sign their messages too).
-func (s *Sim) PrevalidateDrops() int64 { return s.prevalDrop }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
@@ -332,20 +306,9 @@ func (s *Sim) dispatch(ev event) {
 	case evStart:
 		outs = eng.Init(s.now)
 	case evMessage:
-		if p := s.pipelined[id]; p != nil {
-			// The verification-pipeline path, run synchronously so the
-			// simulation stays deterministic. Self-deliveries are locally
-			// generated and trusted, exactly like the runtime's loopback.
-			if ev.from != id {
-				if err := p.Prevalidate(ev.from, ev.msg); err != nil {
-					s.prevalDrop++
-					return
-				}
-			}
-			outs = p.OnVerifiedMessage(s.now, ev.from, ev.msg)
-		} else {
-			outs = eng.OnMessage(s.now, ev.from, ev.msg)
-		}
+		// OnMessage is the engine's Prevalidate then its state stage, run
+		// synchronously so the simulation stays deterministic.
+		outs = eng.OnMessage(s.now, ev.from, ev.msg)
 	case evTimer:
 		outs = eng.OnTimer(s.now, ev.tid)
 	}

@@ -43,6 +43,10 @@ func (e *echoEngine) OnMessage(now time.Duration, from types.ReplicaID, msg type
 	}
 	return nil
 }
+func (e *echoEngine) Prevalidate(types.ReplicaID, types.Message) error { return nil }
+func (e *echoEngine) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
+	return e.OnMessage(now, from, msg)
+}
 func (e *echoEngine) OnTimer(now time.Duration, id int) []engine.Output {
 	e.timers = append(e.timers, id)
 	return nil
@@ -168,9 +172,13 @@ type recorder struct {
 	at *time.Duration
 }
 
-func (r *recorder) ID() types.ReplicaID                        { return r.id }
-func (r *recorder) Init(time.Duration) []engine.Output         { return nil }
-func (r *recorder) OnTimer(time.Duration, int) []engine.Output { return nil }
+func (r *recorder) ID() types.ReplicaID                              { return r.id }
+func (r *recorder) Init(time.Duration) []engine.Output               { return nil }
+func (r *recorder) OnTimer(time.Duration, int) []engine.Output       { return nil }
+func (r *recorder) Prevalidate(types.ReplicaID, types.Message) error { return nil }
+func (r *recorder) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
+	return r.OnMessage(now, from, msg)
+}
 func (r *recorder) OnMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
 	*r.at = now
 	return nil

@@ -9,26 +9,24 @@ import (
 	"repro/internal/types"
 )
 
-// Prevalidate implements engine.Pipelined: the stateless checks of every
-// Streamlet message — proposal and vote signatures, recursively through the
-// echo relay wrapper. It reads only immutable configuration, so runtimes may
-// call it from any number of goroutines concurrently with the event loop.
+// Prevalidate implements engine.Engine: the stateless checks of every
+// Streamlet message — echo nesting, proposal well-formedness and leadership
+// always, proposal and vote signatures when VerifySignatures is on. This is
+// the only copy of each; the state stage repeats none of them. It reads only
+// immutable configuration, the round snapshot and the signature memo, so
+// transports may call it from any number of goroutines concurrently with the
+// event loop.
 //
 // StateSyncResponse segments keep their link-by-link engine-loop
 // verification (their accept/reject semantics are prefix-stateful), and sync
 // requests carry no signatures; both pass through unjudged.
 func (r *Replica) Prevalidate(from types.ReplicaID, msg types.Message) error {
-	if !r.cfg.VerifySignatures {
-		return nil
-	}
-	if _, isEcho := msg.(*types.Echo); isEcho {
-		// The relay wrapper adds no signature of its own; Figure 10's echo
-		// mechanism trusts the inner message's original signature, so
-		// prevalidation unwraps exactly like the state stage's handler —
-		// with the same nesting cap, so the two stages agree on every input.
-		if msg = replica.UnwrapEcho(msg); msg == nil {
-			return fmt.Errorf("streamlet: empty or over-nested echo")
-		}
+	// The relay wrapper adds no signature of its own; Figure 10's echo
+	// mechanism trusts the inner message's original signature, so the checks
+	// apply to what the state stage's handler will unwrap, under the same
+	// nesting cap.
+	if msg = replica.UnwrapEcho(msg); msg == nil {
+		return fmt.Errorf("streamlet: empty or over-nested echo")
 	}
 	switch m := msg.(type) {
 	case *types.Proposal:
@@ -44,6 +42,9 @@ func (r *Replica) Prevalidate(from types.ReplicaID, msg types.Message) error {
 // and only the first copy pays the full verification (a corrupted or
 // re-attributed copy digests differently, misses, and fails in full).
 func (r *Replica) prevalidateVote(v types.Vote) error {
+	if !r.cfg.VerifySignatures {
+		return nil
+	}
 	var scratch [128]byte
 	payload := v.AppendSigningPayload(scratch[:0])
 	if !r.sigCache.Verify(r.cfg.Verifier, v.Voter, payload, v.Signature) {
@@ -52,8 +53,6 @@ func (r *Replica) prevalidateVote(v types.Vote) error {
 	return nil
 }
 
-// prevalidateProposal mirrors the stateless half of the voting-rule checks:
-// well-formedness, round leadership, and the proposer's signature.
 func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 	if p.Block == nil {
 		return fmt.Errorf("streamlet: proposal without block")
@@ -74,7 +73,7 @@ func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 	if pacemaker.Leader(p.Round, r.cfg.N) != p.Sender {
 		return fmt.Errorf("streamlet: proposal from non-leader %v", p.Sender)
 	}
-	if !r.sigCache.Verify(r.cfg.Verifier, p.Sender, p.SigningPayload(), p.Signature) {
+	if r.cfg.VerifySignatures && !r.sigCache.Verify(r.cfg.Verifier, p.Sender, p.SigningPayload(), p.Signature) {
 		return fmt.Errorf("streamlet: bad proposal signature from %v", p.Sender)
 	}
 	return nil

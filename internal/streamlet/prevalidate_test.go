@@ -1,10 +1,14 @@
 package streamlet_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/crypto"
+	"repro/internal/engine"
+	"repro/internal/engine/enginetest"
+	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/streamlet"
 	"repro/internal/types"
@@ -98,5 +102,214 @@ func TestEchoNestingBounded(t *testing.T) {
 	one := &types.Echo{Inner: &types.VoteMsg{Vote: v}, Relayer: 3}
 	if err := rep.Prevalidate(3, one); err != nil {
 		t.Fatalf("singly wrapped echo rejected: %v", err)
+	}
+}
+
+// doorFixture is the fixed starting point of the rejection table, the
+// never-verifies test and FuzzOnMessage: replica 3 of 4, two honest rounds
+// in. It holds the certified b1 and b2 and sits in round 3, which belongs to
+// replica 2.
+type doorFixture struct {
+	ring *crypto.KeyRing
+	rep  *streamlet.Replica
+
+	b1, b2 *types.Block
+}
+
+func newDoorFixture(t testing.TB, verifier crypto.Verifier, verify bool, sink *obs.Obs) *doorFixture {
+	t.Helper()
+	ring, err := crypto.NewKeyRing(4, 1, crypto.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verifier == nil {
+		verifier = ring
+	}
+	fx := &doorFixture{ring: ring}
+	fx.rep, err = streamlet.New(streamlet.Config{
+		Config: replica.Config{
+			ID: 3, N: 4, F: 1,
+			Signer: ring.Signer(3), Verifier: verifier, VerifySignatures: verify,
+			SFT: true, Obs: sink,
+		},
+		Delta:          50 * time.Millisecond,
+		ProposalWindow: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.rep.Init(0)
+
+	g := types.Genesis()
+	fx.b1 = types.NewBlock(g.ID(), types.NewGenesisQC(g.ID()), 1, 1, 0, 5, types.Payload{}, nil)
+	fx.b2 = types.NewBlock(fx.b1.ID(), fx.cert(fx.b1), 2, 2, 1, 6, types.Payload{}, nil)
+	for _, b := range []*types.Block{fx.b1, fx.b2} {
+		fx.rep.OnMessage(0, b.Proposer, fx.proposal(b))
+		for voter := types.ReplicaID(0); voter < 3; voter++ {
+			fx.rep.OnMessage(0, voter, &types.VoteMsg{Vote: fx.vote(b, voter)})
+		}
+		fx.rep.OnTimer(0, int(b.Round))
+	}
+	if fx.rep.Round() != 3 || !fx.rep.Store().IsCertified(fx.b2.ID()) {
+		t.Fatalf("fixture: at round %d, b2 certified %v", fx.rep.Round(), fx.rep.Store().IsCertified(fx.b2.ID()))
+	}
+	return fx
+}
+
+func (fx *doorFixture) vote(b *types.Block, voter types.ReplicaID) types.Vote {
+	v := types.Vote{Block: b.ID(), Round: b.Round, Height: b.Height, Voter: voter}
+	v.Signature = fx.ring.Signer(voter).Sign(v.SigningPayload())
+	return v
+}
+
+func (fx *doorFixture) cert(b *types.Block) *types.QC {
+	qc := &types.QC{Block: b.ID(), Round: b.Round, Height: b.Height}
+	for voter := types.ReplicaID(0); voter < 3; voter++ {
+		qc.Votes = append(qc.Votes, fx.vote(b, voter))
+	}
+	return qc
+}
+
+func (fx *doorFixture) proposal(b *types.Block) *types.Proposal {
+	p := &types.Proposal{Block: b, Round: b.Round, Sender: b.Proposer}
+	p.Signature = fx.ring.Signer(p.Sender).Sign(p.SigningPayload())
+	return p
+}
+
+// block is a block for round by proposer on top of b2.
+func (fx *doorFixture) block(round types.Round, proposer types.ReplicaID) *types.Block {
+	return types.NewBlock(fx.b2.ID(), fx.cert(fx.b2), round, 3, proposer, 7, types.Payload{}, nil)
+}
+
+// fingerprint is the replica state no rejected message may move.
+func fingerprint(e engine.Engine) string {
+	r := e.(*streamlet.Replica)
+	return fmt.Sprintf("round=%d high=%d committed=%d store=%d votesets=%d",
+		r.Round(), r.Store().HighQC().Round, r.CommittedHeight(), r.Store().Len(), len(r.Votes))
+}
+
+// rejections is the table: each malformed class, the sender it claims to
+// come from, and the by-reason counter it lands on ("" where the class has
+// none). sigOnly classes are skipped with verification off.
+var rejections = []struct {
+	name    string
+	sigOnly bool
+	from    types.ReplicaID
+	msg     func(fx *doorFixture) types.Message
+	reason  string
+}{
+	{name: "proposal/nil block", from: 2, msg: func(fx *doorFixture) types.Message {
+		return &types.Proposal{Round: 3, Sender: 2, Signature: []byte{1}}
+	}},
+	{name: "proposal/round mismatch", from: 2, msg: func(fx *doorFixture) types.Message {
+		p := &types.Proposal{Block: fx.block(3, 2), Round: 7, Sender: 2}
+		p.Signature = fx.ring.Signer(2).Sign(p.SigningPayload())
+		return p
+	}},
+	{name: "proposal/proposer mismatch", from: 2, msg: func(fx *doorFixture) types.Message {
+		p := &types.Proposal{Block: fx.block(3, 0), Round: 3, Sender: 2}
+		p.Signature = fx.ring.Signer(2).Sign(p.SigningPayload())
+		return p
+	}},
+	{name: "proposal/wrong leader", from: 0, msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(fx.block(3, 0))
+	}},
+	{name: "proposal/beyond the proposal window", from: 1, reason: "entry:" + obs.ReasonFutureWindow, msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(fx.block(102, 1))
+	}},
+	{name: "proposal/forged signature", sigOnly: true, from: 2, msg: func(fx *doorFixture) types.Message {
+		p := fx.proposal(fx.block(3, 2))
+		p.Signature = fx.ring.Signer(1).Sign(p.SigningPayload())
+		return p
+	}},
+	{name: "vote/forged signature", sigOnly: true, from: 0, msg: func(fx *doorFixture) types.Message {
+		v := fx.vote(fx.block(3, 2), 0)
+		v.Marker = 9 // the payload no longer matches the signature
+		return &types.VoteMsg{Vote: v}
+	}},
+	{name: "echo/forged inner vote", sigOnly: true, from: 1, msg: func(fx *doorFixture) types.Message {
+		v := fx.vote(fx.block(3, 2), 0)
+		v.Signature = []byte("forged")
+		return &types.Echo{Inner: &types.VoteMsg{Vote: v}, Relayer: 1}
+	}},
+	{name: "echo/empty", from: 1, msg: func(fx *doorFixture) types.Message {
+		return &types.Echo{Relayer: 1}
+	}},
+	{name: "echo/over-nested", from: 1, msg: func(fx *doorFixture) types.Message {
+		var msg types.Message = &types.VoteMsg{Vote: fx.vote(fx.block(3, 2), 0)}
+		for i := 0; i < 6; i++ {
+			msg = &types.Echo{Inner: msg, Relayer: 1}
+		}
+		return msg
+	}},
+}
+
+// TestRejectionTable drives every malformed class through both doors —
+// OnMessage; Prevalidate then OnVerifiedMessage only if it passed — with
+// verification on and off: no outputs, no state change, and the rejection
+// counted once under the same reason whichever door the message took.
+func TestRejectionTable(t *testing.T) {
+	for _, rj := range rejections {
+		for _, verify := range []bool{true, false} {
+			if rj.sigOnly && !verify {
+				continue
+			}
+			for _, split := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/verify=%v/split=%v", rj.name, verify, split), func(t *testing.T) {
+					sink := obs.New(obs.Options{N: 4, F: 1})
+					fx := newDoorFixture(t, nil, verify, sink)
+					enginetest.CheckRejected(t, fx.rep, split, rj.from, rj.msg(fx), fingerprint, sink, rj.reason)
+				})
+			}
+		}
+	}
+}
+
+// TestStateStageNeverVerifies pins the one-stage rule on honest traffic:
+// OnVerifiedMessage checks no signature for proposals, votes and their
+// echoes, and OnMessage checks exactly what Prevalidate alone does — once per
+// distinct signature, however many relays re-deliver it.
+func TestStateStageNeverVerifies(t *testing.T) {
+	ring, _ := crypto.NewKeyRing(4, 1, crypto.SchemeSim)
+	build := func() (*doorFixture, *enginetest.CountingVerifier) {
+		cv := &enginetest.CountingVerifier{Verifier: ring}
+		return newDoorFixture(t, cv, true, nil), cv
+	}
+	splitFx, splitCalls := build()
+	wholeFx, wholeCalls := build()
+	b3 := splitFx.block(3, 2)
+	vote0 := &types.VoteMsg{Vote: splitFx.vote(b3, 0)}
+	msgs := []struct {
+		from types.ReplicaID
+		msg  types.Message
+		want int // signature checks; relayed copies of a checked signature cost none
+	}{
+		{2, splitFx.proposal(b3), 1},
+		{0, vote0, 1},
+		{1, &types.Echo{Inner: vote0, Relayer: 1}, 0},
+		{1, &types.Echo{Inner: &types.VoteMsg{Vote: splitFx.vote(b3, 1)}, Relayer: 1}, 1},
+		{0, &types.Echo{Inner: splitFx.proposal(b3), Relayer: 0}, 0},
+	}
+	for _, m := range msgs {
+		start := splitCalls.Calls
+		if err := splitFx.rep.Prevalidate(m.from, m.msg); err != nil {
+			t.Fatalf("%T rejected: %v", m.msg, err)
+		}
+		stateless := splitCalls.Calls - start
+		if stateless != m.want {
+			t.Errorf("%T: Prevalidate made %d signature checks, want %d", m.msg, stateless, m.want)
+		}
+		splitFx.rep.OnVerifiedMessage(0, m.from, m.msg)
+		if got := splitCalls.Calls - start - stateless; got != 0 {
+			t.Errorf("%T: OnVerifiedMessage made %d signature checks", m.msg, got)
+		}
+		start = wholeCalls.Calls
+		wholeFx.rep.OnMessage(0, m.from, m.msg)
+		if got := wholeCalls.Calls - start; got != stateless {
+			t.Errorf("%T: OnMessage made %d signature checks, Prevalidate alone %d", m.msg, got, stateless)
+		}
+	}
+	if a, b := fingerprint(splitFx.rep), fingerprint(wholeFx.rep); a != b || !splitFx.rep.Store().Has(b3.ID()) {
+		t.Fatalf("doors diverged or traffic not absorbed: split %s, OnMessage %s", a, b)
 	}
 }

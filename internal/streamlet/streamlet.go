@@ -57,9 +57,9 @@ type Replica struct {
 
 	// sigCache memoizes verified vote/proposal signatures for Prevalidate
 	// (nil when signature checking is off). The echo mechanism delivers each
-	// message up to n times; the state stage dedups copies before its
-	// signature check, and this memo gives the stateless prevalidation stage
-	// the same economy. Internally synchronized.
+	// message up to n times; Prevalidate is stateless and cannot dedup the
+	// copies, so this memo is what keeps it to one verification per distinct
+	// signature. Internally synchronized.
 	sigCache *crypto.SigCache
 }
 
@@ -128,7 +128,7 @@ func (r *Replica) Restore(rec *core.Recovery) error {
 // its round from the clock instead of starting over at 1; a recovered
 // replica also broadcasts a state-sync request to fetch what it missed.
 func (r *Replica) Init(now time.Duration) []engine.Output {
-	r.Begin(now, false)
+	r.Begin(now)
 	if slot := types.Round(now / (2 * r.cfg.Delta)); slot+1 > r.round {
 		r.round = slot + 1
 	}
@@ -147,7 +147,7 @@ func (r *Replica) Init(now time.Duration) []engine.Output {
 // OnTimer advances the lock-step round (the synchronization rule: 2∆ per
 // round).
 func (r *Replica) OnTimer(now time.Duration, id int) []engine.Output {
-	r.Begin(now, false)
+	r.Begin(now)
 	if types.Round(id) == r.round {
 		r.round++
 		r.EnterRound(r.round, false)
@@ -157,17 +157,23 @@ func (r *Replica) OnTimer(now time.Duration, id int) []engine.Output {
 	return r.Take()
 }
 
-// OnMessage implements engine.Engine.
+// OnMessage implements engine.Engine: Prevalidate, then the state stage.
+// Loopback (from is this replica) is the engine's own output and is trusted.
 func (r *Replica) OnMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	r.Begin(now, false)
-	r.handle(msg)
-	return r.Take()
+	if from != r.cfg.ID {
+		err := r.Prevalidate(from, msg)
+		r.cfg.Obs.OnPrevalidate(err != nil)
+		if err != nil {
+			return nil
+		}
+	}
+	return r.OnVerifiedMessage(now, from, msg)
 }
 
-// OnVerifiedMessage implements engine.Pipelined: identical state transitions
-// to OnMessage, minus the signature checks Prevalidate already performed.
+// OnVerifiedMessage implements engine.Engine: the state stage, stateful rules
+// only. Only sync segments are verified here, link by link as they install.
 func (r *Replica) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	r.Begin(now, true)
+	r.Begin(now)
 	r.handle(msg)
 	return r.Take()
 }
@@ -289,11 +295,19 @@ func (r *Replica) maybePropose() {
 
 // --- proposal handling ---
 
+// onProposal is the state stage for a proposal Prevalidate accepted (or this
+// replica's own): well-formed, from the round's leader, genuinely signed.
 func (r *Replica) onProposal(p *types.Proposal) {
-	if p.Block == nil || r.seenProp[p.Block.ID()] {
+	if r.seenProp[p.Block.ID()] {
 		return
 	}
-	if !r.validProposal(p) {
+	if w := r.cfg.ProposalWindow; w > 0 && p.Round > r.round+w {
+		// Bounded future window: an honest leader's proposal is at most a
+		// clock skew ahead of our lock-step slot; a far-future round number
+		// is spam angling for unbounded orphan buffering. Prevalidate drops
+		// these against the round snapshot before the signature check; the
+		// snapshot may lag, so the exact test is repeated here.
+		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonFutureWindow)
 		return
 	}
 	r.seenProp[p.Block.ID()] = true
@@ -303,26 +317,6 @@ func (r *Replica) onProposal(p *types.Proposal) {
 		return
 	}
 	r.acceptProposal(p)
-}
-
-func (r *Replica) validProposal(p *types.Proposal) bool {
-	if p.Block.Round != p.Round || p.Block.Proposer != p.Sender {
-		return false
-	}
-	if w := r.cfg.ProposalWindow; w > 0 && p.Round > r.round+w {
-		// Bounded future window: an honest leader's proposal is at most a
-		// clock skew ahead of our lock-step slot; a far-future round number
-		// is spam angling for unbounded orphan buffering.
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonFutureWindow)
-		return false
-	}
-	if pacemaker.Leader(p.Round, r.cfg.N) != p.Sender {
-		return false
-	}
-	if r.CheckSigs() && !r.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
-		return false
-	}
-	return true
 }
 
 func (r *Replica) acceptProposal(p *types.Proposal) {

@@ -28,7 +28,7 @@ type ObserverConfig struct {
 	// DialRetry is the pause between failed dials/reconnects (default 250ms).
 	DialRetry time.Duration
 	// Prevalidate, if non-nil, runs on every decoded frame on the upstream's
-	// reader goroutine (wire it to engine.Pipelined.Prevalidate).
+	// reader goroutine (wire it to engine.Engine.Prevalidate).
 	Prevalidate func(from types.ReplicaID, msg types.Message) error
 	// Obs, if non-nil, receives frame/byte counts per upstream.
 	Obs *obs.Obs

@@ -54,8 +54,10 @@ type Config struct {
 	// its connection's reader goroutine — one goroutine per peer, so
 	// signature checking parallelizes across senders with per-sender FIFO
 	// order intact. Frames that fail are dropped (and counted); frames that
-	// pass surface with Inbound.Verified set, telling the engine loop to
-	// skip its own signature checks. Wire it to engine.Pipelined.Prevalidate.
+	// pass surface with Inbound.Verified set, telling the node's loop to
+	// apply them through OnVerifiedMessage; with a nil hook they surface
+	// unverified and OnMessage prevalidates them on the loop. Wire it to
+	// engine.Engine.Prevalidate.
 	Prevalidate func(from types.ReplicaID, msg types.Message) error
 	// Obs, if non-nil, receives per-peer frame/byte counts and
 	// prevalidation outcomes (see internal/obs).

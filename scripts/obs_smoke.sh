@@ -90,6 +90,13 @@ for fam in sft_app_execute_failed_total sft_sync_segments_rejected_total sft_qc_
         exit 1
     fi
 done
+# Every inbound frame is prevalidated exactly once and counted by whoever did
+# it (here the TCP reader goroutines), so a live cluster reads > 0.
+checked=$(awk '$1 == "sft_prevalidate_checked_total" {print $2}' <<<"$metrics")
+if [ "${checked:-0}" -le 0 ]; then
+    echo "FAIL: sft_prevalidate_checked_total = '${checked:-missing}', want > 0"
+    exit 1
+fi
 echo "OK: /metrics well-formed ($(grep -cv '^#' <<<"$metrics") samples)"
 
 # /tracez carries block lifecycles; /debug/pprof/ serves the index.

@@ -61,6 +61,27 @@ func TestWithAdversaryWithholding(t *testing.T) {
 	}
 }
 
+// TestPrevalidateDropsVisibleUnderSimnet: a message an engine's own OnMessage
+// drops at Prevalidate is counted like one a TCP reader drops, so a garbage-
+// spraying peer shows in an honest node's metrics on every transport.
+func TestPrevalidateDropsVisibleUnderSimnet(t *testing.T) {
+	world, nodes := buildSimCluster(t, 4, 43, func(id sft.ReplicaID) []sft.Option {
+		if id == 3 {
+			return []sft.Option{sft.WithAdversary(sft.AdversarySpec{Kind: sft.AdversaryGarbage})}
+		}
+		return []sft.Option{sft.WithObservability(sft.ObsConfig{})}
+	})
+	world.Run(3 * time.Second)
+	defer world.Close()
+
+	if h := nodes[0].CommittedHeight(); h < 5 {
+		t.Fatalf("cluster with one garbage-spraying node committed only to height %d", h)
+	}
+	if m := nodes[0].Metrics(); m.PrevalidateDrops == 0 {
+		t.Fatal("garbage dropped at Prevalidate under Simnet is not counted")
+	}
+}
+
 // TestWithAdversaryEquivocation: an equivocating facade node must not break
 // prefix agreement between honest nodes.
 func TestWithAdversaryEquivocation(t *testing.T) {

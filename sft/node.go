@@ -114,9 +114,6 @@ type Node struct {
 	walDir   string
 	restored *RecoveryInfo
 
-	pipeline        bool
-	pipelineWorkers int
-
 	metrics  *Metrics
 	observer func(CommitEvent)
 	mempool  *Mempool
@@ -351,7 +348,6 @@ func (n *Node) Metrics() MetricsSnapshot {
 		snap.SendDropped = fs.SendDropped
 	}
 	if n.rt != nil {
-		snap.VerifyDroppedFrames += n.rt.PrevalidateDrops()
 		snap.SendDropped += n.rt.SendFailures()
 	}
 	if n.obs != nil {

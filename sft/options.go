@@ -25,8 +25,8 @@ type settings struct {
 
 	walDir string
 
-	pipeline        bool
-	pipelineWorkers int
+	// verifyWorkers is WithVerifyPipeline's override of batchWorkers (0 = derive).
+	verifyWorkers int
 
 	metrics  *Metrics
 	observer func(CommitEvent)
@@ -66,18 +66,20 @@ func (s *settings) fail(err error) {
 	}
 }
 
-// batchWorkers resolves the per-QC signature-verification concurrency the
-// engine is built with. The pipeline's TCP mode verifies on n-1 concurrent
-// per-peer reader goroutines, so the auto heuristic divides GOMAXPROCS
-// across them — the same sizing cmd/sftnode used before the facade.
+// batchWorkers resolves how many goroutines check one cold certificate's
+// signatures. It is derived from where verification runs: TCP prevalidates on
+// n-1 concurrent per-peer reader goroutines, so GOMAXPROCS is divided across
+// them; a LocalNet node prevalidates on its event loop and a Simnet is
+// single-threaded, so both stay on the calling goroutine.
+// WithVerifyPipeline overrides the derived value.
 func (s *settings) batchWorkers(n int) int {
-	if !s.pipeline {
-		return 0
+	if s.verifyWorkers > 0 {
+		return s.verifyWorkers
 	}
-	if s.pipelineWorkers > 0 {
-		return s.pipelineWorkers
+	if _, tcp := s.transport.(*tcpTransport); tcp {
+		return max(1, rt.GOMAXPROCS(0)/max(1, n-1))
 	}
-	return max(1, rt.GOMAXPROCS(0)/max(1, n-1))
+	return 1
 }
 
 // WithEngine selects the consensus protocol: DiemBFT (default) or
@@ -159,24 +161,21 @@ func WithWAL(dir string) Option {
 	}
 }
 
-// WithVerifyPipeline takes signature verification — the dominant cost under
-// real crypto — off the engine's single-threaded event loop. Under TCP,
-// frames are verified on their per-peer reader goroutines and a cold
-// certificate's 2f+1 signatures are batch-checked by up to `workers`
-// goroutines (0 = GOMAXPROCS divided across the n-1 readers). Under a
-// LocalNet, a bounded worker pool of `workers` goroutines (0 = GOMAXPROCS)
-// prevalidates between the transport and the loop. Under Simnet the split
-// runs synchronously and is enabled per-simulation via
-// SimnetConfig.VerifyPipeline, not per node — New rejects the combination
-// to keep determinism decisions in one place.
+// WithVerifyPipeline overrides how many goroutines batch-check one cold
+// certificate's 2f+1 signatures; workers = 0 keeps the derived value
+// (GOMAXPROCS divided across the n-1 peer readers under TCP, 1 under LocalNet
+// and Simnet). It switches nothing on: every transport prevalidates every
+// inbound message exactly once, before the engine's state stage — TCP on its
+// per-peer reader goroutines, LocalNet and Simnet inline in OnMessage (see
+// doc.go, "Verification"). The verdicts, and so fixed-seed runs, are the same
+// at any value.
 func WithVerifyPipeline(workers int) Option {
 	return func(s *settings) {
 		if workers < 0 {
 			s.fail(fmt.Errorf("sft: negative pipeline workers"))
 			return
 		}
-		s.pipeline = true
-		s.pipelineWorkers = workers
+		s.verifyWorkers = workers
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package sft is the public face of this repository: one builder API that
 // composes everything the internal packages provide — consensus engines,
-// the paper's strengthened commit rule, signature schemes, transports,
-// durability, and the verification pipeline — into a running replica, plus
-// a subscription API for consuming commits the way the paper intends.
+// the paper's strengthened commit rule, signature schemes, transports and
+// durability — into a running replica, plus a subscription API for
+// consuming commits the way the paper intends.
 //
 // The paper's core idea (Strengthened Fault Tolerance, ICDCS 2021) is that
 // a commit is not binary: each committed block carries a strength x — the
@@ -20,7 +20,6 @@
 //		sft.WithScheme(sft.SchemeEd25519),
 //		sft.WithTransport(sft.TCP(sft.TCPConfig{Listen: ":7000", Peers: peers})),
 //		sft.WithWAL("/var/lib/sft/replica-0"),
-//		sft.WithVerifyPipeline(0),
 //		sft.WithCommitRule(sft.CommitRule{MinStrength: 2}),
 //	)
 //
@@ -269,10 +268,9 @@ func NewKeyRing(n int, seed int64, scheme Scheme) (*KeyRing, error) {
 }
 
 // New composes a replica node from the configuration and options: engine,
-// commit rule, signature scheme, transport, durability, verification
-// pipeline and metrics all flow through this one path. The returned Node is
-// not yet processing events — call Run (TCP/LocalNet transports) or drive
-// the Simnet it is attached to.
+// commit rule, signature scheme, transport, durability and metrics all flow
+// through this one path. The returned Node is not yet processing events —
+// call Run (TCP/LocalNet transports) or drive the Simnet it is attached to.
 func New(cfg Config, opts ...Option) (*Node, error) {
 	if cfg.N < 4 || (cfg.N-1)%3 != 0 {
 		return nil, fmt.Errorf("sft: N=%d must be 3f+1 with f >= 1", cfg.N)
@@ -414,8 +412,6 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	n.spec = spec
 	n.eng = eng
 	n.journal = journal
-	n.pipeline = s.pipeline
-	n.pipelineWorkers = s.pipelineWorkers
 
 	if err := s.transport.attach(n); err != nil {
 		if journal != nil {

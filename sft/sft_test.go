@@ -41,9 +41,8 @@ func TestNewValidation(t *testing.T) {
 		sft.WithEngine(sft.Streamlet),
 		sft.WithCommitRule(sft.CommitRule{Votes: sft.VoteIntervals}),
 		sft.WithTransport(world.Transport(0)))
-	// Under Simnet the pipeline is a simulation-wide, not per-node, choice.
-	mustNodeErr(t, "SimnetConfig.VerifyPipeline", ok,
-		sft.WithVerifyPipeline(2),
+	mustNodeErr(t, "negative pipeline workers", ok,
+		sft.WithVerifyPipeline(-1),
 		sft.WithTransport(world.Transport(0)))
 	// Slot/identity mismatches.
 	mustNodeErr(t, "slot 1 attached to node 0", ok, sft.WithTransport(world.Transport(1)))
@@ -55,8 +54,9 @@ func TestNewValidation(t *testing.T) {
 	mustNodeErr(t, "key ring holds 4 keys", sft.Config{ID: 0, N: 7, Seed: 1},
 		sft.WithScheme(sft.SchemeSim), sft.WithKeyRing(shortRing), sft.WithTransport(world.Transport(0)))
 
-	// A valid node attaches; the same slot cannot be attached twice.
-	if _, err := sft.New(ok, sft.WithScheme(sft.SchemeSim), sft.WithTransport(world.Transport(0))); err != nil {
+	// A valid node attaches (a batch-worker override is accepted on every
+	// transport); the same slot cannot be attached twice.
+	if _, err := sft.New(ok, sft.WithScheme(sft.SchemeSim), sft.WithVerifyPipeline(2), sft.WithTransport(world.Transport(0))); err != nil {
 		t.Fatal(err)
 	}
 	mustNodeErr(t, "already attached", ok, sft.WithScheme(sft.SchemeSim), sft.WithTransport(world.Transport(0)))

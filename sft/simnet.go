@@ -10,7 +10,9 @@ import (
 	"repro/internal/types"
 )
 
-// SimnetConfig parameterizes a deterministic simulation fabric.
+// SimnetConfig parameterizes a deterministic simulation fabric. Deliveries
+// go through each engine's OnMessage, which prevalidates synchronously, so a
+// simulated node checks exactly what a TCP node's reader goroutines check.
 type SimnetConfig struct {
 	// N is the number of replica slots.
 	N int
@@ -24,12 +26,6 @@ type SimnetConfig struct {
 	// replica broadcast but never vote; with Observers = 0 the fabric is
 	// bit-identical to one built before observer support existed.
 	Observers int
-	// VerifyPipeline routes every delivery through the engines'
-	// prevalidate/apply split, synchronously — the simulator stays
-	// single-threaded, so results are bit-identical to the pipeline being
-	// off for honest traffic. This is the simulation-wide form of
-	// WithVerifyPipeline (which New rejects on Simnet-attached nodes).
-	VerifyPipeline bool
 }
 
 // Simnet is the deterministic discrete-event fabric the paper's experiments
@@ -60,11 +56,10 @@ func NewSimnet(cfg SimnetConfig) (*Simnet, error) {
 		observers: make([]*ObserverNode, cfg.Observers),
 	}
 	w.sim = simnet.New(simnet.Config{
-		N:           cfg.N,
-		Observers:   cfg.Observers,
-		Latency:     cfg.Latency,
-		Seed:        cfg.Seed,
-		Prevalidate: cfg.VerifyPipeline,
+		N:         cfg.N,
+		Observers: cfg.Observers,
+		Latency:   cfg.Latency,
+		Seed:      cfg.Seed,
 		OnCommit: func(rep types.ReplicaID, now time.Duration, b *types.Block) {
 			if int(rep) >= cfg.N {
 				if o := w.observers[int(rep)-cfg.N]; o != nil {
@@ -244,9 +239,6 @@ func (t *simTransport) attach(n *Node) error {
 	}
 	if t.world.nodes[t.id] != nil {
 		return fmt.Errorf("sft: simnet slot %d already attached", t.id)
-	}
-	if n.pipeline {
-		return fmt.Errorf("sft: under Simnet the verification pipeline is simulation-wide; set SimnetConfig.VerifyPipeline instead of WithVerifyPipeline")
 	}
 	t.world.nodes[t.id] = n
 	n.world = t.world

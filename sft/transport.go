@@ -2,10 +2,8 @@ package sft
 
 import (
 	"fmt"
-	rt "runtime"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/runtime"
 	"repro/internal/tcpnet"
 	"repro/internal/types"
@@ -42,8 +40,8 @@ type TCPConfig struct {
 // handshake. Sends only enqueue; a writer goroutine per peer dials lazily,
 // reconnects with backoff, and holds frames for a peer that is not reachable
 // yet in a bounded queue (overflow is counted in Metrics().SendDropped).
-// With WithVerifyPipeline, frames are verified on their per-peer reader
-// goroutines before they reach the event loop.
+// Inbound frames are prevalidated (signatures, certificates) on their
+// per-peer reader goroutines before they reach the event loop.
 func TCP(cfg TCPConfig) Transport { return &tcpTransport{cfg: cfg} }
 
 type tcpTransport struct{ cfg TCPConfig }
@@ -52,31 +50,27 @@ func (t *tcpTransport) simulated() bool { return false }
 
 func (t *tcpTransport) attach(n *Node) error {
 	netCfg := tcpnet.Config{
-		ID:        n.cfg.ID,
-		N:         n.cfg.N,
-		Listen:    t.cfg.Listen,
-		Peers:     t.cfg.Peers,
-		DialRetry: t.cfg.DialRetry,
-		Obs:       n.obs,
-	}
-	if n.pipeline {
-		pe, ok := n.eng.(engine.Pipelined)
-		if !ok {
-			return fmt.Errorf("sft: engine %T does not support the verification pipeline", n.eng)
-		}
-		netCfg.Prevalidate = pe.Prevalidate
+		ID:          n.cfg.ID,
+		N:           n.cfg.N,
+		Listen:      t.cfg.Listen,
+		Peers:       t.cfg.Peers,
+		DialRetry:   t.cfg.DialRetry,
+		Obs:         n.obs,
+		Prevalidate: n.eng.Prevalidate,
 	}
 	nt, err := tcpnet.Listen(netCfg)
 	if err != nil {
 		return err
 	}
 	n.tcp = nt
-	return attachRuntime(n, nt, false)
+	attachRuntime(n, nt)
+	return nil
 }
 
 // LocalNet connects up to n in-process nodes through buffered channels —
 // the quickest way to run a real (goroutine-per-replica, wall-clock) cluster
-// inside one process without sockets.
+// inside one process without sockets. Each node's event loop prevalidates
+// its own inbound messages.
 type LocalNet struct {
 	net *runtime.LocalNetwork
 	n   int
@@ -109,15 +103,13 @@ func (t *localTransport) attach(n *Node) error {
 	if int(t.id) >= t.net.n {
 		return fmt.Errorf("sft: endpoint %d outside LocalNet of %d", t.id, t.net.n)
 	}
-	return attachRuntime(n, t.net.net.Endpoint(t.id), true)
+	attachRuntime(n, t.net.net.Endpoint(t.id))
+	return nil
 }
 
-// attachRuntime builds the runtime.Node around an already-built engine. The
-// worker pool is only used for transports without a reader-side
-// prevalidation hook; TCP verifies on its per-peer readers instead.
-func attachRuntime(n *Node, tr runtime.Transport, workerPool bool) error {
+// attachRuntime builds the runtime.Node around an already-built engine.
+func attachRuntime(n *Node, tr runtime.Transport) {
 	opts := runtime.Options{
-		Obs: n.obs,
 		OnCommit: func(b *types.Block) {
 			n.onCommit(n.now(), b)
 		},
@@ -130,13 +122,5 @@ func attachRuntime(n *Node, tr runtime.Transport, workerPool bool) error {
 		// once-guarded handle keeps Node.Close idempotent with that.
 		opts.Journal = n.journal
 	}
-	if workerPool && n.pipeline {
-		workers := n.pipelineWorkers
-		if workers <= 0 {
-			workers = rt.GOMAXPROCS(0)
-		}
-		opts.PrevalidateWorkers = workers
-	}
 	n.rt = runtime.NewNode(n.eng, tr, opts)
-	return nil
 }
