@@ -1,8 +1,9 @@
 GO ?= go
 
-# Native fuzz targets: the pinned wire decoders, the TCP frame parser and the
+# Native fuzz targets: the pinned wire decoders, the TCP frame parser, the
 # three engines' message doors (FuzzOnMessage: OnMessage against Prevalidate +
-# OnVerifiedMessage on arbitrary decoded messages). Each entry is
+# OnVerifiedMessage on arbitrary decoded messages) and the vote history against
+# its full-scan reference on an arbitrary op stream. Each entry is
 # <package>:<target>; fuzz-smoke runs every target briefly, fuzz-long (the
 # nightly job) runs them for FUZZTIME_LONG each.
 FUZZ_TARGETS = \
@@ -19,7 +20,8 @@ FUZZ_TARGETS = \
 	./internal/gateway:FuzzDecodeSubscribeFrame \
 	./internal/diembft:FuzzOnMessage \
 	./internal/streamlet:FuzzOnMessage \
-	./internal/observer:FuzzOnMessage
+	./internal/observer:FuzzOnMessage \
+	./internal/core:FuzzHistoryMatchesReference
 FUZZTIME_SMOKE ?= 20s
 FUZZTIME_LONG ?= 10m
 
@@ -56,11 +58,14 @@ bench-smoke:
 
 # Micro-benchmarks: PR-1 (QC cache, event core, tracker, signing payloads),
 # PR-2 (WAL append/replay, vote-path journal appends), and PR-3 (batched
-# signature verification vs the serial cold path).
+# signature verification vs the serial cold path), and the O(changed)
+# bookkeeping steps at three kept-window sizes (BenchmarkMarkerExtend and
+# BenchmarkPruneStep must read about the same at 64, 512 and 4096).
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyQCCached|BenchmarkVerifyQCBatch' -benchmem ./internal/crypto/
 	$(GO) test -run '^$$' -bench BenchmarkSimnetEventLoop -benchmem ./internal/simnet/
 	$(GO) test -run '^$$' -bench 'BenchmarkTrackerOnQC|BenchmarkMarker|BenchmarkJournalAppendVote' -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkPruneStep -benchmem ./internal/replica/
 	$(GO) test -run '^$$' -bench BenchmarkSigningPayload -benchmem ./internal/types/
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendFlush|BenchmarkReplay' -benchmem ./internal/wal/
 

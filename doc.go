@@ -201,8 +201,11 @@
 //	after a QC         tracker (round or height keyed)  2-chain lock, 3-chain commit,   longest-chain height, consecutive-
 //	                                                    round sync, orphan QCs          round 3-chain commit
 //	committing         CommitTo: app, outputs, record   —                               —
-//	pruning            PruneBelow: store, tracker,      when (PruneKeep) and its own    none (dropping first-seen marks
-//	                   history, vote sets               per-block / per-round maps      would re-admit late echoes)
+//	pruning            PruneBelow: one pass, O(removed) when (PruneKeep); qcFormed and  none (dropping first-seen marks
+//	                   — the store returns the blocks   the direct tracker forget the    would re-admit late echoes)
+//	                   it removed; tracker and vote     removed blocks, the per-round
+//	                   sets forget those, history the   maps the rounds the floor
+//	                   rounds below the cut's block     moved across
 //	recovery           Restore: replay skeleton         proposed rounds, rvote, rlock   first-seen marks, voted rounds
 //	catch-up           serve + ApplySegment; Certs      per-block SyncRequest healing   which certificate is standalone
 //	                   (cache, batch workers, timing)

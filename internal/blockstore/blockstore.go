@@ -7,7 +7,6 @@ package blockstore
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/types"
 )
@@ -20,11 +19,15 @@ var (
 	ErrBadRound      = errors.New("blockstore: round not greater than parent round")
 )
 
+// node links are intrusive, so a stored block is one allocation and the
+// height index costs the node no more than a children slice used to.
 type node struct {
-	block    *types.Block
-	parent   *node // nil for genesis
-	children []*node
-	qc       *types.QC // certificate for this block, if one is known
+	block   *types.Block
+	parent  *node     // nil for genesis and above a pruned edge
+	child   *node     // first child, in insertion order
+	sibling *node     // next child of the same parent
+	qc      *types.QC // certificate for this block, if one is known
+	level   *node     // next stored node at the same height (see Store.levels)
 }
 
 // Store is one replica's block tree. It is not safe for concurrent use; the
@@ -33,9 +36,15 @@ type Store struct {
 	genesis *types.Block
 	nodes   map[types.BlockID]*node
 	highQC  *types.QC
-	// pruned tracks the height below which non-committed branches have been
-	// discarded; ancestor walks stop at pruned nodes' boundary.
-	prunedHeight types.Height
+	// prunedHeight is the height below which everything has been discarded;
+	// ancestor walks stop at that boundary. top is the highest stored height.
+	prunedHeight, top types.Height
+	// levels indexes the nodes by height, so that pruning visits the blocks
+	// it removes and not the whole map: levels[h&(len(levels)-1)] heads the
+	// list (through node.level) of the nodes at height h in [prunedHeight,
+	// top]. The ring's length is a power of two and doubles when outgrown.
+	levels  []*node
+	removed []*types.Block // PruneBelow's result, reused
 }
 
 // New creates a store seeded with the canonical genesis block and its
@@ -45,10 +54,11 @@ func New() *Store {
 	s := &Store{
 		genesis: g,
 		nodes:   make(map[types.BlockID]*node),
+		levels:  make([]*node, 64),
+		highQC:  types.NewGenesisQC(g.ID()),
 	}
-	s.nodes[g.ID()] = &node{block: g}
-	s.highQC = types.NewGenesisQC(g.ID())
-	s.nodes[g.ID()].qc = s.highQC
+	s.levels[0] = &node{block: g, qc: s.highQC}
+	s.nodes[g.ID()] = s.levels[0]
 	return s
 }
 
@@ -93,10 +103,31 @@ func (s *Store) Insert(b *types.Block) error {
 	if b.Round <= p.block.Round {
 		return fmt.Errorf("%w: %s over parent r%d", ErrBadRound, b, p.block.Round)
 	}
-	n := &node{block: b, parent: p}
-	p.children = append(p.children, n)
+	if b.Height > s.top {
+		s.top = b.Height
+		if span := int(s.top-s.prunedHeight) + 1; span > len(s.levels) {
+			s.growLevels()
+		}
+	}
+	head := &s.levels[int(b.Height)&(len(s.levels)-1)]
+	n := &node{block: b, parent: p, level: *head}
+	*head = n
+	last := &p.child
+	for *last != nil {
+		last = &(*last).sibling
+	}
+	*last = n
 	s.nodes[id] = n
 	return nil
+}
+
+// growLevels doubles the height ring. Each height's list moves as a whole.
+func (s *Store) growLevels() {
+	old := s.levels
+	s.levels = make([]*node, 2*len(old))
+	for h := s.prunedHeight; h < s.top; h++ {
+		s.levels[int(h)&(len(s.levels)-1)] = old[int(h)&(len(old)-1)]
+	}
 }
 
 // RegisterQC records a certificate for a stored block and updates the
@@ -147,29 +178,16 @@ func (s *Store) Parent(id types.BlockID) *types.Block {
 	return n.parent.block
 }
 
-// Children returns the stored children of a block.
-func (s *Store) Children(id types.BlockID) []*types.Block {
-	n, ok := s.nodes[id]
-	if !ok {
-		return nil
-	}
-	out := make([]*types.Block, len(n.children))
-	for i, c := range n.children {
-		out[i] = c.block
-	}
-	return out
-}
-
-// VisitChildren calls fn on each stored child of a block, stopping early if
-// fn returns false. Unlike Children it performs no allocation, which matters
-// to the SFT tracker's per-QC re-evaluation loops. fn must not mutate the
-// store.
+// VisitChildren calls fn on each stored child of a block in insertion order,
+// stopping early if fn returns false. It performs no allocation, which
+// matters to the SFT tracker's per-QC re-evaluation loops. fn must not mutate
+// the store.
 func (s *Store) VisitChildren(id types.BlockID, fn func(*types.Block) bool) {
 	n, ok := s.nodes[id]
 	if !ok {
 		return
 	}
-	for _, c := range n.children {
+	for c := n.child; c != nil; c = c.sibling {
 		if !fn(c.block) {
 			return
 		}
@@ -284,19 +302,12 @@ func (s *Store) WalkAncestors(id types.BlockID, fn func(*types.Block) bool) {
 // state transfer. Certificates are not included; callers that need them pair
 // the snapshot with QCFor.
 func (s *Store) Snapshot() []*types.Block {
-	out := make([]*types.Block, 0, len(s.nodes)-1)
-	for _, n := range s.nodes {
-		if !n.block.IsGenesis() {
+	out := make([]*types.Block, 0, len(s.nodes))
+	for h := max(s.prunedHeight, 1); h <= s.top; h++ { // genesis is alone at 0
+		for n := s.levels[int(h)&(len(s.levels)-1)]; n != nil; n = n.level {
 			out = append(out, n.block)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Height != b.Height {
-			return a.Height < b.Height
-		}
-		return a.Round < b.Round
-	})
 	return out
 }
 
@@ -332,34 +343,31 @@ func (s *Store) Restore(blocks []*types.Block, onInstall func(b *types.Block, qc
 	return installed
 }
 
-// PruneBelow discards every block below height h and re-anchors the tree at
-// keep's ancestor at height h (its parent link becomes nil). Side-fork
-// blocks at or above h whose ancestry was cut are detached as well; their
-// own turn comes at the next prune. Engines call this once strong commits
-// have saturated so long experiments do not grow memory without bound.
-func (s *Store) PruneBelow(h types.Height, keep types.BlockID) int {
-	anchor := s.AncestorAtHeight(keep, h)
-	if anchor == nil || h == 0 {
-		return 0
-	}
-	removed := 0
-	for id, n := range s.nodes {
-		if n.block.Height >= h {
-			continue
+// PruneBelow discards every block below height h and returns the removed
+// blocks (valid until the next call), visiting only those, through the
+// height index. The blocks at height h lose their parent link, the committed
+// chain's and every side fork's alike, so ancestry walks end there; a fork's
+// own turn comes when the cut passes it. The caller picks h on the chain it
+// means to keep. Engines call this so long runs do not grow without bound.
+func (s *Store) PruneBelow(h types.Height) []*types.Block {
+	clear(s.removed) // the last call's blocks are not kept alive past this one
+	s.removed = s.removed[:0]
+	for ; s.prunedHeight < h && s.prunedHeight <= s.top; s.prunedHeight++ {
+		head := &s.levels[int(s.prunedHeight)&(len(s.levels)-1)]
+		for n := *head; n != nil; n = n.level {
+			// Orphan surviving children; ancestry walks then terminate at a
+			// nil parent above the cut.
+			for c := n.child; c != nil; c = c.sibling {
+				c.parent = nil
+			}
+			delete(s.nodes, n.block.ID())
+			s.removed = append(s.removed, n.block)
 		}
-		// Orphan surviving children; ancestry walks then terminate at a
-		// nil parent above the cut.
-		for _, c := range n.children {
-			c.parent = nil
-		}
-		delete(s.nodes, id)
-		removed++
+		*head = nil
 	}
-	if h > s.prunedHeight {
-		s.prunedHeight = h
-	}
-	return removed
+	s.prunedHeight = max(s.prunedHeight, h)
+	return s.removed
 }
 
-// PrunedHeight returns the height below which side branches were discarded.
+// PrunedHeight returns the height below which every block was discarded.
 func (s *Store) PrunedHeight() types.Height { return s.prunedHeight }

@@ -2,6 +2,7 @@ package blockstore_test
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -192,9 +193,15 @@ func TestPruneBelow(t *testing.T) {
 	fork := cb.mk(blocks[0], 7) // height 2, dead branch
 	forkChild := cb.mk(fork, 8)
 
-	removed := cb.s.PruneBelow(4, cur.ID())
-	if removed == 0 {
-		t.Fatal("nothing pruned")
+	// Heights 0..3 of the spine plus the two fork blocks, and nothing else.
+	removed := cb.s.PruneBelow(4)
+	if len(removed) != 6 {
+		t.Fatalf("pruned %d blocks, want 6", len(removed))
+	}
+	for _, b := range removed {
+		if b.Height >= 4 || cb.s.Has(b.ID()) {
+			t.Errorf("removed list holds surviving block h%d", b.Height)
+		}
 	}
 	// Everything below the cut is gone, spine included; the anchor at the
 	// cut height and everything above survives.
@@ -243,7 +250,7 @@ func TestPruningBoundaryQueries(t *testing.T) {
 	tip := cur
 
 	cut := types.Height(4)
-	cb.s.PruneBelow(cut, tip.ID())
+	cb.s.PruneBelow(cut)
 
 	// AT the boundary: the anchor block (height == prunedHeight) survives
 	// and all queries against it behave normally.
@@ -349,5 +356,75 @@ func TestSnapshotRestore(t *testing.T) {
 	// Idempotent re-restore.
 	if n := fresh.Restore(snap, nil); n != 0 {
 		t.Errorf("re-restore installed %d blocks, want 0", n)
+	}
+}
+
+// TestHeightIndexMatchesScan: over a long random tree with side forks, cut
+// in random steps so the height ring wraps and doubles, every PruneBelow
+// returns exactly the stored blocks below the cut (what a scan of the whole
+// store would find), detaches the blocks at the cut, and leaves Snapshot
+// holding the rest in parent-before-child order.
+func TestHeightIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	cb := newBuilder(t)
+	live := map[types.BlockID]*types.Block{cb.s.Genesis().ID(): cb.s.Genesis()}
+	spine := []*types.Block{cb.s.Genesis()}
+	round := types.Round(0)
+	grow := func(parent *types.Block) *types.Block {
+		round++
+		b := cb.mk(parent, round)
+		live[b.ID()] = b
+		return b
+	}
+	for step := 0; step < 3000; step++ {
+		tip := spine[len(spine)-1]
+		spine = append(spine, grow(tip))
+		if rng.Intn(4) == 0 { // a fork off a recent spine block, sometimes two deep
+			if from := spine[len(spine)-1-rng.Intn(min(len(spine), 6))]; cb.s.Has(from.ID()) {
+				if side := grow(from); rng.Intn(2) == 0 {
+					grow(side)
+				}
+			}
+		}
+		// Let the window grow past one ring size before the cuts catch up.
+		if step < 200 || rng.Intn(3) != 0 {
+			continue
+		}
+		cut := cb.s.PrunedHeight() + types.Height(rng.Intn(5))
+		removed := cb.s.PruneBelow(cut)
+		for _, b := range removed {
+			if _, ok := live[b.ID()]; !ok || b.Height >= cut {
+				t.Fatalf("cut %d removed %v, which was not stored below it", cut, b)
+			}
+			delete(live, b.ID())
+		}
+		for id, b := range live {
+			if b.Height < cut {
+				t.Fatalf("cut %d left %v in place", cut, b)
+			}
+			if !cb.s.Has(id) {
+				t.Fatalf("cut %d lost %v", cut, b)
+			}
+			if b.Height == cut && cb.s.Parent(id) != nil {
+				t.Fatalf("cut %d left %v attached to a removed parent", cut, b)
+			}
+		}
+		if cb.s.Len() != len(live) || cb.s.PrunedHeight() != cut {
+			t.Fatalf("cut %d: store holds %d blocks, want %d", cut, cb.s.Len(), len(live))
+		}
+	}
+	if cb.s.PrunedHeight() < 1000 {
+		t.Fatalf("cuts only reached height %d", cb.s.PrunedHeight())
+	}
+	snap := cb.s.Snapshot()
+	if len(snap) != len(live) {
+		t.Fatalf("snapshot holds %d blocks, store %d", len(snap), len(live))
+	}
+	seen := map[types.BlockID]bool{}
+	for _, b := range snap {
+		if b.Height > cb.s.PrunedHeight() && !seen[b.Parent] {
+			t.Fatalf("snapshot lists %v before its parent", b)
+		}
+		seen[b.ID()] = true
 	}
 }

@@ -39,18 +39,19 @@ func (t *DirectTracker) OnQC(qc *types.QC) {
 }
 
 // AddVote credits one direct vote (from a QC or a relayed ExtraVote) and
-// re-evaluates the 3-chains around the block.
+// re-evaluates the 3-chains around the block. A vote for a block the store
+// does not hold is not remembered, so every key is a stored block.
 func (t *DirectTracker) AddVote(block types.BlockID, voter types.ReplicaID) {
+	b := t.store.Block(block)
+	if b == nil {
+		return
+	}
 	set, ok := t.votes[block]
 	if !ok {
 		set = &VoteSet{}
 		t.votes[block] = set
 	}
 	if !set.Mark(voter) {
-		return
-	}
-	b := t.store.Block(block)
-	if b == nil {
 		return
 	}
 	// The changed block can be the 1st, 2nd or 3rd element of a 3-chain.
@@ -108,12 +109,8 @@ func (t *DirectTracker) evaluate(bk *types.Block) {
 	}
 }
 
-// Forget releases bookkeeping below the given height.
-func (t *DirectTracker) Forget(below types.Height) {
-	for id := range t.votes {
-		if b := t.store.Block(id); b == nil || b.Height < below {
-			delete(t.votes, id)
-			delete(t.strength, id)
-		}
-	}
+// Forget releases the bookkeeping of one block the store removed.
+func (t *DirectTracker) Forget(id types.BlockID) {
+	delete(t.votes, id)
+	delete(t.strength, id)
 }

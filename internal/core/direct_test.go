@@ -80,7 +80,7 @@ func TestDirectTrackerForget(t *testing.T) {
 	b2 := w.mk(b1, 2)
 	tr.AddVote(b1.ID(), 0)
 	tr.AddVote(b2.ID(), 0)
-	tr.Forget(2)
+	tr.Forget(b1.ID())
 	if tr.DirectVotes(b1.ID()) != 0 || tr.DirectVotes(b2.ID()) != 1 {
 		t.Fatal("forget boundary wrong")
 	}

@@ -177,11 +177,11 @@ func (t *Tracker) OnQC(qc *types.QC) {
 	if len(qc.Votes) <= t.processed[qc.Block] {
 		return // already unpacked an equal or larger QC for this block
 	}
-	t.processed[qc.Block] = len(qc.Votes)
 	certified := t.store.Block(qc.Block)
 	if certified == nil {
-		return
+		return // nothing is remembered: the QC counts once its block is here
 	}
+	t.processed[qc.Block] = len(qc.Votes)
 	t.changed = t.changed[:0]
 	for i := range qc.Votes {
 		v := &qc.Votes[i]
@@ -454,14 +454,10 @@ func (t *Tracker) Restore(qcs []*types.QC) {
 	}
 }
 
-// Forget releases bookkeeping for blocks below the given height; pair with
-// blockstore pruning on long runs.
-func (t *Tracker) Forget(below types.Height) {
-	for id := range t.endorsed {
-		if b := t.store.Block(id); b == nil || b.Height < below {
-			delete(t.endorsed, id)
-			delete(t.processed, id)
-			delete(t.strength, id)
-		}
-	}
+// Forget releases the bookkeeping of one block. Every key was a stored block
+// when written, so forgetting what the store removes keeps the maps in step.
+func (t *Tracker) Forget(id types.BlockID) {
+	delete(t.endorsed, id)
+	delete(t.processed, id)
+	delete(t.strength, id)
 }

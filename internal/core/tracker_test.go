@@ -300,7 +300,7 @@ func TestTrackerForget(t *testing.T) {
 	b2 := w.mk(b1, 2)
 	tr.OnQC(qcFor(b1, sameMarkers(0, 0, 1, 2)))
 	tr.OnQC(qcFor(b2, sameMarkers(0, 0, 1, 2)))
-	tr.Forget(2)
+	tr.Forget(b1.ID())
 	if tr.Endorsers(b1.ID()) != 0 {
 		t.Error("forgotten block still has endorsers")
 	}

@@ -1,6 +1,7 @@
 package diembft
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -169,6 +170,85 @@ func TestJournalFailureCrashStopsBeforeVote(t *testing.T) {
 		if s, ok := o.(engine.Send); ok {
 			if _, isVote := s.Msg.(*types.VoteMsg); isVote {
 				t.Fatal("vote released without its journal record")
+			}
+		}
+	}
+}
+
+// blockKeys reads the block-ID keys of an unexported map field, here or in
+// internal/core: the fan-out test below is about exactly those maps.
+func blockKeys(t *testing.T, owner any, field string) []types.BlockID {
+	t.Helper()
+	m := reflect.ValueOf(owner).Elem().FieldByName(field)
+	if !m.IsValid() || m.Kind() != reflect.Map {
+		t.Fatalf("%T has no map field %q", owner, field)
+	}
+	var ids []types.BlockID
+	for _, k := range m.MapKeys() {
+		var id types.BlockID
+		for i := range id {
+			id[i] = byte(k.Index(i).Uint())
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// TestPruneFansOutExactlyRemoved: with forgetting tied to what the store
+// removes and no periodic sweep behind it, after thousands of commits over a
+// chain with abandoned forks every block-keyed map — the tracker's three, the
+// direct tracker's two, qcFormed — holds only blocks the store still holds,
+// in SFT and in FBFT mode. The same run shows votes are recorded in
+// increasing round order, which VoteHistory.PruneBelow's prefix drop rests on.
+func TestPruneFansOutExactlyRemoved(t *testing.T) {
+	for _, fbft := range []bool{false, true} {
+		// One proposal in eleven reaches a single replica besides its leader:
+		// two votes, no certificate, a timeout, and a voted block left on a
+		// fork that the next leader's block does not extend.
+		starve := func(from, to types.ReplicaID, msg types.Message, _ time.Duration) bool {
+			p, ok := msg.(*types.Proposal)
+			return ok && p.Round%11 == 5 && to != (from+1)%4
+		}
+		sim, reps, _ := testCluster(t, 4, 1, 20*time.Millisecond, func(c *Config) {
+			c.PruneKeep = 64
+			c.SFT, c.FBFT = !fbft, fbft
+		}, simnet.Config{Seed: 9, Drop: starve})
+		sim.Run(20 * time.Second)
+		for _, rep := range reps {
+			if rep.CommittedHeight() < 2000 {
+				t.Fatalf("fbft=%v replica %d: committed height %d; too short to mean anything", fbft, rep.ID(), rep.CommittedHeight())
+			}
+			maps := map[string][]types.BlockID{"qcFormed": blockKeys(t, rep, "qcFormed")}
+			if fbft {
+				maps["direct.votes"] = blockKeys(t, rep.direct, "votes")
+				maps["direct.strength"] = blockKeys(t, rep.direct, "strength")
+			} else {
+				for _, field := range []string{"endorsed", "processed", "strength"} {
+					maps["tracker."+field] = blockKeys(t, rep.Tracker(), field)
+				}
+			}
+			for name, ids := range maps {
+				if len(ids) == 0 {
+					t.Errorf("fbft=%v replica %d: %s is empty; the check is vacuous", fbft, rep.ID(), name)
+				}
+				for _, id := range ids {
+					if !rep.Store().Has(id) {
+						t.Errorf("fbft=%v replica %d: %s keeps %s, which the store dropped", fbft, rep.ID(), name, id)
+					}
+				}
+			}
+			forks, last := 0, types.Round(0)
+			for _, v := range rep.History().Voted() {
+				if v.Round <= last {
+					t.Fatalf("fbft=%v replica %d: vote for round %d recorded after round %d", fbft, rep.ID(), v.Round, last)
+				}
+				last = v.Round
+				if rep.Store().Has(v.ID) && rep.Store().Conflicts(v.ID, rep.LastCommitted()) {
+					forks++
+				}
+			}
+			if forks == 0 {
+				t.Errorf("fbft=%v replica %d: no voted fork in the window; the run has no forks to forget", fbft, rep.ID())
 			}
 		}
 	}

@@ -123,6 +123,8 @@ type Replica struct {
 
 	proposed   map[types.Round]bool
 	pendingLog []types.StrengthRecord // light-client log accumulator
+	// floor is the round the per-round maps were last pruned below.
+	floor types.Round
 
 	// direct is the Appendix B baseline tracker (FBFT mode only).
 	direct *core.DirectTracker

@@ -300,17 +300,11 @@ func (r *Replica) checkCommit(qc *types.QC) {
 	r.CommitTo(b0)
 }
 
-// pruneSweep is how many cuts pass between sweeps of the engine's own maps.
-// The cut advances with every commit, and walking the maps each time cost 2 %
-// of bank_paced's CPU at PruneKeep 512; they hold one small entry per round
-// this replica led or collected, so letting them run pruneSweep heights past
-// the cut costs nothing that matters.
-const pruneSweep = 64
-
 // maybePrune drops everything more than PruneKeep heights below the
-// committed height: the chassis state at every cut, and this engine's own
-// per-block and per-round maps at every pruneSweep-th, so none of them grows
-// with the round count.
+// committed height, at every cut and at a cost that follows what the store
+// removes: this engine's per-block state forgets those blocks, its per-round
+// maps the rounds the floor moved across, so none of them grows with the
+// round count.
 func (r *Replica) maybePrune() {
 	if r.cfg.PruneKeep == 0 || r.CommittedHeight() <= r.cfg.PruneKeep {
 		return
@@ -319,31 +313,38 @@ func (r *Replica) maybePrune() {
 	if cut <= r.Store().PrunedHeight() {
 		return
 	}
-	floor := r.PruneBelow(cut)
-	if r.direct != nil {
-		r.direct.Forget(cut)
-	}
-	if cut%pruneSweep != 0 {
-		return
-	}
-	for id := range r.qcFormed {
-		if !r.Store().Has(id) {
-			delete(r.qcFormed, id)
+	removed, floor := r.PruneBelow(cut)
+	for _, b := range removed {
+		delete(r.qcFormed, b.ID())
+		if r.direct != nil {
+			r.direct.Forget(b.ID())
 		}
 	}
+	if floor > r.floor {
+		dropRounds(r.proposed, r.floor, floor)
+		dropRounds(r.awaitingExtra, r.floor, floor)
+		r.floor = floor
+	}
+	// The one map whose keys the store never held; it is almost always empty.
 	for id, qc := range r.orphanQCs {
 		if qc.Height < cut {
 			delete(r.orphanQCs, id)
 		}
 	}
-	for round := range r.proposed {
-		if round < floor {
-			delete(r.proposed, round)
+}
+
+// dropRounds deletes the keys in [from, to), or every key below to when the
+// map is smaller than that range (the first cut after a restart).
+func dropRounds[V any](m map[types.Round]V, from, to types.Round) {
+	if uint64(to-from) <= uint64(len(m)) {
+		for round := from; round < to; round++ {
+			delete(m, round)
 		}
+		return
 	}
-	for round := range r.awaitingExtra {
-		if round < floor {
-			delete(r.awaitingExtra, round)
+	for round := range m {
+		if round < to {
+			delete(m, round)
 		}
 	}
 }

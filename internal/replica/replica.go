@@ -100,6 +100,10 @@ type Chassis struct {
 
 	lastCommitted types.BlockID
 	committedH    types.Height
+	// committed is the committed chain's tail, oldest first, from the last
+	// prune's anchor (or the first commit since New or Restore) to
+	// lastCommitted: PruneBelow reads the block at the cut from it.
+	committed []*types.Block
 
 	// aggregate marks that the verifier's scheme compacts formed QCs into
 	// the aggregated-signature form; sigScratch is the reused signing-payload
@@ -468,6 +472,7 @@ func (c *Chassis) CommitTo(b *types.Block) {
 		c.Outs = append(c.Outs, engine.Commit{Block: blk})
 		c.cfg.Obs.OnCommit(blk, c.now)
 	}
+	c.committed = append(c.committed, chain...)
 	c.lastCommitted = b.ID()
 	c.committedH = b.Height
 	// One commit record for the tip covers the whole chain (ancestor
@@ -478,25 +483,45 @@ func (c *Chassis) CommitTo(b *types.Block) {
 }
 
 // PruneBelow drops chassis state below height cut (the engine decides the
-// cut): block tree, tracker, vote sets, and the vote history below the round
-// of the committed chain's block at the cut — which it returns, so the
-// engine can prune its own per-round state at the same point.
-func (c *Chassis) PruneBelow(cut types.Height) types.Round {
-	c.store.PruneBelow(cut, c.lastCommitted)
-	if c.tracker != nil {
-		c.tracker.Forget(cut)
+// cut) in one pass over what the store removes: the tracker forgets exactly
+// those blocks, the vote sets theirs, and the vote history what lies below
+// the round of the committed chain's block at the cut. It returns the removed
+// blocks (valid until the next call) and that round, for the engine's own
+// per-block and per-round state. When the committed chain has no block at the
+// cut, nothing is removed and nothing is forgotten.
+func (c *Chassis) PruneBelow(cut types.Height) ([]*types.Block, types.Round) {
+	anchor := c.committedAt(cut)
+	if anchor == nil {
+		return nil, 0
 	}
+	removed := c.store.PruneBelow(cut)
+	if c.tracker != nil {
+		for _, b := range removed {
+			c.tracker.Forget(b.ID())
+		}
+	}
+	// The vote sets are the few still collecting, some of them for blocks the
+	// store never held, which no removed list names: they are walked.
 	for id, set := range c.Votes {
 		if set.Height() < cut && !c.store.Has(id) {
 			delete(c.Votes, id)
 		}
 	}
-	anchor := c.store.AncestorAtHeight(c.lastCommitted, cut)
-	if anchor == nil {
-		return 0
-	}
 	c.history.PruneBelow(anchor.Round)
-	return anchor.Round
+	return removed, anchor.Round
+}
+
+// committedAt returns the committed chain's block at height h, from the tail
+// when it reaches that far down (dropping what lies below, which no later cut
+// needs) and by walking the store otherwise, as after Restore.
+func (c *Chassis) committedAt(h types.Height) *types.Block {
+	if len(c.committed) == 0 || h < c.committed[0].Height || h > c.committedH {
+		return c.store.AncestorAtHeight(c.lastCommitted, h)
+	}
+	i := int(h - c.committed[0].Height)
+	clear(c.committed[:i]) // the array outlives the reslice; its blocks must not
+	c.committed = c.committed[i:]
+	return c.committed[0]
 }
 
 // --- recovery and state sync ---

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -192,5 +193,99 @@ func TestCountedFailures(t *testing.T) {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("exposition lacks %q", want)
 		}
+	}
+}
+
+// committedChain drives a chassis through the bookkeeping of a forkless run
+// of n blocks — accept, certify into the store and the tracker, vote — and
+// commits all of them, so that every PruneBelow step after it has one block's
+// worth of state to drop from each structure.
+func committedChain(t testing.TB, n int) *Chassis {
+	c, _ := testChassis(t, 4, 1)
+	c.Begin(0)
+	parent, qc := c.Store().Genesis(), c.Store().HighQC()
+	for i := 1; i <= n; i++ {
+		b := childOf(parent, qc, types.Round(i))
+		if !c.AcceptBlock(b) {
+			t.Fatalf("block %d refused", i)
+		}
+		qc = &types.QC{Block: b.ID(), Round: b.Round, Height: b.Height}
+		for v := types.ReplicaID(0); v < 3; v++ {
+			qc.Votes = append(qc.Votes, types.Vote{Block: b.ID(), Round: b.Round, Height: b.Height, Voter: v})
+		}
+		if _, _, err := c.Store().RegisterQC(qc); err != nil {
+			t.Fatal(err)
+		}
+		c.Tracker().OnQC(qc)
+		c.History().Marker(b)
+		c.History().RecordVote(b)
+		parent = b
+	}
+	c.CommitTo(parent)
+	c.Take()
+	return c
+}
+
+// TestAllocsPruneStep: one cut's worth of pruning — store, tracker, vote
+// sets, history, committed tail — allocates nothing.
+func TestAllocsPruneStep(t *testing.T) {
+	const keep, runs = 512, 1000
+	c := committedChain(t, keep+runs) // AllocsPerRun makes runs+1 calls
+	cut := types.Height(0)
+	if a := testing.AllocsPerRun(runs, func() {
+		cut++
+		if removed, floor := c.PruneBelow(cut); len(removed) != 1 || floor != types.Round(cut) {
+			t.Fatalf("cut %d removed %d blocks, floor %d", cut, len(removed), floor)
+		}
+	}); a != 0 {
+		t.Fatalf("PruneBelow step: %v allocs/op, want 0", a)
+	}
+	if got := c.Store().Len(); got != keep {
+		t.Fatalf("store holds %d blocks after %d cuts, want %d", got, cut, keep)
+	}
+	if got := c.History().Len(); got != keep {
+		t.Fatalf("history holds %d votes, want %d", got, keep)
+	}
+}
+
+// BenchmarkPruneStep is one cut at three kept-window sizes. The cost follows
+// the block removed, so the three must read the same.
+func BenchmarkPruneStep(b *testing.B) {
+	for _, keep := range []int{64, 512, 4096} {
+		b.Run(fmt.Sprintf("keep=%d", keep), func(b *testing.B) {
+			const batch = 8192
+			b.ReportAllocs()
+			for done := 0; done < b.N; done += batch {
+				b.StopTimer()
+				steps := min(batch, b.N-done)
+				c := committedChain(b, keep+steps)
+				b.StartTimer()
+				for cut := 1; cut <= steps; cut++ {
+					c.PruneBelow(types.Height(cut))
+				}
+			}
+		})
+	}
+}
+
+// TestPruneWithoutAnchorForgetsNothing pins the case where the committed
+// chain has no block at the cut (the last committed block is not in the
+// store, as after restoring a log that lost it): nothing is removed, so
+// nothing is forgotten — not the tracker's entries below the cut either,
+// which used to go regardless.
+func TestPruneWithoutAnchorForgetsNothing(t *testing.T) {
+	c := committedChain(t, 10)
+	c.lastCommitted, c.committed = types.BlockID{0xee}, nil
+	low := c.Store().AncestorAtHeight(c.Store().HighQC().Block, 2)
+	before := c.Tracker().Endorsers(low.ID())
+	if removed, floor := c.PruneBelow(5); removed != nil || floor != 0 {
+		t.Fatalf("removed %d blocks, floor %d; want nothing", len(removed), floor)
+	}
+	if c.Store().PrunedHeight() != 0 || c.Store().Len() != 11 || c.History().Len() != 10 {
+		t.Fatalf("pruned height %d, %d blocks, %d votes; want all kept",
+			c.Store().PrunedHeight(), c.Store().Len(), c.History().Len())
+	}
+	if got := c.Tracker().Endorsers(low.ID()); got != before || got == 0 {
+		t.Fatalf("endorsers of a kept block below the cut: %d, had %d", got, before)
 	}
 }

@@ -319,16 +319,18 @@ func (s *Sim) apply(id types.ReplicaID, outs []engine.Output) {
 	for _, out := range outs {
 		switch o := out.(type) {
 		case engine.Send:
-			s.deliver(id, o.To, o.Msg)
+			s.deliver(id, o.To, o.Msg, o.Msg.Size())
 		case engine.Broadcast:
 			// Observer slots (>= N) receive every broadcast too — the
-			// fabric-level form of tcpnet's mirroring.
+			// fabric-level form of tcpnet's mirroring. The message is sized
+			// once, not per recipient: Size walks every vote of a carried QC.
+			size := o.Msg.Size()
 			for i := range s.engines {
 				to := types.ReplicaID(i)
 				if to == id {
 					continue
 				}
-				s.deliver(id, to, o.Msg)
+				s.deliver(id, to, o.Msg, size)
 			}
 			if o.SelfDeliver {
 				// Local delivery is immediate: same-replica handoff.
@@ -366,7 +368,7 @@ func (s *Sim) installPartition(groups [][]types.ReplicaID) {
 	s.partition = part
 }
 
-func (s *Sim) deliver(from, to types.ReplicaID, msg types.Message) {
+func (s *Sim) deliver(from, to types.ReplicaID, msg types.Message, size int) {
 	if int(to) >= len(s.engines) {
 		return
 	}
@@ -378,7 +380,7 @@ func (s *Sim) deliver(from, to types.ReplicaID, msg types.Message) {
 		return
 	}
 	s.stats.Count++
-	s.stats.Bytes += int64(msg.Size())
+	s.stats.Bytes += int64(size)
 	s.stats.ByType[msg.Type()]++
 	// Latency models size per-replica state by N; observer endpoints take
 	// replica 0's profile.
@@ -389,7 +391,7 @@ func (s *Sim) deliver(from, to types.ReplicaID, msg types.Message) {
 	if int(lt) >= s.cfg.N {
 		lt = 0
 	}
-	d := s.cfg.Latency.Delay(lf, lt, msg.Size(), s.rng)
+	d := s.cfg.Latency.Delay(lf, lt, size, s.rng)
 	if s.cfg.ExtraDelay != nil {
 		d += s.cfg.ExtraDelay(from, to, s.now)
 	}

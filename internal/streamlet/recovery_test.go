@@ -84,6 +84,13 @@ func TestStreamletKillRestartRecovers(t *testing.T) {
 		if len(preVoted) != len(postVoted) {
 			t.Errorf("vote history length %d, pre-crash %d", len(postVoted), len(preVoted))
 		}
+		// Recorded and replayed in round order: VoteHistory.PruneBelow drops
+		// a prefix on the strength of it.
+		for i := 1; i < len(postVoted); i++ {
+			if postVoted[i].Round <= postVoted[i-1].Round {
+				t.Errorf("vote %d is for round %d, after round %d", i, postVoted[i].Round, postVoted[i-1].Round)
+			}
+		}
 		return rep
 	})
 	sim.Run(5 * time.Second)
