@@ -2,8 +2,9 @@ GO ?= go
 
 # Native fuzz targets: the pinned wire decoders, the TCP frame parser, the
 # three engines' message doors (FuzzOnMessage: OnMessage against Prevalidate +
-# OnVerifiedMessage on arbitrary decoded messages) and the vote history against
-# its full-scan reference on an arbitrary op stream. Each entry is
+# OnVerifiedMessage on arbitrary decoded messages), the vote history against
+# its full-scan reference and the strength trackers against their map-keyed
+# references, each on an arbitrary op stream. Each entry is
 # <package>:<target>; fuzz-smoke runs every target briefly, fuzz-long (the
 # nightly job) runs them for FUZZTIME_LONG each.
 FUZZ_TARGETS = \
@@ -21,7 +22,8 @@ FUZZ_TARGETS = \
 	./internal/diembft:FuzzOnMessage \
 	./internal/streamlet:FuzzOnMessage \
 	./internal/observer:FuzzOnMessage \
-	./internal/core:FuzzHistoryMatchesReference
+	./internal/core:FuzzHistoryMatchesReference \
+	./internal/core:FuzzTrackerMatchesReference
 FUZZTIME_SMOKE ?= 20s
 FUZZTIME_LONG ?= 10m
 
@@ -58,9 +60,11 @@ bench-smoke:
 
 # Micro-benchmarks: PR-1 (QC cache, event core, tracker, signing payloads),
 # PR-2 (WAL append/replay, vote-path journal appends), and PR-3 (batched
-# signature verification vs the serial cold path), and the O(changed)
+# signature verification vs the serial cold path), the O(changed)
 # bookkeeping steps at three kept-window sizes (BenchmarkMarkerExtend and
-# BenchmarkPruneStep must read about the same at 64, 512 and 4096).
+# BenchmarkPruneStep must read about the same at 64, 512 and 4096), and the
+# tracker at the paper's scale (BenchmarkTrackerOnQCFresh: n=100, each
+# certificate new; BenchmarkTrackerOnQC is the already-covered fast path).
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyQCCached|BenchmarkVerifyQCBatch' -benchmem ./internal/crypto/
 	$(GO) test -run '^$$' -bench BenchmarkSimnetEventLoop -benchmem ./internal/simnet/

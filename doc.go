@@ -198,14 +198,16 @@
 //	                   journal, record in history       marker or interval set          a longest chain; height marker
 //	vote → certificate AddVote, Certify: dedup, root    collector only, extra-wait,     everyone, relay by echo,
 //	                   check, sort, aggregate           FBFT late votes, qcFormed       register + journal
-//	after a QC         tracker (round or height keyed)  2-chain lock, 3-chain commit,   longest-chain height, consecutive-
-//	                                                    round sync, orphan QCs          round 3-chain commit
+//	after a QC         tracker (round or height keyed;  2-chain lock, 3-chain commit    longest-chain height, consecutive-
+//	                   its state is on the store's      along the certified node's      round 3-chain commit
+//	                   nodes)                           parents, round sync, orphan QCs
 //	committing         CommitTo: app, outputs, record   —                               —
-//	pruning            PruneBelow: one pass, O(removed) when (PruneKeep); qcFormed and  none (dropping first-seen marks
-//	                   — the store returns the blocks   the direct tracker forget the    would re-admit late echoes)
-//	                   it removed; tracker and vote     removed blocks, the per-round
-//	                   sets forget those, history the   maps the rounds the floor
-//	                   rounds below the cut's block     moved across
+//	pruning            PruneBelow: one pass, O(removed) when (PruneKeep); qcFormed      never: Streamlet does not call
+//	                   — the store severs and returns   forgets the removed blocks,     PruneBelow and ignores PruneKeep
+//	                   the blocks it removed, strength  the per-round maps the rounds   (dropping first-seen marks would
+//	                   state going with their nodes;    the floor moved across          re-admit late echoes); neither
+//	                   vote sets forget those, history                                  does the observer
+//	                   the rounds below the cut's block
 //	recovery           Restore: replay skeleton         proposed rounds, rvote, rlock   first-seen marks, voted rounds
 //	catch-up           serve + ApplySegment; Certs      per-block SyncRequest healing   which certificate is standalone
 //	                   (cache, batch workers, timing)
@@ -302,7 +304,9 @@
 //     dispatching an event performs no allocation once the queue size
 //     plateaus.
 //   - core.Tracker keeps per-block endorser sets as bitset words plus a flat
-//     key array (popcount instead of map iteration), and core.VoteHistory
+//     key array (popcount instead of map iteration) in a record on the
+//     block's node in the store: a certificate costs one BlockID lookup, each
+//     of its votes an array index and a parent-pointer hop. core.VoteHistory
 //     computes vote markers with a single indexed ancestor walk instead of
 //     one ancestry walk per voted block.
 //

@@ -19,22 +19,38 @@ var (
 	ErrBadRound      = errors.New("blockstore: round not greater than parent round")
 )
 
-// node links are intrusive, so a stored block is one allocation and the
-// height index costs the node no more than a children slice used to.
-type node struct {
+// Node is one stored block's place in the tree, handed out by Store.Node so
+// that a caller working along the chain pays one map lookup and then follows
+// pointers. The links are intrusive, so a stored block is one allocation and
+// the height index costs the node no more than a children slice used to.
+type Node struct {
 	block   *types.Block
-	parent  *node     // nil for genesis and above a pruned edge
-	child   *node     // first child, in insertion order
-	sibling *node     // next child of the same parent
+	parent  *Node     // nil for genesis and above a pruned edge
+	child   *Node     // first child, in insertion order
+	sibling *Node     // next child of the same parent
 	qc      *types.QC // certificate for this block, if one is known
-	level   *node     // next stored node at the same height (see Store.levels)
+	level   *Node     // next stored node at the same height (see Store.levels)
+
+	// Record is the owner's per-block state (internal/core's strength tracker
+	// keeps its bookkeeping here). The store never reads it and drops it with
+	// the node, so that state needs no forgetting of its own.
+	Record any
 }
+
+// Block, QC and Parent read the node; Parent is nil for genesis, above a
+// pruned edge and on a removed node. The children are walked in insertion
+// order: for c := n.FirstChild(); c != nil; c = c.NextSibling().
+func (n *Node) Block() *types.Block { return n.block }
+func (n *Node) QC() *types.QC       { return n.qc }
+func (n *Node) Parent() *Node       { return n.parent }
+func (n *Node) FirstChild() *Node   { return n.child }
+func (n *Node) NextSibling() *Node  { return n.sibling }
 
 // Store is one replica's block tree. It is not safe for concurrent use; the
 // engines own their store and the runtime serializes engine events.
 type Store struct {
 	genesis *types.Block
-	nodes   map[types.BlockID]*node
+	nodes   map[types.BlockID]*Node
 	highQC  *types.QC
 	// prunedHeight is the height below which everything has been discarded;
 	// ancestor walks stop at that boundary. top is the highest stored height.
@@ -43,7 +59,7 @@ type Store struct {
 	// it removes and not the whole map: levels[h&(len(levels)-1)] heads the
 	// list (through node.level) of the nodes at height h in [prunedHeight,
 	// top]. The ring's length is a power of two and doubles when outgrown.
-	levels  []*node
+	levels  []*Node
 	removed []*types.Block // PruneBelow's result, reused
 }
 
@@ -53,11 +69,11 @@ func New() *Store {
 	g := types.Genesis()
 	s := &Store{
 		genesis: g,
-		nodes:   make(map[types.BlockID]*node),
-		levels:  make([]*node, 64),
+		nodes:   make(map[types.BlockID]*Node),
+		levels:  make([]*Node, 64),
 		highQC:  types.NewGenesisQC(g.ID()),
 	}
-	s.levels[0] = &node{block: g, qc: s.highQC}
+	s.levels[0] = &Node{block: g, qc: s.highQC}
 	s.nodes[g.ID()] = s.levels[0]
 	return s
 }
@@ -70,6 +86,9 @@ func (s *Store) HighQC() *types.QC { return s.highQC }
 
 // Len returns the number of blocks stored, including genesis.
 func (s *Store) Len() int { return len(s.nodes) }
+
+// Node returns the stored block's node, or nil if unknown.
+func (s *Store) Node(id types.BlockID) *Node { return s.nodes[id] }
 
 // Block returns the block with the given ID, or nil if unknown.
 func (s *Store) Block(id types.BlockID) *types.Block {
@@ -110,7 +129,7 @@ func (s *Store) Insert(b *types.Block) error {
 		}
 	}
 	head := &s.levels[int(b.Height)&(len(s.levels)-1)]
-	n := &node{block: b, parent: p, level: *head}
+	n := &Node{block: b, parent: p, level: *head}
 	*head = n
 	last := &p.child
 	for *last != nil {
@@ -124,21 +143,22 @@ func (s *Store) Insert(b *types.Block) error {
 // growLevels doubles the height ring. Each height's list moves as a whole.
 func (s *Store) growLevels() {
 	old := s.levels
-	s.levels = make([]*node, 2*len(old))
+	s.levels = make([]*Node, 2*len(old))
 	for h := s.prunedHeight; h < s.top; h++ {
 		s.levels[int(h)&(len(s.levels)-1)] = old[int(h)&(len(old)-1)]
 	}
 }
 
 // RegisterQC records a certificate for a stored block and updates the
-// highest QC. It returns the certified block and whether the certificate
-// improved stored state (first or larger cert for the block, or a new high
-// QC) — the durability journal uses the flag to log each certificate once
-// instead of on every re-delivery.
-func (s *Store) RegisterQC(qc *types.QC) (*types.Block, bool, error) {
+// highest QC. It returns the certified block's node and whether the
+// certificate improved stored state (first or larger cert for the block, or a
+// new high QC) — the durability journal uses the flag to log each certificate
+// once instead of on every re-delivery. The only error is ErrUnknownBlock.
+func (s *Store) RegisterQC(qc *types.QC) (*Node, bool, error) {
 	n, ok := s.nodes[qc.Block]
 	if !ok {
-		return nil, false, fmt.Errorf("%w: qc for %s", ErrUnknownBlock, qc.Block)
+		// Bare: DiemBFT learns this way that a certificate is ahead of its block.
+		return nil, false, ErrUnknownBlock
 	}
 	improved := false
 	if n.qc == nil || len(qc.Votes) > len(n.qc.Votes) {
@@ -152,7 +172,7 @@ func (s *Store) RegisterQC(qc *types.QC) (*types.Block, bool, error) {
 		s.highQC = qc
 		improved = true
 	}
-	return n.block, improved, nil
+	return n, improved, nil
 }
 
 // QCFor returns the certificate stored for the block, or nil.
@@ -349,12 +369,17 @@ func (s *Store) Restore(blocks []*types.Block, onInstall func(b *types.Block, qc
 // chain's and every side fork's alike, so ancestry walks end there; a fork's
 // own turn comes when the cut passes it. The caller picks h on the chain it
 // means to keep. Engines call this so long runs do not grow without bound.
+//
+// A removed node is severed, links and Record, so the owner's per-block state
+// goes with it and a handle somebody still holds retains nothing: child links
+// point up the chain, and one unsevered stale handle would keep every block
+// from there to the tip alive.
 func (s *Store) PruneBelow(h types.Height) []*types.Block {
 	clear(s.removed) // the last call's blocks are not kept alive past this one
 	s.removed = s.removed[:0]
 	for ; s.prunedHeight < h && s.prunedHeight <= s.top; s.prunedHeight++ {
 		head := &s.levels[int(s.prunedHeight)&(len(s.levels)-1)]
-		for n := *head; n != nil; n = n.level {
+		for n := *head; n != nil; {
 			// Orphan surviving children; ancestry walks then terminate at a
 			// nil parent above the cut.
 			for c := n.child; c != nil; c = c.sibling {
@@ -362,6 +387,9 @@ func (s *Store) PruneBelow(h types.Height) []*types.Block {
 			}
 			delete(s.nodes, n.block.ID())
 			s.removed = append(s.removed, n.block)
+			next := n.level
+			n.parent, n.child, n.sibling, n.level, n.Record = nil, nil, nil, nil, nil
+			n = next
 		}
 		*head = nil
 	}

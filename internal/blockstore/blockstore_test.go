@@ -232,6 +232,78 @@ func TestPruneBelow(t *testing.T) {
 	}
 }
 
+// TestNodeHandle: the handle answers what the ID-keyed queries answer, and
+// lists children in insertion order.
+func TestNodeHandle(t *testing.T) {
+	cb := newBuilder(t)
+	g := cb.s.Genesis()
+	a1 := cb.mk(g, 1)
+	kids := []*types.Block{cb.mk(a1, 2), cb.mk(a1, 3), cb.mk(a1, 4)}
+	qc := cb.qc(a1, 0, 1, 2)
+
+	n := cb.s.Node(a1.ID())
+	if n == nil || n.Block() != a1 || n.QC() != qc || n.Parent() != cb.s.Node(g.ID()) || n.Parent().Parent() != nil {
+		t.Fatalf("node of a1 = %+v", n)
+	}
+	if certified, _, _ := cb.s.RegisterQC(qc); certified != n {
+		t.Error("RegisterQC did not return the certified block's node")
+	}
+	var got []*types.Block
+	for c := n.FirstChild(); c != nil; c = c.NextSibling() {
+		got = append(got, c.Block())
+	}
+	if len(got) != 3 || got[0] != kids[0] || got[1] != kids[1] || got[2] != kids[2] {
+		t.Errorf("children = %v, want %v", got, kids)
+	}
+	if cb.s.Node(types.BlockID{9}) != nil {
+		t.Error("unknown block has a node")
+	}
+}
+
+// TestPrunedNodeRetainsNothing: a handle taken before the prune that removes
+// its block is left with the block and nothing else — no parent, child or
+// sibling link, no record — so whoever still holds it keeps no other block
+// alive and walks from it reach no stored node; the nodes at the cut lose
+// their way down and keep everything else.
+func TestPrunedNodeRetainsNothing(t *testing.T) {
+	cb := newBuilder(t)
+	spine := []*types.Block{cb.s.Genesis()}
+	for r := types.Round(1); r <= 3; r++ {
+		spine = append(spine, cb.mk(spine[len(spine)-1], r))
+	}
+	fork := cb.mk(spine[2], 4) // beside spine[3], at height 3
+	stale := []*blockstore.Node{cb.s.Node(spine[2].ID()), cb.s.Node(spine[3].ID()), cb.s.Node(fork.ID())}
+	for _, n := range stale {
+		n.Record = "state"
+	}
+	if stale[1].NextSibling() != stale[2] || stale[0].FirstChild() != stale[1] {
+		t.Fatal("the handles are not linked as built")
+	}
+	for r := types.Round(5); r <= 8; r++ {
+		spine = append(spine, cb.mk(spine[len(spine)-1], r))
+	}
+	edge := cb.s.Node(spine[5].ID())
+	edge.Record = "kept"
+	cb.s.PruneBelow(5)
+	for _, n := range stale {
+		if n.Parent() != nil || n.FirstChild() != nil || n.NextSibling() != nil || n.Record != nil {
+			t.Errorf("removed %v keeps parent %v, child %v, sibling %v, record %v",
+				n.Block(), n.Parent(), n.FirstChild(), n.NextSibling(), n.Record)
+		}
+		if n.Block() == nil || cb.s.Node(n.Block().ID()) != nil {
+			t.Errorf("removed node lost its block, or the store still knows %v", n.Block())
+		}
+	}
+	if edge.Parent() != nil || edge.Record != "kept" || edge.FirstChild() != cb.s.Node(spine[6].ID()) {
+		t.Errorf("node at the cut: parent %v, record %v, child %v", edge.Parent(), edge.Record, edge.FirstChild())
+	}
+	// A second prune reaches what the first kept.
+	cb.s.PruneBelow(6)
+	if edge.FirstChild() != nil || edge.Record != nil {
+		t.Error("node removed by a later prune is not severed")
+	}
+}
+
 // TestPruningBoundaryQueries pins the ancestry/conflict semantics at and
 // below PrunedHeight — the boundary recovery replay leans on: a detached
 // edge behaves exactly like an unknown relation, never like agreement.

@@ -72,16 +72,32 @@ func TestDirectTrackerDuplicateVotes(t *testing.T) {
 	}
 }
 
+// TestDirectTrackerForget: the direct tracker's state goes with the blocks
+// the store prunes, and only with those.
 func TestDirectTrackerForget(t *testing.T) {
 	w := newWorld(t)
 	tr := core.NewDirectTracker(w.store, 1, nil)
-	g := w.store.Genesis()
-	b1 := w.mk(g, 1)
-	b2 := w.mk(b1, 2)
-	tr.AddVote(b1.ID(), 0)
-	tr.AddVote(b2.ID(), 0)
-	tr.Forget(b1.ID())
-	if tr.DirectVotes(b1.ID()) != 0 || tr.DirectVotes(b2.ID()) != 1 {
-		t.Fatal("forget boundary wrong")
+	chain := []*types.Block{w.store.Genesis()}
+	for r := types.Round(1); r <= 5; r++ {
+		b := w.mk(chain[len(chain)-1], r)
+		chain = append(chain, b)
+		tr.OnQC(qcFor(b, sameMarkers(0, 0, 1, 2)))
+	}
+	if tr.Strength(chain[1].ID()) != 1 || tr.Strength(chain[3].ID()) != 1 {
+		t.Fatal("blocks under a 3-chain are not f-strong before the prune")
+	}
+	w.store.PruneBelow(3)
+	for _, b := range chain[1:3] {
+		if v, x := tr.DirectVotes(b.ID()), tr.Strength(b.ID()); v != 0 || x != -1 {
+			t.Errorf("removed %v keeps %d direct votes, strength %d", b, v, x)
+		}
+	}
+	for _, b := range chain[3:] {
+		if tr.DirectVotes(b.ID()) != 3 {
+			t.Errorf("surviving %v has %d direct votes, want 3", b, tr.DirectVotes(b.ID()))
+		}
+	}
+	if got := tr.Strength(chain[3].ID()); got != 1 {
+		t.Errorf("surviving block's strength = %d, want 1", got)
 	}
 }

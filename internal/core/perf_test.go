@@ -9,21 +9,22 @@ import (
 )
 
 func TestEndorserSetBasics(t *testing.T) {
-	s := newEndorserSet(10)
-	if s.size() != 0 || s.countBelow(5) != 0 {
+	const n = 10
+	s := &record{}
+	if s.size() != 0 || s.countBelow(5) != 0 || (*record)(nil).size() != 0 || (*record)(nil).countBelow(5) != 0 {
 		t.Fatal("fresh set not empty")
 	}
-	if !s.add(3, 7) {
+	if !s.add(3, 7, n) {
 		t.Fatal("first add did not improve")
 	}
-	if s.add(3, 7) || s.add(3, 9) {
+	if s.add(3, 7, n) || s.add(3, 9, n) {
 		t.Fatal("equal-or-higher key reported as improvement")
 	}
-	if !s.add(3, 2) {
+	if !s.add(3, 2, n) {
 		t.Fatal("lower key did not improve")
 	}
-	s.add(0, unconditional)
-	s.add(9, 4)
+	s.add(0, unconditional, n)
+	s.add(9, 4, n)
 	if got := s.size(); got != 3 {
 		t.Fatalf("size=%d, want 3", got)
 	}
@@ -37,9 +38,10 @@ func TestEndorserSetBasics(t *testing.T) {
 }
 
 func TestEndorserSetWordBoundaries(t *testing.T) {
-	s := newEndorserSet(130)
+	const n = 130
+	s := &record{}
 	for _, v := range []types.ReplicaID{0, 63, 64, 127, 128, 129} {
-		if !s.add(v, uint64(v)+1) {
+		if !s.add(v, uint64(v)+1, n) {
 			t.Fatalf("add(%d) did not improve", v)
 		}
 	}
@@ -49,12 +51,13 @@ func TestEndorserSetWordBoundaries(t *testing.T) {
 	if got := s.countBelow(65); got != 2 { // keys 1 and 64
 		t.Fatalf("countBelow(65)=%d, want 2", got)
 	}
-	// Out-of-range voters grow the set instead of panicking.
-	if !s.add(500, 1) {
+	// Out-of-range voters grow the set instead of panicking, and growing
+	// keeps what was there.
+	if !s.add(500, 1, n) {
 		t.Fatal("out-of-range add failed")
 	}
-	if s.size() != 7 {
-		t.Fatalf("size=%d after grow, want 7", s.size())
+	if s.size() != 7 || s.countBelow(65) != 3 || s.add(129, 130, n) {
+		t.Fatalf("size=%d, countBelow(65)=%d after grow, want 7 and 3, voter 129 kept", s.size(), s.countBelow(65))
 	}
 }
 
@@ -84,9 +87,9 @@ func buildChain(tb testing.TB, n, voters int) (*blockstore.Store, []*types.Block
 	return store, blocks, qcs
 }
 
-// BenchmarkTrackerOnQC measures the steady-state endorsement bookkeeping: a
-// fresh QC arriving at the tip of a long chain, with marker-coverage making
-// the walk O(1) per vote and the bitset sets avoiding per-vote hashing.
+// BenchmarkTrackerOnQC measures the already-covered fast path: one
+// certificate at the tip of a long warm chain unpacked again and again, every
+// vote stopping at the certified block's own record.
 func BenchmarkTrackerOnQC(b *testing.B) {
 	const chain = 256
 	const n, f = 31, 10
@@ -97,12 +100,95 @@ func BenchmarkTrackerOnQC(b *testing.B) {
 		tr.OnQC(qc)
 	}
 	last := qcs[chain-1]
+	tr.OnQC(last)
+	rec := recordAt(store.Node(last.Block))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Reset only the processed counter so the unpack path runs fully.
-		tr.processed[last.Block] = 0
+		rec.processed = 0
 		tr.OnQC(last)
+	}
+}
+
+// BenchmarkTrackerOnQCFresh is the shape of the bench's core.tracker_onqc_ns
+// probe and of a simulation's steady state at the paper's scale: n=100,
+// 67-vote certificates, each new to a tracker warm on a 256-block chain, so
+// every vote is a new direct endorsement plus one ancestor hop and every
+// certificate a new record.
+func BenchmarkTrackerOnQCFresh(b *testing.B) {
+	const warm, batch = 256, 2048
+	const n, f = 100, 33
+	b.ReportAllocs()
+	for done := 0; done < b.N; done += batch {
+		b.StopTimer()
+		store, _, qcs := buildChain(b, warm+batch, 2*f+1)
+		tr := NewTracker(store, Config{N: n, F: f, Mode: ModeRound, Horizon: 2*n + 16})
+		for _, qc := range qcs[:warm] {
+			tr.OnQC(qc)
+		}
+		b.StartTimer()
+		for _, qc := range qcs[warm:][:min(batch, b.N-done)] {
+			tr.OnQC(qc)
+		}
+	}
+}
+
+// TestAllocsTrackerOnQC: a re-delivered certificate and one whose votes are
+// all covered already allocate nothing; a certificate for a fresh block
+// allocates its record and the record's one backing array.
+func TestAllocsTrackerOnQC(t *testing.T) {
+	const warm, runs = 64, 200
+	const n, f = 100, 33
+	store, _, qcs := buildChain(t, warm+runs+1, 2*f+1)
+	tr := NewTracker(store, Config{N: n, F: f, Mode: ModeRound, Horizon: 2*n + 16})
+	for _, qc := range qcs[:warm] {
+		tr.OnQC(qc)
+	}
+	last := qcs[warm-1]
+	if a := testing.AllocsPerRun(runs, func() { tr.OnQC(last) }); a != 0 {
+		t.Fatalf("re-delivered certificate: %v allocs/op, want 0", a)
+	}
+	rec := recordAt(store.Node(last.Block))
+	if a := testing.AllocsPerRun(runs, func() {
+		rec.processed = 0
+		tr.OnQC(last)
+	}); a != 0 {
+		t.Fatalf("already-covered certificate: %v allocs/op, want 0", a)
+	}
+	next := warm
+	if a := testing.AllocsPerRun(runs, func() {
+		tr.OnQC(qcs[next])
+		next++
+	}); a > 2 {
+		t.Fatalf("certificate for a fresh block: %v allocs/op, want at most 2", a)
+	}
+	if got := tr.Strength(qcs[next-3].Block); got != f {
+		t.Fatalf("block under a 3-chain of fresh certificates has strength %d, want %d", got, f)
+	}
+}
+
+// TestScratchHoldsNoNodeBetweenCalls: the worklists are cleared after use, not
+// just re-sliced, so a long catch-up walk leaves no node behind in their
+// arrays for a later prune to find still referenced.
+func TestScratchHoldsNoNodeBetweenCalls(t *testing.T) {
+	const chain = 40
+	store, _, qcs := buildChain(t, chain+1, 3)
+	tr := NewTracker(store, Config{N: 4, F: 1, Mode: ModeRound})
+	tr.OnQC(qcs[chain-1]) // the first certificate seen: every vote walks to genesis
+	if cap(tr.changed) < chain {
+		t.Fatalf("catch-up walk grew the worklist to %d; the test needs a long one", cap(tr.changed))
+	}
+	tr.OnQC(qcs[chain]) // one fresh block over a covered chain
+	for name, scratch := range map[string][]*blockstore.Node{"changed": tr.changed, "candidates": tr.candidates} {
+		if len(scratch) != 0 {
+			t.Fatalf("%s has length %d between calls", name, len(scratch))
+		}
+		for i, n := range scratch[:cap(scratch)] {
+			if n != nil {
+				t.Fatalf("%s[%d] still holds %v", name, i, n.Block())
+			}
+		}
 	}
 }
 
@@ -215,23 +301,30 @@ func BenchmarkMarkerForkSwitch(b *testing.B) {
 }
 
 // TestOnQCBeforeBlockIsNotRemembered: a certificate fed ahead of its block
-// leaves nothing behind, so nothing outlives the prune that never sees the
-// block, and the same certificate counts once the block is there. The direct
-// tracker treats a vote the same way.
+// leaves nothing behind, and the same certificate counts once the block is
+// there. The direct tracker, on a store of its own, treats a vote the same way.
 func TestOnQCBeforeBlockIsNotRemembered(t *testing.T) {
 	store, blocks, qcs := buildChain(t, 2, 3)
+	directStore, _, _ := buildChain(t, 2, 3)
 	late := types.NewBlock(blocks[1].ID(), qcs[1], 3, 3, 0, 3, types.Payload{}, nil)
 	qc := &types.QC{Block: late.ID(), Round: 3, Height: 3, Votes: []types.Vote{{Voter: 0}, {Voter: 1}, {Voter: 2}}}
 	tr := NewTracker(store, Config{N: 4, F: 1, Mode: ModeRound})
-	direct := NewDirectTracker(store, 1, nil)
+	direct := NewDirectTracker(directStore, 1, nil)
 
 	tr.OnQC(qc)
 	direct.OnQC(qc)
-	if n := len(tr.processed) + len(tr.endorsed) + len(tr.strength) + len(direct.votes); n != 0 {
-		t.Fatalf("%d entries kept for a block the store does not hold", n)
+	if e, x, d := tr.Endorsers(late.ID()), tr.Strength(late.ID()), direct.DirectVotes(late.ID()); e != 0 || x != -1 || d != 0 {
+		t.Fatalf("a block the store does not hold has %d endorsers, strength %d, %d direct votes", e, x, d)
 	}
-	if err := store.Insert(late); err != nil {
-		t.Fatal(err)
+	for _, s := range []*blockstore.Store{store, directStore} {
+		for _, b := range blocks {
+			if s.Node(b.ID()).Record != nil {
+				t.Fatalf("the early certificate left a record on %v", b)
+			}
+		}
+		if err := s.Insert(late); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tr.OnQC(qc)
 	direct.OnQC(qc)

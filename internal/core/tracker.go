@@ -7,76 +7,98 @@ import (
 	"repro/internal/types"
 )
 
-// endorserSet is one block's endorser bookkeeping: a presence bitset over
-// replica IDs plus a flat per-replica key array, replacing the former
-// map[ReplicaID]uint64 inner maps. Membership, key updates, and counting are
-// all plain array indexing and popcount — no hashing on the per-vote path.
-type endorserSet struct {
+// record is one block's strength bookkeeping, kept on the block's node in the
+// store (see Tracker). The endorser set is inline: a presence bitset over
+// replica IDs and a flat per-replica key array in one backing array, so
+// membership, key updates and counting are array indexing and popcount — no
+// hashing on the per-vote path.
+type record struct {
 	words []uint64 // presence bitset, bit v set ⇔ replica v endorses
 	keys  []uint64 // minimum coverage/threshold key per replica, valid where the bit is set
 	count int      // number of set bits, maintained incrementally
+
+	// strength is the highest x such that the block is x-strong committed
+	// here, -1 while it is not strong committed at all (not even f-strong).
+	strength int
+	// processed is the number of votes already unpacked from a QC for the
+	// block, so re-deliveries and smaller duplicate QCs are skipped cheaply.
+	processed int
 }
 
-func newEndorserSet(n int) *endorserSet {
-	return &endorserSet{
-		words: make([]uint64, (n+63)/64),
-		keys:  make([]uint64, n),
+// recordAt returns the node's record, or nil when it has none or n is nil. A
+// store carries one tracker's records; another owner's is a wiring bug and
+// panics here.
+func recordAt(n *blockstore.Node) *record {
+	if n == nil || n.Record == nil {
+		return nil
 	}
+	return n.Record.(*record)
+}
+
+// recordOf returns the node's record, creating it on first use.
+func recordOf(n *blockstore.Node) *record {
+	if r := recordAt(n); r != nil {
+		return r
+	}
+	r := &record{strength: -1}
+	n.Record = r
+	return r
 }
 
 // add records voter with the given key, keeping the minimum key seen, and
 // reports whether the record improved (new voter, or a strictly lower key).
-func (s *endorserSet) add(voter types.ReplicaID, key uint64) bool {
+// n sizes the set on first use.
+func (r *record) add(voter types.ReplicaID, key uint64, n int) bool {
 	v := int(voter)
-	if v >= len(s.keys) {
-		// Out-of-range IDs cannot occur with a well-formed cluster; grow
-		// rather than panic so malformed input stays merely ineffective.
-		s.grow(v + 1)
+	if v >= len(r.keys) {
+		// The first endorsement, or an out-of-range ID, which cannot occur
+		// with a well-formed cluster: grow rather than panic so malformed
+		// input stays merely ineffective.
+		r.grow(max(v+1, n))
 	}
 	w, m := v>>6, uint64(1)<<(v&63)
-	if s.words[w]&m != 0 {
-		if s.keys[v] <= key {
+	if r.words[w]&m != 0 {
+		if r.keys[v] <= key {
 			return false
 		}
-		s.keys[v] = key
+		r.keys[v] = key
 		return true
 	}
-	s.words[w] |= m
-	s.keys[v] = key
-	s.count++
+	r.words[w] |= m
+	r.keys[v] = key
+	r.count++
 	return true
 }
 
-func (s *endorserSet) grow(n int) {
-	words := make([]uint64, (n+63)/64)
-	copy(words, s.words)
-	s.words = words
-	keys := make([]uint64, n)
-	copy(keys, s.keys)
-	s.keys = keys
+func (r *record) grow(n int) {
+	nw := (n + 63) / 64
+	buf := make([]uint64, nw+n)
+	copy(buf, r.words)
+	copy(buf[nw:], r.keys)
+	r.words, r.keys = buf[:nw:nw], buf[nw:]
 }
 
 // size returns the number of endorsers regardless of keys.
-func (s *endorserSet) size() int {
-	if s == nil {
+func (r *record) size() int {
+	if r == nil {
 		return 0
 	}
-	return s.count
+	return r.count
 }
 
 // countBelow returns the number of endorsers whose key permits k-endorsement
 // at threshold k (key < k, or the unconditional key from a direct vote).
-func (s *endorserSet) countBelow(k uint64) int {
-	if s == nil {
+func (r *record) countBelow(k uint64) int {
+	if r == nil {
 		return 0
 	}
 	n := 0
-	for wi, w := range s.words {
+	for wi, w := range r.words {
 		base := wi << 6
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &= w - 1
-			if key := s.keys[base+b]; key < k || key == unconditional {
+			if key := r.keys[base+b]; key < k || key == unconditional {
 				n++
 			}
 		}
@@ -131,29 +153,26 @@ type Config struct {
 // QCs inside timeouts); it maintains endorser sets per block and detects
 // strong commits by the strong 3-chain rule.
 //
+// The per-block state (endorser set, strength, unpacked-vote count) lives on
+// the block tree, one record per stored node, and the tracker holds none of
+// its own: it looks the certified block's node up once per certificate and
+// follows parent and child pointers from there. Two conditions keep that
+// safe. Records are reached only through stored nodes — every query starts
+// at Store.Node and every walk follows links the store maintains — so there
+// is no state for a block the store does not hold. And Store.PruneBelow
+// severs what it removes, links and record, so state dies with its block
+// and a handle that outlives the prune retains nothing.
+//
 // Not safe for concurrent use; the owning engine serializes events.
 type Tracker struct {
 	store *blockstore.Store
 	cfg   Config
 
-	// endorsed[b] = per-voter endorsement keys for block b (round or height
-	// per mode); unconditional (0) for direct votes. In ModeRound the stored
-	// key doubles as the marker-coverage key (see OnQC). Inner sets are flat
-	// bitset+array structures, not maps — see endorserSet.
-	endorsed map[types.BlockID]*endorserSet
-
-	// strength[b] = highest x such that b is x-strong committed here.
-	// Missing means not strong committed at all (not even f-strong).
-	strength map[types.BlockID]int
-
-	// processed[b] = number of votes already unpacked from a QC for b, so
-	// re-deliveries and smaller duplicate QCs are skipped cheaply.
-	processed map[types.BlockID]int
-
 	// changed and candidates are reused per-OnQC scratch buffers for the
-	// grew-this-QC block set and the 3-chain re-evaluation worklist.
-	changed    []*types.Block
-	candidates []*types.Block
+	// grew-this-QC block set and the 3-chain re-evaluation worklist. They are
+	// cleared after each use, so between calls they hold no node.
+	changed    []*blockstore.Node
+	candidates []*blockstore.Node
 }
 
 // NewTracker creates a tracker over the replica's block store.
@@ -161,28 +180,22 @@ func NewTracker(store *blockstore.Store, cfg Config) *Tracker {
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeRound
 	}
-	return &Tracker{
-		store:     store,
-		cfg:       cfg,
-		endorsed:  make(map[types.BlockID]*endorserSet),
-		strength:  make(map[types.BlockID]int),
-		processed: make(map[types.BlockID]int),
-	}
+	return &Tracker{store: store, cfg: cfg}
 }
 
 // OnQC unpacks a (strong-)QC into endorsements and re-evaluates the strong
 // 3-chain rule around every block whose endorser set grew. The certified
 // block must already be in the store.
 func (t *Tracker) OnQC(qc *types.QC) {
-	if len(qc.Votes) <= t.processed[qc.Block] {
-		return // already unpacked an equal or larger QC for this block
-	}
-	certified := t.store.Block(qc.Block)
+	certified := t.store.Node(qc.Block)
 	if certified == nil {
 		return // nothing is remembered: the QC counts once its block is here
 	}
-	t.processed[qc.Block] = len(qc.Votes)
-	t.changed = t.changed[:0]
+	rec := recordOf(certified)
+	if len(qc.Votes) <= rec.processed {
+		return // already unpacked an equal or larger QC for this block
+	}
+	rec.processed = len(qc.Votes)
 	for i := range qc.Votes {
 		v := &qc.Votes[i]
 		// In plain marker mode (the common case) the stored key doubles as
@@ -200,39 +213,43 @@ func (t *Tracker) OnQC(qc *types.QC) {
 			directKey = uint64(v.Marker)
 		}
 		// Direct vote: endorses its own block unconditionally.
-		if t.addEndorsement(qc.Block, v.Voter, directKey) {
+		if rec.add(v.Voter, directKey, t.cfg.N) {
 			t.noteChanged(certified)
 		} else if markerCoverage {
 			continue // already covered at or below this marker
 		}
 		// Indirect: walk ancestors applying the marker/interval rule.
 		depth := 0
-		t.store.WalkAncestors(qc.Block, func(anc *types.Block) bool {
+		for anc := certified.Parent(); anc != nil; anc = anc.Parent() {
 			depth++
 			if t.cfg.Horizon > 0 && depth > t.cfg.Horizon {
-				return false
+				break
 			}
-			if anc.IsGenesis() {
-				return false
+			b := anc.Block()
+			if b.IsGenesis() {
+				break
 			}
-			key, ok := t.voteKey(v, anc)
+			key, ok := t.voteKey(v, b)
 			if !ok {
 				// Marker mode and marker >= round: deeper ancestors have
 				// strictly smaller rounds, so nothing further is endorsed.
 				// Interval mode cannot early-exit (sets may have gaps).
-				return v.HasIntervals
+				if v.HasIntervals {
+					continue
+				}
+				break
 			}
 			if markerCoverage {
 				key = uint64(v.Marker)
 			}
-			if t.addEndorsement(anc.ID(), v.Voter, key) {
+			if recordOf(anc).add(v.Voter, key, t.cfg.N) {
 				t.noteChanged(anc)
-				return true
+			} else if markerCoverage {
+				// Already endorsed with an equal-or-lower coverage key:
+				// everything deeper is covered too.
+				break
 			}
-			// Already endorsed with an equal-or-lower coverage key:
-			// everything deeper is covered too.
-			return !markerCoverage
-		})
+		}
 	}
 	// Detach the scratch before iterating: OnStrength is a public callback,
 	// and if it feeds another QC back into the tracker the nested OnQC must
@@ -241,23 +258,23 @@ func (t *Tracker) OnQC(qc *types.QC) {
 	// allocation-free because the buffer is reattached afterwards.
 	changed := t.changed
 	t.changed = nil
-	for _, b := range changed {
-		t.reevaluateAround(b)
+	for _, n := range changed {
+		t.reevaluateAround(n)
 	}
+	clear(changed)
 	t.changed = changed[:0]
 }
 
-// noteChanged appends b to the changed worklist unless already present.
-// Store blocks are unique pointers, so identity comparison suffices; the
+// noteChanged appends n to the changed worklist unless already present. The
 // list stays short (bounded by the walk horizon), keeping the linear dedup
 // cheaper than a per-OnQC map.
-func (t *Tracker) noteChanged(b *types.Block) {
+func (t *Tracker) noteChanged(n *blockstore.Node) {
 	for _, c := range t.changed {
-		if c == b {
+		if c == n {
 			return
 		}
 	}
-	t.changed = append(t.changed, b)
+	t.changed = append(t.changed, n)
 }
 
 // voteKey returns the key to store for v's endorsement of ancestor anc, and
@@ -289,155 +306,123 @@ func (t *Tracker) voteKey(v *types.Vote, anc *types.Block) (uint64, bool) {
 	}
 }
 
-// addEndorsement records that voter endorses block above the given key,
-// keeping the minimum key seen. It reports whether the record improved.
-func (t *Tracker) addEndorsement(block types.BlockID, voter types.ReplicaID, key uint64) bool {
-	s, ok := t.endorsed[block]
-	if !ok {
-		s = newEndorserSet(t.cfg.N)
-		t.endorsed[block] = s
-	}
-	return s.add(voter, key)
-}
-
 // Endorsers returns the number of endorsers of the block. In ModeRound this
 // is the paper's |endorsers| directly; in ModeHeight it is the count of
 // voters whose marker permits k-endorsement at the block's own height.
 func (t *Tracker) Endorsers(id types.BlockID) int {
-	switch t.cfg.Mode {
-	case ModeHeight:
-		b := t.store.Block(id)
-		if b == nil {
-			return 0
-		}
-		return t.EndorsersAt(id, uint64(b.Height))
-	default:
-		return t.endorsed[id].size()
+	n := t.store.Node(id)
+	if n != nil && t.cfg.Mode == ModeHeight {
+		return recordAt(n).countBelow(uint64(n.Block().Height))
 	}
+	return recordAt(n).size()
 }
 
 // EndorsersAt returns the number of voters k-endorsing the block for
 // threshold key k (ModeHeight only; in ModeRound every stored entry already
 // passed its check, so the threshold is ignored except for direct votes).
 func (t *Tracker) EndorsersAt(id types.BlockID, k uint64) int {
-	return t.endorsed[id].countBelow(k)
+	return recordAt(t.store.Node(id)).countBelow(k)
 }
 
 // Strength returns the highest x such that the block is x-strong committed
-// at this replica, or -1 if it is not strong committed at all.
+// at this replica, or -1 if it is not strong committed at all, or is no
+// longer stored.
 func (t *Tracker) Strength(id types.BlockID) int {
-	if x, ok := t.strength[id]; ok {
-		return x
+	if r := recordAt(t.store.Node(id)); r != nil {
+		return r.strength
 	}
 	return -1
 }
 
 // reevaluateAround re-runs the strong 3-chain rule for every 3-chain that
-// includes b (as first, middle, or last element).
-func (t *Tracker) reevaluateAround(b *types.Block) {
-	// b as the start/middle/end of a 3-chain maps to candidate commit
+// includes n (as first, middle, or last element).
+func (t *Tracker) reevaluateAround(n *blockstore.Node) {
+	// n as the start/middle/end of a 3-chain maps to candidate commit
 	// blocks: in ModeRound the committed block is the FIRST of the 3-chain
 	// (B_k, B_k+1, B_k+2); in ModeHeight it is the MIDDLE (B_k-1, B_k,
-	// B_k+1). Evaluate every candidate whose window could include b.
-	cands := append(t.candidates[:0], b)
+	// B_k+1). Evaluate every candidate whose window could include n.
+	cands := append(t.candidates[:0], n)
 	t.candidates = nil // detach; see OnQC's reentrancy note
-	if p := t.store.Parent(b.ID()); p != nil {
+	if p := n.Parent(); p != nil {
 		cands = append(cands, p)
-		if gp := t.store.Parent(p.ID()); gp != nil {
+		if gp := p.Parent(); gp != nil {
 			cands = append(cands, gp)
 		}
 	}
-	t.store.VisitChildren(b.ID(), func(c *types.Block) bool {
+	// In ModeHeight the middle block can be a grandchild's parent; the
+	// child's own evaluation covers it via its window.
+	for c := n.FirstChild(); c != nil; c = c.NextSibling() {
 		cands = append(cands, c)
-		// In ModeHeight the middle block can be a grandchild's parent; the
-		// child's own evaluation covers it via its window.
-		return true
-	})
+	}
+	// Apply the strong commit rule with each candidate as the committed block
+	// and raise strength levels where a higher x is now supported.
 	for _, c := range cands {
-		t.evaluate(c)
+		var x int
+		if t.cfg.Mode == ModeHeight {
+			x = t.evaluateHeight(c)
+		} else {
+			x = t.evaluateRound(c)
+		}
+		if x >= t.cfg.F { // below f it is not even a regular commit yet
+			t.raise(c, x)
+		}
 	}
+	clear(cands)
 	t.candidates = cands[:0]
-}
-
-// evaluate applies the strong commit rule with candidate as the committed
-// block and raises strength levels if a higher x is now supported.
-func (t *Tracker) evaluate(candidate *types.Block) {
-	var x int
-	switch t.cfg.Mode {
-	case ModeHeight:
-		x = t.evaluateHeight(candidate)
-	default:
-		x = t.evaluateRound(candidate)
-	}
-	if x < t.cfg.F {
-		return // not even a regular commit yet
-	}
-	t.raise(candidate, x)
 }
 
 // evaluateRound computes the best x for SFT-DiemBFT's strong 3-chain rule:
 // candidate B_k plus chain successors with rounds r+1 and r+2, each with at
 // least x+f+1 endorsers.
-func (t *Tracker) evaluateRound(bk *types.Block) int {
-	best := -1
-	t.store.VisitChildren(bk.ID(), func(b1 *types.Block) bool {
-		if b1.Round != bk.Round+1 {
-			return true
+func (t *Tracker) evaluateRound(bk *blockstore.Node) int {
+	best, round := -1, bk.Block().Round
+	for b1 := bk.FirstChild(); b1 != nil; b1 = b1.NextSibling() {
+		if b1.Block().Round != round+1 {
+			continue
 		}
-		t.store.VisitChildren(b1.ID(), func(b2 *types.Block) bool {
-			if b2.Round != bk.Round+2 {
-				return true
+		for b2 := b1.FirstChild(); b2 != nil; b2 = b2.NextSibling() {
+			if b2.Block().Round != round+2 {
+				continue
 			}
-			e := min(t.Endorsers(bk.ID()), t.Endorsers(b1.ID()), t.Endorsers(b2.ID()))
-			if x := e - t.cfg.F - 1; x > best {
-				best = x
-			}
-			return true
-		})
-		return true
-	})
+			e := min(recordAt(bk).size(), recordAt(b1).size(), recordAt(b2).size())
+			best = max(best, e-t.cfg.F-1)
+		}
+	}
 	return best
 }
 
 // evaluateHeight computes the best x for SFT-Streamlet's rule: candidate
 // B_k (height k) with neighbors B_k-1 and B_k+1 forming consecutive rounds,
 // each with at least x+f+1 k-endorsers.
-func (t *Tracker) evaluateHeight(bk *types.Block) int {
-	prev := t.store.Parent(bk.ID())
-	if prev == nil || bk.Round != prev.Round+1 {
+func (t *Tracker) evaluateHeight(bk *blockstore.Node) int {
+	prev, round := bk.Parent(), bk.Block().Round
+	if prev == nil || round != prev.Block().Round+1 {
 		return -1
 	}
-	k := uint64(bk.Height)
+	k := uint64(bk.Block().Height)
 	best := -1
-	t.store.VisitChildren(bk.ID(), func(next *types.Block) bool {
-		if next.Round != bk.Round+1 {
-			return true
+	for next := bk.FirstChild(); next != nil; next = next.NextSibling() {
+		if next.Block().Round != round+1 {
+			continue
 		}
-		e := min(
-			t.EndorsersAt(prev.ID(), k),
-			t.EndorsersAt(bk.ID(), k),
-			t.EndorsersAt(next.ID(), k),
-		)
-		if x := e - t.cfg.F - 1; x > best {
-			best = x
-		}
-		return true
-	})
+		e := min(recordAt(prev).countBelow(k), recordAt(bk).countBelow(k), recordAt(next).countBelow(k))
+		best = max(best, e-t.cfg.F-1)
+	}
 	return best
 }
 
-// raise lifts the strength of b to at least x and propagates to ancestors
-// ("commits a block B_k and all its ancestors"), emitting OnStrength for
-// every block whose level rises.
-func (t *Tracker) raise(b *types.Block, x int) {
-	for cur := b; cur != nil && !cur.IsGenesis(); cur = t.store.Parent(cur.ID()) {
-		old, ok := t.strength[cur.ID()]
-		if ok && old >= x {
+// raise lifts the strength of n's block to at least x and propagates to
+// ancestors ("commits a block B_k and all its ancestors"), emitting
+// OnStrength for every block whose level rises.
+func (t *Tracker) raise(n *blockstore.Node, x int) {
+	for ; n != nil && !n.Block().IsGenesis(); n = n.Parent() {
+		rec := recordOf(n)
+		if rec.strength >= x {
 			return // ancestors below are already at or above x
 		}
-		t.strength[cur.ID()] = x
+		rec.strength = x
 		if t.cfg.OnStrength != nil {
-			t.cfg.OnStrength(cur, x)
+			t.cfg.OnStrength(n.Block(), x)
 		}
 	}
 }
@@ -452,12 +437,4 @@ func (t *Tracker) Restore(qcs []*types.QC) {
 			t.OnQC(qc)
 		}
 	}
-}
-
-// Forget releases the bookkeeping of one block. Every key was a stored block
-// when written, so forgetting what the store removes keeps the maps in step.
-func (t *Tracker) Forget(id types.BlockID) {
-	delete(t.endorsed, id)
-	delete(t.processed, id)
-	delete(t.strength, id)
 }

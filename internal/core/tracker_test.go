@@ -292,19 +292,32 @@ func TestTrackerHeightModeStrongCommit(t *testing.T) {
 	}
 }
 
+// TestTrackerForget: the tracker's state goes with the blocks the store
+// prunes, and only with those.
 func TestTrackerForget(t *testing.T) {
 	w := newWorld(t)
 	tr := core.NewTracker(w.store, core.Config{N: 4, F: 1, Mode: core.ModeRound})
-	g := w.store.Genesis()
-	b1 := w.mk(g, 1)
-	b2 := w.mk(b1, 2)
-	tr.OnQC(qcFor(b1, sameMarkers(0, 0, 1, 2)))
-	tr.OnQC(qcFor(b2, sameMarkers(0, 0, 1, 2)))
-	tr.Forget(b1.ID())
-	if tr.Endorsers(b1.ID()) != 0 {
-		t.Error("forgotten block still has endorsers")
+	chain := []*types.Block{w.store.Genesis()}
+	for r := types.Round(1); r <= 5; r++ {
+		b := w.mk(chain[len(chain)-1], r)
+		chain = append(chain, b)
+		tr.OnQC(qcFor(b, sameMarkers(0, 0, 1, 2)))
 	}
-	if tr.Endorsers(b2.ID()) == 0 {
-		t.Error("retained block lost endorsers")
+	if tr.Strength(chain[1].ID()) != 1 || tr.Strength(chain[3].ID()) != 1 {
+		t.Fatal("blocks under a 3-chain are not f-strong before the prune")
+	}
+	w.store.PruneBelow(3)
+	for _, b := range chain[1:3] {
+		if e, x := tr.Endorsers(b.ID()), tr.Strength(b.ID()); e != 0 || x != -1 {
+			t.Errorf("removed %v keeps %d endorsers, strength %d", b, e, x)
+		}
+	}
+	for _, b := range chain[3:] {
+		if tr.Endorsers(b.ID()) != 3 {
+			t.Errorf("surviving %v has %d endorsers, want 3", b, tr.Endorsers(b.ID()))
+		}
+	}
+	if got := tr.Strength(chain[3].ID()); got != 1 {
+		t.Errorf("surviving block's strength = %d, want 1", got)
 	}
 }

@@ -16,9 +16,7 @@ import (
 //
 // Mark records a voter without retaining a vote; the engines use it to
 // reinstate "already seen" state from the journal so a replayed vote is
-// deduplicated but never double-counted toward a new certificate, and the
-// FBFT direct tracker uses it to count distinct direct voters without storing
-// votes at all.
+// deduplicated but never double-counted toward a new certificate.
 type VoteSet struct {
 	words  []uint64
 	votes  []types.Vote

@@ -1,10 +1,10 @@
 package diembft
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/engine"
@@ -175,31 +175,13 @@ func TestJournalFailureCrashStopsBeforeVote(t *testing.T) {
 	}
 }
 
-// blockKeys reads the block-ID keys of an unexported map field, here or in
-// internal/core: the fan-out test below is about exactly those maps.
-func blockKeys(t *testing.T, owner any, field string) []types.BlockID {
-	t.Helper()
-	m := reflect.ValueOf(owner).Elem().FieldByName(field)
-	if !m.IsValid() || m.Kind() != reflect.Map {
-		t.Fatalf("%T has no map field %q", owner, field)
-	}
-	var ids []types.BlockID
-	for _, k := range m.MapKeys() {
-		var id types.BlockID
-		for i := range id {
-			id[i] = byte(k.Index(i).Uint())
-		}
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // TestPruneFansOutExactlyRemoved: with forgetting tied to what the store
 // removes and no periodic sweep behind it, after thousands of commits over a
-// chain with abandoned forks every block-keyed map — the tracker's three, the
-// direct tracker's two, qcFormed — holds only blocks the store still holds,
-// in SFT and in FBFT mode. The same run shows votes are recorded in
-// increasing round order, which VoteHistory.PruneBelow's prefix drop rests on.
+// chain with abandoned forks qcFormed holds only blocks the store still
+// holds, and the trackers' per-block state, which lives on the store's nodes,
+// is gone from every removed block's node and present on the kept ones, in SFT
+// and in FBFT mode. The same run shows votes are recorded in increasing round
+// order, which VoteHistory.PruneBelow's prefix drop rests on.
 func TestPruneFansOutExactlyRemoved(t *testing.T) {
 	for _, fbft := range []bool{false, true} {
 		// One proposal in eleven reaches a single replica besides its leader:
@@ -209,33 +191,46 @@ func TestPruneFansOutExactlyRemoved(t *testing.T) {
 			p, ok := msg.(*types.Proposal)
 			return ok && p.Round%11 == 5 && to != (from+1)%4
 		}
+		// Handles taken while the blocks are stored: each committed block's
+		// node and, through its parent, the abandoned forks beside it.
+		var reps []*Replica
+		handles := make([][]*blockstore.Node, 4)
 		sim, reps, _ := testCluster(t, 4, 1, 20*time.Millisecond, func(c *Config) {
 			c.PruneKeep = 64
 			c.SFT, c.FBFT = !fbft, fbft
-		}, simnet.Config{Seed: 9, Drop: starve})
+		}, simnet.Config{Seed: 9, Drop: starve, OnCommit: func(id types.ReplicaID, _ time.Duration, b *types.Block) {
+			for n := reps[id].Store().Node(b.Parent).FirstChild(); n != nil; n = n.NextSibling() {
+				handles[id] = append(handles[id], n)
+			}
+		}})
 		sim.Run(20 * time.Second)
 		for _, rep := range reps {
 			if rep.CommittedHeight() < 2000 {
 				t.Fatalf("fbft=%v replica %d: committed height %d; too short to mean anything", fbft, rep.ID(), rep.CommittedHeight())
 			}
-			maps := map[string][]types.BlockID{"qcFormed": blockKeys(t, rep, "qcFormed")}
-			if fbft {
-				maps["direct.votes"] = blockKeys(t, rep.direct, "votes")
-				maps["direct.strength"] = blockKeys(t, rep.direct, "strength")
-			} else {
-				for _, field := range []string{"endorsed", "processed", "strength"} {
-					maps["tracker."+field] = blockKeys(t, rep.Tracker(), field)
+			if len(rep.qcFormed) == 0 {
+				t.Errorf("fbft=%v replica %d: qcFormed is empty; the check is vacuous", fbft, rep.ID())
+			}
+			for id := range rep.qcFormed {
+				if !rep.Store().Has(id) {
+					t.Errorf("fbft=%v replica %d: qcFormed keeps %s, which the store dropped", fbft, rep.ID(), id)
 				}
 			}
-			for name, ids := range maps {
-				if len(ids) == 0 {
-					t.Errorf("fbft=%v replica %d: %s is empty; the check is vacuous", fbft, rep.ID(), name)
-				}
-				for _, id := range ids {
-					if !rep.Store().Has(id) {
-						t.Errorf("fbft=%v replica %d: %s keeps %s, which the store dropped", fbft, rep.ID(), name, id)
+			removed, kept := 0, 0
+			for _, n := range handles[rep.ID()] {
+				if rep.Store().Node(n.Block().ID()) == n {
+					if n.Record != nil {
+						kept++
 					}
+					continue
 				}
+				removed++
+				if n.Record != nil || n.Parent() != nil || n.FirstChild() != nil || n.NextSibling() != nil {
+					t.Errorf("fbft=%v replica %d: the node of removed %v still carries a record or a link", fbft, rep.ID(), n.Block())
+				}
+			}
+			if removed < 2000 || kept < 64 {
+				t.Errorf("fbft=%v replica %d: %d removed nodes and %d kept ones with a record; the check is vacuous", fbft, rep.ID(), removed, kept)
 			}
 			forks, last := 0, types.Round(0)
 			for _, v := range rep.History().Voted() {

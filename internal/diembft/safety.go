@@ -3,6 +3,7 @@ package diembft
 import (
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/engine"
 	"repro/internal/types"
 )
@@ -244,16 +245,14 @@ func (r *Replica) processQC(now time.Duration, qc *types.QC, fromChain bool) {
 	if qc == nil {
 		return
 	}
-	if !r.Store().Has(qc.Block) {
-		// Keep the best orphan QC per block for when the block arrives.
+	n, improved, err := r.Store().RegisterQC(qc)
+	if err != nil {
+		// The block is not here yet: keep the best orphan QC per block for
+		// when it arrives.
 		if prev := r.orphanQCs[qc.Block]; prev == nil || len(qc.Votes) > len(prev.Votes) {
 			r.orphanQCs[qc.Block] = qc
 		}
 		r.noteQC(now, qc)
-		return
-	}
-	_, improved, err := r.Store().RegisterQC(qc)
-	if err != nil {
 		return
 	}
 	if improved && !fromChain {
@@ -263,12 +262,12 @@ func (r *Replica) processQC(now time.Duration, qc *types.QC, fromChain bool) {
 		r.JournalQC(qc)
 	}
 	if improved {
-		r.cfg.Obs.OnQCObserved(r.Store().Block(qc.Block), now)
+		r.cfg.Obs.OnQCObserved(n.Block(), now)
 	}
 	// Locking rule: lock the round of the certified block's parent
 	// (2-chain).
-	if parent := r.Store().Parent(qc.Block); parent != nil && parent.Round > r.rlock {
-		r.rlock = parent.Round
+	if p := n.Parent(); p != nil && p.Block().Round > r.rlock {
+		r.rlock = p.Block().Round
 		r.JournalLock(r.rlock)
 	}
 	if t := r.Tracker(); t != nil {
@@ -277,27 +276,23 @@ func (r *Replica) processQC(now time.Duration, qc *types.QC, fromChain bool) {
 	if r.direct != nil {
 		r.direct.OnQC(qc)
 	}
-	r.checkCommit(qc)
+	r.checkCommit(n)
 	r.noteQC(now, qc)
 	r.maybePrune()
 }
 
 // checkCommit applies the 3-chain commit rule: a QC for b2 commits b0 when
 // b0, b1, b2 are chained with consecutive rounds.
-func (r *Replica) checkCommit(qc *types.QC) {
-	b2 := r.Store().Block(qc.Block)
-	if b2 == nil {
+func (r *Replica) checkCommit(b2 *blockstore.Node) {
+	b1 := b2.Parent()
+	if b1 == nil || b1.Block().Round+1 != b2.Block().Round {
 		return
 	}
-	b1 := r.Store().Parent(b2.ID())
-	if b1 == nil || b1.Round+1 != b2.Round {
+	b0 := b1.Parent()
+	if b0 == nil || b0.Block().Round+1 != b1.Block().Round {
 		return
 	}
-	b0 := r.Store().Parent(b1.ID())
-	if b0 == nil || b0.Round+1 != b1.Round {
-		return
-	}
-	r.CommitTo(b0)
+	r.CommitTo(b0.Block())
 }
 
 // maybePrune drops everything more than PruneKeep heights below the
@@ -316,9 +311,6 @@ func (r *Replica) maybePrune() {
 	removed, floor := r.PruneBelow(cut)
 	for _, b := range removed {
 		delete(r.qcFormed, b.ID())
-		if r.direct != nil {
-			r.direct.Forget(b.ID())
-		}
 	}
 	if floor > r.floor {
 		dropRounds(r.proposed, r.floor, floor)

@@ -294,13 +294,13 @@ func (o *Observer) noteQC(qc *types.QC) {
 		return
 	}
 	certified, _, err := o.store.RegisterQC(qc)
-	if err != nil || certified == nil {
+	if err != nil {
 		return
 	}
 	o.tracker.OnQC(qc)
 	if o.cfg.OnCertified != nil && !o.certified[qc.Block] {
 		o.certified[qc.Block] = true
-		o.cfg.OnCertified(certified, qc)
+		o.cfg.OnCertified(certified.Block(), qc)
 	}
 }
 

@@ -483,23 +483,18 @@ func (c *Chassis) CommitTo(b *types.Block) {
 }
 
 // PruneBelow drops chassis state below height cut (the engine decides the
-// cut) in one pass over what the store removes: the tracker forgets exactly
-// those blocks, the vote sets theirs, and the vote history what lies below
-// the round of the committed chain's block at the cut. It returns the removed
-// blocks (valid until the next call) and that round, for the engine's own
-// per-block and per-round state. When the committed chain has no block at the
-// cut, nothing is removed and nothing is forgotten.
+// cut): the store removes its blocks and with them the tracker's state, which
+// lives on their nodes; the vote sets forget theirs, and the vote history
+// what lies below the round of the committed chain's block at the cut. It
+// returns the removed blocks (valid until the next call) and that round, for
+// the engine's own per-block and per-round state. When the committed chain
+// has no block at the cut, nothing is removed and nothing is forgotten.
 func (c *Chassis) PruneBelow(cut types.Height) ([]*types.Block, types.Round) {
 	anchor := c.committedAt(cut)
 	if anchor == nil {
 		return nil, 0
 	}
 	removed := c.store.PruneBelow(cut)
-	if c.tracker != nil {
-		for _, b := range removed {
-			c.tracker.Forget(b.ID())
-		}
-	}
 	// The vote sets are the few still collecting, some of them for blocks the
 	// store never held, which no removed list names: they are walked.
 	for id, set := range c.Votes {

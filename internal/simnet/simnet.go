@@ -171,8 +171,12 @@ type Sim struct {
 	seq     uint64
 	now     time.Duration
 	rng     *rand.Rand
-	stats   MsgStats
 	events  int64
+	// Message accounting, which Stats assembles into a MsgStats: the per-type
+	// counts are an array over every MsgType value, so a delivery costs an
+	// increment and no map assignment.
+	msgCount, msgBytes int64
+	byType             [256]int64
 
 	// partition, when non-nil, maps each replica to its group; deliveries
 	// crossing groups are discarded at send time (messages already in
@@ -193,7 +197,6 @@ func New(cfg Config) *Sim {
 		crashed: make([]bool, slots),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
-	s.stats.ByType = make(map[types.MsgType]int64)
 	return s
 }
 
@@ -207,13 +210,14 @@ func (s *Sim) SetEngine(id types.ReplicaID, e engine.Engine) {
 func (s *Sim) Now() time.Duration { return s.now }
 
 // Stats returns a copy of the message accounting so far. The ByType map is
-// cloned so callers cannot mutate (or observe later mutations of) the
-// simulator's internal counters.
+// built here, from the per-type counter array the delivery path increments,
+// and holds the types delivered at least once.
 func (s *Sim) Stats() MsgStats {
-	out := s.stats
-	out.ByType = make(map[types.MsgType]int64, len(s.stats.ByType))
-	for k, v := range s.stats.ByType {
-		out.ByType[k] = v
+	out := MsgStats{Count: s.msgCount, Bytes: s.msgBytes, ByType: make(map[types.MsgType]int64)}
+	for t, n := range s.byType {
+		if n > 0 {
+			out.ByType[types.MsgType(t)] = n
+		}
 	}
 	return out
 }
@@ -379,9 +383,9 @@ func (s *Sim) deliver(from, to types.ReplicaID, msg types.Message, size int) {
 	if s.cfg.Drop != nil && s.cfg.Drop(from, to, msg, s.now) {
 		return
 	}
-	s.stats.Count++
-	s.stats.Bytes += int64(size)
-	s.stats.ByType[msg.Type()]++
+	s.msgCount++
+	s.msgBytes += int64(size)
+	s.byType[msg.Type()]++
 	// Latency models size per-replica state by N; observer endpoints take
 	// replica 0's profile.
 	lf, lt := from, to

@@ -200,12 +200,12 @@ func (r *Replica) handle(msg types.Message) {
 // itself (once, on improvement).
 func (r *Replica) onSyncedCert(qc *types.QC, standalone bool) {
 	if standalone {
-		b, improved, err := r.Store().RegisterQC(qc)
+		n, improved, err := r.Store().RegisterQC(qc)
 		if err != nil {
 			return
 		}
 		if !improved {
-			r.checkCommit(b)
+			r.checkCommit(n.Block())
 			return
 		}
 		r.JournalQC(qc)

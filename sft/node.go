@@ -133,8 +133,19 @@ type Node struct {
 	subs     []*subscription
 	closed   bool
 
+	// Under WithPruneKeep, strength forgets blocks more than that many
+	// heights below height, as the engine does at its cut. order lists the
+	// map's keys as first inserted, which is height order but for the blocks
+	// of one event, so what falls below the floor is found at its front.
+	order []strengthKey
+
 	closeOnce sync.Once
 	closeErr  error
+}
+
+type strengthKey struct {
+	height Height
+	id     BlockID
 }
 
 type strengthWaiter struct {
@@ -274,7 +285,8 @@ func (n *Node) Commits() <-chan CommitEvent {
 }
 
 // Strength returns the strongest commit level the node has observed for the
-// block: -1 before the regular commit, then F..2F.
+// block: -1 before the regular commit, then F..2F — and -1 again once
+// WithPruneKeep has forgotten the block.
 func (n *Node) Strength(id BlockID) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -296,7 +308,9 @@ func (n *Node) CommittedHeight() Height {
 // paper's per-transaction resilience choice: commit the transaction when its
 // block tolerates the number of faults the caller cares about. Do not call
 // it from the goroutine that drives a Simnet — virtual time only advances
-// there.
+// there. A block that WithPruneKeep has forgotten reads as not committed and
+// the engine, which pruned it too, reports no rise for it: that wait ends
+// with its context.
 func (n *Node) WaitStrength(ctx context.Context, id BlockID, x int) error {
 	for {
 		n.mu.Lock()
@@ -426,11 +440,21 @@ func (n *Node) onStrength(now time.Duration, b *Block, x int) {
 func (n *Node) publish(ev CommitEvent) {
 	id := ev.Block.ID()
 	n.mu.Lock()
-	if cur, ok := n.strength[id]; !ok || ev.Strength > cur {
+	cur, seen := n.strength[id]
+	if !seen || ev.Strength > cur {
 		n.strength[id] = ev.Strength
 	}
 	if ev.Height > n.height {
 		n.height = ev.Height
+	}
+	if keep := n.spec.PruneKeep; keep > 0 {
+		if !seen {
+			n.order = append(n.order, strengthKey{ev.Height, id})
+		}
+		for len(n.order) > 0 && n.order[0].height+keep < n.height {
+			delete(n.strength, n.order[0].id)
+			n.order = n.order[1:]
+		}
 	}
 	// Wake satisfied waiters.
 	kept := n.waiters[:0]

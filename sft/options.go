@@ -315,8 +315,12 @@ func WithCommitLog(k int) Option {
 	return func(s *settings) { s.maxCommitLog = k }
 }
 
-// WithPruneKeep prunes protocol state more than keep heights below the
-// committed height, bounding memory on long runs.
+// WithPruneKeep prunes state more than keep heights below the committed
+// height, bounding memory on long runs: the node's own strength map, so
+// Strength reads -1 again for a block that far down, and in the DiemBFT
+// engine the block tree with the strength state on it, the vote history and
+// the per-round maps. Only the DiemBFT engine honours it: the Streamlet
+// engine never prunes, and neither does ObserverNode.
 func WithPruneKeep(keep Height) Option {
 	return func(s *settings) { s.pruneKeep = keep }
 }
