@@ -39,9 +39,9 @@
 //     horizon, and the x-strong threshold subscribers act on. Mode is
 //     validated against the engine: asking DiemBFT for the height rule is
 //     an error, not a fallback.
-//   - WithScheme(SchemeEd25519 | SchemeSim), WithSignatureVerification,
-//     WithKeyRing — the PKI layer (ed25519 always verifies; sim is the
-//     fast deterministic scheme the large simulations use).
+//   - WithScheme(SchemeEd25519 | SchemeSim), WithKeyRing — the PKI layer
+//     (ed25519 always verifies; sim is the fast deterministic scheme the
+//     large simulations use). A supplied ring must hold exactly N keys.
 //   - WithTransport(TCP(...)) / NewLocalNet(n).Transport(id) /
 //     NewSimnet(cfg).Transport(id) — real sockets, in-process channels, or
 //     the deterministic discrete-event fabric (which adds CrashAt/RestartAt
@@ -193,7 +193,11 @@
 //	                   SFT, payload, app, journal, obs  extra-wait, prune, pacemaker
 //	event bracket      Begin / Take: flush, then send   dispatch by message and timer   dispatch; unwrap echoes
 //	proposing          Propose: payload, sign, journal  leader + TC bound, commit log    slot leader, longest-chain tip
-//	accepting a block  AcceptBlock, Orphans (bounded)   validity, stale rounds, sync    validity, first-seen echo
+//	accepting a block  Accept: install, the engine's    stale rounds; what an accepted  first-seen echo; what an
+//	                   step, then the parked children;  proposal means: justify, vote,  accepted proposal means: the
+//	                   Park: bounded buffer, the first  waiting QC, collected votes     justify when the parent's votes
+//	                   orphan of a parent asks its                                      were missed, vote, certify
+//	                   sender for the chain
 //	voting             CastVote: execute, sign,         rvote / rlock / TC rule,        first proposal of the round on
 //	                   journal, record in history       marker or interval set          a longest chain; height marker
 //	vote → certificate AddVote, Certify: dedup, root    collector only, extra-wait,     everyone, relay by echo,
@@ -209,8 +213,11 @@
 //	                   vote sets forget those, history                                  does the observer
 //	                   the rounds below the cut's block
 //	recovery           Restore: replay skeleton         proposed rounds, rvote, rlock   first-seen marks, voted rounds
-//	catch-up           serve + ApplySegment; Certs      per-block SyncRequest healing   which certificate is standalone
-//	                   (cache, batch workers, timing)
+//	catch-up           request (Park, or at boot after  what a synced certificate       what a synced certificate means
+//	                   Restore), serve, ApplySegment    means (the regular QC path)     (longest chain, commit rule)
+//	                   link by link, adopt what was
+//	                   parked; Certs (cache, batch
+//	                   workers, timing)
 //	rounds             EnterRound (snapshot for         pacemaker, TCs, round entry,    2∆ lock-step slots
 //	                   Prevalidate)                     leader reputation
 //	observer borrows   Certs, Certs.Apply, Orphans,     —                               —
@@ -258,8 +265,8 @@
 //	3    Timeout            uint64 round | opt(QC) | uint64 highRound | uint32 sender | sig
 //	4    Echo               uint32 relayer | opt(message), at most 8 deep
 //	5    ExtraVote          Vote | uint32 leader
-//	6    SyncRequest        [32]byte block | uint64 have | uint32 sender
-//	7    SyncResponse       uint32 sender | uint32 count | Block...
+//	6    retired            (a per-block sync request until PR 23) rejected as an
+//	7    retired            (its response) unknown tag; neither number is ever reused
 //	8    StateSyncRequest   uint64 have | uint32 sender
 //	9    StateSyncResponse  uint32 sender | opt(QC) | uint32 count | Block...
 //	10   RoundEntry         uint64 round | opt(QC) | opt(TC) | uint32 sender | sig
@@ -278,8 +285,8 @@
 // replica then writes on that same connection every Proposal, Echo and
 // RoundEntry it broadcasts or accepts from a peer (peer frames relayed as
 // the bytes that arrived), plus replies addressed to the observer. An
-// observer may send only SyncRequest and StateSyncRequest; anything else is
-// dropped and counted as restricted.
+// observer may send only StateSyncRequest; anything else is dropped and
+// counted as restricted.
 //
 // The client transaction stream (sft.DialTransactions to a node's
 // ListenTransactions) is not framed: transactions follow one another in
@@ -339,26 +346,30 @@
 //	RoundEntry    exactly one justification, its round + 1 =       stale round, exact window
 //	              round, round pre-filter, sender signature,
 //	              QC or TC
-//	Streamlet     echo unwrap within the nesting cap, round/       first-seen (seenProp), exact
-//	              proposer match, round-robin leader, window       window, parent presence, vote
-//	              pre-filter, proposal and vote signatures         dedup, execution-root check
-//	              (memoized across echoed copies)
+//	Streamlet     echo unwrap within the nesting cap, round/       first-seen (seenProp) or already
+//	              proposer match, round-robin leader, window       stored, exact window, parent
+//	              pre-filter, proposal and vote signatures         presence, vote dedup, execution-
+//	              (memoized across echoed copies)                  root check
 //	Observer      block and justify present, justify certifies     already stored, parent presence
 //	              parent, sender inside the committee, proposer
 //	              signature, justify QC, round-entry QC
 //
-// Two things are deliberately not a clean split. The future-window tests run
-// twice: Prevalidate compares against the published round snapshot so
+// Three things are deliberately not a clean split. The future-window tests
+// run twice: Prevalidate compares against the published round snapshot so
 // far-future spam is dropped before any signature math, the snapshot may lag
-// the loop, and the state stage repeats the exact test. And bulk sync
-// segments (SyncResponse, StateSyncResponse) are prefix-stateful — blocks
-// install link by link up to the first bad one — so Prevalidate never judges
-// them; it only warms their certificates into the verified-QC cache, and they
-// are verified as they install (Chassis.ApplySegment, Certs.Apply,
-// statesync.Applier). The rejection tables and FuzzOnMessage targets of the
-// three engine packages drive every malformed class and arbitrary decoded
-// messages through both doors; BENCH_PR3.json holds the original measurements
-// of taking verification off the loop.
+// the loop, and the state stage repeats the exact test. Catch-up segments
+// (StateSyncResponse) are prefix-stateful — blocks install link by link up to
+// the first bad one — so Prevalidate never judges them; it only warms their
+// certificates into the verified-QC cache, and they are verified as they
+// install (Chassis.ApplySegment, Certs.Apply, statesync.Applier). And
+// Streamlet's state stage verifies one certificate of its own: an accepted
+// proposal's justify, only when the store holds the parent uncertified
+// because this replica missed its votes (streamlet.certifyParent) — a
+// condition no stateless check can see, on a certificate the fault-free path
+// never reads. The rejection tables and FuzzOnMessage targets of the three
+// engine packages drive every malformed class and arbitrary decoded messages
+// through both doors; BENCH_PR3.json holds the original measurements of
+// taking verification off the loop.
 //
 // # Durability
 //

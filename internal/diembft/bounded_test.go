@@ -77,11 +77,11 @@ func TestOrphanSprayBounded(t *testing.T) {
 		p := &types.Proposal{Block: b, Round: 1, Sender: byz}
 		p.Signature = ring.Signer(byz).Sign(p.SigningPayload())
 		for _, rep := range reps[1:] {
-			rep.OnMessage(0, byz, p) // outputs are sync requests to the sprayer
+			rep.OnMessage(0, byz, p) // outputs are catch-up requests to the sprayer
 		}
 	}
 	for _, rep := range reps[1:] {
-		if got := rep.orphans.Len(); got == 0 || got > bound {
+		if got := rep.Parked(); got == 0 || got > bound {
 			t.Fatalf("replica %d buffers %d orphans after the spray, want 1..%d", rep.ID(), got, bound)
 		}
 	}
@@ -90,7 +90,7 @@ func TestOrphanSprayBounded(t *testing.T) {
 		if commits[rep.ID()] == 0 {
 			t.Fatalf("replica %d committed nothing after the spray", rep.ID())
 		}
-		if got := rep.orphans.Len(); got > bound {
+		if got := rep.Parked(); got > bound {
 			t.Fatalf("replica %d buffers %d orphans", rep.ID(), got)
 		}
 	}

@@ -116,9 +116,8 @@ type Replica struct {
 	qcFormed      map[types.BlockID]bool
 	awaitingExtra map[types.Round]types.BlockID
 
-	// Out-of-order arrivals: proposals whose parent is missing, and the best
-	// certificate seen for a block that has not arrived yet.
-	orphans   replica.Orphans
+	// orphanQCs keeps the best certificate seen for a block that has not
+	// arrived yet.
 	orphanQCs map[types.BlockID]*types.QC
 
 	proposed   map[types.Round]bool
@@ -162,7 +161,7 @@ func New(cfg Config) (*Replica, error) {
 				Block: b.ID(), Height: b.Height, Round: b.Round, X: x,
 			})
 		}
-	})
+	}, func(p *types.Proposal) { r.onAccepted(r.Now(), p) })
 	if err != nil {
 		return nil, err
 	}
@@ -274,14 +273,14 @@ func (r *Replica) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg
 		r.onRoundEntry(now, m)
 	case *types.ExtraVote:
 		r.onExtraVote(m)
-	case *types.SyncRequest:
-		r.onSyncRequest(m)
-	case *types.SyncResponse:
-		r.installSegment(now, &types.StateSyncResponse{Blocks: m.Blocks})
 	case *types.StateSyncRequest:
 		r.OnStateSyncRequest(m)
 	case *types.StateSyncResponse:
-		r.installSegment(now, m)
+		// A fetched segment's certificates take the regular QC path — locks,
+		// commits, endorsement tracking and round synchronization catch up as
+		// if the blocks had arrived as proposals. The responder's standalone
+		// high QC (no block embeds it) is not fromChain, which journals it.
+		r.ApplySegment(m, func(qc *types.QC, standalone bool) { r.processQC(now, qc, !standalone) })
 	}
 	return r.Take()
 }

@@ -26,8 +26,6 @@ func FuzzOnMessage(f *testing.F) {
 		fx.timeout(&types.Timeout{Round: 2, HighQC: fx.qc2, HighRound: 2, Sender: 0}),
 		fx.entry(&types.RoundEntry{Round: 3, Justify: fx.qc2, Sender: 0}),
 		fx.entry(&types.RoundEntry{Round: 3, TC: fx.tc(2, 0, 1, 2), Sender: 0}),
-		&types.SyncRequest{Block: fx.b2.ID(), Sender: 0},
-		&types.SyncResponse{Blocks: []*types.Block{b3}, Sender: 0},
 		statesync.NewRequest(0, 0),
 		&types.StateSyncResponse{Blocks: []*types.Block{b3}, HighQC: fx.cert(b3, 0, 1, 2), Sender: 0},
 	)

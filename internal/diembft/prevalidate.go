@@ -10,13 +10,6 @@ import (
 	"repro/internal/types"
 )
 
-// syncMaxBlocks caps how many blocks one sync response may carry, shared by
-// the onSyncRequest serve path and warmSegment's warming bound so the two
-// cannot drift apart (a larger serve cap with a smaller warm bound would
-// silently push the tail of every segment back onto cold engine-loop
-// verification). It matches the state-sync protocol's segment cap.
-const syncMaxBlocks = statesync.DefaultMaxBlocks
-
 // Prevalidate implements engine.Engine: every check on an inbound message
 // that reads no mutable replica state — well-formedness and certificate
 // structure always, sender signatures and certificate verification when
@@ -25,12 +18,12 @@ const syncMaxBlocks = statesync.DefaultMaxBlocks
 // goroutines concurrently with the event loop; the only shared structure it
 // touches is the verified-QC cache, which is internally synchronized.
 //
-// Bulk sync segments (SyncResponse, StateSyncResponse) are the one
-// exception: their accept/reject semantics are prefix-stateful (the engine
-// installs blocks link by link and stops at the first bad one), so
-// Prevalidate never rejects them. It still pulls their signature work
-// off-loop by verifying every segment certificate into the shared QC cache,
-// which turns the engine loop's own verification into cache hits.
+// Catch-up segments (StateSyncResponse) are the one exception: their
+// accept/reject semantics are prefix-stateful (the engine installs blocks
+// link by link and stops at the first bad one), so Prevalidate never rejects
+// them. It still pulls their signature work off-loop by verifying every
+// segment certificate into the shared QC cache, which turns the engine loop's
+// own verification into cache hits.
 func (r *Replica) Prevalidate(from types.ReplicaID, msg types.Message) error {
 	switch m := msg.(type) {
 	case *types.Proposal:
@@ -43,13 +36,11 @@ func (r *Replica) Prevalidate(from types.ReplicaID, msg types.Message) error {
 		return r.prevalidateRoundEntry(m)
 	case *types.ExtraVote:
 		return r.prevalidateVote(m.Vote)
-	case *types.SyncResponse:
-		r.warmSegment(m.Blocks, nil)
 	case *types.StateSyncResponse:
 		r.warmSegment(m.Blocks, m.HighQC)
 	}
-	// SyncRequest/StateSyncRequest carry no signatures; unknown message
-	// types are the state stage's business to ignore.
+	// StateSyncRequest carries no signature; unknown message types are the
+	// state stage's business to ignore.
 	return nil
 }
 
@@ -186,8 +177,8 @@ func (r *Replica) warmSegment(blocks []*types.Block, highQC *types.QC) {
 	if !r.Certs.Cached() {
 		return
 	}
-	if len(blocks) > syncMaxBlocks {
-		blocks = blocks[:syncMaxBlocks]
+	if len(blocks) > statesync.DefaultMaxBlocks {
+		blocks = blocks[:statesync.DefaultMaxBlocks]
 	}
 	for _, b := range blocks {
 		if b == nil || b.Justify == nil {

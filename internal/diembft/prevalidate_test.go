@@ -145,7 +145,7 @@ func TestPrevalidatePassesSyncSegments(t *testing.T) {
 	badQC := &types.QC{Block: b1.ID(), Round: 1, Height: 1, Votes: votes}
 	b2 := types.NewBlock(b1.ID(), badQC, 2, 2, 1, 6, types.Payload{}, nil)
 
-	resp := &types.SyncResponse{Blocks: []*types.Block{b2}, Sender: 2}
+	resp := &types.StateSyncResponse{Blocks: []*types.Block{b2}, Sender: 2}
 	if err := rep.Prevalidate(2, resp); err != nil {
 		t.Fatalf("sync segment rejected by prevalidation: %v", err)
 	}

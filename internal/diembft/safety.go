@@ -57,25 +57,20 @@ func (r *Replica) onProposal(now time.Duration, p *types.Proposal) {
 		return
 	}
 	if !r.Store().Has(p.Block.Parent) {
-		// Parent not yet arrived: buffer, let the embedded QC advance our
-		// round/high-QC so we keep pace, and ask the proposer for the
-		// missing ancestry (it certified the parent, so it has the chain) —
-		// once per missing block, however many orphans wait on it.
-		first := r.orphans.Add(p)
+		// Parent not yet arrived: let the embedded QC advance our round and
+		// high QC so we keep pace, and park the proposal until catch-up
+		// installs the ancestry.
 		r.noteQC(now, p.Block.Justify)
-		if first {
-			r.requestSync(p.Sender, p.Block.Parent)
-		}
+		r.Park(p)
 		return
 	}
-	r.acceptProposal(now, p)
+	r.Accept(p)
 }
 
-func (r *Replica) acceptProposal(now time.Duration, p *types.Proposal) {
+// onAccepted is the protocol step for a proposal whose block the chassis
+// just installed, whether it arrived in order or was parked first.
+func (r *Replica) onAccepted(now time.Duration, p *types.Proposal) {
 	b := p.Block
-	if !r.AcceptBlock(b) {
-		return
-	}
 	r.processQC(now, b.Justify, true)
 	r.maybeVote(now, p)
 	// A QC may have been waiting for this block.
@@ -85,14 +80,6 @@ func (r *Replica) acceptProposal(now time.Duration, p *types.Proposal) {
 	}
 	// Votes may have arrived before the proposal (we are the next leader).
 	r.tryFormQC(now, b)
-	r.adoptOrphans(now, b.ID())
-}
-
-// adoptOrphans accepts the buffered proposals that were waiting on parent.
-func (r *Replica) adoptOrphans(now time.Duration, parent types.BlockID) {
-	for _, kid := range r.orphans.Take(parent) {
-		r.acceptProposal(now, kid)
-	}
 }
 
 func (r *Replica) maybeVote(now time.Duration, p *types.Proposal) {

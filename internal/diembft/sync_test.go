@@ -10,8 +10,8 @@ import (
 
 // TestPartitionedReplicaCatchesUpViaSync: replica 3 is fully partitioned
 // for two seconds (all its traffic dropped in both directions), missing
-// dozens of blocks. After healing, the block-sync protocol must let it
-// fetch the missing ancestry, resume voting, and commit the same chain.
+// dozens of blocks. After healing, catch-up must let it fetch the
+// missing ancestry, resume voting, and commit the same chain.
 func TestPartitionedReplicaCatchesUpViaSync(t *testing.T) {
 	const (
 		healAt = 2 * time.Second
@@ -87,7 +87,7 @@ func TestSyncResponsesServeSegments(t *testing.T) {
 	// Count sync traffic via a message-inspecting drop hook on the healed
 	// phase (Drop sees every delivery).
 	simCfg.Drop = func(from, to types.ReplicaID, msg types.Message, now time.Duration) bool {
-		if sr, ok := msg.(*types.SyncResponse); ok {
+		if sr, ok := msg.(*types.StateSyncResponse); ok {
 			srvSegments++
 			if len(sr.Blocks) > maxBlocks {
 				maxBlocks = len(sr.Blocks)

@@ -18,7 +18,7 @@ func TestSyncHealsGapBeyondSegmentCap(t *testing.T) {
 	simCfg := simnet.Config{
 		Seed: 53,
 		Drop: func(from, to types.ReplicaID, msg types.Message, now time.Duration) bool {
-			if sr, ok := msg.(*types.SyncResponse); ok {
+			if sr, ok := msg.(*types.StateSyncResponse); ok {
 				segs++
 				if len(sr.Blocks) > maxseg {
 					maxseg = len(sr.Blocks)

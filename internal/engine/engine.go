@@ -26,10 +26,11 @@ import (
 //     event loop. An error means the message is discardable.
 //   - OnVerifiedMessage is the state stage: stateful rules only (stale
 //     rounds, parent presence, vote dedup, exact future windows). It checks
-//     no signature and no certificate. The one exception is a bulk sync
-//     segment (SyncResponse, StateSyncResponse): its accept/reject semantics
-//     are prefix-stateful, so Prevalidate never judges it and it is verified
-//     link by link as it installs.
+//     no signature and no certificate, with two exceptions only the state
+//     can call for. A catch-up segment (StateSyncResponse) is prefix-
+//     stateful, so Prevalidate never judges it and it is verified link by
+//     link as it installs; and Streamlet verifies a proposal's justify when
+//     it holds the parent uncertified, having missed its votes.
 //   - OnMessage is Prevalidate then OnVerifiedMessage, the door for a caller
 //     that has not prevalidated. A message from the replica's own ID is
 //     loopback and skips Prevalidate: transports authenticate from (tcpnet

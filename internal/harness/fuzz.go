@@ -561,19 +561,21 @@ func ancestorAt(blocks map[types.BlockID]*types.Block, hi *types.Block, h types.
 
 // checkLiveness applies the Theorem 2 class of checks to benign scenarios:
 // with no Byzantine replicas, healed partitions and at most f permanent
-// crashes the cluster must keep committing, and undisturbed runs must reach
-// the 2f-strong ceiling on some block.
+// crashes the cluster must keep committing, every replica that is up at the
+// end — healed, restarted or never disturbed — must have rejoined the front
+// (a 2f-strong commit takes all 3f+1 endorsers), and undisturbed runs must
+// reach the 2f-strong ceiling on some block.
 func checkLiveness(spec FuzzScenario, res *Result) []string {
 	if len(spec.Adversaries) > 0 {
 		return nil // liveness bounds only bind under benign faults
 	}
-	down := 0
+	down := make(map[types.ReplicaID]bool)
 	for _, c := range spec.Crashes {
 		if c.Restart <= 0 {
-			down++
+			down[c.Replica] = true
 		}
 	}
-	if down > spec.F {
+	if len(down) > spec.F {
 		return nil
 	}
 	for _, p := range spec.Partitions {
@@ -585,6 +587,14 @@ func checkLiveness(spec FuzzScenario, res *Result) []string {
 	if res.CommittedBlocks < 3 {
 		out = append(out, fmt.Sprintf(
 			"liveness violated: benign scenario committed only %d blocks at the observer", res.CommittedBlocks))
+	}
+	front := committedTip(res.Chains[res.Observer])
+	for i := 0; i < spec.N; i++ {
+		rep := types.ReplicaID(i)
+		if h := committedTip(res.Chains[rep]); !down[rep] && h+front/4+8 < front {
+			out = append(out, fmt.Sprintf(
+				"liveness violated: replica %d never rejoined, it ends at height %d with the observer at %d", rep, h, front))
+		}
 	}
 	if len(spec.Partitions) == 0 && len(spec.Crashes) == 0 {
 		target := 2 * spec.F
@@ -602,6 +612,15 @@ func checkLiveness(spec FuzzScenario, res *Result) []string {
 		}
 	}
 	return out
+}
+
+// committedTip is the highest height in one replica's recorded chain.
+func committedTip(chain map[types.Height]types.BlockID) types.Height {
+	var tip types.Height
+	for h := range chain {
+		tip = max(tip, h)
+	}
+	return tip
 }
 
 // FuzzFailure pairs a violating scenario with its findings.

@@ -2,9 +2,11 @@
 // chain bookkeeping that is the same under DiemBFT and Streamlet — block
 // store, vote history, strength tracker, vote sets, the event bracket with
 // its durability ordering, journal staging and replay, the execution-layer
-// hookup, vote-to-certificate assembly, commit emission and state sync. The
-// engines (internal/diembft, internal/streamlet) keep the protocol rules and
-// call in here; the chassis never decides when to vote, certify or commit.
+// hookup, vote-to-certificate assembly, commit emission and catch-up (parking
+// a proposal whose parent is missing, requesting the chain, serving and
+// applying segments, adopting what was parked). The engines
+// (internal/diembft, internal/streamlet) keep the protocol rules and call in
+// here; the chassis never decides when to vote, certify or commit.
 // The root doc.go's "Replica chassis" section tabulates which side owns what.
 package replica
 
@@ -98,6 +100,12 @@ type Chassis struct {
 	// Outs is the current event's output buffer, released by Take.
 	Outs []engine.Output
 
+	// orphans parks proposals whose parent has not arrived (Park); accepted is
+	// the engine's protocol step for a proposal whose block was just installed
+	// (Accept).
+	orphans  Orphans
+	accepted func(*types.Proposal)
+
 	lastCommitted types.BlockID
 	committedH    types.Height
 	// committed is the committed chain's tail, oldest first, from the last
@@ -127,8 +135,10 @@ type Chassis struct {
 
 // New builds the chassis. mode keys the strength tracker by round (DiemBFT)
 // or height (Streamlet); onStrength is the tracker's callback, which the
-// engine builds around EmitStrength (it is only called with SFT on).
-func New(cfg Config, mode core.Mode, onStrength func(b *types.Block, x int)) (*Chassis, error) {
+// engine builds around EmitStrength (it is only called with SFT on); accepted
+// is what the engine does with a proposal once Accept installed its block —
+// its certificate, vote and commit rules.
+func New(cfg Config, mode core.Mode, onStrength func(b *types.Block, x int), accepted func(*types.Proposal)) (*Chassis, error) {
 	if cfg.N != 3*cfg.F+1 {
 		return nil, fmt.Errorf("replica: n=%d must be 3f+1 (f=%d)", cfg.N, cfg.F)
 	}
@@ -140,6 +150,7 @@ func New(cfg Config, mode core.Mode, onStrength func(b *types.Block, x int)) (*C
 		store:     blockstore.New(),
 		Certs:     NewCerts(&cfg),
 		Votes:     make(map[types.BlockID]*core.VoteSet),
+		accepted:  accepted,
 		aggregate: crypto.Aggregates(cfg.Verifier),
 	}
 	c.round.Store(1)
@@ -309,6 +320,39 @@ func (c *Chassis) AcceptBlock(b *types.Block) bool {
 	c.cfg.Obs.OnBlockSeen(b, c.now)
 	c.tryExecute(b)
 	return true
+}
+
+// Accept takes a proposal whose parent is present: it installs the block
+// (AcceptBlock), runs the engine's protocol step on it, then does the same
+// for every proposal that was parked waiting on this block.
+func (c *Chassis) Accept(p *types.Proposal) {
+	if !c.AcceptBlock(p.Block) {
+		return
+	}
+	c.accepted(p)
+	c.adopt(p.Block.ID())
+}
+
+// Park buffers a proposal whose parent has not arrived. The first proposal
+// waiting on a parent asks its sender — who built on that parent, so holds
+// the chain — for everything above our committed height; the blocks the
+// answer installs release what is parked (ApplySegment). A gap longer than
+// one segment heals over several rounds, each started by the next proposal
+// that arrives ahead of what we hold.
+func (c *Chassis) Park(p *types.Proposal) {
+	if c.orphans.Add(p) && p.Sender != c.cfg.ID {
+		c.Outs = append(c.Outs, engine.Send{To: p.Sender, Msg: statesync.NewRequest(c.committedH, c.cfg.ID)})
+	}
+}
+
+// Parked returns the number of proposals waiting on a missing parent.
+func (c *Chassis) Parked() int { return c.orphans.Len() }
+
+// adopt accepts the proposals that were parked waiting on parent.
+func (c *Chassis) adopt(parent types.BlockID) {
+	for _, kid := range c.orphans.Take(parent) {
+		c.Accept(kid)
+	}
 }
 
 // voteRootOK filters collected votes by execution root: with the app on, a
@@ -594,15 +638,16 @@ func (c *Chassis) OnStateSyncRequest(m *types.StateSyncRequest) {
 	}
 }
 
-// ApplySegment installs a fetched chain segment link by link. Each installed
-// block is journaled and executed, then handed to onBlock; each certificate
-// goes to onCert — embedded justifies already registered in the store,
-// the responder's standalone high QC (standalone true) not, so the engine's
-// standalone path both registers and journals it.
-func (c *Chassis) ApplySegment(m *types.StateSyncResponse, onBlock func(*types.Block), onCert func(qc *types.QC, standalone bool)) {
+// ApplySegment installs a fetched chain segment link by link. Each
+// certificate goes to onCert — embedded justifies already registered in the
+// store, the responder's standalone high QC (standalone true) not, so the
+// engine's standalone path both registers and journals it. Each installed
+// block is journaled and executed after its justify was handed over, then
+// the proposals parked on it are accepted.
+func (c *Chassis) ApplySegment(m *types.StateSyncResponse, onCert func(qc *types.QC, standalone bool)) {
 	c.Certs.Apply(c.store, m, func(b *types.Block) {
 		c.journalBlock(b)
 		c.tryExecute(b)
-		onBlock(b)
+		c.adopt(b.ID())
 	}, onCert)
 }

@@ -19,7 +19,7 @@ func testChassis(t testing.TB, n, f int) (*Chassis, *crypto.KeyRing) {
 		t.Fatal(err)
 	}
 	cfg := Config{ID: 0, N: n, F: f, Signer: ring.Signer(0), Verifier: ring, VerifySignatures: true, SFT: true}
-	c, err := New(cfg, core.ModeRound, func(*types.Block, int) {})
+	c, err := New(cfg, core.ModeRound, func(*types.Block, int) {}, func(*types.Proposal) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // (internal/observer) has a different commit derivation and no signer,
 // journal or history, so it does not embed one, but it verifies
 // certificates, applies segments, buffers orphans and unwraps echoes with
-// the same code the voting engines use.
+// the same code the chassis uses.
 
 // Certs verifies certificates for one replica: through the batch path (one
 // pass over all vote signatures, bisection attribution on failure) and a

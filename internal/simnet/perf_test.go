@@ -21,7 +21,7 @@ func newPingEngine(id, peer types.ReplicaID, period time.Duration) *pingEngine {
 	return &pingEngine{
 		id: id,
 		onTimer: []engine.Output{
-			engine.Send{To: peer, Msg: &types.SyncRequest{Sender: id}},
+			engine.Send{To: peer, Msg: &types.StateSyncRequest{Sender: id}},
 			engine.SetTimer{ID: 1, Delay: period},
 		},
 	}
@@ -83,13 +83,13 @@ func TestStatsCopy(t *testing.T) {
 	s := newPingSim(2, 1)
 	s.Run(20 * time.Millisecond)
 	got := s.Stats()
-	if got.Count == 0 || got.ByType[types.MsgSyncRequest] == 0 {
+	if got.Count == 0 || got.ByType[types.MsgStateSyncRequest] == 0 {
 		t.Fatal("expected traffic in stats")
 	}
-	got.ByType[types.MsgSyncRequest] = -1
+	got.ByType[types.MsgStateSyncRequest] = -1
 	got.ByType[types.MsgProposal] = 12345
 	fresh := s.Stats()
-	if fresh.ByType[types.MsgSyncRequest] == -1 || fresh.ByType[types.MsgProposal] == 12345 {
+	if fresh.ByType[types.MsgStateSyncRequest] == -1 || fresh.ByType[types.MsgProposal] == 12345 {
 		t.Error("mutating the returned ByType map corrupted simulator internals")
 	}
 }

@@ -3,18 +3,16 @@
 // above its committed height (types.StateSyncRequest) and installs the
 // returned segment link by link (types.StateSyncResponse), each block
 // validated by its successor's embedded justify QC and the segment tip by
-// the responder's high QC.
+// the responder's high QC. It is the only catch-up protocol: a replica
+// restarted from its WAL broadcasts the request, one that meets a proposal
+// whose parent it does not hold sends it to that proposal's sender, and an
+// observer whose feed stalls sends it to its upstreams in turn.
 //
-// The package is engine-agnostic: both the DiemBFT and Streamlet engines
-// serve requests with Serve and install responses with an Applier, over
-// whichever transport hosts them (the discrete-event simulator or the TCP
-// runtime — the messages are ordinary wire messages).
-//
-// Relation to the per-block SyncRequest healing that predates this package:
-// SyncRequest repairs one known hole ("I saw a proposal whose parent I do
-// not have"). State sync is for a replica that only knows how far it got —
-// after a crash-restart from its WAL, or when it detects it has fallen many
-// rounds behind — and wants everything after that.
+// The package is engine-agnostic: the replica chassis (and through it both
+// the DiemBFT and Streamlet engines) and the observer serve requests with
+// Serve and install responses with an Applier, over whichever transport
+// hosts them (the discrete-event simulator or the TCP runtime — the messages
+// are ordinary wire messages).
 package statesync
 
 import (
@@ -49,7 +47,7 @@ func Serve(store *blockstore.Store, req *types.StateSyncRequest, self types.Repl
 	if tip == nil {
 		return nil
 	}
-	chain := Segment(store, tip, req.Have, maxBlocks)
+	chain := segment(store, tip, req.Have, maxBlocks)
 	if len(chain) == 0 {
 		return nil
 	}
@@ -60,14 +58,14 @@ func Serve(store *blockstore.Store, req *types.StateSyncRequest, self types.Repl
 	return resp
 }
 
-// Segment returns the chain from just above height have up to tip,
+// segment returns the chain from just above height have up to tip,
 // ascending. It holds the LOWEST maxBlocks of that range, so its first block
 // connects to something a requester at height have holds: the walk starts at
 // tip's ancestor at have+maxBlocks, which keeps the collected slice
 // O(maxBlocks) however large the gap is (a deep catch-up issues many
 // requests; each must not pay for the whole gap in allocation). Only when a
 // pruned gap hides that ancestor does the walk start at tip itself.
-func Segment(store *blockstore.Store, tip *types.Block, have types.Height, maxBlocks int) []*types.Block {
+func segment(store *blockstore.Store, tip *types.Block, have types.Height, maxBlocks int) []*types.Block {
 	if tip.Height <= have {
 		return nil
 	}

@@ -19,7 +19,9 @@ import (
 //
 // StateSyncResponse segments keep their link-by-link engine-loop
 // verification (their accept/reject semantics are prefix-stateful), and sync
-// requests carry no signatures; both pass through unjudged.
+// requests carry no signatures; both pass through unjudged. So does a
+// proposal's justify: Streamlet certifies from votes and reads a justify only
+// where the state says the votes were missed (certifyParent verifies it).
 func (r *Replica) Prevalidate(from types.ReplicaID, msg types.Message) error {
 	// The relay wrapper adds no signature of its own; Figure 10's echo
 	// mechanism trusts the inner message's original signature, so the checks

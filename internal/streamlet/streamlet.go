@@ -52,7 +52,8 @@ type Replica struct {
 	votedRound map[types.Round]bool
 	maxCertH   types.Height // height of the longest certified chain
 
-	orphans  replica.Orphans
+	// seenProp is the proposal echo dedup (blocks the store holds count as
+	// seen too; see onProposal).
 	seenProp map[types.BlockID]bool
 
 	// sigCache memoizes verified vote/proposal signatures for Prevalidate
@@ -75,7 +76,9 @@ func New(cfg Config) (*Replica, error) {
 		seenProp:   make(map[types.BlockID]bool),
 	}
 	var err error
-	r.Chassis, err = replica.New(cfg.Config, core.ModeHeight, func(b *types.Block, x int) { r.EmitStrength(b, x) })
+	r.Chassis, err = replica.New(cfg.Config, core.ModeHeight,
+		func(b *types.Block, x int) { r.EmitStrength(b, x) },
+		func(p *types.Proposal) { r.onAccepted(p.Block) })
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +174,8 @@ func (r *Replica) OnMessage(now time.Duration, from types.ReplicaID, msg types.M
 }
 
 // OnVerifiedMessage implements engine.Engine: the state stage, stateful rules
-// only. Only sync segments are verified here, link by link as they install.
+// only. Only sync segments are verified here, link by link as they install,
+// and the one justify that stands in for a missed certificate (certifyParent).
 func (r *Replica) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
 	r.Begin(now)
 	r.handle(msg)
@@ -189,7 +193,7 @@ func (r *Replica) handle(msg types.Message) {
 	case *types.StateSyncRequest:
 		r.OnStateSyncRequest(m)
 	case *types.StateSyncResponse:
-		r.ApplySegment(m, func(b *types.Block) { r.seenProp[b.ID()] = true }, r.onSyncedCert)
+		r.ApplySegment(m, r.onSyncedCert)
 	}
 }
 
@@ -298,8 +302,8 @@ func (r *Replica) maybePropose() {
 // onProposal is the state stage for a proposal Prevalidate accepted (or this
 // replica's own): well-formed, from the round's leader, genuinely signed.
 func (r *Replica) onProposal(p *types.Proposal) {
-	if r.seenProp[p.Block.ID()] {
-		return
+	if id := p.Block.ID(); r.seenProp[id] || r.Store().Has(id) {
+		return // seen as a proposal, or installed by catch-up
 	}
 	if w := r.cfg.ProposalWindow; w > 0 && p.Round > r.round+w {
 		// Bounded future window: an honest leader's proposal is at most a
@@ -313,21 +317,36 @@ func (r *Replica) onProposal(p *types.Proposal) {
 	r.seenProp[p.Block.ID()] = true
 	r.echo(p)
 	if !r.Store().Has(p.Block.Parent) {
-		r.orphans.Add(p)
+		r.Park(p)
 		return
 	}
-	r.acceptProposal(p)
+	r.Accept(p)
 }
 
-func (r *Replica) acceptProposal(p *types.Proposal) {
-	b := p.Block
-	if !r.AcceptBlock(b) {
-		return
-	}
+// onAccepted is the protocol step for a proposed block the chassis just
+// installed, whether it arrived in order or was parked first.
+func (r *Replica) onAccepted(b *types.Block) {
+	r.certifyParent(b)
 	r.maybeVote(b)
 	r.tryCertify(b)
-	for _, kid := range r.orphans.Take(b.ID()) {
-		r.acceptProposal(kid)
+}
+
+// certifyParent learns the parent's certificate from the child's justify when
+// this replica could not form it: the parent's votes were cast while it was
+// down or cut off, or were in flight when it restarted, so its own vote set
+// stays short of a quorum for good. Without the certificate the parent is a
+// hole in the longest certified chain: tip finds nothing to propose on and
+// every one of this replica's leader slots is lost. Replicas that saw the
+// votes certified the parent before any child was proposed, so for them this
+// is one store lookup; the justify is verified here, as a catch-up segment's
+// links are, because only the state says it is needed.
+func (r *Replica) certifyParent(b *types.Block) {
+	qc := b.Justify
+	if qc == nil || qc.Block != b.Parent || r.Store().IsCertified(b.Parent) || r.Certs.VerifyQC(qc) != nil {
+		return
+	}
+	if _, improved, err := r.Store().RegisterQC(qc); err == nil && improved {
+		r.onSyncedCert(qc, false)
 	}
 }
 

@@ -75,8 +75,6 @@ func TestMessageRoundTripAllTypes(t *testing.T) {
 		&types.Timeout{Round: 2, HighQC: types.NewGenesisQC(g.ID()), Sender: 0},
 		&types.Echo{Inner: &types.VoteMsg{Vote: types.Vote{Round: 3}}, Relayer: 0},
 		&types.ExtraVote{Vote: types.Vote{Round: 4}, Leader: 0},
-		&types.SyncRequest{Block: blk.ID(), Have: 1, Sender: 0},
-		&types.SyncResponse{Blocks: []*types.Block{blk}, Sender: 0},
 		&types.StateSyncRequest{Have: 3, Sender: 0},
 		&types.StateSyncResponse{Blocks: []*types.Block{blk}, HighQC: types.NewGenesisQC(g.ID()), Sender: 0},
 		&types.RoundEntry{Round: 2, Justify: types.NewGenesisQC(g.ID()), Sender: 0, Signature: []byte("s")},

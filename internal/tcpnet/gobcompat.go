@@ -25,8 +25,6 @@ func RegisterMessages() {
 		gob.Register(&types.Timeout{})
 		gob.Register(&types.Echo{})
 		gob.Register(&types.ExtraVote{})
-		gob.Register(&types.SyncRequest{})
-		gob.Register(&types.SyncResponse{})
 		gob.Register(&types.StateSyncRequest{})
 		gob.Register(&types.StateSyncResponse{})
 		gob.Register(&types.RoundEntry{})

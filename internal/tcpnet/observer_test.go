@@ -100,13 +100,20 @@ func TestObserverMirrorAndRestrictions(t *testing.T) {
 		t.Fatalf("peer got broadcast from=%d round=%d, want 0 and 2", from, got.Round)
 	}
 
-	// An observer-sent vote must be dropped and counted, never delivered.
-	vote := &types.VoteMsg{Vote: types.Vote{Block: testBlock(1).ID(), Round: 1, Voter: 4}}
-	if err := obs.Send(0, vote); err != nil {
-		t.Fatal(err)
+	// Anything but a catch-up request from an observer — a vote, a proposal,
+	// a catch-up response — must be dropped and counted, never delivered.
+	restricted := []types.Message{
+		&types.VoteMsg{Vote: types.Vote{Block: testBlock(1).ID(), Round: 1, Voter: 4}},
+		&types.Proposal{Block: testBlock(3), Round: 3, Sender: 4},
+		&types.StateSyncResponse{Blocks: []*types.Block{testBlock(3)}, Sender: 4},
+	}
+	for _, m := range restricted {
+		if err := obs.Send(0, m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	waitCond(t, "restricted frame count", func() bool {
-		return nt0.FrameStats().Restricted == 1
+		return nt0.FrameStats().Restricted == int64(len(restricted))
 	})
 
 	// A catch-up request is whitelisted through with the observer's identity.
@@ -118,9 +125,7 @@ func TestObserverMirrorAndRestrictions(t *testing.T) {
 	}
 	select {
 	case in := <-nt0.Recv():
-		if _, ok := in.Msg.(*types.VoteMsg); ok {
-			t.Fatal("observer vote reached the replica's event loop")
-		}
+		t.Fatalf("observer's %T reached the replica's event loop", in.Msg)
 	default:
 	}
 }

@@ -119,6 +119,39 @@ func TestFrameStatsCounters(t *testing.T) {
 	}
 }
 
+// TestRetiredTagCountedMalformed: tags 6 and 7 left the wire, so a peer that
+// still sends them (a node at an older commit) is sending undecodable frames:
+// each is counted malformed and the connection keeps serving what follows.
+func TestRetiredTagCountedMalformed(t *testing.T) {
+	nt, err := tcpnet.Listen(tcpnet.Config{ID: 0, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nt.Close()
+
+	p := dialRaw(t, nt.Addr().String(), 2)
+	defer p.conn.Close()
+	// The retired request body: block ID, have, sender. The retired response
+	// body: sender, block count.
+	oldRequest := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(append([]byte{6}, make([]byte, 32)...), 1), 2)
+	oldResponse := []byte{7, 0, 0, 0, 2, 0, 0, 0, 0}
+	p.write(t, rawFrame(2, oldRequest))
+	p.write(t, rawFrame(2, oldResponse))
+	p.send(t, 2, &types.StateSyncRequest{Have: 1, Sender: 2})
+
+	select {
+	case in := <-nt.Recv():
+		if _, ok := in.Msg.(*types.StateSyncRequest); !ok || in.From != 2 {
+			t.Fatalf("unexpected inbound %+v", in)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the frame after the retired tags never arrived: the connection was dropped")
+	}
+	if st := nt.FrameStats(); st.Malformed != 2 {
+		t.Fatalf("retired-tag frames counted malformed %d times, want 2 (%+v)", st.Malformed, st)
+	}
+}
+
 // TestSelfHandshakeRejected pins the transport-level identity rule: a peer
 // handshaking as the node's own ID is spoofing by definition (engines treat
 // from == self as trusted loopback) and must produce no inbound messages.

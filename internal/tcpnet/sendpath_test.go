@@ -297,7 +297,7 @@ func TestCloseWithQueuedFramesLeaksNoGoroutine(t *testing.T) {
 	// ~1 MiB frames: 48 of them overflow the queues' byte bound, which also
 	// fills the blackhole socket's buffers many times over.
 	g := types.Genesis()
-	big := &types.SyncResponse{Blocks: []*types.Block{types.NewBlock(g.ID(), types.NewGenesisQC(g.ID()), 1, 1, 0, 0,
+	big := &types.StateSyncResponse{Blocks: []*types.Block{types.NewBlock(g.ID(), types.NewGenesisQC(g.ID()), 1, 1, 0, 0,
 		types.Payload{Txns: []types.Transaction{{Data: make([]byte, 1<<20)}}}, nil)}}
 	for i := 0; i < 48; i++ {
 		if err := nt.Broadcast(big); err != nil {

@@ -517,9 +517,6 @@ func mirrorable(msg types.Message) bool {
 // observerMay whitelists what an observer connection can feed the engine:
 // catch-up requests only.
 func observerMay(msg types.Message) bool {
-	switch msg.(type) {
-	case *types.SyncRequest, *types.StateSyncRequest:
-		return true
-	}
-	return false
+	_, ok := msg.(*types.StateSyncRequest)
+	return ok
 }

@@ -13,8 +13,10 @@ const (
 	MsgTimeout
 	MsgEcho
 	MsgExtraVote // FBFT baseline: a late vote multicast by the leader
-	MsgSyncRequest
-	MsgSyncResponse
+	// Tags 6 and 7 carried a per-block sync protocol that state sync
+	// superseded. They are retired, never reused: DecodeMessage rejects them.
+	_
+	_
 	MsgStateSyncRequest
 	MsgStateSyncResponse
 	MsgRoundEntry // active pacemaker: justified round-entry announcement
@@ -152,61 +154,11 @@ func (e *Echo) Size() int {
 // String renders the echo for logs.
 func (e *Echo) String() string { return fmt.Sprintf("echo{%v by %s}", e.Inner, e.Relayer) }
 
-// SyncRequest asks a peer for the ancestor chain of a block the requester
-// is missing (a replica that fell behind — e.g. after a partition — heals
-// its block tree this way before it can vote again).
-type SyncRequest struct {
-	// Block is the missing block whose ancestry is wanted.
-	Block BlockID
-	// Have is the requester's highest committed height; the responder
-	// sends blocks above it, newest-capped at its own chain.
-	Have   Height
-	Sender ReplicaID
-}
-
-// Type implements Message.
-func (s *SyncRequest) Type() MsgType { return MsgSyncRequest }
-
-// Size implements Message.
-func (s *SyncRequest) Size() int { return 1 + 32 + 8 + 4 }
-
-// String renders the request for logs.
-func (s *SyncRequest) String() string {
-	return fmt.Sprintf("syncreq{%s above h%d by %s}", s.Block, s.Have, s.Sender)
-}
-
-// SyncResponse carries a contiguous ascending chain segment ending at the
-// requested block. Each block embeds its parent's QC, so the segment is
-// self-certifying.
-type SyncResponse struct {
-	Blocks []*Block
-	Sender ReplicaID
-}
-
-// Type implements Message.
-func (s *SyncResponse) Type() MsgType { return MsgSyncResponse }
-
-// Size implements Message.
-func (s *SyncResponse) Size() int {
-	n := 1 + 4
-	for _, b := range s.Blocks {
-		if b != nil {
-			n += b.Size()
-		}
-	}
-	return n
-}
-
-// String renders the response for logs.
-func (s *SyncResponse) String() string {
-	return fmt.Sprintf("syncresp{%d blocks by %s}", len(s.Blocks), s.Sender)
-}
-
 // StateSyncRequest asks a peer for the certified chain above the
-// requester's committed height. Unlike SyncRequest (which heals one known
-// missing block), it is the catch-up message of internal/statesync: a
-// recovered or lagging replica that only knows how far it got asks peers
-// for everything after that.
+// requester's committed height. It is the catch-up message of
+// internal/statesync: a replica that recovered from its journal, or met a
+// proposal whose parent it does not hold, asks for everything after the
+// point it got to.
 type StateSyncRequest struct {
 	// Have is the requester's committed height; responders send certified
 	// blocks strictly above it.

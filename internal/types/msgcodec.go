@@ -2,7 +2,7 @@ package types
 
 import "fmt"
 
-// This file is the wire codec for the ten consensus messages: a one-byte
+// This file is the wire codec for the eight consensus messages: a one-byte
 // MsgType tag followed by a body assembled from the pinned encodings the
 // package already defines (Block.AppendEncoding, QC.Encode, TC.Encode,
 // Vote.Encode). internal/tcpnet frames these bytes; doc.go holds the layout
@@ -27,7 +27,7 @@ const MaxEchoDepth = 8
 const minBlockEncoding = 6 + 32 + 1 + 8 + 8 + 4 + 8 + 8 + 4
 
 // AppendMessage appends m's type tag and body to b. It fails only for a nil
-// interface, a message type outside the ten this package defines, or a sync
+// interface, a message type outside the eight this package defines, or a sync
 // response holding a nil block.
 func AppendMessage(b []byte, m Message) ([]byte, error) {
 	switch m := m.(type) {
@@ -56,15 +56,6 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 	case *ExtraVote:
 		b = m.Vote.Encode(append(b, byte(MsgExtraVote)))
 		return AppendUint32(b, uint32(m.Leader)), nil
-	case *SyncRequest:
-		b = append(b, byte(MsgSyncRequest))
-		b = append(b, m.Block[:]...)
-		b = AppendUint64(b, uint64(m.Have))
-		return AppendUint32(b, uint32(m.Sender)), nil
-	case *SyncResponse:
-		b = append(b, byte(MsgSyncResponse))
-		b = AppendUint32(b, uint32(m.Sender))
-		return appendBlocks(b, m.Blocks)
 	case *StateSyncRequest:
 		b = append(b, byte(MsgStateSyncRequest))
 		b = AppendUint64(b, uint64(m.Have))
@@ -137,10 +128,6 @@ func (r *msgReader) message(depth int) Message {
 		return m
 	case MsgExtraVote:
 		return &ExtraVote{Vote: r.vote(), Leader: ReplicaID(r.u32())}
-	case MsgSyncRequest:
-		return &SyncRequest{Block: r.id(), Have: Height(r.u64()), Sender: ReplicaID(r.u32())}
-	case MsgSyncResponse:
-		return &SyncResponse{Sender: ReplicaID(r.u32()), Blocks: r.blocks()}
 	case MsgStateSyncRequest:
 		return &StateSyncRequest{Have: Height(r.u64()), Sender: ReplicaID(r.u32())}
 	case MsgStateSyncResponse:
@@ -175,7 +162,6 @@ func consume[T any](r *msgReader, decode func([]byte) (T, []byte, error)) T {
 
 func (r *msgReader) u64() uint64 { return consume(r, ConsumeUint64) }
 func (r *msgReader) u32() uint32 { return consume(r, ConsumeUint32) }
-func (r *msgReader) id() BlockID { return consume(r, consumeID) }
 func (r *msgReader) vote() Vote  { return consume(r, DecodeVote) }
 
 func (r *msgReader) byte() byte {

@@ -30,10 +30,6 @@ func blocksOf(m types.Message, visit func(*types.Block)) {
 		if m.Inner != nil {
 			blocksOf(m.Inner, visit)
 		}
-	case *types.SyncResponse:
-		for _, b := range m.Blocks {
-			visit(b)
-		}
 	case *types.StateSyncResponse:
 		for _, b := range m.Blocks {
 			visit(b)
@@ -84,12 +80,10 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		{"echo/nested", &types.Echo{Inner: &types.Echo{Inner: &types.VoteMsg{Vote: seedVote()}, Relayer: 1}, Relayer: 2}},
 		{"echo/nil inner", &types.Echo{Relayer: 5}},
 		{"extra vote", &types.ExtraVote{Vote: seedIntervalVote(), Leader: 4}},
-		{"sync request", &types.SyncRequest{Block: small.ID(), Have: 17, Sender: 2}},
-		{"sync response", &types.SyncResponse{Blocks: []*types.Block{small, empty, big}, Sender: 1}},
-		{"sync response/no blocks", &types.SyncResponse{Sender: 1}},
 		{"state sync request", &types.StateSyncRequest{Have: 3, Sender: 9}},
-		{"state sync response", &types.StateSyncResponse{Blocks: []*types.Block{small, big}, HighQC: compactQC, Sender: 0}},
+		{"state sync response", &types.StateSyncResponse{Blocks: []*types.Block{small, empty, big}, HighQC: compactQC, Sender: 0}},
 		{"state sync response/nil high qc", &types.StateSyncResponse{Blocks: []*types.Block{empty}, Sender: 0}},
+		{"state sync response/no blocks", &types.StateSyncResponse{Sender: 1}},
 		{"round entry/qc", &types.RoundEntry{Round: 8, Justify: compactQC, Sender: 2, Signature: []byte("e")}},
 		{"round entry/tc", &types.RoundEntry{Round: 10, TC: seedTC(), Sender: 2, Signature: []byte("e")}},
 		{"round entry/unjustified", &types.RoundEntry{Round: 10, Sender: 2}},
@@ -124,8 +118,8 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 			}
 		})
 	}
-	if len(seen) != 10 {
-		t.Fatalf("table covers %d message types, want all 10", len(seen))
+	if len(seen) != 8 {
+		t.Fatalf("table covers %d message types, want all 8", len(seen))
 	}
 }
 
@@ -133,7 +127,7 @@ func TestMessageCodecRejects(t *testing.T) {
 	if _, err := types.AppendMessage(nil, nil); err == nil {
 		t.Fatal("nil message encoded")
 	}
-	if _, err := types.AppendMessage(nil, &types.SyncResponse{Blocks: []*types.Block{nil}}); err == nil {
+	if _, err := types.AppendMessage(nil, &types.StateSyncResponse{Blocks: []*types.Block{nil}}); err == nil {
 		t.Fatal("nil block in a sync segment encoded")
 	}
 	for _, in := range [][]byte{nil, {0}, {11}, {0xFF, 1, 2}} {
@@ -163,13 +157,51 @@ func TestMessageCodecRejects(t *testing.T) {
 	}
 }
 
+// retiredFrames returns well-formed bodies of the two message types that left
+// the wire, as the last commit that spoke them encoded them: tag 6 (block,
+// have, sender) and tag 7 (sender, block count, blocks).
+func retiredFrames() [][]byte {
+	id := seedBlock().ID()
+	req := append([]byte{6}, id[:]...)
+	req = types.AppendUint32(types.AppendUint64(req, 17), 2)
+	resp := seedBlock().AppendEncoding(types.AppendUint32(types.AppendUint32([]byte{7}, 1), 1))
+	return [][]byte{req, resp, {6}, {7}}
+}
+
+// TestRetiredTagsRejected: tags 6 and 7 are never reused — a body that starts
+// with either is an unknown tag — and the tags that outlived them keep their
+// numbers, so a peer at an older commit and one at this commit agree on
+// every frame both still speak.
+func TestRetiredTagsRejected(t *testing.T) {
+	for _, frame := range retiredFrames() {
+		m, err := types.DecodeMessage(frame)
+		if err == nil || !strings.Contains(err.Error(), "unknown message tag") {
+			t.Fatalf("tag %d body decoded to %v, err %v; want an unknown-tag error", frame[0], m, err)
+		}
+	}
+	for tag, want := range map[types.MsgType]uint8{
+		types.MsgProposal: 1, types.MsgVote: 2, types.MsgTimeout: 3, types.MsgEcho: 4, types.MsgExtraVote: 5,
+		types.MsgStateSyncRequest: 8, types.MsgStateSyncResponse: 9, types.MsgRoundEntry: 10,
+	} {
+		if uint8(tag) != want {
+			t.Fatalf("message tag renumbered: got %d, want %d", tag, want)
+		}
+	}
+	for _, m := range []types.Message{&types.StateSyncRequest{}, &types.StateSyncResponse{}, &types.RoundEntry{}} {
+		if e := encodeMessage(t, m); types.MsgType(e[0]) != m.Type() {
+			t.Fatalf("%T encodes under tag %d, Type() says %d", m, e[0], m.Type())
+		}
+	}
+}
+
 // TestDecodeCountsBoundAllocation: element counts come off the wire ahead of
 // the elements, so each decoder must bound its count by the bytes actually
 // present before it allocates. Every input here claims ~4 billion elements.
 func TestDecodeCountsBoundAllocation(t *testing.T) {
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xF0}
 	payload := append(types.AppendUint32(nil, 0), huge...) // padding, then the txn count
-	segment := append([]byte{byte(types.MsgSyncResponse), 0, 0, 0, 1}, huge...)
+	// Sender, no high QC, then the block count.
+	segment := append([]byte{byte(types.MsgStateSyncResponse), 0, 0, 0, 1, 0}, huge...)
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, _, err := types.DecodePayload(payload); err == nil {
 			t.Fatal("payload with a forged transaction count decoded")
@@ -194,10 +226,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		&types.Timeout{Round: 50, HighQC: seedQC(), HighRound: 42, Sender: 6, Signature: []byte("sig")},
 		&types.Echo{Inner: &types.Echo{Inner: &types.VoteMsg{Vote: seedVote()}, Relayer: 1}, Relayer: 2},
 		&types.ExtraVote{Vote: seedVote(), Leader: 4},
-		&types.SyncRequest{Have: 17, Sender: 2},
-		&types.SyncResponse{Blocks: []*types.Block{seedBlock(), types.Genesis()}, Sender: 1},
 		&types.StateSyncRequest{Have: 3, Sender: 9},
-		&types.StateSyncResponse{Blocks: []*types.Block{seedBlock()}, HighQC: mkCompactQC(0, 1, 2), Sender: 0},
+		&types.StateSyncResponse{Blocks: []*types.Block{seedBlock(), types.Genesis()}, HighQC: mkCompactQC(0, 1, 2), Sender: 0},
 		&types.RoundEntry{Round: 8, Justify: mkCompactQC(0, 1, 2), Sender: 2, Signature: []byte("e")},
 		&types.RoundEntry{Round: 10, TC: seedTC(), Sender: 2},
 	}
@@ -207,6 +237,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		f.Add(e[:len(e)/2])
 	}
 	f.Add([]byte{})
+	for _, frame := range retiredFrames() {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := types.DecodeMessage(data)
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/crypto"
 	"repro/internal/gateway"
 	"repro/internal/lightclient"
 	"repro/internal/observer"
@@ -126,15 +125,9 @@ type ObserverNode struct {
 	rt  *runtime.Node
 	net *tcpnet.ObserverNet
 
-	start   time.Time
-	started bool
-
-	mu       sync.Mutex
-	strength map[BlockID]int
-	height   Height
-	waiters  []*strengthWaiter
-	subs     []*subscription
-	closed   bool
+	// feed is the commit-strength stream, unfiltered: an observer has no
+	// commit rule, mempool or prune cut of its own.
+	feed
 
 	closeOnce sync.Once
 	closeErr  error
@@ -143,8 +136,9 @@ type ObserverNode struct {
 // NewObserver composes a non-voting observer node and attaches it to its
 // transport.
 func NewObserver(cfg ObserverConfig, tr ObserverTransport) (*ObserverNode, error) {
-	if cfg.N < 4 || (cfg.N-1)%3 != 0 {
-		return nil, fmt.Errorf("sft: N=%d must be 3f+1 with f >= 1", cfg.N)
+	ring, scheme, err := resolvePKI(cfg.N, cfg.Seed, cfg.Scheme, cfg.Ring)
+	if err != nil {
+		return nil, err
 	}
 	if tr == nil {
 		return nil, fmt.Errorf("sft: an observer transport is required")
@@ -155,28 +149,17 @@ func NewObserver(cfg ObserverConfig, tr ObserverTransport) (*ObserverNode, error
 	if int(cfg.ID) < cfg.N {
 		return nil, fmt.Errorf("sft: observer ID %d inside the voting committee [0, %d)", cfg.ID, cfg.N)
 	}
-	if cfg.Scheme == "" {
-		cfg.Scheme = SchemeEd25519
-	}
-	ring := cfg.Ring
-	if ring == nil {
-		var err error
-		ring, err = crypto.NewKeyRing(cfg.N, cfg.Seed, string(cfg.Scheme))
-		if err != nil {
-			return nil, err
-		}
-	}
 	mode := core.ModeRound
 	if cfg.Engine == Streamlet {
 		mode = core.ModeHeight
 	}
 	o := &ObserverNode{
-		id:       cfg.ID,
-		n:        cfg.N,
-		strength: make(map[BlockID]int),
+		id:   cfg.ID,
+		n:    cfg.N,
+		feed: feed{name: "observer", strength: make(map[BlockID]int)},
 	}
 	f := (cfg.N - 1) / 3
-	verify := cfg.Scheme == SchemeEd25519 || cfg.Scheme == Ed25519Aggregate
+	verify := scheme == SchemeEd25519 || scheme == Ed25519Aggregate
 	eng, err := observer.New(observer.Config{
 		ID:               cfg.ID,
 		N:                cfg.N,
@@ -217,8 +200,7 @@ func (o *ObserverNode) Run(ctx context.Context) error {
 	if o.rt == nil {
 		return fmt.Errorf("sft: observer is attached to a Simnet; drive it with Simnet.Run")
 	}
-	o.start = time.Now()
-	o.started = true
+	o.started = time.Now()
 	err := o.rt.Run(ctx)
 	cerr := o.Close()
 	if err != nil && err != ctx.Err() {
@@ -233,92 +215,25 @@ func (o *ObserverNode) Close() error {
 		if o.net != nil {
 			o.closeErr = o.net.Close()
 		}
-		o.mu.Lock()
-		o.closed = true
-		subs := o.subs
-		waiters := o.waiters
-		o.subs, o.waiters = nil, nil
-		o.mu.Unlock()
-		for _, sub := range subs {
-			sub.close()
-		}
-		for _, w := range waiters {
-			close(w.ready)
-		}
+		o.shut()
 	})
 	return o.closeErr
 }
 
 // Commits returns a fresh subscription to the observer's commit-strength
 // stream, with Node.Commits semantics.
-func (o *ObserverNode) Commits() <-chan CommitEvent {
-	sub := newSubscription()
-	o.mu.Lock()
-	closed := o.closed
-	if !closed {
-		o.subs = append(o.subs, sub)
-	}
-	o.mu.Unlock()
-	if closed {
-		sub.close()
-	}
-	return sub.ch
-}
+func (o *ObserverNode) Commits() <-chan CommitEvent { return o.subscribe() }
 
 // Strength returns the strongest commit level observed for the block, or -1.
-func (o *ObserverNode) Strength(id BlockID) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if x, ok := o.strength[id]; ok {
-		return x
-	}
-	return -1
-}
+func (o *ObserverNode) Strength(id BlockID) int { return o.strengthOf(id) }
 
 // CommittedHeight returns the highest committed height observed.
-func (o *ObserverNode) CommittedHeight() Height {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.height
-}
+func (o *ObserverNode) CommittedHeight() Height { return o.committedHeight() }
 
 // WaitStrength blocks until the observer sees block id at strength >= x, the
 // context is done, or the observer closes.
 func (o *ObserverNode) WaitStrength(ctx context.Context, id BlockID, x int) error {
-	for {
-		o.mu.Lock()
-		if cur, ok := o.strength[id]; ok && cur >= x {
-			o.mu.Unlock()
-			return nil
-		}
-		if o.closed {
-			o.mu.Unlock()
-			return fmt.Errorf("sft: observer closed before block reached strength %d", x)
-		}
-		w := &strengthWaiter{id: id, x: x, ready: make(chan struct{})}
-		o.waiters = append(o.waiters, w)
-		o.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			o.mu.Lock()
-			for i, other := range o.waiters {
-				if other == w {
-					o.waiters = append(o.waiters[:i], o.waiters[i+1:]...)
-					break
-				}
-			}
-			o.mu.Unlock()
-			return ctx.Err()
-		case <-w.ready:
-		}
-	}
-}
-
-func (o *ObserverNode) now() time.Duration {
-	if !o.started {
-		return 0
-	}
-	return time.Since(o.start)
+	return o.waitStrength(ctx, id, x)
 }
 
 func (o *ObserverNode) onCommit(now time.Duration, b *Block) {
@@ -328,31 +243,6 @@ func (o *ObserverNode) onCommit(now time.Duration, b *Block) {
 
 func (o *ObserverNode) onStrength(now time.Duration, b *Block, x int) {
 	o.publish(CommitEvent{Block: b, Height: b.Height, Round: b.Round, Strength: x, Time: now})
-}
-
-func (o *ObserverNode) publish(ev CommitEvent) {
-	id := ev.Block.ID()
-	o.mu.Lock()
-	if cur, ok := o.strength[id]; !ok || ev.Strength > cur {
-		o.strength[id] = ev.Strength
-	}
-	if ev.Height > o.height {
-		o.height = ev.Height
-	}
-	kept := o.waiters[:0]
-	for _, w := range o.waiters {
-		if w.id == id && ev.Strength >= w.x {
-			close(w.ready)
-			continue
-		}
-		kept = append(kept, w)
-	}
-	o.waiters = kept
-	subs := o.subs
-	o.mu.Unlock()
-	for _, sub := range subs {
-		sub.push(ev)
-	}
 }
 
 // GatewayConfig parameterizes a strength-subscription gateway.
@@ -380,19 +270,9 @@ type GatewayService struct {
 
 // NewGateway composes a gateway over the committee's PKI.
 func NewGateway(cfg GatewayConfig) (*GatewayService, error) {
-	if cfg.N < 4 || (cfg.N-1)%3 != 0 {
-		return nil, fmt.Errorf("sft: N=%d must be 3f+1 with f >= 1", cfg.N)
-	}
-	if cfg.Scheme == "" {
-		cfg.Scheme = SchemeEd25519
-	}
-	ring := cfg.Ring
-	if ring == nil {
-		var err error
-		ring, err = crypto.NewKeyRing(cfg.N, cfg.Seed, string(cfg.Scheme))
-		if err != nil {
-			return nil, err
-		}
+	ring, _, err := resolvePKI(cfg.N, cfg.Seed, cfg.Scheme, cfg.Ring)
+	if err != nil {
+		return nil, err
 	}
 	return &GatewayService{gw: gateway.New(gateway.Config{
 		F:          (cfg.N - 1) / 3,
@@ -495,19 +375,9 @@ type Subscriber struct {
 // Subscribe dials a gateway, registers the subscription, and starts the
 // verified event stream.
 func Subscribe(addr string, cfg SubscriberConfig) (*Subscriber, error) {
-	if cfg.N < 4 || (cfg.N-1)%3 != 0 {
-		return nil, fmt.Errorf("sft: N=%d must be 3f+1 with f >= 1", cfg.N)
-	}
-	if cfg.Scheme == "" {
-		cfg.Scheme = SchemeEd25519
-	}
-	ring := cfg.Ring
-	if ring == nil {
-		var err error
-		ring, err = crypto.NewKeyRing(cfg.N, cfg.Seed, string(cfg.Scheme))
-		if err != nil {
-			return nil, err
-		}
+	ring, _, err := resolvePKI(cfg.N, cfg.Seed, cfg.Scheme, cfg.Ring)
+	if err != nil {
+		return nil, err
 	}
 	timeout := cfg.DialTimeout
 	if timeout <= 0 {

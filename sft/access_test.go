@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -281,5 +282,46 @@ func TestLyingGatewayCaught(t *testing.T) {
 	var proofErr *sft.ErrProofInvalid
 	if !errors.As(sub.Err(), &proofErr) {
 		t.Fatalf("Err() = %v, want ErrProofInvalid", sub.Err())
+	}
+}
+
+// TestAccessConstructorsRejectWrongSizedRing: a supplied key ring that does
+// not cover the committee is an error at construction in every constructor
+// that takes one (sft.New's case is in TestNewValidation). A short ring
+// verifies nothing — KeyRing.Verify is false for a signer it does not hold —
+// which would read as an observer that never advances.
+func TestAccessConstructorsRejectWrongSizedRing(t *testing.T) {
+	ring, err := sft.NewKeyRing(4, 1, sft.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "key ring holds 4 keys, cluster has 7"
+	world, err := sft.NewSimnet(sft.SimnetConfig{N: 7, Observers: 1, Latency: &sft.UniformLatency{Base: time.Millisecond}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		construct func() error
+	}{
+		{"NewObserver", func() error {
+			_, err := sft.NewObserver(sft.ObserverConfig{N: 7, Seed: 1, Scheme: sft.SchemeSim, Ring: ring}, world.ObserverTransport(0))
+			return err
+		}},
+		{"NewGateway", func() error {
+			_, err := sft.NewGateway(sft.GatewayConfig{N: 7, Seed: 1, Scheme: sft.SchemeSim, Ring: ring})
+			return err
+		}},
+		{"Subscribe", func() error {
+			// The address is never dialed: the ring is checked first.
+			_, err := sft.Subscribe("127.0.0.1:1", sft.SubscriberConfig{N: 7, Seed: 1, Scheme: sft.SchemeSim, Ring: ring})
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.construct(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s with a 4-key ring and N=7: err = %v, want %q", c.name, err, want)
+			}
+		})
 	}
 }

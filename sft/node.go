@@ -114,44 +114,19 @@ type Node struct {
 	walDir   string
 	restored *RecoveryInfo
 
-	metrics  *Metrics
-	observer func(CommitEvent)
-	mempool  *Mempool
+	metrics *Metrics
 
 	// obs and health are set by WithObservability; both read as nil-safe
 	// no-ops when the option is absent.
 	obs    *obs.Obs
 	health *healthState
 
-	start   time.Time
-	started bool
-
-	mu       sync.Mutex
-	strength map[BlockID]int
-	height   Height
-	waiters  []*strengthWaiter
-	subs     []*subscription
-	closed   bool
-
-	// Under WithPruneKeep, strength forgets blocks more than that many
-	// heights below height, as the engine does at its cut. order lists the
-	// map's keys as first inserted, which is height order but for the blocks
-	// of one event, so what falls below the floor is found at its front.
-	order []strengthKey
+	// feed is the commit-strength stream; its mutex also guards eng and
+	// journal, which Simnet restarts swap.
+	feed
 
 	closeOnce sync.Once
 	closeErr  error
-}
-
-type strengthKey struct {
-	height Height
-	id     BlockID
-}
-
-type strengthWaiter struct {
-	id    BlockID
-	x     int
-	ready chan struct{}
 }
 
 // healthState wraps the single-threaded health.Monitor for concurrent
@@ -220,8 +195,7 @@ func (n *Node) Run(ctx context.Context) error {
 	if n.rt == nil {
 		return fmt.Errorf("sft: node %d is attached to a Simnet; drive it with Simnet.Run", n.cfg.ID)
 	}
-	n.start = time.Now()
-	n.started = true
+	n.started = time.Now()
 	err := n.rt.Run(ctx)
 	cerr := n.Close()
 	if err != nil && err != ctx.Err() {
@@ -249,18 +223,7 @@ func (n *Node) Close() error {
 				n.closeErr = err
 			}
 		}
-		n.mu.Lock()
-		n.closed = true
-		subs := n.subs
-		waiters := n.waiters
-		n.subs, n.waiters = nil, nil
-		n.mu.Unlock()
-		for _, sub := range subs {
-			sub.close()
-		}
-		for _, w := range waiters {
-			close(w.ready) // unblock; WaitStrength re-checks and reports closure
-		}
+		n.shut()
 	})
 	return n.closeErr
 }
@@ -270,38 +233,15 @@ func (n *Node) Close() error {
 // CommitEvent at or above CommitRule.MinStrength, in order, without
 // back-pressure on the consensus path (events are buffered unboundedly
 // until consumed). The channel closes when the node closes.
-func (n *Node) Commits() <-chan CommitEvent {
-	sub := newSubscription()
-	n.mu.Lock()
-	closed := n.closed
-	if !closed {
-		n.subs = append(n.subs, sub)
-	}
-	n.mu.Unlock()
-	if closed {
-		sub.close()
-	}
-	return sub.ch
-}
+func (n *Node) Commits() <-chan CommitEvent { return n.subscribe() }
 
 // Strength returns the strongest commit level the node has observed for the
 // block: -1 before the regular commit, then F..2F — and -1 again once
 // WithPruneKeep has forgotten the block.
-func (n *Node) Strength(id BlockID) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if x, ok := n.strength[id]; ok {
-		return x
-	}
-	return -1
-}
+func (n *Node) Strength(id BlockID) int { return n.strengthOf(id) }
 
 // CommittedHeight returns the highest committed height observed.
-func (n *Node) CommittedHeight() Height {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.height
-}
+func (n *Node) CommittedHeight() Height { return n.committedHeight() }
 
 // WaitStrength blocks until the node observes block id at strength >= x, the
 // context is done, or the node closes. It is the programmatic form of the
@@ -312,39 +252,7 @@ func (n *Node) CommittedHeight() Height {
 // the engine, which pruned it too, reports no rise for it: that wait ends
 // with its context.
 func (n *Node) WaitStrength(ctx context.Context, id BlockID, x int) error {
-	for {
-		n.mu.Lock()
-		if cur, ok := n.strength[id]; ok && cur >= x {
-			n.mu.Unlock()
-			return nil
-		}
-		if n.closed {
-			n.mu.Unlock()
-			return fmt.Errorf("sft: node closed before block reached strength %d", x)
-		}
-		w := &strengthWaiter{id: id, x: x, ready: make(chan struct{})}
-		n.waiters = append(n.waiters, w)
-		n.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			n.dropWaiter(w)
-			return ctx.Err()
-		case <-w.ready:
-			// Either the strength was reached or the node closed; loop to
-			// re-check under the lock.
-		}
-	}
-}
-
-func (n *Node) dropWaiter(w *strengthWaiter) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for i, other := range n.waiters {
-		if other == w {
-			n.waiters = append(n.waiters[:i], n.waiters[i+1:]...)
-			return
-		}
-	}
+	return n.waitStrength(ctx, id, x)
 }
 
 // Metrics returns a snapshot of the node's counters, including the TCP
@@ -409,14 +317,6 @@ func (n *Node) swapIncarnation(eng engine.Engine, journal *journalHandle) {
 	}
 }
 
-// now returns the node's event clock for real transports.
-func (n *Node) now() time.Duration {
-	if !n.started {
-		return 0
-	}
-	return time.Since(n.start)
-}
-
 // onCommit and onStrength are the node's internal observers, wired into the
 // runtime callbacks or the Simnet dispatcher by the transport attach.
 func (n *Node) onCommit(now time.Duration, b *Block) {
@@ -432,58 +332,6 @@ func (n *Node) onCommit(now time.Duration, b *Block) {
 func (n *Node) onStrength(now time.Duration, b *Block, x int) {
 	n.metrics.onStrength(x)
 	n.publish(CommitEvent{Block: b, Height: b.Height, Round: b.Round, Strength: x, Time: now})
-}
-
-// publish records the event and fans it out: strength bookkeeping and
-// waiters always see it; subscriptions and the observer only at or above
-// the commit rule's threshold.
-func (n *Node) publish(ev CommitEvent) {
-	id := ev.Block.ID()
-	n.mu.Lock()
-	cur, seen := n.strength[id]
-	if !seen || ev.Strength > cur {
-		n.strength[id] = ev.Strength
-	}
-	if ev.Height > n.height {
-		n.height = ev.Height
-	}
-	if keep := n.spec.PruneKeep; keep > 0 {
-		if !seen {
-			n.order = append(n.order, strengthKey{ev.Height, id})
-		}
-		for len(n.order) > 0 && n.order[0].height+keep < n.height {
-			delete(n.strength, n.order[0].id)
-			n.order = n.order[1:]
-		}
-	}
-	// Wake satisfied waiters.
-	kept := n.waiters[:0]
-	for _, w := range n.waiters {
-		if w.id == id && ev.Strength >= w.x {
-			close(w.ready)
-			continue
-		}
-		kept = append(kept, w)
-	}
-	n.waiters = kept
-	deliver := ev.Strength >= n.rule.MinStrength
-	var subs []*subscription
-	if deliver {
-		subs = n.subs
-	}
-	n.mu.Unlock()
-	// The conflict gate observes every event (below MinStrength too — holds
-	// must release at the transaction's OWN requirement, not the node's
-	// subscription filter), synchronously so Simnet runs stay deterministic.
-	if n.mempool != nil {
-		n.mempool.observe(ev)
-	}
-	for _, sub := range subs {
-		sub.push(ev)
-	}
-	if deliver && n.observer != nil {
-		n.observer(ev)
-	}
 }
 
 // subscription is one unbounded commit-event queue with a pump goroutine

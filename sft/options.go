@@ -19,7 +19,6 @@ type settings struct {
 	engine    Engine
 	rule      CommitRule
 	scheme    Scheme
-	verify    bool // force signature verification even under SchemeSim
 	ring      *KeyRing
 	transport Transport
 
@@ -120,13 +119,6 @@ func WithScheme(sc Scheme) Option {
 		}
 		s.scheme = sc
 	}
-}
-
-// WithSignatureVerification forces full signature checking even under
-// SchemeSim (ed25519 always verifies). The determinism tests use it to pin
-// verified and unverified runs against each other.
-func WithSignatureVerification() Option {
-	return func(s *settings) { s.verify = true }
 }
 
 // WithKeyRing shares a pre-derived PKI across in-process nodes so the

@@ -267,20 +267,46 @@ func NewKeyRing(n int, seed int64, scheme Scheme) (*KeyRing, error) {
 	return crypto.NewKeyRing(n, seed, string(scheme))
 }
 
+// resolvePKI is the one place a constructor turns "N, seed, scheme, maybe a
+// ring" into the committee's key ring: N must be 3f+1, no scheme means
+// ed25519, no ring means the one derived from the seed, and a supplied ring
+// must hold exactly N keys. KeyRing.Verify is false for a signer outside the
+// ring, so a short ring would reject every certificate without ever saying
+// why; a long one belongs to another cluster. It returns the ring and the
+// scheme in effect.
+func resolvePKI(n int, seed int64, scheme Scheme, ring *KeyRing) (*KeyRing, Scheme, error) {
+	if n < 4 || (n-1)%3 != 0 {
+		return nil, "", fmt.Errorf("sft: N=%d must be 3f+1 with f >= 1", n)
+	}
+	if scheme == "" {
+		scheme = SchemeEd25519
+	}
+	if ring == nil {
+		var err error
+		if ring, err = crypto.NewKeyRing(n, seed, string(scheme)); err != nil {
+			return nil, "", err
+		}
+	} else if ring.N() != n {
+		return nil, "", fmt.Errorf("sft: key ring holds %d keys, cluster has %d replicas", ring.N(), n)
+	}
+	return ring, scheme, nil
+}
+
 // New composes a replica node from the configuration and options: engine,
 // commit rule, signature scheme, transport, durability and metrics all flow
 // through this one path. The returned Node is not yet processing events —
 // call Run (TCP/LocalNet transports) or drive the Simnet it is attached to.
 func New(cfg Config, opts ...Option) (*Node, error) {
-	if cfg.N < 4 || (cfg.N-1)%3 != 0 {
-		return nil, fmt.Errorf("sft: N=%d must be 3f+1 with f >= 1", cfg.N)
-	}
-	if int(cfg.ID) < 0 || int(cfg.ID) >= cfg.N {
-		return nil, fmt.Errorf("sft: ID=%d outside [0, %d)", cfg.ID, cfg.N)
-	}
 	s := defaultSettings()
 	for _, opt := range opts {
 		opt(&s)
+	}
+	ring, scheme, err := resolvePKI(cfg.N, cfg.Seed, s.scheme, s.ring)
+	if err != nil {
+		return nil, err
+	}
+	if int(cfg.ID) < 0 || int(cfg.ID) >= cfg.N {
+		return nil, fmt.Errorf("sft: ID=%d outside [0, %d)", cfg.ID, cfg.N)
 	}
 	if s.err != nil {
 		return nil, s.err
@@ -292,27 +318,22 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	ring := s.ring
-	if ring == nil {
-		ring, err = crypto.NewKeyRing(cfg.N, cfg.Seed, string(s.scheme))
-		if err != nil {
-			return nil, err
-		}
-	} else if ring.N() != cfg.N {
-		// Fail at construction: a short ring would otherwise panic deep in
-		// the event loop when an out-of-range replica first signs.
-		return nil, fmt.Errorf("sft: key ring holds %d keys, cluster has %d replicas", ring.N(), cfg.N)
-	}
-	verify := s.scheme == SchemeEd25519 || s.scheme == Ed25519Aggregate || s.verify
+	verify := scheme == SchemeEd25519 || scheme == Ed25519Aggregate
 
 	n := &Node{
-		cfg:      cfg,
-		rule:     rule,
-		metrics:  s.metrics,
-		observer: s.observer,
-		mempool:  s.mempool,
-		strength: make(map[BlockID]int),
+		cfg:     cfg,
+		rule:    rule,
+		metrics: s.metrics,
+		feed: feed{
+			name:        "node",
+			minStrength: rule.MinStrength,
+			pruneKeep:   s.pruneKeep,
+			callback:    s.observer,
+			strength:    make(map[BlockID]int),
+		},
+	}
+	if s.mempool != nil {
+		n.gate = s.mempool.observe
 	}
 	if n.metrics == nil {
 		n.metrics = &Metrics{}
