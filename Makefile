@@ -64,12 +64,16 @@ bench-smoke:
 # bookkeeping steps at three kept-window sizes (BenchmarkMarkerExtend and
 # BenchmarkPruneStep must read about the same at 64, 512 and 4096), and the
 # tracker at the paper's scale (BenchmarkTrackerOnQCFresh: n=100, each
-# certificate new; BenchmarkTrackerOnQC is the already-covered fast path).
+# certificate new; BenchmarkTrackerOnQC is the already-covered fast path),
+# and one timed-out round at n=100 as one replica sees it
+# (BenchmarkTimedOutRound: 99 timeouts carrying one certificate, which is
+# examined once).
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyQCCached|BenchmarkVerifyQCBatch' -benchmem ./internal/crypto/
 	$(GO) test -run '^$$' -bench BenchmarkSimnetEventLoop -benchmem ./internal/simnet/
 	$(GO) test -run '^$$' -bench 'BenchmarkTrackerOnQC|BenchmarkMarker|BenchmarkJournalAppendVote' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkPruneStep -benchmem ./internal/replica/
+	$(GO) test -run '^$$' -bench BenchmarkTimedOutRound -benchmem ./internal/diembft/
 	$(GO) test -run '^$$' -bench BenchmarkSigningPayload -benchmem ./internal/types/
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendFlush|BenchmarkReplay' -benchmem ./internal/wal/
 

@@ -334,6 +334,18 @@
 // the first then the second, skipping the first for loopback. Whoever runs
 // Prevalidate counts it once (obs.OnPrevalidate) and keeps per-sender FIFO.
 //
+// Every certificate check goes through replica.Certs.VerifyQC, which has two
+// arms — structure only, or the content-keyed verified-QC cache and the batch
+// verifier when signatures are on — and one front for both: an identity memo
+// of the last two *QC this replica accepted. The same object delivered again
+// is accepted without being read: one high QC rides in every peer's timeout
+// of a round, and the simulator hands all of them the same pointer (a TCP
+// node decodes a fresh object per frame, so there the content-keyed cache
+// does that work). Any other pointer, equal content or not, takes the whole
+// arm, and a pointer is remembered only after it did. That is sound
+// because a message is immutable after hand-off (internal/engine) and the
+// memo's own reference keeps the address from being reused.
+//
 //	message       stateless (Prevalidate)                          stateful (state stage)
 //	Proposal      block and justify present, round/proposer match, reputation leader (reads the store),
 //	 (DiemBFT)    round-robin leader, justify certifies parent,    stale round, parent presence /

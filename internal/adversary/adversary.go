@@ -161,6 +161,8 @@ type Replica struct {
 	delayed   map[int][]Outbound
 	nextTimer int
 
+	// outs is the current event's outputs, one array for every event; the
+	// inner engine's slice is consumed inside transform and never kept.
 	outs []engine.Output
 	now  time.Duration
 }
@@ -239,13 +241,12 @@ func (r *Replica) OnTimer(now time.Duration, id int) []engine.Output {
 	if id < 0 {
 		pending := r.delayed[id]
 		delete(r.delayed, id)
-		r.outs = r.outs[:0]
-		r.now = now
+		r.outs, r.now = engine.Recycle(r.outs), now
 		for _, out := range pending {
 			out.Delay = 0
 			r.materialize(out)
 		}
-		return r.take()
+		return r.outs
 	}
 	return r.transform(now, r.inner.OnTimer(now, id))
 }
@@ -272,8 +273,7 @@ func (r *Replica) observe(now time.Duration, from types.ReplicaID, msg types.Mes
 // engine's outputs, each Emitter behavior gets a chance to inject its own
 // transmissions (fed through the rest of the chain).
 func (r *Replica) transform(now time.Duration, outs []engine.Output) []engine.Output {
-	r.outs = r.outs[:0]
-	r.now = now
+	r.outs, r.now = engine.Recycle(r.outs), now
 	for _, out := range outs {
 		switch o := out.(type) {
 		case engine.Send:
@@ -290,13 +290,7 @@ func (r *Replica) transform(now time.Duration, outs []engine.Output) []engine.Ou
 			e.Emit(&r.ctx, now, func(o Outbound) { r.chain(next, o) })
 		}
 	}
-	return r.take()
-}
-
-func (r *Replica) take() []engine.Output {
-	outs := make([]engine.Output, len(r.outs))
-	copy(outs, r.outs)
-	return outs
+	return r.outs
 }
 
 // chain feeds out through behaviors[i:]; emissions of behavior i continue at

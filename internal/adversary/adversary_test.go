@@ -8,26 +8,30 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/crypto"
 	"repro/internal/engine"
+	"repro/internal/engine/enginetest"
 	"repro/internal/types"
 )
 
 // stubEngine replays scripted outputs, one batch per event, so behaviors can
-// be unit-tested without a full consensus engine.
+// be unit-tested without a full consensus engine. Like the real engines it
+// hands every batch out of one array, zeroed and refilled by the next event.
 type stubEngine struct {
 	id      types.ReplicaID
 	scripts [][]engine.Output
 	step    int
+	outs    []engine.Output
 }
 
 func (s *stubEngine) ID() types.ReplicaID { return s.id }
 
 func (s *stubEngine) next() []engine.Output {
-	if s.step >= len(s.scripts) {
-		return nil
+	clear(s.outs)
+	s.outs = s.outs[:0]
+	if s.step < len(s.scripts) {
+		s.outs = append(s.outs, s.scripts[s.step]...)
+		s.step++
 	}
-	outs := s.scripts[s.step]
-	s.step++
-	return outs
+	return s.outs
 }
 
 func (s *stubEngine) Init(now time.Duration) []engine.Output { return s.next() }
@@ -107,6 +111,28 @@ func TestWithholdDropsOwnVotes(t *testing.T) {
 	if len(outs) != 2 {
 		t.Fatalf("expected proposal + timer to survive, got %d outputs", len(outs))
 	}
+}
+
+// TestOutputLifetime: the output-slice contract (engine.Engine) through the
+// wrapper, over an inner engine that reuses its own array: a vote withheld
+// from between a proposal and a timer, then a timer alone.
+func TestOutputLifetime(t *testing.T) {
+	ring := testRing(t, 4)
+	p := proposal(t, ring, 1, 1)
+	build := func() engine.Engine {
+		inner := &stubEngine{id: 1, scripts: [][]engine.Output{{
+			engine.Broadcast{Msg: p, SelfDeliver: true},
+			engine.Send{To: 2, Msg: &types.VoteMsg{Vote: vote(ring, 1, p.Block)}},
+			engine.SetTimer{ID: 7, Delay: time.Second},
+		}, {
+			engine.SetTimer{ID: 8, Delay: time.Second},
+		}}}
+		return wrap(t, inner, 1, adversary.Spec{Kind: adversary.Withhold})
+	}
+	enginetest.CheckOutputLifetime(t, build(), build(),
+		func(e engine.Engine) []engine.Output { return e.OnMessage(0, 0, p) },
+		func(e engine.Engine) []engine.Output { return e.OnTimer(0, 7) },
+		p)
 }
 
 // TestEquivocateSplitsOwnProposal: the broadcast becomes per-replica sends,

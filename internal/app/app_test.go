@@ -267,3 +267,44 @@ func TestBankApplyAllocs(t *testing.T) {
 		t.Fatalf("%.1f allocs per applied txn (avg %.0f per block), want <= 6", perTxn, avg)
 	}
 }
+
+// TestBankKeysVerdictsBounded: the verdict memo holds at most two
+// generations however many distinct signatures pass through it, and a verdict
+// it has dropped is computed again, the same: a genuine signature still
+// verifies and a forged one still does not.
+func TestBankKeysVerdictsBounded(t *testing.T) {
+	keys := NewBankKeys(7)
+	tx := BankTx{Op: OpTransfer, From: 3, To: 4, Amount: 1, Nonce: 1}
+	SignBankTx(7, &tx)
+	payload := tx.AppendSigningPayload(nil)
+	forged := tx.Sig
+	forged[0] ^= 1
+	check := func(when string) {
+		t.Helper()
+		if !keys.Verify(tx.From, payload, tx.Sig[:]) {
+			t.Fatalf("%s: genuine signature rejected", when)
+		}
+		if keys.Verify(tx.From, payload, forged[:]) {
+			t.Fatalf("%s: forged signature accepted", when)
+		}
+	}
+	check("first sight")
+	// Distinct signatures with the top bits of S set: ed25519 refuses them
+	// before any curve arithmetic, so the flood costs a hash and a map insert
+	// each.
+	var junk [64]byte
+	junk[63] = 0xff
+	for i := 0; i < 3*verdictGen; i++ {
+		junk[0], junk[1], junk[2] = byte(i), byte(i>>8), byte(i>>16)
+		if keys.Verify(tx.From, payload, junk[:]) {
+			t.Fatal("junk signature accepted")
+		}
+	}
+	keys.mu.RLock()
+	held := len(keys.young) + len(keys.old)
+	keys.mu.RUnlock()
+	if held > 2*verdictGen || held < verdictGen {
+		t.Fatalf("%d verdicts held after %d distinct signatures, want %d..%d", held, 3*verdictGen+2, verdictGen, 2*verdictGen)
+	}
+	check("after eviction")
+}

@@ -436,18 +436,33 @@ func consume(b, magic []byte) ([]byte, error) {
 
 // BankKeys caches account public keys and signature verdicts. Safe for
 // concurrent use, shareable across in-process replicas: key derivation and
-// ed25519 verification are deterministic, so the cache is pure memoization.
+// ed25519 verification are deterministic, so the cache is pure memoization
+// and forgetting a verdict only costs verifying again.
 type BankKeys struct {
 	seed int64
 
-	mu       sync.RWMutex
-	pubs     map[uint32]ed25519.PublicKey
-	verdicts map[[32]byte]bool
+	mu   sync.RWMutex
+	pubs map[uint32]ed25519.PublicKey
+	// Verdicts live in two generations: new ones go to young, and when young
+	// holds verdictGen of them it becomes old and what old held is dropped.
+	// A lookup reads both and moves nothing, so it stays under the read lock.
+	young, old map[[32]byte]bool
 }
+
+// verdictGen is one generation of remembered verdicts. A verdict is asked for
+// again within moments — by the other replicas sharing the cache, or when a
+// block is re-executed on another fork — so two generations of 32Ki cover
+// seconds of traffic at any rate this stack reaches, in about 3 MB.
+const verdictGen = 1 << 15
 
 // NewBankKeys creates a cache for the account keyspace derived from seed.
 func NewBankKeys(seed int64) *BankKeys {
-	return &BankKeys{seed: seed, pubs: make(map[uint32]ed25519.PublicKey), verdicts: make(map[[32]byte]bool)}
+	return &BankKeys{
+		seed:  seed,
+		pubs:  make(map[uint32]ed25519.PublicKey),
+		young: make(map[[32]byte]bool),
+		old:   make(map[[32]byte]bool),
+	}
 }
 
 // Pub returns account id's public key, deriving and caching it on first use.
@@ -478,14 +493,21 @@ func (k *BankKeys) Verify(from uint32, payload, sig []byte) bool {
 	h.Sum(key[:0])
 
 	k.mu.RLock()
-	verdict, ok := k.verdicts[key]
+	verdict, ok := k.young[key]
+	if !ok {
+		verdict, ok = k.old[key]
+	}
 	k.mu.RUnlock()
 	if ok {
 		return verdict
 	}
 	verdict = ed25519.Verify(k.Pub(from), payload, sig)
 	k.mu.Lock()
-	k.verdicts[key] = verdict
+	if len(k.young) >= verdictGen {
+		k.young, k.old = k.old, k.young
+		clear(k.young)
+	}
+	k.young[key] = verdict
 	k.mu.Unlock()
 	return verdict
 }

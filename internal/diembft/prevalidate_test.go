@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine/enginetest"
 	"repro/internal/obs"
 	"repro/internal/replica"
+	"repro/internal/statesync"
 	"repro/internal/types"
 )
 
@@ -433,10 +434,23 @@ func TestAllocsOnMessageDoor(t *testing.T) {
 	})
 	msg := &types.VoteMsg{Vote: fx.vote(fx.b1, 0)} // round-1 votes go to replica 1
 	if a := testing.AllocsPerRun(1000, func() {
-		if outs := fx.rep.OnMessage(0, 0, msg); outs != nil {
+		if outs := fx.rep.OnMessage(0, 0, msg); len(outs) != 0 {
 			t.Fatal("outputs from an ignored vote")
 		}
 	}); a != 0 {
 		t.Fatalf("OnMessage door: %v allocs/op, want 0", a)
 	}
+}
+
+// TestOutputLifetime: the output-slice contract (engine.Engine). The round
+// timer's timeout broadcast and re-armed timer, then the one-output answer to
+// a catch-up request.
+func TestOutputLifetime(t *testing.T) {
+	a, b := newDoorFixture(t, nil, nil), newDoorFixture(t, nil, nil)
+	enginetest.CheckOutputLifetime(t, a.rep, b.rep,
+		func(e engine.Engine) []engine.Output { return e.OnTimer(0, int(a.rep.Round())<<1) },
+		func(e engine.Engine) []engine.Output {
+			return e.OnMessage(0, 0, statesync.NewRequest(0, 0))
+		},
+		&types.VoteMsg{Vote: a.vote(a.b2, 0)})
 }

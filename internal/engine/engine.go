@@ -41,6 +41,22 @@ import (
 // the outcome (obs.OnPrevalidate), and preserves per-sender FIFO between
 // Prevalidate and OnVerifiedMessage; cross-sender order is unconstrained,
 // exactly like the network.
+//
+// Two ownership rules hold across the interface, one in each direction:
+//
+//   - A message is immutable once handed over: to Prevalidate, OnMessage or
+//     OnVerifiedMessage by a caller, or inside an Output by an engine. Nobody
+//     writes to it, or to anything it points to, afterwards. Engines keep
+//     what they are given (the block store holds the delivered *QC) and
+//     remember by pointer what they have checked (replica.Certs), and the
+//     simulator hands one object to every recipient; whoever needs a variant
+//     builds a copy, as the adversary behaviors do.
+//   - The []Output returned by Init, OnMessage, OnVerifiedMessage or OnTimer
+//     is valid until the next of those four calls on the same engine, which
+//     may overwrite it: engines reuse one array. A caller consumes it at once
+//     (runtime.Node.apply, simnet's apply, the adversary wrapper's transform)
+//     or copies it. Prevalidate is not one of the four and leaves the
+//     slice alone, since transports run it beside the consumer.
 type Engine interface {
 	// ID returns the replica this engine instance embodies.
 	ID() types.ReplicaID
@@ -60,6 +76,14 @@ type Engine interface {
 	// tolerate stale timers (e.g. a round timer firing after the round
 	// already advanced).
 	OnTimer(now time.Duration, id int) []Output
+}
+
+// Recycle empties an engine's output array for its next event and returns it
+// for refilling. The outputs are zeroed, not just cut off: the array outlives
+// them and must not keep their messages and blocks reachable.
+func Recycle(outs []Output) []Output {
+	clear(outs)
+	return outs[:0]
 }
 
 // Output is one action requested by an engine. The concrete types below are

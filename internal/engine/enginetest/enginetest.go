@@ -1,6 +1,6 @@
 // Package enginetest is the test support every engine's rejection table and
 // FuzzOnMessage target share: the two doors a message can arrive through,
-// and the check that they are the same door.
+// the check that they are the same door, and the lifetime of what comes out.
 package enginetest
 
 import (
@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -108,6 +109,55 @@ func CheckDoors(t *testing.T, a, b engine.Engine, from types.ReplicaID, data []b
 	}
 	if fa, fb := fingerprint(a), fingerprint(b); fa != fb {
 		t.Fatalf("%T: state differs between doors: OnMessage %s, split %s", msgA, fa, fb)
+	}
+}
+
+// CheckOutputLifetime is the conformance case for the output-slice contract
+// of engine.Engine: a result is valid until the next event on that engine,
+// and a caller that wants it longer copies it. a and b are identically built
+// engines; first and second each drive one event that must produce outputs.
+// On a the caller holds the first result across the second event, the way a
+// careless transport would. The case fails if the held result changed while
+// it was still valid (Prevalidate runs beside the consumer and is not an
+// event), if the copy taken in time reads differently after the second event
+// (the engine may reuse the slice, never what the outputs point to), or if
+// the second result depends on what the caller did with the first (b's caller
+// dropped it). The held slice itself is read after the second event for one
+// thing only: an engine that reused its array must have zeroed what the
+// shorter second result left behind it, or every message of a large event
+// stays reachable for as long as the engine lives.
+func CheckOutputLifetime(t *testing.T, a, b engine.Engine, first, second func(engine.Engine) []engine.Output, probe types.Message) {
+	t.Helper()
+	held := first(a)
+	if len(held) == 0 {
+		t.Fatal("first event produced no outputs; the case would be vacuous")
+	}
+	kept := slices.Clone(held)
+	want := encode(t, kept)
+	_ = a.Prevalidate(a.ID(), probe) // any verdict will do
+	if got := encode(t, held); !bytes.Equal(got, want) {
+		t.Fatalf("Prevalidate changed a result still in its caller's hands:\n before: %q\n after:  %q", want, got)
+	}
+	next := second(a)
+	if len(next) == 0 {
+		t.Fatal("second event produced no outputs; the case would be vacuous")
+	}
+	after := encode(t, next)
+	if &next[0] == &held[0] {
+		for i := len(next); i < len(held); i++ {
+			if held[i] != nil {
+				t.Fatalf("the reused array still holds output %d of the first event: %T", i, held[i])
+			}
+		}
+	}
+	if got := encode(t, kept); !bytes.Equal(got, want) {
+		t.Fatalf("a copy taken before the next event changed with it:\n before: %q\n after:  %q", want, got)
+	}
+	if got := encode(t, first(b)); !bytes.Equal(got, want) {
+		t.Fatalf("twin engines disagree on the first event:\n a: %q\n b: %q", want, got)
+	}
+	if got := encode(t, second(b)); !bytes.Equal(got, after) {
+		t.Fatalf("the second result depends on what became of the first:\n held:    %q\n dropped: %q", after, got)
 	}
 }
 

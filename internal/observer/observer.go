@@ -91,7 +91,8 @@ type Observer struct {
 	// evicted hole heals via state sync).
 	orphans replica.Orphans
 
-	// rises accumulates tracker callbacks during one event, drained by emit.
+	// rises accumulates tracker callbacks during one event, drained by emit;
+	// outs is the event's outputs, one array reused by every event.
 	rises []rise
 	outs  []engine.Output
 
@@ -164,7 +165,7 @@ func (o *Observer) Strength(id types.BlockID) int {
 // Init implements engine.Engine: ask an upstream where the chain is and
 // start the stall-detection timer.
 func (o *Observer) Init(now time.Duration) []engine.Output {
-	o.outs = nil
+	o.outs = engine.Recycle(o.outs)
 	o.requestCatchUp()
 	o.outs = append(o.outs, engine.SetTimer{ID: syncTimerID, Delay: o.cfg.SyncInterval})
 	return o.outs
@@ -176,7 +177,7 @@ func (o *Observer) OnTimer(now time.Duration, id int) []engine.Output {
 	if id != syncTimerID {
 		return nil
 	}
-	o.outs = nil
+	o.outs = engine.Recycle(o.outs)
 	if tip := o.tipHeight(); tip == o.lastTip {
 		o.requestCatchUp()
 	} else {
@@ -238,7 +239,7 @@ func (o *Observer) checkProposal(p *types.Proposal) error {
 // OnVerifiedMessage implements engine.Engine: the state stage. Only sync
 // segments are verified here, link by link as they install.
 func (o *Observer) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	o.outs = nil
+	o.outs = engine.Recycle(o.outs)
 	switch m := msg.(type) {
 	case *types.Proposal:
 		o.onProposal(m)

@@ -435,3 +435,27 @@ func TestRoundEntryFeedsStrength(t *testing.T) {
 		t.Fatal("round-entry QC closed a 3-chain but nothing committed")
 	}
 }
+
+// TestOutputLifetime: the output-slice contract (engine.Engine). The proposal
+// that closes the first 3-chain (a commit and its strength rise), then a sync
+// timer firing on a tip that moved (the re-armed timer alone).
+func TestOutputLifetime(t *testing.T) {
+	build := func() (*fixture, []*types.Block) {
+		f := newFixture(t, observer.Config{VerifySignatures: true})
+		var blocks []*types.Block
+		for i := 0; i < 4; i++ {
+			b, _ := f.extend(3)
+			blocks = append(blocks, b)
+		}
+		for _, b := range blocks[:3] {
+			f.deliver(f.proposal(b))
+		}
+		return f, blocks
+	}
+	a, blocks := build()
+	b, _ := build()
+	enginetest.CheckOutputLifetime(t, a.obs, b.obs,
+		func(e engine.Engine) []engine.Output { return e.OnMessage(0, 0, a.proposal(blocks[3])) },
+		func(e engine.Engine) []engine.Output { return e.OnTimer(0, 9001) }, // the sync timer,
+		a.proposal(blocks[3]))
+}

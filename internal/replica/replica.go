@@ -97,7 +97,9 @@ type Chassis struct {
 	// Votes holds one bitmap-deduped vote set per candidate block
 	// (subquadratic in n; see core.VoteSet).
 	Votes map[types.BlockID]*core.VoteSet
-	// Outs is the current event's output buffer, released by Take.
+	// Outs is the current event's output buffer. Begin empties it and Take
+	// hands it out, one backing array for every event (engine.Engine: the
+	// returned slice is valid until the next call on the engine).
 	Outs []engine.Output
 
 	// orphans parks proposals whose parent has not arrived (Park); accepted is
@@ -193,7 +195,7 @@ func (c *Chassis) Recovered() bool { return c.recovered }
 
 // Begin opens one event at engine time now.
 func (c *Chassis) Begin(now time.Duration) {
-	c.Outs = nil
+	c.Outs = engine.Recycle(c.Outs)
 	c.now = now
 }
 
@@ -217,9 +219,7 @@ func (c *Chassis) Take() []engine.Output {
 			panic(fmt.Sprintf("replica: wal: %v", err))
 		}
 	}
-	outs := c.Outs
-	c.Outs = nil
-	return outs
+	return c.Outs
 }
 
 // EnterRound publishes the engine's round to Prevalidate workers and the

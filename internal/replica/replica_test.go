@@ -8,6 +8,7 @@ import (
 	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/crypto"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/types"
 )
@@ -70,16 +71,29 @@ func TestAllocsAddVote(t *testing.T) {
 }
 
 // TestAllocsEventBracket pins the per-event overhead of the chassis itself:
-// Begin and Take with no journal attached allocate nothing.
+// Begin and Take with no journal attached allocate nothing, with no outputs
+// and — once an earlier event has grown the array — with eight of them.
 func TestAllocsEventBracket(t *testing.T) {
 	c, _ := testChassis(t, 4, 1)
 	if a := testing.AllocsPerRun(1000, func() {
 		c.Begin(0)
-		if outs := c.Take(); outs != nil {
+		if outs := c.Take(); len(outs) != 0 {
 			t.Fatal("outputs out of an empty event")
 		}
 	}); a != 0 {
 		t.Fatalf("Begin/Take: %v allocs/op, want 0", a)
+	}
+	g := c.Store().Genesis()
+	if a := testing.AllocsPerRun(1000, func() {
+		c.Begin(0)
+		for i := 0; i < 8; i++ {
+			c.Outs = append(c.Outs, engine.Commit{Block: g}) // pointer-shaped: no boxing
+		}
+		if outs := c.Take(); len(outs) != 8 {
+			t.Fatalf("%d outputs out of an event that made 8", len(outs))
+		}
+	}); a != 0 {
+		t.Fatalf("Begin/8 outputs/Take: %v allocs/op, want 0", a)
 	}
 }
 

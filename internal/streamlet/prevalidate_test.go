@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine/enginetest"
 	"repro/internal/obs"
 	"repro/internal/replica"
+	"repro/internal/statesync"
 	"repro/internal/streamlet"
 	"repro/internal/types"
 )
@@ -312,4 +313,18 @@ func TestStateStageNeverVerifies(t *testing.T) {
 	if a, b := fingerprint(splitFx.rep), fingerprint(wholeFx.rep); a != b || !splitFx.rep.Store().Has(b3.ID()) {
 		t.Fatalf("doors diverged or traffic not absorbed: split %s, OnMessage %s", a, b)
 	}
+}
+
+// TestOutputLifetime: the output-slice contract (engine.Engine). A proposal
+// that is echoed and voted for, then the one-output answer to a catch-up
+// request.
+func TestOutputLifetime(t *testing.T) {
+	a, b := newDoorFixture(t, nil, true, nil), newDoorFixture(t, nil, true, nil)
+	b3 := a.block(3, 2)
+	enginetest.CheckOutputLifetime(t, a.rep, b.rep,
+		func(e engine.Engine) []engine.Output { return e.OnMessage(0, 2, a.proposal(b3)) },
+		func(e engine.Engine) []engine.Output {
+			return e.OnMessage(0, 0, statesync.NewRequest(0, 0))
+		},
+		&types.VoteMsg{Vote: a.vote(a.b2, 0)})
 }

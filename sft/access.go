@@ -156,7 +156,7 @@ func NewObserver(cfg ObserverConfig, tr ObserverTransport) (*ObserverNode, error
 	o := &ObserverNode{
 		id:   cfg.ID,
 		n:    cfg.N,
-		feed: feed{name: "observer", strength: make(map[BlockID]int)},
+		feed: feed{name: "observer", index: make(map[BlockID]uint64)},
 	}
 	f := (cfg.N - 1) / 3
 	verify := scheme == SchemeEd25519 || scheme == Ed25519Aggregate

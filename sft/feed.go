@@ -32,21 +32,36 @@ type feed struct {
 	// time since; a Simnet passes its virtual time instead.
 	started time.Time
 
-	mu       sync.Mutex
-	strength map[BlockID]int
-	height   Height
-	waiters  []*strengthWaiter
-	subs     []*subscription
-	closed   bool
-	// order lists strength's keys as first inserted (kept under pruneKeep
-	// only), which is height order but for the blocks of one event, so what
-	// falls below the floor is found at its front.
-	order []strengthKey
+	mu      sync.Mutex
+	height  Height
+	waiters []*strengthWaiter
+	subs    []*subscription
+	closed  bool
+	// order holds the strongest level seen per block, in first-seen order:
+	// height order but for the blocks of one event, so what falls below the
+	// pruneKeep floor is found at its front. index gives a block's position
+	// counted from the first entry ever made, order[index[id]-dropped], so a
+	// rise is one map lookup and a store through the slice. Without pruneKeep
+	// both grow with the chain.
+	order   []blockLevel
+	index   map[BlockID]uint64
+	dropped uint64
 }
 
-type strengthKey struct {
+type blockLevel struct {
 	height Height
 	id     BlockID
+	x      int
+}
+
+// level returns the entry of a block seen and not yet pruned, or nil. The
+// caller holds mu; the pointer is good until the next append to order.
+func (f *feed) level(id BlockID) *blockLevel {
+	seq, ok := f.index[id]
+	if !ok {
+		return nil
+	}
+	return &f.order[seq-f.dropped]
 }
 
 type strengthWaiter struct {
@@ -83,8 +98,8 @@ func (f *feed) subscribe() <-chan CommitEvent {
 func (f *feed) strengthOf(id BlockID) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if x, ok := f.strength[id]; ok {
-		return x
+	if l := f.level(id); l != nil {
+		return l.x
 	}
 	return -1
 }
@@ -100,7 +115,7 @@ func (f *feed) committedHeight() Height {
 func (f *feed) waitStrength(ctx context.Context, id BlockID, x int) error {
 	for {
 		f.mu.Lock()
-		if cur, ok := f.strength[id]; ok && cur >= x {
+		if l := f.level(id); l != nil && l.x >= x {
 			f.mu.Unlock()
 			return nil
 		}
@@ -139,20 +154,20 @@ func (f *feed) dropWaiter(w *strengthWaiter) {
 func (f *feed) publish(ev CommitEvent) {
 	id := ev.Block.ID()
 	f.mu.Lock()
-	cur, seen := f.strength[id]
-	if !seen || ev.Strength > cur {
-		f.strength[id] = ev.Strength
+	if l := f.level(id); l == nil {
+		f.index[id] = f.dropped + uint64(len(f.order))
+		f.order = append(f.order, blockLevel{ev.Height, id, ev.Strength})
+	} else if ev.Strength > l.x {
+		l.x = ev.Strength
 	}
 	if ev.Height > f.height {
 		f.height = ev.Height
 	}
 	if keep := f.pruneKeep; keep > 0 {
-		if !seen {
-			f.order = append(f.order, strengthKey{ev.Height, id})
-		}
 		for len(f.order) > 0 && f.order[0].height+keep < f.height {
-			delete(f.strength, f.order[0].id)
+			delete(f.index, f.order[0].id)
 			f.order = f.order[1:]
+			f.dropped++
 		}
 	}
 	// Wake satisfied waiters.

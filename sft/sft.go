@@ -329,7 +329,7 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 			minStrength: rule.MinStrength,
 			pruneKeep:   s.pruneKeep,
 			callback:    s.observer,
-			strength:    make(map[BlockID]int),
+			index:       make(map[BlockID]uint64),
 		},
 	}
 	if s.mempool != nil {

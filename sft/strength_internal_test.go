@@ -46,7 +46,7 @@ func TestStrengthBoundedByPruneKeep(t *testing.T) {
 			t.Fatalf("node %d committed %d blocks; the bound would be vacuous", i, len(ids))
 		}
 		node.mu.Lock()
-		entries, queued := len(node.strength), len(node.order)
+		entries, queued := len(node.index), len(node.order)
 		node.mu.Unlock()
 		if entries > 2*keep || entries < keep || queued != entries {
 			t.Errorf("node %d holds %d strength entries (%d queued) after %d commits, want %d..%d",
