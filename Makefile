@@ -27,7 +27,7 @@ FUZZ_TARGETS = \
 FUZZTIME_SMOKE ?= 20s
 FUZZTIME_LONG ?= 10m
 
-.PHONY: all build build-examples vet test test-race bench bench-smoke bench-micro bench-guard fuzz-smoke fuzz-long adversary-fuzz adversary-fuzz-agg compactcert liveness-attack bank-workload obs-smoke gateway-smoke gateway-scale loc knobs
+.PHONY: all build build-examples vet test test-race bench bench-smoke bench-micro bench-guard fuzz-smoke fuzz-long adversary-fuzz adversary-fuzz-agg compactcert liveness-attack bank-workload obs-smoke gateway-smoke gateway-scale spine-smoke loc knobs
 
 all: test
 
@@ -148,6 +148,12 @@ obs-smoke:
 # this.
 gateway-smoke:
 	bash scripts/gateway_smoke.sh
+
+# Benchmark-spine smoke: every bench/run.sh workload over a short window
+# (-trace 0) plus one traced run that exercises the probes; fails unless each
+# result line reads "correct":true and "failed":0. CI runs this.
+spine-smoke:
+	bash scripts/spine_smoke.sh
 
 # The access-tier scale experiment at its acceptance shape: 1000 concurrent
 # proof-verified strength subscriptions on one gateway against an n=7

@@ -285,15 +285,8 @@ func adversaryFuzz(sc harness.Scale, count, workers int) error {
 		all := append(append([]string{}, pViol...), aViol...)
 		return fmt.Errorf("pacemaker canary violated a safety invariant: %s", all[0])
 	}
-	peak := func(res *harness.Result) (p int) {
-		for _, st := range res.Pacemakers {
-			if st.PeakPerPeer > p {
-				p = st.PeakPerPeer
-			}
-		}
-		return p
-	}
-	pPeak, aPeak := peak(pRes), peak(aRes)
+	pPeak, _ := pRes.PacemakerPeak()
+	aPeak, _ := aRes.PacemakerPeak()
 	if aPeak > pacemaker.DefaultPerPeerCap {
 		return fmt.Errorf("pacemaker canary: hardened arm's per-peer buffer peaked at %d > cap %d", aPeak, pacemaker.DefaultPerPeerCap)
 	}

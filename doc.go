@@ -23,11 +23,21 @@
 // pipeline and metrics sink into one Node, and all four commands plus all
 // seven examples are wired through it (zero direct imports of
 // internal/runtime, internal/diembft or internal/streamlet outside the
-// facade). Engine construction itself lives in internal/compose — one
-// composition path shared by the facade and the experiment harness, so
-// harness measurements and facade deployments run identical engines, and
-// fixed-seed facade runs are pinned bit-identical to hand-wired runs
-// (sft/determinism_test.go).
+// facade). Engine construction itself lives in internal/compose, which only
+// the facade calls, and fixed-seed facade runs are pinned bit-identical to
+// hand-wired runs (sft/determinism_test.go).
+//
+// The experiment harness (internal/harness) is a scenario library over
+// sft.Simnet. A Scenario names a cluster, a latency model (harness.PreGST
+// adds partial synchrony), a fault schedule — crashes, kill/restart plans,
+// partitions, Byzantine behavior chains — and the facade options every
+// replica runs with; harness.Run builds one sft.New node per replica on one
+// Simnet, feeds its collector through WithObserver, and drives crashes,
+// restarts and partitions through Simnet.CrashAt/RestartAt/PartitionAt/HealAt
+// with WithWAL. The paper's figures and theorems (experiments.go), the
+// scenario fuzzer and the golden-trace pins all run through it, so every
+// measurement is of the path users run (TestHarnessBuildsThroughFacade
+// keeps it that way).
 //
 // The option matrix:
 //
@@ -73,50 +83,27 @@
 //     timeout spamming, round-entry lying).
 //     WithAdversaryPeers names its coalition — the paper's adversary
 //     coordinates, and coalition-aware behaviors (fork revival) use it.
-//   - WithPacemaker(PacemakerConfig{Active, Window, PerPeerTimeoutCap,
-//     LeaderReputation}) — the attack-hardened active pacemaker (DiemBFT
-//     only; PR 8). Active mode broadcasts justified RoundEntry
-//     announcements (QC or 2f+1-attestation timeout certificate), rejects
-//     unjustified round advances, and drops timeouts claiming rounds more
-//     than Window (default 8) past the local round before any signature
-//     work; PerPeerTimeoutCap (default 8, enforced in passive mode too)
-//     bounds buffered timeouts per peer so spam holds O(cap) memory;
-//     LeaderReputation > 0 deterministically skips recently-timed-out
-//     leaders without consulting WAL recovery state. Determinism
-//     contract: with LeaderReputation off, fixed-seed runs pin
-//     bit-identical to the passive baseline — active mode only adds
-//     validated messages and rejections, never changing what honest
-//     replicas do on an honest schedule. The zero config (the default)
-//     is the passive paper baseline, unchanged. `sftbench -experiment
-//     livenessattack` (make liveness-attack) runs the passive-vs-active
-//     A/B under timeout-spam + lie-round-entry colluders, and
-//     sft_pacemaker_rejected_timeouts_total{reason} /
-//     sft_round_entry_rejected_total{reason} expose rejections on
-//     /metrics.
-//   - WithApp(factory) — the deterministic execution layer (PR 9):
-//     every replica builds a StateMachine from the factory and executes
-//     each proposal BEFORE voting on it; the resulting 32-byte state root
-//     (AppHash) joins the vote's signed payload and every QC, so
-//     certificates certify ordering AND state, and an honest replica
-//     refuses to vote for a proposal whose certified parent root
-//     disagrees with its own execution — state forks die at the vote.
-//     Determinism contract: Apply must be a pure function of
-//     (parent root, block) — no clocks, no map-iteration order, no
-//     randomness — and the factory runs once per engine incarnation, so
-//     crash recovery re-executes the restored chain on a fresh instance.
-//     Vote-payload versioning keeps the wire compatible: a flag byte
-//     marks votes carrying an AppHash, app-less votes encode exactly the
-//     legacy bytes (fixed-seed determinism pins hold bit-identical with
-//     the layer off), and compact QCs reserve a second sentinel word for
-//     the aggregated-form root. Node.AppState()/Node.AppHash() read the
-//     live instance and the committed root; CommitEvent.Results carries
-//     each committed block's per-transaction verdicts without payload
-//     re-decoding. The flagship app is the signed-transfer bank
-//     (NewBank: accounts, nonces, per-transaction ed25519, balance
-//     invariants, order-independent state commitment); `sftbench
-//     -experiment bankworkload` (make bank-workload) drives it over
-//     100k+ accounts and reports submit→f-strong vs submit→2f-strong
-//     latency.
+//   - WithPacemaker(PacemakerConfig{Active, PerPeerTimeoutCap,
+//     LeaderReputation}) — the attack-hardened pacemaker (DiemBFT only).
+//     Active broadcasts justified RoundEntry announcements (a QC or a
+//     2f+1-attestation timeout certificate), rejects unjustified round
+//     advances, and drops timeouts claiming rounds more than 8 past the
+//     local round before any signature work; PerPeerTimeoutCap (default 8,
+//     passive mode too) bounds buffered timeouts per peer;
+//     LeaderReputation > 0 deterministically skips recently timed-out
+//     leaders. With LeaderReputation off, fixed-seed runs pin bit-identical
+//     to the passive default. README.md, "Liveness under attack", narrates
+//     the A/B (make liveness-attack) and the rejection metrics.
+//   - WithApp(factory) — the execute-before-vote layer: every replica
+//     builds a StateMachine per engine incarnation (so crash recovery
+//     re-executes the restored chain on a fresh instance) and executes each
+//     proposal before voting; the 32-byte state root joins the vote's signed
+//     payload and every QC, and an honest replica refuses a proposal whose
+//     certified parent root disagrees with its own. Apply must be a pure
+//     function of (parent root, block). Node.AppState, AppHash and AppHashAt
+//     read the state, CommitEvent.Results carries each committed block's
+//     per-transaction verdicts. README.md, "Execution layer", covers the
+//     wire versioning and the flagship bank.
 //   - WithPayloadNow(fn), WithMempool(m) — the workload-side companions:
 //     PayloadNow is WithPayload with the node's clock alongside the
 //     round (latency-stamping generators); NewMempool wraps the bounded
@@ -124,6 +111,12 @@
 //     submitted with a required strength holds the sender's later
 //     traffic until its block is that strong — wired synchronously into
 //     the commit path of the node carrying WithMempool.
+//   - WithReference(reference.Arms{...}) — the one seam for the reference
+//     arms the experiments measure against: strengthening off, the FBFT
+//     baseline, the Appendix C naive tracker, signature checks under the
+//     simulated schemes, the certificate cache off. The parameter type is
+//     declared under internal/, so only this module can select an arm; the
+//     zero value is the production node.
 //
 // Commit-strength subscriptions are how clients consume the paper's
 // contribution. Node.Commits() returns an independent channel of
@@ -392,9 +385,10 @@
 // crashed replica so its next vote cannot contradict its pre-crash markers,
 // and internal/statesync, the catch-up protocol a recovered or lagging
 // replica uses to re-join. The flush-before-send contract is the chassis's
-// (see "Replica chassis"). internal/simnet can kill and restart replicas
-// (Sim.RestartAt), harness scenarios schedule it (harness.CrashPlan), and
-// cmd/sftnode persists across process restarts via -data-dir. README.md
+// (see "Replica chassis"). sft.Simnet kills and restarts WAL-backed nodes
+// (Simnet.CrashAt/RestartAt), harness scenarios schedule it
+// (harness.CrashPlan), and cmd/sftnode persists across process restarts via
+// -data-dir. README.md
 // documents the full contract; BENCH_PR2.json records the costs (vote-path
 // WAL append: 0 allocs/op; bench-smoke with the WAL disabled: unchanged).
 //
@@ -432,8 +426,9 @@
 // (internal/harness.RunFuzz, `sftbench -experiment adversary`). Behaviors
 // act on a replica's outbound messages through an engine wrapper, so the
 // same implementations corrupt DiemBFT and Streamlet under the simulator
-// and the real runtimes alike; the harness scenario type and the facade
-// (WithAdversary, Simnet.PartitionAt/HealAt) expose them end to end.
+// and the real runtimes alike; the facade (WithAdversary,
+// Simnet.PartitionAt/HealAt), and through it every harness scenario, exposes
+// them end to end.
 //
 // The fuzzer samples cluster shape, engine, commit-rule mode, behavior
 // compositions up to 2f colluders, crash/restart plans and network

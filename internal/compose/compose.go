@@ -1,10 +1,10 @@
 // Package compose is the single composition path for building a replica:
-// every consumer — the public sft facade, the experiment harness, and
-// (through the facade) the cmds and examples — constructs engines, attaches
-// write-ahead logs, and restores crashed replicas through the functions
-// here instead of hand-wiring internal/diembft, internal/streamlet and
-// internal/wal themselves. One path means one place where defaults,
-// durability attachment and recovery semantics live.
+// the public sft facade — and through it the experiment harness, the cmds
+// and the examples — constructs engines, attaches write-ahead logs, and
+// restores crashed replicas through the functions here instead of
+// hand-wiring internal/diembft, internal/streamlet and internal/wal. One
+// path means one place where defaults, durability attachment and recovery
+// semantics live.
 package compose
 
 import (
@@ -77,21 +77,16 @@ type Spec struct {
 	BatchWorkers   int
 
 	// Active pacemaker (DiemBFT-only; see diembft.Config). ActivePacemaker
-	// turns on justified round entry and the bounded future window
-	// (TimeoutWindow, 0 = default); PerPeerTimeoutCap bounds buffered
-	// timeouts per peer in both modes; LeaderReputationWindow > 0 enables
-	// leader-reputation rotation.
+	// turns on justified round entry and the bounded future window;
+	// PerPeerTimeoutCap bounds buffered timeouts per peer in both modes;
+	// LeaderReputationWindow > 0 enables leader-reputation rotation.
 	ActivePacemaker        bool
-	TimeoutWindow          types.Round
 	PerPeerTimeoutCap      int
 	LeaderReputationWindow types.Round
 
 	// Streamlet-only knobs.
 	Delta       time.Duration
 	DisableEcho bool
-	// ProposalWindow bounds how far ahead of the local lock-step round a
-	// Streamlet proposal may claim to be (0 = unbounded baseline).
-	ProposalWindow types.Round
 
 	// Shared.
 	Payload func(r types.Round) types.Payload
@@ -128,7 +123,7 @@ type Spec struct {
 
 	// NaiveEndorsements switches the SFT tracker to the UNSAFE marker-free
 	// counting of Appendix C — for the scenario fuzzer's weakened-rule
-	// canary only; the facade never sets it.
+	// canary only (sft.WithReference).
 	NaiveEndorsements bool
 }
 
@@ -164,19 +159,15 @@ func Engine(s Spec) (engine.Engine, error) {
 		if s.FBFT || s.VoteMode != 0 {
 			return nil, fmt.Errorf("compose: FBFT/VoteMode are DiemBFT-only knobs")
 		}
-		if s.ActivePacemaker || s.TimeoutWindow != 0 || s.PerPeerTimeoutCap != 0 || s.LeaderReputationWindow != 0 {
-			return nil, fmt.Errorf("compose: the active pacemaker is a DiemBFT-only subsystem (Streamlet has no timeouts; use ProposalWindow)")
+		if s.ActivePacemaker || s.PerPeerTimeoutCap != 0 || s.LeaderReputationWindow != 0 {
+			return nil, fmt.Errorf("compose: the active pacemaker is a DiemBFT-only subsystem (Streamlet has no timeouts)")
 		}
 		eng, err = streamlet.New(streamlet.Config{
-			Config:         common,
-			Delta:          s.Delta,
-			DisableEcho:    s.DisableEcho,
-			ProposalWindow: s.ProposalWindow,
+			Config:      common,
+			Delta:       s.Delta,
+			DisableEcho: s.DisableEcho,
 		})
 	case DiemBFT, 0:
-		if s.ProposalWindow != 0 {
-			return nil, fmt.Errorf("compose: ProposalWindow is a Streamlet-only knob (DiemBFT bounds rounds via the active pacemaker)")
-		}
 		eng, err = diembft.New(diembft.Config{
 			Config:         common,
 			DisableQCCache: s.DisableQCCache,
@@ -190,7 +181,6 @@ func Engine(s Spec) (engine.Engine, error) {
 			PruneKeep:      s.PruneKeep,
 
 			ActivePacemaker:        s.ActivePacemaker,
-			TimeoutWindow:          s.TimeoutWindow,
 			PerPeerTimeoutCap:      s.PerPeerTimeoutCap,
 			LeaderReputationWindow: s.LeaderReputationWindow,
 		})
@@ -232,16 +222,10 @@ func Restore(e engine.Engine, rec *core.Recovery) error {
 // plus the recovered state to Restore into the rebuilt engine. With fsync
 // false the log runs in NoSync mode — the setting for simulated crashes,
 // where the process survives and page-cache durability models the kill
-// faithfully; real deployments pass fsync true.
-func OpenWAL(dir string, fsync bool) (*core.Journal, *core.Recovery, error) {
-	return OpenWALObserved(dir, fsync, nil)
-}
-
-// OpenWALObserved is OpenWAL with a flush-observation hook threaded into the
-// log (see wal.Options.ObserveFlush); the observability layer uses it to
-// record flush counts, bytes, and fsync latency without touching replay or
-// durability semantics.
-func OpenWALObserved(dir string, fsync bool, observeFlush func(d time.Duration, bytes int, synced bool)) (*core.Journal, *core.Recovery, error) {
+// faithfully; real deployments pass fsync true. observeFlush, if non-nil,
+// sees every flush (see wal.Options.ObserveFlush); the observability layer
+// uses it without touching replay or durability semantics.
+func OpenWAL(dir string, fsync bool, observeFlush func(d time.Duration, bytes int, synced bool)) (*core.Journal, *core.Recovery, error) {
 	l, err := wal.Open(dir, wal.Options{NoSync: !fsync, ObserveFlush: observeFlush})
 	if err != nil {
 		return nil, nil, err

@@ -95,7 +95,7 @@ func TestAdversaryWrapping(t *testing.T) {
 // journaled vote survives reopen.
 func TestOpenWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, rec, err := OpenWAL(dir, false)
+	j, rec, err := OpenWAL(dir, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestOpenWALRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec, err = OpenWAL(dir, false)
+	_, rec, err = OpenWAL(dir, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

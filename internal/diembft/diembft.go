@@ -78,15 +78,12 @@ type Config struct {
 	// ActivePacemaker hardens round synchronization the way Jolteon-derived
 	// production pacemakers do: every round advance broadcasts a RoundEntry
 	// whose QC-or-TC justification proves legal entry, incoming entries and
-	// timeouts are validated against that proof, and future-view timeouts
-	// beyond TimeoutWindow are dropped (at prevalidation where possible).
-	// Off by default: the passive pacemaker is the paper's baseline and
-	// keeps existing fixed-seed runs bit-identical.
+	// timeouts are validated against that proof, and timeouts and round
+	// entries more than pacemaker.DefaultWindow rounds ahead of the local
+	// round are dropped (at prevalidation where possible). Off by default:
+	// the passive pacemaker is the paper's baseline and keeps existing
+	// fixed-seed runs bit-identical.
 	ActivePacemaker bool
-	// TimeoutWindow is the active-mode future window (0 = the pacemaker
-	// default): timeouts and round entries more than this many rounds ahead
-	// of the local round are rejected.
-	TimeoutWindow types.Round
 	// PerPeerTimeoutCap bounds how many timeout messages any single peer can
 	// keep buffered (0 = the pacemaker default). Enforced in both passive
 	// and active modes, so timeout-spam cannot exhaust memory either way.
@@ -172,7 +169,7 @@ func New(cfg Config) (*Replica, error) {
 		r.pm.SetPerPeerCap(cfg.PerPeerTimeoutCap)
 	}
 	if cfg.ActivePacemaker {
-		r.pm.SetActive(cfg.TimeoutWindow)
+		r.pm.SetActive()
 	}
 	r.qchigh = r.Store().HighQC()
 	if cfg.FBFT {
@@ -184,8 +181,9 @@ func New(cfg Config) (*Replica, error) {
 // Round returns the current pacemaker round.
 func (r *Replica) Round() types.Round { return r.pm.Round() }
 
-// PacemakerStats exposes the timeout-buffer accounting snapshot (the harness
-// uses it to prove bounded memory under timeout-spam).
+// PacemakerStats exposes the timeout-buffer accounting snapshot
+// (sft.Node.PacemakerStats; the harness proves bounded memory under
+// timeout-spam with it).
 func (r *Replica) PacemakerStats() pacemaker.Stats { return r.pm.Stats() }
 
 // HighQC returns the highest-ranked certificate the replica has seen.

@@ -83,7 +83,7 @@ func (r *Replica) prevalidateTimeout(t *types.Timeout) error {
 	// lags (rounds never regress), so stale drops are sound and a borderline
 	// in-window message is simply re-judged by the state stage.
 	if r.pm.Active() {
-		if cur := r.RoundSnapshot(); t.Round > cur+r.pm.Window() {
+		if cur := r.RoundSnapshot(); t.Round > cur+pacemaker.DefaultWindow {
 			r.cfg.Obs.OnTimeoutRejected(obs.ReasonFutureWindow)
 			return fmt.Errorf("diembft: timeout for round %d beyond window (at %d)", t.Round, cur)
 		}
@@ -131,7 +131,7 @@ func (r *Replica) prevalidateRoundEntry(e *types.RoundEntry) error {
 		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonStale)
 		return fmt.Errorf("diembft: stale round entry for %d (at %d)", e.Round, cur)
 	}
-	if e.Round > cur+r.pm.Window() {
+	if e.Round > cur+pacemaker.DefaultWindow {
 		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonFutureWindow)
 		return fmt.Errorf("diembft: round entry for %d beyond window (at %d)", e.Round, cur)
 	}

@@ -1,6 +1,7 @@
 package diembft_test
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -183,14 +184,10 @@ func TestCommitLogAttached(t *testing.T) {
 func TestPartialSynchronyRecovery(t *testing.T) {
 	const gst = 3 * time.Second
 	var beforeGST, afterGST int
+	lat := &preGST{gst: gst, extra: 2 * time.Second} // far beyond the round timeout
 	simCfg := simnet.Config{
-		Seed: 26,
-		ExtraDelay: func(from, to types.ReplicaID, now time.Duration) time.Duration {
-			if now < gst {
-				return 2 * time.Second // far beyond the round timeout
-			}
-			return 0
-		},
+		Seed:    26,
+		Latency: lat,
 		OnCommit: func(rep types.ReplicaID, now time.Duration, b *types.Block) {
 			if rep != 0 {
 				return
@@ -203,11 +200,27 @@ func TestPartialSynchronyRecovery(t *testing.T) {
 		},
 	}
 	sim, _ := buildCluster(t, 4, 1, nil, simCfg)
+	lat.clock = sim
 	sim.Run(8 * time.Second)
 
 	if afterGST < 10 {
 		t.Fatalf("only %d commits after GST (before: %d)", afterGST, beforeGST)
 	}
+}
+
+// preGST is buildCluster's default latency plus extra on every delivery sent
+// before virtual time gst.
+type preGST struct {
+	clock      *simnet.Sim
+	gst, extra time.Duration
+}
+
+func (p *preGST) Delay(from, to types.ReplicaID, size int, rng *rand.Rand) time.Duration {
+	d := (&simnet.UniformModel{Base: 5 * time.Millisecond, Jitter: time.Millisecond}).Delay(from, to, size, rng)
+	if p.clock.Now() < p.gst {
+		d += p.extra
+	}
+	return d
 }
 
 // TestPruningKeepsLiveness: aggressive pruning must not break long runs.

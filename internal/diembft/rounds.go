@@ -49,7 +49,7 @@ func (r *Replica) leaderForBlock(round types.Round, b *types.Block) types.Replic
 }
 
 func (r *Replica) advanceRound(now time.Duration, round types.Round, viaTimeout bool) {
-	if !r.pm.AdvanceTo(round, now, viaTimeout) {
+	if !r.pm.AdvanceTo(round) {
 		return
 	}
 	for rr := range r.recentTCs {

@@ -7,9 +7,11 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/app"
 	"repro/internal/harness"
+	"repro/internal/reference"
 	"repro/internal/simnet"
 	"repro/internal/types"
 	"repro/internal/workload"
+	"repro/sft"
 )
 
 // bankScenario builds an n=7 cluster where every replica executes a bank
@@ -24,13 +26,14 @@ func bankScenario(seed int64, accounts uint32) (*harness.Scenario, app.BankConfi
 		Latency:         &simnet.UniformModel{Base: 5 * time.Millisecond, Jitter: 2 * time.Millisecond},
 		Seed:            seed,
 		Duration:        8 * time.Second,
-		RoundTimeout:    250 * time.Millisecond,
-		SFT:             true,
 		Levels:          []int{2, 4},
-		App:             func() app.StateMachine { return app.NewBank(cfg) },
-		PayloadNow:      gen.Payload,
 		RecordChains:    true,
 		RecordStrengths: true,
+		Options: []sft.Option{
+			sft.WithRoundTimeout(250 * time.Millisecond),
+			sft.WithApp(func() sft.StateMachine { return app.NewBank(cfg) }),
+			sft.WithPayloadNow(gen.Payload),
+		},
 	}, cfg
 }
 
@@ -76,11 +79,10 @@ func TestBankRunAgreesOnAppHashes(t *testing.T) {
 // roots) must neither split the committed state nor stall the cluster —
 // honest leaders drop the mismatching votes and form QCs from the rest.
 func TestWrongAppHashAdversaryHarmless(t *testing.T) {
-	for _, proto := range []harness.Protocol{harness.ProtoDiemBFT, harness.ProtoStreamlet} {
+	for _, proto := range []sft.Engine{sft.DiemBFT, sft.Streamlet} {
 		sc, _ := bankScenario(23, 1<<10)
-		sc.Protocol = proto
-		sc.Delta = 25 * time.Millisecond
-		sc.VerifySignatures = true
+		sc.Options = append(sc.Options, sft.WithEngine(proto), sft.WithDelta(25*time.Millisecond),
+			sft.WithReference(reference.Arms{VerifySignatures: true}))
 		sc.Adversaries = map[types.ReplicaID][]adversary.Spec{
 			5: {{Kind: adversary.WrongAppHash}},
 			6: {{Kind: adversary.WrongAppHash}},

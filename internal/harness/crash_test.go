@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/simnet"
+	"repro/sft"
 )
 
 // TestCrashRecoveryScenario is the end-to-end durability check: a replica
@@ -47,8 +48,7 @@ func TestCrashWithoutRestartStaysDown(t *testing.T) {
 		Latency:      &simnet.UniformModel{Base: 5 * time.Millisecond, Jitter: time.Millisecond},
 		Seed:         3,
 		Duration:     15 * time.Second,
-		RoundTimeout: 400 * time.Millisecond,
-		SFT:          true,
+		Options:      []sft.Option{sft.WithRoundTimeout(400 * time.Millisecond)},
 		RecordChains: true,
 		Crashes:      []CrashPlan{{Replica: 6, Crash: 5 * time.Second}},
 	}
@@ -86,8 +86,7 @@ func TestDurableRunMatchesInMemoryRun(t *testing.T) {
 		Latency:      &simnet.UniformModel{Base: 5 * time.Millisecond, Jitter: time.Millisecond},
 		Seed:         9,
 		Duration:     10 * time.Second,
-		RoundTimeout: 400 * time.Millisecond,
-		SFT:          true,
+		Options:      []sft.Option{sft.WithRoundTimeout(400 * time.Millisecond)},
 		RecordChains: true,
 	}
 	plain := base

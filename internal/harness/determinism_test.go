@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/reference"
 	"repro/internal/simnet"
+	"repro/sft"
 )
 
 // Determinism is this repository's regression oracle for performance work:
@@ -44,21 +46,22 @@ func fp(res *Result) fingerprint {
 
 func verifyingScenario(seed int64, disableCache bool) *Scenario {
 	return &Scenario{
-		Name:             "determinism",
-		N:                7,
-		F:                2,
-		Latency:          simnet.NewSymmetricModel(7, 3, intraDelay, 50*time.Millisecond, symJitter),
-		Seed:             seed,
-		Duration:         20 * time.Second,
-		RoundTimeout:     2 * time.Second,
-		SFT:              true,
-		VerifySignatures: true,
-		DisableQCCache:   disableCache,
+		Name:     "determinism",
+		N:        7,
+		F:        2,
+		Latency:  simnet.NewSymmetricModel(7, 3, intraDelay, 50*time.Millisecond, symJitter),
+		Seed:     seed,
+		Duration: 20 * time.Second,
+		Options: []sft.Option{
+			sft.WithRoundTimeout(2 * time.Second),
+			sft.WithReference(reference.Arms{VerifySignatures: true, DisableQCCache: disableCache}),
+		},
 	}
 }
 
 // TestDeterminismQCCacheOnOff asserts that enabling the verified-QC cache
-// changes nothing about a fixed-seed run: commits, per-level latencies,
+// (the cache-off arm goes through sft.WithReference) changes nothing about a
+// fixed-seed run: commits, per-level latencies,
 // message counts, bytes, and processed events are all bit-identical. The
 // cache only memoizes a pure predicate, so any divergence is a bug.
 func TestDeterminismQCCacheOnOff(t *testing.T) {

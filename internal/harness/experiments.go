@@ -6,11 +6,11 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/app"
-	"repro/internal/diembft"
 	"repro/internal/pacemaker"
-	"repro/internal/simnet"
+	"repro/internal/reference"
 	"repro/internal/types"
 	"repro/internal/workload"
+	"repro/sft"
 )
 
 // This file contains one driver per table/figure of the paper's evaluation
@@ -72,7 +72,7 @@ func stragglerSet(n, k int) map[types.ReplicaID]time.Duration {
 // delta between regions, with a few stragglers.
 func symmetricScenario(sc Scale, delta time.Duration) *Scenario {
 	sc = sc.withDefaults()
-	model := simnet.NewSymmetricModel(sc.N, 3, intraDelay, delta, symJitter)
+	model := sft.SymmetricLatency(sc.N, 3, intraDelay, delta, symJitter)
 	model.Penalty = stragglerSet(sc.N, max(1, sc.N/33))
 	return &Scenario{
 		Name:     "symmetric",
@@ -81,10 +81,9 @@ func symmetricScenario(sc Scale, delta time.Duration) *Scenario {
 		Latency:  model,
 		Seed:     sc.Seed,
 		Duration: sc.Duration,
+		Scheme:   sc.Scheme,
 		// Rounds take ~2*delta (+straggler-led slack); never time out.
-		RoundTimeout: 4*delta + 4*stragglerPenalty,
-		SFT:          true,
-		Scheme:       sc.Scheme,
+		Options: []sft.Option{sft.WithRoundTimeout(4*delta + 4*stragglerPenalty)},
 	}
 }
 
@@ -94,6 +93,23 @@ func Figure7a(sc Scale, delta time.Duration) (*Result, error) {
 	s := symmetricScenario(sc, delta)
 	s.Name = "fig7a"
 	return Run(s)
+}
+
+// asymmetricLatency is the paper's asymmetric setting (Figure 6, right):
+// region sizes sizes[0..2] (paper: 45, 45, 10), delay ab between regions 0
+// and 1 (paper: 20ms) and delta between region 2 and the others.
+func asymmetricLatency(sizes [3]int, intra, ab, delta, jitter time.Duration) *sft.RegionLatency {
+	regionOf := make([]int, 0, sizes[0]+sizes[1]+sizes[2])
+	for r, sz := range sizes {
+		for i := 0; i < sz; i++ {
+			regionOf = append(regionOf, r)
+		}
+	}
+	return &sft.RegionLatency{RegionOf: regionOf, Intra: intra, Jitter: jitter, Inter: [][]time.Duration{
+		{intra, ab, delta},
+		{ab, intra, delta},
+		{delta, delta, intra},
+	}}
 }
 
 // Figure7b measures x-strong commit latency in the asymmetric setting
@@ -107,7 +123,7 @@ func Figure7b(sc Scale, delta time.Duration) (*Result, error) {
 	szC := sc.N / 10
 	szA := (sc.N - szC + 1) / 2
 	szB := sc.N - szC - szA
-	model := simnet.NewAsymmetricModel([3]int{szA, szB, szC}, intraDelay, 20*time.Millisecond, delta, asymJitter)
+	model := asymmetricLatency([3]int{szA, szB, szC}, intraDelay, 20*time.Millisecond, delta, asymJitter)
 	// Sample strength at regions A and B only: region C replicas privately
 	// form QCs for their timed-out rounds that never enter the chain, so
 	// their local view reports levels the blockchain never certifies.
@@ -123,12 +139,11 @@ func Figure7b(sc Scale, delta time.Duration) (*Result, error) {
 		Seed:           sc.Seed,
 		Duration:       sc.Duration,
 		LevelObservers: observers,
+		Scheme:         sc.Scheme,
 		// 150ms: far above A/B's ~40ms rounds, below region C's round trip
 		// at delta=200ms (~400ms), above it at delta=100ms (~200ms...240ms
 		// reach the voters before their round timer expires).
-		RoundTimeout: 150 * time.Millisecond,
-		SFT:          true,
-		Scheme:       sc.Scheme,
+		Options: []sft.Option{sft.WithRoundTimeout(150 * time.Millisecond)},
 	})
 }
 
@@ -147,7 +162,7 @@ func Figure8(sc Scale, waits []time.Duration) ([]Figure8Point, error) {
 	for _, w := range waits {
 		s := symmetricScenario(sc, 100*time.Millisecond)
 		s.Name = "fig8"
-		s.ExtraWait = w
+		s.Options = append(s.Options, sft.WithExtraWait(w))
 		res, err := Run(s)
 		if err != nil {
 			return nil, err
@@ -160,21 +175,21 @@ func Figure8(sc Scale, waits []time.Duration) ([]Figure8Point, error) {
 // ThroughputComparison runs the symmetric setting with SFT off (DiemBFT
 // baseline) and on (SFT-DiemBFT), supporting the paper's §4 claim that
 // throughput and regular commit latency are essentially unchanged.
-func ThroughputComparison(sc Scale, delta time.Duration) (baseline, sft *Result, err error) {
+func ThroughputComparison(sc Scale, delta time.Duration) (baseline, strengthened *Result, err error) {
 	base := symmetricScenario(sc, delta)
 	base.Name = "throughput-diembft"
-	base.SFT = false
+	base.Options = append(base.Options, sft.WithReference(reference.Arms{PlainCommit: true}))
 	baseline, err = Run(base)
 	if err != nil {
 		return nil, nil, err
 	}
 	s := symmetricScenario(sc, delta)
 	s.Name = "throughput-sft-diembft"
-	sft, err = Run(s)
+	strengthened, err = Run(s)
 	if err != nil {
 		return nil, nil, err
 	}
-	return baseline, sft, nil
+	return baseline, strengthened, nil
 }
 
 // ComplexityPoint is one cluster size of the message-complexity comparison.
@@ -203,19 +218,17 @@ func MessageComplexity(sc Scale, fs []int) ([]ComplexityPoint, error) {
 	for _, f := range fs {
 		n := 3*f + 1
 		mk := func(fbft bool) *Scenario {
-			model := simnet.NewSymmetricModel(n, 3, intraDelay, 100*time.Millisecond, 10*time.Millisecond)
+			model := sft.SymmetricLatency(n, 3, intraDelay, 100*time.Millisecond, 10*time.Millisecond)
 			model.Penalty = stragglerSet(n, f) // f stragglers -> f late votes/round
 			return &Scenario{
-				Name:         "msgcomplexity",
-				N:            n,
-				F:            f,
-				Latency:      model,
-				Seed:         seed,
-				Duration:     duration,
-				RoundTimeout: time.Second,
-				SFT:          !fbft,
-				FBFT:         fbft,
-				Scheme:       sc.Scheme,
+				Name:     "msgcomplexity",
+				N:        n,
+				F:        f,
+				Latency:  model,
+				Seed:     seed,
+				Duration: duration,
+				Scheme:   sc.Scheme,
+				Options:  []sft.Option{sft.WithReference(reference.Arms{FBFT: fbft})},
 			}
 		}
 		sft, err := Run(mk(false))
@@ -250,7 +263,7 @@ func Theorem2(sc Scale, c int) (*Result, int, error) {
 		crash[types.ReplicaID((sc.N/2+i)%sc.N)] = time.Nanosecond
 	}
 	target := 2*sc.F - c
-	model := simnet.NewSymmetricModel(sc.N, 3, intraDelay, 20*time.Millisecond, 5*time.Millisecond)
+	model := sft.SymmetricLatency(sc.N, 3, intraDelay, 20*time.Millisecond, 5*time.Millisecond)
 	res, err := Run(&Scenario{
 		Name:            "theorem2",
 		N:               sc.N,
@@ -258,12 +271,11 @@ func Theorem2(sc Scale, c int) (*Result, int, error) {
 		Latency:         model,
 		Seed:            sc.Seed,
 		Duration:        sc.Duration,
-		RoundTimeout:    250 * time.Millisecond,
-		SFT:             true,
 		Scheme:          sc.Scheme,
 		Levels:          []int{sc.F, target},
 		Crash:           crash,
 		RecordStrengths: true,
+		Options:         []sft.Option{sft.WithRoundTimeout(250 * time.Millisecond)},
 	})
 	if err != nil {
 		return nil, 0, err
@@ -290,8 +302,8 @@ func Theorem3(sc Scale, t int) (marker, interval *Result, target int, err error)
 		byz[types.ReplicaID((i*sc.N+sc.N/2)/max(1, t)%sc.N)] = []adversary.Spec{{Kind: adversary.Equivocate}}
 	}
 	target = 2*sc.F - t
-	mk := func(mode diembft.VoteMode) *Scenario {
-		model := simnet.NewSymmetricModel(sc.N, 3, intraDelay, 20*time.Millisecond, 5*time.Millisecond)
+	mk := func(votes sft.VoteFlavor) *Scenario {
+		model := sft.SymmetricLatency(sc.N, 3, intraDelay, 20*time.Millisecond, 5*time.Millisecond)
 		return &Scenario{
 			Name:            "theorem3",
 			N:               sc.N,
@@ -299,13 +311,14 @@ func Theorem3(sc Scale, t int) (marker, interval *Result, target int, err error)
 			Latency:         model,
 			Seed:            sc.Seed,
 			Duration:        sc.Duration,
-			RoundTimeout:    250 * time.Millisecond,
-			SFT:             true,
-			VoteMode:        mode,
 			Adversaries:     byz,
 			Scheme:          sc.Scheme,
 			Levels:          []int{sc.F, target},
 			RecordStrengths: true,
+			Options: []sft.Option{
+				sft.WithRoundTimeout(250 * time.Millisecond),
+				sft.WithCommitRule(sft.CommitRule{Votes: votes, Horizon: horizon(sc.N)}),
+			},
 		}
 	}
 	check := func(res *Result) error {
@@ -314,14 +327,14 @@ func Theorem3(sc Scale, t int) (marker, interval *Result, target int, err error)
 		}
 		return nil
 	}
-	marker, err = Run(mk(diembft.VoteMarker))
+	marker, err = Run(mk(sft.VoteMarkers))
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	if err = check(marker); err != nil {
 		return nil, nil, 0, err
 	}
-	interval, err = Run(mk(diembft.VoteIntervals))
+	interval, err = Run(mk(sft.VoteIntervals))
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -348,11 +361,11 @@ type LivenessAttackResult struct {
 	Cap int
 }
 
-func peakPacemaker(res *Result) (peak int, dropped uint64) {
-	for _, st := range res.Pacemakers {
-		if st.PeakPerPeer > peak {
-			peak = st.PeakPerPeer
-		}
+// PacemakerPeak returns the worst single-peer timeout-buffer high-watermark
+// across replicas and the timeouts the per-peer caps shed in total.
+func (r *Result) PacemakerPeak() (peak int, dropped uint64) {
+	for _, st := range r.Pacemakers {
+		peak = max(peak, st.PeakPerPeer)
 		dropped += st.Dropped
 	}
 	return peak, dropped
@@ -387,32 +400,30 @@ func LivenessAttack(sc Scale) (*LivenessAttackResult, error) {
 		}
 	}
 	mk := func(active bool) *Scenario {
-		model := simnet.NewSymmetricModel(sc.N, 3, intraDelay, 20*time.Millisecond, 5*time.Millisecond)
-		s := &Scenario{
-			Name:             "livenessattack",
-			N:                sc.N,
-			F:                sc.F,
-			Latency:          model,
-			Seed:             sc.Seed,
-			Duration:         sc.Duration,
-			RoundTimeout:     250 * time.Millisecond,
-			SFT:              true,
-			VerifySignatures: true,
-			Scheme:           sc.Scheme,
-			Adversaries:      byz,
-			RecordStrengths:  true,
-			RecordChains:     true,
-		}
+		// The pre-hardening pacemaker buffered timeouts without a per-peer
+		// bound; an effectively infinite cap reproduces that while keeping
+		// the Stats accounting live.
+		pm := sft.PacemakerConfig{PerPeerTimeoutCap: 1 << 20}
 		if active {
-			s.ActivePacemaker = true
-			s.LeaderReputationWindow = 8
-		} else {
-			// The pre-hardening pacemaker buffered timeouts without a
-			// per-peer bound; an effectively infinite cap reproduces that
-			// while keeping the Stats accounting live.
-			s.PerPeerTimeoutCap = 1 << 20
+			pm = sft.PacemakerConfig{Active: true, LeaderReputation: 8}
 		}
-		return s
+		return &Scenario{
+			Name:            "livenessattack",
+			N:               sc.N,
+			F:               sc.F,
+			Latency:         sft.SymmetricLatency(sc.N, 3, intraDelay, 20*time.Millisecond, 5*time.Millisecond),
+			Seed:            sc.Seed,
+			Duration:        sc.Duration,
+			Scheme:          sc.Scheme,
+			Adversaries:     byz,
+			RecordStrengths: true,
+			RecordChains:    true,
+			Options: []sft.Option{
+				sft.WithRoundTimeout(250 * time.Millisecond),
+				sft.WithReference(reference.Arms{VerifySignatures: true}),
+				sft.WithPacemaker(pm),
+			},
+		}
 	}
 	out := &LivenessAttackResult{Cap: pacemaker.DefaultPerPeerCap}
 	var err error
@@ -428,8 +439,8 @@ func LivenessAttack(sc Scale) (*LivenessAttackResult, error) {
 			return nil, fmt.Errorf("livenessattack: %s arm safety violated: %s", arm, vs[0])
 		}
 	}
-	out.PassivePeak, out.PassiveDropped = peakPacemaker(out.Passive)
-	out.ActivePeak, out.ActiveDropped = peakPacemaker(out.Active)
+	out.PassivePeak, out.PassiveDropped = out.Passive.PacemakerPeak()
+	out.ActivePeak, out.ActiveDropped = out.Active.PacemakerPeak()
 	if out.Active.CommittedBlocks < 3 {
 		return nil, fmt.Errorf("livenessattack: hardened arm stalled (%d commits)", out.Active.CommittedBlocks)
 	}
@@ -485,7 +496,7 @@ func CrashRecovery(sc Scale, delta time.Duration) (*CrashRecoveryResult, error) 
 	base.Name = "crashrecovery-baseline"
 	base.RecordChains = true
 	// Disable pruning so full chains stay comparable across the run.
-	base.PruneKeep = types.Height(1 << 30)
+	base.Options = append(base.Options, sft.WithPruneKeep(1<<30))
 	baseline, err := Run(base)
 	if err != nil {
 		return nil, err
@@ -494,7 +505,7 @@ func CrashRecovery(sc Scale, delta time.Duration) (*CrashRecoveryResult, error) 
 	faulty := symmetricScenario(sc, delta)
 	faulty.Name = "crashrecovery"
 	faulty.RecordChains = true
-	faulty.PruneKeep = types.Height(1 << 30)
+	faulty.Options = append(faulty.Options, sft.WithPruneKeep(1<<30))
 	faulty.Crashes = []CrashPlan{{Replica: victim, Crash: crashAt, Restart: restartAt}}
 	res, err := Run(faulty)
 	if err != nil {
@@ -605,7 +616,7 @@ func BankWorkload(sc Scale, accounts uint32, txnsPerBlock int, sign bool) (*Bank
 		cfg.Keys = app.NewBankKeys(cfg.Seed)
 	}
 	gen := workload.NewBankWorkload(sc.Seed, cfg, txnsPerBlock, sign)
-	model := simnet.NewSymmetricModel(sc.N, 3, intraDelay, 20*time.Millisecond, 5*time.Millisecond)
+	model := sft.SymmetricLatency(sc.N, 3, intraDelay, 20*time.Millisecond, 5*time.Millisecond)
 	res, err := Run(&Scenario{
 		Name:            "bankworkload",
 		N:               sc.N,
@@ -613,15 +624,16 @@ func BankWorkload(sc Scale, accounts uint32, txnsPerBlock int, sign bool) (*Bank
 		Latency:         model,
 		Seed:            sc.Seed,
 		Duration:        sc.Duration,
-		RoundTimeout:    250 * time.Millisecond,
-		SFT:             true,
 		Scheme:          sc.Scheme,
 		Levels:          []int{sc.F, 2 * sc.F},
-		App:             func() app.StateMachine { return app.NewBank(cfg) },
-		PayloadNow:      gen.Payload,
 		PayloadTxns:     txnsPerBlock,
 		RecordChains:    true,
 		RecordStrengths: true,
+		Options: []sft.Option{
+			sft.WithRoundTimeout(250 * time.Millisecond),
+			sft.WithApp(func() sft.StateMachine { return app.NewBank(cfg) }),
+			sft.WithPayloadNow(gen.Payload),
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -662,20 +674,21 @@ func BankWorkload(sc Scale, accounts uint32, txnsPerBlock int, sign bool) (*Bank
 // counterpart of Figure 7a.
 func StreamletLatency(sc Scale, delta time.Duration) (*Result, error) {
 	sc = sc.withDefaults()
-	model := simnet.NewSymmetricModel(sc.N, 3, intraDelay, delta/2, delta/8)
-	return Run(&Scenario{
+	s := &Scenario{
 		Name:     "streamlet",
-		Protocol: ProtoStreamlet,
 		N:        sc.N,
 		F:        sc.F,
-		Latency:  model,
+		Latency:  sft.SymmetricLatency(sc.N, 3, intraDelay, delta/2, delta/8),
 		Seed:     sc.Seed,
 		Duration: sc.Duration,
+		Scheme:   sc.Scheme,
 		// Streamlet's lock-step parameter must bound the actual network
 		// delay: delta/2 base + jitter + margin.
-		Delta:       delta,
-		SFT:         true,
-		Scheme:      sc.Scheme,
-		DisableEcho: sc.N > 31, // echo is O(n^3); keep it for small clusters only
-	})
+		Options: []sft.Option{sft.WithEngine(sft.Streamlet), sft.WithDelta(delta)},
+	}
+	if sc.N > 31 {
+		// Echo is O(n^3); keep it for small clusters only.
+		s.Options = append(s.Options, sft.WithoutEcho())
+	}
+	return Run(s)
 }

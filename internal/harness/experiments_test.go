@@ -72,18 +72,10 @@ func TestPacemakerCanary(t *testing.T) {
 	if len(pv) > 0 || len(av) > 0 {
 		t.Fatalf("canary violated safety: passive=%v active=%v", pv, av)
 	}
-	peak := func(r *harness.Result) (p int) {
-		for _, st := range r.Pacemakers {
-			if st.PeakPerPeer > p {
-				p = st.PeakPerPeer
-			}
-		}
-		return p
-	}
-	if got := peak(active); got > 8 {
+	if got, _ := active.PacemakerPeak(); got > 8 {
 		t.Errorf("active arm per-peer buffer peaked at %d > cap", got)
 	}
-	if got := peak(passive); got <= 8 {
+	if got, _ := passive.PacemakerPeak(); got <= 8 {
 		t.Errorf("passive arm peaked at only %d — spam demonstrated nothing", got)
 	}
 }

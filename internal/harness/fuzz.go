@@ -11,18 +11,17 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/app"
-	"repro/internal/diembft"
-	"repro/internal/simnet"
+	"repro/internal/reference"
 	"repro/internal/types"
 	"repro/internal/workload"
+	"repro/sft"
 )
 
 // This file is the randomized adversarial scenario fuzzer: a seeded
 // generator samples cluster shapes, engines, commit-rule modes, crash and
 // restart plans, network partitions and per-replica Byzantine behavior
-// compositions (internal/adversary), runs each scenario on the
-// discrete-event simulator through the same composition path as every other
-// experiment, and checks the paper's invariants on the result:
+// compositions (internal/adversary), runs each scenario through Run like
+// every other experiment, and checks the paper's invariants on the result:
 //
 //   - Definition 1 safety: no two conflicting blocks may both be observed at
 //     strength >= t by honest replicas, where t is the number of Byzantine
@@ -81,12 +80,12 @@ type FuzzScenario struct {
 	Index   int
 	SubSeed int64
 
-	Protocol Protocol
+	Protocol sft.Engine
 	N, F     int
 	Duration time.Duration
 
 	// Engine knobs sampled by the generator.
-	VoteMode     diembft.VoteMode // DiemBFT only
+	VoteMode     sft.VoteFlavor // DiemBFT only
 	RoundTimeout time.Duration
 	Delta        time.Duration // Streamlet only
 	Verify       bool
@@ -153,10 +152,10 @@ func GenFuzzScenario(seed int64, index int, opts FuzzOptions) FuzzScenario {
 		Scheme:        opts.Scheme,
 	}
 	if rng.Float64() < 0.6 {
-		s.Protocol = ProtoDiemBFT
-		s.VoteMode = diembft.VoteMarker
+		s.Protocol = sft.DiemBFT
+		s.VoteMode = sft.VoteMarkers
 		if rng.Float64() < 0.3 {
-			s.VoteMode = diembft.VoteIntervals
+			s.VoteMode = sft.VoteIntervals
 		}
 		// Sample the active pacemaker (and occasionally leader reputation)
 		// so justified round entry faces the same adversary mix as the
@@ -169,7 +168,7 @@ func GenFuzzScenario(seed int64, index int, opts FuzzOptions) FuzzScenario {
 			}
 		}
 	} else {
-		s.Protocol = ProtoStreamlet
+		s.Protocol = sft.Streamlet
 	}
 
 	// Byzantine replicas: up to 2f of them, each composing 1-2 behaviors.
@@ -306,38 +305,38 @@ func sampleBehavior(rng *rand.Rand) adversary.Spec {
 func (s FuzzScenario) Scenario() *Scenario {
 	sc := &Scenario{
 		Name:     fmt.Sprintf("fuzz-%d", s.Index),
-		Protocol: s.Protocol,
 		N:        s.N,
 		F:        s.F,
-		Latency:  &simnet.UniformModel{Base: s.LatencyBase, Jitter: s.LatencyJitter},
+		Latency:  &sft.UniformLatency{Base: s.LatencyBase, Jitter: s.LatencyJitter},
 		Seed:     s.SubSeed,
 		Duration: s.Duration,
+		Scheme:   s.Scheme,
 
-		RoundTimeout:     s.RoundTimeout,
-		Delta:            s.Delta,
-		SFT:              true,
-		VoteMode:         s.VoteMode,
-		VerifySignatures: s.Verify,
-		Scheme:           s.Scheme,
-
-		ActivePacemaker:        s.ActivePacemaker,
-		LeaderReputationWindow: s.LeaderReputation,
-		PerPeerTimeoutCap:      s.PerPeerCap,
-
-		NaiveEndorsements: s.Naive,
-		Adversaries:       s.Adversaries,
-		Crashes:           s.Crashes,
-		Partitions:        s.Partitions,
+		Adversaries: s.Adversaries,
+		Crashes:     s.Crashes,
+		Partitions:  s.Partitions,
 
 		RecordChains:    true,
 		RecordStrengths: true,
+
+		Options: []sft.Option{
+			sft.WithEngine(s.Protocol),
+			sft.WithRoundTimeout(s.RoundTimeout),
+			sft.WithDelta(s.Delta),
+			sft.WithCommitRule(sft.CommitRule{Votes: s.VoteMode, Horizon: horizon(s.N)}),
+			sft.WithReference(reference.Arms{VerifySignatures: s.Verify, NaiveEndorsements: s.Naive}),
+		},
+	}
+	if pm := (sft.PacemakerConfig{Active: s.ActivePacemaker, PerPeerTimeoutCap: s.PerPeerCap, LeaderReputation: s.LeaderReputation}); pm != (sft.PacemakerConfig{}) {
+		sc.Options = append(sc.Options, sft.WithPacemaker(pm))
 	}
 	if s.BankApp {
 		cfg := app.BankConfig{Seed: s.SubSeed, Accounts: 128, InitialBalance: 1 << 20, DisableSigVerify: true}
-		sc.App = func() app.StateMachine { return app.NewBank(cfg) }
 		// One shared generator models one client population submitting to
 		// whoever leads; batches stay small to keep sweep cost flat.
-		sc.PayloadNow = workload.NewBankWorkload(s.SubSeed, cfg, 24, false).Payload
+		sc.Options = append(sc.Options,
+			sft.WithApp(func() sft.StateMachine { return app.NewBank(cfg) }),
+			sft.WithPayloadNow(workload.NewBankWorkload(s.SubSeed, cfg, 24, false).Payload))
 	}
 	return sc
 }
@@ -346,7 +345,7 @@ func (s FuzzScenario) Scenario() *Scenario {
 func (s FuzzScenario) String() string {
 	var b strings.Builder
 	proto := "diembft"
-	if s.Protocol == ProtoStreamlet {
+	if s.Protocol == sft.Streamlet {
 		proto = "streamlet"
 	}
 	fmt.Fprintf(&b, "scenario %d (subseed %d): %s n=%d f=%d dur=%v verify=%v",
@@ -354,7 +353,7 @@ func (s FuzzScenario) String() string {
 	if s.Scheme != "" {
 		fmt.Fprintf(&b, " scheme=%s", s.Scheme)
 	}
-	if s.Protocol == ProtoDiemBFT && s.VoteMode == diembft.VoteIntervals {
+	if s.Protocol == sft.DiemBFT && s.VoteMode == sft.VoteIntervals {
 		b.WriteString(" votes=intervals")
 	}
 	if s.ActivePacemaker {
@@ -757,10 +756,10 @@ func WeakenedRuleCanary(seed int64, n int, naive bool) (FuzzScenario, []string, 
 	spec := FuzzScenario{
 		Index:         1 << 20,
 		SubSeed:       sub,
-		Protocol:      ProtoDiemBFT,
+		Protocol:      sft.DiemBFT,
 		N:             n,
 		F:             f,
-		VoteMode:      diembft.VoteMarker,
+		VoteMode:      sft.VoteMarkers,
 		Duration:      12 * time.Second,
 		RoundTimeout:  250 * time.Millisecond,
 		Delta:         25 * time.Millisecond,
@@ -808,10 +807,10 @@ func PacemakerCanary(seed int64, n int, active bool) (FuzzScenario, *Result, []s
 	spec := FuzzScenario{
 		Index:         1 << 21,
 		SubSeed:       sub,
-		Protocol:      ProtoDiemBFT,
+		Protocol:      sft.DiemBFT,
 		N:             n,
 		F:             f,
-		VoteMode:      diembft.VoteMarker,
+		VoteMode:      sft.VoteMarkers,
 		Duration:      10 * time.Second,
 		RoundTimeout:  250 * time.Millisecond,
 		Delta:         25 * time.Millisecond,

@@ -14,11 +14,12 @@ import (
 	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/crypto"
-	"repro/internal/diembft"
 	"repro/internal/observer"
+	"repro/internal/reference"
 	"repro/internal/simnet"
 	"repro/internal/types"
 	"repro/internal/workload"
+	"repro/sft"
 )
 
 // Golden trace pins: the cross-commit regression oracle. The determinism
@@ -72,46 +73,44 @@ func goldenLatency() simnet.LatencyModel {
 // goldenScenarios are the harness-run scenarios; the observer scenario is
 // hand-wired below because the harness has no observer slot.
 func goldenScenarios() []*Scenario {
-	base := func(name string, seed int64) *Scenario {
+	// Every scenario checks signatures under the simulated scheme; a scenario
+	// that selects another reference arm restates it.
+	verify := reference.Arms{VerifySignatures: true}
+	base := func(name string, seed int64, opts ...sft.Option) *Scenario {
 		return &Scenario{
 			Name: name, N: 7, F: 2, Seed: seed,
-			Latency:          goldenLatency(),
-			Duration:         12 * time.Second,
-			RoundTimeout:     300 * time.Millisecond,
-			SFT:              true,
-			VerifySignatures: true,
-			RecordChains:     true,
-			RecordStrengths:  true,
+			Latency:         goldenLatency(),
+			Duration:        12 * time.Second,
+			RecordChains:    true,
+			RecordStrengths: true,
+			Options: append([]sft.Option{
+				sft.WithRoundTimeout(300 * time.Millisecond),
+				sft.WithReference(verify),
+			}, opts...),
 		}
 	}
 
-	marker := base("diembft-marker-n7", 101)
-	marker.VoteMode = diembft.VoteMarker
-	marker.ExtraWait = 3 * time.Millisecond
+	marker := base("diembft-marker-n7", 101, sft.WithExtraWait(3*time.Millisecond))
 	marker.Crash = map[types.ReplicaID]time.Duration{5: 4 * time.Second}
 
 	// Pre-GST delays beyond the round timeout force timeouts, TCs and orphaned
 	// proposals before the run settles.
-	intervals := base("diembft-intervals-n7", 102)
-	intervals.VoteMode = diembft.VoteIntervals
-	intervals.IntervalWindow = 32
-	intervals.GST = 3 * time.Second
-	intervals.PreGSTExtra = 350 * time.Millisecond
+	intervals := base("diembft-intervals-n7", 102,
+		sft.WithCommitRule(sft.CommitRule{Votes: sft.VoteIntervals, IntervalWindow: 32, Horizon: horizon(7)}))
+	intervals.Latency = PreGST(goldenLatency(), 3*time.Second, 350*time.Millisecond)
 
-	fbft := base("diembft-fbft-n4", 103)
+	fbft := base("diembft-fbft-n4", 103, sft.WithReference(reference.Arms{FBFT: true, VerifySignatures: true}))
 	fbft.N, fbft.F = 4, 1
-	fbft.SFT, fbft.FBFT = false, true
 	fbft.Latency = simnet.NewSymmetricModel(4, 2, intraDelay, 20*time.Millisecond, 8*time.Millisecond)
 
 	bankCfg := app.BankConfig{Seed: 104, Accounts: 1 << 10, InitialBalance: 1 << 20, DisableSigVerify: true}
 	gen := workload.NewBankWorkload(104, bankCfg, 32, false)
-	bank := base("diembft-bank-crash-n7", 104)
-	bank.App = func() app.StateMachine { return app.NewBank(bankCfg) }
-	bank.PayloadNow = gen.Payload
+	bank := base("diembft-bank-crash-n7", 104,
+		sft.WithApp(func() sft.StateMachine { return app.NewBank(bankCfg) }),
+		sft.WithPayloadNow(gen.Payload))
 	bank.Crashes = []CrashPlan{{Replica: 3, Crash: 4 * time.Second, Restart: 7 * time.Second}}
 
-	partition := base("diembft-partition-n7", 105)
-	partition.PruneKeep = 48
+	partition := base("diembft-partition-n7", 105, sft.WithPruneKeep(48))
 	partition.Partitions = []PartitionPlan{{
 		At: 3 * time.Second, Heal: 7 * time.Second,
 		Groups: [][]types.ReplicaID{{5, 6}},
@@ -121,19 +120,15 @@ func goldenScenarios() []*Scenario {
 	agg.Scheme = crypto.SchemeEd25519Agg
 	agg.Duration = 4 * time.Second
 
-	streamEcho := base("streamlet-echo-crash-n7", 107)
-	streamEcho.Protocol = ProtoStreamlet
-	streamEcho.Delta = 25 * time.Millisecond
+	streamEcho := base("streamlet-echo-crash-n7", 107, sft.WithEngine(sft.Streamlet), sft.WithDelta(25*time.Millisecond))
 	streamEcho.Crashes = []CrashPlan{{Replica: 2, Crash: 4 * time.Second, Restart: 7 * time.Second}}
 
 	streamBankCfg := app.BankConfig{Seed: 108, Accounts: 1 << 8, InitialBalance: 1 << 20, DisableSigVerify: true}
 	streamGen := workload.NewBankWorkload(108, streamBankCfg, 8, false)
-	streamNoEcho := base("streamlet-noecho-n7", 108)
-	streamNoEcho.Protocol = ProtoStreamlet
-	streamNoEcho.Delta = 25 * time.Millisecond
-	streamNoEcho.DisableEcho = true
-	streamNoEcho.App = func() app.StateMachine { return app.NewBank(streamBankCfg) }
-	streamNoEcho.PayloadNow = streamGen.Payload
+	streamNoEcho := base("streamlet-noecho-n7", 108,
+		sft.WithEngine(sft.Streamlet), sft.WithDelta(25*time.Millisecond), sft.WithoutEcho(),
+		sft.WithApp(func() sft.StateMachine { return app.NewBank(streamBankCfg) }),
+		sft.WithPayloadNow(streamGen.Payload))
 	streamNoEcho.Crashes = []CrashPlan{{Replica: 4, Crash: 3 * time.Second, Restart: 6 * time.Second}}
 
 	return []*Scenario{marker, intervals, fbft, bank, partition, agg, streamEcho, streamNoEcho}

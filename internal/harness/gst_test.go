@@ -5,30 +5,28 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/simnet"
+	"repro/sft"
 )
 
-// TestGSTScenarioFields exercises the Scenario-level partial-synchrony
-// knobs: with a 5s GST and crippling pre-GST delays, almost all commits and
+// TestGSTScenario exercises partial synchrony through harness.PreGST: with a 5s GST and crippling pre-GST delays, almost all commits and
 // strong commits happen after GST, and the cluster still reaches 2f-strong
 // afterwards — the paper's setting ("after GST ... blocks will be strong
 // committed").
-func TestGSTScenarioFields(t *testing.T) {
+func TestGSTScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
 	res, err := harness.Run(&harness.Scenario{
-		Name:         "gst",
-		N:            13,
-		F:            4,
-		Latency:      simnet.NewSymmetricModel(13, 3, time.Millisecond, 20*time.Millisecond, 5*time.Millisecond),
-		Seed:         44,
-		Duration:     60 * time.Second,
-		Warmup:       10 * time.Second, // measure only post-GST blocks
-		GST:          5 * time.Second,
-		PreGSTExtra:  2 * time.Second, // >> round timeout: no progress pre-GST
-		RoundTimeout: 400 * time.Millisecond,
-		SFT:          true,
+		Name: "gst",
+		N:    13,
+		F:    4,
+		// Pre-GST deliveries take 2s extra, far beyond the round timeout: no
+		// progress before GST at 5s.
+		Latency:  harness.PreGST(sft.SymmetricLatency(13, 3, time.Millisecond, 20*time.Millisecond, 5*time.Millisecond), 5*time.Second, 2*time.Second),
+		Seed:     44,
+		Duration: 60 * time.Second,
+		Warmup:   10 * time.Second, // measure only post-GST blocks
+		Options:  []sft.Option{sft.WithRoundTimeout(400 * time.Millisecond)},
 	})
 	if err != nil {
 		t.Fatal(err)

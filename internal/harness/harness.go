@@ -1,51 +1,41 @@
-// Package harness builds clusters, runs scenarios on the discrete-event
-// simulator, and aggregates the measurements the paper's evaluation reports:
-// regular-commit latency, x-strong-commit latency per resilience level,
-// throughput, and message complexity. The per-figure experiment drivers
-// (Figure 7a/7b, Figure 8, message complexity, the liveness theorems) live
-// in experiments.go.
+// Package harness is a scenario library over sft.Simnet: a Scenario names a
+// cluster, a latency model, a fault schedule and the facade options every
+// replica runs with; Run builds one sft.Node per replica on one simulated
+// world, exactly as a user of the facade would, and aggregates the
+// measurements the paper's evaluation reports: regular-commit latency,
+// x-strong-commit latency per resilience level, throughput, and message
+// complexity. The per-figure experiments (Figure 7a/7b, Figure 8,
+// message complexity, the liveness theorems) live in experiments.go.
 package harness
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
-	"repro/internal/adversary"
-	"repro/internal/app"
-	"repro/internal/compose"
-	"repro/internal/core"
 	"repro/internal/crypto"
-	"repro/internal/diembft"
-	"repro/internal/engine"
 	"repro/internal/pacemaker"
-	"repro/internal/simnet"
 	"repro/internal/types"
 	"repro/internal/workload"
-)
-
-// Protocol selects the consensus engine for a scenario.
-type Protocol int
-
-// Supported protocols.
-const (
-	ProtoDiemBFT Protocol = iota + 1
-	ProtoStreamlet
+	"repro/sft"
 )
 
 // Scenario describes one experiment run.
 type Scenario struct {
-	Name     string
-	Protocol Protocol // default ProtoDiemBFT
+	Name string
 
 	// Cluster shape. N must be 3F+1.
 	N, F int
 
-	// Latency is the network model; required.
-	Latency simnet.LatencyModel
-	// Seed makes runs reproducible.
+	// Latency is the network model; required. PreGST wraps one for partial
+	// synchrony.
+	Latency sft.LatencyModel
+	// Seed makes runs reproducible: it seeds the simulation, derives the
+	// cluster PKI and, through Config.Seed, every Byzantine replica's
+	// behaviour.
 	Seed int64
 	// Duration is the virtual run length.
 	Duration time.Duration
@@ -54,66 +44,29 @@ type Scenario struct {
 	// blocks whose strength could not have saturated before the run ends.
 	Warmup, TailMargin time.Duration
 
-	// DiemBFT engine knobs.
-	RoundTimeout   time.Duration
-	ExtraWait      time.Duration
-	ExtraWaitFor   func(r types.Round) time.Duration
-	SFT            bool
-	FBFT           bool
-	VoteMode       diembft.VoteMode
-	IntervalWindow types.Round
-	Horizon        int
-	PruneKeep      types.Height
-
-	// Active pacemaker knobs (DiemBFT; see diembft.Config). The zero values
-	// are the passive paper baseline.
-	ActivePacemaker        bool
-	TimeoutWindow          types.Round
-	PerPeerTimeoutCap      int
-	LeaderReputationWindow types.Round
-
-	// Streamlet engine knobs.
-	Delta       time.Duration
-	DisableEcho bool
-	// ProposalWindow bounds how far ahead of the lock-step round a
-	// Streamlet proposal may claim to be (0 = unbounded baseline).
-	ProposalWindow types.Round
-
-	VerifySignatures bool
 	// Scheme selects the signature implementation: crypto.SchemeSim (the
-	// default, fast and deterministic), crypto.SchemeSimAgg /
-	// crypto.SchemeEd25519Agg for the compact aggregated-certificate
-	// variants (ed25519-agg implies verification), or crypto.SchemeEd25519 for real
-	// crypto. An ed25519 scenario implies VerifySignatures — running real
-	// signatures without checking them measures nothing.
+	// default, fast and deterministic, signatures unchecked unless
+	// sft.WithReference asks), the aggregate schemes for compact
+	// certificates, or crypto.SchemeEd25519 for real crypto (always checked).
 	Scheme string
-	// DisableQCCache turns off the per-replica verified-QC memo (DiemBFT
-	// engines), forcing every delivery to re-verify. The determinism tests
-	// use it to assert cache-on and cache-off runs are bit-identical.
-	DisableQCCache bool
 
-	// Partial synchrony: before GST every delivery gets PreGSTExtra added
-	// to its delay (GST 0 = synchronous from the start).
-	GST         time.Duration
-	PreGSTExtra time.Duration
+	// Options configure every replica through the facade: engine, commit
+	// rule, pacemaker, timeouts, payload, execution layer, and the reference
+	// arms (sft.WithReference). They apply after the harness defaults, which
+	// withDefaults prepends, so a scenario's option wins.
+	Options []sft.Option
 
 	// Faults: crash times and Byzantine behavior chains per replica. Each
-	// listed replica's engine is wrapped with the composed adversary
-	// behaviors (internal/adversary), uniformly for both protocols.
+	// listed replica runs sft.WithAdversary with its chain, uniformly for
+	// both protocols.
 	Crash       map[types.ReplicaID]time.Duration
-	Adversaries map[types.ReplicaID][]adversary.Spec
+	Adversaries map[types.ReplicaID][]sft.AdversarySpec
 
 	// Partitions schedules network splits on the simulator (see
-	// simnet.PartitionAt): each plan installs its groups at At and — when
+	// sft.Simnet.PartitionAt): each plan installs its groups at At and — when
 	// Heal > 0 — restores full connectivity at Heal. Later plans replace
 	// earlier ones.
 	Partitions []PartitionPlan
-
-	// NaiveEndorsements runs every replica's SFT tracker with the UNSAFE
-	// marker-free counting of Appendix C. Only the scenario fuzzer's
-	// weakened-rule canary sets it — to prove its Definition 1 checker
-	// catches the violation.
-	NaiveEndorsements bool
 
 	// Crashes are kill/restart schedules: each plan's replica runs with a
 	// write-ahead log, is killed at Crash, and (when Restart > 0) comes
@@ -125,7 +78,8 @@ type Scenario struct {
 	// temporary directory that is removed when Run returns.
 	DataDir string
 	// RecordChains makes Result.Chains hold every replica's committed block
-	// per height — the crash-recovery consistency checks read it.
+	// per height — the crash-recovery consistency checks read it — and, for
+	// replicas running sft.WithApp, Result.AppHashes their state roots.
 	RecordChains bool
 	// RecordStrengths makes Result.Strengths hold every replica's maximum
 	// observed strength per block (regular commits folded in at x = F) and
@@ -144,21 +98,10 @@ type Scenario struct {
 	LevelObservers map[types.ReplicaID]bool
 
 	// Workload shape: modeled transactions and bytes per block (defaults
-	// to the paper's ~1000 txns / ~450KB).
+	// to the paper's ~1000 txns / ~450KB). sft.WithPayloadNow in Options
+	// replaces the synthetic payload.
 	PayloadTxns  int
 	PayloadBytes int
-
-	// PayloadNow, when non-nil, replaces the default synthetic payload
-	// source with a time-aware one (see compose.Spec.PayloadNow); the bank
-	// workload uses it so submit timestamps equal block creation times.
-	PayloadNow func(r types.Round, now time.Duration) types.Payload
-
-	// App, when non-nil, attaches the execution layer: every replica runs a
-	// fresh instance from this factory (fresh again on restart, so recovery
-	// re-executes the restored chain — see compose.Spec.App) and votes carry
-	// the resulting AppHash. Result.AppHashes records each replica's
-	// committed state root per height when RecordChains is also set.
-	App func() app.StateMachine
 }
 
 // PartitionPlan schedules one network split: Groups install at At (replicas
@@ -205,7 +148,7 @@ type Result struct {
 	// precede commit outputs within one event) count as zero.
 	LevelCommitDelay map[int]Summary
 
-	Msgs          simnet.MsgStats
+	Msgs          sft.MsgStats
 	MsgsPerCommit float64
 	BytesPerBlock float64
 	FinalRound    types.Round
@@ -231,19 +174,19 @@ type Result struct {
 	PartitionDrops int64
 
 	// AppHashes maps replica -> height -> the execution-layer state root the
-	// replica committed there, recorded at commit time when Scenario.App and
-	// Scenario.RecordChains are both set. The fuzzer's execution-agreement
-	// invariant and the bank-workload experiment read it.
+	// replica committed there, recorded at commit time for replicas running
+	// sft.WithApp when Scenario.RecordChains is set. The fuzzer's
+	// execution-agreement invariant and the bank-workload experiment read it.
 	AppHashes map[types.ReplicaID]map[types.Height][32]byte
 	// AppExecutedBlocks is the number of blocks the observer's replica ran
-	// through its state machine (Scenario.App runs only).
+	// through its state machine (sft.WithApp runs only).
 	AppExecutedBlocks int64
 
-	// Pacemakers holds each DiemBFT replica's final timeout-buffer
+	// Pacemakers holds each replica's final timeout-buffer
 	// accounting (buffered entries, per-peer high-watermark, cap drops) —
 	// the evidence the liveness-attack A/B uses to prove bounded memory
 	// under timeout-spam. Replicas under a CrashPlan report their final
-	// incarnation; Streamlet scenarios leave it empty.
+	// incarnation; Streamlet replicas report zero.
 	Pacemakers map[types.ReplicaID]pacemaker.Stats
 }
 
@@ -267,17 +210,13 @@ func LevelLabel(x, f int) string {
 	return fmt.Sprintf("%.1ff", float64(x)/float64(f))
 }
 
+// horizon is the endorsement-walk depth every scenario runs with: deep
+// enough for strength to reach 2f, bounded so one walk stays O(n). A scenario
+// that sets its own sft.CommitRule passes it explicitly.
+func horizon(n int) int { return 2*n + 16 }
+
 func (s *Scenario) withDefaults() *Scenario {
 	c := *s
-	if c.Protocol == 0 {
-		c.Protocol = ProtoDiemBFT
-	}
-	if c.RoundTimeout == 0 {
-		c.RoundTimeout = time.Second
-	}
-	if c.Delta == 0 {
-		c.Delta = 100 * time.Millisecond
-	}
 	if c.Duration == 0 {
 		c.Duration = time.Minute
 	}
@@ -290,22 +229,43 @@ func (s *Scenario) withDefaults() *Scenario {
 	if c.PayloadBytes == 0 {
 		c.PayloadBytes = workload.PaperBlockBytes
 	}
-	if c.Horizon == 0 {
-		c.Horizon = 2*c.N + 16
-	}
-	if c.PruneKeep == 0 {
-		c.PruneKeep = types.Height(3*c.N + 64)
-	}
 	if c.TailMargin == 0 {
 		c.TailMargin = c.Duration / 5
 	}
 	if c.Scheme == "" {
 		c.Scheme = crypto.SchemeSim
 	}
-	if c.Scheme == crypto.SchemeEd25519 || c.Scheme == crypto.SchemeEd25519Agg {
-		c.VerifySignatures = true
-	}
+	c.Options = append([]sft.Option{
+		sft.WithRoundTimeout(time.Second),
+		sft.WithDelta(100 * time.Millisecond),
+		sft.WithCommitRule(sft.CommitRule{Horizon: horizon(c.N)}),
+		sft.WithPruneKeep(types.Height(3*c.N + 64)),
+		sft.WithPayload(workload.PaperPayload(c.Seed, c.PayloadTxns, c.PayloadBytes)),
+	}, s.Options...)
 	return &c
+}
+
+// PreGST wraps a latency model for partial synchrony: a message sent before
+// virtual time gst arrives extra later than inner says, after which inner
+// alone applies. Run binds the wrapper to the clock of the world it builds.
+func PreGST(inner sft.LatencyModel, gst, extra time.Duration) sft.LatencyModel {
+	return &preGST{inner: inner, gst: gst, extra: extra}
+}
+
+type preGST struct {
+	inner      sft.LatencyModel
+	gst, extra time.Duration
+	clock      interface{ Now() time.Duration }
+}
+
+// Delay implements sft.LatencyModel: inner's delay (which draws the jitter),
+// plus extra while the clock is before GST.
+func (p *preGST) Delay(from, to types.ReplicaID, size int, rng *rand.Rand) time.Duration {
+	d := p.inner.Delay(from, to, size, rng)
+	if p.clock.Now() < p.gst {
+		d += p.extra
+	}
+	return d
 }
 
 // collector accumulates measurements during a run.
@@ -522,7 +482,7 @@ func Run(sc *Scenario) (*Result, error) {
 	if s.Latency == nil {
 		return nil, fmt.Errorf("harness: latency model required")
 	}
-	ring, err := crypto.NewKeyRing(s.N, s.Seed, s.Scheme)
+	ring, err := sft.NewKeyRing(s.N, s.Seed, sft.Scheme(s.Scheme))
 	if err != nil {
 		return nil, err
 	}
@@ -534,69 +494,31 @@ func Run(sc *Scenario) (*Result, error) {
 		planned[plan.Replica] = true
 	}
 	observer := types.ReplicaID(0)
-	for i := 0; i < s.N; i++ {
-		id := types.ReplicaID(i)
-		if _, crashed := s.Crash[id]; crashed {
-			continue
+	for id := types.ReplicaID(0); int(id) < s.N; id++ {
+		_, crashed := s.Crash[id]
+		_, byz := s.Adversaries[id]
+		if !crashed && !byz && !planned[id] {
+			observer = id
+			break
 		}
-		if _, byz := s.Adversaries[id]; byz {
-			continue
-		}
-		if planned[id] {
-			continue
-		}
-		observer = id
-		break
 	}
 	col := newCollector(s, observer)
 
-	// Keep the engine handles: the commit observer reads committed AppHashes
-	// out of them, and after the run the harness harvests per-replica
-	// pacemaker stats (restarted replicas overwrite their slot, so the map
-	// always points at the final incarnation).
-	engines := make(map[types.ReplicaID]engine.Engine, s.N)
-
-	onCommit := col.onCommit
-	var appHashes map[types.ReplicaID]map[types.Height][32]byte
-	if s.App != nil && s.RecordChains {
-		// Record each replica's committed state root at commit time — the
-		// executor is guaranteed to still hold the root then (it prunes only
-		// far below the committed height).
-		appHashes = make(map[types.ReplicaID]map[types.Height][32]byte)
-		onCommit = func(rep types.ReplicaID, now time.Duration, b *types.Block) {
-			col.onCommit(rep, now, b)
-			if exec := engineExecutor(engines[rep]); exec != nil {
-				if root, ok := exec.Root(b.ID()); ok {
-					m := appHashes[rep]
-					if m == nil {
-						m = make(map[types.Height][32]byte)
-						appHashes[rep] = m
-					}
-					m[b.Height] = root
-				}
-			}
-		}
+	// A pre-GST wrapper reads this run's clock; bind a copy, so one scenario
+	// can run in several worlds at once.
+	latency := s.Latency
+	gst, delayed := latency.(*preGST)
+	if delayed {
+		bound := *gst
+		gst, latency = &bound, &bound
 	}
-
-	simCfg := simnet.Config{
-		N:          s.N,
-		Latency:    s.Latency,
-		Seed:       s.Seed,
-		OnCommit:   onCommit,
-		OnStrength: col.onStrength,
+	world, err := sft.NewSimnet(sft.SimnetConfig{N: s.N, Latency: latency, Seed: s.Seed})
+	if err != nil {
+		return nil, err
 	}
-	if s.GST > 0 {
-		gst, extra := s.GST, s.PreGSTExtra
-		simCfg.ExtraDelay = func(from, to types.ReplicaID, now time.Duration) time.Duration {
-			if now < gst {
-				return extra
-			}
-			return 0
-		}
+	if delayed {
+		gst.clock = world
 	}
-	sim := simnet.New(simCfg)
-
-	payload := workload.PaperPayload(s.Seed, s.PayloadTxns, s.PayloadBytes)
 
 	// Durability: replicas under a CrashPlan (or every replica, when a
 	// DataDir is pinned) run journal-backed so restarts can recover.
@@ -619,77 +541,100 @@ func Run(sc *Scenario) (*Result, error) {
 			}
 		}
 	}
-	walDir := func(id types.ReplicaID) string {
-		return filepath.Join(dataDir, fmt.Sprintf("replica-%d", id))
-	}
-	// NoSync (fsync=false): simulated crashes stop event dispatch, not the
-	// host process, so page-cache durability models the kill faithfully and
-	// scenario runs stay fast. Real deployments (cmd/sftnode) fsync.
-	openJournal := func(id types.ReplicaID) (*core.Journal, *core.Recovery, error) {
-		return compose.OpenWAL(walDir(id), false)
-	}
+	defer world.Close() // the error paths; the run's end checks Close itself
 
-	for i := 0; i < s.N; i++ {
+	// The coalition: every Byzantine replica knows the others.
+	coalition := make([]types.ReplicaID, 0, len(s.Adversaries))
+	for rep := range s.Adversaries {
+		coalition = append(coalition, rep)
+	}
+	sort.Slice(coalition, func(i, j int) bool { return coalition[i] < coalition[j] })
+
+	nodes := make([]*sft.Node, s.N)
+	var appHashes map[types.ReplicaID]map[types.Height][32]byte
+	for i := range nodes {
 		id := types.ReplicaID(i)
-		var journal *core.Journal
-		if durable[id] {
-			j, _, err := openJournal(id)
-			if err != nil {
-				return nil, err
+		observe := func(ev sft.CommitEvent) {
+			if !ev.Regular {
+				col.onStrength(id, ev.Time, ev.Block, ev.Strength)
+				return
 			}
-			journal = j
+			col.onCommit(id, ev.Time, ev.Block)
+			if !s.RecordChains {
+				return
+			}
+			// The executor holds a committed block's root until far below
+			// the committed height, so it is always there at commit time.
+			if root, ok := nodes[id].AppHashAt(ev.Block.ID()); ok {
+				if appHashes == nil {
+					appHashes = make(map[types.ReplicaID]map[types.Height][32]byte)
+				}
+				m := appHashes[id]
+				if m == nil {
+					m = make(map[types.Height][32]byte)
+					appHashes[id] = m
+				}
+				m[ev.Height] = root
+			}
 		}
-		eng, err := compose.Engine(engineSpec(s, id, ring, payload, journal))
-		if err != nil {
+		opts := append([]sft.Option{
+			sft.WithScheme(sft.Scheme(s.Scheme)),
+			sft.WithKeyRing(ring),
+			sft.WithTransport(world.Transport(id)),
+			sft.WithObserver(observe),
+		}, s.Options...)
+		if specs := s.Adversaries[id]; len(specs) > 0 {
+			opts = append(opts, sft.WithAdversary(specs...), sft.WithAdversaryPeers(coalition...))
+		}
+		if durable[id] {
+			// Simulated crashes stop event dispatch, not the host process, so
+			// a Simnet node's page-cache journal models the kill faithfully.
+			opts = append(opts, sft.WithWAL(filepath.Join(dataDir, fmt.Sprintf("replica-%d", id))))
+		}
+		if nodes[i], err = sft.New(sft.Config{ID: id, N: s.N, Seed: s.Seed}, opts...); err != nil {
 			return nil, err
 		}
-		engines[id] = eng
-		sim.SetEngine(id, eng)
 	}
 	for id, at := range s.Crash {
-		sim.CrashAt(id, at)
+		world.CrashAt(id, at)
 	}
 	for _, plan := range s.Partitions {
-		sim.PartitionAt(plan.At, plan.Groups...)
+		world.PartitionAt(plan.At, plan.Groups...)
 		if plan.Heal > 0 {
-			sim.HealAt(plan.Heal)
+			world.HealAt(plan.Heal)
 		}
 	}
 	for _, plan := range s.Crashes {
-		sim.CrashAt(plan.Replica, plan.Crash)
+		world.CrashAt(plan.Replica, plan.Crash)
 		if plan.Restart <= 0 {
 			continue
 		}
 		id := plan.Replica
-		sim.RestartAt(id, plan.Restart, func() engine.Engine {
-			// Runs at virtual time plan.Restart: recover the WAL as of the
-			// crash and build a fresh engine around it.
-			col.noteRestart(id)
-			journal, rec, err := openJournal(id)
-			if err != nil {
-				panic(fmt.Sprintf("harness: restart %v: %v", id, err))
-			}
-			eng, err := compose.Engine(engineSpec(s, id, ring, payload, journal))
-			if err != nil {
-				panic(fmt.Sprintf("harness: rebuild %v: %v", id, err))
-			}
-			if err := compose.Restore(eng, rec); err != nil {
-				panic(fmt.Sprintf("harness: restore %v: %v", id, err))
-			}
-			engines[id] = eng
-			return eng
-		})
+		if err := world.RestartAt(id, plan.Restart, func(sft.RecoveryInfo) { col.noteRestart(id) }); err != nil {
+			return nil, err
+		}
 	}
-	sim.Run(s.Duration)
+	world.Run(s.Duration)
+	if err := world.Close(); err != nil {
+		return nil, fmt.Errorf("harness: close: %w", err)
+	}
 
 	res := &Result{
-		Scenario:         s,
-		Observer:         observer,
-		CommittedBlocks:  col.commits[observer],
-		LevelLatency:     make(map[int]Summary, len(s.Levels)),
-		LevelCommitDelay: make(map[int]Summary, len(s.Levels)),
-		Msgs:             sim.Stats(),
-		Events:           sim.Events(),
+		Scenario:           s,
+		Observer:           observer,
+		CommittedBlocks:    col.commits[observer],
+		LevelLatency:       make(map[int]Summary, len(s.Levels)),
+		LevelCommitDelay:   make(map[int]Summary, len(s.Levels)),
+		Msgs:               world.Stats(),
+		Events:             world.Events(),
+		Chains:             col.chains,
+		AppHashes:          appHashes,
+		AppExecutedBlocks:  nodes[observer].AppExecuted(),
+		Strengths:          col.strengths,
+		Blocks:             col.blocks,
+		StrengthViolations: col.violations,
+		PartitionDrops:     world.PartitionDrops(),
+		Pacemakers:         make(map[types.ReplicaID]pacemaker.Stats, s.N),
 	}
 	res.CommittedTxns = int64(res.CommittedBlocks) * int64(s.PayloadTxns)
 	res.ThroughputTPS = float64(res.CommittedTxns) / s.Duration.Seconds()
@@ -705,99 +650,8 @@ func Run(sc *Scenario) (*Result, error) {
 		res.MsgsPerCommit = float64(res.Msgs.Count) / float64(res.CommittedBlocks)
 		res.BytesPerBlock = float64(res.Msgs.Bytes) / float64(res.CommittedBlocks)
 	}
-	res.Chains = col.chains
-	res.AppHashes = appHashes
-	if exec := engineExecutor(engines[observer]); exec != nil {
-		res.AppExecutedBlocks = exec.Executed()
-	}
-	res.Strengths = col.strengths
-	res.Blocks = col.blocks
-	res.StrengthViolations = col.violations
-	res.PartitionDrops = sim.PartitionDrops()
-	res.Pacemakers = make(map[types.ReplicaID]pacemaker.Stats, len(engines))
-	for id, eng := range engines {
-		if w, ok := eng.(*adversary.Replica); ok {
-			eng = w.Inner()
-		}
-		if p, ok := eng.(interface{ PacemakerStats() pacemaker.Stats }); ok {
-			res.Pacemakers[id] = p.PacemakerStats()
-		}
+	for i, n := range nodes {
+		res.Pacemakers[types.ReplicaID(i)] = n.PacemakerStats()
 	}
 	return res, nil
-}
-
-// engineExecutor digs the execution-layer executor out of an engine handle,
-// unwrapping an adversary shell first; nil when the engine runs no app.
-func engineExecutor(e engine.Engine) *app.Executor {
-	if e == nil {
-		return nil
-	}
-	if w, ok := e.(*adversary.Replica); ok {
-		e = w.Inner()
-	}
-	if ax, ok := e.(interface{ AppExecutor() *app.Executor }); ok {
-		return ax.AppExecutor()
-	}
-	return nil
-}
-
-// engineSpec maps a scenario onto the shared composition path
-// (internal/compose) — the same path the public sft facade builds nodes
-// through, so facade runs and harness runs construct identical engines.
-func engineSpec(s *Scenario, id types.ReplicaID, ring *crypto.KeyRing, payload func(types.Round) types.Payload, journal *core.Journal) compose.Spec {
-	spec := compose.Spec{
-		Protocol:          compose.DiemBFT,
-		ID:                id,
-		N:                 s.N,
-		F:                 s.F,
-		Signer:            ring.Signer(id),
-		Verifier:          ring,
-		VerifySignatures:  s.VerifySignatures,
-		SFT:               s.SFT,
-		Horizon:           s.Horizon,
-		Payload:           payload,
-		PayloadNow:        s.PayloadNow,
-		App:               s.App,
-		NaiveEndorsements: s.NaiveEndorsements,
-		Journal:           journal,
-	}
-	if s.Protocol == ProtoStreamlet {
-		spec.Protocol = compose.Streamlet
-		spec.Delta = s.Delta
-		spec.DisableEcho = s.DisableEcho
-		spec.ProposalWindow = s.ProposalWindow
-	} else {
-		spec.DisableQCCache = s.DisableQCCache
-		spec.FBFT = s.FBFT
-		spec.VoteMode = s.VoteMode
-		spec.IntervalWindow = s.IntervalWindow
-		spec.RoundTimeout = s.RoundTimeout
-		spec.ExtraWait = s.ExtraWait
-		spec.ExtraWaitFor = s.ExtraWaitFor
-		spec.PruneKeep = s.PruneKeep
-		spec.ActivePacemaker = s.ActivePacemaker
-		spec.TimeoutWindow = s.TimeoutWindow
-		spec.PerPeerTimeoutCap = s.PerPeerTimeoutCap
-		spec.LeaderReputationWindow = s.LeaderReputationWindow
-	}
-	applyAdversary(&spec, s, id)
-	return spec
-}
-
-// applyAdversary attaches the replica's Byzantine behavior chain, seeding
-// its randomness from the scenario seed and the replica identity so every
-// corrupted replica misbehaves differently but reproducibly.
-func applyAdversary(spec *compose.Spec, s *Scenario, id types.ReplicaID) {
-	specs, ok := s.Adversaries[id]
-	if !ok || len(specs) == 0 {
-		return
-	}
-	spec.Adversary = specs
-	spec.AdversarySeed = s.Seed*1000003 + int64(id)
-	peers := make([]types.ReplicaID, 0, len(s.Adversaries))
-	for rep := range s.Adversaries {
-		peers = append(peers, rep)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	spec.AdversaryPeers = peers
 }

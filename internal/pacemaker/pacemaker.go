@@ -58,18 +58,16 @@ type Stats struct {
 // Pacemaker tracks the current round, which rounds this replica has timed
 // out of, and timeout messages collected from peers.
 type Pacemaker struct {
-	n, f        int
-	round       types.Round
-	timedOut    map[types.Round]bool
-	timeouts    map[types.Round]map[types.ReplicaID]*types.Timeout
+	n, f     int
+	round    types.Round
+	timedOut map[types.Round]bool
+	timeouts map[types.Round]map[types.ReplicaID]*types.Timeout
+	// baseTimeout is every round's timer. Rounds do not back off: the
+	// simulator's links are reliable, so a TC always forms within one
+	// timeout, and fixed rounds match the paper's observation that
+	// persistently slow leaders stay timed out (the Figure 7b "outcast
+	// replicas" at δ=200ms).
 	baseTimeout time.Duration
-	// backoff multiplies the timeout for consecutive failed rounds so the
-	// system recovers after long partitions; 1.0 disables it.
-	backoff     float64
-	failedRuns  int
-	maxTimeout  time.Duration
-	roundStart  time.Duration
-	lastAdvance time.Duration
 
 	// perPeer counts buffered timeouts per sender; cap bounds it.
 	perPeer     map[types.ReplicaID]int
@@ -77,9 +75,9 @@ type Pacemaker struct {
 	peakPerPeer int
 	dropped     uint64
 
-	// active mode: bounded future window for timeouts and round entries.
+	// active mode: bounded future window (DefaultWindow) for timeouts and
+	// round entries.
 	active bool
-	window types.Round
 }
 
 // New creates a pacemaker starting at round 1.
@@ -91,23 +89,8 @@ func New(n, f int, baseTimeout time.Duration) *Pacemaker {
 		timedOut:    make(map[types.Round]bool),
 		timeouts:    make(map[types.Round]map[types.ReplicaID]*types.Timeout),
 		baseTimeout: baseTimeout,
-		// Fixed timeouts by default: the simulator's links are reliable, so
-		// a TC always forms within one timeout, and fixed rounds match the
-		// paper's observation that persistently slow leaders stay timed out
-		// (the Figure 7b "outcast replicas" at δ=200ms). SetBackoff enables
-		// exponential backoff for partial-synchrony scenarios.
-		backoff:    1.0,
-		maxTimeout: baseTimeout * 32,
-		perPeer:    make(map[types.ReplicaID]int),
-		cap:        DefaultPerPeerCap,
-	}
-}
-
-// SetBackoff sets the timeout multiplier applied per consecutive
-// timeout-driven round (1.0 = fixed timeouts).
-func (p *Pacemaker) SetBackoff(m float64) {
-	if m >= 1 {
-		p.backoff = m
+		perPeer:     make(map[types.ReplicaID]int),
+		cap:         DefaultPerPeerCap,
 	}
 }
 
@@ -119,27 +102,18 @@ func (p *Pacemaker) SetPerPeerCap(cap int) {
 	}
 }
 
-// SetActive switches the pacemaker to active mode with the given future
-// window (0 selects DefaultWindow): round entries are announced and
-// validated, and timeouts beyond Round()+window are rejected.
-func (p *Pacemaker) SetActive(window types.Round) {
-	p.active = true
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	p.window = window
-}
+// SetActive switches the pacemaker to active mode: round entries are
+// announced and validated, and timeouts beyond Round()+DefaultWindow are
+// rejected.
+func (p *Pacemaker) SetActive() { p.active = true }
 
 // Active reports whether active mode is on.
 func (p *Pacemaker) Active() bool { return p.active }
 
-// Window returns the active-mode future window (0 when passive).
-func (p *Pacemaker) Window() types.Round { return p.window }
-
 // WithinWindow reports whether round r is acceptable under the active-mode
 // future window. Passive pacemakers accept everything.
 func (p *Pacemaker) WithinWindow(r types.Round) bool {
-	return !p.active || r <= p.round+p.window
+	return !p.active || r <= p.round+DefaultWindow
 }
 
 // Round returns the current round.
@@ -152,19 +126,12 @@ func (p *Pacemaker) Leader(r types.Round) types.ReplicaID { return Leader(r, p.n
 func (p *Pacemaker) Quorum() int { return 2*p.f + 1 }
 
 // AdvanceTo moves to round r if it is ahead of the current round, returning
-// true on an actual advance. now is used to stamp the round start.
-func (p *Pacemaker) AdvanceTo(r types.Round, now time.Duration, viaTimeout bool) bool {
+// true on an actual advance.
+func (p *Pacemaker) AdvanceTo(r types.Round) bool {
 	if r <= p.round {
 		return false
 	}
 	p.round = r
-	p.roundStart = now
-	p.lastAdvance = now
-	if viaTimeout {
-		p.failedRuns++
-	} else {
-		p.failedRuns = 0
-	}
 	// Garbage-collect stale timeout state.
 	for rr, m := range p.timeouts {
 		if rr+2 < r {
@@ -182,18 +149,8 @@ func (p *Pacemaker) AdvanceTo(r types.Round, now time.Duration, viaTimeout bool)
 	return true
 }
 
-// Timeout returns the timer duration for the current round, applying
-// exponential backoff after consecutive timeout-driven advances.
-func (p *Pacemaker) Timeout() time.Duration {
-	d := p.baseTimeout
-	for i := 0; i < p.failedRuns; i++ {
-		d = time.Duration(float64(d) * p.backoff)
-		if d >= p.maxTimeout {
-			return p.maxTimeout
-		}
-	}
-	return d
-}
+// Timeout returns the timer duration for the current round.
+func (p *Pacemaker) Timeout() time.Duration { return p.baseTimeout }
 
 // MarkTimedOut records that this replica stopped voting in round r.
 func (p *Pacemaker) MarkTimedOut(r types.Round) { p.timedOut[r] = true }

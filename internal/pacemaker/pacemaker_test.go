@@ -36,13 +36,13 @@ func TestAdvanceTo(t *testing.T) {
 	if p.Round() != 1 {
 		t.Fatalf("initial round = %d", p.Round())
 	}
-	if !p.AdvanceTo(3, 0, false) || p.Round() != 3 {
+	if !p.AdvanceTo(3) || p.Round() != 3 {
 		t.Fatal("forward advance failed")
 	}
-	if p.AdvanceTo(2, 0, false) || p.Round() != 3 {
+	if p.AdvanceTo(2) || p.Round() != 3 {
 		t.Fatal("backward advance accepted")
 	}
-	if p.AdvanceTo(3, 0, false) {
+	if p.AdvanceTo(3) {
 		t.Fatal("same-round advance accepted")
 	}
 }
@@ -119,7 +119,7 @@ func TestPerPeerCapBoundsSpam(t *testing.T) {
 		t.Fatal("TC failed to form at quorum")
 	}
 	// Advance GC releases per-peer budget.
-	p.AdvanceTo(20000, 0, false)
+	p.AdvanceTo(20000)
 	if st := p.Stats(); st.Buffered != 0 {
 		t.Fatalf("GC left %d entries buffered", st.Buffered)
 	}
@@ -133,9 +133,9 @@ func TestActiveWindow(t *testing.T) {
 	if !p.WithinWindow(1 << 30) {
 		t.Fatal("passive pacemaker must accept any round")
 	}
-	p.SetActive(0)
-	if !p.Active() || p.Window() != pacemaker.DefaultWindow {
-		t.Fatalf("SetActive(0) => active=%v window=%d", p.Active(), p.Window())
+	p.SetActive()
+	if !p.Active() {
+		t.Fatal("SetActive left the pacemaker passive")
 	}
 	if !p.WithinWindow(p.Round() + pacemaker.DefaultWindow) {
 		t.Fatal("in-window round rejected")
@@ -197,40 +197,8 @@ func TestTimedOutTracking(t *testing.T) {
 		t.Fatal("timed-out tracking wrong")
 	}
 	// Old state is garbage collected on advance.
-	p.AdvanceTo(10, 0, false)
+	p.AdvanceTo(10)
 	if p.TimedOut(1) {
 		t.Fatal("stale timed-out state survived GC")
-	}
-}
-
-func TestBackoff(t *testing.T) {
-	p := pacemaker.New(4, 1, 100*time.Millisecond)
-	// Default: fixed timeouts.
-	p.AdvanceTo(2, 0, true)
-	p.AdvanceTo(3, 0, true)
-	if p.Timeout() != 100*time.Millisecond {
-		t.Fatalf("default backoff changed timeout: %v", p.Timeout())
-	}
-	// With backoff enabled, consecutive timeout-advances grow the timer.
-	p2 := pacemaker.New(4, 1, 100*time.Millisecond)
-	p2.SetBackoff(2.0)
-	p2.AdvanceTo(2, 0, true)
-	p2.AdvanceTo(3, 0, true)
-	if p2.Timeout() != 400*time.Millisecond {
-		t.Fatalf("backoff timeout = %v, want 400ms", p2.Timeout())
-	}
-	// A QC-driven advance resets the streak.
-	p2.AdvanceTo(4, 0, false)
-	if p2.Timeout() != 100*time.Millisecond {
-		t.Fatalf("reset timeout = %v, want 100ms", p2.Timeout())
-	}
-	// Backoff is capped.
-	p3 := pacemaker.New(4, 1, 100*time.Millisecond)
-	p3.SetBackoff(10)
-	for r := types.Round(2); r < 20; r++ {
-		p3.AdvanceTo(r, 0, true)
-	}
-	if p3.Timeout() > 32*100*time.Millisecond {
-		t.Fatalf("backoff exceeded cap: %v", p3.Timeout())
 	}
 }

@@ -76,25 +76,6 @@ func NewSymmetricModel(n, regions int, intra, delta, jitter time.Duration) *Regi
 	return &RegionModel{RegionOf: regionOf, Intra: intra, Inter: inter, Jitter: jitter}
 }
 
-// NewAsymmetricModel builds the paper's asymmetric setting (Figure 6,
-// right): region sizes sizes[0..2] (paper: 45, 45, 10), delay ab between
-// regions 0 and 1 (paper: 20ms) and delta between region 2 and the others.
-func NewAsymmetricModel(sizes [3]int, intra, ab, delta, jitter time.Duration) *RegionModel {
-	n := sizes[0] + sizes[1] + sizes[2]
-	regionOf := make([]int, 0, n)
-	for r, sz := range sizes {
-		for i := 0; i < sz; i++ {
-			regionOf = append(regionOf, r)
-		}
-	}
-	inter := [][]time.Duration{
-		{intra, ab, delta},
-		{ab, intra, delta},
-		{delta, delta, intra},
-	}
-	return &RegionModel{RegionOf: regionOf, Intra: intra, Inter: inter, Jitter: jitter}
-}
-
 // UniformModel delivers every message with the same base delay plus jitter;
 // the simplest model, used by unit tests.
 type UniformModel struct {

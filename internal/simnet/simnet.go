@@ -146,12 +146,9 @@ type Config struct {
 	OnCommit func(replica types.ReplicaID, now time.Duration, b *types.Block)
 	// OnStrength, if non-nil, observes every engine.Strength output.
 	OnStrength func(replica types.ReplicaID, now time.Duration, b *types.Block, x int)
-	// Drop, if non-nil, discards matching deliveries (partitions, GST
-	// modeling, targeted censorship).
+	// Drop, if non-nil, discards matching deliveries (targeted censorship in
+	// tests).
 	Drop func(from, to types.ReplicaID, msg types.Message, now time.Duration) bool
-	// ExtraDelay, if non-nil, adds to the model latency (e.g. unbounded
-	// delays before GST).
-	ExtraDelay func(from, to types.ReplicaID, now time.Duration) time.Duration
 	// Observers adds non-voting engine slots numbered N..N+Observers-1.
 	// Observer slots receive every replica broadcast (the fabric-level
 	// analogue of tcpnet's observer mirroring) but are outside the committee:
@@ -396,9 +393,6 @@ func (s *Sim) deliver(from, to types.ReplicaID, msg types.Message, size int) {
 		lt = 0
 	}
 	d := s.cfg.Latency.Delay(lf, lt, size, s.rng)
-	if s.cfg.ExtraDelay != nil {
-		d += s.cfg.ExtraDelay(from, to, s.now)
-	}
 	s.push(event{at: s.now + d, kind: evMessage, to: to, from: from, msg: msg})
 }
 

@@ -145,45 +145,6 @@ func TestDropRule(t *testing.T) {
 	}
 }
 
-func TestExtraDelayBeforeGST(t *testing.T) {
-	lat := &simnet.UniformModel{Base: time.Millisecond}
-	var arrival time.Duration
-	sim := simnet.New(simnet.Config{
-		N: 2, Latency: lat, Seed: 1,
-		ExtraDelay: func(from, to types.ReplicaID, now time.Duration) time.Duration {
-			if now < 100*time.Millisecond {
-				return 500 * time.Millisecond
-			}
-			return 0
-		},
-	})
-	e0 := &echoEngine{id: 0}
-	e1 := &recorder{id: 1, at: &arrival}
-	sim.SetEngine(0, e0)
-	sim.SetEngine(1, e1)
-	sim.Run(time.Second)
-	if arrival < 500*time.Millisecond {
-		t.Fatalf("pre-GST message arrived at %v, want >= 500ms", arrival)
-	}
-}
-
-type recorder struct {
-	id types.ReplicaID
-	at *time.Duration
-}
-
-func (r *recorder) ID() types.ReplicaID                              { return r.id }
-func (r *recorder) Init(time.Duration) []engine.Output               { return nil }
-func (r *recorder) OnTimer(time.Duration, int) []engine.Output       { return nil }
-func (r *recorder) Prevalidate(types.ReplicaID, types.Message) error { return nil }
-func (r *recorder) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	return r.OnMessage(now, from, msg)
-}
-func (r *recorder) OnMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	*r.at = now
-	return nil
-}
-
 func TestRegionModels(t *testing.T) {
 	sym := simnet.NewSymmetricModel(100, 3, time.Millisecond, 100*time.Millisecond, 0)
 	// Region sizes 34/33/33.
@@ -200,17 +161,6 @@ func TestRegionModels(t *testing.T) {
 	}
 	if d := sym.Delay(0, 99, 0, rng); d != 100*time.Millisecond {
 		t.Errorf("inter delay = %v", d)
-	}
-
-	asym := simnet.NewAsymmetricModel([3]int{45, 45, 10}, time.Millisecond, 20*time.Millisecond, 200*time.Millisecond, 0)
-	if d := asym.Delay(0, 50, 0, rng); d != 20*time.Millisecond {
-		t.Errorf("A-B delay = %v", d)
-	}
-	if d := asym.Delay(0, 95, 0, rng); d != 200*time.Millisecond {
-		t.Errorf("A-C delay = %v", d)
-	}
-	if d := asym.Delay(91, 95, 0, rng); d != time.Millisecond {
-		t.Errorf("C intra delay = %v", d)
 	}
 
 	// Straggler penalty applies on both endpoints.

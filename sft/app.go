@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adversary"
 	"repro/internal/app"
 	"repro/internal/mempool"
 )
@@ -104,13 +103,7 @@ func WithPayloadNow(fn func(r Round, now time.Duration) Payload) Option {
 // executor returns the node's execution-layer executor (nil without
 // WithApp), tracking engine swaps across Simnet restarts.
 func (n *Node) executor() *app.Executor {
-	n.mu.Lock()
-	eng := n.eng
-	n.mu.Unlock()
-	if w, ok := eng.(*adversary.Replica); ok {
-		eng = w.Inner()
-	}
-	if ax, ok := eng.(interface{ AppExecutor() *app.Executor }); ok {
+	if ax, ok := n.honestEngine().(interface{ AppExecutor() *app.Executor }); ok {
 		return ax.AppExecutor()
 	}
 	return nil
@@ -135,6 +128,26 @@ func (n *Node) AppHash() ([32]byte, Height) {
 		return exec.CommittedRoot(), exec.CommittedHeight()
 	}
 	return [32]byte{}, 0
+}
+
+// AppHashAt returns the execution-layer state root after block id, false
+// without WithApp or once the executor has pruned it (far below the committed
+// height, so a commit observer always finds the block it is handed). Like
+// AppState, read it from the event path or between Simnet.Run calls.
+func (n *Node) AppHashAt(id BlockID) ([32]byte, bool) {
+	if exec := n.executor(); exec != nil {
+		return exec.Root(id)
+	}
+	return [32]byte{}, false
+}
+
+// AppExecuted returns how many blocks the current incarnation's state
+// machine ran (0 without WithApp), read like AppState.
+func (n *Node) AppExecuted() int64 {
+	if exec := n.executor(); exec != nil {
+		return exec.Executed()
+	}
+	return 0
 }
 
 // Mempool is the facade's submit path: a bounded FIFO transaction pool

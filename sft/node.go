@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -301,6 +302,29 @@ func (n *Node) Health() (HealthReport, bool) {
 		return HealthReport{}, false
 	}
 	return n.health.snapshot(), true
+}
+
+// PacemakerStats returns the DiemBFT pacemaker's timeout-buffer accounting:
+// timeouts held now, the most any one peer ever had held, and timeouts the
+// per-peer cap shed (zero values under Streamlet). The engine owns the
+// buffer, so read it between Simnet.Run calls or after Run returned.
+func (n *Node) PacemakerStats() PacemakerStats {
+	if p, ok := n.honestEngine().(interface{ PacemakerStats() PacemakerStats }); ok {
+		return p.PacemakerStats()
+	}
+	return PacemakerStats{}
+}
+
+// honestEngine returns the current incarnation's engine (Simnet restarts swap
+// it) with a WithAdversary shell unwrapped.
+func (n *Node) honestEngine() engine.Engine {
+	n.mu.Lock()
+	eng := n.eng
+	n.mu.Unlock()
+	if w, ok := eng.(*adversary.Replica); ok {
+		return w.Inner()
+	}
+	return eng
 }
 
 // swapIncarnation points the handle at a restarted engine and its reopened

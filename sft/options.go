@@ -4,6 +4,8 @@ import (
 	"fmt"
 	rt "runtime"
 	"time"
+
+	"repro/internal/reference"
 )
 
 // Option configures New. Options span every layer; see the package comment
@@ -48,6 +50,8 @@ type settings struct {
 	maxCommitLog int
 	pruneKeep    Height
 	pacemaker    PacemakerConfig
+
+	ref reference.Arms
 }
 
 func defaultSettings() settings {
@@ -322,11 +326,9 @@ func WithPruneKeep(keep Height) Option {
 type PacemakerConfig struct {
 	// Active turns on justified round entry: every round advance broadcasts
 	// a RoundEntry whose QC-or-TC justification peers validate before
-	// following, and timeouts claiming rounds more than Window ahead of the
-	// local round are dropped at prevalidation.
+	// following, and timeouts claiming rounds more than 8 ahead of the local
+	// round are dropped at prevalidation.
 	Active bool
-	// Window is the active-mode future window in rounds (0 = default 8).
-	Window Round
 	// PerPeerTimeoutCap bounds buffered timeout messages per peer (0 =
 	// default 8). Enforced in passive mode too, so timeout-spam cannot
 	// exhaust memory either way.
@@ -350,14 +352,20 @@ type PacemakerConfig struct {
 // leader schedules (that is its purpose) but remains deterministic per seed.
 func WithPacemaker(cfg PacemakerConfig) Option {
 	return func(s *settings) {
-		if cfg.Window < 0 || cfg.PerPeerTimeoutCap < 0 || cfg.LeaderReputation < 0 {
+		if cfg.PerPeerTimeoutCap < 0 || cfg.LeaderReputation < 0 {
 			s.fail(fmt.Errorf("sft: pacemaker windows and caps must be non-negative"))
-			return
-		}
-		if !cfg.Active && cfg.Window > 0 {
-			s.fail(fmt.Errorf("sft: pacemaker Window requires Active"))
 			return
 		}
 		s.pacemaker = cfg
 	}
+}
+
+// WithReference builds the node as one of the reference arms the
+// repository's experiments and tests measure the production replica against:
+// strengthening off, the FBFT baseline, the Appendix C naive tracker,
+// signature checks under a simulated scheme, the certificate cache off. Its
+// parameter type is declared under internal/, so only this module can pass
+// one; the zero value is the production node.
+func WithReference(arms reference.Arms) Option {
+	return func(s *settings) { s.ref = arms }
 }

@@ -50,6 +50,7 @@ import (
 	"repro/internal/diembft"
 	"repro/internal/health"
 	"repro/internal/obs"
+	"repro/internal/pacemaker"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -92,6 +93,9 @@ type (
 	AdversarySpec = adversary.Spec
 	// AdversaryKind names a built-in behavior.
 	AdversaryKind = adversary.Kind
+	// PacemakerStats is the DiemBFT timeout-buffer accounting
+	// (Node.PacemakerStats).
+	PacemakerStats = pacemaker.Stats
 )
 
 // Built-in adversary behavior kinds, re-exported for WithAdversary. Compose
@@ -318,7 +322,7 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	verify := scheme == SchemeEd25519 || scheme == Ed25519Aggregate
+	verify := scheme == SchemeEd25519 || scheme == Ed25519Aggregate || s.ref.VerifySignatures
 
 	n := &Node{
 		cfg:     cfg,
@@ -358,7 +362,7 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	var journal *journalHandle
 	var recovery *core.Recovery
 	if s.walDir != "" {
-		j, rec, err := compose.OpenWALObserved(s.walDir, !s.transport.simulated(), walObserver(n.obs))
+		j, rec, err := compose.OpenWAL(s.walDir, !s.transport.simulated(), walObserver(n.obs))
 		if err != nil {
 			return nil, err
 		}
@@ -372,28 +376,31 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	}
 
 	spec := compose.Spec{
-		Protocol:         composeProtocol(s.engine),
-		ID:               cfg.ID,
-		N:                cfg.N,
-		F:                cfg.F(),
-		Signer:           ring.Signer(cfg.ID),
-		Verifier:         ring,
-		VerifySignatures: verify,
-		SFT:              true,
-		Horizon:          rule.Horizon,
-		IntervalWindow:   rule.IntervalWindow,
-		RoundTimeout:     s.roundTimeout,
-		ExtraWait:        s.extraWait,
-		ExtraWaitFor:     s.extraWaitFor,
-		MaxCommitLog:     s.maxCommitLog,
-		PruneKeep:        s.pruneKeep,
-		Delta:            s.delta,
-		DisableEcho:      s.disableEcho,
-		Payload:          s.payload,
-		PayloadNow:       s.payloadNow,
-		App:              s.app,
-		BatchWorkers:     s.batchWorkers(cfg.N),
-		Obs:              n.obs,
+		Protocol:          composeProtocol(s.engine),
+		ID:                cfg.ID,
+		N:                 cfg.N,
+		F:                 cfg.F(),
+		Signer:            ring.Signer(cfg.ID),
+		Verifier:          ring,
+		VerifySignatures:  verify,
+		SFT:               !s.ref.PlainCommit && !s.ref.FBFT,
+		FBFT:              s.ref.FBFT,
+		DisableQCCache:    s.ref.DisableQCCache,
+		NaiveEndorsements: s.ref.NaiveEndorsements,
+		Horizon:           rule.Horizon,
+		IntervalWindow:    rule.IntervalWindow,
+		RoundTimeout:      s.roundTimeout,
+		ExtraWait:         s.extraWait,
+		ExtraWaitFor:      s.extraWaitFor,
+		MaxCommitLog:      s.maxCommitLog,
+		PruneKeep:         s.pruneKeep,
+		Delta:             s.delta,
+		DisableEcho:       s.disableEcho,
+		Payload:           s.payload,
+		PayloadNow:        s.payloadNow,
+		App:               s.app,
+		BatchWorkers:      s.batchWorkers(cfg.N),
+		Obs:               n.obs,
 	}
 	if s.engine == DiemBFT && rule.Votes == VoteIntervals {
 		spec.VoteMode = diembft.VoteIntervals
@@ -403,7 +410,6 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 			return nil, fmt.Errorf("sft: WithPacemaker is DiemBFT-only (Streamlet rounds are wall-clock slots)")
 		}
 		spec.ActivePacemaker = s.pacemaker.Active
-		spec.TimeoutWindow = s.pacemaker.Window
 		spec.PerPeerTimeoutCap = s.pacemaker.PerPeerTimeoutCap
 		spec.LeaderReputationWindow = s.pacemaker.LeaderReputation
 	}

@@ -175,7 +175,7 @@ func (w *Simnet) RestartAt(id ReplicaID, at time.Duration, onRestore func(Recove
 		// Dispatch time: the crashed incarnation's WAL holds its final
 		// state. Recover it, rebuild the engine from the node's own spec,
 		// and swap the node handle over to the new incarnation.
-		j, rec, err := compose.OpenWALObserved(n.walDir, false, walObserver(n.obs))
+		j, rec, err := compose.OpenWAL(n.walDir, false, walObserver(n.obs))
 		if err != nil {
 			panic(fmt.Sprintf("sft: restart %d: %v", id, err))
 		}
