@@ -116,7 +116,7 @@
 //     baseline, the Appendix C naive tracker, signature checks under the
 //     simulated schemes, the certificate cache off. The parameter type is
 //     declared under internal/, so only this module can select an arm; the
-//     zero value is the production node.
+//     zero value is the production node, and repeated calls add arms.
 //
 // Commit-strength subscriptions are how clients consume the paper's
 // contribution. Node.Commits() returns an independent channel of

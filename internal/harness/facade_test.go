@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/sft"
 )
 
 // TestHarnessBuildsThroughFacade pins the harness as a scenario library over
@@ -44,6 +46,68 @@ func TestHarnessBuildsThroughFacade(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no non-test files found; the check is vacuous")
+	}
+}
+
+// TestEveryCommitRuleSetsHorizon: sft.WithCommitRule replaces withDefaults'
+// rule whole, and a zero Horizon is an unbounded endorsement walk, so every
+// sft.CommitRule the harness or its tests build must name Horizon.
+func TestEveryCommitRuleSetsHorizon(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	rules := 0
+	for _, name := range files {
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			sel, ok := lit.Type.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "CommitRule" {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "sft" {
+				return true
+			}
+			rules++
+			for _, elt := range lit.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Horizon" {
+						return true
+					}
+				}
+			}
+			t.Errorf("%s: sft.CommitRule without Horizon runs an unbounded endorsement walk; set Horizon: horizon(n)", fset.Position(lit.Pos()))
+			return true
+		})
+	}
+	if rules == 0 {
+		t.Fatal("no sft.CommitRule literal found; the check is vacuous")
+	}
+}
+
+// TestScenarioOptionsCannotRewire: Run's scheme and observer apply after
+// Scenario.Options, so neither can detach a node from the run's key ring or
+// its collector.
+func TestScenarioOptionsCannotRewire(t *testing.T) {
+	res, err := Run(&Scenario{
+		Name: "rewire", N: 4, F: 1, Seed: 1,
+		Latency:  &simnet.UniformModel{Base: 5 * time.Millisecond},
+		Duration: 5 * time.Second,
+		Options:  []sft.Option{sft.WithScheme(sft.SchemeEd25519), sft.WithObserver(func(sft.CommitEvent) {})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CommittedBlocks == 0 {
+		t.Fatal("no commits reached the collector")
 	}
 }
 
@@ -88,6 +152,17 @@ func TestPreGSTDelaysEarlySends(t *testing.T) {
 			t.Fatalf("replica %d: pre-GST ping arrived at %v, want [501ms]", p.id, p.arrived)
 		}
 	}
+}
+
+// TestPreGSTUnboundNamesItsUse: a PreGST model used anywhere but as
+// Scenario.Latency has no clock and says so instead of dereferencing nil.
+func TestPreGSTUnboundNamesItsUse(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "Scenario.Latency") {
+			t.Fatalf("panic %q does not name Scenario.Latency", msg)
+		}
+	}()
+	PreGST(&simnet.UniformModel{Base: time.Millisecond}, time.Second, time.Second).Delay(0, 1, 0, nil)
 }
 
 // TestAsymmetricLatency pins Figure 7b's layout: regions A and B 20ms apart,

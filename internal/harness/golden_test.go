@@ -73,9 +73,8 @@ func goldenLatency() simnet.LatencyModel {
 // goldenScenarios are the harness-run scenarios; the observer scenario is
 // hand-wired below because the harness has no observer slot.
 func goldenScenarios() []*Scenario {
-	// Every scenario checks signatures under the simulated scheme; a scenario
-	// that selects another reference arm restates it.
-	verify := reference.Arms{VerifySignatures: true}
+	// Every scenario checks signatures under the simulated scheme; a further
+	// sft.WithReference adds its arms to this one.
 	base := func(name string, seed int64, opts ...sft.Option) *Scenario {
 		return &Scenario{
 			Name: name, N: 7, F: 2, Seed: seed,
@@ -85,7 +84,7 @@ func goldenScenarios() []*Scenario {
 			RecordStrengths: true,
 			Options: append([]sft.Option{
 				sft.WithRoundTimeout(300 * time.Millisecond),
-				sft.WithReference(verify),
+				sft.WithReference(reference.Arms{VerifySignatures: true}),
 			}, opts...),
 		}
 	}
@@ -99,7 +98,7 @@ func goldenScenarios() []*Scenario {
 		sft.WithCommitRule(sft.CommitRule{Votes: sft.VoteIntervals, IntervalWindow: 32, Horizon: horizon(7)}))
 	intervals.Latency = PreGST(goldenLatency(), 3*time.Second, 350*time.Millisecond)
 
-	fbft := base("diembft-fbft-n4", 103, sft.WithReference(reference.Arms{FBFT: true, VerifySignatures: true}))
+	fbft := base("diembft-fbft-n4", 103, sft.WithReference(reference.Arms{FBFT: true}))
 	fbft.N, fbft.F = 4, 1
 	fbft.Latency = simnet.NewSymmetricModel(4, 2, intraDelay, 20*time.Millisecond, 8*time.Millisecond)
 

@@ -53,7 +53,10 @@ type Scenario struct {
 	// Options configure every replica through the facade: engine, commit
 	// rule, pacemaker, timeouts, payload, execution layer, and the reference
 	// arms (sft.WithReference). They apply after the harness defaults, which
-	// withDefaults prepends, so a scenario's option wins.
+	// withDefaults prepends, so a scenario's option wins; an sft.CommitRule
+	// replaces the default one whole, so it restates Horizon: horizon(n).
+	// Run applies the scheme, key ring, transport and observer after them,
+	// so no option can rewire a node away from the run's world.
 	Options []sft.Option
 
 	// Faults: crash times and Byzantine behavior chains per replica. Each
@@ -212,7 +215,8 @@ func LevelLabel(x, f int) string {
 
 // horizon is the endorsement-walk depth every scenario runs with: deep
 // enough for strength to reach 2f, bounded so one walk stays O(n). A scenario
-// that sets its own sft.CommitRule passes it explicitly.
+// that sets its own sft.CommitRule passes it explicitly
+// (TestEveryCommitRuleSetsHorizon).
 func horizon(n int) int { return 2*n + 16 }
 
 func (s *Scenario) withDefaults() *Scenario {
@@ -247,7 +251,8 @@ func (s *Scenario) withDefaults() *Scenario {
 
 // PreGST wraps a latency model for partial synchrony: a message sent before
 // virtual time gst arrives extra later than inner says, after which inner
-// alone applies. Run binds the wrapper to the clock of the world it builds.
+// alone applies. Run binds the wrapper to the clock of the world it builds, so
+// it works only as Scenario.Latency itself.
 func PreGST(inner sft.LatencyModel, gst, extra time.Duration) sft.LatencyModel {
 	return &preGST{inner: inner, gst: gst, extra: extra}
 }
@@ -261,6 +266,9 @@ type preGST struct {
 // Delay implements sft.LatencyModel: inner's delay (which draws the jitter),
 // plus extra while the clock is before GST.
 func (p *preGST) Delay(from, to types.ReplicaID, size int, rng *rand.Rand) time.Duration {
+	if p.clock == nil {
+		panic("harness: a PreGST model must be Scenario.Latency itself, where Run binds it to the world's clock")
+	}
 	d := p.inner.Delay(from, to, size, rng)
 	if p.clock.Now() < p.gst {
 		d += p.extra
@@ -551,6 +559,7 @@ func Run(sc *Scenario) (*Result, error) {
 	sort.Slice(coalition, func(i, j int) bool { return coalition[i] < coalition[j] })
 
 	nodes := make([]*sft.Node, s.N)
+	hasApp := make([]bool, s.N)
 	var appHashes map[types.ReplicaID]map[types.Height][32]byte
 	for i := range nodes {
 		id := types.ReplicaID(i)
@@ -560,7 +569,7 @@ func Run(sc *Scenario) (*Result, error) {
 				return
 			}
 			col.onCommit(id, ev.Time, ev.Block)
-			if !s.RecordChains {
+			if !s.RecordChains || !hasApp[id] {
 				return
 			}
 			// The executor holds a committed block's root until far below
@@ -577,12 +586,12 @@ func Run(sc *Scenario) (*Result, error) {
 				m[ev.Height] = root
 			}
 		}
-		opts := append([]sft.Option{
+		opts := append(append([]sft.Option(nil), s.Options...),
 			sft.WithScheme(sft.Scheme(s.Scheme)),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(world.Transport(id)),
 			sft.WithObserver(observe),
-		}, s.Options...)
+		)
 		if specs := s.Adversaries[id]; len(specs) > 0 {
 			opts = append(opts, sft.WithAdversary(specs...), sft.WithAdversaryPeers(coalition...))
 		}
@@ -594,6 +603,9 @@ func Run(sc *Scenario) (*Result, error) {
 		if nodes[i], err = sft.New(sft.Config{ID: id, N: s.N, Seed: s.Seed}, opts...); err != nil {
 			return nil, err
 		}
+		// A restart rebuilds the engine from the same options, so whether
+		// the node executes blocks never changes after this.
+		hasApp[i] = nodes[i].AppState() != nil
 	}
 	for id, at := range s.Crash {
 		world.CrashAt(id, at)

@@ -29,3 +29,15 @@ type Arms struct {
 	// for bit.
 	DisableQCCache bool
 }
+
+// With returns the arms selected by either a or b, so options that each name
+// an arm compose instead of replacing one another.
+func (a Arms) With(b Arms) Arms {
+	return Arms{
+		PlainCommit:       a.PlainCommit || b.PlainCommit,
+		FBFT:              a.FBFT || b.FBFT,
+		NaiveEndorsements: a.NaiveEndorsements || b.NaiveEndorsements,
+		VerifySignatures:  a.VerifySignatures || b.VerifySignatures,
+		DisableQCCache:    a.DisableQCCache || b.DisableQCCache,
+	}
+}

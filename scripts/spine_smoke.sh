@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Spine smoke: runs every workload of the wall-clock benchmark (bench/run.sh)
-# once over a short window, plus one traced run that exercises the per-layer
+# once over a 3 s window, plus one traced run that exercises the per-layer
 # probes, and fails unless each run's last line (the JSON result) reports
-# "correct":true and "failed":0. SPINE_SECONDS sets the window (default 3).
+# "correct":true and "failed":0.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
-seconds="${SPINE_SECONDS:-3}"
+seconds=3
 
 check() {
 	local label="$1"

@@ -365,7 +365,8 @@ func WithPacemaker(cfg PacemakerConfig) Option {
 // strengthening off, the FBFT baseline, the Appendix C naive tracker,
 // signature checks under a simulated scheme, the certificate cache off. Its
 // parameter type is declared under internal/, so only this module can pass
-// one; the zero value is the production node.
+// one; the zero value is the production node. Calls accumulate: each adds its
+// arms to those of earlier calls.
 func WithReference(arms reference.Arms) Option {
-	return func(s *settings) { s.ref = arms }
+	return func(s *settings) { s.ref = s.ref.With(arms) }
 }
