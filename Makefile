@@ -86,6 +86,7 @@ bench-micro:
 bench-guard:
 	$(GO) test -run 'Alloc' -count=1 ./internal/types/ ./internal/simnet/ ./internal/core/ ./internal/wal/ ./internal/crypto/ ./internal/obs/ ./internal/app/ ./internal/tcpnet/ ./internal/replica/ ./internal/diembft/ ./sft/
 	$(GO) test -run 'TestCompactQCSizeFlat' -count=1 ./internal/types/
+	$(GO) test -run 'TestRecordFootprint' -count=1 ./internal/core/
 	$(MAKE) bench-micro
 
 # Short native-fuzz pass over the wire decoders, the TCP frame parser and the

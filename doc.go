@@ -303,12 +303,15 @@
 //     live in a recycled slab and the heap orders int32 slot indices, so
 //     dispatching an event performs no allocation once the queue size
 //     plateaus.
-//   - core.Tracker keeps per-block endorser sets as bitset words plus a flat
-//     key array (popcount instead of map iteration) in a record on the
-//     block's node in the store: a certificate costs one BlockID lookup, each
-//     of its votes an array index and a parent-pointer hop. core.VoteHistory
-//     computes vote markers with a single indexed ancestor walk instead of
-//     one ancestry walk per voted block.
+//   - core.Tracker keeps per-block endorser sets as a presence bitset plus a
+//     short list of key classes (a key and a member bitset; voters share
+//     keys, so a block has one to three) in a record on the block's node in
+//     the store. A certificate costs one BlockID lookup; in the common shape
+//     (round-keyed markers, no interval vote, each voter in range once) its
+//     votes are grouped by marker and unpacked a bitset word at a time, one
+//     ancestor walk for all groups, and otherwise one vote at a time.
+//     core.VoteHistory computes vote markers with a single indexed ancestor
+//     walk instead of one ancestry walk per voted block.
 //
 // Determinism is the regression oracle for all of the above: see
 // internal/harness/determinism_test.go and the allocation guards in

@@ -43,7 +43,7 @@ func (d *DirectTracker) AddVote(block types.BlockID, voter types.ReplicaID) {
 
 func (d *DirectTracker) addVote(n *blockstore.Node, voter types.ReplicaID) {
 	if recordOf(n).add(voter, unconditional, d.t.cfg.N) {
-		d.t.reevaluateAround(n)
+		d.t.reevaluateAround(n, d.t.nextPass())
 	}
 }
 

@@ -111,18 +111,39 @@ func BenchmarkTrackerOnQC(b *testing.B) {
 	}
 }
 
+// markVotes gives vote i of every certificate the marker marks[i%len(marks)].
+// With three marks it is the shape after partitions: most voters carry 0, the
+// voters of each earlier minority side their fork round.
+func markVotes(qcs []*types.QC, marks ...types.Round) {
+	for _, qc := range qcs {
+		for i := range qc.Votes {
+			qc.Votes[i].Marker = marks[i%len(marks)]
+		}
+	}
+}
+
 // BenchmarkTrackerOnQCFresh is the shape of the bench's core.tracker_onqc_ns
 // probe and of a simulation's steady state at the paper's scale: n=100,
 // 67-vote certificates, each new to a tracker warm on a 256-block chain, so
 // every vote is a new direct endorsement plus one ancestor hop and every
 // certificate a new record.
-func BenchmarkTrackerOnQCFresh(b *testing.B) {
+func BenchmarkTrackerOnQCFresh(b *testing.B) { benchmarkFresh(b) }
+
+// BenchmarkTrackerOnQCMixedMarkers is BenchmarkTrackerOnQCFresh after
+// partitions: the 67 votes carry three distinct markers, so every record
+// holds three key classes.
+func BenchmarkTrackerOnQCMixedMarkers(b *testing.B) { benchmarkFresh(b, 0, 3, 7) }
+
+func benchmarkFresh(b *testing.B, marks ...types.Round) {
 	const warm, batch = 256, 2048
 	const n, f = 100, 33
 	b.ReportAllocs()
 	for done := 0; done < b.N; done += batch {
 		b.StopTimer()
 		store, _, qcs := buildChain(b, warm+batch, 2*f+1)
+		if len(marks) > 0 {
+			markVotes(qcs, marks...)
+		}
 		tr := NewTracker(store, Config{N: n, F: f, Mode: ModeRound, Horizon: 2*n + 16})
 		for _, qc := range qcs[:warm] {
 			tr.OnQC(qc)
@@ -136,35 +157,71 @@ func BenchmarkTrackerOnQCFresh(b *testing.B) {
 
 // TestAllocsTrackerOnQC: a re-delivered certificate and one whose votes are
 // all covered already allocate nothing; a certificate for a fresh block
-// allocates its record and the record's one backing array.
+// allocates its record and the record's one backing array, with one key class
+// or with three.
 func TestAllocsTrackerOnQC(t *testing.T) {
-	const warm, runs = 64, 200
+	for _, marks := range [][]types.Round{{0}, {0, 3, 7}} {
+		t.Run(fmt.Sprintf("markers=%v", marks), func(t *testing.T) {
+			const warm, runs = 64, 200
+			const n, f = 100, 33
+			store, _, qcs := buildChain(t, warm+runs+1, 2*f+1)
+			markVotes(qcs, marks...)
+			tr := NewTracker(store, Config{N: n, F: f, Mode: ModeRound, Horizon: 2*n + 16})
+			for _, qc := range qcs[:warm] {
+				tr.OnQC(qc)
+			}
+			last := qcs[warm-1]
+			if a := testing.AllocsPerRun(runs, func() { tr.OnQC(last) }); a != 0 {
+				t.Fatalf("re-delivered certificate: %v allocs/op, want 0", a)
+			}
+			rec := recordAt(store.Node(last.Block))
+			if a := testing.AllocsPerRun(runs, func() {
+				rec.processed = 0
+				tr.OnQC(last)
+			}); a != 0 {
+				t.Fatalf("already-covered certificate: %v allocs/op, want 0", a)
+			}
+			next := warm
+			if a := testing.AllocsPerRun(runs, func() {
+				tr.OnQC(qcs[next])
+				next++
+			}); a > 2 {
+				t.Fatalf("certificate for a fresh block: %v allocs/op, want at most 2", a)
+			}
+			if got := tr.Strength(qcs[next-3].Block); got != f {
+				t.Fatalf("block under a 3-chain of fresh certificates has strength %d, want %d", got, f)
+			}
+			if got := recordAt(store.Node(qcs[next-1].Block)).classes(); got != len(marks) {
+				t.Fatalf("fresh block holds %d key classes, want %d", got, len(marks))
+			}
+		})
+	}
+}
+
+// TestRecordFootprint: at n=100 a block whose endorsers carry two distinct
+// keys stores its presence bitset and two key classes in at most 8 words,
+// where a per-replica key array took 102; a voter whose key drops moves class
+// and leaves no empty one behind.
+func TestRecordFootprint(t *testing.T) {
 	const n, f = 100, 33
-	store, _, qcs := buildChain(t, warm+runs+1, 2*f+1)
-	tr := NewTracker(store, Config{N: n, F: f, Mode: ModeRound, Horizon: 2*n + 16})
-	for _, qc := range qcs[:warm] {
+	store, _, qcs := buildChain(t, 8, 2*f+1)
+	markVotes(qcs, 0, 0, 4)
+	tr := NewTracker(store, Config{N: n, F: f, Mode: ModeRound})
+	for _, qc := range qcs {
 		tr.OnQC(qc)
 	}
-	last := qcs[warm-1]
-	if a := testing.AllocsPerRun(runs, func() { tr.OnQC(last) }); a != 0 {
-		t.Fatalf("re-delivered certificate: %v allocs/op, want 0", a)
+	rec := recordAt(store.Node(qcs[5].Block))
+	if rec.classes() != 2 || rec.size() != 2*f+1 || cap(rec.set) > 8 {
+		t.Fatalf("record holds %d endorsers in %d classes, %d words; want %d in 2, at most 8", rec.size(), rec.classes(), cap(rec.set), 2*f+1)
 	}
-	rec := recordAt(store.Node(last.Block))
-	if a := testing.AllocsPerRun(runs, func() {
-		rec.processed = 0
-		tr.OnQC(last)
-	}); a != 0 {
-		t.Fatalf("already-covered certificate: %v allocs/op, want 0", a)
+	if got := rec.countBelow(1); got != 2*f+1-(2*f+1)/3 {
+		t.Fatalf("%d endorsers below key 1, want the %d with marker 0", got, 2*f+1-(2*f+1)/3)
 	}
-	next := warm
-	if a := testing.AllocsPerRun(runs, func() {
-		tr.OnQC(qcs[next])
-		next++
-	}); a > 2 {
-		t.Fatalf("certificate for a fresh block: %v allocs/op, want at most 2", a)
+	for v := 2; v < 2*f+1; v += 3 { // the marker-4 voters, now at key 0
+		rec.add(types.ReplicaID(v), 0, n)
 	}
-	if got := tr.Strength(qcs[next-3].Block); got != f {
-		t.Fatalf("block under a 3-chain of fresh certificates has strength %d, want %d", got, f)
+	if rec.classes() != 1 || rec.countBelow(1) != 2*f+1 || cap(rec.set) > 8 {
+		t.Fatalf("after the moves: %d classes, %d below key 1, %d words; want 1, %d, at most 8", rec.classes(), rec.countBelow(1), cap(rec.set), 2*f+1)
 	}
 }
 

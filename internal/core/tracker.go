@@ -2,20 +2,25 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/blockstore"
 	"repro/internal/types"
 )
 
 // record is one block's strength bookkeeping, kept on the block's node in the
-// store (see Tracker). The endorser set is inline: a presence bitset over
-// replica IDs and a flat per-replica key array in one backing array, so
-// membership, key updates and counting are array indexing and popcount — no
-// hashing on the per-vote path.
+// store (see Tracker). The endorser set is inline, in one backing array: a
+// presence bitset over replica IDs, then a short list of key classes, each a
+// key followed by a member bitset. Every present voter is a member of exactly
+// one class, the one holding its minimum coverage/threshold key. Keys repeat
+// across voters — nearly every voter carries marker 0, and after a partition
+// the minority side carries its fork round — so a block has one to three
+// classes. Membership, key updates and counting are word operations and
+// popcount, with no hashing and no per-replica key.
 type record struct {
-	words []uint64 // presence bitset, bit v set ⇔ replica v endorses
-	keys  []uint64 // minimum coverage/threshold key per replica, valid where the bit is set
-	count int      // number of set bits, maintained incrementally
+	set   []uint64 // presence (nw words), then per class: its key, its members (nw words)
+	nw    int      // words per bitset
+	count int      // number of present voters, maintained incrementally
 
 	// strength is the highest x such that the block is x-strong committed
 	// here, -1 while it is not strong committed at all (not even f-strong).
@@ -23,6 +28,9 @@ type record struct {
 	// processed is the number of votes already unpacked from a QC for the
 	// block, so re-deliveries and smaller duplicate QCs are skipped cheaply.
 	processed int
+	// pass is the last re-evaluation pass that evaluated the block as a
+	// 3-chain candidate (see Tracker.reevaluateAround).
+	pass uint64
 }
 
 // recordAt returns the node's record, or nil when it has none or n is nil. A
@@ -45,38 +53,127 @@ func recordOf(n *blockstore.Node) *record {
 	return r
 }
 
+// classes returns the number of key classes.
+func (r *record) classes() int {
+	if r.nw == 0 {
+		return 0
+	}
+	return (len(r.set) - r.nw) / (r.nw + 1)
+}
+
+// class returns class i: its key, then its member bitset.
+func (r *record) class(i int) []uint64 {
+	at := r.nw + i*(r.nw+1)
+	return r.set[at : at+r.nw+1]
+}
+
+// classOf returns the class holding key, or -1.
+func (r *record) classOf(key uint64) int {
+	for i := range r.classes() {
+		if r.class(i)[0] == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// reserve makes room for nw-word bitsets and extra classes beyond the current
+// ones, keeping what is there, in at most one allocation.
+func (r *record) reserve(nw, extra int) {
+	nw = max(nw, r.nw)
+	k := r.classes()
+	need := nw + (k+extra)*(nw+1)
+	if nw == r.nw && need <= cap(r.set) {
+		return
+	}
+	buf := make([]uint64, nw+k*(nw+1), need)
+	copy(buf, r.set[:r.nw])
+	for i := range k {
+		c := r.class(i)
+		at := nw + i*(nw+1)
+		buf[at] = c[0]
+		copy(buf[at+1:], c[1:])
+	}
+	r.set, r.nw = buf, nw
+}
+
+// classFor returns the class holding key, appending an empty one if there is
+// none; the room for it must be reserved when the caller counts allocations.
+func (r *record) classFor(key uint64) int {
+	if i := r.classOf(key); i >= 0 {
+		return i
+	}
+	r.reserve(r.nw, 1)
+	i := r.classes()
+	r.set = r.set[:len(r.set)+r.nw+1]
+	c := r.class(i)
+	c[0] = key
+	clear(c[1:])
+	return i
+}
+
+// dropEmpty removes every class without members, moving the last class into
+// the freed place (class order carries no meaning).
+func (r *record) dropEmpty() {
+	for i := r.classes() - 1; i >= 0; i-- {
+		if slices.ContainsFunc(r.class(i)[1:], nonzero) {
+			continue
+		}
+		last := r.classes() - 1
+		copy(r.class(i), r.class(last))
+		r.set = r.set[:len(r.set)-r.nw-1]
+	}
+}
+
 // add records voter with the given key, keeping the minimum key seen, and
 // reports whether the record improved (new voter, or a strictly lower key).
 // n sizes the set on first use.
 func (r *record) add(voter types.ReplicaID, key uint64, n int) bool {
 	v := int(voter)
-	if v >= len(r.keys) {
+	if v >= r.nw<<6 {
 		// The first endorsement, or an out-of-range ID, which cannot occur
 		// with a well-formed cluster: grow rather than panic so malformed
 		// input stays merely ineffective.
-		r.grow(max(v+1, n))
+		r.reserve((max(v+1, n)+63)/64, 1)
 	}
 	w, m := v>>6, uint64(1)<<(v&63)
-	if r.words[w]&m != 0 {
-		if r.keys[v] <= key {
-			return false
-		}
-		r.keys[v] = key
-		return true
+	if r.covered(w, key)&m != 0 {
+		return false
 	}
-	r.words[w] |= m
-	r.keys[v] = key
-	r.count++
+	r.credit(w, m, key)
 	return true
 }
 
-func (r *record) grow(n int) {
-	nw := (n + 63) / 64
-	buf := make([]uint64, nw+n)
-	copy(buf, r.words)
-	copy(buf[nw:], r.keys)
-	r.words, r.keys = buf[:nw:nw], buf[nw:]
+// covered returns word w of the set of voters present with a key at or below
+// key: crediting them with key would not improve the record. A record with a
+// class is sized for the whole committee, so word w is in range.
+func (r *record) covered(w int, key uint64) uint64 {
+	c := uint64(0)
+	for i := range r.classes() {
+		if cl := r.class(i); cl[0] <= key {
+			c |= cl[1+w]
+		}
+	}
+	return c
 }
+
+// credit records the voters in word w of add with key, moving those present
+// with a higher key out of their class. None of them may be covered at key,
+// and the record must be sized for word w. A caller that counts allocations
+// reserves the room for key's class first.
+func (r *record) credit(w int, add, key uint64) {
+	if moved := add & r.set[w]; moved != 0 {
+		for i := range r.classes() {
+			r.class(i)[1+w] &^= moved
+		}
+		r.dropEmpty()
+	}
+	r.count += bits.OnesCount64(add &^ r.set[w])
+	r.set[w] |= add
+	r.class(r.classFor(key))[1+w] |= add
+}
+
+func nonzero(w uint64) bool { return w != 0 }
 
 // size returns the number of endorsers regardless of keys.
 func (r *record) size() int {
@@ -93,13 +190,11 @@ func (r *record) countBelow(k uint64) int {
 		return 0
 	}
 	n := 0
-	for wi, w := range r.words {
-		base := wi << 6
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			if key := r.keys[base+b]; key < k || key == unconditional {
-				n++
+	for i := range r.classes() {
+		c := r.class(i)
+		if key := c[0]; key < k || key == unconditional {
+			for _, w := range c[1:] {
+				n += bits.OnesCount64(w)
 			}
 		}
 	}
@@ -173,6 +268,17 @@ type Tracker struct {
 	// cleared after each use, so between calls they hold no node.
 	changed    []*blockstore.Node
 	candidates []*blockstore.Node
+	// pass numbers re-evaluation passes, one per OnQC or direct vote, so a
+	// pass evaluates each candidate once (record.pass).
+	pass uint64
+
+	// The word-parallel unpack's scratch: the certificate's voters (seen),
+	// and its votes grouped by marker, group g's key in markers[g] and its
+	// voter bitset in groups[g*len(seen):]. Reused across calls; it holds no
+	// node.
+	seen    []uint64
+	markers []uint64
+	groups  []uint64
 }
 
 // NewTracker creates a tracker over the replica's block store.
@@ -196,8 +302,32 @@ func (t *Tracker) OnQC(qc *types.QC) {
 		return // already unpacked an equal or larger QC for this block
 	}
 	rec.processed = len(qc.Votes)
-	for i := range qc.Votes {
-		v := &qc.Votes[i]
+	if t.groupVotes(qc.Votes) {
+		t.unpackGroups(certified)
+	} else {
+		t.unpackVotes(certified, rec, qc.Votes)
+	}
+	// Detach the scratch before iterating: OnStrength is a public callback,
+	// and if it feeds another QC back into the tracker the nested OnQC must
+	// not clobber the worklist we are still walking. The nested call simply
+	// allocates fresh scratch; the steady (non-reentrant) path stays
+	// allocation-free because the buffer is reattached afterwards.
+	changed := t.changed
+	t.changed = nil
+	pass := t.nextPass()
+	for _, n := range changed {
+		t.reevaluateAround(n, pass)
+	}
+	clear(changed)
+	t.changed = changed[:0]
+}
+
+// unpackVotes credits a certificate's votes one at a time: a vote credits the
+// certified block, then walks its ancestors applying the marker or interval
+// rule. It serves every certificate the word-parallel path does not.
+func (t *Tracker) unpackVotes(certified *blockstore.Node, rec *record, votes []types.Vote) {
+	for i := range votes {
+		v := &votes[i]
 		// In plain marker mode (the common case) the stored key doubles as
 		// a COVERAGE key: an entry with key m at block B means this voter's
 		// endorsements with marker m have already been propagated to B's
@@ -251,18 +381,108 @@ func (t *Tracker) OnQC(qc *types.QC) {
 			}
 		}
 	}
-	// Detach the scratch before iterating: OnStrength is a public callback,
-	// and if it feeds another QC back into the tracker the nested OnQC must
-	// not clobber the worklist we are still walking. The nested call simply
-	// allocates fresh scratch; the steady (non-reentrant) path stays
-	// allocation-free because the buffer is reattached afterwards.
-	changed := t.changed
-	t.changed = nil
-	for _, n := range changed {
-		t.reevaluateAround(n)
+}
+
+// groupVotes groups the votes by marker into the word-parallel scratch and
+// reports whether the certificate has the shape that path serves: round-keyed
+// markers, not naive, no interval vote, and every voter in range and once.
+func (t *Tracker) groupVotes(votes []types.Vote) bool {
+	if t.cfg.Mode != ModeRound || t.cfg.Naive {
+		return false
 	}
-	clear(changed)
-	t.changed = changed[:0]
+	nw := (t.cfg.N + 63) / 64
+	t.seen = appendZeros(t.seen[:0], nw)
+	t.markers, t.groups = t.markers[:0], t.groups[:0]
+	for i := range votes {
+		v := &votes[i]
+		if v.HasIntervals || int(v.Voter) >= t.cfg.N {
+			return false
+		}
+		w, m := v.Voter>>6, uint64(1)<<(v.Voter&63)
+		if t.seen[w]&m != 0 {
+			return false
+		}
+		t.seen[w] |= m
+		g := slices.Index(t.markers, uint64(v.Marker))
+		if g < 0 {
+			g = len(t.markers)
+			t.markers = append(t.markers, uint64(v.Marker))
+			t.groups = appendZeros(t.groups, nw)
+		}
+		t.groups[g*nw+int(w)] |= m
+	}
+	return true
+}
+
+// appendZeros appends n zero words to s, reusing its spare capacity.
+func appendZeros(s []uint64, n int) []uint64 {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
+}
+
+// unpackGroups is the word-parallel unpack of grouped votes with the same
+// effect as unpackVotes: it walks the ancestors once for all groups together.
+// At each block a group keeps only the voters the block's record does not
+// already cover at or below the group's marker, credits them, and carries
+// them on; a group stops once it is empty or its marker reaches the
+// ancestor's round. Each vote's walk changes a prefix of the chain, so the
+// changed blocks are noted in depth order, as unpackVotes notes them.
+func (t *Tracker) unpackGroups(n *blockstore.Node) {
+	nw := len(t.seen)
+	live := len(t.markers)
+	for depth := 0; ; {
+		rec := recordOf(n)
+		fresh := 0
+		live = t.keepGroups(live, func(key uint64, s []uint64) bool {
+			for w := range s {
+				s[w] &^= rec.covered(w, key)
+			}
+			if !slices.ContainsFunc(s, nonzero) {
+				return false
+			}
+			if rec.classOf(key) < 0 {
+				fresh++
+			}
+			return true
+		})
+		if live == 0 {
+			return
+		}
+		rec.reserve(nw, fresh)
+		for g := range live {
+			for w, add := range t.groups[g*nw:][:nw] {
+				if add != 0 {
+					rec.credit(w, add, t.markers[g])
+				}
+			}
+		}
+		t.changed = append(t.changed, n) // each block once: no dedup needed
+
+		depth++
+		if n = n.Parent(); n == nil || t.cfg.Horizon > 0 && depth > t.cfg.Horizon || n.Block().IsGenesis() {
+			return
+		}
+		// Deeper ancestors have strictly smaller rounds: a marker at or
+		// above this one's round endorses nothing further.
+		round := uint64(n.Block().Round)
+		live = t.keepGroups(live, func(key uint64, _ []uint64) bool { return key < round })
+	}
+}
+
+// keepGroups keeps the first live groups for which keep holds, moving the
+// last kept group into a dropped one's place, and returns how many remain.
+func (t *Tracker) keepGroups(live int, keep func(key uint64, s []uint64) bool) int {
+	nw := len(t.seen)
+	for g := live - 1; g >= 0; g-- {
+		if keep(t.markers[g], t.groups[g*nw:][:nw]) {
+			continue
+		}
+		live--
+		t.markers[g] = t.markers[live]
+		copy(t.groups[g*nw:][:nw], t.groups[live*nw:][:nw])
+	}
+	return live
 }
 
 // noteChanged appends n to the changed worklist unless already present. The
@@ -334,9 +554,19 @@ func (t *Tracker) Strength(id types.BlockID) int {
 	return -1
 }
 
+// nextPass opens a re-evaluation pass: within it reevaluateAround evaluates
+// each candidate once.
+func (t *Tracker) nextPass() uint64 {
+	t.pass++
+	return t.pass
+}
+
 // reevaluateAround re-runs the strong 3-chain rule for every 3-chain that
-// includes n (as first, middle, or last element).
-func (t *Tracker) reevaluateAround(n *blockstore.Node) {
+// includes n (as first, middle, or last element). Within one pass a
+// candidate is evaluated once, at its first occurrence: no count changes
+// while a pass re-evaluates, so a repeat finds nothing new. An OnStrength
+// callback that feeds a certificate back opens a pass of its own.
+func (t *Tracker) reevaluateAround(n *blockstore.Node, pass uint64) {
 	// n as the start/middle/end of a 3-chain maps to candidate commit
 	// blocks: in ModeRound the committed block is the FIRST of the 3-chain
 	// (B_k, B_k+1, B_k+2); in ModeHeight it is the MIDDLE (B_k-1, B_k,
@@ -355,13 +585,21 @@ func (t *Tracker) reevaluateAround(n *blockstore.Node) {
 		cands = append(cands, c)
 	}
 	// Apply the strong commit rule with each candidate as the committed block
-	// and raise strength levels where a higher x is now supported.
+	// and raise strength levels where a higher x is now supported. A block
+	// without a record has no endorser, so it commits nothing.
 	for _, c := range cands {
+		rec := recordAt(c)
+		if rec == nil || rec.pass == pass {
+			continue
+		}
+		rec.pass = pass
 		var x int
 		if t.cfg.Mode == ModeHeight {
 			x = t.evaluateHeight(c)
+		} else if rec.count-t.cfg.F-1 > max(rec.strength, t.cfg.F-1) {
+			x = t.evaluateRound(c) // at most count-f-1: worth it only if that is a rise
 		} else {
-			x = t.evaluateRound(c)
+			continue
 		}
 		if x >= t.cfg.F { // below f it is not even a regular commit yet
 			t.raise(c, x)

@@ -306,22 +306,24 @@ func (t *refDirect) forget(id types.BlockID) {
 // random block tree. pick(n) yields the stream's next choice in [0, n), or ok
 // false when the stream is spent. The stream's head picks what runs: the SFT
 // tracker keyed by round, by round with naive counting, or by height, with no
-// horizon or a small one, or the direct tracker. The ops: extend the tree
-// under the tip, a recent ancestor of it (a fork) or any stored block, mostly
-// certifying the new block at once; certify a stored block again, with the
-// same certificate, a larger one or an unrelated one; feed a certificate (or
-// a vote) ahead of its block and the block later; credit one direct vote;
-// prune the store at a cut on the tip's chain; and, once, restart: a fresh
-// store and fresh trackers rebuilt from every block and every certificate so
-// far. After every op Endorsers, EndorsersAt and Strength (DirectVotes and
-// Strength) of every block ever made are compared, and the two OnStrength
-// sequences.
+// horizon or a small one, or the direct tracker; and a committee of 7, where
+// every voter bitset is one word, or of 130, where it is three. The ops:
+// extend the tree under the tip, a recent ancestor of it (a fork) or any
+// stored block, mostly certifying the new block at once; certify a stored
+// block again, with the same certificate, a larger one or an unrelated one;
+// feed a certificate (or a vote) ahead of its block and the block later;
+// credit one direct vote; prune the store at a cut on the tip's chain; and,
+// once, restart: a fresh store and fresh trackers rebuilt from every block
+// and every certificate so far. After every op Endorsers, EndorsersAt and
+// Strength (DirectVotes and Strength) of every block ever made are compared,
+// and the two OnStrength sequences.
 type trackerRun struct {
 	t     *testing.T
 	pick  func(n int) (int, bool)
 	store *blockstore.Store
 	cfg   core.Config
 	sft   bool
+	n, f  int
 
 	tr     *core.Tracker
 	ref    *refTracker
@@ -340,13 +342,15 @@ type trackerRun struct {
 	rises    int
 }
 
-const trackerRunN, trackerRunF = 7, 2
-
 func runTrackerOps(t *testing.T, pick func(n int) (int, bool)) (compares, rises int) {
-	r := &trackerRun{t: t, pick: pick, certs: make(map[types.BlockID]*types.QC)}
-	if kind := r.choose(5); kind < 4 { // 4 is the direct tracker
+	r := &trackerRun{t: t, pick: pick, certs: make(map[types.BlockID]*types.QC), n: 7, f: 2}
+	kind := r.choose(5) // 4 is the direct tracker
+	if r.choose(4) == 3 {
+		r.n, r.f = 130, 43
+	}
+	if kind < 4 {
 		r.sft = true
-		r.cfg = core.Config{N: trackerRunN, F: trackerRunF, Mode: core.ModeRound, Naive: kind == 1}
+		r.cfg = core.Config{N: r.n, F: r.f, Mode: core.ModeRound, Naive: kind == 1}
 		if kind >= 2 && r.choose(2) == 1 {
 			r.cfg.Mode = core.ModeHeight
 		}
@@ -394,9 +398,9 @@ func (r *trackerRun) boot() {
 		r.tr, r.ref = core.NewTracker(r.store, cfg), newRefTracker(r.store, refCfg)
 		return
 	}
-	r.direct = core.NewDirectTracker(r.store, trackerRunF, onGot)
+	r.direct = core.NewDirectTracker(r.store, r.f, onGot)
 	r.refDir = &refDirect{
-		store: r.store, f: trackerRunF, onStrength: onWant,
+		store: r.store, f: r.f, onStrength: onWant,
 		votes: make(map[types.BlockID]map[types.ReplicaID]bool), strength: make(map[types.BlockID]int),
 	}
 }
@@ -453,15 +457,18 @@ func (r *trackerRun) extend() {
 }
 
 // newCert makes a certificate for b: a quorum or more most of the time, fewer
-// votes sometimes, or base's votes and a few more when base is given; markers
-// mostly zero, sometimes anything up to b's round or, in round mode, an
-// interval set with a gap.
+// votes sometimes, or base's votes and a few more when base is given. Its new
+// votes carry markers in up to three runs: all zero, or zero then two others
+// up to b's round. Now and then it carries odd votes too: in round mode a
+// tail of votes with one interval set with a gap, a voter again under another
+// marker, or a voter beyond the committee. In round mode only a certificate
+// without odd votes takes the tracker's word-parallel path.
 func (r *trackerRun) newCert(b *types.Block, base *types.QC) *types.QC {
 	qc := &types.QC{Block: b.ID(), Round: b.Round, Height: b.Height}
 	voted := make(map[types.ReplicaID]bool)
-	size := 2*trackerRunF + 1 + r.choose(trackerRunF+1)
+	size := 2*r.f + 1 + r.choose(r.f+1)
 	if r.choose(6) == 0 {
-		size = 1 + r.choose(2*trackerRunF)
+		size = 1 + r.choose(2*r.f)
 	}
 	if base != nil {
 		qc.Votes = append(qc.Votes, base.Votes...)
@@ -470,25 +477,46 @@ func (r *trackerRun) newCert(b *types.Block, base *types.QC) *types.QC {
 		}
 		size = len(base.Votes) + 1 + r.choose(2)
 	}
-	for next := r.choose(trackerRunN); len(qc.Votes) < min(size, trackerRunN); next++ {
-		voter := types.ReplicaID(next % trackerRunN)
+	anyMarker := func() types.Round { return types.Round(r.choose(int(b.Round) + 1)) }
+	var markers [3]types.Round
+	cuts := [2]int{size, size} // new vote i carries markers[0] below cuts[0], markers[1] below cuts[1]
+	if r.choose(2) == 0 {
+		markers[1], markers[2] = anyMarker(), anyMarker()
+		cuts[0] = r.choose(size + 1)
+		cuts[1] = cuts[0] + r.choose(size-cuts[0]+1)
+	}
+	fresh := len(qc.Votes)
+	for next := r.choose(r.n); len(qc.Votes) < min(size, r.n); next++ {
+		voter := types.ReplicaID(next % r.n)
 		if voted[voter] {
 			continue
 		}
 		voted[voter] = true
-		v := types.Vote{Block: b.ID(), Round: b.Round, Height: b.Height, Voter: voter}
-		switch c := r.choose(8); {
-		case c == 0:
-			v.Marker = types.Round(r.choose(int(b.Round) + 1))
-		case c == 1 && r.cfg.Mode == core.ModeRound:
-			v.HasIntervals = true
-			lo := 1 + r.choose(int(b.Round))
-			v.Intervals = intervals.New(
-				intervals.Interval{Lo: uint64(lo), Hi: uint64(b.Round)},
-				intervals.Interval{Lo: 1, Hi: uint64(r.choose(lo))},
-			)
+		run, i := 0, len(qc.Votes)-fresh
+		for run < 2 && i >= cuts[run] {
+			run++
 		}
-		qc.Votes = append(qc.Votes, v)
+		qc.Votes = append(qc.Votes, types.Vote{Block: b.ID(), Round: b.Round, Height: b.Height, Voter: voter, Marker: markers[run]})
+	}
+	switch c := r.choose(8); {
+	case c == 0 && r.cfg.Mode == core.ModeRound && len(qc.Votes) > fresh:
+		lo := 1 + r.choose(int(b.Round))
+		set := intervals.New(
+			intervals.Interval{Lo: uint64(lo), Hi: uint64(b.Round)},
+			intervals.Interval{Lo: 1, Hi: uint64(r.choose(lo))},
+		)
+		for i := fresh + r.choose(len(qc.Votes)-fresh); i < len(qc.Votes); i++ {
+			qc.Votes[i].HasIntervals, qc.Votes[i].Intervals = true, set
+		}
+	case c == 1 && len(qc.Votes) > 0:
+		again := qc.Votes[r.choose(len(qc.Votes))]
+		again.Marker = anyMarker()
+		qc.Votes = append(qc.Votes, again)
+	case c == 2:
+		qc.Votes = append(qc.Votes, types.Vote{
+			Block: b.ID(), Round: b.Round, Height: b.Height,
+			Voter: types.ReplicaID(r.n + r.choose(128)), Marker: markers[r.choose(3)],
+		})
 	}
 	return qc
 }
@@ -541,7 +569,7 @@ func (r *trackerRun) deliverPending() {
 // vote credits one direct vote; the SFT tracker has no such door.
 func (r *trackerRun) vote(id types.BlockID) {
 	if !r.sft {
-		voter := types.ReplicaID(r.choose(trackerRunN))
+		voter := types.ReplicaID(r.choose(r.n))
 		r.direct.AddVote(id, voter)
 		r.refDir.addVote(id, voter)
 	}
@@ -682,12 +710,62 @@ func TestStrengthRisesInChildOrder(t *testing.T) {
 	}
 }
 
+// TestOnStrengthMayFeedACertificate: OnQC documents that an OnStrength
+// callback may feed another certificate back into the tracker. Here the first
+// rise (of b1, by the 3-chain b1 b2 b3) feeds a mixed-marker certificate for
+// b4 whose votes lift b1, b2 and b3, blocks the outer re-evaluation has
+// already looked at: the nested call must judge them again, in a pass of its
+// own, for b2 to commit through b2 b3 b4. The tracker ends where a reference
+// fed the two certificates one after the other ends, on every block.
+func TestOnStrengthMayFeedACertificate(t *testing.T) {
+	w := newWorld(t)
+	chain := []*types.Block{w.store.Genesis()}
+	for r := types.Round(1); r <= 4; r++ {
+		chain = append(chain, w.mk(chain[len(chain)-1], r))
+	}
+	quorum := sameMarkers(0, 0, 1, 2, 3, 4)
+	mixed := qcFor(chain[4], map[types.ReplicaID]types.Round{0: 0, 1: 0, 2: 2, 3: 2, 4: 1, 5: 0, 6: 0})
+	cfg := core.Config{N: 7, F: 2, Mode: core.ModeRound}
+	nested := 0
+	var tr *core.Tracker
+	cfg.OnStrength = func(*types.Block, int) {
+		if nested == 0 {
+			nested++
+			tr.OnQC(mixed)
+		}
+	}
+	tr = core.NewTracker(w.store, cfg)
+	cfg.OnStrength = func(*types.Block, int) {}
+	ref := newRefTracker(w.store, cfg)
+	for _, b := range chain[1:4] {
+		tr.OnQC(qcFor(b, quorum))
+		ref.onQC(qcFor(b, quorum))
+	}
+	ref.onQC(mixed)
+	if nested != 1 {
+		t.Fatal("no strength rose, so no certificate was fed back")
+	}
+	for _, b := range chain {
+		id := b.ID()
+		if got, want := tr.Endorsers(id), ref.endorsers(id); got != want {
+			t.Errorf("Endorsers(%v) = %d, reference %d", b, got, want)
+		}
+		if got, want := tr.Strength(id), ref.strengthOf(id); got != want {
+			t.Errorf("Strength(%v) = %d, reference %d", b, got, want)
+		}
+	}
+	if got := tr.Strength(chain[2].ID()); got != 4 {
+		t.Errorf("b2 has strength %d after the fed-back certificate, want 4", got)
+	}
+}
+
 // FuzzTrackerMatchesReference reads the same op stream from the fuzzer's
 // bytes, one choice per byte.
 func FuzzTrackerMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 9, 0, 1, 5, 1, 1, 14, 0, 2, 11, 3, 12, 1, 15, 0, 1, 0, 1})
 	f.Add([]byte{4, 0, 1, 0, 1, 0, 1, 13, 2, 3, 13, 1, 5, 0, 1, 14, 1, 0, 15, 0, 1})
 	f.Add([]byte{3, 1, 1, 2, 0, 1, 0, 1, 0, 1, 0, 1, 6, 1, 1, 9, 2, 14, 0, 0})
+	f.Add([]byte{0, 3, 0, 1, 0, 1, 1, 0, 2, 5, 1, 0, 3, 40, 0, 1, 1, 0, 0, 7, 1, 0, 9, 1, 0, 1, 0, 1, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runTrackerOps(t, func(n int) (int, bool) {
 			if len(data) == 0 {
