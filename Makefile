@@ -185,7 +185,6 @@ KNOB_STRUCTS = \
 	sft/simnet.go:SimnetConfig:sft.SimnetConfig \
 	sft/options.go:PacemakerConfig:sft.PacemakerConfig \
 	sft/access.go:ObserverConfig:sft.ObserverConfig \
-	internal/compose/compose.go:Spec:compose.Spec \
 	internal/replica/replica.go:Config:replica.Config \
 	internal/diembft/diembft.go:Config:diembft.Config \
 	internal/streamlet/streamlet.go:Config:streamlet.Config \
@@ -196,17 +195,27 @@ KNOB_STRUCTS = \
 	internal/harness/harness.go:Scenario:harness.Scenario \
 	internal/harness/experiments.go:Scale:harness.Scale
 
+# The ratchet: knobs fails when the total exceeds KNOB_BUDGET or a listed file
+# or struct is missing. A change that removes knobs lowers the budget to the
+# new total; one that adds a knob removes another.
+KNOB_BUDGET = 177
+
 knobs:
 	@{ for s in $(KNOB_STRUCTS); do \
 		file=$${s%%:*}; rest=$${s#*:}; \
+		if [ ! -f $$file ]; then printf "%-28s MISSING\n" "$${rest#*:}"; continue; fi; \
 		awk -v name="$${rest%%:*}" -v label="$${rest#*:}" ' \
-			$$0 ~ "^type " name " struct" { on = 1; next } \
+			$$0 ~ "^type " name " struct" { on = 1; found = 1; next } \
 			on && /^}/ { on = 0 } \
 			on && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)* /) { \
 				names = substr($$0, RSTART, RLENGTH); n += gsub(/,/, ",", names) + 1 } \
-			END { printf "%-28s %4d\n", label, n }' $$file; \
+			END { if (found) printf "%-28s %4d\n", label, n; else printf "%-28s MISSING\n", label }' $$file; \
 	  done; \
 	  printf "%-28s %4d\n" "sft With* options" $$(cat $$(ls sft/*.go | grep -v _test.go) | grep -c '^func With'); \
 	  for d in cmd/*/; do \
 		printf "%-28s %4d\n" "$${d%/} flags" $$(cat $$d*.go | grep -c 'flag\.[A-Z][A-Za-z0-9]*(".*",'); \
-	  done; } | awk '{ print; total += $$NF } END { printf "%-28s %4d\n", "total", total }'
+	  done; } | awk -v budget=$(KNOB_BUDGET) ' \
+		{ print } $$NF == "MISSING" { missing = 1; next } { total += $$NF } \
+		END { printf "%-28s %4d\n", "total", total; \
+		      if (missing) { print "knobs: a listed file or struct is missing; fix KNOB_STRUCTS" > "/dev/stderr"; exit 1 } \
+		      if (total > budget) { printf "knobs: total %d exceeds KNOB_BUDGET %d\n", total, budget > "/dev/stderr"; exit 1 } }'

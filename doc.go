@@ -23,8 +23,8 @@
 // pipeline and metrics sink into one Node, and all four commands plus all
 // seven examples are wired through it (zero direct imports of
 // internal/runtime, internal/diembft or internal/streamlet outside the
-// facade). Engine construction itself lives in internal/compose, which only
-// the facade calls, and fixed-seed facade runs are pinned bit-identical to
+// facade). Engine construction itself is one unexported builder inside
+// sft.New, and fixed-seed facade runs are pinned bit-identical to
 // hand-wired runs (sft/determinism_test.go).
 //
 // The experiment harness (internal/harness) is a scenario library over
@@ -112,11 +112,12 @@
 //     traffic until its block is that strong — wired synchronously into
 //     the commit path of the node carrying WithMempool.
 //   - WithReference(reference.Arms{...}) — the one seam for the reference
-//     arms the experiments measure against: strengthening off, the FBFT
-//     baseline, the Appendix C naive tracker, signature checks under the
-//     simulated schemes, the certificate cache off. The parameter type is
-//     declared under internal/, so only this module can select an arm; the
-//     zero value is the production node, and repeated calls add arms.
+//     arms the experiments measure against: one commit rule (plain 3-chain,
+//     the FBFT baseline or the Appendix C naive count) plus two switches,
+//     signature checks under the simulated schemes and the certificate
+//     cache off. The parameter type is declared under internal/, so only
+//     this module can select an arm; the zero value is the production node,
+//     repeated calls add arms, and two calls naming different rules fail.
 //
 // Commit-strength subscriptions are how clients consume the paper's
 // contribution. Node.Commits() returns an independent channel of
@@ -126,8 +127,8 @@
 // stream — a client that only acts on x-strong commits simply never sees
 // weaker events — and Node.WaitStrength(ctx, id, x) blocks until one block
 // tolerates x Byzantine faults. Delivery is unbounded-buffered so slow
-// consumers never back-pressure consensus, and channels close when the
-// node closes.
+// consumers never back-pressure consensus; channels close when the node
+// closes, and what is still queued then may be cut short (Node.Close).
 //
 // # Access tier
 //
@@ -148,14 +149,15 @@
 //     CommittedHeight). It recovers from restarts via state sync, like a
 //     crashed replica re-joining.
 //   - NewGateway(GatewayConfig) — a strength-subscription fan-out service
-//     (internal/gateway, cmd/sftgateway) fed by observers
-//     (ObserverConfig.Gateway). Every certified (block, QC) pair is
-//     re-verified by the gateway's own light client; fresh strength rises
-//     fan out to subscribers as length-delimited frames carrying the
-//     Section 5 proof — the carrier block whose CommitLog proves the rise,
-//     plus the QC certifying that carrier. Per-subscriber queues are
-//     bounded (GatewayConfig.QueueBound); a subscriber that falls further
-//     behind is evicted rather than ever back-pressuring the feed.
+//     (internal/gateway, cmd/sftgateway) fed by observers through
+//     ObserverConfig.Gateway, their one certified-pair consumer. Each
+//     certified (block, QC) pair is re-verified by the gateway's own light
+//     client; fresh strength rises fan out to subscribers as
+//     length-delimited frames carrying the Section 5 proof — the carrier
+//     block whose CommitLog proves the rise, plus the QC certifying that
+//     carrier. Per-subscriber queues are bounded (GatewayConfig.QueueBound);
+//     a subscriber that falls further behind is evicted rather than ever
+//     back-pressuring the feed.
 //     sft_gateway_* metric families expose subscribers, events, evictions
 //     and ingest counts on /metrics.
 //   - Subscribe(addr, SubscriberConfig) — the client end. Each streamed

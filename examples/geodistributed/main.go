@@ -3,9 +3,9 @@
 // regions, showing how x-strong commit latency grows with x and spikes at
 // 2f (where the out-of-sync stragglers' strong-votes are needed).
 //
-// The harness builds every replica through the same composition path
-// (internal/compose) the public sft facade uses, so these measurements are
-// of exactly the engines sft.New constructs.
+// The harness builds every replica with sft.New, the public facade's one
+// construction path, so these measurements are of exactly the engines
+// sft.New constructs.
 //
 //	go run ./examples/geodistributed [-delta 100ms] [-duration 60s]
 package main

@@ -183,7 +183,7 @@ func Wrap(inner engine.Engine, cfg Config, specs []Spec) (engine.Engine, error) 
 
 // New wraps inner with the behavior chain. With no behaviors the wrapper is
 // pure pass-through (but prefer not wrapping at all: honest replicas built
-// through internal/compose never are, keeping the honest hot path untouched).
+// through sft.New never are, keeping the honest hot path untouched).
 func New(inner engine.Engine, cfg Config, behaviors ...Behavior) *Replica {
 	r := &Replica{
 		inner:     inner,

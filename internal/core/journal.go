@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -51,6 +52,26 @@ type Journal struct {
 // NewJournal wraps an opened log.
 func NewJournal(l *wal.Log) *Journal {
 	return &Journal{log: l, scratch: make([]byte, 0, 4096)}
+}
+
+// OpenJournal opens (or creates) the write-ahead log in dir, replays whatever
+// a previous incarnation left there, and returns the journal to hand to the
+// engine plus the recovered state to restore into it. With fsync false the
+// log runs in NoSync mode — the setting for simulated crashes, where the
+// process survives and page-cache durability models the kill faithfully;
+// real deployments pass fsync true. observeFlush, if non-nil, sees every
+// flush (see wal.Options.ObserveFlush).
+func OpenJournal(dir string, fsync bool, observeFlush func(d time.Duration, bytes int, synced bool)) (*Journal, *Recovery, error) {
+	l, err := wal.Open(dir, wal.Options{NoSync: !fsync, ObserveFlush: observeFlush})
+	if err != nil {
+		return nil, nil, err
+	}
+	rec, err := Recover(l)
+	if err != nil {
+		_ = l.Close()
+		return nil, nil, fmt.Errorf("core: wal replay failed — durable state is unusable: %w", err)
+	}
+	return NewJournal(l), rec, nil
 }
 
 // Log exposes the underlying WAL (stats, tests).

@@ -34,7 +34,7 @@ func testCluster(t *testing.T, n, f int, timeout time.Duration, mut func(*Config
 		cfg := Config{
 			Config: replica.Config{
 				ID: id, N: n, F: f, Signer: ring.Signer(id), Verifier: ring,
-				VerifySignatures: true, SFT: true,
+				VerifySignatures: true,
 			},
 			RoundTimeout: timeout,
 		}
@@ -137,7 +137,7 @@ func TestJournalFailureCrashStopsBeforeVote(t *testing.T) {
 	rep, err := New(Config{
 		Config: replica.Config{
 			ID: 1, N: 4, F: 1, Signer: ring.Signer(1), Verifier: ring,
-			VerifySignatures: true, SFT: true, Journal: core.NewJournal(log),
+			VerifySignatures: true, Journal: core.NewJournal(log),
 		},
 		RoundTimeout: time.Second,
 	})
@@ -197,7 +197,9 @@ func TestPruneFansOutExactlyRemoved(t *testing.T) {
 		handles := make([][]*blockstore.Node, 4)
 		sim, reps, _ := testCluster(t, 4, 1, 20*time.Millisecond, func(c *Config) {
 			c.PruneKeep = 64
-			c.SFT, c.FBFT = !fbft, fbft
+			if fbft {
+				c.Rule = replica.RuleFBFT
+			}
 		}, simnet.Config{Seed: 9, Drop: starve, OnCommit: func(id types.ReplicaID, _ time.Duration, b *types.Block) {
 			for n := reps[id].Store().Node(b.Parent).FirstChild(); n != nil; n = n.NextSibling() {
 				handles[id] = append(handles[id], n)

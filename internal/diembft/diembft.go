@@ -69,12 +69,6 @@ type Config struct {
 	// the committed height (bounds memory on long runs).
 	PruneKeep types.Height
 
-	// FBFT enables the Appendix B baseline instead of SFT: strong commits
-	// count only direct votes, and the round's leader multicasts every vote
-	// arriving after the QC formed (ExtraVote), costing O(n^2) messages per
-	// decision. Mutually exclusive with SFT.
-	FBFT bool
-
 	// ActivePacemaker hardens round synchronization the way Jolteon-derived
 	// production pacemakers do: every round advance broadcasts a RoundEntry
 	// whose QC-or-TC justification proves legal entry, incoming entries and
@@ -122,7 +116,7 @@ type Replica struct {
 	// floor is the round the per-round maps were last pruned below.
 	floor types.Round
 
-	// direct is the Appendix B baseline tracker (FBFT mode only).
+	// direct is the Appendix B baseline tracker (replica.RuleFBFT only).
 	direct *core.DirectTracker
 
 	// recentTCs holds timeout certificates for recently exited rounds
@@ -138,9 +132,6 @@ func New(cfg Config) (*Replica, error) {
 	}
 	if cfg.VoteMode == 0 {
 		cfg.VoteMode = VoteMarker
-	}
-	if cfg.SFT && cfg.FBFT {
-		return nil, fmt.Errorf("diembft: SFT and FBFT modes are mutually exclusive")
 	}
 	r := &Replica{
 		cfg:           cfg,
@@ -172,7 +163,7 @@ func New(cfg Config) (*Replica, error) {
 		r.pm.SetActive()
 	}
 	r.qchigh = r.Store().HighQC()
-	if cfg.FBFT {
+	if cfg.Rule == replica.RuleFBFT {
 		r.direct = core.NewDirectTracker(r.Store(), cfg.F, func(b *types.Block, x int) { r.EmitStrength(b, x) })
 	}
 	return r, nil

@@ -34,7 +34,6 @@ func buildCluster(t testing.TB, n, f int, cfgMut func(id types.ReplicaID, c *die
 				Signer:           ring.Signer(id),
 				Verifier:         ring,
 				VerifySignatures: true,
-				SFT:              true,
 			},
 			RoundTimeout: 500 * time.Millisecond,
 		}

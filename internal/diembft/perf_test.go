@@ -34,7 +34,6 @@ func newScaleFixture(t testing.TB, verify bool) *scaleFixture {
 		Config: replica.Config{
 			ID: 2, N: scaleN, F: scaleF,
 			Signer: ring.Signer(2), Verifier: ring, VerifySignatures: verify,
-			SFT: true,
 		},
 		RoundTimeout: time.Second,
 	})

@@ -185,7 +185,6 @@ func newDoorFixture(t testing.TB, verifier crypto.Verifier, mut func(*diembft.Co
 		Config: replica.Config{
 			ID: 3, N: 4, F: 1,
 			Signer: ring.Signer(3), Verifier: verifier, VerifySignatures: true,
-			SFT: true,
 		},
 		RoundTimeout: time.Second,
 	}

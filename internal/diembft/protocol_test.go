@@ -9,6 +9,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/diembft"
 	"repro/internal/engine"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -140,8 +141,7 @@ func TestFBFTExtraVotesRaiseStrength(t *testing.T) {
 		},
 	}
 	sim, _ := buildCluster(t, 4, 1, func(id types.ReplicaID, c *diembft.Config) {
-		c.SFT = false
-		c.FBFT = true
+		c.Rule = replica.RuleFBFT
 	}, simCfg)
 	sim.Run(4 * time.Second)
 	extraVotes = int(sim.Stats().ByType[types.MsgExtraVote])

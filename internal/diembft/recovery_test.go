@@ -39,7 +39,6 @@ func recoverReplica(t *testing.T, dir string, id types.ReplicaID, n, f int, ring
 		Config: replica.Config{
 			ID: id, N: n, F: f,
 			Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-			SFT:     true,
 			Journal: j,
 		}, RoundTimeout: 500 * time.Millisecond,
 	})
@@ -158,7 +157,6 @@ func TestRecoveredReplicaRefusesContradictingVote(t *testing.T) {
 		Config: replica.Config{
 			ID: victim, N: n, F: f,
 			Signer: ring.Signer(victim), Verifier: ring, VerifySignatures: true,
-			SFT:     true,
 			Journal: journal,
 		}, RoundTimeout: 500 * time.Millisecond,
 	})

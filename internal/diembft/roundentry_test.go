@@ -23,7 +23,6 @@ func activeReplica(t *testing.T, id types.ReplicaID, n, f int, ring *crypto.KeyR
 			Signer:           ring.Signer(id),
 			Verifier:         ring,
 			VerifySignatures: true,
-			SFT:              true,
 			Obs:              sink,
 		},
 		RoundTimeout:    time.Second,

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/engine"
+	"repro/internal/replica"
 	"repro/internal/types"
 )
 
@@ -135,7 +136,7 @@ func (r *Replica) onVote(now time.Duration, v types.Vote) {
 		// Appendix B baseline: relay late votes to everyone so replicas can
 		// keep growing the block's direct-vote quorum. Up to f such relays
 		// per round is what makes the baseline quadratic.
-		if r.cfg.FBFT {
+		if r.cfg.Rule == replica.RuleFBFT {
 			r.onLateVote(v)
 		}
 		return
@@ -187,7 +188,7 @@ func (r *Replica) formQC(now time.Duration, b *types.Block) {
 	}
 	id := b.ID()
 	r.qcFormed[id] = true
-	if !r.cfg.FBFT {
+	if r.cfg.Rule != replica.RuleFBFT {
 		delete(r.Votes, id) // FBFT keeps the set to dedupe late votes
 	}
 	r.cfg.Obs.OnQCFormed(b, now)

@@ -23,7 +23,6 @@ func soloReplica(t *testing.T, id types.ReplicaID, n, f int, ring *crypto.KeyRin
 			Signer:           ring.Signer(id),
 			Verifier:         ring,
 			VerifySignatures: true,
-			SFT:              true,
 		},
 		RoundTimeout: time.Second,
 	})
@@ -157,7 +156,6 @@ func TestOrphanProposalsFlushInOrder(t *testing.T) {
 				Signer:           ring.Signer(id),
 				Verifier:         ring,
 				VerifySignatures: true,
-				SFT:              true,
 			},
 			RoundTimeout: 800 * time.Millisecond,
 		})
@@ -222,11 +220,6 @@ func TestConfigValidation(t *testing.T) {
 	bad.RoundTimeout = 0
 	if _, err := diembft.New(bad); err == nil {
 		t.Error("accepted zero timeout")
-	}
-	bad = base
-	bad.SFT, bad.FBFT = true, true
-	if _, err := diembft.New(bad); err == nil {
-		t.Error("accepted SFT+FBFT")
 	}
 	if _, err := diembft.New(base); err != nil {
 		t.Errorf("rejected valid config: %v", err)

@@ -178,7 +178,7 @@ func Figure8(sc Scale, waits []time.Duration) ([]Figure8Point, error) {
 func ThroughputComparison(sc Scale, delta time.Duration) (baseline, strengthened *Result, err error) {
 	base := symmetricScenario(sc, delta)
 	base.Name = "throughput-diembft"
-	base.Options = append(base.Options, sft.WithReference(reference.Arms{PlainCommit: true}))
+	base.Options = append(base.Options, sft.WithReference(reference.Arms{Rule: reference.RulePlain}))
 	baseline, err = Run(base)
 	if err != nil {
 		return nil, nil, err
@@ -217,7 +217,7 @@ func MessageComplexity(sc Scale, fs []int) ([]ComplexityPoint, error) {
 	out := make([]ComplexityPoint, 0, len(fs))
 	for _, f := range fs {
 		n := 3*f + 1
-		mk := func(fbft bool) *Scenario {
+		mk := func(arms reference.Arms) *Scenario {
 			model := sft.SymmetricLatency(n, 3, intraDelay, 100*time.Millisecond, 10*time.Millisecond)
 			model.Penalty = stragglerSet(n, f) // f stragglers -> f late votes/round
 			return &Scenario{
@@ -228,14 +228,14 @@ func MessageComplexity(sc Scale, fs []int) ([]ComplexityPoint, error) {
 				Seed:     seed,
 				Duration: duration,
 				Scheme:   sc.Scheme,
-				Options:  []sft.Option{sft.WithReference(reference.Arms{FBFT: fbft})},
+				Options:  []sft.Option{sft.WithReference(arms)},
 			}
 		}
-		sft, err := Run(mk(false))
+		sft, err := Run(mk(reference.Arms{}))
 		if err != nil {
 			return nil, err
 		}
-		fb, err := Run(mk(true))
+		fb, err := Run(mk(reference.Arms{Rule: reference.RuleFBFT}))
 		if err != nil {
 			return nil, err
 		}

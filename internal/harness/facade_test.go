@@ -21,7 +21,7 @@ import (
 // composes (engine construction, the simulator, the chassis, durability).
 func TestHarnessBuildsThroughFacade(t *testing.T) {
 	forbidden := map[string]bool{}
-	for _, pkg := range []string{"compose", "diembft", "streamlet", "simnet", "replica", "core", "wal"} {
+	for _, pkg := range []string{"diembft", "streamlet", "simnet", "replica", "core", "wal"} {
 		forbidden["repro/internal/"+pkg] = true
 	}
 	files, err := filepath.Glob("*.go")

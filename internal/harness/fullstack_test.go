@@ -80,7 +80,6 @@ func TestFullStackConsistency(t *testing.T) {
 			Config: replica.Config{
 				ID: id, N: n, F: f,
 				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-				SFT:     true,
 				Payload: payload,
 			}, RoundTimeout: 500 * time.Millisecond,
 		})

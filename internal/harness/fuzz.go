@@ -303,6 +303,10 @@ func sampleBehavior(rng *rand.Rand) adversary.Spec {
 // Scenario lowers the generated spec onto the harness scenario type — the
 // same structure every other experiment runs through.
 func (s FuzzScenario) Scenario() *Scenario {
+	arms := reference.Arms{VerifySignatures: s.Verify}
+	if s.Naive {
+		arms.Rule = reference.RuleNaive
+	}
 	sc := &Scenario{
 		Name:     fmt.Sprintf("fuzz-%d", s.Index),
 		N:        s.N,
@@ -324,7 +328,7 @@ func (s FuzzScenario) Scenario() *Scenario {
 			sft.WithRoundTimeout(s.RoundTimeout),
 			sft.WithDelta(s.Delta),
 			sft.WithCommitRule(sft.CommitRule{Votes: s.VoteMode, Horizon: horizon(s.N)}),
-			sft.WithReference(reference.Arms{VerifySignatures: s.Verify, NaiveEndorsements: s.Naive}),
+			sft.WithReference(arms),
 		},
 	}
 	if pm := (sft.PacemakerConfig{Active: s.ActivePacemaker, PerPeerTimeoutCap: s.PerPeerCap, LeaderReputation: s.LeaderReputation}); pm != (sft.PacemakerConfig{}) {

@@ -11,11 +11,12 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/crypto"
+	"repro/internal/diembft"
 	"repro/internal/observer"
 	"repro/internal/reference"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/types"
 	"repro/internal/workload"
@@ -98,7 +99,7 @@ func goldenScenarios() []*Scenario {
 		sft.WithCommitRule(sft.CommitRule{Votes: sft.VoteIntervals, IntervalWindow: 32, Horizon: horizon(7)}))
 	intervals.Latency = PreGST(goldenLatency(), 3*time.Second, 350*time.Millisecond)
 
-	fbft := base("diembft-fbft-n4", 103, sft.WithReference(reference.Arms{FBFT: true}))
+	fbft := base("diembft-fbft-n4", 103, sft.WithReference(reference.Arms{Rule: reference.RuleFBFT}))
 	fbft.N, fbft.F = 4, 1
 	fbft.Latency = simnet.NewSymmetricModel(4, 2, intraDelay, 20*time.Millisecond, 8*time.Millisecond)
 
@@ -239,21 +240,22 @@ func goldenObserverRun(t *testing.T) string {
 		},
 	})
 	payload := workload.PaperPayload(seed, 4, 256)
-	type rounder interface{ Round() types.Round }
-	var voters []rounder
+	var voters []*diembft.Replica
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
-		eng, err := compose.Engine(compose.Spec{
-			Protocol: compose.DiemBFT, ID: id, N: n, F: f,
-			Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-			SFT: true, Horizon: 2*n + 16, RoundTimeout: 300 * time.Millisecond,
-			MaxCommitLog: 8, PruneKeep: 64, Payload: payload,
+		eng, err := diembft.New(diembft.Config{
+			Config: replica.Config{
+				ID: id, N: n, F: f,
+				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
+				Horizon: 2*n + 16, Payload: payload,
+			},
+			RoundTimeout: 300 * time.Millisecond, MaxCommitLog: 8, PruneKeep: 64,
 			ActivePacemaker: true, LeaderReputationWindow: 8,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		voters = append(voters, eng.(rounder))
+		voters = append(voters, eng)
 		sim.SetEngine(id, eng)
 	}
 	certified := 0

@@ -53,13 +53,6 @@ type Config struct {
 	VerifySignatures bool
 	// Horizon bounds the tracker's ancestor walk (0 = unbounded).
 	Horizon int
-	// Upstreams are the replicas catch-up requests rotate over. Defaults to
-	// the whole committee.
-	Upstreams []types.ReplicaID
-	// SyncInterval paces the stall-detection catch-up probe.
-	SyncInterval time.Duration
-	// BatchWorkers parallelizes cold QC verification (0 = sequential).
-	BatchWorkers int
 	// OnCertified, if non-nil, observes every (block, qc) pair where qc
 	// certifies block, exactly once per block, in arrival order. This is
 	// the §5 proof feed: a certified block's CommitLog entries are proven
@@ -114,14 +107,6 @@ func New(cfg Config) (*Observer, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = core.ModeRound
 	}
-	if cfg.SyncInterval <= 0 {
-		cfg.SyncInterval = DefaultSyncInterval
-	}
-	if len(cfg.Upstreams) == 0 {
-		for i := 0; i < cfg.N; i++ {
-			cfg.Upstreams = append(cfg.Upstreams, types.ReplicaID(i))
-		}
-	}
 	o := &Observer{
 		cfg:       cfg,
 		store:     blockstore.New(),
@@ -130,7 +115,7 @@ func New(cfg Config) (*Observer, error) {
 		strength:  make(map[types.BlockID]int),
 		certs: replica.NewCerts(&replica.Config{
 			N: cfg.N, F: cfg.F, Verifier: cfg.Verifier,
-			VerifySignatures: cfg.VerifySignatures, BatchWorkers: cfg.BatchWorkers,
+			VerifySignatures: cfg.VerifySignatures,
 		}),
 	}
 	o.tracker = core.NewTracker(o.store, core.Config{
@@ -167,7 +152,7 @@ func (o *Observer) Strength(id types.BlockID) int {
 func (o *Observer) Init(now time.Duration) []engine.Output {
 	o.outs = engine.Recycle(o.outs)
 	o.requestCatchUp()
-	o.outs = append(o.outs, engine.SetTimer{ID: syncTimerID, Delay: o.cfg.SyncInterval})
+	o.outs = append(o.outs, engine.SetTimer{ID: syncTimerID, Delay: DefaultSyncInterval})
 	return o.outs
 }
 
@@ -183,7 +168,7 @@ func (o *Observer) OnTimer(now time.Duration, id int) []engine.Output {
 	} else {
 		o.lastTip = tip
 	}
-	o.outs = append(o.outs, engine.SetTimer{ID: syncTimerID, Delay: o.cfg.SyncInterval})
+	o.outs = append(o.outs, engine.SetTimer{ID: syncTimerID, Delay: DefaultSyncInterval})
 	return o.outs
 }
 
@@ -347,10 +332,10 @@ func (o *Observer) onStateSync(m *types.StateSyncResponse) {
 	}
 }
 
-// requestCatchUp asks the next upstream (round-robin) for everything above
-// the observer's current tip.
+// requestCatchUp asks the next committee member (round-robin) for
+// everything above the observer's current tip.
 func (o *Observer) requestCatchUp() {
-	up := o.cfg.Upstreams[o.nextUp%len(o.cfg.Upstreams)]
+	up := types.ReplicaID(o.nextUp % o.cfg.N)
 	o.nextUp++
 	o.outs = append(o.outs, engine.Send{
 		To:  up,

@@ -5,21 +5,26 @@
 // this package's type, so no code outside this module can select one.
 package reference
 
+import (
+	"fmt"
+
+	"repro/internal/replica"
+)
+
+// The baseline commit rules for Arms.Rule, named here so that callers which
+// must not reach below the facade (the experiment harness) can select them.
+const (
+	RulePlain = replica.RulePlain
+	RuleFBFT  = replica.RuleFBFT
+	RuleNaive = replica.RuleNaive
+)
+
 // Arms switches a replica from the production configuration to one or more
 // reference arms. The zero value is the production configuration.
 type Arms struct {
-	// PlainCommit turns strengthening off: the plain 3-chain commit rule and
-	// no strength tracker, the DiemBFT baseline of the Section 4 throughput
-	// comparison.
-	PlainCommit bool
-	// FBFT replaces the strengthened rule with the Appendix B baseline:
-	// strength counts direct votes only and leaders multicast every late
-	// vote, O(n^2) messages per decision (DiemBFT only).
-	FBFT bool
-	// NaiveEndorsements counts endorsements without markers, the UNSAFE
-	// rule of Appendix C that the scenario fuzzer's weakened-rule canary
-	// must catch.
-	NaiveEndorsements bool
+	// Rule replaces the strengthened commit rule with one of the paper's
+	// baselines (see replica.Rule).
+	Rule replica.Rule
 	// VerifySignatures checks every signature and certificate under the
 	// simulated schemes, which otherwise skip them, so forged traffic in a
 	// simulation meets the checks it would meet under ed25519.
@@ -31,13 +36,18 @@ type Arms struct {
 }
 
 // With returns the arms selected by either a or b, so options that each name
-// an arm compose instead of replacing one another.
-func (a Arms) With(b Arms) Arms {
-	return Arms{
-		PlainCommit:       a.PlainCommit || b.PlainCommit,
-		FBFT:              a.FBFT || b.FBFT,
-		NaiveEndorsements: a.NaiveEndorsements || b.NaiveEndorsements,
-		VerifySignatures:  a.VerifySignatures || b.VerifySignatures,
-		DisableQCCache:    a.DisableQCCache || b.DisableQCCache,
+// an arm compose instead of replacing one another. A replica runs one commit
+// rule, so a and b naming two different ones is an error.
+func (a Arms) With(b Arms) (Arms, error) {
+	rule := a.Rule
+	if rule == replica.RuleSFT {
+		rule = b.Rule
+	} else if b.Rule != replica.RuleSFT && b.Rule != rule {
+		return a, fmt.Errorf("reference: two commit rules selected, %v and %v", rule, b.Rule)
 	}
+	return Arms{
+		Rule:             rule,
+		VerifySignatures: a.VerifySignatures || b.VerifySignatures,
+		DisableQCCache:   a.DisableQCCache || b.DisableQCCache,
+	}, nil
 }

@@ -44,17 +44,11 @@ type Config struct {
 	// real-crypto nodes on multi-core hosts set it to GOMAXPROCS.
 	BatchWorkers int
 
-	// SFT enables strengthened fault tolerance: strong-votes, endorsement
-	// tracking and Strength outputs. With SFT false the engine is the plain
-	// protocol (markers still ride along in votes but are ignored).
-	SFT bool
+	// Rule is the commit rule the replica runs; the zero value is the
+	// paper's strengthened rule.
+	Rule Rule
 	// Horizon bounds the endorsement walk depth (see core.Config).
 	Horizon int
-	// NaiveEndorsements switches the SFT tracker to the UNSAFE marker-free
-	// counting of Appendix C. It exists only so the adversarial scenario
-	// fuzzer can demonstrate that its Definition 1 checker catches the
-	// resulting violations; the public facade never exposes it.
-	NaiveEndorsements bool
 
 	// Payload supplies a proposal's transactions; nil means empty blocks.
 	// PayloadNow, if non-nil, supersedes it and also receives the engine's
@@ -78,6 +72,38 @@ type Config struct {
 	// never feed back into the state machine, so runs are bit-identical with
 	// Obs set or nil.
 	Obs *obs.Obs
+}
+
+// Rule selects which of the paper's four commit rules a replica runs. Only
+// RuleSFT is a configuration to deploy; the others are the reference arms
+// the experiments measure it against (see internal/reference).
+type Rule int
+
+const (
+	// RuleSFT is strengthened fault tolerance: strong-votes, endorsement
+	// tracking and Strength outputs.
+	RuleSFT Rule = iota
+	// RulePlain is the plain 3-chain protocol with no strength tracker
+	// (markers still ride along in votes but are ignored), the DiemBFT
+	// baseline of the Section 4 throughput comparison.
+	RulePlain
+	// RuleFBFT is the Appendix B baseline: strength counts direct votes
+	// only, and the round's leader multicasts every vote arriving after the
+	// QC formed, O(n^2) messages per decision (DiemBFT only).
+	RuleFBFT
+	// RuleNaive runs the strength tracker with the UNSAFE marker-free
+	// counting of Appendix C, so the adversarial scenario fuzzer can show
+	// that its Definition 1 checker catches the resulting violations.
+	RuleNaive
+)
+
+var ruleNames = [...]string{"sft", "plain", "fbft", "naive"}
+
+func (r Rule) String() string {
+	if r < 0 || int(r) >= len(ruleNames) {
+		return fmt.Sprintf("rule(%d)", int(r))
+	}
+	return ruleNames[r]
 }
 
 // Quorum is the 2f+1 certificate threshold.
@@ -137,15 +163,18 @@ type Chassis struct {
 
 // New builds the chassis. mode keys the strength tracker by round (DiemBFT)
 // or height (Streamlet); onStrength is the tracker's callback, which the
-// engine builds around EmitStrength (it is only called with SFT on); accepted
-// is what the engine does with a proposal once Accept installed its block —
-// its certificate, vote and commit rules.
+// engine builds around EmitStrength (only RuleSFT and RuleNaive run a
+// tracker); accepted is what the engine does with a proposal once Accept
+// installed its block — its certificate, vote and commit rules.
 func New(cfg Config, mode core.Mode, onStrength func(b *types.Block, x int), accepted func(*types.Proposal)) (*Chassis, error) {
 	if cfg.N != 3*cfg.F+1 {
 		return nil, fmt.Errorf("replica: n=%d must be 3f+1 (f=%d)", cfg.N, cfg.F)
 	}
 	if cfg.Signer == nil || cfg.Verifier == nil {
 		return nil, fmt.Errorf("replica: signer and verifier are required")
+	}
+	if cfg.Rule < RuleSFT || cfg.Rule > RuleNaive {
+		return nil, fmt.Errorf("replica: unknown commit rule %v", cfg.Rule)
 	}
 	c := &Chassis{
 		cfg:       cfg,
@@ -158,9 +187,9 @@ func New(cfg Config, mode core.Mode, onStrength func(b *types.Block, x int), acc
 	c.round.Store(1)
 	c.history = core.NewVoteHistory(c.store)
 	c.lastCommitted = c.store.Genesis().ID()
-	if cfg.SFT {
+	if cfg.Rule == RuleSFT || cfg.Rule == RuleNaive {
 		c.tracker = core.NewTracker(c.store, core.Config{
-			N: cfg.N, F: cfg.F, Mode: mode, Naive: cfg.NaiveEndorsements,
+			N: cfg.N, F: cfg.F, Mode: mode, Naive: cfg.Rule == RuleNaive,
 			Horizon: cfg.Horizon, OnStrength: onStrength,
 		})
 	}
@@ -173,7 +202,7 @@ func (c *Chassis) ID() types.ReplicaID { return c.cfg.ID }
 // Store exposes the block tree.
 func (c *Chassis) Store() *blockstore.Store { return c.store }
 
-// Tracker exposes the SFT tracker (nil when SFT is disabled).
+// Tracker exposes the strength tracker (nil when the rule has none).
 func (c *Chassis) Tracker() *core.Tracker { return c.tracker }
 
 // History exposes the vote history.

@@ -19,12 +19,27 @@ func testChassis(t testing.TB, n, f int) (*Chassis, *crypto.KeyRing) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{ID: 0, N: n, F: f, Signer: ring.Signer(0), Verifier: ring, VerifySignatures: true, SFT: true}
+	cfg := Config{ID: 0, N: n, F: f, Signer: ring.Signer(0), Verifier: ring, VerifySignatures: true}
 	c, err := New(cfg, core.ModeRound, func(*types.Block, int) {}, func(*types.Proposal) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c, ring
+}
+
+// TestNewRejectsUnknownRule: a commit rule outside the four the paper
+// compares is a construction error, not a silent fallback to one of them.
+func TestNewRejectsUnknownRule(t *testing.T) {
+	ring, err := crypto.NewKeyRing(4, 3, crypto.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rule := range []Rule{-1, RuleNaive + 1} {
+		cfg := Config{ID: 0, N: 4, F: 1, Signer: ring.Signer(0), Verifier: ring, Rule: rule}
+		if _, err := New(cfg, core.ModeRound, nil, nil); err == nil {
+			t.Errorf("rule %v: built", rule)
+		}
+	}
 }
 
 func signedVote(ring *crypto.KeyRing, b *types.Block, voter types.ReplicaID) types.Vote {

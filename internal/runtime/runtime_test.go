@@ -44,7 +44,6 @@ func startLocalCluster(t *testing.T, n, f int) (commits func() map[types.Replica
 				Signer:           ring.Signer(id),
 				Verifier:         ring,
 				VerifySignatures: true,
-				SFT:              true,
 				Obs:              sinks[i],
 			},
 			RoundTimeout: 300 * time.Millisecond,

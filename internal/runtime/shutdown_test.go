@@ -43,7 +43,6 @@ func TestRunClosesJournalOnCancel(t *testing.T) {
 			Config: replica.Config{
 				ID: id, N: n, F: f,
 				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-				SFT: true,
 			}, RoundTimeout: 300 * time.Millisecond,
 		}
 		opts := runtime.Options{}

@@ -75,7 +75,6 @@ func TestLongRangeAttackComparison(t *testing.T) {
 				Config: replica.Config{
 					ID: id, N: n, F: f,
 					Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-					SFT: true,
 				}, RoundTimeout: 500 * time.Millisecond,
 			})
 			if err != nil {
@@ -133,7 +132,6 @@ func TestLongRangeAttackComparison(t *testing.T) {
 				Config: replica.Config{
 					ID: id, N: n, F: f,
 					Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-					SFT: true,
 				}, Delta: 10 * time.Millisecond,
 			})
 			if err != nil {

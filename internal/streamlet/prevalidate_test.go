@@ -23,7 +23,6 @@ func prevalidateReplica(t *testing.T, ring *crypto.KeyRing) *streamlet.Replica {
 			Signer:           ring.Signer(1),
 			Verifier:         ring,
 			VerifySignatures: true,
-			SFT:              true,
 		},
 		Delta: 50 * time.Millisecond,
 	})
@@ -131,7 +130,7 @@ func newDoorFixture(t testing.TB, verifier crypto.Verifier, verify bool, sink *o
 		Config: replica.Config{
 			ID: 3, N: 4, F: 1,
 			Signer: ring.Signer(3), Verifier: verifier, VerifySignatures: verify,
-			SFT: true, Obs: sink,
+			Obs: sink,
 		},
 		Delta:          50 * time.Millisecond,
 		ProposalWindow: 4,

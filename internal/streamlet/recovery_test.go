@@ -63,7 +63,7 @@ func TestStreamletKillRestartRecovers(t *testing.T) {
 		rep, err := streamlet.New(streamlet.Config{
 			Config: replica.Config{
 				ID: victim, N: n, F: f,
-				Signer: ring.Signer(victim), Verifier: ring, VerifySignatures: true, SFT: true,
+				Signer: ring.Signer(victim), Verifier: ring, VerifySignatures: true,
 				Journal: j,
 			},
 			Delta: 20 * time.Millisecond,

@@ -69,6 +69,9 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.Delta <= 0 {
 		return nil, fmt.Errorf("streamlet: delta must be positive")
 	}
+	if cfg.Rule == replica.RuleFBFT {
+		return nil, fmt.Errorf("streamlet: the FBFT baseline (Appendix B) is DiemBFT-only")
+	}
 	r := &Replica{
 		cfg:        cfg,
 		round:      1,

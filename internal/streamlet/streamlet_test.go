@@ -33,7 +33,6 @@ func buildCluster(t testing.TB, n, f int, cfgMut func(id types.ReplicaID, c *str
 				Signer:           ring.Signer(id),
 				Verifier:         ring,
 				VerifySignatures: true,
-				SFT:              true,
 			},
 			Delta: 20 * time.Millisecond,
 		}
@@ -119,5 +118,26 @@ func TestStreamletEchoDisabled(t *testing.T) {
 	sim.Run(4 * time.Second)
 	if committed < 10 {
 		t.Fatalf("echo-less cluster committed only %d blocks", committed)
+	}
+}
+
+// TestNewRejectsFBFT: the Appendix B baseline is a DiemBFT rule (leaders
+// relay late votes); a Streamlet replica asked for it fails construction
+// instead of running some other rule.
+func TestNewRejectsFBFT(t *testing.T) {
+	ring, err := crypto.NewKeyRing(4, 7, crypto.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := streamlet.Config{
+		Config: replica.Config{ID: 0, N: 4, F: 1, Signer: ring.Signer(0), Verifier: ring, Rule: replica.RuleFBFT},
+		Delta:  20 * time.Millisecond,
+	}
+	if _, err := streamlet.New(cfg); err == nil {
+		t.Fatal("streamlet built with the FBFT rule")
+	}
+	cfg.Rule = replica.RulePlain
+	if _, err := streamlet.New(cfg); err != nil {
+		t.Fatalf("plain streamlet: %v", err)
 	}
 }

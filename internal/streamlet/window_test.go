@@ -25,7 +25,6 @@ func TestProposalWindowBoundsFutureRounds(t *testing.T) {
 			Signer:           ring.Signer(1),
 			Verifier:         ring,
 			VerifySignatures: true,
-			SFT:              true,
 			Obs:              sink,
 		},
 		Delta:          50 * time.Millisecond,

@@ -230,7 +230,6 @@ func TestDeadPeersDoNotStallTheLoop(t *testing.T) {
 			Config: replica.Config{
 				ID: id, N: n, F: f,
 				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-				SFT: true,
 			}, RoundTimeout: 150 * time.Millisecond,
 		})
 		if err != nil {

@@ -59,7 +59,6 @@ func TestTCPClusterCommits(t *testing.T) {
 				Signer:           ring.Signer(id),
 				Verifier:         ring,
 				VerifySignatures: true,
-				SFT:              true,
 			},
 			RoundTimeout: 400 * time.Millisecond,
 		})

@@ -51,17 +51,9 @@ type ObserverConfig struct {
 	Engine Engine
 	// Horizon bounds the endorsement walk (0 = unbounded).
 	Horizon int
-	// SyncInterval paces the stall-detection catch-up probe.
-	SyncInterval time.Duration
-	// VerifyWorkers parallelizes cold-certificate verification
-	// (0 = sequential).
-	VerifyWorkers int
 	// Gateway, if non-nil, receives every certified (block, QC) pair the
 	// observer verifies — the feed a GatewayService serves from.
 	Gateway *GatewayService
-	// OnCertified additionally observes the certified-pair feed directly.
-	// Called on the observer's event path; keep it fast.
-	OnCertified func(b *Block, qc *QC)
 }
 
 // ObserverTransport attaches an observer to its substrate: ObserverTCP for
@@ -168,16 +160,11 @@ func NewObserver(cfg ObserverConfig, tr ObserverTransport) (*ObserverNode, error
 		Verifier:         ring,
 		VerifySignatures: verify,
 		Horizon:          cfg.Horizon,
-		SyncInterval:     cfg.SyncInterval,
-		BatchWorkers:     cfg.VerifyWorkers,
 		OnCertified: func(b *types.Block, qc *types.QC) {
 			if cfg.Gateway != nil {
 				// A pair the observer itself verified; the gateway re-checks
 				// anyway, so an error here is a bug, not a protocol event.
 				_ = cfg.Gateway.Ingest(b, qc)
-			}
-			if cfg.OnCertified != nil {
-				cfg.OnCertified(b, qc)
 			}
 		},
 	})

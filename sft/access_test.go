@@ -134,78 +134,118 @@ func TestAccessTierTCP(t *testing.T) {
 	obs.Close()
 }
 
-// TestSimnetObserver attaches an observer slot to the deterministic fabric
-// and checks it reports the same committed chain as the voting replicas.
+// TestSimnetObserver attaches an observer slot to the deterministic fabric,
+// under each engine, and checks it reports the same committed chain as the
+// voting replicas over nearly the whole run.
 func TestSimnetObserver(t *testing.T) {
 	const (
 		n    = 4
 		seed = 7
 	)
-	world, err := sft.NewSimnet(sft.SimnetConfig{
-		N:         n,
-		Observers: 1,
-		Latency:   &sft.UniformLatency{Base: 5 * time.Millisecond, Jitter: 2 * time.Millisecond},
-		Seed:      seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, err := sft.NewKeyRing(n, seed, sft.SchemeSim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]*sft.Node, n)
-	for i := 0; i < n; i++ {
-		nodes[i], err = sft.New(sft.Config{ID: sft.ReplicaID(i), N: n, Seed: seed},
-			sft.WithScheme(sft.SchemeSim),
-			sft.WithKeyRing(ring),
-			sft.WithTransport(world.Transport(sft.ReplicaID(i))),
-			sft.WithRoundTimeout(500*time.Millisecond),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	obs, err := sft.NewObserver(sft.ObserverConfig{
-		N: n, Seed: seed, Scheme: sft.SchemeSim, Ring: ring,
-	}, world.ObserverTransport(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, eng := range []sft.Engine{sft.DiemBFT, sft.Streamlet} {
+		t.Run(eng.String(), func(t *testing.T) {
+			world, err := sft.NewSimnet(sft.SimnetConfig{
+				N:         n,
+				Observers: 1,
+				Latency:   &sft.UniformLatency{Base: 5 * time.Millisecond, Jitter: 2 * time.Millisecond},
+				Seed:      seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring, err := sft.NewKeyRing(n, seed, sft.SchemeSim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := make([]*sft.Node, n)
+			for i := 0; i < n; i++ {
+				nodes[i], err = sft.New(sft.Config{ID: sft.ReplicaID(i), N: n, Seed: seed},
+					sft.WithEngine(eng),
+					sft.WithScheme(sft.SchemeSim),
+					sft.WithKeyRing(ring),
+					sft.WithTransport(world.Transport(sft.ReplicaID(i))),
+					sft.WithRoundTimeout(500*time.Millisecond),
+					sft.WithDelta(20*time.Millisecond),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			obs, err := sft.NewObserver(sft.ObserverConfig{
+				N: n, Seed: seed, Scheme: sft.SchemeSim, Ring: ring, Engine: eng,
+			}, world.ObserverTransport(0))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	nodeEvents := nodes[0].Commits()
-	obsEvents := obs.Commits()
-	world.Run(5 * time.Second)
-	world.Close()
+			// Drain both streams while the fabric runs, and wait until they
+			// hold every regular commit before closing: after close a
+			// subscription hands over only what its consumer takes without
+			// waiting (see Node.Close).
+			var mu sync.Mutex
+			caught := sync.NewCond(&mu)
+			var wg sync.WaitGroup
+			var nodeChain, obsChain []sft.BlockID
+			collect := func(events <-chan sft.CommitEvent, chain *[]sft.BlockID) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for ev := range events {
+						if ev.Regular {
+							mu.Lock()
+							*chain = append(*chain, ev.Block.ID())
+							caught.Broadcast()
+							mu.Unlock()
+						}
+					}
+				}()
+			}
+			collect(nodes[0].Commits(), &nodeChain)
+			collect(obs.Commits(), &obsChain)
+			world.Run(5 * time.Second)
+			nodeHeight, obsHeight := int(nodes[0].CommittedHeight()), int(obs.CommittedHeight())
+			expired := false
+			timer := time.AfterFunc(10*time.Second, func() {
+				mu.Lock()
+				expired = true
+				caught.Broadcast()
+				mu.Unlock()
+			})
+			mu.Lock()
+			for !expired && (len(nodeChain) < nodeHeight || len(obsChain) < obsHeight) {
+				caught.Wait()
+			}
+			stalled, nodeGot, obsGot := expired, len(nodeChain), len(obsChain)
+			mu.Unlock()
+			timer.Stop()
+			if stalled {
+				_ = world.Close()
+				wg.Wait()
+				t.Fatalf("streams stalled: node chain %d of %d, observer chain %d of %d",
+					nodeGot, nodeHeight, obsGot, obsHeight)
+			}
+			_ = world.Close()
+			wg.Wait()
 
-	var nodeChain, obsChain []sft.BlockID
-	for ev := range nodeEvents {
-		if ev.Regular {
-			nodeChain = append(nodeChain, ev.Block.ID())
-		}
-	}
-	for ev := range obsEvents {
-		if ev.Regular {
-			obsChain = append(obsChain, ev.Block.ID())
-		}
-	}
-	if len(obsChain) == 0 {
-		t.Fatal("simnet observer committed nothing")
-	}
-	// Commits are observed at different instants by different endpoints, so
-	// either side may be ahead by in-flight deliveries at the horizon — but
-	// the chains must agree on their common prefix.
-	common := min(len(obsChain), len(nodeChain))
-	if diff := len(obsChain) - len(nodeChain); diff < -3 || diff > 3 {
-		t.Fatalf("observer committed %d blocks, replica %d — more than in-flight lag", len(obsChain), len(nodeChain))
-	}
-	for i := 0; i < common; i++ {
-		if obsChain[i] != nodeChain[i] {
-			t.Fatalf("observer chain diverges from replica chain at %d", i)
-		}
-	}
-	if obs.CommittedHeight() == 0 {
-		t.Fatal("observer height not advanced")
+			// Commits are observed at different instants by different
+			// endpoints, so either side may be ahead by in-flight deliveries
+			// at the horizon — but the chains must agree on their common
+			// prefix, and that prefix must be nearly the whole run.
+			common := min(len(obsChain), len(nodeChain))
+			if common == 0 || 10*common < 9*nodeHeight {
+				t.Fatalf("compared %d heights of node 0's %d (observer chain %d, node chain %d)",
+					common, nodeHeight, len(obsChain), len(nodeChain))
+			}
+			if diff := len(obsChain) - len(nodeChain); diff < -3 || diff > 3 {
+				t.Fatalf("observer committed %d blocks, replica %d — more than in-flight lag", len(obsChain), len(nodeChain))
+			}
+			for i := 0; i < common; i++ {
+				if obsChain[i] != nodeChain[i] {
+					t.Fatalf("observer chain diverges from replica chain at %d", i)
+				}
+			}
+			t.Logf("%v: %d common heights; node 0 at %d, observer at %d", eng, common, nodeHeight, obsHeight)
+		})
 	}
 }
 

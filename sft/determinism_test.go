@@ -159,7 +159,6 @@ func runHandWired(t *testing.T, proto sft.Engine) *trace {
 				Config: replica.Config{
 					ID: id, N: detN, F: detF,
 					Signer: ring.Signer(id), Verifier: ring,
-					SFT:     true,
 					Payload: payload,
 				},
 				Delta: 25 * time.Millisecond,
@@ -173,7 +172,6 @@ func runHandWired(t *testing.T, proto sft.Engine) *trace {
 				Config: replica.Config{
 					ID: id, N: detN, F: detF,
 					Signer: ring.Signer(id), Verifier: ring,
-					SFT:     true,
 					Payload: payload,
 				},
 				RoundTimeout: 500 * time.Millisecond,

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/health"
@@ -103,8 +102,10 @@ func (h *journalHandle) Close() error {
 type Node struct {
 	cfg  Config
 	rule CommitRule
-	spec compose.Spec
 	eng  engine.Engine
+	// build makes an engine over a journal (nil without WithWAL). New builds
+	// every node with it, and a Simnet restart every later incarnation.
+	build func(*core.Journal) (engine.Engine, error)
 
 	// Exactly one of rt/world is set, per the transport.
 	rt    *runtime.Node
@@ -206,11 +207,14 @@ func (n *Node) Run(ctx context.Context) error {
 }
 
 // Close releases the node's resources: the transport stops, the write-ahead
-// log is flushed and closed, and every Commits subscription channel closes —
-// buffered events keep flowing to consumers that keep receiving, but a
-// consumer that stopped no longer pins the subscription. Safe to call more
-// than once and after Run returned. Simnet-attached nodes may also be
-// closed via Simnet.Close.
+// log is flushed and closed, and every Commits subscription channel closes.
+// Events still queued for a subscription at close are handed over only
+// while its consumer keeps pace: once the channel's 16-slot buffer is full
+// and the consumer is not receiving at that instant, the rest may be dropped
+// and the channel closes. A consumer that needs every event therefore drains
+// its channel while the node runs, not after Close; one that stopped no
+// longer pins the subscription. Safe to call more than once and after Run
+// returned. Simnet-attached nodes may also be closed via Simnet.Close.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		if n.tcp != nil {
@@ -233,7 +237,8 @@ func (n *Node) Close() error {
 // stream. Each call returns an independent channel carrying every
 // CommitEvent at or above CommitRule.MinStrength, in order, without
 // back-pressure on the consensus path (events are buffered unboundedly
-// until consumed). The channel closes when the node closes.
+// until consumed). The channel closes when the node closes, and the events
+// still queued then may be cut short (see Close).
 func (n *Node) Commits() <-chan CommitEvent { return n.subscribe() }
 
 // Strength returns the strongest commit level the node has observed for the
@@ -325,27 +330,6 @@ func (n *Node) honestEngine() engine.Engine {
 		return w.Inner()
 	}
 	return eng
-}
-
-// closeJournal closes the current incarnation's journal, flushing what it
-// staged (Simnet restarts, before the log is replayed for the next one).
-func (n *Node) closeJournal() error {
-	n.mu.Lock()
-	journal := n.journal
-	n.mu.Unlock()
-	if journal == nil {
-		return nil
-	}
-	return journal.Close()
-}
-
-// swapIncarnation points the handle at a restarted engine and its reopened
-// journal (Simnet restarts, after closeJournal).
-func (n *Node) swapIncarnation(eng engine.Engine, journal *journalHandle) {
-	n.mu.Lock()
-	n.eng = eng
-	n.journal = journal
-	n.mu.Unlock()
 }
 
 // onCommit and onStrength are the node's internal observers, wired into the

@@ -368,5 +368,12 @@ func WithPacemaker(cfg PacemakerConfig) Option {
 // one; the zero value is the production node. Calls accumulate: each adds its
 // arms to those of earlier calls.
 func WithReference(arms reference.Arms) Option {
-	return func(s *settings) { s.ref = s.ref.With(arms) }
+	return func(s *settings) {
+		ref, err := s.ref.With(arms)
+		if err != nil {
+			s.fail(fmt.Errorf("sft: WithReference: %w", err))
+			return
+		}
+		s.ref = ref
+	}
 }

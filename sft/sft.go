@@ -44,14 +44,17 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/compose"
+	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/diembft"
+	"repro/internal/engine"
 	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/pacemaker"
+	"repro/internal/replica"
 	"repro/internal/simnet"
+	"repro/internal/streamlet"
 	"repro/internal/types"
 )
 
@@ -322,6 +325,9 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	if s.engine != DiemBFT && s.pacemaker != (PacemakerConfig{}) {
+		return nil, fmt.Errorf("sft: WithPacemaker is DiemBFT-only (Streamlet rounds are wall-clock slots)")
+	}
 	verify := scheme == SchemeEd25519 || scheme == Ed25519Aggregate || s.ref.VerifySignatures
 
 	n := &Node{
@@ -354,98 +360,134 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 		n.health = &healthState{mon: health.NewMonitor(cfg.N, types.Round(s.obsCfg.HealthWindow))}
 	}
 
-	// Durability: open (and replay) the WAL before the engine is built so
-	// the journal rides into the engine spec and the recovered state can be
-	// restored into the fresh engine. Real transports fsync; the simulator
-	// models in-process kills, where page-cache durability is faithful.
-	var journal *journalHandle
-	var recovery *core.Recovery
+	n.build = s.builder(cfg, ring, verify, rule, n.obs)
+
+	// Durability: open (and replay) the WAL and build the engine over its
+	// journal, restoring the recovered state into it. Real transports
+	// fsync; the simulator models in-process kills, where page-cache
+	// durability is faithful.
 	if s.walDir != "" {
-		j, rec, err := compose.OpenWAL(s.walDir, !s.transport.simulated(), walObserver(n.obs))
+		n.walDir = s.walDir
+		_, rec, err := n.incarnate(!s.transport.simulated())
 		if err != nil {
 			return nil, err
 		}
-		journal = &journalHandle{j: j}
 		if !rec.Empty() {
 			info := recoveryInfo(rec)
 			n.restored = &info
 		}
-		n.walDir = s.walDir
-		recovery = rec
-	}
-
-	spec := compose.Spec{
-		Protocol:          composeProtocol(s.engine),
-		ID:                cfg.ID,
-		N:                 cfg.N,
-		F:                 cfg.F(),
-		Signer:            ring.Signer(cfg.ID),
-		Verifier:          ring,
-		VerifySignatures:  verify,
-		SFT:               !s.ref.PlainCommit && !s.ref.FBFT,
-		FBFT:              s.ref.FBFT,
-		DisableQCCache:    s.ref.DisableQCCache,
-		NaiveEndorsements: s.ref.NaiveEndorsements,
-		Horizon:           rule.Horizon,
-		IntervalWindow:    rule.IntervalWindow,
-		RoundTimeout:      s.roundTimeout,
-		ExtraWait:         s.extraWait,
-		ExtraWaitFor:      s.extraWaitFor,
-		MaxCommitLog:      s.maxCommitLog,
-		PruneKeep:         s.pruneKeep,
-		Delta:             s.delta,
-		DisableEcho:       s.disableEcho,
-		Payload:           s.payload,
-		PayloadNow:        s.payloadNow,
-		App:               s.app,
-		BatchWorkers:      s.batchWorkers(cfg.N),
-		Obs:               n.obs,
-	}
-	if s.engine == DiemBFT && rule.Votes == VoteIntervals {
-		spec.VoteMode = diembft.VoteIntervals
-	}
-	if s.pacemaker != (PacemakerConfig{}) {
-		if s.engine != DiemBFT {
-			return nil, fmt.Errorf("sft: WithPacemaker is DiemBFT-only (Streamlet rounds are wall-clock slots)")
-		}
-		spec.ActivePacemaker = s.pacemaker.Active
-		spec.PerPeerTimeoutCap = s.pacemaker.PerPeerTimeoutCap
-		spec.LeaderReputationWindow = s.pacemaker.LeaderReputation
-	}
-	if len(s.adversary) > 0 {
-		spec.Adversary = s.adversary
-		spec.AdversarySeed = cfg.Seed*1000003 + int64(cfg.ID)
-		spec.AdversaryPeers = s.adversaryPeers
-	}
-	if journal != nil {
-		spec.Journal = journal.j
-	}
-	eng, err := compose.Engine(spec)
-	if err != nil {
-		if journal != nil {
-			journal.Close()
-		}
+	} else if n.eng, err = n.build(nil); err != nil {
 		return nil, err
 	}
-	if journal != nil {
-		// The replayed recovery is only needed here; it is not retained, so
-		// a large replayed chain can be collected once the node is built.
-		if err := compose.Restore(eng, recovery); err != nil {
-			journal.Close()
-			return nil, err
-		}
-	}
-	n.spec = spec
-	n.eng = eng
-	n.journal = journal
 
 	if err := s.transport.attach(n); err != nil {
-		if journal != nil {
-			journal.Close()
+		if n.journal != nil {
+			n.journal.Close()
 		}
 		return nil, err
 	}
 	return n, nil
+}
+
+// builder returns the node's engine constructor: one replica.Config wrapped
+// in the selected engine's config, a fresh state machine from the WithApp
+// factory per call (every incarnation, a rebuild after a crash included,
+// re-executes the restored chain from scratch; reusing an instance would
+// double-apply), and, for a Byzantine node, the adversary.Wrap shell. The
+// journal is the only input that differs between incarnations, so identical
+// settings always build identical engines.
+func (s *settings) builder(cfg Config, ring *KeyRing, verify bool, rule CommitRule, o *obs.Obs) func(*core.Journal) (engine.Engine, error) {
+	common := replica.Config{
+		ID:               cfg.ID,
+		N:                cfg.N,
+		F:                cfg.F(),
+		Signer:           ring.Signer(cfg.ID),
+		Verifier:         ring,
+		VerifySignatures: verify,
+		BatchWorkers:     s.batchWorkers(cfg.N),
+		Rule:             s.ref.Rule,
+		Horizon:          rule.Horizon,
+		Payload:          s.payload,
+		PayloadNow:       s.payloadNow,
+		Obs:              o,
+	}
+	dcfg := diembft.Config{
+		DisableQCCache: s.ref.DisableQCCache,
+		IntervalWindow: rule.IntervalWindow,
+		RoundTimeout:   s.roundTimeout,
+		ExtraWait:      s.extraWait,
+		ExtraWaitFor:   s.extraWaitFor,
+		MaxCommitLog:   s.maxCommitLog,
+		PruneKeep:      s.pruneKeep,
+
+		ActivePacemaker:        s.pacemaker.Active,
+		PerPeerTimeoutCap:      s.pacemaker.PerPeerTimeoutCap,
+		LeaderReputationWindow: s.pacemaker.LeaderReputation,
+	}
+	if rule.Votes == VoteIntervals {
+		dcfg.VoteMode = diembft.VoteIntervals
+	}
+	byz := adversary.Config{
+		ID: cfg.ID, N: cfg.N, F: cfg.F(), Signer: common.Signer,
+		Seed: cfg.Seed*1000003 + int64(cfg.ID), Colluders: s.adversaryPeers,
+	}
+	return func(j *core.Journal) (engine.Engine, error) {
+		c := common
+		c.Journal = j
+		if s.app != nil {
+			c.App = app.NewExecutor(s.app())
+		}
+		var eng engine.Engine
+		var err error
+		if s.engine == Streamlet {
+			eng, err = streamlet.New(streamlet.Config{Config: c, Delta: s.delta, DisableEcho: s.disableEcho})
+		} else {
+			d := dcfg
+			d.Config = c
+			eng, err = diembft.New(d)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return adversary.Wrap(eng, byz, s.adversary)
+	}
+}
+
+// incarnate opens (and replays) the node's write-ahead log, builds an engine
+// over its journal, restores the recovered state into it and points the
+// handle at both — the one path New and a Simnet restart take. A restart
+// first closes the crashed incarnation's journal, so the replay reads
+// everything it staged and no second handle appends to the log.
+func (n *Node) incarnate(fsync bool) (engine.Engine, *core.Recovery, error) {
+	n.mu.Lock()
+	crashed := n.journal
+	n.mu.Unlock()
+	if crashed != nil {
+		if err := crashed.Close(); err != nil {
+			return nil, nil, fmt.Errorf("close the crashed journal: %w", err)
+		}
+	}
+	var flushed func(d time.Duration, bytes int, synced bool)
+	if n.obs != nil {
+		flushed = n.obs.ObserveWALFlush
+	}
+	j, rec, err := core.OpenJournal(n.walDir, fsync, flushed)
+	if err != nil {
+		return nil, nil, err
+	}
+	eng, err := n.build(j)
+	if err == nil && !rec.Empty() {
+		// Both engines, and the adversary shell around either, restore.
+		err = eng.(interface{ Restore(*core.Recovery) error }).Restore(rec)
+	}
+	if err != nil {
+		_ = j.Close()
+		return nil, nil, err
+	}
+	n.mu.Lock()
+	n.eng, n.journal = eng, &journalHandle{j: j}
+	n.mu.Unlock()
+	return eng, rec, nil
 }
 
 // resolveRule applies engine-dependent defaults and rejects contradictions:
@@ -480,20 +522,4 @@ func modeName(m Mode) string {
 		return "height-keyed (Streamlet)"
 	}
 	return "round-keyed (DiemBFT)"
-}
-
-func composeProtocol(e Engine) compose.Protocol {
-	if e == Streamlet {
-		return compose.Streamlet
-	}
-	return compose.DiemBFT
-}
-
-// walObserver adapts an obs sink (possibly nil) into the WAL's flush hook.
-// A nil func keeps the WAL's zero-overhead fast path.
-func walObserver(o *obs.Obs) func(d time.Duration, bytes int, synced bool) {
-	if o == nil {
-		return nil
-	}
-	return o.ObserveWALFlush
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/reference"
 	"repro/sft"
 )
 
@@ -41,6 +42,13 @@ func TestNewValidation(t *testing.T) {
 		sft.WithEngine(sft.Streamlet),
 		sft.WithCommitRule(sft.CommitRule{Votes: sft.VoteIntervals}),
 		sft.WithTransport(world.Transport(0)))
+	// An unknown behavior kind fails construction under either engine.
+	for _, eng := range []sft.Engine{sft.DiemBFT, sft.Streamlet} {
+		mustNodeErr(t, "unknown behavior kind", ok,
+			sft.WithEngine(eng),
+			sft.WithAdversary(sft.AdversarySpec{Kind: "no-such-behavior"}),
+			sft.WithTransport(world.Transport(0)))
+	}
 	mustNodeErr(t, "negative pipeline workers", ok,
 		sft.WithVerifyPipeline(-1),
 		sft.WithTransport(world.Transport(0)))
@@ -60,6 +68,60 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustNodeErr(t, "already attached", ok, sft.WithScheme(sft.SchemeSim), sft.WithTransport(world.Transport(0)))
+}
+
+// TestReferenceRuleConflicts: a replica runs one commit rule, so two
+// WithReference calls naming different rules fail New with both named,
+// while the same rule named twice, or a rule beside the switches that
+// combine with any rule, builds. A rule the engine cannot run fails too.
+func TestReferenceRuleConflicts(t *testing.T) {
+	arms := func(each ...reference.Arms) []sft.Option {
+		var opts []sft.Option
+		for _, a := range each {
+			opts = append(opts, sft.WithReference(a))
+		}
+		return opts
+	}
+	plain := reference.Arms{Rule: reference.RulePlain}
+	fbft := reference.Arms{Rule: reference.RuleFBFT}
+	naive := reference.Arms{Rule: reference.RuleNaive}
+	for _, tc := range []struct {
+		name string
+		opts []sft.Option
+		want []string // error substrings; nil means New succeeds
+	}{
+		{"plain then naive", arms(plain, naive), []string{"plain", "naive"}},
+		{"naive then plain", arms(naive, plain), []string{"naive", "plain"}},
+		{"fbft then naive", arms(fbft, naive), []string{"fbft", "naive"}},
+		{"plain then fbft", arms(plain, fbft), []string{"plain", "fbft"}},
+		{"plain twice", arms(plain, plain), nil},
+		{"naive beside verification", arms(naive, reference.Arms{VerifySignatures: true, DisableQCCache: true}), nil},
+		{"fbft under streamlet", append(arms(fbft), sft.WithEngine(sft.Streamlet)), []string{"FBFT", "DiemBFT-only"}},
+		{"plain under streamlet", append(arms(plain), sft.WithEngine(sft.Streamlet)), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			world, err := sft.NewSimnet(sft.SimnetConfig{N: 4, Latency: &sft.UniformLatency{Base: time.Millisecond}, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := append([]sft.Option{sft.WithScheme(sft.SchemeSim), sft.WithTransport(world.Transport(0))}, tc.opts...)
+			_, err = sft.New(sft.Config{ID: 0, N: 4, Seed: 1}, opts...)
+			if tc.want == nil {
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("New succeeded; want an error naming %q", tc.want)
+			}
+			for _, sub := range tc.want {
+				if !strings.Contains(err.Error(), sub) {
+					t.Errorf("error %q does not name %q", err, sub)
+				}
+			}
+		})
+	}
 }
 
 // TestLocalNetSubscriptions runs a real (goroutine-per-replica) cluster over

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/compose"
 	"repro/internal/engine"
 	"repro/internal/simnet"
 	"repro/internal/types"
@@ -173,27 +172,11 @@ func (w *Simnet) RestartAt(id ReplicaID, at time.Duration, onRestore func(Recove
 	}
 	w.sim.RestartAt(id, at, func() engine.Engine {
 		// Dispatch time: the crashed incarnation's WAL holds its final
-		// state. Close its journal first, so the replay reads everything it
-		// staged and no second handle appends to the log. Then recover the
-		// log, rebuild the engine from the node's own spec, and swap the
-		// node handle over to the new incarnation.
-		if err := n.closeJournal(); err != nil {
-			panic(fmt.Sprintf("sft: restart %d: close the crashed journal: %v", id, err))
-		}
-		j, rec, err := compose.OpenWAL(n.walDir, false, walObserver(n.obs))
+		// state, and incarnate replays all of it.
+		eng, rec, err := n.incarnate(false)
 		if err != nil {
 			panic(fmt.Sprintf("sft: restart %d: %v", id, err))
 		}
-		spec := n.spec
-		spec.Journal = j
-		eng, err := compose.Engine(spec)
-		if err != nil {
-			panic(fmt.Sprintf("sft: restart %d: %v", id, err))
-		}
-		if err := compose.Restore(eng, rec); err != nil {
-			panic(fmt.Sprintf("sft: restart %d: %v", id, err))
-		}
-		n.swapIncarnation(eng, &journalHandle{j: j})
 		if onRestore != nil {
 			onRestore(recoveryInfo(rec))
 		}
