@@ -27,7 +27,7 @@ FUZZ_TARGETS = \
 FUZZTIME_SMOKE ?= 20s
 FUZZTIME_LONG ?= 10m
 
-.PHONY: all build build-examples vet test test-race bench bench-smoke bench-micro bench-guard fuzz-smoke fuzz-long adversary-fuzz adversary-fuzz-agg compactcert liveness-attack bank-workload obs-smoke gateway-smoke gateway-scale spine-smoke loc knobs
+.PHONY: all build build-examples vet test test-race bench bench-smoke bench-micro bench-guard fuzz-smoke fuzz-long adversary-fuzz adversary-fuzz-agg compactcert liveness-attack bank-workload obs-smoke gateway-smoke gateway-scale spine-smoke oracles oracles-pin loc knobs
 
 all: test
 
@@ -136,6 +136,17 @@ liveness-attack:
 # committed height's state root agrees across all replicas.
 bank-workload:
 	$(GO) run ./cmd/sftbench -experiment bankworkload -n 7 -duration 30s -seed 1 -json BENCH_PR9.json
+
+# The paper's oracles as committed files: adversary-fuzz, adversary-fuzz-agg,
+# liveness-attack, fig7a (n=100, 1m, seed 3) and crashrecovery (n=7, 40s,
+# delta 50ms, seed 3), each with its wall-time lines stripped, diffed byte for
+# byte against testdata/oracles/. CI runs this; oracles-pin rewrites the pins,
+# and a re-pin states its reason in CHANGES.md.
+oracles:
+	bash scripts/oracles.sh
+
+oracles-pin:
+	bash scripts/oracles.sh pin
 
 # Ops-surface smoke: start a live 4-node TCP cluster with -obs-addr and
 # assert /metrics serves well-formed Prometheus exposition, /healthz is 200,
