@@ -12,7 +12,6 @@ FUZZ_TARGETS = \
 	./internal/types:FuzzDecodeQC \
 	./internal/types:FuzzDecodeCompactQC \
 	./internal/types:FuzzDecodeBlock \
-	./internal/types:FuzzDecodeTC \
 	./internal/types:FuzzDecodeMessage \
 	./internal/tcpnet:FuzzServeFrames$$ \
 	./internal/tcpnet:FuzzServeFramesMultiPeer \
@@ -121,11 +120,12 @@ adversary-fuzz-agg:
 compactcert:
 	$(GO) run ./cmd/sftbench -experiment compactcert -seed 1
 
-# Liveness under attack: f timeout-spam + lie-round-entry colluders against
-# the passive baseline vs the active, attack-hardened pacemaker at one seed
-# (explicit-only in sftbench; this is its acceptance shape). The experiment
-# fails unless the hardened arm stays live with its per-peer timeout buffer
-# bounded while the passive arm's grows without bound.
+# Liveness under attack: f timeout-spam colluders against the pacemaker with
+# its per-peer timeout cap effectively removed vs the default pacemaker (cap
+# 8, leader reputation 8) at one seed (explicit-only in sftbench; this is its
+# acceptance shape). The experiment fails unless the default arm stays live
+# with its per-peer timeout buffer bounded while the uncapped arm's grows
+# without bound.
 liveness-attack:
 	$(GO) run ./cmd/sftbench -experiment livenessattack -seed 1 -n 7 -duration 10s
 
@@ -209,7 +209,7 @@ KNOB_STRUCTS = \
 # The ratchet: knobs fails when the total exceeds KNOB_BUDGET or a listed file
 # or struct is missing. A change that removes knobs lowers the budget to the
 # new total; one that adds a knob removes another.
-KNOB_BUDGET = 177
+KNOB_BUDGET = 174
 
 knobs:
 	@{ for s in $(KNOB_STRUCTS); do \

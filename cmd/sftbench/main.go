@@ -269,64 +269,64 @@ func adversaryFuzz(sc harness.Scale, count, workers int) error {
 		})
 	fmt.Printf("    canary spec: %s\n", spec)
 
-	// Pacemaker canary: the same timeout-spam + round-entry-lying coalition
-	// under one seed, passive vs active. The hardened pacemaker must bound
-	// the per-peer timeout buffer the passive baseline lets grow without
-	// bound, while staying just as live.
-	pSpec, pRes, pViol, err := harness.PacemakerCanary(sc.Seed, sc.N, false)
+	// Pacemaker canary: the same timeout-spam coalition under one seed,
+	// uncapped vs default. The default pacemaker must bound the per-peer
+	// timeout buffer the uncapped one lets grow without bound, while staying
+	// just as live.
+	uSpec, uRes, uViol, err := harness.PacemakerCanary(sc.Seed, sc.N, true)
 	if err != nil {
 		return err
 	}
-	_, aRes, aViol, err := harness.PacemakerCanary(sc.Seed, sc.N, true)
+	_, dRes, dViol, err := harness.PacemakerCanary(sc.Seed, sc.N, false)
 	if err != nil {
 		return err
 	}
-	if len(pViol) > 0 || len(aViol) > 0 {
-		all := append(append([]string{}, pViol...), aViol...)
+	if len(uViol) > 0 || len(dViol) > 0 {
+		all := append(append([]string{}, uViol...), dViol...)
 		return fmt.Errorf("pacemaker canary violated a safety invariant: %s", all[0])
 	}
-	pPeak, _ := pRes.PacemakerPeak()
-	aPeak, _ := aRes.PacemakerPeak()
-	if aPeak > pacemaker.DefaultPerPeerCap {
-		return fmt.Errorf("pacemaker canary: hardened arm's per-peer buffer peaked at %d > cap %d", aPeak, pacemaker.DefaultPerPeerCap)
+	uPeak, _ := uRes.PacemakerPeak()
+	dPeak, _ := dRes.PacemakerPeak()
+	if dPeak > pacemaker.DefaultPerPeerCap {
+		return fmt.Errorf("pacemaker canary: default arm's per-peer buffer peaked at %d > cap %d", dPeak, pacemaker.DefaultPerPeerCap)
 	}
-	if pPeak <= pacemaker.DefaultPerPeerCap {
-		return fmt.Errorf("pacemaker canary: passive arm peaked at only %d — spam never demonstrated growth", pPeak)
+	if uPeak <= pacemaker.DefaultPerPeerCap {
+		return fmt.Errorf("pacemaker canary: uncapped arm peaked at only %d — spam never demonstrated growth", uPeak)
 	}
-	printTable("Pacemaker canary: timeout-spam + round-entry lying, passive vs active",
+	printTable("Pacemaker canary: timeout-spam, uncapped vs default",
 		[]string{"pacemaker", "blocks committed", "peak per-peer timeout buffer"},
 		[][]string{
-			{"passive (unbounded buffer)", fmt.Sprintf("%d", pRes.CommittedBlocks), fmt.Sprintf("%d", pPeak)},
-			{"active (hardened)", fmt.Sprintf("%d", aRes.CommittedBlocks), fmt.Sprintf("%d (cap %d)", aPeak, pacemaker.DefaultPerPeerCap)},
+			{"uncapped (unbounded buffer)", fmt.Sprintf("%d", uRes.CommittedBlocks), fmt.Sprintf("%d", uPeak)},
+			{"default (cap, reputation)", fmt.Sprintf("%d", dRes.CommittedBlocks), fmt.Sprintf("%d (cap %d)", dPeak, pacemaker.DefaultPerPeerCap)},
 		})
-	fmt.Printf("    canary spec: %s\n", pSpec)
+	fmt.Printf("    canary spec: %s\n", uSpec)
 	return nil
 }
 
-// livenessAttack drives the pacemaker-hardening A/B (harness.LivenessAttack
-// asserts the claim itself — safety both arms, bounded buffers and liveness
-// on the hardened arm, demonstrated growth on the passive arm) and renders
-// the comparison.
+// livenessAttack drives the pacemaker A/B (harness.LivenessAttack asserts
+// the claim itself — safety both arms, bounded buffers and liveness on the
+// default arm, demonstrated growth on the uncapped arm) and renders the
+// comparison.
 func livenessAttack(sc harness.Scale) error {
 	res, err := harness.LivenessAttack(sc)
 	if err != nil {
 		return err
 	}
 	row := func(name string, f func(*harness.Result) string) []string {
-		return []string{name, f(res.Passive), f(res.Active)}
+		return []string{name, f(res.Uncapped), f(res.Default)}
 	}
-	printTable(fmt.Sprintf("Liveness under attack: f colluders (timeout-spam + lie-round-entry), per-peer cap %d", res.Cap),
-		[]string{"metric", "passive (unhardened)", "active (hardened)"},
+	printTable(fmt.Sprintf("Liveness under attack: f colluders (timeout-spam), per-peer cap %d", res.Cap),
+		[]string{"metric", "uncapped (unhardened)", "default (cap, reputation)"},
 		[][]string{
 			row("blocks committed", func(r *harness.Result) string { return fmt.Sprintf("%d", r.CommittedBlocks) }),
 			row("throughput (blocks/s)", func(r *harness.Result) string { return fmt.Sprintf("%.1f", r.BlocksPerSec) }),
 			row("regular latency p50 (s)", func(r *harness.Result) string { return fmt.Sprintf("%.3f", r.RegularLatency.P50) }),
 			row("messages", func(r *harness.Result) string { return fmt.Sprintf("%d", r.Msgs.Count) }),
-			{"peak per-peer timeout buffer", fmt.Sprintf("%d", res.PassivePeak), fmt.Sprintf("%d", res.ActivePeak)},
-			{"timeouts shed by cap", fmt.Sprintf("%d", res.PassiveDropped), fmt.Sprintf("%d", res.ActiveDropped)},
+			{"peak per-peer timeout buffer", fmt.Sprintf("%d", res.UncappedPeak), fmt.Sprintf("%d", res.DefaultPeak)},
+			{"timeouts shed by cap", fmt.Sprintf("%d", res.UncappedDropped), fmt.Sprintf("%d", res.DefaultDropped)},
 		})
-	fmt.Printf("    verdict: hardened pacemaker bounded the buffer (%d <= %d) the passive baseline grew to %d\n",
-		res.ActivePeak, res.Cap, res.PassivePeak)
+	fmt.Printf("    verdict: default pacemaker bounded the buffer (%d <= %d) the uncapped one grew to %d\n",
+		res.DefaultPeak, res.Cap, res.UncappedPeak)
 	return nil
 }
 

@@ -80,20 +80,17 @@
 //     chain (Adversary* kinds: equivocation, vote withholding,
 //     double-signing, marker lying, fork revival, round starvation,
 //     signature corruption, garbage, replay, drop/delay/duplicate,
-//     timeout spamming, round-entry lying).
+//     timeout spamming).
 //     WithAdversaryPeers names its coalition — the paper's adversary
 //     coordinates, and coalition-aware behaviors (fork revival) use it.
-//   - WithPacemaker(PacemakerConfig{Active, PerPeerTimeoutCap,
-//     LeaderReputation}) — the attack-hardened pacemaker (DiemBFT only).
-//     Active broadcasts justified RoundEntry announcements (a QC or a
-//     2f+1-attestation timeout certificate), rejects unjustified round
-//     advances, and drops timeouts claiming rounds more than 8 past the
-//     local round before any signature work; PerPeerTimeoutCap (default 8,
-//     passive mode too) bounds buffered timeouts per peer;
-//     LeaderReputation > 0 deterministically skips recently timed-out
-//     leaders. With LeaderReputation off, fixed-seed runs pin bit-identical
-//     to the passive default. README.md, "Liveness under attack", narrates
-//     the A/B (make liveness-attack) and the rejection metrics.
+//   - WithPacemaker(PacemakerConfig{PerPeerTimeoutCap, LeaderReputation})
+//     — tunes DiemBFT's one pacemaker, the paper's passive round
+//     synchronization (Figure 2: a timeout carries the sender's high QC,
+//     2f+1 timeouts end the round). PerPeerTimeoutCap (default 8, always
+//     on) bounds buffered timeouts per peer; LeaderReputation > 0
+//     deterministically skips recently timed-out leaders. README.md,
+//     "Liveness under attack", narrates the A/B (make liveness-attack) and
+//     the rejection metrics.
 //   - WithApp(factory) — the execute-before-vote layer: every replica
 //     builds a StateMachine per engine incarnation (so crash recovery
 //     re-executes the restored chain on a fresh instance) and executes each
@@ -139,7 +136,7 @@
 //     — a non-voting follower (internal/observer) with a wire identity
 //     outside [0, n). Over TCP it dials upstream replicas with an observer
 //     handshake; the replicas mirror their certified-chain traffic
-//     (proposals, QCs, round entries, state-sync segments) to it and drop —
+//     (proposals, whose blocks carry the QCs) to it and drop —
 //     and count — anything from it that is not a catch-up request, so an
 //     observer's vote power is structurally zero and its back-pressure can
 //     never stall consensus. The observer verifies every signature and
@@ -184,16 +181,16 @@
 // when to vote, certify or commit.
 //
 //	concern            chassis (internal/replica)       DiemBFT (Fig. 2/4)             Streamlet (Fig. 10/11)
-//	configuration      replica.Config: identity, PKI,   vote mode, timeouts,            ∆, echo, proposal window
+//	configuration      replica.Config: identity, PKI,   vote mode, timeouts,            ∆, echo
 //	                   SFT, payload, app, journal, obs  extra-wait, prune, pacemaker
 //	event bracket      Begin / Take: flush, then send   dispatch by message and timer   dispatch; unwrap echoes
-//	proposing          Propose: payload, sign, journal  leader + TC bound, commit log    slot leader, longest-chain tip
+//	proposing          Propose: payload, sign, journal  leader, commit log              slot leader, longest-chain tip
 //	accepting a block  Accept: install, the engine's    stale rounds; what an accepted  first-seen echo; what an
 //	                   step, then the parked children;  proposal means: justify, vote,  accepted proposal means: the
 //	                   Park: bounded buffer, the first  waiting QC, collected votes     justify when the parent's votes
 //	                   orphan of a parent asks its                                      were missed, vote, certify
 //	                   sender for the chain
-//	voting             CastVote: execute, sign,         rvote / rlock / TC rule,        first proposal of the round on
+//	voting             CastVote: execute, sign,         rvote / rlock rule,             first proposal of the round on
 //	                   journal, record in history       marker or interval set          a longest chain; height marker
 //	vote → certificate AddVote, Certify: dedup, root    collector only, extra-wait,     everyone, relay by echo,
 //	                   check, sort, aggregate           FBFT late votes, qcFormed       register + journal
@@ -213,8 +210,7 @@
 //	                   link by link, adopt what was
 //	                   parked; Certs (cache, batch
 //	                   workers, timing)
-//	rounds             EnterRound (snapshot for         pacemaker, TCs, round entry,    2∆ lock-step slots
-//	                   Prevalidate)                     leader reputation
+//	rounds             EnterRound (reported to obs)     pacemaker, leader reputation    2∆ lock-step slots
 //	observer borrows   Certs, Certs.Apply, Orphans,     —                               —
 //	                   UnwrapEcho
 //
@@ -264,10 +260,11 @@
 //	7    retired            (its response) unknown tag; neither number is ever reused
 //	8    StateSyncRequest   uint64 have | uint32 sender
 //	9    StateSyncResponse  uint32 sender | opt(QC) | uint32 count | Block...
-//	10   RoundEntry         uint64 round | opt(QC) | opt(TC) | uint32 sender | sig
+//	10   retired            (the round entry of a removed pacemaker mode) rejected
+//	                        as an unknown tag; the number is never reused
 //
-// Block, QC, TC and Vote are the pinned encodings replicas hash, sign and
-// journal (Block.AppendEncoding, QC.Encode, TC.Encode, Vote.Encode), so a
+// Block, QC and Vote are the pinned encodings replicas hash, sign and
+// journal (Block.AppendEncoding, QC.Encode, Vote.Encode), so a
 // compact certificate travels as its compact bytes. The decoders accept
 // non-canonical input and re-encode to a fixpoint; a received block's ID is
 // the hash of its re-encoding, never of the bytes that arrived.
@@ -277,8 +274,8 @@
 // one that does not decode as malformed. A replica dials each peer for its
 // outbound frames and accepts the peer's dial for inbound ones. An observer
 // dials with the observer flag under an ID outside the committee; the
-// replica then writes on that same connection every Proposal, Echo and
-// RoundEntry it broadcasts or accepts from a peer (peer frames relayed as
+// replica then writes on that same connection every Proposal and Echo it
+// broadcasts or accepts from a peer (peer frames relayed as
 // the bytes that arrived), plus replies addressed to the observer. An
 // observer may send only StateSyncRequest; anything else is dropped and
 // counted as restricted.
@@ -350,24 +347,17 @@
 //	              proposer signature, justify QC                   orphaning
 //	Vote,         signature                                        collector, dedup, execution-root
 //	ExtraVote                                                      check
-//	Timeout       HighRound = HighQC.Round, high QC present        stale round, exact window,
-//	              (active pacemaker), window pre-filter, sender    per-peer cap
-//	              signature, high QC
-//	RoundEntry    exactly one justification, its round + 1 =       stale round, exact window
-//	              round, round pre-filter, sender signature,
-//	              QC or TC
+//	Timeout       HighRound = HighQC.Round, sender signature,      stale round, per-peer cap
+//	              high QC
 //	Streamlet     echo unwrap within the nesting cap, round/       first-seen (seenProp) or already
-//	              proposer match, round-robin leader, window       stored, exact window, parent
-//	              pre-filter, proposal and vote signatures         presence, vote dedup, execution-
-//	              (memoized across echoed copies)                  root check
+//	              proposer match, round-robin leader, proposal     stored, parent presence, vote
+//	              and vote signatures (memoized across echoed      dedup, execution-root check
+//	              copies)
 //	Observer      block and justify present, justify certifies     already stored, parent presence
 //	              parent, sender inside the committee, proposer
-//	              signature, justify QC, round-entry QC
+//	              signature, justify QC
 //
-// Three things are deliberately not a clean split. The future-window tests
-// run twice: Prevalidate compares against the published round snapshot so
-// far-future spam is dropped before any signature math, the snapshot may lag
-// the loop, and the state stage repeats the exact test. Catch-up segments
+// Two things are deliberately not a clean split. Catch-up segments
 // (StateSyncResponse) are prefix-stateful — blocks install link by link up to
 // the first bad one — so Prevalidate never judges them; it only warms their
 // certificates into the verified-QC cache, and they are verified as they

@@ -66,15 +66,10 @@ const (
 	// TimeoutSpam floods peers with validly signed timeouts for ever-higher
 	// far-future rounds, each carrying the (honestly matching) genesis
 	// certificate. No single message is structurally rejectable — the attack
-	// is volumetric: a passive pacemaker buffers every distinct claimed round
-	// without bound, while an active pacemaker's future window plus per-peer
-	// cap reduce the whole stream to a counter increment.
+	// is volumetric: an uncapped timeout buffer keeps every distinct claimed
+	// round, while the pacemaker's per-peer cap holds each spammer to a
+	// constant.
 	TimeoutSpam Kind = "timeout-spam"
-	// LieRoundEntry broadcasts active-pacemaker round-entry announcements
-	// whose justification is missing, mismatched, or a fabricated timeout
-	// certificate, trying to drag validators into rounds no quorum entered.
-	// Justified-entry validation must reject every variant.
-	LieRoundEntry Kind = "lie-round-entry"
 	// WrongAppHash rewrites the replica's own strong-votes to certify a
 	// fabricated execution state root (validly re-signed, since AppHash lives
 	// inside the vote's signing payload). The execution layer's defenses must
@@ -93,7 +88,7 @@ const (
 var Kinds = []Kind{
 	Equivocate, Withhold, DoubleVote, LieMarkers, ForkRevive, WithholdUncontested,
 	CorruptSigs, Garbage, ReplayStale, Drop, Delay, Duplicate,
-	TimeoutSpam, LieRoundEntry, WrongAppHash,
+	TimeoutSpam, WrongAppHash,
 }
 
 // Forges reports whether the behavior can fabricate protocol content —
@@ -104,12 +99,11 @@ var Kinds = []Kind{
 // contribute to two conflicting commits, so safety must hold around it as
 // if it were honest (its tracker's observations are honest, too).
 //
-// TimeoutSpam and LieRoundEntry are deliberately non-forging: the spam
-// timeouts are truthfully signed statements about the spammer's own state,
-// and a lied round entry — even its fabricated TC — can at worst skip
-// rounds, never produce a conflicting commit. They are liveness attacks, so
-// scenarios built from them alone stay "benign" for the fuzzer's liveness
-// checker, which is exactly the property the pacemaker A/B experiments need.
+// TimeoutSpam is deliberately non-forging: the spam timeouts are truthfully
+// signed statements about the spammer's own state and can never produce a
+// conflicting commit. It is a liveness attack, so scenarios built from it
+// alone stay "benign" for the fuzzer's liveness checker, which is exactly the
+// property the pacemaker A/B experiments need.
 func (k Kind) Forges() bool {
 	switch k {
 	case Equivocate, DoubleVote, LieMarkers, ForkRevive, Garbage, WrongAppHash:
@@ -152,7 +146,7 @@ type Spec struct {
 // String renders the spec compactly for scenario reproduction output.
 func (s Spec) String() string {
 	switch s.Kind {
-	case CorruptSigs, Garbage, ReplayStale, TimeoutSpam, LieRoundEntry:
+	case CorruptSigs, Garbage, ReplayStale, TimeoutSpam:
 		return fmt.Sprintf("%s(every=%d)", s.Kind, s.cadence())
 	case Drop, Duplicate:
 		return fmt.Sprintf("%s(p=%.2f)", s.Kind, s.P)
@@ -210,8 +204,6 @@ func (s Spec) Build() (Behavior, error) {
 		return duplicateMsgs{p: s.P}, nil
 	case TimeoutSpam:
 		return &timeoutSpam{every: s.cadence()}, nil
-	case LieRoundEntry:
-		return &lieRoundEntry{every: s.cadence()}, nil
 	case WrongAppHash:
 		return wrongAppHash{}, nil
 	default:
@@ -975,8 +967,8 @@ func (r *replayStale) Apply(ctx *Context, now time.Duration, out Outbound, emit 
 	emit(Outbound{Broadcast: true, Msg: r.ring[ctx.Rand().Intn(len(r.ring))]})
 }
 
-// spamOffset places spam rounds safely beyond any honest replica's active
-// future window; spamBurst is how many distinct-round timeouts each injection
+// spamOffset places spam rounds far ahead of any round an honest replica is
+// in; spamBurst is how many distinct-round timeouts each injection
 // emits, so the claimed rounds grow without bound over a run.
 const (
 	spamOffset = 64
@@ -987,8 +979,8 @@ const (
 // alongside every Every-th outbound. Each claims a fresh, ever-higher round
 // and carries the genesis certificate as its high QC — a truthful HighRound 0
 // claim, so signature and structure checks all pass. The damage model is
-// memory: a passive pacemaker's per-round timeout maps grow by one entry per
-// spam message, forever.
+// memory: without the per-peer cap a pacemaker's per-round timeout maps grow
+// by one entry per spam message, forever.
 type timeoutSpam struct {
 	every int
 	n     int
@@ -1036,65 +1028,6 @@ func (t *timeoutSpam) Apply(ctx *Context, now time.Duration, out Outbound, emit 
 		t.next++
 		emit(Outbound{Broadcast: true, Msg: spam})
 	}
-}
-
-// lieRoundEntry broadcasts round-entry announcements for rounds no quorum
-// entered, rotating through the justification lies a validator must catch:
-// no justification at all, a certificate that does not prove the claimed
-// round, and a timeout certificate with fabricated attestations. The outer
-// sender signature is genuine, so rejection must come from justified-entry
-// validation, not signature checking.
-type lieRoundEntry struct {
-	every int
-	n     int
-	high  types.Round
-}
-
-func (*lieRoundEntry) Name() string { return string(LieRoundEntry) }
-
-func (l *lieRoundEntry) note(msg types.Message) {
-	switch m := msg.(type) {
-	case *types.Proposal:
-		if m.Round > l.high {
-			l.high = m.Round
-		}
-	case *types.Timeout:
-		if m.Round > l.high {
-			l.high = m.Round
-		}
-	}
-}
-
-func (l *lieRoundEntry) ObserveInbound(ctx *Context, now time.Duration, from types.ReplicaID, msg types.Message) {
-	l.note(msg)
-}
-
-func (l *lieRoundEntry) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
-	emit(out)
-	l.note(out.Msg)
-	l.n++
-	if l.n%l.every != 0 {
-		return
-	}
-	rng := ctx.Rand()
-	target := l.high + 2 + types.Round(rng.Intn(6))
-	e := &types.RoundEntry{Round: target, Sender: ctx.ID()}
-	switch rng.Intn(3) {
-	case 0:
-		// Naked claim: no justification at all.
-	case 1:
-		// Mismatched certificate: genesis "justifying" a far-future round.
-		e.Justify = types.NewGenesisQC(types.Genesis().ID())
-	default:
-		// Fabricated TC: structurally plausible, signed by nobody.
-		e.TC = &types.TC{Round: target - 1, Attestations: []types.TCAttestation{
-			{Sender: 0, HighRound: 0, Signature: []byte("forged")},
-			{Sender: 1, HighRound: 0, Signature: []byte("forged")},
-			{Sender: 2, HighRound: 0, Signature: []byte("forged")},
-		}}
-	}
-	e.Signature = ctx.Sign(e.SigningPayload())
-	emit(Outbound{Broadcast: true, Msg: e})
 }
 
 // --- timing behaviors ---

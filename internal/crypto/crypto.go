@@ -175,26 +175,6 @@ func VerifyQC(v Verifier, qc *types.QC, quorum int) error {
 	return nil
 }
 
-// VerifyTC checks every attestation signature inside a timeout certificate
-// in addition to its structure: quorum size, ascending distinct attesters,
-// attested QC rounds below the certificate round. Each signature is verified
-// against the reconstructed timeout signing payload, so the TC proves 2f+1
-// replicas really signed timeouts for its round without carrying their QCs.
-func VerifyTC(v Verifier, tc *types.TC, quorum int) error {
-	if err := tc.CheckStructure(quorum); err != nil {
-		return err
-	}
-	var scratch [64]byte
-	for i := range tc.Attestations {
-		a := &tc.Attestations[i]
-		payload := types.TimeoutSigningPayload(scratch[:0], tc.Round, a.Sender, a.HighRound)
-		if !v.Verify(a.Sender, payload, a.Signature) {
-			return fmt.Errorf("crypto: bad timeout attestation from %v in %v", a.Sender, tc)
-		}
-	}
-	return nil
-}
-
 // VerifyVote checks one vote's signature.
 func VerifyVote(v Verifier, vote types.Vote) error {
 	var scratch [128]byte

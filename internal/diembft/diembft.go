@@ -69,18 +69,9 @@ type Config struct {
 	// the committed height (bounds memory on long runs).
 	PruneKeep types.Height
 
-	// ActivePacemaker hardens round synchronization the way Jolteon-derived
-	// production pacemakers do: every round advance broadcasts a RoundEntry
-	// whose QC-or-TC justification proves legal entry, incoming entries and
-	// timeouts are validated against that proof, and timeouts and round
-	// entries more than pacemaker.DefaultWindow rounds ahead of the local
-	// round are dropped (at prevalidation where possible). Off by default:
-	// the passive pacemaker is the paper's baseline and keeps existing
-	// fixed-seed runs bit-identical.
-	ActivePacemaker bool
 	// PerPeerTimeoutCap bounds how many timeout messages any single peer can
-	// keep buffered (0 = the pacemaker default). Enforced in both passive
-	// and active modes, so timeout-spam cannot exhaust memory either way.
+	// keep buffered (0 = the pacemaker default), so timeout-spam cannot
+	// exhaust memory.
 	PerPeerTimeoutCap int
 	// LeaderReputationWindow, when > 0, enables leader-reputation rotation:
 	// leaders whose most recent slot inside the window timed out (visible as
@@ -118,11 +109,6 @@ type Replica struct {
 
 	// direct is the Appendix B baseline tracker (replica.RuleFBFT only).
 	direct *core.DirectTracker
-
-	// recentTCs holds timeout certificates for recently exited rounds
-	// (active pacemaker only): they justify RoundEntry broadcasts and bound
-	// the next leader's proposal (justify round >= TC.MaxHighRound()).
-	recentTCs map[types.Round]*types.TC
 }
 
 // New creates a replica engine from the configuration.
@@ -140,7 +126,6 @@ func New(cfg Config) (*Replica, error) {
 		awaitingExtra: make(map[types.Round]types.BlockID),
 		orphanQCs:     make(map[types.BlockID]*types.QC),
 		proposed:      make(map[types.Round]bool),
-		recentTCs:     make(map[types.Round]*types.TC),
 	}
 	var err error
 	r.Chassis, err = replica.New(cfg.Config, core.ModeRound, func(b *types.Block, x int) {
@@ -158,9 +143,6 @@ func New(cfg Config) (*Replica, error) {
 	}
 	if cfg.PerPeerTimeoutCap > 0 {
 		r.pm.SetPerPeerCap(cfg.PerPeerTimeoutCap)
-	}
-	if cfg.ActivePacemaker {
-		r.pm.SetActive()
 	}
 	r.qchigh = r.Store().HighQC()
 	if cfg.Rule == replica.RuleFBFT {
@@ -258,8 +240,6 @@ func (r *Replica) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg
 		r.onVote(now, m.Vote)
 	case *types.Timeout:
 		r.onTimeout(now, m)
-	case *types.RoundEntry:
-		r.onRoundEntry(now, m)
 	case *types.ExtraVote:
 		r.onExtraVote(m)
 	case *types.StateSyncRequest:

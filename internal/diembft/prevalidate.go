@@ -32,8 +32,6 @@ func (r *Replica) Prevalidate(from types.ReplicaID, msg types.Message) error {
 		return r.prevalidateVote(m.Vote)
 	case *types.Timeout:
 		return r.prevalidateTimeout(m)
-	case *types.RoundEntry:
-		return r.prevalidateRoundEntry(m)
 	case *types.ExtraVote:
 		return r.prevalidateVote(m.Vote)
 	case *types.StateSyncResponse:
@@ -76,28 +74,9 @@ func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 // timeout only reaches it through loopback, which skips Prevalidate; anything
 // arriving here came off the network and gets the full check.
 func (r *Replica) prevalidateTimeout(t *types.Timeout) error {
-	// Active-mode window and structural checks run BEFORE any signature math:
-	// dropping a spammed far-future timeout here costs a comparison, not a
-	// verification — that asymmetry is the whole point of the bounded window.
-	// The round snapshot may lag the event loop by one event; it only ever
-	// lags (rounds never regress), so stale drops are sound and a borderline
-	// in-window message is simply re-judged by the state stage.
-	if r.pm.Active() {
-		if cur := r.RoundSnapshot(); t.Round > cur+pacemaker.DefaultWindow {
-			r.cfg.Obs.OnTimeoutRejected(obs.ReasonFutureWindow)
-			return fmt.Errorf("diembft: timeout for round %d beyond window (at %d)", t.Round, cur)
-		}
-		if t.HighQC == nil {
-			// Active mode requires the certified evidence: a timeout without
-			// its high QC cannot contribute a truthful TC attestation.
-			r.cfg.Obs.OnTimeoutRejected(obs.ReasonMismatch)
-			return fmt.Errorf("diembft: timeout without high QC")
-		}
-	}
 	if t.HighQC != nil && t.HighRound != t.HighQC.Round {
 		// The signed high-round claim must match the certificate it rides
-		// with, or the TC attestation built from it would lie about what the
-		// sender saw certified.
+		// with: the structural check runs before any signature math.
 		r.cfg.Obs.OnTimeoutRejected(obs.ReasonMismatch)
 		return fmt.Errorf("diembft: timeout high-round claim %d does not match QC round %d", t.HighRound, t.HighQC.Round)
 	}
@@ -112,57 +91,6 @@ func (r *Replica) prevalidateTimeout(t *types.Timeout) error {
 		}
 	}
 	return nil
-}
-
-// prevalidateRoundEntry validates a peer's justified round-entry
-// announcement: exactly one justification — a QC for round-1, or a TC of 2f+1
-// signed timeout attestations for round-1 — under a genuine sender signature.
-// Naked claims, stale entries, rounds beyond the future window and
-// mix-and-match justifications are rejected and surfaced as a counter. The
-// cheap structural and window checks run first so forged entries cost no
-// signature work; the round tests against the snapshot are a pre-filter the
-// state stage repeats exactly.
-func (r *Replica) prevalidateRoundEntry(e *types.RoundEntry) error {
-	if !r.pm.Active() {
-		return nil // the passive state stage ignores these entirely
-	}
-	cur := r.RoundSnapshot()
-	if e.Round <= cur {
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonStale)
-		return fmt.Errorf("diembft: stale round entry for %d (at %d)", e.Round, cur)
-	}
-	if e.Round > cur+pacemaker.DefaultWindow {
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonFutureWindow)
-		return fmt.Errorf("diembft: round entry for %d beyond window (at %d)", e.Round, cur)
-	}
-	hasQC, hasTC := e.Justify != nil, e.TC != nil
-	if hasQC == hasTC {
-		// Exactly one justification: none proves nothing, and both would
-		// invite mix-and-match replay of unrelated certificates.
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonNoJustify)
-		return fmt.Errorf("diembft: round entry needs exactly one justification")
-	}
-	if (hasQC && e.Justify.Round+1 != e.Round) || (hasTC && e.TC.Round+1 != e.Round) {
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-		return fmt.Errorf("diembft: round entry justification does not prove round %d", e.Round)
-	}
-	if r.cfg.VerifySignatures && !r.cfg.Verifier.Verify(e.Sender, e.SigningPayload(), e.Signature) {
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadSignature)
-		return fmt.Errorf("diembft: bad round entry signature from %v", e.Sender)
-	}
-	var err error
-	switch {
-	case hasQC:
-		err = r.Certs.VerifyQC(e.Justify)
-	case r.cfg.VerifySignatures:
-		err = crypto.VerifyTC(r.cfg.Verifier, e.TC, r.cfg.Quorum())
-	default:
-		err = e.TC.CheckStructure(r.cfg.Quorum())
-	}
-	if err != nil {
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonBadJustify)
-	}
-	return err
 }
 
 // warmSegment verifies a sync segment's certificates into the shared QC

@@ -252,21 +252,6 @@ func (fx *doorFixture) timeout(t *types.Timeout) *types.Timeout {
 	return t
 }
 
-func (fx *doorFixture) entry(e *types.RoundEntry) *types.RoundEntry {
-	e.Signature = fx.ring.Signer(e.Sender).Sign(e.SigningPayload())
-	return e
-}
-
-// tc is a timeout certificate for round from the given senders, each
-// attesting the round-1 certificate.
-func (fx *doorFixture) tc(round types.Round, senders ...types.ReplicaID) *types.TC {
-	var timeouts []*types.Timeout
-	for _, id := range senders {
-		timeouts = append(timeouts, fx.timeout(&types.Timeout{Round: round, HighQC: fx.qc1, HighRound: 1, Sender: id}))
-	}
-	return types.NewTC(round, timeouts)
-}
-
 // fingerprint is the replica state no rejected message may move.
 func fingerprint(e engine.Engine) string {
 	r := e.(*diembft.Replica)
@@ -280,16 +265,14 @@ type rejection struct {
 	// sigOnly marks a class only signature verification can catch; it is
 	// skipped with verification off.
 	sigOnly bool
-	// active marks a class that exists only under the active pacemaker.
-	active bool
-	from   types.ReplicaID
-	msg    func(fx *doorFixture) types.Message
+	from    types.ReplicaID
+	msg     func(fx *doorFixture) types.Message
 	// reason is the by-reason rejection counter the class lands on
-	// ("timeout:<reason>" or "entry:<reason>"), "" where no family covers it.
+	// ("timeout:<reason>"), "" where no family covers it.
 	reason string
 }
 
-var proposalRejections = []rejection{
+var rejections = []rejection{
 	{name: "proposal/nil block", from: 2, msg: func(fx *doorFixture) types.Message {
 		return &types.Proposal{Round: 3, Sender: 2, Signature: []byte{1}}
 	}},
@@ -336,52 +319,74 @@ var proposalRejections = []rejection{
 		v.Signature = []byte("forged")
 		return &types.ExtraVote{Vote: v, Leader: 0}
 	}},
+	{name: "timeout/high-round mismatch", from: 0, reason: "timeout:" + obs.ReasonMismatch, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.qc1, HighRound: 5, Sender: 0})
+	}},
+	{name: "timeout/sub-quorum high QC", from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.cert(fx.b2, 0, 1), HighRound: 2, Sender: 0})
+	}},
+	{name: "timeout/duplicate-voter high QC", from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.cert(fx.b2, 0, 1, 1), HighRound: 2, Sender: 0})
+	}},
+	{name: "timeout/forged sender signature", sigOnly: true, from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		t := fx.timeout(&types.Timeout{Round: 2, HighQC: fx.qc2, HighRound: 2, Sender: 0})
+		t.Signature = fx.ring.Signer(1).Sign(t.SigningPayload())
+		return t
+	}},
+	{name: "timeout/forged high QC vote", sigOnly: true, from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.forgedCert(fx.b2), HighRound: 2, Sender: 0})
+	}},
 }
 
-// TestRejectionTable drives every malformed proposal and vote class (the
-// timeout and round-entry classes are TestRoundEntryRejectsUnjustified's)
+// TestRejectionTable drives every malformed proposal, vote and timeout class
 // through both doors — OnMessage; Prevalidate then OnVerifiedMessage only if
-// it passed — under both pacemakers with verification on and off: no outputs,
-// no state change, and the rejection counted once under the same reason
-// whichever door the message took.
-func TestRejectionTable(t *testing.T) { runRejections(t, proposalRejections) }
-
-func runRejections(t *testing.T, rows []rejection) {
-	for _, rj := range rows {
+// it passed — with verification on and off: no outputs, no state change, and
+// the rejection counted once under the same reason whichever door the
+// message took.
+func TestRejectionTable(t *testing.T) {
+	for _, rj := range rejections {
 		for _, verify := range []bool{true, false} {
 			if rj.sigOnly && !verify {
 				continue
 			}
-			for _, active := range []bool{false, true} {
-				if rj.active && !active {
-					continue
-				}
-				for _, split := range []bool{false, true} {
-					name := fmt.Sprintf("%s/verify=%v/active=%v/split=%v", rj.name, verify, active, split)
-					t.Run(name, func(t *testing.T) {
-						sink := obs.New(obs.Options{N: 4, F: 1})
-						fx := newDoorFixture(t, nil, func(c *diembft.Config) {
-							c.VerifySignatures = verify
-							c.ActivePacemaker = active
-							c.Obs = sink
-						})
-						enginetest.CheckRejected(t, fx.rep, split, rj.from, rj.msg(fx), fingerprint, sink, rj.reason)
+			for _, split := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/verify=%v/split=%v", rj.name, verify, split), func(t *testing.T) {
+					sink := obs.New(obs.Options{N: 4, F: 1})
+					fx := newDoorFixture(t, nil, func(c *diembft.Config) {
+						c.VerifySignatures = verify
+						c.Obs = sink
 					})
-				}
+					enginetest.CheckRejected(t, fx.rep, split, rj.from, rj.msg(fx), fingerprint, sink, rj.reason)
+				})
 			}
 		}
 	}
 }
 
+// TestTimeoutHighRoundMismatchRejected: the signed high-round claim must
+// match the certificate the timeout ships, or the message is dropped before
+// the pacemaker buffers it.
+func TestTimeoutHighRoundMismatchRejected(t *testing.T) {
+	sink := obs.New(obs.Options{N: 4, F: 1})
+	fx := newDoorFixture(t, nil, func(c *diembft.Config) { c.Obs = sink })
+	to := fx.timeout(&types.Timeout{Round: 2, HighQC: fx.qc1, HighRound: 5, Sender: 0}) // claims r5, QC says r1
+	fx.rep.OnMessage(0, 0, to)
+	if got := fx.rep.PacemakerStats().Buffered; got != 0 {
+		t.Fatalf("mismatched timeout was buffered (%d)", got)
+	}
+	if sink.RejectedTimeouts() == 0 {
+		t.Fatal("mismatch rejection not counted")
+	}
+}
+
 // TestStateStageNeverVerifies pins the one-stage rule on honest traffic:
-// OnVerifiedMessage checks no signature for proposals, votes, timeouts,
-// round entries and extra votes, and OnMessage checks exactly what
-// Prevalidate alone does.
+// OnVerifiedMessage checks no signature for proposals, votes, timeouts and
+// extra votes, and OnMessage checks exactly what Prevalidate alone does.
 func TestStateStageNeverVerifies(t *testing.T) {
 	ring, _ := crypto.NewKeyRing(4, 1, crypto.SchemeSim)
 	build := func() (*doorFixture, *enginetest.CountingVerifier) {
 		cv := &enginetest.CountingVerifier{Verifier: ring}
-		return newDoorFixture(t, cv, func(c *diembft.Config) { c.ActivePacemaker = true }), cv
+		return newDoorFixture(t, cv, nil), cv
 	}
 	splitFx, splitCalls := build()
 	wholeFx, wholeCalls := build()
@@ -390,13 +395,11 @@ func TestStateStageNeverVerifies(t *testing.T) {
 		from types.ReplicaID
 		msg  types.Message
 	}{
-		{0, splitFx.entry(&types.RoundEntry{Round: 3, Justify: splitFx.qc2, Sender: 0})},
 		{2, splitFx.proposal(b3)},
 		{0, &types.VoteMsg{Vote: splitFx.vote(b3, 0)}},
 		{1, &types.VoteMsg{Vote: splitFx.vote(b3, 1)}},
 		{0, &types.ExtraVote{Vote: splitFx.vote(b3, 2), Leader: 0}},
 		{0, splitFx.timeout(&types.Timeout{Round: 3, HighQC: splitFx.qc2, HighRound: 2, Sender: 0})},
-		{1, splitFx.entry(&types.RoundEntry{Round: 4, TC: splitFx.tc(3, 0, 1, 2), Sender: 1})},
 	}
 	for _, m := range msgs {
 		start := splitCalls.Calls
@@ -417,7 +420,9 @@ func TestStateStageNeverVerifies(t *testing.T) {
 			t.Errorf("%T: OnMessage made %d signature checks, Prevalidate alone %d", m.msg, got, stateless)
 		}
 	}
-	if a, b := fingerprint(splitFx.rep), fingerprint(wholeFx.rep); a != b || splitFx.rep.Round() != 4 {
+	// The proposal's justify moves the replica to round 3; two peer votes are
+	// one short of the round-3 quorum, so it stays there.
+	if a, b := fingerprint(splitFx.rep), fingerprint(wholeFx.rep); a != b || splitFx.rep.Round() != 3 {
 		t.Fatalf("doors diverged or traffic not absorbed: split %s, OnMessage %s", a, b)
 	}
 }

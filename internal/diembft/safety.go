@@ -20,13 +20,6 @@ func (r *Replica) maybePropose(now time.Duration) {
 	if parent == nil {
 		return // still syncing the highest certified block
 	}
-	if tc := r.recentTCs[round-1]; tc != nil && r.qchigh.Round < tc.MaxHighRound() {
-		// The previous round's TC carries 2f+1 signed attestations of a
-		// certified round higher than our own high QC: proposing now would
-		// justify below what the quorum already proved exists. Wait for the
-		// certified chain to catch up (timeout HighQCs or state sync fill it).
-		return
-	}
 	// Restore marks own journaled blocks' rounds as proposed, so a restarted
 	// leader cannot propose a different block for a round it already used.
 	r.proposed[round] = true
@@ -91,14 +84,6 @@ func (r *Replica) maybeVote(now time.Duration, p *types.Proposal) {
 	}
 	parent := r.Store().Block(b.Parent)
 	if parent == nil || parent.Round < r.rlock {
-		return
-	}
-	if tc := r.recentTCs[round-1]; tc != nil && b.Justify.Round < tc.MaxHighRound() {
-		// Justified round entry, voter side: round-1 ended in a TC whose
-		// 2f+1 attestations prove a certified block at MaxHighRound; a
-		// proposal justifying anything lower forks below what the quorum
-		// already certified and is refused. (recentTCs is populated only in
-		// active mode, so the passive baseline is untouched.)
 		return
 	}
 	var v types.Vote

@@ -20,17 +20,17 @@ import (
 //     and certificate structure always, signature and certificate
 //     verification when the engine is configured to verify. It is pure with
 //     respect to replica state: it reads only immutable configuration (keys,
-//     quorum size, cluster shape), internally synchronized caches and the
-//     published round snapshot, never the protocol state machine, so
-//     transports call it from any number of goroutines concurrently with the
-//     event loop. An error means the message is discardable.
+//     quorum size, cluster shape) and internally synchronized caches, never
+//     the protocol state machine, so transports call it from any number of
+//     goroutines concurrently with the event loop. An error means the
+//     message is discardable.
 //   - OnVerifiedMessage is the state stage: stateful rules only (stale
-//     rounds, parent presence, vote dedup, exact future windows). It checks
-//     no signature and no certificate, with two exceptions only the state
-//     can call for. A catch-up segment (StateSyncResponse) is prefix-
-//     stateful, so Prevalidate never judges it and it is verified link by
-//     link as it installs; and Streamlet verifies a proposal's justify when
-//     it holds the parent uncertified, having missed its votes.
+//     rounds, parent presence, vote dedup, the per-peer timeout cap). It
+//     checks no signature and no certificate, with two exceptions only the
+//     state can call for. A catch-up segment (StateSyncResponse) is
+//     prefix-stateful, so Prevalidate never judges it and it is verified
+//     link by link as it installs; and Streamlet verifies a proposal's
+//     justify when it holds the parent uncertified, having missed its votes.
 //   - OnMessage is Prevalidate then OnVerifiedMessage, the door for a caller
 //     that has not prevalidated. A message from the replica's own ID is
 //     loopback and skips Prevalidate: transports authenticate from (tcpnet

@@ -199,8 +199,8 @@ func AddSeeds(f *testing.F, valid ...types.Message) {
 }
 
 // rejections snapshots the by-reason rejection counters of o (nil: none): one
-// entry per non-zero child of the rejected-timeout and rejected-round-entry
-// families, keyed "timeout:<reason>" or "entry:<reason>".
+// entry per non-zero child of the rejected-timeout family, keyed
+// "timeout:<reason>".
 func rejections(t testing.TB, o *obs.Obs) map[string]int64 {
 	t.Helper()
 	out := map[string]int64{}
@@ -212,12 +212,7 @@ func rejections(t testing.TB, o *obs.Obs) map[string]int64 {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(buf.String(), "\n") {
-		kind := "timeout:"
 		rest, ok := strings.CutPrefix(line, `sft_pacemaker_rejected_timeouts_total{reason="`)
-		if !ok {
-			kind = "entry:"
-			rest, ok = strings.CutPrefix(line, `sft_round_entry_rejected_total{reason="`)
-		}
 		if !ok {
 			continue
 		}
@@ -227,7 +222,7 @@ func rejections(t testing.TB, o *obs.Obs) map[string]int64 {
 			t.Fatalf("metric line %q: %v", line, err)
 		}
 		if n != 0 {
-			out[kind+reason] = n
+			out["timeout:"+reason] = n
 		}
 	}
 	return out

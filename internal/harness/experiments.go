@@ -344,20 +344,19 @@ func Theorem3(sc Scale, t int) (marker, interval *Result, target int, err error)
 	return marker, interval, target, nil
 }
 
-// LivenessAttackResult pairs the two arms of the pacemaker-hardening A/B:
-// the same seed, cluster and adversary coalition run once against the
-// passive paper baseline (per-peer timeout cap effectively removed, as
-// before the hardening) and once against the active pacemaker with
-// justified round entry, the future window, the default per-peer cap and
-// leader-reputation rotation.
+// LivenessAttackResult pairs the two arms of the pacemaker A/B: the same
+// seed, cluster and adversary coalition run once with the per-peer timeout
+// cap effectively removed, as before the hardening, and once with the
+// default pacemaker: the per-peer cap at its default plus leader-reputation
+// rotation.
 type LivenessAttackResult struct {
-	Passive, Active *Result
-	// PassivePeak / ActivePeak are the worst single-peer timeout-buffer
+	Uncapped, Default *Result
+	// UncappedPeak / DefaultPeak are the worst single-peer timeout-buffer
 	// high-watermarks across replicas — the memory-exhaustion evidence.
-	PassivePeak, ActivePeak int
-	// PassiveDropped / ActiveDropped count timeouts the per-peer cap shed.
-	PassiveDropped, ActiveDropped uint64
-	// Cap is the hardened arm's per-peer bound (ActivePeak must stay <= Cap).
+	UncappedPeak, DefaultPeak int
+	// UncappedDropped / DefaultDropped count timeouts the per-peer cap shed.
+	UncappedDropped, DefaultDropped uint64
+	// Cap is the default arm's per-peer bound (DefaultPeak must stay <= Cap).
 	Cap int
 }
 
@@ -372,13 +371,12 @@ func (r *Result) PacemakerPeak() (peak int, dropped uint64) {
 }
 
 // LivenessAttack runs the liveness-under-attack experiment: f colluders
-// composing timeout-spam at full cadence with round-entry lying, against an
-// otherwise healthy cluster. The experiment asserts the hardening claim
-// outright — both arms must stay safe (the attack forges no protocol
-// content, so the invariant checkers run at t=0), the active arm must keep
-// committing with its worst per-peer timeout buffer bounded by the cap, and
-// the passive arm must exhibit the unbounded buffer growth the hardening
-// removes. Defaults to the acceptance shape (n=7, f=2, 10 virtual seconds)
+// spamming timeouts at full cadence against an otherwise healthy cluster.
+// The experiment asserts the hardening claim outright — both arms must stay
+// safe (the attack forges no protocol content, so the invariant checkers run
+// at t=0), the default arm must keep committing with its worst per-peer
+// timeout buffer bounded by the cap, and the uncapped arm must exhibit the
+// unbounded buffer growth the cap removes. Defaults to the acceptance shape (n=7, f=2, 10 virtual seconds)
 // rather than paper scale.
 func LivenessAttack(sc Scale) (*LivenessAttackResult, error) {
 	if sc.N == 0 {
@@ -394,18 +392,15 @@ func LivenessAttack(sc Scale) (*LivenessAttackResult, error) {
 	for i := 0; i < sc.F; i++ {
 		// Consecutive trailing IDs: adjacent leader slots maximize the rounds
 		// the coalition fronts.
-		byz[types.ReplicaID(sc.N-1-i)] = []adversary.Spec{
-			{Kind: adversary.TimeoutSpam, Every: 1},
-			{Kind: adversary.LieRoundEntry, Every: 2},
-		}
+		byz[types.ReplicaID(sc.N-1-i)] = []adversary.Spec{{Kind: adversary.TimeoutSpam, Every: 1}}
 	}
-	mk := func(active bool) *Scenario {
-		// The pre-hardening pacemaker buffered timeouts without a per-peer
-		// bound; an effectively infinite cap reproduces that while keeping
-		// the Stats accounting live.
-		pm := sft.PacemakerConfig{PerPeerTimeoutCap: 1 << 20}
-		if active {
-			pm = sft.PacemakerConfig{Active: true, LeaderReputation: 8}
+	mk := func(uncapped bool) *Scenario {
+		pm := sft.PacemakerConfig{LeaderReputation: 8}
+		if uncapped {
+			// The pre-hardening pacemaker buffered timeouts without a
+			// per-peer bound; an effectively infinite cap reproduces that
+			// while keeping the Stats accounting live.
+			pm = sft.PacemakerConfig{PerPeerTimeoutCap: 1 << 20}
 		}
 		return &Scenario{
 			Name:            "livenessattack",
@@ -427,28 +422,28 @@ func LivenessAttack(sc Scale) (*LivenessAttackResult, error) {
 	}
 	out := &LivenessAttackResult{Cap: pacemaker.DefaultPerPeerCap}
 	var err error
-	if out.Passive, err = Run(mk(false)); err != nil {
+	if out.Uncapped, err = Run(mk(true)); err != nil {
 		return nil, err
 	}
-	if out.Active, err = Run(mk(true)); err != nil {
+	if out.Default, err = Run(mk(false)); err != nil {
 		return nil, err
 	}
 	t := adversary.ForgingReplicas(byz)
-	for arm, res := range map[string]*Result{"passive": out.Passive, "active": out.Active} {
+	for arm, res := range map[string]*Result{"uncapped": out.Uncapped, "default": out.Default} {
 		if vs := CheckInvariants(res, t); len(vs) > 0 {
 			return nil, fmt.Errorf("livenessattack: %s arm safety violated: %s", arm, vs[0])
 		}
 	}
-	out.PassivePeak, out.PassiveDropped = out.Passive.PacemakerPeak()
-	out.ActivePeak, out.ActiveDropped = out.Active.PacemakerPeak()
-	if out.Active.CommittedBlocks < 3 {
-		return nil, fmt.Errorf("livenessattack: hardened arm stalled (%d commits)", out.Active.CommittedBlocks)
+	out.UncappedPeak, out.UncappedDropped = out.Uncapped.PacemakerPeak()
+	out.DefaultPeak, out.DefaultDropped = out.Default.PacemakerPeak()
+	if out.Default.CommittedBlocks < 3 {
+		return nil, fmt.Errorf("livenessattack: default arm stalled (%d commits)", out.Default.CommittedBlocks)
 	}
-	if out.ActivePeak > out.Cap {
-		return nil, fmt.Errorf("livenessattack: hardened arm's per-peer buffer peaked at %d > cap %d", out.ActivePeak, out.Cap)
+	if out.DefaultPeak > out.Cap {
+		return nil, fmt.Errorf("livenessattack: default arm's per-peer buffer peaked at %d > cap %d", out.DefaultPeak, out.Cap)
 	}
-	if out.PassivePeak <= out.Cap {
-		return nil, fmt.Errorf("livenessattack: passive arm peaked at only %d — the attack demonstrated nothing", out.PassivePeak)
+	if out.UncappedPeak <= out.Cap {
+		return nil, fmt.Errorf("livenessattack: uncapped arm peaked at only %d — the attack demonstrated nothing", out.UncappedPeak)
 	}
 	return out, nil
 }

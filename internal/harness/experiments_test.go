@@ -33,10 +33,10 @@ func TestTheorem2Liveness(t *testing.T) {
 	}
 }
 
-// TestLivenessAttack runs the pacemaker-hardening A/B at acceptance scale:
-// the experiment itself asserts safety on both arms, liveness and bounded
-// per-peer timeout memory on the hardened arm, and demonstrated unbounded
-// growth on the passive baseline.
+// TestLivenessAttack runs the pacemaker A/B at acceptance scale: the
+// experiment itself asserts safety on both arms, liveness and bounded
+// per-peer timeout memory on the default arm, and demonstrated unbounded
+// growth on the uncapped arm.
 func TestLivenessAttack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
@@ -45,38 +45,38 @@ func TestLivenessAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Active.CommittedBlocks < res.Passive.CommittedBlocks/2 {
-		t.Errorf("hardened arm committed %d blocks vs passive %d — hardening cost liveness",
-			res.Active.CommittedBlocks, res.Passive.CommittedBlocks)
+	if res.Default.CommittedBlocks < res.Uncapped.CommittedBlocks/2 {
+		t.Errorf("default arm committed %d blocks vs uncapped %d — the cap cost liveness",
+			res.Default.CommittedBlocks, res.Uncapped.CommittedBlocks)
 	}
-	t.Logf("passive: %d commits, peak per-peer buffer %d; active: %d commits, peak %d (cap %d)",
-		res.Passive.CommittedBlocks, res.PassivePeak,
-		res.Active.CommittedBlocks, res.ActivePeak, res.Cap)
+	t.Logf("uncapped: %d commits, peak per-peer buffer %d; default: %d commits, peak %d (cap %d)",
+		res.Uncapped.CommittedBlocks, res.UncappedPeak,
+		res.Default.CommittedBlocks, res.DefaultPeak, res.Cap)
 }
 
 // TestPacemakerCanary pins the fuzz-side A/B demo the sftbench adversary
-// sweep runs: same seed, passive buffer grows past the cap, active stays
-// bounded, both safe.
+// sweep runs: same seed, the uncapped buffer grows past the cap, the default
+// one stays bounded, both safe.
 func TestPacemakerCanary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	_, passive, pv, err := harness.PacemakerCanary(3, 7, false)
+	_, uncapped, uv, err := harness.PacemakerCanary(3, 7, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, active, av, err := harness.PacemakerCanary(3, 7, true)
+	_, def, dv, err := harness.PacemakerCanary(3, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pv) > 0 || len(av) > 0 {
-		t.Fatalf("canary violated safety: passive=%v active=%v", pv, av)
+	if len(uv) > 0 || len(dv) > 0 {
+		t.Fatalf("canary violated safety: uncapped=%v default=%v", uv, dv)
 	}
-	if got, _ := active.PacemakerPeak(); got > 8 {
-		t.Errorf("active arm per-peer buffer peaked at %d > cap", got)
+	if got, _ := def.PacemakerPeak(); got > 8 {
+		t.Errorf("default arm per-peer buffer peaked at %d > cap", got)
 	}
-	if got, _ := passive.PacemakerPeak(); got <= 8 {
-		t.Errorf("passive arm peaked at only %d — spam demonstrated nothing", got)
+	if got, _ := uncapped.PacemakerPeak(); got <= 8 {
+		t.Errorf("uncapped arm peaked at only %d — spam demonstrated nothing", got)
 	}
 }
 

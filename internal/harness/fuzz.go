@@ -92,11 +92,8 @@ type FuzzScenario struct {
 	Naive        bool
 	Scheme       string // "" = crypto.SchemeSim
 
-	// Pacemaker knobs (DiemBFT only). The generator samples the active
-	// pacemaker so justified round entry and timeout validation run under
-	// the full adversary mix; the liveness canary additionally pins
-	// LeaderReputation and PerPeerCap for its A/B arms.
-	ActivePacemaker  bool
+	// Pacemaker knobs (DiemBFT only). The generator samples leader
+	// reputation; the liveness canary pins both for its A/B arms.
 	LeaderReputation types.Round
 	PerPeerCap       int
 
@@ -157,15 +154,11 @@ func GenFuzzScenario(seed int64, index int, opts FuzzOptions) FuzzScenario {
 		if rng.Float64() < 0.3 {
 			s.VoteMode = sft.VoteIntervals
 		}
-		// Sample the active pacemaker (and occasionally leader reputation)
-		// so justified round entry faces the same adversary mix as the
-		// baseline — benign active scenarios must still pass the Theorem 2
-		// liveness checks below.
-		if rng.Float64() < 0.35 {
-			s.ActivePacemaker = true
-			if rng.Float64() < 0.5 {
-				s.LeaderReputation = 8
-			}
+		// Sample leader reputation so its rotation faces the same adversary
+		// mix as round robin — benign scenarios with it must still pass the
+		// Theorem 2 liveness checks below.
+		if rng.Float64() < 0.175 {
+			s.LeaderReputation = 8
 		}
 	} else {
 		s.Protocol = sft.Streamlet
@@ -283,8 +276,6 @@ func sampleBehavior(rng *rand.Rand) adversary.Spec {
 		return adversary.Spec{Kind: adversary.ReplayStale, Every: 3 + rng.Intn(5)}
 	case adversary.TimeoutSpam:
 		return adversary.Spec{Kind: adversary.TimeoutSpam, Every: 2 + rng.Intn(4)}
-	case adversary.LieRoundEntry:
-		return adversary.Spec{Kind: adversary.LieRoundEntry, Every: 2 + rng.Intn(4)}
 	case adversary.WrongAppHash:
 		return adversary.Spec{Kind: adversary.WrongAppHash}
 	case adversary.Drop:
@@ -331,7 +322,7 @@ func (s FuzzScenario) Scenario() *Scenario {
 			sft.WithReference(arms),
 		},
 	}
-	if pm := (sft.PacemakerConfig{Active: s.ActivePacemaker, PerPeerTimeoutCap: s.PerPeerCap, LeaderReputation: s.LeaderReputation}); pm != (sft.PacemakerConfig{}) {
+	if pm := (sft.PacemakerConfig{PerPeerTimeoutCap: s.PerPeerCap, LeaderReputation: s.LeaderReputation}); pm != (sft.PacemakerConfig{}) {
 		sc.Options = append(sc.Options, sft.WithPacemaker(pm))
 	}
 	if s.BankApp {
@@ -360,11 +351,8 @@ func (s FuzzScenario) String() string {
 	if s.Protocol == sft.DiemBFT && s.VoteMode == sft.VoteIntervals {
 		b.WriteString(" votes=intervals")
 	}
-	if s.ActivePacemaker {
-		b.WriteString(" active-pm")
-		if s.LeaderReputation > 0 {
-			fmt.Fprintf(&b, " rep=%d", s.LeaderReputation)
-		}
+	if s.LeaderReputation > 0 {
+		fmt.Fprintf(&b, " rep=%d", s.LeaderReputation)
 	}
 	if s.PerPeerCap > 0 {
 		fmt.Fprintf(&b, " peercap=%d", s.PerPeerCap)
@@ -792,19 +780,18 @@ func WeakenedRuleCanary(seed int64, n int, naive bool) (FuzzScenario, []string, 
 	return spec, violations, err
 }
 
-// PacemakerCanary runs the directed liveness attack — f colluders composing
-// timeout-spam at full cadence with round-entry lying — under one seed and
-// returns the run plus the safety checker's findings. With active false the
-// scenario models the unhardened baseline: the passive pacemaker with the
-// per-peer timeout cap effectively removed, so the spam accumulates in the
-// timeout buffer without bound (watch Result.Pacemakers' PeakPerPeer climb
-// with the run length). With active true the same seed runs the hardened
-// pacemaker — justified round entry, future-window validation, the default
-// per-peer cap, and leader-reputation rotation — which must keep committing
-// with PeakPerPeer bounded by the cap. Callers compare the two arms; both
-// must stay CheckInvariants-clean, because this is a liveness/resource
-// attack, not a safety one.
-func PacemakerCanary(seed int64, n int, active bool) (FuzzScenario, *Result, []string, error) {
+// PacemakerCanary runs the directed liveness attack — f colluders spamming
+// timeouts at full cadence — under one seed and returns the run plus the
+// safety checker's findings. With uncapped true the scenario models the
+// unhardened baseline: the per-peer timeout cap effectively removed, so the
+// spam accumulates in the timeout buffer without bound (watch
+// Result.Pacemakers' PeakPerPeer climb with the run length). With uncapped
+// false the same seed runs the default pacemaker — the default per-peer cap
+// plus leader-reputation rotation — which must keep committing with
+// PeakPerPeer bounded by the cap. Callers compare the two arms; both must
+// stay CheckInvariants-clean, because this is a liveness/resource attack,
+// not a safety one.
+func PacemakerCanary(seed int64, n int, uncapped bool) (FuzzScenario, *Result, []string, error) {
 	f := (n - 1) / 3
 	sub := subSeed(seed, 1<<21) // outside sweep index space and the weakened-rule canary's slot
 	rng := rand.New(rand.NewSource(sub))
@@ -823,21 +810,16 @@ func PacemakerCanary(seed int64, n int, active bool) (FuzzScenario, *Result, []s
 		Verify:        true,
 		Adversaries:   make(map[types.ReplicaID][]adversary.Spec, f),
 	}
-	if active {
-		spec.ActivePacemaker = true
-		spec.LeaderReputation = 8
-	} else {
+	if uncapped {
 		// The pre-hardening buffer had no per-peer bound; an effectively
 		// infinite cap reproduces it while keeping Stats accounting live.
 		spec.PerPeerCap = 1 << 20
+	} else {
+		spec.LeaderReputation = 8
 	}
 	start := rng.Intn(n)
 	for i := 0; i < f; i++ {
-		id := types.ReplicaID((start + i) % n)
-		spec.Adversaries[id] = []adversary.Spec{
-			{Kind: adversary.TimeoutSpam, Every: 1},
-			{Kind: adversary.LieRoundEntry, Every: 2},
-		}
+		spec.Adversaries[types.ReplicaID((start+i)%n)] = []adversary.Spec{{Kind: adversary.TimeoutSpam, Every: 1}}
 	}
 	res, violations, err := RunFuzzScenario(spec)
 	return spec, res, violations, err

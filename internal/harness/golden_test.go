@@ -64,7 +64,15 @@ var goldenPins = map[string]string{
 	// Same change, echo off and the bank on: the restarted replica ended at
 	// 110 of 213 heights, now all seven end at 230.
 	"streamlet-noecho-n7": "129680c5e7510f1f5dda1eed5e469658",
-	"observer-diembft-n7": "a6ecbd046934aba3b066b62598dc427f",
+	// The voters ran the opt-in active pacemaker, which left with its
+	// round-entry message (tag 10); they now run the default one with the same
+	// leader-reputation window. The 22,554 round entries (30,052 messages,
+	// now 7,496) no longer draw simnet jitter, so delivery times and with
+	// them block timestamps and IDs move. What the run reaches does not: six
+	// voters end at round 497 with 481 commits each, the observer at height
+	// 162 with 164 certified blocks; the crashed replica ends at round 412
+	// with 409 commits (was 411 and 408).
+	"observer-diembft-n7": "375c641d3b81d05ea38543620208032c",
 }
 
 func goldenLatency() simnet.LatencyModel {
@@ -219,7 +227,7 @@ func hashMsgStats(h hash.Hash, m simnet.MsgStats) {
 }
 
 // goldenObserverRun feeds one observer engine the traffic of an n=7 DiemBFT
-// cluster (active pacemaker, so RoundEntry certificates flow too) on simnet,
+// cluster (leader reputation on) on simnet,
 // cuts the observer off for a while so it has to buffer orphans and catch up
 // through state sync, and digests the observer's whole output stream next to
 // the voters' commit streams and final rounds.
@@ -250,7 +258,7 @@ func goldenObserverRun(t *testing.T) string {
 				Horizon: 2*n + 16, Payload: payload,
 			},
 			RoundTimeout: 300 * time.Millisecond, MaxCommitLog: 8, PruneKeep: 64,
-			ActivePacemaker: true, LeaderReputationWindow: 8,
+			LeaderReputationWindow: 8,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -93,7 +93,7 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-func TestDefaultWindow(t *testing.T) {
+func TestZeroWindowDefaultsToTwoN(t *testing.T) {
 	m := health.NewMonitor(10, 0) // default 2n
 	m.ObserveQC(qcWith(1, 0))
 	if m.Diversity() != 1 {

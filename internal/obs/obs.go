@@ -74,11 +74,10 @@ type Obs struct {
 	syncRejected   *Counter
 	qcAggregateErr *Counter
 
-	// Pacemaker hardening: rejected timeouts and round entries, by reason.
+	// Pacemaker hardening: rejected timeouts, by reason.
 	// Children are pre-registered per reason so hot-path (and prevalidation
 	// reader-goroutine) increments never touch the registry lock.
 	rejTimeouts map[string]*Counter
-	rejEntries  map[string]*Counter
 
 	// Access tier: strength-subscription gateway fan-out. Subscriber counts
 	// and evictions make the bounded-queue policy observable; the
@@ -93,22 +92,18 @@ type Obs struct {
 	gwBytesOut    *Counter
 }
 
-// Rejection reasons for the pacemaker-hardening counter families. The sets
-// are closed so every child pre-registers; an unknown reason lands on
+// Rejection reasons for the rejected-timeout counter family. The set is
+// closed so every child pre-registers; an unknown reason lands on
 // ReasonOther rather than allocating a new child at runtime.
 const (
 	ReasonStale        = "stale"
-	ReasonFutureWindow = "future-window"
 	ReasonPeerCap      = "peer-cap"
 	ReasonMismatch     = "high-round-mismatch"
-	ReasonNoJustify    = "no-justify"
-	ReasonBadJustify   = "bad-justify"
 	ReasonBadSignature = "bad-signature"
 	ReasonOther        = "other"
 )
 
-var timeoutReasons = []string{ReasonStale, ReasonFutureWindow, ReasonPeerCap, ReasonMismatch, ReasonBadSignature, ReasonOther}
-var entryReasons = []string{ReasonStale, ReasonFutureWindow, ReasonNoJustify, ReasonBadJustify, ReasonBadSignature, ReasonOther}
+var timeoutReasons = []string{ReasonStale, ReasonPeerCap, ReasonMismatch, ReasonBadSignature, ReasonOther}
 
 // New builds an Obs sink with every metric family pre-registered so hot-path
 // hooks never touch the registry lock.
@@ -182,12 +177,6 @@ func New(o Options) *Obs {
 	for _, reason := range timeoutReasons {
 		s.rejTimeouts[reason] = r.Counter("sft_pacemaker_rejected_timeouts_total",
 			"Timeout messages rejected by the pacemaker's validation, by reason.",
-			Label{Key: "reason", Value: reason})
-	}
-	s.rejEntries = make(map[string]*Counter, len(entryReasons))
-	for _, reason := range entryReasons {
-		s.rejEntries[reason] = r.Counter("sft_round_entry_rejected_total",
-			"Round-entry announcements rejected as unjustified, by reason.",
 			Label{Key: "reason", Value: reason})
 	}
 
@@ -437,8 +426,8 @@ func (o *Obs) OnPrevalidate(dropped bool) {
 }
 
 // OnTimeoutRejected records a timeout message the pacemaker validation
-// rejected (stale, beyond the future window, per-peer cap, inconsistent
-// high-round claim, bad signature). Safe from prevalidation goroutines.
+// rejected (stale, per-peer cap, inconsistent high-round claim, bad
+// signature). Safe from prevalidation goroutines.
 func (o *Obs) OnTimeoutRejected(reason string) {
 	if o == nil {
 		return
@@ -446,19 +435,6 @@ func (o *Obs) OnTimeoutRejected(reason string) {
 	c, ok := o.rejTimeouts[reason]
 	if !ok {
 		c = o.rejTimeouts[ReasonOther]
-	}
-	c.Inc()
-}
-
-// OnRoundEntryRejected records a round-entry announcement rejected as
-// unjustified. Safe from prevalidation goroutines.
-func (o *Obs) OnRoundEntryRejected(reason string) {
-	if o == nil {
-		return
-	}
-	c, ok := o.rejEntries[reason]
-	if !ok {
-		c = o.rejEntries[ReasonOther]
 	}
 	c.Inc()
 }
@@ -521,19 +497,6 @@ func (o *Obs) RejectedTimeouts() int64 {
 	}
 	var total int64
 	for _, c := range o.rejTimeouts {
-		total += c.Value()
-	}
-	return total
-}
-
-// RoundEntryRejections returns the total round entries rejected across all
-// reasons.
-func (o *Obs) RoundEntryRejections() int64 {
-	if o == nil {
-		return 0
-	}
-	var total int64
-	for _, c := range o.rejEntries {
 		total += c.Value()
 	}
 	return total

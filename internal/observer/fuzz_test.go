@@ -21,7 +21,6 @@ func FuzzOnMessage(f *testing.F) {
 	enginetest.AddSeeds(f,
 		fx.proposal(b4),
 		&types.Echo{Inner: fx.proposal(b4), Relayer: 1},
-		&types.RoundEntry{Round: 4, Justify: fx.qcFor(tip, 4), Sender: 0},
 		&types.StateSyncResponse{Blocks: []*types.Block{b4}, HighQC: fx.qcFor(b4, 3), Sender: 0},
 	)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,8 +1,8 @@
 // Package observer implements the non-voting follower of the access tier:
 // an engine that consumes the consensus tier's certified-chain traffic
-// (proposals with embedded justify QCs, echoes, round entries, state-sync
-// segments), verifies every signature and certificate itself, and tracks
-// commit strength with the paper's marker rule — without ever voting. Its
+// (proposals with embedded justify QCs, echoes, state-sync segments),
+// verifies every signature and certificate itself, and tracks commit
+// strength with the paper's marker rule — without ever voting. Its
 // vote power is structurally zero: it emits no votes, no timeouts, no
 // proposals; the only messages it sends are catch-up requests.
 //
@@ -185,8 +185,8 @@ func (o *Observer) OnMessage(now time.Duration, from types.ReplicaID, msg types.
 
 // Prevalidate implements engine.Engine: every stateless check the observer
 // makes, safe to run concurrently on transport reader goroutines. Proposals
-// (bare or echoed) get the full proposal check and a round entry's QC is
-// verified; structure always, signatures when VerifySignatures is on.
+// (bare or echoed) get the full proposal check; structure always, signatures
+// when VerifySignatures is on.
 // State-sync segments are never judged here — they are verified link by link
 // on application.
 func (o *Observer) Prevalidate(from types.ReplicaID, msg types.Message) error {
@@ -196,9 +196,6 @@ func (o *Observer) Prevalidate(from types.ReplicaID, msg types.Message) error {
 	}
 	if inner != msg {
 		return fmt.Errorf("observer: echo wraps no proposal")
-	}
-	if e, ok := msg.(*types.RoundEntry); ok && e.Justify != nil {
-		return o.certs.VerifyQC(e.Justify)
 	}
 	return nil
 }
@@ -232,11 +229,6 @@ func (o *Observer) OnVerifiedMessage(now time.Duration, from types.ReplicaID, ms
 		if p, ok := replica.UnwrapEcho(m).(*types.Proposal); ok {
 			o.onProposal(p)
 		}
-	case *types.RoundEntry:
-		// A round entry's QC certifies the previous round's block — feed it
-		// so strength can rise even when the next proposal is still in
-		// flight.
-		o.noteQC(m.Justify)
 	case *types.StateSyncResponse:
 		o.onStateSync(m)
 	}

@@ -248,15 +248,6 @@ var rejections = []struct {
 		}
 		return msg
 	}},
-	{name: "round entry/sub-quorum QC", msg: func(f *fixture) types.Message {
-		return &types.RoundEntry{Round: 4, Justify: f.qcFor(f.chain[3], 2), Sender: 0}
-	}},
-	{name: "round entry/duplicate-voter QC", msg: func(f *fixture) types.Message {
-		return &types.RoundEntry{Round: 4, Justify: f.duplicateQC(f.chain[3]), Sender: 0}
-	}},
-	{name: "round entry/forged QC vote", sigOnly: true, msg: func(f *fixture) types.Message {
-		return &types.RoundEntry{Round: 4, Justify: f.forgedQC(f.chain[3]), Sender: 0}
-	}},
 }
 
 // TestRejectsForgedTraffic drives every malformed class through both doors —
@@ -280,8 +271,8 @@ func TestRejectsForgedTraffic(t *testing.T) {
 }
 
 // TestStateStageNeverVerifies pins the one-stage rule on honest traffic:
-// OnVerifiedMessage checks no signature for proposals, echoed proposals and
-// round entries, and OnMessage checks exactly what Prevalidate alone does.
+// OnVerifiedMessage checks no signature for proposals and echoed proposals,
+// and OnMessage checks exactly what Prevalidate alone does.
 func TestStateStageNeverVerifies(t *testing.T) {
 	ring, _ := crypto.NewKeyRing(4, 7, crypto.SchemeSim) // newFixture's
 	build := func() (*fixture, *enginetest.CountingVerifier) {
@@ -295,7 +286,6 @@ func TestStateStageNeverVerifies(t *testing.T) {
 	msgs := []types.Message{
 		splitFx.proposal(b4),
 		&types.Echo{Inner: splitFx.proposal(b5), Relayer: 1},
-		&types.RoundEntry{Round: 6, Justify: splitFx.qcFor(b5, 4), Sender: 0},
 	}
 	for _, msg := range msgs {
 		start := splitCalls.Calls
@@ -416,23 +406,6 @@ func TestRestartResumesWithoutGaps(t *testing.T) {
 		if second[i] != firstRun[i] {
 			t.Fatalf("commit %d diverges after restart", i)
 		}
-	}
-}
-
-// TestRoundEntryFeedsStrength: a round entry's justify QC raises strength
-// even before the next proposal arrives.
-func TestRoundEntryFeedsStrength(t *testing.T) {
-	f := newFixture(t, observer.Config{VerifySignatures: true})
-	for i := 0; i < 3; i++ {
-		b, _ := f.extend(3)
-		f.deliver(f.proposal(b))
-	}
-	// The QC certifying the chain tip arrives via a round entry.
-	tip := f.chain[len(f.chain)-1]
-	re := &types.RoundEntry{Round: tip.Round + 1, Justify: f.qcFor(tip, 3), Sender: 0}
-	outs := f.deliver(re)
-	if len(commits(outs)) == 0 {
-		t.Fatal("round-entry QC closed a 3-chain but nothing committed")
 	}
 }
 

@@ -1,16 +1,12 @@
 // Package pacemaker implements round synchronization for the DiemBFT
 // engine: round-robin leader election, per-round timeout tracking, and
 // timeout-certificate (2f+1 timeout messages) aggregation, per the
-// synchronization rule of Figure 2.
+// synchronization rule of Figure 2: a timeout carries the sender's high QC,
+// and 2f+1 timeouts for a round end it.
 //
-// Two hardening layers sit on top of the passive baseline. A per-peer cap
+// One hardening layer sits on that baseline and is always on: a per-peer cap
 // bounds how many timeout messages any single sender can keep buffered, so
-// timeout-spam cannot grow the collection maps without bound (the cap holds
-// in both passive and active modes). Active mode (SetActive) additionally
-// enforces a bounded future window — timeouts and round entries beyond
-// Round()+window are rejected outright — and forms verifiable timeout
-// certificates (types.TC) whose attestations justify round entry the way
-// Jolteon-style production pacemakers do.
+// timeout-spam cannot grow the collection maps without bound.
 package pacemaker
 
 import (
@@ -36,13 +32,6 @@ func Leader(r types.Round, n int) types.ReplicaID {
 // during an advance), so a small cap never touches them while turning a
 // spammer's unbounded map growth into a constant.
 const DefaultPerPeerCap = 8
-
-// DefaultWindow is the active-mode future window: timeouts and round entries
-// more than this many rounds ahead of the local round are rejected. Honest
-// peers are never this far ahead of a connected replica — a replica that
-// genuinely lags recovers through certified chain segments (proposals, state
-// sync), not through naked future timeouts.
-const DefaultWindow types.Round = 8
 
 // Stats is a snapshot of the pacemaker's timeout-buffer accounting, the
 // evidence the harness A/B uses to show bounded memory under spam.
@@ -74,10 +63,6 @@ type Pacemaker struct {
 	cap         int
 	peakPerPeer int
 	dropped     uint64
-
-	// active mode: bounded future window (DefaultWindow) for timeouts and
-	// round entries.
-	active bool
 }
 
 // New creates a pacemaker starting at round 1.
@@ -100,20 +85,6 @@ func (p *Pacemaker) SetPerPeerCap(cap int) {
 	if cap >= 1 {
 		p.cap = cap
 	}
-}
-
-// SetActive switches the pacemaker to active mode: round entries are
-// announced and validated, and timeouts beyond Round()+DefaultWindow are
-// rejected.
-func (p *Pacemaker) SetActive() { p.active = true }
-
-// Active reports whether active mode is on.
-func (p *Pacemaker) Active() bool { return p.active }
-
-// WithinWindow reports whether round r is acceptable under the active-mode
-// future window. Passive pacemakers accept everything.
-func (p *Pacemaker) WithinWindow(r types.Round) bool {
-	return !p.active || r <= p.round+DefaultWindow
 }
 
 // Round returns the current round.
@@ -245,22 +216,6 @@ func (p *Pacemaker) releasePeer(sender types.ReplicaID) {
 
 // TimeoutCount returns how many distinct timeout messages are held for r.
 func (p *Pacemaker) TimeoutCount(r types.Round) int { return len(p.timeouts[r]) }
-
-// TCFor assembles the timeout certificate for round r from the buffered
-// timeouts, or nil if fewer than 2f+1 distinct senders are held. The
-// attestations carry each sender's signed (round, high-QC-round) claim, so
-// the certificate verifies standalone (crypto.VerifyTC).
-func (p *Pacemaker) TCFor(r types.Round) *types.TC {
-	m := p.timeouts[r]
-	if len(m) < p.Quorum() {
-		return nil
-	}
-	ts := make([]*types.Timeout, 0, len(m))
-	for _, t := range m {
-		ts = append(ts, t)
-	}
-	return types.NewTC(r, ts)
-}
 
 // Stats returns the timeout-buffer accounting snapshot.
 func (p *Pacemaker) Stats() Stats {

@@ -71,16 +71,6 @@ func TestTimeoutCertificate(t *testing.T) {
 	if p.TimeoutCount(5) != 4 {
 		t.Fatalf("timeout count = %d", p.TimeoutCount(5))
 	}
-	tc := p.TCFor(5)
-	if tc == nil || tc.Round != 5 || len(tc.Attestations) != 4 {
-		t.Fatalf("TCFor(5) = %v", tc)
-	}
-	if err := tc.CheckStructure(p.Quorum()); err != nil {
-		t.Fatalf("formed TC fails structure check: %v", err)
-	}
-	if p.TCFor(6) != nil {
-		t.Fatal("TCFor without quorum must be nil")
-	}
 }
 
 // TestPerPeerCapBoundsSpam is the regression test for the unbounded
@@ -125,23 +115,6 @@ func TestPerPeerCapBoundsSpam(t *testing.T) {
 	}
 	if p.OnTimeout(mkTimeout(3, 20001)) != pacemaker.TimeoutBuffered {
 		t.Fatal("per-peer budget not released by GC")
-	}
-}
-
-func TestActiveWindow(t *testing.T) {
-	p := pacemaker.New(4, 1, time.Second)
-	if !p.WithinWindow(1 << 30) {
-		t.Fatal("passive pacemaker must accept any round")
-	}
-	p.SetActive()
-	if !p.Active() {
-		t.Fatal("SetActive left the pacemaker passive")
-	}
-	if !p.WithinWindow(p.Round() + pacemaker.DefaultWindow) {
-		t.Fatal("in-window round rejected")
-	}
-	if p.WithinWindow(p.Round() + pacemaker.DefaultWindow + 1) {
-		t.Fatal("beyond-window round accepted")
 	}
 }
 

@@ -12,7 +12,6 @@ package replica
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/app"
@@ -155,10 +154,8 @@ type Chassis struct {
 	recovered bool
 	stageErr  error
 
-	// now is the current event's engine time (see Begin). round mirrors the
-	// engine's round for Prevalidate's future-window checks.
-	now   time.Duration
-	round atomic.Int64
+	// now is the current event's engine time (see Begin).
+	now time.Duration
 }
 
 // New builds the chassis. mode keys the strength tracker by round (DiemBFT)
@@ -184,7 +181,6 @@ func New(cfg Config, mode core.Mode, onStrength func(b *types.Block, x int), acc
 		accepted:  accepted,
 		aggregate: crypto.Aggregates(cfg.Verifier),
 	}
-	c.round.Store(1)
 	c.history = core.NewVoteHistory(c.store)
 	c.lastCommitted = c.store.Genesis().ID()
 	if cfg.Rule == RuleSFT || cfg.Rule == RuleNaive {
@@ -251,16 +247,10 @@ func (c *Chassis) Take() []engine.Output {
 	return c.Outs
 }
 
-// EnterRound publishes the engine's round to Prevalidate workers and the
-// observability sink.
+// EnterRound reports the engine's new round to the observability sink.
 func (c *Chassis) EnterRound(round types.Round, viaTimeout bool) {
-	c.round.Store(int64(round))
 	c.cfg.Obs.OnRoundEnter(round, c.now, viaTimeout)
 }
-
-// RoundSnapshot is the round last published by EnterRound. It may lag the
-// event loop by one event but never runs ahead (rounds never regress).
-func (c *Chassis) RoundSnapshot() types.Round { return types.Round(c.round.Load()) }
 
 // EmitStrength announces that b reached strength x, unless Restore is
 // replaying (recovery reinstates levels already reached pre-crash; they are

@@ -3,7 +3,6 @@ package streamlet
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/pacemaker"
 	"repro/internal/replica"
 	"repro/internal/types"
@@ -61,16 +60,6 @@ func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 	}
 	if p.Block.Round != p.Round || p.Block.Proposer != p.Sender {
 		return fmt.Errorf("streamlet: proposal round/proposer mismatch")
-	}
-	if w := r.cfg.ProposalWindow; w > 0 {
-		// The round snapshot only ever lags the event loop (rounds never
-		// regress), so a drop here is at worst over-cautious by one event and
-		// the state stage re-judges anything that passes. Checked before the
-		// signature so far-future spam costs a comparison, not verification.
-		if cur := r.RoundSnapshot(); p.Round > cur+w {
-			r.cfg.Obs.OnRoundEntryRejected(obs.ReasonFutureWindow)
-			return fmt.Errorf("streamlet: proposal for round %d beyond window (at %d)", p.Round, cur)
-		}
 	}
 	if pacemaker.Leader(p.Round, r.cfg.N) != p.Sender {
 		return fmt.Errorf("streamlet: proposal from non-leader %v", p.Sender)

@@ -132,8 +132,7 @@ func newDoorFixture(t testing.TB, verifier crypto.Verifier, verify bool, sink *o
 			Signer: ring.Signer(3), Verifier: verifier, VerifySignatures: verify,
 			Obs: sink,
 		},
-		Delta:          50 * time.Millisecond,
-		ProposalWindow: 4,
+		Delta: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,15 +187,13 @@ func fingerprint(e engine.Engine) string {
 		r.Round(), r.Store().HighQC().Round, r.CommittedHeight(), r.Store().Len(), len(r.Votes))
 }
 
-// rejections is the table: each malformed class, the sender it claims to
-// come from, and the by-reason counter it lands on ("" where the class has
-// none). sigOnly classes are skipped with verification off.
+// rejections is the table: each malformed class and the sender it claims to
+// come from. sigOnly classes are skipped with verification off.
 var rejections = []struct {
 	name    string
 	sigOnly bool
 	from    types.ReplicaID
 	msg     func(fx *doorFixture) types.Message
-	reason  string
 }{
 	{name: "proposal/nil block", from: 2, msg: func(fx *doorFixture) types.Message {
 		return &types.Proposal{Round: 3, Sender: 2, Signature: []byte{1}}
@@ -213,9 +210,6 @@ var rejections = []struct {
 	}},
 	{name: "proposal/wrong leader", from: 0, msg: func(fx *doorFixture) types.Message {
 		return fx.proposal(fx.block(3, 0))
-	}},
-	{name: "proposal/beyond the proposal window", from: 1, reason: "entry:" + obs.ReasonFutureWindow, msg: func(fx *doorFixture) types.Message {
-		return fx.proposal(fx.block(102, 1))
 	}},
 	{name: "proposal/forged signature", sigOnly: true, from: 2, msg: func(fx *doorFixture) types.Message {
 		p := fx.proposal(fx.block(3, 2))
@@ -246,8 +240,8 @@ var rejections = []struct {
 
 // TestRejectionTable drives every malformed class through both doors —
 // OnMessage; Prevalidate then OnVerifiedMessage only if it passed — with
-// verification on and off: no outputs, no state change, and the rejection
-// counted once under the same reason whichever door the message took.
+// verification on and off: no outputs, no state change, and no rejection
+// counter moved whichever door the message took.
 func TestRejectionTable(t *testing.T) {
 	for _, rj := range rejections {
 		for _, verify := range []bool{true, false} {
@@ -258,7 +252,7 @@ func TestRejectionTable(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/verify=%v/split=%v", rj.name, verify, split), func(t *testing.T) {
 					sink := obs.New(obs.Options{N: 4, F: 1})
 					fx := newDoorFixture(t, nil, verify, sink)
-					enginetest.CheckRejected(t, fx.rep, split, rj.from, rj.msg(fx), fingerprint, sink, rj.reason)
+					enginetest.CheckRejected(t, fx.rep, split, rj.from, rj.msg(fx), fingerprint, sink, "")
 				})
 			}
 		}

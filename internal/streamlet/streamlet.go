@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/pacemaker"
 	"repro/internal/replica"
 	"repro/internal/types"
@@ -31,14 +30,6 @@ type Config struct {
 	// the sender's broadcast alone (fine on the simulator's reliable
 	// links, and much cheaper for large n).
 	DisableEcho bool
-
-	// ProposalWindow, when > 0, drops proposals more than this many rounds
-	// ahead of the local lock-step round — at prevalidation where possible,
-	// so spammed far-future proposals cost a comparison instead of signature
-	// work and orphan-buffer memory. Streamlet rounds are wall-clock slots,
-	// so honest proposals only run ahead by clock skew; 0 keeps the
-	// permissive baseline (and existing fixed-seed runs bit-identical).
-	ProposalWindow types.Round
 }
 
 // Replica is one Streamlet (optionally SFT-Streamlet) replica engine. The
@@ -307,15 +298,6 @@ func (r *Replica) maybePropose() {
 func (r *Replica) onProposal(p *types.Proposal) {
 	if id := p.Block.ID(); r.seenProp[id] || r.Store().Has(id) {
 		return // seen as a proposal, or installed by catch-up
-	}
-	if w := r.cfg.ProposalWindow; w > 0 && p.Round > r.round+w {
-		// Bounded future window: an honest leader's proposal is at most a
-		// clock skew ahead of our lock-step slot; a far-future round number
-		// is spam angling for unbounded orphan buffering. Prevalidate drops
-		// these against the round snapshot before the signature check; the
-		// snapshot may lag, so the exact test is repeated here.
-		r.cfg.Obs.OnRoundEntryRejected(obs.ReasonFutureWindow)
-		return
 	}
 	r.seenProp[p.Block.ID()] = true
 	r.echo(p)

@@ -77,7 +77,6 @@ func TestMessageRoundTripAllTypes(t *testing.T) {
 		&types.ExtraVote{Vote: types.Vote{Round: 4}, Leader: 0},
 		&types.StateSyncRequest{Have: 3, Sender: 0},
 		&types.StateSyncResponse{Blocks: []*types.Block{blk}, HighQC: types.NewGenesisQC(g.ID()), Sender: 0},
-		&types.RoundEntry{Round: 2, Justify: types.NewGenesisQC(g.ID()), Sender: 0, Signature: []byte("s")},
 	}
 	for _, m := range msgs {
 		if err := a.Send(1, m); err != nil {

@@ -11,8 +11,7 @@ import (
 // package touches it. RegisterMessages survives only because the benchmark's
 // types.proposal_gob_encode_us probe (bench/probes.go, which this repository's
 // changes may not edit) still gob-encodes a *types.Proposal and calls it
-// first. It goes, with the GobEncode shims on types.QC, types.TC and
-// intervals.Set, when a benchmark issue retires that probe.
+// first. It goes, with the GobEncode shims on types.QC and intervals.Set, when a benchmark issue retires that probe.
 
 var registerOnce sync.Once
 
@@ -27,6 +26,5 @@ func RegisterMessages() {
 		gob.Register(&types.ExtraVote{})
 		gob.Register(&types.StateSyncRequest{})
 		gob.Register(&types.StateSyncResponse{})
-		gob.Register(&types.RoundEntry{})
 	})
 }

@@ -503,12 +503,11 @@ func (n *Net) mirror(frame []byte) {
 }
 
 // mirrorable limits mirroring to the certified-chain traffic an observer
-// follows: proposals (blocks + embedded justify QCs), echoes of proposals,
-// and round entries (QC/TC round-advance justifications). Votes and sync
-// chatter stay between voting peers.
+// follows: proposals (blocks + embedded justify QCs) and echoes of
+// proposals. Votes, timeouts and sync chatter stay between voting peers.
 func mirrorable(msg types.Message) bool {
 	switch msg.(type) {
-	case *types.Proposal, *types.Echo, *types.RoundEntry:
+	case *types.Proposal, *types.Echo:
 		return true
 	}
 	return false

@@ -19,7 +19,9 @@ const (
 	_
 	MsgStateSyncRequest
 	MsgStateSyncResponse
-	MsgRoundEntry // active pacemaker: justified round-entry announcement
+	// Tag 10 carried the round entry of a removed pacemaker mode. It is
+	// retired the same way; the blank keeps the next new tag off it.
+	_
 )
 
 // Message is the interface implemented by every consensus wire message.
@@ -89,10 +91,7 @@ func (m *VoteMsg) String() string { return m.Vote.String() }
 type Timeout struct {
 	Round  Round
 	HighQC *QC
-	// HighRound duplicates HighQC.Round under the signature, so a timeout
-	// certificate can carry just the 2f+1 (sender, high-round, signature)
-	// attestations — verifiable without shipping 2f+1 full QCs — and bound
-	// the next leader's proposal by the highest attested QC round. Receivers
+	// HighRound duplicates HighQC.Round under the signature. Receivers
 	// reject timeouts whose HighRound disagrees with the embedded HighQC.
 	HighRound Round
 	Sender    ReplicaID
@@ -111,21 +110,13 @@ func (t *Timeout) Size() int {
 	return n
 }
 
-// TimeoutSigningPayload appends the bytes a replica signs for a timeout of
-// round r claiming highest QC round high, and returns the extended slice.
-// Shared by Timeout.SigningPayload and TC attestation verification, which
-// reconstructs the same payload from the attestation fields alone.
-func TimeoutSigningPayload(b []byte, r Round, sender ReplicaID, high Round) []byte {
-	b = append(b, "timeout/"...)
-	b = AppendUint64(b, uint64(r))
-	b = AppendUint32(b, uint32(sender))
-	b = AppendUint64(b, uint64(high))
-	return b
-}
-
-// SigningPayload returns the bytes the sender signs.
+// SigningPayload returns the bytes the sender signs: round, sender and the
+// claimed high-QC round.
 func (t *Timeout) SigningPayload() []byte {
-	return TimeoutSigningPayload(make([]byte, 0, 32), t.Round, t.Sender, t.HighRound)
+	b := append(make([]byte, 0, 32), "timeout/"...)
+	b = AppendUint64(b, uint64(t.Round))
+	b = AppendUint32(b, uint32(t.Sender))
+	return AppendUint64(b, uint64(t.HighRound))
 }
 
 // String renders the timeout for logs.
@@ -226,67 +217,4 @@ func (m *ExtraVote) Size() int { return 1 + 4 + m.Vote.Size() }
 // String renders the message for logs.
 func (m *ExtraVote) String() string {
 	return fmt.Sprintf("extravote{%v via %s}", m.Vote, m.Leader)
-}
-
-// RoundEntry announces justified entry into a round (the active pacemaker's
-// Jolteon-style advance message): exactly one of Justify (a QC for round
-// Round-1) or TC (a timeout certificate for round Round-1) proves the sender
-// entered Round legally. Replicas reject entries whose justification does not
-// prove the advance, so a liar cannot drag honest replicas into future views.
-type RoundEntry struct {
-	Round     Round
-	Justify   *QC // QC path: certifies round Round-1
-	TC        *TC // TC path: 2f+1 timeouts for round Round-1
-	Sender    ReplicaID
-	Signature []byte
-}
-
-// Type implements Message.
-func (e *RoundEntry) Type() MsgType { return MsgRoundEntry }
-
-// Size implements Message.
-func (e *RoundEntry) Size() int {
-	n := 1 + 8 + 4 + len(e.Signature)
-	if e.Justify != nil {
-		n += e.Justify.Size()
-	}
-	if e.TC != nil {
-		n += e.TC.Size()
-	}
-	return n
-}
-
-// SigningPayload returns the bytes the sender signs: round, sender, and the
-// justification's identity (kind, round, and — for the QC path — the
-// certified block), so a signature cannot be replayed onto a different
-// justification.
-func (e *RoundEntry) SigningPayload() []byte {
-	b := make([]byte, 0, 64)
-	b = append(b, "entry/"...)
-	b = AppendUint64(b, uint64(e.Round))
-	b = AppendUint32(b, uint32(e.Sender))
-	switch {
-	case e.Justify != nil:
-		b = append(b, 1)
-		b = AppendUint64(b, uint64(e.Justify.Round))
-		b = append(b, e.Justify.Block[:]...)
-	case e.TC != nil:
-		b = append(b, 2)
-		b = AppendUint64(b, uint64(e.TC.Round))
-	default:
-		b = append(b, 0)
-	}
-	return b
-}
-
-// String renders the entry for logs.
-func (e *RoundEntry) String() string {
-	switch {
-	case e.Justify != nil:
-		return fmt.Sprintf("entry{r%d by %s, qc r%d}", e.Round, e.Sender, e.Justify.Round)
-	case e.TC != nil:
-		return fmt.Sprintf("entry{r%d by %s, tc r%d}", e.Round, e.Sender, e.TC.Round)
-	default:
-		return fmt.Sprintf("entry{r%d by %s, unjustified}", e.Round, e.Sender)
-	}
 }

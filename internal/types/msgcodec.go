@@ -2,13 +2,13 @@ package types
 
 import "fmt"
 
-// This file is the wire codec for the eight consensus messages: a one-byte
+// This file is the wire codec for the seven consensus messages: a one-byte
 // MsgType tag followed by a body assembled from the pinned encodings the
-// package already defines (Block.AppendEncoding, QC.Encode, TC.Encode,
-// Vote.Encode). internal/tcpnet frames these bytes; doc.go holds the layout
-// table. Optional pointers (a proposal's block, a timeout's high QC, a round
-// entry's justification) are a presence byte 0/1 followed by the value, so a
-// nil field survives the round trip and receivers reject it as before.
+// package already defines (Block.AppendEncoding, QC.Encode, Vote.Encode).
+// internal/tcpnet frames these bytes; doc.go holds the layout table. Optional
+// pointers (a proposal's block, a timeout's high QC) are a presence byte 0/1
+// followed by the value, so a nil field survives the round trip and receivers
+// reject it as before.
 //
 // Like the other decoders here, DecodeMessage accepts non-canonical input
 // (interval sets normalize on decode), so byte identity with the input is
@@ -27,7 +27,7 @@ const MaxEchoDepth = 8
 const minBlockEncoding = 6 + 32 + 1 + 8 + 8 + 4 + 8 + 8 + 4
 
 // AppendMessage appends m's type tag and body to b. It fails only for a nil
-// interface, a message type outside the eight this package defines, or a sync
+// interface, a message type outside the seven this package defines, or a sync
 // response holding a nil block.
 func AppendMessage(b []byte, m Message) ([]byte, error) {
 	switch m := m.(type) {
@@ -65,17 +65,6 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		b = AppendUint32(b, uint32(m.Sender))
 		b = appendOptQC(b, m.HighQC)
 		return appendBlocks(b, m.Blocks)
-	case *RoundEntry:
-		b = append(b, byte(MsgRoundEntry))
-		b = AppendUint64(b, uint64(m.Round))
-		b = appendOptQC(b, m.Justify)
-		if m.TC != nil {
-			b = m.TC.Encode(append(b, 1))
-		} else {
-			b = append(b, 0)
-		}
-		b = AppendUint32(b, uint32(m.Sender))
-		return AppendBytes(b, m.Signature), nil
 	}
 	return nil, fmt.Errorf("types: cannot encode message %T", m)
 }
@@ -132,13 +121,6 @@ func (r *msgReader) message(depth int) Message {
 		return &StateSyncRequest{Have: Height(r.u64()), Sender: ReplicaID(r.u32())}
 	case MsgStateSyncResponse:
 		return &StateSyncResponse{Sender: ReplicaID(r.u32()), HighQC: r.optQC(), Blocks: r.blocks()}
-	case MsgRoundEntry:
-		m := &RoundEntry{Round: Round(r.u64()), Justify: r.optQC()}
-		if r.flag() {
-			m.TC = consume(r, DecodeTC)
-		}
-		m.Sender, m.Signature = ReplicaID(r.u32()), r.sig()
-		return m
 	}
 	r.err = fmt.Errorf("types: unknown message tag %d", tag)
 	return nil

@@ -2,6 +2,7 @@ package types_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,9 +85,6 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		{"state sync response", &types.StateSyncResponse{Blocks: []*types.Block{small, empty, big}, HighQC: compactQC, Sender: 0}},
 		{"state sync response/nil high qc", &types.StateSyncResponse{Blocks: []*types.Block{empty}, Sender: 0}},
 		{"state sync response/no blocks", &types.StateSyncResponse{Sender: 1}},
-		{"round entry/qc", &types.RoundEntry{Round: 8, Justify: compactQC, Sender: 2, Signature: []byte("e")}},
-		{"round entry/tc", &types.RoundEntry{Round: 10, TC: seedTC(), Sender: 2, Signature: []byte("e")}},
-		{"round entry/unjustified", &types.RoundEntry{Round: 10, Sender: 2}},
 	}
 	seen := map[types.MsgType]bool{}
 	for _, tc := range cases {
@@ -118,8 +116,8 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 			}
 		})
 	}
-	if len(seen) != 8 {
-		t.Fatalf("table covers %d message types, want all 8", len(seen))
+	if len(seen) != 7 {
+		t.Fatalf("table covers %d message types, want all 7", len(seen))
 	}
 }
 
@@ -157,21 +155,36 @@ func TestMessageCodecRejects(t *testing.T) {
 	}
 }
 
-// retiredFrames returns well-formed bodies of the two message types that left
-// the wire, as the last commit that spoke them encoded them: tag 6 (block,
-// have, sender) and tag 7 (sender, block count, blocks).
+// retiredFrames returns well-formed bodies of the message types that left the
+// wire, as the last commit that spoke them encoded them: tag 6 (block, have,
+// sender), tag 7 (sender, block count, blocks) and tag 10, the round entry
+// (round, optional QC, optional timeout certificate, sender, signature) in its
+// QC-justified, TC-justified and unjustified forms.
 func retiredFrames() [][]byte {
 	id := seedBlock().ID()
 	req := append([]byte{6}, id[:]...)
 	req = types.AppendUint32(types.AppendUint64(req, 17), 2)
 	resp := seedBlock().AppendEncoding(types.AppendUint32(types.AppendUint32([]byte{7}, 1), 1))
-	return [][]byte{req, resp, {6}, {7}}
+
+	entryQC := mkCompactQC(0, 1, 2).Encode(append(types.AppendUint64([]byte{10}, 8), 1))
+	entryQC = types.AppendBytes(types.AppendUint32(append(entryQC, 0), 2), []byte("e"))
+	// The certificate: magic, round, attestation count, then (sender, high
+	// round, signature) per attester in ascending sender order.
+	tc := types.AppendUint32(types.AppendUint64([]byte("tc/"), 9), 3)
+	for _, a := range []struct{ sender, high uint64 }{{0, 5}, {2, 7}, {5, 8}} {
+		tc = types.AppendUint64(types.AppendUint32(tc, uint32(a.sender)), a.high)
+		tc = types.AppendBytes(tc, []byte(fmt.Sprintf("sig-%d", a.sender)))
+	}
+	entryTC := append(append(types.AppendUint64([]byte{10}, 10), 0, 1), tc...)
+	entryTC = types.AppendBytes(types.AppendUint32(entryTC, 2), nil)
+	entryBare := types.AppendBytes(types.AppendUint32(append(types.AppendUint64([]byte{10}, 10), 0, 0), 2), nil)
+	return [][]byte{req, resp, {6}, {7}, entryQC, entryTC, entryBare, {10}}
 }
 
-// TestRetiredTagsRejected: tags 6 and 7 are never reused — a body that starts
-// with either is an unknown tag — and the tags that outlived them keep their
-// numbers, so a peer at an older commit and one at this commit agree on
-// every frame both still speak.
+// TestRetiredTagsRejected: tags 6, 7 and 10 are never reused — a body that
+// starts with any of them is an unknown tag — and the tags that outlived them
+// keep their numbers, so a peer at an older commit and one at this commit
+// agree on every frame both still speak.
 func TestRetiredTagsRejected(t *testing.T) {
 	for _, frame := range retiredFrames() {
 		m, err := types.DecodeMessage(frame)
@@ -181,13 +194,13 @@ func TestRetiredTagsRejected(t *testing.T) {
 	}
 	for tag, want := range map[types.MsgType]uint8{
 		types.MsgProposal: 1, types.MsgVote: 2, types.MsgTimeout: 3, types.MsgEcho: 4, types.MsgExtraVote: 5,
-		types.MsgStateSyncRequest: 8, types.MsgStateSyncResponse: 9, types.MsgRoundEntry: 10,
+		types.MsgStateSyncRequest: 8, types.MsgStateSyncResponse: 9,
 	} {
 		if uint8(tag) != want {
 			t.Fatalf("message tag renumbered: got %d, want %d", tag, want)
 		}
 	}
-	for _, m := range []types.Message{&types.StateSyncRequest{}, &types.StateSyncResponse{}, &types.RoundEntry{}} {
+	for _, m := range []types.Message{&types.StateSyncRequest{}, &types.StateSyncResponse{}} {
 		if e := encodeMessage(t, m); types.MsgType(e[0]) != m.Type() {
 			t.Fatalf("%T encodes under tag %d, Type() says %d", m, e[0], m.Type())
 		}
@@ -228,8 +241,6 @@ func FuzzDecodeMessage(f *testing.F) {
 		&types.ExtraVote{Vote: seedVote(), Leader: 4},
 		&types.StateSyncRequest{Have: 3, Sender: 9},
 		&types.StateSyncResponse{Blocks: []*types.Block{seedBlock(), types.Genesis()}, HighQC: mkCompactQC(0, 1, 2), Sender: 0},
-		&types.RoundEntry{Round: 8, Justify: mkCompactQC(0, 1, 2), Sender: 2, Signature: []byte("e")},
-		&types.RoundEntry{Round: 10, TC: seedTC(), Sender: 2},
 	}
 	for _, m := range seeds {
 		e := encodeMessage(f, m)

@@ -300,7 +300,7 @@ func decodeCompactQC(q *QC, b []byte, appHash [32]byte) ([]byte, error) {
 
 // GobEncode routes encoding/gob through the pinned QC encoding. Dead on the
 // wire: the TCP transport frames the pinned encodings directly
-// (msgcodec.go). It stays, with TC's and intervals.Set's, only because the
+// (msgcodec.go). It stays, with intervals.Set's, only because the
 // benchmark's types.proposal_gob_encode_us probe still gob-encodes a
 // proposal; it goes when a benchmark issue retires that probe.
 func (q *QC) GobEncode() ([]byte, error) { return q.Encode(nil), nil }

@@ -154,49 +154,6 @@ func FuzzDecodeCompactQC(f *testing.F) {
 	})
 }
 
-func seedTC() *types.TC {
-	timeouts := []*types.Timeout{
-		{Round: 9, HighRound: 7, Sender: 2, Signature: []byte("sig-2")},
-		{Round: 9, HighRound: 5, Sender: 0, Signature: []byte("sig-0")},
-		{Round: 9, HighRound: 8, Sender: 5, Signature: []byte("sig-5")},
-	}
-	return types.NewTC(9, timeouts)
-}
-
-// FuzzDecodeTC drives the timeout-certificate decoder: TCs arrive inside
-// RoundEntry announcements from arbitrary peers, so the codec faces
-// attacker-controlled bytes before any signature check runs. Same contract
-// as the other decoders — never panic, never over-allocate on a corrupt
-// attestation count, and decode→encode must reach a fixpoint.
-func FuzzDecodeTC(f *testing.F) {
-	tc := seedTC()
-	f.Add(tc.Encode(nil))
-	f.Add((&types.TC{Round: 3}).Encode(nil))
-	f.Add(tc.Encode(nil)[:20]) // truncated inside the first attestation
-	f.Add([]byte("tc/"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tc, rest, err := types.DecodeTC(data)
-		if err != nil {
-			return
-		}
-		if len(rest) > len(data) {
-			t.Fatalf("decoder returned more bytes than it was given")
-		}
-		e1 := tc.Encode(nil)
-		tc2, tail, err := types.DecodeTC(e1)
-		if err != nil || len(tail) != 0 {
-			t.Fatalf("canonical re-encoding failed to decode: %v (%d trailing)", err, len(tail))
-		}
-		if e2 := tc2.Encode(nil); !bytes.Equal(e1, e2) {
-			t.Fatalf("encode not a fixpoint:\n e1: %x\n e2: %x", e1, e2)
-		}
-		if tc2.MaxHighRound() != tc.MaxHighRound() {
-			t.Fatal("re-decoded TC computes a different MaxHighRound")
-		}
-	})
-}
-
 func FuzzDecodeBlock(f *testing.F) {
 	f.Add(seedBlock().AppendEncoding(nil))
 	f.Add(types.Genesis().AppendEncoding(nil))

@@ -75,7 +75,7 @@ if [ -n "$bad" ]; then
 fi
 for fam in sft_commits_total sft_rounds_total sft_round sft_votes_sent_total \
     sft_commit_latency_seconds_bucket sft_net_frames_total sft_net_send_dropped_total sft_qcs_observed_total \
-    sft_pacemaker_rejected_timeouts_total sft_round_entry_rejected_total; do
+    sft_pacemaker_rejected_timeouts_total; do
     if ! grep -q "^$fam" <<<"$metrics"; then
         echo "FAIL: metric family $fam missing from /metrics"
         exit 1

@@ -21,7 +21,7 @@ import (
 // adding voting weight. Three pieces compose:
 //
 //   - ObserverNode: a non-voting follower of the consensus tier. It consumes
-//     the committee's own traffic (proposals, QCs, round entries, state-sync
+//     the committee's own traffic (proposals with their QCs, state-sync
 //     segments), verifies every signature and certificate itself, and derives
 //     the same commit/strength event stream a voting replica reports —
 //     without ever voting. Run any number of them; replicas treat them as

@@ -103,8 +103,9 @@ type Node struct {
 	cfg  Config
 	rule CommitRule
 	eng  engine.Engine
-	// build makes an engine over a journal (nil without WithWAL). New builds
-	// every node with it, and a Simnet restart every later incarnation.
+	// build makes an engine over a journal, which is nil without WithWAL.
+	// New sets it for every node and builds the first engine with it; a
+	// Simnet restart builds every later incarnation.
 	build func(*core.Journal) (engine.Engine, error)
 
 	// Exactly one of rt/world is set, per the transport.

@@ -321,35 +321,28 @@ func WithPruneKeep(keep Height) Option {
 	return func(s *settings) { s.pruneKeep = keep }
 }
 
-// PacemakerConfig hardens DiemBFT round synchronization against liveness
-// attacks (WithPacemaker).
+// PacemakerConfig tunes DiemBFT's one pacemaker, the paper's passive round
+// synchronization (WithPacemaker).
 type PacemakerConfig struct {
-	// Active turns on justified round entry: every round advance broadcasts
-	// a RoundEntry whose QC-or-TC justification peers validate before
-	// following, and timeouts claiming rounds more than 8 ahead of the local
-	// round are dropped at prevalidation.
-	Active bool
 	// PerPeerTimeoutCap bounds buffered timeout messages per peer (0 =
-	// default 8). Enforced in passive mode too, so timeout-spam cannot
-	// exhaust memory either way.
+	// default 8), so timeout-spam cannot exhaust memory.
 	PerPeerTimeoutCap int
 	// LeaderReputation, when > 0, skips leaders whose most recent slot in
 	// the last LeaderReputation rounds timed out (visible as round gaps on
 	// the proposal's own justify ancestry), until they certify a block
 	// again. Deterministic and WAL-recovery free, but it changes leader
-	// schedules: with it off (the default), fixed-seed runs are bit-identical
-	// to the passive baseline.
+	// schedules: with it off (the default), leaders rotate round robin.
 	LeaderReputation Round
 }
 
-// WithPacemaker configures the attack-hardened active pacemaker (DiemBFT
-// only). The zero config is the passive paper baseline.
+// WithPacemaker tunes the DiemBFT pacemaker (DiemBFT only). The zero config
+// is the default: the paper's passive round synchronization with the
+// per-peer timeout cap at 8 and round-robin leaders.
 //
-// Determinism contract: a fixed-seed simulation pins bit-identical to the
-// passive baseline as long as LeaderReputation is off — Active mode only
-// adds validated messages and rejections, it never changes what honest
-// replicas do on an honest schedule. Turning LeaderReputation on changes
-// leader schedules (that is its purpose) but remains deterministic per seed.
+// Determinism contract: every config is deterministic per seed. The default
+// cap sits above the couple of timeouts an honest peer ever has in flight,
+// so it drops only spam; turning LeaderReputation on changes leader
+// schedules, which is its purpose.
 func WithPacemaker(cfg PacemakerConfig) Option {
 	return func(s *settings) {
 		if cfg.PerPeerTimeoutCap < 0 || cfg.LeaderReputation < 0 {

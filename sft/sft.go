@@ -129,13 +129,9 @@ const (
 	// AdversaryDuplicate re-sends outbound transmissions with probability P.
 	AdversaryDuplicate = adversary.Duplicate
 	// AdversaryTimeoutSpam floods peers with validly signed far-future
-	// timeouts — the buffer-exhaustion attack WithPacemaker's future window
-	// and per-peer cap bound.
+	// timeouts — the buffer-exhaustion attack the pacemaker's per-peer cap
+	// bounds (PacemakerConfig.PerPeerTimeoutCap).
 	AdversaryTimeoutSpam = adversary.TimeoutSpam
-	// AdversaryLieRoundEntry broadcasts round-entry announcements with
-	// missing, mismatched, or fabricated justification — the round-dragging
-	// attack justified round entry rejects.
-	AdversaryLieRoundEntry = adversary.LieRoundEntry
 	// AdversaryWrongAppHash re-signs the replica's votes over a fabricated
 	// execution state root — the state-fork attack execute-before-vote
 	// certification exists to catch. Honest leaders drop the mismatching
@@ -420,7 +416,6 @@ func (s *settings) builder(cfg Config, ring *KeyRing, verify bool, rule CommitRu
 		MaxCommitLog:   s.maxCommitLog,
 		PruneKeep:      s.pruneKeep,
 
-		ActivePacemaker:        s.pacemaker.Active,
 		PerPeerTimeoutCap:      s.pacemaker.PerPeerTimeoutCap,
 		LeaderReputationWindow: s.pacemaker.LeaderReputation,
 	}
