@@ -376,8 +376,8 @@ func (r *Result) PacemakerPeak() (peak int, dropped uint64) {
 // safe (the attack forges no protocol content, so the invariant checkers run
 // at t=0), the default arm must keep committing with its worst per-peer
 // timeout buffer bounded by the cap, and the uncapped arm must exhibit the
-// unbounded buffer growth the cap removes. Defaults to the acceptance shape (n=7, f=2, 10 virtual seconds)
-// rather than paper scale.
+// unbounded buffer growth the cap removes. Defaults to the acceptance shape
+// (n=7, f=2, 10 virtual seconds) rather than paper scale.
 func LivenessAttack(sc Scale) (*LivenessAttackResult, error) {
 	if sc.N == 0 {
 		sc.N, sc.F = 7, 2
