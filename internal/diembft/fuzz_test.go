@@ -24,6 +24,7 @@ func FuzzOnMessage(f *testing.F) {
 		&types.VoteMsg{Vote: fx.vote(b3, 0)},
 		&types.ExtraVote{Vote: fx.vote(fx.b2, 2), Leader: 0},
 		fx.timeout(&types.Timeout{Round: 2, HighQC: fx.qc2, HighRound: 2, Sender: 0}),
+		fx.timeout(&types.Timeout{Round: 2, Sender: 0}),
 		statesync.NewRequest(0, 0),
 		&types.StateSyncResponse{Blocks: []*types.Block{b3}, HighQC: fx.cert(b3, 0, 1, 2), Sender: 0},
 	)

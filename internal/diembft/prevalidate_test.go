@@ -336,28 +336,58 @@ var rejections = []rejection{
 	{name: "timeout/forged high QC vote", sigOnly: true, from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
 		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.forgedCert(fx.b2), HighRound: 2, Sender: 0})
 	}},
+	{name: "timeout/no high QC, forged sender signature", sigOnly: true, from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		t := fx.timeout(&types.Timeout{Round: 2, Sender: 0})
+		t.Signature = fx.ring.Signer(1).Sign(t.SigningPayload())
+		return t
+	}},
+
+	// Well-formed and genuinely signed, so Prevalidate passes them: the state
+	// stage is what turns them away.
+	{name: "proposal/stale round", from: 0, msg: func(fx *doorFixture) types.Message {
+		g := types.Genesis()
+		return fx.proposal(types.NewBlock(g.ID(), types.NewGenesisQC(g.ID()), 1, 1, 0, 9, types.Payload{}, nil))
+	}},
+	{name: "proposal/replayed block", from: 1, msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(fx.b2)
+	}},
+	{name: "vote/for another collector", from: 0, msg: func(fx *doorFixture) types.Message {
+		return &types.VoteMsg{Vote: fx.vote(fx.b2, 0)} // round-2 votes go to replica 2
+	}},
+	{name: "extra vote/outside the FBFT baseline", from: 0, msg: func(fx *doorFixture) types.Message {
+		return &types.ExtraVote{Vote: fx.vote(fx.b2, 0), Leader: 2}
+	}},
+	{name: "timeout/stale round", from: 0, reason: "timeout:" + obs.ReasonStale, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: 1, HighQC: fx.qc1, HighRound: 1, Sender: 0})
+	}},
 }
 
 // TestRejectionTable drives every malformed proposal, vote and timeout class
 // through both doors — OnMessage; Prevalidate then OnVerifiedMessage only if
-// it passed — with verification on and off: no outputs, no state change, and
-// the rejection counted once under the same reason whichever door the
-// message took.
+// it passed — with verification on and off, under round-robin leaders and
+// under leader reputation (whose leader check is the state stage's, not
+// Prevalidate's): no outputs, no state change, and the rejection counted once
+// under the same reason whichever door the message took.
 func TestRejectionTable(t *testing.T) {
 	for _, rj := range rejections {
 		for _, verify := range []bool{true, false} {
 			if rj.sigOnly && !verify {
 				continue
 			}
-			for _, split := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/verify=%v/split=%v", rj.name, verify, split), func(t *testing.T) {
-					sink := obs.New(obs.Options{N: 4, F: 1})
-					fx := newDoorFixture(t, nil, func(c *diembft.Config) {
-						c.VerifySignatures = verify
-						c.Obs = sink
+			for _, reputation := range []bool{false, true} {
+				for _, split := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/verify=%v/reputation=%v/split=%v", rj.name, verify, reputation, split), func(t *testing.T) {
+						sink := obs.New(obs.Options{N: 4, F: 1})
+						fx := newDoorFixture(t, nil, func(c *diembft.Config) {
+							c.VerifySignatures = verify
+							c.Obs = sink
+							if reputation {
+								c.LeaderReputationWindow = 8
+							}
+						})
+						enginetest.CheckRejected(t, fx.rep, split, rj.from, rj.msg(fx), fingerprint, sink, rj.reason)
 					})
-					enginetest.CheckRejected(t, fx.rep, split, rj.from, rj.msg(fx), fingerprint, sink, rj.reason)
-				})
+				}
 			}
 		}
 	}

@@ -235,8 +235,37 @@ var rejections = []struct {
 	{name: "proposal/forged justify vote", sigOnly: true, msg: func(f *fixture) types.Message {
 		return f.proposal(f.child(f.forgedQC(f.chain[3])))
 	}},
+	{name: "proposal/replayed block", msg: func(f *fixture) types.Message {
+		return f.proposal(f.chain[3])
+	}},
+	{name: "echo/nil justify", msg: func(f *fixture) types.Message {
+		return &types.Echo{Inner: f.proposal(f.child(nil)), Relayer: 1}
+	}},
+	{name: "echo/justify does not certify parent", msg: func(f *fixture) types.Message {
+		return &types.Echo{Inner: f.proposal(f.child(f.qcFor(f.chain[2], 3))), Relayer: 1}
+	}},
 	{name: "echo/sub-quorum justify", msg: func(f *fixture) types.Message {
 		return &types.Echo{Inner: f.proposal(f.child(f.qcFor(f.chain[3], 2))), Relayer: 1}
+	}},
+	{name: "echo/duplicate-voter justify", msg: func(f *fixture) types.Message {
+		return &types.Echo{Inner: f.proposal(f.child(f.duplicateQC(f.chain[3]))), Relayer: 1}
+	}},
+	{name: "echo/sender outside the committee", msg: func(f *fixture) types.Message {
+		p := f.proposal(f.child(f.qcFor(f.chain[3], 3)))
+		p.Sender = 4
+		return &types.Echo{Inner: p, Relayer: 1}
+	}},
+	{name: "echo/forged proposer signature", sigOnly: true, msg: func(f *fixture) types.Message {
+		p := f.proposal(f.child(f.qcFor(f.chain[3], 3)))
+		p.Signature = []byte("forged")
+		return &types.Echo{Inner: p, Relayer: 1}
+	}},
+	{name: "echo/forged justify vote", sigOnly: true, msg: func(f *fixture) types.Message {
+		return &types.Echo{Inner: f.proposal(f.child(f.forgedQC(f.chain[3]))), Relayer: 1}
+	}},
+	{name: "echo/wraps no proposal", msg: func(f *fixture) types.Message {
+		qc := f.qcFor(f.chain[3], 3)
+		return &types.Echo{Inner: &types.VoteMsg{Vote: qc.Votes[0]}, Relayer: 1}
 	}},
 	{name: "echo/empty", msg: func(f *fixture) types.Message {
 		return &types.Echo{Relayer: 1}

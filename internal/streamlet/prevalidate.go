@@ -12,7 +12,7 @@ import (
 // Streamlet message — echo nesting, proposal well-formedness and leadership
 // always, proposal and vote signatures when VerifySignatures is on. This is
 // the only copy of each; the state stage repeats none of them. It reads only
-// immutable configuration, the round snapshot and the signature memo, so
+// immutable configuration and the signature memo, so
 // transports may call it from any number of goroutines concurrently with the
 // event loop.
 //

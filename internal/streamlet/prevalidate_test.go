@@ -226,6 +226,17 @@ var rejections = []struct {
 		v.Signature = []byte("forged")
 		return &types.Echo{Inner: &types.VoteMsg{Vote: v}, Relayer: 1}
 	}},
+	{name: "echo/inner proposal without block", from: 1, msg: func(fx *doorFixture) types.Message {
+		return &types.Echo{Inner: &types.Proposal{Round: 3, Sender: 2, Signature: []byte{1}}, Relayer: 1}
+	}},
+	{name: "echo/inner proposal from wrong leader", from: 1, msg: func(fx *doorFixture) types.Message {
+		return &types.Echo{Inner: fx.proposal(fx.block(3, 0)), Relayer: 1}
+	}},
+	{name: "echo/forged inner proposal", sigOnly: true, from: 1, msg: func(fx *doorFixture) types.Message {
+		p := fx.proposal(fx.block(3, 2))
+		p.Signature = fx.ring.Signer(1).Sign(p.SigningPayload())
+		return &types.Echo{Inner: p, Relayer: 1}
+	}},
 	{name: "echo/empty", from: 1, msg: func(fx *doorFixture) types.Message {
 		return &types.Echo{Relayer: 1}
 	}},
@@ -235,6 +246,18 @@ var rejections = []struct {
 			msg = &types.Echo{Inner: msg, Relayer: 1}
 		}
 		return msg
+	}},
+
+	// Genuine and already absorbed, so Prevalidate passes them: the state
+	// stage's dedup sets drop them without an echo.
+	{name: "proposal/replayed block", from: 1, msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(fx.b2)
+	}},
+	{name: "vote/replayed", from: 0, msg: func(fx *doorFixture) types.Message {
+		return &types.VoteMsg{Vote: fx.vote(fx.b2, 0)}
+	}},
+	{name: "echo/replayed vote", from: 1, msg: func(fx *doorFixture) types.Message {
+		return &types.Echo{Inner: &types.VoteMsg{Vote: fx.vote(fx.b2, 0)}, Relayer: 1}
 	}},
 }
 
