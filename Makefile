@@ -138,10 +138,11 @@ bank-workload:
 	$(GO) run ./cmd/sftbench -experiment bankworkload -n 7 -duration 30s -seed 1 -json BENCH_PR9.json
 
 # The paper's oracles as committed files: adversary-fuzz, adversary-fuzz-agg,
-# liveness-attack, fig7a (n=100, 1m, seed 3) and crashrecovery (n=7, 40s,
-# delta 50ms, seed 3), each with its wall-time lines stripped, diffed byte for
-# byte against testdata/oracles/. CI runs this; oracles-pin rewrites the pins,
-# and a re-pin states its reason in CHANGES.md.
+# liveness-attack, fig7a, fig7b and fig8 (n=100, 1m, seed 3), theorem2 and
+# theorem3 (n=31, 1m), msgcomplexity and crashrecovery (n=7, 40s, delta 50ms,
+# seed 3), each with its wall-time lines stripped, diffed byte for byte
+# against testdata/oracles/. CI runs this; oracles-pin rewrites the pins, and
+# a re-pin states its reason in CHANGES.md. doc.go maps each to its claim.
 oracles:
 	bash scripts/oracles.sh
 

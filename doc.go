@@ -15,6 +15,51 @@
 // benchmarks in bench_test.go regenerate each figure at reduced scale;
 // cmd/sftbench runs them at paper scale (n = 100, five virtual minutes).
 //
+// # Paper claims and their oracles
+//
+// One row per claim: where the paper makes it → the fixed-seed command that
+// reproduces it (`go run ./cmd/sftbench -experiment ...` unless a make target
+// is named) → the file under testdata/oracles/ that pins its output → what
+// that output says. `make oracles` reruns all ten, strips the wall-time
+// lines and diffs the rest byte for byte (scripts/oracles.sh holds the exact
+// flags; `make oracles-pin` rewrites them for an intended change). Latencies
+// are virtual time under the paper's latency models.
+//
+//   - §4, Figure 7 (symmetric latency) → fig7a -n 100 -duration 1m -seed 3
+//     → fig7a.txt → at δ=100ms the regular commit takes 0.773 s, 1.5f-strong
+//     1.087 s, 1.9f-strong 1.686 s; 2.0f waits for a full quorum, 12.5 s.
+//   - §4, Figure 7 (asymmetric latency) → fig7b -n 100 -duration 1m -seed 3
+//     → fig7b.txt → at δ=100ms 1.0f in 0.192 s and 1.7f in 0.476 s; 1.8f
+//     and above need the slow region, about 2.3 s.
+//   - §4, Figure 8 (extra wait trades regular for strong latency) → fig8 -n
+//     100 -duration 1m -seed 3 → fig8.txt → 200 ms of extra wait makes every
+//     level up to 2.0f commit with the regular one, at 1.372 s.
+//   - Theorem 2 ((2f−c)-strong under c crashes) → theorem2 -n 31 -duration
+//     1m → theorem2.txt → c = 0, 5, 10 reach 2.0f, 1.5f, 1.0f in 0.353,
+//     0.551 and 0.476 s mean.
+//   - Theorem 3 ((2f−t)-strong under t Byzantine) → theorem3 -n 31
+//     -duration 1m → theorem3.txt → with t = 5 equivocators 1.5f is reached
+//     in 0.454 s with markers (§3.2) and 0.417 s with intervals (§3.4).
+//   - §4 and Appendix B (linear vs quadratic messages) → msgcomplexity →
+//     msgcomplexity.txt → at n = 100, 201 messages per decision against
+//     FBFT's 3,498 (17.4×); the ratio grows with n.
+//   - Definition 1 (no two conflicting blocks both t-strong) → make
+//     adversary-fuzz → adversary-fuzz.txt → 150 randomized scenarios with up
+//     to 2f colluders, crashes and partitions: zero invariant violations.
+//   - Definition 1 with compact certificates → make adversary-fuzz-agg →
+//     adversary-fuzz-agg.txt → 60 scenarios under ed25519-agg: zero
+//     violations.
+//   - Appendix C (markers are necessary) → the canary inside both adversary
+//     runs → adversary-fuzz*.txt → naive counting is caught violating
+//     Definition 1 (replay seed 1); the same collusion against markers is
+//     safe.
+//   - Figure 2's passive pacemaker under timeout spam → make liveness-attack
+//     → liveness-attack.txt → 248 blocks at 0.138 s p50 in both arms; the
+//     per-peer cap holds the buffer at 8 where the uncapped one reaches 1148.
+//   - Crash recovery (WAL replay and state-sync rejoin) → crashrecovery -n 7
+//     -duration 40s -delta 50ms -seed 3 → crashrecovery.txt → the victim
+//     rejoins at the observer's height, 246, and the run is CONSISTENT.
+//
 // # Public API: the sft facade
 //
 // PR 4 added the top-level sft package, the stable public surface every

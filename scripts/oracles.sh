@@ -18,7 +18,7 @@ trap 'rm -rf "$out"' EXIT
 go build -o "$out/sftbench" ./cmd/sftbench
 
 # The three sftbench runs that have a make target keep their flags there; the
-# two figure runs are spelled out.
+# paper's figure, theorem and message-count runs are spelled out.
 oracle() {
 	local name="$1"
 	shift
@@ -39,6 +39,11 @@ oracle adversary-fuzz-agg "$make" -s --no-print-directory adversary-fuzz-agg
 oracle liveness-attack "$make" -s --no-print-directory liveness-attack
 oracle fig7a "$out/sftbench" -experiment fig7a -n 100 -duration 1m -seed 3
 oracle crashrecovery "$out/sftbench" -experiment crashrecovery -n 7 -duration 40s -delta 50ms -seed 3
+oracle fig7b "$out/sftbench" -experiment fig7b -n 100 -duration 1m -seed 3
+oracle fig8 "$out/sftbench" -experiment fig8 -n 100 -duration 1m -seed 3
+oracle theorem2 "$out/sftbench" -experiment theorem2 -n 31 -duration 1m
+oracle theorem3 "$out/sftbench" -experiment theorem3 -n 31 -duration 1m
+oracle msgcomplexity "$out/sftbench" -experiment msgcomplexity
 
 if [ "$mode" = pin ]; then
 	mkdir -p "$pins"
