@@ -84,7 +84,7 @@ func main() {
 	observer, err := sft.NewObserver(sft.ObserverConfig{
 		ID: sft.ReplicaID(*id), N: *n, Seed: *seed, Scheme: sft.SchemeEd25519,
 		Gateway: gw,
-	}, sft.ObserverTCP(sft.ObserverTCPConfig{Upstreams: upstreams}))
+	}, sft.ObserverTCP(upstreams))
 	if err != nil {
 		log.Fatal(err)
 	}

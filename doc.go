@@ -220,49 +220,48 @@
 //
 // The paper bolts SFT onto any chained BFT protocol at "marginal bookkeeping
 // overhead"; the code has the same shape. internal/replica is the chassis
-// both voting engines embed: everything about a certified chain that is the
-// same under DiemBFT and Streamlet. The engines keep the rules the paper
-// gives per protocol and call into the chassis; the chassis never decides
-// when to vote, certify or commit.
+// all three engines embed: everything about a certified chain that is the
+// same under DiemBFT, Streamlet and the non-voting observer. The engines keep
+// the rules the paper gives per protocol and call into the chassis; the
+// chassis never decides when to vote, certify or commit.
 //
-//	concern            chassis (internal/replica)       DiemBFT (Fig. 2/4)             Streamlet (Fig. 10/11)
-//	configuration      replica.Config: identity, PKI,   vote mode, timeouts,            ∆, echo
-//	                   SFT, payload, app, journal, obs  extra-wait, prune, pacemaker
-//	event bracket      Begin / Take: flush, then send   dispatch by message and timer   dispatch; unwrap echoes
-//	proposing          Propose: payload, sign, journal  leader, commit log              slot leader, longest-chain tip
-//	accepting a block  Accept: install, the engine's    stale rounds; what an accepted  first-seen echo; what an
-//	                   step, then the parked children;  proposal means: justify, vote,  accepted proposal means: the
-//	                   Park: bounded buffer, the first  waiting QC, collected votes     justify when the parent's votes
-//	                   orphan of a parent asks its                                      were missed, vote, certify
-//	                   sender for the chain
-//	voting             CastVote: execute, sign,         rvote / rlock rule,             first proposal of the round on
-//	                   journal, record in history       marker or interval set          a longest chain; height marker
-//	vote → certificate AddVote, Certify: dedup, root    collector only, extra-wait,     everyone, relay by echo,
-//	                   check, sort, aggregate           FBFT late votes, qcFormed       register + journal
-//	after a QC         tracker (round or height keyed;  2-chain lock, 3-chain commit    longest-chain height, consecutive-
-//	                   its state is on the store's      along the certified node's      round 3-chain commit
-//	                   nodes)                           parents, round sync, orphan QCs
-//	committing         CommitTo: app, outputs, record   —                               —
-//	pruning            PruneBelow: one pass, O(removed) when (PruneKeep); qcFormed      never: Streamlet does not call
-//	                   — the store severs and returns   forgets the removed blocks,     PruneBelow and ignores PruneKeep
-//	                   the blocks it removed, strength  the per-round maps the rounds   (dropping first-seen marks would
-//	                   state going with their nodes;    the floor moved across          re-admit late echoes); neither
-//	                   vote sets forget those, history                                  does the observer
-//	                   the rounds below the cut's block
-//	recovery           Restore: replay skeleton         proposed rounds, rvote, rlock   first-seen marks, voted rounds
-//	catch-up           request (Park, or at boot after  what a synced certificate       what a synced certificate means
-//	                   Restore), serve, ApplySegment    means (the regular QC path)     (longest chain, commit rule)
-//	                   link by link, adopt what was
-//	                   parked; Certs (cache, batch
-//	                   workers, timing)
-//	rounds             EnterRound (reported to obs)     pacemaker, leader reputation    2∆ lock-step slots
-//	observer borrows   Certs, Certs.Apply, Orphans,     —                               —
-//	                   UnwrapEcho
+//	concern             chassis (internal/replica)        DiemBFT (Fig. 2/4)               Streamlet (Fig. 10/11)              observer (non-voting)
+//	configuration       replica.Config: identity, PKI,    vote mode, timeouts,             ∆, echo                             observer.Config: committee,
+//	                    SFT, payload, app, journal, obs   extra-wait, prune, pacemaker                                         marker mode, PKI, OnCertified
+//	event bracket       Begin / Take: flush, then send    dispatch by message and timer    dispatch; unwrap echoes             dispatch; unwrap echoes
+//	proposing           Propose: payload, sign, journal   leader, commit log               slot leader, longest-chain tip      —
+//	accepting a block   Accept: install, the engine's     stale rounds; what an accepted   first-seen echo; what an            proposal check (sender, both
+//	                    step, then the parked children;   proposal means: justify, vote,   accepted proposal means: the        signatures); what an accepted
+//	                    Park: bounded buffer, the first   waiting QC, collected votes      justify when the parent's votes     proposal means: register the
+//	                    orphan of a parent asks its                                        were missed, vote, certify          justify, feed the tracker,
+//	                    sender for the chain; Hold:                                                                            OnCertified once per block
+//	                    the same buffer, asking no one
+//	voting              CastVote: execute, sign,          rvote / rlock rule,              first proposal of the round on      never (no signer)
+//	                    journal, record in history        marker or interval set           a longest chain; height marker
+//	vote → certificate  AddVote, Certify: dedup, root     collector only, extra-wait,      everyone, relay by echo,            —
+//	                    check, sort, aggregate            FBFT late votes, qcFormed        register + journal
+//	after a QC          tracker (round or height keyed;   2-chain lock, 3-chain commit     longest-chain height, consecutive-  the event's tracker rises, in
+//	                    its state is on the store's       along the certified node's       round 3-chain commit                ascending height
+//	                    nodes)                            parents, round sync, orphan QCs
+//	committing          CommitTo: app, outputs, record;   —                                —                                   a block's first rise (level f)
+//	                    refuses a non-extending block
+//	pruning             PruneBelow: one pass, O(removed)  when (PruneKeep); qcFormed       never: Streamlet does not call      not yet: it could call
+//	                    — the store severs and returns    forgets the removed blocks,      PruneBelow and ignores PruneKeep    PruneBelow, and would forget
+//	                    the blocks it removed, strength   the per-round maps the rounds    (dropping first-seen marks would    the removed blocks' certified
+//	                    state going with their nodes;     the floor moved across           re-admit late echoes)               marks with them
+//	                    vote sets forget those, history
+//	                    the rounds below the cut's block
+//	recovery            Restore: replay skeleton          proposed rounds, rvote, rlock    first-seen marks, voted rounds      none: a restart syncs afresh
+//	catch-up            request (Park, or at boot after   what a synced certificate        what a synced certificate means     its own requests: the next
+//	                    Restore), serve, ApplySegment     means (the regular QC path)      (longest chain, commit rule)        upstream in turn, at boot, on
+//	                    link by link, adopt what was                                                                           a stalled tip, an orphan or a
+//	                    parked; Certs (cache, batch                                                                            full segment
+//	                    workers, timing)
+//	rounds              EnterRound (reported to obs)      pacemaker, leader reputation     2∆ lock-step slots                  the stall timer
 //
-// The non-voting observer (internal/observer) derives commits differently
-// (first tracker rise to level f) and has no signer, journal or vote
-// history, so it embeds no chassis and borrows only the four pieces that
-// need none.
+// The observer (internal/observer) embeds the same chassis without a signer:
+// it never proposes, votes or journals, and of the chassis it uses the store,
+// tracker, certificate checks, parking, segment application and CommitTo.
 //
 // Two contracts live in the chassis and nowhere else. Durability
 // (Chassis.Take): every record an event stages — accepted blocks, own votes,
@@ -406,7 +405,7 @@
 // (StateSyncResponse) are prefix-stateful — blocks install link by link up to
 // the first bad one — so Prevalidate never judges them; it only warms their
 // certificates into the verified-QC cache, and they are verified as they
-// install (Chassis.ApplySegment, Certs.Apply, statesync.Applier). And
+// install (Chassis.ApplySegment, statesync.Applier). And
 // Streamlet's state stage verifies one certificate of its own: an accepted
 // proposal's justify, only when the store holds the parent uncertified
 // because this replica missed its votes (streamlet.certifyParent) — a

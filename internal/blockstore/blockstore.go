@@ -336,31 +336,39 @@ func (s *Store) Snapshot() []*types.Block {
 // many blocks were installed. Blocks whose parent is absent are skipped —
 // the same boundary semantics as pruning, where ancestry walks stop at a
 // detached edge — so restoring a log whose head was compacted degrades
-// gracefully rather than failing. Duplicates are skipped silently.
+// gracefully rather than failing. Duplicates are skipped silently. Any other
+// refusal — a block at the wrong height or round, a justify naming a block
+// the store does not hold — means the log is not one this store wrote, and
+// Restore stops with that error.
 //
 // onInstall, if non-nil, observes each newly installed block together with
 // whether its justify improved the stored certificate state; the engines'
 // recovery hooks use it to rebuild their own bookkeeping (proposed rounds,
 // endorsement trackers) alongside the tree.
-func (s *Store) Restore(blocks []*types.Block, onInstall func(b *types.Block, qcImproved bool)) int {
+func (s *Store) Restore(blocks []*types.Block, onInstall func(b *types.Block, qcImproved bool)) (int, error) {
 	installed := 0
 	for _, b := range blocks {
 		if b == nil || s.Has(b.ID()) {
 			continue
 		}
-		if err := s.Insert(b); err != nil {
+		if err := s.Insert(b); errors.Is(err, ErrMissingParent) {
 			continue
+		} else if err != nil {
+			return installed, err
 		}
 		installed++
 		improved := false
 		if b.Justify != nil {
-			_, improved, _ = s.RegisterQC(b.Justify)
+			var err error
+			if _, improved, err = s.RegisterQC(b.Justify); err != nil {
+				return installed, fmt.Errorf("%w: justify of %s", err, b)
+			}
 		}
 		if onInstall != nil {
 			onInstall(b, improved)
 		}
 	}
-	return installed
+	return installed, nil
 }
 
 // PruneBelow discards every block below height h and returns the removed

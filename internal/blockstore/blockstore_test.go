@@ -407,8 +407,8 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 
 	fresh := blockstore.New()
-	if n := fresh.Restore(snap, nil); n != 5 {
-		t.Fatalf("restored %d blocks, want 5", n)
+	if n, err := fresh.Restore(snap, nil); n != 5 || err != nil {
+		t.Fatalf("restored %d blocks (%v), want 5", n, err)
 	}
 	for _, b := range snap {
 		if !fresh.Has(b.ID()) {
@@ -422,12 +422,31 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 	// Restore with a hole: dropping the first block detaches the rest.
 	holey := blockstore.New()
-	if n := holey.Restore(snap[1:], nil); n != 0 {
-		t.Errorf("restore across a hole installed %d blocks, want 0", n)
+	if n, err := holey.Restore(snap[1:], nil); n != 0 || err != nil {
+		t.Errorf("restore across a hole installed %d blocks (%v), want 0 and no error", n, err)
 	}
 	// Idempotent re-restore.
-	if n := fresh.Restore(snap, nil); n != 0 {
-		t.Errorf("re-restore installed %d blocks, want 0", n)
+	if n, err := fresh.Restore(snap, nil); n != 0 || err != nil {
+		t.Errorf("re-restore installed %d blocks (%v), want 0", n, err)
+	}
+}
+
+// TestRestoreRefusesForeignLog: a log the store cannot have written fails to
+// restore — a block at the wrong height, or a justify naming a block the
+// store does not hold — where a pruned head (the holey case above) does not.
+func TestRestoreRefusesForeignLog(t *testing.T) {
+	g := types.Genesis()
+	gqc := types.NewGenesisQC(g.ID())
+	b1 := types.NewBlock(g.ID(), gqc, 1, 1, 0, 1, types.Payload{}, nil)
+	badHeight := types.NewBlock(b1.ID(), gqc, 2, 3, 0, 2, types.Payload{}, nil)
+	if n, err := blockstore.New().Restore([]*types.Block{b1, badHeight}, nil); !errors.Is(err, blockstore.ErrBadHeight) {
+		t.Errorf("bad-height log: installed %d, err %v, want ErrBadHeight", n, err)
+	}
+	stranger := types.NewBlock(g.ID(), gqc, 7, 1, 1, 7, types.Payload{}, nil)
+	strangerQC := &types.QC{Block: stranger.ID(), Round: stranger.Round, Height: stranger.Height}
+	unknownJustify := types.NewBlock(b1.ID(), strangerQC, 2, 2, 0, 2, types.Payload{}, nil)
+	if n, err := blockstore.New().Restore([]*types.Block{b1, unknownJustify}, nil); !errors.Is(err, blockstore.ErrUnknownBlock) {
+		t.Errorf("unknown-justify log: installed %d, err %v, want ErrUnknownBlock", n, err)
 	}
 }
 

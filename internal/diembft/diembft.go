@@ -113,6 +113,9 @@ type Replica struct {
 
 // New creates a replica engine from the configuration.
 func New(cfg Config) (*Replica, error) {
+	if cfg.Signer == nil {
+		return nil, fmt.Errorf("diembft: a signer is required")
+	}
 	if cfg.RoundTimeout <= 0 {
 		return nil, fmt.Errorf("diembft: round timeout must be positive")
 	}

@@ -210,7 +210,7 @@ func runGatewayArm(cfg GatewayScale, withGateway bool) (GatewayArm, subscriberSt
 		obs, err = sft.NewObserver(sft.ObserverConfig{
 			N: cfg.N, Seed: cfg.Seed, Scheme: sft.Scheme(cfg.Scheme),
 			Ring: ring, Gateway: gw,
-		}, sft.ObserverTCP(sft.ObserverTCPConfig{Upstreams: peers}))
+		}, sft.ObserverTCP(peers))
 		if err != nil {
 			return arm, stats, err
 		}

@@ -8,12 +8,16 @@
 //
 // Observers exist so client load (strength subscriptions, read APIs) lands
 // on a tier that scales horizontally instead of on voting replicas' hot
-// path — Flow's access-node split, applied to SFT. An observer derives
-// regular commits from the same strength bookkeeping replicas use: the
-// first time the tracker reports a block at level f it is committed by the
-// regular rule (a certified 3-chain yields 2f+1 direct endorsers per block,
-// i.e. exactly f beyond the quorum's f+1 honest floor), so commit and
-// strength events observed here match the voting engines' event stream.
+// path — Flow's access-node split, applied to SFT. An observer embeds the
+// same chassis as the voting engines (internal/replica: block store,
+// strength tracker, certificate checks, orphan parking, segment application,
+// commit emission) and keeps only what is its own: the proposal check, the
+// stall timer with round-robin catch-up, and commits derived from the
+// tracker. The first time the tracker reports a block at level f it is
+// committed by the regular rule (a certified 3-chain yields 2f+1 direct
+// endorsers per block, i.e. exactly f beyond the quorum's f+1 honest floor),
+// so commit and strength events observed here match the voting engines'
+// event stream.
 package observer
 
 import (
@@ -21,7 +25,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/engine"
@@ -41,8 +44,8 @@ type Config struct {
 	// ID is the observer's wire identity. By convention it lies outside the
 	// voting committee [0, N); replicas never count it toward quorums.
 	ID types.ReplicaID
-	// N and F describe the voting committee (n = 3f+1).
-	N, F int
+	// N is the voting committee's size, which must be 3f+1.
+	N int
 	// Mode selects the marker rule: core.ModeRound (DiemBFT) or
 	// core.ModeHeight (Streamlet). Defaults to ModeRound.
 	Mode core.Mode
@@ -64,30 +67,16 @@ type Config struct {
 // under the discrete-event simulator and the TCP runtime, prevalidated on the
 // transport's reader goroutines.
 type Observer struct {
-	cfg     Config
-	store   *blockstore.Store
-	tracker *core.Tracker
-	// certs, orphans, echo unwrapping and segment application are the voting
-	// engines' own (internal/replica); nothing else of the chassis fits an
-	// engine with no signer, journal or vote history.
-	certs *replica.Certs
+	*replica.Chassis
+	cfg Config
 
-	// committed marks blocks already reported via engine.Commit.
-	committed  map[types.BlockID]bool
-	committedH types.Height
-	// certified marks blocks already reported via OnCertified.
+	// certified marks blocks already reported via OnCertified. The store
+	// cannot stand in for it: the state-sync applier registers a segment's
+	// certificates before the observer sees them.
 	certified map[types.BlockID]bool
-	// strength is the highest level already reported per block.
-	strength map[types.BlockID]int
 
-	// orphans buffers proposals whose parent has not arrived (bounded; an
-	// evicted hole heals via state sync).
-	orphans replica.Orphans
-
-	// rises accumulates tracker callbacks during one event, drained by emit;
-	// outs is the event's outputs, one array reused by every event.
+	// rises accumulates tracker callbacks during one event, drained by emit.
 	rises []rise
-	outs  []engine.Output
 
 	// lastTip detects a stalled feed between sync-timer firings.
 	lastTip types.Height
@@ -101,59 +90,28 @@ type rise struct {
 
 // New creates an observer engine.
 func New(cfg Config) (*Observer, error) {
-	if cfg.N <= 0 || cfg.F < 0 {
-		return nil, fmt.Errorf("observer: invalid committee n=%d f=%d", cfg.N, cfg.F)
-	}
-	if cfg.Mode == 0 {
-		cfg.Mode = core.ModeRound
-	}
-	o := &Observer{
-		cfg:       cfg,
-		store:     blockstore.New(),
-		committed: make(map[types.BlockID]bool),
-		certified: make(map[types.BlockID]bool),
-		strength:  make(map[types.BlockID]int),
-		certs: replica.NewCerts(&replica.Config{
-			N: cfg.N, F: cfg.F, Verifier: cfg.Verifier,
-			VerifySignatures: cfg.VerifySignatures,
-		}),
-	}
-	o.tracker = core.NewTracker(o.store, core.Config{
-		N:       cfg.N,
-		F:       cfg.F,
-		Mode:    cfg.Mode,
+	o := &Observer{cfg: cfg, certified: make(map[types.BlockID]bool)}
+	var err error
+	o.Chassis, err = replica.New(replica.Config{
+		ID: cfg.ID, N: cfg.N, F: (cfg.N - 1) / 3,
+		Verifier: cfg.Verifier, VerifySignatures: cfg.VerifySignatures,
 		Horizon: cfg.Horizon,
-		OnStrength: func(b *types.Block, x int) {
-			o.rises = append(o.rises, rise{b, x})
-		},
-	})
-	return o, nil
-}
-
-// ID implements engine.Engine.
-func (o *Observer) ID() types.ReplicaID { return o.cfg.ID }
-
-// Store exposes the observer's block tree (read-only use).
-func (o *Observer) Store() *blockstore.Store { return o.store }
-
-// CommittedHeight returns the highest height reported committed.
-func (o *Observer) CommittedHeight() types.Height { return o.committedH }
-
-// Strength returns the highest reported strength of a block, or -1.
-func (o *Observer) Strength(id types.BlockID) int {
-	if x, ok := o.strength[id]; ok {
-		return x
+	}, cfg.Mode, func(b *types.Block, x int) {
+		o.rises = append(o.rises, rise{b, x})
+	}, o.accepted)
+	if err != nil {
+		return nil, fmt.Errorf("observer: %w", err)
 	}
-	return -1
+	return o, nil
 }
 
 // Init implements engine.Engine: ask an upstream where the chain is and
 // start the stall-detection timer.
 func (o *Observer) Init(now time.Duration) []engine.Output {
-	o.outs = engine.Recycle(o.outs)
+	o.Begin(now)
 	o.requestCatchUp()
-	o.outs = append(o.outs, engine.SetTimer{ID: syncTimerID, Delay: DefaultSyncInterval})
-	return o.outs
+	o.Outs = append(o.Outs, engine.SetTimer{ID: syncTimerID, Delay: DefaultSyncInterval})
+	return o.Take()
 }
 
 // OnTimer implements engine.Engine: if the chain tip has not advanced since
@@ -162,14 +120,14 @@ func (o *Observer) OnTimer(now time.Duration, id int) []engine.Output {
 	if id != syncTimerID {
 		return nil
 	}
-	o.outs = engine.Recycle(o.outs)
+	o.Begin(now)
 	if tip := o.tipHeight(); tip == o.lastTip {
 		o.requestCatchUp()
 	} else {
 		o.lastTip = tip
 	}
-	o.outs = append(o.outs, engine.SetTimer{ID: syncTimerID, Delay: DefaultSyncInterval})
-	return o.outs
+	o.Outs = append(o.Outs, engine.SetTimer{ID: syncTimerID, Delay: DefaultSyncInterval})
+	return o.Take()
 }
 
 // OnMessage implements engine.Engine: Prevalidate, then the state stage. An
@@ -215,13 +173,13 @@ func (o *Observer) checkProposal(p *types.Proposal) error {
 	if o.cfg.VerifySignatures && !o.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
 		return fmt.Errorf("observer: bad proposal signature")
 	}
-	return o.certs.VerifyQC(p.Block.Justify)
+	return o.Certs.VerifyQC(p.Block.Justify)
 }
 
 // OnVerifiedMessage implements engine.Engine: the state stage. Only sync
 // segments are verified here, link by link as they install.
 func (o *Observer) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
-	o.outs = engine.Recycle(o.outs)
+	o.Begin(now)
 	switch m := msg.(type) {
 	case *types.Proposal:
 		o.onProposal(m)
@@ -233,7 +191,23 @@ func (o *Observer) OnVerifiedMessage(now time.Duration, from types.ReplicaID, ms
 		o.onStateSync(m)
 	}
 	o.emit()
-	return o.outs
+	return o.Take()
+}
+
+// onProposal installs a checked proposal through the chassis (Accept, which
+// also adopts what was parked on it). One whose parent is missing is parked
+// without the chassis's request to its sender: the observer asks the next
+// upstream in its own rotation instead.
+func (o *Observer) onProposal(p *types.Proposal) {
+	if o.Store().Has(p.Block.ID()) {
+		return
+	}
+	if !o.Store().Has(p.Block.Parent) {
+		o.Hold(p)
+		o.requestCatchUp()
+		return
+	}
+	o.Accept(p)
 }
 
 // isGenesisQC matches the round-0 no-votes convention (types.NewGenesisQC).
@@ -241,61 +215,31 @@ func isGenesisQC(qc *types.QC) bool {
 	return qc.Round == 0 && len(qc.Votes) == 0 && qc.Agg == nil
 }
 
-func (o *Observer) onProposal(p *types.Proposal) {
-	if o.store.Has(p.Block.ID()) {
+// accepted is the accepted-proposal step: the installed block's justify,
+// verified by Prevalidate, is registered and noted.
+func (o *Observer) accepted(p *types.Proposal) {
+	qc := p.Block.Justify
+	if isGenesisQC(qc) {
 		return
 	}
-	if !o.store.Has(p.Block.Parent) {
-		o.orphans.Add(p)
-		o.requestCatchUp()
-		return
+	if _, _, err := o.Store().RegisterQC(qc); err == nil {
+		o.noteQC(qc, false)
 	}
-	o.ingest(p.Block)
-	o.flushOrphans(p.Block.ID())
 }
 
-// ingest installs one block whose parent is present and whose proposal
-// passed Prevalidate, then routes its justify QC through the tracker and the
-// certified-pair feed.
-func (o *Observer) ingest(b *types.Block) {
-	if err := o.store.Insert(b); err != nil {
+// noteQC takes a registered certificate, from an accepted proposal or a
+// segment the applier is installing: it feeds the strength tracker and fires
+// OnCertified the first time the certified block is seen. A segment's
+// standalone tip certificate is skipped; it arrives again with the next
+// block.
+func (o *Observer) noteQC(qc *types.QC, standalone bool) {
+	if standalone {
 		return
 	}
-	o.noteQC(b.Justify)
-}
-
-// noteQC registers one verified QC: it updates the store's high QC, feeds
-// the strength tracker, and fires the certified feed the first time the
-// certified block is seen.
-func (o *Observer) noteQC(qc *types.QC) {
-	if qc == nil || isGenesisQC(qc) {
-		return
-	}
-	certified, _, err := o.store.RegisterQC(qc)
-	if err != nil {
-		return
-	}
-	o.tracker.OnQC(qc)
+	o.Tracker().OnQC(qc)
 	if o.cfg.OnCertified != nil && !o.certified[qc.Block] {
 		o.certified[qc.Block] = true
-		o.cfg.OnCertified(certified.Block(), qc)
-	}
-}
-
-// flushOrphans re-ingests buffered proposals whose parent just arrived,
-// cascading down the tree.
-func (o *Observer) flushOrphans(parent types.BlockID) {
-	queue := []types.BlockID{parent}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		for _, p := range o.orphans.Take(id) {
-			if o.store.Has(p.Block.ID()) {
-				continue
-			}
-			o.ingest(p.Block)
-			queue = append(queue, p.Block.ID())
-		}
+		o.cfg.OnCertified(o.Store().Block(qc.Block), qc)
 	}
 }
 
@@ -303,21 +247,7 @@ func (o *Observer) flushOrphans(parent types.BlockID) {
 // applier checks structure and, when enabled, signatures), so a lying
 // upstream cannot smuggle an uncertified block in.
 func (o *Observer) onStateSync(m *types.StateSyncResponse) {
-	installed := o.certs.Apply(o.store, m,
-		func(b *types.Block) { o.flushOrphans(b.ID()) },
-		func(qc *types.QC, standalone bool) {
-			if standalone {
-				return // the tip's certificate arrives with the next block
-			}
-			o.tracker.OnQC(qc)
-			if o.cfg.OnCertified != nil && !o.certified[qc.Block] {
-				if cb := o.store.Block(qc.Block); cb != nil {
-					o.certified[qc.Block] = true
-					o.cfg.OnCertified(cb, qc)
-				}
-			}
-		})
-	if installed > 0 && len(m.Blocks) >= statesync.DefaultMaxBlocks {
+	if o.ApplySegment(m, o.noteQC) > 0 && len(m.Blocks) >= statesync.DefaultMaxBlocks {
 		// Full segment: the upstream likely has more; ask again right away
 		// rather than waiting out the stall timer.
 		o.requestCatchUp()
@@ -329,63 +259,38 @@ func (o *Observer) onStateSync(m *types.StateSyncResponse) {
 func (o *Observer) requestCatchUp() {
 	up := types.ReplicaID(o.nextUp % o.cfg.N)
 	o.nextUp++
-	o.outs = append(o.outs, engine.Send{
+	o.Outs = append(o.Outs, engine.Send{
 		To:  up,
 		Msg: statesync.NewRequest(o.tipHeight(), o.cfg.ID),
 	})
 }
 
 func (o *Observer) tipHeight() types.Height {
-	if b := o.store.Block(o.store.HighQC().Block); b != nil {
+	if b := o.Store().Block(o.Store().HighQC().Block); b != nil {
 		return b.Height
 	}
 	return 0
 }
 
-// emit drains the tracker rises accumulated during one event into outputs:
-// regular commits first (ascending height, each block exactly once — the
-// first rise to level f commits the block and its uncommitted ancestors),
-// then strength events, monotone per block.
+// emit drains the tracker rises accumulated during one event into outputs,
+// in ascending height. The tracker reports each level of a block once, in
+// rising order, and never below f, so a block's first rise is its regular
+// commit: CommitTo emits it and its uncommitted ancestors, oldest first, and
+// refuses a block that does not extend the last commit.
 func (o *Observer) emit() {
 	if len(o.rises) == 0 {
 		return
 	}
-	rises := o.rises
-	o.rises = nil
-	sort.SliceStable(rises, func(i, j int) bool {
-		if rises[i].b.Height != rises[j].b.Height {
-			return rises[i].b.Height < rises[j].b.Height
+	sort.SliceStable(o.rises, func(i, j int) bool {
+		if o.rises[i].b.Height != o.rises[j].b.Height {
+			return o.rises[i].b.Height < o.rises[j].b.Height
 		}
-		return rises[i].x < rises[j].x
+		return o.rises[i].x < o.rises[j].x
 	})
-	for _, r := range rises {
-		if !o.committed[r.b.ID()] {
-			o.commitChain(r.b)
-		}
-		if old, ok := o.strength[r.b.ID()]; !ok || r.x > old {
-			o.strength[r.b.ID()] = r.x
-			o.outs = append(o.outs, engine.Strength{Block: r.b, X: r.x})
-		}
+	for _, r := range o.rises {
+		o.CommitTo(r.b)
+		o.EmitStrength(r.b, r.x)
 	}
-}
-
-// commitChain emits Commit for every uncommitted ancestor of b (ascending)
-// and then b itself.
-func (o *Observer) commitChain(b *types.Block) {
-	chain := []*types.Block{b}
-	o.store.WalkAncestors(b.ID(), func(a *types.Block) bool {
-		if a.IsGenesis() || o.committed[a.ID()] {
-			return false
-		}
-		chain = append(chain, a)
-		return true
-	})
-	for i := len(chain) - 1; i >= 0; i-- {
-		blk := chain[i]
-		o.committed[blk.ID()] = true
-		if blk.Height > o.committedH {
-			o.committedH = blk.Height
-		}
-		o.outs = append(o.outs, engine.Commit{Block: blk})
-	}
+	clear(o.rises)
+	o.rises = o.rises[:0]
 }

@@ -32,7 +32,7 @@ func newFixture(t testing.TB, cfg observer.Config) *fixture {
 	if cfg.ID == 0 {
 		cfg.ID = 4
 	}
-	cfg.N, cfg.F = 4, 1
+	cfg.N = 4
 	if cfg.Verifier == nil {
 		cfg.Verifier = ring
 	}
@@ -418,7 +418,7 @@ func TestRestartResumesWithoutGaps(t *testing.T) {
 
 	// "Restart": a brand-new engine with empty state syncs from scratch.
 	ring := f.ring
-	o2, err := observer.New(observer.Config{ID: 4, N: 4, F: 1, Verifier: ring, VerifySignatures: true})
+	o2, err := observer.New(observer.Config{ID: 4, N: 4, Verifier: ring, VerifySignatures: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,4 +460,77 @@ func TestOutputLifetime(t *testing.T) {
 		func(e engine.Engine) []engine.Output { return e.OnMessage(0, 0, a.proposal(blocks[3])) },
 		func(e engine.Engine) []engine.Output { return e.OnTimer(0, 9001) }, // the sync timer,
 		a.proposal(blocks[3]))
+}
+
+// TestNewRejects: the observer runs on the replica chassis, which needs a
+// verifier and a committee of n = 3f+1.
+func TestNewRejects(t *testing.T) {
+	ring, err := crypto.NewKeyRing(4, 7, crypto.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  observer.Config
+	}{
+		{"no verifier", observer.Config{ID: 4, N: 4}},
+		{"n=5 is not 3f+1", observer.Config{ID: 5, N: 5, Verifier: ring}},
+		{"empty committee", observer.Config{ID: 4, Verifier: ring}},
+	} {
+		if _, err := observer.New(tc.cfg); err == nil {
+			t.Errorf("%s: built", tc.name)
+		}
+	}
+	if _, err := observer.New(observer.Config{ID: 4, N: 4, Verifier: ring}); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// TestForkCertifiedTwiceCommitsOnce: a parent certified by two children — one
+// arriving by proposal, the other by a state-sync segment that carries a
+// second, larger certificate for it — reaches OnCertified once. The
+// segment's branch does not extend the committed chain, so it yields no
+// Commit, even though forged quorums (more than f faults) close a 3-chain on
+// it and its first block rises.
+func TestForkCertifiedTwiceCommitsOnce(t *testing.T) {
+	certified := map[types.BlockID]int{}
+	f := newFixture(t, observer.Config{
+		VerifySignatures: true,
+		OnCertified:      func(b *types.Block, qc *types.QC) { certified[b.ID()]++ },
+	})
+	var main []*types.Block
+	for i := 0; i < 7; i++ {
+		b, _ := f.extend(3)
+		main = append(main, b)
+		f.deliver(f.proposal(b))
+	}
+	parent := main[2] // certified by main[3]'s justify, a proposal
+	if f.obs.CommittedHeight() <= parent.Height {
+		t.Fatalf("fixture: committed height %d, want above the fork parent's %d", f.obs.CommittedHeight(), parent.Height)
+	}
+
+	var fork []*types.Block
+	justify, prev := f.qcFor(parent, 4), parent
+	for r := types.Round(20); r < 24; r++ {
+		c := types.NewBlock(prev.ID(), justify, r, prev.Height+1, 1, 0, types.Payload{}, nil)
+		fork = append(fork, c)
+		justify, prev = f.qcFor(c, 3), c
+	}
+	outs := f.deliver(&types.StateSyncResponse{Blocks: fork, HighQC: justify, Sender: 1})
+	if !f.obs.Store().Has(fork[len(fork)-1].ID()) {
+		t.Fatal("fork segment not installed")
+	}
+	if n := certified[parent.ID()]; n != 1 {
+		t.Fatalf("fork parent reported certified %d times, want once", n)
+	}
+	if _, rose := strengths(outs)[fork[0].ID()]; !rose {
+		t.Fatal("the fork's first block never rose; the commit check below would be vacuous")
+	}
+	for _, b := range commits(outs) {
+		for _, c := range fork {
+			if b.ID() == c.ID() {
+				t.Fatalf("committed %v, which does not extend the committed chain", b)
+			}
+		}
+	}
 }

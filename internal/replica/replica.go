@@ -1,12 +1,15 @@
-// Package replica is the chassis both voting engines embed: the certified-
-// chain bookkeeping that is the same under DiemBFT and Streamlet — block
-// store, vote history, strength tracker, vote sets, the event bracket with
-// its durability ordering, journal staging and replay, the execution-layer
-// hookup, vote-to-certificate assembly, commit emission and catch-up (parking
-// a proposal whose parent is missing, requesting the chain, serving and
-// applying segments, adopting what was parked). The engines
-// (internal/diembft, internal/streamlet) keep the protocol rules and call in
-// here; the chassis never decides when to vote, certify or commit.
+// Package replica is the chassis all three engines embed: the certified-
+// chain bookkeeping that is the same under DiemBFT, Streamlet and the
+// non-voting observer — block store, vote history, strength tracker, vote
+// sets, the event bracket with its durability ordering, journal staging and
+// replay, the execution-layer hookup, vote-to-certificate assembly, commit
+// emission and catch-up (parking a proposal whose parent is missing,
+// requesting the chain, serving and applying segments, adopting what was
+// parked). The engines (internal/diembft, internal/streamlet,
+// internal/observer) keep the protocol rules and call in here; the chassis
+// never decides when to vote, certify or commit. The voting engines use all
+// of it; the observer, which never signs, uses the store, tracker,
+// certificate checks, catch-up and commit emission.
 // The root doc.go's "Replica chassis" section tabulates which side owns what.
 package replica
 
@@ -127,10 +130,10 @@ type Chassis struct {
 	// returned slice is valid until the next call on the engine).
 	Outs []engine.Output
 
-	// orphans parks proposals whose parent has not arrived (Park); accepted is
-	// the engine's protocol step for a proposal whose block was just installed
-	// (Accept).
-	orphans  Orphans
+	// orphans parks proposals whose parent has not arrived (Park, Hold);
+	// accepted is the engine's protocol step for a proposal whose block was
+	// just installed (Accept).
+	orphans  orphans
 	accepted func(*types.Proposal)
 
 	lastCommitted types.BlockID
@@ -167,8 +170,8 @@ func New(cfg Config, mode core.Mode, onStrength func(b *types.Block, x int), acc
 	if cfg.N != 3*cfg.F+1 {
 		return nil, fmt.Errorf("replica: n=%d must be 3f+1 (f=%d)", cfg.N, cfg.F)
 	}
-	if cfg.Signer == nil || cfg.Verifier == nil {
-		return nil, fmt.Errorf("replica: signer and verifier are required")
+	if cfg.Verifier == nil {
+		return nil, fmt.Errorf("replica: a verifier is required")
 	}
 	if cfg.Rule < RuleSFT || cfg.Rule > RuleNaive {
 		return nil, fmt.Errorf("replica: unknown commit rule %v", cfg.Rule)
@@ -359,17 +362,22 @@ func (c *Chassis) Accept(p *types.Proposal) {
 // one segment heals over several rounds, each started by the next proposal
 // that arrives ahead of what we hold.
 func (c *Chassis) Park(p *types.Proposal) {
-	if c.orphans.Add(p) && p.Sender != c.cfg.ID {
+	if c.Hold(p) && p.Sender != c.cfg.ID {
 		c.Outs = append(c.Outs, engine.Send{To: p.Sender, Msg: statesync.NewRequest(c.committedH, c.cfg.ID)})
 	}
 }
 
+// Hold parks p like Park but asks no one, for an engine with a request policy
+// of its own. It reports whether p is the first proposal waiting on its
+// parent.
+func (c *Chassis) Hold(p *types.Proposal) bool { return c.orphans.add(p) }
+
 // Parked returns the number of proposals waiting on a missing parent.
-func (c *Chassis) Parked() int { return c.orphans.Len() }
+func (c *Chassis) Parked() int { return c.orphans.n }
 
 // adopt accepts the proposals that were parked waiting on parent.
 func (c *Chassis) adopt(parent types.BlockID) {
-	for _, kid := range c.orphans.Take(parent) {
+	for _, kid := range c.orphans.take(parent) {
 		c.Accept(kid)
 	}
 }
@@ -601,14 +609,16 @@ func (c *Chassis) Restore(rec *core.Recovery, onBlock func(*types.Block), onCert
 		onCert(qc)
 	}
 	// A block detached by a pre-crash prune is skipped by the store, where
-	// walks stop anyway.
-	c.store.Restore(rec.Blocks, func(b *types.Block, qcImproved bool) {
+	// walks stop anyway; any other refusal fails the restart.
+	if _, err := c.store.Restore(rec.Blocks, func(b *types.Block, qcImproved bool) {
 		c.tryExecute(b)
 		onBlock(b)
 		if qcImproved {
 			cert(b.Justify)
 		}
-	})
+	}); err != nil {
+		return fmt.Errorf("replica: restore: %w", err)
+	}
 	for _, qc := range rec.QCs {
 		if !c.store.Has(qc.Block) {
 			continue
@@ -657,16 +667,32 @@ func (c *Chassis) OnStateSyncRequest(m *types.StateSyncRequest) {
 	}
 }
 
-// ApplySegment installs a fetched chain segment link by link. Each
-// certificate goes to onCert — embedded justifies already registered in the
-// store, the responder's standalone high QC (standalone true) not, so the
+// ApplySegment installs a fetched chain segment link by link (see
+// statesync.Applier) and returns how many blocks were new. Each certificate
+// goes to onCert — embedded justifies already registered in the store, the
+// responder's standalone high QC (standalone true) validated but not, so the
 // engine's standalone path both registers and journals it. Each installed
 // block is journaled and executed after its justify was handed over, then
-// the proposals parked on it are accepted.
-func (c *Chassis) ApplySegment(m *types.StateSyncResponse, onCert func(qc *types.QC, standalone bool)) {
-	c.Certs.Apply(c.store, m, func(b *types.Block) {
-		c.journalBlock(b)
-		c.tryExecute(b)
-		c.adopt(b.ID())
-	}, onCert)
+// the proposals parked on it are accepted. A bad link rejects the rest of
+// the segment and is counted; what was installed before it stays (it was
+// independently certified) and peers re-serve.
+func (c *Chassis) ApplySegment(m *types.StateSyncResponse, onCert func(qc *types.QC, standalone bool)) int {
+	ap := statesync.Applier{
+		Store:  c.store,
+		Quorum: c.cfg.Quorum(),
+		OnInstall: func(b *types.Block) {
+			c.journalBlock(b)
+			c.tryExecute(b)
+			c.adopt(b.ID())
+		},
+		OnCert: onCert,
+	}
+	if c.cfg.VerifySignatures {
+		ap.VerifyQC = c.Certs.VerifyQC
+	}
+	installed, err := ap.Apply(m)
+	if err != nil {
+		c.cfg.Obs.OnSyncSegmentRejected()
+	}
+	return installed
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/engine"
@@ -39,6 +38,19 @@ func TestNewRejectsUnknownRule(t *testing.T) {
 		if _, err := New(cfg, core.ModeRound, nil, nil); err == nil {
 			t.Errorf("rule %v: built", rule)
 		}
+	}
+}
+
+// TestRestoreFailsOnForeignLog: a replayed block the store refuses for
+// anything but a missing parent fails the restart instead of being dropped.
+func TestRestoreFailsOnForeignLog(t *testing.T) {
+	c, _ := testChassis(t, 4, 1)
+	g := c.Store().Genesis()
+	b1 := childOf(g, types.NewGenesisQC(g.ID()), 1)
+	badRound := childOf(b1, types.NewGenesisQC(g.ID()), 1)
+	rec := &core.Recovery{Blocks: []*types.Block{b1, badRound}}
+	if err := c.Restore(rec, func(*types.Block) {}, func(*types.QC) {}); err == nil {
+		t.Fatal("restored a log with a block at its parent's round")
 	}
 }
 
@@ -150,36 +162,36 @@ func TestCertify(t *testing.T) {
 // TestOrphansBounded: the buffer never holds more than maxOrphans proposals,
 // evicts the longest-waiting parent first, and hands back what it kept.
 func TestOrphansBounded(t *testing.T) {
-	var o Orphans
+	var o orphans
 	mk := func(i int, parent types.BlockID) *types.Proposal {
 		b := types.NewBlock(parent, types.NewGenesisQC(parent), 1, 1, 0, int64(i), types.Payload{}, nil)
 		return &types.Proposal{Block: b, Round: 1}
 	}
 	parentOf := func(i int) types.BlockID { return types.BlockID{byte(i), byte(i >> 8), byte(i >> 16), 1} }
 	for i := 0; i < 10000; i++ {
-		if first := o.Add(mk(i, parentOf(i))); !first {
+		if first := o.add(mk(i, parentOf(i))); !first {
 			t.Fatalf("proposal %d: not reported as the first waiting on its parent", i)
 		}
-		if o.Len() > maxOrphans {
-			t.Fatalf("buffer holds %d proposals, bound is %d", o.Len(), maxOrphans)
+		if o.n > maxOrphans {
+			t.Fatalf("buffer holds %d proposals, bound is %d", o.n, maxOrphans)
 		}
 	}
-	if got := o.Take(parentOf(0)); got != nil {
+	if got := o.take(parentOf(0)); got != nil {
 		t.Fatal("oldest parent survived 10,000 newer ones")
 	}
-	if got := o.Take(parentOf(9999)); len(got) != 1 {
+	if got := o.take(parentOf(9999)); len(got) != 1 {
 		t.Fatalf("newest parent: %d proposals, want 1", len(got))
 	}
 	// One parent, many children: the bound counts proposals, not parents.
-	var same Orphans
+	var same orphans
 	for i := 0; i < 3*maxOrphans; i++ {
-		same.Add(mk(i, parentOf(7)))
-		if same.Len() > maxOrphans {
-			t.Fatalf("single-parent spray holds %d proposals", same.Len())
+		same.add(mk(i, parentOf(7)))
+		if same.n > maxOrphans {
+			t.Fatalf("single-parent spray holds %d proposals", same.n)
 		}
 	}
-	if o.Add(mk(1, parentOf(9500))) || len(o.Take(parentOf(9500))) != 2 || o.Take(parentOf(9500)) != nil {
-		t.Fatal("second orphan on a waiting parent must not read as first, and Take must drain")
+	if o.add(mk(1, parentOf(9500))) || len(o.take(parentOf(9500))) != 2 || o.take(parentOf(9500)) != nil {
+		t.Fatal("second orphan on a waiting parent must not read as first, and take must drain")
 	}
 }
 
@@ -205,9 +217,15 @@ func TestUnwrapEchoDepth(t *testing.T) {
 // the three tolerated-failure families are exported from the start.
 func TestCountedFailures(t *testing.T) {
 	sink := obs.New(obs.Options{N: 4, F: 1})
-	certs := NewCerts(&Config{N: 4, F: 1, Obs: sink})
-	store := blockstore.New()
-	if n := certs.Apply(store, &types.StateSyncResponse{Blocks: []*types.Block{nil}}, nil, nil); n != 0 {
+	ring, err := crypto.NewKeyRing(4, 3, crypto.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{N: 4, F: 1, Verifier: ring, Obs: sink}, core.ModeRound, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.ApplySegment(&types.StateSyncResponse{Blocks: []*types.Block{nil}}, nil); n != 0 {
 		t.Fatalf("installed %d blocks from a malformed segment", n)
 	}
 	var text strings.Builder

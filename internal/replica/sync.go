@@ -4,18 +4,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/blockstore"
 	"repro/internal/crypto"
 	"repro/internal/obs"
-	"repro/internal/statesync"
 	"repro/internal/types"
 )
 
-// The pieces below need no Chassis: the non-voting observer
-// (internal/observer) has a different commit derivation and no signer,
-// journal or history, so it does not embed one, but it verifies
-// certificates, applies segments, buffers orphans and unwraps echoes with
-// the same code the chassis uses.
+// The chassis's certificate verifier, orphan buffer and echo unwrapping; the
+// verifier and the unwrapping also serve the engines' Prevalidate, which runs
+// off the event loop.
 
 // Certs verifies certificates for one replica: through the batch path (one
 // pass over all vote signatures, bisection attribution on failure) and a
@@ -121,52 +117,28 @@ func (c *Certs) verify(qc *types.QC) error {
 	return crypto.BatchVerifyQC(c.verifier, qc, c.quorum, c.workers)
 }
 
-// Apply installs a fetched chain segment into store link by link (see
-// statesync.Applier), returning how many blocks were new. onBlock observes
-// each installed block; onCert each certificate — an embedded justify after
-// the applier registered it, or (standalone true) the responder's high QC,
-// which the applier validates but leaves to the caller to register. A bad
-// link rejects the rest of the segment and is counted; what was installed
-// before it stays (it was independently certified) and peers re-serve.
-func (c *Certs) Apply(store *blockstore.Store, m *types.StateSyncResponse, onBlock func(*types.Block), onCert func(qc *types.QC, standalone bool)) int {
-	ap := statesync.Applier{
-		Store:     store,
-		Quorum:    c.quorum,
-		OnInstall: onBlock,
-		OnCert:    onCert,
-	}
-	if c.check {
-		ap.VerifyQC = c.VerifyQC
-	}
-	installed, err := ap.Apply(m)
-	if err != nil {
-		c.obs.OnSyncSegmentRejected()
-	}
-	return installed
-}
-
-// maxOrphans bounds the proposals an Orphans buffer holds.
+// maxOrphans bounds the proposals an orphans buffer holds.
 const maxOrphans = 1024
 
-// Orphans buffers proposals whose parent has not arrived yet, keyed by the
+// orphans buffers proposals whose parent has not arrived yet, keyed by the
 // missing parent. It holds at most maxOrphans proposals: beyond that the
 // longest-waiting parent's proposals are evicted first, so an attacker
 // spraying validly-signed blocks with unknown parents cannot grow it without
 // bound; evicted holes heal through sync. The zero value is ready to use.
-type Orphans struct {
+type orphans struct {
 	byParent map[types.BlockID][]*types.Proposal
 	order    []types.BlockID // parents, longest-waiting first
 	n        int
 }
 
-// Add buffers p under its missing parent and reports whether it is the
+// add buffers p under its missing parent and reports whether it is the
 // first proposal waiting on that parent.
-func (o *Orphans) Add(p *types.Proposal) bool {
+func (o *orphans) add(p *types.Proposal) bool {
 	if o.byParent == nil {
 		o.byParent = make(map[types.BlockID][]*types.Proposal)
 	}
 	for o.n >= maxOrphans {
-		o.Take(o.order[0])
+		o.take(o.order[0])
 	}
 	parent := p.Block.Parent
 	waiting := o.byParent[parent]
@@ -178,8 +150,8 @@ func (o *Orphans) Add(p *types.Proposal) bool {
 	return waiting == nil
 }
 
-// Take removes and returns the proposals waiting on parent.
-func (o *Orphans) Take(parent types.BlockID) []*types.Proposal {
+// take removes and returns the proposals waiting on parent.
+func (o *orphans) take(parent types.BlockID) []*types.Proposal {
 	waiting, ok := o.byParent[parent]
 	if !ok {
 		return nil
@@ -194,9 +166,6 @@ func (o *Orphans) Take(parent types.BlockID) []*types.Proposal {
 	}
 	return waiting
 }
-
-// Len returns the number of buffered proposals.
-func (o *Orphans) Len() int { return o.n }
 
 // maxEchoDepth bounds echo unwrapping. Honest replicas wrap a base message
 // exactly once (Streamlet's echo never re-wraps an echo), so anything nested

@@ -57,6 +57,9 @@ type Replica struct {
 
 // New creates a Streamlet replica engine.
 func New(cfg Config) (*Replica, error) {
+	if cfg.Signer == nil {
+		return nil, fmt.Errorf("streamlet: a signer is required")
+	}
 	if cfg.Delta <= 0 {
 		return nil, fmt.Errorf("streamlet: delta must be positive")
 	}

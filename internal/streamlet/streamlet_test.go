@@ -141,3 +141,19 @@ func TestNewRejectsFBFT(t *testing.T) {
 		t.Fatalf("plain streamlet: %v", err)
 	}
 }
+
+// TestNewRejectsNoSigner: a Streamlet replica signs its votes and proposals,
+// so it needs a signer; the chassis alone asks only for a verifier.
+func TestNewRejectsNoSigner(t *testing.T) {
+	ring, err := crypto.NewKeyRing(4, 7, crypto.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := streamlet.Config{
+		Config: replica.Config{ID: 0, N: 4, F: 1, Verifier: ring},
+		Delta:  20 * time.Millisecond,
+	}
+	if _, err := streamlet.New(cfg); err == nil {
+		t.Fatal("streamlet built without a signer")
+	}
+}

@@ -49,8 +49,6 @@ type ObserverConfig struct {
 	// Engine names the protocol the committee runs; it selects the marker
 	// mode the observer tracks strength with (default DiemBFT).
 	Engine Engine
-	// Horizon bounds the endorsement walk (0 = unbounded).
-	Horizon int
 	// Gateway, if non-nil, receives every certified (block, QC) pair the
 	// observer verifies — the feed a GatewayService serves from.
 	Gateway *GatewayService
@@ -63,35 +61,25 @@ type ObserverTransport interface {
 	attachObserver(o *ObserverNode) error
 }
 
-// ObserverTCPConfig configures the TCP observer transport.
-type ObserverTCPConfig struct {
-	// Upstreams maps replica IDs to dialable addresses. The observer
-	// maintains one read-mostly connection per upstream; any non-empty
-	// subset of the committee works, more upstreams tolerate more faulty
-	// feeds.
-	Upstreams map[ReplicaID]string
-	// DialRetry is the pause between failed dials (default 250ms).
-	DialRetry time.Duration
-}
-
 // ObserverTCP returns the real-socket observer transport: it dials the
-// upstream replicas with an observer handshake, so they mirror their
-// certified-chain traffic without ever counting the connection toward
-// consensus.
-func ObserverTCP(cfg ObserverTCPConfig) ObserverTransport {
-	return &observerTCPTransport{cfg: cfg}
+// upstream replicas (replica ID → dialable address) with an observer
+// handshake, so they mirror their certified-chain traffic without ever
+// counting the connection toward consensus. The observer keeps one
+// read-mostly connection per upstream; any non-empty subset of the committee
+// works, and more upstreams tolerate more faulty feeds.
+func ObserverTCP(upstreams map[ReplicaID]string) ObserverTransport {
+	return observerTCPTransport(upstreams)
 }
 
-type observerTCPTransport struct{ cfg ObserverTCPConfig }
+type observerTCPTransport map[ReplicaID]string
 
-func (t *observerTCPTransport) attachObserver(o *ObserverNode) error {
-	if len(t.cfg.Upstreams) == 0 {
+func (t observerTCPTransport) attachObserver(o *ObserverNode) error {
+	if len(t) == 0 {
 		return fmt.Errorf("sft: observer needs at least one upstream")
 	}
 	onet, err := tcpnet.DialObservers(tcpnet.ObserverConfig{
 		ID:          o.id,
-		Upstreams:   t.cfg.Upstreams,
-		DialRetry:   t.cfg.DialRetry,
+		Upstreams:   t,
 		Prevalidate: o.eng.Prevalidate,
 	})
 	if err != nil {
@@ -150,16 +138,13 @@ func NewObserver(cfg ObserverConfig, tr ObserverTransport) (*ObserverNode, error
 		n:    cfg.N,
 		feed: feed{name: "observer"},
 	}
-	f := (cfg.N - 1) / 3
 	verify := scheme == SchemeEd25519 || scheme == Ed25519Aggregate
 	eng, err := observer.New(observer.Config{
 		ID:               cfg.ID,
 		N:                cfg.N,
-		F:                f,
 		Mode:             mode,
 		Verifier:         ring,
 		VerifySignatures: verify,
-		Horizon:          cfg.Horizon,
 		OnCertified: func(b *types.Block, qc *types.QC) {
 			if cfg.Gateway != nil {
 				// A pair the observer itself verified; the gateway re-checks

@@ -62,7 +62,7 @@ func TestAccessTierTCP(t *testing.T) {
 
 	obs, err := sft.NewObserver(sft.ObserverConfig{
 		N: n, Seed: seed, Scheme: sft.SchemeEd25519, Ring: ring, Gateway: gw,
-	}, sft.ObserverTCP(sft.ObserverTCPConfig{Upstreams: peers}))
+	}, sft.ObserverTCP(peers))
 	if err != nil {
 		t.Fatal(err)
 	}
