@@ -210,7 +210,7 @@ KNOB_STRUCTS = \
 # The ratchet: knobs fails when the total exceeds KNOB_BUDGET or a listed file
 # or struct is missing. A change that removes knobs lowers the budget to the
 # new total; one that adds a knob removes another.
-KNOB_BUDGET = 172
+KNOB_BUDGET = 171
 
 knobs:
 	@{ for s in $(KNOB_STRUCTS); do \

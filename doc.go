@@ -393,10 +393,10 @@
 //	ExtraVote                                                      check
 //	Timeout       HighRound = HighQC.Round, sender signature,      stale round, per-peer cap
 //	              high QC
-//	Streamlet     echo unwrap within the nesting cap, round/       first-seen (seenProp) or already
-//	              proposer match, round-robin leader, proposal     stored, parent presence, vote
-//	              and vote signatures (memoized across echoed      dedup, execution-root check
-//	              copies)
+//	Streamlet     echo unwrap within the nesting cap, block and    first-seen (seenProp) or already
+//	              justify present, round/proposer match, justify   stored, parent presence, vote
+//	              names parent, round-robin leader, proposal and   dedup, execution-root check
+//	              vote signatures (memoized across echoed copies)
 //	Observer      block and justify present, justify certifies     already stored, parent presence
 //	              parent, sender inside the committee, proposer
 //	              signature, justify QC

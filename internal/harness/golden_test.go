@@ -269,7 +269,6 @@ func goldenObserverRun(t *testing.T) string {
 	certified := 0
 	obsEng, err := observer.New(observer.Config{
 		ID: n, N: n, Mode: core.ModeRound, Verifier: ring, VerifySignatures: true,
-		Horizon: 2*n + 16,
 		OnCertified: func(b *types.Block, qc *types.QC) {
 			certified++
 			fmt.Fprintf(h, "certified %d %x %d\n", b.Height, b.ID(), len(b.CommitLog))

@@ -54,8 +54,6 @@ type Config struct {
 	// VerifySignatures enables cryptographic checks (on for anything real;
 	// off only for pure-simulation tests, matching the voting engines).
 	VerifySignatures bool
-	// Horizon bounds the tracker's ancestor walk (0 = unbounded).
-	Horizon int
 	// OnCertified, if non-nil, observes every (block, qc) pair where qc
 	// certifies block, exactly once per block, in arrival order. This is
 	// the §5 proof feed: a certified block's CommitLog entries are proven
@@ -95,7 +93,6 @@ func New(cfg Config) (*Observer, error) {
 	o.Chassis, err = replica.New(replica.Config{
 		ID: cfg.ID, N: cfg.N, F: (cfg.N - 1) / 3,
 		Verifier: cfg.Verifier, VerifySignatures: cfg.VerifySignatures,
-		Horizon: cfg.Horizon,
 	}, cfg.Mode, func(b *types.Block, x int) {
 		o.rises = append(o.rises, rise{b, x})
 	}, o.accepted)
@@ -276,7 +273,9 @@ func (o *Observer) tipHeight() types.Height {
 // in ascending height. The tracker reports each level of a block once, in
 // rising order, and never below f, so a block's first rise is its regular
 // commit: CommitTo emits it and its uncommitted ancestors, oldest first, and
-// refuses a block that does not extend the last commit.
+// refuses a block that does not extend the last commit. Strength is reported
+// only for blocks on the committed chain, so the feed never rates a block it
+// did not commit (a refused branch takes more than f faults).
 func (o *Observer) emit() {
 	if len(o.rises) == 0 {
 		return
@@ -289,7 +288,9 @@ func (o *Observer) emit() {
 	})
 	for _, r := range o.rises {
 		o.CommitTo(r.b)
-		o.EmitStrength(r.b, r.x)
+		if o.Store().AncestorAtHeight(o.LastCommitted(), r.b.Height) == r.b {
+			o.EmitStrength(r.b, r.x)
+		}
 	}
 	clear(o.rises)
 	o.rises = o.rises[:0]

@@ -490,8 +490,8 @@ func TestNewRejects(t *testing.T) {
 // arriving by proposal, the other by a state-sync segment that carries a
 // second, larger certificate for it — reaches OnCertified once. The
 // segment's branch does not extend the committed chain, so it yields no
-// Commit, even though forged quorums (more than f faults) close a 3-chain on
-// it and its first block rises.
+// Commit and no Strength, even though forged quorums (more than f faults)
+// close a 3-chain on it and the tracker rates its first block.
 func TestForkCertifiedTwiceCommitsOnce(t *testing.T) {
 	certified := map[types.BlockID]int{}
 	f := newFixture(t, observer.Config{
@@ -523,14 +523,18 @@ func TestForkCertifiedTwiceCommitsOnce(t *testing.T) {
 	if n := certified[parent.ID()]; n != 1 {
 		t.Fatalf("fork parent reported certified %d times, want once", n)
 	}
-	if _, rose := strengths(outs)[fork[0].ID()]; !rose {
-		t.Fatal("the fork's first block never rose; the commit check below would be vacuous")
+	if f.obs.Tracker().Strength(fork[0].ID()) < 1 {
+		t.Fatal("the fork's first block never rose; the checks below would be vacuous")
 	}
-	for _, b := range commits(outs) {
-		for _, c := range fork {
+	rated := strengths(outs)
+	for _, c := range fork {
+		for _, b := range commits(outs) {
 			if b.ID() == c.ID() {
 				t.Fatalf("committed %v, which does not extend the committed chain", b)
 			}
+		}
+		if x, ok := rated[c.ID()]; ok {
+			t.Fatalf("reported strength %d for %v, which was never committed", x, c)
 		}
 	}
 }

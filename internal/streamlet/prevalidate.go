@@ -18,9 +18,10 @@ import (
 //
 // StateSyncResponse segments keep their link-by-link engine-loop
 // verification (their accept/reject semantics are prefix-stateful), and sync
-// requests carry no signatures; both pass through unjudged. So does a
-// proposal's justify: Streamlet certifies from votes and reads a justify only
-// where the state says the votes were missed (certifyParent verifies it).
+// requests carry no signatures; both pass through unjudged. A proposal's
+// justify must name its parent, as every honest leader's does; its votes go
+// unread here: Streamlet certifies from votes and reads a justify only where
+// the state says the votes were missed (certifyParent verifies it).
 func (r *Replica) Prevalidate(from types.ReplicaID, msg types.Message) error {
 	// The relay wrapper adds no signature of its own; Figure 10's echo
 	// mechanism trusts the inner message's original signature, so the checks
@@ -55,11 +56,16 @@ func (r *Replica) prevalidateVote(v types.Vote) error {
 }
 
 func (r *Replica) prevalidateProposal(p *types.Proposal) error {
-	if p.Block == nil {
-		return fmt.Errorf("streamlet: proposal without block")
+	if p.Block == nil || p.Block.Justify == nil {
+		return fmt.Errorf("streamlet: proposal without block or justify")
 	}
 	if p.Block.Round != p.Round || p.Block.Proposer != p.Sender {
 		return fmt.Errorf("streamlet: proposal round/proposer mismatch")
+	}
+	if p.Block.Justify.Block != p.Block.Parent {
+		// The block is journaled once accepted, and a restart registers its
+		// justify: one naming a block the store does not hold fails it.
+		return fmt.Errorf("streamlet: justify does not certify parent")
 	}
 	if pacemaker.Leader(p.Round, r.cfg.N) != p.Sender {
 		return fmt.Errorf("streamlet: proposal from non-leader %v", p.Sender)

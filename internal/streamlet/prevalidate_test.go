@@ -208,6 +208,12 @@ var rejections = []struct {
 		p.Signature = fx.ring.Signer(2).Sign(p.SigningPayload())
 		return p
 	}},
+	{name: "proposal/no justify", from: 2, msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(types.NewBlock(fx.b2.ID(), nil, 3, 3, 2, 7, types.Payload{}, nil))
+	}},
+	{name: "proposal/justify not for parent", from: 2, msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(types.NewBlock(fx.b2.ID(), fx.cert(fx.b1), 3, 3, 2, 7, types.Payload{}, nil))
+	}},
 	{name: "proposal/wrong leader", from: 0, msg: func(fx *doorFixture) types.Message {
 		return fx.proposal(fx.block(3, 0))
 	}},

@@ -123,3 +123,60 @@ func TestStreamletKillRestartRecovers(t *testing.T) {
 		t.Fatalf("victim only committed %d blocks; rejoin appears dead", len(commits[victim]))
 	}
 }
+
+// TestForgedJustifyCannotBlockRestart: a round leader's genuinely signed
+// proposal whose justify names a block nobody holds is refused at the door,
+// so it never reaches the journal, whose replay would fail on it; the
+// restart from that journal succeeds and reinstates the honest block.
+func TestForgedJustifyCannotBlockRestart(t *testing.T) {
+	ring, err := crypto.NewKeyRing(4, 1, crypto.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	open := func() (*streamlet.Replica, *core.Journal, *core.Recovery) {
+		j, rec, err := core.OpenJournal(dir, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := streamlet.New(streamlet.Config{
+			Config: replica.Config{
+				ID: 3, N: 4, F: 1,
+				Signer: ring.Signer(3), Verifier: ring, VerifySignatures: true,
+				Journal: j,
+			},
+			Delta: 50 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, j, rec
+	}
+	g := types.Genesis()
+	forged := types.NewBlock(g.ID(), &types.QC{Block: types.BlockID{1}, Round: 7, Height: 1}, 1, 1, 0, 5, types.Payload{}, nil)
+	honest := types.NewBlock(g.ID(), types.NewGenesisQC(g.ID()), 1, 1, 0, 6, types.Payload{}, nil)
+
+	rep, j, _ := open()
+	rep.Init(0)
+	for _, b := range []*types.Block{forged, honest} {
+		p := &types.Proposal{Block: b, Round: 1, Sender: 0}
+		p.Signature = ring.Signer(0).Sign(p.SigningPayload())
+		rep.OnMessage(0, 0, p)
+	}
+	if rep.Store().Has(forged.ID()) || !rep.Store().Has(honest.ID()) {
+		t.Errorf("store holds forged %v, honest %v; want only the honest block",
+			rep.Store().Has(forged.ID()), rep.Store().Has(honest.ID()))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, j, rec := open()
+	defer j.Close()
+	if err := rep.Restore(rec); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if !rep.Store().Has(honest.ID()) {
+		t.Fatal("restart lost the honest block")
+	}
+}

@@ -330,7 +330,7 @@ func (r *Replica) onAccepted(b *types.Block) {
 // links are, because only the state says it is needed.
 func (r *Replica) certifyParent(b *types.Block) {
 	qc := b.Justify
-	if qc == nil || qc.Block != b.Parent || r.Store().IsCertified(b.Parent) || r.Certs.VerifyQC(qc) != nil {
+	if r.Store().IsCertified(b.Parent) || r.Certs.VerifyQC(qc) != nil {
 		return
 	}
 	if _, improved, err := r.Store().RegisterQC(qc); err == nil && improved {
