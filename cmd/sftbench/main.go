@@ -9,7 +9,7 @@
 //
 // Experiments: fig7a, fig7b, fig8, throughput, msgcomplexity, theorem2,
 // theorem3, streamlet, crashrecovery, adversary, compactcert,
-// livenessattack, bankworkload, gateway, all.
+// livenessattack, all.
 // crashrecovery exercises the durability layer: a replica is killed
 // mid-run, restored from its write-ahead log, and re-joins via state sync;
 // the report compares its commits against the no-crash baseline. adversary
@@ -19,12 +19,6 @@
 // only, not under "all": at the default n=100 each scenario simulates a
 // full Byzantine cluster (hours), while the acceptance setting
 // `-experiment adversary -seed 1 -n 7` takes ~2s.
-//
-// bankworkload drives the execute-before-vote bank (deterministic execution
-// with AppHash-certified state) over -accounts accounts with per-transaction
-// ed25519 signatures and reports submit→f-strong vs submit→2f-strong
-// latency. Explicit-only; acceptance shape
-// `-experiment bankworkload -n 7 -duration 30s -json BENCH_PR9.json`.
 //
 // compactcert measures the compact O(1) certificates at committee sizes
 // n=31 vs n=103: quorum-certificate wire bytes and cold verify CPU in
@@ -43,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -51,38 +46,62 @@ import (
 	"repro/internal/pacemaker"
 )
 
-// experimentNames lists every -experiment value, in the order the "all"
-// sweep runs them (those from adversary on are explicit-only; "all" skips
-// them).
-var experimentNames = []string{
-	"fig7a", "fig7b", "fig8", "throughput", "msgcomplexity",
-	"theorem2", "theorem3", "streamlet", "crashrecovery", "adversary",
-	"compactcert", "livenessattack", "bankworkload", "gateway", "all",
+// params is what an experiment reads from the command line.
+type params struct {
+	sc        harness.Scale
+	deltas    []time.Duration
+	scenarios int
+	workers   int
 }
 
-var validExperiments = func() map[string]bool {
-	m := make(map[string]bool, len(experimentNames))
-	for _, name := range experimentNames {
-		m[name] = true
+// experiments is every -experiment value, in the order "all" runs them. An
+// explicit entry runs only when named: "all" skips it.
+var experiments = []struct {
+	name     string
+	explicit bool
+	run      func(p params) error
+}{
+	{"fig7a", false, func(p params) error { return figure7(p.sc, p.deltas, harness.Figure7a, "symmetric") }},
+	{"fig7b", false, func(p params) error { return figure7(p.sc, p.deltas, harness.Figure7b, "asymmetric") }},
+	{"fig8", false, func(p params) error { return figure8(p.sc) }},
+	{"throughput", false, func(p params) error { return throughput(p.sc, p.deltas[0]) }},
+	{"msgcomplexity", false, func(p params) error { return msgComplexity(p.sc) }},
+	{"theorem2", false, func(p params) error { return theorem2(p.sc) }},
+	{"theorem3", false, func(p params) error { return theorem3(p.sc) }},
+	{"streamlet", false, func(p params) error { return streamletExp(p.sc) }},
+	{"crashrecovery", false, func(p params) error { return crashRecovery(p.sc, p.deltas[0]) }},
+	// At the default n=100 each of the adversary's scenarios simulates a
+	// full Byzantine cluster (hours of wall time); its acceptance setting is
+	// -n 7 (seconds).
+	{"adversary", true, func(p params) error { return adversaryFuzz(p.sc, p.scenarios, p.workers) }},
+	// compactcert sweeps committee sizes {31, 103} under real ed25519 vote
+	// signatures regardless of -n.
+	{"compactcert", true, func(p params) error { return compactCert(p.sc, p.deltas[0]) }},
+	// livenessattack's acceptance shape is n=7 over 10 virtual seconds; the
+	// paper-scale defaults would simulate two full adversarial clusters for
+	// 5 virtual minutes each.
+	{"livenessattack", true, func(p params) error { return livenessAttack(p.sc) }},
+}
+
+// experimentNames lists the valid -experiment values, "all" last.
+func experimentNames() []string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
 	}
-	return m
-}()
+	return append(names, "all")
+}
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run (fig7a|fig7b|fig8|throughput|msgcomplexity|theorem2|theorem3|streamlet|crashrecovery|adversary|compactcert|livenessattack|bankworkload|gateway|all)")
+		experiment = flag.String("experiment", "all", "which experiment to run ("+strings.Join(experimentNames(), "|")+")")
 		n          = flag.Int("n", 100, "number of replicas (3f+1)")
 		duration   = flag.Duration("duration", 5*time.Minute, "virtual run duration")
 		delta      = flag.Duration("delta", 0, "inter-region delay; 0 sweeps the paper's {100ms,200ms}")
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		scheme     = flag.String("scheme", crypto.SchemeSim, "signature scheme (sim|ed25519|sim-agg|ed25519-agg); the ed25519 schemes imply signature verification, the -agg schemes compact certificates")
 		scenarios  = flag.Int("scenarios", 60, "randomized scenarios for -experiment adversary")
-		accounts   = flag.Uint("accounts", 1<<17, "bank accounts for -experiment bankworkload")
-		txnsPer    = flag.Int("txns-per-block", 128, "transactions per proposal for -experiment bankworkload")
-		unsigned   = flag.Bool("unsigned", false, "skip per-transaction ed25519 signatures in -experiment bankworkload")
 		workers    = flag.Int("workers", 0, "concurrent scenarios for -experiment adversary (0 = GOMAXPROCS; results are identical at any worker count)")
-		subs       = flag.Int("subscribers", 1000, "concurrent verified subscriptions for -experiment gateway")
-		jsonPath   = flag.String("json", "", "write machine-readable results (per-experiment latency and per-level strength histograms) to this file")
 	)
 	flag.Parse()
 
@@ -92,9 +111,9 @@ func main() {
 	}
 	// Validate enum flags up front: a typo'd -experiment or -scheme must be
 	// a usage error listing the valid choices, not a silent zero-value run.
-	if !validExperiments[*experiment] {
+	if !slices.Contains(experimentNames(), *experiment) {
 		fmt.Fprintf(os.Stderr, "sftbench: unknown experiment %q\nvalid choices: %s\n",
-			*experiment, strings.Join(experimentNames, ", "))
+			*experiment, strings.Join(experimentNames(), ", "))
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -106,81 +125,31 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	sc := harness.Scale{
-		N: *n, F: (*n - 1) / 3, Duration: *duration, Seed: *seed,
-		Scheme: *scheme,
+	p := params{
+		sc: harness.Scale{
+			N: *n, F: (*n - 1) / 3, Duration: *duration, Seed: *seed,
+			Scheme: *scheme,
+		},
+		deltas:    []time.Duration{100 * time.Millisecond, 200 * time.Millisecond},
+		scenarios: *scenarios,
+		workers:   *workers,
 	}
-	deltas := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond}
 	if *delta != 0 {
-		deltas = []time.Duration{*delta}
-	}
-	if *jsonPath != "" {
-		benchInit(sc)
+		p.deltas = []time.Duration{*delta}
 	}
 
-	run := func(name string, fn func() error) {
-		if *experiment != "all" && *experiment != name {
-			return
+	for _, e := range experiments {
+		if *experiment != e.name && (*experiment != "all" || e.explicit) {
+			continue
 		}
 		fmt.Printf("==> %s (n=%d f=%d duration=%v seed=%d scheme=%s)\n",
-			name, sc.N, sc.F, sc.Duration, sc.Seed, sc.Scheme)
+			e.name, p.sc.N, p.sc.F, p.sc.Duration, p.sc.Seed, p.sc.Scheme)
 		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "sftbench: %s: %v\n", name, err)
+		if err := e.run(p); err != nil {
+			fmt.Fprintf(os.Stderr, "sftbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Printf("    [wall time %v]\n\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	run("fig7a", func() error { return figure7(sc, deltas, harness.Figure7a, "fig7a", "symmetric") })
-	run("fig7b", func() error { return figure7(sc, deltas, harness.Figure7b, "fig7b", "asymmetric") })
-	run("fig8", func() error { return figure8(sc) })
-	run("throughput", func() error { return throughput(sc, deltas[0]) })
-	run("msgcomplexity", func() error { return msgComplexity(sc) })
-	run("theorem2", func() error { return theorem2(sc) })
-	run("theorem3", func() error { return theorem3(sc) })
-	run("streamlet", func() error { return streamletExp(sc) })
-	run("crashrecovery", func() error { return crashRecovery(sc, deltas[0]) })
-	// adversary is explicit-only (not part of "all"): at the default paper
-	// scale (n=100) each of its 60 scenarios simulates
-	// a full Byzantine cluster — hours of wall time — while its acceptance
-	// setting is -n 7 (~2s). Run it as `-experiment adversary -n 7`.
-	if *experiment == "adversary" {
-		run("adversary", func() error { return adversaryFuzz(sc, *scenarios, *workers) })
-	}
-	// compactcert is explicit-only: it sweeps committee sizes {31, 103}
-	// under real ed25519 vote signatures regardless of -n.
-	if *experiment == "compactcert" {
-		run("compactcert", func() error { return compactCert(sc, deltas[0]) })
-	}
-	// livenessattack is explicit-only: its acceptance shape is n=7 over 10
-	// virtual seconds (`-experiment livenessattack -n 7 -duration 10s`, ~2s
-	// of wall time); the paper-scale defaults would simulate two full
-	// adversarial clusters for 5 virtual minutes each.
-	if *experiment == "livenessattack" {
-		run("livenessattack", func() error { return livenessAttack(sc) })
-	}
-	// bankworkload is explicit-only: it drives the execute-before-vote bank
-	// over a large account population (per-transaction ed25519 by default)
-	// and measures submit→x-strong latency at the two assurance levels. Its
-	// acceptance shape is `-experiment bankworkload -n 7 -duration 30s`.
-	if *experiment == "bankworkload" {
-		run("bankworkload", func() error { return bankWorkload(sc, uint32(*accounts), *txnsPer, !*unsigned) })
-	}
-	// gateway is explicit-only: unlike the simulated experiments it runs
-	// three wall-clock arms over real loopback sockets — a bare cluster, the
-	// same cluster serving -subscribers proof-verified strength
-	// subscriptions through an observer-fed gateway, and a lying gateway
-	// every subscriber must catch. Its acceptance shape is
-	// `-experiment gateway -n 7 -duration 15s`.
-	if *experiment == "gateway" {
-		run("gateway", func() error { return gatewayScale(sc, *subs) })
-	}
-	if *jsonPath != "" {
-		if err := benchWrite(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "sftbench: write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
 	}
 }
 
@@ -330,77 +299,6 @@ func livenessAttack(sc harness.Scale) error {
 	return nil
 }
 
-// bankWorkload drives the deterministic execution layer end to end: every
-// replica executes a signed-transfer bank before voting (AppHash-certified
-// state), the workload pushes transfers and withdrawals across `accounts`
-// accounts, and the report is the paper's knob applied to execution —
-// submit→f-strong (the classical guarantee) vs submit→2f-strong (maximum
-// assurance) latency, over a chain whose state roots all replicas agree on.
-func bankWorkload(sc harness.Scale, accounts uint32, txnsPerBlock int, sign bool) error {
-	res, err := harness.BankWorkload(sc, accounts, txnsPerBlock, sign)
-	if err != nil {
-		return err
-	}
-	sigs := "ed25519 per txn"
-	if !res.Signed {
-		sigs = "disabled"
-	}
-	row := func(name string, s harness.Summary) []string {
-		return []string{name, fmt.Sprintf("%d", s.Count),
-			fmt.Sprintf("%.3f", s.P50), fmt.Sprintf("%.3f", s.P99), fmt.Sprintf("%.3f", s.Mean)}
-	}
-	printTable(fmt.Sprintf("Bank workload: %d accounts, %d txns/block, signatures %s", res.Accounts, txnsPerBlock, sigs),
-		[]string{"assurance", "samples", "p50 (s)", "p99 (s)", "mean (s)"},
-		[][]string{
-			row(fmt.Sprintf("submit -> f-strong (x=%d)", res.Result.Scenario.F), res.SubmitToF),
-			row(fmt.Sprintf("submit -> 2f-strong (x=%d)", 2*res.Result.Scenario.F), res.SubmitTo2F),
-		})
-	fmt.Printf("    %d blocks committed, %d txns generated, %d blocks executed; %d/%d heights state-root agreed across all replicas\n",
-		res.Result.CommittedBlocks, res.Generated, res.ExecutedBlocks,
-		res.AgreedHeights, len(res.Result.AppHashes[res.Result.Observer]))
-	if res.AgreedHeights == 0 {
-		return fmt.Errorf("no committed height had all replicas agreeing on the state root")
-	}
-	e := benchExperimentOf("bankworkload", res.Result, res.Result.Scenario.F, 0, 0)
-	e.ThroughputTPS = res.Result.ThroughputTPS
-	benchRecord(e)
-	return nil
-}
-
-// gatewayScale runs the access-tier scale experiment: a bare n-replica TCP
-// cluster vs the same cluster with a non-voting observer feeding a gateway
-// that serves `subscribers` concurrent proof-verified strength
-// subscriptions, plus a lying-gateway arm that must be rejected by every
-// client. The headline numbers are the commit-cadence slowdown (the read
-// path's tax on the write path) and the subscriber coverage.
-func gatewayScale(sc harness.Scale, subscribers int) error {
-	res, err := harness.GatewayScaleExperiment(harness.GatewayScale{
-		N: sc.N, Seed: sc.Seed, Scheme: sc.Scheme,
-		Duration: sc.Duration, Subscribers: subscribers,
-	})
-	if err != nil {
-		return err
-	}
-	row := func(name string, arm harness.GatewayArm) []string {
-		return []string{name, fmt.Sprintf("%d", arm.Commits),
-			fmt.Sprintf("%.1f", arm.Interval.P50*1e3), fmt.Sprintf("%.1f", arm.Interval.P95*1e3)}
-	}
-	printTable(fmt.Sprintf("Gateway scale: %d proof-verified subscriptions on one gateway", res.Subscribers),
-		[]string{"arm", "commits", "interval p50 (ms)", "interval p95 (ms)"},
-		[][]string{
-			row("baseline (no gateway)", res.Baseline),
-			row(fmt.Sprintf("gateway + %d subscribers", res.Subscribers), res.WithGateway),
-		})
-	fmt.Printf("    commit-cadence slowdown p50: %.2fx; %d/%d subscribers served (min %d events each, %d total), %d blocks proven\n",
-		res.SlowdownP50, res.SubscribersServed, res.Subscribers,
-		res.MinEventsPerSubscriber, res.EventsVerified, res.ProvenBlocks)
-	fmt.Printf("    lying gateway: %d/%d subscribers rejected the fabricated proof\n",
-		res.LyingRejected, res.LyingSubscribers)
-	benchRecord(benchGatewayExperiment("gateway-baseline", res.Baseline, nil))
-	benchRecord(benchGatewayExperiment("gateway", res.WithGateway, res))
-	return res.Verdict()
-}
-
 // compactCert sweeps committee sizes n=31 and n=103: for each it encodes
 // and cold-verifies one genuine quorum certificate in both wire forms, then
 // runs the fig7a-style simulation under ed25519-agg. The wire-size check is
@@ -483,7 +381,7 @@ func crashRecovery(sc harness.Scale, delta time.Duration) error {
 	return nil
 }
 
-func figure7(sc harness.Scale, deltas []time.Duration, fn func(harness.Scale, time.Duration) (*harness.Result, error), name, label string) error {
+func figure7(sc harness.Scale, deltas []time.Duration, fn func(harness.Scale, time.Duration) (*harness.Result, error), label string) error {
 	results := make([]*harness.Result, 0, len(deltas))
 	for _, d := range deltas {
 		res, err := fn(sc, d)
@@ -544,7 +442,6 @@ func figure7(sc harness.Scale, deltas []time.Duration, fn func(harness.Scale, ti
 	for i, res := range results {
 		fmt.Printf("    δ=%v: %d blocks committed, regular latency %.3fs, %.1f msgs/commit\n",
 			deltas[i], res.CommittedBlocks, res.RegularLatency.Mean, res.MsgsPerCommit)
-		benchRecord(benchExperimentOf(name, res, f, deltas[i], 0))
 	}
 	return nil
 }
@@ -579,7 +476,6 @@ func figure8(sc harness.Scale) error {
 			}
 		}
 		rows = append(rows, row)
-		benchRecord(benchExperimentOf("fig8", p.Result, f, 0, p.ExtraWait))
 	}
 	printTable("Figure 8: regular vs strong commit latency trade-off (δ=100ms)", header, rows)
 	return nil

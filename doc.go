@@ -11,9 +11,10 @@
 // runtime, Byzantine adversaries, a light-client proof system, and a
 // benchmark harness regenerating every figure of the evaluation section.
 //
-// Start with README.md (architecture map and performance notes). The
-// benchmarks in bench_test.go regenerate each figure at reduced scale;
-// cmd/sftbench runs them at paper scale (n = 100, five virtual minutes).
+// Start with README.md (architecture map and performance notes).
+// cmd/sftbench runs the evaluation's experiments on the simulator; the
+// oracles below pin them, and bench/ measures the real stack in wall-clock
+// time.
 //
 // # Paper claims and their oracles
 //
@@ -117,7 +118,7 @@
 //     obs.NewHandler serves /metrics, /healthz, /tracez and /debug/pprof
 //     (cmd/sftnode -obs-addr). Engine-side hooks use the engine clock, so
 //     fixed-seed runs stay bit-identical with the sink on or off.
-//   - WithMetrics, WithObserver, WithPayload, WithRoundTimeout,
+//   - WithObserver, WithPayload, WithRoundTimeout,
 //     WithExtraWait(For), WithDelta, WithoutEcho, WithCommitLog,
 //     WithPruneKeep — observation and per-engine knobs.
 //   - WithAdversary(specs...) — adversarial testing: the node becomes
@@ -209,11 +210,10 @@
 //     the stream with *ErrProofInvalid instead of being believed
 //     (sftclient -subscribe is this as a probe).
 //
-// `sftbench -experiment gateway` (make gateway-scale) is the acceptance
-// experiment: an n=7 cluster serving 1000 concurrent proof-verified
-// subscriptions through one gateway, commit cadence compared against a
-// no-gateway baseline, plus a lying-gateway arm every subscriber must
-// reject. BENCH_PR10.json records the numbers; make gateway-smoke runs the
+// sft.TestAccessTierTCP drives a 4-replica committee, an observer, a gateway
+// and a proof-verifying subscriber over loopback sockets;
+// sft.TestLyingGatewayCaught serves a fabricated proof the subscriber must
+// reject. make gateway-smoke runs the
 // live-binary smoke (sftnode cluster + sftgateway + sftclient -subscribe).
 //
 // # Replica chassis
@@ -395,22 +395,22 @@
 //	              high QC
 //	Streamlet     echo unwrap within the nesting cap, block and    first-seen (seenProp) or already
 //	              justify present, round/proposer match, justify   stored, parent presence, vote
-//	              names parent, round-robin leader, proposal and   dedup, execution-root check
-//	              vote signatures (memoized across echoed copies)
+//	              certifies parent, round-robin leader, proposal   dedup, execution-root check
+//	              and vote signatures (memoized across echoed
+//	              copies), justify QC
 //	Observer      block and justify present, justify certifies     already stored, parent presence
 //	              parent, sender inside the committee, proposer
 //	              signature, justify QC
 //
-// Two things are deliberately not a clean split. Catch-up segments
+// One thing is deliberately not a clean split. Catch-up segments
 // (StateSyncResponse) are prefix-stateful — blocks install link by link up to
 // the first bad one — so Prevalidate never judges them; it only warms their
 // certificates into the verified-QC cache, and they are verified as they
-// install (Chassis.ApplySegment, statesync.Applier). And
-// Streamlet's state stage verifies one certificate of its own: an accepted
-// proposal's justify, only when the store holds the parent uncertified
-// because this replica missed its votes (streamlet.certifyParent) — a
-// condition no stateless check can see, on a certificate the fault-free path
-// never reads. The rejection tables and FuzzOnMessage targets of the three
+// install (Chassis.ApplySegment, statesync.Applier). Every engine verifies a
+// proposal's justify at the door, Streamlet included although it reads the
+// justify only when it missed the parent's votes (streamlet.certifyParent):
+// an accepted block is journaled, and a restart registers its justify
+// unread. The rejection tables and FuzzOnMessage targets of the three
 // engine packages drive every malformed class and arbitrary decoded messages
 // through both doors; BENCH_PR3.json holds the original measurements of
 // taking verification off the loop.
@@ -429,7 +429,7 @@
 // (harness.CrashPlan), and cmd/sftnode persists across process restarts via
 // -data-dir. README.md
 // documents the full contract; BENCH_PR2.json records the costs (vote-path
-// WAL append: 0 allocs/op; bench-smoke with the WAL disabled: unchanged).
+// WAL append: 0 allocs/op).
 //
 // # Compact certificates
 //

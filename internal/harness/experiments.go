@@ -5,18 +5,16 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/app"
 	"repro/internal/pacemaker"
 	"repro/internal/reference"
 	"repro/internal/types"
-	"repro/internal/workload"
 	"repro/sft"
 )
 
 // This file contains one driver per table/figure of the paper's evaluation
-// (see DESIGN.md's experiment index). Every driver takes a Scale so the
-// same experiment runs at paper scale (n=100, ≥5 virtual minutes) from
-// cmd/sftbench and at reduced scale from `go test -bench`.
+// (doc.go's "Paper claims and their oracles" maps each to its claim). Every
+// driver takes a Scale so the same experiment runs at paper scale (n=100,
+// ≥5 virtual minutes) from cmd/sftbench and at reduced scale from the tests.
 
 // Scale controls the cost of an experiment run.
 type Scale struct {
@@ -551,116 +549,6 @@ func CrashRecovery(sc Scale, delta time.Duration) (*CrashRecoveryResult, error) 
 			out.ObserverHeight = h
 		}
 	}
-	return out, nil
-}
-
-// BankWorkloadResult aggregates the execution-layer workload experiment.
-type BankWorkloadResult struct {
-	Result   *Result
-	Accounts uint32
-	Signed   bool
-	// Generated counts transactions issued by the workload;
-	// ExecutedBlocks the blocks the observer's replica ran through its bank.
-	Generated      int64
-	ExecutedBlocks int64
-	// SubmitToF and SubmitTo2F are the submit→x-strong latency distributions
-	// at the regular commit level (x = f) and the maximum assurance level
-	// (x = 2f). Submission time equals block creation time for this workload
-	// (the leader batches at proposal), so these are the collector's
-	// creation→x-strong series read at the two levels.
-	SubmitToF, SubmitTo2F Summary
-	// AgreedHeights counts committed heights at which every replica recorded
-	// the identical state root (the run fails outright if any height
-	// diverges).
-	AgreedHeights int
-}
-
-// BankWorkload runs the flagship execution-layer experiment: an n=7 cluster
-// where every replica executes a signed-transfer bank before voting, leaders
-// drive a large account population through it, and the result reports how
-// long a client waits between submitting and its transaction's block
-// reaching f-strong (spendable for reads) and 2f-strong (safe to release a
-// withdrawal). accounts defaults to 128Ki, txnsPerBlock to 128; sign turns
-// on real ed25519 transaction signatures and replica-side verification.
-func BankWorkload(sc Scale, accounts uint32, txnsPerBlock int, sign bool) (*BankWorkloadResult, error) {
-	if sc.N == 0 {
-		sc.N, sc.F = 7, 2
-	}
-	if sc.Duration == 0 {
-		sc.Duration = 12 * time.Second
-	}
-	if sc.Seed == 0 {
-		sc.Seed = 1
-	}
-	if accounts == 0 {
-		accounts = 1 << 17
-	}
-	if txnsPerBlock == 0 {
-		txnsPerBlock = 128
-	}
-	cfg := app.BankConfig{
-		Seed:             sc.Seed,
-		Accounts:         accounts,
-		InitialBalance:   1 << 24,
-		DisableSigVerify: !sign,
-	}
-	if sign {
-		// One shared key/verdict cache across the cluster: account pubkeys
-		// derive once and every signature verifies once globally instead of
-		// once per replica.
-		cfg.Keys = app.NewBankKeys(cfg.Seed)
-	}
-	gen := workload.NewBankWorkload(sc.Seed, cfg, txnsPerBlock, sign)
-	model := sft.SymmetricLatency(sc.N, 3, intraDelay, 20*time.Millisecond, 5*time.Millisecond)
-	res, err := Run(&Scenario{
-		Name:            "bankworkload",
-		N:               sc.N,
-		F:               sc.F,
-		Latency:         model,
-		Seed:            sc.Seed,
-		Duration:        sc.Duration,
-		Scheme:          sc.Scheme,
-		Levels:          []int{sc.F, 2 * sc.F},
-		PayloadTxns:     txnsPerBlock,
-		RecordChains:    true,
-		RecordStrengths: true,
-		Options: []sft.Option{
-			sft.WithRoundTimeout(250 * time.Millisecond),
-			sft.WithApp(func() sft.StateMachine { return app.NewBank(cfg) }),
-			sft.WithPayloadNow(gen.Payload),
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Benign run: the fuzzer's checkers — including execution agreement —
-	// must hold at t = 0.
-	if vs := CheckInvariants(res, 0); len(vs) > 0 {
-		return nil, fmt.Errorf("bankworkload: invariant violated: %s", vs[0])
-	}
-	out := &BankWorkloadResult{
-		Result:     res,
-		Accounts:   accounts,
-		Signed:     sign,
-		Generated:  gen.Generated(),
-		SubmitToF:  res.LevelLatency[sc.F],
-		SubmitTo2F: res.LevelLatency[2*sc.F],
-	}
-	if obs := res.AppHashes[res.Observer]; obs != nil {
-		for h, root := range obs {
-			all := true
-			for rep := range res.AppHashes {
-				if other, ok := res.AppHashes[rep][h]; !ok || other != root {
-					all = false
-					break
-				}
-			}
-			if all {
-				out.AgreedHeights++
-			}
-		}
-	}
-	out.ExecutedBlocks = res.AppExecutedBlocks
 	return out, nil
 }
 

@@ -331,7 +331,7 @@ func (s FuzzScenario) Scenario() *Scenario {
 		// whoever leads; batches stay small to keep sweep cost flat.
 		sc.Options = append(sc.Options,
 			sft.WithApp(func() sft.StateMachine { return app.NewBank(cfg) }),
-			sft.WithPayloadNow(workload.NewBankWorkload(s.SubSeed, cfg, 24, false).Payload))
+			sft.WithPayloadNow(workload.NewBank(s.SubSeed, cfg, 24).Payload))
 	}
 	return sc
 }

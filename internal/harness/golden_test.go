@@ -112,7 +112,7 @@ func goldenScenarios() []*Scenario {
 	fbft.Latency = simnet.NewSymmetricModel(4, 2, intraDelay, 20*time.Millisecond, 8*time.Millisecond)
 
 	bankCfg := app.BankConfig{Seed: 104, Accounts: 1 << 10, InitialBalance: 1 << 20, DisableSigVerify: true}
-	gen := workload.NewBankWorkload(104, bankCfg, 32, false)
+	gen := workload.NewBank(104, bankCfg, 32)
 	bank := base("diembft-bank-crash-n7", 104,
 		sft.WithApp(func() sft.StateMachine { return app.NewBank(bankCfg) }),
 		sft.WithPayloadNow(gen.Payload))
@@ -132,7 +132,7 @@ func goldenScenarios() []*Scenario {
 	streamEcho.Crashes = []CrashPlan{{Replica: 2, Crash: 4 * time.Second, Restart: 7 * time.Second}}
 
 	streamBankCfg := app.BankConfig{Seed: 108, Accounts: 1 << 8, InitialBalance: 1 << 20, DisableSigVerify: true}
-	streamGen := workload.NewBankWorkload(108, streamBankCfg, 8, false)
+	streamGen := workload.NewBank(108, streamBankCfg, 8)
 	streamNoEcho := base("streamlet-noecho-n7", 108,
 		sft.WithEngine(sft.Streamlet), sft.WithDelta(25*time.Millisecond), sft.WithoutEcho(),
 		sft.WithApp(func() sft.StateMachine { return app.NewBank(streamBankCfg) }),

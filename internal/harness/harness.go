@@ -179,7 +179,7 @@ type Result struct {
 	// AppHashes maps replica -> height -> the execution-layer state root the
 	// replica committed there, recorded at commit time for replicas running
 	// sft.WithApp when Scenario.RecordChains is set. The fuzzer's
-	// execution-agreement invariant and the bank-workload experiment read it.
+	// execution-agreement invariant reads it.
 	AppHashes map[types.ReplicaID]map[types.Height][32]byte
 	// AppExecutedBlocks is the number of blocks the observer's replica ran
 	// through its state machine (sft.WithApp runs only).

@@ -19,9 +19,9 @@ import (
 // StateSyncResponse segments keep their link-by-link engine-loop
 // verification (their accept/reject semantics are prefix-stateful), and sync
 // requests carry no signatures; both pass through unjudged. A proposal's
-// justify must name its parent, as every honest leader's does; its votes go
-// unread here: Streamlet certifies from votes and reads a justify only where
-// the state says the votes were missed (certifyParent verifies it).
+// justify must be a valid certificate for its parent, as every honest
+// leader's is: the block is journaled once accepted, and a restart registers
+// its justify unread.
 func (r *Replica) Prevalidate(from types.ReplicaID, msg types.Message) error {
 	// The relay wrapper adds no signature of its own; Figure 10's echo
 	// mechanism trusts the inner message's original signature, so the checks
@@ -63,8 +63,6 @@ func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 		return fmt.Errorf("streamlet: proposal round/proposer mismatch")
 	}
 	if p.Block.Justify.Block != p.Block.Parent {
-		// The block is journaled once accepted, and a restart registers its
-		// justify: one naming a block the store does not hold fails it.
 		return fmt.Errorf("streamlet: justify does not certify parent")
 	}
 	if pacemaker.Leader(p.Round, r.cfg.N) != p.Sender {
@@ -73,5 +71,5 @@ func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 	if r.cfg.VerifySignatures && !r.sigCache.Verify(r.cfg.Verifier, p.Sender, p.SigningPayload(), p.Signature) {
 		return fmt.Errorf("streamlet: bad proposal signature from %v", p.Sender)
 	}
-	return nil
+	return r.Certs.VerifyQC(p.Block.Justify)
 }

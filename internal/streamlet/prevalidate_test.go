@@ -214,6 +214,11 @@ var rejections = []struct {
 	{name: "proposal/justify not for parent", from: 2, msg: func(fx *doorFixture) types.Message {
 		return fx.proposal(types.NewBlock(fx.b2.ID(), fx.cert(fx.b1), 3, 3, 2, 7, types.Payload{}, nil))
 	}},
+	{name: "proposal/forged justify vote", sigOnly: true, from: 2, msg: func(fx *doorFixture) types.Message {
+		qc := fx.cert(fx.b2)
+		qc.Votes[0].Signature = fx.ring.Signer(2).Sign(qc.Votes[0].SigningPayload())
+		return fx.proposal(types.NewBlock(fx.b2.ID(), qc, 3, 3, 2, 7, types.Payload{}, nil))
+	}},
 	{name: "proposal/wrong leader", from: 0, msg: func(fx *doorFixture) types.Message {
 		return fx.proposal(fx.block(3, 0))
 	}},
@@ -307,7 +312,7 @@ func TestStateStageNeverVerifies(t *testing.T) {
 		msg  types.Message
 		want int // signature checks; relayed copies of a checked signature cost none
 	}{
-		{2, splitFx.proposal(b3), 1},
+		{2, splitFx.proposal(b3), 4}, // the proposal and its justify's three votes
 		{0, vote0, 1},
 		{1, &types.Echo{Inner: vote0, Relayer: 1}, 0},
 		{1, &types.Echo{Inner: &types.VoteMsg{Vote: splitFx.vote(b3, 1)}, Relayer: 1}, 1},

@@ -180,3 +180,71 @@ func TestForgedJustifyCannotBlockRestart(t *testing.T) {
 		t.Fatal("restart lost the honest block")
 	}
 }
+
+// TestForgedJustifyVotesCannotCertifyOnRestart: a round leader's genuinely
+// signed proposal on a parent this replica holds but has not certified,
+// whose justify names that parent with forged votes, is refused at the door.
+// Were it journaled, the restart would register its justify and certify the
+// parent on votes nobody cast.
+func TestForgedJustifyVotesCannotCertifyOnRestart(t *testing.T) {
+	ring, err := crypto.NewKeyRing(4, 1, crypto.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	open := func() (*streamlet.Replica, *core.Journal, *core.Recovery) {
+		j, rec, err := core.OpenJournal(dir, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := streamlet.New(streamlet.Config{
+			Config: replica.Config{
+				ID: 3, N: 4, F: 1,
+				Signer: ring.Signer(3), Verifier: ring, VerifySignatures: true,
+				Journal: j,
+			},
+			Delta: 50 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, j, rec
+	}
+	propose := func(rep *streamlet.Replica, b *types.Block) {
+		p := &types.Proposal{Block: b, Round: b.Round, Sender: b.Proposer}
+		p.Signature = ring.Signer(b.Proposer).Sign(p.SigningPayload())
+		rep.OnMessage(0, b.Proposer, p)
+	}
+	g := types.Genesis()
+	parent := types.NewBlock(g.ID(), types.NewGenesisQC(g.ID()), 1, 1, 0, 5, types.Payload{}, nil)
+	forged := &types.QC{Block: parent.ID(), Round: parent.Round, Height: parent.Height}
+	for voter := types.ReplicaID(0); voter < 3; voter++ {
+		v := types.Vote{Block: parent.ID(), Round: parent.Round, Height: parent.Height, Voter: voter}
+		v.Signature = ring.Signer(1).Sign(v.SigningPayload()) // the leader signs for everyone
+		forged.Votes = append(forged.Votes, v)
+	}
+	child := types.NewBlock(parent.ID(), forged, 2, 2, 1, 6, types.Payload{}, nil)
+
+	rep, j, _ := open()
+	rep.Init(0)
+	propose(rep, parent)
+	propose(rep, child)
+	if rep.Store().IsCertified(parent.ID()) {
+		t.Fatal("forged justify certified the parent live")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, j, rec := open()
+	defer j.Close()
+	if err := rep.Restore(rec); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if !rep.Store().Has(parent.ID()) {
+		t.Fatal("restart lost the parent")
+	}
+	if rep.Store().IsCertified(parent.ID()) {
+		t.Fatal("restart certified the parent from a journaled forged justify")
+	}
+}

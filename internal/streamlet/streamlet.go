@@ -171,8 +171,7 @@ func (r *Replica) OnMessage(now time.Duration, from types.ReplicaID, msg types.M
 }
 
 // OnVerifiedMessage implements engine.Engine: the state stage, stateful rules
-// only. Only sync segments are verified here, link by link as they install,
-// and the one justify that stands in for a missed certificate (certifyParent).
+// only. Only sync segments are verified here, link by link as they install.
 func (r *Replica) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {
 	r.Begin(now)
 	r.handle(msg)
@@ -326,11 +325,10 @@ func (r *Replica) onAccepted(b *types.Block) {
 // hole in the longest certified chain: tip finds nothing to propose on and
 // every one of this replica's leader slots is lost. Replicas that saw the
 // votes certified the parent before any child was proposed, so for them this
-// is one store lookup; the justify is verified here, as a catch-up segment's
-// links are, because only the state says it is needed.
+// is one store lookup. Prevalidate verified the justify.
 func (r *Replica) certifyParent(b *types.Block) {
 	qc := b.Justify
-	if r.Store().IsCertified(b.Parent) || r.Certs.VerifyQC(qc) != nil {
+	if r.Store().IsCertified(b.Parent) {
 		return
 	}
 	if _, improved, err := r.Store().RegisterQC(qc); err == nil && improved {

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"crypto/ed25519"
 	"math/rand"
 	"time"
 
@@ -9,72 +8,50 @@ import (
 	"repro/internal/types"
 )
 
-// BankWorkload generates signed bank-transfer traffic for the execution
-// layer: each payload carries a batch of app.BankTx operations (mostly
-// transfers, some withdrawals) drawn from a deterministic account
-// population. The generator tracks the nonce it last issued per account, so
-// in a benign run — where every proposed block commits — transactions apply
-// cleanly; under forks or timeouts the nonces of never-committed proposals
-// are burned and the bank rejects the successors with CodeBadNonce, which is
-// deliberate: result codes are part of the deterministic state the AppHash
-// certifies, not something the workload may paper over.
+// Bank generates bank-transfer traffic for the execution layer: each payload
+// carries a batch of unsigned app.BankTx operations (mostly transfers, some
+// withdrawals) drawn from a deterministic account population, for a bank
+// running DisableSigVerify. The generator tracks the nonce it last issued per
+// account, so in a benign run — where every proposed block commits —
+// transactions apply cleanly; under forks or timeouts the nonces of
+// never-committed proposals are burned and the bank rejects the successors
+// with CodeBadNonce, which is deliberate: result codes are part of the
+// deterministic state the AppHash certifies, not something the workload may
+// paper over.
 //
 // The generator is stateful and not safe for concurrent use; the
 // discrete-event simulator calls it from one goroutine (whichever replica
 // leads the round), which both keeps it deterministic and models a shared
 // client population submitting to the current leader.
-type BankWorkload struct {
-	cfg  app.BankConfig
-	rng  *rand.Rand
-	txns int
-	sign bool
-
+type Bank struct {
+	cfg   app.BankConfig
+	rng   *rand.Rand
+	txns  int
 	nonce map[uint32]uint64
-	keys  map[uint32]ed25519.PrivateKey
-
-	generated int64
-	lastAt    time.Duration
 }
 
-// NewBankWorkload creates a generator over the account population cfg
-// describes. txnsPerBlock is the batch size per payload; sign controls
-// whether transactions carry real ed25519 signatures (matching a bank built
-// with signature verification on) or zero signatures (for banks running
-// DisableSigVerify, e.g. the scenario fuzzer's fast path).
-func NewBankWorkload(seed int64, cfg app.BankConfig, txnsPerBlock int, sign bool) *BankWorkload {
+// NewBank creates a generator over the account population cfg describes;
+// txnsPerBlock is the batch size per payload.
+func NewBank(seed int64, cfg app.BankConfig, txnsPerBlock int) *Bank {
 	if cfg.Accounts == 0 {
 		cfg.Accounts = 1
 	}
 	if txnsPerBlock <= 0 {
 		txnsPerBlock = 1
 	}
-	return &BankWorkload{
+	return &Bank{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(seed)),
 		txns:  txnsPerBlock,
-		sign:  sign,
 		nonce: make(map[uint32]uint64),
-		keys:  make(map[uint32]ed25519.PrivateKey),
 	}
-}
-
-// key returns account id's signing key, deriving it on first use so driving
-// a million-account population does not pay a million key derivations up
-// front.
-func (w *BankWorkload) key(id uint32) ed25519.PrivateKey {
-	if k, ok := w.keys[id]; ok {
-		return k
-	}
-	k := app.AccountKey(w.cfg.Seed, id)
-	w.keys[id] = k
-	return k
 }
 
 // Payload implements the engines' PayloadNow hook: it is invoked by the
 // proposing leader with the virtual submission time, which doubles as each
 // batched transaction's submit timestamp (the block's creation time), so
 // creation→x-strong latency IS submit→x-strong latency for this workload.
-func (w *BankWorkload) Payload(r types.Round, now time.Duration) types.Payload {
+func (w *Bank) Payload(r types.Round, now time.Duration) types.Payload {
 	out := make([]types.Transaction, 0, w.txns)
 	for i := 0; i < w.txns; i++ {
 		from := uint32(w.rng.Intn(int(w.cfg.Accounts)))
@@ -92,16 +69,7 @@ func (w *BankWorkload) Payload(r types.Round, now time.Duration) types.Payload {
 			tx.To = 0
 		}
 		w.nonce[from]++
-		if w.sign {
-			payload := tx.AppendSigningPayload(make([]byte, 0, 32+app.BankTxSize))
-			copy(tx.Sig[:], ed25519.Sign(w.key(from), payload))
-		}
 		out = append(out, tx.AsTransaction())
 	}
-	w.generated += int64(w.txns)
-	w.lastAt = now
 	return types.Payload{Txns: out}
 }
-
-// Generated returns the number of transactions issued so far.
-func (w *BankWorkload) Generated() int64 { return w.generated }

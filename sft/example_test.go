@@ -10,8 +10,8 @@ import (
 )
 
 // ExampleNew composes a 4-replica SFT-DiemBFT cluster on the deterministic
-// Simnet fabric and counts commits and the strongest commit level through a
-// shared metrics sink. Fixed seeds make the output reproducible.
+// Simnet fabric, totals the nodes' commits and reads the strongest commit
+// level any of them reached. Fixed seeds make the output reproducible.
 func ExampleNew() {
 	const (
 		n    = 4
@@ -25,15 +25,14 @@ func ExampleNew() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	metrics := &sft.Metrics{}
-	for i := 0; i < n; i++ {
+	var nodes [n]*sft.Node
+	for i := range nodes {
 		id := sft.ReplicaID(i)
-		_, err := sft.New(sft.Config{ID: id, N: n, Seed: seed},
+		nodes[i], err = sft.New(sft.Config{ID: id, N: n, Seed: seed},
 			sft.WithEngine(sft.DiemBFT),
 			sft.WithScheme(sft.SchemeSim), // fast deterministic toy signatures
 			sft.WithTransport(world.Transport(id)),
 			sft.WithRoundTimeout(500*time.Millisecond),
-			sft.WithMetrics(metrics),
 		)
 		if err != nil {
 			log.Fatal(err)
@@ -41,10 +40,10 @@ func ExampleNew() {
 	}
 	world.Run(2 * time.Second)
 
-	snap := metrics.Snapshot()
+	commits, strongest := sumMetrics(nodes[:])
 	f := (n - 1) / 3
-	fmt.Printf("committed %d blocks across %d replicas\n", snap.Commits, n)
-	fmt.Printf("strongest commit level: %d (max possible 2f = %d)\n", snap.MaxStrength, 2*f)
+	fmt.Printf("committed %d blocks across %d replicas\n", commits, n)
+	fmt.Printf("strongest commit level: %d (max possible 2f = %d)\n", strongest, 2*f)
 	// Output:
 	// committed 716 blocks across 4 replicas
 	// strongest commit level: 2 (max possible 2f = 2)
@@ -66,16 +65,15 @@ func ExampleNew_streamlet() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	metrics := &sft.Metrics{}
-	for i := 0; i < n; i++ {
+	var nodes [n]*sft.Node
+	for i := range nodes {
 		id := sft.ReplicaID(i)
-		_, err := sft.New(sft.Config{ID: id, N: n, Seed: seed},
+		nodes[i], err = sft.New(sft.Config{ID: id, N: n, Seed: seed},
 			sft.WithEngine(sft.Streamlet),
 			sft.WithCommitRule(sft.CommitRule{Mode: sft.ModeHeight}),
 			sft.WithScheme(sft.SchemeSim),
 			sft.WithTransport(world.Transport(id)),
 			sft.WithDelta(20*time.Millisecond), // lock-step rounds of 2∆
-			sft.WithMetrics(metrics),
 		)
 		if err != nil {
 			log.Fatal(err)
@@ -83,9 +81,9 @@ func ExampleNew_streamlet() {
 	}
 	world.Run(4 * time.Second)
 
-	snap := metrics.Snapshot()
-	fmt.Printf("committed %d blocks\n", snap.Commits)
-	fmt.Printf("strongest commit level: %d\n", snap.MaxStrength)
+	commits, strongest := sumMetrics(nodes[:])
+	fmt.Printf("committed %d blocks\n", commits)
+	fmt.Printf("strongest commit level: %d\n", strongest)
 	// Output:
 	// committed 396 blocks
 	// strongest commit level: 2
@@ -144,4 +142,15 @@ func ExampleNode_waitStrength() {
 	fmt.Printf("first block is %d-strong (2f = %d)\n", nodes[0].Strength(first), 2*f)
 	// Output:
 	// first block is 2-strong (2f = 2)
+}
+
+// sumMetrics totals the nodes' commit counts and takes the strongest level
+// any of them saw.
+func sumMetrics(nodes []*sft.Node) (commits int64, strongest int) {
+	for _, node := range nodes {
+		m := node.Metrics()
+		commits += m.Commits
+		strongest = max(strongest, m.MaxStrength)
+	}
+	return commits, strongest
 }

@@ -5,10 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// Metrics is an atomic counter sink nodes report into. One sink may be
-// shared by several nodes (WithMetrics) to aggregate a whole in-process
-// cluster; reads go through Node.Metrics or Snapshot.
-type Metrics struct {
+// counters is the atomic counter sink a node reports into; reads go through
+// Node.Metrics.
+type counters struct {
 	commits         atomic.Int64
 	strengthUpdates atomic.Int64
 	committedHeight atomic.Int64
@@ -66,7 +65,7 @@ func (m MetricsSnapshot) String() string {
 	return s
 }
 
-func (m *Metrics) onCommit(h Height) {
+func (m *counters) onCommit(h Height) {
 	m.commits.Add(1)
 	for {
 		cur := m.committedHeight.Load()
@@ -76,7 +75,7 @@ func (m *Metrics) onCommit(h Height) {
 	}
 }
 
-func (m *Metrics) onStrength(x int) {
+func (m *counters) onStrength(x int) {
 	m.strengthUpdates.Add(1)
 	for {
 		cur := m.maxStrength.Load()
@@ -86,11 +85,7 @@ func (m *Metrics) onStrength(x int) {
 	}
 }
 
-// Snapshot reads the sink's counters (transport frame counters are
-// per-node; use Node.Metrics for those).
-func (m *Metrics) Snapshot() MetricsSnapshot { return m.snapshot() }
-
-func (m *Metrics) snapshot() MetricsSnapshot {
+func (m *counters) snapshot() MetricsSnapshot {
 	return MetricsSnapshot{
 		Commits:         m.commits.Load(),
 		StrengthUpdates: m.strengthUpdates.Load(),

@@ -117,7 +117,7 @@ type Node struct {
 	walDir   string
 	restored *RecoveryInfo
 
-	metrics *Metrics
+	metrics counters
 
 	// obs and health are set by WithObservability; both read as nil-safe
 	// no-ops when the option is absent.

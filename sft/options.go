@@ -29,7 +29,6 @@ type settings struct {
 	// verifyWorkers is WithVerifyPipeline's override of batchWorkers (0 = derive).
 	verifyWorkers int
 
-	metrics  *Metrics
 	observer func(CommitEvent)
 
 	adversary      []AdversarySpec
@@ -206,20 +205,6 @@ func WithAdversary(specs ...AdversarySpec) Option {
 // of the model. Optional; meaningful only together with WithAdversary.
 func WithAdversaryPeers(peers ...ReplicaID) Option {
 	return func(s *settings) { s.adversaryPeers = peers }
-}
-
-// WithMetrics attaches a shared metrics sink: the node counts its commits,
-// strength updates, committed height and peak strength into m. Several
-// nodes may share one sink. Without this option the node allocates its own;
-// either way Node.Metrics returns a snapshot.
-func WithMetrics(m *Metrics) Option {
-	return func(s *settings) {
-		if m == nil {
-			s.fail(fmt.Errorf("sft: nil metrics sink"))
-			return
-		}
-		s.metrics = m
-	}
 }
 
 // ObsConfig tunes WithObservability. The zero value is a sensible default.

@@ -327,9 +327,8 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	verify := scheme == SchemeEd25519 || scheme == Ed25519Aggregate || s.ref.VerifySignatures
 
 	n := &Node{
-		cfg:     cfg,
-		rule:    rule,
-		metrics: s.metrics,
+		cfg:  cfg,
+		rule: rule,
 		feed: feed{
 			name:        "node",
 			minStrength: rule.MinStrength,
@@ -339,9 +338,6 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	}
 	if s.mempool != nil {
 		n.gate = s.mempool.observe
-	}
-	if n.metrics == nil {
-		n.metrics = &Metrics{}
 	}
 
 	// Observability: built before the WAL opens so flush latencies of the

@@ -2,7 +2,6 @@ package sft
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/runtime"
 	"repro/internal/tcpnet"
@@ -30,9 +29,6 @@ type TCPConfig struct {
 	// address. May be nil at construction and installed later with
 	// Node.SetPeers.
 	Peers map[ReplicaID]string
-	// DialRetry is the pause after a failed dial (default 250ms); it doubles
-	// per consecutive failure up to 2s.
-	DialRetry time.Duration
 }
 
 // TCP returns the real-socket transport: length-delimited frames of the
@@ -54,7 +50,6 @@ func (t *tcpTransport) attach(n *Node) error {
 		N:           n.cfg.N,
 		Listen:      t.cfg.Listen,
 		Peers:       t.cfg.Peers,
-		DialRetry:   t.cfg.DialRetry,
 		Obs:         n.obs,
 		Prevalidate: n.eng.Prevalidate,
 	}
