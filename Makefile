@@ -71,6 +71,8 @@ bench-micro:
 # Bench guard: every AllocsPerRun regression guard plus the compact-QC
 # wire-size guard (a steady-state certificate must stay O(1) bytes: 100 at
 # n=31, 108 at n=103 — one extra bitmap word is the only growth allowed),
+# the flat-journal guard (at keep 512, WAL bytes on disk and restart time and
+# allocations read the same after 2,000 and 20,000 heights),
 # run as tests so any regression is a hard failure, then the
 # micro-benchmarks for the numbers. CI runs this; record results in
 # BENCH_PR<n>.json when they move.
@@ -78,6 +80,7 @@ bench-guard:
 	$(GO) test -run 'Alloc' -count=1 ./internal/types/ ./internal/simnet/ ./internal/core/ ./internal/wal/ ./internal/crypto/ ./internal/obs/ ./internal/app/ ./internal/tcpnet/ ./internal/replica/ ./internal/diembft/ ./sft/
 	$(GO) test -run 'TestCompactQCSizeFlat' -count=1 ./internal/types/
 	$(GO) test -run 'TestRecordFootprint' -count=1 ./internal/core/
+	$(GO) test -run 'TestJournalFlat' -count=1 ./internal/core/
 	$(MAKE) bench-micro
 
 # Short native-fuzz pass over the wire decoders, the TCP frame parser and the

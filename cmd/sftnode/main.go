@@ -122,8 +122,8 @@ func main() {
 		log.Fatal(err)
 	}
 	if rec, ok := node.Restored(); ok {
-		log.Printf("recovered from WAL: %d blocks, %d own votes, voted r%d, committed height %d, high QC r%d",
-			rec.Blocks, rec.Votes, rec.VotedRound, rec.CommittedHeight, rec.HighQCRound)
+		log.Printf("recovered from WAL: checkpoint at height %d, %d blocks, %d own votes, voted r%d, committed height %d, high QC r%d",
+			rec.Floor, rec.Blocks, rec.Votes, rec.VotedRound, rec.CommittedHeight, rec.HighQCRound)
 	}
 	log.Printf("listening on %s, cluster n=%d f=%d", node.Addr(), *n, f)
 

@@ -17,7 +17,9 @@
 package app
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -82,9 +84,11 @@ type StateMachine interface {
 	// Commit finalizes root as the durable base state. Speculative states
 	// not on the committed path may be discarded.
 	Commit(root [32]byte) error
-	// Snapshot serializes the committed base state, for state sync and for
-	// seeding a restarted replica. Speculative (uncommitted) state is not
-	// included.
+	// Snapshot serializes the committed base state. Speculative
+	// (uncommitted) state is not included. Its caller is
+	// Executor.Checkpoint, which the journal writes at each prune-cut
+	// checkpoint so that a restarted replica resumes from the snapshot
+	// instead of re-executing the chain.
 	Snapshot() []byte
 	// Restore replaces the committed base state from a Snapshot.
 	Restore(snap []byte) error
@@ -195,3 +199,91 @@ func (e *Executor) CommittedHeight() types.Height { return e.commit.height }
 
 // Executed returns the number of blocks run through the state machine.
 func (e *Executor) Executed() int64 { return e.executed }
+
+// checkpointMagic versions Checkpoint's wire form.
+var checkpointMagic = []byte("execcp/1/")
+
+// Checkpoint serializes what a restarted replica needs to resume execution
+// where this executor stands: the committed height and root, the state
+// machine's Snapshot of the committed base, and the executed roots of the
+// blocks at or below the committed height it still memoizes (per-transaction
+// results are not kept). Roots above the committed height are left out: their
+// blocks are re-executed from the journal over the restored base.
+func (e *Executor) Checkpoint() []byte {
+	type entry struct {
+		id types.BlockID
+		rootEntry
+	}
+	kept := make([]entry, 0, len(e.roots))
+	for id, ent := range e.roots {
+		if ent.height <= e.commit.height {
+			kept = append(kept, entry{id, ent})
+		}
+	}
+	slices.SortFunc(kept, func(a, b entry) int {
+		if c := cmp.Compare(a.height, b.height); c != 0 {
+			return c
+		}
+		return slices.Compare(a.id[:], b.id[:])
+	})
+	snap := e.sm.Snapshot()
+	out := make([]byte, 0, len(checkpointMagic)+48+len(snap)+72*len(kept))
+	out = append(out, checkpointMagic...)
+	out = types.AppendUint64(out, uint64(e.commit.height))
+	out = append(out, e.commit.root[:]...)
+	out = types.AppendBytes(out, snap)
+	out = types.AppendUint32(out, uint32(len(kept)))
+	for _, k := range kept {
+		out = append(out, k.id[:]...)
+		out = append(out, k.root[:]...)
+		out = types.AppendUint64(out, uint64(k.height))
+	}
+	return out
+}
+
+// RestoreCheckpoint replaces the executor's state with a Checkpoint's: the
+// state machine's committed base, the committed point and the memoized roots
+// (the genesis root stays, as NewExecutor seeds it).
+func (e *Executor) RestoreCheckpoint(cp []byte) error {
+	b, err := consume(cp, checkpointMagic)
+	if err != nil {
+		return err
+	}
+	h, b, err := types.ConsumeUint64(b)
+	if err != nil {
+		return err
+	}
+	if len(b) < 32 {
+		return types.ErrShortBuffer
+	}
+	var root [32]byte
+	copy(root[:], b)
+	snap, b, err := types.ConsumeBytes(b[32:])
+	if err != nil {
+		return err
+	}
+	n, b, err := types.ConsumeUint32(b)
+	if err != nil {
+		return err
+	}
+	if uint64(n)*72 != uint64(len(b)) {
+		return fmt.Errorf("app: checkpoint holds %d bytes for %d roots", len(b), n)
+	}
+	if err := e.sm.Restore(snap); err != nil {
+		return err
+	}
+	g := types.Genesis().ID()
+	e.roots = map[types.BlockID]rootEntry{g: e.roots[g]}
+	for i := uint32(0); i < n; i++ {
+		var id types.BlockID
+		var ent rootEntry
+		copy(id[:], b)
+		copy(ent.root[:], b[32:])
+		eh, _, _ := types.ConsumeUint64(b[64:])
+		ent.height = types.Height(eh)
+		e.roots[id] = ent
+		b = b[72:]
+	}
+	e.commit.root, e.commit.height = root, types.Height(h)
+	return nil
+}

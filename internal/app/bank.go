@@ -4,7 +4,7 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/types"
@@ -351,7 +351,7 @@ func (b *Bank) Snapshot() []byte {
 	for id := range b.base {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := make([]byte, 0, len(snapMagic)+16+20*len(ids))
 	out = append(out, snapMagic...)
 	out = types.AppendUint32(out, b.cfg.Accounts)

@@ -331,34 +331,39 @@ func (s *Store) Snapshot() []*types.Block {
 	return out
 }
 
-// Restore bulk-inserts a snapshot (or a WAL replay) into the store,
+// Restore bulk-inserts a journal replay (or a snapshot) into a fresh store,
 // registering each block's embedded justify certificate, and returns how
-// many blocks were installed. Blocks whose parent is absent are skipped —
-// the same boundary semantics as pruning, where ancestry walks stop at a
-// detached edge — so restoring a log whose head was compacted degrades
-// gracefully rather than failing. Duplicates are skipped silently. Any other
-// refusal — a block at the wrong height or round, a justify naming a block
-// the store does not hold — means the log is not one this store wrote, and
-// Restore stops with that error.
+// many blocks were installed. With floor > 0 the store first becomes what
+// PruneBelow(floor) leaves: genesis is gone, blocks below the floor are
+// skipped, and the blocks at the floor are installed as parentless roots
+// (their justifies certify blocks the store no longer holds). Every block
+// above the floor must find its parent already installed: a missing parent
+// means the log was reordered or lost a record, and Restore stops with an
+// error naming the block, as it does for any other refusal — a block at the
+// wrong height or round, a justify naming a block the store does not hold.
+// Duplicates are skipped silently.
 //
 // onInstall, if non-nil, observes each newly installed block together with
 // whether its justify improved the stored certificate state; the engines'
 // recovery hooks use it to rebuild their own bookkeeping (proposed rounds,
 // endorsement trackers) alongside the tree.
-func (s *Store) Restore(blocks []*types.Block, onInstall func(b *types.Block, qcImproved bool)) (int, error) {
+func (s *Store) Restore(floor types.Height, blocks []*types.Block, onInstall func(b *types.Block, qcImproved bool)) (int, error) {
+	if floor > 0 {
+		s.PruneBelow(floor)
+	}
 	installed := 0
 	for _, b := range blocks {
-		if b == nil || s.Has(b.ID()) {
+		if b == nil || b.Height < floor || s.Has(b.ID()) {
 			continue
 		}
-		if err := s.Insert(b); errors.Is(err, ErrMissingParent) {
-			continue
-		} else if err != nil {
+		if b.Height == floor && floor > 0 {
+			s.insertRoot(b)
+		} else if err := s.Insert(b); err != nil {
 			return installed, err
 		}
 		installed++
 		improved := false
-		if b.Justify != nil {
+		if b.Justify != nil && b.Height > floor {
 			var err error
 			if _, improved, err = s.RegisterQC(b.Justify); err != nil {
 				return installed, fmt.Errorf("%w: justify of %s", err, b)
@@ -369,6 +374,17 @@ func (s *Store) Restore(blocks []*types.Block, onInstall func(b *types.Block, qc
 		}
 	}
 	return installed, nil
+}
+
+// insertRoot installs b without a parent, at the pruned height.
+func (s *Store) insertRoot(b *types.Block) {
+	if b.Height > s.top {
+		s.top = b.Height
+	}
+	head := &s.levels[int(b.Height)&(len(s.levels)-1)]
+	n := &Node{block: b, level: *head}
+	*head = n
+	s.nodes[b.ID()] = n
 }
 
 // PruneBelow discards every block below height h and returns the removed

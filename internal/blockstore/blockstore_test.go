@@ -3,6 +3,8 @@ package blockstore_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -407,7 +409,7 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 
 	fresh := blockstore.New()
-	if n, err := fresh.Restore(snap, nil); n != 5 || err != nil {
+	if n, err := fresh.Restore(0, snap, nil); n != 5 || err != nil {
 		t.Fatalf("restored %d blocks (%v), want 5", n, err)
 	}
 	for _, b := range snap {
@@ -420,32 +422,32 @@ func TestSnapshotRestore(t *testing.T) {
 	if !fresh.IsCertified(snap[3].ID()) {
 		t.Error("restored store lost certification state")
 	}
-	// Restore with a hole: dropping the first block detaches the rest.
+	// Restore with a hole: dropping the first block strands the rest.
 	holey := blockstore.New()
-	if n, err := holey.Restore(snap[1:], nil); n != 0 || err != nil {
-		t.Errorf("restore across a hole installed %d blocks (%v), want 0 and no error", n, err)
+	if n, err := holey.Restore(0, snap[1:], nil); n != 0 || !errors.Is(err, blockstore.ErrMissingParent) {
+		t.Errorf("restore across a hole installed %d blocks (%v), want 0 and ErrMissingParent", n, err)
 	}
 	// Idempotent re-restore.
-	if n, err := fresh.Restore(snap, nil); n != 0 || err != nil {
+	if n, err := fresh.Restore(0, snap, nil); n != 0 || err != nil {
 		t.Errorf("re-restore installed %d blocks (%v), want 0", n, err)
 	}
 }
 
 // TestRestoreRefusesForeignLog: a log the store cannot have written fails to
 // restore — a block at the wrong height, or a justify naming a block the
-// store does not hold — where a pruned head (the holey case above) does not.
+// store does not hold.
 func TestRestoreRefusesForeignLog(t *testing.T) {
 	g := types.Genesis()
 	gqc := types.NewGenesisQC(g.ID())
 	b1 := types.NewBlock(g.ID(), gqc, 1, 1, 0, 1, types.Payload{}, nil)
 	badHeight := types.NewBlock(b1.ID(), gqc, 2, 3, 0, 2, types.Payload{}, nil)
-	if n, err := blockstore.New().Restore([]*types.Block{b1, badHeight}, nil); !errors.Is(err, blockstore.ErrBadHeight) {
+	if n, err := blockstore.New().Restore(0, []*types.Block{b1, badHeight}, nil); !errors.Is(err, blockstore.ErrBadHeight) {
 		t.Errorf("bad-height log: installed %d, err %v, want ErrBadHeight", n, err)
 	}
 	stranger := types.NewBlock(g.ID(), gqc, 7, 1, 1, 7, types.Payload{}, nil)
 	strangerQC := &types.QC{Block: stranger.ID(), Round: stranger.Round, Height: stranger.Height}
 	unknownJustify := types.NewBlock(b1.ID(), strangerQC, 2, 2, 0, 2, types.Payload{}, nil)
-	if n, err := blockstore.New().Restore([]*types.Block{b1, unknownJustify}, nil); !errors.Is(err, blockstore.ErrUnknownBlock) {
+	if n, err := blockstore.New().Restore(0, []*types.Block{b1, unknownJustify}, nil); !errors.Is(err, blockstore.ErrUnknownBlock) {
 		t.Errorf("unknown-justify log: installed %d, err %v, want ErrUnknownBlock", n, err)
 	}
 }
@@ -517,5 +519,69 @@ func TestHeightIndexMatchesScan(t *testing.T) {
 			t.Fatalf("snapshot lists %v before its parent", b)
 		}
 		seen[b.ID()] = true
+	}
+}
+
+// TestRestoreAtFloor: a replay restored onto a floor equals the whole replay
+// followed by PruneBelow at that floor — the blocks at the floor are
+// parentless roots, what lies below is skipped — and only blocks at the floor
+// may lack a parent: a reordered log or one missing a block record above the
+// floor fails, naming the stranded block.
+func TestRestoreAtFloor(t *testing.T) {
+	cb := newBuilder(t)
+	cur, qc := cb.s.Genesis(), cb.s.HighQC()
+	var chain []*types.Block
+	for r := types.Round(1); r <= 8; r++ {
+		b := types.NewBlock(cur.ID(), qc, r, cur.Height+1, 0, int64(r), types.Payload{}, nil)
+		if err := cb.s.Insert(b); err != nil {
+			t.Fatal(err)
+		}
+		qc = cb.qc(b, 0, 1, 2)
+		chain, cur = append(chain, b), b
+	}
+	fork := types.NewBlock(chain[2].ID(), cb.s.QCFor(chain[2].ID()), 20, 4, 1, 20, types.Payload{}, nil) // a second block at height 4
+	if err := cb.s.Insert(fork); err != nil {
+		t.Fatal(err)
+	}
+	log := append(slices.Clone(chain), fork)
+	const floor = 4
+	want := blockstore.New()
+	if _, err := want.Restore(0, log, nil); err != nil {
+		t.Fatal(err)
+	}
+	want.PruneBelow(floor)
+
+	got := blockstore.New()
+	if n, err := got.Restore(floor, log, nil); err != nil || n != want.Len() {
+		t.Fatalf("restored %d blocks (%v), want %d", n, err, want.Len())
+	}
+	for _, b := range want.Snapshot() {
+		n := got.Node(b.ID())
+		if n == nil || (n.Parent() == nil) != (want.Node(b.ID()).Parent() == nil) || got.QCFor(b.ID()) != want.QCFor(b.ID()) {
+			t.Fatalf("%v differs from the pruned full replay", b)
+		}
+	}
+	if got.Len() != want.Len() || got.PrunedHeight() != floor || got.HighQC() != want.HighQC() || got.Has(got.Genesis().ID()) {
+		t.Fatalf("store of %d blocks from h%d (high %v), want %d from h%d (high %v)", got.Len(), got.PrunedHeight(), got.HighQC(), want.Len(), floor, want.HighQC())
+	}
+
+	swapped := slices.Clone(log)
+	swapped[5], swapped[6] = swapped[6], swapped[5] // heights 6 and 7
+	missing := slices.Delete(slices.Clone(log), 5, 6)
+	for _, tc := range []struct {
+		name     string
+		floor    types.Height
+		log      []*types.Block
+		stranded *types.Block
+	}{
+		{"reordered above the floor", floor, swapped, chain[6]},
+		{"missing a block record above the floor", floor, missing, chain[6]},
+		{"reordered without a checkpoint", 0, swapped, chain[6]},
+		{"missing a block record without a checkpoint", 0, missing, chain[6]},
+	} {
+		_, err := blockstore.New().Restore(tc.floor, tc.log, nil)
+		if !errors.Is(err, blockstore.ErrMissingParent) || !strings.Contains(err.Error(), tc.stranded.String()) {
+			t.Errorf("%s: %v, want ErrMissingParent naming %v", tc.name, err, tc.stranded)
+		}
 	}
 }

@@ -22,10 +22,19 @@ import (
 // strong-vote never leaves the replica before the vote record (and the
 // record of the block it endorses) is flushed. One event, one fsync batch.
 
+// Bounded by the prune cut: once a pruning engine's cut passes whole sealed
+// segments, the journal opens a new segment with one checkpoint record — the
+// cut (the floor), the lock round, the highest voted round, the last commit,
+// the high QC and, with an app, the executor's checkpoint — and deletes those
+// segments. Recover starts from the newest checkpoint, reads each segment
+// once and skips block records below its floor undecoded, so a restart costs
+// the kept window, not the chain.
+
 // Journal record types.
 const (
-	// RecBlock is a block accepted into the replica's store (full pinned
-	// encoding; the embedded justify QC certifies its parent).
+	// RecBlock is a block accepted into the replica's store: its height (8
+	// bytes, so replay can skip a block below the floor undecoded), then the
+	// full pinned encoding (the embedded justify QC certifies its parent).
 	RecBlock wal.RecordType = iota + 1
 	// RecVote is a strong-vote this replica cast. Replay rebuilds the
 	// VoteHistory and the highest-voted round from these.
@@ -38,6 +47,9 @@ const (
 	RecLock
 	// RecCommit marks a block committed: id + height + round.
 	RecCommit
+	// RecCheckpoint summarizes every record before it at a prune cut (see
+	// Checkpoint); it is the first record of its segment.
+	RecCheckpoint
 )
 
 // Journal wraps a WAL with typed appenders for the consensus records. The
@@ -47,9 +59,46 @@ const (
 type Journal struct {
 	log     *wal.Log
 	scratch []byte
+	// sum is what the records appended so far say about the lock, own votes,
+	// commit and high QC: what a checkpoint carries for the records it lets
+	// go.
+	sum summary
+	// segs marks each segment on disk with the highest height and own vote
+	// round its records name, ascending by segment index.
+	segs []segMark
+	// ready: Recover has accounted for every record already in the log, so
+	// sum is whole and the journal may checkpoint.
+	ready bool
+	// cpBytes is the size of the last checkpoint record: a checkpoint is due
+	// only once the segments it would delete hold at least as much.
+	cpBytes int
 }
 
-// NewJournal wraps an opened log.
+// summary is the part of a Recovery that is a running maximum.
+type summary struct {
+	locked, voted   types.Round
+	committed       types.BlockID
+	committedHeight types.Height
+	committedRound  types.Round
+	highQC          *types.QC
+}
+
+// segMark is one segment's extent: a segment is wholly below a prune cut when
+// every block, vote, certificate and commit in it lies below the cut's
+// height and every own vote below the round of the committed block there.
+type segMark struct {
+	idx    int
+	height types.Height
+	round  types.Round
+	bytes  int
+}
+
+// checkpointStep is called after each step of Checkpoint with its name;
+// tests set it to capture the log as a crash at that point would leave it.
+var checkpointStep = func(string) {}
+
+// NewJournal wraps an opened log. Call Recover before the first append to a
+// log that already holds records: until then the journal does not checkpoint.
 func NewJournal(l *wal.Log) *Journal {
 	return &Journal{log: l, scratch: make([]byte, 0, 4096)}
 }
@@ -66,39 +115,83 @@ func OpenJournal(dir string, fsync bool, observeFlush func(d time.Duration, byte
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, err := Recover(l)
+	j := NewJournal(l)
+	rec, err := j.Recover()
 	if err != nil {
 		_ = l.Close()
 		return nil, nil, fmt.Errorf("core: wal replay failed — durable state is unusable: %w", err)
 	}
-	return NewJournal(l), rec, nil
+	return j, rec, nil
 }
 
 // Log exposes the underlying WAL (stats, tests).
 func (j *Journal) Log() *wal.Log { return j.log }
 
+// mark notes that the record just appended names height h (and, for an own
+// vote, round r) in the segment it went to.
+func (j *Journal) mark(h types.Height, r types.Round) {
+	m := j.markFor(j.log.Active())
+	m.height, m.round = max(m.height, h), max(m.round, r)
+	m.bytes += wal.HeaderSize + len(j.scratch)
+}
+
+// markFor returns segment idx's mark, adding it when idx is a new segment.
+func (j *Journal) markFor(idx int) *segMark {
+	if n := len(j.segs); n == 0 || j.segs[n-1].idx != idx {
+		j.segs = append(j.segs, segMark{idx: idx})
+	}
+	return &j.segs[len(j.segs)-1]
+}
+
+func (j *Journal) noteQC(qc *types.QC) {
+	if qc != nil && qc.RanksHigher(j.sum.highQC) {
+		j.sum.highQC = qc
+	}
+}
+
 // AppendBlock stages a block record.
 func (j *Journal) AppendBlock(b *types.Block) error {
-	j.scratch = b.AppendEncoding(j.scratch[:0])
-	return j.log.Append(RecBlock, j.scratch)
+	j.scratch = types.AppendUint64(j.scratch[:0], uint64(b.Height))
+	j.scratch = b.AppendEncoding(j.scratch)
+	if err := j.log.Append(RecBlock, j.scratch); err != nil {
+		return err
+	}
+	j.noteQC(b.Justify)
+	j.mark(b.Height, 0)
+	return nil
 }
 
 // AppendVote stages a record of an own cast vote.
 func (j *Journal) AppendVote(v *types.Vote) error {
 	j.scratch = v.Encode(j.scratch[:0])
-	return j.log.Append(RecVote, j.scratch)
+	if err := j.log.Append(RecVote, j.scratch); err != nil {
+		return err
+	}
+	j.sum.voted = max(j.sum.voted, v.Round)
+	j.mark(v.Height, v.Round)
+	return nil
 }
 
 // AppendQC stages a certificate that did not arrive inside a block.
 func (j *Journal) AppendQC(qc *types.QC) error {
 	j.scratch = qc.Encode(j.scratch[:0])
-	return j.log.Append(RecQC, j.scratch)
+	if err := j.log.Append(RecQC, j.scratch); err != nil {
+		return err
+	}
+	j.noteQC(qc)
+	j.mark(qc.Height, 0)
+	return nil
 }
 
 // AppendLock stages the new locked round.
 func (j *Journal) AppendLock(r types.Round) error {
 	j.scratch = types.AppendUint64(j.scratch[:0], uint64(r))
-	return j.log.Append(RecLock, j.scratch)
+	if err := j.log.Append(RecLock, j.scratch); err != nil {
+		return err
+	}
+	j.sum.locked = max(j.sum.locked, r)
+	j.mark(0, 0)
+	return nil
 }
 
 // AppendCommit stages a commit marker.
@@ -106,7 +199,159 @@ func (j *Journal) AppendCommit(id types.BlockID, h types.Height, r types.Round) 
 	j.scratch = append(j.scratch[:0], id[:]...)
 	j.scratch = types.AppendUint64(j.scratch, uint64(h))
 	j.scratch = types.AppendUint64(j.scratch, uint64(r))
-	return j.log.Append(RecCommit, j.scratch)
+	if err := j.log.Append(RecCommit, j.scratch); err != nil {
+		return err
+	}
+	j.sum.commit(id, h, r)
+	j.mark(h, 0)
+	return nil
+}
+
+// commit keeps the highest commit (commits are logged in height order).
+func (s *summary) commit(id types.BlockID, h types.Height, r types.Round) {
+	if h >= s.committedHeight {
+		s.committed, s.committedHeight, s.committedRound = id, h, r
+	}
+}
+
+// CheckpointDue reports whether a prune cut at floor, whose committed block
+// has round floorRound, passes sealed segments worth a checkpoint: at least
+// one, holding together at least as many bytes as the last checkpoint took.
+func (j *Journal) CheckpointDue(floor types.Height, floorRound types.Round) bool {
+	if !j.ready {
+		return false
+	}
+	n, bytes := 0, 0
+	for i := range j.segs {
+		if m := &j.segs[i]; j.below(m, floor, floorRound) {
+			n, bytes = n+1, bytes+m.bytes
+		}
+	}
+	return n > 0 && bytes >= j.cpBytes
+}
+
+// below reports whether segment m is sealed and wholly below the cut.
+func (j *Journal) below(m *segMark, floor types.Height, floorRound types.Round) bool {
+	return m.idx != j.log.Active() && m.height < floor && m.round < floorRound
+}
+
+// Checkpoint bounds the log at a prune cut: it seals the active segment,
+// opens the next with one checkpoint record — the floor, the journal's
+// summary of every record so far and app, the executor's checkpoint (nil
+// without an app) — makes it durable, and deletes every sealed segment wholly
+// below the cut. A crash at any step leaves a log Recover rebuilds the same
+// state from: the deleted segments' records are all below the floor or
+// summarized by the checkpoint before the first deletion. The caller has
+// pruned its store at floor; the journal only drops what that cut dropped.
+func (j *Journal) Checkpoint(floor types.Height, floorRound types.Round, app []byte) error {
+	if err := j.log.Rotate(); err != nil {
+		return err
+	}
+	checkpointStep("rotate")
+	j.scratch = j.appendCheckpoint(j.scratch[:0], floor, app)
+	if err := j.log.Append(RecCheckpoint, j.scratch); err != nil {
+		return err
+	}
+	j.mark(floor, 0)
+	j.cpBytes = wal.HeaderSize + len(j.scratch)
+	checkpointStep("append")
+	if err := j.log.Flush(); err != nil {
+		return err
+	}
+	checkpointStep("sync")
+	kept := j.segs[:0]
+	for _, m := range j.segs {
+		if !j.below(&m, floor, floorRound) {
+			kept = append(kept, m)
+			continue
+		}
+		if err := j.log.Remove(m.idx); err != nil {
+			return err
+		}
+		checkpointStep("remove")
+	}
+	j.segs = kept
+	return nil
+}
+
+// appendCheckpoint encodes a checkpoint record: floor, lock round, voted
+// round, last commit (id, height, round), then the high QC and the app's
+// checkpoint, each behind a presence byte.
+func (j *Journal) appendCheckpoint(buf []byte, floor types.Height, app []byte) []byte {
+	s := &j.sum
+	buf = types.AppendUint64(buf, uint64(floor))
+	buf = types.AppendUint64(buf, uint64(s.locked))
+	buf = types.AppendUint64(buf, uint64(s.voted))
+	buf = append(buf, s.committed[:]...)
+	buf = types.AppendUint64(buf, uint64(s.committedHeight))
+	buf = types.AppendUint64(buf, uint64(s.committedRound))
+	if s.highQC == nil {
+		buf = append(buf, 0)
+	} else {
+		buf = s.highQC.Encode(append(buf, 1))
+	}
+	if app == nil {
+		return append(buf, 0)
+	}
+	return types.AppendBytes(append(buf, 1), app)
+}
+
+// checkpoint seeds the recovery from a checkpoint record's payload.
+func (r *Recovery) checkpoint(b []byte) error {
+	var u [6]uint64
+	var err error
+	for i := range u[:3] {
+		if u[i], b, err = types.ConsumeUint64(b); err != nil {
+			return err
+		}
+	}
+	if len(b) < 32 {
+		return types.ErrShortBuffer
+	}
+	copy(r.Committed[:], b)
+	b = b[32:]
+	for i := 3; i < 5; i++ {
+		if u[i], b, err = types.ConsumeUint64(b); err != nil {
+			return err
+		}
+	}
+	r.Floor, r.Locked, r.voted = types.Height(u[0]), types.Round(u[1]), types.Round(u[2])
+	r.CommittedHeight, r.CommittedRound = types.Height(u[3]), types.Round(u[4])
+	if b, err = consumeFlag(b); err != nil {
+		return err
+	} else if b[0] == 1 {
+		if r.HighQC, b, err = types.DecodeQC(b[1:]); err != nil {
+			return err
+		}
+	} else {
+		b = b[1:]
+	}
+	if b, err = consumeFlag(b); err != nil {
+		return err
+	} else if b[0] == 1 {
+		app, rest, err := types.ConsumeBytes(b[1:])
+		if err != nil {
+			return err
+		}
+		r.App, b = append([]byte{}, app...), rest
+	} else {
+		b = b[1:]
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(b))
+	}
+	return nil
+}
+
+// consumeFlag checks that b starts with a presence byte, 0 or 1.
+func consumeFlag(b []byte) ([]byte, error) {
+	if len(b) < 1 {
+		return nil, types.ErrShortBuffer
+	}
+	if b[0] > 1 {
+		return nil, fmt.Errorf("bad presence flag %d", b[0])
+	}
+	return b, nil
 }
 
 // Dirty reports whether staged records await a Flush.
@@ -124,10 +369,18 @@ func (j *Journal) Close() error { return j.log.Close() }
 // Recovery is the durable state replayed from a journal, in a form the
 // engines' Restore hooks consume directly.
 type Recovery struct {
+	// Floor is the prune cut of the newest checkpoint, 0 without one: Blocks
+	// then hold only blocks at or above it, those at it parentless, as
+	// blockstore.Store.PruneBelow leaves them.
+	Floor types.Height
+	// App is the executor's checkpoint (app.Executor.Checkpoint) at the
+	// newest checkpoint, nil without one or without an app.
+	App []byte
 	// Blocks are the accepted blocks in original insertion order (parents
 	// before children, since acceptance required the parent present).
 	Blocks []*types.Block
-	// Votes are the replica's own cast votes, oldest first.
+	// Votes are the replica's own cast votes, oldest first, from the
+	// segments the log still holds.
 	Votes []types.Vote
 	// QCs are the standalone certificates in append order.
 	QCs []*types.QC
@@ -140,11 +393,15 @@ type Recovery struct {
 	Committed       types.BlockID
 	CommittedHeight types.Height
 	CommittedRound  types.Round
+
+	// voted is the newest checkpoint's highest voted round.
+	voted types.Round
 }
 
-// VotedRound returns the highest round among the replayed own votes.
+// VotedRound returns the highest round among the replayed own votes and
+// those a checkpoint summarized.
 func (r *Recovery) VotedRound() types.Round {
-	var max types.Round
+	max := r.voted
 	for i := range r.Votes {
 		if r.Votes[i].Round > max {
 			max = r.Votes[i].Round
@@ -156,24 +413,67 @@ func (r *Recovery) VotedRound() types.Round {
 // Empty reports whether the journal held no records (a fresh replica).
 func (r *Recovery) Empty() bool {
 	return len(r.Blocks) == 0 && len(r.Votes) == 0 && len(r.QCs) == 0 &&
-		r.Locked == 0 && r.HighQC == nil && r.CommittedHeight == 0
+		r.Locked == 0 && r.HighQC == nil && r.CommittedHeight == 0 && r.Floor == 0
 }
 
-// Recover replays a journal's log into a Recovery. It decodes every record
-// with the pinned types decoders; a record that fails to decode is a
-// corruption of safety-critical state and aborts recovery.
-func Recover(l *wal.Log) (*Recovery, error) {
+// Recover replays the journal's log into a Recovery, in one pass that starts
+// from the newest checkpoint: every segment is read once, block records below
+// the checkpoint's floor are skipped undecoded, and the rest is decoded with
+// the pinned types decoders — a record that fails to decode is a corruption
+// of safety-critical state and aborts recovery. It also rebuilds the
+// journal's own summary and segment marks, after which the journal may
+// checkpoint.
+func (j *Journal) Recover() (*Recovery, error) { return j.recover(nil) }
+
+// recover is Recover; consumed, if non-nil, sees each payload once Recover is
+// done with it (tests scribble over the read buffer with it).
+func (j *Journal) recover(consumed func(payload []byte)) (*Recovery, error) {
 	rec := &Recovery{}
+	j.segs, j.sum, j.ready, j.cpBytes = j.segs[:0], summary{}, false, 0
+	segs := j.log.Segments()
+	for i := len(segs) - 1; i >= 0; i-- {
+		rt, payload, err := j.log.First(segs[i])
+		if err != nil {
+			return nil, err
+		}
+		if rt == RecCheckpoint {
+			if err := rec.checkpoint(payload); err != nil {
+				return nil, fmt.Errorf("core: recover checkpoint record: %w", err)
+			}
+			j.cpBytes = wal.HeaderSize + len(payload)
+			break
+		}
+	}
+	for _, idx := range segs {
+		j.markFor(idx)
+	}
 	noteQC := func(qc *types.QC) {
 		if qc != nil && qc.RanksHigher(rec.HighQC) {
 			rec.HighQC = qc
 		}
 	}
-	err := l.Replay(func(rt wal.RecordType, payload []byte) error {
+	seg := 0 // index into j.segs of the segment being replayed
+	err := j.log.Replay(func(idx int, rt wal.RecordType, payload []byte) error {
+		if consumed != nil {
+			defer consumed(payload)
+		}
+		for j.segs[seg].idx != idx {
+			seg++
+		}
+		m := &j.segs[seg]
+		m.bytes += wal.HeaderSize + len(payload)
 		switch rt {
 		case RecBlock:
-			b, rest, err := types.DecodeBlock(payload)
-			if err != nil || len(rest) != 0 {
+			h, body, err := types.ConsumeUint64(payload)
+			if err != nil {
+				return fmt.Errorf("core: recover block record: %w", err)
+			}
+			m.height = max(m.height, types.Height(h))
+			if types.Height(h) < rec.Floor {
+				return nil // below the floor: summarized by the checkpoint
+			}
+			b, rest, err := types.DecodeBlock(body)
+			if err != nil || len(rest) != 0 || b.Height != types.Height(h) {
 				return fmt.Errorf("core: recover block record: %w", badRecord(err, rest))
 			}
 			rec.Blocks = append(rec.Blocks, b)
@@ -183,12 +483,14 @@ func Recover(l *wal.Log) (*Recovery, error) {
 			if err != nil || len(rest) != 0 {
 				return fmt.Errorf("core: recover vote record: %w", badRecord(err, rest))
 			}
+			m.height, m.round = max(m.height, v.Height), max(m.round, v.Round)
 			rec.Votes = append(rec.Votes, v)
 		case RecQC:
 			qc, rest, err := types.DecodeQC(payload)
 			if err != nil || len(rest) != 0 {
 				return fmt.Errorf("core: recover qc record: %w", badRecord(err, rest))
 			}
+			m.height = max(m.height, qc.Height)
 			rec.QCs = append(rec.QCs, qc)
 			noteQC(qc)
 		case RecLock:
@@ -196,9 +498,7 @@ func Recover(l *wal.Log) (*Recovery, error) {
 			if err != nil || len(rest) != 0 {
 				return fmt.Errorf("core: recover lock record: %w", badRecord(err, rest))
 			}
-			if types.Round(r) > rec.Locked {
-				rec.Locked = types.Round(r)
-			}
+			rec.Locked = max(rec.Locked, types.Round(r))
 		case RecCommit:
 			if len(payload) != 32+8+8 {
 				return fmt.Errorf("core: recover commit record: %d bytes", len(payload))
@@ -207,12 +507,19 @@ func Recover(l *wal.Log) (*Recovery, error) {
 			copy(id[:], payload)
 			h, rest, _ := types.ConsumeUint64(payload[32:])
 			r, _, _ := types.ConsumeUint64(rest)
-			// Commits are logged in height order; keep the highest.
+			m.height = max(m.height, types.Height(h))
 			if types.Height(h) >= rec.CommittedHeight {
 				rec.Committed = id
 				rec.CommittedHeight = types.Height(h)
 				rec.CommittedRound = types.Round(r)
 			}
+		case RecCheckpoint:
+			// The newest was read first; an older one says nothing newer.
+			h, _, err := types.ConsumeUint64(payload)
+			if err != nil {
+				return fmt.Errorf("core: recover checkpoint record: %w", err)
+			}
+			m.height = max(m.height, types.Height(h))
 		default:
 			return fmt.Errorf("core: unknown journal record type %d", rt)
 		}
@@ -221,6 +528,11 @@ func Recover(l *wal.Log) (*Recovery, error) {
 	if err != nil {
 		return nil, err
 	}
+	j.sum = summary{
+		locked: rec.Locked, voted: rec.VotedRound(), highQC: rec.HighQC,
+		committed: rec.Committed, committedHeight: rec.CommittedHeight, committedRound: rec.CommittedRound,
+	}
+	j.ready = true
 	return rec, nil
 }
 

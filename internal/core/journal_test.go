@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/intervals"
@@ -61,7 +62,7 @@ func TestJournalRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := Recover(j.Log())
+	rec, err := j.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestJournalRoundtrip(t *testing.T) {
 
 func TestRecoverEmptyJournal(t *testing.T) {
 	j := openTestJournal(t)
-	rec, err := Recover(j.Log())
+	rec, err := j.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,5 +185,72 @@ func TestOpenJournalRoundTrip(t *testing.T) {
 	defer j.Close()
 	if len(rec.Votes) != 1 || rec.VotedRound() != 3 {
 		t.Fatalf("reopen recovered %d votes, voted round %v", len(rec.Votes), rec.VotedRound())
+	}
+}
+
+// TestRecoveredRecordsOwnTheirBytes: Replay reads each segment into one
+// buffer reused across the pass, so nothing Recover returns may alias it.
+// Every payload is scribbled over as soon as Recover has consumed it; the
+// recovered blocks (payload data, justify signatures), votes, certificates
+// and checkpoint must still encode exactly as appended.
+func TestRecoveredRecordsOwnTheirBytes(t *testing.T) {
+	l, err := wal.Open(t.TempDir(), wal.Options{NoSync: true, SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := NewJournal(l)
+	defer j.Close()
+	if _, err := j.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	g := types.Genesis()
+	parent, justify := g, types.NewGenesisQC(g.ID())
+	var blocks []*types.Block
+	var votes []types.Vote
+	var qcs []*types.QC
+	for r := types.Round(1); r <= 12; r++ {
+		b := types.NewBlock(parent.ID(), justify, r, parent.Height+1, 1, int64(r), types.Payload{
+			Txns: []types.Transaction{{Sender: 1, Seq: uint64(r), Data: bytes.Repeat([]byte{byte(r)}, 100)}},
+		}, nil)
+		v := types.Vote{Block: b.ID(), Round: r, Height: b.Height, Voter: 2, Signature: bytes.Repeat([]byte{byte(r)}, 64)}
+		qc := &types.QC{Block: b.ID(), Round: r, Height: b.Height, Votes: []types.Vote{v}}
+		for _, err := range []error{j.AppendBlock(b), j.AppendVote(&v), j.AppendQC(qc), j.AppendCommit(b.ID(), b.Height, r)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		blocks, votes, qcs = append(blocks, b), append(votes, v), append(qcs, qc)
+		parent, justify = b, qc
+	}
+	if err := j.Checkpoint(1, 1, []byte("app state")); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Segments()) < 4 {
+		t.Fatalf("%d segments; the test needs the buffer reused across several", len(l.Segments()))
+	}
+	rec, err := NewJournal(l).recover(func(p []byte) {
+		for i := range p {
+			p[i] ^= 0xFF
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Blocks) != len(blocks) || len(rec.Votes) != len(votes) || len(rec.QCs) != len(qcs) {
+		t.Fatalf("recovered %d blocks, %d votes, %d certificates; want %d each", len(rec.Blocks), len(rec.Votes), len(rec.QCs), len(blocks))
+	}
+	for i := range blocks {
+		if !bytes.Equal(rec.Blocks[i].AppendEncoding(nil), blocks[i].AppendEncoding(nil)) {
+			t.Fatalf("block %d changed under the scribble", i)
+		}
+		if !bytes.Equal(rec.Votes[i].Encode(nil), votes[i].Encode(nil)) {
+			t.Fatalf("vote %d changed under the scribble", i)
+		}
+		if !bytes.Equal(rec.QCs[i].Encode(nil), qcs[i].Encode(nil)) {
+			t.Fatalf("certificate %d changed under the scribble", i)
+		}
+	}
+	if string(rec.App) != "app state" || rec.HighQC.Round != 12 || rec.Floor != 1 {
+		t.Fatalf("checkpoint changed under the scribble: app %q, high QC %v, floor %d", rec.App, rec.HighQC, rec.Floor)
 	}
 }

@@ -598,7 +598,7 @@ func (r *trackerRun) prune() {
 func (r *trackerRun) restart() {
 	tip := r.tip
 	r.boot()
-	r.store.Restore(r.blocks, nil)
+	r.store.Restore(0, r.blocks, nil)
 	r.tip = tip
 	if r.sft {
 		r.tr.Restore(r.fed)

@@ -199,6 +199,9 @@ func (r *Replica) Restore(rec *core.Recovery) error {
 	if rec.HighQC != nil && rec.HighQC.RanksHigher(r.qchigh) {
 		r.qchigh = rec.HighQC
 	}
+	// The restored store may reach below the pre-crash cut (a checkpoint is
+	// written once per passed segment, not at every cut): cut it again.
+	r.maybePrune()
 	return nil
 }
 

@@ -31,7 +31,7 @@ func openJournal(t *testing.T, dir string, id types.ReplicaID) *core.Journal {
 func recoverReplica(t *testing.T, dir string, id types.ReplicaID, n, f int, ring *crypto.KeyRing) (*diembft.Replica, *core.Recovery) {
 	t.Helper()
 	j := openJournal(t, dir, id)
-	rec, err := core.Recover(j.Log())
+	rec, err := j.Recover()
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

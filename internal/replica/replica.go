@@ -559,7 +559,10 @@ func (c *Chassis) CommitTo(b *types.Block) {
 // what lies below the round of the committed chain's block at the cut. It
 // returns the removed blocks (valid until the next call) and that round, for
 // the engine's own per-block and per-round state. When the committed chain
-// has no block at the cut, nothing is removed and nothing is forgotten.
+// has no block at the cut, nothing is removed and nothing is forgotten. Once
+// the cut passes sealed journal segments, the journal checkpoints at the cut
+// and deletes them (core.Journal.Checkpoint), so the log is bounded by the
+// same window as the store.
 func (c *Chassis) PruneBelow(cut types.Height) ([]*types.Block, types.Round) {
 	anchor := c.committedAt(cut)
 	if anchor == nil {
@@ -574,6 +577,13 @@ func (c *Chassis) PruneBelow(cut types.Height) ([]*types.Block, types.Round) {
 		}
 	}
 	c.history.PruneBelow(anchor.Round)
+	if c.staging() && c.cfg.Journal.CheckpointDue(cut, anchor.Round) {
+		var app []byte
+		if c.cfg.App != nil {
+			app = c.cfg.App.Checkpoint()
+		}
+		c.staged(c.cfg.Journal.Checkpoint(cut, anchor.Round, app))
+	}
 	return removed, anchor.Round
 }
 
@@ -592,27 +602,38 @@ func (c *Chassis) committedAt(h types.Height) *types.Block {
 
 // --- recovery and state sync ---
 
-// Restore rebuilds the chassis from a non-empty journal replay: blocks are
-// reinstalled and re-executed in log order (parents precede children, so the
-// execution layer reconverges to the exact pre-crash roots), certificates
-// feed the tracker, own votes refill the history — so post-restart markers
-// cannot contradict pre-crash ones — and the committed prefix is reinstated
-// without re-emitting Commit outputs. onBlock sees every restored block,
+// Restore rebuilds the chassis from a non-empty journal replay: with a
+// checkpoint, the executor first resumes from its checkpoint and the store
+// starts at the checkpoint's floor; then blocks are reinstalled and executed
+// in log order (parents precede children, so the execution layer reconverges
+// to the exact pre-crash roots), certificates feed the tracker, own votes
+// refill the history — so post-restart markers cannot contradict pre-crash
+// ones — and the committed prefix is reinstated without re-emitting Commit
+// outputs. The result equals a replay of the whole journal followed by
+// PruneBelow at the floor. onBlock, if non-nil, sees every restored block,
 // onCert every certificate that improved the store's knowledge, in log order.
 func (c *Chassis) Restore(rec *core.Recovery, onBlock func(*types.Block), onCert func(*types.QC)) error {
 	c.restoring = true
 	defer func() { c.restoring = false }()
+	if (rec.App != nil) != (c.cfg.App != nil && rec.Floor > 0) {
+		return fmt.Errorf("replica: restore: the journal's checkpoint and the replica disagree on the execution layer")
+	}
+	if rec.App != nil {
+		if err := c.cfg.App.RestoreCheckpoint(rec.App); err != nil {
+			return fmt.Errorf("replica: restore app checkpoint: %w", err)
+		}
+	}
 	cert := func(qc *types.QC) {
 		if c.tracker != nil {
 			c.tracker.OnQC(qc)
 		}
 		onCert(qc)
 	}
-	// A block detached by a pre-crash prune is skipped by the store, where
-	// walks stop anyway; any other refusal fails the restart.
-	if _, err := c.store.Restore(rec.Blocks, func(b *types.Block, qcImproved bool) {
+	if _, err := c.store.Restore(rec.Floor, rec.Blocks, func(b *types.Block, qcImproved bool) {
 		c.tryExecute(b)
-		onBlock(b)
+		if onBlock != nil {
+			onBlock(b)
+		}
 		if qcImproved {
 			cert(b.Justify)
 		}
@@ -645,6 +666,9 @@ func (c *Chassis) Restore(rec *core.Recovery, onBlock func(*types.Block), onCert
 				}
 			}
 		}
+	}
+	if rec.Floor > 0 {
+		c.PruneBelow(rec.Floor) // the vote history and vote sets follow the store's floor
 	}
 	c.recovered = true
 	return nil

@@ -87,7 +87,7 @@ func TestRunClosesJournalOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	rec, err := core.Recover(l2)
+	rec, err := core.NewJournal(l2).Recover()
 	if err != nil {
 		t.Fatalf("recover after shutdown: %v", err)
 	}

@@ -56,7 +56,7 @@ func TestStreamletKillRestartRecovers(t *testing.T) {
 	sim.CrashAt(victim, crashAt)
 	sim.RestartAt(victim, restartAt, func() engine.Engine {
 		j := openJ()
-		rec, err := core.Recover(j.Log())
+		rec, err := j.Recover()
 		if err != nil {
 			t.Fatalf("recover: %v", err)
 		}

@@ -95,9 +95,9 @@ func (r *Replica) Restore(rec *core.Recovery) error {
 	if rec == nil || rec.Empty() {
 		return nil
 	}
-	err := r.Chassis.Restore(rec, func(b *types.Block) {
-		r.seenProp[b.ID()] = true
-	}, func(qc *types.QC) {
+	// onProposal already drops a proposal whose block the store holds, so
+	// restored blocks need no seenProp entry.
+	err := r.Chassis.Restore(rec, nil, func(qc *types.QC) {
 		// Longest-certified-chain state only: no commit re-evaluation, the
 		// chassis reinstates the committed prefix from the commit records.
 		if b := r.Store().Block(qc.Block); b != nil && b.Height > r.maxCertH {

@@ -13,10 +13,16 @@
 //
 // Crash tolerance: a torn write at the tail of the last segment — a record
 // cut short at EOF, the only damage a crashed single appender can leave —
-// is detected by its length frame and truncated away on Open. Bit rot (a
-// CRC mismatch on fully present bytes, or a nonsense length) anywhere,
-// final segment included, is NOT survivable silently: Open and Replay
-// report it instead of handing back a hole in the voted history.
+// is detected by its length frame and truncated away by the first Replay
+// after Open (the same pass that hands the records back, so the final
+// segment is read once). Bit rot (a CRC mismatch on fully present bytes, or
+// a nonsense length) anywhere, final segment included, is NOT survivable
+// silently: Replay reports it instead of handing back a hole in the voted
+// history.
+//
+// The log is bounded by its owner: Rotate seals the active segment and Remove
+// deletes a sealed one, which internal/core.Journal does once a checkpoint
+// record covers everything the segment held.
 package wal
 
 import (
@@ -24,8 +30,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 )
@@ -40,6 +48,8 @@ const (
 	// (including the type byte), 4-byte CRC-32C over type+payload, then the
 	// type byte itself.
 	headerSize = 9
+	// HeaderSize is the same overhead for owners that account segment bytes.
+	HeaderSize = headerSize
 	// maxRecordBytes bounds a single record so a corrupt length prefix
 	// cannot drive replay into a giant allocation.
 	maxRecordBytes = 64 << 20
@@ -65,7 +75,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Options configures a Log.
 type Options struct {
 	// SegmentBytes is the rotation threshold; a segment that reaches it is
-	// sealed and a new one started. Default 4 MiB.
+	// sealed and a new one started. Default 256 KiB: small against the
+	// window a pruning replica keeps, so the segments its checkpoints delete
+	// follow the prune cut closely (see internal/core.Journal).
 	SegmentBytes int
 	// NoSync skips the fsync in Flush. The discrete-event simulator uses it:
 	// simulated crashes stop a replica's event dispatch, not the host
@@ -81,7 +93,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
+		o.SegmentBytes = 256 << 10
 	}
 	return o
 }
@@ -96,8 +108,15 @@ type Log struct {
 	seg     *os.File // active segment, opened for append
 	segIdx  int      // index of the active segment
 	segSize int64    // bytes in the active segment (including buffered)
+	segs    []int    // indices of the segments on disk, ascending
+	// tail marks a log opened over existing segments whose last segment has
+	// not been scanned yet: the first Replay (or, without one, the first
+	// write) truncates its torn tail and opens it for appending.
+	tail   bool
+	closed bool
 
 	buf   []byte // records appended since the last Flush
+	rbuf  []byte // Replay's read buffer, reused across segments within a pass
 	hdr   [headerSize]byte
 	err   error // sticky: a log that failed an IO operation stays failed
 	stats Stats
@@ -114,9 +133,10 @@ type Stats struct {
 
 func segmentName(idx int) string { return fmt.Sprintf("wal-%06d.log", idx) }
 
-// Open creates or opens the log in dir. An existing log is scanned for a
-// torn tail record (a crash mid-write), which is truncated away; appends
-// then continue at the end of the last segment.
+// Open creates or opens the log in dir. An existing log is not read here:
+// the first Replay scans it, truncating a torn tail record (a crash
+// mid-write) off the last segment in the same pass, and appends then
+// continue at the end of that segment. A write before any Replay scans first.
 func Open(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -131,29 +151,11 @@ func Open(dir string, opts Options) (*Log, error) {
 		if err := l.openSegment(0); err != nil {
 			return nil, err
 		}
+		l.segs = []int{0}
 		l.stats.Segments = 1
 		return l, nil
 	}
-	// Seal everything but the last segment as-is; the last one is scanned
-	// and truncated past its final valid record.
-	last := segs[len(segs)-1]
-	valid, err := scanValid(filepath.Join(dir, segmentName(last)))
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, segmentName(last)), os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	l.seg, l.segIdx, l.segSize = f, last, valid
+	l.segs, l.segIdx, l.tail = segs, segs[len(segs)-1], true
 	l.stats.Segments = len(segs)
 	return l, nil
 }
@@ -175,30 +177,6 @@ func listSegments(dir string) ([]int, error) {
 	}
 	sort.Ints(segs)
 	return segs, nil
-}
-
-// scanValid returns the byte offset just past the last fully valid record
-// in the segment file, truncation-safe: a record cut short at EOF is the
-// torn tail of a crashed append and marks the cut point, while a damaged
-// record with its full length present (bit rot) aborts the open — the log
-// cannot vouch for the voted history once fsynced records are unreadable.
-func scanValid(path string) (int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	var off int64
-	for int(off) < len(data) {
-		n, _, _, err := parseRecord(data[off:])
-		if errors.Is(err, errShortRecord) {
-			return off, nil // torn tail: a crash persisted a prefix of the batch
-		}
-		if err != nil {
-			return 0, fmt.Errorf("%w: %s offset %d", ErrCorrupt, filepath.Base(path), off)
-		}
-		off += n
-	}
-	return off, nil
 }
 
 // parseRecord parses one framed record from the front of b, returning the
@@ -236,11 +214,8 @@ func parseRecord(b []byte) (int64, RecordType, []byte, error) {
 // Steady-state appends are allocation-free: the frame header is built in a
 // fixed array and the batch buffer is reused across flushes.
 func (l *Log) Append(rt RecordType, payload []byte) error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.seg == nil {
-		return l.fail(ErrClosed)
+	if err := l.writable(); err != nil {
+		return err
 	}
 	if rt == 0 {
 		return ErrBadRecord
@@ -250,7 +225,7 @@ func (l *Log) Append(rt RecordType, payload []byte) error {
 	}
 	frame := int64(headerSize + len(payload))
 	if l.segSize > 0 && l.segSize+frame > int64(l.opts.SegmentBytes) {
-		if err := l.rotate(); err != nil {
+		if err := l.Rotate(); err != nil {
 			return err
 		}
 	}
@@ -273,11 +248,8 @@ func (l *Log) Dirty() bool { return len(l.buf) > 0 }
 // Options.NoSync). One Flush per engine event gives group commit: every
 // record the event produced shares a single fsync.
 func (l *Log) Flush() error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.seg == nil {
-		return l.fail(ErrClosed)
+	if err := l.writable(); err != nil {
+		return err
 	}
 	if len(l.buf) == 0 {
 		return nil
@@ -320,12 +292,36 @@ func (l *Log) Sync() error {
 	return nil
 }
 
+// writable reports the log's sticky error, scanning an opened log's tail
+// first if no Replay has yet.
+func (l *Log) writable() error {
+	if l.err != nil {
+		return l.err
+	}
+	if l.closed {
+		return l.fail(ErrClosed)
+	}
+	if l.tail {
+		return l.Replay(nil)
+	}
+	return nil
+}
+
 // Close flushes, fsyncs and closes the log. Further appends fail.
 func (l *Log) Close() error {
-	if l.seg == nil {
+	if l.closed {
+		return l.err
+	}
+	if l.seg == nil { // opened and never scanned, or failed mid-rotation
+		l.closed = true
+		if l.err == nil {
+			l.err = ErrClosed
+			return nil
+		}
 		return l.err
 	}
 	err := l.Sync()
+	l.closed = true
 	if cerr := l.seg.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("wal: close: %w", cerr)
 	}
@@ -342,6 +338,13 @@ func (l *Log) Stats() Stats { return l.stats }
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
 
+// Segments returns the indices of the segments on disk, ascending; the last
+// is the active one. The slice is the log's own: read it, do not keep it.
+func (l *Log) Segments() []int { return l.segs }
+
+// Active returns the index of the segment appends go to.
+func (l *Log) Active() int { return l.segIdx }
+
 func (l *Log) fail(err error) error {
 	if l.err == nil {
 		l.err = err
@@ -349,14 +352,18 @@ func (l *Log) fail(err error) error {
 	return err
 }
 
-// rotate seals the active segment (flushed and always fsynced, so sealed
-// segments are immutable and fully durable) and starts the next one.
-func (l *Log) rotate() error {
+// Rotate seals the active segment (flushed and, unless Options.NoSync,
+// fsynced, so sealed segments are immutable and as durable as the log is)
+// and starts the next one. Append rotates on its own when a segment fills;
+// the journal rotates so that a checkpoint opens a segment of its own.
+func (l *Log) Rotate() error {
 	if err := l.Flush(); err != nil {
 		return err
 	}
-	if err := l.seg.Sync(); err != nil {
-		return l.fail(fmt.Errorf("wal: seal fsync: %w", err))
+	if !l.opts.NoSync {
+		if err := l.seg.Sync(); err != nil {
+			return l.fail(fmt.Errorf("wal: seal fsync: %w", err))
+		}
 	}
 	if err := l.seg.Close(); err != nil {
 		return l.fail(fmt.Errorf("wal: seal: %w", err))
@@ -365,7 +372,26 @@ func (l *Log) rotate() error {
 	if err := l.openSegment(l.segIdx + 1); err != nil {
 		return err
 	}
+	l.segs = append(l.segs, l.segIdx)
 	l.stats.Segments++
+	return nil
+}
+
+// Remove deletes the sealed segment idx. Its records are gone for every later
+// Replay; the owner removes only what a later record supersedes.
+func (l *Log) Remove(idx int) error {
+	if err := l.writable(); err != nil {
+		return err
+	}
+	i, ok := slices.BinarySearch(l.segs, idx)
+	if !ok || idx == l.segIdx {
+		return fmt.Errorf("wal: segment %d is not a sealed segment", idx)
+	}
+	if err := os.Remove(filepath.Join(l.dir, segmentName(idx))); err != nil {
+		return l.fail(fmt.Errorf("wal: remove segment: %w", err))
+	}
+	l.segs = slices.Delete(l.segs, i, i+1)
+	l.stats.Segments--
 	return nil
 }
 
@@ -378,44 +404,126 @@ func (l *Log) openSegment(idx int) error {
 	return nil
 }
 
+// First returns segment idx's first record, or type 0 when the segment is
+// empty or its first record is torn. The payload is only valid until the
+// next First or Replay. The journal reads its newest checkpoint this way
+// before the one pass of Replay.
+func (l *Log) First(idx int) (RecordType, []byte, error) {
+	f, err := os.Open(filepath.Join(l.dir, segmentName(idx)))
+	if err != nil {
+		return 0, nil, fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return 0, nil, nil
+		}
+		return 0, nil, fmt.Errorf("wal: %w", err)
+	}
+	size := binary.BigEndian.Uint32(hdr[0:4])
+	if size == 0 || size > maxRecordBytes {
+		return 0, nil, fmt.Errorf("%w: segment %d offset 0", ErrCorrupt, idx)
+	}
+	l.rbuf = append(l.rbuf[:0], hdr[:]...)
+	l.rbuf = slices.Grow(l.rbuf, int(size)-1)[:8+int(size)]
+	if _, err := io.ReadFull(f, l.rbuf[headerSize:]); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return 0, nil, nil
+		}
+		return 0, nil, fmt.Errorf("wal: %w", err)
+	}
+	_, rt, payload, err := parseRecord(l.rbuf)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: segment %d offset 0", ErrCorrupt, idx)
+	}
+	return rt, payload, nil
+}
+
 // Replay calls fn for every record in the log, oldest first, across all
-// segments. The payload slice is only valid during the callback. Staged
-// (unflushed) records are flushed first so replay observes a consistent
-// prefix. A torn tail on the final segment ends replay cleanly; corruption
-// anywhere else returns ErrCorrupt — a log whose middle is damaged cannot
-// vouch for the voted history and the caller must treat the replica's
-// durable state as lost.
-func (l *Log) Replay(fn func(rt RecordType, payload []byte) error) error {
+// segments, with the index of the segment the record is in. Each segment is
+// read once, into one buffer reused across the pass and released after it:
+// the payload slice is only valid during the callback, so a caller keeps a
+// copy of what it needs. Staged (unflushed) records are flushed first so
+// replay observes a consistent prefix. The first Replay after Open also
+// truncates a torn tail off the final segment and opens that segment for
+// appending; fn may be nil for that alone. Corruption anywhere else returns
+// ErrCorrupt — a log whose middle is damaged cannot vouch for the voted
+// history and the caller must treat the replica's durable state as lost.
+func (l *Log) Replay(fn func(seg int, rt RecordType, payload []byte) error) error {
 	if l.Dirty() {
 		if err := l.Flush(); err != nil {
 			return err
 		}
 	}
-	segs, err := listSegments(l.dir)
-	if err != nil {
-		return err
-	}
-	for i, idx := range segs {
-		data, err := os.ReadFile(filepath.Join(l.dir, segmentName(idx)))
+	defer func() { l.rbuf = nil }()
+	for i, idx := range l.segs {
+		last := i == len(l.segs)-1
+		data, err := l.read(idx)
 		if err != nil {
-			return fmt.Errorf("wal: %w", err)
+			return l.fail(err)
 		}
 		var off int64
 		for int(off) < len(data) {
 			n, rt, payload, err := parseRecord(data[off:])
 			if err != nil {
-				if i == len(segs)-1 && errors.Is(err, errShortRecord) {
-					return nil // torn tail on the live segment
+				if last && errors.Is(err, errShortRecord) {
+					break // torn tail: a crash persisted a prefix of the batch
 				}
 				// Sealed segments cannot have torn tails (they were closed
 				// cleanly), and bit rot anywhere is unrecoverable state loss.
-				return fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, idx, off)
+				return l.fail(fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, idx, off))
 			}
-			if err := fn(rt, payload); err != nil {
-				return err
+			if fn != nil {
+				if err := fn(idx, rt, payload); err != nil {
+					return err
+				}
 			}
 			off += n
 		}
+		if last && l.tail && !l.closed {
+			if err := l.openTail(idx, off); err != nil {
+				return err
+			}
+		}
 	}
+	return nil
+}
+
+// read loads segment idx into the reused replay buffer.
+func (l *Log) read(idx int) ([]byte, error) {
+	f, err := os.Open(filepath.Join(l.dir, segmentName(idx)))
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	l.rbuf = slices.Grow(l.rbuf[:0], int(info.Size()))[:info.Size()]
+	n, err := io.ReadFull(f, l.rbuf)
+	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	return l.rbuf[:n], nil
+}
+
+// openTail cuts the final segment after its last valid record and opens it
+// for appending.
+func (l *Log) openTail(idx int, valid int64) error {
+	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(idx)), os.O_RDWR, 0o644)
+	if err != nil {
+		return l.fail(fmt.Errorf("wal: %w", err))
+	}
+	if err := f.Truncate(valid); err != nil {
+		f.Close()
+		return l.fail(fmt.Errorf("wal: truncate torn tail: %w", err))
+	}
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		f.Close()
+		return l.fail(fmt.Errorf("wal: %w", err))
+	}
+	l.seg, l.segSize, l.tail = f, valid, false
 	return nil
 }

@@ -17,7 +17,7 @@ type rec struct {
 func collect(t *testing.T, l *Log) []rec {
 	t.Helper()
 	var out []rec
-	if err := l.Replay(func(rt RecordType, payload []byte) error {
+	if err := l.Replay(func(_ int, rt RecordType, payload []byte) error {
 		out = append(out, rec{rt: rt, data: append([]byte(nil), payload...)})
 		return nil
 	}); err != nil {
@@ -151,8 +151,9 @@ func TestTornTailTruncated(t *testing.T) {
 }
 
 // TestFinalSegmentBitRotRefusesOpen: a CRC flip on a FULLY PRESENT record
-// in the live segment is bit rot, not a torn tail — Open must refuse
-// rather than truncate away the fsynced records that follow it.
+// in the live segment is bit rot, not a torn tail — the scan that follows
+// Open must refuse rather than truncate away the fsynced records after it,
+// and the log then takes no appends.
 func TestFinalSegmentBitRotRefusesOpen(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -177,8 +178,15 @@ func TestFinalSegmentBitRotRefusesOpen(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("open over bit rot: %v, want ErrCorrupt", err)
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Replay(nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("replay over bit rot: %v, want ErrCorrupt", err)
+	}
+	if err := l2.Append(1, []byte("x")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("append after bit rot: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -249,7 +257,7 @@ func TestMidLogCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	err = l2.Replay(func(RecordType, []byte) error { return nil })
+	err = l2.Replay(func(int, RecordType, []byte) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("expected ErrCorrupt for mid-log damage, got %v", err)
 	}
@@ -266,7 +274,7 @@ func TestReplayCallbackError(t *testing.T) {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("stop")
-	if err := l.Replay(func(RecordType, []byte) error { return sentinel }); !errors.Is(err, sentinel) {
+	if err := l.Replay(func(int, RecordType, []byte) error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("expected callback error to propagate, got %v", err)
 	}
 }
@@ -362,11 +370,61 @@ func BenchmarkReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		if err := l.Replay(func(RecordType, []byte) error { count++; return nil }); err != nil {
+		if err := l.Replay(func(int, RecordType, []byte) error { count++; return nil }); err != nil {
 			b.Fatal(err)
 		}
 		if count != n {
 			b.Fatalf("replayed %d records, want %d", count, n)
 		}
+	}
+}
+
+// TestRotateRemoveFirst: the owner's bounding tools. Rotate starts a segment
+// whose First record is the next append, Remove drops a sealed segment from
+// disk and from every later replay, and the active segment cannot be removed.
+func TestRotateRemoveFirst(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i, data := range []string{"a", "b", "c"} {
+		if i > 0 {
+			if err := l.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Append(RecordType(i+1), []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Segments(); len(got) != 3 || l.Active() != 2 {
+		t.Fatalf("segments %v, active %d; want [0 1 2], 2", got, l.Active())
+	}
+	if rt, payload, err := l.First(1); err != nil || rt != 2 || string(payload) != "b" {
+		t.Fatalf("first record of segment 1: %d %q %v", rt, payload, err)
+	}
+	if err := l.Remove(2); err == nil {
+		t.Fatal("removed the active segment")
+	}
+	if err := l.Remove(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, l); len(got) != 2 || string(got[0].data) != "b" {
+		t.Fatalf("after removing segment 0 replayed %v", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segmentName(0))); !os.IsNotExist(err) {
+		t.Fatalf("segment 0 still on disk: %v", err)
+	}
+	// An empty segment has no first record.
+	if err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if rt, _, err := l.First(3); err != nil || rt != 0 {
+		t.Fatalf("first record of an empty segment: %d %v", rt, err)
 	}
 }

@@ -57,6 +57,10 @@ type CommitEvent struct {
 
 // RecoveryInfo summarizes what a node restored from its write-ahead log.
 type RecoveryInfo struct {
+	// Floor is the height of the journal's newest checkpoint, 0 when it never
+	// checkpointed: the journal keeps nothing below it, and the replayed
+	// blocks start there.
+	Floor Height
 	// Blocks and Votes count the replayed records.
 	Blocks, Votes int
 	// VotedRound is the highest round the pre-crash incarnation voted in —
@@ -71,6 +75,7 @@ type RecoveryInfo struct {
 
 func recoveryInfo(rec *core.Recovery) RecoveryInfo {
 	info := RecoveryInfo{
+		Floor:           rec.Floor,
 		Blocks:          len(rec.Blocks),
 		Votes:           len(rec.Votes),
 		VotedRound:      rec.VotedRound(),

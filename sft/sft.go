@@ -444,11 +444,12 @@ func (s *settings) builder(cfg Config, ring *KeyRing, verify bool, rule CommitRu
 	}
 }
 
-// incarnate opens (and replays) the node's write-ahead log, builds an engine
-// over its journal, restores the recovered state into it and points the
-// handle at both — the one path New and a Simnet restart take. A restart
-// first closes the crashed incarnation's journal, so the replay reads
-// everything it staged and no second handle appends to the log.
+// incarnate opens the node's write-ahead log and replays it from its newest
+// checkpoint, builds an engine over its journal, restores the recovered state
+// into it (the store from the checkpoint's floor, an app from its snapshot)
+// and points the handle at both — the one path New and a Simnet restart take.
+// A restart first closes the crashed incarnation's journal, so the replay
+// reads everything it staged and no second handle appends to the log.
 func (n *Node) incarnate(fsync bool) (engine.Engine, *core.Recovery, error) {
 	n.mu.Lock()
 	crashed := n.journal
