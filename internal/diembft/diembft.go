@@ -106,6 +106,11 @@ type Replica struct {
 	pendingLog []types.StrengthRecord // light-client log accumulator
 	// floor is the round the per-round maps were last pruned below.
 	floor types.Round
+	// syncRound is the last round in which this replica, leading it, asked a
+	// voter of its high QC for the certified block it lacked; syncNext
+	// rotates the voter asked.
+	syncRound types.Round
+	syncNext  int
 
 	// direct is the Appendix B baseline tracker (replica.RuleFBFT only).
 	direct *core.DirectTracker
@@ -256,6 +261,8 @@ func (r *Replica) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg
 		// if the blocks had arrived as proposals. The responder's standalone
 		// high QC (no block embeds it) is not fromChain, which journals it.
 		r.ApplySegment(m, func(qc *types.QC, standalone bool) { r.processQC(now, qc, !standalone) })
+		// A leader waiting on its high QC's block may hold it now.
+		r.maybePropose(now)
 	}
 	return r.Take()
 }

@@ -18,7 +18,8 @@ func (r *Replica) maybePropose(now time.Duration) {
 	}
 	parent := r.Store().Block(r.qchigh.Block)
 	if parent == nil {
-		return // still syncing the highest certified block
+		r.syncHighQC(round)
+		return
 	}
 	// Restore marks own journaled blocks' rounds as proposed, so a restarted
 	// leader cannot propose a different block for a round it already used.
@@ -32,6 +33,28 @@ func (r *Replica) maybePropose(now time.Duration) {
 		r.pendingLog = r.pendingLog[:0]
 	}
 	r.Propose(round, parent, r.qchigh, log)
+}
+
+// syncHighQC asks one voter of the high QC for the chain up to its block,
+// once per round. A leader learns a certificate ahead of its store from
+// timeouts — after a heal, the formerly cut replicas do — and no parked
+// proposal starts its catch-up, since it is the one to propose. Successive
+// rounds ask successive voters, so one that is slow or gone does not stall
+// it.
+func (r *Replica) syncHighQC(round types.Round) {
+	votes := r.qchigh.Votes
+	if round <= r.syncRound || len(votes) == 0 {
+		return
+	}
+	r.syncRound = round
+	for range votes {
+		v := votes[r.syncNext%len(votes)].Voter
+		r.syncNext++
+		if v != r.cfg.ID {
+			r.RequestStateSyncFrom(v)
+			return
+		}
+	}
 }
 
 // --- proposal handling ---

@@ -51,7 +51,13 @@ var goldenPins = map[string]string{
 	// tip's high QC: +1,455 wire bytes of 1.69 GB. Every replica's committed
 	// chain, state roots and per-block maximum strength are the old pin's, as
 	// are the block, event and message counts.
-	"diembft-partition-n7":  "cf582d2d80d664ea7f9dc818a201769d",
+	// Re-pinned again when a leader whose high QC names a block it lacks
+	// started asking a voter of that QC for it: the heal hands the next
+	// leaders to the formerly cut pair, which now propose in their rounds
+	// instead of letting them time out. The observer commits 650 blocks, was
+	// 599 (every replica within one of it), timeouts fall from 392 to 308
+	// messages, and the catch-up takes 2 requests and 2 responses, was 3.
+	"diembft-partition-n7":  "4d1e54c1dd61608b5eac2c79f80ed724",
 	"diembft-ed25519agg-n7": "75a374a5e42046fddff3221fe9e5b320",
 	// The restarted replica used to stay behind for good (it ended at 131 of
 	// 217 committed heights): its boot-time state sync installed blocks but

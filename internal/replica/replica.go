@@ -363,7 +363,7 @@ func (c *Chassis) Accept(p *types.Proposal) {
 // that arrives ahead of what we hold.
 func (c *Chassis) Park(p *types.Proposal) {
 	if c.Hold(p) && p.Sender != c.cfg.ID {
-		c.Outs = append(c.Outs, engine.Send{To: p.Sender, Msg: statesync.NewRequest(c.committedH, c.cfg.ID)})
+		c.RequestStateSyncFrom(p.Sender)
 	}
 }
 
@@ -678,6 +678,12 @@ func (c *Chassis) Restore(rec *core.Recovery, onBlock func(*types.Block), onCert
 // rejoins with: everything certified above its committed height.
 func (c *Chassis) RequestStateSync() {
 	c.Outs = append(c.Outs, engine.Broadcast{Msg: statesync.NewRequest(c.committedH, c.cfg.ID)})
+}
+
+// RequestStateSyncFrom asks one peer for everything certified above this
+// replica's committed height.
+func (c *Chassis) RequestStateSyncFrom(peer types.ReplicaID) {
+	c.Outs = append(c.Outs, engine.Send{To: peer, Msg: statesync.NewRequest(c.committedH, c.cfg.ID)})
 }
 
 // OnStateSyncRequest serves the catch-up protocol: a certified chain segment
