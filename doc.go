@@ -105,7 +105,8 @@
 //     inbound message exactly once (see "Verification").
 //   - WithWAL(dir) — durability: the node write-ahead-logs everything its
 //     safety depends on, recovers it on restart (Node.Restored), and
-//     flushes/closes the log in Node.Close and on Run's way out.
+//     flushes/closes the log in Node.Close and on Run's way out. With a
+//     prune keep the log holds only the kept window (see "Durability").
 //   - WithVerifyPipeline(workers) — overrides the derived number of
 //     goroutines that batch-check one cold certificate's signatures; it
 //     switches nothing on.
@@ -430,6 +431,22 @@
 // -data-dir. README.md
 // documents the full contract; BENCH_PR2.json records the costs (vote-path
 // WAL append: 0 allocs/op).
+//
+// The journal is bounded by the store's keep (WithPruneKeep). Once the
+// prune cut passes whole sealed segments (256 KiB each), the journal opens a
+// new segment with one checkpoint record and deletes them. A checkpoint
+// holds the floor (the cut), the lock round, the highest voted round, the
+// last commit, the high QC and, with an app, app.Executor.Checkpoint: the
+// state machine's Snapshot of the committed base plus the executed roots at
+// or below the commit. core.Journal.Recover reads the newest checkpoint
+// first, then each segment once through one reused buffer, skipping block
+// records below the floor undecoded; the store restores onto the floor with
+// its blocks as parentless roots, so a restart rebuilds what a full replay
+// followed by PruneBelow(floor) would, and costs the kept window, not the
+// chain. A block above the floor whose parent the log lacks fails the
+// restart. Streamlet never prunes, so its journal stays whole, and a peer
+// that fell below a responder's floor is not served a checkpoint (ROADMAP
+// item 10's state-sync half).
 //
 // # Compact certificates
 //

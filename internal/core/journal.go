@@ -59,28 +59,20 @@ const (
 type Journal struct {
 	log     *wal.Log
 	scratch []byte
-	// sum is what the records appended so far say about the lock, own votes,
-	// commit and high QC: what a checkpoint carries for the records it lets
-	// go.
-	sum summary
+	// sum is what Recover would read from every record appended so far, its
+	// running maxima only (lock, voted round, commit, high QC): what a
+	// checkpoint carries for the records it lets go.
+	sum Recovery
 	// segs marks each segment on disk with the highest height and own vote
 	// round its records name, ascending by segment index.
 	segs []segMark
 	// ready: Recover has accounted for every record already in the log, so
 	// sum is whole and the journal may checkpoint.
 	ready bool
-	// cpBytes is the size of the last checkpoint record: a checkpoint is due
-	// only once the segments it would delete hold at least as much.
+	// cpBytes is the payload size of the last checkpoint record: a checkpoint
+	// is due only once the segments it would delete hold at least as many
+	// payload bytes.
 	cpBytes int
-}
-
-// summary is the part of a Recovery that is a running maximum.
-type summary struct {
-	locked, voted   types.Round
-	committed       types.BlockID
-	committedHeight types.Height
-	committedRound  types.Round
-	highQC          *types.QC
 }
 
 // segMark is one segment's extent: a segment is wholly below a prune cut when
@@ -90,7 +82,11 @@ type segMark struct {
 	idx    int
 	height types.Height
 	round  types.Round
-	bytes  int
+	bytes  int // payload bytes
+}
+
+func (m *segMark) note(h types.Height, r types.Round, payload int) {
+	m.height, m.round, m.bytes = max(m.height, h), max(m.round, r), m.bytes+payload
 }
 
 // checkpointStep is called after each step of Checkpoint with its name;
@@ -127,12 +123,14 @@ func OpenJournal(dir string, fsync bool, observeFlush func(d time.Duration, byte
 // Log exposes the underlying WAL (stats, tests).
 func (j *Journal) Log() *wal.Log { return j.log }
 
-// mark notes that the record just appended names height h (and, for an own
-// vote, round r) in the segment it went to.
-func (j *Journal) mark(h types.Height, r types.Round) {
-	m := j.markFor(j.log.Active())
-	m.height, m.round = max(m.height, h), max(m.round, r)
-	m.bytes += wal.HeaderSize + len(j.scratch)
+// append stages the record in scratch and marks its segment with height h
+// and own vote round r.
+func (j *Journal) append(rt wal.RecordType, h types.Height, r types.Round) error {
+	if err := j.log.Append(rt, j.scratch); err != nil {
+		return err
+	}
+	j.markFor(j.log.Active()).note(h, r, len(j.scratch))
+	return nil
 }
 
 // markFor returns segment idx's mark, adding it when idx is a new segment.
@@ -143,55 +141,33 @@ func (j *Journal) markFor(idx int) *segMark {
 	return &j.segs[len(j.segs)-1]
 }
 
-func (j *Journal) noteQC(qc *types.QC) {
-	if qc != nil && qc.RanksHigher(j.sum.highQC) {
-		j.sum.highQC = qc
-	}
-}
-
 // AppendBlock stages a block record.
 func (j *Journal) AppendBlock(b *types.Block) error {
 	j.scratch = types.AppendUint64(j.scratch[:0], uint64(b.Height))
 	j.scratch = b.AppendEncoding(j.scratch)
-	if err := j.log.Append(RecBlock, j.scratch); err != nil {
-		return err
-	}
-	j.noteQC(b.Justify)
-	j.mark(b.Height, 0)
-	return nil
+	j.sum.noteQC(b.Justify)
+	return j.append(RecBlock, b.Height, 0)
 }
 
 // AppendVote stages a record of an own cast vote.
 func (j *Journal) AppendVote(v *types.Vote) error {
 	j.scratch = v.Encode(j.scratch[:0])
-	if err := j.log.Append(RecVote, j.scratch); err != nil {
-		return err
-	}
 	j.sum.voted = max(j.sum.voted, v.Round)
-	j.mark(v.Height, v.Round)
-	return nil
+	return j.append(RecVote, v.Height, v.Round)
 }
 
 // AppendQC stages a certificate that did not arrive inside a block.
 func (j *Journal) AppendQC(qc *types.QC) error {
 	j.scratch = qc.Encode(j.scratch[:0])
-	if err := j.log.Append(RecQC, j.scratch); err != nil {
-		return err
-	}
-	j.noteQC(qc)
-	j.mark(qc.Height, 0)
-	return nil
+	j.sum.noteQC(qc)
+	return j.append(RecQC, qc.Height, 0)
 }
 
 // AppendLock stages the new locked round.
 func (j *Journal) AppendLock(r types.Round) error {
 	j.scratch = types.AppendUint64(j.scratch[:0], uint64(r))
-	if err := j.log.Append(RecLock, j.scratch); err != nil {
-		return err
-	}
-	j.sum.locked = max(j.sum.locked, r)
-	j.mark(0, 0)
-	return nil
+	j.sum.Locked = max(j.sum.Locked, r)
+	return j.append(RecLock, 0, 0)
 }
 
 // AppendCommit stages a commit marker.
@@ -199,19 +175,8 @@ func (j *Journal) AppendCommit(id types.BlockID, h types.Height, r types.Round) 
 	j.scratch = append(j.scratch[:0], id[:]...)
 	j.scratch = types.AppendUint64(j.scratch, uint64(h))
 	j.scratch = types.AppendUint64(j.scratch, uint64(r))
-	if err := j.log.Append(RecCommit, j.scratch); err != nil {
-		return err
-	}
-	j.sum.commit(id, h, r)
-	j.mark(h, 0)
-	return nil
-}
-
-// commit keeps the highest commit (commits are logged in height order).
-func (s *summary) commit(id types.BlockID, h types.Height, r types.Round) {
-	if h >= s.committedHeight {
-		s.committed, s.committedHeight, s.committedRound = id, h, r
-	}
+	j.sum.noteCommit(id, h, r)
+	return j.append(RecCommit, h, 0)
 }
 
 // CheckpointDue reports whether a prune cut at floor, whose committed block
@@ -237,10 +202,10 @@ func (j *Journal) below(m *segMark, floor types.Height, floorRound types.Round) 
 
 // Checkpoint bounds the log at a prune cut: it seals the active segment,
 // opens the next with one checkpoint record — the floor, the journal's
-// summary of every record so far and app, the executor's checkpoint (nil
-// without an app) — makes it durable, and deletes every sealed segment wholly
-// below the cut. A crash at any step leaves a log Recover rebuilds the same
-// state from: the deleted segments' records are all below the floor or
+// running maxima over every record so far and app, the executor's checkpoint
+// (nil without an app) — makes it durable, and deletes every sealed segment
+// wholly below the cut. A crash at any step leaves a log Recover rebuilds the
+// same state from: the deleted segments' records are all below the floor or
 // summarized by the checkpoint before the first deletion. The caller has
 // pruned its store at floor; the journal only drops what that cut dropped.
 func (j *Journal) Checkpoint(floor types.Height, floorRound types.Round, app []byte) error {
@@ -248,12 +213,11 @@ func (j *Journal) Checkpoint(floor types.Height, floorRound types.Round, app []b
 		return err
 	}
 	checkpointStep("rotate")
-	j.scratch = j.appendCheckpoint(j.scratch[:0], floor, app)
-	if err := j.log.Append(RecCheckpoint, j.scratch); err != nil {
+	j.scratch = j.sum.appendCheckpoint(j.scratch[:0], floor, app)
+	if err := j.append(RecCheckpoint, floor, 0); err != nil {
 		return err
 	}
-	j.mark(floor, 0)
-	j.cpBytes = wal.HeaderSize + len(j.scratch)
+	j.cpBytes = len(j.scratch)
 	checkpointStep("append")
 	if err := j.log.Flush(); err != nil {
 		return err
@@ -272,86 +236,6 @@ func (j *Journal) Checkpoint(floor types.Height, floorRound types.Round, app []b
 	}
 	j.segs = kept
 	return nil
-}
-
-// appendCheckpoint encodes a checkpoint record: floor, lock round, voted
-// round, last commit (id, height, round), then the high QC and the app's
-// checkpoint, each behind a presence byte.
-func (j *Journal) appendCheckpoint(buf []byte, floor types.Height, app []byte) []byte {
-	s := &j.sum
-	buf = types.AppendUint64(buf, uint64(floor))
-	buf = types.AppendUint64(buf, uint64(s.locked))
-	buf = types.AppendUint64(buf, uint64(s.voted))
-	buf = append(buf, s.committed[:]...)
-	buf = types.AppendUint64(buf, uint64(s.committedHeight))
-	buf = types.AppendUint64(buf, uint64(s.committedRound))
-	if s.highQC == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = s.highQC.Encode(append(buf, 1))
-	}
-	if app == nil {
-		return append(buf, 0)
-	}
-	return types.AppendBytes(append(buf, 1), app)
-}
-
-// checkpoint seeds the recovery from a checkpoint record's payload.
-func (r *Recovery) checkpoint(b []byte) error {
-	var u [6]uint64
-	var err error
-	for i := range u[:3] {
-		if u[i], b, err = types.ConsumeUint64(b); err != nil {
-			return err
-		}
-	}
-	if len(b) < 32 {
-		return types.ErrShortBuffer
-	}
-	copy(r.Committed[:], b)
-	b = b[32:]
-	for i := 3; i < 5; i++ {
-		if u[i], b, err = types.ConsumeUint64(b); err != nil {
-			return err
-		}
-	}
-	r.Floor, r.Locked, r.voted = types.Height(u[0]), types.Round(u[1]), types.Round(u[2])
-	r.CommittedHeight, r.CommittedRound = types.Height(u[3]), types.Round(u[4])
-	if b, err = consumeFlag(b); err != nil {
-		return err
-	} else if b[0] == 1 {
-		if r.HighQC, b, err = types.DecodeQC(b[1:]); err != nil {
-			return err
-		}
-	} else {
-		b = b[1:]
-	}
-	if b, err = consumeFlag(b); err != nil {
-		return err
-	} else if b[0] == 1 {
-		app, rest, err := types.ConsumeBytes(b[1:])
-		if err != nil {
-			return err
-		}
-		r.App, b = append([]byte{}, app...), rest
-	} else {
-		b = b[1:]
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("%d trailing bytes", len(b))
-	}
-	return nil
-}
-
-// consumeFlag checks that b starts with a presence byte, 0 or 1.
-func consumeFlag(b []byte) ([]byte, error) {
-	if len(b) < 1 {
-		return nil, types.ErrShortBuffer
-	}
-	if b[0] > 1 {
-		return nil, fmt.Errorf("bad presence flag %d", b[0])
-	}
-	return b, nil
 }
 
 // Dirty reports whether staged records await a Flush.
@@ -394,7 +278,7 @@ type Recovery struct {
 	CommittedHeight types.Height
 	CommittedRound  types.Round
 
-	// voted is the newest checkpoint's highest voted round.
+	// voted is the highest voted round the newest checkpoint summarized.
 	voted types.Round
 }
 
@@ -416,12 +300,82 @@ func (r *Recovery) Empty() bool {
 		r.Locked == 0 && r.HighQC == nil && r.CommittedHeight == 0 && r.Floor == 0
 }
 
+func (r *Recovery) noteQC(qc *types.QC) {
+	if qc != nil && qc.RanksHigher(r.HighQC) {
+		r.HighQC = qc
+	}
+}
+
+// noteCommit keeps the highest commit (commits are logged in height order).
+func (r *Recovery) noteCommit(id types.BlockID, h types.Height, round types.Round) {
+	if h >= r.CommittedHeight {
+		r.Committed, r.CommittedHeight, r.CommittedRound = id, h, round
+	}
+}
+
+// appendCheckpoint encodes a checkpoint record: floor, lock round, voted
+// round, commit height and round, committed block, then the high QC and the
+// app's checkpoint, each behind a presence byte.
+func (r *Recovery) appendCheckpoint(buf []byte, floor types.Height, app []byte) []byte {
+	for _, u := range []uint64{uint64(floor), uint64(r.Locked), uint64(r.voted), uint64(r.CommittedHeight), uint64(r.CommittedRound)} {
+		buf = types.AppendUint64(buf, u)
+	}
+	buf = append(buf, r.Committed[:]...)
+	if r.HighQC == nil {
+		buf = append(buf, 0)
+	} else {
+		buf = r.HighQC.Encode(append(buf, 1))
+	}
+	if app == nil {
+		return append(buf, 0)
+	}
+	return types.AppendBytes(append(buf, 1), app)
+}
+
+// checkpoint seeds the recovery from a checkpoint record's payload.
+func (r *Recovery) checkpoint(b []byte) error {
+	var u [5]uint64
+	var err error
+	for i := range u {
+		if u[i], b, err = types.ConsumeUint64(b); err != nil {
+			return err
+		}
+	}
+	r.Floor, r.Locked, r.voted = types.Height(u[0]), types.Round(u[1]), types.Round(u[2])
+	r.CommittedHeight, r.CommittedRound = types.Height(u[3]), types.Round(u[4])
+	if len(b) < 32+1 {
+		return types.ErrShortBuffer
+	}
+	copy(r.Committed[:], b)
+	if b = b[32:]; b[0] == 1 {
+		if r.HighQC, b, err = types.DecodeQC(b[1:]); err != nil {
+			return err
+		}
+	} else if b[0] == 0 {
+		b = b[1:]
+	} else {
+		return fmt.Errorf("bad presence flag %d", b[0])
+	}
+	switch {
+	case len(b) == 1 && b[0] == 0:
+		return nil
+	case len(b) > 1 && b[0] == 1:
+		app, rest, err := types.ConsumeBytes(b[1:])
+		if err != nil || len(rest) != 0 {
+			return badRecord(err, rest)
+		}
+		r.App = append([]byte{}, app...)
+		return nil
+	}
+	return fmt.Errorf("bad app checkpoint in %d bytes", len(b))
+}
+
 // Recover replays the journal's log into a Recovery, in one pass that starts
 // from the newest checkpoint: every segment is read once, block records below
 // the checkpoint's floor are skipped undecoded, and the rest is decoded with
 // the pinned types decoders — a record that fails to decode is a corruption
 // of safety-critical state and aborts recovery. It also rebuilds the
-// journal's own summary and segment marks, after which the journal may
+// journal's own maxima and segment marks, after which the journal may
 // checkpoint.
 func (j *Journal) Recover() (*Recovery, error) { return j.recover(nil) }
 
@@ -429,7 +383,7 @@ func (j *Journal) Recover() (*Recovery, error) { return j.recover(nil) }
 // done with it (tests scribble over the read buffer with it).
 func (j *Journal) recover(consumed func(payload []byte)) (*Recovery, error) {
 	rec := &Recovery{}
-	j.segs, j.sum, j.ready, j.cpBytes = j.segs[:0], summary{}, false, 0
+	j.segs, j.ready, j.cpBytes = j.segs[:0], false, 0
 	segs := j.log.Segments()
 	for i := len(segs) - 1; i >= 0; i-- {
 		rt, payload, err := j.log.First(segs[i])
@@ -440,17 +394,12 @@ func (j *Journal) recover(consumed func(payload []byte)) (*Recovery, error) {
 			if err := rec.checkpoint(payload); err != nil {
 				return nil, fmt.Errorf("core: recover checkpoint record: %w", err)
 			}
-			j.cpBytes = wal.HeaderSize + len(payload)
+			j.cpBytes = len(payload)
 			break
 		}
 	}
 	for _, idx := range segs {
 		j.markFor(idx)
-	}
-	noteQC := func(qc *types.QC) {
-		if qc != nil && qc.RanksHigher(rec.HighQC) {
-			rec.HighQC = qc
-		}
 	}
 	seg := 0 // index into j.segs of the segment being replayed
 	err := j.log.Replay(func(idx int, rt wal.RecordType, payload []byte) error {
@@ -460,80 +409,81 @@ func (j *Journal) recover(consumed func(payload []byte)) (*Recovery, error) {
 		for j.segs[seg].idx != idx {
 			seg++
 		}
-		m := &j.segs[seg]
-		m.bytes += wal.HeaderSize + len(payload)
-		switch rt {
-		case RecBlock:
-			h, body, err := types.ConsumeUint64(payload)
-			if err != nil {
-				return fmt.Errorf("core: recover block record: %w", err)
-			}
-			m.height = max(m.height, types.Height(h))
-			if types.Height(h) < rec.Floor {
-				return nil // below the floor: summarized by the checkpoint
-			}
-			b, rest, err := types.DecodeBlock(body)
-			if err != nil || len(rest) != 0 || b.Height != types.Height(h) {
-				return fmt.Errorf("core: recover block record: %w", badRecord(err, rest))
-			}
-			rec.Blocks = append(rec.Blocks, b)
-			noteQC(b.Justify)
-		case RecVote:
-			v, rest, err := types.DecodeVote(payload)
-			if err != nil || len(rest) != 0 {
-				return fmt.Errorf("core: recover vote record: %w", badRecord(err, rest))
-			}
-			m.height, m.round = max(m.height, v.Height), max(m.round, v.Round)
-			rec.Votes = append(rec.Votes, v)
-		case RecQC:
-			qc, rest, err := types.DecodeQC(payload)
-			if err != nil || len(rest) != 0 {
-				return fmt.Errorf("core: recover qc record: %w", badRecord(err, rest))
-			}
-			m.height = max(m.height, qc.Height)
-			rec.QCs = append(rec.QCs, qc)
-			noteQC(qc)
-		case RecLock:
-			r, rest, err := types.ConsumeUint64(payload)
-			if err != nil || len(rest) != 0 {
-				return fmt.Errorf("core: recover lock record: %w", badRecord(err, rest))
-			}
-			rec.Locked = max(rec.Locked, types.Round(r))
-		case RecCommit:
-			if len(payload) != 32+8+8 {
-				return fmt.Errorf("core: recover commit record: %d bytes", len(payload))
-			}
-			var id types.BlockID
-			copy(id[:], payload)
-			h, rest, _ := types.ConsumeUint64(payload[32:])
-			r, _, _ := types.ConsumeUint64(rest)
-			m.height = max(m.height, types.Height(h))
-			if types.Height(h) >= rec.CommittedHeight {
-				rec.Committed = id
-				rec.CommittedHeight = types.Height(h)
-				rec.CommittedRound = types.Round(r)
-			}
-		case RecCheckpoint:
-			// The newest was read first; an older one says nothing newer.
-			h, _, err := types.ConsumeUint64(payload)
-			if err != nil {
-				return fmt.Errorf("core: recover checkpoint record: %w", err)
-			}
-			m.height = max(m.height, types.Height(h))
-		default:
-			return fmt.Errorf("core: unknown journal record type %d", rt)
-		}
-		return nil
+		h, r, err := rec.record(rt, payload)
+		j.segs[seg].note(h, r, len(payload))
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	j.sum = summary{
-		locked: rec.Locked, voted: rec.VotedRound(), highQC: rec.HighQC,
-		committed: rec.Committed, committedHeight: rec.CommittedHeight, committedRound: rec.CommittedRound,
+	j.sum = Recovery{
+		Locked: rec.Locked, voted: rec.VotedRound(), HighQC: rec.HighQC,
+		Committed: rec.Committed, CommittedHeight: rec.CommittedHeight, CommittedRound: rec.CommittedRound,
 	}
 	j.ready = true
 	return rec, nil
+}
+
+// record replays one record into the recovery and returns the height (and,
+// for an own vote, the round) it names, for its segment's mark.
+func (r *Recovery) record(rt wal.RecordType, payload []byte) (types.Height, types.Round, error) {
+	switch rt {
+	case RecBlock:
+		h, body, err := types.ConsumeUint64(payload)
+		if err != nil {
+			return 0, 0, fmt.Errorf("core: recover block record: %w", err)
+		}
+		if types.Height(h) < r.Floor {
+			return types.Height(h), 0, nil // below the floor: the checkpoint summarized it
+		}
+		b, rest, err := types.DecodeBlock(body)
+		if err != nil || len(rest) != 0 || b.Height != types.Height(h) {
+			return 0, 0, fmt.Errorf("core: recover block record: %w", badRecord(err, rest))
+		}
+		r.Blocks = append(r.Blocks, b)
+		r.noteQC(b.Justify)
+		return b.Height, 0, nil
+	case RecVote:
+		v, rest, err := types.DecodeVote(payload)
+		if err != nil || len(rest) != 0 {
+			return 0, 0, fmt.Errorf("core: recover vote record: %w", badRecord(err, rest))
+		}
+		r.Votes = append(r.Votes, v)
+		return v.Height, v.Round, nil
+	case RecQC:
+		qc, rest, err := types.DecodeQC(payload)
+		if err != nil || len(rest) != 0 {
+			return 0, 0, fmt.Errorf("core: recover qc record: %w", badRecord(err, rest))
+		}
+		r.QCs = append(r.QCs, qc)
+		r.noteQC(qc)
+		return qc.Height, 0, nil
+	case RecLock:
+		round, rest, err := types.ConsumeUint64(payload)
+		if err != nil || len(rest) != 0 {
+			return 0, 0, fmt.Errorf("core: recover lock record: %w", badRecord(err, rest))
+		}
+		r.Locked = max(r.Locked, types.Round(round))
+		return 0, 0, nil
+	case RecCommit:
+		if len(payload) != 32+8+8 {
+			return 0, 0, fmt.Errorf("core: recover commit record: %d bytes", len(payload))
+		}
+		var id types.BlockID
+		copy(id[:], payload)
+		h, rest, _ := types.ConsumeUint64(payload[32:])
+		round, _, _ := types.ConsumeUint64(rest)
+		r.noteCommit(id, types.Height(h), types.Round(round))
+		return types.Height(h), 0, nil
+	case RecCheckpoint:
+		// The newest was read first; an older one says nothing newer.
+		h, _, err := types.ConsumeUint64(payload)
+		if err != nil {
+			return 0, 0, fmt.Errorf("core: recover checkpoint record: %w", err)
+		}
+		return types.Height(h), 0, nil
+	}
+	return 0, 0, fmt.Errorf("core: unknown journal record type %d", rt)
 }
 
 func badRecord(err error, rest []byte) error {

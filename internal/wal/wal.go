@@ -48,8 +48,6 @@ const (
 	// (including the type byte), 4-byte CRC-32C over type+payload, then the
 	// type byte itself.
 	headerSize = 9
-	// HeaderSize is the same overhead for owners that account segment bytes.
-	HeaderSize = headerSize
 	// maxRecordBytes bounds a single record so a corrupt length prefix
 	// cannot drive replay into a giant allocation.
 	maxRecordBytes = 64 << 20
@@ -425,8 +423,9 @@ func (l *Log) First(idx int) (RecordType, []byte, error) {
 	if size == 0 || size > maxRecordBytes {
 		return 0, nil, fmt.Errorf("%w: segment %d offset 0", ErrCorrupt, idx)
 	}
-	l.rbuf = append(l.rbuf[:0], hdr[:]...)
-	l.rbuf = slices.Grow(l.rbuf, int(size)-1)[:8+int(size)]
+	frame := 8 + int(size) // the length and CRC words, then type and payload
+	l.rbuf = slices.Grow(l.rbuf[:0], frame)[:frame]
+	copy(l.rbuf, hdr[:])
 	if _, err := io.ReadFull(f, l.rbuf[headerSize:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return 0, nil, nil
