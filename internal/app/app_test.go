@@ -2,6 +2,7 @@ package app
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/types"
@@ -239,6 +240,59 @@ func TestExecutorChain(t *testing.T) {
 	}
 	if ex.Executed() != 3 {
 		t.Fatalf("executed %d blocks, want 3", ex.Executed())
+	}
+}
+
+// TestExecutorCheckpoint: an executor resumed from a Checkpoint holds the
+// committed point and the roots at or below it, drops the speculative roots
+// above it, and executes the next blocks to the roots the original reaches;
+// a damaged checkpoint is refused.
+func TestExecutorCheckpoint(t *testing.T) {
+	ex := NewExecutor(testBank(t, 8))
+	parentID := types.Genesis().ID()
+	var blocks []*types.Block
+	for h := types.Height(1); h <= 4; h++ {
+		blk := blockWith(parentID, h, signedTx(OpTransfer, 0, 1, 1, uint64(h)))
+		blocks = append(blocks, blk)
+		parentID = blk.ID()
+		if _, err := ex.Execute(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ex.OnCommit(blocks[1]); err != nil {
+		t.Fatal(err)
+	}
+	cp := ex.Checkpoint()
+	resumed := NewExecutor(testBank(t, 8))
+	if err := resumed.RestoreCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	if resumed.CommittedRoot() != ex.CommittedRoot() || resumed.CommittedHeight() != 2 {
+		t.Fatalf("resumed at h%d, want the committed h2 and its root", resumed.CommittedHeight())
+	}
+	for i, blk := range blocks {
+		want, _ := ex.Root(blk.ID())
+		got, ok := resumed.Root(blk.ID())
+		if i < 2 && (!ok || got != want) {
+			t.Fatalf("root of committed block %d not kept", i+1)
+		}
+		if i >= 2 && ok {
+			t.Fatalf("speculative root of block %d kept; its block must re-execute", i+1)
+		}
+	}
+	for _, blk := range blocks[2:] {
+		want, _ := ex.Root(blk.ID())
+		if got, err := resumed.Execute(blk); err != nil || got != want {
+			t.Fatalf("re-executed block h%d to %x (%v), want %x", blk.Height, got[:4], err, want[:4])
+		}
+	}
+	if err := resumed.OnCommit(blocks[3]); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]byte{cp[:len(cp)-1], append(slices.Clone(cp), 0), cp[1:]} {
+		if err := NewExecutor(testBank(t, 8)).RestoreCheckpoint(bad); err == nil {
+			t.Fatalf("restored a damaged checkpoint of %d bytes", len(bad))
+		}
 	}
 }
 
