@@ -206,8 +206,11 @@ func (j *Journal) below(m *segMark, floor types.Height, floorRound types.Round) 
 // (nil without an app) — makes it durable, and deletes every sealed segment
 // wholly below the cut. A crash at any step leaves a log Recover rebuilds the
 // same state from: the deleted segments' records are all below the floor or
-// summarized by the checkpoint before the first deletion. The caller has
-// pruned its store at floor; the journal only drops what that cut dropped.
+// summarized by the checkpoint before the first deletion. For the same reason
+// a deletion needs no directory fsync: a segment that reappears after a crash
+// holds nothing the checkpoint does not cover, and the next checkpoint
+// deletes it again. The caller has pruned its store at floor; the journal
+// only drops what that cut dropped.
 func (j *Journal) Checkpoint(floor types.Height, floorRound types.Round, app []byte) error {
 	if err := j.log.Rotate(); err != nil {
 		return err
