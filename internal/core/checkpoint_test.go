@@ -269,7 +269,7 @@ func TestCheckpointRestartMatchesPrunedReplay(t *testing.T) {
 			if rec.Floor == 0 {
 				t.Fatal("the journal never checkpointed; the test is vacuous")
 			}
-			if segs, _ := listSegments(t, c.dir); segs[0] == 0 {
+			if listSegments(t, c.dir)[0] == 0 {
 				t.Fatal("the journal deleted no segment")
 			}
 			if window := rec.CommittedHeight - rec.Floor; len(rec.Blocks) > int(window)+64 {
@@ -294,7 +294,8 @@ func TestCheckpointRestartMatchesPrunedReplay(t *testing.T) {
 	}
 }
 
-func listSegments(t testing.TB, dir string) ([]int, error) {
+// listSegments returns the indices of the WAL segments in dir, ascending.
+func listSegments(t testing.TB, dir string) []int {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -308,7 +309,7 @@ func listSegments(t testing.TB, dir string) ([]int, error) {
 		}
 	}
 	slices.Sort(segs)
-	return segs, nil
+	return segs
 }
 
 // TestCheckpointCrashPoints crashes a checkpoint at each of its steps — after
