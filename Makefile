@@ -58,13 +58,16 @@ test-race:
 # certificate new; BenchmarkTrackerOnQC is the already-covered fast path),
 # and one timed-out round at n=100 as one replica sees it
 # (BenchmarkTimedOutRound: 99 timeouts carrying one certificate, which is
-# examined once).
+# examined once), one leader-reputation election at n=100, window 8
+# (BenchmarkReputationElection), and one app checkpoint of a bank with 4,096
+# divergent accounts and 512 kept roots (BenchmarkExecutorCheckpoint).
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyQCCached|BenchmarkVerifyQCBatch' -benchmem ./internal/crypto/
 	$(GO) test -run '^$$' -bench BenchmarkSimnetEventLoop -benchmem ./internal/simnet/
 	$(GO) test -run '^$$' -bench 'BenchmarkTrackerOnQC|BenchmarkMarker|BenchmarkJournalAppendVote' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkPruneStep -benchmem ./internal/replica/
-	$(GO) test -run '^$$' -bench BenchmarkTimedOutRound -benchmem ./internal/diembft/
+	$(GO) test -run '^$$' -bench 'BenchmarkTimedOutRound|BenchmarkReputationElection' -benchmem ./internal/diembft/
+	$(GO) test -run '^$$' -bench BenchmarkExecutorCheckpoint -benchmem ./internal/app/
 	$(GO) test -run '^$$' -bench BenchmarkSigningPayload -benchmem ./internal/types/
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendFlush|BenchmarkReplay' -benchmem ./internal/wal/
 
@@ -72,15 +75,19 @@ bench-micro:
 # wire-size guard (a steady-state certificate must stay O(1) bytes: 100 at
 # n=31, 108 at n=103 — one extra bitmap word is the only growth allowed),
 # the flat-journal guard (at keep 512, WAL bytes on disk and restart time and
-# allocations read the same after 2,000 and 20,000 heights),
-# run as tests so any regression is a hard failure, then the
+# allocations read the same after 2,000 and 20,000 heights), the footprint
+# guard (at keep 512 the store's height ring, the vote history, its chain
+# index and the strength feed hold at most keep + max(keep/8, 64) slots, the
+# same after 2,000 and 20,000 heights, and the store keeps no map keyed by
+# block ID), run as tests so any regression is a hard failure, then the
 # micro-benchmarks for the numbers. CI runs this; record results in
 # BENCH_PR<n>.json when they move.
 bench-guard:
-	$(GO) test -run 'Alloc' -count=1 ./internal/types/ ./internal/simnet/ ./internal/core/ ./internal/wal/ ./internal/crypto/ ./internal/obs/ ./internal/app/ ./internal/tcpnet/ ./internal/replica/ ./internal/diembft/ ./sft/
+	$(GO) test -run 'Alloc' -count=1 ./internal/types/ ./internal/simnet/ ./internal/core/ ./internal/wal/ ./internal/crypto/ ./internal/obs/ ./internal/app/ ./internal/tcpnet/ ./internal/replica/ ./internal/diembft/ ./internal/window/ ./sft/
 	$(GO) test -run 'TestCompactQCSizeFlat' -count=1 ./internal/types/
 	$(GO) test -run 'TestRecordFootprint' -count=1 ./internal/core/
 	$(GO) test -run 'TestJournalFlat' -count=1 ./internal/core/
+	$(GO) test -run 'TestFootprint' -count=1 ./internal/blockstore/ ./sft/
 	$(MAKE) bench-micro
 
 # Short native-fuzz pass over the wire decoders, the TCP frame parser and the

@@ -347,10 +347,30 @@
 //     live in a recycled slab and the heap orders int32 slot indices, so
 //     dispatching an event performs no allocation once the queue size
 //     plateaus.
+//   - blockstore.Store has one index, the height ring it prunes by: a ring of
+//     per-height node lists sized by the window rule below. Every lookup
+//     names the block's height as well as its ID — a proposal its parent at
+//     height − 1, a certificate, a vote and a voted block their own, the
+//     chassis its last commit — and walks the few nodes at that height. A
+//     height and an ID that disagree miss exactly as an unknown block does:
+//     the vote is buffered, the certificate kept as an orphan, the proposal
+//     parked, never credited to the block stored at the other height (and a
+//     proposal whose justify names its parent at another height is refused
+//     at the door, so no journaled block carries one). A found node moves to
+//     the front of its height's list, so an equivocating leader's k blocks at
+//     one height cost the certified one's lookups O(k) once, not each time;
+//     a miss there still walks all k. Ancestry (Node.Extends, Conflicts,
+//     Ancestor, AppendChain) follows node pointers.
+//   - Sliding windows follow one rule (internal/window): a window of L live
+//     entries holds at most L + max(L/8, 64) slots, compacting its dead front
+//     in place instead of re-slicing or doubling. The store's ring, the vote
+//     history and its chain index (of *Node, not IDs), the committed tail and
+//     the strength feed use it, so at keep 512 each holds under 576 slots
+//     however long the run (sft.TestFootprintFlat).
 //   - core.Tracker keeps per-block endorser sets as a presence bitset plus a
 //     short list of key classes (a key and a member bitset; voters share
 //     keys, so a block has one to three) in a record on the block's node in
-//     the store. A certificate costs one BlockID lookup; in the common shape
+//     the store. A certificate costs one lookup by height and ID; in the common shape
 //     (round-keyed markers, no interval vote, each voter in range once) its
 //     votes are grouped by marker and unpacked a bitset word at a time, one
 //     ancestor walk for all groups, and otherwise one vote at a time.
@@ -388,7 +408,8 @@
 //
 //	message       stateless (Prevalidate)                          stateful (state stage)
 //	Proposal      block and justify present, round/proposer match, reputation leader (reads the store),
-//	 (DiemBFT)    round-robin leader, justify certifies parent,    stale round, parent presence /
+//	 (DiemBFT)    round-robin leader, justify certifies parent     stale round, parent presence /
+//	              (its ID, at the height below the block),
 //	              proposer signature, justify QC                   orphaning
 //	Vote,         signature                                        collector, dedup, execution-root
 //	ExtraVote                                                      check
@@ -396,12 +417,12 @@
 //	              high QC
 //	Streamlet     echo unwrap within the nesting cap, block and    first-seen (seenProp) or already
 //	              justify present, round/proposer match, justify   stored, parent presence, vote
-//	              certifies parent, round-robin leader, proposal   dedup, execution-root check
-//	              and vote signatures (memoized across echoed
-//	              copies), justify QC
+//	              certifies parent (ID and height), round-robin    dedup, execution-root check
+//	              leader, proposal and vote signatures (memoized
+//	              across echoed copies), justify QC
 //	Observer      block and justify present, justify certifies     already stored, parent presence
-//	              parent, sender inside the committee, proposer
-//	              signature, justify QC
+//	              parent (ID and height), sender inside the
+//	              committee, proposer signature, justify QC
 //
 // One thing is deliberately not a clean split. Catch-up segments
 // (StateSyncResponse) are prefix-stateful — blocks install link by link up to

@@ -362,3 +362,46 @@ func TestBankKeysVerdictsBounded(t *testing.T) {
 	}
 	check("after eviction")
 }
+
+// BenchmarkExecutorCheckpoint is one checkpoint of a bank whose 4,096
+// accounts all diverge from genesis, with 512 executed roots at or below the
+// committed height: 256 committed heights, each with a sibling the chain did
+// not take. Checkpoint sorts and serializes every divergent account and every
+// kept root.
+func BenchmarkExecutorCheckpoint(b *testing.B) {
+	const accounts, heights = 4096, 256
+	ex := NewExecutor(NewBank(BankConfig{Seed: 7, Accounts: accounts, InitialBalance: 1000, DisableSigVerify: true}))
+	parent := types.Genesis().ID()
+	var tip *types.Block
+	for h := types.Height(1); h <= heights; h++ {
+		var txns []types.Transaction
+		for i := uint32(0); i < accounts/heights; i++ {
+			from := uint32(h-1)*(accounts/heights) + i
+			tx := BankTx{Op: OpTransfer, From: from, To: (from + 1) % accounts, Amount: 1, Nonce: 1}
+			txns = append(txns, tx.AsTransaction())
+		}
+		tip = blockWith(parent, h, txns...)
+		sibling := blockWith(parent, h)
+		sibling.Round++ // another block at the height, executed and not taken
+		for _, blk := range []*types.Block{tip, sibling} {
+			if _, err := ex.Execute(blk); err != nil {
+				b.Fatal(err)
+			}
+		}
+		parent = tip.ID()
+	}
+	if err := ex.OnCommit(tip); err != nil {
+		b.Fatal(err)
+	}
+	if got := ex.StateMachine().(*Bank).Divergent(); got != accounts {
+		b.Fatalf("%d accounts diverge, want %d", got, accounts)
+	}
+	if got := len(ex.roots); got != 2*heights+1 { // and genesis
+		b.Fatalf("%d roots kept, want %d", got, 2*heights+1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ex.Checkpoint()
+	}
+}

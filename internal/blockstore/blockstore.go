@@ -7,22 +7,23 @@ package blockstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/types"
+	"repro/internal/window"
 )
 
 // Common errors returned by Store operations.
 var (
 	ErrUnknownBlock  = errors.New("blockstore: unknown block")
 	ErrMissingParent = errors.New("blockstore: missing parent")
-	ErrBadHeight     = errors.New("blockstore: height not parent+1")
 	ErrBadRound      = errors.New("blockstore: round not greater than parent round")
 )
 
 // Node is one stored block's place in the tree, handed out by Store.Node so
-// that a caller working along the chain pays one map lookup and then follows
+// that a caller working along the chain pays one lookup and then follows
 // pointers. The links are intrusive, so a stored block is one allocation and
-// the height index costs the node no more than a children slice used to.
+// the height index costs the node one pointer.
 type Node struct {
 	block   *types.Block
 	parent  *Node     // nil for genesis and above a pruned edge
@@ -46,20 +47,66 @@ func (n *Node) Parent() *Node       { return n.parent }
 func (n *Node) FirstChild() *Node   { return n.child }
 func (n *Node) NextSibling() *Node  { return n.sibling }
 
-// Store is one replica's block tree. It is not safe for concurrent use; the
-// engines own their store and the runtime serializes engine events.
+// Height is the block's height.
+func (n *Node) Height() types.Height { return n.block.Height }
+
+// Ancestor returns the node's ancestor at height h (the node itself at its
+// own height), or nil when h is above it or the parent links end first.
+func (n *Node) Ancestor(h types.Height) *Node {
+	for n != nil && n.block.Height > h {
+		n = n.parent
+	}
+	if n == nil || n.block.Height != h {
+		return nil
+	}
+	return n
+}
+
+// Extends reports whether n extends anc: anc is n or one of its ancestors.
+// A nil node extends nothing and is extended by nothing.
+func (n *Node) Extends(anc *Node) bool {
+	return anc != nil && n.Ancestor(anc.block.Height) == anc
+}
+
+// Conflicts reports whether neither node extends the other (Section 2.1). A
+// nil node, a block the store does not hold, conflicts with every node.
+func (n *Node) Conflicts(o *Node) bool {
+	return n != o && !n.Extends(o) && !o.Extends(n)
+}
+
+// AppendChain appends the blocks from anc (exclusive) to desc (inclusive) to
+// dst in increasing height and reports whether desc extends anc; if not, dst
+// comes back unchanged. It allocates only when dst must grow.
+func AppendChain(dst []*types.Block, anc, desc *Node) ([]*types.Block, bool) {
+	if !desc.Extends(anc) {
+		return dst, false
+	}
+	start := len(dst)
+	for n := desc; n != anc; n = n.parent {
+		dst = append(dst, n.block)
+	}
+	slices.Reverse(dst[start:])
+	return dst, true
+}
+
+// Store is one replica's block tree. It is not safe for concurrent use, and
+// a lookup reorders what it walks (Node); the engines own their store and the
+// runtime serializes engine events.
 type Store struct {
 	genesis *types.Block
-	nodes   map[types.BlockID]*Node
 	highQC  *types.QC
 	// prunedHeight is the height below which everything has been discarded;
 	// ancestor walks stop at that boundary. top is the highest stored height.
 	prunedHeight, top types.Height
-	// levels indexes the nodes by height, so that pruning visits the blocks
-	// it removes and not the whole map: levels[h&(len(levels)-1)] heads the
-	// list (through node.level) of the nodes at height h in [prunedHeight,
-	// top]. The ring's length is a power of two and doubles when outgrown.
+	// levels is the store's one index: a ring of per-height lists (through
+	// node.level) of the nodes at the heights in [prunedHeight, top], the
+	// list of height h at slot (base + h - prunedHeight) mod len(levels). A
+	// lookup names the height and walks that list; pruning visits exactly the
+	// blocks it removes. The ring grows to window.Fit of the kept span when
+	// the span outgrows it.
 	levels  []*Node
+	base    int
+	count   int
 	removed []*types.Block // PruneBelow's result, reused
 }
 
@@ -69,12 +116,11 @@ func New() *Store {
 	g := types.Genesis()
 	s := &Store{
 		genesis: g,
-		nodes:   make(map[types.BlockID]*Node),
-		levels:  make([]*Node, 64),
+		levels:  make([]*Node, window.Fit(1)),
 		highQC:  types.NewGenesisQC(g.ID()),
+		count:   1,
 	}
 	s.levels[0] = &Node{block: g, qc: s.highQC}
-	s.nodes[g.ID()] = s.levels[0]
 	return s
 }
 
@@ -85,78 +131,120 @@ func (s *Store) Genesis() *types.Block { return s.genesis }
 func (s *Store) HighQC() *types.QC { return s.highQC }
 
 // Len returns the number of blocks stored, including genesis.
-func (s *Store) Len() int { return len(s.nodes) }
+func (s *Store) Len() int { return s.count }
 
-// Node returns the stored block's node, or nil if unknown.
-func (s *Store) Node(id types.BlockID) *Node { return s.nodes[id] }
+// Levels returns the height ring's slot count, for footprint checks.
+func (s *Store) Levels() int { return len(s.levels) }
 
-// Block returns the block with the given ID, or nil if unknown.
-func (s *Store) Block(id types.BlockID) *types.Block {
-	if n, ok := s.nodes[id]; ok {
+// head returns the list head of height h, which must lie in [prunedHeight,
+// prunedHeight+len(levels)).
+func (s *Store) head(h types.Height) **Node {
+	i := s.base + int(h-s.prunedHeight)
+	if i >= len(s.levels) {
+		i -= len(s.levels)
+	}
+	return &s.levels[i]
+}
+
+// Node returns the node of the block id stored at height h, or nil. A block
+// is found only at its own height: a height and an ID that disagree miss
+// exactly as an unknown block does. The node found moves to the front of its
+// height's list, so an equivocating leader's k blocks at one height cost the
+// certified one O(k) once, not at every lookup.
+func (s *Store) Node(h types.Height, id types.BlockID) *Node {
+	if h < s.prunedHeight || h > s.top {
+		return nil
+	}
+	head := s.head(h)
+	var prev *Node
+	for n := *head; n != nil; prev, n = n, n.level {
+		if n.block.ID() != id {
+			continue
+		}
+		if prev != nil {
+			prev.level, n.level, *head = n.level, *head, n
+		}
+		return n
+	}
+	return nil
+}
+
+// Block returns the block id stored at height h, or nil.
+func (s *Store) Block(h types.Height, id types.BlockID) *types.Block {
+	if n := s.Node(h, id); n != nil {
 		return n.block
 	}
 	return nil
 }
 
-// Has reports whether the block is stored.
-func (s *Store) Has(id types.BlockID) bool {
-	_, ok := s.nodes[id]
-	return ok
-}
+// Has reports whether the block id is stored at height h.
+func (s *Store) Has(h types.Height, id types.BlockID) bool { return s.Node(h, id) != nil }
 
-// Insert adds a block whose parent is already stored, validating the basic
-// chain invariants: height is parent height + 1 and round exceeds the
-// parent's round.
+// Insert adds a block whose parent is already stored at the height below
+// it, and whose round exceeds the parent's. A block that names a stored
+// parent with a height that is not the parent's + 1 finds no parent. A block
+// already stored is accepted again and changes nothing: it is one of its
+// parent's children, which Insert walks anyway to append, or a root at the
+// pruned height.
 func (s *Store) Insert(b *types.Block) error {
 	id := b.ID()
-	if _, ok := s.nodes[id]; ok {
-		return nil // duplicate inserts are harmless
-	}
-	p, ok := s.nodes[b.Parent]
-	if !ok {
+	p := s.Node(b.Height-1, b.Parent)
+	if p == nil {
+		if s.Has(b.Height, id) {
+			return nil
+		}
 		return fmt.Errorf("%w: parent %s of %s", ErrMissingParent, b.Parent, b)
 	}
-	if b.Height != p.block.Height+1 {
-		return fmt.Errorf("%w: %s over parent h%d", ErrBadHeight, b, p.block.Height)
+	last := &p.child
+	for ; *last != nil; last = &(*last).sibling {
+		if (*last).block.ID() == id {
+			return nil
+		}
 	}
 	if b.Round <= p.block.Round {
 		return fmt.Errorf("%w: %s over parent r%d", ErrBadRound, b, p.block.Round)
 	}
-	if b.Height > s.top {
-		s.top = b.Height
-		if span := int(s.top-s.prunedHeight) + 1; span > len(s.levels) {
-			s.growLevels()
-		}
-	}
-	head := &s.levels[int(b.Height)&(len(s.levels)-1)]
-	n := &Node{block: b, parent: p, level: *head}
-	*head = n
-	last := &p.child
-	for *last != nil {
-		last = &(*last).sibling
-	}
+	n := s.link(b)
+	n.parent = p
 	*last = n
-	s.nodes[id] = n
 	return nil
 }
 
-// growLevels doubles the height ring. Each height's list moves as a whole.
-func (s *Store) growLevels() {
-	old := s.levels
-	s.levels = make([]*Node, 2*len(old))
-	for h := s.prunedHeight; h < s.top; h++ {
-		s.levels[int(h)&(len(s.levels)-1)] = old[int(h)&(len(old)-1)]
+// link adds a node for b at the front of its height's list, growing the ring
+// first if b raises the top past it.
+func (s *Store) link(b *types.Block) *Node {
+	if b.Height > s.top {
+		if span := int(b.Height-s.prunedHeight) + 1; span > len(s.levels) {
+			s.growLevels(span)
+		}
+		s.top = b.Height
 	}
+	head := s.head(b.Height)
+	n := &Node{block: b, level: *head}
+	*head = n
+	s.count++
+	return n
+}
+
+// growLevels moves the ring to window.Fit(span) slots, base at 0. Each
+// height's list moves as a whole.
+func (s *Store) growLevels(span int) {
+	levels := make([]*Node, window.Fit(span))
+	for h := s.prunedHeight; h <= s.top; h++ {
+		levels[h-s.prunedHeight] = *s.head(h)
+	}
+	s.levels, s.base = levels, 0
 }
 
 // RegisterQC records a certificate for a stored block and updates the
 // highest QC. It returns the certified block's node and whether the
 // certificate improved stored state (first or larger cert for the block, or a
 // new high QC) — the durability journal uses the flag to log each certificate
-// once instead of on every re-delivery. The only error is ErrUnknownBlock.
+// once instead of on every re-delivery. The only error is ErrUnknownBlock,
+// also for a certificate whose height is not its block's.
 func (s *Store) RegisterQC(qc *types.QC) (*Node, bool, error) {
-	n, ok := s.nodes[qc.Block]
-	if !ok {
+	n := s.Node(qc.Height, qc.Block)
+	if n == nil {
 		// Bare: DiemBFT learns this way that a certificate is ahead of its block.
 		return nil, false, ErrUnknownBlock
 	}
@@ -175,156 +263,14 @@ func (s *Store) RegisterQC(qc *types.QC) (*Node, bool, error) {
 	return n, improved, nil
 }
 
-// QCFor returns the certificate stored for the block, or nil.
-func (s *Store) QCFor(id types.BlockID) *types.QC {
-	if n, ok := s.nodes[id]; ok {
-		return n.qc
-	}
-	return nil
-}
-
-// IsCertified reports whether a QC is known for the block.
-func (s *Store) IsCertified(id types.BlockID) bool {
-	n, ok := s.nodes[id]
-	return ok && n.qc != nil
-}
-
-// Parent returns the parent block, or nil for genesis or unknown blocks.
-func (s *Store) Parent(id types.BlockID) *types.Block {
-	n, ok := s.nodes[id]
-	if !ok || n.parent == nil {
-		return nil
-	}
-	return n.parent.block
-}
-
-// VisitChildren calls fn on each stored child of a block in insertion order,
-// stopping early if fn returns false. It performs no allocation, which
-// matters to the SFT tracker's per-QC re-evaluation loops. fn must not mutate
-// the store.
-func (s *Store) VisitChildren(id types.BlockID, fn func(*types.Block) bool) {
-	n, ok := s.nodes[id]
-	if !ok {
-		return
-	}
-	for c := n.child; c != nil; c = c.sibling {
-		if !fn(c.block) {
-			return
-		}
-	}
-}
-
-// IsAncestor reports whether anc is an ancestor of (or equal to) desc,
-// i.e. desc extends anc in the paper's terminology.
-func (s *Store) IsAncestor(anc, desc types.BlockID) bool {
-	a, ok := s.nodes[anc]
-	if !ok {
-		return false
-	}
-	d, ok := s.nodes[desc]
-	if !ok {
-		return false
-	}
-	for d != nil && d.block.Height > a.block.Height {
-		d = d.parent
-	}
-	return d == a
-}
-
-// Conflicts reports whether the two stored blocks conflict: neither extends
-// the other (Section 2.1).
-func (s *Store) Conflicts(a, b types.BlockID) bool {
-	if a == b {
-		return false
-	}
-	return !s.IsAncestor(a, b) && !s.IsAncestor(b, a)
-}
-
-// CommonAncestor returns the highest common ancestor of two stored blocks,
-// or nil if either is unknown. If one extends the other, the lower block
-// itself is returned.
-func (s *Store) CommonAncestor(a, b types.BlockID) *types.Block {
-	na, ok := s.nodes[a]
-	if !ok {
-		return nil
-	}
-	nb, ok := s.nodes[b]
-	if !ok {
-		return nil
-	}
-	for na.block.Height > nb.block.Height {
-		na = na.parent
-	}
-	for nb.block.Height > na.block.Height {
-		nb = nb.parent
-	}
-	for na != nb {
-		if na.parent == nil || nb.parent == nil {
-			return nil
-		}
-		na = na.parent
-		nb = nb.parent
-	}
-	return na.block
-}
-
-// AncestorAtHeight returns the ancestor of id at exactly height h (possibly
-// the block itself), or nil.
-func (s *Store) AncestorAtHeight(id types.BlockID, h types.Height) *types.Block {
-	n, ok := s.nodes[id]
-	if !ok {
-		return nil
-	}
-	for n != nil && n.block.Height > h {
-		n = n.parent
-	}
-	if n == nil || n.block.Height != h {
-		return nil
-	}
-	return n.block
-}
-
-// ChainBetween returns the blocks from anc (exclusive) to desc (inclusive),
-// ordered by increasing height, or nil if desc does not extend anc.
-func (s *Store) ChainBetween(anc, desc types.BlockID) []*types.Block {
-	if !s.IsAncestor(anc, desc) {
-		return nil
-	}
-	var rev []*types.Block
-	n := s.nodes[desc]
-	for n != nil && n.block.ID() != anc {
-		rev = append(rev, n.block)
-		n = n.parent
-	}
-	// Reverse in place.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// WalkAncestors calls fn on each strict ancestor of id from parent upward,
-// stopping when fn returns false or genesis is passed.
-func (s *Store) WalkAncestors(id types.BlockID, fn func(*types.Block) bool) {
-	n, ok := s.nodes[id]
-	if !ok {
-		return
-	}
-	for n = n.parent; n != nil; n = n.parent {
-		if !fn(n.block) {
-			return
-		}
-	}
-}
-
 // Snapshot returns every stored block except genesis in parent-before-child
 // order (ascending height), suitable for bulk Restore or for serving a full
 // state transfer. Certificates are not included; callers that need them pair
 // the snapshot with QCFor.
 func (s *Store) Snapshot() []*types.Block {
-	out := make([]*types.Block, 0, len(s.nodes))
+	out := make([]*types.Block, 0, s.count)
 	for h := max(s.prunedHeight, 1); h <= s.top; h++ { // genesis is alone at 0
-		for n := s.levels[int(h)&(len(s.levels)-1)]; n != nil; n = n.level {
+		for n := *s.head(h); n != nil; n = n.level {
 			out = append(out, n.block)
 		}
 	}
@@ -353,11 +299,11 @@ func (s *Store) Restore(floor types.Height, blocks []*types.Block, onInstall fun
 	}
 	installed := 0
 	for _, b := range blocks {
-		if b == nil || b.Height < floor || s.Has(b.ID()) {
+		if b == nil || b.Height < floor || s.Has(b.Height, b.ID()) {
 			continue
 		}
 		if b.Height == floor && floor > 0 {
-			s.insertRoot(b)
+			s.link(b) // a root: its parent is below the floor
 		} else if err := s.Insert(b); err != nil {
 			return installed, err
 		}
@@ -376,17 +322,6 @@ func (s *Store) Restore(floor types.Height, blocks []*types.Block, onInstall fun
 	return installed, nil
 }
 
-// insertRoot installs b without a parent, at the pruned height.
-func (s *Store) insertRoot(b *types.Block) {
-	if b.Height > s.top {
-		s.top = b.Height
-	}
-	head := &s.levels[int(b.Height)&(len(s.levels)-1)]
-	n := &Node{block: b, level: *head}
-	*head = n
-	s.nodes[b.ID()] = n
-}
-
 // PruneBelow discards every block below height h and returns the removed
 // blocks (valid until the next call), visiting only those, through the
 // height index. The blocks at height h lose their parent link, the committed
@@ -402,21 +337,24 @@ func (s *Store) PruneBelow(h types.Height) []*types.Block {
 	clear(s.removed) // the last call's blocks are not kept alive past this one
 	s.removed = s.removed[:0]
 	for ; s.prunedHeight < h && s.prunedHeight <= s.top; s.prunedHeight++ {
-		head := &s.levels[int(s.prunedHeight)&(len(s.levels)-1)]
+		head := &s.levels[s.base]
 		for n := *head; n != nil; {
 			// Orphan surviving children; ancestry walks then terminate at a
 			// nil parent above the cut.
 			for c := n.child; c != nil; c = c.sibling {
 				c.parent = nil
 			}
-			delete(s.nodes, n.block.ID())
 			s.removed = append(s.removed, n.block)
 			next := n.level
 			n.parent, n.child, n.sibling, n.level, n.Record = nil, nil, nil, nil, nil
 			n = next
 		}
 		*head = nil
+		if s.base++; s.base == len(s.levels) {
+			s.base = 0
+		}
 	}
+	s.count -= len(s.removed)
 	s.prunedHeight = max(s.prunedHeight, h)
 	return s.removed
 }

@@ -37,7 +37,7 @@ func TestAppendixCCounterExample(t *testing.T) {
 			}
 			var m types.Round
 			for _, b := range voted[voter] {
-				if w.store.Conflicts(b.ID(), target.ID()) && b.Round > m {
+				if conflicts(w.store, b, target) && b.Round > m {
 					m = b.Round
 				}
 			}
@@ -87,16 +87,16 @@ func TestAppendixCCounterExample(t *testing.T) {
 
 	// Naive mode: both branches reach (f+1)-strong — safety violated.
 	naiveTr, nb := play(true)
-	a := naiveTr.Strength(nb.main.ID())
-	b := naiveTr.Strength(nb.fork.ID())
+	a := naiveTr.Strength(nb.main)
+	b := naiveTr.Strength(nb.fork)
 	if a < f+1 || b < f+1 {
 		t.Fatalf("naive counting should show the violation: branch A=%d, branch B=%d, want both >= %d", a, b, f+1)
 	}
 
 	// Marker mode: branch A stays at f-strong; only one (f+1)-strong branch.
 	sftTr, sb := play(false)
-	a = sftTr.Strength(sb.main.ID())
-	b = sftTr.Strength(sb.fork.ID())
+	a = sftTr.Strength(sb.main)
+	b = sftTr.Strength(sb.fork)
 	if a != f {
 		t.Errorf("marker mode branch A strength = %d, want exactly f=%d", a, f)
 	}
@@ -129,7 +129,7 @@ func TestDefinition1Property(t *testing.T) {
 			}
 			var m types.Round
 			for _, b := range voted[voter] {
-				if w.store.Conflicts(b.ID(), target.ID()) && b.Round > m {
+				if conflicts(w.store, b, target) && b.Round > m {
 					m = b.Round
 				}
 			}
@@ -175,10 +175,10 @@ func TestDefinition1Property(t *testing.T) {
 		for i := 1; i < len(blocks); i++ {
 			for j := i + 1; j < len(blocks); j++ {
 				a, b := blocks[i], blocks[j]
-				if !w.store.Conflicts(a.ID(), b.ID()) {
+				if !conflicts(w.store, a, b) {
 					continue
 				}
-				xa, xb := tr.Strength(a.ID()), tr.Strength(b.ID())
+				xa, xb := tr.Strength(a), tr.Strength(b)
 				if xa < 0 || xb < 0 {
 					continue
 				}

@@ -170,10 +170,10 @@ func capture(r *diembft.Replica) state {
 	}
 	exec := r.AppExecutor()
 	for _, b := range r.Store().Snapshot() {
-		n := r.Store().Node(b.ID())
+		n := r.Store().Node(b.Height, b.ID())
 		desc := fmt.Sprintf("parent=%v qc=%s", n.Parent() != nil, qcString(n.QC()))
 		if tr := r.Tracker(); tr != nil {
-			desc += fmt.Sprintf(" strength=%d endorsers=%d", tr.Strength(b.ID()), tr.Endorsers(b.ID()))
+			desc += fmt.Sprintf(" strength=%d endorsers=%d", tr.Strength(b), tr.Endorsers(b))
 		}
 		if exec != nil {
 			root, ok := exec.Root(b.ID())

@@ -25,7 +25,7 @@ func NewDirectTracker(store *blockstore.Store, f int, onStrength func(b *types.B
 
 // OnQC credits every vote inside the certificate as a direct vote.
 func (d *DirectTracker) OnQC(qc *types.QC) {
-	if n := d.t.store.Node(qc.Block); n != nil {
+	if n := d.t.store.Node(qc.Height, qc.Block); n != nil {
 		for i := range qc.Votes {
 			d.addVote(n, qc.Votes[i].Voter)
 		}
@@ -33,11 +33,11 @@ func (d *DirectTracker) OnQC(qc *types.QC) {
 }
 
 // AddVote credits one direct vote (from a QC or a relayed ExtraVote) and
-// re-evaluates the 3-chains around the block. A vote for a block the store
-// does not hold is not remembered.
-func (d *DirectTracker) AddVote(block types.BlockID, voter types.ReplicaID) {
-	if n := d.t.store.Node(block); n != nil {
-		d.addVote(n, voter)
+// re-evaluates the 3-chains around the voted block. A vote for a block the
+// store does not hold at the vote's height is not remembered.
+func (d *DirectTracker) AddVote(v *types.Vote) {
+	if n := d.t.store.Node(v.Height, v.Block); n != nil {
+		d.addVote(n, v.Voter)
 	}
 }
 
@@ -48,8 +48,8 @@ func (d *DirectTracker) addVote(n *blockstore.Node, voter types.ReplicaID) {
 }
 
 // DirectVotes returns the number of distinct direct votes known for block.
-func (d *DirectTracker) DirectVotes(block types.BlockID) int { return d.t.Endorsers(block) }
+func (d *DirectTracker) DirectVotes(b *types.Block) int { return d.t.Endorsers(b) }
 
 // Strength returns the highest x such that the block is x-strong committed
 // under the direct-vote rule, or -1.
-func (d *DirectTracker) Strength(block types.BlockID) int { return d.t.Strength(block) }
+func (d *DirectTracker) Strength(b *types.Block) int { return d.t.Strength(b) }

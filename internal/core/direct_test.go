@@ -25,16 +25,16 @@ func TestDirectTrackerStrongCommit(t *testing.T) {
 	for _, b := range []*types.Block{b1, b2, b3} {
 		tr.OnQC(qcFor(b, sameMarkers(0, 0, 1, 2)))
 	}
-	if got := tr.Strength(b1.ID()); got != 1 {
+	if got := tr.Strength(b1); got != 1 {
 		t.Fatalf("strength = %d, want f=1", got)
 	}
 
 	// Late direct votes (the FBFT ExtraVote path) raise the level; markers
 	// play no role in the baseline.
-	tr.AddVote(b1.ID(), 3)
-	tr.AddVote(b2.ID(), 3)
-	tr.AddVote(b3.ID(), 3)
-	if got := tr.Strength(b1.ID()); got != 2 {
+	tr.AddVote(&types.Vote{Block: b1.ID(), Height: b1.Height, Voter: 3})
+	tr.AddVote(&types.Vote{Block: b2.ID(), Height: b2.Height, Voter: 3})
+	tr.AddVote(&types.Vote{Block: b3.ID(), Height: b3.Height, Voter: 3})
+	if got := tr.Strength(b1); got != 2 {
 		t.Fatalf("strength after extra votes = %d, want 2f=2", got)
 	}
 	if len(events) < 2 {
@@ -52,10 +52,10 @@ func TestDirectTrackerNoIndirectCredit(t *testing.T) {
 	b2 := w.mk(b1, 2)
 
 	tr.OnQC(qcFor(b2, sameMarkers(0, 0, 1, 2, 3)))
-	if got := tr.DirectVotes(b1.ID()); got != 0 {
+	if got := tr.DirectVotes(b1); got != 0 {
 		t.Fatalf("ancestor got %d direct votes from a descendant QC", got)
 	}
-	if got := tr.DirectVotes(b2.ID()); got != 4 {
+	if got := tr.DirectVotes(b2); got != 4 {
 		t.Fatalf("block direct votes = %d", got)
 	}
 }
@@ -65,9 +65,9 @@ func TestDirectTrackerDuplicateVotes(t *testing.T) {
 	tr := core.NewDirectTracker(w.store, 1, nil)
 	g := w.store.Genesis()
 	b1 := w.mk(g, 1)
-	tr.AddVote(b1.ID(), 2)
-	tr.AddVote(b1.ID(), 2)
-	if got := tr.DirectVotes(b1.ID()); got != 1 {
+	tr.AddVote(&types.Vote{Block: b1.ID(), Height: b1.Height, Voter: 2})
+	tr.AddVote(&types.Vote{Block: b1.ID(), Height: b1.Height, Voter: 2})
+	if got := tr.DirectVotes(b1); got != 1 {
 		t.Fatalf("duplicate vote counted: %d", got)
 	}
 }
@@ -83,21 +83,21 @@ func TestDirectTrackerForget(t *testing.T) {
 		chain = append(chain, b)
 		tr.OnQC(qcFor(b, sameMarkers(0, 0, 1, 2)))
 	}
-	if tr.Strength(chain[1].ID()) != 1 || tr.Strength(chain[3].ID()) != 1 {
+	if tr.Strength(chain[1]) != 1 || tr.Strength(chain[3]) != 1 {
 		t.Fatal("blocks under a 3-chain are not f-strong before the prune")
 	}
 	w.store.PruneBelow(3)
 	for _, b := range chain[1:3] {
-		if v, x := tr.DirectVotes(b.ID()), tr.Strength(b.ID()); v != 0 || x != -1 {
+		if v, x := tr.DirectVotes(b), tr.Strength(b); v != 0 || x != -1 {
 			t.Errorf("removed %v keeps %d direct votes, strength %d", b, v, x)
 		}
 	}
 	for _, b := range chain[3:] {
-		if tr.DirectVotes(b.ID()) != 3 {
-			t.Errorf("surviving %v has %d direct votes, want 3", b, tr.DirectVotes(b.ID()))
+		if tr.DirectVotes(b) != 3 {
+			t.Errorf("surviving %v has %d direct votes, want 3", b, tr.DirectVotes(b))
 		}
 	}
-	if got := tr.Strength(chain[3].ID()); got != 1 {
+	if got := tr.Strength(chain[3]); got != 1 {
 		t.Errorf("surviving block's strength = %d, want 1", got)
 	}
 }

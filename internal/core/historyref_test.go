@@ -27,7 +27,7 @@ func (h *refHistory) record(b *types.Block) {
 
 func (h *refHistory) indexAncestors(target *types.Block) {
 	h.anc = append(h.anc[:0], target.ID())
-	h.store.WalkAncestors(target.ID(), func(b *types.Block) bool {
+	walkAncestors(h.store, target.Height, target.ID(), func(b *types.Block) bool {
 		h.anc = append(h.anc, b.ID())
 		return true
 	})
@@ -35,7 +35,7 @@ func (h *refHistory) indexAncestors(target *types.Block) {
 
 func (h *refHistory) conflicts(target *types.Block, id types.BlockID, height types.Height) bool {
 	if height > target.Height {
-		return h.store.Conflicts(id, target.ID())
+		return h.store.Node(height, id).Conflicts(h.store.Node(target.Height, target.ID()))
 	}
 	d := uint64(target.Height - height)
 	return uint64(len(h.anc)) <= d || h.anc[d] != id
@@ -44,7 +44,7 @@ func (h *refHistory) conflicts(target *types.Block, id types.BlockID, height typ
 func (h *refHistory) marker(target *types.Block) (m types.Round) {
 	h.indexAncestors(target)
 	for _, v := range h.voted {
-		if v.Round > m && h.store.Has(v.ID) && h.conflicts(target, v.ID, v.Height) {
+		if v.Round > m && h.store.Has(v.Height, v.ID) && h.conflicts(target, v.ID, v.Height) {
 			m = v.Round
 		}
 	}
@@ -54,7 +54,7 @@ func (h *refHistory) marker(target *types.Block) (m types.Round) {
 func (h *refHistory) heightMarker(target *types.Block) (m types.Height) {
 	h.indexAncestors(target)
 	for _, v := range h.voted {
-		if v.Height > m && h.store.Has(v.ID) && h.conflicts(target, v.ID, v.Height) {
+		if v.Height > m && h.store.Has(v.Height, v.ID) && h.conflicts(target, v.ID, v.Height) {
 			m = v.Height
 		}
 	}
@@ -66,11 +66,11 @@ func (h *refHistory) intervals(target *types.Block, window types.Round) interval
 	set := intervals.Full(r)
 	h.indexAncestors(target)
 	for _, v := range h.voted {
-		if !h.store.Has(v.ID) || !h.conflicts(target, v.ID, v.Height) {
+		if !h.store.Has(v.Height, v.ID) || !h.conflicts(target, v.ID, v.Height) {
 			continue
 		}
 		lo := uint64(1)
-		h.store.WalkAncestors(v.ID, func(b *types.Block) bool {
+		walkAncestors(h.store, v.Height, v.ID, func(b *types.Block) bool {
 			if h.conflicts(target, b.ID(), b.Height) {
 				return true
 			}
@@ -154,7 +154,7 @@ func (r *historyRun) choose(n int) int {
 
 func (r *historyRun) anyStored() *types.Block {
 	// Recent blocks: old ones are below the cut. The tip never is.
-	if b := r.blocks[len(r.blocks)-1-r.choose(min(len(r.blocks), 12))]; r.store.Has(b.ID()) {
+	if b := r.blocks[len(r.blocks)-1-r.choose(min(len(r.blocks), 12))]; r.store.Has(b.Height, b.ID()) {
 		return b
 	}
 	return r.tip
@@ -178,7 +178,7 @@ func (r *historyRun) extend() {
 	switch c := r.choose(8); {
 	case c == 5 || c == 6: // fork off a recent ancestor of the tip
 		for up := 1 + r.choose(4); up > 0; up-- {
-			if p := r.store.Parent(parent.ID()); p != nil {
+			if p := parentOf(r.store, parent); p != nil {
 				parent = p
 			}
 		}
@@ -207,7 +207,7 @@ func (r *historyRun) voteDetached() {
 
 func (r *historyRun) deliverPending() {
 	for _, b := range r.pending {
-		if r.store.Has(b.Parent) {
+		if r.store.Has(b.Height-1, b.Parent) {
 			r.insert(b)
 		}
 	}
@@ -216,7 +216,7 @@ func (r *historyRun) deliverPending() {
 
 func (r *historyRun) prune() {
 	floor := r.store.PrunedHeight()
-	if r.tip.Height <= floor+1 || !r.store.Has(r.tip.ID()) {
+	if r.tip.Height <= floor+1 || !r.store.Has(r.tip.Height, r.tip.ID()) {
 		return
 	}
 	span := int(r.tip.Height - floor - 1)
@@ -224,10 +224,11 @@ func (r *historyRun) prune() {
 		span = min(span, 3) // mostly a step at a time, as commits move the cut
 	}
 	cut := floor + 1 + types.Height(r.choose(span))
-	anchor := r.store.AncestorAtHeight(r.tip.ID(), cut)
-	if anchor == nil {
+	n := r.store.Node(r.tip.Height, r.tip.ID()).Ancestor(cut)
+	if n == nil {
 		return
 	}
+	anchor := n.Block()
 	r.store.PruneBelow(cut)
 	r.h.PruneBelow(anchor.Round)
 	r.ref.pruneBelow(anchor.Round)

@@ -68,10 +68,10 @@ func TestDefinition1PropertyIntervalVotes(t *testing.T) {
 		for i := 1; i < len(blocks); i++ {
 			for j := i + 1; j < len(blocks); j++ {
 				a, b := blocks[i], blocks[j]
-				if !w.store.Conflicts(a.ID(), b.ID()) {
+				if !conflicts(w.store, a, b) {
 					continue
 				}
-				xa, xb := tr.Strength(a.ID()), tr.Strength(b.ID())
+				xa, xb := tr.Strength(a), tr.Strength(b)
 				if xa < 0 || xb < 0 {
 					continue
 				}

@@ -101,7 +101,7 @@ func BenchmarkTrackerOnQC(b *testing.B) {
 	}
 	last := qcs[chain-1]
 	tr.OnQC(last)
-	rec := recordAt(store.Node(last.Block))
+	rec := recordAt(store.Node(last.Height, last.Block))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -164,7 +164,7 @@ func TestAllocsTrackerOnQC(t *testing.T) {
 		t.Run(fmt.Sprintf("markers=%v", marks), func(t *testing.T) {
 			const warm, runs = 64, 200
 			const n, f = 100, 33
-			store, _, qcs := buildChain(t, warm+runs+1, 2*f+1)
+			store, blocks, qcs := buildChain(t, warm+runs+1, 2*f+1)
 			markVotes(qcs, marks...)
 			tr := NewTracker(store, Config{N: n, F: f, Mode: ModeRound, Horizon: 2*n + 16})
 			for _, qc := range qcs[:warm] {
@@ -174,7 +174,7 @@ func TestAllocsTrackerOnQC(t *testing.T) {
 			if a := testing.AllocsPerRun(runs, func() { tr.OnQC(last) }); a != 0 {
 				t.Fatalf("re-delivered certificate: %v allocs/op, want 0", a)
 			}
-			rec := recordAt(store.Node(last.Block))
+			rec := recordAt(store.Node(last.Height, last.Block))
 			if a := testing.AllocsPerRun(runs, func() {
 				rec.processed = 0
 				tr.OnQC(last)
@@ -188,10 +188,10 @@ func TestAllocsTrackerOnQC(t *testing.T) {
 			}); a > 2 {
 				t.Fatalf("certificate for a fresh block: %v allocs/op, want at most 2", a)
 			}
-			if got := tr.Strength(qcs[next-3].Block); got != f {
+			if got := tr.Strength(blocks[next-3]); got != f {
 				t.Fatalf("block under a 3-chain of fresh certificates has strength %d, want %d", got, f)
 			}
-			if got := recordAt(store.Node(qcs[next-1].Block)).classes(); got != len(marks) {
+			if got := recordAt(store.Node(qcs[next-1].Height, qcs[next-1].Block)).classes(); got != len(marks) {
 				t.Fatalf("fresh block holds %d key classes, want %d", got, len(marks))
 			}
 		})
@@ -210,7 +210,7 @@ func TestRecordFootprint(t *testing.T) {
 	for _, qc := range qcs {
 		tr.OnQC(qc)
 	}
-	rec := recordAt(store.Node(qcs[5].Block))
+	rec := recordAt(store.Node(qcs[5].Height, qcs[5].Block))
 	if rec.classes() != 2 || rec.size() != 2*f+1 || cap(rec.set) > 8 {
 		t.Fatalf("record holds %d endorsers in %d classes, %d words; want %d in 2, at most 8", rec.size(), rec.classes(), cap(rec.set), 2*f+1)
 	}
@@ -370,12 +370,12 @@ func TestOnQCBeforeBlockIsNotRemembered(t *testing.T) {
 
 	tr.OnQC(qc)
 	direct.OnQC(qc)
-	if e, x, d := tr.Endorsers(late.ID()), tr.Strength(late.ID()), direct.DirectVotes(late.ID()); e != 0 || x != -1 || d != 0 {
+	if e, x, d := tr.Endorsers(late), tr.Strength(late), direct.DirectVotes(late); e != 0 || x != -1 || d != 0 {
 		t.Fatalf("a block the store does not hold has %d endorsers, strength %d, %d direct votes", e, x, d)
 	}
 	for _, s := range []*blockstore.Store{store, directStore} {
 		for _, b := range blocks {
-			if s.Node(b.ID()).Record != nil {
+			if s.Node(b.Height, b.ID()).Record != nil {
 				t.Fatalf("the early certificate left a record on %v", b)
 			}
 		}
@@ -385,10 +385,10 @@ func TestOnQCBeforeBlockIsNotRemembered(t *testing.T) {
 	}
 	tr.OnQC(qc)
 	direct.OnQC(qc)
-	if got := tr.Endorsers(late.ID()); got != 3 {
+	if got := tr.Endorsers(late); got != 3 {
 		t.Fatalf("re-fed certificate credited %d endorsers, want 3", got)
 	}
-	if got := direct.DirectVotes(late.ID()); got != 3 {
+	if got := direct.DirectVotes(late); got != 3 {
 		t.Fatalf("re-fed certificate credited %d direct votes, want 3", got)
 	}
 }

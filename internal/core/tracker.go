@@ -293,7 +293,7 @@ func NewTracker(store *blockstore.Store, cfg Config) *Tracker {
 // 3-chain rule around every block whose endorser set grew. The certified
 // block must already be in the store.
 func (t *Tracker) OnQC(qc *types.QC) {
-	certified := t.store.Node(qc.Block)
+	certified := t.store.Node(qc.Height, qc.Block)
 	if certified == nil {
 		return // nothing is remembered: the QC counts once its block is here
 	}
@@ -529,8 +529,8 @@ func (t *Tracker) voteKey(v *types.Vote, anc *types.Block) (uint64, bool) {
 // Endorsers returns the number of endorsers of the block. In ModeRound this
 // is the paper's |endorsers| directly; in ModeHeight it is the count of
 // voters whose marker permits k-endorsement at the block's own height.
-func (t *Tracker) Endorsers(id types.BlockID) int {
-	n := t.store.Node(id)
+func (t *Tracker) Endorsers(b *types.Block) int {
+	n := t.store.Node(b.Height, b.ID())
 	if n != nil && t.cfg.Mode == ModeHeight {
 		return recordAt(n).countBelow(uint64(n.Block().Height))
 	}
@@ -540,15 +540,15 @@ func (t *Tracker) Endorsers(id types.BlockID) int {
 // EndorsersAt returns the number of voters k-endorsing the block for
 // threshold key k (ModeHeight only; in ModeRound every stored entry already
 // passed its check, so the threshold is ignored except for direct votes).
-func (t *Tracker) EndorsersAt(id types.BlockID, k uint64) int {
-	return recordAt(t.store.Node(id)).countBelow(k)
+func (t *Tracker) EndorsersAt(b *types.Block, k uint64) int {
+	return recordAt(t.store.Node(b.Height, b.ID())).countBelow(k)
 }
 
 // Strength returns the highest x such that the block is x-strong committed
 // at this replica, or -1 if it is not strong committed at all, or is no
 // longer stored.
-func (t *Tracker) Strength(id types.BlockID) int {
-	if r := recordAt(t.store.Node(id)); r != nil {
+func (t *Tracker) Strength(b *types.Block) int {
+	if r := recordAt(t.store.Node(b.Height, b.ID())); r != nil {
 		return r.strength
 	}
 	return -1

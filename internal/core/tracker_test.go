@@ -44,18 +44,18 @@ func TestTrackerRegularCommitEqualsFStrong(t *testing.T) {
 
 	tr.OnQC(qcFor(b1, sameMarkers(0, 0, 1, 2)))
 	tr.OnQC(qcFor(b2, sameMarkers(0, 0, 1, 2)))
-	if tr.Strength(b1.ID()) != -1 {
+	if tr.Strength(b1) != -1 {
 		t.Fatal("strong commit before 3-chain complete")
 	}
 	tr.OnQC(qcFor(b3, sameMarkers(0, 0, 1, 2)))
-	if got := tr.Strength(b1.ID()); got != 1 {
+	if got := tr.Strength(b1); got != 1 {
 		t.Fatalf("b1 strength = %d, want f=1", got)
 	}
 	if len(events) == 0 || events[0] != 1 {
 		t.Fatalf("strength events = %v", events)
 	}
 	// b2, b3 are not yet strong committed (no 3-chain starting at them).
-	if tr.Strength(b3.ID()) != -1 {
+	if tr.Strength(b3) != -1 {
 		t.Fatal("b3 cannot be strong committed yet")
 	}
 }
@@ -76,17 +76,17 @@ func TestTrackerIndirectEndorsementsRaiseStrength(t *testing.T) {
 	tr.OnQC(qcFor(b1, quorum))
 	tr.OnQC(qcFor(b2, quorum))
 	tr.OnQC(qcFor(b3, quorum))
-	if got := tr.Strength(b1.ID()); got != 2 {
+	if got := tr.Strength(b1); got != 2 {
 		t.Fatalf("b1 strength = %d, want f=2", got)
 	}
 	// Replicas 5 and 6 appear in later QCs; their votes endorse all
 	// ancestors (marker 0), raising the 3-chain to 7 endorsers each.
 	tr.OnQC(qcFor(b4, sameMarkers(0, 0, 1, 2, 3, 4, 5, 6)))
 	tr.OnQC(qcFor(b5, sameMarkers(0, 0, 1, 2, 3, 4, 5, 6)))
-	if got := tr.Strength(b1.ID()); got != 4 {
+	if got := tr.Strength(b1); got != 4 {
 		t.Fatalf("b1 strength = %d, want 2f=4", got)
 	}
-	if got := tr.Endorsers(b1.ID()); got != 7 {
+	if got := tr.Endorsers(b1); got != 7 {
 		t.Fatalf("b1 endorsers = %d, want 7", got)
 	}
 }
@@ -106,10 +106,10 @@ func TestTrackerMarkerBlocksForkedVoters(t *testing.T) {
 
 	// Voter 3's vote for b2 endorses b2 (direct) but not b1 (round 1 and
 	// marker 1: 1 < 1 fails).
-	if got := tr.Endorsers(b2.ID()); got != 4 {
+	if got := tr.Endorsers(b2); got != 4 {
 		t.Fatalf("b2 endorsers = %d, want 4", got)
 	}
-	if got := tr.Endorsers(b1.ID()); got != 3 {
+	if got := tr.Endorsers(b1); got != 3 {
 		t.Fatalf("b1 endorsers = %d, want 3 (voter 3 blocked by marker)", got)
 	}
 }
@@ -138,13 +138,13 @@ func TestTrackerIntervalVotes(t *testing.T) {
 	qc.Votes = append(qc.Votes, iv)
 	tr.OnQC(qc)
 
-	if got := tr.Endorsers(b1.ID()); got != 4 {
+	if got := tr.Endorsers(b1); got != 4 {
 		t.Fatalf("b1 endorsers = %d, want 4 (interval contains 1)", got)
 	}
-	if got := tr.Endorsers(b2.ID()); got != 3 {
+	if got := tr.Endorsers(b2); got != 3 {
 		t.Fatalf("b2 endorsers = %d, want 3 (interval gap at 2)", got)
 	}
-	if got := tr.Endorsers(b3.ID()); got != 4 {
+	if got := tr.Endorsers(b3); got != 4 {
 		t.Fatalf("b3 endorsers = %d, want 4 (direct)", got)
 	}
 }
@@ -171,8 +171,8 @@ func TestTrackerAncestorInheritance(t *testing.T) {
 	}
 	// b2's own 3-chain (b2,b3,b4) reached 4 endorsers each -> 2f; b1 must
 	// inherit at least the same.
-	if tr.Strength(b2.ID()) != 2 || tr.Strength(b1.ID()) < tr.Strength(b2.ID()) {
-		t.Fatalf("strengths b1=%d b2=%d", tr.Strength(b1.ID()), tr.Strength(b2.ID()))
+	if tr.Strength(b2) != 2 || tr.Strength(b1) < tr.Strength(b2) {
+		t.Fatalf("strengths b1=%d b2=%d", tr.Strength(b1), tr.Strength(b2))
 	}
 	if raised[1] != 2 || raised[2] != 2 {
 		t.Fatalf("raised events: %v", raised)
@@ -192,7 +192,7 @@ func TestTrackerNonConsecutiveRoundsNoCommit(t *testing.T) {
 	tr.OnQC(qcFor(b1, all))
 	tr.OnQC(qcFor(b2, all))
 	tr.OnQC(qcFor(b3, all))
-	if tr.Strength(b1.ID()) != -1 {
+	if tr.Strength(b1) != -1 {
 		t.Fatal("strong commit across a round gap")
 	}
 }
@@ -208,10 +208,10 @@ func TestTrackerHorizonBoundsWalk(t *testing.T) {
 	b4 := w.mk(b3, 4)
 
 	tr.OnQC(qcFor(b4, sameMarkers(0, 0, 1, 2)))
-	if tr.Endorsers(b3.ID()) != 3 || tr.Endorsers(b2.ID()) != 3 {
+	if tr.Endorsers(b3) != 3 || tr.Endorsers(b2) != 3 {
 		t.Error("within-horizon ancestors not endorsed")
 	}
-	if tr.Endorsers(b1.ID()) != 0 {
+	if tr.Endorsers(b1) != 0 {
 		t.Error("beyond-horizon ancestor endorsed")
 	}
 }
@@ -224,12 +224,12 @@ func TestTrackerDuplicateQCIgnored(t *testing.T) {
 	qc := qcFor(b1, sameMarkers(0, 0, 1, 2))
 	tr.OnQC(qc)
 	tr.OnQC(qc) // replay
-	if got := tr.Endorsers(b1.ID()); got != 3 {
+	if got := tr.Endorsers(b1); got != 3 {
 		t.Fatalf("endorsers after replay = %d", got)
 	}
 	// A larger QC for the same block is processed.
 	tr.OnQC(qcFor(b1, sameMarkers(0, 0, 1, 2, 3)))
-	if got := tr.Endorsers(b1.ID()); got != 4 {
+	if got := tr.Endorsers(b1); got != 4 {
 		t.Fatalf("bigger QC ignored: %d", got)
 	}
 }
@@ -254,15 +254,15 @@ func TestTrackerHeightModeKEndorsements(t *testing.T) {
 	tr.OnQC(qc)
 
 	// For threshold k=3 voter 3's vote k-endorses b2 (2 < 3)...
-	if got := tr.EndorsersAt(b2.ID(), 3); got != 4 {
+	if got := tr.EndorsersAt(b2, 3); got != 4 {
 		t.Fatalf("b2 3-endorsers = %d, want 4", got)
 	}
 	// ...but for threshold k=2 it does not (2 < 2 fails).
-	if got := tr.EndorsersAt(b2.ID(), 2); got != 3 {
+	if got := tr.EndorsersAt(b2, 2); got != 3 {
 		t.Fatalf("b2 2-endorsers = %d, want 3", got)
 	}
 	// Direct votes endorse for any k.
-	if got := tr.EndorsersAt(b3.ID(), 1); got != 4 {
+	if got := tr.EndorsersAt(b3, 1); got != 4 {
 		t.Fatalf("b3 direct endorsers = %d, want 4", got)
 	}
 }
@@ -281,13 +281,13 @@ func TestTrackerHeightModeStrongCommit(t *testing.T) {
 	tr.OnQC(qcFor(b1, all))
 	tr.OnQC(qcFor(b2, all))
 	tr.OnQC(qcFor(b3, all))
-	if got := tr.Strength(b2.ID()); got != 2 {
+	if got := tr.Strength(b2); got != 2 {
 		t.Fatalf("middle block strength = %d, want 2f=2", got)
 	}
-	if got := tr.Strength(b1.ID()); got != 2 {
+	if got := tr.Strength(b1); got != 2 {
 		t.Fatalf("ancestor strength = %d, want inherited 2", got)
 	}
-	if tr.Strength(b3.ID()) != -1 {
+	if tr.Strength(b3) != -1 {
 		t.Fatal("last block of the 3-chain cannot be strong committed yet")
 	}
 }
@@ -303,21 +303,21 @@ func TestTrackerForget(t *testing.T) {
 		chain = append(chain, b)
 		tr.OnQC(qcFor(b, sameMarkers(0, 0, 1, 2)))
 	}
-	if tr.Strength(chain[1].ID()) != 1 || tr.Strength(chain[3].ID()) != 1 {
+	if tr.Strength(chain[1]) != 1 || tr.Strength(chain[3]) != 1 {
 		t.Fatal("blocks under a 3-chain are not f-strong before the prune")
 	}
 	w.store.PruneBelow(3)
 	for _, b := range chain[1:3] {
-		if e, x := tr.Endorsers(b.ID()), tr.Strength(b.ID()); e != 0 || x != -1 {
+		if e, x := tr.Endorsers(b), tr.Strength(b); e != 0 || x != -1 {
 			t.Errorf("removed %v keeps %d endorsers, strength %d", b, e, x)
 		}
 	}
 	for _, b := range chain[3:] {
-		if tr.Endorsers(b.ID()) != 3 {
-			t.Errorf("surviving %v has %d endorsers, want 3", b, tr.Endorsers(b.ID()))
+		if tr.Endorsers(b) != 3 {
+			t.Errorf("surviving %v has %d endorsers, want 3", b, tr.Endorsers(b))
 		}
 	}
-	if got := tr.Strength(chain[3].ID()); got != 1 {
+	if got := tr.Strength(chain[3]); got != 1 {
 		t.Errorf("surviving block's strength = %d, want 1", got)
 	}
 }

@@ -20,6 +20,36 @@ type strengthEvent struct {
 
 func (e strengthEvent) String() string { return fmt.Sprintf("(%s, %d)", e.block, e.x) }
 
+// The references walk the tree as the ID-keyed store API did, through these
+// helpers over the height-keyed lookups.
+
+func parentOf(s *blockstore.Store, b *types.Block) *types.Block {
+	if n := s.Node(b.Height, b.ID()); n != nil && n.Parent() != nil {
+		return n.Parent().Block()
+	}
+	return nil
+}
+
+func visitChildren(s *blockstore.Store, b *types.Block, fn func(*types.Block) bool) {
+	if n := s.Node(b.Height, b.ID()); n != nil {
+		for c := n.FirstChild(); c != nil && fn(c.Block()); c = c.NextSibling() {
+		}
+	}
+}
+
+// walkAncestors calls fn on each strict ancestor of the block id at height h,
+// parent first, until fn returns false.
+func walkAncestors(s *blockstore.Store, h types.Height, id types.BlockID, fn func(*types.Block) bool) {
+	if n := s.Node(h, id); n != nil {
+		for a := n.Parent(); a != nil && fn(a.Block()); a = a.Parent() {
+		}
+	}
+}
+
+func conflicts(s *blockstore.Store, a, b *types.Block) bool {
+	return s.Node(a.Height, a.ID()).Conflicts(s.Node(b.Height, b.ID()))
+}
+
 // refTracker is the strength tracker as it was before its state moved onto
 // the block tree: maps keyed by block ID, every step an ID-keyed store query,
 // and a forget per block the store removes. It exists only here, as the
@@ -48,7 +78,7 @@ func (t *refTracker) onQC(qc *types.QC) {
 	if len(qc.Votes) <= t.processed[qc.Block] {
 		return
 	}
-	certified := t.store.Block(qc.Block)
+	certified := t.store.Block(qc.Height, qc.Block)
 	if certified == nil {
 		return
 	}
@@ -67,7 +97,7 @@ func (t *refTracker) onQC(qc *types.QC) {
 			continue
 		}
 		depth := 0
-		t.store.WalkAncestors(qc.Block, func(anc *types.Block) bool {
+		walkAncestors(t.store, qc.Height, qc.Block, func(anc *types.Block) bool {
 			depth++
 			if t.cfg.Horizon > 0 && depth > t.cfg.Horizon {
 				return false
@@ -129,15 +159,14 @@ func (t *refTracker) add(block types.BlockID, voter types.ReplicaID, key uint64)
 	return true
 }
 
-func (t *refTracker) endorsers(id types.BlockID) int {
+func (t *refTracker) endorsers(b *types.Block) int {
 	if t.cfg.Mode == core.ModeHeight {
-		b := t.store.Block(id)
-		if b == nil {
+		if !t.store.Has(b.Height, b.ID()) {
 			return 0
 		}
-		return t.endorsersAt(id, uint64(b.Height))
+		return t.endorsersAt(b.ID(), uint64(b.Height))
 	}
-	return len(t.endorsed[id])
+	return len(t.endorsed[b.ID()])
 }
 
 func (t *refTracker) endorsersAt(id types.BlockID, k uint64) int {
@@ -159,13 +188,13 @@ func (t *refTracker) strengthOf(id types.BlockID) int {
 
 func (t *refTracker) reevaluateAround(b *types.Block) {
 	cands := []*types.Block{b}
-	if p := t.store.Parent(b.ID()); p != nil {
+	if p := parentOf(t.store, b); p != nil {
 		cands = append(cands, p)
-		if gp := t.store.Parent(p.ID()); gp != nil {
+		if gp := parentOf(t.store, p); gp != nil {
 			cands = append(cands, gp)
 		}
 	}
-	t.store.VisitChildren(b.ID(), func(c *types.Block) bool {
+	visitChildren(t.store, b, func(c *types.Block) bool {
 		cands = append(cands, c)
 		return true
 	})
@@ -182,13 +211,13 @@ func (t *refTracker) reevaluateAround(b *types.Block) {
 
 func (t *refTracker) evaluateRound(bk *types.Block) int {
 	best := -1
-	t.store.VisitChildren(bk.ID(), func(b1 *types.Block) bool {
+	visitChildren(t.store, bk, func(b1 *types.Block) bool {
 		if b1.Round != bk.Round+1 {
 			return true
 		}
-		t.store.VisitChildren(b1.ID(), func(b2 *types.Block) bool {
+		visitChildren(t.store, b1, func(b2 *types.Block) bool {
 			if b2.Round == bk.Round+2 {
-				e := min(t.endorsers(bk.ID()), t.endorsers(b1.ID()), t.endorsers(b2.ID()))
+				e := min(t.endorsers(bk), t.endorsers(b1), t.endorsers(b2))
 				best = max(best, e-t.cfg.F-1)
 			}
 			return true
@@ -199,12 +228,12 @@ func (t *refTracker) evaluateRound(bk *types.Block) int {
 }
 
 func (t *refTracker) evaluateHeight(bk *types.Block) int {
-	prev := t.store.Parent(bk.ID())
+	prev := parentOf(t.store, bk)
 	if prev == nil || bk.Round != prev.Round+1 {
 		return -1
 	}
 	k, best := uint64(bk.Height), -1
-	t.store.VisitChildren(bk.ID(), func(next *types.Block) bool {
+	visitChildren(t.store, bk, func(next *types.Block) bool {
 		if next.Round == bk.Round+1 {
 			e := min(t.endorsersAt(prev.ID(), k), t.endorsersAt(bk.ID(), k), t.endorsersAt(next.ID(), k))
 			best = max(best, e-t.cfg.F-1)
@@ -215,7 +244,7 @@ func (t *refTracker) evaluateHeight(bk *types.Block) int {
 }
 
 func (t *refTracker) raise(b *types.Block, x int) {
-	for cur := b; cur != nil && !cur.IsGenesis(); cur = t.store.Parent(cur.ID()) {
+	for cur := b; cur != nil && !cur.IsGenesis(); cur = parentOf(t.store, cur) {
 		if old, ok := t.strength[cur.ID()]; ok && old >= x {
 			return
 		}
@@ -241,12 +270,12 @@ type refDirect struct {
 
 func (t *refDirect) onQC(qc *types.QC) {
 	for i := range qc.Votes {
-		t.addVote(qc.Block, qc.Votes[i].Voter)
+		t.addVote(qc.Height, qc.Block, qc.Votes[i].Voter)
 	}
 }
 
-func (t *refDirect) addVote(block types.BlockID, voter types.ReplicaID) {
-	b := t.store.Block(block)
+func (t *refDirect) addVote(h types.Height, block types.BlockID, voter types.ReplicaID) {
+	b := t.store.Block(h, block)
 	if b == nil || t.votes[block][voter] {
 		return
 	}
@@ -255,9 +284,9 @@ func (t *refDirect) addVote(block types.BlockID, voter types.ReplicaID) {
 	}
 	t.votes[block][voter] = true
 	t.evaluate(b)
-	if p := t.store.Parent(block); p != nil {
+	if p := parentOf(t.store, b); p != nil {
 		t.evaluate(p)
-		if gp := t.store.Parent(p.ID()); gp != nil {
+		if gp := parentOf(t.store, p); gp != nil {
 			t.evaluate(gp)
 		}
 	}
@@ -272,11 +301,11 @@ func (t *refDirect) strengthOf(id types.BlockID) int {
 
 func (t *refDirect) evaluate(bk *types.Block) {
 	best := -1
-	t.store.VisitChildren(bk.ID(), func(b1 *types.Block) bool {
+	visitChildren(t.store, bk, func(b1 *types.Block) bool {
 		if b1.Round != bk.Round+1 {
 			return true
 		}
-		t.store.VisitChildren(b1.ID(), func(b2 *types.Block) bool {
+		visitChildren(t.store, b1, func(b2 *types.Block) bool {
 			if b2.Round == bk.Round+2 {
 				e := min(len(t.votes[bk.ID()]), len(t.votes[b1.ID()]), len(t.votes[b2.ID()]))
 				best = max(best, e-t.f-1)
@@ -288,7 +317,7 @@ func (t *refDirect) evaluate(bk *types.Block) {
 	if best < t.f {
 		return
 	}
-	for cur := bk; cur != nil && !cur.IsGenesis(); cur = t.store.Parent(cur.ID()) {
+	for cur := bk; cur != nil && !cur.IsGenesis(); cur = parentOf(t.store, cur) {
 		if old, ok := t.strength[cur.ID()]; ok && old >= best {
 			return
 		}
@@ -375,7 +404,7 @@ func runTrackerOps(t *testing.T, pick func(n int) (int, bool)) (compares, rises 
 		case op == 12:
 			r.deliverPending()
 		case op == 13:
-			r.vote(r.anyStored().ID())
+			r.vote(r.anyStored())
 		case op == 14:
 			r.prune()
 		case !restarted:
@@ -412,7 +441,7 @@ func (r *trackerRun) choose(n int) int {
 
 func (r *trackerRun) anyStored() *types.Block {
 	// Recent blocks: old ones are below the cut. The tip never is.
-	if back := r.choose(12); back < len(r.blocks) && r.store.Has(r.blocks[len(r.blocks)-1-back].ID()) {
+	if back := r.choose(12); back < len(r.blocks) && r.store.Has(r.blocks[len(r.blocks)-1-back].Height, r.blocks[len(r.blocks)-1-back].ID()) {
 		return r.blocks[len(r.blocks)-1-back]
 	}
 	return r.tip
@@ -425,7 +454,10 @@ func (r *trackerRun) newBlock(parent *types.Block) *types.Block {
 	if r.round <= parent.Round || r.choose(6) != 0 {
 		r.round++
 	}
-	return types.NewBlock(parent.ID(), types.NewGenesisQC(parent.ID()), r.round, parent.Height+1, 0,
+	// The justify names the parent at its height, as any block's does, so
+	// that a restart's Restore finds the block it certifies.
+	justify := &types.QC{Block: parent.ID(), Height: parent.Height}
+	return types.NewBlock(parent.ID(), justify, r.round, parent.Height+1, 0,
 		int64(r.round), types.Payload{}, nil)
 }
 
@@ -441,7 +473,7 @@ func (r *trackerRun) extend() {
 	switch c := r.choose(8); {
 	case c == 5 || c == 6: // fork off a recent ancestor of the tip
 		for up := 1 + r.choose(3); up > 0; up-- {
-			if p := r.store.Parent(parent.ID()); p != nil {
+			if p := parentOf(r.store, parent); p != nil {
 				parent = p
 			}
 		}
@@ -551,12 +583,12 @@ func (r *trackerRun) certifyDetached() {
 	b := r.newBlock(r.anyStored())
 	r.pending = append(r.pending, b)
 	r.feed(r.newCert(b, nil))
-	r.vote(b.ID())
+	r.vote(b)
 }
 
 func (r *trackerRun) deliverPending() {
 	for _, b := range r.pending {
-		if r.store.Has(b.Parent) {
+		if r.store.Has(b.Height-1, b.Parent) {
 			r.insert(b)
 			if r.choose(4) != 0 {
 				r.feed(r.certs[b.ID()])
@@ -567,17 +599,17 @@ func (r *trackerRun) deliverPending() {
 }
 
 // vote credits one direct vote; the SFT tracker has no such door.
-func (r *trackerRun) vote(id types.BlockID) {
+func (r *trackerRun) vote(b *types.Block) {
 	if !r.sft {
-		voter := types.ReplicaID(r.choose(r.n))
-		r.direct.AddVote(id, voter)
-		r.refDir.addVote(id, voter)
+		v := types.Vote{Block: b.ID(), Height: b.Height, Voter: types.ReplicaID(r.choose(r.n))}
+		r.direct.AddVote(&v)
+		r.refDir.addVote(v.Height, v.Block, v.Voter)
 	}
 }
 
 func (r *trackerRun) prune() {
 	floor := r.store.PrunedHeight()
-	if r.tip.Height <= floor+1 || !r.store.Has(r.tip.ID()) {
+	if r.tip.Height <= floor+1 || !r.store.Has(r.tip.Height, r.tip.ID()) {
 		return
 	}
 	span := int(r.tip.Height - floor - 1)
@@ -629,23 +661,23 @@ func (r *trackerRun) compare() {
 		for _, b := range group {
 			id := b.ID()
 			if !r.sft {
-				if got, want := r.direct.DirectVotes(id), len(r.refDir.votes[id]); got != want {
+				if got, want := r.direct.DirectVotes(b), len(r.refDir.votes[id]); got != want {
 					r.t.Fatalf("step %d: DirectVotes(%v) = %d, reference %d", r.compares, b, got, want)
 				}
-				if got, want := r.direct.Strength(id), r.refDir.strengthOf(id); got != want {
+				if got, want := r.direct.Strength(b), r.refDir.strengthOf(id); got != want {
 					r.t.Fatalf("step %d: direct Strength(%v) = %d, reference %d", r.compares, b, got, want)
 				}
 				continue
 			}
-			if got, want := r.tr.Endorsers(id), r.ref.endorsers(id); got != want {
+			if got, want := r.tr.Endorsers(b), r.ref.endorsers(b); got != want {
 				r.t.Fatalf("step %d: Endorsers(%v) = %d, reference %d", r.compares, b, got, want)
 			}
 			for _, k := range []uint64{1, uint64(b.Height) + 1, uint64(b.Round)} {
-				if got, want := r.tr.EndorsersAt(id, k), r.ref.endorsersAt(id, k); got != want {
+				if got, want := r.tr.EndorsersAt(b, k), r.ref.endorsersAt(id, k); got != want {
 					r.t.Fatalf("step %d: EndorsersAt(%v, %d) = %d, reference %d", r.compares, b, k, got, want)
 				}
 			}
-			if got, want := r.tr.Strength(id), r.ref.strengthOf(id); got != want {
+			if got, want := r.tr.Strength(b), r.ref.strengthOf(id); got != want {
 				r.t.Fatalf("step %d: Strength(%v) = %d, reference %d", r.compares, b, got, want)
 			}
 		}
@@ -746,15 +778,14 @@ func TestOnStrengthMayFeedACertificate(t *testing.T) {
 		t.Fatal("no strength rose, so no certificate was fed back")
 	}
 	for _, b := range chain {
-		id := b.ID()
-		if got, want := tr.Endorsers(id), ref.endorsers(id); got != want {
+		if got, want := tr.Endorsers(b), ref.endorsers(b); got != want {
 			t.Errorf("Endorsers(%v) = %d, reference %d", b, got, want)
 		}
-		if got, want := tr.Strength(id), ref.strengthOf(id); got != want {
+		if got, want := tr.Strength(b), ref.strengthOf(b.ID()); got != want {
 			t.Errorf("Strength(%v) = %d, reference %d", b, got, want)
 		}
 	}
-	if got := tr.Strength(chain[2].ID()); got != 4 {
+	if got := tr.Strength(chain[2]); got != 4 {
 		t.Errorf("b2 has strength %d after the fed-back certificate, want 4", got)
 	}
 }

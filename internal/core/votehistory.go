@@ -6,6 +6,7 @@ import (
 	"repro/internal/blockstore"
 	"repro/internal/intervals"
 	"repro/internal/types"
+	"repro/internal/window"
 )
 
 // VotedBlock is one entry of a replica's voting history.
@@ -50,13 +51,13 @@ type VoteHistory struct {
 	store *blockstore.Store
 	// voted is the window, oldest first. Rounds never decrease: an engine
 	// votes once per round and rounds only advance (see PruneBelow).
-	voted []VotedBlock
+	voted window.Of[VotedBlock]
 
-	// chain indexes base's ancestors, oldest first: chain[i] is the ancestor
-	// at height lo+i and the last element is base itself. It grows upward as
-	// targets extend base and downward only as far as a judged entry needs.
-	// Empty means there is no base.
-	chain []types.BlockID
+	// chain indexes base's ancestors, oldest first: the i-th live entry is
+	// the ancestor at height lo+i and the last one is base itself. It grows
+	// upward as targets extend base and downward only as far as a judged
+	// entry needs. Empty means there is no base, or base is not stored.
+	chain window.Of[*blockstore.Node]
 	lo    types.Height
 	// voted[:judged] are settled or in open; the rest were recorded since.
 	judged int
@@ -71,7 +72,7 @@ func NewVoteHistory(store *blockstore.Store) *VoteHistory {
 // RecordVote notes that the replica voted for b. Call it exactly when the
 // engine's voting rule fires.
 func (h *VoteHistory) RecordVote(b *types.Block) {
-	h.voted = append(h.voted, VotedBlock{ID: b.ID(), Round: b.Round, Height: b.Height})
+	h.voted.Push(VotedBlock{ID: b.ID(), Round: b.Round, Height: b.Height})
 }
 
 // Restore rebuilds the history from recovered entries (oldest first),
@@ -79,72 +80,99 @@ func (h *VoteHistory) RecordVote(b *types.Block) {
 // restarted from its WAL reinstates exactly the voted set its pre-crash
 // markers summarized, so post-restart votes can never contradict them.
 func (h *VoteHistory) Restore(entries []VotedBlock) {
-	h.voted = append(h.voted[:0], entries...)
-	h.chain, h.open, h.judged = h.chain[:0], h.open[:0], 0
+	h.voted.Reset()
+	for _, v := range entries {
+		h.voted.Push(v)
+	}
+	h.chain.Reset()
+	h.open, h.judged = h.open[:0], 0
 }
 
 // Len returns the number of recorded votes.
-func (h *VoteHistory) Len() int { return len(h.voted) }
+func (h *VoteHistory) Len() int { return h.voted.Len() }
 
 // Voted returns a copy of the history (for tests and diagnostics).
-func (h *VoteHistory) Voted() []VotedBlock { return slices.Clone(h.voted) }
+func (h *VoteHistory) Voted() []VotedBlock { return slices.Clone(h.voted.Live()) }
+
+// Capacity returns the slots the window and the chain index hold, live and
+// free (for footprint checks).
+func (h *VoteHistory) Capacity() (voted, chain int) { return h.voted.Cap(), h.chain.Cap() }
 
 // rebase makes target the base and reports whether it extends the previous
 // one, in which case the chain index grows by the blocks between them and
-// earlier judgements stand. Otherwise the index restarts at target.
-func (h *VoteHistory) rebase(target *types.Block) bool {
-	if n := len(h.chain); n > 0 {
-		base, top := h.chain[n-1], h.lo+types.Height(n-1)
-		cur := target
-		for cur != nil && cur.Height > top {
-			h.chain = append(h.chain, cur.ID())
-			cur = h.store.Parent(cur.ID())
+// earlier judgements stand. Otherwise the index restarts at target. It
+// returns target's node, nil if the store does not hold it.
+func (h *VoteHistory) rebase(target *types.Block) (*blockstore.Node, bool) {
+	n := h.chain.Len()
+	if n > 0 && h.chain.Live()[n-1].Block() == target {
+		return h.chain.Live()[n-1], true // the same base again
+	}
+	t := h.store.Node(target.Height, target.ID())
+	if n > 0 && t != nil {
+		base := h.chain.Live()[n-1]
+		cur := t
+		for cur != nil && cur.Height() > base.Height() {
+			h.chain.Push(cur)
+			cur = cur.Parent()
 		}
-		if cur != nil && cur.Height == top && cur.ID() == base {
-			slices.Reverse(h.chain[n:])
-			return true
+		if cur == base {
+			slices.Reverse(h.chain.Live()[n:])
+			return t, true
 		}
 	}
-	h.chain, h.lo = append(h.chain[:0], target.ID()), target.Height
-	return false
+	h.chain.Reset()
+	if t != nil {
+		h.chain.Push(t)
+	}
+	h.lo = target.Height
+	return t, false
 }
 
 // onChain reports whether the block (id, height), at or below base, is on
 // base's ancestor chain, extending the index down to its height if needed.
 func (h *VoteHistory) onChain(id types.BlockID, height types.Height) bool {
+	if h.chain.Len() == 0 {
+		return false
+	}
 	if height < h.lo {
 		h.extendDown(height)
 	}
-	return height >= h.lo && h.chain[height-h.lo] == id
+	return height >= h.lo && h.chain.Live()[height-h.lo].Block().ID() == id
 }
 
 // extendDown grows the index down to height, or to where the store's parent
 // links stop (genesis, or a pruned/detached boundary), exactly like a direct
-// IsAncestor walk would.
+// ancestry walk would.
 func (h *VoteHistory) extendDown(height types.Height) {
-	n := len(h.chain)
-	h.store.WalkAncestors(h.chain[0], func(b *types.Block) bool {
-		h.chain = append(h.chain, b.ID())
-		return b.Height > height
-	})
-	if k := len(h.chain) - n; k > 0 {
+	n := h.chain.Len()
+	for a := h.chain.Live()[0].Parent(); a != nil; a = a.Parent() {
+		h.chain.Push(a)
+		if a.Height() <= height {
+			break
+		}
+	}
+	if k := h.chain.Len() - n; k > 0 {
 		// The walk appended newest first behind the old index; swap the two
 		// parts and put the new one oldest first.
-		slices.Reverse(h.chain)
-		slices.Reverse(h.chain[k:])
+		c := h.chain.Live()
+		slices.Reverse(c)
+		slices.Reverse(c[k:])
 		h.lo -= types.Height(k)
 	}
 }
 
-// judge brings the open list up to date for a query on target.
-func (h *VoteHistory) judge(target *types.Block) {
-	if !h.rebase(target) {
+// judge brings the open list up to date for a query on target and returns
+// target's node (nil if the store does not hold it).
+func (h *VoteHistory) judge(target *types.Block) *blockstore.Node {
+	t, extends := h.rebase(target)
+	if !extends {
 		h.open, h.judged = h.open[:0], 0
 	}
-	if cut := h.store.PrunedHeight(); cut > h.lo {
+	if cut := h.store.PrunedHeight(); cut > h.lo && h.chain.Len() > 0 {
 		// No stored block is below the store's cut, so no lookup goes there.
-		drop := min(int(cut-h.lo), len(h.chain)-1)
-		h.chain, h.lo = h.chain[drop:], h.lo+types.Height(drop)
+		drop := min(int(cut-h.lo), h.chain.Len()-1)
+		h.chain.Drop(drop)
+		h.lo += types.Height(drop)
 	}
 	kept := h.open[:0]
 	for _, o := range h.open {
@@ -156,12 +184,14 @@ func (h *VoteHistory) judge(target *types.Block) {
 			kept = append(kept, o)
 		}
 	}
-	for i := h.judged; i < len(h.voted); i++ {
-		if keep, fork := h.judgeOne(target, &h.voted[i]); keep {
-			kept = append(kept, openVote{h.voted[i], fork})
+	voted := h.voted.Live()
+	for i := h.judged; i < len(voted); i++ {
+		if keep, fork := h.judgeOne(target, &voted[i]); keep {
+			kept = append(kept, openVote{voted[i], fork})
 		}
 	}
-	h.open, h.judged = kept, len(h.voted)
+	h.open, h.judged = kept, len(voted)
+	return t
 }
 
 // judgeOne judges a voted block against the base, target: keep is false for
@@ -172,18 +202,20 @@ func (h *VoteHistory) judgeOne(target *types.Block, v *VotedBlock) (keep, fork b
 	if below && h.onChain(v.ID, v.Height) {
 		return false, false
 	}
-	return true, below && h.store.Has(v.ID)
+	return true, below && h.store.Has(v.Height, v.ID)
 }
 
-// conflicts reports whether an entry judge left open counts against target,
-// matching store.Conflicts on stored blocks exactly: pruned deep history does
-// not count (see PruneBelow), a fork entry does, and one above the target (a
-// rare fork-switch leftover) takes the full ancestry check.
-func (h *VoteHistory) conflicts(target *types.Block, o *openVote) bool {
-	if !h.store.Has(o.ID) {
-		return false
+// conflicting returns the stored node of an entry judge left open when it
+// counts against target (node t), nil otherwise, matching Conflicts on
+// stored blocks exactly: pruned deep history does not count (see
+// PruneBelow), a fork entry does, and one above the target (a rare
+// fork-switch leftover) takes the full ancestry check.
+func (h *VoteHistory) conflicting(t *blockstore.Node, o *openVote) *blockstore.Node {
+	n := h.store.Node(o.Height, o.ID)
+	if n == nil || !o.fork && !n.Conflicts(t) {
+		return nil
 	}
-	return o.fork || h.store.Conflicts(o.ID, target.ID())
+	return n
 }
 
 // Marker computes the Section 3.2 marker for a vote on target:
@@ -193,11 +225,11 @@ func (h *VoteHistory) conflicts(target *types.Block, o *openVote) bool {
 // with default 0 when the replica never voted on a conflicting fork.
 func (h *VoteHistory) Marker(target *types.Block) types.Round {
 	var m types.Round
-	h.judge(target)
+	t := h.judge(target)
 	// Newest first: the first hit is usually the max, and the rest are
 	// skipped without a store lookup.
 	for i := len(h.open) - 1; i >= 0; i-- {
-		if o := &h.open[i]; o.Round > m && h.conflicts(target, o) {
+		if o := &h.open[i]; o.Round > m && h.conflicting(t, o) != nil {
 			m = o.Round
 		}
 	}
@@ -208,9 +240,9 @@ func (h *VoteHistory) Marker(target *types.Block) types.Round {
 // target: the largest *height* of any conflicting voted block.
 func (h *VoteHistory) HeightMarker(target *types.Block) types.Height {
 	var m types.Height
-	h.judge(target)
+	t := h.judge(target)
 	for i := len(h.open) - 1; i >= 0; i-- {
-		if o := &h.open[i]; o.Height > m && h.conflicts(target, o) {
+		if o := &h.open[i]; o.Height > m && h.conflicting(t, o) != nil {
 			m = o.Height
 		}
 	}
@@ -233,14 +265,15 @@ func (h *VoteHistory) HeightMarker(target *types.Block) types.Height {
 func (h *VoteHistory) Intervals(target *types.Block, window types.Round) intervals.Set {
 	r := uint64(target.Round)
 	set := intervals.Full(r)
-	h.judge(target)
+	t := h.judge(target)
 	for i := range h.open {
 		o := &h.open[i]
-		if !h.conflicts(target, o) {
+		n := h.conflicting(t, o)
+		if n == nil {
 			continue
 		}
 		lo := uint64(1)
-		if ca := h.commonAncestor(target, o.ID); ca != nil {
+		if ca := h.commonAncestor(target, t, n); ca != nil {
 			lo = uint64(ca.Round) + 1
 		}
 		// A nil common ancestor is an unknown relation (pruned ancestry):
@@ -254,25 +287,23 @@ func (h *VoteHistory) Intervals(target *types.Block, window types.Round) interva
 	return set
 }
 
-// commonAncestor returns the common ancestor of target and a voted block
-// known to conflict with it: the first ancestor of the voted block that does
+// commonAncestor returns the common ancestor of target (node t) and a voted
+// block (node n) known to conflict with it: the first ancestor of n that does
 // not conflict with target, which below the target means "on its chain" and
-// above it takes the store's check. Returns nil when the ancestry was pruned
-// away, matching store.CommonAncestor.
-func (h *VoteHistory) commonAncestor(target *types.Block, id types.BlockID) *types.Block {
-	var ca *types.Block
-	h.store.WalkAncestors(id, func(b *types.Block) bool {
-		if b.Height > target.Height {
-			if h.store.Conflicts(b.ID(), target.ID()) {
-				return true
+// above it takes the full check. Returns nil when the ancestry was pruned
+// away.
+func (h *VoteHistory) commonAncestor(target *types.Block, t, n *blockstore.Node) *types.Block {
+	for a := n.Parent(); a != nil; a = a.Parent() {
+		if a.Height() > target.Height {
+			if a.Conflicts(t) {
+				continue
 			}
-		} else if !h.onChain(b.ID(), b.Height) {
-			return true
+		} else if !h.onChain(a.Block().ID(), a.Height()) {
+			continue
 		}
-		ca = b
-		return false
-	})
-	return ca
+		return a.Block()
+	}
+	return nil
 }
 
 // PruneBelow drops history entries below the given round. Engines call it
@@ -282,11 +313,13 @@ func (h *VoteHistory) commonAncestor(target *types.Block, id types.BlockID) *typ
 // recorded out of order would only be kept longer, which can raise a marker
 // and never lower it.
 func (h *VoteHistory) PruneBelow(r types.Round) {
+	voted := h.voted.Live()
 	n := 0
-	for n < len(h.voted) && h.voted[n].Round < r {
+	for n < len(voted) && voted[n].Round < r {
 		n++
 	}
-	h.voted, h.judged = h.voted[n:], max(h.judged-n, 0)
+	h.voted.Drop(n)
+	h.judged = max(h.judged-n, 0)
 	n = 0
 	for n < len(h.open) && h.open[n].Round < r {
 		n++

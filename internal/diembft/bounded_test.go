@@ -201,7 +201,7 @@ func TestPruneFansOutExactlyRemoved(t *testing.T) {
 				c.Rule = replica.RuleFBFT
 			}
 		}, simnet.Config{Seed: 9, Drop: starve, OnCommit: func(id types.ReplicaID, _ time.Duration, b *types.Block) {
-			for n := reps[id].Store().Node(b.Parent).FirstChild(); n != nil; n = n.NextSibling() {
+			for n := reps[id].Store().Node(b.Height-1, b.Parent).FirstChild(); n != nil; n = n.NextSibling() {
 				handles[id] = append(handles[id], n)
 			}
 		}})
@@ -214,13 +214,13 @@ func TestPruneFansOutExactlyRemoved(t *testing.T) {
 				t.Errorf("fbft=%v replica %d: qcFormed is empty; the check is vacuous", fbft, rep.ID())
 			}
 			for id := range rep.qcFormed {
-				if !rep.Store().Has(id) {
+				if !stored(rep.Store(), id) {
 					t.Errorf("fbft=%v replica %d: qcFormed keeps %s, which the store dropped", fbft, rep.ID(), id)
 				}
 			}
 			removed, kept := 0, 0
 			for _, n := range handles[rep.ID()] {
-				if rep.Store().Node(n.Block().ID()) == n {
+				if rep.Store().Node(n.Height(), n.Block().ID()) == n {
 					if n.Record != nil {
 						kept++
 					}
@@ -240,7 +240,7 @@ func TestPruneFansOutExactlyRemoved(t *testing.T) {
 					t.Fatalf("fbft=%v replica %d: vote for round %d recorded after round %d", fbft, rep.ID(), v.Round, last)
 				}
 				last = v.Round
-				if rep.Store().Has(v.ID) && rep.Store().Conflicts(v.ID, rep.LastCommitted()) {
+				if voted := rep.Store().Node(v.Height, v.ID); voted != nil && voted.Conflicts(rep.Store().Node(rep.CommittedHeight(), rep.LastCommitted())) {
 					forks++
 				}
 			}
@@ -249,4 +249,15 @@ func TestPruneFansOutExactlyRemoved(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stored reports whether the store holds a block with this ID at any height,
+// by a walk of the whole tree: qcFormed is keyed by ID alone.
+func stored(s *blockstore.Store, id types.BlockID) bool {
+	for _, b := range s.Snapshot() {
+		if b.ID() == id {
+			return true
+		}
+	}
+	return false
 }

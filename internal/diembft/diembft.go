@@ -96,7 +96,7 @@ type Replica struct {
 	// Leader-side collection state: which blocks already have their QC, and
 	// blocks waiting out the extra-wait window keyed by round.
 	qcFormed      map[types.BlockID]bool
-	awaitingExtra map[types.Round]types.BlockID
+	awaitingExtra map[types.Round]*types.Block
 
 	// orphanQCs keeps the best certificate seen for a block that has not
 	// arrived yet.
@@ -104,6 +104,8 @@ type Replica struct {
 
 	proposed   map[types.Round]bool
 	pendingLog []types.StrengthRecord // light-client log accumulator
+	// scored is leaderAfter's ancestry buffer, at most window+1 entries.
+	scored []pacemaker.ChainInfo
 	// floor is the round the per-round maps were last pruned below.
 	floor types.Round
 	// syncRound is the last round in which this replica, leading it, asked a
@@ -131,7 +133,7 @@ func New(cfg Config) (*Replica, error) {
 		cfg:           cfg,
 		pm:            pacemaker.New(cfg.N, cfg.F, cfg.RoundTimeout),
 		qcFormed:      make(map[types.BlockID]bool),
-		awaitingExtra: make(map[types.Round]types.BlockID),
+		awaitingExtra: make(map[types.Round]*types.Block),
 		orphanQCs:     make(map[types.BlockID]*types.QC),
 		proposed:      make(map[types.Round]bool),
 	}

@@ -42,7 +42,7 @@ func TestHealHandsLeadToCutSide(t *testing.T) {
 		sim.Run(sim.Now() + time.Millisecond)
 	}
 	next := reps[0].Round() + 1
-	if reps[6].Store().Has(reps[0].HighQC().Block) {
+	if reps[6].Store().Has(reps[0].HighQC().Height, reps[0].HighQC().Block) {
 		t.Fatal("replica 6 already holds the high QC's block; the heal tests nothing")
 	}
 	sim.HealAt(sim.Now())

@@ -61,7 +61,9 @@ func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 		// check is the state stage's.
 		return fmt.Errorf("diembft: proposal from non-leader %v", p.Sender)
 	}
-	if p.Block.Justify.Block != p.Block.Parent {
+	if j := p.Block.Justify; j.Block != p.Block.Parent || j.Height+1 != p.Block.Height {
+		// The store finds a block only at its own height, so a justify that
+		// names the parent at another height certifies nothing it holds.
 		return fmt.Errorf("diembft: justify does not certify parent")
 	}
 	if r.cfg.VerifySignatures && !r.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {

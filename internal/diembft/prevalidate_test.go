@@ -295,6 +295,14 @@ var rejections = []rejection{
 	{name: "proposal/justify does not certify parent", from: 2, msg: func(fx *doorFixture) types.Message {
 		return fx.proposal(fx.block3(2, fx.qc1))
 	}},
+	{name: "proposal/justify names the parent at another height", from: 2, msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(fx.block3(2, fx.certAt(fx.b2, 5))) // signed at height 5; block3 sits at 3
+	}},
+	{name: "proposal/justify relabelled to another height", from: 2, msg: func(fx *doorFixture) types.Message {
+		qc := *fx.qc2
+		qc.Height = 7 // its votes say 2
+		return fx.proposal(types.NewBlock(fx.b2.ID(), &qc, 3, 8, 2, 7, types.Payload{}, nil))
+	}},
 	{name: "proposal/sub-quorum justify", from: 2, msg: func(fx *doorFixture) types.Message {
 		return fx.proposal(fx.block3(2, fx.cert(fx.b2, 0, 1)))
 	}},
@@ -324,6 +332,11 @@ var rejections = []rejection{
 	}},
 	{name: "timeout/sub-quorum high QC", from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
 		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.cert(fx.b2, 0, 1), HighRound: 2, Sender: 0})
+	}},
+	{name: "timeout/high QC relabelled to another height", from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		qc := *fx.qc2
+		qc.Height = 7 // its votes say 2
+		return fx.timeout(&types.Timeout{Round: 2, HighQC: &qc, HighRound: 2, Sender: 0})
 	}},
 	{name: "timeout/duplicate-voter high QC", from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
 		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.cert(fx.b2, 0, 1, 1), HighRound: 2, Sender: 0})
@@ -487,4 +500,86 @@ func TestOutputLifetime(t *testing.T) {
 			return e.OnMessage(0, 0, statesync.NewRequest(0, 0))
 		},
 		&types.VoteMsg{Vote: a.vote(a.b2, 0)})
+}
+
+// certAt is a quorum certificate whose voters signed b's ID at height h.
+func (fx *doorFixture) certAt(b *types.Block, h types.Height) *types.QC {
+	qc := &types.QC{Block: b.ID(), Round: b.Round, Height: h}
+	for voter := types.ReplicaID(0); voter < 3; voter++ {
+		v := types.Vote{Block: b.ID(), Round: b.Round, Height: h, Voter: voter}
+		v.Signature = fx.ring.Signer(voter).Sign(v.SigningPayload())
+		qc.Votes = append(qc.Votes, v)
+	}
+	return qc
+}
+
+// TestWrongHeightIsUnknown: the store finds a block only at its own height,
+// so a vote, a certificate or a proposal parent that names a stored block at
+// another height is treated as naming an unknown block — the vote buffered,
+// the certificate kept as an orphan, the proposal parked — through either
+// door, and never credited to the stored block.
+func TestWrongHeightIsUnknown(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		from types.ReplicaID
+		msgs func(fx *doorFixture) []types.Message
+		// check reads the outcome; b2 is stored at height 2 throughout.
+		check func(t *testing.T, fx *doorFixture)
+	}{
+		{"vote", 0, func(fx *doorFixture) []types.Message {
+			var msgs []types.Message
+			for voter := types.ReplicaID(0); voter < 3; voter++ {
+				v := types.Vote{Block: fx.b2.ID(), Round: 3, Height: 7, Voter: voter}
+				v.Signature = fx.ring.Signer(voter).Sign(v.SigningPayload())
+				msgs = append(msgs, &types.VoteMsg{Vote: v})
+			}
+			return msgs
+		}, func(t *testing.T, fx *doorFixture) {
+			if got := fx.rep.Votes[fx.b2.ID()].Len(); got != 3 {
+				t.Errorf("%d votes buffered, want 3", got)
+			}
+		}},
+		{"certificate", 0, func(fx *doorFixture) []types.Message {
+			qc := fx.certAt(fx.b2, 5)
+			return []types.Message{fx.timeout(&types.Timeout{Round: 2, HighQC: qc, HighRound: 2, Sender: 0})}
+		}, func(t *testing.T, fx *doorFixture) {
+			if fx.rep.HighQC().Block != fx.b2.ID() || fx.rep.HighQC().Height != 5 {
+				t.Errorf("the certificate's rank was not noted: high QC %v h%d", fx.rep.HighQC().Block, fx.rep.HighQC().Height)
+			}
+		}},
+		{"proposal parent", 2, func(fx *doorFixture) []types.Message {
+			justify := fx.certAt(fx.b2, 4)
+			return []types.Message{fx.proposal(types.NewBlock(fx.b2.ID(), justify, 3, 5, 2, 7, types.Payload{}, nil))}
+		}, func(t *testing.T, fx *doorFixture) {
+			if got := fx.rep.Parked(); got != 1 {
+				t.Errorf("%d proposals parked, want 1", got)
+			}
+		}},
+	} {
+		for _, verify := range []bool{true, false} {
+			for _, split := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/verify=%v/split=%v", row.name, verify, split), func(t *testing.T) {
+					fx := newDoorFixture(t, nil, func(c *diembft.Config) { c.VerifySignatures = verify })
+					blocks := fx.rep.Store().Len()
+					for _, msg := range row.msgs(fx) {
+						if split {
+							if err := fx.rep.Prevalidate(row.from, msg); err != nil {
+								t.Fatalf("the door refused %T: %v", msg, err)
+							}
+							fx.rep.OnVerifiedMessage(0, row.from, msg)
+						} else {
+							fx.rep.OnMessage(0, row.from, msg)
+						}
+					}
+					row.check(t, fx)
+					if n := fx.rep.Store().Node(fx.b2.Height, fx.b2.ID()); n == nil || n.QC() != nil {
+						t.Errorf("b2 is gone or was certified: %v", n)
+					}
+					if fx.rep.Store().Len() != blocks || fx.rep.Store().HighQC() != fx.qc1 {
+						t.Errorf("the store moved: %d blocks (was %d), high QC r%d", fx.rep.Store().Len(), blocks, fx.rep.Store().HighQC().Round)
+					}
+				})
+			}
+		}
+	}
 }

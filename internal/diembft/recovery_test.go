@@ -117,7 +117,7 @@ func TestKillRestartMatchesPreCrashState(t *testing.T) {
 	// And the derived markers agree on a fresh extension of the high chain:
 	// the recovered replica's next vote carries exactly the marker the
 	// pre-crash replica would have reported.
-	tip := pre.Store().Block(pre.HighQC().Block)
+	tip := pre.Store().Block(pre.HighQC().Height, pre.HighQC().Block)
 	if tip == nil {
 		t.Fatal("pre-crash store lost its high block")
 	}

@@ -16,20 +16,17 @@ import (
 // missing part of the ancestry scores a shorter chain and trends toward plain
 // rotation, which can only admit extra proposals, never reject honest ones.
 func (r *Replica) leaderFor(round types.Round, justify *types.QC) types.ReplicaID {
-	if r.cfg.LeaderReputationWindow <= 0 {
+	if justify == nil {
 		return pacemaker.Leader(round, r.cfg.N)
 	}
-	var b *types.Block
-	if justify != nil {
-		b = r.Store().Block(justify.Block)
-	}
-	return r.leaderForBlock(round, b)
+	return r.leaderAfter(round, justify.Height, justify.Block)
 }
 
-// leaderForBlock is leaderFor with the chain tip given as a block (inclusive):
-// the voter electing the NEXT round's leader scores the block it is voting
-// for, before any QC for it exists.
-func (r *Replica) leaderForBlock(round types.Round, b *types.Block) types.ReplicaID {
+// leaderAfter is leaderFor with the chain tip given as the block id at
+// height h (inclusive): the voter electing the NEXT round's leader scores the
+// block it is voting for, before any QC for it exists. The ancestry is walked
+// by node into a buffer the replica reuses, so an election allocates nothing.
+func (r *Replica) leaderAfter(round types.Round, h types.Height, id types.BlockID) types.ReplicaID {
 	w := r.cfg.LeaderReputationWindow
 	if w <= 0 {
 		return pacemaker.Leader(round, r.cfg.N)
@@ -38,13 +35,15 @@ func (r *Replica) leaderForBlock(round types.Round, b *types.Block) types.Replic
 	if round > w {
 		lo = round - w
 	}
-	var chain []pacemaker.ChainInfo
-	for ; b != nil && !b.IsGenesis(); b = r.Store().Parent(b.ID()) {
+	chain := r.scored[:0]
+	for n := r.Store().Node(h, id); n != nil && !n.Block().IsGenesis(); n = n.Parent() {
+		b := n.Block()
 		chain = append(chain, pacemaker.ChainInfo{Round: b.Round, Proposer: b.Proposer})
 		if b.Round < lo {
 			break
 		}
 	}
+	r.scored = chain
 	return pacemaker.ReputationLeader(round, r.cfg.N, w, chain)
 }
 

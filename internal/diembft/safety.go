@@ -16,7 +16,7 @@ func (r *Replica) maybePropose(now time.Duration) {
 	if r.leaderFor(round, r.qchigh) != r.cfg.ID || r.proposed[round] {
 		return
 	}
-	parent := r.Store().Block(r.qchigh.Block)
+	parent := r.Store().Block(r.qchigh.Height, r.qchigh.Block)
 	if parent == nil {
 		r.syncHighQC(round)
 		return
@@ -73,7 +73,7 @@ func (r *Replica) onProposal(now time.Duration, p *types.Proposal) {
 		// its never-chained justify QC into the endorsement bookkeeping.
 		return
 	}
-	if !r.Store().Has(p.Block.Parent) {
+	if !r.Store().Has(p.Block.Height-1, p.Block.Parent) {
 		// Parent not yet arrived: let the embedded QC advance our round and
 		// high QC so we keep pace, and park the proposal until catch-up
 		// installs the ancestry.
@@ -105,7 +105,7 @@ func (r *Replica) maybeVote(now time.Duration, p *types.Proposal) {
 	if round != r.pm.Round() || round <= r.rvote || r.pm.TimedOut(round) {
 		return
 	}
-	parent := r.Store().Block(b.Parent)
+	parent := r.Store().Block(b.Height-1, b.Parent)
 	if parent == nil || parent.Round < r.rlock {
 		return
 	}
@@ -121,7 +121,7 @@ func (r *Replica) maybeVote(now time.Duration, p *types.Proposal) {
 		return
 	}
 	r.rvote = round
-	next := r.leaderForBlock(round+1, b)
+	next := r.leaderAfter(round+1, b.Height, b.ID())
 	r.Outs = append(r.Outs, engine.Send{To: next, Msg: &types.VoteMsg{Vote: v}})
 }
 
@@ -134,7 +134,7 @@ func (r *Replica) onVote(now time.Duration, v types.Vote) {
 		// block's ancestry. When we do not hold the block yet, collect
 		// conservatively — an extra buffered vote set is harmless, while
 		// dropping real votes would cost the round.
-		if b := r.Store().Block(v.Block); b != nil && r.leaderForBlock(v.Round+1, b) != r.cfg.ID {
+		if r.Store().Has(v.Height, v.Block) && r.leaderAfter(v.Round+1, v.Height, v.Block) != r.cfg.ID {
 			return
 		}
 	} else if r.pm.Leader(v.Round+1) != r.cfg.ID {
@@ -152,7 +152,7 @@ func (r *Replica) onVote(now time.Duration, v types.Vote) {
 	if !r.AddVote(v) {
 		return
 	}
-	if b := r.Store().Block(v.Block); b != nil {
+	if b := r.Store().Block(v.Height, v.Block); b != nil {
 		r.tryFormQC(now, b)
 	}
 }
@@ -170,7 +170,7 @@ func (r *Replica) tryFormQC(now time.Duration, b *types.Block) {
 		if _, pending := r.awaitingExtra[b.Round]; !pending {
 			// Figure 8 knob: sit on the quorum for `wait` to catch straggler
 			// votes and form a larger, more diverse strong-QC.
-			r.awaitingExtra[b.Round] = id
+			r.awaitingExtra[b.Round] = b
 			r.Outs = append(r.Outs, engine.SetTimer{ID: timerID(b.Round, kindExtraWait), Delay: wait})
 		}
 		return
@@ -179,12 +179,12 @@ func (r *Replica) tryFormQC(now time.Duration, b *types.Block) {
 }
 
 func (r *Replica) onExtraWaitTimer(now time.Duration, round types.Round) {
-	id, ok := r.awaitingExtra[round]
+	b, ok := r.awaitingExtra[round]
 	if !ok {
 		return
 	}
 	delete(r.awaitingExtra, round)
-	if b := r.Store().Block(id); b != nil && !r.qcFormed[id] {
+	if r.Store().Has(b.Height, b.ID()) && !r.qcFormed[b.ID()] {
 		r.formQC(now, b)
 	}
 }
@@ -211,7 +211,7 @@ func (r *Replica) onLateVote(v types.Vote) {
 	if !r.AddVote(v) {
 		return
 	}
-	r.direct.AddVote(v.Block, v.Voter)
+	r.direct.AddVote(&v)
 	r.Outs = append(r.Outs, engine.Broadcast{Msg: &types.ExtraVote{Vote: v, Leader: r.cfg.ID}})
 }
 
@@ -220,7 +220,7 @@ func (r *Replica) onExtraVote(m *types.ExtraVote) {
 	if r.direct == nil {
 		return
 	}
-	r.direct.AddVote(m.Vote.Block, m.Vote.Voter)
+	r.direct.AddVote(&m.Vote)
 }
 
 // --- QC processing: locking, committing, SFT tracking ---

@@ -161,7 +161,9 @@ func (o *Observer) checkProposal(p *types.Proposal) error {
 	if p.Block == nil || p.Block.Justify == nil {
 		return fmt.Errorf("observer: proposal without block or justify")
 	}
-	if p.Block.Justify.Block != p.Block.Parent {
+	if j := p.Block.Justify; j.Block != p.Block.Parent || j.Height+1 != p.Block.Height {
+		// The store finds a block only at its own height, so a justify that
+		// names the parent at another height certifies nothing it holds.
 		return fmt.Errorf("observer: justify does not certify parent")
 	}
 	if int(p.Sender) >= o.cfg.N {
@@ -196,10 +198,10 @@ func (o *Observer) OnVerifiedMessage(now time.Duration, from types.ReplicaID, ms
 // without the chassis's request to its sender: the observer asks the next
 // upstream in its own rotation instead.
 func (o *Observer) onProposal(p *types.Proposal) {
-	if o.Store().Has(p.Block.ID()) {
+	if o.Store().Has(p.Block.Height, p.Block.ID()) {
 		return
 	}
-	if !o.Store().Has(p.Block.Parent) {
+	if !o.Store().Has(p.Block.Height-1, p.Block.Parent) {
 		o.Hold(p)
 		o.requestCatchUp()
 		return
@@ -236,7 +238,7 @@ func (o *Observer) noteQC(qc *types.QC, standalone bool) {
 	o.Tracker().OnQC(qc)
 	if o.cfg.OnCertified != nil && !o.certified[qc.Block] {
 		o.certified[qc.Block] = true
-		o.cfg.OnCertified(o.Store().Block(qc.Block), qc)
+		o.cfg.OnCertified(o.Store().Block(qc.Height, qc.Block), qc)
 	}
 }
 
@@ -263,8 +265,8 @@ func (o *Observer) requestCatchUp() {
 }
 
 func (o *Observer) tipHeight() types.Height {
-	if b := o.Store().Block(o.Store().HighQC().Block); b != nil {
-		return b.Height
+	if qc := o.Store().HighQC(); o.Store().Has(qc.Height, qc.Block) {
+		return qc.Height
 	}
 	return 0
 }
@@ -288,7 +290,7 @@ func (o *Observer) emit() {
 	})
 	for _, r := range o.rises {
 		o.CommitTo(r.b)
-		if o.Store().AncestorAtHeight(o.LastCommitted(), r.b.Height) == r.b {
+		if n := o.Store().Node(o.CommittedHeight(), o.LastCommitted()).Ancestor(r.b.Height); n != nil && n.Block() == r.b {
 			o.EmitStrength(r.b, r.x)
 		}
 	}

@@ -68,6 +68,17 @@ func (f *fixture) qcFor(b *types.Block, signers int) *types.QC {
 	return &types.QC{Block: b.ID(), Round: b.Round, Height: b.Height, Votes: votes}
 }
 
+// qcAt is a quorum certificate whose voters signed b's ID at height h.
+func (f *fixture) qcAt(b *types.Block, h types.Height) *types.QC {
+	qc := f.qcFor(b, 3)
+	qc.Height = h
+	for i := range qc.Votes {
+		qc.Votes[i].Height = h
+		qc.Votes[i].Signature = f.ring.Signer(qc.Votes[i].Voter).Sign(qc.Votes[i].SigningPayload())
+	}
+	return qc
+}
+
 func (f *fixture) proposal(b *types.Block) *types.Proposal {
 	f.t.Helper()
 	p := &types.Proposal{Block: b, Round: b.Round, Sender: 0}
@@ -216,6 +227,15 @@ var rejections = []struct {
 	{name: "proposal/justify does not certify parent", msg: func(f *fixture) types.Message {
 		return f.proposal(f.child(f.qcFor(f.chain[2], 3)))
 	}},
+	{name: "proposal/justify names the parent at another height", msg: func(f *fixture) types.Message {
+		return f.proposal(f.child(f.qcAt(f.chain[3], f.chain[3].Height+2)))
+	}},
+	{name: "proposal/justify relabelled to another height", msg: func(f *fixture) types.Message {
+		tip := f.chain[3]
+		qc := f.qcFor(tip, 3)
+		qc.Height = tip.Height + 4 // its votes say tip.Height
+		return f.proposal(types.NewBlock(tip.ID(), qc, tip.Round+1, tip.Height+5, 0, 0, types.Payload{}, nil))
+	}},
 	{name: "proposal/sub-quorum justify", msg: func(f *fixture) types.Message {
 		return f.proposal(f.child(f.qcFor(f.chain[3], 2)))
 	}},
@@ -335,7 +355,7 @@ func TestStateStageNeverVerifies(t *testing.T) {
 			t.Errorf("%T: OnMessage made %d signature checks, Prevalidate alone %d", msg, got, stateless)
 		}
 	}
-	if a, b := fingerprint(splitFx.obs), fingerprint(wholeFx.obs); a != b || !splitFx.obs.Store().Has(b5.ID()) {
+	if a, b := fingerprint(splitFx.obs), fingerprint(wholeFx.obs); a != b || !splitFx.obs.Store().Has(b5.Height, b5.ID()) {
 		t.Fatalf("doors diverged or traffic not absorbed: split %s, OnMessage %s", a, b)
 	}
 }
@@ -385,7 +405,7 @@ func TestOrphanHealsViaCatchUp(t *testing.T) {
 	if len(commits(outs)) == 0 {
 		t.Fatal("catch-up produced no commits")
 	}
-	if !f.obs.Store().Has(tip.ID()) {
+	if !f.obs.Store().Has(tip.Height, tip.ID()) {
 		t.Fatal("orphaned tip not flushed after catch-up")
 	}
 }
@@ -517,13 +537,13 @@ func TestForkCertifiedTwiceCommitsOnce(t *testing.T) {
 		justify, prev = f.qcFor(c, 3), c
 	}
 	outs := f.deliver(&types.StateSyncResponse{Blocks: fork, HighQC: justify, Sender: 1})
-	if !f.obs.Store().Has(fork[len(fork)-1].ID()) {
+	if !f.obs.Store().Has(fork[len(fork)-1].Height, fork[len(fork)-1].ID()) {
 		t.Fatal("fork segment not installed")
 	}
 	if n := certified[parent.ID()]; n != 1 {
 		t.Fatalf("fork parent reported certified %d times, want once", n)
 	}
-	if f.obs.Tracker().Strength(fork[0].ID()) < 1 {
+	if f.obs.Tracker().Strength(fork[0]) < 1 {
 		t.Fatal("the fork's first block never rose; the checks below would be vacuous")
 	}
 	rated := strengths(outs)
@@ -535,6 +555,44 @@ func TestForkCertifiedTwiceCommitsOnce(t *testing.T) {
 		}
 		if x, ok := rated[c.ID()]; ok {
 			t.Fatalf("reported strength %d for %v, which was never committed", x, c)
+		}
+	}
+}
+
+// TestWrongHeightIsUnknown: a proposal whose parent is stored, but at a
+// height other than the one below the proposal's, is held as an orphan and
+// the observer asks for the chain, through either door: the store finds a
+// block only at its own height.
+func TestWrongHeightIsUnknown(t *testing.T) {
+	for _, verify := range []bool{true, false} {
+		for _, split := range []bool{false, true} {
+			t.Run(fmt.Sprintf("verify=%v/split=%v", verify, split), func(t *testing.T) {
+				f := doorFixture(t, observer.Config{VerifySignatures: verify})
+				tip := f.chain[len(f.chain)-1]
+				justify := f.qcAt(tip, tip.Height+4)
+				p := f.proposal(types.NewBlock(tip.ID(), justify, tip.Round+1, tip.Height+5, 0, 0, types.Payload{}, nil))
+				var outs []engine.Output
+				if split {
+					if err := f.obs.Prevalidate(0, p); err != nil {
+						t.Fatalf("the door refused the proposal: %v", err)
+					}
+					outs = f.obs.OnVerifiedMessage(0, 0, p)
+				} else {
+					outs = f.deliver(p)
+				}
+				if got := f.obs.Parked(); got != 1 {
+					t.Errorf("%d proposals held, want 1", got)
+				}
+				asked := false
+				for _, out := range outs {
+					if s, ok := out.(engine.Send); ok {
+						_, asked = s.Msg.(*types.StateSyncRequest)
+					}
+				}
+				if !asked || f.obs.Store().Len() != 4 {
+					t.Errorf("asked for the chain %v, store holds %d blocks (want 4)", asked, f.obs.Store().Len())
+				}
+			})
 		}
 	}
 }

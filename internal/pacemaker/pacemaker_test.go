@@ -1,6 +1,7 @@
 package pacemaker_test
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -160,6 +161,88 @@ func TestReputationLeader(t *testing.T) {
 	empty := []pacemaker.ChainInfo{{Round: 1, Proposer: 0}}
 	if got := pacemaker.ReputationLeader(30, n, 28, empty); got != pacemaker.Leader(30, n) {
 		t.Fatalf("all-excluded fallback = %v, want round robin %v", got, pacemaker.Leader(30, n))
+	}
+}
+
+// refReputationLeader is ReputationLeader as it was before it stopped
+// allocating: two maps of the committee per call. It exists only here, as the
+// definition the scan is held to.
+func refReputationLeader(r types.Round, n int, window types.Round, chain []pacemaker.ChainInfo) types.ReplicaID {
+	if window <= 0 || len(chain) == 0 {
+		return pacemaker.Leader(r, n)
+	}
+	lo := types.Round(1)
+	if r > window {
+		lo = r - window
+	}
+	lastFailed := make(map[types.ReplicaID]types.Round, n)
+	lastSuccess := make(map[types.ReplicaID]types.Round, n)
+	prev := r
+	for _, c := range chain {
+		if c.Round >= prev {
+			continue
+		}
+		for fr := max(c.Round+1, lo); fr < prev; fr++ {
+			id := pacemaker.Leader(fr, n)
+			if fr > lastFailed[id] {
+				lastFailed[id] = fr
+			}
+		}
+		if c.Round < lo {
+			break
+		}
+		if c.Round > lastSuccess[c.Proposer] {
+			lastSuccess[c.Proposer] = c.Round
+		}
+		prev = c.Round
+	}
+	for k := types.Round(0); k < types.Round(n); k++ {
+		id := pacemaker.Leader(r+k, n)
+		failed, bad := lastFailed[id]
+		if !bad || lastSuccess[id] > failed {
+			return id
+		}
+	}
+	return pacemaker.Leader(r, n)
+}
+
+// TestReputationLeaderMatchesMaps: on random chains — gaps, proposers other
+// than the slot's, out-of-order entries, windows below and above n — the
+// election picks what the map-keyed definition picks, and allocates nothing.
+func TestReputationLeaderMatchesMaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	skipped := 0
+	for i := 0; i < 20000; i++ {
+		n := 1 + rng.Intn(12)
+		r := types.Round(1 + rng.Intn(60))
+		window := types.Round(rng.Intn(20))
+		var chain []pacemaker.ChainInfo
+		for round := r; round > 0 && len(chain) < 30; {
+			round -= types.Round(1 + rng.Intn(4))
+			if round <= 0 || round > r {
+				break
+			}
+			if rng.Intn(10) == 0 {
+				round += types.Round(rng.Intn(3)) // out of order now and then
+			}
+			proposer := pacemaker.Leader(round, n)
+			if rng.Intn(4) == 0 {
+				proposer = types.ReplicaID(rng.Intn(n))
+			}
+			chain = append(chain, pacemaker.ChainInfo{Round: round, Proposer: proposer})
+		}
+		if got, want := pacemaker.ReputationLeader(r, n, window, chain), refReputationLeader(r, n, window, chain); got != want {
+			t.Fatalf("r=%d n=%d window=%d chain %v: elected %v, reference %v", r, n, window, chain, got, want)
+		} else if got != pacemaker.Leader(r, n) {
+			skipped++
+		}
+	}
+	if skipped < 2000 {
+		t.Fatalf("only %d of 20000 elections skipped the round-robin leader; the comparison is too weak", skipped)
+	}
+	chain := []pacemaker.ChainInfo{{Round: 13, Proposer: 5}, {Round: 12, Proposer: 4}, {Round: 6, Proposer: 5}}
+	if a := testing.AllocsPerRun(100, func() { pacemaker.ReputationLeader(14, 7, 14, chain) }); a != 0 {
+		t.Errorf("an election allocates %.1f times, want 0", a)
 	}
 }
 

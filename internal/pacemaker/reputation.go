@@ -25,6 +25,10 @@ type ChainInfo struct {
 // proposer. If every candidate is excluded the plain round-robin leader is
 // returned, so reputation can delay no one forever (liveness falls back to
 // Theorem 2's rotation argument).
+//
+// Cost: no allocation, and O(window + len(chain)) per candidate looked at. A
+// candidate is passed over only for a failed slot inside the window, so at
+// most window+1 candidates are scored.
 func ReputationLeader(r types.Round, n int, window types.Round, chain []ChainInfo) types.ReplicaID {
 	if window <= 0 || len(chain) == 0 {
 		return Leader(r, n)
@@ -33,34 +37,38 @@ func ReputationLeader(r types.Round, n int, window types.Round, chain []ChainInf
 	if r > window {
 		lo = r - window
 	}
-	lastFailed := make(map[types.ReplicaID]types.Round, n)
-	lastSuccess := make(map[types.ReplicaID]types.Round, n)
+	for k := types.Round(0); k < types.Round(n); k++ {
+		id := Leader(r+k, n)
+		if failed, success := standing(id, r, n, lo, chain); failed == 0 || success > failed {
+			return id
+		}
+	}
+	return Leader(r, n)
+}
+
+// standing scores one replica over the chain: the last round in [lo, r)
+// whose round-robin slot was id's and left no certified block, and the last
+// certified round at or above lo that id proposed, each 0 for none. The chain
+// descends, so the first hit of each is the last.
+func standing(id types.ReplicaID, r types.Round, n int, lo types.Round, chain []ChainInfo) (failed, success types.Round) {
 	prev := r
 	for _, c := range chain {
 		if c.Round >= prev {
 			// Defensive: ignore out-of-order entries instead of mis-scoring.
 			continue
 		}
-		for fr := max(c.Round+1, lo); fr < prev; fr++ {
-			id := Leader(fr, n)
-			if fr > lastFailed[id] {
-				lastFailed[id] = fr
+		for fr := prev; failed == 0 && fr > max(c.Round+1, lo); {
+			if fr--; Leader(fr, n) == id {
+				failed = fr
 			}
 		}
 		if c.Round < lo {
 			break
 		}
-		if c.Round > lastSuccess[c.Proposer] {
-			lastSuccess[c.Proposer] = c.Round
+		if success == 0 && c.Proposer == id {
+			success = c.Round
 		}
 		prev = c.Round
 	}
-	for k := types.Round(0); k < types.Round(n); k++ {
-		id := Leader(r+k, n)
-		failed, bad := lastFailed[id]
-		if !bad || lastSuccess[id] > failed {
-			return id
-		}
-	}
-	return Leader(r, n)
+	return failed, success
 }

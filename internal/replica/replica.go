@@ -25,6 +25,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/statesync"
 	"repro/internal/types"
+	"repro/internal/window"
 )
 
 // Config is the configuration every replica engine shares; diembft.Config
@@ -140,8 +141,10 @@ type Chassis struct {
 	committedH    types.Height
 	// committed is the committed chain's tail, oldest first, from the last
 	// prune's anchor (or the first commit since New or Restore) to
-	// lastCommitted: PruneBelow reads the block at the cut from it.
-	committed []*types.Block
+	// lastCommitted: PruneBelow reads the block at the cut from it. chain is
+	// CommitTo's scratch, empty between calls.
+	committed window.Of[*types.Block]
+	chain     []*types.Block
 
 	// aggregate marks that the verifier's scheme compacts formed QCs into
 	// the aggregated-signature form; sigScratch is the reused signing-payload
@@ -393,7 +396,7 @@ func (c *Chassis) voteRootOK(v *types.Vote) bool {
 	if c.cfg.App == nil {
 		return !v.HasAppHash()
 	}
-	b := c.store.Block(v.Block)
+	b := c.store.Block(v.Height, v.Block)
 	if b == nil {
 		return true
 	}
@@ -429,26 +432,29 @@ func (c *Chassis) Certify(b *types.Block) *types.QC {
 	if set.Len() < c.cfg.Quorum() {
 		return nil
 	}
-	votes := set.Sorted()
+	var root [32]byte
 	if c.cfg.App != nil {
 		// Votes credited before the block arrived were only provisionally
 		// accepted (voteRootOK); re-judge them against our own execution now
-		// and form only from root-agreeing votes. Falling below quorum keeps
-		// the set open for more honest votes rather than forming a
-		// certificate the structure check would reject.
-		root, err := c.executeBlock(b)
-		if err != nil {
+		// and form only from root-agreeing votes.
+		var err error
+		if root, err = c.executeBlock(b); err != nil {
 			return nil
 		}
-		kept := votes[:0]
-		for _, v := range votes {
-			if v.AppHash == root {
-				kept = append(kept, v)
-			}
+	}
+	// The set is keyed by block ID, so it can hold a vote naming the block
+	// at another height (only a faulty voter signs one); the structure check
+	// would reject a certificate carrying it. Falling below quorum keeps the
+	// set open for more honest votes rather than forming such a certificate.
+	votes := set.Sorted()
+	kept := votes[:0]
+	for _, v := range votes {
+		if v.Height == b.Height && (c.cfg.App == nil || v.AppHash == root) {
+			kept = append(kept, v)
 		}
-		if votes = kept; len(votes) < c.cfg.Quorum() {
-			return nil
-		}
+	}
+	if votes = kept; len(votes) < c.cfg.Quorum() {
+		return nil
 	}
 	qc := &types.QC{Block: id, Round: b.Round, Height: b.Height, Votes: votes}
 	if c.aggregate {
@@ -524,12 +530,15 @@ func (c *Chassis) CommitTo(b *types.Block) {
 	if b.Height <= c.committedH {
 		return
 	}
-	chain := c.store.ChainBetween(c.lastCommitted, b.ID())
-	if chain == nil {
+	// The scratch is detached while the commits go out, as the tracker's
+	// worklists are, so nothing reached from here can clobber it.
+	chain, ok := blockstore.AppendChain(c.chain, c.store.Node(c.committedH, c.lastCommitted), c.store.Node(b.Height, b.ID()))
+	if !ok {
 		// b does not extend the last committed block. With at most f
 		// faults this cannot happen; conservatively keep the old commit.
 		return
 	}
+	c.chain = nil
 	for _, blk := range chain {
 		if c.cfg.App != nil {
 			if err := c.cfg.App.OnCommit(blk); err != nil {
@@ -542,8 +551,10 @@ func (c *Chassis) CommitTo(b *types.Block) {
 		}
 		c.Outs = append(c.Outs, engine.Commit{Block: blk})
 		c.cfg.Obs.OnCommit(blk, c.now)
+		c.committed.Push(blk)
 	}
-	c.committed = append(c.committed, chain...)
+	clear(chain)
+	c.chain = chain[:0]
 	c.lastCommitted = b.ID()
 	c.committedH = b.Height
 	// One commit record for the tip covers the whole chain (ancestor
@@ -572,7 +583,7 @@ func (c *Chassis) PruneBelow(cut types.Height) ([]*types.Block, types.Round) {
 	// The vote sets are the few still collecting, some of them for blocks the
 	// store never held, which no removed list names: they are walked.
 	for id, set := range c.Votes {
-		if set.Height() < cut && !c.store.Has(id) {
+		if set.Height() < cut && !c.store.Has(set.Height(), id) {
 			delete(c.Votes, id)
 		}
 	}
@@ -591,13 +602,15 @@ func (c *Chassis) PruneBelow(cut types.Height) ([]*types.Block, types.Round) {
 // when it reaches that far down (dropping what lies below, which no later cut
 // needs) and by walking the store otherwise, as after Restore.
 func (c *Chassis) committedAt(h types.Height) *types.Block {
-	if len(c.committed) == 0 || h < c.committed[0].Height || h > c.committedH {
-		return c.store.AncestorAtHeight(c.lastCommitted, h)
+	tail := c.committed.Live()
+	if len(tail) == 0 || h < tail[0].Height || h > c.committedH {
+		if n := c.store.Node(c.committedH, c.lastCommitted).Ancestor(h); n != nil {
+			return n.Block()
+		}
+		return nil
 	}
-	i := int(h - c.committed[0].Height)
-	clear(c.committed[:i]) // the array outlives the reslice; its blocks must not
-	c.committed = c.committed[i:]
-	return c.committed[0]
+	c.committed.Drop(int(h - tail[0].Height))
+	return c.committed.Live()[0]
 }
 
 // --- recovery and state sync ---
@@ -641,7 +654,7 @@ func (c *Chassis) Restore(rec *core.Recovery, onBlock func(*types.Block), onCert
 		return fmt.Errorf("replica: restore: %w", err)
 	}
 	for _, qc := range rec.QCs {
-		if !c.store.Has(qc.Block) {
+		if !c.store.Has(qc.Height, qc.Block) {
 			continue
 		}
 		if _, improved, err := c.store.RegisterQC(qc); err == nil && improved {
@@ -660,7 +673,7 @@ func (c *Chassis) Restore(rec *core.Recovery, onBlock func(*types.Block), onCert
 		if c.cfg.App != nil {
 			// Advance the state machine's committed base to the recovered
 			// commit point (the blocks were re-executed above).
-			if b := c.store.Block(rec.Committed); b != nil {
+			if b := c.store.Block(rec.CommittedHeight, rec.Committed); b != nil {
 				if err := c.cfg.App.OnCommit(b); err != nil {
 					return fmt.Errorf("replica: restore app commit: %w", err)
 				}

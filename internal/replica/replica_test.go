@@ -144,7 +144,19 @@ func TestCertify(t *testing.T) {
 	if qc := c.Certify(b); qc != nil {
 		t.Fatalf("certificate from %d distinct voters", len(qc.Votes))
 	}
-	c.AddVote(signedVote(ring, b, 0))
+	relabelled := types.Vote{Block: b.ID(), Round: b.Round, Height: b.Height + 3, Voter: 0}
+	relabelled.Signature = ring.Signer(0).Sign(relabelled.SigningPayload())
+	if !c.AddVote(relabelled) { // buffered: the set is keyed by ID alone
+		t.Fatal("a vote naming the block at another height was not buffered")
+	}
+	if qc := c.Certify(b); qc != nil {
+		t.Fatalf("certificate counting a vote at another height: %d votes", len(qc.Votes))
+	}
+	c, ring = testChassis(t, 4, 1)
+	c.AcceptBlock(b)
+	for _, voter := range []types.ReplicaID{3, 1, 0} {
+		c.AddVote(signedVote(ring, b, voter))
+	}
 	qc := c.Certify(b)
 	if qc == nil {
 		t.Fatal("no certificate from a quorum")
@@ -248,8 +260,17 @@ func TestCountedFailures(t *testing.T) {
 // commits all of them, so that every PruneBelow step after it has one block's
 // worth of state to drop from each structure.
 func committedChain(t testing.TB, n int) *Chassis {
+	c, chain := certifiedChain(t, n)
+	c.CommitTo(chain[n-1])
+	c.Take()
+	return c
+}
+
+// certifiedChain is committedChain before the commit: the event is still open.
+func certifiedChain(t testing.TB, n int) (*Chassis, []*types.Block) {
 	c, _ := testChassis(t, 4, 1)
 	c.Begin(0)
+	chain := make([]*types.Block, 0, n)
 	parent, qc := c.Store().Genesis(), c.Store().HighQC()
 	for i := 1; i <= n; i++ {
 		b := childOf(parent, qc, types.Round(i))
@@ -266,11 +287,9 @@ func committedChain(t testing.TB, n int) *Chassis {
 		c.Tracker().OnQC(qc)
 		c.History().Marker(b)
 		c.History().RecordVote(b)
-		parent = b
+		chain, parent = append(chain, b), b
 	}
-	c.CommitTo(parent)
-	c.Take()
-	return c
+	return c, chain
 }
 
 // TestAllocsPruneStep: one cut's worth of pruning — store, tracker, vote
@@ -292,6 +311,33 @@ func TestAllocsPruneStep(t *testing.T) {
 	}
 	if got := c.History().Len(); got != keep {
 		t.Fatalf("history holds %d votes, want %d", got, keep)
+	}
+}
+
+// TestAllocsCommitTo: once the committed tail has its pruned length, an
+// event that commits the next block and cuts one height allocates nothing:
+// CommitTo walks the chain by node into a buffer the chassis reuses.
+func TestAllocsCommitTo(t *testing.T) {
+	const keep, runs = 64, 1000
+	c, chain := certifiedChain(t, 2*keep+runs+1) // AllocsPerRun makes runs+1 calls
+	next := 0
+	step := func() {
+		c.Begin(0)
+		c.CommitTo(chain[next])
+		if next >= keep {
+			c.PruneBelow(chain[next-keep].Height)
+		}
+		c.Take()
+		next++
+	}
+	for next < 2*keep {
+		step()
+	}
+	if a := testing.AllocsPerRun(runs, step); a != 0 {
+		t.Fatalf("commit step: %v allocs/op, want 0", a)
+	}
+	if got, want := c.CommittedHeight(), chain[next-1].Height; got != want {
+		t.Fatalf("committed height %d, want %d", got, want)
 	}
 }
 
@@ -322,9 +368,11 @@ func BenchmarkPruneStep(b *testing.B) {
 // which used to go regardless.
 func TestPruneWithoutAnchorForgetsNothing(t *testing.T) {
 	c := committedChain(t, 10)
-	c.lastCommitted, c.committed = types.BlockID{0xee}, nil
-	low := c.Store().AncestorAtHeight(c.Store().HighQC().Block, 2)
-	before := c.Tracker().Endorsers(low.ID())
+	c.lastCommitted = types.BlockID{0xee}
+	c.committed.Reset()
+	high := c.Store().HighQC()
+	low := c.Store().Node(high.Height, high.Block).Ancestor(2).Block()
+	before := c.Tracker().Endorsers(low)
 	if removed, floor := c.PruneBelow(5); removed != nil || floor != 0 {
 		t.Fatalf("removed %d blocks, floor %d; want nothing", len(removed), floor)
 	}
@@ -332,7 +380,7 @@ func TestPruneWithoutAnchorForgetsNothing(t *testing.T) {
 		t.Fatalf("pruned height %d, %d blocks, %d votes; want all kept",
 			c.Store().PrunedHeight(), c.Store().Len(), c.History().Len())
 	}
-	if got := c.Tracker().Endorsers(low.ID()); got != before || got == 0 {
+	if got := c.Tracker().Endorsers(low); got != before || got == 0 {
 		t.Fatalf("endorsers of a kept block below the cut: %d, had %d", got, before)
 	}
 }

@@ -17,6 +17,7 @@ package statesync
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/blockstore"
 	"repro/internal/types"
@@ -43,11 +44,11 @@ func Serve(store *blockstore.Store, req *types.StateSyncRequest, self types.Repl
 		maxBlocks = DefaultMaxBlocks
 	}
 	high := store.HighQC()
-	tip := store.Block(high.Block)
+	tip := store.Node(high.Height, high.Block)
 	if tip == nil {
 		return nil
 	}
-	chain := segment(store, tip, req.Have, maxBlocks)
+	chain := segment(tip, req.Have, maxBlocks)
 	if len(chain) == 0 {
 		return nil
 	}
@@ -65,23 +66,21 @@ func Serve(store *blockstore.Store, req *types.StateSyncRequest, self types.Repl
 // O(maxBlocks) however large the gap is (a deep catch-up issues many
 // requests; each must not pay for the whole gap in allocation). Only when a
 // pruned gap hides that ancestor does the walk start at tip itself.
-func segment(store *blockstore.Store, tip *types.Block, have types.Height, maxBlocks int) []*types.Block {
-	if tip.Height <= have {
+func segment(tip *blockstore.Node, have types.Height, maxBlocks int) []*types.Block {
+	if tip.Height() <= have {
 		return nil
 	}
 	end := tip
-	if cut := have + types.Height(maxBlocks); cut < tip.Height {
-		if a := store.AncestorAtHeight(tip.ID(), cut); a != nil {
+	if cut := have + types.Height(maxBlocks); cut < tip.Height() {
+		if a := tip.Ancestor(cut); a != nil {
 			end = a
 		}
 	}
-	chain := make([]*types.Block, 0, min(maxBlocks, int(end.Height-have)))
-	for b := end; b != nil && !b.IsGenesis() && b.Height > have; b = store.Parent(b.ID()) {
-		chain = append(chain, b)
+	chain := make([]*types.Block, 0, min(maxBlocks, int(end.Height()-have)))
+	for n := end; n != nil && !n.Block().IsGenesis() && n.Height() > have; n = n.Parent() {
+		chain = append(chain, n.Block())
 	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
+	slices.Reverse(chain)
 	return chain
 }
 
@@ -124,11 +123,11 @@ func (a *Applier) Apply(m *types.StateSyncResponse) (int, error) {
 		if b == nil || b.Justify == nil {
 			return installed, fmt.Errorf("statesync: segment block without justify")
 		}
-		if a.Store.Has(b.ID()) {
+		if a.Store.Has(b.Height, b.ID()) {
 			continue
 		}
-		if b.Justify.Block != b.Parent {
-			return installed, fmt.Errorf("statesync: justify for %v does not certify parent", b.Justify.Block)
+		if b.Justify.Block != b.Parent || b.Justify.Height+1 != b.Height {
+			return installed, fmt.Errorf("statesync: justify for %v at h%d does not certify parent", b.Justify.Block, b.Justify.Height)
 		}
 		if err := b.Justify.CheckStructure(a.Quorum); err != nil {
 			return installed, fmt.Errorf("statesync: %w", err)
@@ -138,7 +137,7 @@ func (a *Applier) Apply(m *types.StateSyncResponse) (int, error) {
 				return installed, fmt.Errorf("statesync: %w", err)
 			}
 		}
-		if !a.Store.Has(b.Parent) {
+		if !a.Store.Has(b.Height-1, b.Parent) {
 			return installed, fmt.Errorf("statesync: segment does not connect at %s", b)
 		}
 		if err := a.Store.Insert(b); err != nil {
@@ -152,7 +151,7 @@ func (a *Applier) Apply(m *types.StateSyncResponse) (int, error) {
 			a.OnInstall(b)
 		}
 	}
-	if qc := m.HighQC; qc != nil && a.Store.Has(qc.Block) {
+	if qc := m.HighQC; qc != nil && a.Store.Has(qc.Height, qc.Block) {
 		if err := qc.CheckStructure(a.Quorum); err != nil {
 			return installed, fmt.Errorf("statesync: high qc: %w", err)
 		}

@@ -109,7 +109,7 @@ func TestApplyInstallsSegment(t *testing.T) {
 		t.Fatalf("installed %d/%d blocks, want 8", n, installed)
 	}
 	for _, b := range blocks {
-		if !dst.Has(b.ID()) {
+		if !dst.Has(b.Height, b.ID()) {
 			t.Fatalf("missing %v after apply", b)
 		}
 	}
@@ -118,28 +118,48 @@ func TestApplyInstallsSegment(t *testing.T) {
 	}
 	// Justifies certify heights 0..7; the tip's own cert arrives via the
 	// high QC hook which the engine registers.
-	if !dst.IsCertified(blocks[6].ID()) {
+	if dst.Node(blocks[6].Height, blocks[6].ID()).QC() == nil {
 		t.Fatal("interior blocks must come out certified")
 	}
 }
 
 func TestApplyRejectsBrokenLink(t *testing.T) {
-	src, blocks := chainFixture(t, 6)
-	resp := Serve(src, NewRequest(0, 1), 0, 0)
-	// Corrupt the middle: swap in a justify that does not certify the
-	// parent.
-	bad := *resp.Blocks[3]
-	bad.Justify = forge(blocks[5])
-	resp.Blocks[3] = &bad
+	for _, tc := range []struct {
+		name    string
+		justify func(blocks []*types.Block) *types.QC
+	}{
+		// A justify that certifies another block.
+		{"another block", func(blocks []*types.Block) *types.QC { return forge(blocks[5]) }},
+		// A justify that names the parent at another height, consistently
+		// signed: the store holds no such block, and a restart replaying it
+		// would fail.
+		{"the parent at another height", func(blocks []*types.Block) *types.QC {
+			moved := *blocks[2]
+			moved.Height = 9
+			qc := forge(&moved)
+			qc.Block = blocks[2].ID()
+			for i := range qc.Votes {
+				qc.Votes[i].Block = qc.Block
+			}
+			return qc
+		}},
+	} {
+		src, blocks := chainFixture(t, 6)
+		resp := Serve(src, NewRequest(0, 1), 0, 0)
+		// Corrupt the middle link.
+		bad := *resp.Blocks[3]
+		bad.Justify = tc.justify(blocks)
+		resp.Blocks[3] = &bad
 
-	dst := blockstore.New()
-	ap := Applier{Store: dst, Quorum: 3}
-	n, err := ap.Apply(resp)
-	if err == nil {
-		t.Fatal("broken segment accepted")
-	}
-	if n != 3 {
-		t.Fatalf("installed %d blocks before the bad link, want 3", n)
+		dst := blockstore.New()
+		ap := Applier{Store: dst, Quorum: 3}
+		n, err := ap.Apply(resp)
+		if err == nil {
+			t.Fatalf("%s: broken segment accepted", tc.name)
+		}
+		if n != 3 {
+			t.Fatalf("%s: installed %d blocks before the bad link, want 3", tc.name, n)
+		}
 	}
 }
 

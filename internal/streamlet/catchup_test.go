@@ -21,8 +21,8 @@ func TestJustifyCertifiesParentWhenVotesWereMissed(t *testing.T) {
 		fx.rep.OnMessage(0, 0, &types.VoteMsg{Vote: fx.vote(b3, 0)}) // one of the three it needs
 		fx.rep.OnTimer(0, 3)
 		fx.rep.OnTimer(0, 4) // round 4 is this replica's own; round 5 belongs to replica 0
-		if fx.rep.Round() != 5 || fx.rep.Store().IsCertified(b3.ID()) {
-			t.Fatalf("fixture: round %d, b3 certified %v", fx.rep.Round(), fx.rep.Store().IsCertified(b3.ID()))
+		if fx.rep.Round() != 5 || fx.rep.Store().Node(b3.Height, b3.ID()).QC() != nil {
+			t.Fatalf("fixture: round %d, b3 certified %v", fx.rep.Round(), fx.rep.Store().Node(b3.Height, b3.ID()).QC() != nil)
 		}
 
 		justify := fx.cert(b3)
@@ -40,7 +40,7 @@ func TestJustifyCertifiesParentWhenVotesWereMissed(t *testing.T) {
 				}
 			}
 		}
-		if got := fx.rep.Store().IsCertified(b3.ID()); got == forged || voted == forged {
+		if got := fx.rep.Store().Node(b3.Height, b3.ID()).QC() != nil; got == forged || voted == forged {
 			t.Fatalf("forged justify %v: parent certified %v, voted for the child %v", forged, got, voted)
 		}
 	}

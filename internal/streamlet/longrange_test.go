@@ -89,15 +89,16 @@ func TestLongRangeAttackComparison(t *testing.T) {
 
 		// Pick a deep committed ancestor as the fork point.
 		store := victim.Store()
-		tip := store.HighQC().Block
-		forkPoint := store.AncestorAtHeight(tip, 3)
-		if forkPoint == nil {
+		high := store.HighQC()
+		forkNode := store.Node(high.Height, high.Block).Ancestor(3)
+		if forkNode == nil {
 			t.Fatal("chain too short")
 		}
+		forkPoint := forkNode.Block()
 		cur := victim.Round()
 
 		// Round cur+1: the corrupted quorum certifies fork block B'.
-		bPrime := types.NewBlock(forkPoint.ID(), store.QCFor(forkPoint.ID()), cur+1,
+		bPrime := types.NewBlock(forkPoint.ID(), forkNode.QC(), cur+1,
 			forkPoint.Height+1, types.ReplicaID(uint64(cur)%n),
 			int64(2*time.Second), types.Payload{Txns: []types.Transaction{{Sender: 666}}}, nil)
 		pPrime := &types.Proposal{Block: bPrime, Round: cur + 1, Sender: types.ReplicaID(uint64(cur) % n)}
@@ -145,16 +146,18 @@ func TestLongRangeAttackComparison(t *testing.T) {
 		sim.Run(2 * time.Second)
 
 		store := victim.Store()
-		forkPoint := store.AncestorAtHeight(store.HighQC().Block, 3)
-		if forkPoint == nil {
+		high := store.HighQC()
+		forkNode := store.Node(high.Height, high.Block).Ancestor(3)
+		if forkNode == nil {
 			t.Fatal("chain too short")
 		}
+		forkPoint := forkNode.Block()
 		cur := victim.Round()
 
 		// Certified fork block B' at the victim's CURRENT round, from the
 		// correct leader — maximally favorable to the adversary.
 		leader := types.ReplicaID(uint64(cur-1) % n)
-		bPrime := types.NewBlock(forkPoint.ID(), store.QCFor(forkPoint.ID()), cur,
+		bPrime := types.NewBlock(forkPoint.ID(), forkNode.QC(), cur,
 			forkPoint.Height+1, leader, int64(2*time.Second),
 			types.Payload{Txns: []types.Transaction{{Sender: 666}}}, nil)
 		pPrime := &types.Proposal{Block: bPrime, Round: cur, Sender: leader}

@@ -62,7 +62,9 @@ func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 	if p.Block.Round != p.Round || p.Block.Proposer != p.Sender {
 		return fmt.Errorf("streamlet: proposal round/proposer mismatch")
 	}
-	if p.Block.Justify.Block != p.Block.Parent {
+	if j := p.Block.Justify; j.Block != p.Block.Parent || j.Height+1 != p.Block.Height {
+		// The store finds a block only at its own height, so a justify that
+		// names the parent at another height certifies nothing it holds.
 		return fmt.Errorf("streamlet: justify does not certify parent")
 	}
 	if pacemaker.Leader(p.Round, r.cfg.N) != p.Sender {

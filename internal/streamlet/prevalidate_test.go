@@ -149,8 +149,8 @@ func newDoorFixture(t testing.TB, verifier crypto.Verifier, verify bool, sink *o
 		}
 		fx.rep.OnTimer(0, int(b.Round))
 	}
-	if fx.rep.Round() != 3 || !fx.rep.Store().IsCertified(fx.b2.ID()) {
-		t.Fatalf("fixture: at round %d, b2 certified %v", fx.rep.Round(), fx.rep.Store().IsCertified(fx.b2.ID()))
+	if fx.rep.Round() != 3 || fx.rep.Store().Node(fx.b2.Height, fx.b2.ID()).QC() == nil {
+		t.Fatalf("fixture: at round %d, b2 certified %v", fx.rep.Round(), fx.rep.Store().Node(fx.b2.Height, fx.b2.ID()).QC() != nil)
 	}
 	return fx
 }
@@ -165,6 +165,17 @@ func (fx *doorFixture) cert(b *types.Block) *types.QC {
 	qc := &types.QC{Block: b.ID(), Round: b.Round, Height: b.Height}
 	for voter := types.ReplicaID(0); voter < 3; voter++ {
 		qc.Votes = append(qc.Votes, fx.vote(b, voter))
+	}
+	return qc
+}
+
+// certAt is a quorum certificate whose voters signed b's ID at height h.
+func (fx *doorFixture) certAt(b *types.Block, h types.Height) *types.QC {
+	qc := &types.QC{Block: b.ID(), Round: b.Round, Height: h}
+	for voter := types.ReplicaID(0); voter < 3; voter++ {
+		v := types.Vote{Block: b.ID(), Round: b.Round, Height: h, Voter: voter}
+		v.Signature = fx.ring.Signer(voter).Sign(v.SigningPayload())
+		qc.Votes = append(qc.Votes, v)
 	}
 	return qc
 }
@@ -210,6 +221,14 @@ var rejections = []struct {
 	}},
 	{name: "proposal/no justify", from: 2, msg: func(fx *doorFixture) types.Message {
 		return fx.proposal(types.NewBlock(fx.b2.ID(), nil, 3, 3, 2, 7, types.Payload{}, nil))
+	}},
+	{name: "proposal/justify names the parent at another height", from: 2, msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(types.NewBlock(fx.b2.ID(), fx.certAt(fx.b2, 5), 3, 3, 2, 7, types.Payload{}, nil))
+	}},
+	{name: "proposal/justify relabelled to another height", from: 2, msg: func(fx *doorFixture) types.Message {
+		qc := fx.cert(fx.b2)
+		qc.Height = 7 // its votes say 2
+		return fx.proposal(types.NewBlock(fx.b2.ID(), qc, 3, 8, 2, 7, types.Payload{}, nil))
 	}},
 	{name: "proposal/justify not for parent", from: 2, msg: func(fx *doorFixture) types.Message {
 		return fx.proposal(types.NewBlock(fx.b2.ID(), fx.cert(fx.b1), 3, 3, 2, 7, types.Payload{}, nil))
@@ -337,7 +356,7 @@ func TestStateStageNeverVerifies(t *testing.T) {
 			t.Errorf("%T: OnMessage made %d signature checks, Prevalidate alone %d", m.msg, got, stateless)
 		}
 	}
-	if a, b := fingerprint(splitFx.rep), fingerprint(wholeFx.rep); a != b || !splitFx.rep.Store().Has(b3.ID()) {
+	if a, b := fingerprint(splitFx.rep), fingerprint(wholeFx.rep); a != b || !splitFx.rep.Store().Has(b3.Height, b3.ID()) {
 		t.Fatalf("doors diverged or traffic not absorbed: split %s, OnMessage %s", a, b)
 	}
 }
@@ -354,4 +373,66 @@ func TestOutputLifetime(t *testing.T) {
 			return e.OnMessage(0, 0, statesync.NewRequest(0, 0))
 		},
 		&types.VoteMsg{Vote: a.vote(a.b2, 0)})
+}
+
+// TestWrongHeightIsUnknown: the store finds a block only at its own height,
+// so votes naming a stored block at another height are buffered without
+// certifying it, and a proposal whose parent is stored at another height is
+// parked, through either door.
+func TestWrongHeightIsUnknown(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		msgs  func(fx *doorFixture, b3 *types.Block) []types.Message
+		check func(t *testing.T, fx *doorFixture, b3 *types.Block)
+	}{
+		{"vote", func(fx *doorFixture, b3 *types.Block) []types.Message {
+			var msgs []types.Message
+			for voter := types.ReplicaID(0); voter < 3; voter++ {
+				v := types.Vote{Block: b3.ID(), Round: b3.Round, Height: 9, Voter: voter}
+				v.Signature = fx.ring.Signer(voter).Sign(v.SigningPayload())
+				msgs = append(msgs, &types.VoteMsg{Vote: v})
+			}
+			return msgs
+		}, func(t *testing.T, fx *doorFixture, b3 *types.Block) {
+			if got := fx.rep.Votes[b3.ID()].Len(); got != 3 {
+				t.Errorf("%d votes buffered, want 3", got)
+			}
+		}},
+		{"proposal parent", func(fx *doorFixture, b3 *types.Block) []types.Message {
+			justify := fx.certAt(fx.b2, 6)
+			return []types.Message{fx.proposal(types.NewBlock(fx.b2.ID(), justify, 3, 7, 2, 8, types.Payload{}, nil))}
+		}, func(t *testing.T, fx *doorFixture, b3 *types.Block) {
+			if got := fx.rep.Parked(); got != 1 {
+				t.Errorf("%d proposals parked, want 1", got)
+			}
+		}},
+	} {
+		for _, verify := range []bool{true, false} {
+			for _, split := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/verify=%v/split=%v", row.name, verify, split), func(t *testing.T) {
+					fx := newDoorFixture(t, nil, verify, nil)
+					b3 := fx.block(3, 2)
+					fx.rep.OnMessage(0, 2, fx.proposal(b3))
+					blocks := fx.rep.Store().Len()
+					for _, msg := range row.msgs(fx, b3) {
+						if split {
+							if err := fx.rep.Prevalidate(2, msg); err != nil {
+								t.Fatalf("the door refused %T: %v", msg, err)
+							}
+							fx.rep.OnVerifiedMessage(0, 2, msg)
+						} else {
+							fx.rep.OnMessage(0, 2, msg)
+						}
+					}
+					row.check(t, fx, b3)
+					if n := fx.rep.Store().Node(b3.Height, b3.ID()); n == nil || n.QC() != nil {
+						t.Errorf("b3 is gone or was certified: %v", n)
+					}
+					if fx.rep.Store().Len() != blocks {
+						t.Errorf("the store holds %d blocks, was %d", fx.rep.Store().Len(), blocks)
+					}
+				})
+			}
+		}
+	}
 }

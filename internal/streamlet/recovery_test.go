@@ -163,9 +163,9 @@ func TestForgedJustifyCannotBlockRestart(t *testing.T) {
 		p.Signature = ring.Signer(0).Sign(p.SigningPayload())
 		rep.OnMessage(0, 0, p)
 	}
-	if rep.Store().Has(forged.ID()) || !rep.Store().Has(honest.ID()) {
+	if rep.Store().Has(forged.Height, forged.ID()) || !rep.Store().Has(honest.Height, honest.ID()) {
 		t.Errorf("store holds forged %v, honest %v; want only the honest block",
-			rep.Store().Has(forged.ID()), rep.Store().Has(honest.ID()))
+			rep.Store().Has(forged.Height, forged.ID()), rep.Store().Has(honest.Height, honest.ID()))
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestForgedJustifyCannotBlockRestart(t *testing.T) {
 	if err := rep.Restore(rec); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if !rep.Store().Has(honest.ID()) {
+	if !rep.Store().Has(honest.Height, honest.ID()) {
 		t.Fatal("restart lost the honest block")
 	}
 }
@@ -229,7 +229,7 @@ func TestForgedJustifyVotesCannotCertifyOnRestart(t *testing.T) {
 	rep.Init(0)
 	propose(rep, parent)
 	propose(rep, child)
-	if rep.Store().IsCertified(parent.ID()) {
+	if rep.Store().Node(parent.Height, parent.ID()).QC() != nil {
 		t.Fatal("forged justify certified the parent live")
 	}
 	if err := j.Close(); err != nil {
@@ -241,10 +241,10 @@ func TestForgedJustifyVotesCannotCertifyOnRestart(t *testing.T) {
 	if err := rep.Restore(rec); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if !rep.Store().Has(parent.ID()) {
+	if !rep.Store().Has(parent.Height, parent.ID()) {
 		t.Fatal("restart lost the parent")
 	}
-	if rep.Store().IsCertified(parent.ID()) {
+	if rep.Store().Node(parent.Height, parent.ID()).QC() != nil {
 		t.Fatal("restart certified the parent from a journaled forged justify")
 	}
 }

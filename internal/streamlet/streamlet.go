@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/engine"
@@ -100,8 +101,8 @@ func (r *Replica) Restore(rec *core.Recovery) error {
 	err := r.Chassis.Restore(rec, nil, func(qc *types.QC) {
 		// Longest-certified-chain state only: no commit re-evaluation, the
 		// chassis reinstates the committed prefix from the commit records.
-		if b := r.Store().Block(qc.Block); b != nil && b.Height > r.maxCertH {
-			r.maxCertH = b.Height
+		if r.Store().Has(qc.Height, qc.Block) && qc.Height > r.maxCertH {
+			r.maxCertH = qc.Height
 		}
 	})
 	if err != nil {
@@ -205,28 +206,28 @@ func (r *Replica) onSyncedCert(qc *types.QC, standalone bool) {
 			return
 		}
 		if !improved {
-			r.checkCommit(n.Block())
+			r.checkCommit(n)
 			return
 		}
 		r.JournalQC(qc)
 	}
-	if b := r.Store().Block(qc.Block); b != nil {
-		r.cfg.Obs.OnQCObserved(b, r.Now())
-		r.noteCertified(b, qc)
+	if n := r.Store().Node(qc.Height, qc.Block); n != nil {
+		r.cfg.Obs.OnQCObserved(n.Block(), r.Now())
+		r.noteCertified(n, qc)
 	}
 }
 
 // noteCertified absorbs a newly certified block: the longest certified chain
 // may have grown (the locking rule), the endorsement tracker sees the
 // certificate, and the commit rule is re-run around the block.
-func (r *Replica) noteCertified(b *types.Block, qc *types.QC) {
-	if b.Height > r.maxCertH {
-		r.maxCertH = b.Height
+func (r *Replica) noteCertified(n *blockstore.Node, qc *types.QC) {
+	if n.Height() > r.maxCertH {
+		r.maxCertH = n.Height()
 	}
 	if t := r.Tracker(); t != nil {
 		t.OnQC(qc)
 	}
-	r.checkCommit(b)
+	r.checkCommit(n)
 }
 
 // echo relays a first-seen message to everyone (Figure 10's message echo
@@ -242,12 +243,13 @@ func (r *Replica) echo(msg types.Message) {
 
 // tip returns the deterministic tip of the longest certified chain: highest
 // certified height, ties broken by smallest round then block ID.
-func (r *Replica) tip() *types.Block {
-	var best *types.Block
-	for _, b := range r.certifiedAt(r.maxCertH) {
-		if best == nil || b.Round < best.Round ||
-			(b.Round == best.Round && lessID(b.ID(), best.ID())) {
-			best = b
+func (r *Replica) tip() *blockstore.Node {
+	var best *blockstore.Node
+	for _, n := range r.certifiedAt(r.maxCertH) {
+		b := n.Block()
+		if best == nil || b.Round < best.Block().Round ||
+			(b.Round == best.Block().Round && lessID(b.ID(), best.Block().ID())) {
+			best = n
 		}
 	}
 	return best
@@ -262,25 +264,27 @@ func lessID(a, b types.BlockID) bool {
 	return false
 }
 
-// certifiedAt returns all certified blocks at height h.
-func (r *Replica) certifiedAt(h types.Height) []*types.Block {
-	var out []*types.Block
-	var walk func(b *types.Block)
-	walk = func(b *types.Block) {
-		if b.Height == h {
-			if r.Store().IsCertified(b.ID()) {
-				out = append(out, b)
+// certifiedAt returns all certified blocks at height h on certified chains
+// from genesis.
+func (r *Replica) certifiedAt(h types.Height) []*blockstore.Node {
+	var out []*blockstore.Node
+	var walk func(n *blockstore.Node)
+	walk = func(n *blockstore.Node) {
+		if n.Height() == h {
+			if n.QC() != nil {
+				out = append(out, n)
 			}
 			return
 		}
-		r.Store().VisitChildren(b.ID(), func(c *types.Block) bool {
-			if r.Store().IsCertified(c.ID()) {
+		for c := n.FirstChild(); c != nil; c = c.NextSibling() {
+			if c.QC() != nil {
 				walk(c)
 			}
-			return true
-		})
+		}
 	}
-	walk(r.Store().Genesis())
+	if g := r.Store().Node(0, r.Store().Genesis().ID()); g != nil {
+		walk(g)
+	}
 	return out
 }
 
@@ -289,7 +293,7 @@ func (r *Replica) maybePropose() {
 		return
 	}
 	if parent := r.tip(); parent != nil {
-		r.Propose(r.round, parent, r.Store().QCFor(parent.ID()), nil)
+		r.Propose(r.round, parent.Block(), parent.QC(), nil)
 	}
 }
 
@@ -298,12 +302,12 @@ func (r *Replica) maybePropose() {
 // onProposal is the state stage for a proposal Prevalidate accepted (or this
 // replica's own): well-formed, from the round's leader, genuinely signed.
 func (r *Replica) onProposal(p *types.Proposal) {
-	if id := p.Block.ID(); r.seenProp[id] || r.Store().Has(id) {
+	if id := p.Block.ID(); r.seenProp[id] || r.Store().Has(p.Block.Height, id) {
 		return // seen as a proposal, or installed by catch-up
 	}
 	r.seenProp[p.Block.ID()] = true
 	r.echo(p)
-	if !r.Store().Has(p.Block.Parent) {
+	if !r.Store().Has(p.Block.Height-1, p.Block.Parent) {
 		r.Park(p)
 		return
 	}
@@ -328,7 +332,7 @@ func (r *Replica) onAccepted(b *types.Block) {
 // is one store lookup. Prevalidate verified the justify.
 func (r *Replica) certifyParent(b *types.Block) {
 	qc := b.Justify
-	if r.Store().IsCertified(b.Parent) {
+	if p := r.Store().Node(b.Height-1, b.Parent); p != nil && p.QC() != nil {
 		return
 	}
 	if _, improved, err := r.Store().RegisterQC(qc); err == nil && improved {
@@ -342,8 +346,8 @@ func (r *Replica) maybeVote(b *types.Block) {
 	if b.Round != r.round || r.votedRound[r.round] {
 		return
 	}
-	parent := r.Store().Block(b.Parent)
-	if parent == nil || !r.Store().IsCertified(parent.ID()) || parent.Height != r.maxCertH {
+	parent := r.Store().Node(b.Height-1, b.Parent)
+	if parent == nil || parent.QC() == nil || parent.Height() != r.maxCertH {
 		return
 	}
 	// SFT-Streamlet: the marker field carries the height marker.
@@ -362,20 +366,20 @@ func (r *Replica) onVote(v types.Vote) {
 		return
 	}
 	r.echo(&types.VoteMsg{Vote: v})
-	if b := r.Store().Block(v.Block); b != nil {
+	if b := r.Store().Block(v.Height, v.Block); b != nil {
 		r.tryCertify(b)
 	}
 }
 
 func (r *Replica) tryCertify(b *types.Block) {
-	if r.Store().IsCertified(b.ID()) {
+	if n := r.Store().Node(b.Height, b.ID()); n != nil && n.QC() != nil {
 		return
 	}
 	qc := r.Certify(b)
 	if qc == nil {
 		return
 	}
-	_, improved, err := r.Store().RegisterQC(qc)
+	n, improved, err := r.Store().RegisterQC(qc)
 	if err != nil {
 		return
 	}
@@ -385,36 +389,34 @@ func (r *Replica) tryCertify(b *types.Block) {
 		r.JournalQC(qc)
 		r.cfg.Obs.OnQCFormed(b, r.Now())
 	}
-	r.noteCertified(b, qc)
+	r.noteCertified(n, qc)
 }
 
 // checkCommit looks for three adjacent certified blocks with consecutive
 // rounds around the newly certified block and commits the middle one and
 // its ancestors.
-func (r *Replica) checkCommit(b *types.Block) {
-	// b can be the first, middle or last block of the 3-chain.
-	candidates := []*types.Block{b}
-	if p := r.Store().Parent(b.ID()); p != nil {
-		candidates = append(candidates, p)
+func (r *Replica) checkCommit(n *blockstore.Node) {
+	// n can be the first, middle or last block of the 3-chain.
+	r.commitMiddle(n)
+	if p := n.Parent(); p != nil {
+		r.commitMiddle(p)
 	}
-	r.Store().VisitChildren(b.ID(), func(c *types.Block) bool {
-		candidates = append(candidates, c)
-		return true
-	})
-	for _, mid := range candidates {
-		p := r.Store().Parent(mid.ID())
-		if p == nil || !r.Store().IsCertified(p.ID()) || p.Round+1 != mid.Round {
-			continue
+	for c := n.FirstChild(); c != nil; c = c.NextSibling() {
+		r.commitMiddle(c)
+	}
+}
+
+// commitMiddle commits mid and its ancestors when it is certified and the
+// middle of three adjacent certified blocks with consecutive rounds.
+func (r *Replica) commitMiddle(mid *blockstore.Node) {
+	p, round := mid.Parent(), mid.Block().Round
+	if p == nil || p.QC() == nil || p.Block().Round+1 != round || mid.QC() == nil {
+		return
+	}
+	for c := mid.FirstChild(); c != nil; c = c.NextSibling() {
+		if c.QC() != nil && c.Block().Round == round+1 {
+			r.CommitTo(mid.Block())
+			return
 		}
-		if !r.Store().IsCertified(mid.ID()) {
-			continue
-		}
-		r.Store().VisitChildren(mid.ID(), func(c *types.Block) bool {
-			if r.Store().IsCertified(c.ID()) && c.Round == mid.Round+1 {
-				r.CommitTo(mid)
-				return false
-			}
-			return true
-		})
 	}
 }

@@ -211,7 +211,7 @@ func (q *QC) RanksHigher(other *QC) bool {
 }
 
 // CheckStructure validates everything about the QC that does not require
-// cryptography: at least quorum votes, all for the same block and round,
+// cryptography: at least quorum votes, all for the same block, round and height,
 // from distinct voters. Genesis QCs (round 0, no votes) pass by convention.
 // Compact QCs additionally require the signer bitmap to agree exactly with
 // the materialized vote set.
@@ -242,7 +242,10 @@ func (q *QC) CheckStructure(quorum int) error {
 	var seen map[ReplicaID]bool
 	for i := range q.Votes {
 		v := &q.Votes[i]
-		if v.Block != q.Block || v.Round != q.Round {
+		if v.Block != q.Block || v.Round != q.Round || v.Height != q.Height {
+			// The height too: stores find a block by height and ID, so a
+			// certificate relabelled to another height must not pass for one
+			// its voters signed.
 			return fmt.Errorf("qc for %s r%d: vote %s mismatched", q.Block, q.Round, v)
 		}
 		// Execute-before-vote: a certificate certifies exactly one state

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/window"
 )
 
 // feed is the commit-strength stream behind a handle: the strongest level
@@ -39,18 +41,16 @@ type feed struct {
 	waiters []*strengthWaiter
 	subs    []*subscription
 	closed  bool
-	// levels[start:] is the strength window: the first block seen at each
-	// kept height, in ascending height order, with its strongest level.
-	// Heights run contiguously but for the gaps a state sync leaves, so the
-	// block at height h is found by its distance from the top and a rise is
-	// one slice index and one id compare. Pruning advances start past what
-	// fell below the floor; the dead front is reused before the array grows,
-	// so a window of steady length allocates nothing. forks holds every other
-	// block seen at a height the window already has: two blocks at one
-	// height, which takes more than f faults. Without pruneKeep both grow
-	// with the chain.
-	levels []blockLevel
-	start  int
+	// levels is the strength window: the first block seen at each kept
+	// height, in ascending height order, with its strongest level. Heights
+	// run contiguously but for the gaps a state sync leaves, so the block at
+	// height h is found by its distance from the top and a rise is one slice
+	// index and one id compare. Pruning drops what fell below the floor from
+	// the front; the window reuses its dead front before it grows, so one of
+	// steady length allocates nothing. forks holds every other block seen at
+	// a height the window already has: two blocks at one height, which takes
+	// more than f faults. Without pruneKeep both grow with the chain.
+	levels window.Of[blockLevel]
 	forks  []blockLevel
 }
 
@@ -61,7 +61,7 @@ type blockLevel struct {
 }
 
 // window returns the kept levels, ascending by height. The caller holds mu.
-func (f *feed) window() []blockLevel { return f.levels[f.start:] }
+func (f *feed) window() []blockLevel { return f.levels.Live() }
 
 // slot returns the window index of height h and whether a block is kept
 // there; if not, the index h would be inserted at. The caller holds mu.
@@ -123,25 +123,11 @@ func (f *feed) record(l blockLevel) {
 	at.x = max(at.x, l.x)
 }
 
-// insert puts l at window index i, keeping heights ascending. A full array
-// moves the window to its front once the dead front is as long as the
-// window, so the copy is paid for by the drops; otherwise it grows, leaving
-// the dead front behind.
+// insert puts l at window index i, keeping heights ascending.
 func (f *feed) insert(i int, l blockLevel) {
-	n := len(f.levels) - f.start
-	if len(f.levels) == cap(f.levels) {
-		if f.start >= n {
-			f.levels = f.levels[:copy(f.levels, f.window())]
-		} else {
-			grown := make([]blockLevel, n, 2*n+8)
-			copy(grown, f.window())
-			f.levels = grown
-		}
-		f.start = 0
-	}
-	f.levels = append(f.levels, l)
-	if w := f.window(); i < n {
-		copy(w[i+1:], w[i:n])
+	f.levels.Push(l)
+	if w := f.window(); i < len(w)-1 {
+		copy(w[i+1:], w[i:len(w)-1])
 		w[i] = l
 	}
 }
@@ -158,7 +144,7 @@ func (f *feed) prune() {
 	for k < len(w) && w[k].height+keep < f.height {
 		k++
 	}
-	f.start += k
+	f.levels.Drop(k)
 	f.forks = slices.DeleteFunc(f.forks, func(l blockLevel) bool { return l.height+keep < f.height })
 }
 

@@ -178,7 +178,7 @@ func TestFeedSameThroughBothHandles(t *testing.T) {
 					}
 				}
 				hf.f.mu.Lock()
-				slots := cap(hf.f.levels) + cap(hf.f.forks)
+				slots := hf.f.levels.Cap() + cap(hf.f.forks)
 				hf.f.mu.Unlock()
 				if slots > 64 {
 					t.Errorf("%s holds %d slots after %d rises", hf.name, slots, len(row.rises))

@@ -47,7 +47,7 @@ func TestStrengthBoundedByPruneKeep(t *testing.T) {
 			t.Fatalf("node %d committed %d blocks; the bound would be vacuous", i, len(ids))
 		}
 		node.mu.Lock()
-		entries, slots, forks := len(node.window()), cap(node.levels), len(node.forks)
+		entries, slots, forks := len(node.window()), node.levels.Cap(), len(node.forks)
 		node.mu.Unlock()
 		if entries > 2*keep || entries < keep || slots > 4*keep || forks != 0 {
 			t.Errorf("node %d holds %d strength entries in %d slots (%d forks) after %d commits, want %d..%d in at most %d",
