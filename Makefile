@@ -123,11 +123,11 @@ compactcert:
 	$(GO) run ./cmd/sftbench -experiment compactcert -seed 1
 
 # Liveness under attack: f timeout-spam colluders against the pacemaker with
-# its per-peer timeout cap effectively removed vs the default pacemaker (cap
-# 8, leader reputation 8) at one seed (explicit-only in sftbench; this is its
-# acceptance shape). The experiment fails unless the default arm stays live
-# with its per-peer timeout buffer bounded while the uncapped arm's grows
-# without bound.
+# its per-peer timeout cap lifted (the reference arm UncappedTimeouts) vs the
+# default pacemaker (cap 8; leader reputation, window 8, as always) at one
+# seed (explicit-only in sftbench; this is its acceptance shape). The
+# experiment fails unless the default arm stays live with its per-peer
+# timeout buffer bounded while the uncapped arm's grows without bound.
 liveness-attack:
 	$(GO) run ./cmd/sftbench -experiment livenessattack -seed 1 -n 7 -duration 10s
 
@@ -182,7 +182,6 @@ KNOB_STRUCTS = \
 	sft/sft.go:Config:sft.Config \
 	sft/transport.go:TCPConfig:sft.TCPConfig \
 	sft/simnet.go:SimnetConfig:sft.SimnetConfig \
-	sft/options.go:PacemakerConfig:sft.PacemakerConfig \
 	sft/access.go:ObserverConfig:sft.ObserverConfig \
 	internal/replica/replica.go:Config:replica.Config \
 	internal/diembft/diembft.go:Config:diembft.Config \
@@ -197,7 +196,7 @@ KNOB_STRUCTS = \
 # The ratchet: knobs fails when the total exceeds KNOB_BUDGET or a listed file
 # or struct is missing. A change that removes knobs lowers the budget to the
 # new total; one that adds a knob removes another.
-KNOB_BUDGET = 164
+KNOB_BUDGET = 160
 
 knobs:
 	@{ for s in $(KNOB_STRUCTS); do \

@@ -59,7 +59,7 @@
 //     per-peer cap holds the buffer at 8 where the uncapped one reaches 1148.
 //   - Crash recovery (WAL replay and state-sync rejoin) → crashrecovery -n 7
 //     -duration 40s -delta 50ms -seed 3 → crashrecovery.txt → the victim
-//     rejoins at the observer's height, 246, and the run is CONSISTENT.
+//     rejoins at the observer's height, 254, and the run is CONSISTENT.
 //
 // # Public API: the sft facade
 //
@@ -130,14 +130,6 @@
 //     timeout spamming).
 //     WithAdversaryPeers names its coalition — the paper's adversary
 //     coordinates, and coalition-aware behaviors (fork revival) use it.
-//   - WithPacemaker(PacemakerConfig{PerPeerTimeoutCap, LeaderReputation})
-//     — tunes DiemBFT's one pacemaker, the paper's passive round
-//     synchronization (Figure 2: a timeout carries the sender's high QC,
-//     2f+1 timeouts end the round). PerPeerTimeoutCap (default 8, always
-//     on) bounds buffered timeouts per peer; LeaderReputation > 0
-//     deterministically skips recently timed-out leaders. README.md,
-//     "Liveness under attack", narrates the A/B (make liveness-attack) and
-//     the rejection metrics.
 //   - WithApp(factory) — the execute-before-vote layer: every replica
 //     builds a StateMachine per engine incarnation (so crash recovery
 //     re-executes the restored chain on a fresh instance) and executes each
@@ -157,9 +149,11 @@
 //     the commit path of the node carrying WithMempool.
 //   - WithReference(reference.Arms{...}) — the one seam for the reference
 //     arms the experiments measure against: one commit rule (plain 3-chain,
-//     the FBFT baseline or the Appendix C naive count) plus two switches,
-//     signature checks under the simulated schemes and the certificate
-//     cache off. The parameter type is declared under internal/, so only
+//     the FBFT baseline or the Appendix C naive count) plus three
+//     switches, signature checks under the simulated schemes, the
+//     certificate cache off and the pacemaker's per-peer timeout cap lifted
+//     (the unhardened arm of make liveness-attack; README.md, "Liveness
+//     under attack", narrates that A/B). The parameter type is declared under internal/, so only
 //     this module can select an arm; the zero value is the production node,
 //     repeated calls add arms, and two calls naming different rules fail.
 //
@@ -408,9 +402,10 @@
 //
 //	message       stateless (Prevalidate)                          stateful (state stage)
 //	Proposal      block and justify present, round/proposer match, reputation leader (reads the store),
-//	 (DiemBFT)    round-robin leader, justify certifies parent     stale round, parent presence /
+//	 (DiemBFT)    sender holds one of the round's window+1         stale round, parent presence /
+//	              candidate slots, justify certifies parent        orphaning
 //	              (its ID, at the height below the block),
-//	              proposer signature, justify QC                   orphaning
+//	              proposer signature, justify QC
 //	Vote,         signature                                        collector, dedup, execution-root
 //	ExtraVote                                                      check
 //	Timeout       HighRound = HighQC.Round, sender signature,      stale round, per-peer cap

@@ -1,9 +1,10 @@
 // Package diembft implements DiemBFT as the paper's Figure 2 gives it
 // (propose / vote / lock on 2-chain / commit on 3-chain, timeout-certificate
-// pacemaker, round-robin leaders) and its SFT extension of Figure 4
-// (strong-votes carrying markers or interval sets, strong-QCs, the strong
-// 3-chain commit rule). Only those protocol rules live here; the certified-
-// chain bookkeeping is the embedded internal/replica chassis.
+// pacemaker, leaders rotated by reputation: a leader whose recent slot timed
+// out is skipped until it certifies a block again) and its SFT extension of
+// Figure 4 (strong-votes carrying markers or interval sets, strong-QCs, the
+// strong 3-chain commit rule). Only those protocol rules live here; the
+// certified-chain bookkeeping is the embedded internal/replica chassis.
 package diembft
 
 import (
@@ -73,14 +74,6 @@ type Config struct {
 	// keep buffered (0 = the pacemaker default), so timeout-spam cannot
 	// exhaust memory.
 	PerPeerTimeoutCap int
-	// LeaderReputationWindow, when > 0, enables leader-reputation rotation:
-	// leaders whose most recent slot inside the window timed out (visible as
-	// round gaps on the justify ancestry) are skipped until they certify a
-	// block again. Deterministic — proposer and validators score the chain
-	// the proposal itself ships — and WAL-recoverable for free, since the
-	// ancestry is journaled with the blocks. Off (0) by default so
-	// fixed-seed pins stay bit-identical.
-	LeaderReputationWindow types.Round
 }
 
 // Replica is one DiemBFT (optionally SFT) replica engine.
@@ -131,7 +124,7 @@ func New(cfg Config) (*Replica, error) {
 	}
 	r := &Replica{
 		cfg:           cfg,
-		pm:            pacemaker.New(cfg.N, cfg.F, cfg.RoundTimeout),
+		pm:            pacemaker.New(cfg.F, cfg.RoundTimeout),
 		qcFormed:      make(map[types.BlockID]bool),
 		awaitingExtra: make(map[types.Round]*types.Block),
 		orphanQCs:     make(map[types.BlockID]*types.QC),

@@ -10,11 +10,11 @@ import (
 	"repro/internal/types"
 )
 
-// electionFixture is one replica of an n=100 committee under leader
-// reputation with window 8, holding a 64-block chain in which every third
-// round timed out, so an election walks and scores failed slots. (With the
-// window below n the candidate's own slot is never in it, so nobody is
-// skipped, as in sim100_fault; the pacemaker's tests cover skipping.)
+// electionFixture is one replica of an n=100 committee holding a 64-block
+// chain in which every third round timed out, so an election walks and
+// scores failed slots. (With the window below n the candidate's own slot is
+// never in it, so nobody is skipped, as in sim100_fault; the pacemaker's
+// tests cover skipping.)
 func electionFixture(tb testing.TB) (*Replica, *types.Block) {
 	tb.Helper()
 	const n, f = 100, 33
@@ -23,9 +23,8 @@ func electionFixture(tb testing.TB) (*Replica, *types.Block) {
 		tb.Fatal(err)
 	}
 	r, err := New(Config{
-		Config:                 replica.Config{ID: 0, N: n, F: f, Signer: ring.Signer(0), Verifier: ring},
-		RoundTimeout:           time.Second,
-		LeaderReputationWindow: 8,
+		Config:       replica.Config{ID: 0, N: n, F: f, Signer: ring.Signer(0), Verifier: ring},
+		RoundTimeout: time.Second,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // doors (enginetest.CheckDoors).
 func FuzzOnMessage(f *testing.F) {
 	fx := newDoorFixture(f, nil, nil)
-	b3 := fx.block3(2, fx.qc2)
+	b3 := fx.next(fx.leader, fx.qc2)
 	enginetest.AddSeeds(f,
 		fx.proposal(b3),
 		&types.VoteMsg{Vote: fx.vote(b3, 0)},

@@ -56,10 +56,11 @@ func (r *Replica) prevalidateProposal(p *types.Proposal) error {
 	if p.Block.Round != p.Round || p.Block.Proposer != p.Sender {
 		return fmt.Errorf("diembft: proposal round/proposer mismatch")
 	}
-	if r.cfg.LeaderReputationWindow <= 0 && pacemaker.Leader(p.Round, r.cfg.N) != p.Sender {
-		// Reputation rotation reads the (mutable) block store, so its leader
-		// check is the state stage's.
-		return fmt.Errorf("diembft: proposal from non-leader %v", p.Sender)
+	if !pacemaker.Candidate(p.Sender, p.Round, r.cfg.N, pacemaker.ReputationWindow) {
+		// The election reads the (mutable) block store, so which candidate
+		// leads is the state stage's check; anyone outside the round's
+		// window+1 candidate slots can never be elected.
+		return fmt.Errorf("diembft: proposal from non-candidate %v", p.Sender)
 	}
 	if j := p.Block.Justify; j.Block != p.Block.Parent || j.Height+1 != p.Block.Height {
 		// The store finds a block only at its own height, so a justify that

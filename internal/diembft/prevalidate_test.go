@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/engine/enginetest"
 	"repro/internal/obs"
+	"repro/internal/pacemaker"
 	"repro/internal/replica"
 	"repro/internal/statesync"
 	"repro/internal/types"
@@ -37,13 +38,67 @@ func TestPrevalidateProposal(t *testing.T) {
 	if err := rep.Prevalidate(0, forged); err == nil {
 		t.Fatal("forged proposal signature passed prevalidation")
 	}
+}
 
-	wrongLeader := genuineProposal(ring, 3)
-	wrongLeader.Sender = 2
-	wrongLeader.Block.Proposer = 2
-	wrongLeader.Signature = ring.Signer(2).Sign(wrongLeader.SigningPayload())
-	if err := rep.Prevalidate(2, wrongLeader); err == nil {
-		t.Fatal("wrong-leader proposal passed prevalidation")
+// TestDoorRefusesNonCandidates: the leader of round r is some Leader(r+k, n)
+// with k <= the reputation window, so at n=13 the door refuses the four
+// replicas beyond it before any signature work, and lets the nine candidates
+// through to the state stage, which votes only for the elected one (on a
+// fresh chain, round robin's).
+func TestDoorRefusesNonCandidates(t *testing.T) {
+	const n, f, self = 13, 4, 5
+	ring, _ := crypto.NewKeyRing(n, 1, crypto.SchemeSim)
+	cv := &enginetest.CountingVerifier{Verifier: ring}
+	rep, err := diembft.New(diembft.Config{
+		Config: replica.Config{
+			ID: self, N: n, F: f,
+			Signer: ring.Signer(self), Verifier: cv, VerifySignatures: true,
+		},
+		RoundTimeout: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Init(0)
+	g := types.Genesis()
+	refused := 0
+	for k := types.Round(n - 1); k < n; k-- {
+		from := pacemaker.Leader(1+k, n)
+		if from == self {
+			continue
+		}
+		b := types.NewBlock(g.ID(), types.NewGenesisQC(g.ID()), 1, 1, from, 5, types.Payload{}, nil)
+		p := &types.Proposal{Block: b, Round: 1, Sender: from}
+		p.Signature = ring.Signer(from).Sign(p.SigningPayload())
+		calls := cv.Calls
+		if err := rep.Prevalidate(from, p); k > pacemaker.ReputationWindow {
+			if err == nil || cv.Calls != calls {
+				t.Errorf("replica %d, slot r+%d: door verdict %v after %d signature checks; want refused before any", from, k, err, cv.Calls-calls)
+			}
+			refused++
+			continue
+		} else if err != nil {
+			t.Fatalf("candidate %d, slot r+%d, refused at the door: %v", from, k, err)
+		}
+		if voted := hasVote(rep.OnVerifiedMessage(0, from, p)); voted != (k == 0) {
+			t.Errorf("candidate %d, slot r+%d: voted %v", from, k, voted)
+		}
+	}
+	if refused != n-1-int(pacemaker.ReputationWindow) {
+		t.Errorf("%d replicas refused at the door, want %d", refused, n-1-int(pacemaker.ReputationWindow))
+	}
+}
+
+// TestGappedChainElectsByReputation: on the gapped fixture the next round's
+// round-robin leader is the one passed over, and the replica votes for the
+// leader reputation elected instead.
+func TestGappedChainElectsByReputation(t *testing.T) {
+	fx := newChainFixture(t, true, nil, nil)
+	if rr := pacemaker.Leader(fx.b2.Round+1, 4); rr != fx.passedOver || fx.leader == rr {
+		t.Fatalf("round %d: round-robin leader %d, passed over %d, elected %d", fx.b2.Round+1, rr, fx.passedOver, fx.leader)
+	}
+	if !hasVote(fx.rep.OnMessage(0, fx.leader, fx.proposal(fx.next(fx.leader, fx.qc2)))) {
+		t.Fatal("no vote for the elected leader's proposal")
 	}
 }
 
@@ -159,19 +214,34 @@ func TestPrevalidatePassesSyncSegments(t *testing.T) {
 }
 
 // doorFixture is the fixed starting point of the rejection table, the
-// never-verifies test and FuzzOnMessage: replica 3 of 4, two honest rounds
-// in. It holds b1 and b2, sits in round 2 with the round-1 certificate as its
-// high QC, and leads round 4, so it collects the round-3 votes. Round 3
-// belongs to replica 2.
+// never-verifies test and FuzzOnMessage: replica 3 of 4, holding b1 and b2,
+// sitting in b2's round with b1's certificate as its high QC, having voted
+// for b2. The next round's block (next) extends b2 and is leader's to
+// propose; passedOver is a replica the election refuses for that round.
+//
+// Two chains lead there. The contiguous one is two honest rounds, b1 at round
+// 1 and b2 at round 2: round 3 belongs to its round-robin leader, replica 2,
+// and replica 3 leads round 4, so it collects the round-3 votes. In the
+// gapped one rounds 2 and 4 timed out: a at round 1, b1 at round 3 and b2 at
+// round 5 (its justify certifies b1). Round 6's round-robin leader, replica
+// 1, owned the failed round 2, so reputation passes it over and elects
+// replica 2. The replica jumps from round 3 to 5 on a timeout certificate
+// that carries a's certificate, so it never leads round 4 itself.
 type doorFixture struct {
 	ring *crypto.KeyRing
 	rep  *diembft.Replica
 
 	b1, b2   *types.Block
 	qc1, qc2 *types.QC
+
+	leader, passedOver types.ReplicaID
 }
 
 func newDoorFixture(t testing.TB, verifier crypto.Verifier, mut func(*diembft.Config)) *doorFixture {
+	return newChainFixture(t, false, verifier, mut)
+}
+
+func newChainFixture(t testing.TB, gapped bool, verifier crypto.Verifier, mut func(*diembft.Config)) *doorFixture {
 	t.Helper()
 	ring, err := crypto.NewKeyRing(4, 1, crypto.SchemeSim)
 	if err != nil {
@@ -180,7 +250,7 @@ func newDoorFixture(t testing.TB, verifier crypto.Verifier, mut func(*diembft.Co
 	if verifier == nil {
 		verifier = ring
 	}
-	fx := &doorFixture{ring: ring}
+	fx := &doorFixture{ring: ring, leader: 2}
 	cfg := diembft.Config{
 		Config: replica.Config{
 			ID: 3, N: 4, F: 1,
@@ -196,17 +266,40 @@ func newDoorFixture(t testing.TB, verifier crypto.Verifier, mut func(*diembft.Co
 	}
 	fx.rep.Init(0)
 
-	g := types.Genesis()
-	fx.b1 = types.NewBlock(g.ID(), types.NewGenesisQC(g.ID()), 1, 1, 0, 5, types.Payload{}, nil)
-	fx.qc1 = fx.cert(fx.b1, 0, 1, 2)
-	fx.b2 = types.NewBlock(fx.b1.ID(), fx.qc1, 2, 2, 1, 6, types.Payload{}, nil)
-	fx.qc2 = fx.cert(fx.b2, 0, 1, 2)
-	for _, b := range []*types.Block{fx.b1, fx.b2} {
+	propose := func(b *types.Block) {
+		t.Helper()
 		if !hasVote(fx.rep.OnMessage(0, b.Proposer, fx.proposal(b))) {
-			t.Fatalf("fixture: no vote for the honest round-%d proposal", b.Round)
+			t.Fatalf("fixture: no vote for the round-%d proposal", b.Round)
 		}
 	}
-	if fx.rep.Round() != 2 || fx.rep.HighQC().Round != 1 {
+	timeOut := func(round types.Round, high *types.QC) {
+		for sender := types.ReplicaID(0); sender < 3; sender++ {
+			fx.rep.OnMessage(0, sender, fx.timeout(&types.Timeout{Round: round, HighQC: high, HighRound: high.Round, Sender: sender}))
+		}
+	}
+	g := types.Genesis()
+	if !gapped {
+		fx.passedOver = 0
+		fx.b1 = types.NewBlock(g.ID(), types.NewGenesisQC(g.ID()), 1, 1, 0, 5, types.Payload{}, nil)
+		fx.qc1 = fx.cert(fx.b1, 0, 1, 2)
+		fx.b2 = types.NewBlock(fx.b1.ID(), fx.qc1, 2, 2, 1, 6, types.Payload{}, nil)
+		propose(fx.b1)
+		propose(fx.b2)
+	} else {
+		fx.passedOver = 1
+		a := types.NewBlock(g.ID(), types.NewGenesisQC(g.ID()), 1, 1, 0, 5, types.Payload{}, nil)
+		qcA := fx.cert(a, 0, 1, 2)
+		fx.b1 = types.NewBlock(a.ID(), qcA, 3, 2, 2, 6, types.Payload{}, nil)
+		fx.qc1 = fx.cert(fx.b1, 0, 1, 2)
+		fx.b2 = types.NewBlock(fx.b1.ID(), fx.qc1, 5, 3, 0, 7, types.Payload{}, nil)
+		propose(a)
+		timeOut(2, qcA)
+		propose(fx.b1)
+		timeOut(4, qcA)
+		propose(fx.b2)
+	}
+	fx.qc2 = fx.cert(fx.b2, 0, 1, 2)
+	if fx.rep.Round() != fx.b2.Round || fx.rep.HighQC() != fx.qc1 {
 		t.Fatalf("fixture: at round %d with high QC r%d", fx.rep.Round(), fx.rep.HighQC().Round)
 	}
 	return fx
@@ -242,9 +335,10 @@ func (fx *doorFixture) proposal(b *types.Block) *types.Proposal {
 	return p
 }
 
-// block3 is a round-3 block by proposer on top of b2, justified by justify.
-func (fx *doorFixture) block3(proposer types.ReplicaID, justify *types.QC) *types.Block {
-	return types.NewBlock(fx.b2.ID(), justify, 3, 3, proposer, 7, types.Payload{}, nil)
+// next is the next round's block by proposer on top of b2, justified by
+// justify.
+func (fx *doorFixture) next(proposer types.ReplicaID, justify *types.QC) *types.Block {
+	return types.NewBlock(fx.b2.ID(), justify, fx.b2.Round+1, fx.b2.Height+1, proposer, 7, types.Payload{}, nil)
 }
 
 func (fx *doorFixture) timeout(t *types.Timeout) *types.Timeout {
@@ -259,13 +353,13 @@ func fingerprint(e engine.Engine) string {
 		r.Round(), r.HighQC().Round, r.VotedRound(), r.LockedRound(), r.Store().Len(), len(r.Votes), r.PacemakerStats().Buffered)
 }
 
-// rejection is one malformed class of the table.
+// rejection is one malformed class of the table. Each message is delivered
+// from the replica it names as its sender.
 type rejection struct {
 	name string
 	// sigOnly marks a class only signature verification can catch; it is
 	// skipped with verification off.
 	sigOnly bool
-	from    types.ReplicaID
 	msg     func(fx *doorFixture) types.Message
 	// reason is the by-reason rejection counter the class lands on
 	// ("timeout:<reason>"), "" where no family covers it.
@@ -273,132 +367,148 @@ type rejection struct {
 }
 
 var rejections = []rejection{
-	{name: "proposal/nil block", from: 2, msg: func(fx *doorFixture) types.Message {
-		return &types.Proposal{Round: 3, Sender: 2, Signature: []byte{1}}
+	{name: "proposal/nil block", msg: func(fx *doorFixture) types.Message {
+		return &types.Proposal{Round: fx.b2.Round + 1, Sender: fx.leader, Signature: []byte{1}}
 	}},
-	{name: "proposal/nil justify", from: 2, msg: func(fx *doorFixture) types.Message {
-		return fx.proposal(fx.block3(2, nil))
+	{name: "proposal/nil justify", msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(fx.next(fx.leader, nil))
 	}},
-	{name: "proposal/round mismatch", from: 2, msg: func(fx *doorFixture) types.Message {
-		p := &types.Proposal{Block: fx.block3(2, fx.qc2), Round: 7, Sender: 2}
-		p.Signature = fx.ring.Signer(2).Sign(p.SigningPayload())
+	{name: "proposal/round mismatch", msg: func(fx *doorFixture) types.Message {
+		b := fx.next(fx.leader, fx.qc2)
+		p := &types.Proposal{Block: b, Round: b.Round + 4, Sender: fx.leader}
+		p.Signature = fx.ring.Signer(fx.leader).Sign(p.SigningPayload())
 		return p
 	}},
-	{name: "proposal/proposer mismatch", from: 2, msg: func(fx *doorFixture) types.Message {
-		p := &types.Proposal{Block: fx.block3(0, fx.qc2), Round: 3, Sender: 2}
-		p.Signature = fx.ring.Signer(2).Sign(p.SigningPayload())
+	{name: "proposal/proposer mismatch", msg: func(fx *doorFixture) types.Message {
+		b := fx.next(fx.passedOver, fx.qc2)
+		p := &types.Proposal{Block: b, Round: b.Round, Sender: fx.leader}
+		p.Signature = fx.ring.Signer(fx.leader).Sign(p.SigningPayload())
 		return p
 	}},
-	{name: "proposal/wrong leader", from: 0, msg: func(fx *doorFixture) types.Message {
-		return fx.proposal(fx.block3(0, fx.qc2))
+	{name: "proposal/wrong leader", msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(fx.next(fx.passedOver, fx.qc2))
 	}},
-	{name: "proposal/justify does not certify parent", from: 2, msg: func(fx *doorFixture) types.Message {
-		return fx.proposal(fx.block3(2, fx.qc1))
+	{name: "proposal/justify does not certify parent", msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(fx.next(fx.leader, fx.qc1))
 	}},
-	{name: "proposal/justify names the parent at another height", from: 2, msg: func(fx *doorFixture) types.Message {
-		return fx.proposal(fx.block3(2, fx.certAt(fx.b2, 5))) // signed at height 5; block3 sits at 3
+	{name: "proposal/justify names the parent at another height", msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(fx.next(fx.leader, fx.certAt(fx.b2, fx.b2.Height+3))) // the next block sits one above b2
 	}},
-	{name: "proposal/justify relabelled to another height", from: 2, msg: func(fx *doorFixture) types.Message {
+	{name: "proposal/justify relabelled to another height", msg: func(fx *doorFixture) types.Message {
 		qc := *fx.qc2
-		qc.Height = 7 // its votes say 2
-		return fx.proposal(types.NewBlock(fx.b2.ID(), &qc, 3, 8, 2, 7, types.Payload{}, nil))
+		qc.Height += 5 // its votes say b2's height
+		return fx.proposal(types.NewBlock(fx.b2.ID(), &qc, fx.b2.Round+1, qc.Height+1, fx.leader, 7, types.Payload{}, nil))
 	}},
-	{name: "proposal/sub-quorum justify", from: 2, msg: func(fx *doorFixture) types.Message {
-		return fx.proposal(fx.block3(2, fx.cert(fx.b2, 0, 1)))
+	{name: "proposal/sub-quorum justify", msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(fx.next(fx.leader, fx.cert(fx.b2, 0, 1)))
 	}},
-	{name: "proposal/duplicate-voter justify", from: 2, msg: func(fx *doorFixture) types.Message {
-		return fx.proposal(fx.block3(2, fx.cert(fx.b2, 0, 1, 1)))
+	{name: "proposal/duplicate-voter justify", msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(fx.next(fx.leader, fx.cert(fx.b2, 0, 1, 1)))
 	}},
-	{name: "proposal/forged proposer signature", sigOnly: true, from: 2, msg: func(fx *doorFixture) types.Message {
-		p := fx.proposal(fx.block3(2, fx.qc2))
-		p.Signature = fx.ring.Signer(1).Sign(p.SigningPayload())
+	{name: "proposal/forged proposer signature", sigOnly: true, msg: func(fx *doorFixture) types.Message {
+		p := fx.proposal(fx.next(fx.leader, fx.qc2))
+		p.Signature = fx.ring.Signer(fx.passedOver).Sign(p.SigningPayload())
 		return p
 	}},
-	{name: "proposal/forged justify vote", sigOnly: true, from: 2, msg: func(fx *doorFixture) types.Message {
-		return fx.proposal(fx.block3(2, fx.forgedCert(fx.b2)))
+	{name: "proposal/forged justify vote", sigOnly: true, msg: func(fx *doorFixture) types.Message {
+		return fx.proposal(fx.next(fx.leader, fx.forgedCert(fx.b2)))
 	}},
-	{name: "vote/forged signature", sigOnly: true, from: 0, msg: func(fx *doorFixture) types.Message {
-		v := fx.vote(fx.block3(2, fx.qc2), 0)
+	{name: "vote/forged signature", sigOnly: true, msg: func(fx *doorFixture) types.Message {
+		v := fx.vote(fx.next(fx.leader, fx.qc2), 0)
 		v.Marker = 9 // the payload no longer matches the signature
 		return &types.VoteMsg{Vote: v}
 	}},
-	{name: "extra vote/forged signature", sigOnly: true, from: 0, msg: func(fx *doorFixture) types.Message {
+	{name: "extra vote/forged signature", sigOnly: true, msg: func(fx *doorFixture) types.Message {
 		v := fx.vote(fx.b2, 0)
 		v.Signature = []byte("forged")
 		return &types.ExtraVote{Vote: v, Leader: 0}
 	}},
-	{name: "timeout/high-round mismatch", from: 0, reason: "timeout:" + obs.ReasonMismatch, msg: func(fx *doorFixture) types.Message {
-		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.qc1, HighRound: 5, Sender: 0})
+	{name: "timeout/high-round mismatch", reason: "timeout:" + obs.ReasonMismatch, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: fx.b2.Round, HighQC: fx.qc1, HighRound: fx.qc1.Round + 4, Sender: 0})
 	}},
-	{name: "timeout/sub-quorum high QC", from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
-		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.cert(fx.b2, 0, 1), HighRound: 2, Sender: 0})
+	{name: "timeout/sub-quorum high QC", reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: fx.b2.Round, HighQC: fx.cert(fx.b2, 0, 1), HighRound: fx.b2.Round, Sender: 0})
 	}},
-	{name: "timeout/high QC relabelled to another height", from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+	{name: "timeout/high QC relabelled to another height", reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
 		qc := *fx.qc2
-		qc.Height = 7 // its votes say 2
-		return fx.timeout(&types.Timeout{Round: 2, HighQC: &qc, HighRound: 2, Sender: 0})
+		qc.Height += 5 // its votes say b2's height
+		return fx.timeout(&types.Timeout{Round: fx.b2.Round, HighQC: &qc, HighRound: fx.b2.Round, Sender: 0})
 	}},
-	{name: "timeout/duplicate-voter high QC", from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
-		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.cert(fx.b2, 0, 1, 1), HighRound: 2, Sender: 0})
+	{name: "timeout/duplicate-voter high QC", reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: fx.b2.Round, HighQC: fx.cert(fx.b2, 0, 1, 1), HighRound: fx.b2.Round, Sender: 0})
 	}},
-	{name: "timeout/forged sender signature", sigOnly: true, from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
-		t := fx.timeout(&types.Timeout{Round: 2, HighQC: fx.qc2, HighRound: 2, Sender: 0})
+	{name: "timeout/forged sender signature", sigOnly: true, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		t := fx.timeout(&types.Timeout{Round: fx.b2.Round, HighQC: fx.qc2, HighRound: fx.b2.Round, Sender: 0})
 		t.Signature = fx.ring.Signer(1).Sign(t.SigningPayload())
 		return t
 	}},
-	{name: "timeout/forged high QC vote", sigOnly: true, from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
-		return fx.timeout(&types.Timeout{Round: 2, HighQC: fx.forgedCert(fx.b2), HighRound: 2, Sender: 0})
+	{name: "timeout/forged high QC vote", sigOnly: true, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: fx.b2.Round, HighQC: fx.forgedCert(fx.b2), HighRound: fx.b2.Round, Sender: 0})
 	}},
-	{name: "timeout/no high QC, forged sender signature", sigOnly: true, from: 0, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
-		t := fx.timeout(&types.Timeout{Round: 2, Sender: 0})
+	{name: "timeout/no high QC, forged sender signature", sigOnly: true, reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
+		t := fx.timeout(&types.Timeout{Round: fx.b2.Round, Sender: 0})
 		t.Signature = fx.ring.Signer(1).Sign(t.SigningPayload())
 		return t
 	}},
 
 	// Well-formed and genuinely signed, so Prevalidate passes them: the state
 	// stage is what turns them away.
-	{name: "proposal/stale round", from: 0, msg: func(fx *doorFixture) types.Message {
+	{name: "proposal/stale round", msg: func(fx *doorFixture) types.Message {
 		g := types.Genesis()
 		return fx.proposal(types.NewBlock(g.ID(), types.NewGenesisQC(g.ID()), 1, 1, 0, 9, types.Payload{}, nil))
 	}},
-	{name: "proposal/replayed block", from: 1, msg: func(fx *doorFixture) types.Message {
+	{name: "proposal/replayed block", msg: func(fx *doorFixture) types.Message {
 		return fx.proposal(fx.b2)
 	}},
-	{name: "vote/for another collector", from: 0, msg: func(fx *doorFixture) types.Message {
-		return &types.VoteMsg{Vote: fx.vote(fx.b2, 0)} // round-2 votes go to replica 2
+	{name: "vote/for another collector", msg: func(fx *doorFixture) types.Message {
+		return &types.VoteMsg{Vote: fx.vote(fx.b2, 0)} // b2's votes go to the next round's leader
 	}},
-	{name: "extra vote/outside the FBFT baseline", from: 0, msg: func(fx *doorFixture) types.Message {
-		return &types.ExtraVote{Vote: fx.vote(fx.b2, 0), Leader: 2}
+	{name: "extra vote/outside the FBFT baseline", msg: func(fx *doorFixture) types.Message {
+		return &types.ExtraVote{Vote: fx.vote(fx.b2, 0), Leader: fx.leader}
 	}},
-	{name: "timeout/stale round", from: 0, reason: "timeout:" + obs.ReasonStale, msg: func(fx *doorFixture) types.Message {
-		return fx.timeout(&types.Timeout{Round: 1, HighQC: fx.qc1, HighRound: 1, Sender: 0})
+	{name: "timeout/stale round", reason: "timeout:" + obs.ReasonStale, msg: func(fx *doorFixture) types.Message {
+		return fx.timeout(&types.Timeout{Round: fx.b1.Round, HighQC: fx.qc1, HighRound: fx.qc1.Round, Sender: 0})
 	}},
+}
+
+// sender is the replica msg names as its sender.
+func sender(msg types.Message) types.ReplicaID {
+	switch m := msg.(type) {
+	case *types.Proposal:
+		return m.Sender
+	case *types.VoteMsg:
+		return m.Vote.Voter
+	case *types.ExtraVote:
+		return m.Vote.Voter
+	case *types.Timeout:
+		return m.Sender
+	}
+	panic(fmt.Sprintf("sender of %T", msg))
 }
 
 // TestRejectionTable drives every malformed proposal, vote and timeout class
 // through both doors — OnMessage; Prevalidate then OnVerifiedMessage only if
-// it passed — with verification on and off, under round-robin leaders and
-// under leader reputation (whose leader check is the state stage's, not
-// Prevalidate's): no outputs, no state change, and the rejection counted once
-// under the same reason whichever door the message took.
+// it passed — with verification on and off, on the contiguous chain and on
+// the gapped one, where the next round's leader is the one reputation
+// elected in place of the round-robin one: no outputs, no state change, and
+// the rejection counted once under the same reason whichever door the
+// message took.
 func TestRejectionTable(t *testing.T) {
 	for _, rj := range rejections {
 		for _, verify := range []bool{true, false} {
 			if rj.sigOnly && !verify {
 				continue
 			}
-			for _, reputation := range []bool{false, true} {
+			for _, chain := range []string{"contiguous", "gapped"} {
 				for _, split := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%s/verify=%v/reputation=%v/split=%v", rj.name, verify, reputation, split), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/verify=%v/chain=%s/split=%v", rj.name, verify, chain, split), func(t *testing.T) {
 						sink := obs.New(obs.Options{N: 4, F: 1})
-						fx := newDoorFixture(t, nil, func(c *diembft.Config) {
+						fx := newChainFixture(t, chain == "gapped", nil, func(c *diembft.Config) {
 							c.VerifySignatures = verify
 							c.Obs = sink
-							if reputation {
-								c.LeaderReputationWindow = 8
-							}
 						})
-						enginetest.CheckRejected(t, fx.rep, split, rj.from, rj.msg(fx), fingerprint, sink, rj.reason)
+						msg := rj.msg(fx)
+						enginetest.CheckRejected(t, fx.rep, split, sender(msg), msg, fingerprint, sink, rj.reason)
 					})
 				}
 			}
@@ -433,7 +543,7 @@ func TestStateStageNeverVerifies(t *testing.T) {
 	}
 	splitFx, splitCalls := build()
 	wholeFx, wholeCalls := build()
-	b3 := splitFx.block3(2, splitFx.qc2)
+	b3 := splitFx.next(2, splitFx.qc2)
 	msgs := []struct {
 		from types.ReplicaID
 		msg  types.Message

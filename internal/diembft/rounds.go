@@ -9,16 +9,13 @@ import (
 	"repro/internal/types"
 )
 
-// leaderFor elects round's leader: plain round robin, or — with
-// LeaderReputationWindow > 0 — reputation rotation scored over the certified
-// ancestry ending at the given justify certificate. Proposals ship their own
-// justify, so proposer and every validator score identical chains; a replica
-// missing part of the ancestry scores a shorter chain and trends toward plain
-// rotation, which can only admit extra proposals, never reject honest ones.
+// leaderFor elects round's leader by reputation rotation scored over the
+// certified ancestry ending at the given justify certificate. Proposals ship
+// their own justify, so proposer and every validator score identical chains;
+// a replica missing part of the ancestry scores a shorter chain and trends
+// toward plain rotation, which can only admit extra proposals, never reject
+// honest ones.
 func (r *Replica) leaderFor(round types.Round, justify *types.QC) types.ReplicaID {
-	if justify == nil {
-		return pacemaker.Leader(round, r.cfg.N)
-	}
 	return r.leaderAfter(round, justify.Height, justify.Block)
 }
 
@@ -27,13 +24,9 @@ func (r *Replica) leaderFor(round types.Round, justify *types.QC) types.ReplicaI
 // block it is voting for, before any QC for it exists. The ancestry is walked
 // by node into a buffer the replica reuses, so an election allocates nothing.
 func (r *Replica) leaderAfter(round types.Round, h types.Height, id types.BlockID) types.ReplicaID {
-	w := r.cfg.LeaderReputationWindow
-	if w <= 0 {
-		return pacemaker.Leader(round, r.cfg.N)
-	}
 	lo := types.Round(1)
-	if round > w {
-		lo = round - w
+	if round > pacemaker.ReputationWindow {
+		lo = round - pacemaker.ReputationWindow
 	}
 	chain := r.scored[:0]
 	for n := r.Store().Node(h, id); n != nil && !n.Block().IsGenesis(); n = n.Parent() {
@@ -44,7 +37,7 @@ func (r *Replica) leaderAfter(round types.Round, h types.Height, id types.BlockI
 		}
 	}
 	r.scored = chain
-	return pacemaker.ReputationLeader(round, r.cfg.N, w, chain)
+	return pacemaker.ReputationLeader(round, r.cfg.N, pacemaker.ReputationWindow, chain)
 }
 
 func (r *Replica) advanceRound(now time.Duration, round types.Round, viaTimeout bool) {

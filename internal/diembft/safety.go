@@ -60,11 +60,11 @@ func (r *Replica) syncHighQC(round types.Round) {
 // --- proposal handling ---
 
 // onProposal is the state stage for a proposal Prevalidate accepted (or this
-// replica's own): well-formed, from the round-robin leader, its justify
-// verified and certifying its parent.
+// replica's own): well-formed, from one of the round's candidate leaders, its
+// justify verified and certifying its parent.
 func (r *Replica) onProposal(now time.Duration, p *types.Proposal) {
-	if r.cfg.LeaderReputationWindow > 0 && r.leaderFor(p.Round, p.Block.Justify) != p.Sender {
-		return // reputation rotation scores the block store, so it is judged here
+	if r.leaderFor(p.Round, p.Block.Justify) != p.Sender {
+		return // the election scores the block store, so it is judged here
 	}
 	if p.Round < r.pm.Round() {
 		// Stale proposal for a round we already left (e.g. a slow leader
@@ -128,16 +128,11 @@ func (r *Replica) maybeVote(now time.Duration, p *types.Proposal) {
 // --- vote handling (as next-round leader) ---
 
 func (r *Replica) onVote(now time.Duration, v types.Vote) {
-	// Only the next round's leader collects these votes.
-	if r.cfg.LeaderReputationWindow > 0 {
-		// Reputation mode: the expected collector depends on the voted
-		// block's ancestry. When we do not hold the block yet, collect
-		// conservatively — an extra buffered vote set is harmless, while
-		// dropping real votes would cost the round.
-		if r.Store().Has(v.Height, v.Block) && r.leaderAfter(v.Round+1, v.Height, v.Block) != r.cfg.ID {
-			return
-		}
-	} else if r.pm.Leader(v.Round+1) != r.cfg.ID {
+	// Only the next round's leader collects these votes, and who that is
+	// depends on the voted block's ancestry. When we do not hold the block
+	// yet, collect conservatively: an extra buffered vote set is harmless,
+	// while dropping real votes would cost the round.
+	if r.Store().Has(v.Height, v.Block) && r.leaderAfter(v.Round+1, v.Height, v.Block) != r.cfg.ID {
 		return
 	}
 	if r.qcFormed[v.Block] {

@@ -393,13 +393,6 @@ func LivenessAttack(sc Scale) (*LivenessAttackResult, error) {
 		byz[types.ReplicaID(sc.N-1-i)] = []adversary.Spec{{Kind: adversary.TimeoutSpam, Every: 1}}
 	}
 	mk := func(uncapped bool) *Scenario {
-		pm := sft.PacemakerConfig{LeaderReputation: 8}
-		if uncapped {
-			// The pre-hardening pacemaker buffered timeouts without a
-			// per-peer bound; an effectively infinite cap reproduces that
-			// while keeping the Stats accounting live.
-			pm = sft.PacemakerConfig{PerPeerTimeoutCap: 1 << 20}
-		}
 		return &Scenario{
 			Name:            "livenessattack",
 			N:               sc.N,
@@ -413,8 +406,7 @@ func LivenessAttack(sc Scale) (*LivenessAttackResult, error) {
 			RecordChains:    true,
 			Options: []sft.Option{
 				sft.WithRoundTimeout(250 * time.Millisecond),
-				sft.WithReference(reference.Arms{VerifySignatures: true}),
-				sft.WithPacemaker(pm),
+				sft.WithReference(reference.Arms{VerifySignatures: true, UncappedTimeouts: uncapped}),
 			},
 		}
 	}

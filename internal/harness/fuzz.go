@@ -91,11 +91,9 @@ type FuzzScenario struct {
 	Verify       bool
 	Naive        bool
 	Scheme       string // "" = crypto.SchemeSim
-
-	// Pacemaker knobs (DiemBFT only). The generator samples leader
-	// reputation; the liveness canary pins both for its A/B arms.
-	LeaderReputation types.Round
-	PerPeerCap       int
+	// Uncapped lifts the pacemaker's per-peer timeout cap (DiemBFT only),
+	// the liveness canary's unhardened arm.
+	Uncapped bool
 
 	// BankApp attaches the execution layer: every replica runs a small bank
 	// state machine (signature verification off for sweep speed), leaders
@@ -154,12 +152,9 @@ func GenFuzzScenario(seed int64, index int, opts FuzzOptions) FuzzScenario {
 		if rng.Float64() < 0.3 {
 			s.VoteMode = sft.VoteIntervals
 		}
-		// Sample leader reputation so its rotation faces the same adversary
-		// mix as round robin — benign scenarios with it must still pass the
-		// Theorem 2 liveness checks below.
-		if rng.Float64() < 0.175 {
-			s.LeaderReputation = 8
-		}
+		// Unused since leader reputation is always on; drawn so every later
+		// draw, and with it each scenario's composition, stays the same.
+		_ = rng.Float64()
 	} else {
 		s.Protocol = sft.Streamlet
 	}
@@ -294,7 +289,7 @@ func sampleBehavior(rng *rand.Rand) adversary.Spec {
 // Scenario lowers the generated spec onto the harness scenario type — the
 // same structure every other experiment runs through.
 func (s FuzzScenario) Scenario() *Scenario {
-	arms := reference.Arms{VerifySignatures: s.Verify}
+	arms := reference.Arms{VerifySignatures: s.Verify, UncappedTimeouts: s.Uncapped}
 	if s.Naive {
 		arms.Rule = reference.RuleNaive
 	}
@@ -322,9 +317,6 @@ func (s FuzzScenario) Scenario() *Scenario {
 			sft.WithReference(arms),
 		},
 	}
-	if pm := (sft.PacemakerConfig{PerPeerTimeoutCap: s.PerPeerCap, LeaderReputation: s.LeaderReputation}); pm != (sft.PacemakerConfig{}) {
-		sc.Options = append(sc.Options, sft.WithPacemaker(pm))
-	}
 	if s.BankApp {
 		cfg := app.BankConfig{Seed: s.SubSeed, Accounts: 128, InitialBalance: 1 << 20, DisableSigVerify: true}
 		// One shared generator models one client population submitting to
@@ -351,17 +343,14 @@ func (s FuzzScenario) String() string {
 	if s.Protocol == sft.DiemBFT && s.VoteMode == sft.VoteIntervals {
 		b.WriteString(" votes=intervals")
 	}
-	if s.LeaderReputation > 0 {
-		fmt.Fprintf(&b, " rep=%d", s.LeaderReputation)
-	}
-	if s.PerPeerCap > 0 {
-		fmt.Fprintf(&b, " peercap=%d", s.PerPeerCap)
-	}
 	if s.BankApp {
 		b.WriteString(" bank-app")
 	}
 	if s.Naive {
 		b.WriteString(" NAIVE-RULE")
+	}
+	if s.Uncapped {
+		b.WriteString(" UNCAPPED-TIMEOUTS")
 	}
 	ids := make([]types.ReplicaID, 0, len(s.Adversaries))
 	for id := range s.Adversaries {
@@ -808,14 +797,8 @@ func PacemakerCanary(seed int64, n int, uncapped bool) (FuzzScenario, *Result, [
 		LatencyBase:   5 * time.Millisecond,
 		LatencyJitter: 2 * time.Millisecond,
 		Verify:        true,
+		Uncapped:      uncapped,
 		Adversaries:   make(map[types.ReplicaID][]adversary.Spec, f),
-	}
-	if uncapped {
-		// The pre-hardening buffer had no per-peer bound; an effectively
-		// infinite cap reproduces it while keeping Stats accounting live.
-		spec.PerPeerCap = 1 << 20
-	} else {
-		spec.LeaderReputation = 8
 	}
 	start := rng.Intn(n)
 	for i := 0; i < f; i++ {

@@ -1,8 +1,8 @@
 // Package pacemaker implements round synchronization for the DiemBFT
-// engine: round-robin leader election, per-round timeout tracking, and
-// timeout-certificate (2f+1 timeout messages) aggregation, per the
-// synchronization rule of Figure 2: a timeout carries the sender's high QC,
-// and 2f+1 timeouts for a round end it.
+// engine: leader-reputation election over the round-robin rotation, per-round
+// timeout tracking, and timeout-certificate (2f+1 timeout messages)
+// aggregation, per the synchronization rule of Figure 2: a timeout carries
+// the sender's high QC, and 2f+1 timeouts for a round end it.
 //
 // One hardening layer sits on that baseline and is always on: a per-peer cap
 // bounds how many timeout messages any single sender can keep buffered, so
@@ -47,7 +47,7 @@ type Stats struct {
 // Pacemaker tracks the current round, which rounds this replica has timed
 // out of, and timeout messages collected from peers.
 type Pacemaker struct {
-	n, f     int
+	f        int
 	round    types.Round
 	timedOut map[types.Round]bool
 	timeouts map[types.Round]map[types.ReplicaID]*types.Timeout
@@ -66,9 +66,8 @@ type Pacemaker struct {
 }
 
 // New creates a pacemaker starting at round 1.
-func New(n, f int, baseTimeout time.Duration) *Pacemaker {
+func New(f int, baseTimeout time.Duration) *Pacemaker {
 	return &Pacemaker{
-		n:           n,
 		f:           f,
 		round:       1,
 		timedOut:    make(map[types.Round]bool),
@@ -89,9 +88,6 @@ func (p *Pacemaker) SetPerPeerCap(cap int) {
 
 // Round returns the current round.
 func (p *Pacemaker) Round() types.Round { return p.round }
-
-// Leader returns the leader of round r.
-func (p *Pacemaker) Leader(r types.Round) types.ReplicaID { return Leader(r, p.n) }
 
 // Quorum returns the 2f+1 quorum size.
 func (p *Pacemaker) Quorum() int { return 2*p.f + 1 }

@@ -33,7 +33,7 @@ func TestLeaderRoundRobin(t *testing.T) {
 }
 
 func TestAdvanceTo(t *testing.T) {
-	p := pacemaker.New(4, 1, time.Second)
+	p := pacemaker.New(1, time.Second)
 	if p.Round() != 1 {
 		t.Fatalf("initial round = %d", p.Round())
 	}
@@ -53,7 +53,7 @@ func mkTimeout(sender types.ReplicaID, r types.Round) *types.Timeout {
 }
 
 func TestTimeoutCertificate(t *testing.T) {
-	p := pacemaker.New(4, 1, time.Second)
+	p := pacemaker.New(1, time.Second)
 	mk := mkTimeout
 	if p.OnTimeout(mk(0, 5)) == pacemaker.TimeoutQuorum || p.OnTimeout(mk(1, 5)) == pacemaker.TimeoutQuorum {
 		t.Fatal("TC before quorum")
@@ -79,7 +79,7 @@ func TestTimeoutCertificate(t *testing.T) {
 // future rounds must never hold more than the per-peer cap, no matter how
 // long the spam sustains, while the other peers' state stays untouched.
 func TestPerPeerCapBoundsSpam(t *testing.T) {
-	p := pacemaker.New(4, 1, time.Second)
+	p := pacemaker.New(1, time.Second)
 	const spam = 10000
 	for i := 0; i < spam; i++ {
 		p.OnTimeout(mkTimeout(3, types.Round(100+i)))
@@ -216,21 +216,7 @@ func TestReputationLeaderMatchesMaps(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		r := types.Round(1 + rng.Intn(60))
 		window := types.Round(rng.Intn(20))
-		var chain []pacemaker.ChainInfo
-		for round := r; round > 0 && len(chain) < 30; {
-			round -= types.Round(1 + rng.Intn(4))
-			if round <= 0 || round > r {
-				break
-			}
-			if rng.Intn(10) == 0 {
-				round += types.Round(rng.Intn(3)) // out of order now and then
-			}
-			proposer := pacemaker.Leader(round, n)
-			if rng.Intn(4) == 0 {
-				proposer = types.ReplicaID(rng.Intn(n))
-			}
-			chain = append(chain, pacemaker.ChainInfo{Round: round, Proposer: proposer})
-		}
+		chain := randomChain(rng, r, n, 30)
 		if got, want := pacemaker.ReputationLeader(r, n, window, chain), refReputationLeader(r, n, window, chain); got != want {
 			t.Fatalf("r=%d n=%d window=%d chain %v: elected %v, reference %v", r, n, window, chain, got, want)
 		} else if got != pacemaker.Leader(r, n) {
@@ -246,8 +232,69 @@ func TestReputationLeaderMatchesMaps(t *testing.T) {
 	}
 }
 
+// randomChain is a justify ancestry of at most entries blocks below round r:
+// gaps of up to three failed rounds, proposers other than the slot's,
+// out-of-order entries now and then.
+func randomChain(rng *rand.Rand, r types.Round, n, entries int) []pacemaker.ChainInfo {
+	var chain []pacemaker.ChainInfo
+	for round := r; round > 0 && len(chain) < entries; {
+		round -= types.Round(1 + rng.Intn(4))
+		if round <= 0 || round > r {
+			break
+		}
+		if rng.Intn(10) == 0 {
+			round += types.Round(rng.Intn(3)) // out of order now and then
+		}
+		proposer := pacemaker.Leader(round, n)
+		if rng.Intn(4) == 0 {
+			proposer = types.ReplicaID(rng.Intn(n))
+		}
+		chain = append(chain, pacemaker.ChainInfo{Round: round, Proposer: proposer})
+	}
+	return chain
+}
+
+// TestElectedLeaderIsCandidate: whatever the chain, the leader elected holds
+// one of the window+1 round-robin slots from r on, so Candidate, the door's
+// stateless check, never refuses it; and Candidate admits exactly
+// min(n, window+1) replicas. Half the elections use ReputationWindow, half a
+// random window up to 2n, which is what lets a chain pass over candidates at
+// n above the window.
+func TestElectedLeaderIsCandidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{4, 7, 10, 13, 31, 100} {
+		deepest := types.Round(0)
+		for i := 0; i < 20000; i++ {
+			r := types.Round(1 + rng.Intn(3*n))
+			window := pacemaker.ReputationWindow
+			if i%2 == 1 {
+				window = types.Round(rng.Intn(2 * n))
+			}
+			id := pacemaker.ReputationLeader(r, n, window, randomChain(rng, r, n, n))
+			if !pacemaker.Candidate(id, r, n, window) {
+				t.Fatalf("n=%d r=%d window=%d: elected %d is not a candidate", n, r, window, id)
+			}
+			deepest = max(deepest, types.Round((int(id)-int(pacemaker.Leader(r, n))+n)%n))
+		}
+		if deepest < 2 {
+			t.Errorf("n=%d: the deepest slot elected was r+%d; the chains never passed over two candidates", n, deepest)
+		}
+		for _, window := range []types.Round{0, 1, pacemaker.ReputationWindow, types.Round(n)} {
+			admitted := 0
+			for id := 0; id < n+2; id++ {
+				if pacemaker.Candidate(types.ReplicaID(id), 17, n, window) {
+					admitted++
+				}
+			}
+			if want := min(n, int(window)+1); admitted != want {
+				t.Errorf("n=%d window=%d: %d candidates, want %d", n, window, admitted, want)
+			}
+		}
+	}
+}
+
 func TestTimedOutTracking(t *testing.T) {
-	p := pacemaker.New(4, 1, time.Second)
+	p := pacemaker.New(1, time.Second)
 	p.MarkTimedOut(1)
 	if !p.TimedOut(1) || p.TimedOut(2) {
 		t.Fatal("timed-out tracking wrong")

@@ -2,6 +2,12 @@ package pacemaker
 
 import "repro/internal/types"
 
+// ReputationWindow is how many rounds back DiemBFT's leader election looks
+// for failed slots. At n <= 8 it covers a replica's previous slot, so a
+// crashed leader's next turn is skipped; at n >= 9 a failed slot has left the
+// window by its owner's next turn, and the leaders are round robin's.
+const ReputationWindow types.Round = 8
+
 // ChainInfo is one certified ancestor the reputation rule scores: the block's
 // round and who proposed it. Callers pass the justify ancestry in strictly
 // descending round order (tip first).
@@ -27,7 +33,9 @@ type ChainInfo struct {
 // Theorem 2's rotation argument).
 //
 // Cost: no allocation, and O(window + len(chain)) per candidate looked at. A
-// candidate is passed over only for a failed slot inside the window, so at
+// candidate is passed over only for a failed slot inside the window, each
+// failed round is one candidate's, and the fallback is Leader(r, n), so the
+// leader elected is Leader(r+k, n) for some k <= window (Candidate) and at
 // most window+1 candidates are scored.
 func ReputationLeader(r types.Round, n int, window types.Round, chain []ChainInfo) types.ReplicaID {
 	if window <= 0 || len(chain) == 0 {
@@ -44,6 +52,18 @@ func ReputationLeader(r types.Round, n int, window types.Round, chain []ChainInf
 		}
 	}
 	return Leader(r, n)
+}
+
+// Candidate reports whether id can be elected leader of round r by
+// ReputationLeader with this window, whatever the chain: whether it holds one
+// of the round-robin slots r, r+1, ..., r+window. It reads no chain, so a
+// replica can refuse a proposal from anyone else before any other work.
+func Candidate(id types.ReplicaID, r types.Round, n int, window types.Round) bool {
+	if uint64(id) >= uint64(n) {
+		return false
+	}
+	k := (uint64(id) + uint64(n) - uint64(Leader(r, n))) % uint64(n)
+	return k <= uint64(window)
 }
 
 // standing scores one replica over the chain: the last round in [lo, r)

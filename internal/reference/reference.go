@@ -33,6 +33,11 @@ type Arms struct {
 	// delivery re-verifies in full, the reference a cached run must match bit
 	// for bit.
 	DisableQCCache bool
+	// UncappedTimeouts lifts the pacemaker's per-peer timeout cap (DiemBFT):
+	// the unhardened buffer that timeout spam grows without bound, the
+	// reference the liveness-under-attack experiment measures the cap
+	// against.
+	UncappedTimeouts bool
 }
 
 // With returns the arms selected by either a or b, so options that each name
@@ -49,5 +54,6 @@ func (a Arms) With(b Arms) (Arms, error) {
 		Rule:             rule,
 		VerifySignatures: a.VerifySignatures || b.VerifySignatures,
 		DisableQCCache:   a.DisableQCCache || b.DisableQCCache,
+		UncappedTimeouts: a.UncappedTimeouts || b.UncappedTimeouts,
 	}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/diembft"
 	"repro/internal/engine"
+	"repro/internal/pacemaker"
 	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/streamlet"
@@ -96,12 +97,24 @@ func TestLongRangeAttackComparison(t *testing.T) {
 		}
 		forkPoint := forkNode.Block()
 		cur := victim.Round()
+		// elected is the leader of round r on the fork whose newest blocks
+		// are tips (newest first) on top of the fork point.
+		elected := func(r types.Round, tips ...*types.Block) types.ReplicaID {
+			var chain []pacemaker.ChainInfo
+			for _, b := range tips {
+				chain = append(chain, pacemaker.ChainInfo{Round: b.Round, Proposer: b.Proposer})
+			}
+			for nd := forkNode; nd != nil && !nd.Block().IsGenesis(); nd = nd.Parent() {
+				chain = append(chain, pacemaker.ChainInfo{Round: nd.Block().Round, Proposer: nd.Block().Proposer})
+			}
+			return pacemaker.ReputationLeader(r, n, pacemaker.ReputationWindow, chain)
+		}
 
 		// Round cur+1: the corrupted quorum certifies fork block B'.
 		bPrime := types.NewBlock(forkPoint.ID(), forkNode.QC(), cur+1,
-			forkPoint.Height+1, types.ReplicaID(uint64(cur)%n),
+			forkPoint.Height+1, elected(cur+1),
 			int64(2*time.Second), types.Payload{Txns: []types.Transaction{{Sender: 666}}}, nil)
-		pPrime := &types.Proposal{Block: bPrime, Round: cur + 1, Sender: types.ReplicaID(uint64(cur) % n)}
+		pPrime := &types.Proposal{Block: bPrime, Round: cur + 1, Sender: bPrime.Proposer}
 		pPrime.Signature = ring.Signer(pPrime.Sender).Sign(pPrime.SigningPayload())
 		outs := victim.OnMessage(2*time.Second, pPrime.Sender, pPrime)
 		if hasVote(outs) {
@@ -110,8 +123,8 @@ func TestLongRangeAttackComparison(t *testing.T) {
 
 		// Round cur+2: a block EXTENDING B', justified by the forged QC.
 		cPrime := types.NewBlock(bPrime.ID(), forgeQC(bPrime), cur+2, bPrime.Height+1,
-			types.ReplicaID(uint64(cur+1)%n), int64(2*time.Second), types.Payload{}, nil)
-		p2 := &types.Proposal{Block: cPrime, Round: cur + 2, Sender: types.ReplicaID(uint64(cur+1) % n)}
+			elected(cur+2, bPrime), int64(2*time.Second), types.Payload{}, nil)
+		p2 := &types.Proposal{Block: cPrime, Round: cur + 2, Sender: cPrime.Proposer}
 		p2.Signature = ring.Signer(p2.Sender).Sign(p2.SigningPayload())
 		outs = victim.OnMessage(2*time.Second+time.Millisecond, p2.Sender, p2)
 		if !hasVote(outs) {

@@ -191,12 +191,10 @@ func (t *timedTransport) Broadcast(msg types.Message) error {
 }
 
 // TestDeadPeersDoNotStallTheLoop: n=7 with two replicas dead from boot —
-// replica 5 is a listener that never accepts, replica 6 a refused port. (At
-// n=4 the 3-chain rule under round-robin leaders commits nothing once a
-// replica is dead from boot, on any transport, so f=2 is the smallest
-// committee that can show this.) The five live replicas keep committing, and
-// because Send and Broadcast only enqueue, no call from the event loop waits
-// on a dead peer's dials, timeouts or full socket buffers.
+// replica 5 is a listener that never accepts, replica 6 a refused port (one
+// dead peer of each kind needs f=2). The five live replicas keep committing,
+// and because Send and Broadcast only enqueue, no call from the event loop
+// waits on a dead peer's dials, timeouts or full socket buffers.
 func TestDeadPeersDoNotStallTheLoop(t *testing.T) {
 	const n, f, live = 7, 2, 5
 	ring, err := crypto.NewKeyRing(n, 5, crypto.SchemeEd25519)

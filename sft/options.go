@@ -48,7 +48,6 @@ type settings struct {
 	disableEcho  bool
 	maxCommitLog int
 	pruneKeep    Height
-	pacemaker    PacemakerConfig
 
 	ref reference.Arms
 }
@@ -306,45 +305,14 @@ func WithPruneKeep(keep Height) Option {
 	return func(s *settings) { s.pruneKeep = keep }
 }
 
-// PacemakerConfig tunes DiemBFT's one pacemaker, the paper's passive round
-// synchronization (WithPacemaker).
-type PacemakerConfig struct {
-	// PerPeerTimeoutCap bounds buffered timeout messages per peer (0 =
-	// default 8), so timeout-spam cannot exhaust memory.
-	PerPeerTimeoutCap int
-	// LeaderReputation, when > 0, skips leaders whose most recent slot in
-	// the last LeaderReputation rounds timed out (visible as round gaps on
-	// the proposal's own justify ancestry), until they certify a block
-	// again. Deterministic and WAL-recovery free, but it changes leader
-	// schedules: with it off (the default), leaders rotate round robin.
-	LeaderReputation Round
-}
-
-// WithPacemaker tunes the DiemBFT pacemaker (DiemBFT only). The zero config
-// is the default: the paper's passive round synchronization with the
-// per-peer timeout cap at 8 and round-robin leaders.
-//
-// Determinism contract: every config is deterministic per seed. The default
-// cap sits above the couple of timeouts an honest peer ever has in flight,
-// so it drops only spam; turning LeaderReputation on changes leader
-// schedules, which is its purpose.
-func WithPacemaker(cfg PacemakerConfig) Option {
-	return func(s *settings) {
-		if cfg.PerPeerTimeoutCap < 0 || cfg.LeaderReputation < 0 {
-			s.fail(fmt.Errorf("sft: pacemaker windows and caps must be non-negative"))
-			return
-		}
-		s.pacemaker = cfg
-	}
-}
-
 // WithReference builds the node as one of the reference arms the
 // repository's experiments and tests measure the production replica against:
 // strengthening off, the FBFT baseline, the Appendix C naive tracker,
-// signature checks under a simulated scheme, the certificate cache off. Its
-// parameter type is declared under internal/, so only this module can pass
-// one; the zero value is the production node. Calls accumulate: each adds its
-// arms to those of earlier calls.
+// signature checks under a simulated scheme, the certificate cache off, the
+// pacemaker's per-peer timeout cap lifted. Its parameter type is declared
+// under internal/, so only this module can pass one; the zero value is the
+// production node. Calls accumulate: each adds its arms to those of earlier
+// calls.
 func WithReference(arms reference.Arms) Option {
 	return func(s *settings) {
 		ref, err := s.ref.With(arms)

@@ -130,7 +130,7 @@ const (
 	AdversaryDuplicate = adversary.Duplicate
 	// AdversaryTimeoutSpam floods peers with validly signed far-future
 	// timeouts — the buffer-exhaustion attack the pacemaker's per-peer cap
-	// bounds (PacemakerConfig.PerPeerTimeoutCap).
+	// (8 timeouts per peer, always on) bounds.
 	AdversaryTimeoutSpam = adversary.TimeoutSpam
 	// AdversaryWrongAppHash re-signs the replica's votes over a fabricated
 	// execution state root — the state-fork attack execute-before-vote
@@ -321,9 +321,6 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.engine != DiemBFT && s.pacemaker != (PacemakerConfig{}) {
-		return nil, fmt.Errorf("sft: WithPacemaker is DiemBFT-only (Streamlet rounds are wall-clock slots)")
-	}
 	verify := scheme == SchemeEd25519 || scheme == Ed25519Aggregate || s.ref.VerifySignatures
 
 	n := &Node{
@@ -411,9 +408,11 @@ func (s *settings) builder(cfg Config, ring *KeyRing, verify bool, rule CommitRu
 		ExtraWaitFor:   s.extraWaitFor,
 		MaxCommitLog:   s.maxCommitLog,
 		PruneKeep:      s.pruneKeep,
-
-		PerPeerTimeoutCap:      s.pacemaker.PerPeerTimeoutCap,
-		LeaderReputationWindow: s.pacemaker.LeaderReputation,
+	}
+	if s.ref.UncappedTimeouts {
+		// An effectively infinite cap is the unhardened buffer, with the
+		// pacemaker's Stats accounting still live.
+		dcfg.PerPeerTimeoutCap = 1 << 20
 	}
 	if rule.Votes == VoteIntervals {
 		dcfg.VoteMode = diembft.VoteIntervals

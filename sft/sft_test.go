@@ -2,6 +2,7 @@ package sft_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -316,6 +317,46 @@ func TestMinStrengthFilter(t *testing.T) {
 		if ev.Strength < 2*f {
 			t.Fatalf("event below threshold leaked: %+v", ev)
 		}
+	}
+}
+
+// TestCrashedReplicaDoesNotStall: with one replica crashed, the others keep
+// committing with no option set. Under round-robin leaders the round before a
+// dead leader's never gets its certificate, so at n=4 the 3-chain rule
+// committed nothing more after the crash; reputation rotation skips the dead
+// leader once its slot has failed.
+func TestCrashedReplicaDoesNotStall(t *testing.T) {
+	const seed = 5
+	for _, n := range []int{4, 7} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			world, err := sft.NewSimnet(sft.SimnetConfig{N: n, Latency: &sft.UniformLatency{Base: 8 * time.Millisecond, Jitter: 4 * time.Millisecond}, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var probe *sft.Node
+			for i := 0; i < n; i++ {
+				id := sft.ReplicaID(i)
+				node, err := sft.New(sft.Config{ID: id, N: n, Seed: seed},
+					sft.WithScheme(sft.SchemeSim),
+					sft.WithTransport(world.Transport(id)),
+					sft.WithRoundTimeout(200*time.Millisecond),
+					sft.WithPruneKeep(512))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					probe = node
+				}
+			}
+			world.CrashAt(sft.ReplicaID(n-1), 2*time.Second)
+			world.Run(10 * time.Second)
+			at10 := probe.CommittedHeight()
+			world.Run(30 * time.Second)
+			t.Logf("replica 0: height %d at 10 s, %d at 30 s", at10, probe.CommittedHeight())
+			if got := probe.CommittedHeight() - at10; got < 200 {
+				t.Fatalf("replica 0 committed %d blocks between 10 s and 30 s (height %d to %d), want at least 200", got, at10, probe.CommittedHeight())
+			}
+		})
 	}
 }
 
