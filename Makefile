@@ -58,7 +58,8 @@ test-race:
 # certificate new; BenchmarkTrackerOnQC is the already-covered fast path),
 # and one timed-out round at n=100 as one replica sees it
 # (BenchmarkTimedOutRound: 99 timeouts carrying one certificate, which is
-# examined once), one leader-reputation election at n=100, window 8
+# examined once), one leader-reputation election, window 8, walking the
+# ancestry at n=7 and taking the no-walk shortcut at n=100
 # (BenchmarkReputationElection), and one app checkpoint of a bank with 4,096
 # divergent accounts and 512 kept roots (BenchmarkExecutorCheckpoint).
 bench-micro:
@@ -180,9 +181,12 @@ loc:
 # flags of each command. "Fewer options" is read from this command.
 KNOB_STRUCTS = \
 	sft/sft.go:Config:sft.Config \
+	sft/sft.go:CommitRule:sft.CommitRule \
 	sft/transport.go:TCPConfig:sft.TCPConfig \
 	sft/simnet.go:SimnetConfig:sft.SimnetConfig \
 	sft/access.go:ObserverConfig:sft.ObserverConfig \
+	sft/access.go:GatewayConfig:sft.GatewayConfig \
+	sft/access.go:SubscriberConfig:sft.SubscriberConfig \
 	internal/replica/replica.go:Config:replica.Config \
 	internal/diembft/diembft.go:Config:diembft.Config \
 	internal/streamlet/streamlet.go:Config:streamlet.Config \
@@ -196,7 +200,7 @@ KNOB_STRUCTS = \
 # The ratchet: knobs fails when the total exceeds KNOB_BUDGET or a listed file
 # or struct is missing. A change that removes knobs lowers the budget to the
 # new total; one that adds a knob removes another.
-KNOB_BUDGET = 160
+KNOB_BUDGET = 162
 
 knobs:
 	@{ for s in $(KNOB_STRUCTS); do \

@@ -127,7 +127,7 @@ func main() {
 	}
 	p := params{
 		sc: harness.Scale{
-			N: *n, F: (*n - 1) / 3, Duration: *duration, Seed: *seed,
+			N: *n, Duration: *duration, Seed: *seed,
 			Scheme: *scheme,
 		},
 		deltas:    []time.Duration{100 * time.Millisecond, 200 * time.Millisecond},
@@ -143,7 +143,7 @@ func main() {
 			continue
 		}
 		fmt.Printf("==> %s (n=%d f=%d duration=%v seed=%d scheme=%s)\n",
-			e.name, p.sc.N, p.sc.F, p.sc.Duration, p.sc.Seed, p.sc.Scheme)
+			e.name, p.sc.N, p.sc.F(), p.sc.Duration, p.sc.Seed, p.sc.Scheme)
 		start := time.Now()
 		if err := e.run(p); err != nil {
 			fmt.Fprintf(os.Stderr, "sftbench: %s: %v\n", e.name, err)
@@ -390,7 +390,7 @@ func figure7(sc harness.Scale, deltas []time.Duration, fn func(harness.Scale, ti
 		}
 		results = append(results, res)
 	}
-	f := sc.F
+	f := sc.F()
 	if f == 0 {
 		f = 33
 	}
@@ -455,7 +455,7 @@ func figure8(sc harness.Scale) error {
 	if err != nil {
 		return err
 	}
-	f := sc.F
+	f := sc.F()
 	if f == 0 {
 		f = 33
 	}
@@ -524,7 +524,7 @@ func msgComplexity(sc harness.Scale) error {
 
 func theorem2(sc harness.Scale) error {
 	rows := [][]string{}
-	for _, c := range []int{0, sc.F / 2, sc.F} {
+	for _, c := range []int{0, sc.F() / 2, sc.F()} {
 		res, target, err := harness.Theorem2(sc, c)
 		if err != nil {
 			return err
@@ -536,7 +536,7 @@ func theorem2(sc harness.Scale) error {
 		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", c),
-			harness.LevelLabel(target, sc.F),
+			harness.LevelLabel(target, sc.F()),
 			lat,
 			fmt.Sprintf("%d", s.Count),
 		})
@@ -547,7 +547,7 @@ func theorem2(sc harness.Scale) error {
 }
 
 func theorem3(sc harness.Scale) error {
-	t := max(1, sc.F/2)
+	t := max(1, sc.F()/2)
 	marker, interval, target, err := harness.Theorem3(sc, t)
 	if err != nil {
 		return err
@@ -558,7 +558,7 @@ func theorem3(sc harness.Scale) error {
 		if s.Count > 0 {
 			lat = fmt.Sprintf("%.3f", s.Mean)
 		}
-		return []string{name, harness.LevelLabel(target, sc.F), lat, fmt.Sprintf("%d", s.Count)}
+		return []string{name, harness.LevelLabel(target, sc.F()), lat, fmt.Sprintf("%d", s.Count)}
 	}
 	printTable(fmt.Sprintf("Theorem 3: (2f-t)-strong commit with t=%d equivocating Byzantine replicas", t),
 		[]string{"vote mode", "target level", "mean latency (s)", "samples"},
@@ -572,13 +572,13 @@ func streamletExp(sc harness.Scale) error {
 		return err
 	}
 	rows := [][]string{}
-	for _, lv := range harness.DefaultLevels(sc.F) {
+	for _, lv := range harness.DefaultLevels(sc.F()) {
 		s := res.LevelLatency[lv]
 		lat := "unreached"
 		if s.Count > 0 {
 			lat = fmt.Sprintf("%.3f", s.Mean)
 		}
-		rows = append(rows, []string{harness.LevelLabel(lv, sc.F), lat})
+		rows = append(rows, []string{harness.LevelLabel(lv, sc.F()), lat})
 	}
 	printTable("SFT-Streamlet (Appendix D): strong commit latency vs resilience",
 		[]string{"x-strong", "latency (s)"}, rows)

@@ -79,7 +79,11 @@ func main() {
 // event printed here carried a Section 5 proof this process checked itself —
 // a lying gateway terminates the stream with a non-zero exit instead.
 func subscribe(addr string, n int, seed int64, minX, count int, wait time.Duration) {
-	sub, err := sft.Subscribe(addr, sft.SubscriberConfig{N: n, Seed: seed, MinStrength: minX})
+	ring, err := sft.NewKeyRing(n, seed, sft.SchemeEd25519)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sub, err := sft.Subscribe(addr, sft.SubscriberConfig{Ring: ring, MinStrength: minX})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,11 +52,10 @@ func main() {
 		gen := workload.NewGenerator(int64(i), 16, 64)
 		node, err := sft.New(sft.Config{ID: id, N: *n, Seed: seed},
 			sft.WithEngine(sft.DiemBFT),
-			sft.WithScheme(sft.SchemeEd25519),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(sft.TCP(sft.TCPConfig{Listen: "127.0.0.1:0"})),
 			sft.WithRoundTimeout(*timeout),
-			sft.WithPayload(workload.FullPayload(gen, *txns)),
+			sft.WithPayloadNow(workload.FullPayload(gen, *txns)),
 			sft.WithPruneKeep(512),
 		)
 		if err != nil {

@@ -48,8 +48,9 @@ func main() {
 	log.SetFlags(log.Lmicroseconds)
 	log.SetPrefix("sftgateway ")
 
-	if (*n-1)%3 != 0 {
-		log.Fatalf("n=%d is not 3f+1", *n)
+	ring, err := sft.NewKeyRing(*n, *seed, sft.SchemeEd25519)
+	if err != nil {
+		log.Fatal(err)
 	}
 	upstreams := map[sft.ReplicaID]string{}
 	for i, a := range strings.Split(*upstream, ",") {
@@ -63,14 +64,10 @@ func main() {
 
 	var sink *obs.Obs
 	if *obsAddr != "" {
-		sink = obs.New(obs.Options{N: *n, F: (*n - 1) / 3})
+		sink = obs.New(obs.Options{N: *n})
 	}
 
-	gw, err := sft.NewGateway(sft.GatewayConfig{
-		N: *n, Seed: *seed, Scheme: sft.SchemeEd25519,
-		QueueBound: *bound,
-		Obs:        sink,
-	})
+	gw, err := sft.NewGateway(sft.GatewayConfig{Ring: ring, QueueBound: *bound, Obs: sink})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,8 +79,7 @@ func main() {
 	log.Printf("serving strength subscriptions on %s", addr)
 
 	observer, err := sft.NewObserver(sft.ObserverConfig{
-		ID: sft.ReplicaID(*id), N: *n, Seed: *seed, Scheme: sft.SchemeEd25519,
-		Gateway: gw,
+		ID: sft.ReplicaID(*id), Ring: ring, Gateway: gw,
 	}, sft.ObserverTCP(upstreams))
 	if err != nil {
 		log.Fatal(err)

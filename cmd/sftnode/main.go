@@ -85,7 +85,7 @@ func main() {
 		txnSrv = srv
 		log.Printf("accepting client transactions on %s", srv.Addr())
 	}
-	payload := func(r sft.Round) sft.Payload {
+	payload := func(sft.Round, time.Duration) sft.Payload {
 		var p sft.Payload
 		if txnSrv != nil {
 			p.Txns = txnSrv.Batch(*txns)
@@ -98,12 +98,11 @@ func main() {
 
 	opts := []sft.Option{
 		sft.WithEngine(sft.DiemBFT),
-		sft.WithScheme(sft.SchemeEd25519),
 		sft.WithTransport(sft.TCP(sft.TCPConfig{Listen: *listen, Peers: peers})),
 		sft.WithCommitRule(sft.CommitRule{MinStrength: *strength}),
 		sft.WithRoundTimeout(*timeout),
 		sft.WithExtraWait(*wait),
-		sft.WithPayload(payload),
+		sft.WithPayloadNow(payload),
 		sft.WithCommitLog(16),
 		sft.WithPruneKeep(512),
 	}

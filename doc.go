@@ -11,10 +11,10 @@
 // runtime, Byzantine adversaries, a light-client proof system, and a
 // benchmark harness regenerating every figure of the evaluation section.
 //
-// Start with README.md (architecture map and performance notes).
-// cmd/sftbench runs the evaluation's experiments on the simulator; the
-// oracles below pin them, and bench/ measures the real stack in wall-clock
-// time.
+// README.md tells the story; this file is the reference it links to, each
+// topic stated here only. cmd/sftbench runs the evaluation's experiments on
+// the simulator, the oracles below pin them, and bench/ measures the real
+// stack in wall-clock time.
 //
 // # Paper claims and their oracles
 //
@@ -63,14 +63,10 @@
 //
 // # Public API: the sft facade
 //
-// PR 4 added the top-level sft package, the stable public surface every
-// consumer builds on: sft.New(cfg, opts...) composes an engine, commit
-// rule, signature scheme, transport, write-ahead log, verification
-// pipeline and metrics sink into one Node, and all four commands plus all
-// seven examples are wired through it (zero direct imports of
-// internal/runtime, internal/diembft or internal/streamlet outside the
-// facade). Engine construction itself is one unexported builder inside
-// sft.New, and fixed-seed facade runs are pinned bit-identical to
+// sft.New(cfg, opts...) composes an engine, commit rule, signature scheme,
+// transport, write-ahead log, verification pipeline and metrics sink into
+// one Node through one unexported builder. Every command and example builds
+// through it, and fixed-seed facade runs are pinned bit-identical to
 // hand-wired runs (sft/determinism_test.go).
 //
 // The experiment harness (internal/harness) is a scenario library over
@@ -88,16 +84,17 @@
 // The option matrix:
 //
 //   - WithEngine(DiemBFT | Streamlet) — the consensus protocol.
-//   - WithCommitRule(CommitRule{Mode, Votes, IntervalWindow, Horizon,
-//     MinStrength}) — the paper's strengthened commit rule as a value:
-//     round-keyed (DiemBFT, §3.2) or height-keyed (Streamlet, Appendix D)
-//     markers, marker vs interval strong-votes (§3.4), the endorsement
-//     horizon, and the x-strong threshold subscribers act on. Mode is
-//     validated against the engine: asking DiemBFT for the height rule is
-//     an error, not a fallback.
-//   - WithScheme(SchemeEd25519 | SchemeSim), WithKeyRing — the PKI layer
-//     (ed25519 always verifies; sim is the fast deterministic scheme the
-//     large simulations use). A supplied ring must hold exactly N keys.
+//   - WithCommitRule(CommitRule{Votes, IntervalWindow, Horizon,
+//     MinStrength}) — marker vs interval strong-votes (§3.4), the
+//     endorsement horizon, and the x-strong threshold subscribers act on.
+//     The engine keys the markers: by round under DiemBFT (§3.2), by height
+//     under Streamlet (Appendix D).
+//   - WithKeyRing(ring), WithScheme(scheme) — the PKI. The ring names the
+//     committee, its size and its scheme (ed25519 always verifies; sim is the
+//     fast deterministic scheme): it must hold Config.N keys, and a
+//     WithScheme naming another scheme fails New. Without a ring New derives
+//     one from Config.Seed (ed25519 by default). f is never a field; every
+//     layer derives (N-1)/3.
 //   - WithTransport(TCP(...)) / NewLocalNet(n).Transport(id) /
 //     NewSimnet(cfg).Transport(id) — real sockets, in-process channels, or
 //     the deterministic discrete-event fabric (which adds CrashAt/RestartAt
@@ -119,7 +116,7 @@
 //     obs.NewHandler serves /metrics, /healthz, /tracez and /debug/pprof
 //     (cmd/sftnode -obs-addr). Engine-side hooks use the engine clock, so
 //     fixed-seed runs stay bit-identical with the sink on or off.
-//   - WithObserver, WithPayload, WithRoundTimeout,
+//   - WithObserver, WithRoundTimeout,
 //     WithExtraWait(For), WithDelta, WithoutEcho, WithCommitLog,
 //     WithPruneKeep — observation and per-engine knobs.
 //   - WithAdversary(specs...) — adversarial testing: the node becomes
@@ -141,8 +138,9 @@
 //     per-transaction verdicts. README.md, "Execution layer", covers the
 //     wire versioning and the flagship bank.
 //   - WithPayloadNow(fn), WithMempool(m) — the workload-side companions:
-//     PayloadNow is WithPayload with the node's clock alongside the
-//     round (latency-stamping generators); NewMempool wraps the bounded
+//     fn supplies each led round's transactions, with the node's clock
+//     alongside the round (latency-stamping generators; nil proposes empty
+//     blocks); NewMempool wraps the bounded
 //     FIFO pool behind the Section 5 conflict gate, so a transaction
 //     submitted with a required strength holds the sender's later
 //     traffic until its block is that strong — wired synchronously into
@@ -171,45 +169,41 @@
 // # Access tier
 //
 // PR 10 scaled the read path past the committee without adding voting
-// weight. Three pieces compose, all through the facade:
+// weight. Three facade pieces compose, and each takes the committee's key
+// ring (required, 3f+1 keys) and nothing else about the committee:
 //
 //   - NewObserver(ObserverConfig, ObserverTCP(...) | Simnet.ObserverTransport(i))
 //     — a non-voting follower (internal/observer) with a wire identity
 //     outside [0, n). Over TCP it dials upstream replicas with an observer
-//     handshake; the replicas mirror their certified-chain traffic
-//     (proposals, whose blocks carry the QCs) to it and drop —
-//     and count — anything from it that is not a catch-up request, so an
-//     observer's vote power is structurally zero and its back-pressure can
-//     never stall consensus. The observer verifies every signature and
-//     certificate itself through the same engine pipeline replicas use,
-//     tracks strength with the paper's marker rule, and serves the Node
-//     subscription surface (Commits, Strength, WaitStrength,
-//     CommittedHeight). It recovers from restarts via state sync, like a
-//     crashed replica re-joining.
+//     handshake; they mirror their certified-chain traffic (proposals, whose
+//     blocks carry the QCs) to it and drop, counted as restricted, anything
+//     from it but a catch-up request, so its vote power is structurally zero
+//     and its back-pressure never stalls consensus. It verifies every
+//     signature and certificate itself through the engines' pipeline, tracks
+//     strength with the marker rule, serves the Node subscription surface
+//     (Commits, Strength, WaitStrength, CommittedHeight) and re-joins by
+//     state sync. SimnetConfig.Observers adds simulated slots; with none the
+//     fabric is bit-identical to one without them.
 //   - NewGateway(GatewayConfig) — a strength-subscription fan-out service
 //     (internal/gateway, cmd/sftgateway) fed by observers through
-//     ObserverConfig.Gateway, their one certified-pair consumer. Each
-//     certified (block, QC) pair is re-verified by the gateway's own light
-//     client; fresh strength rises fan out to subscribers as
+//     ObserverConfig.Gateway. Each certified (block, QC) pair is re-verified
+//     by the gateway's own light client; fresh strength rises fan out as
 //     length-delimited frames carrying the Section 5 proof — the carrier
-//     block whose CommitLog proves the rise, plus the QC certifying that
-//     carrier. Per-subscriber queues are bounded (GatewayConfig.QueueBound);
-//     a subscriber that falls further behind is evicted rather than ever
-//     back-pressuring the feed.
-//     sft_gateway_* metric families expose subscribers, events, evictions
-//     and ingest counts on /metrics.
-//   - Subscribe(addr, SubscriberConfig) — the client end. Each streamed
-//     event is re-verified against the committee's PKI by the subscriber's
-//     own lightclient (certificate check + CommitLog membership) before
-//     delivery, so the gateway needs no trust: a lying gateway terminates
-//     the stream with *ErrProofInvalid instead of being believed
-//     (sftclient -subscribe is this as a probe).
+//     block whose CommitLog proves the rise, plus the QC certifying it.
+//     Per-subscriber queues are bounded (GatewayConfig.QueueBound), and a
+//     subscriber that falls further behind is evicted. sft_gateway_* metric
+//     families count subscribers, events, evictions, ingests and rejects.
+//   - Subscribe(addr, SubscriberConfig) — the client end. Each event is
+//     re-verified against the ring by the subscriber's own light client
+//     (certificate check + CommitLog membership) before delivery, so a lying
+//     gateway ends the stream with *ErrProofInvalid instead of being
+//     believed. sftclient -subscribe <gateway> -n 4 -seed 42 is this as a
+//     probe.
 //
 // sft.TestAccessTierTCP drives a 4-replica committee, an observer, a gateway
 // and a proof-verifying subscriber over loopback sockets;
 // sft.TestLyingGatewayCaught serves a fabricated proof the subscriber must
-// reject. make gateway-smoke runs the
-// live-binary smoke (sftnode cluster + sftgateway + sftclient -subscribe).
+// reject; make gateway-smoke runs the live binaries.
 //
 // # Replica chassis
 //
@@ -326,55 +320,52 @@
 //
 // # Performance
 //
-// The simulation hot path is engineered so that fixed-seed experiment
-// results are bit-identical to the straightforward implementation while
-// steady-state work per event stays allocation-free:
+// Performance work keeps fixed-seed results bit-identical (the oracles,
+// internal/harness/determinism_test.go) and steady-state work per event
+// allocation-free (the testing.AllocsPerRun guards make bench-guard runs):
 //
 //   - crypto.QCCache memoizes verified certificates per replica (signatures
-//     are immutable, so entries never invalidate; an LRU bounds memory),
-//     turning the O(n²) per-round signature re-checking into one check per
-//     distinct QC per replica.
-//   - types.Vote.AppendSigningPayload and QC.Encode build signing payloads
-//     into caller-owned scratch buffers; engines and verifiers reuse one
-//     buffer per replica.
-//   - simnet's event queue is a pooled, value-based indexed heap: events
-//     live in a recycled slab and the heap orders int32 slot indices, so
-//     dispatching an event performs no allocation once the queue size
-//     plateaus.
-//   - blockstore.Store has one index, the height ring it prunes by: a ring of
-//     per-height node lists sized by the window rule below. Every lookup
-//     names the block's height as well as its ID — a proposal its parent at
-//     height − 1, a certificate, a vote and a voted block their own, the
-//     chassis its last commit — and walks the few nodes at that height. A
-//     height and an ID that disagree miss exactly as an unknown block does:
-//     the vote is buffered, the certificate kept as an orphan, the proposal
-//     parked, never credited to the block stored at the other height (and a
-//     proposal whose justify names its parent at another height is refused
-//     at the door, so no journaled block carries one). A found node moves to
-//     the front of its height's list, so an equivocating leader's k blocks at
-//     one height cost the certified one's lookups O(k) once, not each time;
-//     a miss there still walks all k. Ancestry (Node.Extends, Conflicts,
-//     Ancestor, AppendChain) follows node pointers.
-//   - Sliding windows follow one rule (internal/window): a window of L live
-//     entries holds at most L + max(L/8, 64) slots, compacting its dead front
-//     in place instead of re-slicing or doubling. The store's ring, the vote
-//     history and its chain index (of *Node, not IDs), the committed tail and
-//     the strength feed use it, so at keep 512 each holds under 576 slots
-//     however long the run (sft.TestFootprintFlat).
-//   - core.Tracker keeps per-block endorser sets as a presence bitset plus a
-//     short list of key classes (a key and a member bitset; voters share
-//     keys, so a block has one to three) in a record on the block's node in
-//     the store. A certificate costs one lookup by height and ID; in the common shape
-//     (round-keyed markers, no interval vote, each voter in range once) its
-//     votes are grouped by marker and unpacked a bitset word at a time, one
-//     ancestor walk for all groups, and otherwise one vote at a time.
-//     core.VoteHistory computes vote markers with a single indexed ancestor
-//     walk instead of one ancestry walk per voted block.
+//     are immutable, so entries never invalidate; an LRU bounds memory):
+//     one check per distinct QC per replica instead of O(n²) per round, a
+//     re-delivery ~2.4 µs instead of ~1.1 ms (ed25519, n=31). In front of
+//     it replica.Certs answers the last two accepted *QC unread (see
+//     "Verification").
+//   - Signing payloads and QC encodings are built into caller-owned scratch
+//     buffers, one per replica; Block.Size is cached like ID.
+//   - simnet's event queue is a pooled indexed heap over a recycled slab,
+//     ordered by (time, seq): 0 allocs per dispatch, same pop order.
+//   - An engine hands out one output array per event (internal/engine: valid
+//     until the next event; enginetest.CheckOutputLifetime checks it).
+//   - blockstore.Store has one index, the height ring it prunes by. Every
+//     lookup names the block's height as well as its ID — a proposal its
+//     parent at height − 1, a certificate, a vote and a voted block their
+//     own — and walks the few nodes at that height. A height and an ID that
+//     disagree miss exactly as an unknown block does (buffered, orphaned or
+//     parked, never credited to the block at the other height; a justify
+//     naming its parent at another height is refused at the door). A found
+//     node moves to the front of its list, so an equivocator's k blocks at
+//     one height cost O(k) once. Ancestry follows node pointers.
+//     PruneBelow visits only the heights the cut crossed and severs what it
+//     removes, O(removed).
+//   - Sliding windows follow one rule (internal/window): L live entries
+//     hold at most L + max(L/8, 64) slots, compacting the dead front in
+//     place. The store's ring, the vote history and its chain index, the
+//     committed tail and the strength feed use it, so at keep 512 each holds
+//     under 576 slots however long the run (sft.TestFootprintFlat).
+//   - core.Tracker keeps per-block endorsers as a presence bitset plus one
+//     to three key classes (a key and a member bitset) in a record on the
+//     block's node. A certificate costs one lookup by height and ID; in the
+//     common shape (round-keyed markers, no interval vote) its votes are
+//     grouped by marker and unpacked a bitset word at a time over one
+//     ancestor walk. core.VoteHistory keeps only the voted blocks that can
+//     still conflict (§3.2) and computes a marker with one indexed walk.
+//   - The facade's strength feed finds a block by its distance from the
+//     window's top, so a rise allocates nothing. DiemBFT's election scores
+//     the ancestry into a reused buffer, and above pacemaker.ReputationWindow
+//     replicas, where it cannot pass a leader over, skips the walk.
 //
-// Determinism is the regression oracle for all of the above: see
-// internal/harness/determinism_test.go and the allocation guards in
-// internal/types, internal/simnet, and internal/core. BENCH_PR1.json
-// records the before/after numbers.
+// make bench-micro times the bookkeeping; the benchmark spine (bench/)
+// measures the real stack wall-clock. BENCH_PR1.json holds PR 1's series.
 //
 // # Verification
 //
@@ -386,7 +377,9 @@
 // OnVerifiedMessage), or inline in OnMessage under LocalNetwork and simnet.
 // OnVerifiedMessage is the state stage and checks no signature; OnMessage is
 // the first then the second, skipping the first for loopback. Whoever runs
-// Prevalidate counts it once (obs.OnPrevalidate) and keeps per-sender FIFO.
+// Prevalidate counts it once (obs.OnPrevalidate and its drops) and keeps
+// per-sender FIFO. crypto.BatchVerifier checks a certificate's 2f+1
+// signatures in one sharded pass and bisects a failing shard to the signer.
 //
 // Every certificate check goes through replica.Certs.VerifyQC, which has two
 // arms — structure only, or the content-keyed verified-QC cache and the batch
@@ -434,19 +427,22 @@
 //
 // # Durability
 //
-// PR 2 added the durability layer: internal/wal (an append-only, segmented,
-// CRC-framed log with batched fsync), the core.Journal record schema over
-// it (accepted blocks, own votes, standalone certificates, locks, commits —
-// in the pinned types encodings), engine Restore hooks that rebuild a
-// crashed replica so its next vote cannot contradict its pre-crash markers,
-// and internal/statesync, the catch-up protocol a recovered or lagging
-// replica uses to re-join. The flush-before-send contract is the chassis's
-// (see "Replica chassis"). sft.Simnet kills and restarts WAL-backed nodes
-// (Simnet.CrashAt/RestartAt), harness scenarios schedule it
-// (harness.CrashPlan), and cmd/sftnode persists across process restarts via
-// -data-dir. README.md
-// documents the full contract; BENCH_PR2.json records the costs (vote-path
-// WAL append: 0 allocs/op).
+// A vote is a claim about the voter's whole history, so a replica that
+// forgets it can void the f→2f ladder. PR 2 added internal/wal (an
+// append-only, segmented, CRC-framed log with batched fsync), the
+// core.Journal record schema over it (accepted blocks — height, then the
+// SHA-256 preimage of the ID, so recovery is self-verifying — own votes,
+// standalone certificates, locks, commits, in the pinned types encodings),
+// engine Restore hooks that rebuild a crashed replica so its next vote
+// cannot contradict its pre-crash markers, and internal/statesync, the
+// catch-up a recovered, lagging or partitioned replica re-joins by: it asks
+// for the chain at boot or when a proposal's parent is missing, and
+// installs certified segments link by link. The flush-before-send contract
+// is the chassis's (see "Replica chassis"). The simulator's log does not
+// fsync (a simulated crash stops dispatch, not the process); cmd/sftnode
+// -data-dir does. Simnet.CrashAt/RestartAt and harness.CrashPlan kill and
+// restart WAL-backed nodes, and the vote-path append is 0 allocs/op
+// (BENCH_PR2.json).
 //
 // The journal is bounded by the store's keep (WithPruneKeep). Once the
 // prune cut passes whole sealed segments (256 KiB each), the journal opens a
@@ -459,69 +455,68 @@
 // records below the floor undecoded; the store restores onto the floor with
 // its blocks as parentless roots, so a restart rebuilds what a full replay
 // followed by PruneBelow(floor) would, and costs the kept window, not the
-// chain. A block above the floor whose parent the log lacks fails the
-// restart. Streamlet never prunes, so its journal stays whole, and a peer
-// that fell below a responder's floor is not served a checkpoint (ROADMAP
-// item 10's state-sync half).
+// chain (TestJournalFlat, TestCheckpointCrashPoints). A block above the
+// floor whose parent the log lacks fails the restart. Streamlet never
+// prunes, so its journal stays whole, and a peer that fell below a
+// responder's floor is not served a checkpoint (ROADMAP item 10's
+// state-sync half).
 //
 // # Compact certificates
 //
-// PR 6 made the steady-state certificate O(1) in committee size. The
-// aggregating schemes (crypto.SchemeSimAgg, crypto.SchemeEd25519Agg;
-// sft.SimAggregate / sft.Ed25519Aggregate on the facade) fold a quorum of
-// votes into one 32-byte aggregate, and types.QC gained a compact wire
-// form — signer bitmap + sparse marker-override table + aggregate
-// signature — versioned into the existing encoding by a sentinel vote
-// count, so vector certificates decode unchanged and the TCP transport
-// ships whichever form the QC carries. A steady-state compact QC is 100
-// bytes at n=31 and 108 bytes at n=103 (one extra bitmap word), against
-// 2.9 KB and 9.6 KB for the vector form, and verifies in near-constant
-// time because votes sharing a marker state share one aggregation payload.
-// The scheme is ring-internal like the sim scheme (crypto.Aggregates is
-// the swap point for real BLS); vote transit signatures stay genuine
-// base-scheme signatures. core.VoteSet (bitmap + dense slice) replaced the
-// engines' map-of-maps vote collection, keeping leader-side tracking
-// subquadratic and emitting the canonical ascending voter order the
-// compact form requires. `sftbench -experiment compactcert` measures the
-// n=31 vs n=103 sweep and hard-fails if certificate growth exceeds the
-// bitmap-word allowance; TestCompactQCSizeFlat pins the exact byte counts
-// in make bench-guard; FuzzDecodeCompactQC fuzzes the decoder; and the
-// adversarial fuzzer (now parallel across a worker pool with a
-// deterministic index-ordered merge, and scheme-parameterized) runs the
-// full Byzantine mix with compact certificates on the wire. BENCH_PR6.json
-// records the measurements.
+// A vector QC carries 2f+1 votes with a 64-byte ed25519 signature each:
+// ~2.9 KB at n=31, ~9.6 KB at n=103, paid by every block, timeout, WAL
+// record and sync segment. PR 6 made the steady-state certificate O(1). The
+// aggregating schemes (sft.SimAggregate / sft.Ed25519Aggregate) fold a
+// quorum of votes into one 32-byte aggregate, and types.QC has a compact
+// form, versioned in by a sentinel vote count so vector certificates decode
+// unchanged:
+//
+//	header (block 32 B, round 8 B, height 8 B) | uint32 0xFFFFFFFF |
+//	uint32 w (1..16) | signer bitmap, 8·w bytes |
+//	override table (uint32 count, 13+ bytes per non-default vote) | aggregate, 32 bytes
+//
+// Decoding rebuilds the vote list from the bitmap in ascending voter order,
+// so nothing downstream sees the form. A steady-state compact QC is 100
+// bytes at n=31 and 108 at n=103, and verifies in near-constant time
+// because votes sharing a marker state share one aggregation payload. The
+// scheme is ring-internal like the sim scheme (any key holder could forge;
+// crypto.Aggregates is the swap point for real BLS), vote transit
+// signatures stay genuine, and an aggregation failure is charged to the
+// aggregator. It pays at n ≳ 64; below that, vector QCs keep per-signer
+// evidence. core.VoteSet (bitmap + dense slice) collects votes in O(n) and
+// yields the ascending order the form requires. make compactcert hard-fails
+// on growth beyond the bitmap word, TestCompactQCSizeFlat pins the bytes,
+// FuzzDecodeCompactQC fuzzes the decoder and make adversary-fuzz-agg runs
+// the Byzantine mix on compact certificates (BENCH_PR6.json).
 //
 // # Adversarial testing
 //
 // PR 5 made Byzantine behavior a composable subsystem (internal/adversary)
-// and put a randomized, invariant-checking scenario fuzzer on top
-// (internal/harness.RunFuzz, `sftbench -experiment adversary`). Behaviors
-// act on a replica's outbound messages through an engine wrapper, so the
-// same implementations corrupt DiemBFT and Streamlet under the simulator
-// and the real runtimes alike; the facade (WithAdversary,
-// Simnet.PartitionAt/HealAt), and through it every harness scenario, exposes
-// them end to end.
+// under a randomized, invariant-checking scenario fuzzer
+// (internal/harness.RunFuzz, `sftbench -experiment adversary -seed 1 -n 7`).
+// Behaviors act on a replica's outbound messages through an engine
+// wrapper, so the same implementations corrupt both engines under every
+// transport, through WithAdversary and Simnet.PartitionAt/HealAt; an
+// honest replica is never wrapped.
 //
-// The fuzzer samples cluster shape, engine, commit-rule mode, behavior
-// compositions up to 2f colluders, crash/restart plans and network
-// partitions from a seed, and checks every run against the paper's
-// invariants: Definition 1 (no two conflicting blocks both at strength
-// >= t, t = number of Byzantine replicas), strength monotonicity per
-// replica, chain consistency across honest replicas when t <= f, and
-// Theorem 2 liveness under benign faults. Scenarios replay exactly from
-// (seed, index); a violation prints the whole generated spec as one line.
+// The fuzzer samples cluster shape, engine, vote flavor, behavior
+// compositions up to 2f colluders, crash/restart plans and partitions from
+// a seed, and checks every run against Definition 1 (no two conflicting
+// blocks both at strength >= t, t Byzantine replicas), strength
+// monotonicity, chain consistency across honest replicas when t <= f, and
+// Theorem 2 liveness under benign faults. A scenario replays exactly from
+// (seed, index) (harness.GenFuzzScenario), a violation prints its spec as
+// one line, and -workers merges in index order, so reports are identical
+// at any worker count.
 //
-// The checker's teeth are themselves pinned: harness.WeakenedRuleCanary
-// runs the Appendix C collusion — consecutive-slot colluders starving
-// uncontested rounds to freeze locks, double-signing both sides of every
-// fork, reviving abandoned branches from certificates assembled out of
-// gossiped votes, and lying about markers — against the deliberately
-// weakened naive endorsement counting, which the Definition 1 checker
-// catches with a replayable seed, while the identical collusion against
-// the real marker rule stays safe (the paper's central claim, demonstrated
-// live; examples/byzantine narrates it). Native go-fuzz targets cover the
-// pinned wire decoders and the TCP frame parser (make fuzz-smoke in CI, a
-// nightly long-fuzz workflow for depth). BENCH_PR5.json records fuzzer
-// throughput and the zero-cost guarantee for honest replicas (an empty
-// behavior chain never wraps the engine).
+// The checker's teeth are pinned: harness.WeakenedRuleCanary runs the
+// Appendix C collusion — consecutive-slot colluders starving uncontested
+// rounds, double-signing both sides of every fork, reviving abandoned
+// branches, lying about markers — against the naive endorsement count,
+// which the Definition 1 checker catches, while the same collusion against
+// the marker rule stays safe (examples/byzantine narrates it). make
+// fuzz-smoke runs the native go-fuzz targets (wire decoders, compact QCs,
+// TCP frames, engine doors) in CI, and the nightly workflow fuzzes each for
+// 10 minutes and sweeps 500 scenarios at a fresh seed. BENCH_PR5.json
+// records fuzzer throughput.
 package repro

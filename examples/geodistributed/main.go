@@ -34,7 +34,7 @@ func main() {
 		n, f, *delta, *duration)
 
 	start := time.Now()
-	res, err := harness.Figure7a(harness.Scale{N: n, F: f, Duration: *duration, Seed: 1}, *delta)
+	res, err := harness.Figure7a(harness.Scale{N: n, Duration: *duration, Seed: 1}, *delta)
 	if err != nil {
 		log.Fatal(err)
 	}

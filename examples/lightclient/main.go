@@ -65,7 +65,6 @@ func main() {
 		id := sft.ReplicaID(i)
 		opts := []sft.Option{
 			sft.WithEngine(sft.DiemBFT),
-			sft.WithScheme(sft.SchemeEd25519),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(world.Transport(id)),
 			sft.WithRoundTimeout(500 * time.Millisecond),

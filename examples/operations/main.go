@@ -97,7 +97,6 @@ func main() {
 		id := sft.ReplicaID(i)
 		opts := []sft.Option{
 			sft.WithEngine(sft.DiemBFT),
-			sft.WithScheme(sft.SchemeEd25519),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(world.Transport(id)),
 			sft.WithRoundTimeout(600 * time.Millisecond),
@@ -106,7 +105,7 @@ func main() {
 			// Replica 0's proposals drain the gated pool; other replicas
 			// propose empty blocks.
 			opts = append(opts,
-				sft.WithPayload(func(r sft.Round) sft.Payload {
+				sft.WithPayloadNow(func(sft.Round, time.Duration) sft.Payload {
 					return sft.Payload{Txns: pool.Batch(16)}
 				}),
 				sft.WithObserver(observe),

@@ -45,6 +45,8 @@ func main() {
 	// strength.
 	mp := sft.NewMempool(0)
 
+	// The key ring is the committee: its size and its signature scheme.
+	// Every node built with WithKeyRing reads both from it.
 	ring, err := sft.NewKeyRing(n, seed, sft.SchemeEd25519)
 	if err != nil {
 		log.Fatal(err)
@@ -60,7 +62,6 @@ func main() {
 		id := sft.ReplicaID(i)
 		opts := []sft.Option{
 			sft.WithEngine(sft.DiemBFT),
-			sft.WithScheme(sft.SchemeEd25519),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(lan.Transport(id)),
 			sft.WithRoundTimeout(500 * time.Millisecond),
@@ -71,7 +72,7 @@ func main() {
 			// stream back into the conflict gate.
 			opts = append(opts,
 				sft.WithMempool(mp),
-				sft.WithPayload(func(r sft.Round) sft.Payload {
+				sft.WithPayloadNow(func(sft.Round, time.Duration) sft.Payload {
 					return sft.Payload{Txns: mp.Batch(64)}
 				}),
 			)

@@ -2,9 +2,9 @@
 // carries over to the lock-step Streamlet protocol with height-keyed
 // markers and k-endorsements. This example runs a 7-replica SFT-Streamlet
 // cluster on the facade's deterministic Simnet fabric, with the O(n^3)
-// echo mechanism enabled, and reports strong-commit levels. Note the
-// commit rule: Streamlet's markers are height-keyed (sft.ModeHeight), the
-// second instantiation of the paper's rule.
+// echo mechanism enabled, and reports strong-commit levels. The engine
+// names the commit rule: Streamlet's markers are height-keyed, the second
+// instantiation of the paper's rule.
 //
 //	go run ./examples/streamlet
 package main
@@ -44,12 +44,10 @@ func main() {
 		id := sft.ReplicaID(i)
 		opts := []sft.Option{
 			sft.WithEngine(sft.Streamlet),
-			sft.WithCommitRule(sft.CommitRule{Mode: sft.ModeHeight}),
-			sft.WithScheme(sft.SchemeEd25519),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(world.Transport(id)),
 			sft.WithDelta(25 * time.Millisecond), // lock-step rounds of 2∆ = 50ms
-			sft.WithPayload(payload),
+			sft.WithPayloadNow(payload),
 		}
 		if id == 0 {
 			opts = append(opts, sft.WithObserver(func(ev sft.CommitEvent) {

@@ -22,7 +22,7 @@ func main() {
 		n = 31
 		f = 10
 	)
-	sc := harness.Scale{N: n, F: f, Duration: 45 * time.Second, Seed: 7}
+	sc := harness.Scale{N: n, Duration: 45 * time.Second, Seed: 7}
 	waits := []time.Duration{0, 100 * time.Millisecond, 250 * time.Millisecond}
 
 	fmt.Printf("Figure 8 trade-off at n=%d, f=%d (symmetric regions, δ=100ms):\n\n", n, f)

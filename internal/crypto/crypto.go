@@ -85,6 +85,9 @@ func NewKeyRing(n int, seed int64, scheme string) (*KeyRing, error) {
 // N returns the number of replicas in the ring.
 func (kr *KeyRing) N() int { return kr.n }
 
+// Scheme returns the signature scheme the ring's keys belong to.
+func (kr *KeyRing) Scheme() string { return kr.scheme }
+
 // Signer returns the signer for replica id.
 func (kr *KeyRing) Signer(id types.ReplicaID) Signer {
 	return &ringSigner{ring: kr, id: id}

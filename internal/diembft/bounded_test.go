@@ -33,7 +33,7 @@ func testCluster(t *testing.T, n, f int, timeout time.Duration, mut func(*Config
 		id := types.ReplicaID(i)
 		cfg := Config{
 			Config: replica.Config{
-				ID: id, N: n, F: f, Signer: ring.Signer(id), Verifier: ring,
+				ID: id, N: n, Signer: ring.Signer(id), Verifier: ring,
 				VerifySignatures: true,
 			},
 			RoundTimeout: timeout,
@@ -136,7 +136,7 @@ func TestJournalFailureCrashStopsBeforeVote(t *testing.T) {
 	}
 	rep, err := New(Config{
 		Config: replica.Config{
-			ID: 1, N: 4, F: 1, Signer: ring.Signer(1), Verifier: ring,
+			ID: 1, N: 4, Signer: ring.Signer(1), Verifier: ring,
 			VerifySignatures: true, Journal: core.NewJournal(log),
 		},
 		RoundTimeout: time.Second,

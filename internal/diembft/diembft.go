@@ -124,7 +124,7 @@ func New(cfg Config) (*Replica, error) {
 	}
 	r := &Replica{
 		cfg:           cfg,
-		pm:            pacemaker.New(cfg.F, cfg.RoundTimeout),
+		pm:            pacemaker.New(cfg.F(), cfg.RoundTimeout),
 		qcFormed:      make(map[types.BlockID]bool),
 		awaitingExtra: make(map[types.Round]*types.Block),
 		orphanQCs:     make(map[types.BlockID]*types.QC),
@@ -149,7 +149,7 @@ func New(cfg Config) (*Replica, error) {
 	}
 	r.qchigh = r.Store().HighQC()
 	if cfg.Rule == replica.RuleFBFT {
-		r.direct = core.NewDirectTracker(r.Store(), cfg.F, func(b *types.Block, x int) { r.EmitStrength(b, x) })
+		r.direct = core.NewDirectTracker(r.Store(), cfg.F(), func(b *types.Block, x int) { r.EmitStrength(b, x) })
 	}
 	return r, nil
 }

@@ -30,7 +30,6 @@ func buildCluster(t testing.TB, n, f int, cfgMut func(id types.ReplicaID, c *die
 			Config: replica.Config{
 				ID:               id,
 				N:                n,
-				F:                f,
 				Signer:           ring.Signer(id),
 				Verifier:         ring,
 				VerifySignatures: true,

@@ -32,7 +32,7 @@ func newScaleFixture(t testing.TB, verify bool) *scaleFixture {
 	fx := &scaleFixture{ring: ring}
 	fx.rep, err = diembft.New(diembft.Config{
 		Config: replica.Config{
-			ID: 2, N: scaleN, F: scaleF,
+			ID: 2, N: scaleN,
 			Signer: ring.Signer(2), Verifier: ring, VerifySignatures: verify,
 		},
 		RoundTimeout: time.Second,

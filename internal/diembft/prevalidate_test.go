@@ -46,12 +46,12 @@ func TestPrevalidateProposal(t *testing.T) {
 // through to the state stage, which votes only for the elected one (on a
 // fresh chain, round robin's).
 func TestDoorRefusesNonCandidates(t *testing.T) {
-	const n, f, self = 13, 4, 5
+	const n, self = 13, 5
 	ring, _ := crypto.NewKeyRing(n, 1, crypto.SchemeSim)
 	cv := &enginetest.CountingVerifier{Verifier: ring}
 	rep, err := diembft.New(diembft.Config{
 		Config: replica.Config{
-			ID: self, N: n, F: f,
+			ID: self, N: n,
 			Signer: ring.Signer(self), Verifier: cv, VerifySignatures: true,
 		},
 		RoundTimeout: time.Second,
@@ -253,7 +253,7 @@ func newChainFixture(t testing.TB, gapped bool, verifier crypto.Verifier, mut fu
 	fx := &doorFixture{ring: ring, leader: 2}
 	cfg := diembft.Config{
 		Config: replica.Config{
-			ID: 3, N: 4, F: 1,
+			ID: 3, N: 4,
 			Signer: ring.Signer(3), Verifier: verifier, VerifySignatures: true,
 		},
 		RoundTimeout: time.Second,
@@ -502,7 +502,7 @@ func TestRejectionTable(t *testing.T) {
 			for _, chain := range []string{"contiguous", "gapped"} {
 				for _, split := range []bool{false, true} {
 					t.Run(fmt.Sprintf("%s/verify=%v/chain=%s/split=%v", rj.name, verify, chain, split), func(t *testing.T) {
-						sink := obs.New(obs.Options{N: 4, F: 1})
+						sink := obs.New(obs.Options{N: 4})
 						fx := newChainFixture(t, chain == "gapped", nil, func(c *diembft.Config) {
 							c.VerifySignatures = verify
 							c.Obs = sink
@@ -520,7 +520,7 @@ func TestRejectionTable(t *testing.T) {
 // match the certificate the timeout ships, or the message is dropped before
 // the pacemaker buffers it.
 func TestTimeoutHighRoundMismatchRejected(t *testing.T) {
-	sink := obs.New(obs.Options{N: 4, F: 1})
+	sink := obs.New(obs.Options{N: 4})
 	fx := newDoorFixture(t, nil, func(c *diembft.Config) { c.Obs = sink })
 	to := fx.timeout(&types.Timeout{Round: 2, HighQC: fx.qc1, HighRound: 5, Sender: 0}) // claims r5, QC says r1
 	fx.rep.OnMessage(0, 0, to)
@@ -587,7 +587,7 @@ func TestStateStageNeverVerifies(t *testing.T) {
 func TestAllocsOnMessageDoor(t *testing.T) {
 	fx := newDoorFixture(t, nil, func(c *diembft.Config) {
 		c.VerifySignatures = false
-		c.Obs = obs.New(obs.Options{N: 4, F: 1})
+		c.Obs = obs.New(obs.Options{N: 4})
 	})
 	msg := &types.VoteMsg{Vote: fx.vote(fx.b1, 0)} // round-1 votes go to replica 1
 	if a := testing.AllocsPerRun(1000, func() {

@@ -37,7 +37,7 @@ func recoverReplica(t *testing.T, dir string, id types.ReplicaID, n, f int, ring
 	}
 	rep, err := diembft.New(diembft.Config{
 		Config: replica.Config{
-			ID: id, N: n, F: f,
+			ID: id, N: n,
 			Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
 			Journal: j,
 		}, RoundTimeout: 500 * time.Millisecond,
@@ -155,7 +155,7 @@ func TestRecoveredReplicaRefusesContradictingVote(t *testing.T) {
 	journal := openJournal(t, dir, victim)
 	pre, err := diembft.New(diembft.Config{
 		Config: replica.Config{
-			ID: victim, N: n, F: f,
+			ID: victim, N: n,
 			Signer: ring.Signer(victim), Verifier: ring, VerifySignatures: true,
 			Journal: journal,
 		}, RoundTimeout: 500 * time.Millisecond,

@@ -23,7 +23,13 @@ func (r *Replica) leaderFor(round types.Round, justify *types.QC) types.ReplicaI
 // height h (inclusive): the voter electing the NEXT round's leader scores the
 // block it is voting for, before any QC for it exists. The ancestry is walked
 // by node into a buffer the replica reuses, so an election allocates nothing.
+// Above ReputationWindow replicas no walk can change the answer: the
+// round-robin leader's previous slot, round-n, lies below the window, so the
+// election never passes it over and the walk is skipped.
 func (r *Replica) leaderAfter(round types.Round, h types.Height, id types.BlockID) types.ReplicaID {
+	if types.Round(r.cfg.N) > pacemaker.ReputationWindow {
+		return pacemaker.Leader(round, r.cfg.N)
+	}
 	lo := types.Round(1)
 	if round > pacemaker.ReputationWindow {
 		lo = round - pacemaker.ReputationWindow

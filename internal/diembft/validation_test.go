@@ -19,7 +19,6 @@ func soloReplica(t *testing.T, id types.ReplicaID, n, f int, ring *crypto.KeyRin
 		Config: replica.Config{
 			ID:               id,
 			N:                n,
-			F:                f,
 			Signer:           ring.Signer(id),
 			Verifier:         ring,
 			VerifySignatures: true,
@@ -152,7 +151,7 @@ func TestOrphanProposalsFlushInOrder(t *testing.T) {
 		id := types.ReplicaID(i)
 		rep, err := diembft.New(diembft.Config{
 			Config: replica.Config{
-				ID: id, N: 4, F: 1,
+				ID: id, N: 4,
 				Signer:           ring.Signer(id),
 				Verifier:         ring,
 				VerifySignatures: true,
@@ -201,7 +200,7 @@ func TestConfigValidation(t *testing.T) {
 	ring, _ := crypto.NewKeyRing(4, 1, crypto.SchemeSim)
 	base := diembft.Config{
 		Config: replica.Config{
-			ID: 0, N: 4, F: 1,
+			ID: 0, N: 4,
 			Signer: ring.Signer(0), Verifier: ring,
 		},
 		RoundTimeout: time.Second,

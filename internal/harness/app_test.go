@@ -22,7 +22,6 @@ func bankScenario(seed int64, accounts uint32) (*harness.Scenario, app.BankConfi
 	return &harness.Scenario{
 		Name:            "bank",
 		N:               7,
-		F:               2,
 		Latency:         &simnet.UniformModel{Base: 5 * time.Millisecond, Jitter: 2 * time.Millisecond},
 		Seed:            seed,
 		Duration:        8 * time.Second,

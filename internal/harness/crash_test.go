@@ -13,7 +13,7 @@ import (
 // back up, and never commits anything inconsistent with the rest of the
 // cluster or with the no-crash baseline's committed prefix.
 func TestCrashRecoveryScenario(t *testing.T) {
-	res, err := CrashRecovery(Scale{N: 7, F: 2, Duration: 40 * time.Second, Seed: 5}, 50*time.Millisecond)
+	res, err := CrashRecovery(Scale{N: 7, Duration: 40 * time.Second, Seed: 5}, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,6 @@ func TestCrashWithoutRestartStaysDown(t *testing.T) {
 	sc := &Scenario{
 		Name:         "crash-norestart",
 		N:            7,
-		F:            2,
 		Latency:      &simnet.UniformModel{Base: 5 * time.Millisecond, Jitter: time.Millisecond},
 		Seed:         3,
 		Duration:     15 * time.Second,
@@ -82,7 +81,6 @@ func TestDurableRunMatchesInMemoryRun(t *testing.T) {
 	base := Scenario{
 		Name:         "durable-ab",
 		N:            4,
-		F:            1,
 		Latency:      &simnet.UniformModel{Base: 5 * time.Millisecond, Jitter: time.Millisecond},
 		Seed:         9,
 		Duration:     10 * time.Second,

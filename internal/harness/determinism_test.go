@@ -48,7 +48,6 @@ func verifyingScenario(seed int64, disableCache bool) *Scenario {
 	return &Scenario{
 		Name:     "determinism",
 		N:        7,
-		F:        2,
 		Latency:  simnet.NewSymmetricModel(7, 3, intraDelay, 50*time.Millisecond, symJitter),
 		Seed:     seed,
 		Duration: 20 * time.Second,
@@ -88,7 +87,7 @@ func TestDeterminismQCCacheOnOff(t *testing.T) {
 // twice in one process — the pooled event queue and bitset tracker must not
 // introduce any iteration-order or reuse sensitivity.
 func TestDeterminismRepeatRun(t *testing.T) {
-	sc := Scale{N: 13, F: 4, Duration: 20 * time.Second, Seed: 3}
+	sc := Scale{N: 13, Duration: 20 * time.Second, Seed: 3}
 	a, err := Figure7a(sc, 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)

@@ -18,9 +18,9 @@ import (
 
 // Scale controls the cost of an experiment run.
 type Scale struct {
-	// N and F give the cluster size (N = 3F+1). 0 means paper scale
-	// (n=100, f=33).
-	N, F int
+	// N gives the cluster size (N = 3f+1; F derives f). 0 means paper
+	// scale (n=100, f=33).
+	N int
 	// Duration is the virtual run length; 0 means the paper's 5 minutes.
 	Duration time.Duration
 	// Seed defaults to 1.
@@ -32,9 +32,12 @@ type Scale struct {
 	Scheme string
 }
 
+// F is the scale's fault tolerance f = (N-1)/3.
+func (s Scale) F() int { return (s.N - 1) / 3 }
+
 func (s Scale) withDefaults() Scale {
 	if s.N == 0 {
-		s.N, s.F = 100, 33
+		s.N = 100
 	}
 	if s.Duration == 0 {
 		s.Duration = 5 * time.Minute
@@ -75,7 +78,6 @@ func symmetricScenario(sc Scale, delta time.Duration) *Scenario {
 	return &Scenario{
 		Name:     "symmetric",
 		N:        sc.N,
-		F:        sc.F,
 		Latency:  model,
 		Seed:     sc.Seed,
 		Duration: sc.Duration,
@@ -132,7 +134,6 @@ func Figure7b(sc Scale, delta time.Duration) (*Result, error) {
 	return Run(&Scenario{
 		Name:           "fig7b",
 		N:              sc.N,
-		F:              sc.F,
 		Latency:        model,
 		Seed:           sc.Seed,
 		Duration:       sc.Duration,
@@ -221,7 +222,6 @@ func MessageComplexity(sc Scale, fs []int) ([]ComplexityPoint, error) {
 			return &Scenario{
 				Name:     "msgcomplexity",
 				N:        n,
-				F:        f,
 				Latency:  model,
 				Seed:     seed,
 				Duration: duration,
@@ -260,17 +260,16 @@ func Theorem2(sc Scale, c int) (*Result, int, error) {
 		// blocks, not leader-rotation liveness.
 		crash[types.ReplicaID((sc.N/2+i)%sc.N)] = time.Nanosecond
 	}
-	target := 2*sc.F - c
+	target := 2*sc.F() - c
 	model := sft.SymmetricLatency(sc.N, 3, intraDelay, 20*time.Millisecond, 5*time.Millisecond)
 	res, err := Run(&Scenario{
 		Name:            "theorem2",
 		N:               sc.N,
-		F:               sc.F,
 		Latency:         model,
 		Seed:            sc.Seed,
 		Duration:        sc.Duration,
 		Scheme:          sc.Scheme,
-		Levels:          []int{sc.F, target},
+		Levels:          []int{sc.F(), target},
 		Crash:           crash,
 		RecordStrengths: true,
 		Options:         []sft.Option{sft.WithRoundTimeout(250 * time.Millisecond)},
@@ -299,19 +298,18 @@ func Theorem3(sc Scale, t int) (marker, interval *Result, target int, err error)
 	for i := 0; i < t; i++ {
 		byz[types.ReplicaID((i*sc.N+sc.N/2)/max(1, t)%sc.N)] = []adversary.Spec{{Kind: adversary.Equivocate}}
 	}
-	target = 2*sc.F - t
+	target = 2*sc.F() - t
 	mk := func(votes sft.VoteFlavor) *Scenario {
 		model := sft.SymmetricLatency(sc.N, 3, intraDelay, 20*time.Millisecond, 5*time.Millisecond)
 		return &Scenario{
 			Name:            "theorem3",
 			N:               sc.N,
-			F:               sc.F,
 			Latency:         model,
 			Seed:            sc.Seed,
 			Duration:        sc.Duration,
 			Adversaries:     byz,
 			Scheme:          sc.Scheme,
-			Levels:          []int{sc.F, target},
+			Levels:          []int{sc.F(), target},
 			RecordStrengths: true,
 			Options: []sft.Option{
 				sft.WithRoundTimeout(250 * time.Millisecond),
@@ -378,7 +376,7 @@ func (r *Result) PacemakerPeak() (peak int, dropped uint64) {
 // (n=7, f=2, 10 virtual seconds) rather than paper scale.
 func LivenessAttack(sc Scale) (*LivenessAttackResult, error) {
 	if sc.N == 0 {
-		sc.N, sc.F = 7, 2
+		sc.N = 7
 	}
 	if sc.Duration == 0 {
 		sc.Duration = 10 * time.Second
@@ -386,8 +384,8 @@ func LivenessAttack(sc Scale) (*LivenessAttackResult, error) {
 	if sc.Seed == 0 {
 		sc.Seed = 1
 	}
-	byz := make(map[types.ReplicaID][]adversary.Spec, sc.F)
-	for i := 0; i < sc.F; i++ {
+	byz := make(map[types.ReplicaID][]adversary.Spec, sc.F())
+	for i := 0; i < sc.F(); i++ {
 		// Consecutive trailing IDs: adjacent leader slots maximize the rounds
 		// the coalition fronts.
 		byz[types.ReplicaID(sc.N-1-i)] = []adversary.Spec{{Kind: adversary.TimeoutSpam, Every: 1}}
@@ -396,7 +394,6 @@ func LivenessAttack(sc Scale) (*LivenessAttackResult, error) {
 		return &Scenario{
 			Name:            "livenessattack",
 			N:               sc.N,
-			F:               sc.F,
 			Latency:         sft.SymmetricLatency(sc.N, 3, intraDelay, 20*time.Millisecond, 5*time.Millisecond),
 			Seed:            sc.Seed,
 			Duration:        sc.Duration,
@@ -552,7 +549,6 @@ func StreamletLatency(sc Scale, delta time.Duration) (*Result, error) {
 	s := &Scenario{
 		Name:     "streamlet",
 		N:        sc.N,
-		F:        sc.F,
 		Latency:  sft.SymmetricLatency(sc.N, 3, intraDelay, delta/2, delta/8),
 		Seed:     sc.Seed,
 		Duration: sc.Duration,

@@ -12,7 +12,7 @@ func TestTheorem2Liveness(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	// n=13, f=4: under c benign crashes every block must reach (2f-c)-strong.
-	sc := harness.Scale{N: 13, F: 4, Duration: 60 * time.Second, Seed: 5}
+	sc := harness.Scale{N: 13, Duration: 60 * time.Second, Seed: 5}
 	for _, c := range []int{0, 2, 4} {
 		res, target, err := harness.Theorem2(sc, c)
 		if err != nil {
@@ -87,7 +87,7 @@ func TestTheorem3IntervalVsMarker(t *testing.T) {
 	// t equivocating Byzantine leaders; interval votes (Theorem 3) must
 	// reach the (2f-t) target at least as fast as markers, whose liveness
 	// is only guaranteed under benign faults.
-	sc := harness.Scale{N: 13, F: 4, Duration: 90 * time.Second, Seed: 6}
+	sc := harness.Scale{N: 13, Duration: 90 * time.Second, Seed: 6}
 	marker, interval, target, err := harness.Theorem3(sc, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestThroughputParity(t *testing.T) {
 	}
 	// §4: SFT-DiemBFT throughput and regular commit latency are essentially
 	// identical to DiemBFT (the strong-vote adds one integer per vote).
-	sc := harness.Scale{N: 31, F: 10, Duration: 60 * time.Second, Seed: 7}
+	sc := harness.Scale{N: 31, Duration: 60 * time.Second, Seed: 7}
 	base, sft, err := harness.ThroughputComparison(sc, 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestStreamletLatencyExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	sc := harness.Scale{N: 13, F: 4, Duration: 60 * time.Second, Seed: 9}
+	sc := harness.Scale{N: 13, Duration: 60 * time.Second, Seed: 9}
 	res, err := harness.StreamletLatency(sc, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -191,10 +191,10 @@ func TestStreamletLatencyExperiment(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := harness.Run(&harness.Scenario{N: 5, F: 1}); err == nil {
+	if _, err := harness.Run(&harness.Scenario{N: 5}); err == nil {
 		t.Error("accepted n != 3f+1")
 	}
-	if _, err := harness.Run(&harness.Scenario{N: 4, F: 1}); err == nil {
+	if _, err := harness.Run(&harness.Scenario{N: 4}); err == nil {
 		t.Error("accepted missing latency model")
 	}
 }

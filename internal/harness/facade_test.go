@@ -93,21 +93,28 @@ func TestEveryCommitRuleSetsHorizon(t *testing.T) {
 	}
 }
 
-// TestScenarioOptionsCannotRewire: Run's scheme and observer apply after
-// Scenario.Options, so neither can detach a node from the run's key ring or
-// its collector.
+// TestScenarioOptionsCannotRewire: Run's key ring and observer apply after
+// Scenario.Options, so an option cannot detach a node from the run's
+// collector, and a WithScheme that contradicts the run's ring fails the run
+// rather than changing which signatures the nodes check.
 func TestScenarioOptionsCannotRewire(t *testing.T) {
-	res, err := Run(&Scenario{
-		Name: "rewire", N: 4, F: 1, Seed: 1,
-		Latency:  &simnet.UniformModel{Base: 5 * time.Millisecond},
-		Duration: 5 * time.Second,
-		Options:  []sft.Option{sft.WithScheme(sft.SchemeEd25519), sft.WithObserver(func(sft.CommitEvent) {})},
-	})
+	sc := func(opts ...sft.Option) *Scenario {
+		return &Scenario{
+			Name: "rewire", N: 4, Seed: 1,
+			Latency:  &simnet.UniformModel{Base: 5 * time.Millisecond},
+			Duration: 5 * time.Second,
+			Options:  opts,
+		}
+	}
+	res, err := Run(sc(sft.WithObserver(func(sft.CommitEvent) {})))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CommittedBlocks == 0 {
 		t.Fatal("no commits reached the collector")
+	}
+	if _, err := Run(sc(sft.WithScheme(sft.SchemeEd25519))); err == nil || !strings.Contains(err.Error(), "contradicts the key ring's scheme") {
+		t.Fatalf("a WithScheme contradicting the run's sim ring: err = %v", err)
 	}
 }
 

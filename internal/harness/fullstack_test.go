@@ -67,7 +67,7 @@ func TestFullStackConsistency(t *testing.T) {
 	// A write-heavy workload over a small keyspace so state convergence is
 	// meaningful.
 	gen := workload.NewGenerator(5, 8, 0)
-	payload := func(r types.Round) types.Payload {
+	payload := func(r types.Round, _ time.Duration) types.Payload {
 		base := gen.Batch(4)
 		for i := range base {
 			base[i].Data = []byte{byte('a' + i%4), '=', byte('0' + r%10)}
@@ -78,9 +78,9 @@ func TestFullStackConsistency(t *testing.T) {
 		id := types.ReplicaID(i)
 		rep, err := diembft.New(diembft.Config{
 			Config: replica.Config{
-				ID: id, N: n, F: f,
+				ID: id, N: n,
 				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-				Payload: payload,
+				PayloadNow: payload,
 			}, RoundTimeout: 500 * time.Millisecond,
 		})
 		if err != nil {

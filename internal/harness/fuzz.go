@@ -81,7 +81,7 @@ type FuzzScenario struct {
 	SubSeed int64
 
 	Protocol sft.Engine
-	N, F     int
+	N        int // 3f+1; F derives f
 	Duration time.Duration
 
 	// Engine knobs sampled by the generator.
@@ -137,7 +137,6 @@ func GenFuzzScenario(seed int64, index int, opts FuzzOptions) FuzzScenario {
 		Index:         index,
 		SubSeed:       sub,
 		N:             n,
-		F:             f,
 		Duration:      opts.Duration,
 		RoundTimeout:  250 * time.Millisecond,
 		Delta:         25 * time.Millisecond,
@@ -286,6 +285,9 @@ func sampleBehavior(rng *rand.Rand) adversary.Spec {
 	}
 }
 
+// F is the scenario's fault tolerance f = (N-1)/3.
+func (s FuzzScenario) F() int { return (s.N - 1) / 3 }
+
 // Scenario lowers the generated spec onto the harness scenario type — the
 // same structure every other experiment runs through.
 func (s FuzzScenario) Scenario() *Scenario {
@@ -296,7 +298,6 @@ func (s FuzzScenario) Scenario() *Scenario {
 	sc := &Scenario{
 		Name:     fmt.Sprintf("fuzz-%d", s.Index),
 		N:        s.N,
-		F:        s.F,
 		Latency:  &sft.UniformLatency{Base: s.LatencyBase, Jitter: s.LatencyJitter},
 		Seed:     s.SubSeed,
 		Duration: s.Duration,
@@ -336,7 +337,7 @@ func (s FuzzScenario) String() string {
 		proto = "streamlet"
 	}
 	fmt.Fprintf(&b, "scenario %d (subseed %d): %s n=%d f=%d dur=%v verify=%v",
-		s.Index, s.SubSeed, proto, s.N, s.F, s.Duration, s.Verify)
+		s.Index, s.SubSeed, proto, s.N, s.F(), s.Duration, s.Verify)
 	if s.Scheme != "" {
 		fmt.Fprintf(&b, " scheme=%s", s.Scheme)
 	}
@@ -467,7 +468,7 @@ func CheckInvariants(res *Result, byz int) []string {
 
 	// Chain consistency: with at most f Byzantine replicas the classical
 	// guarantee holds — honest committed chains agree at every height.
-	if byz <= res.Scenario.F && res.Chains != nil {
+	if byz <= res.Scenario.F() && res.Chains != nil {
 		agreed := make(map[types.Height]types.BlockID)
 		owner := make(map[types.Height]types.ReplicaID)
 		reps := make([]types.ReplicaID, 0, len(res.Chains))
@@ -497,7 +498,7 @@ func CheckInvariants(res *Result, byz int) []string {
 	// height — the fork-detection property the AppHash-in-vote design exists
 	// for (a wrong-apphash coalition at t <= f must never split the committed
 	// state).
-	if byz <= res.Scenario.F && res.AppHashes != nil {
+	if byz <= res.Scenario.F() && res.AppHashes != nil {
 		agreed := make(map[types.Height][32]byte)
 		owner := make(map[types.Height]types.ReplicaID)
 		reps := make([]types.ReplicaID, 0, len(res.AppHashes))
@@ -555,7 +556,7 @@ func checkLiveness(spec FuzzScenario, res *Result) []string {
 			down[c.Replica] = true
 		}
 	}
-	if len(down) > spec.F {
+	if len(down) > spec.F() {
 		return nil
 	}
 	for _, p := range spec.Partitions {
@@ -577,7 +578,7 @@ func checkLiveness(spec FuzzScenario, res *Result) []string {
 		}
 	}
 	if len(spec.Partitions) == 0 && len(spec.Crashes) == 0 {
-		target := 2 * spec.F
+		target := 2 * spec.F()
 		reached := 0
 		for _, m := range res.Strengths {
 			for _, x := range m {
@@ -739,7 +740,6 @@ func WeakenedRuleCanary(seed int64, n int, naive bool) (FuzzScenario, []string, 
 		SubSeed:       sub,
 		Protocol:      sft.DiemBFT,
 		N:             n,
-		F:             f,
 		VoteMode:      sft.VoteMarkers,
 		Duration:      12 * time.Second,
 		RoundTimeout:  250 * time.Millisecond,
@@ -789,7 +789,6 @@ func PacemakerCanary(seed int64, n int, uncapped bool) (FuzzScenario, *Result, [
 		SubSeed:       sub,
 		Protocol:      sft.DiemBFT,
 		N:             n,
-		F:             f,
 		VoteMode:      sft.VoteMarkers,
 		Duration:      10 * time.Second,
 		RoundTimeout:  250 * time.Millisecond,

@@ -102,7 +102,7 @@ func goldenScenarios() []*Scenario {
 	// sft.WithReference adds its arms to this one.
 	base := func(name string, seed int64, opts ...sft.Option) *Scenario {
 		return &Scenario{
-			Name: name, N: 7, F: 2, Seed: seed,
+			Name: name, N: 7, Seed: seed,
 			Latency:         goldenLatency(),
 			Duration:        12 * time.Second,
 			RecordChains:    true,
@@ -124,7 +124,7 @@ func goldenScenarios() []*Scenario {
 	intervals.Latency = PreGST(goldenLatency(), 3*time.Second, 350*time.Millisecond)
 
 	fbft := base("diembft-fbft-n4", 103, sft.WithReference(reference.Arms{Rule: reference.RuleFBFT}))
-	fbft.N, fbft.F = 4, 1
+	fbft.N = 4
 	fbft.Latency = simnet.NewSymmetricModel(4, 2, intraDelay, 20*time.Millisecond, 8*time.Millisecond)
 
 	bankCfg := app.BankConfig{Seed: 104, Accounts: 1 << 10, InitialBalance: 1 << 20, DisableSigVerify: true}
@@ -269,9 +269,9 @@ func goldenObserverRun(t *testing.T) string {
 		id := types.ReplicaID(i)
 		eng, err := diembft.New(diembft.Config{
 			Config: replica.Config{
-				ID: id, N: n, F: f,
+				ID: id, N: n,
 				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
-				Horizon: 2*n + 16, Payload: payload,
+				Horizon: 2*n + 16, PayloadNow: payload,
 			},
 			RoundTimeout: 300 * time.Millisecond, MaxCommitLog: 8, PruneKeep: 64,
 		})

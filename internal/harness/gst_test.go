@@ -19,7 +19,6 @@ func TestGSTScenario(t *testing.T) {
 	res, err := harness.Run(&harness.Scenario{
 		Name: "gst",
 		N:    13,
-		F:    4,
 		// Pre-GST deliveries take 2s extra, far beyond the round timeout: no
 		// progress before GST at 5s.
 		Latency:  harness.PreGST(sft.SymmetricLatency(13, 3, time.Millisecond, 20*time.Millisecond, 5*time.Millisecond), 5*time.Second, 2*time.Second),

@@ -27,8 +27,8 @@ import (
 type Scenario struct {
 	Name string
 
-	// Cluster shape. N must be 3F+1.
-	N, F int
+	// Cluster shape. N must be 3f+1; F derives f.
+	N int
 
 	// Latency is the network model; required. PreGST wraps one for partial
 	// synchrony.
@@ -55,8 +55,9 @@ type Scenario struct {
 	// arms (sft.WithReference). They apply after the harness defaults, which
 	// withDefaults prepends, so a scenario's option wins; an sft.CommitRule
 	// replaces the default one whole, so it restates Horizon: horizon(n).
-	// Run applies the scheme, key ring, transport and observer after them,
-	// so no option can rewire a node away from the run's world.
+	// Run applies the key ring, transport and observer after them, so no
+	// option can rewire a node away from the run's world; a WithScheme that
+	// contradicts the ring's scheme fails the run.
 	Options []sft.Option
 
 	// Faults: crash times and Byzantine behavior chains per replica. Each
@@ -219,13 +220,16 @@ func LevelLabel(x, f int) string {
 // (TestEveryCommitRuleSetsHorizon).
 func horizon(n int) int { return 2*n + 16 }
 
+// F is the scenario's fault tolerance f = (N-1)/3.
+func (s *Scenario) F() int { return (s.N - 1) / 3 }
+
 func (s *Scenario) withDefaults() *Scenario {
 	c := *s
 	if c.Duration == 0 {
 		c.Duration = time.Minute
 	}
 	if c.Levels == nil {
-		c.Levels = DefaultLevels(c.F)
+		c.Levels = DefaultLevels(c.F())
 	}
 	if c.PayloadTxns == 0 {
 		c.PayloadTxns = workload.PaperTxnsPerBlock
@@ -244,7 +248,7 @@ func (s *Scenario) withDefaults() *Scenario {
 		sft.WithDelta(100 * time.Millisecond),
 		sft.WithCommitRule(sft.CommitRule{Horizon: horizon(c.N)}),
 		sft.WithPruneKeep(types.Height(3*c.N + 64)),
-		sft.WithPayload(workload.PaperPayload(c.Seed, c.PayloadTxns, c.PayloadBytes)),
+		sft.WithPayloadNow(workload.PaperPayload(c.Seed, c.PayloadTxns, c.PayloadBytes)),
 	}, s.Options...)
 	return &c
 }
@@ -374,9 +378,9 @@ func (c *collector) recordStrength(rep types.ReplicaID, b *types.Block, x int, f
 			le = make(map[types.BlockID]int)
 			c.lastEvent[rep] = le
 		}
-		if x <= 0 || x > 2*c.sc.F {
+		if x <= 0 || x > 2*c.sc.F() {
 			c.violations = append(c.violations,
-				fmt.Sprintf("replica %d reported out-of-range strength %d for %s (f=%d)", rep, x, id, c.sc.F))
+				fmt.Sprintf("replica %d reported out-of-range strength %d for %s (f=%d)", rep, x, id, c.sc.F()))
 		} else if prev, seen := le[id]; seen && x <= prev {
 			c.violations = append(c.violations,
 				fmt.Sprintf("replica %d strength for %s did not rise: %d after %d", rep, id, x, prev))
@@ -407,7 +411,7 @@ func (c *collector) onCommit(rep types.ReplicaID, now time.Duration, b *types.Bl
 		}
 		m[b.Height] = b.ID()
 	}
-	c.recordStrength(rep, b, c.sc.F, true)
+	c.recordStrength(rep, b, c.sc.F(), true)
 	if c.inWindow(b) {
 		c.regular.AddDuration(now - time.Duration(b.Timestamp))
 	}
@@ -484,8 +488,8 @@ func (c *collector) onStrength(rep types.ReplicaID, now time.Duration, b *types.
 // Run executes the scenario and returns its measurements.
 func Run(sc *Scenario) (*Result, error) {
 	s := sc.withDefaults()
-	if s.N != 3*s.F+1 {
-		return nil, fmt.Errorf("harness: n=%d must be 3f+1 (f=%d)", s.N, s.F)
+	if s.N < 4 || (s.N-1)%3 != 0 {
+		return nil, fmt.Errorf("harness: n=%d must be 3f+1 with f >= 1", s.N)
 	}
 	if s.Latency == nil {
 		return nil, fmt.Errorf("harness: latency model required")
@@ -587,7 +591,6 @@ func Run(sc *Scenario) (*Result, error) {
 			}
 		}
 		opts := append(append([]sft.Option(nil), s.Options...),
-			sft.WithScheme(sft.Scheme(s.Scheme)),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(world.Transport(id)),
 			sft.WithObserver(observe),

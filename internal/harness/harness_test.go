@@ -12,7 +12,7 @@ func TestFigure7aShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	sc := harness.Scale{N: 31, F: 10, Duration: 90 * time.Second, Seed: 1}
+	sc := harness.Scale{N: 31, Duration: 90 * time.Second, Seed: 1}
 	res, err := harness.Figure7a(sc, 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestFigure7bOutcastCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	sc := harness.Scale{N: 31, F: 10, Duration: 90 * time.Second, Seed: 2}
+	sc := harness.Scale{N: 31, Duration: 90 * time.Second, Seed: 2}
 
 	// delta=100ms: region C leaders succeed, all levels eventually reached.
 	res100, err := harness.Figure7b(sc, 100*time.Millisecond)
@@ -84,7 +84,7 @@ func TestFigure8Tradeoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	sc := harness.Scale{N: 31, F: 10, Duration: 60 * time.Second, Seed: 3}
+	sc := harness.Scale{N: 31, Duration: 60 * time.Second, Seed: 3}
 	// The straggler penalty applies on both legs (proposal in, vote out),
 	// so full capture needs waits beyond ~2x the penalty plus jitter.
 	waits := []time.Duration{0, 100 * time.Millisecond, 250 * time.Millisecond}

@@ -10,11 +10,9 @@ import (
 // Options configures an Obs sink.
 type Options struct {
 	// N is the committee size; per-peer network metrics are pre-registered
-	// for replica IDs in [0, N).
+	// for replica IDs in [0, N), and per-level strength histograms for
+	// levels in [1, 2f] with f = (N-1)/3.
 	N int
-	// F is the fault threshold; per-level strength histograms are
-	// pre-registered for levels in [1, 2F].
-	F int
 	// TraceCapacity bounds the block-lifecycle ring (default 256).
 	TraceCapacity int
 }
@@ -111,15 +109,13 @@ func New(o Options) *Obs {
 	if o.N <= 0 {
 		o.N = 1
 	}
-	if o.F < 0 {
-		o.F = 0
-	}
+	f := (o.N - 1) / 3
 	r := NewRegistry()
 	s := &Obs{
 		reg:    r,
 		tracer: NewTracer(o.TraceCapacity),
 		n:      o.N,
-		f:      o.F,
+		f:      f,
 
 		rounds:        r.Counter("sft_rounds_total", "Rounds entered by the local engine."),
 		timeoutRounds: r.Counter("sft_timeout_round_advances_total", "Round advances driven by a timeout certificate rather than a QC."),
@@ -162,7 +158,7 @@ func New(o Options) *Obs {
 		gwBytesOut:    r.Counter("sft_gateway_bytes_sent_total", "Subscription protocol bytes written to subscribers."),
 	}
 
-	levels := 2 * o.F
+	levels := 2 * f
 	s.levelLatency = make([]*Histogram, levels+1)
 	s.commitToLevel = make([]*Histogram, levels+1)
 	for x := 1; x <= levels; x++ {

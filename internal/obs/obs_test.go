@@ -226,7 +226,7 @@ func TestObsNilSafety(t *testing.T) {
 // before the commit (DiemBFT's in-event ordering) produces a zero delay once
 // the commit lands, and rises after the commit measure the real gap.
 func TestObsStrengthDelay(t *testing.T) {
-	o := New(Options{N: 4, F: 1})
+	o := New(Options{N: 4})
 	b := testBlock(3, 3, 1)
 	// Rise arrives first (same engine event), commit after.
 	o.OnStrength(b, 1, 100*time.Millisecond)
@@ -251,7 +251,7 @@ func TestObsStrengthDelay(t *testing.T) {
 // path: steady-state hooks (resident trace slot, pre-registered handles)
 // must not allocate.
 func TestHotPathAllocs(t *testing.T) {
-	o := New(Options{N: 4, F: 1})
+	o := New(Options{N: 4})
 	b := testBlock(2, 2, 1)
 	o.OnProposed(b, time.Millisecond) // make the trace slot resident, cache the ID
 	cases := []struct {

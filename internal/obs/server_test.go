@@ -15,7 +15,7 @@ import (
 var expositionLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (-?[0-9.e+-]+|[+-]Inf|NaN)$`)
 
 func testHandler(healthy *bool) (http.Handler, *Obs) {
-	o := New(Options{N: 4, F: 1, TraceCapacity: 8})
+	o := New(Options{N: 4, TraceCapacity: 8})
 	b := testBlock(1, 1, 2)
 	o.OnProposed(b, 10*time.Millisecond)
 	o.OnVoted(b, 11*time.Millisecond)

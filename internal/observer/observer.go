@@ -91,7 +91,7 @@ func New(cfg Config) (*Observer, error) {
 	o := &Observer{cfg: cfg, certified: make(map[types.BlockID]bool)}
 	var err error
 	o.Chassis, err = replica.New(replica.Config{
-		ID: cfg.ID, N: cfg.N, F: (cfg.N - 1) / 3,
+		ID: cfg.ID, N: cfg.N,
 		Verifier: cfg.Verifier, VerifySignatures: cfg.VerifySignatures,
 	}, cfg.Mode, func(b *types.Block, x int) {
 		o.rises = append(o.rises, rise{b, x})

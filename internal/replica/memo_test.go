@@ -42,7 +42,7 @@ func TestIdentityMemo(t *testing.T) {
 		name := map[bool]string{false: "structure", true: "signatures"}[sigs]
 		t.Run(name, func(t *testing.T) {
 			cv := &enginetest.CountingVerifier{Verifier: ring}
-			certs := NewCerts(&Config{N: 4, F: 1, Verifier: cv, VerifySignatures: sigs})
+			certs := NewCerts(&Config{N: 4, Verifier: cv, VerifySignatures: sigs})
 			good := memoQC(ring, 3)
 			bad := cloneQC(good)
 			bad.Votes[2].Voter = bad.Votes[1].Voter // duplicate voter: structurally bad
@@ -108,13 +108,13 @@ func TestIdentityMemo(t *testing.T) {
 
 			// Two Certs never share a slot: what one accepted, another with a
 			// larger quorum still judges for itself.
-			strict := NewCerts(&Config{N: 7, F: 2, Verifier: cv, VerifySignatures: sigs})
+			strict := NewCerts(&Config{N: 7, Verifier: cv, VerifySignatures: sigs})
 			if strict.remembered(good) || strict.VerifyQC(good) == nil {
 				t.Fatal("a certificate memoised by one Certs was accepted by another")
 			}
 
 			// DisableCache turns the identity memo off with the content cache.
-			off := NewCerts(&Config{N: 4, F: 1, Verifier: cv, VerifySignatures: sigs})
+			off := NewCerts(&Config{N: 4, Verifier: cv, VerifySignatures: sigs})
 			off.DisableCache()
 			if err := off.VerifyQC(good); err != nil || off.remembered(good) {
 				t.Fatalf("DisableCache: err %v, memoised %v", err, off.remembered(good))
@@ -132,7 +132,7 @@ func TestIdentityMemoAfterSignatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	cv := &enginetest.CountingVerifier{Verifier: ring}
-	certs := NewCerts(&Config{N: 4, F: 1, Verifier: cv, VerifySignatures: true})
+	certs := NewCerts(&Config{N: 4, Verifier: cv, VerifySignatures: true})
 	forged := memoQC(ring, 3)
 	forged.Votes[1].Signature = append([]byte(nil), forged.Votes[1].Signature...)
 	forged.Votes[1].Signature[0] ^= 1
@@ -163,7 +163,7 @@ func TestIdentityMemoConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sigs := range []bool{false, true} {
-		certs := NewCerts(&Config{N: 4, F: 1, Verifier: ring, VerifySignatures: sigs})
+		certs := NewCerts(&Config{N: 4, Verifier: ring, VerifySignatures: sigs})
 		good := make([]*types.QC, 2*memoSlots+1)
 		for i := range good {
 			good[i] = memoQC(ring, 3)

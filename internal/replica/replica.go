@@ -31,9 +31,9 @@ import (
 // Config is the configuration every replica engine shares; diembft.Config
 // and streamlet.Config embed it and add their protocol knobs.
 type Config struct {
-	// ID is this replica; N = 3F+1 replicas total.
-	ID   types.ReplicaID
-	N, F int
+	// ID is this replica; N = 3f+1 replicas total (F derives f).
+	ID types.ReplicaID
+	N  int
 
 	// Signer/Verifier provide the PKI. VerifySignatures enables full
 	// signature checking (structure checks always run); large simulations
@@ -53,11 +53,10 @@ type Config struct {
 	// Horizon bounds the endorsement walk depth (see core.Config).
 	Horizon int
 
-	// Payload supplies a proposal's transactions; nil means empty blocks.
-	// PayloadNow, if non-nil, supersedes it and also receives the engine's
-	// virtual time, which workload generators need to model arrival times
-	// (submit→commit latency accounting).
-	Payload    func(r types.Round) types.Payload
+	// PayloadNow supplies a proposal's transactions; nil means empty
+	// blocks. It receives the engine's virtual time, which workload
+	// generators need to model arrival times (submit→commit latency
+	// accounting).
 	PayloadNow func(r types.Round, now time.Duration) types.Payload
 
 	// App, if non-nil, turns on the execution layer and with it the
@@ -109,8 +108,11 @@ func (r Rule) String() string {
 	return ruleNames[r]
 }
 
+// F is the fault tolerance f = (N-1)/3.
+func (c *Config) F() int { return (c.N - 1) / 3 }
+
 // Quorum is the 2f+1 certificate threshold.
-func (c *Config) Quorum() int { return 2*c.F + 1 }
+func (c *Config) Quorum() int { return 2*c.F() + 1 }
 
 // Chassis is the shared replica state. Engines embed *Chassis; only the
 // engine's event-loop goroutine touches it, except Certs and the round
@@ -170,8 +172,8 @@ type Chassis struct {
 // tracker); accepted is what the engine does with a proposal once Accept
 // installed its block — its certificate, vote and commit rules.
 func New(cfg Config, mode core.Mode, onStrength func(b *types.Block, x int), accepted func(*types.Proposal)) (*Chassis, error) {
-	if cfg.N != 3*cfg.F+1 {
-		return nil, fmt.Errorf("replica: n=%d must be 3f+1 (f=%d)", cfg.N, cfg.F)
+	if cfg.N < 1 || (cfg.N-1)%3 != 0 {
+		return nil, fmt.Errorf("replica: n=%d must be 3f+1", cfg.N)
 	}
 	if cfg.Verifier == nil {
 		return nil, fmt.Errorf("replica: a verifier is required")
@@ -191,7 +193,7 @@ func New(cfg Config, mode core.Mode, onStrength func(b *types.Block, x int), acc
 	c.lastCommitted = c.store.Genesis().ID()
 	if cfg.Rule == RuleSFT || cfg.Rule == RuleNaive {
 		c.tracker = core.NewTracker(c.store, core.Config{
-			N: cfg.N, F: cfg.F, Mode: mode, Naive: cfg.Rule == RuleNaive,
+			N: cfg.N, F: cfg.F(), Mode: mode, Naive: cfg.Rule == RuleNaive,
 			Horizon: cfg.Horizon, OnStrength: onStrength,
 		})
 	}
@@ -514,8 +516,6 @@ func (c *Chassis) Propose(round types.Round, parent *types.Block, qc *types.QC, 
 	var payload types.Payload
 	if c.cfg.PayloadNow != nil {
 		payload = c.cfg.PayloadNow(round, c.now)
-	} else if c.cfg.Payload != nil {
-		payload = c.cfg.Payload(round)
 	}
 	b := types.NewBlock(parent.ID(), qc, round, parent.Height+1, c.cfg.ID, int64(c.now), payload, log)
 	p := &types.Proposal{Block: b, Round: round, Sender: c.cfg.ID}

@@ -18,7 +18,7 @@ func testChassis(t testing.TB, n, f int) (*Chassis, *crypto.KeyRing) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{ID: 0, N: n, F: f, Signer: ring.Signer(0), Verifier: ring, VerifySignatures: true}
+	cfg := Config{ID: 0, N: n, Signer: ring.Signer(0), Verifier: ring, VerifySignatures: true}
 	c, err := New(cfg, core.ModeRound, func(*types.Block, int) {}, func(*types.Proposal) {})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestNewRejectsUnknownRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rule := range []Rule{-1, RuleNaive + 1} {
-		cfg := Config{ID: 0, N: 4, F: 1, Signer: ring.Signer(0), Verifier: ring, Rule: rule}
+		cfg := Config{ID: 0, N: 4, Signer: ring.Signer(0), Verifier: ring, Rule: rule}
 		if _, err := New(cfg, core.ModeRound, nil, nil); err == nil {
 			t.Errorf("rule %v: built", rule)
 		}
@@ -228,12 +228,12 @@ func TestUnwrapEchoDepth(t *testing.T) {
 // TestCountedFailures: a rejected sync segment is counted, not dropped, and
 // the three tolerated-failure families are exported from the start.
 func TestCountedFailures(t *testing.T) {
-	sink := obs.New(obs.Options{N: 4, F: 1})
+	sink := obs.New(obs.Options{N: 4})
 	ring, err := crypto.NewKeyRing(4, 3, crypto.SchemeSim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{N: 4, F: 1, Verifier: ring, Obs: sink}, core.ModeRound, nil, nil)
+	c, err := New(Config{N: 4, Verifier: ring, Obs: sink}, core.ModeRound, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,11 @@ func startLocalCluster(t *testing.T, n, f int) (commits func() map[types.Replica
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
-		sinks = append(sinks, obs.New(obs.Options{N: n, F: f}))
+		sinks = append(sinks, obs.New(obs.Options{N: n}))
 		rep, err := diembft.New(diembft.Config{
 			Config: replica.Config{
 				ID:               id,
 				N:                n,
-				F:                f,
 				Signer:           ring.Signer(id),
 				Verifier:         ring,
 				VerifySignatures: true,

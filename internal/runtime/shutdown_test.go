@@ -20,7 +20,7 @@ import (
 // WAL instead of dropping buffered appends — after Run returns, the journal
 // is closed and a reopened log replays the full pre-shutdown state.
 func TestRunClosesJournalOnCancel(t *testing.T) {
-	const n, f = 4, 1
+	const n = 4
 	ring, err := crypto.NewKeyRing(n, 99, crypto.SchemeEd25519)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestRunClosesJournalOnCancel(t *testing.T) {
 		id := types.ReplicaID(i)
 		cfg := diembft.Config{
 			Config: replica.Config{
-				ID: id, N: n, F: f,
+				ID: id, N: n,
 				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
 			}, RoundTimeout: 300 * time.Millisecond,
 		}

@@ -74,7 +74,7 @@ func TestLongRangeAttackComparison(t *testing.T) {
 			id := types.ReplicaID(i)
 			rep, err := diembft.New(diembft.Config{
 				Config: replica.Config{
-					ID: id, N: n, F: f,
+					ID: id, N: n,
 					Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
 				}, RoundTimeout: 500 * time.Millisecond,
 			})
@@ -144,7 +144,7 @@ func TestLongRangeAttackComparison(t *testing.T) {
 			id := types.ReplicaID(i)
 			rep, err := streamlet.New(streamlet.Config{
 				Config: replica.Config{
-					ID: id, N: n, F: f,
+					ID: id, N: n,
 					Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
 				}, Delta: 10 * time.Millisecond,
 			})

@@ -19,7 +19,7 @@ func prevalidateReplica(t *testing.T, ring *crypto.KeyRing) *streamlet.Replica {
 	t.Helper()
 	rep, err := streamlet.New(streamlet.Config{
 		Config: replica.Config{
-			ID: 1, N: 4, F: 1,
+			ID: 1, N: 4,
 			Signer:           ring.Signer(1),
 			Verifier:         ring,
 			VerifySignatures: true,
@@ -128,7 +128,7 @@ func newDoorFixture(t testing.TB, verifier crypto.Verifier, verify bool, sink *o
 	fx := &doorFixture{ring: ring}
 	fx.rep, err = streamlet.New(streamlet.Config{
 		Config: replica.Config{
-			ID: 3, N: 4, F: 1,
+			ID: 3, N: 4,
 			Signer: ring.Signer(3), Verifier: verifier, VerifySignatures: verify,
 			Obs: sink,
 		},
@@ -303,7 +303,7 @@ func TestRejectionTable(t *testing.T) {
 			}
 			for _, split := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/verify=%v/split=%v", rj.name, verify, split), func(t *testing.T) {
-					sink := obs.New(obs.Options{N: 4, F: 1})
+					sink := obs.New(obs.Options{N: 4})
 					fx := newDoorFixture(t, nil, verify, sink)
 					enginetest.CheckRejected(t, fx.rep, split, rj.from, rj.msg(fx), fingerprint, sink, "")
 				})

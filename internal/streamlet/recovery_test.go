@@ -62,7 +62,7 @@ func TestStreamletKillRestartRecovers(t *testing.T) {
 		}
 		rep, err := streamlet.New(streamlet.Config{
 			Config: replica.Config{
-				ID: victim, N: n, F: f,
+				ID: victim, N: n,
 				Signer: ring.Signer(victim), Verifier: ring, VerifySignatures: true,
 				Journal: j,
 			},
@@ -141,7 +141,7 @@ func TestForgedJustifyCannotBlockRestart(t *testing.T) {
 		}
 		rep, err := streamlet.New(streamlet.Config{
 			Config: replica.Config{
-				ID: 3, N: 4, F: 1,
+				ID: 3, N: 4,
 				Signer: ring.Signer(3), Verifier: ring, VerifySignatures: true,
 				Journal: j,
 			},
@@ -199,7 +199,7 @@ func TestForgedJustifyVotesCannotCertifyOnRestart(t *testing.T) {
 		}
 		rep, err := streamlet.New(streamlet.Config{
 			Config: replica.Config{
-				ID: 3, N: 4, F: 1,
+				ID: 3, N: 4,
 				Signer: ring.Signer(3), Verifier: ring, VerifySignatures: true,
 				Journal: j,
 			},

@@ -29,7 +29,6 @@ func buildCluster(t testing.TB, n, f int, cfgMut func(id types.ReplicaID, c *str
 			Config: replica.Config{
 				ID:               id,
 				N:                n,
-				F:                f,
 				Signer:           ring.Signer(id),
 				Verifier:         ring,
 				VerifySignatures: true,
@@ -130,7 +129,7 @@ func TestNewRejectsFBFT(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := streamlet.Config{
-		Config: replica.Config{ID: 0, N: 4, F: 1, Signer: ring.Signer(0), Verifier: ring, Rule: replica.RuleFBFT},
+		Config: replica.Config{ID: 0, N: 4, Signer: ring.Signer(0), Verifier: ring, Rule: replica.RuleFBFT},
 		Delta:  20 * time.Millisecond,
 	}
 	if _, err := streamlet.New(cfg); err == nil {
@@ -150,7 +149,7 @@ func TestNewRejectsNoSigner(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := streamlet.Config{
-		Config: replica.Config{ID: 0, N: 4, F: 1, Verifier: ring},
+		Config: replica.Config{ID: 0, N: 4, Verifier: ring},
 		Delta:  20 * time.Millisecond,
 	}
 	if _, err := streamlet.New(cfg); err == nil {

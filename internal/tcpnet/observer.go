@@ -14,6 +14,10 @@ import (
 	"repro/internal/types"
 )
 
+// observerDialRetry is the observer's pause between failed dials and
+// reconnects.
+const observerDialRetry = 250 * time.Millisecond
+
 // ObserverConfig describes a non-voting follower's view of the cluster: the
 // identity it presents in handshakes (an ID outside the voting committee)
 // and the replicas it attaches to.
@@ -25,8 +29,6 @@ type ObserverConfig struct {
 	// mirror connection to every upstream, reconnecting with backoff, so one
 	// upstream crashing does not blind it.
 	Upstreams map[types.ReplicaID]string
-	// DialRetry is the pause between failed dials/reconnects (default 250ms).
-	DialRetry time.Duration
 	// Prevalidate, if non-nil, runs on every decoded frame on the upstream's
 	// reader goroutine (wire it to engine.Engine.Prevalidate).
 	Prevalidate func(from types.ReplicaID, msg types.Message) error
@@ -54,9 +56,6 @@ type ObserverNet struct {
 func DialObservers(cfg ObserverConfig) (*ObserverNet, error) {
 	if len(cfg.Upstreams) == 0 {
 		return nil, fmt.Errorf("tcpnet: observer needs at least one upstream")
-	}
-	if cfg.DialRetry == 0 {
-		cfg.DialRetry = 250 * time.Millisecond
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	o := &ObserverNet{
@@ -128,7 +127,8 @@ func (o *ObserverNet) Close() error {
 
 // upstreamLoop maintains one upstream connection for the observer's
 // lifetime: dial, observer handshake, then drain mirrored frames here while a
-// writer drains q; on any failure tear both down and retry after DialRetry.
+// writer drains q; on any failure tear both down and retry after
+// observerDialRetry.
 // This is what makes observer restarts and upstream restarts self-healing.
 func (o *ObserverNet) upstreamLoop(q *outQueue, addr string) {
 	defer o.wg.Done()
@@ -139,7 +139,7 @@ func (o *ObserverNet) upstreamLoop(q *outQueue, addr string) {
 			o.serve(q, conn)
 		}
 		select {
-		case <-time.After(o.cfg.DialRetry):
+		case <-time.After(observerDialRetry):
 		case <-o.ctx.Done():
 		}
 	}

@@ -193,7 +193,6 @@ func TestObserverReconnectResumes(t *testing.T) {
 	obs2, err := tcpnet.DialObservers(tcpnet.ObserverConfig{
 		ID:        4,
 		Upstreams: map[types.ReplicaID]string{0: nt0.Addr().String()},
-		DialRetry: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

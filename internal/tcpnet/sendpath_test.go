@@ -196,7 +196,7 @@ func (t *timedTransport) Broadcast(msg types.Message) error {
 // and because Send and Broadcast only enqueue, no call from the event loop
 // waits on a dead peer's dials, timeouts or full socket buffers.
 func TestDeadPeersDoNotStallTheLoop(t *testing.T) {
-	const n, f, live = 7, 2, 5
+	const n, live = 7, 5
 	ring, err := crypto.NewKeyRing(n, 5, crypto.SchemeEd25519)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestDeadPeersDoNotStallTheLoop(t *testing.T) {
 		id := types.ReplicaID(i)
 		rep, err := diembft.New(diembft.Config{
 			Config: replica.Config{
-				ID: id, N: n, F: f,
+				ID: id, N: n,
 				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
 			}, RoundTimeout: 150 * time.Millisecond,
 		})

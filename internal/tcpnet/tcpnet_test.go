@@ -16,10 +16,7 @@ import (
 )
 
 func TestTCPClusterCommits(t *testing.T) {
-	const (
-		n = 4
-		f = 1
-	)
+	const n = 4
 	ring, err := crypto.NewKeyRing(n, 5, crypto.SchemeEd25519)
 	if err != nil {
 		t.Fatalf("keyring: %v", err)
@@ -55,7 +52,6 @@ func TestTCPClusterCommits(t *testing.T) {
 			Config: replica.Config{
 				ID:               id,
 				N:                n,
-				F:                f,
 				Signer:           ring.Signer(id),
 				Verifier:         ring,
 				VerifySignatures: true,

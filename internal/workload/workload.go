@@ -5,6 +5,7 @@ package workload
 
 import (
 	"math/rand"
+	"time"
 
 	"repro/internal/types"
 )
@@ -57,14 +58,15 @@ func (g *Generator) Batch(n int) []types.Transaction {
 	return out
 }
 
-// PaperPayload returns a payload source for the simulator that models the
+// PaperPayload returns a payload source (the engines' PayloadNow hook) for
+// the simulator that models the
 // paper's block shape — txns transactions and blockBytes total size — while
 // keeping hashing cheap: a handful of representative transactions plus
 // Padding accounting for the rest of the bytes. Sampling a few real
 // transactions keeps block IDs unique per (round, leader).
-func PaperPayload(seed int64, txns, blockBytes int) func(round types.Round) types.Payload {
+func PaperPayload(seed int64, txns, blockBytes int) func(types.Round, time.Duration) types.Payload {
 	g := NewGenerator(seed, 64, 128)
-	return func(round types.Round) types.Payload {
+	return func(types.Round, time.Duration) types.Payload {
 		sample := g.Batch(4)
 		size := 0
 		for _, t := range sample {
@@ -78,10 +80,11 @@ func PaperPayload(seed int64, txns, blockBytes int) func(round types.Round) type
 	}
 }
 
-// FullPayload returns a payload source that materializes every transaction
-// (used by the real TCP cluster and the throughput accounting tests).
-func FullPayload(g *Generator, txns int) func(round types.Round) types.Payload {
-	return func(round types.Round) types.Payload {
+// FullPayload returns a payload source (the engines' PayloadNow hook) that
+// materializes every transaction (used by the real TCP cluster and the
+// throughput accounting tests).
+func FullPayload(g *Generator, txns int) func(types.Round, time.Duration) types.Payload {
+	return func(types.Round, time.Duration) types.Payload {
 		return types.Payload{Txns: g.Batch(txns)}
 	}
 }

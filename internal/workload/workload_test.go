@@ -36,8 +36,8 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 func TestPaperPayloadShape(t *testing.T) {
 	src := workload.PaperPayload(1, workload.PaperTxnsPerBlock, workload.PaperBlockBytes)
-	p1 := src(1)
-	p2 := src(2)
+	p1 := src(1, 0)
+	p2 := src(2, 0)
 	// Modeled size must match the paper's ~450KB block.
 	if p1.Size() < workload.PaperBlockBytes || p1.Size() > workload.PaperBlockBytes+64 {
 		t.Fatalf("payload size %d, want ~%d", p1.Size(), workload.PaperBlockBytes)
@@ -52,7 +52,7 @@ func TestPaperPayloadShape(t *testing.T) {
 func TestFullPayload(t *testing.T) {
 	g := workload.NewGenerator(1, 2, 8)
 	src := workload.FullPayload(g, 25)
-	p := src(1)
+	p := src(1, 0)
 	if len(p.Txns) != 25 || p.Padding != 0 {
 		t.Fatalf("full payload: %d txns, padding %d", len(p.Txns), p.Padding)
 	}

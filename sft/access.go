@@ -40,12 +40,10 @@ type ObserverConfig struct {
 	// ID is the observer's wire identity; it must lie outside the voting
 	// committee [0, N). Zero means N (the first observer slot).
 	ID ReplicaID
-	// N is the committee size (3f+1) and Seed/Scheme/Ring identify its PKI,
-	// exactly as in Config — the observer only ever verifies, never signs.
-	N      int
-	Seed   int64
-	Scheme Scheme
-	Ring   *KeyRing
+	// Ring is the committee's PKI (required): its size is the committee's
+	// N = 3f+1 and its scheme says whether signatures are checked. The
+	// observer only ever verifies, never signs.
+	Ring *KeyRing
 	// Engine names the protocol the committee runs; it selects the marker
 	// mode the observer tracks strength with (default DiemBFT).
 	Engine Engine
@@ -116,7 +114,7 @@ type ObserverNode struct {
 // NewObserver composes a non-voting observer node and attaches it to its
 // transport.
 func NewObserver(cfg ObserverConfig, tr ObserverTransport) (*ObserverNode, error) {
-	ring, scheme, err := resolvePKI(cfg.N, cfg.Seed, cfg.Scheme, cfg.Ring)
+	n, err := committee(cfg.Ring)
 	if err != nil {
 		return nil, err
 	}
@@ -124,10 +122,10 @@ func NewObserver(cfg ObserverConfig, tr ObserverTransport) (*ObserverNode, error
 		return nil, fmt.Errorf("sft: an observer transport is required")
 	}
 	if cfg.ID == 0 {
-		cfg.ID = ReplicaID(cfg.N)
+		cfg.ID = ReplicaID(n)
 	}
-	if int(cfg.ID) < cfg.N {
-		return nil, fmt.Errorf("sft: observer ID %d inside the voting committee [0, %d)", cfg.ID, cfg.N)
+	if int(cfg.ID) < n {
+		return nil, fmt.Errorf("sft: observer ID %d inside the voting committee [0, %d)", cfg.ID, n)
 	}
 	mode := core.ModeRound
 	if cfg.Engine == Streamlet {
@@ -135,16 +133,15 @@ func NewObserver(cfg ObserverConfig, tr ObserverTransport) (*ObserverNode, error
 	}
 	o := &ObserverNode{
 		id:   cfg.ID,
-		n:    cfg.N,
+		n:    n,
 		feed: feed{name: "observer"},
 	}
-	verify := scheme == SchemeEd25519 || scheme == Ed25519Aggregate
 	eng, err := observer.New(observer.Config{
 		ID:               cfg.ID,
-		N:                cfg.N,
+		N:                n,
 		Mode:             mode,
-		Verifier:         ring,
-		VerifySignatures: verify,
+		Verifier:         cfg.Ring,
+		VerifySignatures: checksSignatures(cfg.Ring),
 		OnCertified: func(b *types.Block, qc *types.QC) {
 			if cfg.Gateway != nil {
 				// A pair the observer itself verified; the gateway re-checks
@@ -219,12 +216,9 @@ func (o *ObserverNode) onStrength(now time.Duration, b *Block, x int) {
 
 // GatewayConfig parameterizes a strength-subscription gateway.
 type GatewayConfig struct {
-	// N/Seed/Scheme/Ring identify the committee PKI the gateway (and its
-	// subscribers) verify proofs against.
-	N      int
-	Seed   int64
-	Scheme Scheme
-	Ring   *KeyRing
+	// Ring is the committee PKI (required, 3f+1 keys) the gateway and its
+	// subscribers verify proofs against.
+	Ring *KeyRing
 	// QueueBound is the per-subscriber queue depth; a subscriber that falls
 	// further behind is evicted (default gateway.DefaultQueueBound).
 	QueueBound int
@@ -242,13 +236,13 @@ type GatewayService struct {
 
 // NewGateway composes a gateway over the committee's PKI.
 func NewGateway(cfg GatewayConfig) (*GatewayService, error) {
-	ring, _, err := resolvePKI(cfg.N, cfg.Seed, cfg.Scheme, cfg.Ring)
+	n, err := committee(cfg.Ring)
 	if err != nil {
 		return nil, err
 	}
 	return &GatewayService{gw: gateway.New(gateway.Config{
-		F:          (cfg.N - 1) / 3,
-		Verifier:   ring,
+		F:          (n - 1) / 3,
+		Verifier:   cfg.Ring,
 		QueueBound: cfg.QueueBound,
 		Obs:        cfg.Obs,
 	})}, nil
@@ -295,12 +289,9 @@ type StrengthEvent struct {
 
 // SubscriberConfig parameterizes a gateway subscription.
 type SubscriberConfig struct {
-	// N/Seed/Scheme/Ring identify the committee PKI events are verified
+	// Ring is the committee PKI (required, 3f+1 keys) events are verified
 	// against — the client's trust root. The gateway is NOT part of it.
-	N      int
-	Seed   int64
-	Scheme Scheme
-	Ring   *KeyRing
+	Ring *KeyRing
 	// MinStrength filters the subscription server-side: only rises at or
 	// above it are streamed.
 	MinStrength int
@@ -347,7 +338,7 @@ type Subscriber struct {
 // Subscribe dials a gateway, registers the subscription, and starts the
 // verified event stream.
 func Subscribe(addr string, cfg SubscriberConfig) (*Subscriber, error) {
-	ring, _, err := resolvePKI(cfg.N, cfg.Seed, cfg.Scheme, cfg.Ring)
+	n, err := committee(cfg.Ring)
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +356,7 @@ func Subscribe(addr string, cfg SubscriberConfig) (*Subscriber, error) {
 	}
 	s := &Subscriber{
 		conn: conn,
-		lc:   lightclient.New(ring, (cfg.N-1)/3),
+		lc:   lightclient.New(cfg.Ring, (n-1)/3),
 		ch:   make(chan StrengthEvent, 64),
 		done: make(chan struct{}),
 	}

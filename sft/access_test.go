@@ -32,7 +32,6 @@ func TestAccessTierTCP(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := sft.ReplicaID(i)
 		nodes[i], err = sft.New(sft.Config{ID: id, N: n, Seed: seed},
-			sft.WithScheme(sft.SchemeEd25519),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(sft.TCP(sft.TCPConfig{Listen: "127.0.0.1:0"})),
 			sft.WithVerifyPipeline(0),
@@ -50,7 +49,7 @@ func TestAccessTierTCP(t *testing.T) {
 		}
 	}
 
-	gw, err := sft.NewGateway(sft.GatewayConfig{N: n, Seed: seed, Scheme: sft.SchemeEd25519, Ring: ring})
+	gw, err := sft.NewGateway(sft.GatewayConfig{Ring: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +60,14 @@ func TestAccessTierTCP(t *testing.T) {
 	}
 
 	obs, err := sft.NewObserver(sft.ObserverConfig{
-		N: n, Seed: seed, Scheme: sft.SchemeEd25519, Ring: ring, Gateway: gw,
+		Ring: ring, Gateway: gw,
 	}, sft.ObserverTCP(peers))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sub, err := sft.Subscribe(gwAddr.String(), sft.SubscriberConfig{
-		N: n, Seed: seed, Scheme: sft.SchemeEd25519, Ring: ring,
+		Ring: ring,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +160,6 @@ func TestSimnetObserver(t *testing.T) {
 			for i := 0; i < n; i++ {
 				nodes[i], err = sft.New(sft.Config{ID: sft.ReplicaID(i), N: n, Seed: seed},
 					sft.WithEngine(eng),
-					sft.WithScheme(sft.SchemeSim),
 					sft.WithKeyRing(ring),
 					sft.WithTransport(world.Transport(sft.ReplicaID(i))),
 					sft.WithRoundTimeout(500*time.Millisecond),
@@ -172,7 +170,7 @@ func TestSimnetObserver(t *testing.T) {
 				}
 			}
 			obs, err := sft.NewObserver(sft.ObserverConfig{
-				N: n, Seed: seed, Scheme: sft.SchemeSim, Ring: ring, Engine: eng,
+				Ring: ring, Engine: eng,
 			}, world.ObserverTransport(0))
 			if err != nil {
 				t.Fatal(err)
@@ -304,7 +302,7 @@ func TestLyingGatewayCaught(t *testing.T) {
 	}()
 
 	sub, err := sft.Subscribe(ln.Addr().String(), sft.SubscriberConfig{
-		N: n, Seed: seed, Scheme: sft.SchemeSim, Ring: ring,
+		Ring: ring,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -325,42 +323,48 @@ func TestLyingGatewayCaught(t *testing.T) {
 	}
 }
 
-// TestAccessConstructorsRejectWrongSizedRing: a supplied key ring that does
-// not cover the committee is an error at construction in every constructor
-// that takes one (sft.New's case is in TestNewValidation). A short ring
-// verifies nothing — KeyRing.Verify is false for a signer it does not hold —
-// which would read as an observer that never advances.
-func TestAccessConstructorsRejectWrongSizedRing(t *testing.T) {
-	ring, err := sft.NewKeyRing(4, 1, sft.SchemeSim)
+// TestAccessConstructorsNeedACommitteeRing: the key ring is the committee
+// in every access-tier constructor, so each one refuses to build without a
+// ring, and refuses a ring that is not 3f+1 keys (a 5-key ring names no
+// committee the quorum arithmetic holds for).
+func TestAccessConstructorsNeedACommitteeRing(t *testing.T) {
+	five, err := sft.NewKeyRing(5, 1, sft.SchemeSim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "key ring holds 4 keys, cluster has 7"
-	world, err := sft.NewSimnet(sft.SimnetConfig{N: 7, Observers: 1, Latency: &sft.UniformLatency{Base: time.Millisecond}, Seed: 1})
+	world, err := sft.NewSimnet(sft.SimnetConfig{N: 4, Observers: 1, Latency: &sft.UniformLatency{Base: time.Millisecond}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		name      string
-		construct func() error
+		construct func(ring *sft.KeyRing) error
 	}{
-		{"NewObserver", func() error {
-			_, err := sft.NewObserver(sft.ObserverConfig{N: 7, Seed: 1, Scheme: sft.SchemeSim, Ring: ring}, world.ObserverTransport(0))
+		{"NewObserver", func(ring *sft.KeyRing) error {
+			_, err := sft.NewObserver(sft.ObserverConfig{Ring: ring}, world.ObserverTransport(0))
 			return err
 		}},
-		{"NewGateway", func() error {
-			_, err := sft.NewGateway(sft.GatewayConfig{N: 7, Seed: 1, Scheme: sft.SchemeSim, Ring: ring})
+		{"NewGateway", func(ring *sft.KeyRing) error {
+			_, err := sft.NewGateway(sft.GatewayConfig{Ring: ring})
 			return err
 		}},
-		{"Subscribe", func() error {
+		{"Subscribe", func(ring *sft.KeyRing) error {
 			// The address is never dialed: the ring is checked first.
-			_, err := sft.Subscribe("127.0.0.1:1", sft.SubscriberConfig{N: 7, Seed: 1, Scheme: sft.SchemeSim, Ring: ring})
+			_, err := sft.Subscribe("127.0.0.1:1", sft.SubscriberConfig{Ring: ring})
 			return err
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if err := c.construct(); err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("%s with a 4-key ring and N=7: err = %v, want %q", c.name, err, want)
+			for _, tc := range []struct {
+				ring *sft.KeyRing
+				want string
+			}{
+				{nil, "key ring is required"},
+				{five, "N=5 must be 3f+1"},
+			} {
+				if err := c.construct(tc.ring); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: err = %v, want %q", c.name, err, tc.want)
+				}
 			}
 		})
 	}

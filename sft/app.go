@@ -92,10 +92,10 @@ func WithApp(factory func() StateMachine) Option {
 	return func(s *settings) { s.app = factory }
 }
 
-// WithPayloadNow is WithPayload with the node's virtual/monotonic time
-// passed alongside the round — for latency-accounting workload generators
-// whose transactions are stamped at proposal time. Overrides WithPayload
-// when both are set.
+// WithPayloadNow supplies block transactions: fn is called once per led
+// round with the node's virtual/monotonic time alongside the round, which
+// latency-accounting workload generators stamp their transactions with. nil
+// (the default) proposes empty blocks.
 func WithPayloadNow(fn func(r Round, now time.Duration) Payload) Option {
 	return func(s *settings) { s.payloadNow = fn }
 }
@@ -158,7 +158,7 @@ func (n *Node) AppExecuted() int64 {
 // one still in flight. Attach it to a node with WithMempool; the node then
 // reports inclusions and strength rises into the gate synchronously on its
 // commit path (deterministic under Simnet), and drain batches from a
-// WithPayload function.
+// WithPayloadNow function.
 type Mempool struct {
 	mu   sync.Mutex
 	pool *mempool.Pool
@@ -182,7 +182,7 @@ func (m *Mempool) Submit(txn Transaction, requiredStrength int) {
 }
 
 // Batch removes and returns up to max released transactions, oldest first —
-// call it from a WithPayload / WithPayloadNow function.
+// call it from a WithPayloadNow function.
 func (m *Mempool) Batch(max int) []Transaction {
 	m.mu.Lock()
 	defer m.mu.Unlock()

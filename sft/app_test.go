@@ -30,7 +30,6 @@ func bankCluster(t *testing.T, seed int64, cfg sft.BankConfig, extra func(id sft
 	for i := 0; i < n; i++ {
 		id := sft.ReplicaID(i)
 		opts := []sft.Option{
-			sft.WithScheme(sft.SchemeSim),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(world.Transport(id)),
 			sft.WithRoundTimeout(250 * time.Millisecond),

@@ -103,7 +103,7 @@ func ListenTransactionsLimit(addr string, capacity, maxConns int) (*TxnServer, e
 func (s *TxnServer) Addr() net.Addr { return s.ln.Addr() }
 
 // Batch removes and returns up to max pooled transactions, oldest first —
-// call it from a WithPayload function to build blocks from client load.
+// call it from a WithPayloadNow function to build blocks from client load.
 func (s *TxnServer) Batch(max int) []Transaction {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -73,7 +73,6 @@ func (tr *trace) equal(t *testing.T, other *trace) {
 
 const (
 	detN        = 4
-	detF        = 1
 	detSeed     = 99
 	detDuration = 8 * time.Second
 )
@@ -108,7 +107,7 @@ func runFacadeNodes(t *testing.T, eng sft.Engine, extra ...sft.Option) (*trace, 
 			sft.WithTransport(world.Transport(id)),
 			sft.WithRoundTimeout(500 * time.Millisecond),
 			sft.WithDelta(25 * time.Millisecond),
-			sft.WithPayload(payload),
+			sft.WithPayloadNow(payload),
 			sft.WithObserver(func(ev sft.CommitEvent) {
 				if ev.Regular {
 					tr.commits[id] = append(tr.commits[id], ev.Block.ID())
@@ -157,9 +156,9 @@ func runHandWired(t *testing.T, proto sft.Engine) *trace {
 		case sft.Streamlet:
 			rep, err := streamlet.New(streamlet.Config{
 				Config: replica.Config{
-					ID: id, N: detN, F: detF,
+					ID: id, N: detN,
 					Signer: ring.Signer(id), Verifier: ring,
-					Payload: payload,
+					PayloadNow: payload,
 				},
 				Delta: 25 * time.Millisecond,
 			})
@@ -170,9 +169,9 @@ func runHandWired(t *testing.T, proto sft.Engine) *trace {
 		default:
 			rep, err := diembft.New(diembft.Config{
 				Config: replica.Config{
-					ID: id, N: detN, F: detF,
+					ID: id, N: detN,
 					Signer: ring.Signer(id), Verifier: ring,
-					Payload: payload,
+					PayloadNow: payload,
 				},
 				RoundTimeout: 500 * time.Millisecond,
 			})

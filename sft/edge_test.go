@@ -140,7 +140,6 @@ func TestSetPeersOnRunningTCPNode(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := sft.ReplicaID(i)
 		nodes[i], err = sft.New(sft.Config{ID: id, N: n, Seed: seed},
-			sft.WithScheme(sft.SchemeSim),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(sft.TCP(sft.TCPConfig{Listen: "127.0.0.1:0"})),
 			sft.WithRoundTimeout(250*time.Millisecond),

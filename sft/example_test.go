@@ -70,7 +70,6 @@ func ExampleNew_streamlet() {
 		id := sft.ReplicaID(i)
 		nodes[i], err = sft.New(sft.Config{ID: id, N: n, Seed: seed},
 			sft.WithEngine(sft.Streamlet),
-			sft.WithCommitRule(sft.CommitRule{Mode: sft.ModeHeight}),
 			sft.WithScheme(sft.SchemeSim),
 			sft.WithTransport(world.Transport(id)),
 			sft.WithDelta(20*time.Millisecond), // lock-step rounds of 2∆

@@ -33,11 +33,15 @@ func bothHandles(t *testing.T, keep Height) (*Node, *ObserverNode) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := New(Config{ID: 0, N: n, Seed: 1}, WithScheme(SchemeSim), WithTransport(world.Transport(0)), WithPruneKeep(keep))
+	ring, err := NewKeyRing(n, 1, SchemeSim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	observer, err := NewObserver(ObserverConfig{N: n, Seed: 1, Scheme: SchemeSim}, world.ObserverTransport(0))
+	node, err := New(Config{ID: 0, N: n, Seed: 1}, WithKeyRing(ring), WithTransport(world.Transport(0)), WithPruneKeep(keep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	observer, err := NewObserver(ObserverConfig{Ring: ring}, world.ObserverTransport(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ type settings struct {
 	obsEnabled bool
 	obsCfg     ObsConfig
 
-	payload      func(Round) Payload
 	payloadNow   func(Round, time.Duration) Payload
 	app          func() StateMachine
 	mempool      *Mempool
@@ -55,7 +54,6 @@ type settings struct {
 func defaultSettings() settings {
 	return settings{
 		engine:       DiemBFT,
-		scheme:       SchemeEd25519,
 		roundTimeout: time.Second,
 		delta:        100 * time.Millisecond,
 	}
@@ -95,22 +93,24 @@ func WithEngine(e Engine) Option {
 	}
 }
 
-// WithCommitRule sets the strengthened commit rule: marker mode
-// (round/height), strong-vote flavor, endorsement horizon, and the
-// x-strong threshold subscriptions act on. The zero rule — the default —
-// is the engine's natural mode with marker votes, delivering every
-// strength level.
+// WithCommitRule sets the strengthened commit rule: strong-vote flavor,
+// endorsement horizon, and the x-strong threshold subscriptions act on. The
+// zero rule — the default — is marker votes, delivering every strength
+// level; the engine keys the markers (by round under DiemBFT, by height
+// under Streamlet).
 func WithCommitRule(r CommitRule) Option {
 	return func(s *settings) { s.rule = r }
 }
 
-// WithScheme selects the signature scheme: SchemeEd25519 (default, real
-// crypto, verification always on), SchemeSim (fast deterministic toy
-// scheme, verification off — the setting large simulations use), or their
-// aggregating variants Ed25519Aggregate / SimAggregate, which additionally
-// compact every formed certificate into the constant-size aggregated form
-// (recommended at n ≳ 64, where per-vote signature vectors dominate wire
-// bytes and verify CPU).
+// WithScheme selects the signature scheme of the ring New derives from
+// Config.Seed: SchemeEd25519 (default, real crypto, verification always on),
+// SchemeSim (fast deterministic toy scheme, verification off — the setting
+// large simulations use), or their aggregating variants Ed25519Aggregate /
+// SimAggregate, which additionally compact every formed certificate into the
+// constant-size aggregated form (recommended at n ≳ 64, where per-vote
+// signature vectors dominate wire bytes and verify CPU). With WithKeyRing
+// the ring's own scheme is in effect and WithScheme is not needed; a
+// WithScheme that names another scheme than the ring's fails New.
 func WithScheme(sc Scheme) Option {
 	return func(s *settings) {
 		switch sc {
@@ -125,7 +125,9 @@ func WithScheme(sc Scheme) Option {
 
 // WithKeyRing shares a pre-derived PKI across in-process nodes so the
 // ed25519 key generation for n replicas happens once per cluster instead of
-// once per node. The ring must match Config.N and the cluster's seed/scheme.
+// once per node. The ring names the committee: it must hold Config.N keys,
+// and the node signs and verifies under the ring's scheme (KeyRing.Scheme),
+// so no WithScheme is needed beside it.
 func WithKeyRing(ring *KeyRing) Option {
 	return func(s *settings) { s.ring = ring }
 }
@@ -238,12 +240,6 @@ func WithObservability(cfg ObsConfig) Option {
 // consumers. Events below CommitRule.MinStrength are filtered here too.
 func WithObserver(fn func(CommitEvent)) Option {
 	return func(s *settings) { s.observer = fn }
-}
-
-// WithPayload supplies block transactions: fn is called once per led round.
-// nil (the default) proposes empty blocks.
-func WithPayload(fn func(r Round) Payload) Option {
-	return func(s *settings) { s.payload = fn }
 }
 
 // WithRoundTimeout sets the pacemaker's base round timeout (DiemBFT;

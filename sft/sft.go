@@ -17,7 +17,6 @@
 //
 //	node, err := sft.New(sft.Config{ID: 0, N: 4, Seed: 42},
 //		sft.WithEngine(sft.DiemBFT),
-//		sft.WithScheme(sft.SchemeEd25519),
 //		sft.WithTransport(sft.TCP(sft.TCPConfig{Listen: ":7000", Peers: peers})),
 //		sft.WithWAL("/var/lib/sft/replica-0"),
 //		sft.WithCommitRule(sft.CommitRule{MinStrength: 2}),
@@ -82,6 +81,7 @@ type (
 	// QC is a quorum certificate.
 	QC = types.QC
 	// KeyRing is the cluster PKI: every replica's keys, derived from a seed.
+	// It names the committee: its size N and its Scheme.
 	KeyRing = crypto.KeyRing
 	// LatencyModel computes simulated delivery delays (Simnet transport).
 	LatencyModel = simnet.LatencyModel
@@ -199,18 +199,6 @@ func (e Engine) String() string {
 	}
 }
 
-// Mode selects which chain coordinate strong-vote markers are compared
-// against — the two instantiations of the paper's commit rule.
-type Mode int
-
-// Commit-rule modes.
-const (
-	// ModeRound keys markers by round (Section 3.2) — the DiemBFT rule.
-	ModeRound Mode = iota + 1
-	// ModeHeight keys markers by height (Appendix D) — the Streamlet rule.
-	ModeHeight
-)
-
 // VoteFlavor selects the strong-vote encoding (DiemBFT only).
 type VoteFlavor int
 
@@ -225,14 +213,12 @@ const (
 )
 
 // CommitRule is the paper's strengthened commit rule as a first-class
-// value: how endorsements are keyed, how strong-votes are encoded, and the
-// strength threshold x the client acts on. The zero value means "the
-// engine's natural rule, deliver every strength level".
+// value: how strong-votes are encoded, how deep endorsements are walked, and
+// the strength threshold x the client acts on. How markers are keyed is the
+// engine's: by round under DiemBFT (Section 3.2), by height under Streamlet
+// (Appendix D). The zero value means "marker votes, deliver every strength
+// level".
 type CommitRule struct {
-	// Mode keys the rule by round (DiemBFT) or height (Streamlet). Zero
-	// selects the engine's natural mode; a non-zero Mode that contradicts
-	// the engine is rejected by New.
-	Mode Mode
 	// Votes selects marker (default) or interval strong-votes. Intervals
 	// are DiemBFT-only.
 	Votes VoteFlavor
@@ -252,11 +238,14 @@ type CommitRule struct {
 type Config struct {
 	// ID is this replica, in [0, N).
 	ID ReplicaID
-	// N is the cluster size; must be 3f+1.
+	// N is the cluster size; must be 3f+1, and must be the size of the
+	// WithKeyRing ring if one is given.
 	N int
-	// Seed derives the cluster's PKI (all replicas must agree on it; a real
-	// deployment would exchange public keys instead) and, under the Simnet
-	// transport, seeds nothing — the simulation seed lives in SimnetConfig.
+	// Seed derives the cluster's PKI when no WithKeyRing ring is given (all
+	// replicas must agree on it; a real deployment would exchange public
+	// keys instead) and seeds a Byzantine node's behaviour; under the Simnet
+	// transport it seeds nothing else — the simulation seed lives in
+	// SimnetConfig.
 	Seed int64
 }
 
@@ -270,29 +259,55 @@ func NewKeyRing(n int, seed int64, scheme Scheme) (*KeyRing, error) {
 	return crypto.NewKeyRing(n, seed, string(scheme))
 }
 
-// resolvePKI is the one place a constructor turns "N, seed, scheme, maybe a
-// ring" into the committee's key ring: N must be 3f+1, no scheme means
-// ed25519, no ring means the one derived from the seed, and a supplied ring
-// must hold exactly N keys. KeyRing.Verify is false for a signer outside the
-// ring, so a short ring would reject every certificate without ever saying
-// why; a long one belongs to another cluster. It returns the ring and the
-// scheme in effect.
-func resolvePKI(n int, seed int64, scheme Scheme, ring *KeyRing) (*KeyRing, Scheme, error) {
+// checkCommittee rejects a committee size that is not 3f+1 with f >= 1.
+func checkCommittee(n int) error {
 	if n < 4 || (n-1)%3 != 0 {
-		return nil, "", fmt.Errorf("sft: N=%d must be 3f+1 with f >= 1", n)
+		return fmt.Errorf("sft: N=%d must be 3f+1 with f >= 1", n)
 	}
-	if scheme == "" {
-		scheme = SchemeEd25519
+	return nil
+}
+
+// committee reads the committee size from the ring an access-tier
+// constructor is given: the ring is required, and it must hold 3f+1 keys.
+func committee(ring *KeyRing) (int, error) {
+	if ring == nil {
+		return 0, fmt.Errorf("sft: a committee key ring is required (sft.NewKeyRing)")
+	}
+	return ring.N(), checkCommittee(ring.N())
+}
+
+// checksSignatures reports whether ring's scheme is real crypto, under
+// which every signature is checked; the simulated schemes leave the checks
+// to WithReference.
+func checksSignatures(ring *KeyRing) bool {
+	s := Scheme(ring.Scheme())
+	return s == SchemeEd25519 || s == Ed25519Aggregate
+}
+
+// resolvePKI turns a node's N and seed, its WithScheme and its WithKeyRing
+// into the committee's key ring. A supplied ring names the committee: it must
+// hold exactly N keys (KeyRing.Verify is false for a signer outside the ring,
+// so a short ring would reject every certificate without ever saying why; a
+// long one belongs to another cluster), and its scheme is the one in effect,
+// so a WithScheme naming another is an error. Without a ring, the ring is
+// derived from the seed under the chosen scheme, ed25519 if none.
+func resolvePKI(n int, seed int64, scheme Scheme, ring *KeyRing) (*KeyRing, error) {
+	if err := checkCommittee(n); err != nil {
+		return nil, err
 	}
 	if ring == nil {
-		var err error
-		if ring, err = crypto.NewKeyRing(n, seed, string(scheme)); err != nil {
-			return nil, "", err
+		if scheme == "" {
+			scheme = SchemeEd25519
 		}
-	} else if ring.N() != n {
-		return nil, "", fmt.Errorf("sft: key ring holds %d keys, cluster has %d replicas", ring.N(), n)
+		return crypto.NewKeyRing(n, seed, string(scheme))
 	}
-	return ring, scheme, nil
+	if ring.N() != n {
+		return nil, fmt.Errorf("sft: key ring holds %d keys, cluster has %d replicas", ring.N(), n)
+	}
+	if scheme != "" && Scheme(ring.Scheme()) != scheme {
+		return nil, fmt.Errorf("sft: WithScheme(%s) contradicts the key ring's scheme %s", scheme, ring.Scheme())
+	}
+	return ring, nil
 }
 
 // New composes a replica node from the configuration and options: engine,
@@ -304,7 +319,7 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	for _, opt := range opts {
 		opt(&s)
 	}
-	ring, scheme, err := resolvePKI(cfg.N, cfg.Seed, s.scheme, s.ring)
+	ring, err := resolvePKI(cfg.N, cfg.Seed, s.scheme, s.ring)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +336,7 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	verify := scheme == SchemeEd25519 || scheme == Ed25519Aggregate || s.ref.VerifySignatures
+	verify := checksSignatures(ring) || s.ref.VerifySignatures
 
 	n := &Node{
 		cfg:  cfg,
@@ -341,11 +356,7 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	// recovery replay's first appends are already counted, and before the
 	// transport attaches so the network and prevalidation layers see it.
 	if s.obsEnabled {
-		n.obs = obs.New(obs.Options{
-			N:             cfg.N,
-			F:             cfg.F(),
-			TraceCapacity: s.obsCfg.TraceCapacity,
-		})
+		n.obs = obs.New(obs.Options{N: cfg.N, TraceCapacity: s.obsCfg.TraceCapacity})
 		n.health = &healthState{mon: health.NewMonitor(cfg.N, types.Round(s.obsCfg.HealthWindow))}
 	}
 
@@ -389,14 +400,12 @@ func (s *settings) builder(cfg Config, ring *KeyRing, verify bool, rule CommitRu
 	common := replica.Config{
 		ID:               cfg.ID,
 		N:                cfg.N,
-		F:                cfg.F(),
 		Signer:           ring.Signer(cfg.ID),
 		Verifier:         ring,
 		VerifySignatures: verify,
 		BatchWorkers:     s.batchWorkers(cfg.N),
 		Rule:             s.ref.Rule,
 		Horizon:          rule.Horizon,
-		Payload:          s.payload,
 		PayloadNow:       s.payloadNow,
 		Obs:              o,
 	}
@@ -481,21 +490,9 @@ func (n *Node) incarnate(fsync bool) (engine.Engine, *core.Recovery, error) {
 	return eng, rec, nil
 }
 
-// resolveRule applies engine-dependent defaults and rejects contradictions:
-// the commit rule's mode is a property of the protocol (round-keyed markers
-// for DiemBFT, height-keyed for Streamlet), so asking for the other one is
-// a configuration error, not a silent fallback.
+// resolveRule applies the rule's defaults and rejects what the engine cannot
+// run.
 func resolveRule(eng Engine, r CommitRule) (CommitRule, error) {
-	natural := ModeRound
-	if eng == Streamlet {
-		natural = ModeHeight
-	}
-	if r.Mode == 0 {
-		r.Mode = natural
-	}
-	if r.Mode != natural {
-		return r, fmt.Errorf("sft: engine %v uses the %s commit rule; CommitRule.Mode requests %s", eng, modeName(natural), modeName(r.Mode))
-	}
 	if r.Votes == 0 {
 		r.Votes = VoteMarkers
 	}
@@ -506,11 +503,4 @@ func resolveRule(eng Engine, r CommitRule) (CommitRule, error) {
 		return r, fmt.Errorf("sft: MinStrength must be >= 0")
 	}
 	return r, nil
-}
-
-func modeName(m Mode) string {
-	if m == ModeHeight {
-		return "height-keyed (Streamlet)"
-	}
-	return "round-keyed (DiemBFT)"
 }

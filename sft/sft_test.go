@@ -35,10 +35,6 @@ func TestNewValidation(t *testing.T) {
 	mustNodeErr(t, "transport is required", ok)
 	mustNodeErr(t, "unknown engine", ok, sft.WithEngine(sft.Engine(9)), sft.WithTransport(world.Transport(0)))
 	mustNodeErr(t, "unknown scheme", ok, sft.WithScheme("rsa"), sft.WithTransport(world.Transport(0)))
-	// The commit rule's mode is a property of the engine.
-	mustNodeErr(t, "commit rule", ok,
-		sft.WithCommitRule(sft.CommitRule{Mode: sft.ModeHeight}),
-		sft.WithTransport(world.Transport(0)))
 	mustNodeErr(t, "DiemBFT-only", ok,
 		sft.WithEngine(sft.Streamlet),
 		sft.WithCommitRule(sft.CommitRule{Votes: sft.VoteIntervals}),
@@ -56,16 +52,28 @@ func TestNewValidation(t *testing.T) {
 	// Slot/identity mismatches.
 	mustNodeErr(t, "slot 1 attached to node 0", ok, sft.WithTransport(world.Transport(1)))
 	// A shared key ring must cover the whole cluster.
-	shortRing, err := sft.NewKeyRing(4, 1, sft.SchemeSim)
+	simRing, err := sft.NewKeyRing(4, 1, sft.SchemeSim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustNodeErr(t, "key ring holds 4 keys", sft.Config{ID: 0, N: 7, Seed: 1},
-		sft.WithScheme(sft.SchemeSim), sft.WithKeyRing(shortRing), sft.WithTransport(world.Transport(0)))
+		sft.WithKeyRing(simRing), sft.WithTransport(world.Transport(0)))
+	// The ring names the scheme: a WithScheme naming another fails, so an
+	// ed25519 ring under SchemeSim cannot build a node that checks no
+	// signature on real keys.
+	edRing, err := sft.NewKeyRing(4, 1, sft.SchemeEd25519)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustNodeErr(t, "WithScheme(sim) contradicts the key ring's scheme ed25519", ok,
+		sft.WithScheme(sft.SchemeSim), sft.WithKeyRing(edRing), sft.WithTransport(world.Transport(0)))
+	mustNodeErr(t, "WithScheme(ed25519) contradicts the key ring's scheme sim", ok,
+		sft.WithScheme(sft.SchemeEd25519), sft.WithKeyRing(simRing), sft.WithTransport(world.Transport(0)))
 
 	// A valid node attaches (a batch-worker override is accepted on every
-	// transport); the same slot cannot be attached twice.
-	if _, err := sft.New(ok, sft.WithScheme(sft.SchemeSim), sft.WithVerifyPipeline(2), sft.WithTransport(world.Transport(0))); err != nil {
+	// transport, and a WithScheme that agrees with the ring is too); the
+	// same slot cannot be attached twice.
+	if _, err := sft.New(ok, sft.WithScheme(sft.SchemeSim), sft.WithKeyRing(simRing), sft.WithVerifyPipeline(2), sft.WithTransport(world.Transport(0))); err != nil {
 		t.Fatal(err)
 	}
 	mustNodeErr(t, "already attached", ok, sft.WithScheme(sft.SchemeSim), sft.WithTransport(world.Transport(0)))
@@ -148,7 +156,6 @@ func TestLocalNetSubscriptions(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := sft.ReplicaID(i)
 		nodes[i], err = sft.New(sft.Config{ID: id, N: n, Seed: seed},
-			sft.WithScheme(sft.SchemeSim),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(lan.Transport(id)),
 			sft.WithRoundTimeout(200*time.Millisecond),
@@ -233,7 +240,6 @@ func TestLocalNetAggregateScheme(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := sft.ReplicaID(i)
 		nodes[i], err = sft.New(sft.Config{ID: id, N: n, Seed: seed},
-			sft.WithScheme(sft.Ed25519Aggregate),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(lan.Transport(id)),
 			sft.WithRoundTimeout(200*time.Millisecond),
@@ -448,7 +454,6 @@ func TestTCPFacade(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := sft.ReplicaID(i)
 		nodes[i], err = sft.New(sft.Config{ID: id, N: n, Seed: seed},
-			sft.WithScheme(sft.SchemeEd25519),
 			sft.WithKeyRing(ring),
 			sft.WithTransport(sft.TCP(sft.TCPConfig{Listen: "127.0.0.1:0"})),
 			sft.WithVerifyPipeline(0),
