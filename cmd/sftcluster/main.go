@@ -15,6 +15,7 @@ import (
 	"os"
 	"os/signal"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -91,11 +92,15 @@ func main() {
 	}()
 
 	var wg sync.WaitGroup
-	for _, node := range nodes {
+	var failed atomic.Bool
+	for i, node := range nodes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = node.Run(ctx)
+			if err := node.Run(ctx); err != nil {
+				log.Printf("replica %d stopped: %v", i, err)
+				failed.Store(true)
+			}
 		}()
 	}
 
@@ -106,4 +111,7 @@ func main() {
 	snap := nodes[0].Metrics()
 	fmt.Printf("\ncommitted %d blocks; highest strong-commit level observed: %d (%.1ff, max possible 2f=%d)\n",
 		snap.Commits, snap.MaxStrength, float64(snap.MaxStrength)/float64(f), 2*f)
+	if failed.Load() {
+		os.Exit(1)
+	}
 }

@@ -334,8 +334,10 @@
 //     buffers, one per replica; Block.Size is cached like ID.
 //   - simnet's event queue is a pooled indexed heap over a recycled slab,
 //     ordered by (time, seq): 0 allocs per dispatch, same pop order.
-//   - An engine hands out one output array per event (internal/engine: valid
-//     until the next event; enginetest.CheckOutputLifetime checks it).
+//   - An engine hands out one output array per event, of engine.Output
+//     values: one struct whose Kind names the action, so filling the array
+//     allocates nothing (internal/engine: valid until the next event;
+//     enginetest.CheckOutputLifetime checks it).
 //   - blockstore.Store has one index, the height ring it prunes by. Every
 //     lookup names the block's height as well as its ID — a proposal its
 //     parent at height − 1, a certificate, a vote and a voted block their

@@ -27,9 +27,9 @@ import (
 
 // Config identifies the corrupted replica and seeds its randomness.
 type Config struct {
-	// ID is the Byzantine replica; N = 3F+1 is the cluster shape.
-	ID   types.ReplicaID
-	N, F int
+	// ID is the Byzantine replica; N is the cluster size.
+	ID types.ReplicaID
+	N  int
 	// Signer signs fabricated messages (equivocating proposals, double
 	// votes, lied markers) with the replica's real key, so they pass
 	// verification everywhere — the Byzantine model the paper assumes.
@@ -59,8 +59,8 @@ func (c *Context) ID() types.ReplicaID { return c.cfg.ID }
 // N returns the cluster size.
 func (c *Context) N() int { return c.cfg.N }
 
-// F returns the design fault bound.
-func (c *Context) F() int { return c.cfg.F }
+// F returns the design fault bound, (N-1)/3.
+func (c *Context) F() int { return (c.cfg.N - 1) / 3 }
 
 // Rand returns the behavior RNG (deterministic per Config.Seed).
 func (c *Context) Rand() *rand.Rand { return c.rng }
@@ -98,35 +98,22 @@ func (c *Context) Honest() []types.ReplicaID {
 	return out
 }
 
-// Outbound is one outbound transmission as behaviors see it: either a
-// point-to-point send or a broadcast, with an optional extra delivery delay.
-type Outbound struct {
-	// Broadcast sends to every other replica; To is ignored. SelfDeliver
-	// additionally loops the message back to the sender (the engines route
-	// their own proposals through the common path this way).
-	Broadcast   bool
-	SelfDeliver bool
-	// To is the point-to-point recipient (may be the replica itself, which
-	// runtimes treat as loopback).
-	To types.ReplicaID
-	// Msg is the message. Behaviors must never mutate a message in place —
-	// engines retain references to what they emitted — and instead emit
-	// rewritten copies.
-	Msg types.Message
-	// Delay postpones the transmission (timing attacks). The wrapper
-	// realizes it with a private timer, so it works on every runtime.
-	Delay time.Duration
-}
-
 // Behavior is one composable Byzantine deviation. Apply receives each
-// outbound transmission the (honest) engine produced and emits zero or more
-// replacements; emitting the input unchanged is the identity. Behaviors are
-// chained in order: what the first emits, the second sees.
+// outbound transmission the (honest) engine produced, an engine.Output of
+// kind Send or Broadcast, and emits zero or more replacements of those two
+// kinds; emitting the input unchanged is the identity. Behaviors are chained
+// in order: what the first emits, the second sees.
+//
+// A behavior postpones a transmission by raising its Delay (timing attacks);
+// the wrapper realizes that with a private timer, so it works on every
+// runtime, and no output it returns carries a Delay unless it is a SetTimer.
+// Behaviors must never mutate a message in place — engines retain
+// references to what they emitted — and instead emit rewritten copies.
 type Behavior interface {
 	// Name identifies the behavior in specs and logs.
 	Name() string
 	// Apply transforms one outbound transmission.
-	Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound))
+	Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output))
 }
 
 // InboundObserver is implemented by behaviors that need to watch the
@@ -143,7 +130,7 @@ type InboundObserver interface {
 // arrives after its honest vote already left. Emissions flow through the
 // remainder of the behavior chain.
 type Emitter interface {
-	Emit(ctx *Context, now time.Duration, emit func(Outbound))
+	Emit(ctx *Context, now time.Duration, emit func(engine.Output))
 }
 
 // Replica wraps an honest engine and applies a behavior chain to its
@@ -155,10 +142,10 @@ type Replica struct {
 	behaviors []Behavior
 	observers []InboundObserver
 
-	// delayed holds transmissions postponed by Outbound.Delay, keyed by the
-	// private (negative) timer ID that releases them. Engine timer IDs pack
-	// rounds and are always >= 0, so the spaces cannot collide.
-	delayed   map[int][]Outbound
+	// delayed holds transmissions postponed by a Delay, keyed by the private
+	// (negative) timer ID that releases them. Engine timer IDs pack rounds
+	// and are always >= 0, so the spaces cannot collide.
+	delayed   map[int][]engine.Output
 	nextTimer int
 
 	// outs is the current event's outputs, one array for every event; the
@@ -189,7 +176,7 @@ func New(inner engine.Engine, cfg Config, behaviors ...Behavior) *Replica {
 		inner:     inner,
 		ctx:       Context{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5f3759df))},
 		behaviors: behaviors,
-		delayed:   make(map[int][]Outbound),
+		delayed:   make(map[int][]engine.Output),
 		nextTimer: -1,
 	}
 	for _, b := range behaviors {
@@ -242,10 +229,7 @@ func (r *Replica) OnTimer(now time.Duration, id int) []engine.Output {
 		pending := r.delayed[id]
 		delete(r.delayed, id)
 		r.outs, r.now = engine.Recycle(r.outs), now
-		for _, out := range pending {
-			out.Delay = 0
-			r.materialize(out)
-		}
+		r.outs = append(r.outs, pending...)
 		return r.outs
 	}
 	return r.transform(now, r.inner.OnTimer(now, id))
@@ -275,11 +259,9 @@ func (r *Replica) observe(now time.Duration, from types.ReplicaID, msg types.Mes
 func (r *Replica) transform(now time.Duration, outs []engine.Output) []engine.Output {
 	r.outs, r.now = engine.Recycle(r.outs), now
 	for _, out := range outs {
-		switch o := out.(type) {
-		case engine.Send:
-			r.chain(0, Outbound{To: o.To, Msg: o.Msg})
-		case engine.Broadcast:
-			r.chain(0, Outbound{Broadcast: true, SelfDeliver: o.SelfDeliver, Msg: o.Msg})
+		switch out.Kind {
+		case engine.Send, engine.Broadcast:
+			r.chain(0, out)
 		default:
 			r.outs = append(r.outs, out)
 		}
@@ -287,7 +269,7 @@ func (r *Replica) transform(now time.Duration, outs []engine.Output) []engine.Ou
 	for i, b := range r.behaviors {
 		if e, ok := b.(Emitter); ok {
 			next := i + 1
-			e.Emit(&r.ctx, now, func(o Outbound) { r.chain(next, o) })
+			e.Emit(&r.ctx, now, func(o engine.Output) { r.chain(next, o) })
 		}
 	}
 	return r.outs
@@ -295,7 +277,7 @@ func (r *Replica) transform(now time.Duration, outs []engine.Output) []engine.Ou
 
 // chain feeds out through behaviors[i:]; emissions of behavior i continue at
 // i+1, and whatever survives the whole chain is materialized as outputs.
-func (r *Replica) chain(i int, out Outbound) {
+func (r *Replica) chain(i int, out engine.Output) {
 	if out.Msg == nil {
 		return
 	}
@@ -303,22 +285,20 @@ func (r *Replica) chain(i int, out Outbound) {
 		r.materialize(out)
 		return
 	}
-	r.behaviors[i].Apply(&r.ctx, r.now, out, func(next Outbound) { r.chain(i+1, next) })
+	r.behaviors[i].Apply(&r.ctx, r.now, out, func(next engine.Output) { r.chain(i+1, next) })
 }
 
-func (r *Replica) materialize(out Outbound) {
-	if out.Delay > 0 {
+// materialize appends a transmission that left the chain; a postponed one
+// is parked, with its Delay cleared, under a fresh private timer instead.
+func (r *Replica) materialize(out engine.Output) {
+	delay := out.Delay
+	out.Delay = 0
+	if delay > 0 {
 		id := r.nextTimer
 		r.nextTimer--
-		r.delayed[id] = append(r.delayed[id], Outbound{
-			Broadcast: out.Broadcast, SelfDeliver: out.SelfDeliver, To: out.To, Msg: out.Msg,
-		})
-		r.outs = append(r.outs, engine.SetTimer{ID: id, Delay: out.Delay})
+		r.delayed[id] = append(r.delayed[id], out)
+		r.outs = append(r.outs, engine.Output{Kind: engine.SetTimer, Timer: id, Delay: delay})
 		return
 	}
-	if out.Broadcast {
-		r.outs = append(r.outs, engine.Broadcast{Msg: out.Msg, SelfDeliver: out.SelfDeliver})
-		return
-	}
-	r.outs = append(r.outs, engine.Send{To: out.To, Msg: out.Msg})
+	r.outs = append(r.outs, out)
 }

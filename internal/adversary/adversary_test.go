@@ -2,6 +2,7 @@ package adversary_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -57,7 +58,7 @@ func wrap(t *testing.T, inner engine.Engine, id types.ReplicaID, specs ...advers
 	t.Helper()
 	ring := testRing(t, 4)
 	eng, err := adversary.Wrap(inner, adversary.Config{
-		ID: id, N: 4, F: 1, Signer: ring.Signer(id), Seed: 99,
+		ID: id, N: 4, Signer: ring.Signer(id), Seed: 99,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -96,14 +97,14 @@ func TestWithholdDropsOwnVotes(t *testing.T) {
 	p := proposal(t, ring, 1, 1)
 	v := vote(ring, 1, p.Block)
 	inner := &stubEngine{id: 1, scripts: [][]engine.Output{{
-		engine.Send{To: 2, Msg: &types.VoteMsg{Vote: v}},
-		engine.Broadcast{Msg: p, SelfDeliver: true},
-		engine.SetTimer{ID: 7, Delay: time.Second},
+		engine.Output{Kind: engine.Send, To: 2, Msg: &types.VoteMsg{Vote: v}},
+		engine.Output{Kind: engine.Broadcast, Msg: p, SelfDeliver: true},
+		engine.Output{Kind: engine.SetTimer, Timer: 7, Delay: time.Second},
 	}}}
 	outs := wrap(t, inner, 1, adversary.Spec{Kind: adversary.Withhold}).Init(0)
 	for _, out := range outs {
-		if s, ok := out.(engine.Send); ok {
-			if _, isVote := s.Msg.(*types.VoteMsg); isVote {
+		if out.Kind == engine.Send {
+			if _, isVote := out.Msg.(*types.VoteMsg); isVote {
 				t.Fatal("withheld vote was sent")
 			}
 		}
@@ -121,11 +122,11 @@ func TestOutputLifetime(t *testing.T) {
 	p := proposal(t, ring, 1, 1)
 	build := func() engine.Engine {
 		inner := &stubEngine{id: 1, scripts: [][]engine.Output{{
-			engine.Broadcast{Msg: p, SelfDeliver: true},
-			engine.Send{To: 2, Msg: &types.VoteMsg{Vote: vote(ring, 1, p.Block)}},
-			engine.SetTimer{ID: 7, Delay: time.Second},
+			engine.Output{Kind: engine.Broadcast, Msg: p, SelfDeliver: true},
+			engine.Output{Kind: engine.Send, To: 2, Msg: &types.VoteMsg{Vote: vote(ring, 1, p.Block)}},
+			engine.Output{Kind: engine.SetTimer, Timer: 7, Delay: time.Second},
 		}, {
-			engine.SetTimer{ID: 8, Delay: time.Second},
+			engine.Output{Kind: engine.SetTimer, Timer: 8, Delay: time.Second},
 		}}}
 		return wrap(t, inner, 1, adversary.Spec{Kind: adversary.Withhold})
 	}
@@ -142,29 +143,29 @@ func TestEquivocateSplitsOwnProposal(t *testing.T) {
 	ring := testRing(t, 4)
 	p := proposal(t, ring, 1, 5)
 	inner := &stubEngine{id: 1, scripts: [][]engine.Output{{
-		engine.Broadcast{Msg: p, SelfDeliver: true},
+		engine.Output{Kind: engine.Broadcast, Msg: p, SelfDeliver: true},
 	}}}
 	outs := wrap(t, inner, 1, adversary.Spec{Kind: adversary.Equivocate}).Init(0)
 
 	blocks := make(map[types.ReplicaID]map[types.BlockID]bool)
 	timers := 0
 	for _, out := range outs {
-		switch o := out.(type) {
+		switch out.Kind {
 		case engine.Send:
-			prop, ok := o.Msg.(*types.Proposal)
+			prop, ok := out.Msg.(*types.Proposal)
 			if !ok {
-				t.Fatalf("unexpected message %T", o.Msg)
+				t.Fatalf("unexpected message %T", out.Msg)
 			}
 			if !ring.Verify(1, prop.SigningPayload(), prop.Signature) {
 				t.Fatal("equivocated proposal not properly signed")
 			}
-			if blocks[o.To] == nil {
-				blocks[o.To] = make(map[types.BlockID]bool)
+			if blocks[out.To] == nil {
+				blocks[out.To] = make(map[types.BlockID]bool)
 			}
-			blocks[o.To][prop.Block.ID()] = true
+			blocks[out.To][prop.Block.ID()] = true
 		case engine.SetTimer:
-			if o.ID >= 0 {
-				t.Fatalf("behavior timer collides with engine space: %d", o.ID)
+			if out.Timer >= 0 {
+				t.Fatalf("behavior timer collides with engine space: %d", out.Timer)
 			}
 			timers++
 		case engine.Broadcast:
@@ -186,13 +187,16 @@ func TestCorruptSigsRewritesCopies(t *testing.T) {
 	p := proposal(t, ring, 1, 2)
 	orig := append([]byte(nil), p.Signature...)
 	inner := &stubEngine{id: 1, scripts: [][]engine.Output{{
-		engine.Broadcast{Msg: p},
+		engine.Output{Kind: engine.Broadcast, Msg: p},
 	}}}
 	outs := wrap(t, inner, 1, adversary.Spec{Kind: adversary.CorruptSigs, Every: 1}).Init(0)
 	if len(outs) != 1 {
 		t.Fatalf("got %d outputs", len(outs))
 	}
-	sent := outs[0].(engine.Broadcast).Msg.(*types.Proposal)
+	if outs[0].Kind != engine.Broadcast {
+		t.Fatalf("got %+v, want the broadcast", outs[0])
+	}
+	sent := outs[0].Msg.(*types.Proposal)
 	if sent == p {
 		t.Fatal("corruption mutated the engine's own message")
 	}
@@ -213,7 +217,7 @@ func TestDoubleVoteSignsCompetitor(t *testing.T) {
 	other.Block = types.NewBlock(mine.Block.Parent, mine.Block.Justify, 3, 1, 2, 1, types.Payload{}, nil)
 	v := vote(ring, 1, mine.Block)
 	inner := &stubEngine{id: 1, scripts: [][]engine.Output{
-		{engine.Send{To: 3, Msg: &types.VoteMsg{Vote: v}}}, // event 1: own vote
+		{engine.Output{Kind: engine.Send, To: 3, Msg: &types.VoteMsg{Vote: v}}}, // event 1: own vote
 		nil, // event 2: competitor arrives, engine silent
 	}}
 	eng := wrap(t, inner, 1, adversary.Spec{Kind: adversary.DoubleVote})
@@ -222,12 +226,8 @@ func TestDoubleVoteSignsCompetitor(t *testing.T) {
 
 	found := false
 	for _, out := range outs {
-		s, ok := out.(engine.Send)
-		if !ok {
-			continue
-		}
-		vm, ok := s.Msg.(*types.VoteMsg)
-		if !ok {
+		vm, ok := out.Msg.(*types.VoteMsg)
+		if out.Kind != engine.Send || !ok {
 			continue
 		}
 		if vm.Vote.Block != other.Block.ID() || vm.Vote.Voter != 1 {
@@ -236,8 +236,8 @@ func TestDoubleVoteSignsCompetitor(t *testing.T) {
 		if !ring.Verify(1, vm.Vote.SigningPayload(), vm.Vote.Signature) {
 			t.Fatal("double vote not properly signed")
 		}
-		if s.To != 3 {
-			t.Fatalf("double vote routed to %d, want the original recipient 3", s.To)
+		if out.To != 3 {
+			t.Fatalf("double vote routed to %d, want the original recipient 3", out.To)
 		}
 		found = true
 	}
@@ -253,26 +253,88 @@ func TestDelayedSendsFlushOnPrivateTimer(t *testing.T) {
 	ring := testRing(t, 4)
 	v := vote(ring, 1, proposal(t, ring, 1, 1).Block)
 	inner := &stubEngine{id: 1, scripts: [][]engine.Output{{
-		engine.Send{To: 2, Msg: &types.VoteMsg{Vote: v}},
+		engine.Output{Kind: engine.Send, To: 2, Msg: &types.VoteMsg{Vote: v}},
 	}}}
 	eng := wrap(t, inner, 1, adversary.Spec{Kind: adversary.Delay, Delay: 5 * time.Millisecond})
 	outs := eng.Init(0)
 	if len(outs) != 1 {
 		t.Fatalf("expected only the delay timer, got %v", outs)
 	}
-	timer, ok := outs[0].(engine.SetTimer)
-	if !ok || timer.ID >= 0 {
+	timer := outs[0]
+	if timer.Kind != engine.SetTimer || timer.Timer >= 0 {
 		t.Fatalf("expected a private (negative) timer, got %v", outs[0])
 	}
 	if timer.Delay < 5*time.Millisecond {
 		t.Fatalf("timer delay %v below configured delay", timer.Delay)
 	}
-	flushed := eng.OnTimer(timer.Delay, timer.ID)
+	flushed := eng.OnTimer(timer.Delay, timer.Timer)
 	if len(flushed) != 1 {
 		t.Fatalf("flush produced %d outputs", len(flushed))
 	}
-	if s, ok := flushed[0].(engine.Send); !ok || s.To != 2 {
+	if s := flushed[0]; s.Kind != engine.Send || s.To != 2 || s.Delay != 0 {
 		t.Fatalf("flushed output %v is not the delayed send", flushed[0])
+	}
+}
+
+// TestDelayedTransmissionsCarryNoDelay: behaviors postpone a transmission by
+// raising its Delay, and the wrapper turns that into a private timer, so no
+// output it returns carries a Delay unless it is a timer; each private timer
+// releases exactly the transmission it postponed, and engine timers and
+// commits pass through as they came.
+func TestDelayedTransmissionsCarryNoDelay(t *testing.T) {
+	ring := testRing(t, 4)
+	p := proposal(t, ring, 1, 1)
+	scripts := [][]engine.Output{
+		{{Kind: engine.Broadcast, Msg: p, SelfDeliver: true}, {Kind: engine.SetTimer, Timer: 7, Delay: time.Second}},
+		{{Kind: engine.Send, To: 2, Msg: &types.VoteMsg{Vote: vote(ring, 1, p.Block)}}, {Kind: engine.Commit, Block: p.Block}},
+	}
+	eng := wrap(t, &stubEngine{id: 1, scripts: scripts}, 1,
+		adversary.Spec{Kind: adversary.Delay, Delay: 5 * time.Millisecond, Jitter: time.Millisecond})
+	check := func(outs []engine.Output) {
+		t.Helper()
+		for _, out := range outs {
+			if out.Kind != engine.SetTimer && out.Delay != 0 {
+				t.Fatalf("output %+v reaches the runtime with a Delay", out)
+			}
+		}
+	}
+	var postponed, kept, private []engine.Output
+	for i, event := range []func() []engine.Output{
+		func() []engine.Output { return eng.Init(0) },
+		func() []engine.Output { return eng.OnMessage(0, 2, p) },
+	} {
+		outs := event()
+		check(outs)
+		for _, out := range scripts[i] {
+			if out.Kind == engine.Send || out.Kind == engine.Broadcast {
+				postponed = append(postponed, out)
+			} else {
+				kept = append(kept, out)
+			}
+		}
+		for _, out := range outs {
+			if out.Kind == engine.SetTimer && out.Timer < 0 {
+				private = append(private, out)
+			} else {
+				kept = slices.DeleteFunc(kept, func(k engine.Output) bool { return k == out })
+			}
+		}
+	}
+	if len(kept) != 0 {
+		t.Fatalf("engine outputs %+v did not pass through", kept)
+	}
+	if len(private) != len(postponed) {
+		t.Fatalf("%d private timers for %d postponed transmissions", len(private), len(postponed))
+	}
+	for i, timer := range private {
+		if timer.Delay < 5*time.Millisecond {
+			t.Fatalf("private timer %+v below the configured delay", timer)
+		}
+		released := eng.OnTimer(timer.Delay, timer.Timer)
+		check(released)
+		if len(released) != 1 || released[0] != postponed[i] {
+			t.Fatalf("timer %d released %+v, want %+v", timer.Timer, released, postponed[i])
+		}
 	}
 }
 
@@ -283,8 +345,8 @@ func TestBehaviorDeterminism(t *testing.T) {
 	build := func() engine.Engine {
 		p := proposal(t, ring, 1, 4)
 		inner := &stubEngine{id: 1, scripts: [][]engine.Output{
-			{engine.Broadcast{Msg: p, SelfDeliver: true}},
-			{engine.Send{To: 2, Msg: &types.VoteMsg{Vote: vote(ring, 1, p.Block)}}},
+			{engine.Output{Kind: engine.Broadcast, Msg: p, SelfDeliver: true}},
+			{engine.Output{Kind: engine.Send, To: 2, Msg: &types.VoteMsg{Vote: vote(ring, 1, p.Block)}}},
 		}}
 		return wrap(t, inner, 1,
 			adversary.Spec{Kind: adversary.Drop, P: 0.5},

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/intervals"
 	"repro/internal/types"
 )
@@ -174,7 +175,7 @@ func (s Spec) Build() (Behavior, error) {
 	case DoubleVote:
 		return &doubleVote{
 			proposals: make(map[types.Round][]*types.Proposal),
-			voted:     make(map[types.Round]Outbound),
+			voted:     make(map[types.Round]engine.Output),
 			signed:    make(map[types.BlockID]types.Round),
 		}, nil
 	case LieMarkers:
@@ -188,7 +189,7 @@ func (s Spec) Build() (Behavior, error) {
 	case WithholdUncontested:
 		return &withholdUncontested{
 			competitors: make(map[types.Round]map[types.BlockID]bool),
-			held:        make(map[types.Round]Outbound),
+			held:        make(map[types.Round]engine.Output),
 		}, nil
 	case CorruptSigs:
 		return &corruptSigs{every: s.cadence()}, nil
@@ -318,9 +319,9 @@ func forkFirst(ctx *Context, to types.ReplicaID, round types.Round) bool {
 
 func (*equivocate) Name() string { return string(Equivocate) }
 
-func (*equivocate) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (*equivocate) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	p, ok := out.Msg.(*types.Proposal)
-	if !ok || !out.Broadcast || p.Sender != ctx.ID() || p.Block == nil {
+	if !ok || out.Kind != engine.Broadcast || p.Sender != ctx.ID() || p.Block == nil {
 		emit(out)
 		return
 	}
@@ -330,7 +331,7 @@ func (*equivocate) Apply(ctx *Context, now time.Duration, out Outbound, emit fun
 		to := types.ReplicaID(i)
 		if to == ctx.ID() {
 			if out.SelfDeliver {
-				emit(Outbound{To: to, Msg: p, Delay: out.Delay})
+				emit(engine.Output{Kind: engine.Send, To: to, Msg: p, Delay: out.Delay})
 			}
 			continue
 		}
@@ -338,8 +339,8 @@ func (*equivocate) Apply(ctx *Context, now time.Duration, out Outbound, emit fun
 		if forkHalf(i, p.Round, n) { // one half leads with the honest block, the other with the fork
 			first, second = second, first
 		}
-		emit(Outbound{To: to, Msg: first, Delay: out.Delay})
-		emit(Outbound{To: to, Msg: second, Delay: out.Delay + equivocateLag})
+		emit(engine.Output{Kind: engine.Send, To: to, Msg: first, Delay: out.Delay})
+		emit(engine.Output{Kind: engine.Send, To: to, Msg: second, Delay: out.Delay + equivocateLag})
 	}
 }
 
@@ -348,7 +349,7 @@ type withhold struct{}
 
 func (withhold) Name() string { return string(Withhold) }
 
-func (withhold) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (withhold) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	if vm, ok := out.Msg.(*types.VoteMsg); ok && vm.Vote.Voter == ctx.ID() {
 		return
 	}
@@ -367,9 +368,9 @@ type doubleVote struct {
 	// voted remembers the honest vote (and its routing) per round; signed
 	// tracks which blocks this replica already voted (mapped to their round
 	// so pruning can evict them), capping one vote per (round, block).
-	voted    map[types.Round]Outbound
+	voted    map[types.Round]engine.Output
 	signed   map[types.BlockID]types.Round
-	pending  []Outbound
+	pending  []engine.Output
 	maxRound types.Round
 }
 
@@ -416,7 +417,7 @@ func (d *doubleVote) noteProposal(ctx *Context, p *types.Proposal) {
 
 // queueConflict signs the conflicting vote for p using the honest vote as a
 // template and queues it for the next Emit flush.
-func (d *doubleVote) queueConflict(ctx *Context, tmpl Outbound, p *types.Proposal) {
+func (d *doubleVote) queueConflict(ctx *Context, tmpl engine.Output, p *types.Proposal) {
 	id := p.Block.ID()
 	if _, dup := d.signed[id]; dup {
 		return
@@ -441,7 +442,7 @@ func (d *doubleVote) ObserveInbound(ctx *Context, now time.Duration, from types.
 	}
 }
 
-func (d *doubleVote) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (d *doubleVote) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	emit(out)
 	switch m := out.Msg.(type) {
 	case *types.Proposal:
@@ -464,7 +465,7 @@ func (d *doubleVote) Apply(ctx *Context, now time.Duration, out Outbound, emit f
 
 // Emit flushes conflicting votes queued since the last event (e.g. for a
 // competing proposal that arrived after the honest vote left).
-func (d *doubleVote) Emit(ctx *Context, now time.Duration, emit func(Outbound)) {
+func (d *doubleVote) Emit(ctx *Context, now time.Duration, emit func(engine.Output)) {
 	for _, out := range d.pending {
 		emit(out)
 	}
@@ -479,7 +480,7 @@ type lieMarkers struct{}
 
 func (lieMarkers) Name() string { return string(LieMarkers) }
 
-func (lieMarkers) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (lieMarkers) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	vm, ok := out.Msg.(*types.VoteMsg)
 	if !ok || vm.Vote.Voter != ctx.ID() || (vm.Vote.Marker == 0 && !vm.Vote.HasIntervals) {
 		emit(out)
@@ -572,7 +573,7 @@ func (f *forkRevive) recordVote(ctx *Context, v types.Vote) {
 	}
 }
 
-func (f *forkRevive) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (f *forkRevive) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	if vm, ok := out.Msg.(*types.VoteMsg); ok {
 		// Own votes count toward revivable quorums too — place this
 		// behavior after a double-voter in the chain and both of the
@@ -589,13 +590,13 @@ func (f *forkRevive) Apply(ctx *Context, now time.Duration, out Outbound, emit f
 		// Stagger the honest proposal: the first half of the cluster gets it
 		// immediately, the second half one beat later — the revival (emitted
 		// mirrored) then wins the second half's first-arrival votes.
-		if out.Broadcast {
+		if out.Kind == engine.Broadcast {
 			n := ctx.N()
 			for i := 0; i < n; i++ {
 				to := types.ReplicaID(i)
 				if to == ctx.ID() {
 					if out.SelfDeliver {
-						emit(Outbound{To: to, Msg: p, Delay: out.Delay})
+						emit(engine.Output{Kind: engine.Send, To: to, Msg: p, Delay: out.Delay})
 					}
 					continue
 				}
@@ -606,7 +607,7 @@ func (f *forkRevive) Apply(ctx *Context, now time.Duration, out Outbound, emit f
 				if !ctx.IsColluder(to) && forkFirst(ctx, to, p.Round) {
 					delay += reviveMainLag
 				}
-				emit(Outbound{To: to, Msg: p, Delay: delay})
+				emit(engine.Output{Kind: engine.Send, To: to, Msg: p, Delay: delay})
 			}
 			f.tryRevive(ctx, emit, out.Delay)
 			return
@@ -620,14 +621,14 @@ func (f *forkRevive) Apply(ctx *Context, now time.Duration, out Outbound, emit f
 // deliveries: the decisive vote that completes the off-chain block's quorum
 // usually lands moments after the replica's own proposal already went out.
 // The negative sentinel suppresses the equivocation fallback on retries.
-func (f *forkRevive) Emit(ctx *Context, now time.Duration, emit func(Outbound)) {
+func (f *forkRevive) Emit(ctx *Context, now time.Duration, emit func(engine.Output)) {
 	if len(f.pendingGossip) > 0 {
 		for _, v := range f.pendingGossip {
 			for _, peer := range ctx.cfg.Colluders {
 				if peer == ctx.ID() {
 					continue
 				}
-				emit(Outbound{To: peer, Msg: &types.VoteMsg{Vote: v}})
+				emit(engine.Output{Kind: engine.Send, To: peer, Msg: &types.VoteMsg{Vote: v}})
 			}
 		}
 		f.pendingGossip = f.pendingGossip[:0]
@@ -635,7 +636,7 @@ func (f *forkRevive) Emit(ctx *Context, now time.Duration, emit func(Outbound)) 
 	f.tryRevive(ctx, emit, -1)
 }
 
-func (f *forkRevive) tryRevive(ctx *Context, emit func(Outbound), baseDelay time.Duration) {
+func (f *forkRevive) tryRevive(ctx *Context, emit func(engine.Output), baseDelay time.Duration) {
 	p := f.current
 	if p == nil || p.Round <= f.lastRevived || p.Round <= f.lastSeeded {
 		return // at most one competitor injected per led round
@@ -720,14 +721,14 @@ func (f *forkRevive) tryRevive(ctx *Context, emit func(Outbound), baseDelay time
 	for i := 0; i < n; i++ {
 		to := types.ReplicaID(i)
 		if to == ctx.ID() {
-			emit(Outbound{To: to, Msg: revival})
+			emit(engine.Output{Kind: engine.Send, To: to, Msg: revival})
 			continue
 		}
 		delay := baseDelay
 		if !ctx.IsColluder(to) && !forkFirst(ctx, to, p.Round) {
 			delay += equivocateLag
 		}
-		emit(Outbound{To: to, Msg: revival, Delay: delay})
+		emit(engine.Output{Kind: engine.Send, To: to, Msg: revival, Delay: delay})
 	}
 }
 
@@ -740,8 +741,8 @@ func (f *forkRevive) tryRevive(ctx *Context, emit func(Outbound), baseDelay time
 // across round gaps (the Appendix C structure).
 type withholdUncontested struct {
 	competitors map[types.Round]map[types.BlockID]bool
-	held        map[types.Round]Outbound
-	pending     []Outbound
+	held        map[types.Round]engine.Output
+	pending     []engine.Output
 	maxRound    types.Round
 }
 
@@ -782,7 +783,7 @@ func (w *withholdUncontested) ObserveInbound(ctx *Context, now time.Duration, fr
 	}
 }
 
-func (w *withholdUncontested) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (w *withholdUncontested) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	switch m := out.Msg.(type) {
 	case *types.Proposal:
 		w.noteProposal(m)
@@ -798,7 +799,7 @@ func (w *withholdUncontested) Apply(ctx *Context, now time.Duration, out Outboun
 }
 
 // Emit releases votes whose round became contested since they were held.
-func (w *withholdUncontested) Emit(ctx *Context, now time.Duration, emit func(Outbound)) {
+func (w *withholdUncontested) Emit(ctx *Context, now time.Duration, emit func(engine.Output)) {
 	for _, out := range w.pending {
 		emit(out)
 	}
@@ -817,7 +818,7 @@ type wrongAppHash struct{}
 
 func (wrongAppHash) Name() string { return string(WrongAppHash) }
 
-func (wrongAppHash) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (wrongAppHash) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	vm, ok := out.Msg.(*types.VoteMsg)
 	if !ok || vm.Vote.Voter != ctx.ID() || !vm.Vote.HasAppHash() {
 		emit(out)
@@ -853,7 +854,7 @@ func flipSig(sig []byte) []byte {
 	return cp
 }
 
-func (c *corruptSigs) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (c *corruptSigs) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	switch m := out.Msg.(type) {
 	case *types.Proposal:
 		if c.tick() {
@@ -892,7 +893,7 @@ type garbage struct {
 
 func (*garbage) Name() string { return string(Garbage) }
 
-func (g *garbage) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (g *garbage) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	emit(out)
 	g.n++
 	if g.n%g.every != 0 {
@@ -921,7 +922,7 @@ func (g *garbage) Apply(ctx *Context, now time.Duration, out Outbound, emit func
 	default:
 		junk = &types.Echo{Inner: nil, Relayer: ctx.ID()}
 	}
-	emit(Outbound{Broadcast: true, Msg: junk})
+	emit(engine.Output{Kind: engine.Broadcast, Msg: junk})
 }
 
 // replayStale records traffic (inbound and own outbound) and rebroadcasts a
@@ -957,14 +958,14 @@ func (r *replayStale) ObserveInbound(ctx *Context, now time.Duration, from types
 	r.record(msg)
 }
 
-func (r *replayStale) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (r *replayStale) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	emit(out)
 	r.record(out.Msg)
 	r.n++
 	if r.n%r.every != 0 || len(r.ring) == 0 {
 		return
 	}
-	emit(Outbound{Broadcast: true, Msg: r.ring[ctx.Rand().Intn(len(r.ring))]})
+	emit(engine.Output{Kind: engine.Broadcast, Msg: r.ring[ctx.Rand().Intn(len(r.ring))]})
 }
 
 // spamOffset places spam rounds far ahead of any round an honest replica is
@@ -1011,7 +1012,7 @@ func (t *timeoutSpam) ObserveInbound(ctx *Context, now time.Duration, from types
 	t.note(msg)
 }
 
-func (t *timeoutSpam) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (t *timeoutSpam) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	emit(out)
 	t.note(out.Msg)
 	t.n++
@@ -1026,7 +1027,7 @@ func (t *timeoutSpam) Apply(ctx *Context, now time.Duration, out Outbound, emit 
 		spam := &types.Timeout{Round: t.next, HighQC: gqc, HighRound: 0, Sender: ctx.ID()}
 		spam.Signature = ctx.Sign(spam.SigningPayload())
 		t.next++
-		emit(Outbound{Broadcast: true, Msg: spam})
+		emit(engine.Output{Kind: engine.Broadcast, Msg: spam})
 	}
 }
 
@@ -1036,7 +1037,7 @@ type dropMsgs struct{ p float64 }
 
 func (dropMsgs) Name() string { return string(Drop) }
 
-func (d dropMsgs) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (d dropMsgs) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	if ctx.Rand().Float64() < d.p {
 		return
 	}
@@ -1047,7 +1048,7 @@ type delayMsgs struct{ d, jitter time.Duration }
 
 func (delayMsgs) Name() string { return string(Delay) }
 
-func (d delayMsgs) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (d delayMsgs) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	extra := d.d
 	if d.jitter > 0 {
 		extra += time.Duration(ctx.Rand().Int63n(int64(d.jitter)))
@@ -1060,7 +1061,7 @@ type duplicateMsgs struct{ p float64 }
 
 func (duplicateMsgs) Name() string { return string(Duplicate) }
 
-func (d duplicateMsgs) Apply(ctx *Context, now time.Duration, out Outbound, emit func(Outbound)) {
+func (d duplicateMsgs) Apply(ctx *Context, now time.Duration, out engine.Output, emit func(engine.Output)) {
 	emit(out)
 	if ctx.Rand().Float64() < d.p {
 		emit(out)

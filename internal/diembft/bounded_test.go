@@ -167,8 +167,8 @@ func TestJournalFailureCrashStopsBeforeVote(t *testing.T) {
 		t.Fatal("the event never reached the vote; the test proves nothing")
 	}
 	for _, o := range outs {
-		if s, ok := o.(engine.Send); ok {
-			if _, isVote := s.Msg.(*types.VoteMsg); isVote {
+		if o.Kind == engine.Send {
+			if _, isVote := o.Msg.(*types.VoteMsg); isVote {
 				t.Fatal("vote released without its journal record")
 			}
 		}

@@ -211,7 +211,7 @@ func (r *Replica) Restore(rec *core.Recovery) error {
 func (r *Replica) Init(now time.Duration) []engine.Output {
 	r.Begin(now)
 	r.EnterRound(r.pm.Round(), false)
-	r.Outs = append(r.Outs, engine.SetTimer{ID: timerID(1, kindRound), Delay: r.pm.Timeout()})
+	r.Outs = append(r.Outs, engine.Output{Kind: engine.SetTimer, Timer: timerID(1, kindRound), Delay: r.pm.Timeout()})
 	if r.Recovered() {
 		if r.qchigh.Round > 0 {
 			r.advanceRound(now, r.qchigh.Round+1, false)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/diembft"
+	"repro/internal/engine"
 	"repro/internal/replica"
 	"repro/internal/types"
 )
@@ -159,6 +160,22 @@ func TestAllocsEngineEventSteadyState(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Fatalf("stale round timer: %v allocs/op, want 0", a)
+	}
+}
+
+// TestAllocsRoundEntry: entering a round this replica does not lead emits
+// only the round's timer, held by value, so the entry allocates nothing.
+func TestAllocsRoundEntry(t *testing.T) {
+	fx := newScaleFixture(t, false)
+	round := types.Round(10) // with the warm-up, rounds 11 to 91: led by replicas 10 to 90, never by 2
+	if a := testing.AllocsPerRun(80, func() {
+		round++
+		outs := fx.rep.AdvanceRound(0, round)
+		if len(outs) != 1 || outs[0].Kind != engine.SetTimer || outs[0].Delay != time.Second {
+			t.Fatalf("round %d entry emitted %+v, want its timer alone", round, outs)
+		}
+	}); a != 0 {
+		t.Fatalf("round entry: %v allocs/op, want 0", a)
 	}
 }
 

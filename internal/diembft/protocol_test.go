@@ -17,7 +17,7 @@ import (
 // corrupt swaps replica id's engine for one wrapped with the given
 // adversary behaviors (the subsystem that replaced the old engine-level
 // Misbehavior knobs). Call after buildCluster, before Run.
-func corrupt(t *testing.T, sim *simnet.Sim, rep *diembft.Replica, n, f int, specs ...adversary.Spec) {
+func corrupt(t *testing.T, sim *simnet.Sim, rep *diembft.Replica, n int, specs ...adversary.Spec) {
 	t.Helper()
 	ring, err := crypto.NewKeyRing(n, 42, crypto.SchemeSim)
 	if err != nil {
@@ -25,7 +25,7 @@ func corrupt(t *testing.T, sim *simnet.Sim, rep *diembft.Replica, n, f int, spec
 	}
 	var eng engine.Engine
 	eng, err = adversary.Wrap(rep, adversary.Config{
-		ID: rep.ID(), N: n, F: f, Signer: ring.Signer(rep.ID()), Seed: int64(rep.ID()) + 1,
+		ID: rep.ID(), N: n, Signer: ring.Signer(rep.ID()), Seed: int64(rep.ID()) + 1,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestSafetyUnderEquivocatingLeader(t *testing.T) {
 		},
 	}
 	sim, reps := buildCluster(t, 4, 1, nil, simCfg)
-	corrupt(t, sim, reps[2], 4, 1, adversary.Spec{Kind: adversary.Equivocate})
+	corrupt(t, sim, reps[2], 4, adversary.Spec{Kind: adversary.Equivocate})
 	sim.Run(5 * time.Second)
 
 	honest := []types.ReplicaID{0, 1, 3}
@@ -107,7 +107,7 @@ func TestWithholdingVotesCapsStrength(t *testing.T) {
 		},
 	}
 	sim, reps := buildCluster(t, 4, 1, nil, simCfg)
-	corrupt(t, sim, reps[3], 4, 1, adversary.Spec{Kind: adversary.Withhold})
+	corrupt(t, sim, reps[3], 4, adversary.Spec{Kind: adversary.Withhold})
 	sim.Run(5 * time.Second)
 
 	if len(best) == 0 {

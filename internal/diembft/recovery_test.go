@@ -247,8 +247,8 @@ func TestRecoveredReplicaRefusesContradictingVote(t *testing.T) {
 func findVote(t *testing.T, outs []engine.Output) *types.Vote {
 	t.Helper()
 	for _, out := range outs {
-		if send, ok := out.(engine.Send); ok {
-			if vm, ok := send.Msg.(*types.VoteMsg); ok {
+		if out.Kind == engine.Send {
+			if vm, ok := out.Msg.(*types.VoteMsg); ok {
 				v := vm.Vote
 				return &v
 			}

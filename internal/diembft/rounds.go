@@ -51,7 +51,7 @@ func (r *Replica) advanceRound(now time.Duration, round types.Round, viaTimeout 
 		return
 	}
 	r.EnterRound(round, viaTimeout)
-	r.Outs = append(r.Outs, engine.SetTimer{ID: timerID(round, kindRound), Delay: r.pm.Timeout()})
+	r.Outs = append(r.Outs, engine.Output{Kind: engine.SetTimer, Timer: timerID(round, kindRound), Delay: r.pm.Timeout()})
 	r.maybePropose(now)
 }
 
@@ -63,9 +63,9 @@ func (r *Replica) onRoundTimer(now time.Duration, round types.Round) {
 	r.cfg.Obs.OnLocalTimeout(round)
 	t := &types.Timeout{Round: round, HighQC: r.qchigh, HighRound: r.qchigh.Round, Sender: r.cfg.ID}
 	t.Signature = r.cfg.Signer.Sign(t.SigningPayload())
-	r.Outs = append(r.Outs, engine.Broadcast{Msg: t, SelfDeliver: true})
+	r.Outs = append(r.Outs, engine.Output{Kind: engine.Broadcast, Msg: t, SelfDeliver: true})
 	// Re-arm so we rebroadcast if the view change itself stalls.
-	r.Outs = append(r.Outs, engine.SetTimer{ID: timerID(round, kindRound), Delay: r.pm.Timeout()})
+	r.Outs = append(r.Outs, engine.Output{Kind: engine.SetTimer, Timer: timerID(round, kindRound), Delay: r.pm.Timeout()})
 }
 
 // onTimeout is the state stage for a timeout Prevalidate accepted (or this

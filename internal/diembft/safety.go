@@ -122,7 +122,7 @@ func (r *Replica) maybeVote(now time.Duration, p *types.Proposal) {
 	}
 	r.rvote = round
 	next := r.leaderAfter(round+1, b.Height, b.ID())
-	r.Outs = append(r.Outs, engine.Send{To: next, Msg: &types.VoteMsg{Vote: v}})
+	r.Outs = append(r.Outs, engine.Output{Kind: engine.Send, To: next, Msg: &types.VoteMsg{Vote: v}})
 }
 
 // --- vote handling (as next-round leader) ---
@@ -166,7 +166,7 @@ func (r *Replica) tryFormQC(now time.Duration, b *types.Block) {
 			// Figure 8 knob: sit on the quorum for `wait` to catch straggler
 			// votes and form a larger, more diverse strong-QC.
 			r.awaitingExtra[b.Round] = b
-			r.Outs = append(r.Outs, engine.SetTimer{ID: timerID(b.Round, kindExtraWait), Delay: wait})
+			r.Outs = append(r.Outs, engine.Output{Kind: engine.SetTimer, Timer: timerID(b.Round, kindExtraWait), Delay: wait})
 		}
 		return
 	}
@@ -207,7 +207,7 @@ func (r *Replica) onLateVote(v types.Vote) {
 		return
 	}
 	r.direct.AddVote(&v)
-	r.Outs = append(r.Outs, engine.Broadcast{Msg: &types.ExtraVote{Vote: v, Leader: r.cfg.ID}})
+	r.Outs = append(r.Outs, engine.Output{Kind: engine.Broadcast, Msg: &types.ExtraVote{Vote: v, Leader: r.cfg.ID}})
 }
 
 // onExtraVote handles a late vote relayed by a round leader (FBFT mode).

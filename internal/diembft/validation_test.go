@@ -34,8 +34,8 @@ func soloReplica(t *testing.T, id types.ReplicaID, n, f int, ring *crypto.KeyRin
 // hasVote reports whether any output is a vote send.
 func hasVote(outs []engine.Output) bool {
 	for _, o := range outs {
-		if s, ok := o.(engine.Send); ok {
-			if _, isVote := s.Msg.(*types.VoteMsg); isVote {
+		if o.Kind == engine.Send {
+			if _, isVote := o.Msg.(*types.VoteMsg); isVote {
 				return true
 			}
 		}

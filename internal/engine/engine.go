@@ -1,10 +1,11 @@
 // Package engine defines the event-driven interface every consensus engine
 // in this repository implements. Engines are pure state machines: they
 // receive Init/OnMessage/OnTimer events carrying the current (virtual or
-// wall) time and return a list of Outputs. They never touch clocks, sockets
-// or goroutines themselves, which lets the same engine run deterministically
-// under the discrete-event simulator (internal/simnet) and under the real
-// TCP runtime (internal/runtime).
+// wall) time and return a list of Outputs, one value type whose Kind names
+// the action (send, broadcast, timer, commit, strength rise). They never
+// touch clocks, sockets or goroutines themselves, which lets the same engine
+// run deterministically under the discrete-event simulator (internal/simnet)
+// and under the real TCP runtime (internal/runtime).
 package engine
 
 import (
@@ -86,46 +87,47 @@ func Recycle(outs []Output) []Output {
 	return outs[:0]
 }
 
-// Output is one action requested by an engine. The concrete types below are
-// the full set; runtimes switch on them.
-type Output interface{ isOutput() }
-
-// Send transmits a message to one replica.
-type Send struct {
-	To  types.ReplicaID
-	Msg types.Message
-}
-
-// Broadcast transmits a message to every other replica; when SelfDeliver is
-// set the engine also receives its own copy (DiemBFT leaders process their
-// own proposals through the same code path as everyone else).
-type Broadcast struct {
-	Msg         types.Message
+// Output is one action requested by an engine, held by value: Kind says
+// which, and only that kind's fields are set. Runtimes switch on Kind.
+type Output struct {
+	Kind Kind
+	// To is a Send's recipient (the replica itself means loopback).
+	To types.ReplicaID
+	// SelfDeliver on a Broadcast also hands the engine its own copy (DiemBFT
+	// leaders process their own proposals through the same code path as
+	// everyone else).
 	SelfDeliver bool
-}
-
-// SetTimer requests an OnTimer(id) callback after Delay.
-type SetTimer struct {
-	ID    int
+	// Msg is a Send's or Broadcast's message.
+	Msg types.Message
+	// Timer is a SetTimer's ID, handed back to OnTimer.
+	Timer int
+	// Delay is a SetTimer's wait. On a Send or Broadcast it is zero when the
+	// output reaches a runtime; only the adversary's behaviors set it there,
+	// to postpone a transmission, and its wrapper turns that into a timer.
 	Delay time.Duration
-}
-
-// Commit reports a regular (f-strong) commit of Block and, implicitly, all
-// its ancestors. Runtimes and the harness use it for latency/throughput
-// accounting; Height ordering is guaranteed per replica.
-type Commit struct {
+	// Block is a Commit's or Strength's block.
 	Block *types.Block
+	// X is a Strength's new level.
+	X int
 }
 
-// Strength reports that Block's strong-commit level rose to X (the commit
-// now tolerates X Byzantine faults, Definition 1).
-type Strength struct {
-	Block *types.Block
-	X     int
-}
+// Kind names what an Output asks for. The zero Kind is no output at all.
+type Kind uint8
 
-func (Send) isOutput()      {}
-func (Broadcast) isOutput() {}
-func (SetTimer) isOutput()  {}
-func (Commit) isOutput()    {}
-func (Strength) isOutput()  {}
+const (
+	// Send transmits Msg to To.
+	Send Kind = iota + 1
+	// Broadcast transmits Msg to every other replica, and to the engine
+	// itself when SelfDeliver is set.
+	Broadcast
+	// SetTimer requests an OnTimer(Timer) callback after Delay.
+	SetTimer
+	// Commit reports a regular (f-strong) commit of Block and, implicitly,
+	// all its ancestors. Runtimes and the harness use it for
+	// latency/throughput accounting; Height ordering is guaranteed per
+	// replica.
+	Commit
+	// Strength reports that Block's strong-commit level rose to X (the
+	// commit now tolerates X Byzantine faults, Definition 1).
+	Strength
+)

@@ -44,15 +44,12 @@ func encode(t testing.TB, outs []engine.Output) []byte {
 		}
 	}
 	for _, out := range outs {
-		switch o := out.(type) {
-		case engine.Send:
-			b = fmt.Appendf(b, "send %d ", o.To)
-			wire(o.Msg)
-		case engine.Broadcast:
-			b = fmt.Appendf(b, "bcast %v ", o.SelfDeliver)
-			wire(o.Msg)
+		switch out.Kind {
+		case engine.Send, engine.Broadcast:
+			b = fmt.Appendf(b, "%d to %d self %v ", out.Kind, out.To, out.SelfDeliver)
+			wire(out.Msg)
 		default: // timers by value; commits and strength rises print their block
-			b = fmt.Appendf(b, "%T%v ", out, out)
+			b = fmt.Appendf(b, "%+v ", out)
 		}
 	}
 	return b
@@ -145,8 +142,8 @@ func CheckOutputLifetime(t *testing.T, a, b engine.Engine, first, second func(en
 	after := encode(t, next)
 	if &next[0] == &held[0] {
 		for i := len(next); i < len(held); i++ {
-			if held[i] != nil {
-				t.Fatalf("the reused array still holds output %d of the first event: %T", i, held[i])
+			if held[i] != (engine.Output{}) {
+				t.Fatalf("the reused array still holds output %d of the first event: %+v", i, held[i])
 			}
 		}
 	}

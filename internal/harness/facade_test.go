@@ -132,7 +132,7 @@ type pinger struct {
 
 func (p *pinger) ID() types.ReplicaID { return p.id }
 func (p *pinger) Init(time.Duration) []engine.Output {
-	return []engine.Output{engine.Broadcast{Msg: ping{}}}
+	return []engine.Output{{Kind: engine.Broadcast, Msg: ping{}}}
 }
 func (p *pinger) OnTimer(time.Duration, int) []engine.Output       { return nil }
 func (p *pinger) Prevalidate(types.ReplicaID, types.Message) error { return nil }

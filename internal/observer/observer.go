@@ -107,7 +107,7 @@ func New(cfg Config) (*Observer, error) {
 func (o *Observer) Init(now time.Duration) []engine.Output {
 	o.Begin(now)
 	o.requestCatchUp()
-	o.Outs = append(o.Outs, engine.SetTimer{ID: syncTimerID, Delay: DefaultSyncInterval})
+	o.Outs = append(o.Outs, engine.Output{Kind: engine.SetTimer, Timer: syncTimerID, Delay: DefaultSyncInterval})
 	return o.Take()
 }
 
@@ -123,7 +123,7 @@ func (o *Observer) OnTimer(now time.Duration, id int) []engine.Output {
 	} else {
 		o.lastTip = tip
 	}
-	o.Outs = append(o.Outs, engine.SetTimer{ID: syncTimerID, Delay: DefaultSyncInterval})
+	o.Outs = append(o.Outs, engine.Output{Kind: engine.SetTimer, Timer: syncTimerID, Delay: DefaultSyncInterval})
 	return o.Take()
 }
 
@@ -258,7 +258,7 @@ func (o *Observer) onStateSync(m *types.StateSyncResponse) {
 func (o *Observer) requestCatchUp() {
 	up := types.ReplicaID(o.nextUp % o.cfg.N)
 	o.nextUp++
-	o.Outs = append(o.Outs, engine.Send{
+	o.Outs = append(o.Outs, engine.Output{Kind: engine.Send,
 		To:  up,
 		Msg: statesync.NewRequest(o.tipHeight(), o.cfg.ID),
 	})

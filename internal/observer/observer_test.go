@@ -93,8 +93,8 @@ func (f *fixture) deliver(msg types.Message) []engine.Output {
 func commits(outs []engine.Output) []*types.Block {
 	var bs []*types.Block
 	for _, o := range outs {
-		if c, ok := o.(engine.Commit); ok {
-			bs = append(bs, c.Block)
+		if o.Kind == engine.Commit {
+			bs = append(bs, o.Block)
 		}
 	}
 	return bs
@@ -103,8 +103,8 @@ func commits(outs []engine.Output) []*types.Block {
 func strengths(outs []engine.Output) map[types.BlockID]int {
 	m := map[types.BlockID]int{}
 	for _, o := range outs {
-		if s, ok := o.(engine.Strength); ok {
-			m[s.Block.ID()] = s.X
+		if o.Kind == engine.Strength {
+			m[o.Block.ID()] = o.X
 		}
 	}
 	return m
@@ -387,8 +387,8 @@ func TestOrphanHealsViaCatchUp(t *testing.T) {
 	outs := f.deliver(f.proposal(tip))
 	var req *types.StateSyncRequest
 	for _, o := range outs {
-		if s, ok := o.(engine.Send); ok {
-			if r, ok := s.Msg.(*types.StateSyncRequest); ok {
+		if o.Kind == engine.Send {
+			if r, ok := o.Msg.(*types.StateSyncRequest); ok {
 				req = r
 			}
 		}
@@ -585,8 +585,8 @@ func TestWrongHeightIsUnknown(t *testing.T) {
 				}
 				asked := false
 				for _, out := range outs {
-					if s, ok := out.(engine.Send); ok {
-						_, asked = s.Msg.(*types.StateSyncRequest)
+					if out.Kind == engine.Send {
+						_, asked = out.Msg.(*types.StateSyncRequest)
 					}
 				}
 				if !asked || f.obs.Store().Len() != 4 {

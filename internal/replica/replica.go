@@ -267,7 +267,7 @@ func (c *Chassis) EmitStrength(b *types.Block, x int) bool {
 	if c.restoring {
 		return false
 	}
-	c.Outs = append(c.Outs, engine.Strength{Block: b, X: x})
+	c.Outs = append(c.Outs, engine.Output{Kind: engine.Strength, Block: b, X: x})
 	c.cfg.Obs.OnStrength(b, x, c.now)
 	return true
 }
@@ -522,7 +522,7 @@ func (c *Chassis) Propose(round types.Round, parent *types.Block, qc *types.QC, 
 	p.Signature = c.cfg.Signer.Sign(p.SigningPayload())
 	c.journalBlock(b)
 	c.cfg.Obs.OnProposed(b, c.now)
-	c.Outs = append(c.Outs, engine.Broadcast{Msg: p, SelfDeliver: true})
+	c.Outs = append(c.Outs, engine.Output{Kind: engine.Broadcast, Msg: p, SelfDeliver: true})
 }
 
 // CommitTo commits b and its uncommitted ancestors, oldest first.
@@ -549,7 +549,7 @@ func (c *Chassis) CommitTo(b *types.Block) {
 				panic(fmt.Sprintf("replica: app commit: %v", err))
 			}
 		}
-		c.Outs = append(c.Outs, engine.Commit{Block: blk})
+		c.Outs = append(c.Outs, engine.Output{Kind: engine.Commit, Block: blk})
 		c.cfg.Obs.OnCommit(blk, c.now)
 		c.committed.Push(blk)
 	}
@@ -690,13 +690,13 @@ func (c *Chassis) Restore(rec *core.Recovery, onBlock func(*types.Block), onCert
 // RequestStateSync broadcasts the catch-up request a recovered replica
 // rejoins with: everything certified above its committed height.
 func (c *Chassis) RequestStateSync() {
-	c.Outs = append(c.Outs, engine.Broadcast{Msg: statesync.NewRequest(c.committedH, c.cfg.ID)})
+	c.Outs = append(c.Outs, engine.Output{Kind: engine.Broadcast, Msg: statesync.NewRequest(c.committedH, c.cfg.ID)})
 }
 
 // RequestStateSyncFrom asks one peer for everything certified above this
 // replica's committed height.
 func (c *Chassis) RequestStateSyncFrom(peer types.ReplicaID) {
-	c.Outs = append(c.Outs, engine.Send{To: peer, Msg: statesync.NewRequest(c.committedH, c.cfg.ID)})
+	c.Outs = append(c.Outs, engine.Output{Kind: engine.Send, To: peer, Msg: statesync.NewRequest(c.committedH, c.cfg.ID)})
 }
 
 // OnStateSyncRequest serves the catch-up protocol: a certified chain segment
@@ -706,7 +706,7 @@ func (c *Chassis) OnStateSyncRequest(m *types.StateSyncRequest) {
 		return
 	}
 	if resp := statesync.Serve(c.store, m, c.cfg.ID, statesync.DefaultMaxBlocks); resp != nil {
-		c.Outs = append(c.Outs, engine.Send{To: m.Sender, Msg: resp})
+		c.Outs = append(c.Outs, engine.Output{Kind: engine.Send, To: m.Sender, Msg: resp})
 	}
 }
 

@@ -114,13 +114,34 @@ func TestAllocsEventBracket(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() {
 		c.Begin(0)
 		for i := 0; i < 8; i++ {
-			c.Outs = append(c.Outs, engine.Commit{Block: g}) // pointer-shaped: no boxing
+			c.Outs = append(c.Outs, engine.Output{Kind: engine.Commit, Block: g})
 		}
 		if outs := c.Take(); len(outs) != 8 {
 			t.Fatalf("%d outputs out of an event that made 8", len(outs))
 		}
 	}); a != 0 {
 		t.Fatalf("Begin/8 outputs/Take: %v allocs/op, want 0", a)
+	}
+}
+
+// TestAllocsEmitStrength: a strength rise is an output held by value, so
+// announcing eight of them into an array an earlier event has grown
+// allocates nothing.
+func TestAllocsEmitStrength(t *testing.T) {
+	c, _ := testChassis(t, 4, 1)
+	g := c.Store().Genesis()
+	if a := testing.AllocsPerRun(1000, func() {
+		c.Begin(0)
+		for x := 1; x <= 8; x++ {
+			if !c.EmitStrength(g, x) {
+				t.Fatal("rise not announced")
+			}
+		}
+		if outs := c.Take(); len(outs) != 8 || outs[7] != (engine.Output{Kind: engine.Strength, Block: g, X: 8}) {
+			t.Fatalf("outputs %+v, want eight strength rises", outs)
+		}
+	}); a != 0 {
+		t.Fatalf("EmitStrength: %v allocs/op, want 0", a)
 	}
 }
 

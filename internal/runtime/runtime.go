@@ -148,26 +148,26 @@ func (n *Node) now() time.Duration { return time.Since(n.start) }
 func (n *Node) apply(outs []engine.Output) {
 	self := n.eng.ID()
 	for _, out := range outs {
-		switch o := out.(type) {
+		switch out.Kind {
 		case engine.Send:
-			if o.To == self {
+			if out.To == self {
 				// Locally generated: trusted, no prevalidation needed.
-				n.enqueueLoopback(Inbound{From: self, Msg: o.Msg, Verified: true})
+				n.enqueueLoopback(Inbound{From: self, Msg: out.Msg, Verified: true})
 				continue
 			}
-			if err := n.tr.Send(o.To, o.Msg); err != nil {
+			if err := n.tr.Send(out.To, out.Msg); err != nil {
 				n.sendFailures.Add(1)
 			}
 		case engine.Broadcast:
-			if err := n.tr.Broadcast(o.Msg); err != nil {
+			if err := n.tr.Broadcast(out.Msg); err != nil {
 				n.sendFailures.Add(1)
 			}
-			if o.SelfDeliver {
-				n.enqueueLoopback(Inbound{From: self, Msg: o.Msg, Verified: true})
+			if out.SelfDeliver {
+				n.enqueueLoopback(Inbound{From: self, Msg: out.Msg, Verified: true})
 			}
 		case engine.SetTimer:
-			id := o.ID
-			time.AfterFunc(o.Delay, func() {
+			id := out.Timer
+			time.AfterFunc(out.Delay, func() {
 				select {
 				case n.timerCh <- id:
 				case <-n.stopping:
@@ -175,11 +175,11 @@ func (n *Node) apply(outs []engine.Output) {
 			})
 		case engine.Commit:
 			if n.opts.OnCommit != nil {
-				n.opts.OnCommit(o.Block)
+				n.opts.OnCommit(out.Block)
 			}
 		case engine.Strength:
 			if n.opts.OnStrength != nil {
-				n.opts.OnStrength(o.Block, o.X)
+				n.opts.OnStrength(out.Block, out.X)
 			}
 		}
 	}

@@ -21,8 +21,8 @@ func newPingEngine(id, peer types.ReplicaID, period time.Duration) *pingEngine {
 	return &pingEngine{
 		id: id,
 		onTimer: []engine.Output{
-			engine.Send{To: peer, Msg: &types.StateSyncRequest{Sender: id}},
-			engine.SetTimer{ID: 1, Delay: period},
+			{Kind: engine.Send, To: peer, Msg: &types.StateSyncRequest{Sender: id}},
+			{Kind: engine.SetTimer, Timer: 1, Delay: period},
 		},
 	}
 }

@@ -20,7 +20,7 @@ type chainEngine struct {
 func (e *chainEngine) ID() types.ReplicaID { return e.id }
 func (e *chainEngine) Init(now time.Duration) []engine.Output {
 	if e.id == 0 {
-		return []engine.Output{engine.Send{To: 1, Msg: ping{Tag: "token"}}}
+		return []engine.Output{{Kind: engine.Send, To: 1, Msg: ping{Tag: "token"}}}
 	}
 	return nil
 }
@@ -30,7 +30,7 @@ func (e *chainEngine) OnMessage(now time.Duration, from types.ReplicaID, msg typ
 		return nil
 	}
 	next := types.ReplicaID((int(e.id) + 1) % e.n)
-	return []engine.Output{engine.Send{To: next, Msg: msg}}
+	return []engine.Output{{Kind: engine.Send, To: next, Msg: msg}}
 }
 func (e *chainEngine) Prevalidate(types.ReplicaID, types.Message) error { return nil }
 func (e *chainEngine) OnVerifiedMessage(now time.Duration, from types.ReplicaID, msg types.Message) []engine.Output {

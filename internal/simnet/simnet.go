@@ -318,34 +318,34 @@ func (s *Sim) dispatch(ev event) {
 
 func (s *Sim) apply(id types.ReplicaID, outs []engine.Output) {
 	for _, out := range outs {
-		switch o := out.(type) {
+		switch out.Kind {
 		case engine.Send:
-			s.deliver(id, o.To, o.Msg, o.Msg.Size())
+			s.deliver(id, out.To, out.Msg, out.Msg.Size())
 		case engine.Broadcast:
 			// Observer slots (>= N) receive every broadcast too — the
 			// fabric-level form of tcpnet's mirroring. The message is sized
 			// once, not per recipient: Size walks every vote of a carried QC.
-			size := o.Msg.Size()
+			size := out.Msg.Size()
 			for i := range s.engines {
 				to := types.ReplicaID(i)
 				if to == id {
 					continue
 				}
-				s.deliver(id, to, o.Msg, size)
+				s.deliver(id, to, out.Msg, size)
 			}
-			if o.SelfDeliver {
+			if out.SelfDeliver {
 				// Local delivery is immediate: same-replica handoff.
-				s.push(event{at: s.now, kind: evMessage, to: id, from: id, msg: o.Msg})
+				s.push(event{at: s.now, kind: evMessage, to: id, from: id, msg: out.Msg})
 			}
 		case engine.SetTimer:
-			s.push(event{at: s.now + o.Delay, kind: evTimer, to: id, tid: o.ID})
+			s.push(event{at: s.now + out.Delay, kind: evTimer, to: id, tid: out.Timer})
 		case engine.Commit:
 			if s.cfg.OnCommit != nil {
-				s.cfg.OnCommit(id, s.now, o.Block)
+				s.cfg.OnCommit(id, s.now, out.Block)
 			}
 		case engine.Strength:
 			if s.cfg.OnStrength != nil {
-				s.cfg.OnStrength(id, s.now, o.Block, o.X)
+				s.cfg.OnStrength(id, s.now, out.Block, out.X)
 			}
 		}
 	}

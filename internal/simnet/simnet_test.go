@@ -29,8 +29,8 @@ func (e *echoEngine) ID() types.ReplicaID { return e.id }
 func (e *echoEngine) Init(now time.Duration) []engine.Output {
 	if e.id == 0 {
 		return []engine.Output{
-			engine.Broadcast{Msg: ping{Tag: "hello"}},
-			engine.SetTimer{ID: 7, Delay: 50 * time.Millisecond},
+			{Kind: engine.Broadcast, Msg: ping{Tag: "hello"}},
+			{Kind: engine.SetTimer, Timer: 7, Delay: 50 * time.Millisecond},
 		}
 	}
 	return nil
@@ -39,7 +39,7 @@ func (e *echoEngine) OnMessage(now time.Duration, from types.ReplicaID, msg type
 	p := msg.(ping)
 	e.received = append(e.received, fmt.Sprintf("%s@%v from %v", p.Tag, now, from))
 	if p.Tag == "hello" {
-		return []engine.Output{engine.Send{To: from, Msg: ping{Tag: "ack"}}}
+		return []engine.Output{{Kind: engine.Send, To: from, Msg: ping{Tag: "ack"}}}
 	}
 	return nil
 }

@@ -16,7 +16,7 @@ import (
 // adversary behaviors — the composable subsystem that replaced the old
 // streamlet.Config.WithholdVotes knob and gives Streamlet the leader
 // misbehaviors (equivocation included) that previously only DiemBFT had.
-func corrupt(t *testing.T, sim *simnet.Sim, rep *streamlet.Replica, n, f int, specs ...adversary.Spec) {
+func corrupt(t *testing.T, sim *simnet.Sim, rep *streamlet.Replica, n int, specs ...adversary.Spec) {
 	t.Helper()
 	ring, err := crypto.NewKeyRing(n, 7, crypto.SchemeSim)
 	if err != nil {
@@ -24,7 +24,7 @@ func corrupt(t *testing.T, sim *simnet.Sim, rep *streamlet.Replica, n, f int, sp
 	}
 	var eng engine.Engine
 	eng, err = adversary.Wrap(rep, adversary.Config{
-		ID: rep.ID(), N: n, F: f, Signer: ring.Signer(rep.ID()), Seed: int64(rep.ID()) + 1,
+		ID: rep.ID(), N: n, Signer: ring.Signer(rep.ID()), Seed: int64(rep.ID()) + 1,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestStreamletWithholdingCapsStrength(t *testing.T) {
 		},
 	}
 	sim, reps := buildCluster(t, 4, 1, nil, simCfg)
-	corrupt(t, sim, reps[3], 4, 1, adversary.Spec{Kind: adversary.Withhold})
+	corrupt(t, sim, reps[3], 4, adversary.Spec{Kind: adversary.Withhold})
 	sim.Run(6 * time.Second)
 
 	if len(best) == 0 {
@@ -73,7 +73,7 @@ func TestStreamletEquivocatingLeaderSafety(t *testing.T) {
 		},
 	}
 	sim, reps := buildCluster(t, 4, 1, nil, simCfg)
-	corrupt(t, sim, reps[2], 4, 1, adversary.Spec{Kind: adversary.Equivocate})
+	corrupt(t, sim, reps[2], 4, adversary.Spec{Kind: adversary.Equivocate})
 	sim.Run(8 * time.Second)
 
 	honest := []types.ReplicaID{0, 1, 3}

@@ -34,8 +34,8 @@ func TestJustifyCertifiesParentWhenVotesWereMissed(t *testing.T) {
 
 		voted := false
 		for _, out := range outs {
-			if bc, ok := out.(engine.Broadcast); ok {
-				if vm, ok := bc.Msg.(*types.VoteMsg); ok && vm.Vote.Block == b5.ID() {
+			if out.Kind == engine.Broadcast {
+				if vm, ok := out.Msg.(*types.VoteMsg); ok && vm.Vote.Block == b5.ID() {
 					voted = true
 				}
 			}

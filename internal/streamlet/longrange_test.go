@@ -47,15 +47,8 @@ func TestLongRangeAttackComparison(t *testing.T) {
 	}
 	hasVote := func(outs []engine.Output) bool {
 		for _, o := range outs {
-			switch m := o.(type) {
-			case engine.Send:
-				if _, ok := m.Msg.(*types.VoteMsg); ok {
-					return true
-				}
-			case engine.Broadcast:
-				if _, ok := m.Msg.(*types.VoteMsg); ok {
-					return true
-				}
+			if _, ok := o.Msg.(*types.VoteMsg); ok { // only transmissions carry a message
+				return true
 			}
 		}
 		return false

@@ -137,7 +137,7 @@ func (r *Replica) Init(now time.Duration) []engine.Output {
 	// Align the first timer to the next slot boundary so a mid-run restart
 	// keeps ticking in phase with the rest of the cluster.
 	delay := 2*r.cfg.Delta - now%(2*r.cfg.Delta)
-	r.Outs = append(r.Outs, engine.SetTimer{ID: int(r.round), Delay: delay})
+	r.Outs = append(r.Outs, engine.Output{Kind: engine.SetTimer, Timer: int(r.round), Delay: delay})
 	if r.Recovered() {
 		r.RequestStateSync()
 	}
@@ -152,7 +152,7 @@ func (r *Replica) OnTimer(now time.Duration, id int) []engine.Output {
 	if types.Round(id) == r.round {
 		r.round++
 		r.EnterRound(r.round, false)
-		r.Outs = append(r.Outs, engine.SetTimer{ID: int(r.round), Delay: 2 * r.cfg.Delta})
+		r.Outs = append(r.Outs, engine.Output{Kind: engine.SetTimer, Timer: int(r.round), Delay: 2 * r.cfg.Delta})
 		r.maybePropose()
 	}
 	return r.Take()
@@ -236,7 +236,7 @@ func (r *Replica) echo(msg types.Message) {
 	if r.cfg.DisableEcho {
 		return
 	}
-	r.Outs = append(r.Outs, engine.Broadcast{Msg: &types.Echo{Inner: msg, Relayer: r.cfg.ID}})
+	r.Outs = append(r.Outs, engine.Output{Kind: engine.Broadcast, Msg: &types.Echo{Inner: msg, Relayer: r.cfg.ID}})
 }
 
 // --- proposing ---
@@ -356,7 +356,7 @@ func (r *Replica) maybeVote(b *types.Block) {
 		return
 	}
 	r.votedRound[r.round] = true
-	r.Outs = append(r.Outs, engine.Broadcast{Msg: &types.VoteMsg{Vote: v}, SelfDeliver: true})
+	r.Outs = append(r.Outs, engine.Output{Kind: engine.Broadcast, Msg: &types.VoteMsg{Vote: v}, SelfDeliver: true})
 }
 
 // --- votes and certification ---

@@ -427,7 +427,7 @@ func (s *settings) builder(cfg Config, ring *KeyRing, verify bool, rule CommitRu
 		dcfg.VoteMode = diembft.VoteIntervals
 	}
 	byz := adversary.Config{
-		ID: cfg.ID, N: cfg.N, F: cfg.F(), Signer: common.Signer,
+		ID: cfg.ID, N: cfg.N, Signer: common.Signer,
 		Seed: cfg.Seed*1000003 + int64(cfg.ID), Colluders: s.adversaryPeers,
 	}
 	return func(j *core.Journal) (engine.Engine, error) {
