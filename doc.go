@@ -385,15 +385,17 @@
 //
 // Every certificate check goes through replica.Certs.VerifyQC, which has two
 // arms — structure only, or the content-keyed verified-QC cache and the batch
-// verifier when signatures are on — and one front for both: an identity memo
-// of the last two *QC this replica accepted. The same object delivered again
-// is accepted without being read: one high QC rides in every peer's timeout
-// of a round, and the simulator hands all of them the same pointer (a TCP
-// node decodes a fresh object per frame, so there the content-keyed cache
-// does that work). Any other pointer, equal content or not, takes the whole
-// arm, and a pointer is remembered only after it did. That is sound
-// because a message is immutable after hand-off (internal/engine) and the
-// memo's own reference keeps the address from being reused.
+// verifier when signatures are on — and one front for both: a record on the
+// certificate itself that it passed (types.QC.PassedDoor), naming its own
+// address, the quorum and the verifier (none for structure only). The same
+// object delivered again, to any replica of the process, is accepted unread:
+// the simulator hands all 100 replicas of an n=100 run one pointer, so each
+// certificate is read once per process (a TCP node decodes a fresh object per
+// frame; there the content-keyed cache does that work). A copy, a rebuilt
+// certificate, another quorum or verifier, a signature check after a
+// structure-only record and any check after DisableCache take the whole arm.
+// That is sound because a message is immutable after hand-off
+// (internal/engine); every other QC check stays full and stateless.
 //
 //	message       stateless (Prevalidate)                          stateful (state stage)
 //	Proposal      block and justify present, round/proposer match, reputation leader (reads the store),

@@ -1,6 +1,7 @@
 package adversary_test
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"testing"
@@ -380,5 +381,119 @@ func TestSpecStringsAreStable(t *testing.T) {
 		if _, err := (adversary.Spec{Kind: kind, Every: 2, P: 0.5, Delay: time.Millisecond}).Build(); err != nil {
 			t.Errorf("catalog kind %q does not build: %v", kind, err)
 		}
+	}
+}
+
+// TestBehaviorsNeverEditInPlace runs every built-in behavior over honest
+// traffic — proposals, votes, timeouts, sync answers and echoes, both sent by
+// the wrapped engine and received from peers — and checks that each of those
+// messages encodes to the same bytes afterwards, while the transmissions that
+// leave the wrapper differ from the honest engine's (the behavior acted). A
+// message is immutable once handed over (engine.Engine): other replicas of a
+// process hold the same object, and a certificate's record of having passed a
+// door is sound only while its content cannot change.
+func TestBehaviorsNeverEditInPlace(t *testing.T) {
+	ring := testRing(t, 4)
+	const id = types.ReplicaID(1)
+	p1, rival := proposal(t, ring, 0, 1), proposal(t, ring, 2, 1)
+	cert := func(b *types.Block, voters ...types.ReplicaID) *types.QC {
+		qc := &types.QC{Block: b.ID(), Round: b.Round, Height: b.Height}
+		for _, v := range voters {
+			qc.Votes = append(qc.Votes, vote(ring, v, b))
+		}
+		return qc
+	}
+	qc1 := cert(p1.Block, 0, 2, 3)
+	b2 := types.NewBlock(p1.Block.ID(), qc1, 2, 2, id, 0, types.Payload{Txns: []types.Transaction{{Sender: 1, Seq: 1}}}, nil)
+	p2 := &types.Proposal{Block: b2, Round: 2, Sender: id}
+	p2.Signature = ring.Signer(id).Sign(p2.SigningPayload())
+	timeout := func(sender types.ReplicaID) *types.Timeout {
+		to := &types.Timeout{Round: 2, HighQC: qc1, HighRound: 1, Sender: sender}
+		to.Signature = ring.Signer(sender).Sign(to.SigningPayload())
+		return to
+	}
+	ownVote := vote(ring, id, p1.Block)
+	ownVote.AppHash = [32]byte{7}
+	ownVote.Signature = ring.Signer(id).Sign(ownVote.SigningPayload())
+	outs := []engine.Output{
+		{Kind: engine.Broadcast, Msg: p2, SelfDeliver: true},
+		{Kind: engine.Send, To: 0, Msg: &types.VoteMsg{Vote: ownVote}},
+		{Kind: engine.Broadcast, Msg: timeout(id)},
+		{Kind: engine.Send, To: 0, Msg: &types.ExtraVote{Vote: vote(ring, id, b2), Leader: 0}},
+		{Kind: engine.Send, To: 3, Msg: &types.StateSyncResponse{Blocks: []*types.Block{p1.Block, b2}, HighQC: qc1, Sender: id}},
+		{Kind: engine.Broadcast, Msg: &types.Echo{Inner: p1, Relayer: id}},
+		{Kind: engine.SetTimer, Timer: 7, Delay: time.Second},
+	}
+	inbound := []types.Message{p1, rival, &types.Echo{Inner: proposal(t, ring, 3, 2), Relayer: 3}, timeout(0), timeout(2),
+		&types.StateSyncResponse{Blocks: []*types.Block{p1.Block}, HighQC: qc1, Sender: 2}}
+	for _, v := range []types.ReplicaID{0, 2, 3} {
+		inbound = append(inbound, &types.VoteMsg{Vote: vote(ring, v, p1.Block)}, &types.VoteMsg{Vote: vote(ring, v, rival.Block)})
+	}
+	msgs := slices.Clone(inbound)
+	for _, out := range outs {
+		if out.Msg != nil {
+			msgs = append(msgs, out.Msg)
+		}
+	}
+	encode := func(t *testing.T, msgs []types.Message) [][]byte {
+		t.Helper()
+		enc := make([][]byte, len(msgs))
+		for i, m := range msgs {
+			var err error
+			if enc[i], err = types.AppendMessage(nil, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return enc
+	}
+	want := encode(t, msgs)
+	// run delivers the inbound traffic to eng, then fires every timer it set,
+	// and returns everything it transmitted, in order, each encoding prefixed
+	// by the number of the event that sent it.
+	run := func(t *testing.T, eng engine.Engine) [][]byte {
+		var sent [][]byte
+		var timers []int
+		events := byte(0)
+		take := func(outs []engine.Output) {
+			events++
+			for _, out := range outs {
+				switch out.Kind {
+				case engine.Send, engine.Broadcast:
+					sent = append(sent, append([]byte{events}, encode(t, []types.Message{out.Msg})[0]...))
+				case engine.SetTimer:
+					timers = append(timers, out.Timer)
+				}
+			}
+		}
+		take(eng.Init(0))
+		for i, m := range inbound {
+			take(eng.OnMessage(time.Duration(i+1)*time.Millisecond, types.ReplicaID(i%4), m))
+		}
+		for i := 0; i < len(timers); i++ {
+			take(eng.OnTimer(time.Second, timers[i]))
+		}
+		return sent
+	}
+	engineFor := func() *stubEngine {
+		scripts := make([][]engine.Output, 2*len(inbound))
+		for i := range scripts {
+			scripts[i] = outs
+		}
+		return &stubEngine{id: id, scripts: scripts}
+	}
+	honest := run(t, engineFor())
+	for _, kind := range adversary.Kinds {
+		t.Run(string(kind), func(t *testing.T) {
+			eng := wrap(t, engineFor(), id,
+				adversary.Spec{Kind: kind, Every: 1, P: 0.5, Delay: time.Millisecond, Jitter: time.Millisecond})
+			if slices.EqualFunc(run(t, eng), honest, bytes.Equal) {
+				t.Fatal("the behavior did not act on this traffic")
+			}
+			for i, got := range encode(t, msgs) {
+				if !bytes.Equal(got, want[i]) {
+					t.Fatalf("%v was edited in place", msgs[i])
+				}
+			}
+		})
 	}
 }

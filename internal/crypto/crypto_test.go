@@ -84,10 +84,9 @@ func TestVerifyQC(t *testing.T) {
 		t.Error("sub-quorum QC accepted")
 	}
 	// Forged signature.
-	forged := *qc
-	forged.Votes = append([]types.Vote(nil), qc.Votes...)
+	forged := &types.QC{Block: qc.Block, Round: qc.Round, Height: qc.Height, Votes: append([]types.Vote(nil), qc.Votes...)}
 	forged.Votes[1].Marker = 7 // changes payload; signature now invalid
-	if err := crypto.VerifyQC(ring, &forged, 3); err == nil {
+	if err := crypto.VerifyQC(ring, forged, 3); err == nil {
 		t.Error("QC with tampered vote accepted")
 	}
 	// VerifyVote direct.

@@ -108,8 +108,8 @@ func TestAllocsTimeoutDelivery(t *testing.T) {
 			msgs := fx.timeouts(2, fx.qc1)
 			if tc.fresh {
 				for _, m := range msgs {
-					cp := *fx.qc1
-					m.HighQC = &cp
+					q := fx.qc1
+					m.HighQC = &types.QC{Block: q.Block, Round: q.Round, Height: q.Height, Votes: q.Votes, Agg: q.Agg}
 				}
 			}
 			// The round's first timeout makes the pacemaker's per-round table.

@@ -328,6 +328,12 @@ func (fx *doorFixture) forgedCert(b *types.Block) *types.QC {
 	return qc
 }
 
+// relabelled is a fresh certificate with qc's votes that claims a height by
+// above theirs.
+func (fx *doorFixture) relabelled(qc *types.QC, by types.Height) *types.QC {
+	return &types.QC{Block: qc.Block, Round: qc.Round, Height: qc.Height + by, Votes: qc.Votes, Agg: qc.Agg}
+}
+
 // proposal is b's proposal signed by its proposer.
 func (fx *doorFixture) proposal(b *types.Block) *types.Proposal {
 	p := &types.Proposal{Block: b, Round: b.Round, Sender: b.Proposer}
@@ -395,9 +401,8 @@ var rejections = []rejection{
 		return fx.proposal(fx.next(fx.leader, fx.certAt(fx.b2, fx.b2.Height+3))) // the next block sits one above b2
 	}},
 	{name: "proposal/justify relabelled to another height", msg: func(fx *doorFixture) types.Message {
-		qc := *fx.qc2
-		qc.Height += 5 // its votes say b2's height
-		return fx.proposal(types.NewBlock(fx.b2.ID(), &qc, fx.b2.Round+1, qc.Height+1, fx.leader, 7, types.Payload{}, nil))
+		qc := fx.relabelled(fx.qc2, 5) // its votes say b2's height
+		return fx.proposal(types.NewBlock(fx.b2.ID(), qc, fx.b2.Round+1, qc.Height+1, fx.leader, 7, types.Payload{}, nil))
 	}},
 	{name: "proposal/sub-quorum justify", msg: func(fx *doorFixture) types.Message {
 		return fx.proposal(fx.next(fx.leader, fx.cert(fx.b2, 0, 1)))
@@ -430,9 +435,8 @@ var rejections = []rejection{
 		return fx.timeout(&types.Timeout{Round: fx.b2.Round, HighQC: fx.cert(fx.b2, 0, 1), HighRound: fx.b2.Round, Sender: 0})
 	}},
 	{name: "timeout/high QC relabelled to another height", reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
-		qc := *fx.qc2
-		qc.Height += 5 // its votes say b2's height
-		return fx.timeout(&types.Timeout{Round: fx.b2.Round, HighQC: &qc, HighRound: fx.b2.Round, Sender: 0})
+		qc := fx.relabelled(fx.qc2, 5) // its votes say b2's height
+		return fx.timeout(&types.Timeout{Round: fx.b2.Round, HighQC: qc, HighRound: fx.b2.Round, Sender: 0})
 	}},
 	{name: "timeout/duplicate-voter high QC", reason: "timeout:" + obs.ReasonBadSignature, msg: func(fx *doorFixture) types.Message {
 		return fx.timeout(&types.Timeout{Round: fx.b2.Round, HighQC: fx.cert(fx.b2, 0, 1, 1), HighRound: fx.b2.Round, Sender: 0})

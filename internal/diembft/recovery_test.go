@@ -256,3 +256,77 @@ func findVote(t *testing.T, outs []engine.Output) *types.Vote {
 	}
 	return nil
 }
+
+// TestReplayedProposalJournaledOnce: a proposal delivered again finds its
+// block stored and journals nothing more, yet still reaches the engine's
+// protocol step. Five deliveries append one block record and one vote,
+// flushed once; a replica restored with the block but no vote for it votes
+// when the proposal arrives, without journaling the block a second time.
+func TestReplayedProposalJournaledOnce(t *testing.T) {
+	const id = types.ReplicaID(3)
+	ring, err := crypto.NewKeyRing(4, 42, crypto.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() (*diembft.Replica, *wal.Log) {
+		j := openJournal(t, t.TempDir(), id)
+		rep, err := diembft.New(diembft.Config{
+			Config: replica.Config{
+				ID: id, N: 4,
+				Signer: ring.Signer(id), Verifier: ring, VerifySignatures: true,
+				Journal: j,
+			}, RoundTimeout: 500 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, j.Log()
+	}
+	g := types.Genesis()
+	b := types.NewBlock(g.ID(), types.NewGenesisQC(g.ID()), 1, 1, 0, 0, types.Payload{}, nil)
+	p := &types.Proposal{Block: b, Round: 1, Sender: 0}
+	p.Signature = ring.Signer(0).Sign(p.SigningPayload())
+	records := func(log *wal.Log) (blocks, votes int) {
+		if err := log.Replay(func(_ int, rt wal.RecordType, _ []byte) error {
+			switch rt {
+			case core.RecBlock:
+				blocks++
+			case core.RecVote:
+				votes++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return blocks, votes
+	}
+
+	rep, log := build()
+	rep.Init(0)
+	before := log.Stats()
+	voted := 0
+	for range 5 {
+		if findVote(t, rep.OnMessage(0, 0, p)) != nil {
+			voted++
+		}
+	}
+	after := log.Stats()
+	if appends, flushes := after.Appends-before.Appends, after.Flushes-before.Flushes; voted != 1 || appends != 2 || flushes != 1 {
+		t.Fatalf("five deliveries: %d votes, %d appends, %d flushes; want 1, 2 (block, vote), 1", voted, appends, flushes)
+	}
+	if blocks, votes := records(log); blocks != 1 || votes != 1 {
+		t.Fatalf("journal holds %d block and %d vote records, want 1 and 1", blocks, votes)
+	}
+
+	rep, log = build()
+	if err := rep.Restore(&core.Recovery{Blocks: []*types.Block{b}}); err != nil {
+		t.Fatal(err)
+	}
+	rep.Init(0)
+	if findVote(t, rep.OnMessage(0, 0, p)) == nil {
+		t.Fatal("a restored block not yet voted for got no vote")
+	}
+	if blocks, votes := records(log); blocks != 0 || votes != 1 {
+		t.Fatalf("after the restart the journal holds %d block and %d vote records, want 0 and 1", blocks, votes)
+	}
+}

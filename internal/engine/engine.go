@@ -48,10 +48,11 @@ import (
 //   - A message is immutable once handed over: to Prevalidate, OnMessage or
 //     OnVerifiedMessage by a caller, or inside an Output by an engine. Nobody
 //     writes to it, or to anything it points to, afterwards. Engines keep
-//     what they are given (the block store holds the delivered *QC) and
-//     remember by pointer what they have checked (replica.Certs), and the
-//     simulator hands one object to every recipient; whoever needs a variant
-//     builds a copy, as the adversary behaviors do.
+//     what they are given (the block store holds the delivered *QC), a
+//     certificate carries the record of the first door it passed for every
+//     replica of the process (replica.Certs), and the simulator hands one
+//     object to every recipient; whoever needs a variant builds a new one,
+//     as the adversary behaviors do (TestBehaviorsNeverEditInPlace).
 //   - The []Output returned by Init, OnMessage, OnVerifiedMessage or OnTimer
 //     is valid until the next of those four calls on the same engine, which
 //     may overwrite it: engines reuse one array. A caller consumes it at once

@@ -157,10 +157,9 @@ func TestIngestRejectsForgedProof(t *testing.T) {
 		t.Fatal("sub-quorum certificate accepted")
 	}
 	// Tampered vote signature.
-	bad := *qc
-	bad.Votes = append([]types.Vote(nil), qc.Votes...)
+	bad := &types.QC{Block: qc.Block, Round: qc.Round, Height: qc.Height, Votes: append([]types.Vote(nil), qc.Votes...)}
 	bad.Votes[1].Signature = []byte("forged")
-	if err := f.gw.Ingest(b, &bad); err == nil {
+	if err := f.gw.Ingest(b, bad); err == nil {
 		t.Fatal("forged vote signature accepted")
 	}
 	if f.gw.Proven() != 0 {

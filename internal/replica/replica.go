@@ -336,8 +336,13 @@ func (c *Chassis) tryExecute(b *types.Block) {
 
 // AcceptBlock installs a proposed block whose parent is present: store,
 // journal (own blocks were journaled at propose time, before broadcast),
-// observe, execute. It reports false for a block the store refuses.
+// observe, execute. A block the store already holds — a replayed proposal, or
+// one restored from the journal — does none of that again. It reports false
+// for a block the store refuses.
 func (c *Chassis) AcceptBlock(b *types.Block) bool {
+	if c.store.Has(b.Height, b.ID()) {
+		return true
+	}
 	if err := c.store.Insert(b); err != nil {
 		return false
 	}
@@ -600,7 +605,7 @@ func (c *Chassis) PruneBelow(cut types.Height) ([]*types.Block, types.Round) {
 
 // committedAt returns the committed chain's block at height h, from the tail
 // when it reaches that far down (dropping what lies below, which no later cut
-// needs) and by walking the store otherwise, as after Restore.
+// needs) and by walking the store otherwise.
 func (c *Chassis) committedAt(h types.Height) *types.Block {
 	tail := c.committed.Live()
 	if len(tail) == 0 || h < tail[0].Height || h > c.committedH {
@@ -670,14 +675,24 @@ func (c *Chassis) Restore(rec *core.Recovery, onBlock func(*types.Block), onCert
 	if rec.CommittedHeight > 0 {
 		c.lastCommitted = rec.Committed
 		c.committedH = rec.CommittedHeight
-		if c.cfg.App != nil {
+		tip := c.store.Node(rec.CommittedHeight, rec.Committed)
+		if c.cfg.App != nil && tip != nil {
 			// Advance the state machine's committed base to the recovered
 			// commit point (the blocks were re-executed above).
-			if b := c.store.Block(rec.CommittedHeight, rec.Committed); b != nil {
-				if err := c.cfg.App.OnCommit(b); err != nil {
-					return fmt.Errorf("replica: restore app commit: %w", err)
-				}
+			if err := c.cfg.App.OnCommit(tip.Block()); err != nil {
+				return fmt.Errorf("replica: restore app commit: %w", err)
 			}
+		}
+		// Refill the committed tail from the floor up, so that cuts read
+		// their anchor from it instead of walking the store.
+		if base := tip.Ancestor(rec.Floor); base != nil {
+			c.committed.Push(base.Block())
+			chain, _ := blockstore.AppendChain(c.chain, base, tip)
+			for _, b := range chain {
+				c.committed.Push(b)
+			}
+			clear(chain)
+			c.chain = chain[:0]
 		}
 	}
 	if rec.Floor > 0 {

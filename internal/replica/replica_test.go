@@ -405,3 +405,33 @@ func TestPruneWithoutAnchorForgetsNothing(t *testing.T) {
 		t.Fatalf("endorsers of a kept block below the cut: %d, had %d", got, before)
 	}
 }
+
+// TestRestoreRefillsCommittedTail: a restored replica's committed tail runs
+// from the journal's floor to the recovered commit, so the first cuts after a
+// restart read their anchor from it instead of walking the store.
+func TestRestoreRefillsCommittedTail(t *testing.T) {
+	_, chain := certifiedChain(t, 20)
+	const committed = 15
+	for _, floor := range []types.Height{0, 5} {
+		c, _ := testChassis(t, 4, 1)
+		rec := &core.Recovery{
+			Floor:           floor,
+			Blocks:          chain[max(floor, 1)-1:],
+			Committed:       chain[committed-1].ID(),
+			CommittedHeight: committed,
+		}
+		if err := c.Restore(rec, nil, func(*types.QC) {}); err != nil {
+			t.Fatal(err)
+		}
+		tail := c.committed.Live()
+		if len(tail) != committed-int(floor)+1 || tail[0].Height != floor || tail[len(tail)-1] != chain[committed-1] {
+			t.Fatalf("floor %d: tail of %d blocks from height %d, want %d from %d up to the commit", floor, len(tail), tail[0].Height, committed-int(floor)+1, floor)
+		}
+		if _, round := c.PruneBelow(10); round != chain[9].Round {
+			t.Fatalf("floor %d: cut at 10 anchored at round %d, want %d", floor, round, chain[9].Round)
+		}
+		if tail := c.committed.Live(); len(tail) != committed-9 || tail[0] != chain[9] {
+			t.Fatalf("floor %d: the cut did not answer from the tail", floor)
+		}
+	}
+}

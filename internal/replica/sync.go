@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/crypto"
@@ -18,36 +17,22 @@ import (
 // verified-QC memo, so each distinct certificate is signature-checked once
 // per replica instead of once per delivery. Certificates are immutable, so a
 // cache hit is as strong as a fresh verification. In front of both arms sits
-// the identity memo (memo below). Safe for concurrent use from Prevalidate
-// workers: the memo slots are atomic, the cache is internally synchronized
-// and batch verification touches no replica state.
+// the record a certificate carries of having passed a door
+// (types.QC.PassedDoor): the same *QC, whichever replica of the process
+// checked it first, is accepted again without being read. Safe for
+// concurrent use from Prevalidate workers: the record is published
+// atomically, the cache is internally synchronized and batch verification
+// touches no replica state.
 type Certs struct {
 	verifier crypto.Verifier
+	by       any // what a record names: the verifier, or nil for structure only
 	quorum   int
 	workers  int
 	check    bool
+	full     bool // DisableCache's: read every certificate in full
 	cache    *crypto.QCCache
 	obs      *obs.Obs
-
-	// memo holds the certificates accepted last, by pointer, overwritten
-	// round-robin from next: the same object delivered again — one high QC
-	// inside every peer's timeout of a round — is not examined twice. Holding
-	// the pointer keeps the object alive, so an address cannot come back as a
-	// different certificate, and a message is immutable once handed over
-	// (engine.Engine), so neither can its content. rememberOff is
-	// DisableCache's.
-	memo        [memoSlots]atomic.Pointer[types.QC]
-	next        atomic.Uint32
-	rememberOff bool
 }
-
-// memoSlots sizes the identity memo. Of the first 600,000 VerifyQC calls of
-// sim100_fault (seed 11, counted in a scratch build) one slot answers
-// 454,312, two 454,791, four and eight the same and sixteen 454,857; the rest
-// are first sights, which no slot count answers. Two, so that late traffic
-// carrying the previous round's certificate and the current one do not evict
-// each other in turn.
-const memoSlots = 2
 
 // NewCerts builds the verifier from the common configuration (N, F,
 // Verifier, VerifySignatures, BatchWorkers and Obs are read).
@@ -60,45 +45,34 @@ func NewCerts(cfg *Config) *Certs {
 		obs:      cfg.Obs,
 	}
 	if c.check {
+		c.by = cfg.Verifier
 		c.cache = crypto.NewQCCache(crypto.DefaultQCCacheSize)
 	}
 	return c
 }
 
-// DisableCache turns both memos off, re-verifying every delivery — the
-// reference arm of the cache-on/off determinism tests.
-func (c *Certs) DisableCache() { c.cache, c.rememberOff = nil, true }
+// DisableCache turns the cache and the records off, re-verifying every
+// delivery in full — the reference arm of the cache-on/off determinism tests.
+func (c *Certs) DisableCache() { c.cache, c.full = nil, true }
 
 // Cached reports whether verified certificates are memoized.
 func (c *Certs) Cached() bool { return c.cache != nil }
 
 // VerifyQC checks a certificate: its structure always, its signatures when
-// signature checking is configured on. A certificate this replica accepted
-// before, recognised by pointer, is accepted again without being read; any
-// other pointer, whatever it holds, gets every check.
+// signature checking is configured on. A certificate recorded as having
+// passed this quorum (and verifier) at its own address is accepted without
+// being read; any other gets every check and, when it passes, the record.
 func (c *Certs) VerifyQC(qc *types.QC) error {
-	if c.remembered(qc) {
+	if !c.full && qc.PassedDoor(c.quorum, c.by) {
 		return nil
 	}
-	err := c.verify(qc)
-	if err == nil && !c.rememberOff {
-		c.memo[c.next.Add(1)%memoSlots].Store(qc)
+	if err := c.verify(qc); err != nil {
+		return err
 	}
-	return err
-}
-
-// remembered reports whether qc is one of the pointers VerifyQC accepted
-// last. Empty slots hold nil, which must never answer for a nil certificate.
-func (c *Certs) remembered(qc *types.QC) bool {
-	if qc == nil {
-		return false
+	if !c.full {
+		qc.MarkPassedDoor(c.quorum, c.by)
 	}
-	for i := range c.memo {
-		if c.memo[i].Load() == qc {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 func (c *Certs) verify(qc *types.QC) error {

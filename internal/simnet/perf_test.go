@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -95,7 +96,9 @@ func TestStatsCopy(t *testing.T) {
 }
 
 // TestEventQueueOrdering pins the pooled heap's contract: events pop in
-// (at, seq) order regardless of push order or slot recycling.
+// (at, seq) order regardless of push order or slot recycling. A fixed
+// sequence comes first, then random pushes and pops, many at equal times,
+// each pop checked against the least (at, seq) still queued, found by scan.
 func TestEventQueueOrdering(t *testing.T) {
 	var q eventQueue
 	times := []time.Duration{30, 10, 20, 10, 40, 10, 30}
@@ -117,6 +120,30 @@ func TestEventQueueOrdering(t *testing.T) {
 			t.Fatalf("out of order: (%v,%d) after (%v,%d)", ev.at, ev.seq, prevAt, prevSeq)
 		}
 		prevAt, prevSeq = ev.at, ev.seq
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	var ref []event
+	for seq := uint64(0); seq < 20000; seq++ {
+		if rng.Intn(5) < 3 || len(ref) == 0 {
+			ev := event{at: time.Duration(rng.Intn(64)), seq: seq}
+			q.push(ev)
+			ref = append(ref, ev)
+			continue
+		}
+		least := 0
+		for i, ev := range ref {
+			if ev.at < ref[least].at || ev.at == ref[least].at && ev.seq < ref[least].seq {
+				least = i
+			}
+		}
+		if got, want := q.pop(), ref[least]; got.at != want.at || got.seq != want.seq {
+			t.Fatalf("pop (%v,%d), want (%v,%d)", got.at, got.seq, want.at, want.seq)
+		}
+		ref = append(ref[:least], ref[least+1:]...)
+		if q.len() != len(ref) {
+			t.Fatalf("%d queued, want %d", q.len(), len(ref))
+		}
 	}
 }
 

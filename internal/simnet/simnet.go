@@ -43,33 +43,38 @@ type event struct {
 	groups [][]types.ReplicaID
 }
 
-// eventQueue is a pooled, value-based binary min-heap. Events live in a slab
-// ([]event) whose free slots are recycled through a free list, and the heap
-// orders int32 slab indices by (at, seq). Compared to the former
-// container/heap of *event, pushing an event neither allocates a node nor
-// boxes it through an interface, so steady-state simulation — where the
-// queue size plateaus — runs allocation-free per event. (at, seq) is a total
-// order (seq is unique), so any correct heap pops events in the identical
-// deterministic sequence.
+// eventQueue is a pooled, value-based 4-ary min-heap. Events live in a slab
+// ([]event) whose free slots are recycled through a free list; the heap
+// orders (at, seq, slab index) entries, so a comparison never reads the
+// events themselves. Pushing an event neither allocates a node nor boxes it
+// through an interface, so steady-state simulation — where the queue size
+// plateaus — runs allocation-free per event. (at, seq) is a total order (seq
+// is unique), so any correct heap pops events in the identical deterministic
+// sequence.
 type eventQueue struct {
 	slab []event
 	free []int32
-	heap []int32
+	heap []queued
 }
 
-func (q *eventQueue) len() int { return len(q.heap) }
+// queued is a heap entry: the event's order key and its slab index.
+type queued struct {
+	at  time.Duration
+	seq uint64
+	idx int32
+}
 
-// peek returns the index of the minimum event. The caller must not hold the
-// reference across a push or pop.
-func (q *eventQueue) peek() *event { return &q.slab[q.heap[0]] }
-
-func (q *eventQueue) less(i, j int32) bool {
-	a, b := &q.slab[i], &q.slab[j]
+func (a queued) before(b queued) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
+
+func (q *eventQueue) len() int { return len(q.heap) }
+
+// nextAt returns the time of the minimum event.
+func (q *eventQueue) nextAt() time.Duration { return q.heap[0].at }
 
 func (q *eventQueue) push(ev event) {
 	var idx int32
@@ -81,42 +86,38 @@ func (q *eventQueue) push(ev event) {
 		q.slab = append(q.slab, event{})
 	}
 	q.slab[idx] = ev
-	q.heap = append(q.heap, idx)
-	// Sift up.
-	i := len(q.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(q.heap[i], q.heap[parent]) {
-			break
-		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
-		i = parent
+	e := queued{at: ev.at, seq: ev.seq, idx: idx}
+	q.heap = append(q.heap, e)
+	// Sift up: parents move down into the hole.
+	h, i := q.heap, len(q.heap)-1
+	for i > 0 && e.before(h[(i-1)/4]) {
+		h[i], i = h[(i-1)/4], (i-1)/4
 	}
+	h[i] = e
 }
 
 // pop removes the minimum event and returns it by value, recycling its slot.
 func (q *eventQueue) pop() event {
-	idx := q.heap[0]
-	n := len(q.heap) - 1
-	q.heap[0] = q.heap[n]
-	q.heap = q.heap[:n]
-	// Sift down.
+	h := q.heap
+	n := len(h) - 1
+	idx, last := h[0].idx, h[n]
+	q.heap = h[:n]
+	// Sift the last entry down from the root: the least child moves up into
+	// the hole. With n == 0 the write lands past the new length, harmlessly.
 	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(q.heap[l], q.heap[smallest]) {
-			smallest = l
+	for first := 1; first < n; first = 4*i + 1 {
+		least := first
+		for c := first + 1; c < min(first+4, n); c++ {
+			if h[c].before(h[least]) {
+				least = c
+			}
 		}
-		if r < n && q.less(q.heap[r], q.heap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
+		if !h[least].before(last) {
 			break
 		}
-		q.heap[i], q.heap[smallest] = q.heap[smallest], q.heap[i]
-		i = smallest
+		h[i], i = h[least], least
 	}
+	h[i] = last
 	ev := q.slab[idx]
 	// Drop reference-typed fields so the GC can reclaim them while the slot
 	// sits on the free list.
@@ -268,7 +269,7 @@ func (s *Sim) Run(until time.Duration) {
 		}
 	}
 	for s.queue.len() > 0 {
-		if s.queue.peek().at > until {
+		if s.queue.nextAt() > until {
 			s.now = until
 			return
 		}

@@ -164,22 +164,22 @@ func TestQCCheckStructure(t *testing.T) {
 	}
 	tests := []struct {
 		name    string
-		qc      types.QC
+		qc      *types.QC
 		quorum  int
 		wantErr bool
 	}{
-		{"valid", types.QC{Block: id, Round: 3, Votes: []types.Vote{mkVote(0), mkVote(1), mkVote(2)}}, 3, false},
-		{"genesis passes empty", types.QC{Block: id, Round: 0}, 3, false},
-		{"below quorum", types.QC{Block: id, Round: 3, Votes: []types.Vote{mkVote(0)}}, 3, true},
-		{"duplicate voter", types.QC{Block: id, Round: 3, Votes: []types.Vote{mkVote(0), mkVote(0), mkVote(1)}}, 3, true},
+		{"valid", &types.QC{Block: id, Round: 3, Votes: []types.Vote{mkVote(0), mkVote(1), mkVote(2)}}, 3, false},
+		{"genesis passes empty", &types.QC{Block: id, Round: 0}, 3, false},
+		{"below quorum", &types.QC{Block: id, Round: 3, Votes: []types.Vote{mkVote(0)}}, 3, true},
+		{"duplicate voter", &types.QC{Block: id, Round: 3, Votes: []types.Vote{mkVote(0), mkVote(0), mkVote(1)}}, 3, true},
 		{
 			"mismatched block",
-			types.QC{Block: id, Round: 3, Votes: []types.Vote{mkVote(0), mkVote(1), {Block: types.BlockID{8}, Round: 3, Voter: 2}}},
+			&types.QC{Block: id, Round: 3, Votes: []types.Vote{mkVote(0), mkVote(1), {Block: types.BlockID{8}, Round: 3, Voter: 2}}},
 			3, true,
 		},
 		{
 			"mismatched round",
-			types.QC{Block: id, Round: 3, Votes: []types.Vote{mkVote(0), mkVote(1), {Block: id, Round: 4, Voter: 2}}},
+			&types.QC{Block: id, Round: 3, Votes: []types.Vote{mkVote(0), mkVote(1), {Block: id, Round: 4, Voter: 2}}},
 			3, true,
 		},
 	}

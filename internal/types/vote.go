@@ -181,6 +181,8 @@ type QC struct {
 
 	// Agg, when non-nil, marks the compact form.
 	Agg *AggCert
+
+	door doorRecord
 }
 
 // NewGenesisQC builds the conventional round-0 certificate for the genesis

@@ -314,7 +314,7 @@ func (q *QC) GobDecode(data []byte) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("types: %d trailing bytes after gob-decoded qc", len(rest))
 	}
-	*q = *dec
+	q.Block, q.Round, q.Height, q.Votes, q.Agg = dec.Block, dec.Round, dec.Height, dec.Votes, dec.Agg
 	return nil
 }
 
