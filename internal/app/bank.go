@@ -449,7 +449,7 @@ type BankKeys struct {
 	young, old map[[32]byte]bool
 }
 
-// verdictGen is one generation of kept verdicts. A verdict is asked for
+// verdictGen is one generation of remembered verdicts. A verdict is asked for
 // again within moments — by the other replicas sharing the cache, or when a
 // block is re-executed on another fork — so two generations of 32Ki cover
 // seconds of traffic at any rate this stack reaches, in about 3 MB.

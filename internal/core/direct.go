@@ -34,7 +34,7 @@ func (d *DirectTracker) OnQC(qc *types.QC) {
 
 // AddVote credits one direct vote (from a QC or a relayed ExtraVote) and
 // re-evaluates the 3-chains around the voted block. A vote for a block the
-// store does not hold at the vote's height is not kept.
+// store does not hold at the vote's height is not remembered.
 func (d *DirectTracker) AddVote(v *types.Vote) {
 	if n := d.t.store.Node(v.Height, v.Block); n != nil {
 		d.addVote(n, v.Voter)

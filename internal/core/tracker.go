@@ -295,7 +295,7 @@ func NewTracker(store *blockstore.Store, cfg Config) *Tracker {
 func (t *Tracker) OnQC(qc *types.QC) {
 	certified := t.store.Node(qc.Height, qc.Block)
 	if certified == nil {
-		return // nothing is kept: the QC counts once its block is here
+		return // nothing is remembered: the QC counts once its block is here
 	}
 	rec := recordOf(certified)
 	if len(qc.Votes) <= rec.processed {

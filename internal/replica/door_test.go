@@ -187,34 +187,83 @@ func TestDoorRecordAfterSignatures(t *testing.T) {
 	}
 }
 
-// TestDoorRecordConcurrent has eight replicas' Certs check the same
-// certificates at once, as simulated replicas sharing one object and
-// transport readers in Prevalidate do: every good one is accepted and the bad
-// one never is, whichever goroutine writes a record first. Run under -race.
+// TestGobDecodeClearsDoorRecord: decoding new content into a certificate
+// that already passed a door drops its record, so the new content is read in
+// full and a bad one refused.
+func TestGobDecodeClearsDoorRecord(t *testing.T) {
+	ring, err := crypto.NewKeyRing(4, 3, crypto.SchemeSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certs := NewCerts(&Config{N: 4, Verifier: ring})
+	qc := doorQC(ring, 3)
+	if err := certs.VerifyQC(qc); err != nil {
+		t.Fatal(err)
+	}
+	short := rebuild(qc)
+	short.Votes = short.Votes[:2] // below quorum
+	enc, err := short.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := qc.GobDecode(enc); err != nil {
+		t.Fatal(err)
+	}
+	if certs.VerifyQC(qc) == nil {
+		t.Fatal("a record written for the old content vouched for the decoded one")
+	}
+}
+
+// TestDoorRecordConcurrent has eight goroutines share four replicas' Certs
+// and check the same certificates at once: two goroutines per Certs, as
+// transport readers share one through Prevalidate, and four Certs per object,
+// as simulated replicas share a certificate. Every good one is accepted,
+// whichever goroutine writes its record first; a rebuilt copy of a good one,
+// which no record vouches for, is read in full through the shared cache; the
+// bad ones (below quorum; with signatures, also a forged vote) never are.
+// Run under -race.
 func TestDoorRecordConcurrent(t *testing.T) {
 	ring, err := crypto.NewKeyRing(4, 3, crypto.SchemeSim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sigs := range []bool{false, true} {
+		all := make([]*Certs, 4)
+		for i := range all {
+			all[i] = NewCerts(&Config{N: 4, Verifier: ring, VerifySignatures: sigs})
+		}
 		good := make([]*types.QC, 5)
 		for i := range good {
 			good[i] = doorQC(ring, 3)
 		}
-		bad := rebuild(good[0])
-		bad.Votes = bad.Votes[:2] // below quorum
+		short := rebuild(good[0])
+		short.Votes = short.Votes[:2] // below quorum
+		bad := []*types.QC{short}
+		if sigs {
+			forged := rebuild(good[1])
+			forged.Votes[1].Signature = slices.Clone(forged.Votes[1].Signature)
+			forged.Votes[1].Signature[0] ^= 1
+			bad = append(bad, forged)
+		}
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
-			certs := NewCerts(&Config{N: 4, Verifier: ring, VerifySignatures: sigs})
+			certs := all[g%len(all)]
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < 2000; i++ {
-					if err := certs.VerifyQC(good[(g+i)%len(good)]); err != nil {
+					qc := good[(g+i)%len(good)]
+					if err := certs.VerifyQC(qc); err != nil {
 						t.Errorf("good certificate refused: %v", err)
 						return
 					}
-					if certs.VerifyQC(bad) == nil {
+					if i%50 == 0 {
+						if err := certs.VerifyQC(rebuild(qc)); err != nil {
+							t.Errorf("rebuilt good certificate refused: %v", err)
+							return
+						}
+					}
+					if certs.VerifyQC(bad[i%len(bad)]) == nil {
 						t.Error("bad certificate accepted")
 						return
 					}

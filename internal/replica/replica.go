@@ -142,9 +142,9 @@ type Chassis struct {
 	lastCommitted types.BlockID
 	committedH    types.Height
 	// committed is the committed chain's tail, oldest first, from the last
-	// prune's anchor (or the first commit since New or Restore) to
-	// lastCommitted: PruneBelow reads the block at the cut from it. chain is
-	// CommitTo's scratch, empty between calls.
+	// prune's anchor (after Restore, from the journal's floor; after New, from
+	// the first commit) to lastCommitted: PruneBelow reads the block at the
+	// cut from it. chain is CommitTo's scratch, empty between calls.
 	committed window.Of[*types.Block]
 	chain     []*types.Block
 

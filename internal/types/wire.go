@@ -314,7 +314,9 @@ func (q *QC) GobDecode(data []byte) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("types: %d trailing bytes after gob-decoded qc", len(rest))
 	}
-	q.Block, q.Round, q.Height, q.Votes, q.Agg = dec.Block, dec.Round, dec.Height, dec.Votes, dec.Agg
+	// A composite literal, not field stores: it also clears any door record,
+	// which vouched for the old content.
+	*q = QC{Block: dec.Block, Round: dec.Round, Height: dec.Height, Votes: dec.Votes, Agg: dec.Agg}
 	return nil
 }
 
