@@ -351,16 +351,25 @@
 //     removes, O(removed).
 //   - Sliding windows follow one rule (internal/window): L live entries
 //     hold at most L + max(L/8, 64) slots, compacting the dead front in
-//     place. The store's ring, the vote history and its chain index, the
-//     committed tail and the strength feed use it, so at keep 512 each holds
-//     under 576 slots however long the run (sft.TestFootprintFlat).
+//     place. The store's ring, the committed tail and the strength feed use
+//     it, so at keep 512 each holds under 576 slots however long the run
+//     (sft.TestFootprintFlat).
 //   - core.Tracker keeps per-block endorsers as a presence bitset plus one
 //     to three key classes (a key and a member bitset) in a record on the
 //     block's node. A certificate costs one lookup by height and ID; in the
 //     common shape (round-keyed markers, no interval vote) its votes are
 //     grouped by marker and unpacked a bitset word at a time over one
-//     ancestor walk. core.VoteHistory keeps only the voted blocks that can
-//     still conflict (§3.2) and computes a marker with one indexed walk.
+//     ancestor walk.
+//   - core.VoteHistory is the §3.2 state itself: for every fork, the
+//     highest voted block on it, i.e. the voted blocks no other voted block
+//     extends (the leaves). A vote replaces the leaves on its chain; a vote
+//     that another extends can set no marker or interval the other does not
+//     set. Each leaf carries its relation to the last block judged against
+//     (on its chain, or a fork), which holds for every block that extends
+//     that one, so a marker on the honest path reads one or two flags and a
+//     fork switch judges each leaf again with one ancestor lookup. A
+//     fork-free run keeps one leaf per replica (core.TestAllocsHistoryFlat),
+//     not a window of votes.
 //   - The facade's strength feed finds a block by its distance from the
 //     window's top, so a rise allocates nothing. DiemBFT's election scores
 //     the ancestry into a reused buffer, and above pacemaker.ReputationWindow
@@ -518,7 +527,19 @@
 // rounds, double-signing both sides of every fork, reviving abandoned
 // branches, lying about markers — against the naive endorsement count,
 // which the Definition 1 checker catches, while the same collusion against
-// the marker rule stays safe (examples/byzantine narrates it). make
+// the marker rule stays safe (examples/byzantine narrates it). It fires at
+// n = 7 and at n = 4, the smallest committee (TestWeakenedRuleCaught,
+// TestWeakenedRuleCaughtAtFour). The n = 4 counterexample is
+// WeakenedRuleCanary(1, 4, true), whose replay spec is
+//
+//	scenario 1048576 (subseed -3538066283662136455): diembft n=4 f=1
+//	dur=12s verify=false NAIVE-RULE
+//	byz[2]={withhold-uncontested,double-vote,fork-revive,lie-markers}
+//	byz[3]={withhold-uncontested,double-vote,fork-revive,lie-markers}
+//
+// Under the naive count two conflicting blocks at height 9 both reach
+// 2-strong with those 2 Byzantine replicas, the first of 79 Definition 1
+// findings in that run; under markers the same run has none. make
 // fuzz-smoke runs the native go-fuzz targets (wire decoders, compact QCs,
 // TCP frames, engine doors) in CI, and the nightly workflow fuzzes each for
 // 10 minutes and sweeps 500 scenarios at a fresh seed. BENCH_PR5.json

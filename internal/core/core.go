@@ -6,9 +6,10 @@
 // It provides three pieces, all protocol-agnostic so that both the DiemBFT
 // and the Streamlet engines reuse them:
 //
-//   - VoteHistory: per-replica bookkeeping of every block the replica voted
-//     for, used to compute the marker (Section 3.2) or the generalized
-//     endorsement interval set I (Section 3.4) attached to each strong-vote.
+//   - VoteHistory: per-replica bookkeeping of the highest block the replica
+//     voted for on each fork, used to compute the marker (Section 3.2) or
+//     the generalized endorsement interval set I (Section 3.4) attached to
+//     each strong-vote.
 //
 //   - Tracker: per-replica endorsement accounting. Every strong-QC observed
 //     in the chain is unpacked into endorsements of the certified block and

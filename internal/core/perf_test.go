@@ -296,9 +296,8 @@ func voteStep(h *VoteHistory, target *types.Block, window int) types.Round {
 }
 
 // TestAllocsMarkerExtend: in steady state a vote's history work allocates
-// nothing (amortized: the window and the chain index are appended to at one
-// end and re-sliced at the other, so they re-allocate once per few hundred
-// votes).
+// nothing: the vote takes the place of the leaf it extends, so the leaves
+// never grow on a fork-free chain.
 func TestAllocsMarkerExtend(t *testing.T) {
 	const window, runs = 512, 2000
 	h, rest := votedWindow(t, window, runs+1)
@@ -311,8 +310,35 @@ func TestAllocsMarkerExtend(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("Marker+RecordVote+PruneBelow on an extending target: %v allocs/op, want 0", a)
 	}
-	if h.Len() != window || len(h.open) != 0 {
-		t.Fatalf("window holds %d votes, %d open; want %d and none", h.Len(), len(h.open), window)
+	if h.Len() != 1 || h.leaves[0].node.Block() != rest[next-1] || h.leaves[0].rel != onChain {
+		t.Fatalf("history holds %d votes; want one, the last vote, on the base's chain", h.Len())
+	}
+}
+
+// TestAllocsHistoryFlat: along a fork-free chain of 20,000 votes, each asked
+// about first as an engine does, a vote's history work allocates nothing and
+// the history holds one leaf in one slot throughout: it keeps one vote per
+// fork, however many votes the chain took.
+func TestAllocsHistoryFlat(t *testing.T) {
+	const votes = 20000
+	store, blocks, _ := buildChain(t, votes, 1)
+	h := NewVoteHistory(store)
+	next := 0
+	if a := testing.AllocsPerRun(votes-1, func() { // AllocsPerRun makes runs+1 calls
+		b := blocks[next]
+		next++
+		if m := h.Marker(b); m != 0 {
+			t.Fatalf("vote %d: marker=%d on a fork-free chain", next, m)
+		}
+		h.RecordVote(b)
+		if h.Len() != 1 || h.Capacity() != 1 {
+			t.Fatalf("vote %d: history holds %d votes in %d slots, want one in one", next, h.Len(), h.Capacity())
+		}
+	}); a != 0 {
+		t.Fatalf("Marker+RecordVote: %v allocs per vote, want 0", a)
+	}
+	if next != votes {
+		t.Fatalf("%d votes recorded, want %d", next, votes)
 	}
 }
 
@@ -336,7 +362,8 @@ func BenchmarkMarkerExtend(b *testing.B) {
 }
 
 // BenchmarkMarkerForkSwitch is the cost of a target that does not extend the
-// last one: the whole window is judged again, as every query used to be.
+// last one: the leaves are judged again, one ancestor lookup each. It must
+// read the same at every window.
 func BenchmarkMarkerForkSwitch(b *testing.B) {
 	for _, window := range historySizes {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {

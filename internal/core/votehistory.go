@@ -6,7 +6,6 @@ import (
 	"repro/internal/blockstore"
 	"repro/internal/intervals"
 	"repro/internal/types"
-	"repro/internal/window"
 )
 
 // VotedBlock is one entry of a replica's voting history.
@@ -16,52 +15,58 @@ type VotedBlock struct {
 	Height types.Height
 }
 
-// openVote is a voted block that the last judgement did not settle.
-type openVote struct {
-	VotedBlock
-	fork bool // see VoteHistory
+// relation is what a leaf is known to be to the base.
+type relation uint8
+
+const (
+	unjudged relation = iota // above the base, or not judged since the flags were cleared
+	onChain                  // the base or one of its ancestors
+	fork                     // conflicts with the base
+)
+
+// leaf is a voted block that no other voted block extends.
+type leaf struct {
+	node *blockstore.Node
+	rel  relation
+	// lo is 1 + the round of the leaf's common ancestor with the base, at
+	// height ca (1 when their ancestry ends first), 0 until Intervals asks.
+	lo uint64
+	ca types.Height
 }
 
 // VoteHistory records the blocks this replica voted for, so that each new
 // strong-vote can carry the marker (Section 3.2) or the interval set I
 // (Section 3.4) summarizing which earlier blocks the vote must not endorse.
 //
-// The paper's local state is "for every fork in the blockchain, the highest
-// voted block on that fork". Here that is the open list: the voted blocks
-// that can still conflict with a block extending base, the last target
-// queried. Every voted block in the window is in one of three states:
+// Its state is the paper's: "for every fork in the blockchain, the highest
+// voted block on that fork". Those are the leaves, the voted blocks that no
+// other voted block extends. A vote that a later vote extends is dropped
+// when that vote is recorded, and the results do not change: if V conflicts
+// with a target T and L extends V, then L conflicts with T too, with a higher
+// round and height, and V's interval [ca+1, V.round] lies inside L's (their
+// common ancestor with T is the same block). L is stored whenever V is,
+// because the store prunes by height, and kept whenever V would be, because
+// the history prunes by round and rounds rise along a chain.
 //
-//   - settled: stored and on base's ancestor chain, so an ancestor of every
-//     block extending base. It conflicts with none and is not in the list.
-//   - fork: stored, at or below base's height and off its chain (or below
-//     where the chain's parent links end). The store only ever cuts parent
-//     links, it never re-attaches one, so the entry is off the chain of every
-//     block extending base too: it conflicts with all of them, its flag is
-//     sticky and it is never walked again.
-//   - open: above base, or not in the store. Nothing lasting is known, so it
-//     is judged again at each query, as a full scan would judge it.
+// Each leaf carries its relation to the base, the last block judged
+// against: on the base's chain, or a fork of it. Both hold for every block
+// that extends the base (conflict is sticky under extension), so a target or
+// vote that extends the base moves the base there and judges only the leaves
+// still unjudged. Any other block clears the flags, and every leaf is
+// judged again by one ancestor lookup. A vote removes the leaves on its
+// chain and marks the rest of those below it as forks, so a dead fork is
+// walked once per fork switch, not once per vote.
 //
-// A query whose target extends base judges only the open entries and the
-// votes recorded since; any other target, and Restore, start over from the
-// whole window. Every result still filters on store.Has (a pruned block
-// cannot come back: its parent went first), so results equal a scan of the
-// window against the target's chain (refHistory in the tests) at a cost that
-// follows the forks, not the window. Targets are blocks in the store.
+// A vote for a block the store does not hold yet waits in pending and joins
+// the leaves once the store has it. Every result equals a scan of all votes
+// in the window against the target's chain (refHistory in the tests).
+// Targets are blocks in the store; one that is not conflicts with every leaf.
 type VoteHistory struct {
 	store *blockstore.Store
-	// voted is the window, oldest first. Rounds never decrease: an engine
-	// votes once per round and rounds only advance (see PruneBelow).
-	voted window.Of[VotedBlock]
-
-	// chain indexes base's ancestors, oldest first: the i-th live entry is
-	// the ancestor at height lo+i and the last one is base itself. It grows
-	// upward as targets extend base and downward only as far as a judged
-	// entry needs. Empty means there is no base, or base is not stored.
-	chain window.Of[*blockstore.Node]
-	lo    types.Height
-	// voted[:judged] are settled or in open; the rest were recorded since.
-	judged int
-	open   []openVote
+	// base is the block the flags are relative to; nil when none is.
+	base    *blockstore.Node
+	leaves  []leaf       // in recording order
+	pending []VotedBlock // votes whose block the store does not hold yet
 }
 
 // NewVoteHistory creates an empty history backed by the replica's store.
@@ -72,150 +77,105 @@ func NewVoteHistory(store *blockstore.Store) *VoteHistory {
 // RecordVote notes that the replica voted for b. Call it exactly when the
 // engine's voting rule fires.
 func (h *VoteHistory) RecordVote(b *types.Block) {
-	h.voted.Push(VotedBlock{ID: b.ID(), Round: b.Round, Height: b.Height})
+	h.admit()
+	if h.base != nil && h.base.Block() == b {
+		h.add(h.base) // the block the marker was just computed for
+		return
+	}
+	h.record(VotedBlock{ID: b.ID(), Round: b.Round, Height: b.Height})
 }
 
 // Restore rebuilds the history from recovered entries (oldest first),
 // replacing any current state. It is the crash-recovery hook: a replica
 // restarted from its WAL reinstates exactly the voted set its pre-crash
-// markers summarized, so post-restart votes can never contradict them.
+// markers summarized, so post-restart votes can never contradict them. Call
+// it after the store is restored: the leaves are found on the store's tree.
 func (h *VoteHistory) Restore(entries []VotedBlock) {
-	h.voted.Reset()
+	clear(h.leaves)
+	h.leaves, h.pending, h.base = h.leaves[:0], h.pending[:0], nil
 	for _, v := range entries {
-		h.voted.Push(v)
-	}
-	h.chain.Reset()
-	h.open, h.judged = h.open[:0], 0
-}
-
-// Len returns the number of recorded votes.
-func (h *VoteHistory) Len() int { return h.voted.Len() }
-
-// Voted returns a copy of the history (for tests and diagnostics).
-func (h *VoteHistory) Voted() []VotedBlock { return slices.Clone(h.voted.Live()) }
-
-// Capacity returns the slots the window and the chain index hold, live and
-// free (for footprint checks).
-func (h *VoteHistory) Capacity() (voted, chain int) { return h.voted.Cap(), h.chain.Cap() }
-
-// rebase makes target the base and reports whether it extends the previous
-// one, in which case the chain index grows by the blocks between them and
-// earlier judgements stand. Otherwise the index restarts at target. It
-// returns target's node, nil if the store does not hold it.
-func (h *VoteHistory) rebase(target *types.Block) (*blockstore.Node, bool) {
-	n := h.chain.Len()
-	if n > 0 && h.chain.Live()[n-1].Block() == target {
-		return h.chain.Live()[n-1], true // the same base again
-	}
-	t := h.store.Node(target.Height, target.ID())
-	if n > 0 && t != nil {
-		base := h.chain.Live()[n-1]
-		cur := t
-		for cur != nil && cur.Height() > base.Height() {
-			h.chain.Push(cur)
-			cur = cur.Parent()
-		}
-		if cur == base {
-			slices.Reverse(h.chain.Live()[n:])
-			return t, true
-		}
-	}
-	h.chain.Reset()
-	if t != nil {
-		h.chain.Push(t)
-	}
-	h.lo = target.Height
-	return t, false
-}
-
-// onChain reports whether the block (id, height), at or below base, is on
-// base's ancestor chain, extending the index down to its height if needed.
-func (h *VoteHistory) onChain(id types.BlockID, height types.Height) bool {
-	if h.chain.Len() == 0 {
-		return false
-	}
-	if height < h.lo {
-		h.extendDown(height)
-	}
-	return height >= h.lo && h.chain.Live()[height-h.lo].Block().ID() == id
-}
-
-// extendDown grows the index down to height, or to where the store's parent
-// links stop (genesis, or a pruned/detached boundary), exactly like a direct
-// ancestry walk would.
-func (h *VoteHistory) extendDown(height types.Height) {
-	n := h.chain.Len()
-	for a := h.chain.Live()[0].Parent(); a != nil; a = a.Parent() {
-		h.chain.Push(a)
-		if a.Height() <= height {
-			break
-		}
-	}
-	if k := h.chain.Len() - n; k > 0 {
-		// The walk appended newest first behind the old index; swap the two
-		// parts and put the new one oldest first.
-		c := h.chain.Live()
-		slices.Reverse(c)
-		slices.Reverse(c[k:])
-		h.lo -= types.Height(k)
+		h.record(v)
 	}
 }
 
-// judge brings the open list up to date for a query on target and returns
-// target's node (nil if the store does not hold it).
-func (h *VoteHistory) judge(target *types.Block) *blockstore.Node {
-	t, extends := h.rebase(target)
-	if !extends {
-		h.open, h.judged = h.open[:0], 0
+// record adds v to the leaves if the store holds its block, and otherwise
+// keeps it pending unless it is below the store's cut, where no block can
+// come back.
+func (h *VoteHistory) record(v VotedBlock) {
+	if n := h.store.Node(v.Height, v.ID); n != nil {
+		h.add(n)
+	} else if v.Height >= h.store.PrunedHeight() {
+		h.pending = append(h.pending, v)
 	}
-	if cut := h.store.PrunedHeight(); cut > h.lo && h.chain.Len() > 0 {
-		// No stored block is below the store's cut, so no lookup goes there.
-		drop := min(int(cut-h.lo), h.chain.Len()-1)
-		h.chain.Drop(drop)
-		h.lo += types.Height(drop)
+}
+
+// admit records the pending votes whose blocks the store now holds.
+func (h *VoteHistory) admit() {
+	if len(h.pending) == 0 {
+		return
 	}
-	kept := h.open[:0]
-	for _, o := range h.open {
-		keep := o.fork
-		if !keep {
-			keep, o.fork = h.judgeOne(target, &o.VotedBlock)
+	waiting := h.pending
+	h.pending = h.pending[:0]
+	for _, v := range waiting {
+		h.record(v)
+	}
+	clear(waiting[len(h.pending):])
+}
+
+// add makes the voted node n a leaf in place of the leaves on its chain.
+// Votes arrive in round order, so no leaf extends n; one recorded out of
+// order would stay beside the leaf that extends it, which changes no result.
+func (h *VoteHistory) add(n *blockstore.Node) {
+	h.classify(n)
+	h.leaves = slices.DeleteFunc(h.leaves, func(l leaf) bool { return l.rel == onChain })
+	h.leaves = append(h.leaves, leaf{node: n, rel: onChain})
+}
+
+// query brings the leaves up to date for a vote on target and returns
+// target's node, nil if the store does not hold it: then every leaf
+// conflicts, as with no common ancestor.
+func (h *VoteHistory) query(target *types.Block) *blockstore.Node {
+	h.admit()
+	t := h.base
+	if t == nil || t.Block() != target {
+		t = h.store.Node(target.Height, target.ID())
+	}
+	if t == nil {
+		h.base = nil
+		for i := range h.leaves {
+			h.leaves[i] = leaf{node: h.leaves[i].node, rel: fork}
 		}
-		if keep {
-			kept = append(kept, o)
-		}
+		return nil
 	}
-	voted := h.voted.Live()
-	for i := h.judged; i < len(voted); i++ {
-		if keep, fork := h.judgeOne(target, &voted[i]); keep {
-			kept = append(kept, openVote{voted[i], fork})
-		}
-	}
-	h.open, h.judged = kept, len(voted)
+	h.classify(t)
 	return t
 }
 
-// judgeOne judges a voted block against the base, target: keep is false for
-// a settled one (found on the index, which judge trims to stored blocks, so
-// without a store lookup), and fork says the one kept conflicts for good.
-func (h *VoteHistory) judgeOne(target *types.Block, v *VotedBlock) (keep, fork bool) {
-	below := v.Height <= target.Height
-	if below && h.onChain(v.ID, v.Height) {
-		return false, false
+// classify makes t the base, clearing the flags unless t extends the old
+// base, and judges the leaves still unjudged: those at or below t are on its
+// chain or forks of it, those above it forks unless they extend it.
+func (h *VoteHistory) classify(t *blockstore.Node) {
+	if t != h.base && !t.Extends(h.base) {
+		for i := range h.leaves {
+			h.leaves[i] = leaf{node: h.leaves[i].node}
+		}
 	}
-	return true, below && h.store.Has(v.Height, v.ID)
-}
-
-// conflicting returns the stored node of an entry judge left open when it
-// counts against target (node t), nil otherwise, matching Conflicts on
-// stored blocks exactly: pruned deep history does not count (see
-// PruneBelow), a fork entry does, and one above the target (a rare
-// fork-switch leftover) takes the full ancestry check.
-func (h *VoteHistory) conflicting(t *blockstore.Node, o *openVote) *blockstore.Node {
-	n := h.store.Node(o.Height, o.ID)
-	if n == nil || !o.fork && !n.Conflicts(t) {
-		return nil
+	h.base = t
+	for i := range h.leaves {
+		l := &h.leaves[i]
+		if l.rel != unjudged {
+			continue
+		}
+		if height := l.node.Height(); height <= t.Height() {
+			if t.Ancestor(height) == l.node {
+				l.rel = onChain
+			} else {
+				l.rel = fork
+			}
+		} else if l.node.Ancestor(t.Height()) != t {
+			l.rel = fork
+		}
 	}
-	return n
 }
 
 // Marker computes the Section 3.2 marker for a vote on target:
@@ -225,12 +185,10 @@ func (h *VoteHistory) conflicting(t *blockstore.Node, o *openVote) *blockstore.N
 // with default 0 when the replica never voted on a conflicting fork.
 func (h *VoteHistory) Marker(target *types.Block) types.Round {
 	var m types.Round
-	t := h.judge(target)
-	// Newest first: the first hit is usually the max, and the rest are
-	// skipped without a store lookup.
-	for i := len(h.open) - 1; i >= 0; i-- {
-		if o := &h.open[i]; o.Round > m && h.conflicting(t, o) != nil {
-			m = o.Round
+	h.query(target)
+	for i := range h.leaves {
+		if l := &h.leaves[i]; l.rel == fork {
+			m = max(m, l.node.Block().Round)
 		}
 	}
 	return m
@@ -240,10 +198,10 @@ func (h *VoteHistory) Marker(target *types.Block) types.Round {
 // target: the largest *height* of any conflicting voted block.
 func (h *VoteHistory) HeightMarker(target *types.Block) types.Height {
 	var m types.Height
-	t := h.judge(target)
-	for i := len(h.open) - 1; i >= 0; i-- {
-		if o := &h.open[i]; o.Height > m && h.conflicting(t, o) != nil {
-			m = o.Height
+	h.query(target)
+	for i := range h.leaves {
+		if l := &h.leaves[i]; l.rel == fork {
+			m = max(m, l.node.Height())
 		}
 	}
 	return m
@@ -256,30 +214,34 @@ func (h *VoteHistory) HeightMarker(target *types.Block) types.Height {
 //
 // where, per fork F the replica voted on, rh is the largest round of a
 // conflicting voted block on F and rl is the round of the common ancestor of
-// that block and target. Subtracting one D per conflicting voted block is
-// equivalent to the per-fork definition because blocks on the same fork
-// produce nested intervals.
+// that block and target. The leaf of a fork is its highest voted block, and
+// the intervals of the votes below it lie inside its own.
 //
 // If window > 0 the set is clipped to [r-window, r], the paper's variant
 // that bounds the vote size to the most recent window rounds.
 func (h *VoteHistory) Intervals(target *types.Block, window types.Round) intervals.Set {
 	r := uint64(target.Round)
 	set := intervals.Full(r)
-	t := h.judge(target)
-	for i := range h.open {
-		o := &h.open[i]
-		n := h.conflicting(t, o)
-		if n == nil {
+	t := h.query(target)
+	for i := range h.leaves {
+		l := &h.leaves[i]
+		if l.rel != fork {
 			continue
 		}
-		lo := uint64(1)
-		if ca := h.commonAncestor(target, t, n); ca != nil {
-			lo = uint64(ca.Round) + 1
+		if l.lo == 0 {
+			l.lo, l.ca = 1, 0
+			if ca := commonAncestor(l.node, t); ca != nil {
+				l.lo, l.ca = uint64(ca.Block().Round)+1, ca.Height()
+			}
 		}
-		// A nil common ancestor is an unknown relation (pruned ancestry):
-		// conservatively refuse to endorse anything up to the conflicting
-		// round.
-		set = set.Subtract(intervals.Interval{Lo: lo, Hi: uint64(o.Round)})
+		lo := l.lo
+		if l.ca < h.store.PrunedHeight() {
+			// A common ancestor pruned away is an unknown relation:
+			// conservatively refuse to endorse anything up to the
+			// conflicting round.
+			lo = 1
+		}
+		set = set.Subtract(intervals.Interval{Lo: lo, Hi: uint64(l.node.Block().Round)})
 	}
 	if window > 0 && r > uint64(window) {
 		set = set.Intersect(intervals.New(intervals.Interval{Lo: r - uint64(window), Hi: r}))
@@ -287,42 +249,49 @@ func (h *VoteHistory) Intervals(target *types.Block, window types.Round) interva
 	return set
 }
 
-// commonAncestor returns the common ancestor of target (node t) and a voted
-// block (node n) known to conflict with it: the first ancestor of n that does
-// not conflict with target, which below the target means "on its chain" and
-// above it takes the full check. Returns nil when the ancestry was pruned
-// away.
-func (h *VoteHistory) commonAncestor(target *types.Block, t, n *blockstore.Node) *types.Block {
-	for a := n.Parent(); a != nil; a = a.Parent() {
-		if a.Height() > target.Height {
-			if a.Conflicts(t) {
-				continue
-			}
-		} else if !h.onChain(a.Block().ID(), a.Height()) {
-			continue
+// commonAncestor returns the highest block both a and b extend, nil when
+// their parent links end first. For a leaf that conflicts with the base it
+// stays the same for every block that extends the base.
+func commonAncestor(a, b *blockstore.Node) *blockstore.Node {
+	for a != b && a != nil && b != nil {
+		if a.Height() >= b.Height() {
+			a = a.Parent()
+		} else {
+			b = b.Parent()
 		}
-		return a.Block()
 	}
-	return nil
+	if a != b {
+		return nil
+	}
+	return a
 }
 
-// PruneBelow drops history entries below the given round. Engines call it
-// together with blockstore pruning; both must use the same cut so that
-// Marker never silently loses a conflicting vote that still matters. Votes
-// are recorded in round order, so the entries to drop are a prefix; one
-// recorded out of order would only be kept longer, which can raise a marker
-// and never lower it.
+// PruneBelow drops the votes below the given round and the leaves below the
+// store's cut (a pending vote there goes at the next admit). Engines call it
+// right after pruning the store, at the round of the block at the cut, so
+// that Marker never silently loses a conflicting vote that still matters.
 func (h *VoteHistory) PruneBelow(r types.Round) {
-	voted := h.voted.Live()
-	n := 0
-	for n < len(voted) && voted[n].Round < r {
-		n++
-	}
-	h.voted.Drop(n)
-	h.judged = max(h.judged-n, 0)
-	n = 0
-	for n < len(h.open) && h.open[n].Round < r {
-		n++
-	}
-	h.open = h.open[n:]
+	cut := h.store.PrunedHeight()
+	h.leaves = slices.DeleteFunc(h.leaves, func(l leaf) bool {
+		return l.node.Block().Round < r || l.node.Height() < cut
+	})
+	h.pending = slices.DeleteFunc(h.pending, func(v VotedBlock) bool { return v.Round < r })
 }
+
+// Len returns the number of votes kept: the leaves and the pending votes.
+func (h *VoteHistory) Len() int { return len(h.leaves) + len(h.pending) }
+
+// Voted returns the kept votes, the leaves in recording order and then the
+// pending votes (for tests and diagnostics).
+func (h *VoteHistory) Voted() []VotedBlock {
+	out := make([]VotedBlock, 0, h.Len())
+	for _, l := range h.leaves {
+		b := l.node.Block()
+		out = append(out, VotedBlock{ID: b.ID(), Round: b.Round, Height: b.Height})
+	}
+	return append(out, h.pending...)
+}
+
+// Capacity returns the slots the leaves and the pending votes hold, live and
+// free (for footprint checks).
+func (h *VoteHistory) Capacity() int { return cap(h.leaves) + cap(h.pending) }

@@ -183,25 +183,57 @@ func TestIntervalsMatchMarkerSemantics(t *testing.T) {
 	}
 }
 
+// TestVoteHistoryPrune: ten votes on one chain leave one leaf, a vote on a
+// fork adds a second, and a prune drops the one below its round.
 func TestVoteHistoryPrune(t *testing.T) {
 	w := newWorld(t)
 	h := core.NewVoteHistory(w.store)
 	g := w.store.Genesis()
-	cur := g
+	cur, low := g, g
 	for r := types.Round(1); r <= 10; r++ {
 		cur = w.mk(cur, r)
 		h.RecordVote(cur)
+		if r == 3 {
+			low = cur
+		}
 	}
-	if h.Len() != 10 {
-		t.Fatalf("history len = %d", h.Len())
+	if h.Len() != 1 {
+		t.Fatalf("history len = %d after ten votes on one chain, want 1", h.Len())
 	}
-	h.PruneBelow(6)
-	if h.Len() != 5 {
-		t.Fatalf("after prune len = %d, want 5", h.Len())
+	h.RecordVote(w.mk(low, 11))
+	if h.Len() != 2 {
+		t.Fatalf("history len = %d after a vote on a fork, want 2", h.Len())
+	}
+	h.PruneBelow(11)
+	if h.Len() != 1 {
+		t.Fatalf("after prune len = %d, want 1", h.Len())
 	}
 	for _, v := range h.Voted() {
-		if v.Round < 6 {
+		if v.Round < 11 {
 			t.Errorf("pruned entry r%d survived", v.Round)
 		}
+	}
+}
+
+// TestUnstoredTargetConflictsWithAll: a target the store does not hold
+// conflicts with every voted block and shares no ancestor with any, as in
+// the full scan; the next stored target is judged afresh.
+func TestUnstoredTargetConflictsWithAll(t *testing.T) {
+	w := newWorld(t)
+	h := core.NewVoteHistory(w.store)
+	g := w.store.Genesis()
+	a1 := w.mk(g, 1)
+	a2 := w.mk(a1, 2)
+	h.RecordVote(a2)
+	h.RecordVote(w.mk(g, 3))
+	loose := types.NewBlock(a2.ID(), types.NewGenesisQC(a2.ID()), 4, a2.Height+1, 0, 0, types.Payload{}, nil)
+	if m, hm := h.Marker(loose), h.HeightMarker(loose); m != 3 || hm != 2 {
+		t.Fatalf("marker %d, height marker %d on an unstored target; want 3 and 2", m, hm)
+	}
+	if set := h.Intervals(loose, 0); set.Contains(1) || set.Contains(3) || !set.Contains(4) {
+		t.Fatalf("intervals %s on an unstored target; want [4,4]", set)
+	}
+	if m := h.Marker(w.mk(a2, 5)); m != 3 {
+		t.Fatalf("marker %d on a stored extension of a2; want 3", m)
 	}
 }

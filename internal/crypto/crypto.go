@@ -28,6 +28,22 @@ type Verifier interface {
 	Verify(id types.ReplicaID, msg, sig []byte) bool
 }
 
+// Committee is a Verifier that names the committee it checks for: its size
+// and the scheme its keys belong to. A KeyRing is one.
+type Committee interface {
+	Verifier
+	N() int
+	Scheme() string
+}
+
+// Authenticates reports whether scheme's signatures are real cryptography
+// (ed25519, plain or aggregated), under which every signature is checked.
+// The simulated schemes stand in for it where a run only measures the
+// protocol, and leave the checks off.
+func Authenticates(scheme string) bool {
+	return scheme == SchemeEd25519 || scheme == SchemeEd25519Agg
+}
+
 // KeyRing holds the key material for all n replicas, playing the role of the
 // paper's public-key infrastructure: every replica knows every public key.
 type KeyRing struct {

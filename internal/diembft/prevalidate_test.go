@@ -48,7 +48,7 @@ func TestPrevalidateProposal(t *testing.T) {
 func TestDoorRefusesNonCandidates(t *testing.T) {
 	const n, self = 13, 5
 	ring, _ := crypto.NewKeyRing(n, 1, crypto.SchemeSim)
-	cv := &enginetest.CountingVerifier{Verifier: ring}
+	cv := &enginetest.CountingVerifier{Committee: ring}
 	rep, err := diembft.New(diembft.Config{
 		Config: replica.Config{
 			ID: self, N: n,
@@ -542,7 +542,7 @@ func TestTimeoutHighRoundMismatchRejected(t *testing.T) {
 func TestStateStageNeverVerifies(t *testing.T) {
 	ring, _ := crypto.NewKeyRing(4, 1, crypto.SchemeSim)
 	build := func() (*doorFixture, *enginetest.CountingVerifier) {
-		cv := &enginetest.CountingVerifier{Verifier: ring}
+		cv := &enginetest.CountingVerifier{Committee: ring}
 		return newDoorFixture(t, cv, nil), cv
 	}
 	splitFx, splitCalls := build()

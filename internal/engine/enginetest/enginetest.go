@@ -227,12 +227,12 @@ func rejections(t testing.TB, o *obs.Obs) map[string]int64 {
 
 // CountingVerifier counts the signature checks an engine asks for.
 type CountingVerifier struct {
-	crypto.Verifier
+	crypto.Committee
 	Calls int
 }
 
 // Verify implements crypto.Verifier.
 func (c *CountingVerifier) Verify(id types.ReplicaID, msg, sig []byte) bool {
 	c.Calls++
-	return c.Verifier.Verify(id, msg, sig)
+	return c.Committee.Verify(id, msg, sig)
 }

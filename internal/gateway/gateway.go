@@ -39,10 +39,10 @@ const subscribeTimeout = 10 * time.Second
 
 // Config parameterizes a gateway.
 type Config struct {
-	// F is the committee fault threshold (quorum 2f+1 for proof checks).
-	F int
-	// Verifier checks certificate signatures (the cluster KeyRing).
-	Verifier crypto.Verifier
+	// Verifier checks certificate signatures (the cluster KeyRing). It
+	// names the committee, whose size 3f+1 sets the proof checks' quorum
+	// 2f+1.
+	Verifier crypto.Committee
 	// QueueBound is the per-subscriber queue depth; a subscriber whose
 	// queue overflows is evicted (default DefaultQueueBound).
 	QueueBound int
@@ -80,7 +80,7 @@ func New(cfg Config) *Gateway {
 	}
 	return &Gateway{
 		cfg:    cfg,
-		lc:     lightclient.New(cfg.Verifier, cfg.F),
+		lc:     lightclient.New(cfg.Verifier, (cfg.Verifier.N()-1)/3),
 		levels: make(map[types.BlockID]int),
 		subs:   make(map[*subscriber]struct{}),
 	}

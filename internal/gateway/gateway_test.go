@@ -69,7 +69,7 @@ func newGwFixture(t *testing.T, queueBound int) *gwFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := gateway.New(gateway.Config{F: 1, Verifier: ring, QueueBound: queueBound})
+	gw := gateway.New(gateway.Config{Verifier: ring, QueueBound: queueBound})
 	ln := newPipeListener()
 	go gw.Serve(ln)
 	t.Cleanup(func() { gw.Close() })

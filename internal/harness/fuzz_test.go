@@ -92,6 +92,32 @@ func TestWeakenedRuleCaught(t *testing.T) {
 	}
 }
 
+// TestWeakenedRuleCaughtAtFour pins the canary at n = 4 on fixed seeds, so
+// that a change to the election or to the markers cannot take its teeth away
+// unseen: the naive rule violates Definition 1 on each (on all of seeds
+// 1–64), the marker rule breaks no invariant on any. Seed 1's first finding
+// is the counterexample doc.go spells out.
+func TestWeakenedRuleCaughtAtFour(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		spec, violations, err := harness.WeakenedRuleCanary(seed, 4, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hasDef1(violations) {
+			t.Errorf("seed %d: the naive rule broke no Definition 1: %s", seed, spec)
+		} else if seed == 1 && !strings.Contains(violations[0], "at height 9 both reached strength >= 2 with 2 byzantine") {
+			t.Errorf("seed 1's first finding moved from doc.go's counterexample: %s", violations[0])
+		}
+		spec, violations, err = harness.WeakenedRuleCanary(seed, 4, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(violations) > 0 {
+			t.Errorf("seed %d: marker rule violated invariants under the canary collusion: %s\n%v", seed, spec, violations)
+		}
+	}
+}
+
 func hasDef1(violations []string) bool {
 	for _, v := range violations {
 		if strings.Contains(v, "Definition 1") {

@@ -15,7 +15,7 @@ import (
 // Prevalidate has checked — a rejected message must change nothing, and an
 // accepted one must act the same through both doors (enginetest.CheckDoors).
 func FuzzOnMessage(f *testing.F) {
-	fx := doorFixture(f, observer.Config{VerifySignatures: true})
+	fx := doorFixture(f, true, observer.Config{})
 	tip := fx.chain[3]
 	b4 := fx.child(fx.qcFor(tip, 3))
 	enginetest.AddSeeds(f,
@@ -27,8 +27,8 @@ func FuzzOnMessage(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		cfg := observer.Config{VerifySignatures: data[0]&1 != 0}
-		a, b := doorFixture(t, cfg), doorFixture(t, cfg)
+		verify := data[0]&1 != 0
+		a, b := doorFixture(t, verify, observer.Config{}), doorFixture(t, verify, observer.Config{})
 		enginetest.CheckDoors(t, a.obs, b.obs, 0, data[1:], fingerprint)
 	})
 }

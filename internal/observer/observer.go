@@ -44,16 +44,14 @@ type Config struct {
 	// ID is the observer's wire identity. By convention it lies outside the
 	// voting committee [0, N); replicas never count it toward quorums.
 	ID types.ReplicaID
-	// N is the voting committee's size, which must be 3f+1.
-	N int
 	// Mode selects the marker rule: core.ModeRound (DiemBFT) or
 	// core.ModeHeight (Streamlet). Defaults to ModeRound.
 	Mode core.Mode
 	// Verifier checks vote and proposal signatures (the cluster KeyRing).
-	Verifier crypto.Verifier
-	// VerifySignatures enables cryptographic checks (on for anything real;
-	// off only for pure-simulation tests, matching the voting engines).
-	VerifySignatures bool
+	// It names the committee, whose size N must be 3f+1, and its scheme:
+	// signatures are checked under real cryptography (crypto.Authenticates)
+	// and left unchecked under the simulated schemes, as on the replicas.
+	Verifier crypto.Committee
 	// OnCertified, if non-nil, observes every (block, qc) pair where qc
 	// certifies block, exactly once per block, in arrival order. This is
 	// the §5 proof feed: a certified block's CommitLog entries are proven
@@ -66,7 +64,9 @@ type Config struct {
 // transport's reader goroutines.
 type Observer struct {
 	*replica.Chassis
-	cfg Config
+	cfg    Config
+	n      int  // the committee's size
+	verify bool // whether signatures are checked
 
 	// certified marks blocks already reported via OnCertified. The store
 	// cannot stand in for it: the state-sync applier registers a segment's
@@ -88,11 +88,17 @@ type rise struct {
 
 // New creates an observer engine.
 func New(cfg Config) (*Observer, error) {
-	o := &Observer{cfg: cfg, certified: make(map[types.BlockID]bool)}
+	if cfg.Verifier == nil {
+		return nil, fmt.Errorf("observer: a committee verifier is required")
+	}
+	o := &Observer{
+		cfg: cfg, n: cfg.Verifier.N(), verify: crypto.Authenticates(cfg.Verifier.Scheme()),
+		certified: make(map[types.BlockID]bool),
+	}
 	var err error
 	o.Chassis, err = replica.New(replica.Config{
-		ID: cfg.ID, N: cfg.N,
-		Verifier: cfg.Verifier, VerifySignatures: cfg.VerifySignatures,
+		ID: cfg.ID, N: o.n,
+		Verifier: cfg.Verifier, VerifySignatures: o.verify,
 	}, cfg.Mode, func(b *types.Block, x int) {
 		o.rises = append(o.rises, rise{b, x})
 	}, o.accepted)
@@ -166,10 +172,10 @@ func (o *Observer) checkProposal(p *types.Proposal) error {
 		// names the parent at another height certifies nothing it holds.
 		return fmt.Errorf("observer: justify does not certify parent")
 	}
-	if int(p.Sender) >= o.cfg.N {
+	if int(p.Sender) >= o.n {
 		return fmt.Errorf("observer: proposal from outside the committee")
 	}
-	if o.cfg.VerifySignatures && !o.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
+	if o.verify && !o.cfg.Verifier.Verify(p.Sender, p.SigningPayload(), p.Signature) {
 		return fmt.Errorf("observer: bad proposal signature")
 	}
 	return o.Certs.VerifyQC(p.Block.Justify)
@@ -256,7 +262,7 @@ func (o *Observer) onStateSync(m *types.StateSyncResponse) {
 // requestCatchUp asks the next committee member (round-robin) for
 // everything above the observer's current tip.
 func (o *Observer) requestCatchUp() {
-	up := types.ReplicaID(o.nextUp % o.cfg.N)
+	up := types.ReplicaID(o.nextUp % o.n)
 	o.nextUp++
 	o.Outs = append(o.Outs, engine.Output{Kind: engine.Send,
 		To:  up,

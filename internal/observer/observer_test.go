@@ -23,16 +23,12 @@ type fixture struct {
 	chain []*types.Block // chain[0] = genesis
 }
 
-func newFixture(t testing.TB, cfg observer.Config) *fixture {
+func newFixture(t testing.TB, verify bool, cfg observer.Config) *fixture {
 	t.Helper()
-	ring, err := crypto.NewKeyRing(4, 7, crypto.SchemeSim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ring := fixtureRing(t, verify)
 	if cfg.ID == 0 {
 		cfg.ID = 4
 	}
-	cfg.N = 4
 	if cfg.Verifier == nil {
 		cfg.Verifier = ring
 	}
@@ -41,6 +37,22 @@ func newFixture(t testing.TB, cfg observer.Config) *fixture {
 		t.Fatal(err)
 	}
 	return &fixture{t: t, ring: ring, obs: o, chain: []*types.Block{types.Genesis()}}
+}
+
+// fixtureRing is the fixture's committee of four. The observer checks
+// signatures under real cryptography only, so verify picks ed25519 keys and
+// otherwise the simulated scheme's.
+func fixtureRing(t testing.TB, verify bool) *crypto.KeyRing {
+	t.Helper()
+	scheme := crypto.SchemeSim
+	if verify {
+		scheme = crypto.SchemeEd25519
+	}
+	ring, err := crypto.NewKeyRing(4, 7, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ring
 }
 
 // extend appends one block at the next round/height, certified by signers.
@@ -116,8 +128,7 @@ func strengths(outs []engine.Output) map[types.BlockID]int {
 // (level f), and deeper certification raises its level toward 2f.
 func TestFollowsChainAndCommits(t *testing.T) {
 	var certified []types.BlockID
-	f := newFixture(t, observer.Config{
-		VerifySignatures: true,
+	f := newFixture(t, true, observer.Config{
 		OnCertified: func(b *types.Block, qc *types.QC) {
 			certified = append(certified, b.ID())
 		},
@@ -174,8 +185,8 @@ func TestFollowsChainAndCommits(t *testing.T) {
 // doorFixture is the fixed starting point of the rejection table, the
 // never-verifies test and FuzzOnMessage: an observer that has followed the
 // certified chain b1..b3.
-func doorFixture(t testing.TB, cfg observer.Config) *fixture {
-	f := newFixture(t, cfg)
+func doorFixture(t testing.TB, verify bool, cfg observer.Config) *fixture {
+	f := newFixture(t, verify, cfg)
 	for i := 0; i < 3; i++ {
 		b, _ := f.extend(3)
 		f.deliver(f.proposal(b))
@@ -311,7 +322,7 @@ func TestRejectsForgedTraffic(t *testing.T) {
 			}
 			for _, split := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/verify=%v/split=%v", rj.name, verify, split), func(t *testing.T) {
-					f := doorFixture(t, observer.Config{VerifySignatures: verify})
+					f := doorFixture(t, verify, observer.Config{})
 					enginetest.CheckRejected(t, f.obs, split, 0, rj.msg(f), fingerprint, nil, "")
 				})
 			}
@@ -323,10 +334,10 @@ func TestRejectsForgedTraffic(t *testing.T) {
 // OnVerifiedMessage checks no signature for proposals and echoed proposals,
 // and OnMessage checks exactly what Prevalidate alone does.
 func TestStateStageNeverVerifies(t *testing.T) {
-	ring, _ := crypto.NewKeyRing(4, 7, crypto.SchemeSim) // newFixture's
+	ring := fixtureRing(t, true) // newFixture's
 	build := func() (*fixture, *enginetest.CountingVerifier) {
-		cv := &enginetest.CountingVerifier{Verifier: ring}
-		return doorFixture(t, observer.Config{VerifySignatures: true, Verifier: cv}), cv
+		cv := &enginetest.CountingVerifier{Committee: ring}
+		return doorFixture(t, true, observer.Config{Verifier: cv}), cv
 	}
 	splitFx, splitCalls := build()
 	wholeFx, wholeCalls := build()
@@ -364,7 +375,7 @@ func TestStateStageNeverVerifies(t *testing.T) {
 // buffers it and emits a state-sync request; the response heals the gap and
 // the buffered child flushes, with commits arriving in order.
 func TestOrphanHealsViaCatchUp(t *testing.T) {
-	f := newFixture(t, observer.Config{VerifySignatures: true})
+	f := newFixture(t, true, observer.Config{})
 
 	// Build a served store with the full chain, as an upstream replica.
 	served := blockstore.New()
@@ -415,7 +426,7 @@ func TestOrphanHealsViaCatchUp(t *testing.T) {
 // original saw — no gaps, no reordering.
 func TestRestartResumesWithoutGaps(t *testing.T) {
 	var firstRun []types.BlockID
-	f := newFixture(t, observer.Config{VerifySignatures: true})
+	f := newFixture(t, true, observer.Config{})
 	served := blockstore.New()
 	for i := 0; i < 6; i++ {
 		b, justify := f.extend(3)
@@ -438,7 +449,7 @@ func TestRestartResumesWithoutGaps(t *testing.T) {
 
 	// "Restart": a brand-new engine with empty state syncs from scratch.
 	ring := f.ring
-	o2, err := observer.New(observer.Config{ID: 4, N: 4, Verifier: ring, VerifySignatures: true})
+	o2, err := observer.New(observer.Config{ID: 4, Verifier: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +474,7 @@ func TestRestartResumesWithoutGaps(t *testing.T) {
 // timer firing on a tip that moved (the re-armed timer alone).
 func TestOutputLifetime(t *testing.T) {
 	build := func() (*fixture, []*types.Block) {
-		f := newFixture(t, observer.Config{VerifySignatures: true})
+		f := newFixture(t, true, observer.Config{})
 		var blocks []*types.Block
 		for i := 0; i < 4; i++ {
 			b, _ := f.extend(3)
@@ -483,9 +494,10 @@ func TestOutputLifetime(t *testing.T) {
 }
 
 // TestNewRejects: the observer runs on the replica chassis, which needs a
-// verifier and a committee of n = 3f+1.
+// verifier whose committee has n = 3f+1.
 func TestNewRejects(t *testing.T) {
-	ring, err := crypto.NewKeyRing(4, 7, crypto.SchemeSim)
+	ring := fixtureRing(t, false)
+	five, err := crypto.NewKeyRing(5, 7, crypto.SchemeSim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,15 +505,15 @@ func TestNewRejects(t *testing.T) {
 		name string
 		cfg  observer.Config
 	}{
-		{"no verifier", observer.Config{ID: 4, N: 4}},
-		{"n=5 is not 3f+1", observer.Config{ID: 5, N: 5, Verifier: ring}},
-		{"empty committee", observer.Config{ID: 4, Verifier: ring}},
+		{"no verifier", observer.Config{ID: 4}},
+		{"n=5 is not 3f+1", observer.Config{ID: 5, Verifier: five}},
+		{"empty committee", observer.Config{ID: 4, Verifier: &crypto.KeyRing{}}},
 	} {
 		if _, err := observer.New(tc.cfg); err == nil {
 			t.Errorf("%s: built", tc.name)
 		}
 	}
-	if _, err := observer.New(observer.Config{ID: 4, N: 4, Verifier: ring}); err != nil {
+	if _, err := observer.New(observer.Config{ID: 4, Verifier: ring}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 }
@@ -514,9 +526,8 @@ func TestNewRejects(t *testing.T) {
 // close a 3-chain on it and the tracker rates its first block.
 func TestForkCertifiedTwiceCommitsOnce(t *testing.T) {
 	certified := map[types.BlockID]int{}
-	f := newFixture(t, observer.Config{
-		VerifySignatures: true,
-		OnCertified:      func(b *types.Block, qc *types.QC) { certified[b.ID()]++ },
+	f := newFixture(t, true, observer.Config{
+		OnCertified: func(b *types.Block, qc *types.QC) { certified[b.ID()]++ },
 	})
 	var main []*types.Block
 	for i := 0; i < 7; i++ {
@@ -567,7 +578,7 @@ func TestWrongHeightIsUnknown(t *testing.T) {
 	for _, verify := range []bool{true, false} {
 		for _, split := range []bool{false, true} {
 			t.Run(fmt.Sprintf("verify=%v/split=%v", verify, split), func(t *testing.T) {
-				f := doorFixture(t, observer.Config{VerifySignatures: verify})
+				f := doorFixture(t, verify, observer.Config{})
 				tip := f.chain[len(f.chain)-1]
 				justify := f.qcAt(tip, tip.Height+4)
 				p := f.proposal(types.NewBlock(tip.ID(), justify, tip.Round+1, tip.Height+5, 0, 0, types.Payload{}, nil))

@@ -60,7 +60,7 @@ func TestDoorRecord(t *testing.T) {
 	for _, sigs := range []bool{false, true} {
 		name := map[bool]string{false: "structure", true: "signatures"}[sigs]
 		t.Run(name, func(t *testing.T) {
-			cv := &enginetest.CountingVerifier{Verifier: ring}
+			cv := &enginetest.CountingVerifier{Committee: ring}
 			certsFor := func(n int, v crypto.Verifier) *Certs {
 				return NewCerts(&Config{N: n, Verifier: v, VerifySignatures: sigs})
 			}
@@ -131,7 +131,7 @@ func TestDoorRecord(t *testing.T) {
 			readsInFull("rebuilt with equal content", certs, rebuild(passed()))
 			readsInFull("another quorum", certsFor(7, cv), passed())
 			if sigs {
-				other := &enginetest.CountingVerifier{Verifier: ring}
+				other := &enginetest.CountingVerifier{Committee: ring}
 				readsInFull("another verifier", certsFor(4, other), passed())
 			}
 			off := certsFor(4, cv)
@@ -168,7 +168,7 @@ func TestDoorRecordAfterSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv := &enginetest.CountingVerifier{Verifier: ring}
+	cv := &enginetest.CountingVerifier{Committee: ring}
 	certs := NewCerts(&Config{N: 4, Verifier: cv, VerifySignatures: true})
 	forged := doorQC(ring, 3)
 	forged.Votes[1].Signature = slices.Clone(forged.Votes[1].Signature)

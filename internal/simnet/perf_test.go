@@ -101,13 +101,19 @@ func TestStatsCopy(t *testing.T) {
 // each pop checked against the least (at, seq) still queued, found by scan.
 func TestEventQueueOrdering(t *testing.T) {
 	var q eventQueue
+	pop := func() event {
+		idx := q.pop()
+		ev := q.slab[idx]
+		q.release(idx)
+		return ev
+	}
 	times := []time.Duration{30, 10, 20, 10, 40, 10, 30}
 	for i, at := range times {
 		q.push(event{at: at, seq: uint64(i)})
 	}
 	// Drain half, then refill to force free-list recycling.
 	for i := 0; i < 3; i++ {
-		q.pop()
+		pop()
 	}
 	for i, at := range []time.Duration{5, 25, 15} {
 		q.push(event{at: at, seq: uint64(100 + i)})
@@ -115,7 +121,7 @@ func TestEventQueueOrdering(t *testing.T) {
 	var prevAt time.Duration
 	var prevSeq uint64
 	for first := true; q.len() > 0; first = false {
-		ev := q.pop()
+		ev := pop()
 		if !first && (ev.at < prevAt || (ev.at == prevAt && ev.seq < prevSeq)) {
 			t.Fatalf("out of order: (%v,%d) after (%v,%d)", ev.at, ev.seq, prevAt, prevSeq)
 		}
@@ -137,7 +143,7 @@ func TestEventQueueOrdering(t *testing.T) {
 				least = i
 			}
 		}
-		if got, want := q.pop(), ref[least]; got.at != want.at || got.seq != want.seq {
+		if got, want := pop(), ref[least]; got.at != want.at || got.seq != want.seq {
 			t.Fatalf("pop (%v,%d), want (%v,%d)", got.at, got.seq, want.at, want.seq)
 		}
 		ref = append(ref[:least], ref[least+1:]...)

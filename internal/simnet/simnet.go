@@ -96,8 +96,10 @@ func (q *eventQueue) push(ev event) {
 	h[i] = e
 }
 
-// pop removes the minimum event and returns it by value, recycling its slot.
-func (q *eventQueue) pop() event {
+// pop removes the minimum event from the heap and returns its slab index.
+// The slot stays the event's until release: a push may grow the slab
+// meanwhile, so the event is read through q.slab[idx] before any push.
+func (q *eventQueue) pop() int32 {
 	h := q.heap
 	n := len(h) - 1
 	idx, last := h[0].idx, h[n]
@@ -118,14 +120,16 @@ func (q *eventQueue) pop() event {
 		h[i], i = h[least], least
 	}
 	h[i] = last
-	ev := q.slab[idx]
+	return idx
+}
+
+// release recycles a popped event's slot.
+func (q *eventQueue) release(idx int32) {
 	// Drop reference-typed fields so the GC can reclaim them while the slot
 	// sits on the free list.
-	q.slab[idx].msg = nil
-	q.slab[idx].build = nil
-	q.slab[idx].groups = nil
+	ev := &q.slab[idx]
+	ev.msg, ev.build, ev.groups = nil, nil, nil
 	q.free = append(q.free, idx)
-	return ev
 }
 
 // MsgStats aggregates message accounting for one run.
@@ -273,17 +277,20 @@ func (s *Sim) Run(until time.Duration) {
 			s.now = until
 			return
 		}
-		ev := s.queue.pop()
-		s.now = ev.at
+		idx := s.queue.pop()
+		s.now = s.queue.slab[idx].at
 		s.events++
-		s.dispatch(ev)
+		s.dispatch(&s.queue.slab[idx])
+		s.queue.release(idx)
 	}
 	s.now = until
 }
 
-func (s *Sim) dispatch(ev event) {
-	id := ev.to
-	switch ev.kind {
+// dispatch runs one event in its slab slot. It reads the event only before
+// apply, whose pushes may grow the slab.
+func (s *Sim) dispatch(ev *event) {
+	id, kind := ev.to, ev.kind
+	switch kind {
 	case evCrash:
 		s.crashed[id] = true
 		return
@@ -294,7 +301,7 @@ func (s *Sim) dispatch(ev event) {
 		s.partition = nil
 		return
 	}
-	if ev.kind == evStart && ev.build != nil {
+	if kind == evStart && ev.build != nil {
 		// Restart: install the recovered engine and fall through to Init.
 		s.SetEngine(id, ev.build())
 		s.crashed[id] = false
@@ -304,7 +311,7 @@ func (s *Sim) dispatch(ev event) {
 	}
 	eng := s.engines[id]
 	var outs []engine.Output
-	switch ev.kind {
+	switch kind {
 	case evStart:
 		outs = eng.Init(s.now)
 	case evMessage:

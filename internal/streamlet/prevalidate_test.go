@@ -319,7 +319,7 @@ func TestRejectionTable(t *testing.T) {
 func TestStateStageNeverVerifies(t *testing.T) {
 	ring, _ := crypto.NewKeyRing(4, 1, crypto.SchemeSim)
 	build := func() (*doorFixture, *enginetest.CountingVerifier) {
-		cv := &enginetest.CountingVerifier{Verifier: ring}
+		cv := &enginetest.CountingVerifier{Committee: ring}
 		return newDoorFixture(t, cv, true, nil), cv
 	}
 	splitFx, splitCalls := build()

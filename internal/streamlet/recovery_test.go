@@ -84,8 +84,7 @@ func TestStreamletKillRestartRecovers(t *testing.T) {
 		if len(preVoted) != len(postVoted) {
 			t.Errorf("vote history length %d, pre-crash %d", len(postVoted), len(preVoted))
 		}
-		// Recorded and replayed in round order: VoteHistory.PruneBelow drops
-		// a prefix on the strength of it.
+		// Recorded and replayed in round order, one vote per round.
 		for i := 1; i < len(postVoted); i++ {
 			if postVoted[i].Round <= postVoted[i-1].Round {
 				t.Errorf("vote %d is for round %d, after round %d", i, postVoted[i].Round, postVoted[i-1].Round)

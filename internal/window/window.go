@@ -1,6 +1,6 @@
 // Package window holds the sizing rule every sliding window of a replica
-// follows — the store's height ring, the vote history and its chain index,
-// the committed tail and the strength feed — and the window type the ones
+// follows — the store's height ring, the committed tail and the strength
+// feed — and the window type the ones
 // that slide use. Entries join at the back and leave at the front. Whenever
 // a window of L live entries runs out of room, it moves them into at most
 // L + Slack(L) slots — its own array when that is small enough and the dead

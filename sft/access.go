@@ -137,11 +137,9 @@ func NewObserver(cfg ObserverConfig, tr ObserverTransport) (*ObserverNode, error
 		feed: feed{name: "observer"},
 	}
 	eng, err := observer.New(observer.Config{
-		ID:               cfg.ID,
-		N:                n,
-		Mode:             mode,
-		Verifier:         cfg.Ring,
-		VerifySignatures: checksSignatures(cfg.Ring),
+		ID:       cfg.ID,
+		Mode:     mode,
+		Verifier: cfg.Ring,
 		OnCertified: func(b *types.Block, qc *types.QC) {
 			if cfg.Gateway != nil {
 				// A pair the observer itself verified; the gateway re-checks
@@ -236,12 +234,10 @@ type GatewayService struct {
 
 // NewGateway composes a gateway over the committee's PKI.
 func NewGateway(cfg GatewayConfig) (*GatewayService, error) {
-	n, err := committee(cfg.Ring)
-	if err != nil {
+	if _, err := committee(cfg.Ring); err != nil {
 		return nil, err
 	}
 	return &GatewayService{gw: gateway.New(gateway.Config{
-		F:          (n - 1) / 3,
 		Verifier:   cfg.Ring,
 		QueueBound: cfg.QueueBound,
 		Obs:        cfg.Obs,

@@ -9,10 +9,11 @@ import (
 )
 
 // TestFootprintFlat: a DiemBFT replica set at keep 512 holds its sliding
-// windows — the store's height ring, the vote history and its chain index,
-// the strength feed — in at most keep + window.Slack(keep) slots each, and in
-// exactly as many after 20,000 heights as after 2,000: what a replica holds
-// follows what it keeps, not how long it ran.
+// windows — the store's height ring and the strength feed — in at most keep +
+// window.Slack(keep) slots each, its vote history (one leaf per fork) in at
+// most historySlots, and each in exactly as many after 20,000 heights as
+// after 2,000: what a replica holds follows what it keeps, not how long it
+// ran.
 func TestFootprintFlat(t *testing.T) {
 	const n, keep = 4, 512
 	world, err := NewSimnet(SimnetConfig{
@@ -36,14 +37,14 @@ func TestFootprintFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	type footprint struct{ ring, voted, chain, feed int }
+	const historySlots = 8
+	type footprint struct{ ring, history, feed int }
 	measure := func() []footprint {
 		out := make([]footprint, n)
 		for i, node := range nodes {
 			rep := node.honestEngine().(*diembft.Replica)
-			voted, chain := rep.History().Capacity()
 			node.mu.Lock()
-			out[i] = footprint{rep.Store().Levels(), voted, chain, node.levels.Cap()}
+			out[i] = footprint{rep.Store().Levels(), rep.History().Capacity(), node.levels.Cap()}
 			node.mu.Unlock()
 		}
 		return out
@@ -63,11 +64,14 @@ func TestFootprintFlat(t *testing.T) {
 		if short[i] != long[i] {
 			t.Errorf("node %d holds %+v slots after 2,000 heights and %+v after 20,000", i, short[i], long[i])
 		}
-		for _, slots := range []int{long[i].ring, long[i].voted, long[i].chain, long[i].feed} {
+		for _, slots := range []int{long[i].ring, long[i].feed} {
 			if slots > bound || slots < keep {
-				t.Errorf("node %d holds %+v slots, want each in %d..%d", i, long[i], keep, bound)
+				t.Errorf("node %d holds %+v slots, want the ring and the feed each in %d..%d", i, long[i], keep, bound)
 				break
 			}
+		}
+		if long[i].history > historySlots {
+			t.Errorf("node %d holds %+v slots, want the history in at most %d", i, long[i], historySlots)
 		}
 	}
 }

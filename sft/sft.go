@@ -276,14 +276,6 @@ func committee(ring *KeyRing) (int, error) {
 	return ring.N(), checkCommittee(ring.N())
 }
 
-// checksSignatures reports whether ring's scheme is real crypto, under
-// which every signature is checked; the simulated schemes leave the checks
-// to WithReference.
-func checksSignatures(ring *KeyRing) bool {
-	s := Scheme(ring.Scheme())
-	return s == SchemeEd25519 || s == Ed25519Aggregate
-}
-
 // resolvePKI turns a node's N and seed, its WithScheme and its WithKeyRing
 // into the committee's key ring. A supplied ring names the committee: it must
 // hold exactly N keys (KeyRing.Verify is false for a signer outside the ring,
@@ -336,7 +328,8 @@ func New(cfg Config, opts ...Option) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	verify := checksSignatures(ring) || s.ref.VerifySignatures
+	// The simulated schemes leave the checks to WithReference.
+	verify := crypto.Authenticates(ring.Scheme()) || s.ref.VerifySignatures
 
 	n := &Node{
 		cfg:  cfg,
